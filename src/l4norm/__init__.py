@@ -5,8 +5,9 @@ and dissipative drag.
 Every closed-form series evaluated by this package is cross-checked
 against an independent numeric oracle (Newton solves, truncated Taylor
 composition, symplectic eigenvector construction, harmonic division);
-`l4norm.verify.run_pipeline` chains the stages and `l4norm.errata` records
-the confirmed discrepancies between the printed tables and the oracles.
+`l4norm.verify.run_pipeline` chains the oracle stages, `l4norm.verify.audit`
+compares the printed tables with them, and `l4norm.errata` records the
+confirmed discrepancies.
 """
 
 from .dalembert import DAlembertSeries, FrequencyPair, moser_check, small_divisor

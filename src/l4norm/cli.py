@@ -194,6 +194,7 @@ def cmd_verify(config: RunConfig) -> int:
     p = config.params()
     options = config.options()
     result = verify.run_pipeline(p, options, stages=config.stages)
+    printed = verify.audit(result)
     verdicts = None
     if "b2" in result.stages or "h3" in result.stages:
         verdicts = verify.detect_discrepancies(mu=p.mu, options=options)
@@ -201,11 +202,11 @@ def cmd_verify(config: RunConfig) -> int:
         lines = ["key,value"]
         for name, ok in result.gates().items():
             lines.append(f"gate.{name},{fmt(ok)}")
-        for key in sorted(result.gaps):
-            lines.append(f"gap.{key},{fmt(result.gaps[key])}")
+        for key in sorted(printed.gaps):
+            lines.append(f"gap.{key},{fmt(printed.gaps[key])}")
         _emit("\n".join(lines) + "\n", config, "verify.csv")
     else:
-        text = verify.render_report(result, verdicts)
+        text = verify.render_report(result, printed, verdicts)
         _emit(text, config, "verify.txt")
     gates = result.gates()
     for name, passed in gates.items():

@@ -1,9 +1,9 @@
 """Verbatim transcriptions of the closed-form normalization tables.
 
 Everything here evaluates published series exactly as printed, including
-terms an independent oracle later contradicts; the reconciliation (and the
-registry of confirmed discrepancies) lives in :mod:`l4norm.errata` and the
-verification pipeline.  Structural alternates that the oracle adjudicates
+terms an independent oracle later contradicts; the reconciliation lives in
+:func:`l4norm.verify.audit`, the registry of confirmed discrepancies in
+:mod:`l4norm.errata`.  Structural alternates that the oracle adjudicates
 are exposed behind explicit ``corrected`` switches, never silently.
 
 Entry naming: primed table entries use a ``p`` suffix (F2p = F2'), double
@@ -17,9 +17,7 @@ from dataclasses import dataclass
 
 from .dalembert import FrequencyPair
 from .errors import SmallDivisorError
-from .model import ModelParams
-
-SQRT3 = math.sqrt(3.0)
+from .model import SQRT3, ModelParams
 
 
 # -- auxiliary scalars ---------------------------------------------------
@@ -39,6 +37,10 @@ def mode_scalars(w: FrequencyPair):
     return l1, l2, math.sqrt(k1sq), math.sqrt(k2sq)
 
 
+# The printed normal-mode entries, attributes of JClosedForm and NormalModeData.
+J_ENTRIES = ("J13", "J14", "J21", "J22", "J23", "J24")
+
+
 @dataclass(frozen=True)
 class JClosedForm:
     """The six printed normal-mode matrix entries."""
@@ -49,10 +51,6 @@ class JClosedForm:
     J22: float
     J23: float
     J24: float
-
-    def as_dict(self):
-        return {"J13": self.J13, "J14": self.J14, "J21": self.J21,
-                "J22": self.J22, "J23": self.J23, "J24": self.J24}
 
 
 def j_closed_form(p: ModelParams, w: FrequencyPair,

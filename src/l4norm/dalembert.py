@@ -16,7 +16,7 @@ multiplier theta = p*omega1 - q*omega2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ContractError, CriticalTermError, ParameterError, SmallDivisorError
 
@@ -42,18 +42,6 @@ class FrequencyPair:
 
     def theta(self, p: int, q: int) -> float:
         return p * self.omega1 - q * self.omega2
-
-
-@dataclass(frozen=True)
-class FrequencyCorrection:
-    """Structural container for the action-dependent frequency corrections.
-
-    Coefficients are keyed by (n-m, m); this artifact never populates their
-    values -- degree >= 3 components, outside the second-order scope.
-    """
-
-    f_coeffs: dict = field(default_factory=dict)
-    g_coeffs: dict = field(default_factory=dict)
 
 
 def _canonical(p: int, q: int, c, s):
@@ -276,7 +264,6 @@ class MoserReport:
     worst_pair: tuple
     tol: float
     passed: bool
-    combinations: tuple  # ((k1, k2, value) sorted by value)
 
 
 def moser_check(w: FrequencyPair, tol: float = DIVISOR_FLOOR) -> MoserReport:
@@ -287,13 +274,10 @@ def moser_check(w: FrequencyPair, tol: float = DIVISOR_FLOOR) -> MoserReport:
             if order == 0 or order > 4:
                 continue
             rows.append((abs(k1 * w.omega1 + k2 * w.omega2), (k1, k2)))
-    rows.sort()
-    value, pair = rows[0]
-    table = tuple((k1, k2, v) for v, (k1, k2) in rows)
+    value, pair = min(rows)
     return MoserReport(
         min_combination=value,
         worst_pair=pair,
         tol=tol,
         passed=value > tol,
-        combinations=table,
     )

@@ -19,9 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, ParameterError, SingularJacobianError
-from .model import ModelParams, State, potential_gradient
-
-SQRT3 = math.sqrt(3.0)
+from .model import SQRT3, ModelParams, State, potential_gradient
 
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 100

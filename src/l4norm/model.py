@@ -24,6 +24,8 @@ from .errors import CollisionError, ParameterError
 
 COLLISION_RADIUS = 1e-9
 
+SQRT3 = math.sqrt(3.0)
+
 # Mass-reduction factor from particle properties (CGS): q = 1 - 5.6e-5*chi/(a*rho).
 _Q_PARTICLE_CONSTANT = 5.6e-5
 
@@ -88,11 +90,6 @@ class ModelParams:
                     "first-order series lose accuracy",
                     stacklevel=2,
                 )
-
-    @classmethod
-    def from_epsilon(cls, mu, epsilon, A2=0.0, cd=1.0):
-        """Construct from the radiation parameter epsilon = 1 - q1."""
-        return cls(mu=mu, q1=1.0 - epsilon, A2=A2, cd=cd)
 
     @classmethod
     def from_particle(cls, mu, chi, a, rho, A2=0.0, cd=1.0):
@@ -191,17 +188,11 @@ def lagrangian(s: State, p: ModelParams) -> float:
     the two-argument angle keeps the term continuous away from the radiating
     primary itself.
     """
-    r1, r2 = s.radii(p)
+    r1, _ = s.radii(p)
     x1 = s.x + p.mu
     kinetic = 0.5 * (s.xdot**2 + s.ydot**2)
     coriolis = p.n * (s.x * s.ydot - s.xdot * s.y)
-    n2 = p.n * p.n
-    potential = (
-        0.5 * n2 * (s.x * s.x + s.y * s.y)
-        + (1.0 - p.mu) * p.q1 / r1
-        + p.mu / r2
-        + 0.5 * p.mu * p.A2 / r2**3
-    )
+    potential = effective_potential(s, p)
     drag = p.W1 * (
         (x1 * s.xdot + s.y * s.ydot) / (2.0 * r1 * r1)
         - p.n * math.atan2(s.y, x1)

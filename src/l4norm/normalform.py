@@ -1,16 +1,18 @@
 """Linear normal modes, first/second-order series components, and the
 cubic normal-form coefficients.
 
-The pipeline this module serves:
+The oracle chain this module serves:
 
 1. frequencies + symplectic normal-mode matrix J from the quadratic
    Lagrangian slice (exact eigenvector construction);
 2. first-order components B1 from the (x, y) rows of J;
 3. cubic forcing X2, Y2 by substituting B1 into the cubic slice;
-4. second-order components B2 by harmonic division (the oracle), or from
-   the printed coefficient tables (closed form, for comparison);
+4. second-order components B2 by harmonic division;
 5. degree-3 energy coefficients after substituting x = B1 + B2, whose
    vanishing is the headline verification target.
+
+The printed readings (B1 print weights, partial-only forcing, B2 from the
+printed tables) sit behind explicit switches for :func:`l4norm.verify.audit`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedforms import JClosedForm, mode_scalars
+from .closedforms import mode_scalars
 from .dalembert import (
     CRITICAL_HARMONICS,
     DAlembertSeries,
@@ -115,8 +117,6 @@ class NormalModeData:
 
     freq: FrequencyPair
     J: np.ndarray
-    efg: QuadraticCoefficients
-    n: float
     l1: float
     l2: float
     k1: float
@@ -147,10 +147,6 @@ class NormalModeData:
     @property
     def J24(self):
         return self.J[1, 3]
-
-    def printed_entries(self):
-        return {"J13": self.J13, "J14": self.J14, "J21": self.J21,
-                "J22": self.J22, "J23": self.J23, "J24": self.J24}
 
 
 def hamiltonian_matrix(K: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -210,8 +206,8 @@ def j_numeric(p: ModelParams, efg: QuadraticCoefficients, w: FrequencyPair,
     target = np.diag([w.omega1**2, -w.omega2**2, 1.0, -1.0])
     h2_res = float(np.max(np.abs(J.T @ S @ J - target)))
     l1, l2s, k1, k2 = mode_scalars(w)
-    return NormalModeData(freq=w, J=J, efg=efg, n=n, l1=l1, l2=l2s, k1=k1,
-                          k2=k2, symplectic_defect=defect, h2_residual=h2_res)
+    return NormalModeData(freq=w, J=J, l1=l1, l2=l2s, k1=k1, k2=k2,
+                          symplectic_defect=defect, h2_residual=h2_res)
 
 
 # -- first-order components ---------------------------------------------
@@ -242,33 +238,25 @@ def first_order_components(nm, verbatim_print: bool = False):
     return b1x, b1y
 
 
-@dataclass(frozen=True)
-class ClosedFormModes:
-    """Adapter exposing printed J entries alongside frequencies so the
-    B1 builder accepts either source."""
+def linear_operator(efg: QuadraticCoefficients, n: float):
+    """The linearized equations as a 2x2 matrix of (c0, c1, c2) entries,
+    each the D-polynomial c0 + c1 D + c2 D^2, acting on (x, y)."""
+    n2 = n * n
+    return (((2.0 * efg.E - n2, 0.0, 1.0), (efg.G, -2.0 * n, 0.0)),
+            ((efg.G, 2.0 * n, 0.0), (2.0 * efg.F - n2, 0.0, 1.0)))
 
-    freq: FrequencyPair
-    J13: float
-    J14: float
-    J21: float
-    J22: float
-    J23: float
-    J24: float
 
-    @classmethod
-    def from_closed(cls, j: JClosedForm, w: FrequencyPair):
-        return cls(w, j.J13, j.J14, j.J21, j.J22, j.J23, j.J24)
+def apply_operator(matrix, x, y, w: FrequencyPair):
+    """Apply a 2x2 matrix of (c0, c1, c2) D-polynomials to the pair (x, y)."""
+    return tuple(apply_poly_in_D(x, w, *a) + apply_poly_in_D(y, w, *b)
+                 for a, b in matrix)
 
 
 def linear_residual(b1x: DAlembertSeries, b1y: DAlembertSeries,
                     efg: QuadraticCoefficients, w: FrequencyPair,
                     n: float) -> float:
     """Sup-norm of the linearized equations applied to a degree-1 pair."""
-    n2 = n * n
-    r1 = apply_poly_in_D(b1x, w, c0=2.0 * efg.E - n2, c2=1.0) \
-        - apply_poly_in_D(b1y, w, c0=-efg.G, c1=2.0 * n)
-    r2 = apply_poly_in_D(b1x, w, c0=efg.G, c1=2.0 * n) \
-        + apply_poly_in_D(b1y, w, c0=2.0 * efg.F - n2, c2=1.0)
+    r1, r2 = apply_operator(linear_operator(efg, n), b1x, b1y, w)
     return max(r1.max_abs(), r2.max_abs())
 
 
@@ -353,7 +341,8 @@ def solve_second_order_oracle(efg: QuadraticCoefficients, w: FrequencyPair,
                               critical_tol: float = 1e-12) -> SecondOrderSolution:
     """Solve the coupled second-order equations by harmonic division.
 
-    Eliminating one unknown turns the coupled pair into
+    Eliminating one unknown (the adjugate of the linear operator, its
+    second row negated) turns the coupled pair into
     (D^2 + w1^2)(D^2 + w2^2) B2 = Phi2 (and = -Psi2), which divides
     harmonic-by-harmonic by the small divisor.  The returned residuals are
     of the original coupled system and must sit at round-off.
@@ -362,18 +351,15 @@ def solve_second_order_oracle(efg: QuadraticCoefficients, w: FrequencyPair,
         for (j, m, p, q), (c, s) in series.terms.items():
             if (p, q) in CRITICAL_HARMONICS and max(abs(c), abs(s)) > critical_tol:
                 raise CriticalTermError((p, q), max(abs(c), abs(s)))
-    n2 = n * n
-    phi2 = apply_poly_in_D(x2, w, c0=2.0 * efg.F - n2, c2=1.0) \
-        + apply_poly_in_D(y2, w, c0=-efg.G, c1=2.0 * n)
-    psi2 = apply_poly_in_D(x2, w, c0=efg.G, c1=2.0 * n) \
-        - apply_poly_in_D(y2, w, c0=2.0 * efg.E - n2, c2=1.0)
+    op = linear_operator(efg, n)
+    (l11, l12), (l21, l22) = op
+    neg = lambda entry: tuple(-v for v in entry)
+    phi2, psi2 = apply_operator(((l22, neg(l12)), (l21, neg(l11))), x2, y2, w)
     b2x = invert_delta(phi2, w, floor)
     b2y = invert_delta(psi2, w, floor).scale(-1.0)
-    rx = apply_poly_in_D(b2x, w, c0=2.0 * efg.E - n2, c2=1.0) \
-        - apply_poly_in_D(b2y, w, c0=-efg.G, c1=2.0 * n) - x2
-    ry = apply_poly_in_D(b2x, w, c0=efg.G, c1=2.0 * n) \
-        + apply_poly_in_D(b2y, w, c0=2.0 * efg.F - n2, c2=1.0) - y2
-    return SecondOrderSolution(b2x, b2y, rx.max_abs(), ry.max_abs())
+    rx, ry = apply_operator(op, b2x, b2y, w)
+    return SecondOrderSolution(b2x, b2y, (rx - x2).max_abs(),
+                               (ry - y2).max_abs())
 
 
 def second_order_closed_form(rs):

@@ -15,14 +15,9 @@ from dataclasses import dataclass
 
 from .equilibria import OriginShift
 from .errors import ContractError, ParameterError
-from .model import ModelParams, State, lagrangian
-
-SQRT3 = math.sqrt(3.0)
+from .model import SQRT3, ModelParams, State, lagrangian
 
 NVARS = 4
-VAR_NAMES = ("xi", "eta", "xidot", "etadot")
-
-_ZERO_TOL = 0.0  # exact-zero pruning only; no silent coefficient chopping
 
 
 class TruncatedPoly:
@@ -45,8 +40,8 @@ class TruncatedPoly:
                     raise ContractError(f"bad exponent tuple {mono}")
                 if sum(mono) > cap:
                     continue
-                if c != _ZERO_TOL:
-                    self.coeffs[tuple(mono)] = self.coeffs.get(tuple(mono), 0.0) + c
+                self.coeffs[tuple(mono)] = self.coeffs.get(tuple(mono), 0.0) + c
+            # exact-zero pruning only; no silent coefficient chopping
             self.coeffs = {m: c for m, c in self.coeffs.items() if c != 0.0}
 
     # -- constructors -------------------------------------------------
@@ -138,10 +133,6 @@ class TruncatedPoly:
 
     def coefficient(self, mono) -> float:
         return self.coeffs.get(tuple(mono), 0.0)
-
-    def real_part(self):
-        return TruncatedPoly(self.cap, {m: c.real for m, c in self.coeffs.items()
-                                        if getattr(c, "real", c) != 0.0})
 
     def imag_part(self):
         return TruncatedPoly(self.cap, {m: c.imag for m, c in self.coeffs.items()
@@ -426,23 +417,17 @@ class H3Comparison:
     """Per-coefficient reconciliation of the closed cubic against the oracle."""
 
     oracle: tuple          # (T1..T4, T5 poly)
-    closed: H3CoefficientsClosedForm
     abs_diff: dict         # name -> |closed - oracle|
     rel_diff: dict         # name -> relative discrepancy
     t5_diff: float         # sup-norm difference of the velocity cubics
-    truncation_bound: float
-
-    def max_position_rel(self) -> float:
-        return max(self.rel_diff.values())
 
 
 def compare_h3(oracle_l3: TruncatedPoly, closed: H3CoefficientsClosedForm,
                p: ModelParams) -> H3Comparison:
     """Map the oracle cubic onto the T-pattern and report discrepancies.
 
-    The truncation bound is the size expected of a second-order remainder
-    in the active perturbations; callers decide what counts as agreement
-    (typically via a halving experiment).
+    Callers decide what counts as agreement (typically via a halving
+    experiment); `p` is not read.
     """
     t1o, t2o, t3o, t4o, t5o = oracle_t_coefficients(oracle_l3)
     names = ("T1", "T2", "T3", "T4")
@@ -455,13 +440,9 @@ def compare_h3(oracle_l3: TruncatedPoly, closed: H3CoefficientsClosedForm,
         abs_diff[name] = d
         rel_diff[name] = d / max(abs(ov), abs(cv), 1e-30)
     t5_diff = closed.T5.norm_of_difference(t5o)
-    active = p.epsilon + p.A2 + p.W1
-    bound = 100.0 * active * active  # generous second-order envelope
     return H3Comparison(
         oracle=(t1o, t2o, t3o, t4o, t5o),
-        closed=closed,
         abs_diff=abs_diff,
         rel_diff=rel_diff,
         t5_diff=t5_diff,
-        truncation_bound=bound,
     )

@@ -1,10 +1,12 @@
-"""End-to-end pipeline, closed-form/oracle reconciliation, and reporting.
+"""End-to-end pipeline, the audit of the printed tables, and reporting.
 
-`run_pipeline` chains the stages (equilibria, taylor, b1, b2, h3) at one
-parameter point and collects residuals plus closed-vs-oracle gaps.
-`detect_discrepancies` runs the single-perturbation halving experiments
-that classify every printed series against its oracle; the acceptance
-suite cross-checks the output against the registry in :mod:`l4norm.errata`.
+`run_pipeline` chains the oracle stages (equilibria, taylor, b1, b2, h3)
+at one parameter point and collects what the gates read.  `audit`
+evaluates the printed series and tables at the same point and returns
+their values and their gaps to that chain.  `detect_discrepancies` runs
+the single-perturbation halving experiments that classify every printed
+series against its oracle; the acceptance suite cross-checks the output
+against the registry in :mod:`l4norm.errata`.
 """
 
 from __future__ import annotations
@@ -24,10 +26,6 @@ STAGES = ("equilibria", "taylor", "b1", "b2", "h3")
 @dataclass(frozen=True)
 class PipelineOptions:
     branch: str = "L4"
-    degree: int = 3
-    partial_forcing: bool = False    # chain-rule-only forcing (printed reading)
-    corrected_tables: bool = False   # structural fixes inside the printed tables
-    verbatim_b1: bool = False        # printed weights for the y-row of B1
     divisor_floor: float = 1e-8
     moser_tol: float = 1e-3
     residual_tol: float = 1e-9       # B2 back-substitution gate
@@ -41,28 +39,19 @@ class PipelineResult:
     options: PipelineOptions
     stages: tuple
     eq_numeric: equilibria.EquilibriumPoint | None = None
-    eq_series: equilibria.EquilibriumPoint | None = None
-    eq_epsform: equilibria.EquilibriumPoint | None = None
     shift: equilibria.OriginShift | None = None
     lagrangian_poly: polyalg.TruncatedPoly | None = None
     efg: polyalg.QuadraticCoefficients | None = None
-    t_closed: polyalg.H3CoefficientsClosedForm | None = None
-    t_comparison: polyalg.H3Comparison | None = None
     freq: FrequencyPair | None = None
     moser: object = None
     nm: normalform.NormalModeData | None = None
-    j_closed: closedforms.JClosedForm | None = None
     b1: tuple | None = None
     b1_residual: float | None = None
     x2: DAlembertSeries | None = None
     y2: DAlembertSeries | None = None
     b2: normalform.SecondOrderSolution | None = None
-    fg: closedforms.FGTable | None = None
-    rs: closedforms.RSTable | None = None
-    b2_closed: tuple | None = None
     h3: normalform.H3NormalCoefficients | None = None
     h3_ablation: normalform.H3NormalCoefficients | None = None
-    gaps: dict = field(default_factory=dict)
 
     def intermediate_scale(self) -> float:
         parts = [s.max_abs() for s in (self.x2, self.y2) if s is not None]
@@ -112,7 +101,7 @@ def oracle_rs_from_series(b2x: DAlembertSeries, b2y: DAlembertSeries):
 
 def run_pipeline(p: ModelParams, options: PipelineOptions = PipelineOptions(),
                  stages=STAGES) -> PipelineResult:
-    """Run the requested stages (later stages pull in earlier ones)."""
+    """Run the requested oracle stages (later stages pull in earlier ones)."""
     order = [s for s in STAGES if s in stages]
     if not order:
         raise ParameterError(f"no valid stages in {stages}")
@@ -121,30 +110,14 @@ def run_pipeline(p: ModelParams, options: PipelineOptions = PipelineOptions(),
                          stages=tuple(STAGES[:last + 1]))
 
     res.eq_numeric = equilibria.solve_triangular_numeric(p, options.branch)
-    res.eq_series = equilibria.triangular_series(p, options.branch)
-    res.eq_epsform = equilibria.epsilon_form(p, options.branch)
     res.shift = equilibria.shift_from_point(res.eq_numeric, p)
-    res.gaps["equilibria.series"] = _point_gap(res.eq_numeric, res.eq_series)
-    res.gaps["equilibria.epsilon_form"] = _point_gap(res.eq_numeric, res.eq_epsform)
-    printed_shift = equilibria.offset_ab(p, verbatim=True)
-    res.gaps["offset.a"] = abs(printed_shift.a - res.shift.a)
-    res.gaps["offset.b"] = abs(printed_shift.b - abs(res.shift.b))
     if last == 0:
         return res
 
-    res.lagrangian_poly = polyalg.taylor_lagrangian(p, res.shift,
-                                                    max(3, options.degree))
+    res.lagrangian_poly = polyalg.taylor_lagrangian(p, res.shift, 3)
     l2 = res.lagrangian_poly.grade(2)
     l3 = res.lagrangian_poly.grade(3)
     res.efg = polyalg.extract_EFG(l2, p)
-    res.t_closed = polyalg.t_coefficients_closed_form(p, res.shift)
-    res.t_comparison = polyalg.compare_h3(l3, res.t_closed, p)
-    for name, gap in res.t_comparison.abs_diff.items():
-        res.gaps[f"cubic.{name}"] = gap
-    res.gaps["cubic.T5"] = res.t_comparison.t5_diff
-    t5_print = polyalg.t_coefficients_closed_form(p, res.shift, verbatim_t5=True).T5
-    res.gaps["cubic.T5_print"] = t5_print.norm_of_difference(
-        l3.velocity_part())
     if last == 1:
         return res
 
@@ -155,36 +128,16 @@ def run_pipeline(p: ModelParams, options: PipelineOptions = PipelineOptions(),
             f"Moser condition fails: |{res.moser.worst_pair}| combination = "
             f"{res.moser.min_combination:.3e}", witness=res.moser.worst_pair)
     res.nm = normalform.j_numeric(p, res.efg, res.freq, l2)
-    res.j_closed = closedforms.j_closed_form(p, res.freq)
-    for name, closed in res.j_closed.as_dict().items():
-        res.gaps[f"j.{name}"] = abs(closed - res.nm.printed_entries()[name])
-    res.b1 = normalform.first_order_components(res.nm,
-                                               verbatim_print=options.verbatim_b1)
+    res.b1 = normalform.first_order_components(res.nm)
     res.b1_residual = normalform.linear_residual(res.b1[0], res.b1[1],
                                                  res.efg, res.freq, p.n)
-    b1_print = normalform.first_order_components(res.nm, verbatim_print=True)
-    res.gaps["b1.print_weights"] = normalform.linear_residual(
-        b1_print[0], b1_print[1], res.efg, res.freq, p.n)
     if last == 2:
         return res
 
-    res.x2, res.y2 = normalform.forcing_x2y2(
-        l3, res.b1[0], res.b1[1], res.freq,
-        partial_forcing=options.partial_forcing)
+    res.x2, res.y2 = normalform.forcing_x2y2(l3, res.b1[0], res.b1[1],
+                                             res.freq)
     res.b2 = normalform.solve_second_order_oracle(
         res.efg, res.freq, p.n, res.x2, res.y2, floor=options.divisor_floor)
-    res.fg = closedforms.fg_tables(p)
-    res.rs = closedforms.rs_tables(res.j_closed, res.freq, res.fg,
-                                   corrected=options.corrected_tables,
-                                   floor=options.divisor_floor)
-    res.b2_closed = normalform.second_order_closed_form(res.rs)
-    r_oracle, s_oracle = oracle_rs_from_series(res.b2.b2x, res.b2.b2y)
-    for i in range(10):
-        res.gaps[f"b2.r{i + 1}"] = abs(res.rs.r[i] - r_oracle[i])
-        res.gaps[f"b2.s{i + 1}"] = abs(res.rs.s[i] - s_oracle[i])
-    res.gaps["b2.sup"] = max(
-        res.b2_closed[0].norm_of_difference(res.b2.b2x),
-        res.b2_closed[1].norm_of_difference(res.b2.b2y))
     if last == 3:
         return res
 
@@ -193,14 +146,81 @@ def run_pipeline(p: ModelParams, options: PipelineOptions = PipelineOptions(),
     zero = DAlembertSeries.zero()
     res.h3_ablation = normalform.h3_normal_coefficients(
         l3, res.b1, (zero, zero), res.efg, res.freq, p.n)
+    return res
+
+
+# -- audit of the printed tables -------------------------------------------
+
+
+@dataclass
+class Audit:
+    """Printed-table values at one pipeline result and their gaps to it."""
+
+    eq_series: equilibria.EquilibriumPoint
+    eq_epsform: equilibria.EquilibriumPoint
+    j_closed: closedforms.JClosedForm | None = None
+    rs: closedforms.RSTable | None = None
+    gaps: dict = field(default_factory=dict)
+
+
+def audit(res: PipelineResult) -> Audit:
+    """Evaluate the printed series behind every stage the result holds.
+    Raises where a printed series has no value; the result stays valid."""
+    p, branch = res.params, res.options.branch
+    out = Audit(eq_series=equilibria.triangular_series(p, branch),
+                eq_epsform=equilibria.epsilon_form(p, branch))
+    gaps = out.gaps
+    gaps["equilibria.series"] = _point_gap(res.eq_numeric, out.eq_series)
+    gaps["equilibria.epsilon_form"] = _point_gap(res.eq_numeric, out.eq_epsform)
+    printed_shift = equilibria.offset_ab(p, verbatim=True)
+    gaps["offset.a"] = abs(printed_shift.a - res.shift.a)
+    gaps["offset.b"] = abs(printed_shift.b - abs(res.shift.b))
+    if res.lagrangian_poly is None:
+        return out
+
+    l3 = res.lagrangian_poly.grade(3)
+    t_closed = polyalg.t_coefficients_closed_form(p, res.shift)
+    t_comparison = polyalg.compare_h3(l3, t_closed, p)
+    for name, gap in t_comparison.abs_diff.items():
+        gaps[f"cubic.{name}"] = gap
+    gaps["cubic.T5"] = t_comparison.t5_diff
+    t5_print = polyalg.t_coefficients_closed_form(p, res.shift, verbatim_t5=True).T5
+    gaps["cubic.T5_print"] = t5_print.norm_of_difference(l3.velocity_part())
+    if res.nm is None:
+        return out
+
+    out.j_closed = closedforms.j_closed_form(p, res.freq)
+    for name in closedforms.J_ENTRIES:
+        gaps[f"j.{name}"] = abs(getattr(out.j_closed, name)
+                                - getattr(res.nm, name))
+    b1_print = normalform.first_order_components(res.nm, verbatim_print=True)
+    gaps["b1.print_weights"] = normalform.linear_residual(
+        b1_print[0], b1_print[1], res.efg, res.freq, p.n)
+    if res.b2 is None:
+        return out
+
+    floor = res.options.divisor_floor
+    fg = closedforms.fg_tables(p)
+    out.rs = closedforms.rs_tables(out.j_closed, res.freq, fg, floor=floor)
+    b2_closed = normalform.second_order_closed_form(out.rs)
+    r_oracle, s_oracle = oracle_rs_from_series(res.b2.b2x, res.b2.b2y)
+    for i in range(10):
+        gaps[f"b2.r{i + 1}"] = abs(out.rs.r[i] - r_oracle[i])
+        gaps[f"b2.s{i + 1}"] = abs(out.rs.s[i] - s_oracle[i])
+    gaps["b2.sup"] = max(b2_closed[0].norm_of_difference(res.b2.b2x),
+                         b2_closed[1].norm_of_difference(res.b2.b2y))
+    if res.h3 is None:
+        return out
+
+    # The printed reading of the forcing: position partials only.
     x2p, y2p = normalform.forcing_x2y2(l3, res.b1[0], res.b1[1], res.freq,
                                        partial_forcing=True)
     b2p = normalform.solve_second_order_oracle(
-        res.efg, res.freq, p.n, x2p, y2p, floor=options.divisor_floor)
+        res.efg, res.freq, p.n, x2p, y2p, floor=floor)
     h3p = normalform.h3_normal_coefficients(
         l3, res.b1, (b2p.b2x, b2p.b2y), res.efg, res.freq, p.n)
-    res.gaps["forcing.partial_only"] = h3p.max_abs()
-    return res
+    gaps["forcing.partial_only"] = h3p.max_abs()
+    return out
 
 
 def _point_gap(a, b) -> float:
@@ -228,10 +248,6 @@ def single_perturbation_params(mu: float, kind: str, h: float) -> ModelParams:
     raise ParameterError(f"unknown perturbation kind {kind}")
 
 
-def classical_params(mu: float) -> ModelParams:
-    return ModelParams(mu=mu)
-
-
 GATING_KEYS = (
     "equilibria.series", "equilibria.epsilon_form", "offset.a", "offset.b",
     "cubic.T1", "cubic.T2", "cubic.T3", "cubic.T4", "cubic.T5",
@@ -250,20 +266,22 @@ def detect_discrepancies(mu: float = 0.01, h: float = 1e-3,
     Returns a list of RemainderVerdict covering every gating key.
     """
     verdicts = []
-    base = run_pipeline(classical_params(mu), options)
+    base = run_pipeline(ModelParams(mu=mu), options)
     scale = max(1.0, base.intermediate_scale())
+    gaps = audit(base).gaps
     for key in GATING_KEYS:
-        gap = base.gaps.get(key, 0.0)
+        gap = gaps.get(key, 0.0)
         cls = "consistent" if gap <= NOISE_FLOOR * scale else "zeroth_order"
         verdicts.append(RemainderVerdict(key, "classical", gap, gap, cls))
     for kind in PERTURBATIONS:
-        res_h = run_pipeline(single_perturbation_params(mu, kind, h), options)
-        res_half = run_pipeline(single_perturbation_params(mu, kind, h / 2),
-                                options)
+        gaps_h = audit(run_pipeline(single_perturbation_params(mu, kind, h),
+                                    options)).gaps
+        gaps_half = audit(run_pipeline(
+            single_perturbation_params(mu, kind, h / 2), options)).gaps
         for key in GATING_KEYS:
             verdicts.append(classify_remainder(
-                key, kind, res_h.gaps.get(key, 0.0),
-                res_half.gaps.get(key, 0.0), scale=scale))
+                key, kind, gaps_h.get(key, 0.0), gaps_half.get(key, 0.0),
+                scale=scale))
     return verdicts
 
 
@@ -352,7 +370,7 @@ def fmt(x) -> str:
     return str(x)
 
 
-def render_report(res: PipelineResult, verdicts=None) -> str:
+def render_report(res: PipelineResult, printed: Audit, verdicts=None) -> str:
     """Structured text: key-value lines plus CSV blocks per stage."""
     lines = []
     put = lines.append
@@ -376,11 +394,11 @@ def render_report(res: PipelineResult, verdicts=None) -> str:
     put("")
     put("[equilibria]")
     put("method,x,y,residual,gap_vs_numeric")
+    gaps = printed.gaps
     for pt, gap in ((res.eq_numeric, 0.0),
-                    (res.eq_series, res.gaps.get("equilibria.series")),
-                    (res.eq_epsform, res.gaps.get("equilibria.epsilon_form"))):
-        if pt is not None:
-            put(f"{pt.method},{fmt(pt.x)},{fmt(pt.y)},{fmt(pt.residual)},{fmt(gap)}")
+                    (printed.eq_series, gaps["equilibria.series"]),
+                    (printed.eq_epsform, gaps["equilibria.epsilon_form"])):
+        put(f"{pt.method},{fmt(pt.x)},{fmt(pt.y)},{fmt(pt.residual)},{fmt(gap)}")
 
     if res.freq is not None:
         put("")
@@ -398,24 +416,24 @@ def render_report(res: PipelineResult, verdicts=None) -> str:
         put(f"h2_residual: {fmt(res.nm.h2_residual)}")
         put(f"b1_residual: {fmt(res.b1_residual)}")
         put("entry,numeric,closed,abs_gap")
-        for name, value in res.nm.printed_entries().items():
-            closed = res.j_closed.as_dict()[name]
-            put(f"{name},{fmt(value)},{fmt(closed)},{fmt(res.gaps['j.' + name])}")
+        for name in closedforms.J_ENTRIES:
+            put(f"{name},{fmt(getattr(res.nm, name))},"
+                f"{fmt(getattr(printed.j_closed, name))},{fmt(gaps['j.' + name])}")
 
     if res.b2 is not None:
         put("")
         put("[second-order]")
         put(f"residual_x: {fmt(res.b2.residual_x)}")
         put(f"residual_y: {fmt(res.b2.residual_y)}")
-        put(f"closed_vs_oracle_sup: {fmt(res.gaps['b2.sup'])}")
+        put(f"closed_vs_oracle_sup: {fmt(gaps['b2.sup'])}")
         r_oracle, s_oracle = oracle_rs_from_series(res.b2.b2x, res.b2.b2y)
         put("coefficient,closed,oracle,abs_gap")
         for i in range(10):
-            put(f"r{i + 1},{fmt(res.rs.r[i])},{fmt(r_oracle[i])},"
-                f"{fmt(res.gaps[f'b2.r{i + 1}'])}")
+            put(f"r{i + 1},{fmt(printed.rs.r[i])},{fmt(r_oracle[i])},"
+                f"{fmt(gaps[f'b2.r{i + 1}'])}")
         for i in range(10):
-            put(f"s{i + 1},{fmt(res.rs.s[i])},{fmt(s_oracle[i])},"
-                f"{fmt(res.gaps[f'b2.s{i + 1}'])}")
+            put(f"s{i + 1},{fmt(printed.rs.s[i])},{fmt(s_oracle[i])},"
+                f"{fmt(gaps[f'b2.s{i + 1}'])}")
         put("b2x_series:")
         for line in res.b2.b2x.pretty().splitlines():
             put("  " + line)

@@ -127,6 +127,31 @@ class TestVerifyCommand:
         assert "[series-vs-oracle]" not in out
 
 
+# L5 point where the printed equilibrium series has no real value while the
+# oracle chain passes every gate.
+BRACE_ARGS = ("--epsilon", "0.007387079964007413",
+              "--a2", "0.0004271000842634082", "--cd", "1.0924737782103944",
+              "--branch", "L5")
+
+
+class TestPrintedSeriesFailure:
+    def test_sweep_rows_carry_the_oracle_result(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--mu-min", "0.0025",
+                               "--mu-max", "0.0026", "--steps", "3",
+                               *BRACE_ARGS, "--stages", "b1")
+        assert code == EXIT_OK
+        rows = out.splitlines()[1:]
+        assert len(rows) == 3
+        assert all(r.endswith(",pass") for r in rows)
+
+    def test_verify_still_refuses_the_audit(self, capsys):
+        code, out, err = run_cli(capsys, "verify",
+                                 "--mu", "0.002552385680036853", *BRACE_ARGS)
+        assert code == EXIT_CONFIG
+        assert "y-brace" in err
+        assert out == ""
+
+
 class TestResonanceScan:
     def test_locates_classical_resonances(self, capsys):
         code, out, err = run_cli(capsys, "resonance-scan", "--mu-min", "0.001",

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from l4norm.errors import (
 )
 from l4norm.model import ModelParams
 from l4norm.normalform import (
-    ClosedFormModes,
     classical_frequencies,
     first_order_components,
     forcing_x2y2,
@@ -162,7 +163,8 @@ class TestFirstOrder:
         def resid(p):
             _, _, lag, efg, w, _ = linear_stage(p)
             jc = j_closed_form(p, w)
-            b1 = first_order_components(ClosedFormModes.from_closed(jc, w))
+            b1 = first_order_components(
+                SimpleNamespace(freq=w, **dataclasses.asdict(jc)))
             return linear_residual(b1[0], b1[1], efg, w, p.n)
 
         assert resid(ModelParams(mu=0.01)) < 1e-12

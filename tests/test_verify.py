@@ -2,13 +2,15 @@ import math
 
 import pytest
 
-from l4norm.closedforms import RSTable
+from l4norm.closedforms import RSTable, fg_tables, j_closed_form, rs_tables
 from l4norm.errata import KNOWN_DISCREPANCIES, is_registered
-from l4norm.errors import ResonanceError
+from l4norm.errors import ParameterError, ResonanceError
 from l4norm.model import ModelParams
 from l4norm.normalform import second_order_closed_form
 from l4norm.verify import (
+    GATING_KEYS,
     PipelineOptions,
+    audit,
     critical_mass_ratio,
     detect_discrepancies,
     frequencies_by_homotopy,
@@ -49,8 +51,10 @@ class TestPipeline:
         assert not res.gates()["h3-vanishing"]
 
     def test_report_determinism(self):
-        a = render_report(run_pipeline(ModelParams(mu=0.01)))
-        b = render_report(run_pipeline(ModelParams(mu=0.01)))
+        ra = run_pipeline(ModelParams(mu=0.01))
+        rb = run_pipeline(ModelParams(mu=0.01))
+        a = render_report(ra, audit(ra))
+        b = render_report(rb, audit(rb))
         assert a == b
         assert "gate.h3-vanishing: pass" in a
         assert "omega1: 0.963322109085" in a
@@ -62,6 +66,39 @@ class TestPipeline:
         r, s = oracle_rs_from_series(b2x, b2y)
         assert r == rs.r
         assert s == rs.s
+
+
+class TestAudit:
+    # L5 point where the printed equilibrium series has no real value
+    # (its y-brace is negative) while the oracle chain is sound.
+    BRACE_POINT = ModelParams(mu=0.002552385680036853,
+                              q1=1 - 0.007387079964007413,
+                              A2=0.0004271000842634082,
+                              cd=1.0924737782103944)
+
+    def test_printed_series_failure_leaves_chain_intact(self):
+        res = run_pipeline(self.BRACE_POINT, PipelineOptions(branch="L5"))
+        gates = res.gates()
+        assert "h3-vanishing" in gates and all(gates.values())
+        with pytest.raises(ParameterError, match="y-brace"):
+            audit(res)
+
+    def test_audit_covers_every_gating_key(self):
+        res = run_pipeline(ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0))
+        assert set(GATING_KEYS) <= set(audit(res).gaps)
+
+    def test_corrected_rs_tables_still_disagree(self):
+        # The registry says the structural corrections do not reproduce the
+        # oracle B2 either: every corrected r_i and s_i misses it.
+        p = ModelParams(mu=0.01)
+        res = run_pipeline(p, stages=("b2",))
+        rs = rs_tables(j_closed_form(p, res.freq), res.freq, fg_tables(p),
+                       corrected=True)
+        r_oracle, s_oracle = oracle_rs_from_series(res.b2.b2x, res.b2.b2y)
+        bound = 1e-12 * res.intermediate_scale()
+        for closed, oracle in ((rs.r, r_oracle), (rs.s, s_oracle)):
+            for i in range(10):
+                assert abs(closed[i] - oracle[i]) > bound, i
 
 
 class TestHomotopy:
