@@ -1,0 +1,97 @@
+"""Write the output of a fixed list of `l4norm` commands to one file.
+
+Each command runs in its own interpreter; its argv, exit code, stdout and
+stderr go to the snapshot in list order.  The list covers every
+subcommand, both branches, the report and CSV formats, sweeps, and
+seeded random `verify` points, so two snapshots that compare equal mean
+byte-identical command-line behaviour.  The package is imported from
+whatever `PYTHONPATH` names, so one tree can be compared with another:
+
+    PYTHONPATH=old/src python scripts/cli_snapshot.py old.txt
+    PYTHONPATH=src python scripts/cli_snapshot.py new.txt
+    diff old.txt new.txt
+"""
+
+from __future__ import annotations
+
+import random
+import subprocess
+import sys
+
+RUN = "import sys; from l4norm.cli import main; sys.exit(main(sys.argv[1:]))"
+
+DRAG = ["--q1", "0.999", "--a2", "1e-4", "--cd", "20"]
+
+FIXED = [
+    ["equilibria", "--mu", "0.01", "--epsilon", "1e-3", "--cd", "100"],
+    ["equilibria", "--mu", "0.01", "--epsilon", "1e-3", "--a2", "1e-4", "--cd", "7"],
+    ["equilibria", "--mu", "0.01", *DRAG, "--branch", "L5"],
+    ["frequencies", "--mu", "0.01"],
+    ["frequencies", "--mu", "0.01", "--q1", "0.999", "--cd", "5"],
+    ["frequencies", "--mu", "0.01", "--q1", "0.999", "--cd", "5", "--branch", "L5"],
+    ["frequencies", "--mu", "0.03801188225385845", "--q1", "0.958270325691658",
+     "--a2", "0.004089653412809712", "--cd", "74.71843115613443"],
+    ["frequencies", "--mu", "0.0242939"],
+    ["resonance-scan", "--mu-min", "0.001", "--mu-max", "0.038", "--steps", "40"],
+    ["verify", "--mu", "0.01", *DRAG, "--stages", "h3"],
+    ["verify", "--mu", "0.01", *DRAG, "--stages", "h3", "--branch", "L5"],
+    ["verify", "--mu", "0.01", *DRAG, "--stages", "h3", "--format", "csv"],
+    ["verify", "--mu", "0.01", *DRAG, "--stages", "b1"],
+    ["verify", "--mu", "0.01", *DRAG, "--stages", "equilibria"],
+    ["verify", "--mu", "0.01", "--epsilon", "1e-3", "--a2", "1e-4", "--cd", "7",
+     "--stages", "equilibria"],
+    ["verify", "--mu", "0.01", *DRAG, "--stages", "taylor", "--format", "csv"],
+    ["verify", "--mu", "0.01215", "--stages", "b2"],
+    ["verify", "--mu", "0.01215", "--stages", "b2", "--format", "csv"],
+    ["verify", "--mu", "0.0242939", "--stages", "h3"],
+    ["verify", "--mu", "0.01", "--stages", "h3", "--tol", "h3_factor=1e-30"],
+    ["sweep", "--mu-min", "0.005", "--mu-max", "0.02", "--steps", "4",
+     "--q1", "0.999", "--cd", "20", "--stages", "b1"],
+    ["sweep", "--mu-min", "0.005", "--mu-max", "0.02", "--steps", "4",
+     "--q1", "0.999", "--cd", "20", "--stages", "h3"],
+    ["sweep", "--mu-min", "0.0242", "--mu-max", "0.0244", "--steps", "5",
+     "--q1", "0.999", "--cd", "20", "--stages", "h3"],
+    ["sweep", "--mu-min", "0.001", "--mu-max", "0.037", "--steps", "12",
+     "--epsilon", "0.01", "--a2", "0.002", "--cd", "3", "--branch", "L5",
+     "--stages", "h3"],
+]
+
+
+def random_points(count: int, seed: int = 1):
+    """Seeded `verify` commands over the stable mass-ratio range."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        cmd = ["verify", "--mu", repr(rng.uniform(0.001, 0.037)),
+               "--q1", repr(1.0 - rng.uniform(0.0, 0.01)),
+               "--a2", repr(rng.uniform(0.0, 0.005)),
+               "--cd", repr(rng.uniform(2.0, 100.0)),
+               "--branch", rng.choice(("L4", "L5")),
+               "--stages", rng.choice(("b1", "b2", "h3")),
+               "--format", rng.choice(("report", "csv"))]
+        out.append(cmd)
+    return out
+
+
+def snapshot(commands) -> str:
+    parts = []
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-c", RUN, *argv],
+                              capture_output=True, text=True, check=False)
+        parts.append(f"$ l4norm {' '.join(argv)}\nexit: {proc.returncode}\n"
+                     f"--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}\n")
+    return "".join(parts)
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: cli_snapshot.py OUTPUT", file=sys.stderr)
+        return 2
+    with open(args[0], "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(snapshot(FIXED + random_points(30)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,7 +23,7 @@ from .errors import (
     StabilityDomainError,
 )
 from .model import ModelParams
-from .normalform import classical_frequencies
+from .normalform import classical_frequencies, frequencies
 from .verify import PipelineOptions, fmt
 
 EXIT_OK = 0
@@ -161,24 +161,19 @@ def _emit(text: str, config: RunConfig, suffix: str) -> None:
 
 
 def cmd_equilibria(config: RunConfig) -> int:
-    from .equilibria import epsilon_form, solve_triangular_numeric, triangular_series
-    p = config.params()
-    numeric = solve_triangular_numeric(p, config.branch)
-    rows = [numeric, triangular_series(p, config.branch),
-            epsilon_form(p, config.branch)]
-    lines = ["method,x,y,residual,gap_vs_numeric"]
-    for pt in rows:
-        gap = ((pt.x - numeric.x) ** 2 + (pt.y - numeric.y) ** 2) ** 0.5
-        lines.append(f"{pt.method},{fmt(pt.x)},{fmt(pt.y)},"
-                     f"{fmt(pt.residual)},{fmt(gap)}")
+    result = verify.run_pipeline(config.params(), config.options(),
+                                 stages=("equilibria",))
+    lines = verify.equilibria_csv(result, verify.audit(result))
     _emit("\n".join(lines) + "\n", config, "equilibria.csv")
     return EXIT_OK
 
 
 def cmd_frequencies(config: RunConfig) -> int:
     p = config.params()
-    w = verify.frequencies_by_homotopy(p)
-    rep = moser_check(w, tol=config.options().moser_tol)
+    options = config.options()
+    efg = verify.run_pipeline(p, options, stages=("taylor",)).efg
+    w = frequencies(p, efg)
+    rep = moser_check(w, tol=options.moser_tol)
     lines = [
         f"omega1: {fmt(w.omega1)}",
         f"omega2: {fmt(w.omega2)}",

@@ -53,14 +53,8 @@ class JClosedForm:
     J24: float
 
 
-def j_closed_form(p: ModelParams, w: FrequencyPair,
-                  corrected_j24: bool = False) -> JClosedForm:
-    """Evaluate the six printed J entries verbatim.
-
-    ``corrected_j24=True`` swaps the stray (l1, k1) references inside the
-    J24 expression for (l2, k2), the pattern the other entries follow
-    (candidate erratum; the numeric transformation adjudicates).
-    """
+def j_closed_form(p: ModelParams, w: FrequencyPair) -> JClosedForm:
+    """Evaluate the six printed J entries verbatim."""
     eps, A2, g = p.epsilon, p.A2, p.gamma
     nw = p.n * p.W1
     s3 = SQRT3
@@ -185,11 +179,9 @@ def j_closed_form(p: ModelParams, w: FrequencyPair,
             9.0 * A2 / 2.0 + (34.0 - 5.0 * g) / (2.0 * s3) * nw)
     )
 
-    # J24 prints k1/l1 inside two late brackets where the pattern of the
-    # other entries calls for k2/l2.
-    ka = k2 if corrected_j24 else k1
-    la = l2 if corrected_j24 else l1
-    kb = k2 if corrected_j24 else k1
+    # J24 prints k1/l1 inside its two last brackets where the pattern of the
+    # other entries calls for k2/l2; with k2/l2 it misses the oracle by as
+    # much, so the printed reading stands.
     j24 = (s3 / (4.0 * w2 * l2 * k2)) * (
         2.0 * eps + 6.0 * A2 + 37.0 * A2 * eps / 2.0
         - (13.0 + g) / (2.0 * s3) * nw
@@ -204,11 +196,11 @@ def j_closed_form(p: ModelParams, w: FrequencyPair,
             6.0 * eps + 135.0 * A2 - (808.0 / 9.0) * A2 * eps
             - (67.0 + 19.0 * g) / (2.0 * s3) * nw
             - (755.0 + 19.0 * g) / (9.0 * s3) * nw * eps)
-        - (g / (2.0 * ka**2)) * (
+        - (g / (2.0 * k1**2)) * (
             3.0 * eps - 18.0 * A2 - 55.0 * A2 * eps / 4.0
             - (1.0 - 9.0 * g) / (4.0 * s3) * nw
             + (923.0 - 60.0 * g) / (12.0 * s3) * nw * eps)
-        - (g * eps / (4.0 * la**2 * kb**2)) * (
+        - (g * eps / (4.0 * l1**2 * k1**2)) * (
             99.0 * A2 / 2.0 + (34.0 - 5.0 * g) / (2.0 * s3) * nw)
     )
 

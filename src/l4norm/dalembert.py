@@ -1,16 +1,21 @@
 """Graded trigonometric series in two angles with half-integer action powers.
 
 A term is keyed by (j, m, p, q): action powers I1^(j/2) I2^(m/2) and the
-harmonic cos/sin(p*phi1 + q*phi2).  The double-summation constraints are
-enforced on every stored term:
+harmonic cos/sin(p*phi1 + q*phi2).  Every stored term obeys the
+double-summation constraints
 
 * 0 <= p <= j with p = j (mod 2),
 * -m <= q <= m with q = m (mod 2),
 
 and keys are kept canonical (p > 0, or p = 0 and q >= 0) so equality is
-plain coefficient-map equality.  The differential operator is
-D = omega1 d/dphi1 - omega2 d/dphi2, under which a harmonic (p, q) carries
-multiplier theta = p*omega1 - q*omega2.
+plain coefficient-map equality.  The constructor checks the constraints;
+no other operation needs to, because sums and termwise maps reuse stored
+keys and a product of valid keys is valid.  Products take an optional
+degree cap (j + m) and skip the pairs of terms that would exceed it.  No
+stored coefficient is -0.0, and the sine of the (0, 0) harmonic is 0.0.
+
+The differential operator is D = omega1 d/dphi1 - omega2 d/dphi2, under
+which a harmonic (p, q) carries multiplier theta = p*omega1 - q*omega2.
 """
 
 from __future__ import annotations
@@ -70,11 +75,12 @@ class DAlembertSeries:
         if terms:
             for (j, m, p, q), (c, s) in terms.items():
                 self._accumulate(j, m, p, q, c, s)
+            for key in self.terms:
+                _check_parity(*key)
             self._prune()
 
     def _accumulate(self, j, m, p, q, c, s):
         p, q, c, s = _canonical(p, q, c, s)
-        _check_parity(j, m, p, q)
         if p == 0 and q == 0:
             s = 0.0  # sin(0) is identically zero; drop its coefficient
         key = (j, m, p, q)
@@ -109,19 +115,41 @@ class DAlembertSeries:
         return self + other.scale(-1.0)
 
     def scale(self, factor: float):
+        return self._termwise(lambda p, q, c, s: (c * factor, s * factor))
+
+    def _termwise(self, fn):
+        """New series with each term's (c, s) replaced by fn(p, q, c, s).
+
+        Keys are reused, so no parity check is needed.  Like
+        `_accumulate`, `0.0 + x` stores -0.0 as 0.0 and the (0, 0) sine
+        is dropped; zero terms are not stored.
+        """
         out = DAlembertSeries()
-        out.terms = {k: (c * factor, s * factor) for k, (c, s) in self.terms.items()}
-        out._prune()
+        terms = out.terms
+        for key, (c, s) in self.terms.items():
+            p, q = key[2], key[3]
+            c, s = fn(p, q, c, s)
+            if p == 0 and q == 0:
+                s = 0.0
+            if c != 0.0 or s != 0.0:
+                terms[key] = (0.0 + c, 0.0 + s)
         return out
 
-    def __mul__(self, other):
-        """Product via cos/sin product-to-sum expansion; grades add."""
+    def mul(self, other, cap: int | None = None):
+        """Product via cos/sin product-to-sum expansion; grades add.
+
+        With a cap, pairs of terms whose degrees j + m sum past it are
+        skipped, so the result is the full product restricted to degree
+        <= cap without the work above it.
+        """
         if not isinstance(other, DAlembertSeries):
             return self.scale(other)
         out = DAlembertSeries()
         for (j1, m1, p1, q1), (c1, s1) in self.terms.items():
             for (j2, m2, p2, q2), (c2, s2) in other.terms.items():
                 j, m = j1 + j2, m1 + m2
+                if cap is not None and j + m > cap:
+                    continue
                 # sum harmonic (p1+p2, q1+q2)
                 cs = 0.5 * (c1 * c2 - s1 * s2)
                 ss = 0.5 * (c1 * s2 + s1 * c2)
@@ -134,6 +162,9 @@ class DAlembertSeries:
                     out._accumulate(j, m, p1 - p2, q1 - q2, cd, sd)
         out._prune()
         return out
+
+    def __mul__(self, other):
+        return self.mul(other)
 
     __rmul__ = __mul__
 
@@ -197,25 +228,18 @@ class DAlembertSeries:
 
 def apply_D(series: DAlembertSeries, w: FrequencyPair) -> DAlembertSeries:
     """D[c cos + s sin] = -c theta sin + s theta cos, theta = p w1 - q w2."""
-    out = DAlembertSeries()
-    for (j, m, p, q), (c, s) in series.terms.items():
-        theta = w.theta(p, q)
-        out._accumulate(j, m, p, q, s * theta, -c * theta)
-    out._prune()
-    return out
+    return apply_poly_in_D(series, w, c1=1.0)
 
 
 def apply_poly_in_D(series: DAlembertSeries, w: FrequencyPair,
                     c0: float = 0.0, c1: float = 0.0, c2: float = 0.0):
     """Apply the operator c2 D^2 + c1 D + c0 harmonic by harmonic."""
-    out = DAlembertSeries()
-    for (j, m, p, q), (c, s) in series.terms.items():
+    def term(p, q, c, s):
         theta = w.theta(p, q)
         diag = c0 - c2 * theta * theta
-        out._accumulate(j, m, p, q, diag * c + c1 * theta * s,
-                        diag * s - c1 * theta * c)
-    out._prune()
-    return out
+        return diag * c + c1 * theta * s, diag * s - c1 * theta * c
+
+    return series._termwise(term)
 
 
 def small_divisor(p: int, q: int, w: FrequencyPair) -> float:
@@ -232,27 +256,25 @@ def invert_delta(series: DAlembertSeries, w: FrequencyPair,
     divisors below the floor raise SmallDivisorError rather than silently
     amplifying noise.
     """
-    out = DAlembertSeries()
-    for (j, m, p, q), (c, s) in series.terms.items():
+    def term(p, q, c, s):
         if (p, q) in CRITICAL_HARMONICS:
             raise CriticalTermError((p, q), max(abs(c), abs(s)))
         delta = small_divisor(p, q, w)
         if abs(delta) < floor:
             raise SmallDivisorError(f"Delta_({p},{q})", delta)
-        out._accumulate(j, m, p, q, c / delta, s / delta)
-    out._prune()
-    return out
+        return c / delta, s / delta
+
+    return series._termwise(term)
 
 
 def delta_operator(series: DAlembertSeries, w: FrequencyPair) -> DAlembertSeries:
     """(D^2 + w1^2)(D^2 + w2^2) applied termwise (round-trip partner of
     :func:`invert_delta`)."""
-    out = DAlembertSeries()
-    for (j, m, p, q), (c, s) in series.terms.items():
+    def term(p, q, c, s):
         delta = small_divisor(p, q, w)
-        out._accumulate(j, m, p, q, c * delta, s * delta)
-    out._prune()
-    return out
+        return c * delta, s * delta
+
+    return series._termwise(term)
 
 
 @dataclass(frozen=True)

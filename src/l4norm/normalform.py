@@ -11,8 +11,11 @@ The oracle chain this module serves:
 5. degree-3 energy coefficients after substituting x = B1 + B2, whose
    vanishing is the headline verification target.
 
-The printed readings (B1 print weights, partial-only forcing, B2 from the
-printed tables) sit behind explicit switches for :func:`l4norm.verify.audit`.
+Substitutions into polynomials cap every series product at the degree
+the stage reads (`DAlembertSeries.mul(other, cap)`), so no term above it
+is formed.  The printed readings (B1 print weights, partial-only
+forcing, B2 from the printed tables) sit behind explicit switches for
+:func:`l4norm.verify.audit`.
 """
 
 from __future__ import annotations
@@ -265,7 +268,8 @@ def linear_residual(b1x: DAlembertSeries, b1y: DAlembertSeries,
 
 def poly_at_series(poly: TruncatedPoly, xi_s, eta_s, xid_s, etad_s,
                    cap: int) -> DAlembertSeries:
-    """Evaluate a polynomial at four series arguments, pruning above cap."""
+    """Evaluate a polynomial at four series arguments; every product is
+    capped at degree `cap`."""
     inputs = (xi_s, eta_s, xid_s, etad_s)
     max_exp = [0, 0, 0, 0]
     for mono in poly.coeffs:
@@ -275,22 +279,16 @@ def poly_at_series(poly: TruncatedPoly, xi_s, eta_s, xid_s, etad_s,
     for i in range(4):
         row = [DAlembertSeries.single(0, 0, 0, 0, c=1.0)]
         for _ in range(max_exp[i]):
-            row.append(_prune(row[-1] * inputs[i], cap))
+            row.append(row[-1].mul(inputs[i], cap))
         powers.append(row)
     total = DAlembertSeries.zero()
     for mono, coeff in poly.coeffs.items():
         term = DAlembertSeries.single(0, 0, 0, 0, c=coeff)
         for i in range(4):
             if mono[i]:
-                term = _prune(term * powers[i][mono[i]], cap)
+                term = term.mul(powers[i][mono[i]], cap)
         total = total + term
-    return _prune(total, cap)
-
-
-def _prune(series: DAlembertSeries, cap: int) -> DAlembertSeries:
-    out = DAlembertSeries()
-    out.terms = {k: v for k, v in series.terms.items() if k[0] + k[1] <= cap}
-    return out
+    return total
 
 
 # -- cubic forcing and the second-order solve ------------------------------
@@ -411,7 +409,7 @@ def h3_normal_coefficients(l3: TruncatedPoly, b1, b2,
     The energy function of the Lagrangian is |v|^2/2 - (position part);
     its velocity-linear terms cancel identically, so the degree-3 slice is
     the quadratic cross term between B1 and B2 plus the position cubic at
-    B1.  Everything is assembled as one series capped at degree 3.
+    B1.  Every product is capped at degree 3.
     """
     b1x, b1y = b1
     b2x, b2y = b2
@@ -421,12 +419,9 @@ def h3_normal_coefficients(l3: TruncatedPoly, b1, b2,
     n2 = n * n
     k00, k01, k11 = n2 - 2.0 * efg.E, -efg.G, n2 - 2.0 * efg.F
 
-    def mul(a, b):
-        return _prune(a * b, cap)
-
-    h2_sub = (mul(vx, vx) + mul(vy, vy)).scale(0.5) \
-        - mul(bx, bx).scale(0.5 * k00) - mul(bx, by).scale(k01) \
-        - mul(by, by).scale(0.5 * k11)
+    h2_sub = (vx.mul(vx, cap) + vy.mul(vy, cap)).scale(0.5) \
+        - bx.mul(bx, cap).scale(0.5 * k00) - bx.mul(by, cap).scale(k01) \
+        - by.mul(by, cap).scale(0.5 * k11)
     h3_sub = poly_at_series(-l3.position_part(), bx, by, vx, vy, cap)
     total = h2_sub + h3_sub
 

@@ -422,12 +422,12 @@ class H3Comparison:
     t5_diff: float         # sup-norm difference of the velocity cubics
 
 
-def compare_h3(oracle_l3: TruncatedPoly, closed: H3CoefficientsClosedForm,
-               p: ModelParams) -> H3Comparison:
+def compare_h3(oracle_l3: TruncatedPoly,
+               closed: H3CoefficientsClosedForm) -> H3Comparison:
     """Map the oracle cubic onto the T-pattern and report discrepancies.
 
     Callers decide what counts as agreement (typically via a halving
-    experiment); `p` is not read.
+    experiment).
     """
     t1o, t2o, t3o, t4o, t5o = oracle_t_coefficients(oracle_l3)
     names = ("T1", "T2", "T3", "T4")

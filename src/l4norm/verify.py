@@ -180,7 +180,7 @@ def audit(res: PipelineResult) -> Audit:
 
     l3 = res.lagrangian_poly.grade(3)
     t_closed = polyalg.t_coefficients_closed_form(p, res.shift)
-    t_comparison = polyalg.compare_h3(l3, t_closed, p)
+    t_comparison = polyalg.compare_h3(l3, t_closed)
     for name, gap in t_comparison.abs_diff.items():
         gaps[f"cubic.{name}"] = gap
     gaps["cubic.T5"] = t_comparison.t5_diff
@@ -225,6 +225,18 @@ def audit(res: PipelineResult) -> Audit:
 
 def _point_gap(a, b) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
+
+
+def equilibria_csv(res: PipelineResult, printed: Audit) -> list:
+    """Header and rows of the numeric, series and epsilon-form points."""
+    lines = ["method,x,y,residual,gap_vs_numeric"]
+    gaps = printed.gaps
+    for pt, gap in ((res.eq_numeric, 0.0),
+                    (printed.eq_series, gaps["equilibria.series"]),
+                    (printed.eq_epsform, gaps["equilibria.epsilon_form"])):
+        lines.append(f"{pt.method},{fmt(pt.x)},{fmt(pt.y)},{fmt(pt.residual)},"
+                     f"{fmt(gap)}")
+    return lines
 
 
 # -- single-perturbation detector -----------------------------------------
@@ -283,43 +295,6 @@ def detect_discrepancies(mu: float = 0.01, h: float = 1e-3,
                 key, kind, gaps_h.get(key, 0.0), gaps_half.get(key, 0.0),
                 scale=scale))
     return verdicts
-
-
-def frequencies_by_homotopy(p: ModelParams, steps: int = 4) -> FrequencyPair:
-    """Label frequencies by continuity in the drag strength.
-
-    Tracks the two positive imaginary eigenfrequencies from W1 = 0 up to the
-    requested drag in `steps` increments (nearest-neighbor matching), which
-    keeps the (omega1, omega2) labels stable where a plain sort could flip
-    them near omega1 = omega2.
-    """
-    if p.W1 == 0.0:
-        return _chain_frequencies(p)
-    labels = None
-    for k in range(steps + 1):
-        if k == 0:
-            pk = ModelParams(mu=p.mu, q1=p.q1, A2=p.A2, cd=1e300)
-        else:
-            pk = ModelParams(mu=p.mu, q1=p.q1, A2=p.A2, cd=p.cd * steps / k)
-        w = _chain_frequencies(pk)
-        if labels is None:
-            labels = [w.omega1, w.omega2]
-        else:
-            cands = [w.omega1, w.omega2]
-            if abs(cands[0] - labels[0]) + abs(cands[1] - labels[1]) <= \
-               abs(cands[1] - labels[0]) + abs(cands[0] - labels[1]):
-                labels = cands
-            else:
-                labels = [cands[1], cands[0]]
-    return FrequencyPair(labels[0], labels[1])
-
-
-def _chain_frequencies(p: ModelParams) -> FrequencyPair:
-    pt = equilibria.solve_triangular_numeric(p)
-    shift = equilibria.shift_from_point(pt, p)
-    efg = polyalg.extract_EFG(
-        polyalg.taylor_lagrangian(p, shift, 2).grade(2), p)
-    return normalform.frequencies(p, efg)
 
 
 # -- classical resonance helpers -------------------------------------------
@@ -393,12 +368,8 @@ def render_report(res: PipelineResult, printed: Audit, verdicts=None) -> str:
 
     put("")
     put("[equilibria]")
-    put("method,x,y,residual,gap_vs_numeric")
+    lines.extend(equilibria_csv(res, printed))
     gaps = printed.gaps
-    for pt, gap in ((res.eq_numeric, 0.0),
-                    (printed.eq_series, gaps["equilibria.series"]),
-                    (printed.eq_epsform, gaps["equilibria.epsilon_form"])):
-        put(f"{pt.method},{fmt(pt.x)},{fmt(pt.y)},{fmt(pt.residual)},{fmt(gap)}")
 
     if res.freq is not None:
         put("")

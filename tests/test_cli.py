@@ -80,6 +80,18 @@ class TestEquilibriaCommand:
         assert gaps[1] < 1e-12          # the radiation-only series is exact
         assert 1e-8 < gaps[2] < 1e-6    # epsilon-form truncates at O(eps^2)
 
+    def test_matches_verify_block(self, capsys):
+        point = ("--mu", "0.01", "--epsilon", "1e-3", "--a2", "1e-4",
+                 "--cd", "7")
+        code, out, _ = run_cli(capsys, "equilibria", *point)
+        assert code == EXIT_OK
+        code, report, _ = run_cli(capsys, "verify", *point,
+                                  "--stages", "equilibria")
+        assert code == EXIT_OK
+        lines = report.splitlines()
+        start = lines.index("[equilibria]") + 1
+        assert out.splitlines() == lines[start:start + 4]
+
     def test_bad_config_exit(self, capsys):
         code, _, err = run_cli(capsys, "equilibria", "--mu", "0.7")
         assert code == EXIT_CONFIG
@@ -98,6 +110,24 @@ class TestEquilibriaCommand:
         path = tmp_path / "run-equilibria.csv"
         assert path.exists()
         assert path.read_text().startswith("method,")
+
+
+class TestFrequenciesCommand:
+    @pytest.mark.parametrize("point", [
+        # the L5 frequencies differ from the L4 ones under drag
+        ("--mu", "0.01", "--q1", "0.999", "--cd", "5", "--branch", "L5"),
+        # strong radiation and oblateness near the critical mass ratio
+        ("--mu", "0.03801188225385845", "--q1", "0.958270325691658",
+         "--a2", "0.004089653412809712", "--cd", "74.71843115613443"),
+    ])
+    def test_same_labels_as_verify(self, capsys, point):
+        code, out, _ = run_cli(capsys, "frequencies", *point)
+        assert code == EXIT_OK
+        code, report, _ = run_cli(capsys, "verify", *point, "--stages", "b1")
+        assert code == EXIT_OK
+        lines = report.splitlines()
+        start = lines.index("[frequencies]") + 1
+        assert out.splitlines()[:2] == lines[start:start + 2]
 
 
 class TestVerifyCommand:

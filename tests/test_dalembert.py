@@ -44,6 +44,17 @@ def random_series(rng, nterms=20):
     return s
 
 
+def all_operations(a, b):
+    """Every series-valued operation applied to a and b."""
+    w = W_CLASSICAL
+    noncritical = DAlembertSeries({k: v for k, v in a.terms.items()
+                                   if (k[2], k[3]) not in ((1, 0), (0, 1))})
+    return [a + b, a - b, a * b, a.mul(b, 3), a.scale(-1.0), a.scale(0.0),
+            apply_D(a, w), apply_poly_in_D(a, w, 0.3, -1.0, 2.0),
+            invert_delta(noncritical, w).scale(-1.0), delta_operator(a, w),
+            a.chop(0.5), a.degree_slice(2), a.grade(1, 1)]
+
+
 class TestConstruction:
     def test_parity_enforced(self):
         with pytest.raises(ContractError):
@@ -130,10 +141,33 @@ class TestProducts:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))
     def test_parity_closure(self, seed):
+        # only the constructor checks parity; every other operation must
+        # return keys that rebuilding (which revalidates) accepts unchanged
         rng = random.Random(seed)
-        prod = random_series(rng, 6) * random_series(rng, 6)
-        # constructor revalidates every key; rebuilding must not raise
-        DAlembertSeries(prod.terms)
+        for out in all_operations(random_series(rng, 6), random_series(rng, 6)):
+            assert DAlembertSeries(out.terms) == out
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(0, 8))
+    def test_capped_product_is_restricted_product(self, seed, cap):
+        rng = random.Random(seed)
+        a, b = random_series(rng, 8), random_series(rng, 8)
+        full = a * b
+        kept = {k: v for k, v in full.terms.items() if k[0] + k[1] <= cap}
+        assert a.mul(b, cap) == DAlembertSeries(kept)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_no_negative_zero_stored(self, seed):
+        rng = random.Random(seed)
+        a, b = random_series(rng, 6), random_series(rng, 6)
+        # scaled by -1, the constant's sine and the (3,0) cosine become -0.0
+        a = a + DAlembertSeries.single(2, 0, 0, 0, c=0.5) \
+            + DAlembertSeries.single(3, 0, 3, 0, s=0.5)
+        for out in all_operations(a, b):
+            for c, sv in out.terms.values():
+                assert math.copysign(1.0, c) > 0.0 or c != 0.0
+                assert math.copysign(1.0, sv) > 0.0 or sv != 0.0
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10**6))

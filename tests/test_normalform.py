@@ -338,15 +338,6 @@ class TestClosedFormTables:
         assert g0 < 1e-12
         assert ga / gb == pytest.approx(2.0, abs=0.1)
 
-    def test_j24_corrected_flag_changes_value(self):
-        # drag-free k1 = k2 exactly (omega1^2 + omega2^2 = 1), so the stray
-        # index references only show once l1 != l2 matters: need eps * A2
-        p = ModelParams(mu=0.01, q1=0.999, A2=1e-3, cd=1e30)
-        _, _, _, _, w, _ = linear_stage(p)
-        verbatim = j_closed_form(p, w).J24
-        corrected = j_closed_form(p, w, corrected_j24=True).J24
-        assert abs(verbatim - corrected) > 1e-10
-
     def test_mode_scalars_raise_at_k_zero(self):
         with pytest.raises(SmallDivisorError):
             mode_scalars(FrequencyPair(1 / math.sqrt(2), 0.2))

@@ -279,7 +279,7 @@ class TestClosedFormCubic:
         p = ModelParams(mu=0.01)
         shift = shift_from_point(solve_triangular_numeric(p), p)
         l3 = taylor_lagrangian(p, shift, 3).grade(3)
-        rep = compare_h3(l3, t_coefficients_closed_form(p, shift), p)
+        rep = compare_h3(l3, t_coefficients_closed_form(p, shift))
         assert rep.rel_diff["T1"] < 1e-10
         assert rep.rel_diff["T4"] < 1e-10
         assert rep.rel_diff["T2"] > 0.5

@@ -13,7 +13,6 @@ from l4norm.verify import (
     audit,
     critical_mass_ratio,
     detect_discrepancies,
-    frequencies_by_homotopy,
     locate_classical_resonance,
     oracle_rs_from_series,
     render_report,
@@ -99,20 +98,6 @@ class TestAudit:
         for closed, oracle in ((rs.r, r_oracle), (rs.s, s_oracle)):
             for i in range(10):
                 assert abs(closed[i] - oracle[i]) > bound, i
-
-
-class TestHomotopy:
-    def test_matches_plain_labeling(self):
-        p = ModelParams(mu=0.01, q1=0.999, cd=10.0)
-        w = frequencies_by_homotopy(p)
-        res = run_pipeline(p, stages=("b1",))
-        assert w.omega1 == pytest.approx(res.freq.omega1, abs=1e-12)
-        assert w.omega2 == pytest.approx(res.freq.omega2, abs=1e-12)
-
-    def test_drag_free_short_circuit(self):
-        p = ModelParams(mu=0.02)
-        w = frequencies_by_homotopy(p)
-        assert w.omega1 > w.omega2
 
 
 class TestClassicalRoots:
