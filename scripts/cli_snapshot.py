@@ -2,9 +2,12 @@
 
 Each command runs in its own interpreter; its argv, exit code, stdout and
 stderr go to the snapshot in list order.  The list covers every
-subcommand, both branches, the report and CSV formats, sweeps, and
-seeded random `verify` points, so two snapshots that compare equal mean
-byte-identical command-line behaviour.  The package is imported from
+subcommand, both branches, the report and CSV formats, a config file,
+each tolerance override, a malformed value, sweeps, and seeded random
+`verify` points, so two snapshots that compare equal mean byte-identical
+command-line behaviour.  The config file is written to the same path in
+the temporary directory on every run, so both snapshots print the same
+argv.  The package is imported from
 whatever `PYTHONPATH` names, so one tree can be compared with another:
 
     PYTHONPATH=old/src python scripts/cli_snapshot.py old.txt
@@ -14,13 +17,19 @@ whatever `PYTHONPATH` names, so one tree can be compared with another:
 
 from __future__ import annotations
 
+import os
 import random
 import subprocess
 import sys
+import tempfile
 
 RUN = "import sys; from l4norm.cli import main; sys.exit(main(sys.argv[1:]))"
 
 DRAG = ["--q1", "0.999", "--a2", "1e-4", "--cd", "20"]
+
+CONFIG_PATH = os.path.join(tempfile.gettempdir(), "l4norm-snapshot.cfg")
+CONFIG_TEXT = ("# drag point on L5\nmu=0.01\nq1 = 0.999\na2=1e-4\ncd=20\n"
+               "branch=L5\nstages=b2\nformat=report\ntol.linear=1e-9\n")
 
 FIXED = [
     ["equilibria", "--mu", "0.01", "--epsilon", "1e-3", "--cd", "100"],
@@ -45,6 +54,13 @@ FIXED = [
     ["verify", "--mu", "0.01215", "--stages", "b2", "--format", "csv"],
     ["verify", "--mu", "0.0242939", "--stages", "h3"],
     ["verify", "--mu", "0.01", "--stages", "h3", "--tol", "h3_factor=1e-30"],
+    ["verify", "--config", CONFIG_PATH],
+    ["verify", "--mu", "0.01", *DRAG, "--stages", "b2", "--tol", "residual=1e-20"],
+    ["verify", "--mu", "0.01", *DRAG, "--stages", "b1", "--tol", "linear=1e-6"],
+    ["verify", "--mu", "0.01", *DRAG, "--stages", "h3", "--tol", "h3_factor=1e-6"],
+    ["verify", "--mu", "0.01", *DRAG, "--stages", "b1", "--tol", "moser=0.2"],
+    ["verify", "--mu", "0.01", *DRAG, "--stages", "b2", "--tol", "divisor_floor=1"],
+    ["verify", "--mu", "0.01", "--tol", "residual=abc"],
     ["sweep", "--mu-min", "0.005", "--mu-max", "0.02", "--steps", "4",
      "--q1", "0.999", "--cd", "20", "--stages", "b1"],
     ["sweep", "--mu-min", "0.005", "--mu-max", "0.02", "--steps", "4",
@@ -88,6 +104,8 @@ def main(argv=None) -> int:
     if len(args) != 1:
         print("usage: cli_snapshot.py OUTPUT", file=sys.stderr)
         return 2
+    with open(CONFIG_PATH, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(CONFIG_TEXT)
     with open(args[0], "w", encoding="utf-8", newline="\n") as handle:
         handle.write(snapshot(FIXED + random_points(30)))
     return 0

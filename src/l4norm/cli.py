@@ -31,10 +31,6 @@ EXIT_CONFIG = 2
 EXIT_GATE = 3
 EXIT_PIPELINE = 4
 
-_CONFIG_KEYS = {"mu", "q1", "epsilon", "a2", "cd", "branch", "stages",
-                "out", "format"}
-_TOL_KEYS = {"residual", "linear", "h3_factor", "moser", "divisor_floor"}
-
 
 @dataclass
 class RunConfig:
@@ -44,25 +40,10 @@ class RunConfig:
     a2: float = 0.0
     cd: float = 1.0
     branch: str = "L4"
-    stages: tuple = ("equilibria", "taylor", "b1", "b2", "h3")
+    stages: tuple = verify.STAGES
     out: str | None = None
     format: str = "report"
     tol: dict = field(default_factory=dict)
-
-    def normalized(self) -> str:
-        """Canonical key=value text; parsing it back reproduces the config."""
-        lines = []
-        for key in ("mu", "q1", "epsilon", "a2", "cd", "branch", "stages",
-                    "out", "format"):
-            value = getattr(self, "a2" if key == "a2" else key)
-            if value is None:
-                continue
-            if key == "stages":
-                value = ",".join(value)
-            lines.append(f"{key}={fmt(value) if isinstance(value, float) else value}")
-        for name in sorted(self.tol):
-            lines.append(f"tol.{name}={fmt(self.tol[name])}")
-        return "\n".join(lines) + "\n"
 
     def params(self) -> ModelParams:
         if self.mu is None:
@@ -77,12 +58,67 @@ class RunConfig:
             raise ConfigError(str(err)) from err
 
     def options(self) -> PipelineOptions:
-        opts = PipelineOptions(branch=self.branch)
-        mapping = {"residual": "residual_tol", "linear": "linear_tol",
-                   "h3_factor": "h3_tol_factor", "moser": "moser_tol",
-                   "divisor_floor": "divisor_floor"}
-        overrides = {mapping[k]: v for k, v in self.tol.items()}
-        return replace(opts, **overrides) if overrides else opts
+        return PipelineOptions(branch=self.branch, **{
+            verify.TOLERANCES[name]: value for name, value in self.tol.items()})
+
+
+def _parse_stages(value: str) -> tuple:
+    stages = tuple(s.strip() for s in value.split(",") if s.strip())
+    for s in stages:
+        if s not in verify.STAGES:
+            raise ValueError(f"unknown stage {s!r} (valid: {verify.STAGES})")
+    if not stages:
+        raise ValueError("empty stage list")
+    return stages
+
+
+def _choice(*allowed):
+    """Parser and help text of a setting that takes one of `allowed`."""
+    text = " or ".join(allowed)
+
+    def parse(value: str) -> str:
+        if value not in allowed:
+            raise ValueError(f"must be {text}, got {value!r}")
+        return value
+
+    return parse, text
+
+
+# Every key a config file line or a command-line flag sets: its parser and
+# its flag help.  `tol.NAME` keys take the names in verify.TOLERANCES.
+SETTINGS = {
+    "mu": (float, "mass ratio of the smaller primary"),
+    "q1": (float, "mass-reduction factor of the radiating primary"),
+    "epsilon": (float, "1 - q1 (give q1 or epsilon)"),
+    "a2": (float, "oblateness coefficient of the smaller primary"),
+    "cd": (float, "drag normalization constant"),
+    "branch": _choice("L4", "L5"),
+    "stages": (_parse_stages, "comma list from " + ",".join(verify.STAGES)),
+    "out": (str, "output path prefix"),
+    "format": _choice("csv", "report"),
+}
+
+
+def set_value(config: RunConfig, key: str, value: str) -> None:
+    """Parse one key=value setting onto the config; ConfigError if the key
+    is unknown or the value malformed."""
+    name = key[len("tol."):] if key.startswith("tol.") else None
+    if name is not None:
+        if name not in verify.TOLERANCES:
+            raise ConfigError(f"unknown tolerance {name!r}")
+        parse = float
+    elif key in SETTINGS:
+        parse = SETTINGS[key][0]
+    else:
+        raise ConfigError(f"unknown key {key!r}")
+    try:
+        parsed = parse(value)
+    except ValueError as err:
+        raise ConfigError(f"{key}: {err}") from err
+    if name is not None:
+        config.tol[name] = parsed
+    else:
+        setattr(config, key, parsed)
 
 
 def parse_config_text(text: str, config: RunConfig | None = None) -> RunConfig:
@@ -94,56 +130,28 @@ def parse_config_text(text: str, config: RunConfig | None = None) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key.startswith("tol."):
-            name = key[4:]
-            if name not in _TOL_KEYS:
-                raise ConfigError(f"line {lineno}: unknown tolerance {name!r}")
-            config.tol[name] = float(value)
-        elif key in _CONFIG_KEYS:
-            if key in ("mu", "q1", "epsilon", "a2", "cd"):
-                setattr(config, key, float(value))
-            elif key == "stages":
-                config.stages = _parse_stages(value)
-            else:
-                setattr(config, key, value)
-        else:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        try:
+            set_value(config, key.strip(), value.strip())
+        except ConfigError as err:
+            raise ConfigError(f"line {lineno}: {err}") from err
     return config
 
 
-def _parse_stages(value: str) -> tuple:
-    stages = tuple(s.strip() for s in value.split(",") if s.strip())
-    for s in stages:
-        if s not in verify.STAGES:
-            raise ConfigError(f"unknown stage {s!r} (valid: {verify.STAGES})")
-    if not stages:
-        raise ConfigError("empty stage list")
-    return stages
-
-
 def config_from_args(args) -> RunConfig:
+    """The config file's settings, then each flag given on top of them."""
     config = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, encoding="utf-8") as handle:
             config = parse_config_text(handle.read(), config)
-    for key in ("mu", "q1", "epsilon", "a2", "cd", "branch", "out", "format"):
-        value = getattr(args, key, None)
+    for key in SETTINGS:
+        value = getattr(args, key)
         if value is not None:
-            setattr(config, key, value)
-    if getattr(args, "stages", None):
-        config.stages = _parse_stages(args.stages)
-    for item in getattr(args, "tol", None) or ():
+            set_value(config, key, value)
+    for item in args.tol or ():
         if "=" not in item:
             raise ConfigError(f"--tol expects name=value, got {item!r}")
         name, _, value = item.partition("=")
-        if name not in _TOL_KEYS:
-            raise ConfigError(f"unknown tolerance {name!r}")
-        config.tol[name] = float(value)
-    if config.branch not in ("L4", "L5"):
-        raise ConfigError(f"branch must be L4 or L5, got {config.branch}")
-    if config.format not in ("csv", "report"):
-        raise ConfigError(f"format must be csv or report, got {config.format}")
+        set_value(config, f"tol.{name}", value)
     return config
 
 
@@ -173,14 +181,7 @@ def cmd_frequencies(config: RunConfig) -> int:
     options = config.options()
     efg = verify.run_pipeline(p, options, stages=("taylor",)).efg
     w = frequencies(p, efg)
-    rep = moser_check(w, tol=options.moser_tol)
-    lines = [
-        f"omega1: {fmt(w.omega1)}",
-        f"omega2: {fmt(w.omega2)}",
-        f"moser.min_combination: {fmt(rep.min_combination)}",
-        f"moser.worst_pair: {rep.worst_pair[0]},{rep.worst_pair[1]}",
-        f"moser.passed: {fmt(rep.passed)}",
-    ]
+    lines = verify.frequency_lines(w, moser_check(w, tol=options.moser_tol))
     _emit("\n".join(lines) + "\n", config, "frequencies.txt")
     return EXIT_OK
 
@@ -211,6 +212,12 @@ def cmd_verify(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _mu_grid(mu_min: float, mu_max: float, steps: int) -> list:
+    """`steps` evenly spaced mass ratios from mu_min to mu_max."""
+    return [mu_min + (mu_max - mu_min) * i / max(steps - 1, 1)
+            for i in range(steps)]
+
+
 def cmd_resonance_scan(config: RunConfig, mu_min: float, mu_max: float,
                        steps: int) -> int:
     if steps < 0 or mu_max < mu_min:
@@ -218,8 +225,7 @@ def cmd_resonance_scan(config: RunConfig, mu_min: float, mu_max: float,
     lines = ["mu,omega1,omega2,min_combination,worst_pair,pass"]
     unstable = 0
     tol = config.options().moser_tol
-    for i in range(steps):
-        mu = mu_min + (mu_max - mu_min) * i / max(steps - 1, 1)
+    for mu in _mu_grid(mu_min, mu_max, steps):
         try:
             w = classical_frequencies(mu)
         except StabilityDomainError:
@@ -252,8 +258,7 @@ def cmd_sweep(config: RunConfig, mu_min: float, mu_max: float,
         raise ConfigError("need mu_max >= mu_min and steps > 0")
     options = config.options()
     lines = ["mu,omega1,omega2,b1_residual,b2_residual,h3_max,scale,gates"]
-    for i in range(steps):
-        mu = mu_min + (mu_max - mu_min) * i / max(steps - 1, 1)
+    for mu in _mu_grid(mu_min, mu_max, steps):
         cfg = replace(config, mu=mu)
         try:
             res = verify.run_pipeline(cfg.params(), options,
@@ -287,20 +292,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--mu", type=float)
-        sp.add_argument("--q1", type=float)
-        sp.add_argument("--epsilon", type=float)
-        sp.add_argument("--a2", type=float)
-        sp.add_argument("--cd", type=float)
-        sp.add_argument("--branch", choices=("L4", "L5"))
-        sp.add_argument("--stages",
-                        help="comma list from equilibria,taylor,b1,b2,h3")
+        for key, (_, text) in SETTINGS.items():
+            sp.add_argument(f"--{key}", help=text)
         sp.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                        help="tolerance override (residual, linear, "
-                             "h3_factor, moser, divisor_floor)")
-        sp.add_argument("--out", help="output path prefix")
-        sp.add_argument("--format", choices=("csv", "report"))
+                        help="tolerance override "
+                             f"({', '.join(verify.TOLERANCES)})")
         sp.add_argument("--config", help="key=value config file")
+
+    def mu_range(sp):
+        sp.add_argument("--mu-min", type=float, required=True)
+        sp.add_argument("--mu-max", type=float, required=True)
+        sp.add_argument("--steps", type=int, required=True)
 
     common(sub.add_parser("equilibria", help="triangular points three ways"))
     common(sub.add_parser("frequencies", help="basic frequencies and the "
@@ -310,14 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("resonance-scan", help="scan the classical "
                                                  "frequency ratio over mu")
     common(scan)
-    scan.add_argument("--mu-min", type=float, required=True)
-    scan.add_argument("--mu-max", type=float, required=True)
-    scan.add_argument("--steps", type=int, required=True)
+    mu_range(scan)
     sweep = sub.add_parser("sweep", help="pipeline sweep over a mu range")
     common(sweep)
-    sweep.add_argument("--mu-min", type=float, required=True)
-    sweep.add_argument("--mu-max", type=float, required=True)
-    sweep.add_argument("--steps", type=int, required=True)
+    mu_range(sweep)
     return parser
 
 

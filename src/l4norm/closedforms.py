@@ -3,8 +3,7 @@
 Everything here evaluates published series exactly as printed, including
 terms an independent oracle later contradicts; the reconciliation lives in
 :func:`l4norm.verify.audit`, the registry of confirmed discrepancies in
-:mod:`l4norm.errata`.  Structural alternates that the oracle adjudicates
-are exposed behind explicit ``corrected`` switches, never silently.
+:mod:`l4norm.errata`.
 
 Entry naming: primed table entries use a ``p`` suffix (F2p = F2'), double
 primes ``pp`` (F2pp = F2'').
@@ -412,16 +411,19 @@ class RSTable:
     s: tuple  # s1..s10
 
 
-def _r_values(j: JClosedForm, w: FrequencyPair, triples,
-              corrected: bool, floor: float) -> tuple:
-    """The ten printed coefficient formulas, shared by the r and s tables
-    (the s table substitutes the G triples for the F triples).
+# The (j, m, p, q) term and its cosine (0) or sine (1) slot that each of
+# r1..r10 (in B2 for x) and s1..s10 (in B2 for y, negated) multiplies.
+RS_SLOTS = (
+    ((2, 0, 0, 0), 0), ((0, 2, 0, 0), 0), ((2, 0, 2, 0), 0), ((0, 2, 0, 2), 0),
+    ((1, 1, 1, -1), 0), ((1, 1, 1, 1), 0), ((2, 0, 2, 0), 1), ((0, 2, 0, 2), 1),
+    ((1, 1, 1, -1), 1), ((1, 1, 1, 1), 1),
+)
 
-    ``corrected=True`` applies the structural candidates the oracle
-    adjudicates: divisor products matching the harmonic's actual small
-    divisor in r5/r6, the F4'' tail of r3, and the J24 factor in the
-    F3''-brace of r6.
-    """
+
+def _r_values(j: JClosedForm, w: FrequencyPair, triples,
+              floor: float) -> tuple:
+    """The ten printed coefficient formulas, shared by the r and s tables
+    (the s table substitutes the G triples for the F triples)."""
     w1, w2 = w.omega1, w.omega2
     (f1, f1p, f1pp), (f2, f2p, f2pp), (f3, f3p, f3pp), (f4, f4p, f4pp) = triples
     J13, J14, J21, J22, J23, J24 = j.J13, j.J14, j.J21, j.J22, j.J23, j.J24
@@ -448,14 +450,13 @@ def _r_values(j: JClosedForm, w: FrequencyPair, triples,
         J14**2 * w2 * f4 + J14 * J24 * w2 * f4p
         + (J22**2 / w2 + J24**2 * w2) * f4pp)
 
-    r3_tail = f4pp if corrected else f1pp
     r3 = (-1.0 / (3.0 * w1**2 * (4.0 * w1**2 - w2**2))) * (
         8.0 * w1**3 * J21 * (J13 * f1p + 2.0 * J23 * f1pp)
         + 4.0 * w1**2 * ((J13 * f2 + J23 * f2pp) * J13 * w1
                          - (J21**2 / w1 - J23**2 * w1) * f1pp)
         - 2.0 * w1 * J21 * (J13 * f3p + 2.0 * J23 * f3pp)
         - w1 * J13 * (J13 * f4 + J23 * f4pp) * w1
-        + (J21**2 / w1 - J23**2 * w1) * r3_tail)
+        + (J21**2 / w1 - J23**2 * w1) * f1pp)
 
     r4 = (1.0 / (3.0 * w2**2 * (4.0 * w2**2 - w1**2))) * (
         8.0 * w2**3 * J22 * (J14 * f1p + 2.0 * J24 * f1pp)
@@ -472,23 +473,18 @@ def _r_values(j: JClosedForm, w: FrequencyPair, triples,
     sym_b = lambda fb: (J21 * J22 / sqp + J23 * J24 * sqp) * fb
     msym_b = lambda fb: (J21 * J22 / sqp - J23 * J24 * sqp) * fb
 
-    r5_div = (2.0 * w1 + w2) * ((w1 + 2.0 * w2) if corrected
-                                else (4.0 * w1 + 2.0 * w2))
-    r5 = (1.0 / (w1 * w2 * r5_div)) * (
+    r5 = (1.0 / (w1 * w2 * ((2.0 * w1 + w2) * (4.0 * w1 + 2.0 * w2)))) * (
         (w1 + w2) ** 3 * (cross_a(f1p) - 2.0 * cross_b(f1pp))
         - (w1 + w2) ** 2 * (sym_a(f2, f2p) + sym_b(f2pp))
         - (w1 + w2) * (cross_a(f3p) - 2.0 * cross_b(f3pp))
         + (sym_a(f4, f4p) + 2.0 * sym_b(f4pp)))
 
-    r6_div = (2.0 * w1 - w2) * ((2.0 * w2 - w1) if corrected
-                                else (4.0 * w1 - 2.0 * w2))
-    r6_b3 = ((J21 * J24 * sq21 + J22 * J23 * sq12) if corrected
-             else (J21 * J22 * sq21 + J22 * J23 * sq12))
-    r6 = (-1.0 / (w1 * w2 * r6_div)) * (
+    r6 = (-1.0 / (w1 * w2 * ((2.0 * w1 - w2) * (4.0 * w1 - 2.0 * w2)))) * (
         (w1 - w2) ** 3 * (cross_a(f1p)
                           + 2.0 * (J21 * J24 * sq21 + J22 * J23 * sq12) * f1pp)
         + (w1 - w2) ** 2 * (sym_a(f2, f2p) - 2.0 * msym_b(f2pp))
-        - (w1 - w2) * (cross_a(f3p) + 2.0 * r6_b3 * f3pp)
+        - (w1 - w2) * (cross_a(f3p)
+                       + 2.0 * (J21 * J22 * sq21 + J22 * J23 * sq12) * f3pp)
         - (sym_a(f4, f4p) - 2.0 * msym_b(f4pp)))
 
     r7 = (1.0 / (3.0 * w1**2 * (4.0 * w1**2 - w2**2))) * (
@@ -528,8 +524,8 @@ def _r_values(j: JClosedForm, w: FrequencyPair, triples,
 
 
 def rs_tables(j: JClosedForm, w: FrequencyPair, fg: FGTable,
-              corrected: bool = False, floor: float = 1e-8) -> RSTable:
+              floor: float = 1e-8) -> RSTable:
     """r1..r10 per the printed formulas; s1..s10 by the F -> G substitution."""
-    r = _r_values(j, w, fg.f_triples(), corrected, floor)
-    s = _r_values(j, w, fg.g_triples(), corrected, floor)
+    r = _r_values(j, w, fg.f_triples(), floor)
+    s = _r_values(j, w, fg.g_triples(), floor)
     return RSTable(r=r, s=s)

@@ -288,7 +288,7 @@ class MoserReport:
     passed: bool
 
 
-def moser_check(w: FrequencyPair, tol: float = DIVISOR_FLOOR) -> MoserReport:
+def moser_check(w: FrequencyPair, tol: float) -> MoserReport:
     rows = []
     for k1 in range(-4, 5):
         for k2 in range(-4, 5):

@@ -57,9 +57,6 @@ class ModelParams:
     q1: float = 1.0
     A2: float = 0.0
     cd: float = 1.0
-    chi: float | None = None
-    a_particle: float | None = None
-    rho: float | None = None
     epsilon: float = field(init=False)
     W1: float = field(init=False)
     n: float = field(init=False)
@@ -102,7 +99,7 @@ class ModelParams:
             raise ParameterError(
                 f"particle properties give q1 = {q1:.3g} <= 0 (radiation dominates)"
             )
-        return cls(mu=mu, q1=q1, A2=A2, cd=cd, chi=chi, a_particle=a, rho=rho)
+        return cls(mu=mu, q1=q1, A2=A2, cd=cd)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedforms import mode_scalars
+from .closedforms import RS_SLOTS, mode_scalars
 from .dalembert import (
     CRITICAL_HARMONICS,
     DAlembertSeries,
@@ -48,6 +48,9 @@ SIGMA = np.array([
 
 _IMAG_TOL = 1e-9
 
+# A critical harmonic in the forcing above this size makes the solve refuse.
+_CRITICAL_TOL = 1e-12
+
 
 def stiffness_matrix(efg: QuadraticCoefficients, n: float) -> np.ndarray:
     """Position block K of the quadratic Lagrangian, L2 = |v|^2/2 + v.C q + q.K q/2."""
@@ -62,10 +65,6 @@ def velocity_coupling(l2: TruncatedPoly) -> np.ndarray:
         [l2.coefficient((1, 0, 1, 0)), l2.coefficient((0, 1, 1, 0))],
         [l2.coefficient((1, 0, 0, 1)), l2.coefficient((0, 1, 0, 1))],
     ])
-
-
-def gyroscopic_coupling(n: float) -> np.ndarray:
-    return np.array([[0.0, -n], [n, 0.0]])
 
 
 def frequencies(p: ModelParams, efg: QuadraticCoefficients) -> FrequencyPair:
@@ -163,7 +162,7 @@ def hamiltonian_matrix(K: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 
 def j_numeric(p: ModelParams, efg: QuadraticCoefficients, w: FrequencyPair,
-              l2: TruncatedPoly | None = None) -> NormalModeData:
+              l2: TruncatedPoly) -> NormalModeData:
     """Symplectic normalization of the quadratic Hamiltonian.
 
     Eigenvectors of the linear canonical flow are phase-rotated so the
@@ -174,8 +173,7 @@ def j_numeric(p: ModelParams, efg: QuadraticCoefficients, w: FrequencyPair,
     """
     n = p.n
     K = stiffness_matrix(efg, n)
-    C = velocity_coupling(l2) if l2 is not None else gyroscopic_coupling(n)
-    S = hamiltonian_matrix(K, C)
+    S = hamiltonian_matrix(K, velocity_coupling(l2))
     A = SIGMA @ S
     eigvals, eigvecs = np.linalg.eig(A)
 
@@ -335,8 +333,7 @@ class SecondOrderSolution:
 
 def solve_second_order_oracle(efg: QuadraticCoefficients, w: FrequencyPair,
                               n: float, x2: DAlembertSeries, y2: DAlembertSeries,
-                              floor: float = 1e-8,
-                              critical_tol: float = 1e-12) -> SecondOrderSolution:
+                              floor: float = 1e-8) -> SecondOrderSolution:
     """Solve the coupled second-order equations by harmonic division.
 
     Eliminating one unknown (the adjugate of the linear operator, its
@@ -347,7 +344,7 @@ def solve_second_order_oracle(efg: QuadraticCoefficients, w: FrequencyPair,
     """
     for series, name in ((x2, "X2"), (y2, "Y2")):
         for (j, m, p, q), (c, s) in series.terms.items():
-            if (p, q) in CRITICAL_HARMONICS and max(abs(c), abs(s)) > critical_tol:
+            if (p, q) in CRITICAL_HARMONICS and max(abs(c), abs(s)) > _CRITICAL_TOL:
                 raise CriticalTermError((p, q), max(abs(c), abs(s)))
     op = linear_operator(efg, n)
     (l11, l12), (l21, l22) = op
@@ -362,21 +359,15 @@ def solve_second_order_oracle(efg: QuadraticCoefficients, w: FrequencyPair,
 
 def second_order_closed_form(rs):
     """Assemble (B2 for x, B2 for y) from the ten printed harmonics."""
-    r, s = rs.r, rs.s
+    def build(values):
+        terms = {}
+        for (key, slot), value in zip(RS_SLOTS, values):
+            cs = list(terms.get(key, (0.0, 0.0)))
+            cs[slot] = value
+            terms[key] = tuple(cs)
+        return DAlembertSeries(terms)
 
-    def build(v):
-        return (DAlembertSeries.single(2, 0, 0, 0, c=v[0])
-                + DAlembertSeries.single(0, 2, 0, 0, c=v[1])
-                + DAlembertSeries.single(2, 0, 2, 0, c=v[2])
-                + DAlembertSeries.single(0, 2, 0, 2, c=v[3])
-                + DAlembertSeries.single(1, 1, 1, -1, c=v[4])
-                + DAlembertSeries.single(1, 1, 1, 1, c=v[5])
-                + DAlembertSeries.single(2, 0, 2, 0, s=v[6])
-                + DAlembertSeries.single(0, 2, 0, 2, s=v[7])
-                + DAlembertSeries.single(1, 1, 1, -1, s=v[8])
-                + DAlembertSeries.single(1, 1, 1, 1, s=v[9]))
-
-    return build(r), build(s).scale(-1.0)
+    return build(rs.r), build(rs.s).scale(-1.0)
 
 
 # -- degree-3 energy coefficients ------------------------------------------

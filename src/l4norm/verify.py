@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import closedforms, equilibria, normalform, polyalg
+from .closedforms import RS_SLOTS
 from .dalembert import DAlembertSeries, FrequencyPair, moser_check
 from .errata import NOISE_FLOOR, RemainderVerdict, classify_remainder
 from .errors import ParameterError, ResonanceError
@@ -31,6 +32,17 @@ class PipelineOptions:
     residual_tol: float = 1e-9       # B2 back-substitution gate
     linear_tol: float = 1e-10        # B1 residual / symplectic / H2-form gates
     h3_tol_factor: float = 1e-8      # |A| < factor * max intermediate coefficient
+
+
+# Each tolerance a run may override (`--tol NAME=VALUE`, `tol.NAME=VALUE`)
+# and the PipelineOptions field it sets, in the report's order.
+TOLERANCES = {
+    "residual": "residual_tol",
+    "linear": "linear_tol",
+    "h3_factor": "h3_tol_factor",
+    "moser": "moser_tol",
+    "divisor_floor": "divisor_floor",
+}
 
 
 @dataclass
@@ -89,12 +101,8 @@ class PipelineResult:
 def oracle_rs_from_series(b2x: DAlembertSeries, b2y: DAlembertSeries):
     """Read the ten-coefficient (r, s) pattern off a solved B2 pair."""
     def pick(series, sign):
-        g = lambda key: series.terms.get(key, (0.0, 0.0))
-        vals = (g((2, 0, 0, 0))[0], g((0, 2, 0, 0))[0], g((2, 0, 2, 0))[0],
-                g((0, 2, 0, 2))[0], g((1, 1, 1, -1))[0], g((1, 1, 1, 1))[0],
-                g((2, 0, 2, 0))[1], g((0, 2, 0, 2))[1], g((1, 1, 1, -1))[1],
-                g((1, 1, 1, 1))[1])
-        return tuple(sign * v for v in vals)
+        return tuple(sign * series.terms.get(key, (0.0, 0.0))[slot]
+                     for key, slot in RS_SLOTS)
 
     return pick(b2x, 1.0), pick(b2y, -1.0)
 
@@ -221,6 +229,17 @@ def audit(res: PipelineResult) -> Audit:
         l3, res.b1, (b2p.b2x, b2p.b2y), res.efg, res.freq, p.n)
     gaps["forcing.partial_only"] = h3p.max_abs()
     return out
+
+
+def frequency_lines(freq: FrequencyPair, moser) -> list:
+    """The frequencies and the non-resonance check, one line each."""
+    return [
+        f"omega1: {fmt(freq.omega1)}",
+        f"omega2: {fmt(freq.omega2)}",
+        f"moser.min_combination: {fmt(moser.min_combination)}",
+        f"moser.worst_pair: {moser.worst_pair[0]},{moser.worst_pair[1]}",
+        f"moser.passed: {fmt(moser.passed)}",
+    ]
 
 
 def _point_gap(a, b) -> float:
@@ -357,12 +376,8 @@ def render_report(res: PipelineResult, printed: Audit, verdicts=None) -> str:
         put(f"{key}: {fmt(val)}")
     put(f"stages: {','.join(res.stages)}")
     opt = res.options
-    for key, val in (("tol.residual", opt.residual_tol),
-                     ("tol.linear", opt.linear_tol),
-                     ("tol.h3_factor", opt.h3_tol_factor),
-                     ("tol.moser", opt.moser_tol),
-                     ("tol.divisor_floor", opt.divisor_floor)):
-        put(f"{key}: {fmt(val)}")
+    for name, attr in TOLERANCES.items():
+        put(f"tol.{name}: {fmt(getattr(opt, attr))}")
     for name, ok in res.gates().items():
         put(f"gate.{name}: {fmt(ok)}")
 
@@ -374,11 +389,7 @@ def render_report(res: PipelineResult, printed: Audit, verdicts=None) -> str:
     if res.freq is not None:
         put("")
         put("[frequencies]")
-        put(f"omega1: {fmt(res.freq.omega1)}")
-        put(f"omega2: {fmt(res.freq.omega2)}")
-        put(f"moser.min_combination: {fmt(res.moser.min_combination)}")
-        put(f"moser.worst_pair: {res.moser.worst_pair[0]},{res.moser.worst_pair[1]}")
-        put(f"moser.passed: {fmt(res.moser.passed)}")
+        lines.extend(frequency_lines(res.freq, res.moser))
 
     if res.nm is not None:
         put("")

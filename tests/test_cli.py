@@ -8,6 +8,8 @@ from l4norm.cli import (
     EXIT_OK,
     EXIT_PIPELINE,
     RunConfig,
+    build_parser,
+    config_from_args,
     main,
     parse_config_text,
 )
@@ -21,12 +23,45 @@ def run_cli(capsys, *argv):
 
 
 class TestConfig:
-    def test_round_trip(self):
-        cfg = parse_config_text(
-            "mu=0.01\nq1=0.999\na2=0.0001\ncd=10\nbranch=L5\n"
-            "stages=equilibria,b1\nformat=csv\ntol.residual=1e-8\n")
-        again = parse_config_text(cfg.normalized())
-        assert again.normalized() == cfg.normalized()
+    FILE = ("mu=0.01\nq1=0.999\na2=0.0001\ncd=10\nbranch=L5\n"
+            "stages=equilibria,b1\nformat=csv\ntol.residual=1e-8\n"
+            "tol.moser=0.002\n")
+    FLAGS = ("--mu", "0.01", "--q1", "0.999", "--a2", "0.0001", "--cd", "10",
+             "--branch", "L5", "--stages", "equilibria,b1", "--format", "csv",
+             "--tol", "residual=1e-8", "--tol", "moser=0.002")
+
+    def test_config_file_equals_flags(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(self.FILE)
+        parser = build_parser()
+        from_file = config_from_args(
+            parser.parse_args(["verify", "--config", str(path)]))
+        from_flags = config_from_args(
+            parser.parse_args(["verify", *self.FLAGS]))
+        assert from_file == from_flags
+        assert from_file.params() == from_flags.params()
+        assert from_file.options() == from_flags.options()
+        code, out_file, err_file = run_cli(capsys, "verify", "--config",
+                                           str(path))
+        assert code == EXIT_OK
+        assert run_cli(capsys, "verify", *self.FLAGS) == \
+            (code, out_file, err_file)
+
+    @pytest.mark.parametrize("argv, text", [
+        (("--mu", "0.01", "--tol", "residual=abc"), None),
+        (("--mu", "abc"), None),
+        ((), "mu=abc\n"),
+        ((), "mu=0.01\nbranch=L6\n"),
+    ], ids=["tol-flag", "mu-flag", "mu-file", "branch-file"])
+    def test_malformed_value_exits_2(self, tmp_path, capsys, argv, text):
+        if text is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(text)
+            argv = ("--config", str(path))
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -127,7 +162,7 @@ class TestFrequenciesCommand:
         assert code == EXIT_OK
         lines = report.splitlines()
         start = lines.index("[frequencies]") + 1
-        assert out.splitlines()[:2] == lines[start:start + 2]
+        assert out.splitlines() == lines[start:start + 5]
 
 
 class TestVerifyCommand:

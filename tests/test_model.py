@@ -62,7 +62,6 @@ class TestModelParams:
     def test_particle_constructor(self):
         p = ModelParams.from_particle(mu=0.01, chi=1.0, a=2e-2, rho=1.4)
         assert p.q1 == pytest.approx(1.0 - 5.6e-5 / (2e-2 * 1.4), rel=1e-14)
-        assert p.chi == 1.0
 
 
 class TestEffectivePotential:

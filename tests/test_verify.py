@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from l4norm.closedforms import RSTable, fg_tables, j_closed_form, rs_tables
+from l4norm.closedforms import RSTable
 from l4norm.errata import KNOWN_DISCREPANCIES, is_registered
 from l4norm.errors import ParameterError, ResonanceError
 from l4norm.model import ModelParams
@@ -85,19 +85,6 @@ class TestAudit:
     def test_audit_covers_every_gating_key(self):
         res = run_pipeline(ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0))
         assert set(GATING_KEYS) <= set(audit(res).gaps)
-
-    def test_corrected_rs_tables_still_disagree(self):
-        # The registry says the structural corrections do not reproduce the
-        # oracle B2 either: every corrected r_i and s_i misses it.
-        p = ModelParams(mu=0.01)
-        res = run_pipeline(p, stages=("b2",))
-        rs = rs_tables(j_closed_form(p, res.freq), res.freq, fg_tables(p),
-                       corrected=True)
-        r_oracle, s_oracle = oracle_rs_from_series(res.b2.b2x, res.b2.b2y)
-        bound = 1e-12 * res.intermediate_scale()
-        for closed, oracle in ((rs.r, r_oracle), (rs.s, s_oracle)):
-            for i in range(10):
-                assert abs(closed[i] - oracle[i]) > bound, i
 
 
 class TestClassicalRoots:
