@@ -3,12 +3,12 @@
 Each command runs in its own interpreter; its argv, exit code, stdout and
 stderr go to the snapshot in list order.  The list covers every
 subcommand, both branches, the report and CSV formats, a config file,
-each tolerance override, a malformed value, sweeps, and seeded random
-`verify` points, so two snapshots that compare equal mean byte-identical
-command-line behaviour.  The config file is written to the same path in
-the temporary directory on every run, so both snapshots print the same
-argv.  The package is imported from
-whatever `PYTHONPATH` names, so one tree can be compared with another:
+each tolerance override, a malformed value, a NaN parameter, sweeps,
+and seeded random `verify` points, so two snapshots that compare equal
+mean byte-identical command-line behaviour.  The config file is written
+to the same path in the temporary directory on every run, so both
+snapshots print the same argv.  The package is imported from whatever
+`PYTHONPATH` names, so one tree can be compared with another:
 
     PYTHONPATH=old/src python scripts/cli_snapshot.py old.txt
     PYTHONPATH=src python scripts/cli_snapshot.py new.txt
@@ -61,6 +61,7 @@ FIXED = [
     ["verify", "--mu", "0.01", *DRAG, "--stages", "b1", "--tol", "moser=0.2"],
     ["verify", "--mu", "0.01", *DRAG, "--stages", "b2", "--tol", "divisor_floor=1"],
     ["verify", "--mu", "0.01", "--tol", "residual=abc"],
+    ["verify", "--mu", "0.01", "--q1", "nan", "--stages", "b1"],
     ["sweep", "--mu-min", "0.005", "--mu-max", "0.02", "--steps", "4",
      "--q1", "0.999", "--cd", "20", "--stages", "b1"],
     ["sweep", "--mu-min", "0.005", "--mu-max", "0.02", "--steps", "4",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dalembert import FrequencyPair
+from .dalembert import DIVISOR_FLOOR, FrequencyPair
 from .errors import SmallDivisorError
 from .model import SQRT3, ModelParams
 
@@ -524,7 +524,7 @@ def _r_values(j: JClosedForm, w: FrequencyPair, triples,
 
 
 def rs_tables(j: JClosedForm, w: FrequencyPair, fg: FGTable,
-              floor: float = 1e-8) -> RSTable:
+              floor: float = DIVISOR_FLOOR) -> RSTable:
     """r1..r10 per the printed formulas; s1..s10 by the F -> G substitution."""
     r = _r_values(j, w, fg.f_triples(), floor)
     s = _r_values(j, w, fg.g_triples(), floor)

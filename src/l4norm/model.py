@@ -66,13 +66,14 @@ class ModelParams:
     def __post_init__(self):
         if not 0.0 < self.mu <= 0.5:
             raise ParameterError(f"mu must lie in (0, 1/2], got {self.mu}")
-        if self.q1 > 1.0:
+        # Each check is written so that NaN fails it.
+        if not self.q1 <= 1.0:
             raise ParameterError(f"q1 must not exceed 1, got {self.q1}")
-        if self.q1 <= 0.0:
+        if not self.q1 > 0.0:
             raise ParameterError(f"q1 must be positive, got {self.q1}")
-        if self.A2 < 0.0:
+        if not self.A2 >= 0.0:
             raise ParameterError(f"A2 must be non-negative, got {self.A2}")
-        if self.cd <= 0.0:
+        if not self.cd > 0.0:
             raise ParameterError(f"cd must be positive, got {self.cd}")
         object.__setattr__(self, "epsilon", 1.0 - self.q1)
         object.__setattr__(self, "W1", (1.0 - self.mu) * (1.0 - self.q1) / self.cd)

@@ -29,6 +29,7 @@ import numpy as np
 from .closedforms import RS_SLOTS, mode_scalars
 from .dalembert import (
     CRITICAL_HARMONICS,
+    DIVISOR_FLOOR,
     DAlembertSeries,
     FrequencyPair,
     apply_D,
@@ -333,7 +334,7 @@ class SecondOrderSolution:
 
 def solve_second_order_oracle(efg: QuadraticCoefficients, w: FrequencyPair,
                               n: float, x2: DAlembertSeries, y2: DAlembertSeries,
-                              floor: float = 1e-8) -> SecondOrderSolution:
+                              floor: float = DIVISOR_FLOOR) -> SecondOrderSolution:
     """Solve the coupled second-order equations by harmonic division.
 
     Eliminating one unknown (the adjugate of the linear operator, its

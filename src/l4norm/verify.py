@@ -11,12 +11,13 @@ against the registry in :mod:`l4norm.errata`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 from . import closedforms, equilibria, normalform, polyalg
 from .closedforms import RS_SLOTS
-from .dalembert import DAlembertSeries, FrequencyPair, moser_check
+from .dalembert import DIVISOR_FLOOR, DAlembertSeries, FrequencyPair, moser_check
 from .errata import NOISE_FLOOR, RemainderVerdict, classify_remainder
 from .errors import ParameterError, ResonanceError
 from .model import ModelParams
@@ -27,7 +28,7 @@ STAGES = ("equilibria", "taylor", "b1", "b2", "h3")
 @dataclass(frozen=True)
 class PipelineOptions:
     branch: str = "L4"
-    divisor_floor: float = 1e-8
+    divisor_floor: float = DIVISOR_FLOOR
     moser_tol: float = 1e-3
     residual_tol: float = 1e-9       # B2 back-substitution gate
     linear_tol: float = 1e-10        # B1 residual / symplectic / H2-form gates
@@ -207,9 +208,9 @@ def audit(res: PipelineResult) -> Audit:
     if res.b2 is None:
         return out
 
-    floor = res.options.divisor_floor
     fg = closedforms.fg_tables(p)
-    out.rs = closedforms.rs_tables(out.j_closed, res.freq, fg, floor=floor)
+    out.rs = closedforms.rs_tables(out.j_closed, res.freq, fg,
+                                   floor=res.options.divisor_floor)
     b2_closed = normalform.second_order_closed_form(out.rs)
     r_oracle, s_oracle = oracle_rs_from_series(res.b2.b2x, res.b2.b2y)
     for i in range(10):
@@ -220,15 +221,22 @@ def audit(res: PipelineResult) -> Audit:
     if res.h3 is None:
         return out
 
-    # The printed reading of the forcing: position partials only.
+    gaps["forcing.partial_only"] = partial_forcing_gap(res)
+    return out
+
+
+def partial_forcing_gap(res: PipelineResult) -> float:
+    """Largest H3 coefficient left by the printed reading of the forcing
+    (position partials only); the result must hold the b2 stage."""
+    l3 = res.lagrangian_poly.grade(3)
     x2p, y2p = normalform.forcing_x2y2(l3, res.b1[0], res.b1[1], res.freq,
                                        partial_forcing=True)
     b2p = normalform.solve_second_order_oracle(
-        res.efg, res.freq, p.n, x2p, y2p, floor=floor)
+        res.efg, res.freq, res.params.n, x2p, y2p,
+        floor=res.options.divisor_floor)
     h3p = normalform.h3_normal_coefficients(
-        l3, res.b1, (b2p.b2x, b2p.b2y), res.efg, res.freq, p.n)
-    gaps["forcing.partial_only"] = h3p.max_abs()
-    return out
+        l3, res.b1, (b2p.b2x, b2p.b2y), res.efg, res.freq, res.params.n)
+    return h3p.max_abs()
 
 
 def frequency_lines(freq: FrequencyPair, moser) -> list:
@@ -288,32 +296,48 @@ GATING_KEYS = (
 ) + tuple(f"b2.r{i}" for i in range(1, 11)) + tuple(f"b2.s{i}" for i in range(1, 11))
 
 
-def detect_discrepancies(mu: float = 0.01, h: float = 1e-3,
+# Strength of each single perturbation: every series is compared at
+# strengths HALVING_STRENGTH and HALVING_STRENGTH / 2.
+HALVING_STRENGTH = 1e-3
+
+# Verdicts kept per process, one entry per (mu, options).
+DETECTOR_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=DETECTOR_CACHE_SIZE)
+def detect_discrepancies(mu: float = 0.01,
                          options: PipelineOptions = PipelineOptions()):
     """Classify every audited closed form against its oracle.
 
     Classical verdicts compare directly at zero perturbation strength;
-    perturbation verdicts compare remainders at strengths h and h/2.
-    Returns a list of RemainderVerdict covering every gating key.
+    perturbation verdicts compare remainders at strengths HALVING_STRENGTH
+    and half of it.  Returns a tuple of RemainderVerdict covering every
+    gating key.  The verdicts depend only on (mu, options), so they are
+    cached per process; an exception is raised again on every call.
     """
+    def gaps_at(p: ModelParams):
+        # No gating key reads the h3 stage, so the chain stops at b2.
+        res = run_pipeline(p, options, stages=("b2",))
+        gaps = audit(res).gaps
+        gaps["forcing.partial_only"] = partial_forcing_gap(res)
+        return res, gaps
+
     verdicts = []
-    base = run_pipeline(ModelParams(mu=mu), options)
+    base, gaps = gaps_at(ModelParams(mu=mu))
     scale = max(1.0, base.intermediate_scale())
-    gaps = audit(base).gaps
     for key in GATING_KEYS:
         gap = gaps.get(key, 0.0)
         cls = "consistent" if gap <= NOISE_FLOOR * scale else "zeroth_order"
         verdicts.append(RemainderVerdict(key, "classical", gap, gap, cls))
+    h = HALVING_STRENGTH
     for kind in PERTURBATIONS:
-        gaps_h = audit(run_pipeline(single_perturbation_params(mu, kind, h),
-                                    options)).gaps
-        gaps_half = audit(run_pipeline(
-            single_perturbation_params(mu, kind, h / 2), options)).gaps
+        _, gaps_h = gaps_at(single_perturbation_params(mu, kind, h))
+        _, gaps_half = gaps_at(single_perturbation_params(mu, kind, h / 2))
         for key in GATING_KEYS:
             verdicts.append(classify_remainder(
                 key, kind, gaps_h.get(key, 0.0), gaps_half.get(key, 0.0),
                 scale=scale))
-    return verdicts
+    return tuple(verdicts)
 
 
 # -- classical resonance helpers -------------------------------------------

@@ -34,7 +34,7 @@ def note(line):
 @pytest.fixture(scope="module")
 def verdicts():
     # single-perturbation halving experiments at mu = 0.01, h = 1e-3 / 5e-4
-    return detect_discrepancies(mu=0.01, h=1e-3)
+    return detect_discrepancies(mu=0.01)
 
 
 def test_criterion_1_classical_reduction():

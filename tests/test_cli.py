@@ -14,6 +14,7 @@ from l4norm.cli import (
     parse_config_text,
 )
 from l4norm.errors import ConfigError
+from l4norm.verify import detect_discrepancies
 
 
 def run_cli(capsys, *argv):
@@ -184,6 +185,29 @@ class TestVerifyCommand:
                                "--stages", "h3")
         assert code == EXIT_PIPELINE
         assert "ResonanceError" in err
+
+    def test_repeat_in_one_process(self, capsys):
+        # Physics B shares mu and options with A, so it reads A's cached
+        # verdicts; the third run must still print what the first did.
+        a = ("verify", "--mu", "0.01215", "--q1", "0.999", "--a2", "1e-4",
+             "--cd", "20", "--stages", "h3")
+        b = ("verify", "--mu", "0.01215", "--epsilon", "1e-3", "--cd", "7",
+             "--stages", "h3")
+        first = run_cli(capsys, *a)
+        assert first[0] == EXIT_OK
+        assert run_cli(capsys, *b)[0] == EXIT_OK
+        assert run_cli(capsys, *a) == first
+        detect_discrepancies.cache_clear()
+        assert run_cli(capsys, *a) == first
+
+    @pytest.mark.parametrize("flag, field", [
+        ("--q1", "q1"), ("--a2", "A2"), ("--cd", "cd")])
+    def test_nan_parameter_is_refused(self, capsys, flag, field):
+        code, out, err = run_cli(capsys, "verify", "--mu", "0.01",
+                                 flag, "nan", "--stages", "b1")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith(f"error: {field} ") and len(err.splitlines()) == 1
 
     def test_b1_stage_skips_detector(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--mu", "0.01",

@@ -9,12 +9,15 @@ from l4norm.model import ModelParams
 from l4norm.normalform import second_order_closed_form
 from l4norm.verify import (
     GATING_KEYS,
+    HALVING_STRENGTH,
+    PERTURBATIONS,
     PipelineOptions,
     audit,
     critical_mass_ratio,
     detect_discrepancies,
     locate_classical_resonance,
     oracle_rs_from_series,
+    partial_forcing_gap,
     render_report,
     run_pipeline,
     single_perturbation_params,
@@ -138,3 +141,40 @@ class TestDetector:
         for v in verdicts:
             if v.quantity == "cubic.T5":
                 assert v.consistent
+
+    @pytest.mark.parametrize("mu", [0.00445, 0.01215])
+    @pytest.mark.parametrize("branch", ["L4", "L5"])
+    def test_b2_chain_gives_the_full_chain_gaps(self, mu, branch):
+        # The detector stops the chain at b2 and adds the partial-forcing
+        # gap itself; every gating gap must equal the full chain's audit.
+        options = PipelineOptions(branch=branch)
+        points = [ModelParams(mu=mu)] + [
+            single_perturbation_params(mu, kind, h)
+            for kind in PERTURBATIONS
+            for h in (HALVING_STRENGTH, HALVING_STRENGTH / 2)]
+        for p in points:
+            res = run_pipeline(p, options, stages=("b2",))
+            gaps = audit(res).gaps
+            assert "forcing.partial_only" not in gaps
+            gaps["forcing.partial_only"] = partial_forcing_gap(res)
+            full = audit(run_pipeline(p, options)).gaps
+            for key in GATING_KEYS:
+                assert gaps[key] == full[key], (p, key)
+
+    def test_cached_per_mu_and_options(self):
+        detect_discrepancies.cache_clear()
+        options = PipelineOptions()
+        first = detect_discrepancies(0.01, options)
+        assert isinstance(first, tuple)
+        assert detect_discrepancies(0.01, options) is first
+        assert first == detect_discrepancies.__wrapped__(0.01, options)
+        for other in (PipelineOptions(branch="L5"),
+                      PipelineOptions(moser_tol=2e-3)):
+            assert detect_discrepancies(0.01, other) is not first
+        assert detect_discrepancies.cache_info().currsize == 3
+        # a failed call is not cached: it raises again
+        mu_res = locate_classical_resonance(2)
+        for _ in range(2):
+            with pytest.raises(ResonanceError):
+                detect_discrepancies(mu_res, options)
+        assert detect_discrepancies.cache_info().currsize == 3
