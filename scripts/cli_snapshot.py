@@ -71,6 +71,8 @@ FIXED = [
     ["sweep", "--mu-min", "0.001", "--mu-max", "0.037", "--steps", "12",
      "--epsilon", "0.01", "--a2", "0.002", "--cd", "3", "--branch", "L5",
      "--stages", "h3"],
+    ["sweep", "--mu-min", "0.038", "--mu-max", "0.0386", "--steps", "7",
+     "--stages", "h3", "--q1", "0.999", "--a2", "0.004", "--cd", "5"],
 ]
 
 

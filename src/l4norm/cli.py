@@ -193,7 +193,7 @@ def cmd_verify(config: RunConfig) -> int:
     printed = verify.audit(result)
     verdicts = None
     if "b2" in result.stages or "h3" in result.stages:
-        verdicts = verify.detect_discrepancies(mu=p.mu, options=options)
+        verdicts = verify.detect_discrepancies(p.mu, options)
     if config.format == "csv":
         lines = ["key,value"]
         for name, ok in result.gates().items():

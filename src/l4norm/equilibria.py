@@ -178,19 +178,16 @@ def epsilon_form(p: ModelParams, branch: str = "L4") -> EquilibriumPoint:
     return EquilibriumPoint(x, y, branch, "epsilon-form", residual_at(x, y, p))
 
 
-def offset_ab(p: ModelParams, verbatim: bool = False) -> OriginShift:
-    """Origin-shift pair (a, b) from the printed series.
+def offset_ab(p: ModelParams) -> OriginShift:
+    """Origin-shift pair (a, b) from the printed series, evaluated verbatim.
 
-    The printed a-series lacks the leading constant inside its braces; the
-    corrected form (default) restores it so that a = x(epsilon-form) + mu
-    holds to truncation order.  ``verbatim=True`` evaluates the series
-    exactly as printed (erratum ``offset-a-missing-half``).
+    The printed a-series lacks the leading constant inside its braces, so
+    a evaluates to 0 at zero perturbations instead of x* + mu = 1/2
+    (erratum ``offset.a``); adding 1/2 gives x(epsilon-form) + mu.
     """
     eps, A2, g = p.epsilon, p.A2, p.gamma
     nw = p.n * p.W1
-    lead = 0.0 if verbatim else 1.0
     a = 0.5 * (
-        lead
         - 2.0 * eps / 3.0
         - A2
         + 2.0 * A2 * eps / 3.0

@@ -39,10 +39,9 @@ class RemainderVerdict:
 
 
 def classify_remainder(quantity: str, perturbation: str, gap_h: float,
-                       gap_half: float, floor: float = NOISE_FLOOR,
-                       scale: float = 1.0) -> RemainderVerdict:
-    """Classify a halving experiment; `scale` sets the noise-floor units."""
-    noise = floor * max(scale, 1.0)
+                       gap_half: float, scale: float = 1.0) -> RemainderVerdict:
+    """Classify a halving experiment; `scale` sets the units of NOISE_FLOOR."""
+    noise = NOISE_FLOOR * max(scale, 1.0)
     if gap_h <= noise and gap_half <= noise:
         cls = "consistent"  # remainder below resolution (series may be exact)
     else:
@@ -76,7 +75,8 @@ KNOWN_DISCREPANCIES: tuple = (
         "offset.a", "classical", "zeroth_order",
         "origin-shift a series, leading constant",
         "printed braces lack the leading 1: the series evaluates to 0 at zero "
-        "perturbations while a = x* + mu = 1/2; the corrected form restores it"),
+        "perturbations while a = x* + mu = 1/2; with the 1 restored it equals "
+        "the epsilon-form x* + mu"),
     Discrepancy(
         "offset.b", "W1", "first_order",
         "origin-shift b series, drag term",

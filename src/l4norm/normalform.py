@@ -9,7 +9,8 @@ The oracle chain this module serves:
 3. cubic forcing X2, Y2 by substituting B1 into the cubic slice;
 4. second-order components B2 by harmonic division;
 5. degree-3 energy coefficients after substituting x = B1 + B2, whose
-   vanishing is the headline verification target.
+   vanishing is the headline verification target, and with B2 = 0 (the
+   ablation that shows the check has power).
 
 Substitutions into polynomials cap every series product at the degree
 the stage reads (`DAlembertSeries.mul(other, cap)`), so no term above it
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedforms import RS_SLOTS, mode_scalars
+from .closedforms import RS_SLOTS
 from .dalembert import (
     CRITICAL_HARMONICS,
     DIVISOR_FLOOR,
@@ -120,10 +121,6 @@ class NormalModeData:
 
     freq: FrequencyPair
     J: np.ndarray
-    l1: float
-    l2: float
-    k1: float
-    k2: float
     symplectic_defect: float
     h2_residual: float
 
@@ -207,9 +204,8 @@ def j_numeric(p: ModelParams, efg: QuadraticCoefficients, w: FrequencyPair,
     defect = float(np.max(np.abs(J.T @ SIGMA @ J - SIGMA)))
     target = np.diag([w.omega1**2, -w.omega2**2, 1.0, -1.0])
     h2_res = float(np.max(np.abs(J.T @ S @ J - target)))
-    l1, l2s, k1, k2 = mode_scalars(w)
-    return NormalModeData(freq=w, J=J, l1=l1, l2=l2s, k1=k1, k2=k2,
-                          symplectic_defect=defect, h2_residual=h2_res)
+    return NormalModeData(freq=w, J=J, symplectic_defect=defect,
+                          h2_residual=h2_res)
 
 
 # -- first-order components ---------------------------------------------
@@ -395,13 +391,14 @@ class H3NormalCoefficients:
 
 def h3_normal_coefficients(l3: TruncatedPoly, b1, b2,
                            efg: QuadraticCoefficients, w: FrequencyPair,
-                           n: float) -> H3NormalCoefficients:
+                           n: float):
     """Substitute x = B1 + B2 (velocities via D) into the energy and slice.
 
     The energy function of the Lagrangian is |v|^2/2 - (position part);
     its velocity-linear terms cancel identically, so the degree-3 slice is
     the quadratic cross term between B1 and B2 plus the position cubic at
-    B1.  Every product is capped at degree 3.
+    B1.  Every product is capped at degree 3.  Returns ``(h3, ablation)``;
+    with B2 = 0 the degree-3 slice is that cubic alone.
     """
     b1x, b1y = b1
     b2x, b2y = b2
@@ -414,19 +411,22 @@ def h3_normal_coefficients(l3: TruncatedPoly, b1, b2,
     h2_sub = (vx.mul(vx, cap) + vy.mul(vy, cap)).scale(0.5) \
         - bx.mul(bx, cap).scale(0.5 * k00) - bx.mul(by, cap).scale(k01) \
         - by.mul(by, cap).scale(0.5 * k11)
-    h3_sub = poly_at_series(-l3.position_part(), bx, by, vx, vy, cap)
-    total = h2_sub + h3_sub
+    cubic = poly_at_series(-l3.position_part(), b1x, b1y,
+                           apply_D(b1x, w), apply_D(b1y, w), cap)
+    total = h2_sub + cubic
 
     h2_form = (DAlembertSeries.single(2, 0, 0, 0, c=w.omega1)
                + DAlembertSeries.single(0, 2, 0, 0, c=-w.omega2))
     h2_res = total.degree_slice(2).norm_of_difference(h2_form)
 
-    deg3 = total.degree_slice(3)
-    return H3NormalCoefficients(
-        A30=deg3.grade(3, 0).max_abs(),
-        A21=deg3.grade(2, 1).max_abs(),
-        A12=deg3.grade(1, 2).max_abs(),
-        A03=deg3.grade(0, 3).max_abs(),
-        series=deg3,
-        h2_residual=h2_res,
-    )
+    def grades(deg3) -> H3NormalCoefficients:
+        return H3NormalCoefficients(
+            A30=deg3.grade(3, 0).max_abs(),
+            A21=deg3.grade(2, 1).max_abs(),
+            A12=deg3.grade(1, 2).max_abs(),
+            A03=deg3.grade(0, 3).max_abs(),
+            series=deg3,
+            h2_residual=h2_res,
+        )
+
+    return grades(total.degree_slice(3)), grades(cubic)

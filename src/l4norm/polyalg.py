@@ -310,13 +310,14 @@ def extract_EFG(l2: TruncatedPoly, p: ModelParams) -> QuadraticCoefficients:
 @dataclass(frozen=True)
 class H3CoefficientsClosedForm:
     """Closed-form cubic coefficients: scalars T1..T4 plus the
-    velocity-dependent drag cubic T5 as a polynomial."""
+    velocity-dependent drag cubic T5 as a polynomial, and as printed."""
 
     T1: float
     T2: float
     T3: float
     T4: float
     T5: TruncatedPoly
+    T5_print: TruncatedPoly
 
     def as_poly(self, cap: int = 3) -> TruncatedPoly:
         """Assemble (1/3!) {T1 x^3 + 3 T2 x^2 y + 3 T3 x y^2 + T4 y^3 + 6 T5},
@@ -328,15 +329,14 @@ class H3CoefficientsClosedForm:
         return cubic * (1.0 / 6.0) + self.T5.truncated(cap)
 
 
-def t_coefficients_closed_form(
-    p: ModelParams, shift: OriginShift, verbatim_t5: bool = False
-) -> H3CoefficientsClosedForm:
-    """Printed T1..T4 series plus the drag cubic T5 assembled from (a, b).
+def t_coefficients_closed_form(p: ModelParams,
+                               shift: OriginShift) -> H3CoefficientsClosedForm:
+    """Printed T1..T4 series plus both readings of the drag cubic T5
+    assembled from (a, b).
 
-    ``verbatim_t5=True`` keeps the inhomogeneous first brace term of the
-    printed T5 (degree 2, which truncation then discards); the default
-    squares it, the only reading that makes T5 a degree-3 form (erratum
-    ``t5-linear-brace``).
+    `T5_print` keeps the inhomogeneous first brace term of the printed T5
+    (degree 2, which truncation then discards); `T5` squares it, the only
+    reading that makes T5 a degree-3 form (erratum ``t5-linear-brace``).
     """
     eps, A2, g = p.epsilon, p.A2, p.gamma
     nw = p.n * p.W1
@@ -374,18 +374,18 @@ def t_coefficients_closed_form(
                + (241.0 + 45.0 * g) / (18.0 * s3) * nw
                - (1558.0 - 126.0 * g) / (81.0 * s3) * nw * eps)
     )
-    t5 = _t5_poly(p, shift, verbatim=verbatim_t5)
-    return H3CoefficientsClosedForm(t1, t2, t3, t4, t5)
+    return H3CoefficientsClosedForm(t1, t2, t3, t4, *_t5_polys(p, shift))
 
 
-def _t5_poly(p: ModelParams, shift: OriginShift, verbatim: bool) -> TruncatedPoly:
+def _t5_polys(p: ModelParams, shift: OriginShift):
     """Velocity-dependent drag cubic
     W1/(2 rho^6) [ (a xd + b yd){3(a x + b y)^2 - (b x - a y)^2}
                    - 2 (x xd + y yd)(a x + b y) rho^2 ]
-    with rho^2 = a^2 + b^2; the verbatim reading uses 3(a x + b y) unsquared."""
+    with rho^2 = a^2 + b^2, and its printed reading with 3(a x + b y)
+    unsquared, as the pair (T5, T5_print)."""
     cap = 3
     if p.W1 == 0.0:
-        return TruncatedPoly(cap)
+        return TruncatedPoly(cap), TruncatedPoly(cap)
     a, b = shift.a, shift.b
     rho2 = a * a + b * b
     xi = TruncatedPoly.variable(0, cap)
@@ -395,10 +395,12 @@ def _t5_poly(p: ModelParams, shift: OriginShift, verbatim: bool) -> TruncatedPol
     u = a * xi + b * eta
     w = b * xi - a * eta
     udot = a * xid + b * etad
-    brace = (3.0 * u if verbatim else 3.0 * (u * u)) - w * w
-    expr = udot * brace - 2.0 * (xi * xid + eta * etad) * u * rho2
+    ww = w * w
+    tail = 2.0 * (xi * xid + eta * etad) * u * rho2
+    factor = p.W1 / (2.0 * rho2**3)
     # Only the homogeneous cubic survives a degree-3 slice.
-    return (expr * (p.W1 / (2.0 * rho2**3))).grade(3)
+    return tuple(((udot * (brace - ww) - tail) * factor).grade(3)
+                 for brace in (3.0 * (u * u), 3.0 * u))
 
 
 def oracle_t_coefficients(l3: TruncatedPoly):

@@ -150,11 +150,8 @@ def run_pipeline(p: ModelParams, options: PipelineOptions = PipelineOptions(),
     if last == 3:
         return res
 
-    res.h3 = normalform.h3_normal_coefficients(
+    res.h3, res.h3_ablation = normalform.h3_normal_coefficients(
         l3, res.b1, (res.b2.b2x, res.b2.b2y), res.efg, res.freq, p.n)
-    zero = DAlembertSeries.zero()
-    res.h3_ablation = normalform.h3_normal_coefficients(
-        l3, res.b1, (zero, zero), res.efg, res.freq, p.n)
     return res
 
 
@@ -181,7 +178,7 @@ def audit(res: PipelineResult) -> Audit:
     gaps = out.gaps
     gaps["equilibria.series"] = _point_gap(res.eq_numeric, out.eq_series)
     gaps["equilibria.epsilon_form"] = _point_gap(res.eq_numeric, out.eq_epsform)
-    printed_shift = equilibria.offset_ab(p, verbatim=True)
+    printed_shift = equilibria.offset_ab(p)
     gaps["offset.a"] = abs(printed_shift.a - res.shift.a)
     gaps["offset.b"] = abs(printed_shift.b - abs(res.shift.b))
     if res.lagrangian_poly is None:
@@ -193,8 +190,8 @@ def audit(res: PipelineResult) -> Audit:
     for name, gap in t_comparison.abs_diff.items():
         gaps[f"cubic.{name}"] = gap
     gaps["cubic.T5"] = t_comparison.t5_diff
-    t5_print = polyalg.t_coefficients_closed_form(p, res.shift, verbatim_t5=True).T5
-    gaps["cubic.T5_print"] = t5_print.norm_of_difference(l3.velocity_part())
+    gaps["cubic.T5_print"] = t_closed.T5_print.norm_of_difference(
+        l3.velocity_part())
     if res.nm is None:
         return out
 
@@ -234,7 +231,7 @@ def partial_forcing_gap(res: PipelineResult) -> float:
     b2p = normalform.solve_second_order_oracle(
         res.efg, res.freq, res.params.n, x2p, y2p,
         floor=res.options.divisor_floor)
-    h3p = normalform.h3_normal_coefficients(
+    h3p, _ = normalform.h3_normal_coefficients(
         l3, res.b1, (b2p.b2x, b2p.b2y), res.efg, res.freq, res.params.n)
     return h3p.max_abs()
 
@@ -305,15 +302,15 @@ DETECTOR_CACHE_SIZE = 64
 
 
 @functools.lru_cache(maxsize=DETECTOR_CACHE_SIZE)
-def detect_discrepancies(mu: float = 0.01,
-                         options: PipelineOptions = PipelineOptions()):
+def detect_discrepancies(mu: float, options: PipelineOptions, /):
     """Classify every audited closed form against its oracle.
 
     Classical verdicts compare directly at zero perturbation strength;
     perturbation verdicts compare remainders at strengths HALVING_STRENGTH
     and half of it.  Returns a tuple of RemainderVerdict covering every
     gating key.  The verdicts depend only on (mu, options), so they are
-    cached per process; an exception is raised again on every call.
+    cached per process, one entry per positional (mu, options) pair; an
+    exception is raised again on every call.
     """
     def gaps_at(p: ModelParams):
         # No gating key reads the h3 stage, so the chain stops at b2.

@@ -14,7 +14,7 @@ from l4norm.cli import (
     parse_config_text,
 )
 from l4norm.errors import ConfigError
-from l4norm.verify import detect_discrepancies
+from l4norm.verify import PipelineOptions, detect_discrepancies
 
 
 def run_cli(capsys, *argv):
@@ -199,6 +199,20 @@ class TestVerifyCommand:
         assert run_cli(capsys, *a) == first
         detect_discrepancies.cache_clear()
         assert run_cli(capsys, *a) == first
+
+    def test_library_call_reads_the_cli_entry(self, capsys):
+        # verify and a library call at the same (mu, options) share one
+        # cache entry; the detector takes no keywords, so no other
+        # spelling of the arguments can make a second one.
+        detect_discrepancies.cache_clear()
+        code, _, _ = run_cli(capsys, "verify", "--mu", "0.01215",
+                             "--stages", "h3")
+        assert code == EXIT_OK
+        detect_discrepancies(0.01215, PipelineOptions())
+        info = detect_discrepancies.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        with pytest.raises(TypeError):
+            detect_discrepancies(mu=0.01215, options=PipelineOptions())
 
     @pytest.mark.parametrize("flag, field", [
         ("--q1", "q1"), ("--a2", "A2"), ("--cd", "cd")])

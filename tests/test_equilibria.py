@@ -118,31 +118,30 @@ class TestEpsilonForm:
 class TestOffset:
     def test_classical_values(self):
         p = ModelParams(mu=0.2)
-        verbatim = offset_ab(p, verbatim=True)
-        assert verbatim.a == pytest.approx(0.0, abs=1e-15)
-        assert verbatim.b == pytest.approx(SQRT3_2, abs=1e-15)
-        corrected = offset_ab(p)
-        assert corrected.a == pytest.approx(0.5, abs=1e-15)
+        printed = offset_ab(p)
+        assert printed.a == pytest.approx(0.0, abs=1e-15)
+        assert printed.b == pytest.approx(SQRT3_2, abs=1e-15)
 
     def test_pure_epsilon(self):
         eps = 1e-3
         p = ModelParams(mu=0.1, q1=1 - eps, cd=1e30)
-        sh = offset_ab(p, verbatim=True)
+        sh = offset_ab(p)
         assert sh.a == pytest.approx(-eps / 3, abs=1e-15)
         assert sh.b == pytest.approx(SQRT3_2 * (1 - 2 * eps / 9), abs=1e-15)
 
     def test_pure_oblateness(self):
         A2 = 1e-3
         p = ModelParams(mu=0.1, A2=A2)
-        sh = offset_ab(p, verbatim=True)
+        sh = offset_ab(p)
         assert sh.a == pytest.approx(-A2 / 2, abs=1e-15)
         assert sh.b == pytest.approx(SQRT3_2 * (1 - A2 / 3), abs=1e-15)
 
     def test_corrected_matches_epsilon_form(self):
+        # restoring the missing leading 1 (a + 1/2) gives the epsilon form
         p = ModelParams(mu=0.1, q1=1 - 1e-3, A2=1e-4, cd=50.0)
         sh = offset_ab(p)
         pt = epsilon_form(p)
-        assert sh.a == pytest.approx(pt.x + p.mu, abs=1e-15)
+        assert sh.a + 0.5 == pytest.approx(pt.x + p.mu, abs=1e-15)
         assert sh.b == pytest.approx(pt.y, abs=1e-15)
 
     def test_shift_from_numeric_point(self):

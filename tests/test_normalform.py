@@ -89,7 +89,7 @@ class TestJNumeric:
     def test_classical_matches_printed_structure(self):
         p = ModelParams(mu=0.01)
         _, _, _, _, w, nm = linear_stage(p)
-        l1, l2, k1, k2 = nm.l1, nm.l2, nm.k1, nm.k2
+        l1, l2, k1, k2 = mode_scalars(w)
         g = p.gamma
         assert nm.J13 == pytest.approx(l1 / (2 * w.omega1 * k1), rel=1e-11)
         assert nm.J14 == pytest.approx(l2 / (2 * w.omega2 * k2), rel=1e-11)
@@ -101,10 +101,11 @@ class TestJNumeric:
             -3 * SQRT3 * g / (2 * w.omega2 * l2 * k2), rel=1e-10)
 
     def test_mode_scalar_identities(self):
-        _, _, _, _, w, nm = linear_stage(ModelParams(mu=0.02))
-        assert nm.l1**2 == pytest.approx(4 * w.omega1**2 + 9, rel=1e-14)
-        assert nm.k1**2 == pytest.approx(2 * w.omega1**2 - 1, rel=1e-12)
-        assert nm.k2**2 == pytest.approx(1 - 2 * w.omega2**2, rel=1e-12)
+        _, _, _, _, w, _ = linear_stage(ModelParams(mu=0.02))
+        l1, _, k1, k2 = mode_scalars(w)
+        assert l1**2 == pytest.approx(4 * w.omega1**2 + 9, rel=1e-14)
+        assert k1**2 == pytest.approx(2 * w.omega1**2 - 1, rel=1e-12)
+        assert k2**2 == pytest.approx(1 - 2 * w.omega2**2, rel=1e-12)
 
     @pytest.mark.parametrize("mu", [0.005, 0.01, 0.02, 0.03])
     def test_symplectic_and_diagonal(self, mu):
@@ -319,9 +320,9 @@ class TestClosedFormTables:
 
     def test_j_closed_classical_collapse(self):
         p = ModelParams(mu=0.01)
-        _, _, _, _, w, nm = linear_stage(p)
+        _, _, _, _, w, _ = linear_stage(p)
         jc = j_closed_form(p, w)
-        l1, l2, k1, k2 = nm.l1, nm.l2, nm.k1, nm.k2
+        l1, l2, k1, k2 = mode_scalars(w)
         assert jc.J13 == pytest.approx(l1 / (2 * w.omega1 * k1), rel=1e-14)
         assert jc.J21 == pytest.approx(-4 * p.n * w.omega1 / (l1 * k1), rel=1e-14)
         assert jc.J22 == pytest.approx(4 * p.n * w.omega2 / (l2 * k2), rel=1e-14)
@@ -369,7 +370,7 @@ class TestH3:
         sol = solve_second_order_oracle(efg, w, p.n, x2, y2)
         b2 = (DAlembertSeries.zero(), DAlembertSeries.zero()) if ablation \
             else (sol.b2x, sol.b2y)
-        h3 = h3_normal_coefficients(lag.grade(3), b1, b2, efg, w, p.n)
+        h3, _ = h3_normal_coefficients(lag.grade(3), b1, b2, efg, w, p.n)
         scale = max(x2.max_abs(), y2.max_abs(), sol.b2x.max_abs(),
                     sol.b2y.max_abs())
         return h3, scale
@@ -400,7 +401,7 @@ class TestH3:
         b1 = first_order_components(nm)
         x2, y2 = forcing_x2y2(l3, b1[0], b1[1], w)
         sol = solve_second_order_oracle(efg, w, p.n, x2, y2)
-        h3 = h3_normal_coefficients(l3, b1, (sol.b2x, sol.b2y), efg, w, p.n)
+        h3, _ = h3_normal_coefficients(l3, b1, (sol.b2x, sol.b2y), efg, w, p.n)
         assert h3.max_abs() < 1e-10
 
     def test_partial_forcing_leaves_first_order_drag_residue(self):

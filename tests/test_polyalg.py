@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from l4norm.equilibria import (
     OriginShift,
-    offset_ab,
+    epsilon_form,
     shift_from_point,
     solve_triangular_numeric,
 )
@@ -104,7 +104,7 @@ class TestTaylorLagrangian:
 
     def test_degree_zero_is_pointwise_lagrangian(self):
         p = ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0)
-        shift = offset_ab(p)
+        shift = shift_from_point(epsilon_form(p), p)
         lag = taylor_lagrangian(p, shift, 3)
         expected = lagrangian(State(shift.a - p.mu, shift.b), p)
         assert lag.coefficient((0, 0, 0, 0)) == pytest.approx(expected, rel=1e-13)
@@ -242,12 +242,12 @@ class TestExtractEFG:
 class TestClosedFormCubic:
     def test_gamma_zero_kills_t1(self):
         p = ModelParams(mu=0.5)
-        t = t_coefficients_closed_form(p, offset_ab(p))
+        t = t_coefficients_closed_form(p, shift_from_point(epsilon_form(p), p))
         assert t.T1 == pytest.approx(0.0, abs=1e-15)
 
     def test_classical_printed_values(self):
         p = ModelParams(mu=0.01)
-        t = t_coefficients_closed_form(p, offset_ab(p))
+        t = t_coefficients_closed_form(p, shift_from_point(epsilon_form(p), p))
         assert t.T1 == pytest.approx(21 * p.gamma / 8, rel=1e-13)
         assert t.T2 == pytest.approx(21 * SQRT3 / 8, rel=1e-13)
         assert t.T3 == pytest.approx(-9 * p.gamma / 8, rel=1e-13)
@@ -255,7 +255,7 @@ class TestClosedFormCubic:
 
     def test_t5_zero_without_drag(self):
         p = ModelParams(mu=0.2)
-        t = t_coefficients_closed_form(p, offset_ab(p))
+        t = t_coefficients_closed_form(p, shift_from_point(epsilon_form(p), p))
         assert t.T5.coeffs == {}
 
     def test_t5_matches_oracle_velocity_cubic_exactly(self):
@@ -269,7 +269,7 @@ class TestClosedFormCubic:
     def test_t5_verbatim_misses_first_order_term(self):
         p = ModelParams(mu=0.01, q1=0.999, cd=10.0)
         shift = shift_from_point(solve_triangular_numeric(p), p)
-        t5v = t_coefficients_closed_form(p, shift, verbatim_t5=True).T5
+        t5v = t_coefficients_closed_form(p, shift).T5_print
         oracle = taylor_lagrangian(p, shift, 3).grade(3).velocity_part()
         assert t5v.norm_of_difference(oracle) > 0.1 * p.W1
 

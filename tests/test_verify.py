@@ -3,10 +3,16 @@ import math
 import pytest
 
 from l4norm.closedforms import RSTable
+from l4norm.dalembert import DAlembertSeries, apply_D
 from l4norm.errata import KNOWN_DISCREPANCIES, is_registered
 from l4norm.errors import ParameterError, ResonanceError
 from l4norm.model import ModelParams
-from l4norm.normalform import second_order_closed_form
+from l4norm.normalform import (
+    H3NormalCoefficients,
+    h3_normal_coefficients,
+    poly_at_series,
+    second_order_closed_form,
+)
 from l4norm.verify import (
     GATING_KEYS,
     HALVING_STRENGTH,
@@ -111,7 +117,7 @@ class TestClassicalRoots:
 
 @pytest.fixture(scope="module")
 def verdicts():
-    return detect_discrepancies()
+    return detect_discrepancies(0.01, PipelineOptions())
 
 
 class TestDetector:
@@ -178,3 +184,51 @@ class TestDetector:
             with pytest.raises(ResonanceError):
                 detect_discrepancies(mu_res, options)
         assert detect_discrepancies.cache_info().currsize == 3
+
+
+def h3_at_b1_plus_b2(l3, b1, b2, efg, w, n):
+    """Reference: substitute x = B1 + B2 into both the quadratic energy and
+    the position cubic, every product capped at degree 3."""
+    bx, by = b1[0] + b2[0], b1[1] + b2[1]
+    vx, vy = apply_D(bx, w), apply_D(by, w)
+    cap, n2 = 3, n * n
+    k00, k01, k11 = n2 - 2.0 * efg.E, -efg.G, n2 - 2.0 * efg.F
+    h2_sub = (vx.mul(vx, cap) + vy.mul(vy, cap)).scale(0.5) \
+        - bx.mul(bx, cap).scale(0.5 * k00) - bx.mul(by, cap).scale(k01) \
+        - by.mul(by, cap).scale(0.5 * k11)
+    total = h2_sub + poly_at_series(-l3.position_part(), bx, by, vx, vy, cap)
+    deg3 = total.degree_slice(3)
+    h2_form = (DAlembertSeries.single(2, 0, 0, 0, c=w.omega1)
+               + DAlembertSeries.single(0, 2, 0, 0, c=-w.omega2))
+    return H3NormalCoefficients(
+        *(deg3.grade(j, 3 - j).max_abs() for j in (3, 2, 1, 0)), series=deg3,
+        h2_residual=total.degree_slice(2).norm_of_difference(h2_form))
+
+
+class TestH3Substitution:
+    """The chain forms the position cubic once, at B1; both H3 slices must
+    equal what substituting the full series gives."""
+
+    @pytest.fixture(params=[(mu, branch, drag)
+                            for mu in (0.00445, 0.01215)
+                            for branch in ("L4", "L5")
+                            for drag in (False, True)],
+                    ids=lambda c: f"{c[0]}-{c[1]}-{'drag' if c[2] else 'free'}")
+    def res(self, request):
+        mu, branch, drag = request.param
+        p = (ModelParams(mu=mu, q1=0.999, A2=1e-4, cd=20.0) if drag
+             else ModelParams(mu=mu))
+        return run_pipeline(p, PipelineOptions(branch=branch))
+
+    def test_ablation_is_the_b2_zero_run(self, res):
+        zero = DAlembertSeries.zero()
+        b2_zero, _ = h3_normal_coefficients(
+            res.lagrangian_poly.grade(3), res.b1, (zero, zero), res.efg,
+            res.freq, res.params.n)
+        assert res.h3_ablation == b2_zero  # every field, series terms too
+
+    def test_h3_is_the_b1_plus_b2_substitution(self, res):
+        reference = h3_at_b1_plus_b2(
+            res.lagrangian_poly.grade(3), res.b1, (res.b2.b2x, res.b2.b2y),
+            res.efg, res.freq, res.params.n)
+        assert res.h3 == reference
