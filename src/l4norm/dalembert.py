@@ -8,9 +8,10 @@ double-summation constraints
 * -m <= q <= m with q = m (mod 2),
 
 and keys are kept canonical (p > 0, or p = 0 and q >= 0) so equality is
-plain coefficient-map equality.  The constructor checks the constraints;
-no other operation needs to, because sums and termwise maps reuse stored
-keys and a product of valid keys is valid.  Products take an optional
+plain coefficient-map equality.  The constructor checks the constraints
+and canonicalises; no other operation needs to, because sums and termwise
+maps reuse stored keys and a product of valid keys is valid (only its
+difference harmonics need canonicalising).  Products take an optional
 degree cap (j + m) and skip the pairs of terms that would exceed it.  No
 stored coefficient is -0.0, and the sine of the (0, 0) harmonic is 0.0.
 
@@ -104,10 +105,10 @@ class DAlembertSeries:
 
     def __add__(self, other):
         out = DAlembertSeries()
-        for (j, m, p, q), (c, s) in self.terms.items():
-            out._accumulate(j, m, p, q, c, s)
-        for (j, m, p, q), (c, s) in other.terms.items():
-            out._accumulate(j, m, p, q, c, s)
+        terms = out.terms = dict(self.terms)
+        for key, (c, s) in other.terms.items():
+            oc, os = terms.get(key, (0.0, 0.0))
+            terms[key] = (oc + c, os + s)
         out._prune()
         return out
 

@@ -26,9 +26,6 @@ COLLISION_RADIUS = 1e-9
 
 SQRT3 = math.sqrt(3.0)
 
-# Mass-reduction factor from particle properties (CGS): q = 1 - 5.6e-5*chi/(a*rho).
-_Q_PARTICLE_CONSTANT = 5.6e-5
-
 # Above this size the first-order series downstream start to degrade visibly.
 _SMALLNESS_WARN = 0.1
 
@@ -88,19 +85,6 @@ class ModelParams:
                     "first-order series lose accuracy",
                     stacklevel=2,
                 )
-
-    @classmethod
-    def from_particle(cls, mu, chi, a, rho, A2=0.0, cd=1.0):
-        """Construct q1 from radiation efficiency chi, particle radius a and
-        density rho (CGS units)."""
-        if a <= 0 or rho <= 0:
-            raise ParameterError("particle radius and density must be positive")
-        q1 = 1.0 - _Q_PARTICLE_CONSTANT * chi / (a * rho)
-        if q1 <= 0.0:
-            raise ParameterError(
-                f"particle properties give q1 = {q1:.3g} <= 0 (radiation dominates)"
-            )
-        return cls(mu=mu, q1=q1, A2=A2, cd=cd)
 
 
 @dataclass(frozen=True)
@@ -206,17 +190,6 @@ def momenta(s: State, p: ModelParams) -> CanonicalState:
     px = s.xdot - p.n * s.y + 0.5 * p.W1 * x1 / r1sq
     py = s.ydot + p.n * s.x + 0.5 * p.W1 * s.y / r1sq
     return CanonicalState(s.x, s.y, px, py)
-
-
-def velocities_from_momenta(c: CanonicalState, p: ModelParams) -> State:
-    """Inverse of :func:`momenta`."""
-    s0 = State(c.x, c.y)
-    r1, _ = s0.radii(p)
-    r1sq = r1 * r1
-    x1 = c.x + p.mu
-    xdot = c.px + p.n * c.y - 0.5 * p.W1 * x1 / r1sq
-    ydot = c.py - p.n * c.x - 0.5 * p.W1 * c.y / r1sq
-    return State(c.x, c.y, xdot, ydot)
 
 
 def hamiltonian(s: State, p: ModelParams) -> float:

@@ -29,7 +29,6 @@ import numpy as np
 
 from .closedforms import RS_SLOTS
 from .dalembert import (
-    CRITICAL_HARMONICS,
     DIVISOR_FLOOR,
     DAlembertSeries,
     FrequencyPair,
@@ -37,7 +36,7 @@ from .dalembert import (
     apply_poly_in_D,
     invert_delta,
 )
-from .errors import ContractError, CriticalTermError, StabilityDomainError
+from .errors import ContractError, StabilityDomainError
 from .model import ModelParams
 from .polyalg import QuadraticCoefficients, TruncatedPoly
 
@@ -49,10 +48,6 @@ SIGMA = np.array([
 ])
 
 _IMAG_TOL = 1e-9
-
-# A critical harmonic in the forcing above this size makes the solve refuse.
-_CRITICAL_TOL = 1e-12
-
 
 def stiffness_matrix(efg: QuadraticCoefficients, n: float) -> np.ndarray:
     """Position block K of the quadratic Lagrangian, L2 = |v|^2/2 + v.C q + q.K q/2."""
@@ -312,11 +307,6 @@ def forcing_x2y2(l3: TruncatedPoly, b1x: DAlembertSeries, b1y: DAlembertSeries,
     if not partial_forcing:
         x2 = x2 - apply_D(sub(l3.partial(2)), w)
         y2 = y2 - apply_D(sub(l3.partial(3)), w)
-    for series in (x2, y2):
-        for (j, m, p, q) in series.terms:
-            if (p, q) in CRITICAL_HARMONICS:
-                raise ContractError(
-                    f"parity violation: critical harmonic ({p},{q}) in forcing")
     return x2, y2
 
 
@@ -336,13 +326,10 @@ def solve_second_order_oracle(efg: QuadraticCoefficients, w: FrequencyPair,
     Eliminating one unknown (the adjugate of the linear operator, its
     second row negated) turns the coupled pair into
     (D^2 + w1^2)(D^2 + w2^2) B2 = Phi2 (and = -Psi2), which divides
-    harmonic-by-harmonic by the small divisor.  The returned residuals are
-    of the original coupled system and must sit at round-off.
+    harmonic-by-harmonic by the small divisor; a critical harmonic there
+    raises `CriticalTermError` from :func:`invert_delta`.  The returned
+    residuals are of the original coupled system and must sit at round-off.
     """
-    for series, name in ((x2, "X2"), (y2, "Y2")):
-        for (j, m, p, q), (c, s) in series.terms.items():
-            if (p, q) in CRITICAL_HARMONICS and max(abs(c), abs(s)) > _CRITICAL_TOL:
-                raise CriticalTermError((p, q), max(abs(c), abs(s)))
     op = linear_operator(efg, n)
     (l11, l12), (l21, l22) = op
     neg = lambda entry: tuple(-v for v in entry)

@@ -24,7 +24,12 @@ class TruncatedPoly:
     """Multivariate polynomial in (xi, eta, xidot, etadot), degree-capped.
 
     Coefficients live in a dict keyed by exponent 4-tuples.  Values are
-    immutable by convention: all operations return new instances.
+    immutable by convention: all operations return new instances.  The
+    constructor checks every key and drops the keys past the cap; no other
+    operation needs to, because sums, slices and termwise maps reuse stored
+    keys, a partial derivative lowers a positive exponent, and a product
+    keeps only the sums of valid keys within its cap.  No exact zero is
+    stored.
     """
 
     __slots__ = ("cap", "coeffs")
@@ -38,11 +43,9 @@ class TruncatedPoly:
             for mono, c in coeffs.items():
                 if len(mono) != NVARS or any(e < 0 for e in mono):
                     raise ContractError(f"bad exponent tuple {mono}")
-                if sum(mono) > cap:
-                    continue
-                self.coeffs[tuple(mono)] = self.coeffs.get(tuple(mono), 0.0) + c
-            # exact-zero pruning only; no silent coefficient chopping
-            self.coeffs = {m: c for m, c in self.coeffs.items() if c != 0.0}
+                # exact-zero pruning only; no silent coefficient chopping
+                if sum(mono) <= cap and c != 0.0:
+                    self.coeffs[mono] = c
 
     # -- constructors -------------------------------------------------
 
@@ -60,28 +63,29 @@ class TruncatedPoly:
 
     def __add__(self, other):
         if not isinstance(other, TruncatedPoly):
-            other = TruncatedPoly.constant(other, self.cap)
+            out = dict(self.coeffs)
+            out[0, 0, 0, 0] = out.get((0, 0, 0, 0), 0.0) + other
+            return _stored(self.cap, out.items())
         cap = min(self.cap, other.cap)
         out = dict(self.truncated(cap).coeffs)
         for m, c in other.truncated(cap).coeffs.items():
             out[m] = out.get(m, 0.0) + c
-        return TruncatedPoly(cap, out)
+        return _stored(cap, out.items())
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedPoly(self.cap, {m: -c for m, c in self.coeffs.items()})
+        return _stored(self.cap, ((m, -c) for m, c in self.coeffs.items()))
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, TruncatedPoly)
-                       else TruncatedPoly.constant(-other, self.cap))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedPoly):
-            return TruncatedPoly(self.cap, {m: c * other for m, c in self.coeffs.items()})
+            return _stored(self.cap, ((m, c * other) for m, c in self.coeffs.items()))
         cap = min(self.cap, other.cap)
         out = {}
         for m1, c1 in self.coeffs.items():
@@ -93,7 +97,7 @@ class TruncatedPoly:
                     continue
                 m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
                 out[m] = out.get(m, 0.0) + c1 * c2
-        return TruncatedPoly(cap, out)
+        return _stored(cap, out.items())
 
     __rmul__ = __mul__
 
@@ -114,39 +118,33 @@ class TruncatedPoly:
     def truncated(self, cap: int):
         if cap >= self.cap:
             return self
-        return TruncatedPoly(cap, {m: c for m, c in self.coeffs.items() if sum(m) <= cap})
+        return _stored(cap, ((m, c) for m, c in self.coeffs.items() if sum(m) <= cap))
 
     def grade(self, degree: int):
         """Homogeneous slice of the given total degree (cap preserved)."""
-        return TruncatedPoly(self.cap, {m: c for m, c in self.coeffs.items()
-                                        if sum(m) == degree})
+        return _stored(self.cap, ((m, c) for m, c in self.coeffs.items()
+                                  if sum(m) == degree))
 
     def partial(self, index: int):
-        out = {}
-        for m, c in self.coeffs.items():
-            if m[index] == 0:
-                continue
-            dm = list(m)
-            dm[index] -= 1
-            out[tuple(dm)] = out.get(tuple(dm), 0.0) + c * m[index]
-        return TruncatedPoly(self.cap, out)
+        return _stored(self.cap, (
+            (m[:index] + (m[index] - 1,) + m[index + 1:], c * m[index])
+            for m, c in self.coeffs.items() if m[index]))
 
     def coefficient(self, mono) -> float:
         return self.coeffs.get(tuple(mono), 0.0)
 
     def imag_part(self):
-        return TruncatedPoly(self.cap, {m: c.imag for m, c in self.coeffs.items()
-                                        if getattr(c, "imag", 0.0) != 0.0})
+        return _stored(self.cap, ((m, c.imag) for m, c in self.coeffs.items()))
 
     def velocity_part(self):
         """Terms with at least one velocity factor."""
-        return TruncatedPoly(self.cap, {m: c for m, c in self.coeffs.items()
-                                        if m[2] + m[3] > 0})
+        return _stored(self.cap, ((m, c) for m, c in self.coeffs.items()
+                                  if m[2] + m[3] > 0))
 
     def position_part(self):
         """Terms free of velocities."""
-        return TruncatedPoly(self.cap, {m: c for m, c in self.coeffs.items()
-                                        if m[2] + m[3] == 0})
+        return _stored(self.cap, ((m, c) for m, c in self.coeffs.items()
+                                  if m[2] + m[3] == 0))
 
     def __call__(self, xi, eta, xidot, etadot):
         vals = (xi, eta, xidot, etadot)
@@ -173,6 +171,15 @@ class TruncatedPoly:
         keys = set(self.coeffs) | set(other.coeffs)
         return max((abs(self.coeffs.get(k, 0.0) - other.coeffs.get(k, 0.0))
                     for k in keys), default=0.0)
+
+
+def _stored(cap: int, items) -> TruncatedPoly:
+    """A polynomial over (key, value) pairs whose keys are built from stored
+    ones, so they are valid and within `cap` unchecked; exact zeros are
+    dropped."""
+    out = TruncatedPoly(cap)
+    out.coeffs = {m: c for m, c in items if c != 0.0}
+    return out
 
 
 def binomial_series(t: TruncatedPoly, alpha: float) -> TruncatedPoly:
@@ -205,16 +212,6 @@ def log1p_series(t: TruncatedPoly) -> TruncatedPoly:
             break
         result = result + power * ((-1.0) ** (k + 1) / k)
     return result
-
-
-def dump_poly(poly: TruncatedPoly, hexfloat: bool = False) -> str:
-    """Text table (exponent tuple, coefficient) for external diffing."""
-    lines = []
-    for mono in sorted(poly.coeffs):
-        c = poly.coeffs[mono]
-        value = float.hex(float(c)) if hexfloat else f"{c:.17g}"
-        lines.append(f"{mono[0]} {mono[1]} {mono[2]} {mono[3]} {value}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # -- Taylor oracle ------------------------------------------------------

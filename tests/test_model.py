@@ -15,7 +15,6 @@ from l4norm.model import (
     lagrangian,
     momenta,
     potential_gradient,
-    velocities_from_momenta,
 )
 
 from conftest import integrate_rk45
@@ -58,10 +57,6 @@ class TestModelParams:
     def test_warns_on_large_perturbation(self):
         with pytest.warns(UserWarning):
             ModelParams(mu=0.1, q1=0.7)
-
-    def test_particle_constructor(self):
-        p = ModelParams.from_particle(mu=0.01, chi=1.0, a=2e-2, rho=1.4)
-        assert p.q1 == pytest.approx(1.0 - 5.6e-5 / (2e-2 * 1.4), rel=1e-14)
 
 
 class TestEffectivePotential:
@@ -212,13 +207,6 @@ class TestLagrangianAndMomenta:
                   - lagrangian(State(s.x, s.y, s.xdot, s.ydot - h), p)) / (2 * h)
             assert c.px == pytest.approx(fx, rel=1e-8, abs=1e-8)
             assert c.py == pytest.approx(fy, rel=1e-8, abs=1e-8)
-
-    def test_momenta_round_trip(self):
-        p = ModelParams(mu=0.12, q1=0.9995, A2=5e-4, cd=8.0)
-        for s in random_states(50, seed=4):
-            back = velocities_from_momenta(momenta(s, p), p)
-            assert back.xdot == pytest.approx(s.xdot, abs=1e-14)
-            assert back.ydot == pytest.approx(s.ydot, abs=1e-14)
 
     def test_hamiltonian_consistency(self):
         p = ModelParams(mu=0.2, q1=0.999, cd=3.0)

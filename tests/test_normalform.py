@@ -259,10 +259,12 @@ class TestSecondOrderOracle:
                            (0, 2, 0, 2), (1, 1, 1, 1), (1, 1, 1, -1)}
 
     def test_critical_forcing_rejected(self):
-        bad = DAlembertSeries.single(1, 0, 1, 0, c=1e-3)
-        with pytest.raises(CriticalTermError):
-            solve_second_order_oracle(self.efg, self.w, self.p.n, bad,
-                                      DAlembertSeries.zero())
+        # invert_delta is the one guard, at any size of the critical term
+        for c in (1e-3, 1e-15):
+            bad = DAlembertSeries.single(1, 0, 1, 0, c=c)
+            with pytest.raises(CriticalTermError):
+                solve_second_order_oracle(self.efg, self.w, self.p.n, bad,
+                                          DAlembertSeries.zero())
 
 
 class TestClosedFormTables:

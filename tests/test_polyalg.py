@@ -16,7 +16,6 @@ from l4norm.polyalg import (
     TruncatedPoly,
     binomial_series,
     compare_h3,
-    dump_poly,
     extract_EFG,
     oracle_t_coefficients,
     t_coefficients_closed_form,
@@ -44,6 +43,17 @@ def poly_strategy(cap=3):
         lambda d: TruncatedPoly(cap, d))
 
 
+def all_operations(a, b):
+    """Every polynomial-valued operation that builds on stored keys, with
+    cancellations that leave exact zeros behind."""
+    z = a * 1j + b
+    return [a + b, a + 0.5, 0.5 + a, a - b, a - a, 1.0 - a,
+            a - a.coefficient((0, 0, 0, 0)), -a, a * b, a * -1.5, a * 0.0,
+            2.0 * a, a ** 2, a.truncated(1), a.grade(2), a.partial(0),
+            a.partial(3), z, z.imag_part(), a.velocity_part(),
+            a.position_part()]
+
+
 class TestRingAxioms:
     @settings(max_examples=60, deadline=None)
     @given(poly_strategy(), poly_strategy(), poly_strategy())
@@ -57,6 +67,17 @@ class TestRingAxioms:
     @given(poly_strategy())
     def test_truncation_closure(self, a):
         assert all(sum(m) <= a.cap for m in (a * a).coeffs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(poly_strategy(3), poly_strategy(2))
+    def test_operations_keep_the_constructor_invariant(self, a, b):
+        # only the constructor checks keys; every other operation must
+        # return what rebuilding (which revalidates) gives unchanged
+        for out in all_operations(a, b):
+            rebuilt = TruncatedPoly(out.cap, out.coeffs)
+            assert list(rebuilt.coeffs.items()) == list(out.coeffs.items())
+            assert all(sum(m) <= out.cap for m in out.coeffs)
+            assert all(c != 0.0 for c in out.coeffs.values())
 
     def test_product_truncates_never_extends(self):
         x = TruncatedPoly.variable(0, 2)
@@ -289,13 +310,14 @@ class TestClosedFormCubic:
         assert t3o == pytest.approx(-33 * p.gamma / 8, abs=1e-10)
 
 
-class TestDump:
-    def test_deterministic_dump(self):
-        poly = TruncatedPoly(2, {(1, 0, 0, 0): 0.5, (0, 1, 0, 0): -2.0})
-        text = dump_poly(poly)
-        assert text == "0 1 0 0 -2\n1 0 0 0 0.5\n"
-        assert "0x1.0" in dump_poly(poly, hexfloat=True)
+class TestConstruction:
+    def test_bad_exponent_tuple_rejected(self):
+        for mono in ((1, 0, 0), (1, -1, 0, 0)):
+            with pytest.raises(ContractError):
+                TruncatedPoly(3, {mono: 1.0})
 
+
+class TestDump:
     def test_oracle_t_requires_cubic(self):
         with pytest.raises(ContractError):
             oracle_t_coefficients(TruncatedPoly(3, {(1, 0, 0, 0): 1.0}))
