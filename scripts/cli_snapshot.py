@@ -42,6 +42,7 @@ FIXED = [
      "--a2", "0.004089653412809712", "--cd", "74.71843115613443"],
     ["frequencies", "--mu", "0.0242939"],
     ["resonance-scan", "--mu-min", "0.001", "--mu-max", "0.038", "--steps", "40"],
+    ["resonance-scan", "--mu-min", "0.001", "--mu-max", "0.02", "--steps", "5"],
     ["verify", "--mu", "0.01", *DRAG, "--stages", "h3"],
     ["verify", "--mu", "0.01", *DRAG, "--stages", "h3", "--branch", "L5"],
     ["verify", "--mu", "0.01", *DRAG, "--stages", "h3", "--format", "csv"],

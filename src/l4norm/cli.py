@@ -239,12 +239,9 @@ def cmd_resonance_scan(config: RunConfig, mu_min: float, mu_max: float,
     lines.append("")
     lines.append("resonance,k,mu")
     for k in (2, 3):
-        try:
-            mu_k = verify.locate_classical_resonance(k, max(mu_min, 1e-4),
-                                                     min(mu_max, 0.0385))
-        except L4NormError:
-            continue
-        lines.append(f"omega1={k}omega2,{k},{fmt(mu_k)}")
+        mu_k = verify.locate_classical_resonance(k)
+        if max(mu_min, 1e-4) <= mu_k <= min(mu_max, 0.0385):
+            lines.append(f"omega1={k}omega2,{k},{fmt(mu_k)}")
     _emit("\n".join(lines) + "\n", config, "resonance-scan.csv")
     if unstable:
         print(f"warning: {unstable} scan points beyond the critical mass "

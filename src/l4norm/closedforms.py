@@ -1,7 +1,9 @@
 """Verbatim transcriptions of the closed-form normalization tables.
 
 Everything here evaluates published series exactly as printed, including
-terms an independent oracle later contradicts; the reconciliation lives in
+terms an independent oracle later contradicts: the normal-mode entries
+(`j_closed_form`), the printed y row of B1 (`b1y_print`) and the F/G and
+r/s tables of B2 (`fg_tables`, `rs_tables`).  The reconciliation lives in
 :func:`l4norm.verify.audit`, the registry of confirmed discrepancies in
 :mod:`l4norm.errata`.
 
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dalembert import DIVISOR_FLOOR, FrequencyPair
+from .dalembert import DIVISOR_FLOOR, DAlembertSeries, FrequencyPair
 from .errors import SmallDivisorError
 from .model import SQRT3, ModelParams
 
@@ -204,6 +206,18 @@ def j_closed_form(p: ModelParams, w: FrequencyPair) -> JClosedForm:
     )
 
     return JClosedForm(j13, j14, j21, j22, j23, j24)
+
+
+def b1y_print(nm) -> DAlembertSeries:
+    """B1 for y with the printed weights of its last two terms (omega *
+    sqrt(2 I), and a sine on the J24 term); the printed B1 for x is the
+    chain's.  `nm` needs J21..J24 attributes and `freq`."""
+    w = nm.freq
+    iq1, iq2 = math.sqrt(2.0 / w.omega1), math.sqrt(2.0 / w.omega2)
+    return (DAlembertSeries.single(1, 0, 1, 0, s=nm.J21 * iq1,
+                                   c=nm.J23 * math.sqrt(2.0) * w.omega1)
+            + DAlembertSeries.single(0, 1, 0, 1, s=nm.J22 * iq2
+                                     + nm.J24 * math.sqrt(2.0) * w.omega2))
 
 
 # -- coefficient tables for the second-order components -------------------

@@ -143,8 +143,6 @@ class DAlembertSeries:
         skipped, so the result is the full product restricted to degree
         <= cap without the work above it.
         """
-        if not isinstance(other, DAlembertSeries):
-            return self.scale(other)
         out = DAlembertSeries()
         for (j1, m1, p1, q1), (c1, s1) in self.terms.items():
             for (j2, m2, p2, q2), (c2, s2) in other.terms.items():
@@ -166,8 +164,6 @@ class DAlembertSeries:
 
     def __mul__(self, other):
         return self.mul(other)
-
-    __rmul__ = __mul__
 
     # -- queries ----------------------------------------------------------
 

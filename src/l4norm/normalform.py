@@ -14,9 +14,7 @@ The oracle chain this module serves:
 
 Substitutions into polynomials cap every series product at the degree
 the stage reads (`DAlembertSeries.mul(other, cap)`), so no term above it
-is formed.  The printed readings (B1 print weights, partial-only
-forcing, B2 from the printed tables) sit behind explicit switches for
-:func:`l4norm.verify.audit`.
+is formed.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedforms import RS_SLOTS
 from .dalembert import (
     DIVISOR_FLOOR,
     DAlembertSeries,
@@ -206,28 +203,20 @@ def j_numeric(p: ModelParams, efg: QuadraticCoefficients, w: FrequencyPair,
 # -- first-order components ---------------------------------------------
 
 
-def first_order_components(nm, verbatim_print: bool = False):
+def first_order_components(nm):
     """Degree-1 series (B1 for x, B1 for y) from the printed combination.
 
     `nm` needs J13..J24 attributes and `freq`; both NormalModeData and
-    JClosedForm-with-frequencies work.  ``verbatim_print=True`` reproduces
-    the printed weights for the last two y-row terms (omega * sqrt(2 I)
-    and a sine on the J24 term) instead of the P/Q weights that annihilate
-    the linearized equations.
+    JClosedForm-with-frequencies work.  The y row carries the P/Q weights
+    that annihilate the linearized equations.
     """
     w = nm.freq
     sq1, sq2 = math.sqrt(2.0 * w.omega1), math.sqrt(2.0 * w.omega2)
     iq1, iq2 = math.sqrt(2.0 / w.omega1), math.sqrt(2.0 / w.omega2)
     b1x = (DAlembertSeries.single(1, 0, 1, 0, c=nm.J13 * sq1)
            + DAlembertSeries.single(0, 1, 0, 1, c=nm.J14 * sq2))
-    if verbatim_print:
-        b1y = (DAlembertSeries.single(1, 0, 1, 0, s=nm.J21 * iq1,
-                                      c=nm.J23 * math.sqrt(2.0) * w.omega1)
-               + DAlembertSeries.single(0, 1, 0, 1, s=nm.J22 * iq2
-                                        + nm.J24 * math.sqrt(2.0) * w.omega2))
-    else:
-        b1y = (DAlembertSeries.single(1, 0, 1, 0, s=nm.J21 * iq1, c=nm.J23 * sq1)
-               + DAlembertSeries.single(0, 1, 0, 1, s=nm.J22 * iq2, c=nm.J24 * sq2))
+    b1y = (DAlembertSeries.single(1, 0, 1, 0, s=nm.J21 * iq1, c=nm.J23 * sq1)
+           + DAlembertSeries.single(0, 1, 0, 1, s=nm.J22 * iq2, c=nm.J24 * sq2))
     return b1x, b1y
 
 
@@ -285,16 +274,10 @@ def poly_at_series(poly: TruncatedPoly, xi_s, eta_s, xid_s, etad_s,
 
 
 def forcing_x2y2(l3: TruncatedPoly, b1x: DAlembertSeries, b1y: DAlembertSeries,
-                 w: FrequencyPair, partial_forcing: bool = False):
-    """Degree-2 forcing of the second-order equations.
-
-    The exact Euler-Lagrange forcing is
-    [dL3/dx - D(dL3/dxdot)] at (x, y, xdot, ydot) = (B1, B1, D B1, D B1);
-    ``partial_forcing=True`` keeps only the partial-derivative part (the
-    velocity chain rule without the total-derivative counterterm).
-    For a cubic slice whose velocity terms form an exact gauge expression
-    the two coincide.
-    """
+                 w: FrequencyPair):
+    """Degree-2 forcing of the second-order equations: the Euler-Lagrange
+    expression [dL3/dx - D(dL3/dxdot)] at (x, y, xdot, ydot) =
+    (B1, B1, D B1, D B1)."""
     if any(sum(m) != 3 for m in l3.coeffs):
         raise ContractError("forcing expects a homogeneous cubic slice")
     xd, yd = apply_D(b1x, w), apply_D(b1y, w)
@@ -302,11 +285,8 @@ def forcing_x2y2(l3: TruncatedPoly, b1x: DAlembertSeries, b1y: DAlembertSeries,
     def sub(poly):
         return poly_at_series(poly, b1x, b1y, xd, yd, cap=2)
 
-    x2 = sub(l3.partial(0))
-    y2 = sub(l3.partial(1))
-    if not partial_forcing:
-        x2 = x2 - apply_D(sub(l3.partial(2)), w)
-        y2 = y2 - apply_D(sub(l3.partial(3)), w)
+    x2 = sub(l3.partial(0)) - apply_D(sub(l3.partial(2)), w)
+    y2 = sub(l3.partial(1)) - apply_D(sub(l3.partial(3)), w)
     return x2, y2
 
 
@@ -339,19 +319,6 @@ def solve_second_order_oracle(efg: QuadraticCoefficients, w: FrequencyPair,
     rx, ry = apply_operator(op, b2x, b2y, w)
     return SecondOrderSolution(b2x, b2y, (rx - x2).max_abs(),
                                (ry - y2).max_abs())
-
-
-def second_order_closed_form(rs):
-    """Assemble (B2 for x, B2 for y) from the ten printed harmonics."""
-    def build(values):
-        terms = {}
-        for (key, slot), value in zip(RS_SLOTS, values):
-            cs = list(terms.get(key, (0.0, 0.0)))
-            cs[slot] = value
-            terms[key] = tuple(cs)
-        return DAlembertSeries(terms)
-
-    return build(rs.r), build(rs.s).scale(-1.0)
 
 
 # -- degree-3 energy coefficients ------------------------------------------
@@ -398,8 +365,9 @@ def h3_normal_coefficients(l3: TruncatedPoly, b1, b2,
     h2_sub = (vx.mul(vx, cap) + vy.mul(vy, cap)).scale(0.5) \
         - bx.mul(bx, cap).scale(0.5 * k00) - bx.mul(by, cap).scale(k01) \
         - by.mul(by, cap).scale(0.5 * k11)
-    cubic = poly_at_series(-l3.position_part(), b1x, b1y,
-                           apply_D(b1x, w), apply_D(b1y, w), cap)
+    # the position cubic reads no velocity
+    zero = DAlembertSeries.zero()
+    cubic = poly_at_series(-l3.position_part(), b1x, b1y, zero, zero, cap)
     total = h2_sub + cubic
 
     h2_form = (DAlembertSeries.single(2, 0, 0, 0, c=w.omega1)

@@ -415,9 +415,7 @@ def oracle_t_coefficients(l3: TruncatedPoly):
 class H3Comparison:
     """Per-coefficient reconciliation of the closed cubic against the oracle."""
 
-    oracle: tuple          # (T1..T4, T5 poly)
     abs_diff: dict         # name -> |closed - oracle|
-    rel_diff: dict         # name -> relative discrepancy
     t5_diff: float         # sup-norm difference of the velocity cubics
 
 
@@ -432,16 +430,6 @@ def compare_h3(oracle_l3: TruncatedPoly,
     names = ("T1", "T2", "T3", "T4")
     ovals = (t1o, t2o, t3o, t4o)
     cvals = (closed.T1, closed.T2, closed.T3, closed.T4)
-    abs_diff = {}
-    rel_diff = {}
-    for name, ov, cv in zip(names, ovals, cvals):
-        d = abs(cv - ov)
-        abs_diff[name] = d
-        rel_diff[name] = d / max(abs(ov), abs(cv), 1e-30)
-    t5_diff = closed.T5.norm_of_difference(t5o)
-    return H3Comparison(
-        oracle=(t1o, t2o, t3o, t4o, t5o),
-        abs_diff=abs_diff,
-        rel_diff=rel_diff,
-        t5_diff=t5_diff,
-    )
+    abs_diff = {name: abs(cv - ov) for name, ov, cv in zip(names, ovals, cvals)}
+    return H3Comparison(abs_diff=abs_diff,
+                        t5_diff=closed.T5.norm_of_difference(t5o))

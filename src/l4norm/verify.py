@@ -17,7 +17,13 @@ from dataclasses import dataclass, field
 
 from . import closedforms, equilibria, normalform, polyalg
 from .closedforms import RS_SLOTS
-from .dalembert import DIVISOR_FLOOR, DAlembertSeries, FrequencyPair, moser_check
+from .dalembert import (
+    DIVISOR_FLOOR,
+    DAlembertSeries,
+    FrequencyPair,
+    apply_D,
+    moser_check,
+)
 from .errata import NOISE_FLOOR, RemainderVerdict, classify_remainder
 from .errors import ParameterError, ResonanceError
 from .model import ModelParams
@@ -100,7 +106,8 @@ class PipelineResult:
 
 
 def oracle_rs_from_series(b2x: DAlembertSeries, b2y: DAlembertSeries):
-    """Read the ten-coefficient (r, s) pattern off a solved B2 pair."""
+    """Read the ten (r, s) slots off a solved B2 pair; B2 has no other term,
+    so this is the whole mapping between B2 and the printed tables."""
     def pick(series, sign):
         return tuple(sign * series.terms.get(key, (0.0, 0.0))[slot]
                      for key, slot in RS_SLOTS)
@@ -199,22 +206,21 @@ def audit(res: PipelineResult) -> Audit:
     for name in closedforms.J_ENTRIES:
         gaps[f"j.{name}"] = abs(getattr(out.j_closed, name)
                                 - getattr(res.nm, name))
-    b1_print = normalform.first_order_components(res.nm, verbatim_print=True)
     gaps["b1.print_weights"] = normalform.linear_residual(
-        b1_print[0], b1_print[1], res.efg, res.freq, p.n)
+        res.b1[0], closedforms.b1y_print(res.nm), res.efg, res.freq, p.n)
     if res.b2 is None:
         return out
 
     fg = closedforms.fg_tables(p)
     out.rs = closedforms.rs_tables(out.j_closed, res.freq, fg,
                                    floor=res.options.divisor_floor)
-    b2_closed = normalform.second_order_closed_form(out.rs)
     r_oracle, s_oracle = oracle_rs_from_series(res.b2.b2x, res.b2.b2y)
     for i in range(10):
         gaps[f"b2.r{i + 1}"] = abs(out.rs.r[i] - r_oracle[i])
         gaps[f"b2.s{i + 1}"] = abs(out.rs.s[i] - s_oracle[i])
-    gaps["b2.sup"] = max(b2_closed[0].norm_of_difference(res.b2.b2x),
-                         b2_closed[1].norm_of_difference(res.b2.b2y))
+    # B2 has no term outside the twenty slots: their gaps are its sup gap.
+    gaps["b2.sup"] = max(gaps[f"b2.{rs}{i}"] for rs in "rs"
+                         for i in range(1, 11))
     if res.h3 is None:
         return out
 
@@ -226,8 +232,10 @@ def partial_forcing_gap(res: PipelineResult) -> float:
     """Largest H3 coefficient left by the printed reading of the forcing
     (position partials only); the result must hold the b2 stage."""
     l3 = res.lagrangian_poly.grade(3)
-    x2p, y2p = normalform.forcing_x2y2(l3, res.b1[0], res.b1[1], res.freq,
-                                       partial_forcing=True)
+    (b1x, b1y), w = res.b1, res.freq
+    xd, yd = apply_D(b1x, w), apply_D(b1y, w)
+    x2p, y2p = (normalform.poly_at_series(l3.partial(i), b1x, b1y, xd, yd,
+                                          cap=2) for i in (0, 1))
     b2p = normalform.solve_second_order_oracle(
         res.efg, res.freq, res.params.n, x2p, y2p,
         floor=res.options.divisor_floor)
@@ -323,7 +331,7 @@ def detect_discrepancies(mu: float, options: PipelineOptions, /):
     base, gaps = gaps_at(ModelParams(mu=mu))
     scale = max(1.0, base.intermediate_scale())
     for key in GATING_KEYS:
-        gap = gaps.get(key, 0.0)
+        gap = gaps[key]
         cls = "consistent" if gap <= NOISE_FLOOR * scale else "zeroth_order"
         verdicts.append(RemainderVerdict(key, "classical", gap, gap, cls))
     h = HALVING_STRENGTH
@@ -332,46 +340,22 @@ def detect_discrepancies(mu: float, options: PipelineOptions, /):
         _, gaps_half = gaps_at(single_perturbation_params(mu, kind, h / 2))
         for key in GATING_KEYS:
             verdicts.append(classify_remainder(
-                key, kind, gaps_h.get(key, 0.0), gaps_half.get(key, 0.0),
+                key, kind, gaps_h[key], gaps_half[key],
                 scale=scale))
     return tuple(verdicts)
 
 
-# -- classical resonance helpers -------------------------------------------
+# -- classical resonance root ----------------------------------------------
 
 
-def classical_frequency_ratio(mu: float) -> float:
-    w = normalform.classical_frequencies(mu)
-    return w.omega1 / w.omega2
+def locate_classical_resonance(k: float) -> float:
+    """Mass ratio where omega1 = k * omega2 on the classical quartic.
 
-
-def locate_classical_resonance(k: int, lo: float = 1e-4, hi: float = 0.038,
-                               tol: float = 1e-10) -> float:
-    """Bisect mu where omega1 = k * omega2 on the classical quartic."""
-    f = lambda mu: classical_frequency_ratio(mu) - k
-    flo, fhi = f(lo), f(hi)
-    if flo * fhi > 0:
-        raise ParameterError(f"no {k}:1 resonance bracketed in ({lo}, {hi})")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) * flo <= 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def critical_mass_ratio(tol: float = 1e-12) -> float:
-    """Root of 1 - 27 mu (1 - mu) = 0 in (0, 1/2)."""
-    lo, hi = 1e-6, 0.5
-    f = lambda mu: 1.0 - 27.0 * mu * (1.0 - mu)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    With omega1^2 + omega2^2 = 1 and omega1^2 omega2^2 = 27 mu (1 - mu) / 4
+    the ratio fixes mu (1 - mu) = 4 k^2 / (27 (1 + k^2)^2); the root below
+    1/2 is returned.  k = 1 gives the critical mass ratio.
+    """
+    return 0.5 * (1.0 - math.sqrt(1.0 - 16.0 * k * k / (27.0 * (1.0 + k * k)**2)))
 
 
 # -- report rendering -------------------------------------------------------

@@ -15,7 +15,6 @@ from l4norm.errors import ResonanceError, StabilityDomainError
 from l4norm.model import ModelParams
 from l4norm.verify import (
     PipelineOptions,
-    critical_mass_ratio,
     detect_discrepancies,
     locate_classical_resonance,
     run_pipeline,
@@ -53,7 +52,7 @@ def test_criterion_1_classical_reduction():
 
 
 def test_criterion_2_frequency_identity():
-    mu_c = critical_mass_ratio()
+    mu_c = locate_classical_resonance(1)
     worst_sum = worst_prod = 0.0
     for i in range(50):
         mu = 0.0005 + (0.0375 - 0.0005) * i / 49.0

@@ -267,6 +267,13 @@ class TestResonanceScan:
         assert two == pytest.approx(0.0242939, abs=1e-6)
         assert three == pytest.approx(0.0135160, abs=1e-6)
 
+    def test_root_outside_the_range_prints_no_row(self, capsys):
+        code, out, _ = run_cli(capsys, "resonance-scan", "--mu-min", "0.001",
+                               "--mu-max", "0.02", "--steps", "5")
+        assert code == EXIT_OK
+        block = out.split("\n\n")[1].splitlines()
+        assert [row.split(",")[1] for row in block[1:]] == ["3"]
+
     def test_empty_range(self, capsys):
         code, out, _ = run_cli(capsys, "resonance-scan", "--mu-min", "0.01",
                                "--mu-max", "0.01", "--steps", "0")
@@ -283,6 +290,15 @@ class TestResonanceScan:
 
 
 class TestSweep:
+    def test_typed_error_row(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--mu-min", "0.0242",
+                               "--mu-max", "0.0244", "--steps", "5",
+                               "--stages", "b1")
+        assert code == EXIT_OK
+        errors = [r.split(",") for r in out.splitlines()[1:] if ",error:" in r]
+        assert len(errors) == 1
+        assert errors[0][1:] == ["error:ResonanceError"] + [""] * 5
+
     def test_small_sweep(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--mu-min", "0.005",
                                "--mu-max", "0.02", "--steps", "3",

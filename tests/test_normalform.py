@@ -5,7 +5,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from l4norm.closedforms import fg_tables, j_closed_form, mode_scalars, rs_tables
+from l4norm.closedforms import (
+    b1y_print,
+    fg_tables,
+    j_closed_form,
+    mode_scalars,
+    rs_tables,
+)
 from l4norm.dalembert import DAlembertSeries, FrequencyPair, apply_D
 from l4norm.equilibria import solve_triangular_numeric, shift_from_point
 from l4norm.errors import (
@@ -24,7 +30,6 @@ from l4norm.normalform import (
     j_numeric,
     linear_residual,
     poly_at_series,
-    second_order_closed_form,
     solve_second_order_oracle,
     velocity_coupling,
 )
@@ -76,8 +81,8 @@ class TestFrequencies:
         assert err.value.eigenvalues is not None
 
     def test_boundary_detection_near_critical_mass(self):
-        from l4norm.verify import critical_mass_ratio
-        mu_c = critical_mass_ratio()
+        from l4norm.verify import locate_classical_resonance
+        mu_c = locate_classical_resonance(1)
         assert mu_c == pytest.approx(0.0385209, abs=1e-6)
         with pytest.raises(StabilityDomainError):
             classical_frequencies(mu_c + 1e-4)
@@ -176,8 +181,8 @@ class TestFirstOrder:
     def test_verbatim_print_weights_fail_residual(self):
         p = ModelParams(mu=0.01)
         _, _, _, efg, w, nm = linear_stage(p)
-        b1x, b1y = first_order_components(nm, verbatim_print=True)
-        assert linear_residual(b1x, b1y, efg, w, p.n) > 1.0
+        b1x, _ = first_order_components(nm)
+        assert linear_residual(b1x, b1y_print(nm), efg, w, p.n) > 1.0
 
 
 class TestForcing:
@@ -345,30 +350,12 @@ class TestClosedFormTables:
         with pytest.raises(SmallDivisorError):
             mode_scalars(FrequencyPair(1 / math.sqrt(2), 0.2))
 
-    def test_second_order_closed_form_structure(self):
-        from l4norm.closedforms import RSTable
-        zero = RSTable(r=(0.0,) * 10, s=(0.0,) * 10)
-        b2x, b2y = second_order_closed_form(zero)
-        assert b2x.terms == {} and b2y.terms == {}
-        single = RSTable(r=(0, 0, 1.0, 0, 0, 0, 0, 0, 0, 0), s=(0.0,) * 10)
-        b2x, _ = second_order_closed_form(single)
-        assert b2x.terms == {(2, 0, 2, 0): (1.0, 0.0)}
-
-    def test_closed_b2_support_matches_printed_patterns(self):
-        p = ModelParams(mu=0.01)
-        _, _, _, _, w, nm = linear_stage(p)
-        rs = rs_tables(j_closed_form(p, w), w, fg_tables(p))
-        b2x, b2y = second_order_closed_form(rs)
-        assert set(b2x.terms) <= {(2, 0, 0, 0), (0, 2, 0, 0), (2, 0, 2, 0),
-                                  (0, 2, 0, 2), (1, 1, 1, 1), (1, 1, 1, -1)}
-
 
 class TestH3:
-    def run_h3(self, p, ablation=False, partial_forcing=False):
+    def run_h3(self, p, ablation=False):
         _, _, lag, efg, w, nm = linear_stage(p)
         b1 = first_order_components(nm)
-        x2, y2 = forcing_x2y2(lag.grade(3), b1[0], b1[1], w,
-                              partial_forcing=partial_forcing)
+        x2, y2 = forcing_x2y2(lag.grade(3), b1[0], b1[1], w)
         sol = solve_second_order_oracle(efg, w, p.n, x2, y2)
         b2 = (DAlembertSeries.zero(), DAlembertSeries.zero()) if ablation \
             else (sol.b2x, sol.b2y)
@@ -407,11 +394,11 @@ class TestH3:
         assert h3.max_abs() < 1e-10
 
     def test_partial_forcing_leaves_first_order_drag_residue(self):
+        from l4norm.verify import partial_forcing_gap, run_pipeline
         p = ModelParams(mu=0.01, q1=0.999, cd=10.0)
         h3a, _ = self.run_h3(p)
-        h3b, _ = self.run_h3(p, partial_forcing=True)
         assert h3a.max_abs() < 1e-10
-        assert h3b.max_abs() > p.W1
+        assert partial_forcing_gap(run_pipeline(p, stages=("b2",))) > p.W1
 
     def test_poly_substitution_values(self):
         # poly_at_series on a known monomial: xi^2 with xi = cos(phi1) grade

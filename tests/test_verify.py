@@ -2,16 +2,16 @@ import math
 
 import pytest
 
-from l4norm.closedforms import RSTable
+from l4norm.closedforms import RS_SLOTS
 from l4norm.dalembert import DAlembertSeries, apply_D
 from l4norm.errata import KNOWN_DISCREPANCIES, is_registered
 from l4norm.errors import ParameterError, ResonanceError
 from l4norm.model import ModelParams
 from l4norm.normalform import (
     H3NormalCoefficients,
+    classical_frequencies,
     h3_normal_coefficients,
     poly_at_series,
-    second_order_closed_form,
 )
 from l4norm.verify import (
     GATING_KEYS,
@@ -19,7 +19,6 @@ from l4norm.verify import (
     PERTURBATIONS,
     PipelineOptions,
     audit,
-    critical_mass_ratio,
     detect_discrepancies,
     locate_classical_resonance,
     oracle_rs_from_series,
@@ -68,12 +67,20 @@ class TestPipeline:
         assert "omega1: 0.963322109085" in a
 
     def test_rs_extraction_round_trip(self):
-        rs = RSTable(r=tuple(float(i + 1) for i in range(10)),
-                     s=tuple(float(-i) for i in range(10)))
-        b2x, b2y = second_order_closed_form(rs)
-        r, s = oracle_rs_from_series(b2x, b2y)
-        assert r == rs.r
-        assert s == rs.s
+        r_in = tuple(float(i + 1) for i in range(10))
+        s_in = tuple(float(-i) for i in range(10))
+
+        def build(values, sign):
+            terms = {}
+            for (key, slot), value in zip(RS_SLOTS, values):
+                cs = list(terms.get(key, (0.0, 0.0)))
+                cs[slot] = sign * value
+                terms[key] = tuple(cs)
+            return DAlembertSeries(terms)
+
+        r, s = oracle_rs_from_series(build(r_in, 1.0), build(s_in, -1.0))
+        assert r == r_in
+        assert s == s_in
 
 
 class TestAudit:
@@ -95,6 +102,21 @@ class TestAudit:
         res = run_pipeline(ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0))
         assert set(GATING_KEYS) <= set(audit(res).gaps)
 
+    @pytest.mark.parametrize("branch", ["L4", "L5"])
+    @pytest.mark.parametrize("params", [
+        ModelParams(mu=0.01),
+        ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0),
+    ])
+    def test_b2_lives_in_the_printed_slots(self, params, branch):
+        res = run_pipeline(params, PipelineOptions(branch=branch),
+                           stages=("b2",))
+        slots = {key for key, _ in RS_SLOTS}
+        assert set(res.b2.b2x.terms) <= slots
+        assert set(res.b2.b2y.terms) <= slots
+        gaps = audit(res).gaps
+        assert gaps["b2.sup"] == max(gaps[f"b2.{rs}{i}"] for rs in "rs"
+                                     for i in range(1, 11))
+
 
 class TestClassicalRoots:
     def test_resonance_locations(self):
@@ -103,7 +125,12 @@ class TestClassicalRoots:
 
     def test_critical_mass(self):
         closed = 0.5 * (1.0 - math.sqrt(23.0 / 27.0))
-        assert critical_mass_ratio() == pytest.approx(closed, abs=1e-10)
+        assert locate_classical_resonance(1) == pytest.approx(closed, abs=1e-15)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_resonance_root_has_the_ratio(self, k):
+        w = classical_frequencies(locate_classical_resonance(k))
+        assert w.omega1 / w.omega2 == pytest.approx(k, abs=1e-12)
 
     def test_single_perturbation_builders(self):
         p = single_perturbation_params(0.01, "W1", 1e-4)
