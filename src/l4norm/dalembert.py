@@ -15,12 +15,20 @@ difference harmonics need canonicalising).  Products take an optional
 degree cap (j + m) and skip the pairs of terms that would exceed it.  No
 stored coefficient is -0.0, and the sine of the (0, 0) harmonic is 0.0.
 
+A product's key work (output keys, canonical signs, the cap test)
+depends only on the keys of its factors, which repeat from one parameter
+point to the next, so `_product_plan` does it once per (left keys, right
+keys, cap) and `mul` only does arithmetic along the plan's rows.  The
+rows keep the pair order of a plain double loop over the terms, so the
+output is bit-identical to that loop's, key order included.
+
 The differential operator is D = omega1 d/dphi1 - omega2 d/dphi2, under
 which a harmonic (p, q) carries multiplier theta = p*omega1 - q*omega2.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,6 +37,15 @@ from .errors import ContractError, CriticalTermError, ParameterError, SmallDivis
 DIVISOR_FLOOR = 1e-8
 
 CRITICAL_HARMONICS = ((1, 0), (0, 1))
+
+# Product plans kept; one per (left layout, right layout, cap).  The chain
+# and its audit make 8 in all, however many points they run.
+PLAN_CACHE_SIZE = 256
+
+# Every (k1, k2) with 0 < |k1| + |k2| <= 4, in the order the non-resonance
+# gate scans them.
+MOSER_PAIRS = tuple((k1, k2) for k1 in range(-4, 5) for k2 in range(-4, 5)
+                    if 0 < abs(k1) + abs(k2) <= 4)
 
 
 @dataclass(frozen=True)
@@ -63,6 +80,33 @@ def _check_parity(j: int, m: int, p: int, q: int):
         raise ContractError(f"harmonic p={p} violates parity for j={j}")
     if not (-m <= q <= m and (q - m) % 2 == 0):
         raise ContractError(f"harmonic q={q} violates parity for m={m}")
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _product_plan(left: tuple, right: tuple, cap: int | None):
+    """Index tables of the product of two key layouts.
+
+    Returns ``(keys, rows, zero_slots)``.  `keys` are the output keys in
+    the order a double loop over the pairs first meets them, each pair
+    giving its sum harmonic and then its difference harmonic.  `rows` has
+    one ``(i, k, sum slot, difference slot, sign)`` per pair within the
+    cap, in that loop's order; `sign` is -1.0 where the difference
+    harmonic is canonicalised by negation, so its sine flips.
+    `zero_slots` are the slots of (0, 0) harmonics, whose sine is dropped.
+    Keys of both layouts are canonical, so a sum harmonic is too.
+    """
+    slots, rows = {}, []
+    for i, (j1, m1, p1, q1) in enumerate(left):
+        for k, (j2, m2, p2, q2) in enumerate(right):
+            j, m = j1 + j2, m1 + m2
+            if cap is not None and j + m > cap:
+                continue
+            ks = slots.setdefault((j, m, p1 + p2, q1 + q2), len(slots))
+            p, q, _, sign = _canonical(p1 - p2, q1 - q2, 0.0, 1.0)
+            kd = slots.setdefault((j, m, p, q), len(slots))
+            rows.append((i, k, ks, kd, sign))
+    zero_slots = tuple(n for (_, _, p, q), n in slots.items() if p == q == 0)
+    return tuple(slots), tuple(rows), zero_slots
 
 
 class DAlembertSeries:
@@ -143,23 +187,24 @@ class DAlembertSeries:
         skipped, so the result is the full product restricted to degree
         <= cap without the work above it.
         """
+        a, b = self.terms, other.terms
+        keys, rows, zero_slots = _product_plan(tuple(a), tuple(b), cap)
+        av, bv = tuple(a.values()), tuple(b.values())
+        cos = [0.0] * len(keys)
+        sin = [0.0] * len(keys)
+        for i, k, ks, kd, sign in rows:
+            c1, s1 = av[i]
+            c2, s2 = bv[k]
+            cc, ss, cs, sc = c1 * c2, s1 * s2, c1 * s2, s1 * c2
+            cos[ks] += 0.5 * (cc - ss)
+            sin[ks] += 0.5 * (cs + sc)
+            cos[kd] += 0.5 * (cc + ss)
+            sin[kd] += sign * (0.5 * (sc - cs))
+        for slot in zero_slots:
+            sin[slot] = 0.0  # sin(0) is identically zero
         out = DAlembertSeries()
-        for (j1, m1, p1, q1), (c1, s1) in self.terms.items():
-            for (j2, m2, p2, q2), (c2, s2) in other.terms.items():
-                j, m = j1 + j2, m1 + m2
-                if cap is not None and j + m > cap:
-                    continue
-                # sum harmonic (p1+p2, q1+q2)
-                cs = 0.5 * (c1 * c2 - s1 * s2)
-                ss = 0.5 * (c1 * s2 + s1 * c2)
-                if cs != 0.0 or ss != 0.0:
-                    out._accumulate(j, m, p1 + p2, q1 + q2, cs, ss)
-                # difference harmonic (p1-p2, q1-q2)
-                cd = 0.5 * (c1 * c2 + s1 * s2)
-                sd = 0.5 * (s1 * c2 - c1 * s2)
-                if cd != 0.0 or sd != 0.0:
-                    out._accumulate(j, m, p1 - p2, q1 - q2, cd, sd)
-        out._prune()
+        out.terms = {key: (c, s) for key, c, s in zip(keys, cos, sin)
+                     if c != 0.0 or s != 0.0}
         return out
 
     def __mul__(self, other):
@@ -286,14 +331,8 @@ class MoserReport:
 
 
 def moser_check(w: FrequencyPair, tol: float) -> MoserReport:
-    rows = []
-    for k1 in range(-4, 5):
-        for k2 in range(-4, 5):
-            order = abs(k1) + abs(k2)
-            if order == 0 or order > 4:
-                continue
-            rows.append((abs(k1 * w.omega1 + k2 * w.omega2), (k1, k2)))
-    value, pair = min(rows)
+    value, pair = min((abs(k1 * w.omega1 + k2 * w.omega2), (k1, k2))
+                      for k1, k2 in MOSER_PAIRS)
     return MoserReport(
         min_combination=value,
         worst_pair=pair,

@@ -245,32 +245,54 @@ def linear_residual(b1x: DAlembertSeries, b1y: DAlembertSeries,
 # -- substitution of series into polynomials ------------------------------
 
 
+class PowerTable:
+    """Capped powers of four series arguments, each formed on first use and
+    then shared by every polynomial substituted at those arguments."""
+
+    __slots__ = ("inputs", "cap", "rows")
+
+    def __init__(self, inputs, cap: int):
+        self.inputs = tuple(inputs)
+        self.cap = cap
+        self.rows = [[DAlembertSeries.single(0, 0, 0, 0, c=1.0)]
+                     for _ in self.inputs]
+
+    def power(self, i: int, e: int) -> DAlembertSeries:
+        row = self.rows[i]
+        while len(row) <= e:
+            row.append(row[-1].mul(self.inputs[i], self.cap))
+        return row[e]
+
+
 def poly_at_series(poly: TruncatedPoly, xi_s, eta_s, xid_s, etad_s,
-                   cap: int) -> DAlembertSeries:
+                   cap: int, powers: PowerTable | None = None) -> DAlembertSeries:
     """Evaluate a polynomial at four series arguments; every product is
-    capped at degree `cap`."""
+    capped at degree `cap`.  `powers`, a table of these arguments at this
+    cap, is shared with other calls; without it the call makes its own."""
     inputs = (xi_s, eta_s, xid_s, etad_s)
-    max_exp = [0, 0, 0, 0]
-    for mono in poly.coeffs:
-        for i in range(4):
-            max_exp[i] = max(max_exp[i], mono[i])
-    powers = []
-    for i in range(4):
-        row = [DAlembertSeries.single(0, 0, 0, 0, c=1.0)]
-        for _ in range(max_exp[i]):
-            row.append(row[-1].mul(inputs[i], cap))
-        powers.append(row)
+    if powers is None:
+        powers = PowerTable(inputs, cap)
+    elif powers.cap != cap or any(a is not b for a, b in zip(powers.inputs, inputs)):
+        raise ContractError("power table built for other arguments or cap")
     total = DAlembertSeries.zero()
     for mono, coeff in poly.coeffs.items():
-        term = DAlembertSeries.single(0, 0, 0, 0, c=coeff)
-        for i in range(4):
-            if mono[i]:
-                term = term.mul(powers[i][mono[i]], cap)
+        factors = [(i, e) for i, e in enumerate(mono) if e] or [(0, 0)]
+        i, e = factors[0]
+        term = powers.power(i, e).scale(coeff)
+        for i, e in factors[1:]:
+            term = term.mul(powers.power(i, e), cap)
         total = total + term
     return total
 
 
 # -- cubic forcing and the second-order solve ------------------------------
+
+
+def b1_powers(b1x: DAlembertSeries, b1y: DAlembertSeries,
+              w: FrequencyPair) -> PowerTable:
+    """Power table of (B1, B1, D B1, D B1), the arguments the degree-2
+    forcing substitutes into the partials of the cubic."""
+    return PowerTable((b1x, b1y, apply_D(b1x, w), apply_D(b1y, w)), cap=2)
 
 
 def forcing_x2y2(l3: TruncatedPoly, b1x: DAlembertSeries, b1y: DAlembertSeries,
@@ -280,10 +302,10 @@ def forcing_x2y2(l3: TruncatedPoly, b1x: DAlembertSeries, b1y: DAlembertSeries,
     (B1, B1, D B1, D B1)."""
     if any(sum(m) != 3 for m in l3.coeffs):
         raise ContractError("forcing expects a homogeneous cubic slice")
-    xd, yd = apply_D(b1x, w), apply_D(b1y, w)
+    powers = b1_powers(b1x, b1y, w)
 
     def sub(poly):
-        return poly_at_series(poly, b1x, b1y, xd, yd, cap=2)
+        return poly_at_series(poly, *powers.inputs, cap=2, powers=powers)
 
     x2 = sub(l3.partial(0)) - apply_D(sub(l3.partial(2)), w)
     y2 = sub(l3.partial(1)) - apply_D(sub(l3.partial(3)), w)

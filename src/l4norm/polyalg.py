@@ -6,10 +6,16 @@ truncate, never extend.  The centerpiece is :func:`taylor_lagrangian`,
 which expands the full Lagrangian about an equilibrium by series
 composition (binomial expansion of 1/r powers and a complex-log expansion
 of the angle term) -- exact to truncation order, no finite differences.
+
+Products are planned once per key layout, as in :mod:`l4norm.dalembert`:
+`_product_plan` keeps the output monomials and one row per pair within
+the cap, in the pair order of a plain double loop over the terms, so the
+output is bit-identical to that loop's, key order included.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,6 +24,31 @@ from .errors import ContractError, ParameterError
 from .model import SQRT3, ModelParams, State, lagrangian
 
 NVARS = 4
+
+# Product plans kept; one per (left layout, right layout, cap).  The chain
+# and its audit make 17 to 22 in all, however many points they run.
+PLAN_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _product_plan(left: tuple, right: tuple, cap: int):
+    """Index tables of the product of two monomial layouts.
+
+    Returns ``(keys, rows)``: the output monomials in the order a double
+    loop over the pairs first meets them, and one ``(i, k, slot)`` per
+    pair within the cap, in that loop's order.
+    """
+    slots, rows = {}, []
+    for i, m1 in enumerate(left):
+        d1 = sum(m1)
+        if d1 > cap:
+            continue
+        for k, m2 in enumerate(right):
+            if d1 + sum(m2) > cap:
+                continue
+            m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
+            rows.append((i, k, slots.setdefault(m, len(slots))))
+    return tuple(slots), tuple(rows)
 
 
 class TruncatedPoly:
@@ -87,17 +118,13 @@ class TruncatedPoly:
         if not isinstance(other, TruncatedPoly):
             return _stored(self.cap, ((m, c * other) for m, c in self.coeffs.items()))
         cap = min(self.cap, other.cap)
-        out = {}
-        for m1, c1 in self.coeffs.items():
-            d1 = sum(m1)
-            if d1 > cap:
-                continue
-            for m2, c2 in other.coeffs.items():
-                if d1 + sum(m2) > cap:
-                    continue
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
-                out[m] = out.get(m, 0.0) + c1 * c2
-        return _stored(cap, out.items())
+        a, b = self.coeffs, other.coeffs
+        keys, rows = _product_plan(tuple(a), tuple(b), cap)
+        av, bv = tuple(a.values()), tuple(b.values())
+        acc = [0.0] * len(keys)
+        for i, k, slot in rows:
+            acc[slot] += av[i] * bv[k]
+        return _stored(cap, zip(keys, acc))
 
     __rmul__ = __mul__
 
@@ -182,34 +209,41 @@ def _stored(cap: int, items) -> TruncatedPoly:
     return out
 
 
-def binomial_series(t: TruncatedPoly, alpha: float) -> TruncatedPoly:
-    """(1 + t)^alpha for a series t with no constant term."""
-    if t.coefficient((0, 0, 0, 0)) != 0.0:
-        raise ContractError("binomial pivot requires a series without constant term")
-    cap = t.cap
-    result = TruncatedPoly.constant(1.0, cap)
-    power = TruncatedPoly.constant(1.0, cap)
-    coeff = 1.0
-    for k in range(1, cap + 1):
-        coeff *= (alpha - (k - 1)) / k
+def _powers(t: TruncatedPoly) -> list:
+    """[t, t^2, ..., t^cap], ending early at the first power that vanishes."""
+    out = []
+    power = TruncatedPoly.constant(1.0, t.cap)
+    for _ in range(t.cap):
         power = power * t
         if not power.coeffs:
             break
-        result = result + power * coeff
-    return result
+        out.append(power)
+    return out
+
+
+def binomial_series(t: TruncatedPoly, *alphas: float) -> tuple:
+    """(1 + t)^alpha for each alpha, for a series t with no constant term;
+    the powers of t are formed once for all of them."""
+    if t.coefficient((0, 0, 0, 0)) != 0.0:
+        raise ContractError("binomial pivot requires a series without constant term")
+    powers = _powers(t)
+    out = []
+    for alpha in alphas:
+        result = TruncatedPoly.constant(1.0, t.cap)
+        coeff = 1.0
+        for k, power in enumerate(powers, 1):
+            coeff *= (alpha - (k - 1)) / k
+            result = result + power * coeff
+        out.append(result)
+    return tuple(out)
 
 
 def log1p_series(t: TruncatedPoly) -> TruncatedPoly:
     """log(1 + t) for a series t with no constant term (complex allowed)."""
     if t.coefficient((0, 0, 0, 0)) != 0.0:
         raise ContractError("log pivot requires a series without constant term")
-    cap = t.cap
-    result = TruncatedPoly.constant(0.0, cap)
-    power = TruncatedPoly.constant(1.0, cap)
-    for k in range(1, cap + 1):
-        power = power * t
-        if not power.coeffs:
-            break
+    result = TruncatedPoly.constant(0.0, t.cap)
+    for k, power in enumerate(_powers(t), 1):
         result = result + power * ((-1.0) ** (k + 1) / k)
     return result
 
@@ -250,10 +284,12 @@ def taylor_lagrangian(p: ModelParams, shift: OriginShift, degree: int) -> Trunca
     t2 = (2.0 * (a2off * xi + b * eta) + disp_sq) * (1.0 / rho2sq)
     # Composition radius: displacement series must stay inside |t| < 1 at the
     # scale of interest; pivot too near a primary makes rho^-2 blow up.
-    inv_r1 = binomial_series(t1, -0.5) * (rho1sq ** -0.5)
-    inv_r1sq = binomial_series(t1, -1.0) * (1.0 / rho1sq)
-    inv_r2 = binomial_series(t2, -0.5) * (rho2sq ** -0.5)
-    inv_r2cubed = binomial_series(t2, -1.5) * (rho2sq ** -1.5)
+    r1_half, r1_one = binomial_series(t1, -0.5, -1.0)
+    r2_half, r2_three_halves = binomial_series(t2, -0.5, -1.5)
+    inv_r1 = r1_half * (rho1sq ** -0.5)
+    inv_r1sq = r1_one * (1.0 / rho1sq)
+    inv_r2 = r2_half * (rho2sq ** -0.5)
+    inv_r2cubed = r2_three_halves * (rho2sq ** -1.5)
 
     n = p.n
     x_abs = (a - p.mu) + xi     # full rotating-frame x

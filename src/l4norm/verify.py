@@ -21,7 +21,6 @@ from .dalembert import (
     DIVISOR_FLOOR,
     DAlembertSeries,
     FrequencyPair,
-    apply_D,
     moser_check,
 )
 from .errata import NOISE_FLOOR, RemainderVerdict, classify_remainder
@@ -232,10 +231,9 @@ def partial_forcing_gap(res: PipelineResult) -> float:
     """Largest H3 coefficient left by the printed reading of the forcing
     (position partials only); the result must hold the b2 stage."""
     l3 = res.lagrangian_poly.grade(3)
-    (b1x, b1y), w = res.b1, res.freq
-    xd, yd = apply_D(b1x, w), apply_D(b1y, w)
-    x2p, y2p = (normalform.poly_at_series(l3.partial(i), b1x, b1y, xd, yd,
-                                          cap=2) for i in (0, 1))
+    powers = normalform.b1_powers(*res.b1, res.freq)
+    x2p, y2p = (normalform.poly_at_series(l3.partial(i), *powers.inputs,
+                                          cap=2, powers=powers) for i in (0, 1))
     b2p = normalform.solve_second_order_oracle(
         res.efg, res.freq, res.params.n, x2p, y2p,
         floor=res.options.divisor_floor)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l4norm.dalembert import (
+    MOSER_PAIRS,
     DAlembertSeries,
+    _product_plan,
     FrequencyPair,
     apply_D,
     apply_poly_in_D,
@@ -183,6 +185,84 @@ class TestProducts:
             assert vp == pytest.approx(va * vb, rel=1e-10, abs=1e-10)
 
 
+def reference_mul(a, b, cap=None):
+    """Reference product: a plain pair loop over the terms, sum then
+    difference harmonic, each canonicalised and accumulated on its own
+    and skipped when both its products are zero, as (key, (cos, sin))
+    items in insertion order."""
+    out = {}
+
+    def accumulate(j, m, p, q, c, s):
+        if p < 0 or (p == 0 and q < 0):
+            p, q, s = -p, -q, -s
+        if p == 0 and q == 0:
+            s = 0.0
+        oc, os = out.get((j, m, p, q), (0.0, 0.0))
+        out[j, m, p, q] = (oc + c, os + s)
+
+    for (j1, m1, p1, q1), (c1, s1) in a.terms.items():
+        for (j2, m2, p2, q2), (c2, s2) in b.terms.items():
+            j, m = j1 + j2, m1 + m2
+            if cap is not None and j + m > cap:
+                continue
+            cs = 0.5 * (c1 * c2 - s1 * s2)
+            ss = 0.5 * (c1 * s2 + s1 * c2)
+            if cs != 0.0 or ss != 0.0:
+                accumulate(j, m, p1 + p2, q1 + q2, cs, ss)
+            cd = 0.5 * (c1 * c2 + s1 * s2)
+            sd = 0.5 * (s1 * c2 - c1 * s2)
+            if cd != 0.0 or sd != 0.0:
+                accumulate(j, m, p1 - p2, q1 - q2, cd, sd)
+    return [(k, v) for k, v in out.items() if v != (0.0, 0.0)]
+
+
+# Coefficients away from underflow (a nonzero pair's products never vanish
+# there), with exact zeros for the sine.
+nonzero = st.floats(0.01, 2.0).flatmap(lambda x: st.sampled_from((x, -x)))
+sine = st.one_of(st.just(0.0), nonzero)
+layout = st.lists(st.sampled_from(KEYS), unique=True, max_size=10)
+
+
+def on_layout(keys, values):
+    """A series with exactly these keys, in this order."""
+    return DAlembertSeries({k: v for k, v in zip(keys, values)})
+
+
+def values_for(keys):
+    return st.lists(st.tuples(nonzero, sine), min_size=len(keys),
+                    max_size=len(keys))
+
+
+class TestProductPlans:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), layout, layout, st.sampled_from((None, 1, 2, 3)))
+    def test_planned_product_matches_the_pair_loop(self, data, left, right, cap):
+        # the layouts include the (0, 0) harmonic and negative q; a second
+        # product on the same layouts runs on the cached plan
+        for run in range(2):
+            a = on_layout(left, data.draw(values_for(left)))
+            b = on_layout(right, data.draw(values_for(right)))
+            assert list(a.terms) == left and list(b.terms) == right
+            hits = _product_plan.cache_info().hits
+            out = a.mul(b, cap)
+            assert list(out.terms.items()) == reference_mul(a, b, cap)
+            if run:
+                assert _product_plan.cache_info().hits == hits + 1
+
+    def test_constant_sine_dropped_and_difference_sine_flipped(self):
+        # one harmonic times itself: sin(0) drops the (0, 0) difference
+        # sine 0.6875
+        a = DAlembertSeries.single(1, 0, 1, 0, c=0.5, s=0.25)
+        b = DAlembertSeries.single(1, 0, 1, 0, c=1.5, s=-2.0)
+        assert a.mul(b).terms[2, 0, 0, 0] == (0.125, 0.0)
+        # (0, 1) - (1, 0) is stored as (1, -1), so its sine -0.375 flips
+        x = DAlembertSeries.single(0, 1, 0, 1, c=1.0, s=0.5)
+        y = DAlembertSeries.single(1, 0, 1, 0, c=0.5, s=1.0)
+        assert x.mul(y).terms[1, 1, 1, -1] == (0.5, 0.375)
+        for left, right in ((a, b), (x, y), (a + x, y + b)):
+            assert list(left.mul(right).terms.items()) == reference_mul(left, right)
+
+
 def series_value(s, i1, i2, phi1, phi2):
     total = 0.0
     for (j, m, p, q), (c, sv) in s.terms.items():
@@ -252,6 +332,11 @@ class TestSmallDivisors:
 
 
 class TestMoser:
+    def test_pairs_in_scan_order(self):
+        nested = [(k1, k2) for k1 in range(-4, 5) for k2 in range(-4, 5)
+                  if 0 < abs(k1) + abs(k2) <= 4]
+        assert list(MOSER_PAIRS) == nested and len(MOSER_PAIRS) == 40
+
     def test_classical_pass(self):
         rep = moser_check(W_CLASSICAL, tol=1e-3)
         assert rep.passed

@@ -22,6 +22,7 @@ from l4norm.errors import (
 )
 from l4norm.model import ModelParams
 from l4norm.normalform import (
+    b1_powers,
     classical_frequencies,
     first_order_components,
     forcing_x2y2,
@@ -399,6 +400,22 @@ class TestH3:
         h3a, _ = self.run_h3(p)
         assert h3a.max_abs() < 1e-10
         assert partial_forcing_gap(run_pipeline(p, stages=("b2",))) > p.W1
+
+    def test_shared_power_table_changes_nothing(self):
+        from l4norm.verify import run_pipeline
+        p = ModelParams(mu=0.01, q1=0.999, cd=10.0)
+        res = run_pipeline(p, stages=("b1",))
+        l3 = res.lagrangian_poly.grade(3)
+        powers = b1_powers(*res.b1, res.freq)
+        for i in range(4):
+            poly = l3.partial(i)
+            shared = poly_at_series(poly, *powers.inputs, cap=2, powers=powers)
+            alone = poly_at_series(poly, *powers.inputs, 2)
+            assert list(shared.terms.items()) == list(alone.terms.items())
+        with pytest.raises(ContractError):
+            poly_at_series(l3.partial(0), *powers.inputs, cap=3, powers=powers)
+        with pytest.raises(ContractError):
+            poly_at_series(l3.partial(0), *res.b1, *res.b1, cap=2, powers=powers)
 
     def test_poly_substitution_values(self):
         # poly_at_series on a known monomial: xi^2 with xi = cos(phi1) grade

@@ -14,6 +14,7 @@ from l4norm.errors import ContractError
 from l4norm.model import ModelParams, State, hamiltonian, lagrangian
 from l4norm.polyalg import (
     TruncatedPoly,
+    _product_plan,
     binomial_series,
     compare_h3,
     extract_EFG,
@@ -92,9 +93,65 @@ class TestRingAxioms:
 
     def test_binomial_against_scalar(self):
         t = TruncatedPoly(6, {(1, 0, 0, 0): 0.02})
-        series = binomial_series(t, -0.5)
+        (series,) = binomial_series(t, -0.5)
         value = series(0.1, 0, 0, 0)   # here t = 0.002
         assert value == pytest.approx((1 + 0.02 * 0.1) ** -0.5, abs=1e-14)
+
+
+def reference_mul(a, b):
+    """Reference product: a plain pair loop over the terms, as
+    (monomial, coefficient) items in insertion order."""
+    cap = min(a.cap, b.cap)
+    out = {}
+    for m1, c1 in a.coeffs.items():
+        d1 = sum(m1)
+        if d1 > cap:
+            continue
+        for m2, c2 in b.coeffs.items():
+            if d1 + sum(m2) > cap:
+                continue
+            m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
+            out[m] = out.get(m, 0.0) + c1 * c2
+    return [(m, c) for m, c in out.items() if c != 0.0]
+
+
+monomial = st.tuples(*[st.integers(0, 3)] * 4).filter(lambda m: sum(m) <= 3)
+nonzero = st.floats(0.01, 2.0).flatmap(lambda x: st.sampled_from((x, -x)))
+coefficient = st.one_of(nonzero, st.builds(complex, nonzero, nonzero))
+
+
+def values_for(layout):
+    return st.lists(coefficient, min_size=len(layout), max_size=len(layout))
+
+
+class TestProductPlans:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.lists(monomial, unique=True, max_size=10),
+           st.lists(monomial, unique=True, max_size=10),
+           st.integers(1, 3), st.integers(1, 3))
+    def test_planned_product_matches_the_pair_loop(self, data, left, right,
+                                                   cap_a, cap_b):
+        # complex coefficients and unequal caps; a second product on the
+        # same layouts runs on the cached plan
+        left = [m for m in left if sum(m) <= cap_a]
+        right = [m for m in right if sum(m) <= cap_b]
+        for run in range(2):
+            a = TruncatedPoly(cap_a, dict(zip(left, data.draw(values_for(left)))))
+            b = TruncatedPoly(cap_b, dict(zip(right, data.draw(values_for(right)))))
+            assert list(a.coeffs) == left and list(b.coeffs) == right
+            hits = _product_plan.cache_info().hits
+            assert list((a * b).coeffs.items()) == reference_mul(a, b)
+            if run:
+                assert _product_plan.cache_info().hits == hits + 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(poly_strategy(), st.lists(st.floats(-2.0, 0.5), min_size=1, max_size=3))
+    def test_binomial_exponents_share_one_power_list(self, poly, alphas):
+        t = poly - poly.coefficient((0, 0, 0, 0))
+        shared = binomial_series(t, *alphas)
+        for alpha, series in zip(alphas, shared):
+            (alone,) = binomial_series(t, alpha)
+            assert list(series.coeffs.items()) == list(alone.coeffs.items())
 
 
 class TestTaylorLagrangian:
