@@ -4,13 +4,15 @@ For each point the script runs every stage of `run_pipeline` and the
 printed-table `audit`, and writes one `repr` line: the Taylor
 coefficients in stored order, E/F/G, the frequencies, the normal-mode
 matrix J as hex floats, the forcing X2/Y2, B2 and its residuals, H3 and
-its ablation with their series, the gates and the sorted audit gaps.  A
-point that raises gets its exception class and message instead.  The
-points (mu in [0.001, 0.037], both branches, every other one drag-free)
-come from a fixed seed, so two snapshots that compare equal mean the
-chain computed the same values, bit for bit and in the same order.  The
-package is imported from whatever `PYTHONPATH` names, so one tree can be
-compared with another:
+its ablation with their series, the gates, the sorted audit gaps, and
+the partial-forcing gap of a chain stopped at b2 (the detector's path,
+where the gap forms the position cubic itself).  A point that raises
+gets its exception class and message instead.  The points (mu in
+[0.001, 0.037], both branches, every other one drag-free) come from a
+fixed seed, so two snapshots that compare equal mean the chain computed
+the same values, bit for bit and in the same order.  The package is
+imported from whatever `PYTHONPATH` names, so one tree can be compared
+with another:
 
     PYTHONPATH=old/src python scripts/chain_snapshot.py old.txt
     PYTHONPATH=src python scripts/chain_snapshot.py new.txt
@@ -23,7 +25,12 @@ import random
 import sys
 
 from l4norm.model import ModelParams
-from l4norm.verify import PipelineOptions, audit, run_pipeline
+from l4norm.verify import (
+    PipelineOptions,
+    audit,
+    partial_forcing_gap,
+    run_pipeline,
+)
 
 POINTS = 300
 
@@ -51,7 +58,9 @@ def h3_values(h3):
 def chain_record(mu, epsilon, a2, cd, branch):
     """Every value the chain and the audit compute at one point."""
     p = ModelParams(mu=mu, q1=1.0 - epsilon, A2=a2, cd=cd)
-    res = run_pipeline(p, PipelineOptions(branch=branch))
+    options = PipelineOptions(branch=branch)
+    res = run_pipeline(p, options)
+    at_b2 = run_pipeline(p, options, stages=("b2",))
     efg, w, b2 = res.efg, res.freq, res.b2
     return (
         ("taylor", [(m, float(c)) for m, c in res.lagrangian_poly.coeffs.items()]),
@@ -66,6 +75,7 @@ def chain_record(mu, epsilon, a2, cd, branch):
         ("ablation", h3_values(res.h3_ablation)),
         ("gates", sorted(res.gates().items())),
         ("audit", sorted((k, float(v)) for k, v in audit(res).gaps.items())),
+        ("partial_at_b2", float(partial_forcing_gap(at_b2))),
     )
 
 

@@ -9,6 +9,7 @@ digits; row order is deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -191,9 +192,6 @@ def cmd_verify(config: RunConfig) -> int:
     options = config.options()
     result = verify.run_pipeline(p, options, stages=config.stages)
     printed = verify.audit(result)
-    verdicts = None
-    if "b2" in result.stages or "h3" in result.stages:
-        verdicts = verify.detect_discrepancies(p.mu, options)
     if config.format == "csv":
         lines = ["key,value"]
         for name, ok in result.gates().items():
@@ -202,6 +200,9 @@ def cmd_verify(config: RunConfig) -> int:
             lines.append(f"gap.{key},{fmt(printed.gaps[key])}")
         _emit("\n".join(lines) + "\n", config, "verify.csv")
     else:
+        verdicts = None
+        if "b2" in result.stages:
+            verdicts = verify.detect_discrepancies(p.mu, options)
         text = verify.render_report(result, printed, verdicts)
         _emit(text, config, "verify.txt")
     gates = result.gates()
@@ -281,7 +282,10 @@ def cmd_sweep(config: RunConfig, mu_min: float, mu_max: float,
 # -- argument parsing --------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it unchanged, and the
+    `--tol` list is made anew by every parse."""
     parser = argparse.ArgumentParser(
         prog="l4norm",
         description="Second-order normalization at the triangular points "

@@ -83,7 +83,7 @@ class ModelParams:
                 warnings.warn(
                     f"{name} = {value:.3g} exceeds {_SMALLNESS_WARN}; "
                     "first-order series lose accuracy",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
 
 

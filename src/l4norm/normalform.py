@@ -288,28 +288,23 @@ def poly_at_series(poly: TruncatedPoly, xi_s, eta_s, xid_s, etad_s,
 # -- cubic forcing and the second-order solve ------------------------------
 
 
-def b1_powers(b1x: DAlembertSeries, b1y: DAlembertSeries,
-              w: FrequencyPair) -> PowerTable:
-    """Power table of (B1, B1, D B1, D B1), the arguments the degree-2
-    forcing substitutes into the partials of the cubic."""
-    return PowerTable((b1x, b1y, apply_D(b1x, w), apply_D(b1y, w)), cap=2)
-
-
 def forcing_x2y2(l3: TruncatedPoly, b1x: DAlembertSeries, b1y: DAlembertSeries,
                  w: FrequencyPair):
     """Degree-2 forcing of the second-order equations: the Euler-Lagrange
     expression [dL3/dx - D(dL3/dxdot)] at (x, y, xdot, ydot) =
-    (B1, B1, D B1, D B1)."""
+    (B1, B1, D B1, D B1).  Returns ``(x2, y2), (x2p, y2p)``, where the
+    second pair is its position-partial part [dL3/dx] at the same point."""
     if any(sum(m) != 3 for m in l3.coeffs):
         raise ContractError("forcing expects a homogeneous cubic slice")
-    powers = b1_powers(b1x, b1y, w)
+    powers = PowerTable((b1x, b1y, apply_D(b1x, w), apply_D(b1y, w)), cap=2)
 
     def sub(poly):
         return poly_at_series(poly, *powers.inputs, cap=2, powers=powers)
 
-    x2 = sub(l3.partial(0)) - apply_D(sub(l3.partial(2)), w)
-    y2 = sub(l3.partial(1)) - apply_D(sub(l3.partial(3)), w)
-    return x2, y2
+    x2p, y2p = sub(l3.partial(0)), sub(l3.partial(1))
+    x2 = x2p - apply_D(sub(l3.partial(2)), w)
+    y2 = y2p - apply_D(sub(l3.partial(3)), w)
+    return (x2, y2), (x2p, y2p)
 
 
 @dataclass(frozen=True)
@@ -367,14 +362,16 @@ class H3NormalCoefficients:
 
 def h3_normal_coefficients(l3: TruncatedPoly, b1, b2,
                            efg: QuadraticCoefficients, w: FrequencyPair,
-                           n: float):
+                           n: float, cubic: DAlembertSeries | None = None):
     """Substitute x = B1 + B2 (velocities via D) into the energy and slice.
 
     The energy function of the Lagrangian is |v|^2/2 - (position part);
     its velocity-linear terms cancel identically, so the degree-3 slice is
     the quadratic cross term between B1 and B2 plus the position cubic at
     B1.  Every product is capped at degree 3.  Returns ``(h3, ablation)``;
-    with B2 = 0 the degree-3 slice is that cubic alone.
+    with B2 = 0 the degree-3 slice is that cubic alone.  `cubic`, the
+    ablation series of an earlier call at the same (l3, B1), is used as
+    that cubic instead of forming it again.
     """
     b1x, b1y = b1
     b2x, b2y = b2
@@ -387,9 +384,10 @@ def h3_normal_coefficients(l3: TruncatedPoly, b1, b2,
     h2_sub = (vx.mul(vx, cap) + vy.mul(vy, cap)).scale(0.5) \
         - bx.mul(bx, cap).scale(0.5 * k00) - bx.mul(by, cap).scale(k01) \
         - by.mul(by, cap).scale(0.5 * k11)
-    # the position cubic reads no velocity
-    zero = DAlembertSeries.zero()
-    cubic = poly_at_series(-l3.position_part(), b1x, b1y, zero, zero, cap)
+    if cubic is None:
+        # the position cubic reads no velocity
+        zero = DAlembertSeries.zero()
+        cubic = poly_at_series(-l3.position_part(), b1x, b1y, zero, zero, cap)
     total = h2_sub + cubic
 
     h2_form = (DAlembertSeries.single(2, 0, 0, 0, c=w.omega1)

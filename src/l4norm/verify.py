@@ -67,6 +67,8 @@ class PipelineResult:
     b1_residual: float | None = None
     x2: DAlembertSeries | None = None
     y2: DAlembertSeries | None = None
+    # (dL3/dx, dL3/dy) at B1: the printed reading of the forcing
+    position_forcing: tuple | None = None
     b2: normalform.SecondOrderSolution | None = None
     h3: normalform.H3NormalCoefficients | None = None
     h3_ablation: normalform.H3NormalCoefficients | None = None
@@ -149,8 +151,8 @@ def run_pipeline(p: ModelParams, options: PipelineOptions = PipelineOptions(),
     if last == 2:
         return res
 
-    res.x2, res.y2 = normalform.forcing_x2y2(l3, res.b1[0], res.b1[1],
-                                             res.freq)
+    (res.x2, res.y2), res.position_forcing = normalform.forcing_x2y2(
+        l3, res.b1[0], res.b1[1], res.freq)
     res.b2 = normalform.solve_second_order_oracle(
         res.efg, res.freq, p.n, res.x2, res.y2, floor=options.divisor_floor)
     if last == 3:
@@ -229,16 +231,15 @@ def audit(res: PipelineResult) -> Audit:
 
 def partial_forcing_gap(res: PipelineResult) -> float:
     """Largest H3 coefficient left by the printed reading of the forcing
-    (position partials only); the result must hold the b2 stage."""
-    l3 = res.lagrangian_poly.grade(3)
-    powers = normalform.b1_powers(*res.b1, res.freq)
-    x2p, y2p = (normalform.poly_at_series(l3.partial(i), *powers.inputs,
-                                          cap=2, powers=powers) for i in (0, 1))
+    (position partials only); the result must hold the b2 stage.  It reads
+    that forcing off the chain, and at the h3 stage the cubic at B1 too."""
     b2p = normalform.solve_second_order_oracle(
-        res.efg, res.freq, res.params.n, x2p, y2p,
+        res.efg, res.freq, res.params.n, *res.position_forcing,
         floor=res.options.divisor_floor)
+    cubic = res.h3_ablation.series if res.h3_ablation is not None else None
     h3p, _ = normalform.h3_normal_coefficients(
-        l3, res.b1, (b2p.b2x, b2p.b2y), res.efg, res.freq, res.params.n)
+        res.lagrangian_poly.grade(3), res.b1, (b2p.b2x, b2p.b2y), res.efg,
+        res.freq, res.params.n, cubic)
     return h3p.max_abs()
 
 

@@ -14,7 +14,7 @@ from l4norm.cli import (
     parse_config_text,
 )
 from l4norm.errors import ConfigError
-from l4norm.verify import PipelineOptions, detect_discrepancies
+from l4norm.verify import PipelineOptions, detect_discrepancies, fmt
 
 
 def run_cli(capsys, *argv):
@@ -187,15 +187,33 @@ class TestVerifyCommand:
         assert "ResonanceError" in err
 
     def test_repeat_in_one_process(self, capsys):
-        # Physics B shares mu and options with A, so it reads A's cached
-        # verdicts; the third run must still print what the first did.
+        # One parser serves every call.  Physics B shares mu and options
+        # with A, so it reads A's cached verdicts; C sets other tolerances
+        # and argparse rejects D after reading its --tol.  Every later run
+        # of A must still print what the first did.
+        assert build_parser() is build_parser()
         a = ("verify", "--mu", "0.01215", "--q1", "0.999", "--a2", "1e-4",
-             "--cd", "20", "--stages", "h3")
+             "--cd", "20", "--stages", "h3", "--tol", "residual=1e-8")
         b = ("verify", "--mu", "0.01215", "--epsilon", "1e-3", "--cd", "7",
-             "--stages", "h3")
+             "--stages", "h3", "--tol", "residual=1e-8")
+        c = ("verify", "--mu", "0.01215", "--stages", "b1",
+             "--tol", "moser=0.002", "--tol", "linear=1e-9")
+        d = ("verify", "--mu", "0.01215", "--tol", "moser=0.5", "--steps", "3")
+        default = PipelineOptions()
         first = run_cli(capsys, *a)
         assert first[0] == EXIT_OK
+        assert f"tol.residual: {fmt(1e-8)}\n" in first[1]
+        assert f"tol.moser: {fmt(default.moser_tol)}\n" in first[1]
         assert run_cli(capsys, *b)[0] == EXIT_OK
+        code, out, _ = run_cli(capsys, *c)
+        assert code == EXIT_OK
+        assert f"tol.residual: {fmt(default.residual_tol)}\n" in out
+        assert "tol.moser: 0.002\n" in out
+        assert f"tol.linear: {fmt(1e-9)}\n" in out
+        with pytest.raises(SystemExit) as rejected:
+            main(list(d))
+        assert rejected.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --steps 3" in capsys.readouterr().err
         assert run_cli(capsys, *a) == first
         detect_discrepancies.cache_clear()
         assert run_cli(capsys, *a) == first
@@ -319,6 +337,24 @@ class TestVerifyCsvFormat:
         assert lines[0] == "key,value"
         assert any(l.startswith("gate.b1-residual,pass") for l in lines)
         assert any(l.startswith("gap.j.J13,") for l in lines)
+
+    @pytest.mark.parametrize("branch", ["L4", "L5"])
+    def test_csv_runs_no_detector(self, capsys, branch):
+        # The detector's W1 leg fails Newton at this mu; CSV prints no
+        # verdicts, so the call ends on the chain's gates alone.
+        detect_discrepancies.cache_clear()
+        code, out, err = run_cli(capsys, "verify", "--mu", "0.000954",
+                                 "--stages", "h3", "--branch", branch,
+                                 "--format", "csv")
+        assert (code, err) == (EXIT_OK, "")
+        assert "gate.h3-vanishing,pass" in out.splitlines()
+        assert "gap.forcing.partial_only" in out
+        info = detect_discrepancies.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (0, 0, 0)
+        code, out, _ = run_cli(capsys, "verify", "--mu", "0.01215",
+                               "--stages", "h3", "--branch", branch)
+        assert code == EXIT_OK and "[series-vs-oracle]" in out
+        assert detect_discrepancies.cache_info().currsize == 1
 
     def test_bad_format_rejected(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--mu", "0.01",

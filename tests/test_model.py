@@ -55,8 +55,10 @@ class TestModelParams:
             ModelParams(mu=0.6)
 
     def test_warns_on_large_perturbation(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             ModelParams(mu=0.1, q1=0.7)
+        # the warning names the line that built the parameters
+        assert {w.filename for w in record} == {__file__}
 
 
 class TestEffectivePotential:

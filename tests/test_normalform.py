@@ -22,7 +22,7 @@ from l4norm.errors import (
 )
 from l4norm.model import ModelParams
 from l4norm.normalform import (
-    b1_powers,
+    PowerTable,
     classical_frequencies,
     first_order_components,
     forcing_x2y2,
@@ -196,7 +196,7 @@ class TestForcing:
     def test_single_x_cubed_term(self):
         c = 0.7
         l3 = TruncatedPoly(3, {(3, 0, 0, 0): c})
-        x2, y2 = forcing_x2y2(l3, self.b1[0], self.b1[1], self.w)
+        (x2, y2), _ = forcing_x2y2(l3, self.b1[0], self.b1[1], self.w)
         expected = (self.b1[0] * self.b1[0]).scale(3 * c)
         assert x2.norm_of_difference(expected) < 1e-13
         assert y2.terms == {}
@@ -204,13 +204,14 @@ class TestForcing:
     def test_single_y_cubed_term(self):
         c = -1.1
         l3 = TruncatedPoly(3, {(0, 3, 0, 0): c})
-        x2, y2 = forcing_x2y2(l3, self.b1[0], self.b1[1], self.w)
+        (x2, y2), _ = forcing_x2y2(l3, self.b1[0], self.b1[1], self.w)
         assert x2.terms == {}
         expected = (self.b1[1] * self.b1[1]).scale(3 * c)
         assert y2.norm_of_difference(expected) < 1e-13
 
     def test_full_support(self):
-        x2, y2 = forcing_x2y2(self.lag.grade(3), self.b1[0], self.b1[1], self.w)
+        (x2, y2), _ = forcing_x2y2(self.lag.grade(3), self.b1[0], self.b1[1],
+                                   self.w)
         support = x2.harmonics() | y2.harmonics()
         assert support == {(0, 0), (2, 0), (0, 2), (1, 1), (1, -1)}
         assert x2.max_degree() == 2
@@ -230,9 +231,9 @@ class TestForcing:
         f3 = xi * xi * eta - 2.0 * (eta ** 3)
         gauge = f3.partial(0) * xid + f3.partial(1) * etad
         l3 = self.lag.grade(3)
-        x2a, y2a = forcing_x2y2(l3, self.b1[0], self.b1[1], self.w)
-        x2b, y2b = forcing_x2y2((l3 + gauge).grade(3), self.b1[0], self.b1[1],
-                                self.w)
+        (x2a, y2a), _ = forcing_x2y2(l3, self.b1[0], self.b1[1], self.w)
+        (x2b, y2b), _ = forcing_x2y2((l3 + gauge).grade(3), self.b1[0],
+                                     self.b1[1], self.w)
         assert x2a.norm_of_difference(x2b) < 1e-12
         assert y2a.norm_of_difference(y2b) < 1e-12
 
@@ -257,7 +258,8 @@ class TestSecondOrderOracle:
         assert sol.residual_y < 1e-12
 
     def test_full_forcing_residuals(self):
-        x2, y2 = forcing_x2y2(self.lag.grade(3), self.b1[0], self.b1[1], self.w)
+        (x2, y2), _ = forcing_x2y2(self.lag.grade(3), self.b1[0], self.b1[1],
+                                   self.w)
         sol = solve_second_order_oracle(self.efg, self.w, self.p.n, x2, y2)
         assert max(sol.residual_x, sol.residual_y) < 1e-9
         support = set(sol.b2x.terms) | set(sol.b2y.terms)
@@ -356,7 +358,7 @@ class TestH3:
     def run_h3(self, p, ablation=False):
         _, _, lag, efg, w, nm = linear_stage(p)
         b1 = first_order_components(nm)
-        x2, y2 = forcing_x2y2(lag.grade(3), b1[0], b1[1], w)
+        (x2, y2), _ = forcing_x2y2(lag.grade(3), b1[0], b1[1], w)
         sol = solve_second_order_oracle(efg, w, p.n, x2, y2)
         b2 = (DAlembertSeries.zero(), DAlembertSeries.zero()) if ablation \
             else (sol.b2x, sol.b2y)
@@ -389,7 +391,7 @@ class TestH3:
             solve_triangular_numeric(sym), sym))
         l3 = t_sym.as_poly()
         b1 = first_order_components(nm)
-        x2, y2 = forcing_x2y2(l3, b1[0], b1[1], w)
+        (x2, y2), _ = forcing_x2y2(l3, b1[0], b1[1], w)
         sol = solve_second_order_oracle(efg, w, p.n, x2, y2)
         h3, _ = h3_normal_coefficients(l3, b1, (sol.b2x, sol.b2y), efg, w, p.n)
         assert h3.max_abs() < 1e-10
@@ -406,7 +408,9 @@ class TestH3:
         p = ModelParams(mu=0.01, q1=0.999, cd=10.0)
         res = run_pipeline(p, stages=("b1",))
         l3 = res.lagrangian_poly.grade(3)
-        powers = b1_powers(*res.b1, res.freq)
+        b1x, b1y = res.b1
+        powers = PowerTable((b1x, b1y, apply_D(b1x, res.freq),
+                             apply_D(b1y, res.freq)), cap=2)
         for i in range(4):
             poly = l3.partial(i)
             shared = poly_at_series(poly, *powers.inputs, cap=2, powers=powers)

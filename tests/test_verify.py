@@ -9,9 +9,11 @@ from l4norm.errors import ParameterError, ResonanceError
 from l4norm.model import ModelParams
 from l4norm.normalform import (
     H3NormalCoefficients,
+    PowerTable,
     classical_frequencies,
     h3_normal_coefficients,
     poly_at_series,
+    solve_second_order_oracle,
 )
 from l4norm.verify import (
     GATING_KEYS,
@@ -232,6 +234,23 @@ def h3_at_b1_plus_b2(l3, b1, b2, efg, w, n):
         h2_residual=total.degree_slice(2).norm_of_difference(h2_form))
 
 
+def partial_forcing_gap_anew(res):
+    """Reference: the partial-forcing gap with every substitution made
+    afresh, its own power table of (B1, B1, D B1, D B1) and its own cubic
+    at B1."""
+    l3 = res.lagrangian_poly.grade(3)
+    b1x, b1y = res.b1
+    powers = PowerTable((b1x, b1y, apply_D(b1x, res.freq),
+                         apply_D(b1y, res.freq)), cap=2)
+    x2p, y2p = (poly_at_series(l3.partial(i), *powers.inputs, cap=2,
+                               powers=powers) for i in (0, 1))
+    b2p = solve_second_order_oracle(res.efg, res.freq, res.params.n, x2p, y2p,
+                                    floor=res.options.divisor_floor)
+    h3p, _ = h3_normal_coefficients(l3, res.b1, (b2p.b2x, b2p.b2y), res.efg,
+                                    res.freq, res.params.n)
+    return h3p.max_abs()
+
+
 class TestH3Substitution:
     """The chain forms the position cubic once, at B1; both H3 slices must
     equal what substituting the full series gives."""
@@ -259,3 +278,24 @@ class TestH3Substitution:
             res.lagrangian_poly.grade(3), res.b1, (res.b2.b2x, res.b2.b2y),
             res.efg, res.freq, res.params.n)
         assert res.h3 == reference
+
+    def test_partial_forcing_gap_reads_the_chain(self, res):
+        # The gap reuses the chain's position-partials forcing, and at the
+        # h3 stage its cubic at B1; at b2 it forms the cubic itself.
+        at_b2 = run_pipeline(res.params, res.options, stages=("b2",))
+        assert at_b2.h3_ablation is None
+        for chain in (res, at_b2):
+            assert partial_forcing_gap(chain) == partial_forcing_gap_anew(chain)
+        # That forcing is the chain's X2, Y2 without the velocity partials.
+        l3, w = res.lagrangian_poly.grade(3), res.freq
+        b1x, b1y = res.b1
+        args = (b1x, b1y, apply_D(b1x, w), apply_D(b1y, w))
+
+        def sub(poly):
+            return poly_at_series(poly, *args, 2)
+
+        x2p, y2p = res.position_forcing
+        assert x2p.terms == sub(l3.partial(0)).terms
+        assert y2p.terms == sub(l3.partial(1)).terms
+        assert res.x2.terms == (x2p - apply_D(sub(l3.partial(2)), w)).terms
+        assert res.y2.terms == (y2p - apply_D(sub(l3.partial(3)), w)).terms
