@@ -19,7 +19,7 @@ from .equilibria import (
     solve_triangular_numeric,
     triangular_series,
 )
-from .model import CanonicalState, ModelParams, State
+from .model import ModelParams, State
 from .normalform import NormalModeData, frequencies, j_numeric
 from .polyalg import TruncatedPoly, taylor_lagrangian
 from .verify import PipelineOptions, run_pipeline
@@ -27,7 +27,6 @@ from .verify import PipelineOptions, run_pipeline
 __version__ = "0.1.0"
 
 __all__ = [
-    "CanonicalState",
     "DAlembertSeries",
     "EquilibriumPoint",
     "FrequencyPair",

@@ -222,9 +222,6 @@ class DAlembertSeries:
         out.terms = {k: v for k, v in self.terms.items() if (k[0], k[1]) == (j, m)}
         return out
 
-    def max_degree(self) -> int:
-        return max((j + m for (j, m, _, _) in self.terms), default=0)
-
     def max_abs(self) -> float:
         return max((max(abs(c), abs(s)) for (c, s) in self.terms.values()), default=0.0)
 
@@ -236,9 +233,6 @@ class DAlembertSeries:
             c2, s2 = other.terms.get(k, (0.0, 0.0))
             worst = max(worst, abs(c1 - c2), abs(s1 - s2))
         return worst
-
-    def harmonics(self):
-        return {(p, q) for (_, _, p, q) in self.terms}
 
     def chop(self, tol: float):
         """Drop coefficients below tol in magnitude (reporting aid)."""
@@ -305,16 +299,6 @@ def invert_delta(series: DAlembertSeries, w: FrequencyPair,
         if abs(delta) < floor:
             raise SmallDivisorError(f"Delta_({p},{q})", delta)
         return c / delta, s / delta
-
-    return series._termwise(term)
-
-
-def delta_operator(series: DAlembertSeries, w: FrequencyPair) -> DAlembertSeries:
-    """(D^2 + w1^2)(D^2 + w2^2) applied termwise (round-trip partner of
-    :func:`invert_delta`)."""
-    def term(p, q, c, s):
-        delta = small_divisor(p, q, w)
-        return c * delta, s * delta
 
     return series._termwise(term)
 

@@ -33,10 +33,6 @@ class RemainderVerdict:
     gap_half: float
     classification: str  # consistent | first_order | zeroth_order
 
-    @property
-    def consistent(self) -> bool:
-        return self.classification == "consistent"
-
 
 def classify_remainder(quantity: str, perturbation: str, gap_h: float,
                        gap_half: float, scale: float = 1.0) -> RemainderVerdict:
@@ -153,12 +149,11 @@ KNOWN_DISCREPANCIES: tuple = (
 )
 
 
-def registered_keys():
-    return {(d.key, d.perturbation) for d in KNOWN_DISCREPANCIES}
+REGISTERED_KEYS = frozenset((d.key, d.perturbation) for d in KNOWN_DISCREPANCIES)
 
 
 def is_registered(quantity: str, perturbation: str) -> bool:
     """A (quantity, leg) verdict is covered if that exact leg is registered
     or the quantity carries a classical (zeroth-order) registration."""
-    keys = registered_keys()
-    return (quantity, perturbation) in keys or (quantity, "classical") in keys
+    return ((quantity, perturbation) in REGISTERED_KEYS
+            or (quantity, "classical") in REGISTERED_KEYS)

@@ -1,9 +1,9 @@
-"""Planar photogravitational restricted three-body model with dissipative drag.
+"""Planar photogravitational restricted three-body model with drag.
 
-Ground truth for every other module: parameters, the rotating-frame force
-field, the Lagrangian with the velocity-dependent drag terms, and the
-canonical momenta.  All quantities are dimensionless (primary separation 1,
-total mass 1, gravitational constant 1).
+Ground truth for every other module: parameters, the rotating-frame
+potential and its gradient, and the Lagrangian with the drag terms.  All
+quantities are dimensionless (primary separation 1, total mass 1,
+gravitational constant 1).
 
 Conventions
 -----------
@@ -107,16 +107,6 @@ class State:
         return r1, r2
 
 
-@dataclass(frozen=True)
-class CanonicalState:
-    """Position and canonical momenta."""
-
-    x: float
-    y: float
-    px: float
-    py: float
-
-
 def effective_potential(s: State, p: ModelParams) -> float:
     """U1 = n^2 (x^2+y^2)/2 + (1-mu) q1 / r1 + mu / r2 + mu A2 / (2 r2^3)."""
     r1, r2 = s.radii(p)
@@ -143,26 +133,6 @@ def potential_gradient(s: State, p: ModelParams):
     return ux, uy
 
 
-def drag_terms(s: State, p: ModelParams):
-    """(N1, N2, r1sq) of the dissipative force; force = -W1*N/r1^2."""
-    r1, _ = s.radii(p)
-    r1sq = r1 * r1
-    x1 = s.x + p.mu
-    radial = (x1 * s.xdot + s.y * s.ydot) / r1sq
-    n1 = x1 * radial + s.xdot - p.n * s.y
-    n2 = s.y * radial + s.ydot + p.n * x1
-    return n1, n2, r1sq
-
-
-def eom_rhs(s: State, p: ModelParams):
-    """Accelerations (xddot, yddot) of the full equations of motion."""
-    ux, uy = potential_gradient(s, p)
-    n1, n2, r1sq = drag_terms(s, p)
-    ax = 2.0 * p.n * s.ydot + ux - p.W1 * n1 / r1sq
-    ay = -2.0 * p.n * s.xdot + uy - p.W1 * n2 / r1sq
-    return ax, ay
-
-
 def lagrangian(s: State, p: ModelParams) -> float:
     """Lagrangian including the gauge and angle terms of the drag.
 
@@ -180,19 +150,3 @@ def lagrangian(s: State, p: ModelParams) -> float:
         - p.n * math.atan2(s.y, x1)
     )
     return kinetic + coriolis + potential + drag
-
-
-def momenta(s: State, p: ModelParams) -> CanonicalState:
-    """Canonical momenta px = xdot - n y + W1 (x+mu)/(2 r1^2), py likewise."""
-    r1, _ = s.radii(p)
-    r1sq = r1 * r1
-    x1 = s.x + p.mu
-    px = s.xdot - p.n * s.y + 0.5 * p.W1 * x1 / r1sq
-    py = s.ydot + p.n * s.x + 0.5 * p.W1 * s.y / r1sq
-    return CanonicalState(s.x, s.y, px, py)
-
-
-def hamiltonian(s: State, p: ModelParams) -> float:
-    """H = -L + px*xdot + py*ydot along the same state."""
-    c = momenta(s, p)
-    return -lagrangian(s, p) + c.px * s.xdot + c.py * s.ydot

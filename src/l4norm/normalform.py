@@ -19,6 +19,7 @@ is formed.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -341,20 +342,29 @@ def solve_second_order_oracle(efg: QuadraticCoefficients, w: FrequencyPair,
 # -- degree-3 energy coefficients ------------------------------------------
 
 
+def _grade_norm(j: int, m: int):
+    """Property: sup-norm of the (j, m) grade of `self.series`, sliced on
+    first read and kept."""
+    return functools.cached_property(lambda self: self.series.grade(j, m).max_abs())
+
+
 @dataclass(frozen=True)
 class H3NormalCoefficients:
     """Sup-norm of each degree-3 action grade of the substituted energy.
 
     The conclusion under test: with B2 from the oracle solve, all four
-    vanish (every harmonic of every grade cancels).
+    vanish (every harmonic of every grade cancels).  The grades A30, A21,
+    A12 and A03 are sliced on first read, so a caller that discards the
+    result pays nothing for them.
     """
 
-    A30: float
-    A21: float
-    A12: float
-    A03: float
     series: DAlembertSeries      # full degree-3 slice
     h2_residual: float           # degree-2 slice vs w1 I1 - w2 I2
+
+    A30 = _grade_norm(3, 0)
+    A21 = _grade_norm(2, 1)
+    A12 = _grade_norm(1, 2)
+    A03 = _grade_norm(0, 3)
 
     def max_abs(self) -> float:
         return max(self.A30, self.A21, self.A12, self.A03)
@@ -393,15 +403,5 @@ def h3_normal_coefficients(l3: TruncatedPoly, b1, b2,
     h2_form = (DAlembertSeries.single(2, 0, 0, 0, c=w.omega1)
                + DAlembertSeries.single(0, 2, 0, 0, c=-w.omega2))
     h2_res = total.degree_slice(2).norm_of_difference(h2_form)
-
-    def grades(deg3) -> H3NormalCoefficients:
-        return H3NormalCoefficients(
-            A30=deg3.grade(3, 0).max_abs(),
-            A21=deg3.grade(2, 1).max_abs(),
-            A12=deg3.grade(1, 2).max_abs(),
-            A03=deg3.grade(0, 3).max_abs(),
-            series=deg3,
-            h2_residual=h2_res,
-        )
-
-    return grades(total.degree_slice(3)), grades(cubic)
+    return (H3NormalCoefficients(total.degree_slice(3), h2_res),
+            H3NormalCoefficients(cubic, h2_res))

@@ -111,9 +111,6 @@ class TruncatedPoly:
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, TruncatedPoly):
             return _stored(self.cap, ((m, c * other) for m, c in self.coeffs.items()))
@@ -127,18 +124,6 @@ class TruncatedPoly:
         return _stored(cap, zip(keys, acc))
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ContractError("negative powers are not polynomial")
-        result = TruncatedPoly.constant(1.0, self.cap)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     # -- structure ----------------------------------------------------
 
@@ -172,23 +157,6 @@ class TruncatedPoly:
         """Terms free of velocities."""
         return _stored(self.cap, ((m, c) for m, c in self.coeffs.items()
                                   if m[2] + m[3] == 0))
-
-    def __call__(self, xi, eta, xidot, etadot):
-        vals = (xi, eta, xidot, etadot)
-        total = 0.0
-        for m, c in self.coeffs.items():
-            term = c
-            for v, e in zip(vals, m):
-                if e:
-                    term *= v**e
-            total += term
-        return total
-
-    def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    def __eq__(self, other):
-        return isinstance(other, TruncatedPoly) and self.coeffs == other.coeffs
 
     def __repr__(self):
         n = len(self.coeffs)
@@ -351,15 +319,6 @@ class H3CoefficientsClosedForm:
     T4: float
     T5: TruncatedPoly
     T5_print: TruncatedPoly
-
-    def as_poly(self, cap: int = 3) -> TruncatedPoly:
-        """Assemble (1/3!) {T1 x^3 + 3 T2 x^2 y + 3 T3 x y^2 + T4 y^3 + 6 T5},
-        i.e. the cubic Lagrangian slice these coefficients encode."""
-        xi = TruncatedPoly.variable(0, cap)
-        eta = TruncatedPoly.variable(1, cap)
-        cubic = (self.T1 * xi**3 + (3.0 * self.T2) * (xi * xi * eta)
-                 + (3.0 * self.T3) * (xi * eta * eta) + self.T4 * eta**3)
-        return cubic * (1.0 / 6.0) + self.T5.truncated(cap)
 
 
 def t_coefficients_closed_form(p: ModelParams,

@@ -84,15 +84,15 @@ def test_criterion_3_series_order_gates(verdicts):
     deviation is a registered discrepancy (criterion 8 guards the registry)."""
     offenders = [(v.quantity, v.perturbation, v.classification)
                  for v in verdicts
-                 if not v.consistent
+                 if v.classification != "consistent"
                  and not is_registered(v.quantity, v.perturbation)]
     series_legs = [v for v in verdicts if v.quantity == "equilibria.series"
                    and v.perturbation != "classical"]
     assert len(series_legs) == 3
-    clean = all(v.consistent for v in series_legs)
+    clean = all(v.classification == "consistent" for v in series_legs)
     registered = sum(1 for v in verdicts
-                     if not v.consistent and is_registered(v.quantity,
-                                                           v.perturbation))
+                     if v.classification != "consistent"
+                     and is_registered(v.quantity, v.perturbation))
     note(f"[criterion 3] series-order gates: PASS (equilibrium series clean "
          f"in all 3 perturbations, {registered} deviations covered by the "
          f"registry, 0 uncovered)")
@@ -176,11 +176,11 @@ def test_criterion_7_resonance_scan():
 def test_criterion_8_registry_completeness(verdicts):
     vmap = {(v.quantity, v.perturbation): v for v in verdicts}
     unregistered = [(v.quantity, v.perturbation) for v in verdicts
-                    if not v.consistent
+                    if v.classification != "consistent"
                     and not is_registered(v.quantity, v.perturbation)]
     stale = [(d.key, d.perturbation) for d in KNOWN_DISCREPANCIES
              if (d.key, d.perturbation) not in vmap
-             or vmap[(d.key, d.perturbation)].consistent]
+             or vmap[(d.key, d.perturbation)].classification == "consistent"]
     note(f"[criterion 8] registry completeness: PASS "
          f"({len(KNOWN_DISCREPANCIES)} registered first-order/classical "
          f"deviations, 0 silently absorbed, 0 stale)")

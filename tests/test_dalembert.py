@@ -12,12 +12,13 @@ from l4norm.dalembert import (
     FrequencyPair,
     apply_D,
     apply_poly_in_D,
-    delta_operator,
     invert_delta,
     moser_check,
     small_divisor,
 )
 from l4norm.errors import ContractError, CriticalTermError, ParameterError, SmallDivisorError
+
+from oracles import delta_operator
 
 W_CLASSICAL = FrequencyPair(0.9633268056899441, 0.26834972742935684)  # mu = 0.01
 

@@ -27,7 +27,8 @@ def gap(p, branch="L4"):
 
 def assert_truncation_only(name, ga, gb):
     verdict = classify_remainder(name, "single", ga, gb)
-    assert verdict.consistent, f"{name}: gaps {ga:.3e}/{gb:.3e} -> {verdict.classification}"
+    assert verdict.classification == "consistent", \
+        f"{name}: gaps {ga:.3e}/{gb:.3e} -> {verdict.classification}"
 
 
 class TestNumericSolver:

@@ -212,9 +212,9 @@ class TestForcing:
     def test_full_support(self):
         (x2, y2), _ = forcing_x2y2(self.lag.grade(3), self.b1[0], self.b1[1],
                                    self.w)
-        support = x2.harmonics() | y2.harmonics()
+        support = {(p, q) for (_, _, p, q) in (*x2.terms, *y2.terms)}
         assert support == {(0, 0), (2, 0), (0, 2), (1, 1), (1, -1)}
-        assert x2.max_degree() == 2
+        assert max(j + m for (j, m, _, _) in x2.terms) == 2
 
     def test_rejects_non_cubic(self):
         with pytest.raises(ContractError):
@@ -228,7 +228,7 @@ class TestForcing:
         eta = TruncatedPoly.variable(1, 3)
         xid = TruncatedPoly.variable(2, 3)
         etad = TruncatedPoly.variable(3, 3)
-        f3 = xi * xi * eta - 2.0 * (eta ** 3)
+        f3 = xi * xi * eta - 2.0 * (eta * eta * eta)
         gauge = f3.partial(0) * xid + f3.partial(1) * etad
         l3 = self.lag.grade(3)
         (x2a, y2a), _ = forcing_x2y2(l3, self.b1[0], self.b1[1], self.w)
@@ -389,7 +389,11 @@ class TestH3:
         sym = ModelParams(mu=0.5)
         t_sym = t_coefficients_closed_form(sym, shift_from_point(
             solve_triangular_numeric(sym), sym))
-        l3 = t_sym.as_poly()
+        # (1/3!) {T1 x^3 + 3 T2 x^2 y + 3 T3 x y^2 + T4 y^3}; no drag, no T5
+        xi, eta = TruncatedPoly.variable(0, 3), TruncatedPoly.variable(1, 3)
+        l3 = (t_sym.T1 * (xi * xi * xi) + (3.0 * t_sym.T2) * (xi * xi * eta)
+              + (3.0 * t_sym.T3) * (xi * eta * eta)
+              + t_sym.T4 * (eta * eta * eta)) * (1.0 / 6.0)
         b1 = first_order_components(nm)
         (x2, y2), _ = forcing_x2y2(l3, b1[0], b1[1], w)
         sol = solve_second_order_oracle(efg, w, p.n, x2, y2)

@@ -11,7 +11,7 @@ from l4norm.equilibria import (
     solve_triangular_numeric,
 )
 from l4norm.errors import ContractError
-from l4norm.model import ModelParams, State, hamiltonian, lagrangian
+from l4norm.model import ModelParams, State, lagrangian
 from l4norm.polyalg import (
     TruncatedPoly,
     _product_plan,
@@ -22,6 +22,8 @@ from l4norm.polyalg import (
     t_coefficients_closed_form,
     taylor_lagrangian,
 )
+
+from oracles import eom_rhs, evaluate, hamiltonian, momenta
 
 SQRT3 = math.sqrt(3.0)
 
@@ -48,9 +50,9 @@ def all_operations(a, b):
     """Every polynomial-valued operation that builds on stored keys, with
     cancellations that leave exact zeros behind."""
     z = a * 1j + b
-    return [a + b, a + 0.5, 0.5 + a, a - b, a - a, 1.0 - a,
+    return [a + b, a + 0.5, 0.5 + a, a - b, a - a,
             a - a.coefficient((0, 0, 0, 0)), -a, a * b, a * -1.5, a * 0.0,
-            2.0 * a, a ** 2, a.truncated(1), a.grade(2), a.partial(0),
+            2.0 * a, a.truncated(1), a.grade(2), a.partial(0),
             a.partial(3), z, z.imag_part(), a.velocity_part(),
             a.position_part()]
 
@@ -87,14 +89,14 @@ class TestRingAxioms:
     def test_partial_derivative(self):
         x = TruncatedPoly.variable(0, 3)
         e = TruncatedPoly.variable(1, 3)
-        p = (x ** 2) * e
+        p = x * x * e
         assert p.partial(0).coefficient((1, 1, 0, 0)) == 2.0
         assert p.partial(1).coefficient((2, 0, 0, 0)) == 1.0
 
     def test_binomial_against_scalar(self):
         t = TruncatedPoly(6, {(1, 0, 0, 0): 0.02})
         (series,) = binomial_series(t, -0.5)
-        value = series(0.1, 0, 0, 0)   # here t = 0.002
+        value = evaluate(series, 0.1, 0, 0, 0)   # here t = 0.002
         assert value == pytest.approx((1 + 0.02 * 0.1) ** -0.5, abs=1e-14)
 
 
@@ -191,10 +193,9 @@ class TestTaylorLagrangian:
         p = ModelParams(mu=0.01, q1=0.9995, A2=1e-4, cd=100.0)
         shift = shift_from_point(solve_triangular_numeric(p), p)
         l1 = taylor_lagrangian(p, shift, 3).grade(1).position_part()
-        assert l1.max_abs() < 1e-10
+        assert max(map(abs, l1.coeffs.values()), default=0.0) < 1e-10
 
     def test_degree_one_velocity_terms_are_equilibrium_momenta(self):
-        from l4norm.model import momenta
         p = ModelParams(mu=0.01, q1=0.9995, cd=50.0)
         pt = solve_triangular_numeric(p)
         shift = shift_from_point(pt, p)
@@ -241,13 +242,13 @@ class TestTaylorLagrangian:
         shift = shift_from_point(pt, p)
         lag = taylor_lagrangian(p, shift, 4)
         for d in (0.01, 0.005):
-            approx = lag(d, -d, d / 2, d / 3)
+            approx = evaluate(lag, d, -d, d / 2, d / 3)
             exact = lagrangian(State(pt.x + d, pt.y - d, d / 2, d / 3), p)
             assert abs(approx - exact) < 40 * d**5
         # halving the displacement should shrink the error ~2^5
-        e1 = abs(lag(0.01, -0.01, 0.005, 0.005)
+        e1 = abs(evaluate(lag, 0.01, -0.01, 0.005, 0.005)
                  - lagrangian(State(pt.x + 0.01, pt.y - 0.01, 0.005, 0.005), p))
-        e2 = abs(lag(0.005, -0.005, 0.0025, 0.0025)
+        e2 = abs(evaluate(lag, 0.005, -0.005, 0.0025, 0.0025)
                  - lagrangian(State(pt.x + 0.005, pt.y - 0.005, 0.0025, 0.0025), p))
         assert e1 / e2 > 20
 
@@ -265,7 +266,7 @@ class TestTaylorLagrangian:
         h = energy_poly(taylor_lagrangian(p, shift, 4))
         d = 0.004
         exact = hamiltonian(State(pt.x + d, pt.y + d, -d, d / 2), p)
-        assert h(d, d, -d, d / 2) == pytest.approx(exact, abs=50 * d**5)
+        assert evaluate(h, d, d, -d, d / 2) == pytest.approx(exact, abs=50 * d**5)
 
 
 class TestExtractEFG:
@@ -285,7 +286,6 @@ class TestExtractEFG:
 
     def test_linearized_equations_match_numeric_jacobian(self):
         # (2E - n^2), G must reproduce d(eom)/d(state) at the equilibrium
-        from l4norm.model import eom_rhs
         p = ModelParams(mu=0.01, A2=1e-3)
         pt = solve_triangular_numeric(p)
         shift = shift_from_point(pt, p)
@@ -342,7 +342,8 @@ class TestClosedFormCubic:
         shift = shift_from_point(solve_triangular_numeric(p), p)
         t5 = t_coefficients_closed_form(p, shift).T5
         oracle = taylor_lagrangian(p, shift, 3).grade(3).velocity_part()
-        assert t5.norm_of_difference(oracle) < 1e-14 * max(1.0, oracle.max_abs())
+        scale = max(map(abs, oracle.coeffs.values()), default=0.0)
+        assert t5.norm_of_difference(oracle) < 1e-14 * max(1.0, scale)
 
     def test_t5_verbatim_misses_first_order_term(self):
         p = ModelParams(mu=0.01, q1=0.999, cd=10.0)

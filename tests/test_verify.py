@@ -154,7 +154,7 @@ class TestDetector:
     def test_every_detection_is_registered(self, verdicts):
         missing = [(v.quantity, v.perturbation, v.classification)
                    for v in verdicts
-                   if not v.consistent
+                   if v.classification != "consistent"
                    and not is_registered(v.quantity, v.perturbation)]
         assert missing == []
 
@@ -163,19 +163,20 @@ class TestDetector:
         stale = []
         for d in KNOWN_DISCREPANCIES:
             v = vmap.get((d.key, d.perturbation))
-            if v is None or v.consistent:
+            if v is None or v.classification == "consistent":
                 stale.append((d.key, d.perturbation))
         assert stale == []
 
     def test_equilibrium_series_clean_everywhere(self, verdicts):
         for v in verdicts:
             if v.quantity == "equilibria.series":
-                assert v.consistent, (v.perturbation, v.gap_h, v.gap_half)
+                assert v.classification == "consistent", \
+                    (v.perturbation, v.gap_h, v.gap_half)
 
     def test_oracle_t5_clean_everywhere(self, verdicts):
         for v in verdicts:
             if v.quantity == "cubic.T5":
-                assert v.consistent
+                assert v.classification == "consistent"
 
     @pytest.mark.parametrize("mu", [0.00445, 0.01215])
     @pytest.mark.parametrize("branch", ["L4", "L5"])
@@ -230,8 +231,12 @@ def h3_at_b1_plus_b2(l3, b1, b2, efg, w, n):
     h2_form = (DAlembertSeries.single(2, 0, 0, 0, c=w.omega1)
                + DAlembertSeries.single(0, 2, 0, 0, c=-w.omega2))
     return H3NormalCoefficients(
-        *(deg3.grade(j, 3 - j).max_abs() for j in (3, 2, 1, 0)), series=deg3,
-        h2_residual=total.degree_slice(2).norm_of_difference(h2_form))
+        deg3, h2_residual=total.degree_slice(2).norm_of_difference(h2_form))
+
+
+def grade_norms(series):
+    """Reference: (A30, A21, A12, A03) sliced off a degree-3 series."""
+    return tuple(series.grade(j, 3 - j).max_abs() for j in (3, 2, 1, 0))
 
 
 def partial_forcing_gap_anew(res):
@@ -272,12 +277,17 @@ class TestH3Substitution:
             res.lagrangian_poly.grade(3), res.b1, (zero, zero), res.efg,
             res.freq, res.params.n)
         assert res.h3_ablation == b2_zero  # every field, series terms too
+        ablation = res.h3_ablation
+        assert (ablation.A30, ablation.A21, ablation.A12, ablation.A03) \
+            == grade_norms(b2_zero.series)
 
     def test_h3_is_the_b1_plus_b2_substitution(self, res):
         reference = h3_at_b1_plus_b2(
             res.lagrangian_poly.grade(3), res.b1, (res.b2.b2x, res.b2.b2y),
             res.efg, res.freq, res.params.n)
         assert res.h3 == reference
+        assert (res.h3.A30, res.h3.A21, res.h3.A12, res.h3.A03) \
+            == grade_norms(reference.series)
 
     def test_partial_forcing_gap_reads_the_chain(self, res):
         # The gap reuses the chain's position-partials forcing, and at the
@@ -299,3 +309,19 @@ class TestH3Substitution:
         assert y2p.terms == sub(l3.partial(1)).terms
         assert res.x2.terms == (x2p - apply_D(sub(l3.partial(2)), w)).terms
         assert res.y2.terms == (y2p - apply_D(sub(l3.partial(3)), w)).terms
+
+
+def test_grades_are_sliced_once_and_only_when_read(monkeypatch):
+    # The partial-forcing gap reads its own H3 and drops the ablation, whose
+    # grades are then never sliced; the chain's grades are sliced once.
+    res = run_pipeline(ModelParams(mu=0.01215, q1=0.999, A2=1e-4, cd=20.0))
+    sliced = []
+    grade = DAlembertSeries.grade
+    monkeypatch.setattr(DAlembertSeries, "grade",
+                        lambda self, j, m: sliced.append((j, m)) or grade(self, j, m))
+    gates = res.gates()
+    assert len(sliced) == 8        # four grades of H3, four of the ablation
+    assert res.gates() == gates and len(sliced) == 8
+    sliced.clear()
+    partial_forcing_gap(res)
+    assert sorted(sliced) == [(0, 3), (1, 2), (2, 1), (3, 0)]
