@@ -7,20 +7,16 @@ double-summation constraints
 * 0 <= p <= j with p = j (mod 2),
 * -m <= q <= m with q = m (mod 2),
 
-and keys are kept canonical (p > 0, or p = 0 and q >= 0) so equality is
-plain coefficient-map equality.  The constructor checks the constraints
-and canonicalises; no other operation needs to, because sums and termwise
-maps reuse stored keys and a product of valid keys is valid (only its
-difference harmonics need canonicalising).  Products take an optional
-degree cap (j + m) and skip the pairs of terms that would exceed it.  No
-stored coefficient is -0.0, and the sine of the (0, 0) harmonic is 0.0.
+and keys are kept canonical (p > 0, or p = 0 and q >= 0).  The
+constructor checks the constraints and canonicalises; no other operation
+needs to, because sums and termwise maps reuse stored keys and a product
+of valid keys is valid (only its difference harmonics need
+canonicalising).  Products take an optional degree cap (j + m) and skip
+the pairs of terms that would exceed it.  No stored coefficient is -0.0,
+and the sine of the (0, 0) harmonic is 0.0.
 
-A product's key work (output keys, canonical signs, the cap test)
-depends only on the keys of its factors, which repeat from one parameter
-point to the next, so `_product_plan` does it once per (left keys, right
-keys, cap) and `mul` only does arithmetic along the plan's rows.  The
-rows keep the pair order of a plain double loop over the terms, so the
-output is bit-identical to that loop's, key order included.
+A series is a list of (cos, sin) pairs on a shared key layout, and every
+operation runs on plans made once per layout (:mod:`l4norm.layout`).
 
 The differential operator is D = omega1 d/dphi1 - omega2 d/dphi2, under
 which a harmonic (p, q) carries multiplier theta = p*omega1 - q*omega2.
@@ -28,19 +24,15 @@ which a harmonic (p, q) carries multiplier theta = p*omega1 - q*omega2.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 from .errors import ContractError, CriticalTermError, ParameterError, SmallDivisorError
+from .layout import Layout, View, intern, plan, pruned, sliced, sum_plan
 
 DIVISOR_FLOOR = 1e-8
 
 CRITICAL_HARMONICS = ((1, 0), (0, 1))
-
-# Product plans kept; one per (left layout, right layout, cap).  The chain
-# and its audit make 8 in all, however many points they run.
-PLAN_CACHE_SIZE = 256
 
 # Every (k1, k2) with 0 < |k1| + |k2| <= 4, in the order the non-resonance
 # gate scans them.
@@ -82,22 +74,21 @@ def _check_parity(j: int, m: int, p: int, q: int):
         raise ContractError(f"harmonic q={q} violates parity for m={m}")
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _product_plan(left: tuple, right: tuple, cap: int | None):
+def _product_plan(left: Layout, right: Layout, cap: int | None):
     """Index tables of the product of two key layouts.
 
-    Returns ``(keys, rows, zero_slots)``.  `keys` are the output keys in
-    the order a double loop over the pairs first meets them, each pair
-    giving its sum harmonic and then its difference harmonic.  `rows` has
-    one ``(i, k, sum slot, difference slot, sign)`` per pair within the
-    cap, in that loop's order; `sign` is -1.0 where the difference
+    Returns ``(layout, rows, zero_slots)``.  The layout holds the output
+    keys in the order a double loop over the pairs first meets them, each
+    pair giving its sum harmonic and then its difference harmonic.  `rows`
+    has one ``(i, k, sum slot, difference slot, sign)`` per pair within
+    the cap, in that loop's order; `sign` is -1.0 where the difference
     harmonic is canonicalised by negation, so its sine flips.
     `zero_slots` are the slots of (0, 0) harmonics, whose sine is dropped.
     Keys of both layouts are canonical, so a sum harmonic is too.
     """
     slots, rows = {}, []
-    for i, (j1, m1, p1, q1) in enumerate(left):
-        for k, (j2, m2, p2, q2) in enumerate(right):
+    for i, (j1, m1, p1, q1) in enumerate(left.keys):
+        for k, (j2, m2, p2, q2) in enumerate(right.keys):
             j, m = j1 + j2, m1 + m2
             if cap is not None and j + m > cap:
                 continue
@@ -106,34 +97,41 @@ def _product_plan(left: tuple, right: tuple, cap: int | None):
             kd = slots.setdefault((j, m, p, q), len(slots))
             rows.append((i, k, ks, kd, sign))
     zero_slots = tuple(n for (_, _, p, q), n in slots.items() if p == q == 0)
-    return tuple(slots), tuple(rows), zero_slots
+    return intern(tuple(slots)), tuple(rows), zero_slots
+
+
+def _degree(key) -> int:
+    return key[0] + key[1]
+
+
+def _grade(key) -> tuple:
+    return key[:2]
 
 
 class DAlembertSeries:
     """Immutable-by-convention trigonometric series; all operations return
-    new instances.  `terms` maps (j, m, p, q) -> (cos_coeff, sin_coeff)."""
+    new instances.  `terms` views the terms as (j, m, p, q) ->
+    (cos_coeff, sin_coeff), in stored order."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("layout", "values")
 
     def __init__(self, terms=None):
-        self.terms = {}
+        acc = {}
         if terms:
             for (j, m, p, q), (c, s) in terms.items():
-                self._accumulate(j, m, p, q, c, s)
-            for key in self.terms:
+                p, q, c, s = _canonical(p, q, c, s)
+                if p == 0 and q == 0:
+                    s = 0.0  # sin(0) is identically zero; drop its coefficient
+                oc, os = acc.get((j, m, p, q), (0.0, 0.0))
+                acc[j, m, p, q] = (oc + c, os + s)
+            for key in acc:
                 _check_parity(*key)
-            self._prune()
+        self.layout, self.values = pruned(intern(tuple(acc)),
+                                          list(acc.values()), (0.0, 0.0))
 
-    def _accumulate(self, j, m, p, q, c, s):
-        p, q, c, s = _canonical(p, q, c, s)
-        if p == 0 and q == 0:
-            s = 0.0  # sin(0) is identically zero; drop its coefficient
-        key = (j, m, p, q)
-        oc, os = self.terms.get(key, (0.0, 0.0))
-        self.terms[key] = (oc + c, os + s)
-
-    def _prune(self):
-        self.terms = {k: v for k, v in self.terms.items() if v != (0.0, 0.0)}
+    @property
+    def terms(self) -> View:
+        return View(self.layout, self.values)
 
     # -- constructors ---------------------------------------------------
 
@@ -148,37 +146,24 @@ class DAlembertSeries:
     # -- linear structure -------------------------------------------------
 
     def __add__(self, other):
-        out = DAlembertSeries()
-        terms = out.terms = dict(self.terms)
-        for key, (c, s) in other.terms.items():
-            oc, os = terms.get(key, (0.0, 0.0))
-            terms[key] = (oc + c, os + s)
-        out._prune()
-        return out
+        layout, shared, new = plan(sum_plan, self.layout, other.layout)
+        values = self.values.copy()
+        right = other.values
+        for n, k in shared:
+            c1, s1 = values[n]
+            c2, s2 = right[k]
+            values[n] = (c1 + c2, s1 + s2)
+        # no stored value is -0.0, so 0.0 + x would change none of these
+        values += [right[k] for k in new]
+        return _series(layout, values)
 
     def __sub__(self, other):
         return self + other.scale(-1.0)
 
     def scale(self, factor: float):
-        return self._termwise(lambda p, q, c, s: (c * factor, s * factor))
-
-    def _termwise(self, fn):
-        """New series with each term's (c, s) replaced by fn(p, q, c, s).
-
-        Keys are reused, so no parity check is needed.  Like
-        `_accumulate`, `0.0 + x` stores -0.0 as 0.0 and the (0, 0) sine
-        is dropped; zero terms are not stored.
-        """
-        out = DAlembertSeries()
-        terms = out.terms
-        for key, (c, s) in self.terms.items():
-            p, q = key[2], key[3]
-            c, s = fn(p, q, c, s)
-            if p == 0 and q == 0:
-                s = 0.0
-            if c != 0.0 or s != 0.0:
-                terms[key] = (0.0 + c, 0.0 + s)
-        return out
+        return _series(self.layout, [
+            (0.0 + c * factor, 0.0 + s * factor if p or q else 0.0)
+            for (_, _, p, q), (c, s) in zip(self.layout.keys, self.values)])
 
     def mul(self, other, cap: int | None = None):
         """Product via cos/sin product-to-sum expansion; grades add.
@@ -187,11 +172,11 @@ class DAlembertSeries:
         skipped, so the result is the full product restricted to degree
         <= cap without the work above it.
         """
-        a, b = self.terms, other.terms
-        keys, rows, zero_slots = _product_plan(tuple(a), tuple(b), cap)
-        av, bv = tuple(a.values()), tuple(b.values())
-        cos = [0.0] * len(keys)
-        sin = [0.0] * len(keys)
+        layout, rows, zero_slots = plan(_product_plan, self.layout,
+                                        other.layout, cap)
+        av, bv = self.values, other.values
+        cos = [0.0] * len(layout.keys)
+        sin = [0.0] * len(layout.keys)
         for i, k, ks, kd, sign in rows:
             c1, s1 = av[i]
             c2, s2 = bv[k]
@@ -202,10 +187,7 @@ class DAlembertSeries:
             sin[kd] += sign * (0.5 * (sc - cs))
         for slot in zero_slots:
             sin[slot] = 0.0  # sin(0) is identically zero
-        out = DAlembertSeries()
-        out.terms = {key: (c, s) for key, c, s in zip(keys, cos, sin)
-                     if c != 0.0 or s != 0.0}
-        return out
+        return _series(layout, list(zip(cos, sin)))
 
     def __mul__(self, other):
         return self.mul(other)
@@ -213,42 +195,35 @@ class DAlembertSeries:
     # -- queries ----------------------------------------------------------
 
     def degree_slice(self, degree: int):
-        out = DAlembertSeries()
-        out.terms = {k: v for k, v in self.terms.items() if k[0] + k[1] == degree}
-        return out
+        return _series(*sliced(self.layout, self.values, _degree, degree, degree))
 
     def grade(self, j: int, m: int):
-        out = DAlembertSeries()
-        out.terms = {k: v for k, v in self.terms.items() if (k[0], k[1]) == (j, m)}
-        return out
+        return _series(*sliced(self.layout, self.values, _grade, (j, m), (j, m)))
+
+    def coefficient(self, key) -> tuple:
+        """(cos, sin) of a canonical key, (0.0, 0.0) where none is stored."""
+        n = self.layout.index.get(key)
+        return (0.0, 0.0) if n is None else self.values[n]
 
     def max_abs(self) -> float:
-        return max((max(abs(c), abs(s)) for (c, s) in self.terms.values()), default=0.0)
+        return max((max(abs(c), abs(s)) for (c, s) in self.values), default=0.0)
 
     def norm_of_difference(self, other) -> float:
-        keys = set(self.terms) | set(other.terms)
         worst = 0.0
-        for k in keys:
-            c1, s1 = self.terms.get(k, (0.0, 0.0))
-            c2, s2 = other.terms.get(k, (0.0, 0.0))
+        for k in set(self.layout.keys) | set(other.layout.keys):
+            c1, s1 = self.coefficient(k)
+            c2, s2 = other.coefficient(k)
             worst = max(worst, abs(c1 - c2), abs(s1 - s2))
         return worst
 
     def chop(self, tol: float):
         """Drop coefficients below tol in magnitude (reporting aid)."""
-        out = DAlembertSeries()
-        out.terms = {
-            k: (c if abs(c) > tol else 0.0, s if abs(s) > tol else 0.0)
-            for k, (c, s) in self.terms.items()
-        }
-        out._prune()
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, DAlembertSeries) and self.terms == other.terms
+        return _series(self.layout, [
+            (c if abs(c) > tol else 0.0, s if abs(s) > tol else 0.0)
+            for c, s in self.values])
 
     def __repr__(self):
-        return f"DAlembertSeries(terms={len(self.terms)})"
+        return f"DAlembertSeries(terms={len(self.values)})"
 
     def pretty(self) -> str:
         """Deterministic listing: sorted by (degree, j, p, q), 17 digits."""
@@ -262,6 +237,14 @@ class DAlembertSeries:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _series(layout: Layout, values: list) -> DAlembertSeries:
+    """A series on a layout built from stored keys, so valid and canonical
+    unchecked; exact-zero terms are dropped."""
+    out = DAlembertSeries.__new__(DAlembertSeries)
+    out.layout, out.values = pruned(layout, values, (0.0, 0.0))
+    return out
+
+
 def apply_D(series: DAlembertSeries, w: FrequencyPair) -> DAlembertSeries:
     """D[c cos + s sin] = -c theta sin + s theta cos, theta = p w1 - q w2."""
     return apply_poly_in_D(series, w, c1=1.0)
@@ -270,12 +253,14 @@ def apply_D(series: DAlembertSeries, w: FrequencyPair) -> DAlembertSeries:
 def apply_poly_in_D(series: DAlembertSeries, w: FrequencyPair,
                     c0: float = 0.0, c1: float = 0.0, c2: float = 0.0):
     """Apply the operator c2 D^2 + c1 D + c0 harmonic by harmonic."""
-    def term(p, q, c, s):
-        theta = w.theta(p, q)
+    w1, w2 = w.omega1, w.omega2
+    values = []
+    for (_, _, p, q), (c, s) in zip(series.layout.keys, series.values):
+        theta = p * w1 - q * w2
         diag = c0 - c2 * theta * theta
-        return diag * c + c1 * theta * s, diag * s - c1 * theta * c
-
-    return series._termwise(term)
+        values.append((0.0 + (diag * c + c1 * theta * s),
+                       0.0 + (diag * s - c1 * theta * c) if p or q else 0.0))
+    return _series(series.layout, values)
 
 
 def small_divisor(p: int, q: int, w: FrequencyPair) -> float:
@@ -290,17 +275,17 @@ def invert_delta(series: DAlembertSeries, w: FrequencyPair,
 
     Critical harmonics (1,0) and (0,1) have vanishing divisor and raise;
     divisors below the floor raise SmallDivisorError rather than silently
-    amplifying noise.
+    amplifying noise.  Terms are checked in stored order.
     """
-    def term(p, q, c, s):
+    values = []
+    for (_, _, p, q), (c, s) in zip(series.layout.keys, series.values):
         if (p, q) in CRITICAL_HARMONICS:
             raise CriticalTermError((p, q), max(abs(c), abs(s)))
         delta = small_divisor(p, q, w)
         if abs(delta) < floor:
             raise SmallDivisorError(f"Delta_({p},{q})", delta)
-        return c / delta, s / delta
-
-    return series._termwise(term)
+        values.append((0.0 + c / delta, 0.0 + s / delta if p or q else 0.0))
+    return _series(series.layout, values)
 
 
 @dataclass(frozen=True)

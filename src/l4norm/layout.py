@@ -1,0 +1,106 @@
+"""Key layouts: the storage both algebras run on.
+
+A series (:mod:`l4norm.dalembert`) or a polynomial (:mod:`l4norm.polyalg`)
+is a *layout* -- its keys in stored order, with each key's slot -- plus a
+list of values, one per slot.  The key work of every operation (output
+keys, their order, which slots meet) depends only on the layouts, which
+repeat from one parameter point to the next, so it is planned once per
+layout, or pair of layouts, and kept in one bounded table; the operation
+itself is arithmetic along the plan and builds no dict.  A product plan
+keeps the pair order of a plain double loop over the terms, and a sum
+appends the right operand's new keys in its order, so every result is
+bit-identical to the plain loop's, key order included.
+
+Layouts are interned by key tuple, so results of the same shape share
+plans.  Nothing depends on that: a layout evicted from the table and
+interned again is a new object with plans of its own.
+"""
+
+from __future__ import annotations
+
+import functools
+from collections.abc import Mapping
+
+# Entries kept in the plan table: interned layouts and the plans made on
+# them.  The chain with its audit and the detector makes about 230 in
+# all, however many points it runs.
+PLAN_TABLE_SIZE = 1024
+
+
+class Layout:
+    """Keys in stored order and the slot of each key."""
+
+    __slots__ = ("keys", "index")
+
+    def __init__(self, keys: tuple):
+        self.keys = keys
+        self.index = {key: n for n, key in enumerate(keys)}
+
+
+@functools.lru_cache(maxsize=PLAN_TABLE_SIZE)
+def plan(build, *args):
+    """``build(*args)``, made on the first call with these arguments and
+    kept in the plan table, which evicts the least recently used entry."""
+    return build(*args)
+
+
+def intern(keys: tuple) -> Layout:
+    return plan(Layout, keys)
+
+
+def pruned(layout: Layout, values: list, zero):
+    """``(layout, values)`` without the slots whose value equals `zero`."""
+    if zero not in values:
+        return layout, values
+    keep = tuple(n for n, v in enumerate(values) if v != zero)
+    return plan(_kept_slots, layout, keep), [values[n] for n in keep]
+
+
+def _kept_slots(layout: Layout, keep: tuple) -> Layout:
+    return intern(tuple(layout.keys[n] for n in keep))
+
+
+def sliced(layout: Layout, values: list, measure, low, high):
+    """``(sub-layout, values)`` of the keys with ``low <= measure(key) <=
+    high``; the slots kept are planned once per (layout, measure, low,
+    high), so `measure` is a module-level function."""
+    sub, keep = plan(_slice_plan, layout, measure, low, high)
+    return sub, [values[n] for n in keep]
+
+
+def _slice_plan(layout: Layout, measure, low, high):
+    keep = tuple(n for n, key in enumerate(layout.keys)
+                 if low <= measure(key) <= high)
+    return _kept_slots(layout, keep), keep
+
+
+def sum_plan(left: Layout, right: Layout):
+    """Plan of a sum: ``(layout, shared, new)``.  The layout is left's keys
+    followed by right's keys that left lacks, in right's order; `shared`
+    pairs each left slot with the right slot of the same key, and `new`
+    lists the right slots appended."""
+    index = left.index
+    shared = tuple((index[key], k) for k, key in enumerate(right.keys)
+                   if key in index)
+    new = tuple(k for k, key in enumerate(right.keys) if key not in index)
+    out = intern(left.keys + tuple(right.keys[k] for k in new)) if new else left
+    return out, shared, new
+
+
+class View(Mapping):
+    """Read-only mapping of a layout's keys to their values, in stored order."""
+
+    __slots__ = ("_layout", "_values")
+
+    def __init__(self, layout: Layout, values: list):
+        self._layout = layout
+        self._values = values
+
+    def __getitem__(self, key):
+        return self._values[self._layout.index[key]]
+
+    def __iter__(self):
+        return iter(self._layout.keys)
+
+    def __len__(self):
+        return len(self._values)

@@ -35,6 +35,7 @@ from .dalembert import (
     invert_delta,
 )
 from .errors import ContractError, StabilityDomainError
+from .layout import Layout, plan
 from .model import ModelParams
 from .polyalg import QuadraticCoefficients, TruncatedPoly
 
@@ -276,14 +277,20 @@ def poly_at_series(poly: TruncatedPoly, xi_s, eta_s, xid_s, etad_s,
     elif powers.cap != cap or any(a is not b for a, b in zip(powers.inputs, inputs)):
         raise ContractError("power table built for other arguments or cap")
     total = DAlembertSeries.zero()
-    for mono, coeff in poly.coeffs.items():
-        factors = [(i, e) for i, e in enumerate(mono) if e] or [(0, 0)]
-        i, e = factors[0]
+    for factors, coeff in zip(plan(_factors, poly.layout), poly.values):
+        (i, e), *rest = factors
         term = powers.power(i, e).scale(coeff)
-        for i, e in factors[1:]:
+        for i, e in rest:
             term = term.mul(powers.power(i, e), cap)
         total = total + term
     return total
+
+
+def _factors(layout: Layout) -> tuple:
+    """Per monomial, its (variable, exponent) factors; (0, 0) for the
+    constant."""
+    return tuple(tuple((i, e) for i, e in enumerate(mono) if e) or ((0, 0),)
+                 for mono in layout.keys)
 
 
 # -- cubic forcing and the second-order solve ------------------------------
@@ -295,7 +302,7 @@ def forcing_x2y2(l3: TruncatedPoly, b1x: DAlembertSeries, b1y: DAlembertSeries,
     expression [dL3/dx - D(dL3/dxdot)] at (x, y, xdot, ydot) =
     (B1, B1, D B1, D B1).  Returns ``(x2, y2), (x2p, y2p)``, where the
     second pair is its position-partial part [dL3/dx] at the same point."""
-    if any(sum(m) != 3 for m in l3.coeffs):
+    if any(sum(m) != 3 for m in l3.layout.keys):
         raise ContractError("forcing expects a homogeneous cubic slice")
     powers = PowerTable((b1x, b1y, apply_D(b1x, w), apply_D(b1y, w)), cap=2)
 

@@ -7,76 +7,89 @@ which expands the full Lagrangian about an equilibrium by series
 composition (binomial expansion of 1/r powers and a complex-log expansion
 of the angle term) -- exact to truncation order, no finite differences.
 
-Products are planned once per key layout, as in :mod:`l4norm.dalembert`:
-`_product_plan` keeps the output monomials and one row per pair within
-the cap, in the pair order of a plain double loop over the terms, so the
-output is bit-identical to that loop's, key order included.
+A polynomial is a list of coefficients on a shared key layout of
+exponent 4-tuples, and every operation runs on plans made once per layout
+(:mod:`l4norm.layout`).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 from .equilibria import OriginShift
 from .errors import ContractError, ParameterError
+from .layout import Layout, View, intern, plan, pruned, sliced, sum_plan
 from .model import SQRT3, ModelParams, State, lagrangian
 
 NVARS = 4
 
-# Product plans kept; one per (left layout, right layout, cap).  The chain
-# and its audit make 17 to 22 in all, however many points they run.
-PLAN_CACHE_SIZE = 256
 
-
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _product_plan(left: tuple, right: tuple, cap: int):
+def _product_plan(left: Layout, right: Layout, cap: int):
     """Index tables of the product of two monomial layouts.
 
-    Returns ``(keys, rows)``: the output monomials in the order a double
+    Returns ``(layout, rows)``: the output monomials in the order a double
     loop over the pairs first meets them, and one ``(i, k, slot)`` per
     pair within the cap, in that loop's order.
     """
     slots, rows = {}, []
-    for i, m1 in enumerate(left):
+    for i, m1 in enumerate(left.keys):
         d1 = sum(m1)
         if d1 > cap:
             continue
-        for k, m2 in enumerate(right):
+        for k, m2 in enumerate(right.keys):
             if d1 + sum(m2) > cap:
                 continue
             m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
             rows.append((i, k, slots.setdefault(m, len(slots))))
-    return tuple(slots), tuple(rows)
+    return intern(tuple(slots)), tuple(rows)
+
+
+def _partial_plan(layout: Layout, index: int):
+    """``(layout, rows)`` of d/d(variable `index`): one ``(slot, exponent)``
+    per monomial holding the variable, and the lowered monomials."""
+    rows = tuple((n, m[index]) for n, m in enumerate(layout.keys) if m[index])
+    return intern(tuple(
+        layout.keys[n][:index] + (e - 1,) + layout.keys[n][index + 1:]
+        for n, e in rows)), rows
+
+
+def _velocity_degree(mono) -> int:
+    return mono[2] + mono[3]
 
 
 class TruncatedPoly:
     """Multivariate polynomial in (xi, eta, xidot, etadot), degree-capped.
 
-    Coefficients live in a dict keyed by exponent 4-tuples.  Values are
-    immutable by convention: all operations return new instances.  The
-    constructor checks every key and drops the keys past the cap; no other
-    operation needs to, because sums, slices and termwise maps reuse stored
-    keys, a partial derivative lowers a positive exponent, and a product
-    keeps only the sums of valid keys within its cap.  No exact zero is
-    stored.
+    `coeffs` views the coefficients as monomial -> value, in stored order.
+    Values are immutable by convention: all operations return new
+    instances.  The constructor
+    checks every key and drops the keys past the cap; no other operation
+    needs to, because sums, slices and termwise maps reuse stored keys, a
+    partial derivative lowers a positive exponent, and a product keeps
+    only the sums of valid keys within its cap.  No exact zero is stored.
     """
 
-    __slots__ = ("cap", "coeffs")
+    __slots__ = ("cap", "layout", "values")
 
     def __init__(self, cap: int, coeffs=None):
         if cap < 0:
             raise ParameterError("degree cap must be non-negative")
         self.cap = cap
-        self.coeffs = {}
+        kept = {}
         if coeffs:
             for mono, c in coeffs.items():
                 if len(mono) != NVARS or any(e < 0 for e in mono):
                     raise ContractError(f"bad exponent tuple {mono}")
                 # exact-zero pruning only; no silent coefficient chopping
                 if sum(mono) <= cap and c != 0.0:
-                    self.coeffs[mono] = c
+                    kept[mono] = c
+        self.layout = intern(tuple(kept))
+        self.values = list(kept.values())
+
+    @property
+    def coeffs(self) -> View:
+        return View(self.layout, self.values)
 
     # -- constructors -------------------------------------------------
 
@@ -94,34 +107,35 @@ class TruncatedPoly:
 
     def __add__(self, other):
         if not isinstance(other, TruncatedPoly):
-            out = dict(self.coeffs)
-            out[0, 0, 0, 0] = out.get((0, 0, 0, 0), 0.0) + other
-            return _stored(self.cap, out.items())
+            other = TruncatedPoly.constant(other, self.cap)
         cap = min(self.cap, other.cap)
-        out = dict(self.truncated(cap).coeffs)
-        for m, c in other.truncated(cap).coeffs.items():
-            out[m] = out.get(m, 0.0) + c
-        return _stored(cap, out.items())
+        a, b = self.truncated(cap), other.truncated(cap)
+        layout, shared, new = plan(sum_plan, a.layout, b.layout)
+        values = a.values.copy()
+        right = b.values
+        for n, k in shared:
+            values[n] = values[n] + right[k]
+        values += [0.0 + right[k] for k in new]
+        return _poly(cap, layout, values)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _stored(self.cap, ((m, -c) for m, c in self.coeffs.items()))
+        return _poly(self.cap, self.layout, [-c for c in self.values])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedPoly):
-            return _stored(self.cap, ((m, c * other) for m, c in self.coeffs.items()))
+            return _poly(self.cap, self.layout, [c * other for c in self.values])
         cap = min(self.cap, other.cap)
-        a, b = self.coeffs, other.coeffs
-        keys, rows = _product_plan(tuple(a), tuple(b), cap)
-        av, bv = tuple(a.values()), tuple(b.values())
-        acc = [0.0] * len(keys)
+        layout, rows = plan(_product_plan, self.layout, other.layout, cap)
+        av, bv = self.values, other.values
+        acc = [0.0] * len(layout.keys)
         for i, k, slot in rows:
             acc[slot] += av[i] * bv[k]
-        return _stored(cap, zip(keys, acc))
+        return _poly(cap, layout, acc)
 
     __rmul__ = __mul__
 
@@ -130,60 +144,60 @@ class TruncatedPoly:
     def truncated(self, cap: int):
         if cap >= self.cap:
             return self
-        return _stored(cap, ((m, c) for m, c in self.coeffs.items() if sum(m) <= cap))
+        return _poly(cap, *sliced(self.layout, self.values, sum, 0, cap))
 
     def grade(self, degree: int):
         """Homogeneous slice of the given total degree (cap preserved)."""
-        return _stored(self.cap, ((m, c) for m, c in self.coeffs.items()
-                                  if sum(m) == degree))
+        return _poly(self.cap, *sliced(self.layout, self.values, sum,
+                                       degree, degree))
 
     def partial(self, index: int):
-        return _stored(self.cap, (
-            (m[:index] + (m[index] - 1,) + m[index + 1:], c * m[index])
-            for m, c in self.coeffs.items() if m[index]))
+        layout, rows = plan(_partial_plan, self.layout, index)
+        values = self.values
+        return _poly(self.cap, layout, [values[n] * e for n, e in rows])
 
     def coefficient(self, mono) -> float:
-        return self.coeffs.get(tuple(mono), 0.0)
+        n = self.layout.index.get(tuple(mono))
+        return 0.0 if n is None else self.values[n]
 
     def imag_part(self):
-        return _stored(self.cap, ((m, c.imag) for m, c in self.coeffs.items()))
+        return _poly(self.cap, self.layout, [c.imag for c in self.values])
 
     def velocity_part(self):
         """Terms with at least one velocity factor."""
-        return _stored(self.cap, ((m, c) for m, c in self.coeffs.items()
-                                  if m[2] + m[3] > 0))
+        return _poly(self.cap, *sliced(self.layout, self.values,
+                                       _velocity_degree, 1, self.cap))
 
     def position_part(self):
         """Terms free of velocities."""
-        return _stored(self.cap, ((m, c) for m, c in self.coeffs.items()
-                                  if m[2] + m[3] == 0))
+        return _poly(self.cap, *sliced(self.layout, self.values,
+                                       _velocity_degree, 0, 0))
 
     def __repr__(self):
-        n = len(self.coeffs)
+        n = len(self.values)
         return f"TruncatedPoly(cap={self.cap}, terms={n})"
 
     def norm_of_difference(self, other) -> float:
-        keys = set(self.coeffs) | set(other.coeffs)
-        return max((abs(self.coeffs.get(k, 0.0) - other.coeffs.get(k, 0.0))
+        keys = set(self.layout.keys) | set(other.layout.keys)
+        return max((abs(self.coefficient(k) - other.coefficient(k))
                     for k in keys), default=0.0)
 
 
-def _stored(cap: int, items) -> TruncatedPoly:
-    """A polynomial over (key, value) pairs whose keys are built from stored
-    ones, so they are valid and within `cap` unchecked; exact zeros are
-    dropped."""
-    out = TruncatedPoly(cap)
-    out.coeffs = {m: c for m, c in items if c != 0.0}
+def _poly(cap: int, layout: Layout, values: list) -> TruncatedPoly:
+    """A polynomial on a layout built from stored keys, so valid and within
+    `cap` unchecked; exact zeros are dropped."""
+    out = TruncatedPoly.__new__(TruncatedPoly)
+    out.cap = cap
+    out.layout, out.values = pruned(layout, values, 0.0)
     return out
 
 
 def _powers(t: TruncatedPoly) -> list:
     """[t, t^2, ..., t^cap], ending early at the first power that vanishes."""
     out = []
-    power = TruncatedPoly.constant(1.0, t.cap)
     for _ in range(t.cap):
-        power = power * t
-        if not power.coeffs:
+        power = out[-1] * t if out else t
+        if not power.values:
             break
         out.append(power)
     return out
@@ -299,7 +313,7 @@ class QuadraticCoefficients:
 
 def extract_EFG(l2: TruncatedPoly, p: ModelParams) -> QuadraticCoefficients:
     """Read (E, F, G) off the position-only part of a degree-2 slice."""
-    if any(sum(m) != 2 for m in l2.coeffs):
+    if any(sum(m) != 2 for m in l2.layout.keys):
         raise ContractError("extract_EFG expects a homogeneous degree-2 slice")
     n2 = p.n * p.n
     e = 0.5 * (n2 - 2.0 * l2.coefficient((2, 0, 0, 0)))
@@ -397,7 +411,7 @@ def _t5_polys(p: ModelParams, shift: OriginShift):
 
 def oracle_t_coefficients(l3: TruncatedPoly):
     """(T1, T2, T3, T4, T5poly) read off a cubic Lagrangian slice."""
-    if any(sum(m) != 3 for m in l3.coeffs):
+    if any(sum(m) != 3 for m in l3.layout.keys):
         raise ContractError("oracle cubic slice expected (homogeneous degree 3)")
     t1 = 6.0 * l3.coefficient((3, 0, 0, 0))
     t2 = 2.0 * l3.coefficient((2, 1, 0, 0))

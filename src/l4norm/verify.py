@@ -110,7 +110,7 @@ def oracle_rs_from_series(b2x: DAlembertSeries, b2y: DAlembertSeries):
     """Read the ten (r, s) slots off a solved B2 pair; B2 has no other term,
     so this is the whole mapping between B2 and the printed tables."""
     def pick(series, sign):
-        return tuple(sign * series.terms.get(key, (0.0, 0.0))[slot]
+        return tuple(sign * series.coefficient(key)[slot]
                      for key, slot in RS_SLOTS)
 
     return pick(b2x, 1.0), pick(b2y, -1.0)

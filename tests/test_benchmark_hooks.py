@@ -7,6 +7,7 @@ a rename inside the package fails here and not only in the benchmark.
 
 import importlib
 from pathlib import Path
+from types import SimpleNamespace
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -16,3 +17,19 @@ def test_tracer_resolves_every_hooked_name(monkeypatch):
     spans = importlib.import_module("spans")
     importlib.import_module("ops")
     spans.Tracer()  # raises AttributeError on a name l4norm no longer has
+
+
+def test_traced_chain_point_counts_products(monkeypatch):
+    # the product counters read `terms` and `coeffs`; tracing must neither
+    # lose them nor change what the chain computes
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    import l4norm
+
+    p = l4norm.ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0)
+    untraced = l4norm.run_pipeline(p).gates()
+    tracer = spans.Tracer()
+    with tracer.measuring(0, SimpleNamespace()):
+        traced = l4norm.run_pipeline(p).gates()
+    assert tracer.counts["polyalg.poly_mul.pairs"] > 0
+    assert traced == untraced

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l4norm.dalembert import (
+    DIVISOR_FLOOR,
     MOSER_PAIRS,
     DAlembertSeries,
-    _product_plan,
     FrequencyPair,
+    _product_plan,
     apply_D,
     apply_poly_in_D,
     invert_delta,
@@ -17,6 +19,7 @@ from l4norm.dalembert import (
     small_divisor,
 )
 from l4norm.errors import ContractError, CriticalTermError, ParameterError, SmallDivisorError
+from l4norm.layout import PLAN_TABLE_SIZE, intern, plan
 
 from oracles import delta_operator
 
@@ -85,7 +88,7 @@ class TestConstruction:
         rng = random.Random(7)
         s = random_series(rng)
         again = DAlembertSeries(s.terms)
-        assert again == s
+        assert list(again.terms.items()) == list(s.terms.items())
 
 
 class TestOperatorD:
@@ -148,7 +151,8 @@ class TestProducts:
         # return keys that rebuilding (which revalidates) accepts unchanged
         rng = random.Random(seed)
         for out in all_operations(random_series(rng, 6), random_series(rng, 6)):
-            assert DAlembertSeries(out.terms) == out
+            rebuilt = DAlembertSeries(out.terms)
+            assert list(rebuilt.terms.items()) == list(out.terms.items())
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6), st.integers(0, 8))
@@ -157,7 +161,8 @@ class TestProducts:
         a, b = random_series(rng, 8), random_series(rng, 8)
         full = a * b
         kept = {k: v for k, v in full.terms.items() if k[0] + k[1] <= cap}
-        assert a.mul(b, cap) == DAlembertSeries(kept)
+        assert list(a.mul(b, cap).terms.items()) \
+            == list(DAlembertSeries(kept).terms.items())
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))
@@ -239,16 +244,19 @@ class TestProductPlans:
     @given(st.data(), layout, layout, st.sampled_from((None, 1, 2, 3)))
     def test_planned_product_matches_the_pair_loop(self, data, left, right, cap):
         # the layouts include the (0, 0) harmonic and negative q; a second
-        # product on the same layouts runs on the cached plan
+        # product on the same layouts finds the plan of the first (the
+        # table starts empty, so no eviction falls between the two)
+        plan.cache_clear()
         for run in range(2):
             a = on_layout(left, data.draw(values_for(left)))
             b = on_layout(right, data.draw(values_for(right)))
             assert list(a.terms) == left and list(b.terms) == right
-            hits = _product_plan.cache_info().hits
+            if run:
+                misses = plan.cache_info().misses
+                plan(_product_plan, a.layout, b.layout, cap)
+                assert plan.cache_info().misses == misses
             out = a.mul(b, cap)
             assert list(out.terms.items()) == reference_mul(a, b, cap)
-            if run:
-                assert _product_plan.cache_info().hits == hits + 1
 
     def test_constant_sine_dropped_and_difference_sine_flipped(self):
         # one harmonic times itself: sin(0) drops the (0, 0) difference
@@ -262,6 +270,153 @@ class TestProductPlans:
         assert x.mul(y).terms[1, 1, 1, -1] == (0.5, 0.375)
         for left, right in ((a, b), (x, y), (a + x, y + b)):
             assert list(left.mul(right).terms.items()) == reference_mul(left, right)
+
+
+# -- reference kernels: the layout store against plain dict arithmetic --
+
+
+def bits(value):
+    """Exact bit pattern of a (cos, sin) pair; tells 0.0 from -0.0."""
+    return tuple(float(v).hex() for v in value)
+
+
+def exact(items):
+    return [(key, bits(value)) for key, value in items]
+
+
+def ref_stored(terms):
+    return {k: v for k, v in terms.items() if v != (0.0, 0.0)}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for key, (c, s) in b.items():
+        oc, os = out.get(key, (0.0, 0.0))
+        out[key] = (oc + c, os + s)
+    return ref_stored(out)
+
+
+def ref_termwise(a, fn):
+    """Each (c, s) replaced by fn(p, q, c, s); the (0, 0) sine dropped,
+    -0.0 stored as 0.0 and zero terms left out."""
+    out = {}
+    for (j, m, p, q), (c, s) in a.items():
+        c, s = fn(p, q, c, s)
+        if p == 0 and q == 0:
+            s = 0.0
+        if c != 0.0 or s != 0.0:
+            out[j, m, p, q] = (0.0 + c, 0.0 + s)
+    return out
+
+
+def ref_scale(a, factor):
+    return ref_termwise(a, lambda p, q, c, s: (c * factor, s * factor))
+
+
+def ref_poly_in_D(a, w, c0, c1, c2):
+    def term(p, q, c, s):
+        theta = w.theta(p, q)
+        diag = c0 - c2 * theta * theta
+        return diag * c + c1 * theta * s, diag * s - c1 * theta * c
+
+    return ref_termwise(a, term)
+
+
+def ref_invert_delta(a, w, floor):
+    def term(p, q, c, s):
+        if (p, q) in ((1, 0), (0, 1)):
+            raise CriticalTermError((p, q), max(abs(c), abs(s)))
+        delta = small_divisor(p, q, w)
+        if abs(delta) < floor:
+            raise SmallDivisorError(f"Delta_({p},{q})", delta)
+        return c / delta, s / delta
+
+    return ref_termwise(a, term)
+
+
+def outcome(fn, *args):
+    """Exact items of fn(*args), or the class and message it raised."""
+    try:
+        out = fn(*args)
+    except (CriticalTermError, SmallDivisorError) as exc:
+        return type(exc), str(exc)
+    return exact(out.terms.items() if isinstance(out, DAlembertSeries)
+                 else out.items())
+
+
+# Few distinct values, so sums and products cancel to exact zeros often.
+coarse = st.sampled_from((0.0, 0.5, -0.5, 1.0, -1.0, 1.5))
+series_terms = layout.flatmap(lambda keys: st.lists(
+    st.tuples(coarse, coarse), min_size=len(keys), max_size=len(keys)).map(
+    lambda values: dict(zip(keys, values))))
+
+
+def check_against_reference(a, b, cap=None, factor=-1.0, d=(0.3, -1.0, 2.0),
+                            floor=DIVISOR_FLOOR):
+    """Every layout-store operation on a and b, against the dict kernels."""
+    w = W_CLASSICAL
+    da, db = dict(a.terms), dict(b.terms)
+    pairs = [
+        (a + b, ref_add(da, db)), (b + a, ref_add(db, da)),
+        (a - b, ref_add(da, ref_scale(db, -1.0))),
+        (a - a, ref_add(da, ref_scale(da, -1.0))),
+        (a.scale(factor), ref_scale(da, factor)),
+        (a.mul(b, cap), dict(reference_mul(a, b, cap))), (a * b, dict(reference_mul(a, b))),
+        (apply_D(a, w), ref_poly_in_D(da, w, 0.0, 1.0, 0.0)),
+        (apply_poly_in_D(a, w, *d), ref_poly_in_D(da, w, *d)),
+        (a.chop(0.75), ref_stored({k: (c if abs(c) > 0.75 else 0.0,
+                                       s if abs(s) > 0.75 else 0.0)
+                                   for k, (c, s) in da.items()})),
+    ]
+    pairs += [(a.grade(j, m), {k: v for k, v in da.items() if k[:2] == (j, m)})
+              for j in range(3) for m in range(3)]
+    pairs += [(a.degree_slice(n), {k: v for k, v in da.items() if k[0] + k[1] == n})
+              for n in range(5)]
+    for out, ref in pairs:
+        assert exact(out.terms.items()) == exact(ref.items())
+    assert outcome(invert_delta, a, w, floor) == outcome(ref_invert_delta, da, w, floor)
+
+
+class TestReferenceKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(series_terms, series_terms, st.sampled_from((None, 0, 1, 2, 3)),
+           st.sampled_from((-1.0, 0.0, 0.5, -2.0)),
+           st.tuples(coarse, coarse, coarse),
+           st.sampled_from((DIVISOR_FLOOR, 0.02, 0.5)))
+    def test_operations_match_the_dict_kernels(self, ta, tb, cap, factor, d, floor):
+        # the keys include the (0, 0) harmonic and negative q; the values
+        # exact zeros and pairs that cancel
+        check_against_reference(DAlembertSeries(ta), DAlembertSeries(tb), cap,
+                                factor, d, floor)
+
+    def test_plan_table_stays_within_its_bound(self):
+        # more distinct layouts than the table holds evict the least
+        # recently used entries, those of `first` and `other` among them;
+        # results stay exact
+        first = DAlembertSeries({k: (1.0, 0.5) for k in KEYS[:4]})
+        other = DAlembertSeries({k: (-0.5, 1.5) for k in KEYS[2:6]})
+        prev = DAlembertSeries.single(1, 1, 1, -1, c=0.5)
+        flood = itertools.permutations(KEYS[:16], 3)
+        for n, keys in zip(range(PLAN_TABLE_SIZE), flood):
+            s = on_layout(keys, [(0.5, -1.0)] * 3)
+            if n % 256 == 0:
+                check_against_reference(s, prev, 2)
+            prev = s.mul(prev, 2) + s
+            assert plan.cache_info().currsize <= PLAN_TABLE_SIZE
+        for layout_ in (first.layout, other.layout):
+            assert intern(layout_.keys) is not layout_
+        check_against_reference(first, other, 3)
+        check_against_reference(prev, first)
+
+    def test_results_do_not_depend_on_layout_identity(self):
+        # two layout objects with one key tuple: the second is interned
+        # after the table forgot the first
+        a = on_layout(KEYS[:8], [(1.0, -0.5)] * 8)
+        plan.cache_clear()
+        b = on_layout(KEYS[:8], [(0.5, 1.5)] * 8)
+        assert a.layout is not b.layout and a.layout.keys == b.layout.keys
+        check_against_reference(a, b, 2)
+        check_against_reference(b, a)
 
 
 def series_value(s, i1, i2, phi1, phi2):

@@ -11,9 +11,11 @@ from l4norm.equilibria import (
     solve_triangular_numeric,
 )
 from l4norm.errors import ContractError
+from l4norm.layout import plan
 from l4norm.model import ModelParams, State, lagrangian
 from l4norm.polyalg import (
     TruncatedPoly,
+    _powers,
     _product_plan,
     binomial_series,
     compare_h3,
@@ -134,17 +136,19 @@ class TestProductPlans:
     def test_planned_product_matches_the_pair_loop(self, data, left, right,
                                                    cap_a, cap_b):
         # complex coefficients and unequal caps; a second product on the
-        # same layouts runs on the cached plan
+        # same layouts finds the plan of the first
         left = [m for m in left if sum(m) <= cap_a]
         right = [m for m in right if sum(m) <= cap_b]
+        plan.cache_clear()  # so no eviction falls between the two runs
         for run in range(2):
             a = TruncatedPoly(cap_a, dict(zip(left, data.draw(values_for(left)))))
             b = TruncatedPoly(cap_b, dict(zip(right, data.draw(values_for(right)))))
             assert list(a.coeffs) == left and list(b.coeffs) == right
-            hits = _product_plan.cache_info().hits
-            assert list((a * b).coeffs.items()) == reference_mul(a, b)
             if run:
-                assert _product_plan.cache_info().hits == hits + 1
+                misses = plan.cache_info().misses
+                plan(_product_plan, a.layout, b.layout, min(cap_a, cap_b))
+                assert plan.cache_info().misses == misses
+            assert list((a * b).coeffs.items()) == reference_mul(a, b)
 
     @settings(max_examples=30, deadline=None)
     @given(poly_strategy(), st.lists(st.floats(-2.0, 0.5), min_size=1, max_size=3))
@@ -154,6 +158,130 @@ class TestProductPlans:
         for alpha, series in zip(alphas, shared):
             (alone,) = binomial_series(t, alpha)
             assert list(series.coeffs.items()) == list(alone.coeffs.items())
+
+
+# -- reference kernels: the layout store against plain dict arithmetic --
+
+CONSTANT = (0, 0, 0, 0)
+
+
+def bits(c):
+    """Exact bit pattern of a real or complex coefficient."""
+    if isinstance(c, complex):
+        return c.real.hex(), c.imag.hex()
+    return float(c).hex()
+
+
+def exact(poly):
+    return poly.cap, [(m, bits(c)) for m, c in poly.coeffs.items()]
+
+
+def ref(cap, items):
+    """(cap, items) without exact zeros, in the form `exact` returns."""
+    return cap, [(m, bits(c)) for m, c in items if c != 0.0]
+
+
+def ref_truncated(cap, coeffs, to):
+    return coeffs if to >= cap else {m: c for m, c in coeffs.items()
+                                     if sum(m) <= to}
+
+
+def ref_add(cap_a, a, cap_b, b):
+    cap = min(cap_a, cap_b)
+    out = dict(ref_truncated(cap_a, a, cap))
+    for m, c in ref_truncated(cap_b, b, cap).items():
+        out[m] = out.get(m, 0.0) + c
+    return ref(cap, out.items())
+
+
+def ref_add_scalar(a, value):
+    out = dict(a.coeffs)
+    out[CONSTANT] = out.get(CONSTANT, 0.0) + value
+    return ref(a.cap, out.items())
+
+
+def ref_partial(a, index):
+    return ref(a.cap, ((m[:index] + (m[index] - 1,) + m[index + 1:], c * m[index])
+                       for m, c in a.coeffs.items() if m[index]))
+
+
+def ref_slice(a, wanted, cap=None):
+    return ref(a.cap if cap is None else cap,
+               ((m, c) for m, c in a.coeffs.items() if wanted(m)))
+
+
+# Few distinct values, so sums and products cancel to exact zeros often;
+# complex(1.0, -0.0) tells 0.0 + c from c.
+coarse = st.sampled_from((0.5, -0.5, 1.0, -1.0, 1.5, 0.5j, -1.0 + 0.5j,
+                          complex(1.0, -0.0)))
+poly_terms = st.lists(monomial, unique=True, max_size=10).flatmap(
+    lambda keys: st.lists(coarse, min_size=len(keys), max_size=len(keys)).map(
+        lambda values: dict(zip(keys, values))))
+
+
+def check_against_reference(a, b, factor=-1.5, value=0.5):
+    """Every layout-store operation on a and b, against the dict kernels."""
+    da, db = dict(a.coeffs), dict(b.coeffs)
+    neg_a = {m: -c for m, c in da.items()}
+    neg_b = {m: -c for m, c in db.items()}
+    pairs = [
+        (a + b, ref_add(a.cap, da, b.cap, db)),
+        (b + a, ref_add(b.cap, db, a.cap, da)),
+        (a - b, ref_add(a.cap, da, b.cap, neg_b)),
+        (a - a, ref_add(a.cap, da, a.cap, neg_a)),
+        (a + value, ref_add_scalar(a, value)), (value + a, ref_add_scalar(a, value)),
+        (-a, ref(a.cap, ((m, -c) for m, c in a.coeffs.items()))),
+        (a * factor, ref(a.cap, ((m, c * factor) for m, c in a.coeffs.items()))),
+        (a * b, (min(a.cap, b.cap), [(m, bits(c)) for m, c in reference_mul(a, b)])),
+        (a.imag_part(), ref(a.cap, ((m, c.imag) for m, c in a.coeffs.items()))),
+        (a.velocity_part(), ref_slice(a, lambda m: m[2] + m[3] > 0)),
+        (a.position_part(), ref_slice(a, lambda m: m[2] + m[3] == 0)),
+    ]
+    pairs += [(a.partial(i), ref_partial(a, i)) for i in range(4)]
+    pairs += [(a.grade(n), ref_slice(a, lambda m, n=n: sum(m) == n))
+              for n in range(4)]
+    pairs += [(a.truncated(n), ref_slice(a, lambda m, n=n: sum(m) <= n,
+                                         min(n, a.cap)))
+              for n in range(4)]
+    for out, expected in pairs:
+        assert exact(out) == expected
+
+
+class TestReferenceKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(poly_terms, poly_terms, st.integers(1, 3), st.integers(1, 3),
+           st.sampled_from((-1.5, 0.0, 2.0, 1j)),
+           st.sampled_from((0.5, -1.0, 0.5j)))
+    def test_operations_match_the_dict_kernels(self, ta, tb, cap_a, cap_b,
+                                               factor, value):
+        # unequal caps, complex values, exact zeros and cancelling pairs
+        check_against_reference(TruncatedPoly(cap_a, ta),
+                                TruncatedPoly(cap_b, tb), factor, value)
+
+    def test_results_do_not_depend_on_layout_identity(self):
+        # two layout objects with one key tuple: the second is interned
+        # after the table forgot the first
+        keys = [(1, 0, 0, 0), (0, 1, 1, 0), (0, 0, 0, 0), (2, 0, 0, 1)]
+        a = TruncatedPoly(3, dict(zip(keys, (1.0, -0.5, 2.0, 0.5j))))
+        plan.cache_clear()
+        b = TruncatedPoly(3, dict(zip(keys, (-1.0, 0.5, 1.5, 1.0))))
+        assert a.layout is not b.layout and a.layout.keys == b.layout.keys
+        check_against_reference(a, b)
+        check_against_reference(b, a)
+
+    @settings(max_examples=30, deadline=None)
+    @given(poly_strategy(), st.integers(0, 4))
+    def test_powers_start_from_t(self, poly, cap):
+        # the powers the binomial and log series use, bit for bit as when
+        # they were formed from the constant 1
+        t = (poly - poly.coefficient(CONSTANT)).truncated(cap)
+        expected, power = [], TruncatedPoly.constant(1.0, t.cap)
+        for _ in range(t.cap):
+            power = power * t
+            if not power.coeffs:
+                break
+            expected.append(exact(power))
+        assert [exact(p) for p in _powers(t)] == expected
 
 
 class TestTaylorLagrangian:

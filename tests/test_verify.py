@@ -15,6 +15,7 @@ from l4norm.normalform import (
     poly_at_series,
     solve_second_order_oracle,
 )
+from l4norm.polyalg import TruncatedPoly
 from l4norm.verify import (
     GATING_KEYS,
     HALVING_STRENGTH,
@@ -276,7 +277,9 @@ class TestH3Substitution:
         b2_zero, _ = h3_normal_coefficients(
             res.lagrangian_poly.grade(3), res.b1, (zero, zero), res.efg,
             res.freq, res.params.n)
-        assert res.h3_ablation == b2_zero  # every field, series terms too
+        assert list(res.h3_ablation.series.terms.items()) \
+            == list(b2_zero.series.terms.items())
+        assert res.h3_ablation.h2_residual == b2_zero.h2_residual
         ablation = res.h3_ablation
         assert (ablation.A30, ablation.A21, ablation.A12, ablation.A03) \
             == grade_norms(b2_zero.series)
@@ -285,7 +288,9 @@ class TestH3Substitution:
         reference = h3_at_b1_plus_b2(
             res.lagrangian_poly.grade(3), res.b1, (res.b2.b2x, res.b2.b2y),
             res.efg, res.freq, res.params.n)
-        assert res.h3 == reference
+        assert list(res.h3.series.terms.items()) \
+            == list(reference.series.terms.items())
+        assert res.h3.h2_residual == reference.h2_residual
         assert (res.h3.A30, res.h3.A21, res.h3.A12, res.h3.A03) \
             == grade_norms(reference.series)
 
@@ -325,3 +330,22 @@ def test_grades_are_sliced_once_and_only_when_read(monkeypatch):
     sliced.clear()
     partial_forcing_gap(res)
     assert sorted(sliced) == [(0, 3), (1, 2), (2, 1), (3, 0)]
+
+
+@pytest.mark.parametrize("branch", ["L4", "L5"])
+@pytest.mark.parametrize("drag", [False, True], ids=["free", "drag"])
+def test_chain_reads_no_term_map(monkeypatch, branch, drag):
+    # Every stage runs on layouts and value lists; the `terms` and
+    # `coeffs` views, which build mapping lookups, stay unread.
+    reads = []
+    for cls, name in ((DAlembertSeries, "terms"), (TruncatedPoly, "coeffs")):
+        view = getattr(cls, name)
+        monkeypatch.setattr(cls, name, property(
+            lambda self, view=view, name=name: reads.append(name)
+            or view.fget(self)))
+    p = (ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0) if drag
+         else ModelParams(mu=0.01))
+    res = run_pipeline(p, PipelineOptions(branch=branch))
+    gates = res.gates()
+    assert res.h3 is not None and all(gates.values())
+    assert reads == []
