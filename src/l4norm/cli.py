@@ -116,10 +116,13 @@ def set_value(config: RunConfig, key: str, value: str) -> None:
         parsed = parse(value)
     except ValueError as err:
         raise ConfigError(f"{key}: {err}") from err
-    if name is not None:
+    if name is None:
+        setattr(config, key, parsed)
+    elif 0.0 < parsed < float("inf"):  # NaN fails this too
         config.tol[name] = parsed
     else:
-        setattr(config, key, parsed)
+        raise ConfigError(f"tolerance {name} must be finite and positive, "
+                          f"got {value!r}")
 
 
 def parse_config_text(text: str, config: RunConfig | None = None) -> RunConfig:

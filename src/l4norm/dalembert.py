@@ -12,11 +12,14 @@ constructor checks the constraints and canonicalises; no other operation
 needs to, because sums and termwise maps reuse stored keys and a product
 of valid keys is valid (only its difference harmonics need
 canonicalising).  Products take an optional degree cap (j + m) and skip
-the pairs of terms that would exceed it.  No stored coefficient is -0.0,
-and the sine of the (0, 0) harmonic is 0.0.
+the pairs of terms that would exceed it.
 
-A series is a list of (cos, sin) pairs on a shared key layout, and every
-operation runs on plans made once per layout (:mod:`l4norm.layout`).
+A term c cos + s sin is stored as z = c + i s on a shared key layout
+(:mod:`l4norm.layout`).  A product of two terms gives the sum harmonic
+z1 z2 / 2 and the difference harmonic z1 conj(z2) / 2, or conj(z1) z2 / 2
+where canonicalising negates it; D multiplies z by -i theta.  No stored
+part is -0.0 (results are normalised by adding 0j), and the sine of the
+(0, 0) harmonic is 0.0.
 
 The differential operator is D = omega1 d/dphi1 - omega2 d/dphi2, under
 which a harmonic (p, q) carries multiplier theta = p*omega1 - q*omega2.
@@ -28,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ContractError, CriticalTermError, ParameterError, SmallDivisorError
-from .layout import Layout, View, intern, plan, pruned, sliced, sum_plan
+from .layout import Layout, Store, accumulate, intern, plan, pruned
 
 DIVISOR_FLOOR = 1e-8
 
@@ -59,10 +62,11 @@ class FrequencyPair:
         return p * self.omega1 - q * self.omega2
 
 
-def _canonical(p: int, q: int, c, s):
+def _canonical(p: int, q: int):
+    """(p, q) made canonical, and whether that negated it (the sine flips)."""
     if p < 0 or (p == 0 and q < 0):
-        return -p, -q, c, -s
-    return p, q, c, s
+        return -p, -q, True
+    return p, q, False
 
 
 def _check_parity(j: int, m: int, p: int, q: int):
@@ -80,22 +84,25 @@ def _product_plan(left: Layout, right: Layout, cap: int | None):
     Returns ``(layout, rows, zero_slots)``.  The layout holds the output
     keys in the order a double loop over the pairs first meets them, each
     pair giving its sum harmonic and then its difference harmonic.  `rows`
-    has one ``(i, k, sum slot, difference slot, sign)`` per pair within
-    the cap, in that loop's order; `sign` is -1.0 where the difference
-    harmonic is canonicalised by negation, so its sine flips.
-    `zero_slots` are the slots of (0, 0) harmonics, whose sine is dropped.
-    Keys of both layouts are canonical, so a sum harmonic is too.
+    has two ``(i, k, slot)`` per pair within the cap, in that loop's
+    order, over the left values halved followed by their conjugates and
+    the right values followed by theirs: the sum row, z1/2 times z2, and
+    the difference row, z1/2 times conj(z2), or conj(z1/2) times z2 where
+    the difference harmonic is canonicalised by negation.  `zero_slots`
+    are the slots of (0, 0) harmonics, whose sine is dropped.  Keys of
+    both layouts are canonical, so a sum harmonic is too.
     """
     slots, rows = {}, []
+    nl, nr = len(left.keys), len(right.keys)
     for i, (j1, m1, p1, q1) in enumerate(left.keys):
         for k, (j2, m2, p2, q2) in enumerate(right.keys):
             j, m = j1 + j2, m1 + m2
             if cap is not None and j + m > cap:
                 continue
             ks = slots.setdefault((j, m, p1 + p2, q1 + q2), len(slots))
-            p, q, _, sign = _canonical(p1 - p2, q1 - q2, 0.0, 1.0)
+            p, q, flip = _canonical(p1 - p2, q1 - q2)
             kd = slots.setdefault((j, m, p, q), len(slots))
-            rows.append((i, k, ks, kd, sign))
+            rows += ((i, k, ks), (i + nl, k, kd) if flip else (i, k + nr, kd))
     zero_slots = tuple(n for (_, _, p, q), n in slots.items() if p == q == 0)
     return intern(tuple(slots)), tuple(rows), zero_slots
 
@@ -108,30 +115,33 @@ def _grade(key) -> tuple:
     return key[:2]
 
 
-class DAlembertSeries:
+class DAlembertSeries(Store):
     """Immutable-by-convention trigonometric series; all operations return
-    new instances.  `terms` views the terms as (j, m, p, q) ->
+    new instances.  `terms` is a fresh dict of the terms as (j, m, p, q) ->
     (cos_coeff, sin_coeff), in stored order."""
 
-    __slots__ = ("layout", "values")
+    __slots__ = ()
+
+    _zero = 0j
 
     def __init__(self, terms=None):
         acc = {}
         if terms:
             for (j, m, p, q), (c, s) in terms.items():
-                p, q, c, s = _canonical(p, q, c, s)
+                p, q, flip = _canonical(p, q)
                 if p == 0 and q == 0:
                     s = 0.0  # sin(0) is identically zero; drop its coefficient
-                oc, os = acc.get((j, m, p, q), (0.0, 0.0))
-                acc[j, m, p, q] = (oc + c, os + s)
+                key = (j, m, p, q)
+                acc[key] = acc.get(key, 0j) + complex(c, -s if flip else s)
             for key in acc:
                 _check_parity(*key)
         self.layout, self.values = pruned(intern(tuple(acc)),
-                                          list(acc.values()), (0.0, 0.0))
+                                          list(acc.values()), 0j)
 
     @property
-    def terms(self) -> View:
-        return View(self.layout, self.values)
+    def terms(self) -> dict:
+        return {key: (z.real, z.imag)
+                for key, z in zip(self.layout.keys, self.values)}
 
     # -- constructors ---------------------------------------------------
 
@@ -145,25 +155,11 @@ class DAlembertSeries:
 
     # -- linear structure -------------------------------------------------
 
-    def __add__(self, other):
-        layout, shared, new = plan(sum_plan, self.layout, other.layout)
-        values = self.values.copy()
-        right = other.values
-        for n, k in shared:
-            c1, s1 = values[n]
-            c2, s2 = right[k]
-            values[n] = (c1 + c2, s1 + s2)
-        # no stored value is -0.0, so 0.0 + x would change none of these
-        values += [right[k] for k in new]
-        return _series(layout, values)
-
     def __sub__(self, other):
         return self + other.scale(-1.0)
 
     def scale(self, factor: float):
-        return _series(self.layout, [
-            (0.0 + c * factor, 0.0 + s * factor if p or q else 0.0)
-            for (_, _, p, q), (c, s) in zip(self.layout.keys, self.values)])
+        return self._new(self.layout, [0j + z * factor for z in self.values])
 
     def mul(self, other, cap: int | None = None):
         """Product via cos/sin product-to-sum expansion; grades add.
@@ -174,20 +170,14 @@ class DAlembertSeries:
         """
         layout, rows, zero_slots = plan(_product_plan, self.layout,
                                         other.layout, cap)
-        av, bv = self.values, other.values
-        cos = [0.0] * len(layout.keys)
-        sin = [0.0] * len(layout.keys)
-        for i, k, ks, kd, sign in rows:
-            c1, s1 = av[i]
-            c2, s2 = bv[k]
-            cc, ss, cs, sc = c1 * c2, s1 * s2, c1 * s2, s1 * c2
-            cos[ks] += 0.5 * (cc - ss)
-            sin[ks] += 0.5 * (cs + sc)
-            cos[kd] += 0.5 * (cc + ss)
-            sin[kd] += sign * (0.5 * (sc - cs))
+        half = [0.5 * z for z in self.values]
+        right = other.values
+        acc = accumulate(rows, half + [z.conjugate() for z in half],
+                         right + [z.conjugate() for z in right],
+                         [0j] * len(layout.keys))
         for slot in zero_slots:
-            sin[slot] = 0.0  # sin(0) is identically zero
-        return _series(layout, list(zip(cos, sin)))
+            acc[slot] = complex(acc[slot].real)  # sin(0) is identically zero
+        return self._new(layout, acc)
 
     def __mul__(self, other):
         return self.mul(other)
@@ -195,72 +185,49 @@ class DAlembertSeries:
     # -- queries ----------------------------------------------------------
 
     def degree_slice(self, degree: int):
-        return _series(*sliced(self.layout, self.values, _degree, degree, degree))
+        return self._slice(_degree, degree, degree)
 
     def grade(self, j: int, m: int):
-        return _series(*sliced(self.layout, self.values, _grade, (j, m), (j, m)))
+        return self._slice(_grade, (j, m), (j, m))
 
     def coefficient(self, key) -> tuple:
         """(cos, sin) of a canonical key, (0.0, 0.0) where none is stored."""
-        n = self.layout.index.get(key)
-        return (0.0, 0.0) if n is None else self.values[n]
-
-    def max_abs(self) -> float:
-        return max((max(abs(c), abs(s)) for (c, s) in self.values), default=0.0)
-
-    def norm_of_difference(self, other) -> float:
-        worst = 0.0
-        for k in set(self.layout.keys) | set(other.layout.keys):
-            c1, s1 = self.coefficient(k)
-            c2, s2 = other.coefficient(k)
-            worst = max(worst, abs(c1 - c2), abs(s1 - s2))
-        return worst
+        z = self._value(key)
+        return z.real, z.imag
 
     def chop(self, tol: float):
         """Drop coefficients below tol in magnitude (reporting aid)."""
-        return _series(self.layout, [
-            (c if abs(c) > tol else 0.0, s if abs(s) > tol else 0.0)
-            for c, s in self.values])
+        return self._new(self.layout, [
+            complex(z.real if abs(z.real) > tol else 0.0,
+                    z.imag if abs(z.imag) > tol else 0.0) for z in self.values])
 
     def __repr__(self):
         return f"DAlembertSeries(terms={len(self.values)})"
 
     def pretty(self) -> str:
         """Deterministic listing: sorted by (degree, j, p, q), 17 digits."""
-        lines = []
-        for key in sorted(self.terms, key=lambda k: (k[0] + k[1], k[0], k[2], k[3])):
-            j, m, p, q = key
-            c, s = self.terms[key]
-            lines.append(
-                f"I1^{j}/2 I2^{m}/2 ({p},{q}) cos {c:.17g} sin {s:.17g}"
-            )
-        return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _series(layout: Layout, values: list) -> DAlembertSeries:
-    """A series on a layout built from stored keys, so valid and canonical
-    unchecked; exact-zero terms are dropped."""
-    out = DAlembertSeries.__new__(DAlembertSeries)
-    out.layout, out.values = pruned(layout, values, (0.0, 0.0))
-    return out
+        terms = sorted(zip(self.layout.keys, self.values),
+                       key=lambda kz: (_degree(kz[0]), kz[0][0], kz[0][2], kz[0][3]))
+        return "".join(f"I1^{j}/2 I2^{m}/2 ({p},{q}) cos {z.real:.17g} "
+                       f"sin {z.imag:.17g}\n" for (j, m, p, q), z in terms)
 
 
 def apply_D(series: DAlembertSeries, w: FrequencyPair) -> DAlembertSeries:
-    """D[c cos + s sin] = -c theta sin + s theta cos, theta = p w1 - q w2."""
+    """D[c cos + s sin] = -c theta sin + s theta cos, theta = p w1 - q w2:
+    z times -i theta."""
     return apply_poly_in_D(series, w, c1=1.0)
 
 
 def apply_poly_in_D(series: DAlembertSeries, w: FrequencyPair,
                     c0: float = 0.0, c1: float = 0.0, c2: float = 0.0):
-    """Apply the operator c2 D^2 + c1 D + c0 harmonic by harmonic."""
+    """Apply the operator c2 D^2 + c1 D + c0 harmonic by harmonic: z times
+    c0 - c2 theta^2 - i c1 theta."""
     w1, w2 = w.omega1, w.omega2
     values = []
-    for (_, _, p, q), (c, s) in zip(series.layout.keys, series.values):
+    for (_, _, p, q), z in zip(series.layout.keys, series.values):
         theta = p * w1 - q * w2
-        diag = c0 - c2 * theta * theta
-        values.append((0.0 + (diag * c + c1 * theta * s),
-                       0.0 + (diag * s - c1 * theta * c) if p or q else 0.0))
-    return _series(series.layout, values)
+        values.append(0j + complex(c0 - c2 * theta * theta, -(c1 * theta)) * z)
+    return series._new(series.layout, values)
 
 
 def small_divisor(p: int, q: int, w: FrequencyPair) -> float:
@@ -278,14 +245,14 @@ def invert_delta(series: DAlembertSeries, w: FrequencyPair,
     amplifying noise.  Terms are checked in stored order.
     """
     values = []
-    for (_, _, p, q), (c, s) in zip(series.layout.keys, series.values):
+    for (_, _, p, q), z in zip(series.layout.keys, series.values):
         if (p, q) in CRITICAL_HARMONICS:
-            raise CriticalTermError((p, q), max(abs(c), abs(s)))
+            raise CriticalTermError((p, q), max(abs(z.real), abs(z.imag)))
         delta = small_divisor(p, q, w)
         if abs(delta) < floor:
             raise SmallDivisorError(f"Delta_({p},{q})", delta)
-        values.append((0.0 + c / delta, 0.0 + s / delta if p or q else 0.0))
-    return _series(series.layout, values)
+        values.append(0j + z / delta)
+    return series._new(series.layout, values)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,18 @@
-"""Key layouts: the storage both algebras run on.
+"""Key layouts and the store both algebras run on.
 
 A series (:mod:`l4norm.dalembert`) or a polynomial (:mod:`l4norm.polyalg`)
-is a *layout* -- its keys in stored order, with each key's slot -- plus a
-list of values, one per slot.  The key work of every operation (output
-keys, their order, which slots meet) depends only on the layouts, which
-repeat from one parameter point to the next, so it is planned once per
-layout, or pair of layouts, and kept in one bounded table; the operation
-itself is arithmetic along the plan and builds no dict.  A product plan
-keeps the pair order of a plain double loop over the terms, and a sum
-appends the right operand's new keys in its order, so every result is
-bit-identical to the plain loop's, key order included.
+is a :class:`Store`: a *layout* -- its keys in stored order, with each
+key's slot -- plus a list of values, one per slot, real or complex.  The
+base holds what the two share: the sum, the slices, the key lookup, the
+sup norms, and the one product loop over ``(i, k, slot)`` rows.  The key
+work of every operation (output keys, their order, which slots meet)
+depends only on the layouts, which repeat from one parameter point to the
+next, so it is planned once per layout, or pair of layouts, and kept in
+one bounded table; the operation itself is arithmetic along the plan and
+builds no dict.  A product plan keeps the pair order of a plain double
+loop over the terms, and a sum appends the right operand's new keys in
+its order, so every result is bit-identical to the plain loop's, key
+order included.
 
 Layouts are interned by key tuple, so results of the same shape share
 plans.  Nothing depends on that: a layout evicted from the table and
@@ -19,7 +22,6 @@ interned again is a new object with plans of its own.
 from __future__ import annotations
 
 import functools
-from collections.abc import Mapping
 
 # Entries kept in the plan table: interned layouts and the plans made on
 # them.  The chain with its audit and the detector makes about 230 in
@@ -87,20 +89,55 @@ def sum_plan(left: Layout, right: Layout):
     return out, shared, new
 
 
-class View(Mapping):
-    """Read-only mapping of a layout's keys to their values, in stored order."""
+def accumulate(rows, left: list, right: list, acc: list) -> list:
+    """``acc[slot] += left[i] * right[k]`` along `rows` of ``(i, k, slot)``;
+    `acc` is the zero accumulator list, filled in place and returned."""
+    for i, k, slot in rows:
+        acc[slot] += left[i] * right[k]
+    return acc
 
-    __slots__ = ("_layout", "_values")
 
-    def __init__(self, layout: Layout, values: list):
-        self._layout = layout
-        self._values = values
+def _sup(value) -> float:
+    return max(abs(value.real), abs(value.imag))
 
-    def __getitem__(self, key):
-        return self._values[self._layout.index[key]]
 
-    def __iter__(self):
-        return iter(self._layout.keys)
+class Store:
+    """A layout plus one value per slot; `_zero` is the value a subclass
+    accumulates from and normalises with (0.0 + x turns -0.0 into 0.0)."""
 
-    def __len__(self):
-        return len(self._values)
+    __slots__ = ("layout", "values")
+
+    _zero = 0.0
+
+    def _new(self, layout: Layout, values: list):
+        """This kind of store on a layout of stored keys, zeros dropped."""
+        out = object.__new__(type(self))
+        out.layout, out.values = pruned(layout, values, self._zero)
+        return out
+
+    def __add__(self, other):
+        layout, shared, new = plan(sum_plan, self.layout, other.layout)
+        values = self.values.copy()
+        right = other.values
+        for n, k in shared:
+            values[n] = values[n] + right[k]
+        zero = self._zero
+        values += [zero + right[k] for k in new]
+        return self._new(layout, values)
+
+    def _slice(self, measure, low, high):
+        return self._new(*sliced(self.layout, self.values, measure, low, high))
+
+    def _value(self, key):
+        n = self.layout.index.get(key)
+        return self._zero if n is None else self.values[n]
+
+    def max_abs(self) -> float:
+        """Sup over the real and imaginary parts of the values."""
+        return max(map(_sup, self.values), default=0.0)
+
+    def norm_of_difference(self, other) -> float:
+        """Sup over the real and imaginary parts of the differences."""
+        keys = set(self.layout.keys) | set(other.layout.keys)
+        return max((_sup(self._value(k) - other._value(k)) for k in keys),
+                   default=0.0)

@@ -7,9 +7,9 @@ which expands the full Lagrangian about an equilibrium by series
 composition (binomial expansion of 1/r powers and a complex-log expansion
 of the angle term) -- exact to truncation order, no finite differences.
 
-A polynomial is a list of coefficients on a shared key layout of
-exponent 4-tuples, and every operation runs on plans made once per layout
-(:mod:`l4norm.layout`).
+A polynomial is a store (:mod:`l4norm.layout`): a list of real or complex
+coefficients on a shared key layout of exponent 4-tuples, whose sum,
+slices, sup norms and product loop are those of the d'Alembert series.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .equilibria import OriginShift
 from .errors import ContractError, ParameterError
-from .layout import Layout, View, intern, plan, pruned, sliced, sum_plan
+from .layout import Layout, Store, accumulate, intern, plan, pruned, sliced
 from .model import SQRT3, ModelParams, State, lagrangian
 
 NVARS = 4
@@ -58,19 +58,19 @@ def _velocity_degree(mono) -> int:
     return mono[2] + mono[3]
 
 
-class TruncatedPoly:
+class TruncatedPoly(Store):
     """Multivariate polynomial in (xi, eta, xidot, etadot), degree-capped.
 
-    `coeffs` views the coefficients as monomial -> value, in stored order.
-    Values are immutable by convention: all operations return new
-    instances.  The constructor
-    checks every key and drops the keys past the cap; no other operation
-    needs to, because sums, slices and termwise maps reuse stored keys, a
-    partial derivative lowers a positive exponent, and a product keeps
-    only the sums of valid keys within its cap.  No exact zero is stored.
+    `coeffs` is a fresh dict of the coefficients as monomial -> value, in
+    stored order.  Values are immutable by convention: all operations
+    return new instances.  The constructor checks every key and drops the
+    keys past the cap; no other operation needs to, because sums, slices
+    and termwise maps reuse stored keys, a partial derivative lowers a
+    positive exponent, and a product keeps only the sums of valid keys
+    within its cap.  No exact zero is stored.
     """
 
-    __slots__ = ("cap", "layout", "values")
+    __slots__ = ("cap",)
 
     def __init__(self, cap: int, coeffs=None):
         if cap < 0:
@@ -87,9 +87,15 @@ class TruncatedPoly:
         self.layout = intern(tuple(kept))
         self.values = list(kept.values())
 
+    def _new(self, layout: Layout, values: list, cap: int | None = None):
+        out = TruncatedPoly.__new__(TruncatedPoly)
+        out.cap = self.cap if cap is None else cap
+        out.layout, out.values = pruned(layout, values, 0.0)
+        return out
+
     @property
-    def coeffs(self) -> View:
-        return View(self.layout, self.values)
+    def coeffs(self) -> dict:
+        return dict(zip(self.layout.keys, self.values))
 
     # -- constructors -------------------------------------------------
 
@@ -109,33 +115,23 @@ class TruncatedPoly:
         if not isinstance(other, TruncatedPoly):
             other = TruncatedPoly.constant(other, self.cap)
         cap = min(self.cap, other.cap)
-        a, b = self.truncated(cap), other.truncated(cap)
-        layout, shared, new = plan(sum_plan, a.layout, b.layout)
-        values = a.values.copy()
-        right = b.values
-        for n, k in shared:
-            values[n] = values[n] + right[k]
-        values += [0.0 + right[k] for k in new]
-        return _poly(cap, layout, values)
+        return Store.__add__(self.truncated(cap), other.truncated(cap))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly(self.cap, self.layout, [-c for c in self.values])
+        return self._new(self.layout, [-c for c in self.values])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedPoly):
-            return _poly(self.cap, self.layout, [c * other for c in self.values])
+            return self._new(self.layout, [c * other for c in self.values])
         cap = min(self.cap, other.cap)
         layout, rows = plan(_product_plan, self.layout, other.layout, cap)
-        av, bv = self.values, other.values
-        acc = [0.0] * len(layout.keys)
-        for i, k, slot in rows:
-            acc[slot] += av[i] * bv[k]
-        return _poly(cap, layout, acc)
+        return self._new(layout, accumulate(rows, self.values, other.values,
+                                            [0.0] * len(layout.keys)), cap)
 
     __rmul__ = __mul__
 
@@ -144,52 +140,32 @@ class TruncatedPoly:
     def truncated(self, cap: int):
         if cap >= self.cap:
             return self
-        return _poly(cap, *sliced(self.layout, self.values, sum, 0, cap))
+        return self._new(*sliced(self.layout, self.values, sum, 0, cap), cap)
 
     def grade(self, degree: int):
         """Homogeneous slice of the given total degree (cap preserved)."""
-        return _poly(self.cap, *sliced(self.layout, self.values, sum,
-                                       degree, degree))
+        return self._slice(sum, degree, degree)
 
     def partial(self, index: int):
         layout, rows = plan(_partial_plan, self.layout, index)
-        values = self.values
-        return _poly(self.cap, layout, [values[n] * e for n, e in rows])
+        return self._new(layout, [self.values[n] * e for n, e in rows])
 
     def coefficient(self, mono) -> float:
-        n = self.layout.index.get(tuple(mono))
-        return 0.0 if n is None else self.values[n]
+        return self._value(tuple(mono))
 
     def imag_part(self):
-        return _poly(self.cap, self.layout, [c.imag for c in self.values])
+        return self._new(self.layout, [c.imag for c in self.values])
 
     def velocity_part(self):
         """Terms with at least one velocity factor."""
-        return _poly(self.cap, *sliced(self.layout, self.values,
-                                       _velocity_degree, 1, self.cap))
+        return self._slice(_velocity_degree, 1, self.cap)
 
     def position_part(self):
         """Terms free of velocities."""
-        return _poly(self.cap, *sliced(self.layout, self.values,
-                                       _velocity_degree, 0, 0))
+        return self._slice(_velocity_degree, 0, 0)
 
     def __repr__(self):
-        n = len(self.values)
-        return f"TruncatedPoly(cap={self.cap}, terms={n})"
-
-    def norm_of_difference(self, other) -> float:
-        keys = set(self.layout.keys) | set(other.layout.keys)
-        return max((abs(self.coefficient(k) - other.coefficient(k))
-                    for k in keys), default=0.0)
-
-
-def _poly(cap: int, layout: Layout, values: list) -> TruncatedPoly:
-    """A polynomial on a layout built from stored keys, so valid and within
-    `cap` unchecked; exact zeros are dropped."""
-    out = TruncatedPoly.__new__(TruncatedPoly)
-    out.cap = cap
-    out.layout, out.values = pruned(layout, values, 0.0)
-    return out
+        return f"TruncatedPoly(cap={self.cap}, terms={len(self.values)})"
 
 
 def _powers(t: TruncatedPoly) -> list:

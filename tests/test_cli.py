@@ -14,13 +14,27 @@ from l4norm.cli import (
     parse_config_text,
 )
 from l4norm.errors import ConfigError
-from l4norm.verify import PipelineOptions, detect_discrepancies, fmt
+from l4norm.verify import TOLERANCES, PipelineOptions, detect_discrepancies, fmt
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Every tolerance must be finite and positive: a NaN divisor floor would
+# switch the small-divisor guard off, a NaN residual bound fail its gate.
+BAD_TOLERANCES = [(name, bad, where) for name in TOLERANCES
+                  for bad in ("nan", "inf", "-1", "0")
+                  for where in ("flag", "file")]
+
+
+def bad_tolerance(name, bad, where):
+    """(argv, config text) of an h3 verify setting `name` to `bad`."""
+    if where == "flag":
+        return ("--mu", "0.01", "--stages", "h3", "--tol", f"{name}={bad}"), None
+    return (), f"mu=0.01\nstages=h3\ntol.{name}={bad}\n"
 
 
 class TestConfig:
@@ -53,7 +67,9 @@ class TestConfig:
         (("--mu", "abc"), None),
         ((), "mu=abc\n"),
         ((), "mu=0.01\nbranch=L6\n"),
-    ], ids=["tol-flag", "mu-flag", "mu-file", "branch-file"])
+    ] + [bad_tolerance(*case) for case in BAD_TOLERANCES],
+        ids=["tol-flag", "mu-flag", "mu-file", "branch-file"]
+        + ["tol-{}-{}-{}".format(*case) for case in BAD_TOLERANCES])
     def test_malformed_value_exits_2(self, tmp_path, capsys, argv, text):
         if text is not None:
             path = tmp_path / "run.cfg"

@@ -344,8 +344,9 @@ def outcome(fn, *args):
                  else out.items())
 
 
-# Few distinct values, so sums and products cancel to exact zeros often.
-coarse = st.sampled_from((0.0, 0.5, -0.5, 1.0, -1.0, 1.5))
+# Few distinct values, so sums and products cancel to exact zeros often;
+# -0.0 among them, which no operation may store.
+coarse = st.sampled_from((0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.5))
 series_terms = layout.flatmap(lambda keys: st.lists(
     st.tuples(coarse, coarse), min_size=len(keys), max_size=len(keys)).map(
     lambda values: dict(zip(keys, values))))
@@ -417,6 +418,21 @@ class TestReferenceKernels:
         assert a.layout is not b.layout and a.layout.keys == b.layout.keys
         check_against_reference(a, b, 2)
         check_against_reference(b, a)
+
+
+    def test_terms_is_a_copy(self):
+        # writing to the returned dict changes neither the series nor what
+        # is computed from it
+        a = on_layout(KEYS[:6], [(1.0, -0.5), (0.5, 1.5)] * 3)
+        b = on_layout(KEYS[3:8], [(-0.5, 1.0)] * 5)
+        before = [exact(s.terms.items()) for s in (a, a * b + a, a.scale(2.0))]
+        terms = a.terms
+        terms[KEYS[0]] = (9.0, 9.0)
+        terms[KEYS[10]] = (1.0, 0.0)
+        del terms[KEYS[1]]
+        assert [exact(s.terms.items())
+                for s in (a, a * b + a, a.scale(2.0))] == before
+        assert a.terms is not a.terms
 
 
 def series_value(s, i1, i2, phi1, phi2):

@@ -284,6 +284,20 @@ class TestReferenceKernels:
         assert [exact(p) for p in _powers(t)] == expected
 
 
+    def test_coeffs_is_a_copy(self):
+        # writing to the returned dict changes neither the polynomial nor
+        # what is computed from it
+        a = TruncatedPoly(3, {(1, 0, 0, 0): 1.0, (0, 1, 1, 0): -0.5j})
+        b = TruncatedPoly(3, {(0, 0, 0, 0): 2.0, (1, 0, 0, 0): 0.5})
+        before = exact(a), exact(a * b + a), exact(a.partial(0))
+        coeffs = a.coeffs
+        coeffs[(1, 0, 0, 0)] = 9.0
+        coeffs[(0, 0, 1, 1)] = 1.0
+        del coeffs[(0, 1, 1, 0)]
+        assert (exact(a), exact(a * b + a), exact(a.partial(0))) == before
+        assert a.coeffs is not a.coeffs
+
+
 class TestTaylorLagrangian:
     def test_classical_hessian(self):
         p = ModelParams(mu=0.01)

@@ -1,0 +1,37 @@
+"""The bit-identity tooling under scripts/ stays runnable.
+
+`scripts/chain_snapshot.py` records an exception per point instead of
+failing, so a broken accessor would show only as a diff between two
+snapshots; here its record of a point must build without raising.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "chain_snapshot.py"
+
+
+def load_chain_snapshot():
+    spec = importlib.util.spec_from_file_location("chain_snapshot", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("point", [
+    (0.01, 0.0, 0.0, 1.0, "L4"),       # drag-free
+    (0.01, 0.001, 1e-4, 20.0, "L5"),   # with drag
+], ids=["L4-drag-free", "L5-drag"])
+def test_chain_record_builds(point):
+    record = dict((entry[0], entry[1:]) for entry in
+                  load_chain_snapshot().chain_record(*point))
+    series = [*record["x2"], *record["y2"], *record["b2"][:2],
+              record["h3"][0][1], record["ablation"][0][1]]
+    assert all(series)
+    for terms in series:
+        for key, value in terms:
+            assert len(key) == 4
+            c, s = value
+            assert type(c) is float and type(s) is float
