@@ -6,11 +6,13 @@ The oracle chain this module serves:
 1. frequencies + symplectic normal-mode matrix J from the quadratic
    Lagrangian slice (exact eigenvector construction);
 2. first-order components B1 from the (x, y) rows of J;
-3. cubic forcing X2, Y2 by substituting B1 into the cubic slice;
+3. cubic forcing X2, Y2 and the energy's position cubic, from one table
+   of the powers of (B1, B1, D B1, D B1);
 4. second-order components B2 by harmonic division;
 5. degree-3 energy coefficients after substituting x = B1 + B2, whose
-   vanishing is the headline verification target, and with B2 = 0 (the
-   ablation that shows the check has power).
+   vanishing is the headline verification target: the quadratic energy
+   at B1 + B2 plus the position cubic of step 3 (under the degree-3 cap
+   the cubic sees only B1).
 
 Substitutions into polynomials cap every series product at the degree
 the stage reads (`DAlembertSeries.mul(other, cap)`), so no term above it
@@ -104,6 +106,17 @@ def classical_frequencies(mu: float) -> FrequencyPair:
     return FrequencyPair(math.sqrt(w1sq), math.sqrt(1.0 - w1sq))
 
 
+def _entry(row: int, col: int):
+    """Property: the (row, col) entry of `self.J`."""
+    return property(lambda self: self.J[row, col])
+
+
+def _grade_norm(j: int, m: int):
+    """Property: sup-norm of the (j, m) grade of `self.series`, sliced on
+    first read and kept."""
+    return functools.cached_property(lambda self: self.series.grade(j, m).max_abs())
+
+
 @dataclass(frozen=True)
 class NormalModeData:
     """Exact symplectic normal-mode transformation of the quadratic part.
@@ -118,29 +131,12 @@ class NormalModeData:
     symplectic_defect: float
     h2_residual: float
 
-    @property
-    def J13(self):
-        return self.J[0, 2]
-
-    @property
-    def J14(self):
-        return self.J[0, 3]
-
-    @property
-    def J21(self):
-        return self.J[1, 0]
-
-    @property
-    def J22(self):
-        return self.J[1, 1]
-
-    @property
-    def J23(self):
-        return self.J[1, 2]
-
-    @property
-    def J24(self):
-        return self.J[1, 3]
+    J13 = _entry(0, 2)
+    J14 = _entry(0, 3)
+    J21 = _entry(1, 0)
+    J22 = _entry(1, 1)
+    J23 = _entry(1, 2)
+    J24 = _entry(1, 3)
 
 
 def hamiltonian_matrix(K: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -300,19 +296,21 @@ def forcing_x2y2(l3: TruncatedPoly, b1x: DAlembertSeries, b1y: DAlembertSeries,
                  w: FrequencyPair):
     """Degree-2 forcing of the second-order equations: the Euler-Lagrange
     expression [dL3/dx - D(dL3/dxdot)] at (x, y, xdot, ydot) =
-    (B1, B1, D B1, D B1).  Returns ``(x2, y2), (x2p, y2p)``, where the
-    second pair is its position-partial part [dL3/dx] at the same point."""
+    (B1, B1, D B1, D B1).  Returns ``(x2, y2), (x2p, y2p), cubic``: the
+    second pair is its position-partial part [dL3/dx] at the same point,
+    and `cubic` the energy's position cubic -L3(x, y) at B1.  All five
+    substitutions share one power table at cap 3."""
     if any(sum(m) != 3 for m in l3.layout.keys):
         raise ContractError("forcing expects a homogeneous cubic slice")
-    powers = PowerTable((b1x, b1y, apply_D(b1x, w), apply_D(b1y, w)), cap=2)
+    powers = PowerTable((b1x, b1y, apply_D(b1x, w), apply_D(b1y, w)), cap=3)
 
     def sub(poly):
-        return poly_at_series(poly, *powers.inputs, cap=2, powers=powers)
+        return poly_at_series(poly, *powers.inputs, cap=3, powers=powers)
 
     x2p, y2p = sub(l3.partial(0)), sub(l3.partial(1))
     x2 = x2p - apply_D(sub(l3.partial(2)), w)
     y2 = y2p - apply_D(sub(l3.partial(3)), w)
-    return (x2, y2), (x2p, y2p)
+    return (x2, y2), (x2p, y2p), sub(-l3.position_part())
 
 
 @dataclass(frozen=True)
@@ -349,12 +347,6 @@ def solve_second_order_oracle(efg: QuadraticCoefficients, w: FrequencyPair,
 # -- degree-3 energy coefficients ------------------------------------------
 
 
-def _grade_norm(j: int, m: int):
-    """Property: sup-norm of the (j, m) grade of `self.series`, sliced on
-    first read and kept."""
-    return functools.cached_property(lambda self: self.series.grade(j, m).max_abs())
-
-
 @dataclass(frozen=True)
 class H3NormalCoefficients:
     """Sup-norm of each degree-3 action grade of the substituted energy.
@@ -377,22 +369,18 @@ class H3NormalCoefficients:
         return max(self.A30, self.A21, self.A12, self.A03)
 
 
-def h3_normal_coefficients(l3: TruncatedPoly, b1, b2,
+def h3_normal_coefficients(cubic: DAlembertSeries, b1, b2,
                            efg: QuadraticCoefficients, w: FrequencyPair,
-                           n: float, cubic: DAlembertSeries | None = None):
+                           n: float) -> H3NormalCoefficients:
     """Substitute x = B1 + B2 (velocities via D) into the energy and slice.
 
     The energy function of the Lagrangian is |v|^2/2 - (position part);
     its velocity-linear terms cancel identically, so the degree-3 slice is
     the quadratic cross term between B1 and B2 plus the position cubic at
-    B1.  Every product is capped at degree 3.  Returns ``(h3, ablation)``;
-    with B2 = 0 the degree-3 slice is that cubic alone.  `cubic`, the
-    ablation series of an earlier call at the same (l3, B1), is used as
-    that cubic instead of forming it again.
+    B1, which `cubic` is (from :func:`forcing_x2y2`).  Every product is
+    capped at degree 3.
     """
-    b1x, b1y = b1
-    b2x, b2y = b2
-    bx, by = b1x + b2x, b1y + b2y
+    bx, by = b1[0] + b2[0], b1[1] + b2[1]
     vx, vy = apply_D(bx, w), apply_D(by, w)
     cap = 3
     n2 = n * n
@@ -401,14 +389,9 @@ def h3_normal_coefficients(l3: TruncatedPoly, b1, b2,
     h2_sub = (vx.mul(vx, cap) + vy.mul(vy, cap)).scale(0.5) \
         - bx.mul(bx, cap).scale(0.5 * k00) - bx.mul(by, cap).scale(k01) \
         - by.mul(by, cap).scale(0.5 * k11)
-    if cubic is None:
-        # the position cubic reads no velocity
-        zero = DAlembertSeries.zero()
-        cubic = poly_at_series(-l3.position_part(), b1x, b1y, zero, zero, cap)
     total = h2_sub + cubic
 
     h2_form = (DAlembertSeries.single(2, 0, 0, 0, c=w.omega1)
                + DAlembertSeries.single(0, 2, 0, 0, c=-w.omega2))
     h2_res = total.degree_slice(2).norm_of_difference(h2_form)
-    return (H3NormalCoefficients(total.degree_slice(3), h2_res),
-            H3NormalCoefficients(cubic, h2_res))
+    return H3NormalCoefficients(total.degree_slice(3), h2_res)

@@ -23,7 +23,7 @@ from .dalembert import (
     FrequencyPair,
     moser_check,
 )
-from .errata import NOISE_FLOOR, RemainderVerdict, classify_remainder
+from .errata import classify_remainder
 from .errors import ParameterError, ResonanceError
 from .model import ModelParams
 
@@ -69,6 +69,9 @@ class PipelineResult:
     y2: DAlembertSeries | None = None
     # (dL3/dx, dL3/dy) at B1: the printed reading of the forcing
     position_forcing: tuple | None = None
+    # -L3(x, y) at B1, from the forcing's power table: H3's cubic part
+    # (under the degree-3 cap the cubic sees only B1) and the ablation
+    cubic_at_b1: DAlembertSeries | None = None
     b2: normalform.SecondOrderSolution | None = None
     h3: normalform.H3NormalCoefficients | None = None
     h3_ablation: normalform.H3NormalCoefficients | None = None
@@ -151,15 +154,18 @@ def run_pipeline(p: ModelParams, options: PipelineOptions = PipelineOptions(),
     if last == 2:
         return res
 
-    (res.x2, res.y2), res.position_forcing = normalform.forcing_x2y2(
-        l3, res.b1[0], res.b1[1], res.freq)
+    (res.x2, res.y2), res.position_forcing, res.cubic_at_b1 = \
+        normalform.forcing_x2y2(l3, res.b1[0], res.b1[1], res.freq)
     res.b2 = normalform.solve_second_order_oracle(
         res.efg, res.freq, p.n, res.x2, res.y2, floor=options.divisor_floor)
     if last == 3:
         return res
 
-    res.h3, res.h3_ablation = normalform.h3_normal_coefficients(
-        l3, res.b1, (res.b2.b2x, res.b2.b2y), res.efg, res.freq, p.n)
+    res.h3 = normalform.h3_normal_coefficients(
+        res.cubic_at_b1, res.b1, (res.b2.b2x, res.b2.b2y), res.efg, res.freq,
+        p.n)
+    res.h3_ablation = normalform.H3NormalCoefficients(res.cubic_at_b1,
+                                                      res.h3.h2_residual)
     return res
 
 
@@ -232,15 +238,13 @@ def audit(res: PipelineResult) -> Audit:
 def partial_forcing_gap(res: PipelineResult) -> float:
     """Largest H3 coefficient left by the printed reading of the forcing
     (position partials only); the result must hold the b2 stage.  It reads
-    that forcing off the chain, and at the h3 stage the cubic at B1 too."""
+    that forcing and the cubic at B1 off the chain."""
     b2p = normalform.solve_second_order_oracle(
         res.efg, res.freq, res.params.n, *res.position_forcing,
         floor=res.options.divisor_floor)
-    cubic = res.h3_ablation.series if res.h3_ablation is not None else None
-    h3p, _ = normalform.h3_normal_coefficients(
-        res.lagrangian_poly.grade(3), res.b1, (b2p.b2x, b2p.b2y), res.efg,
-        res.freq, res.params.n, cubic)
-    return h3p.max_abs()
+    return normalform.h3_normal_coefficients(
+        res.cubic_at_b1, res.b1, (b2p.b2x, b2p.b2y), res.efg, res.freq,
+        res.params.n).max_abs()
 
 
 def frequency_lines(freq: FrequencyPair, moser) -> list:
@@ -312,7 +316,8 @@ DETECTOR_CACHE_SIZE = 64
 def detect_discrepancies(mu: float, options: PipelineOptions, /):
     """Classify every audited closed form against its oracle.
 
-    Classical verdicts compare directly at zero perturbation strength;
+    Classical verdicts pass the gap at zero perturbation strength as both
+    remainders, so a gap above the noise floor reads zeroth order;
     perturbation verdicts compare remainders at strengths HALVING_STRENGTH
     and half of it.  Returns a tuple of RemainderVerdict covering every
     gating key.  The verdicts depend only on (mu, options), so they are
@@ -326,13 +331,10 @@ def detect_discrepancies(mu: float, options: PipelineOptions, /):
         gaps["forcing.partial_only"] = partial_forcing_gap(res)
         return res, gaps
 
-    verdicts = []
     base, gaps = gaps_at(ModelParams(mu=mu))
     scale = max(1.0, base.intermediate_scale())
-    for key in GATING_KEYS:
-        gap = gaps[key]
-        cls = "consistent" if gap <= NOISE_FLOOR * scale else "zeroth_order"
-        verdicts.append(RemainderVerdict(key, "classical", gap, gap, cls))
+    verdicts = [classify_remainder(key, "classical", gaps[key], gaps[key],
+                                   scale=scale) for key in GATING_KEYS]
     h = HALVING_STRENGTH
     for kind in PERTURBATIONS:
         _, gaps_h = gaps_at(single_perturbation_params(mu, kind, h))

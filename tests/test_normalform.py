@@ -196,7 +196,7 @@ class TestForcing:
     def test_single_x_cubed_term(self):
         c = 0.7
         l3 = TruncatedPoly(3, {(3, 0, 0, 0): c})
-        (x2, y2), _ = forcing_x2y2(l3, self.b1[0], self.b1[1], self.w)
+        (x2, y2), _, _ = forcing_x2y2(l3, self.b1[0], self.b1[1], self.w)
         expected = (self.b1[0] * self.b1[0]).scale(3 * c)
         assert x2.norm_of_difference(expected) < 1e-13
         assert y2.terms == {}
@@ -204,14 +204,14 @@ class TestForcing:
     def test_single_y_cubed_term(self):
         c = -1.1
         l3 = TruncatedPoly(3, {(0, 3, 0, 0): c})
-        (x2, y2), _ = forcing_x2y2(l3, self.b1[0], self.b1[1], self.w)
+        (x2, y2), _, _ = forcing_x2y2(l3, self.b1[0], self.b1[1], self.w)
         assert x2.terms == {}
         expected = (self.b1[1] * self.b1[1]).scale(3 * c)
         assert y2.norm_of_difference(expected) < 1e-13
 
     def test_full_support(self):
-        (x2, y2), _ = forcing_x2y2(self.lag.grade(3), self.b1[0], self.b1[1],
-                                   self.w)
+        (x2, y2), _, _ = forcing_x2y2(self.lag.grade(3), self.b1[0],
+                                      self.b1[1], self.w)
         support = {(p, q) for (_, _, p, q) in (*x2.terms, *y2.terms)}
         assert support == {(0, 0), (2, 0), (0, 2), (1, 1), (1, -1)}
         assert max(j + m for (j, m, _, _) in x2.terms) == 2
@@ -231,9 +231,9 @@ class TestForcing:
         f3 = xi * xi * eta - 2.0 * (eta * eta * eta)
         gauge = f3.partial(0) * xid + f3.partial(1) * etad
         l3 = self.lag.grade(3)
-        (x2a, y2a), _ = forcing_x2y2(l3, self.b1[0], self.b1[1], self.w)
-        (x2b, y2b), _ = forcing_x2y2((l3 + gauge).grade(3), self.b1[0],
-                                     self.b1[1], self.w)
+        (x2a, y2a), _, _ = forcing_x2y2(l3, self.b1[0], self.b1[1], self.w)
+        (x2b, y2b), _, _ = forcing_x2y2((l3 + gauge).grade(3), self.b1[0],
+                                        self.b1[1], self.w)
         assert x2a.norm_of_difference(x2b) < 1e-12
         assert y2a.norm_of_difference(y2b) < 1e-12
 
@@ -258,8 +258,8 @@ class TestSecondOrderOracle:
         assert sol.residual_y < 1e-12
 
     def test_full_forcing_residuals(self):
-        (x2, y2), _ = forcing_x2y2(self.lag.grade(3), self.b1[0], self.b1[1],
-                                   self.w)
+        (x2, y2), _, _ = forcing_x2y2(self.lag.grade(3), self.b1[0],
+                                      self.b1[1], self.w)
         sol = solve_second_order_oracle(self.efg, self.w, self.p.n, x2, y2)
         assert max(sol.residual_x, sol.residual_y) < 1e-9
         support = set(sol.b2x.terms) | set(sol.b2y.terms)
@@ -358,11 +358,11 @@ class TestH3:
     def run_h3(self, p, ablation=False):
         _, _, lag, efg, w, nm = linear_stage(p)
         b1 = first_order_components(nm)
-        (x2, y2), _ = forcing_x2y2(lag.grade(3), b1[0], b1[1], w)
+        (x2, y2), _, cubic = forcing_x2y2(lag.grade(3), b1[0], b1[1], w)
         sol = solve_second_order_oracle(efg, w, p.n, x2, y2)
         b2 = (DAlembertSeries.zero(), DAlembertSeries.zero()) if ablation \
             else (sol.b2x, sol.b2y)
-        h3, _ = h3_normal_coefficients(lag.grade(3), b1, b2, efg, w, p.n)
+        h3 = h3_normal_coefficients(cubic, b1, b2, efg, w, p.n)
         scale = max(x2.max_abs(), y2.max_abs(), sol.b2x.max_abs(),
                     sol.b2y.max_abs())
         return h3, scale
@@ -395,9 +395,9 @@ class TestH3:
               + (3.0 * t_sym.T3) * (xi * eta * eta)
               + t_sym.T4 * (eta * eta * eta)) * (1.0 / 6.0)
         b1 = first_order_components(nm)
-        (x2, y2), _ = forcing_x2y2(l3, b1[0], b1[1], w)
+        (x2, y2), _, cubic = forcing_x2y2(l3, b1[0], b1[1], w)
         sol = solve_second_order_oracle(efg, w, p.n, x2, y2)
-        h3, _ = h3_normal_coefficients(l3, b1, (sol.b2x, sol.b2y), efg, w, p.n)
+        h3 = h3_normal_coefficients(cubic, b1, (sol.b2x, sol.b2y), efg, w, p.n)
         assert h3.max_abs() < 1e-10
 
     def test_partial_forcing_leaves_first_order_drag_residue(self):

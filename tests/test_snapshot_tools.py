@@ -3,6 +3,9 @@
 `scripts/chain_snapshot.py` records an exception per point instead of
 failing, so a broken accessor would show only as a diff between two
 snapshots; here its record of a point must build without raising.
+`scripts/cli_snapshot.py` records a command's exit code, so a renamed
+flag would turn its entries into exit-2 records; here every command it
+runs must parse.
 """
 
 import importlib.util
@@ -10,14 +13,20 @@ from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "chain_snapshot.py"
+from l4norm.cli import build_parser
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def load_chain_snapshot():
-    spec = importlib.util.spec_from_file_location("chain_snapshot", SCRIPT)
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_chain_snapshot():
+    return load_script("chain_snapshot")
 
 
 @pytest.mark.parametrize("point", [
@@ -35,3 +44,16 @@ def test_chain_record_builds(point):
             assert len(key) == 4
             c, s = value
             assert type(c) is float and type(s) is float
+
+
+def test_cli_snapshot_commands_parse():
+    snapshot = load_script("cli_snapshot")
+    commands = snapshot.FIXED + snapshot.random_points(30)
+    assert len(commands) == 65
+    parser = build_parser()
+    for argv in commands:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"cli_snapshot command does not parse: {argv}")
+        assert args.command == argv[0]

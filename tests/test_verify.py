@@ -240,6 +240,14 @@ def grade_norms(series):
     return tuple(series.grade(j, 3 - j).max_abs() for j in (3, 2, 1, 0))
 
 
+def cubic_at_b1_anew(res):
+    """Reference: the position cubic at B1, substituted with its own power
+    table."""
+    zero = DAlembertSeries.zero()
+    return poly_at_series(-res.lagrangian_poly.grade(3).position_part(),
+                          *res.b1, zero, zero, 3)
+
+
 def partial_forcing_gap_anew(res):
     """Reference: the partial-forcing gap with every substitution made
     afresh, its own power table of (B1, B1, D B1, D B1) and its own cubic
@@ -252,8 +260,9 @@ def partial_forcing_gap_anew(res):
                                powers=powers) for i in (0, 1))
     b2p = solve_second_order_oracle(res.efg, res.freq, res.params.n, x2p, y2p,
                                     floor=res.options.divisor_floor)
-    h3p, _ = h3_normal_coefficients(l3, res.b1, (b2p.b2x, b2p.b2y), res.efg,
-                                    res.freq, res.params.n)
+    h3p = h3_normal_coefficients(cubic_at_b1_anew(res), res.b1,
+                                 (b2p.b2x, b2p.b2y), res.efg, res.freq,
+                                 res.params.n)
     return h3p.max_abs()
 
 
@@ -274,9 +283,9 @@ class TestH3Substitution:
 
     def test_ablation_is_the_b2_zero_run(self, res):
         zero = DAlembertSeries.zero()
-        b2_zero, _ = h3_normal_coefficients(
-            res.lagrangian_poly.grade(3), res.b1, (zero, zero), res.efg,
-            res.freq, res.params.n)
+        b2_zero = h3_normal_coefficients(cubic_at_b1_anew(res), res.b1,
+                                         (zero, zero), res.efg, res.freq,
+                                         res.params.n)
         assert list(res.h3_ablation.series.terms.items()) \
             == list(b2_zero.series.terms.items())
         assert res.h3_ablation.h2_residual == b2_zero.h2_residual
@@ -295,8 +304,8 @@ class TestH3Substitution:
             == grade_norms(reference.series)
 
     def test_partial_forcing_gap_reads_the_chain(self, res):
-        # The gap reuses the chain's position-partials forcing, and at the
-        # h3 stage its cubic at B1; at b2 it forms the cubic itself.
+        # The gap reuses the chain's position-partials forcing and its
+        # cubic at B1, at the h3 stage and at b2 alike.
         at_b2 = run_pipeline(res.params, res.options, stages=("b2",))
         assert at_b2.h3_ablation is None
         for chain in (res, at_b2):
@@ -315,10 +324,33 @@ class TestH3Substitution:
         assert res.x2.terms == (x2p - apply_D(sub(l3.partial(2)), w)).terms
         assert res.y2.terms == (y2p - apply_D(sub(l3.partial(3)), w)).terms
 
+    def test_cubic_at_b1_is_formed_at_the_b2_stage(self, res):
+        # The b2 stage is where B1 meets the cubic: a chain stopped there
+        # holds the same cubic that the full chain's ablation reads, and
+        # both equal the substitution made with its own power table.
+        at_b2 = run_pipeline(res.params, res.options, stages=("b2",))
+        ablation = list(res.h3_ablation.series.terms.items())
+        assert list(at_b2.cubic_at_b1.terms.items()) == ablation
+        assert list(cubic_at_b1_anew(res).terms.items()) == ablation
+
+    def test_one_power_table_per_chain(self, res, monkeypatch):
+        # Only the forcing builds a power table, at cap 3; H3 and the
+        # partial-forcing gap substitute nothing of their own.
+        caps = []
+        init = PowerTable.__init__
+        monkeypatch.setattr(PowerTable, "__init__", lambda self, inputs, cap:
+                            caps.append(cap) or init(self, inputs, cap))
+        run_pipeline(res.params, res.options)
+        assert caps == [3]
+        caps.clear()
+        partial_forcing_gap(run_pipeline(res.params, res.options,
+                                         stages=("b2",)))
+        assert caps == [3]
+
 
 def test_grades_are_sliced_once_and_only_when_read(monkeypatch):
-    # The partial-forcing gap reads its own H3 and drops the ablation, whose
-    # grades are then never sliced; the chain's grades are sliced once.
+    # The partial-forcing gap slices only its own H3's grades; the chain's
+    # grades are sliced once.
     res = run_pipeline(ModelParams(mu=0.01215, q1=0.999, A2=1e-4, cd=20.0))
     sliced = []
     grade = DAlembertSeries.grade
