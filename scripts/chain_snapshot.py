@@ -6,12 +6,12 @@ coefficients in stored order, E/F/G, the frequencies, the normal-mode
 matrix J as hex floats, the forcing X2/Y2, B2 and its residuals, H3 and
 its ablation with their series, the gates, the sorted audit gaps, and
 the partial-forcing gap of a chain stopped at b2 (the detector's path,
-where the gap forms the position cubic itself).  A point that raises
-gets its exception class and message instead.  The points (mu in
-[0.001, 0.037], both branches, every other one drag-free) come from a
-fixed seed, so two snapshots that compare equal mean the chain computed
-the same values, bit for bit and in the same order.  The package is
-imported from whatever `PYTHONPATH` names, so one tree can be compared
+where the gap reads the b2 stage's forcing and cubic at B1).  A point
+that raises gets its exception class and message instead.  The points
+(mu in [0.001, 0.037], both branches, every other one drag-free) come
+from a fixed seed, so two snapshots that compare equal mean the chain
+computed the same values, bit for bit and in the same order.  The package
+is imported from whatever `PYTHONPATH` names, so one tree can be compared
 with another:
 
     PYTHONPATH=old/src python scripts/chain_snapshot.py old.txt

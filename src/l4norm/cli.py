@@ -1,9 +1,9 @@
 """Batch front door: parameter configs, pipeline runs, sweeps, CSV output.
 
 Exit codes: 0 success, 2 configuration or solver failure, 3 verification
-gate failure, 4 typed pipeline error (resonance, small divisor, stability
-domain, critical term).  All numbers are serialized with 17 significant
-digits; row order is deterministic.
+gate failure, 4 domain error (`DomainError`: resonance, small divisor,
+stability domain, critical term).  All numbers are serialized with 17
+significant digits; row order is deterministic.
 """
 
 from __future__ import annotations
@@ -15,14 +15,7 @@ from dataclasses import dataclass, field, replace
 
 from . import verify
 from .dalembert import moser_check
-from .errors import (
-    ConfigError,
-    CriticalTermError,
-    L4NormError,
-    ResonanceError,
-    SmallDivisorError,
-    StabilityDomainError,
-)
+from .errors import ConfigError, DomainError, L4NormError, StabilityDomainError
 from .model import ModelParams
 from .normalform import classical_frequencies, frequencies
 from .verify import PipelineOptions, fmt
@@ -339,8 +332,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(config, args.mu_min, args.mu_max, args.steps)
         raise ConfigError(f"unknown command {args.command}")
-    except (ResonanceError, SmallDivisorError, StabilityDomainError,
-            CriticalTermError) as err:
+    except DomainError as err:
         print(f"pipeline error [{type(err).__name__}]: {err}", file=sys.stderr)
         return EXIT_PIPELINE
     except L4NormError as err:

@@ -262,7 +262,6 @@ class MoserReport:
 
     min_combination: float
     worst_pair: tuple
-    tol: float
     passed: bool
 
 
@@ -272,6 +271,5 @@ def moser_check(w: FrequencyPair, tol: float) -> MoserReport:
     return MoserReport(
         min_combination=value,
         worst_pair=pair,
-        tol=tol,
         passed=value > tol,
     )

@@ -37,7 +37,12 @@ class SingularJacobianError(L4NormError):
     """Newton step hit a (near-)singular Jacobian."""
 
 
-class StabilityDomainError(L4NormError):
+class DomainError(L4NormError):
+    """The parameter point lies outside the domain the normalization covers
+    (unstable, resonant, or a divisor too small); the CLI exits 4."""
+
+
+class StabilityDomainError(DomainError):
     """Linearized system is not of center x center type.
 
     `eigenvalues` carries the offending spectrum for diagnostics.
@@ -48,7 +53,7 @@ class StabilityDomainError(L4NormError):
         super().__init__(message)
 
 
-class ResonanceError(L4NormError):
+class ResonanceError(DomainError):
     """Frequencies violate a non-resonance requirement."""
 
     def __init__(self, message, witness=None):
@@ -56,7 +61,7 @@ class ResonanceError(L4NormError):
         super().__init__(message)
 
 
-class SmallDivisorError(L4NormError):
+class SmallDivisorError(DomainError):
     """A divisor fell below the floor separating small from resonant.
 
     `factor` names the offending combination, `value` its magnitude.
@@ -68,7 +73,7 @@ class SmallDivisorError(L4NormError):
         super().__init__(f"small divisor {factor} = {value:.3e}")
 
 
-class CriticalTermError(L4NormError):
+class CriticalTermError(DomainError):
     """A forcing series carries a critical harmonic that cannot be inverted."""
 
     def __init__(self, harmonic, coefficient):

@@ -326,19 +326,19 @@ def solve_second_order_oracle(efg: QuadraticCoefficients, w: FrequencyPair,
                               floor: float = DIVISOR_FLOOR) -> SecondOrderSolution:
     """Solve the coupled second-order equations by harmonic division.
 
-    Eliminating one unknown (the adjugate of the linear operator, its
-    second row negated) turns the coupled pair into
-    (D^2 + w1^2)(D^2 + w2^2) B2 = Phi2 (and = -Psi2), which divides
-    harmonic-by-harmonic by the small divisor; a critical harmonic there
-    raises `CriticalTermError` from :func:`invert_delta`.  The returned
-    residuals are of the original coupled system and must sit at round-off.
+    Eliminating one unknown (the adjugate of the linear operator) turns
+    the coupled pair into (D^2 + w1^2)(D^2 + w2^2) (B2x, B2y) = (Phi2, Psi2),
+    which divides harmonic-by-harmonic by the small divisor; a critical
+    harmonic there raises `CriticalTermError` from :func:`invert_delta`.
+    The returned residuals are of the original coupled system and must sit
+    at round-off.
     """
     op = linear_operator(efg, n)
     (l11, l12), (l21, l22) = op
     neg = lambda entry: tuple(-v for v in entry)
-    phi2, psi2 = apply_operator(((l22, neg(l12)), (l21, neg(l11))), x2, y2, w)
+    phi2, psi2 = apply_operator(((l22, neg(l12)), (neg(l21), l11)), x2, y2, w)
     b2x = invert_delta(phi2, w, floor)
-    b2y = invert_delta(psi2, w, floor).scale(-1.0)
+    b2y = invert_delta(psi2, w, floor)
     rx, ry = apply_operator(op, b2x, b2y, w)
     return SecondOrderSolution(b2x, b2y, (rx - x2).max_abs(),
                                (ry - y2).max_abs())
@@ -354,7 +354,8 @@ class H3NormalCoefficients:
     The conclusion under test: with B2 from the oracle solve, all four
     vanish (every harmonic of every grade cancels).  The grades A30, A21,
     A12 and A03 are sliced on first read, so a caller that discards the
-    result pays nothing for them.
+    result pays nothing for them; every degree-3 key lies in one of them,
+    so `max_abs` reads the whole series and slices none.
     """
 
     series: DAlembertSeries      # full degree-3 slice
@@ -366,7 +367,7 @@ class H3NormalCoefficients:
     A03 = _grade_norm(0, 3)
 
     def max_abs(self) -> float:
-        return max(self.A30, self.A21, self.A12, self.A03)
+        return self.series.max_abs()
 
 
 def h3_normal_coefficients(cubic: DAlembertSeries, b1, b2,

@@ -396,25 +396,17 @@ def oracle_t_coefficients(l3: TruncatedPoly):
     return t1, t2, t3, t4, l3.velocity_part()
 
 
-@dataclass(frozen=True)
-class H3Comparison:
-    """Per-coefficient reconciliation of the closed cubic against the oracle."""
-
-    abs_diff: dict         # name -> |closed - oracle|
-    t5_diff: float         # sup-norm difference of the velocity cubics
-
-
 def compare_h3(oracle_l3: TruncatedPoly,
-               closed: H3CoefficientsClosedForm) -> H3Comparison:
-    """Map the oracle cubic onto the T-pattern and report discrepancies.
+               closed: H3CoefficientsClosedForm) -> dict:
+    """Gaps of the closed cubic to the oracle's, name -> sup-norm gap:
+    T1..T4 as scalars, T5 and T5_print against the velocity cubic.
 
     Callers decide what counts as agreement (typically via a halving
     experiment).
     """
-    t1o, t2o, t3o, t4o, t5o = oracle_t_coefficients(oracle_l3)
-    names = ("T1", "T2", "T3", "T4")
-    ovals = (t1o, t2o, t3o, t4o)
-    cvals = (closed.T1, closed.T2, closed.T3, closed.T4)
-    abs_diff = {name: abs(cv - ov) for name, ov, cv in zip(names, ovals, cvals)}
-    return H3Comparison(abs_diff=abs_diff,
-                        t5_diff=closed.T5.norm_of_difference(t5o))
+    *oracle, velocity = oracle_t_coefficients(oracle_l3)
+    gaps = {name: abs(getattr(closed, name) - value)
+            for name, value in zip(("T1", "T2", "T3", "T4"), oracle)}
+    gaps["T5"] = closed.T5.norm_of_difference(velocity)
+    gaps["T5_print"] = closed.T5_print.norm_of_difference(velocity)
+    return gaps

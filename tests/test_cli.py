@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from l4norm import errors
 from l4norm.cli import (
     EXIT_CONFIG,
     EXIT_GATE,
@@ -14,7 +15,15 @@ from l4norm.cli import (
     parse_config_text,
 )
 from l4norm.errors import ConfigError
-from l4norm.verify import TOLERANCES, PipelineOptions, detect_discrepancies, fmt
+from l4norm.model import ModelParams
+from l4norm.verify import (
+    TOLERANCES,
+    PipelineOptions,
+    detect_discrepancies,
+    fmt,
+    partial_forcing_gap,
+    run_pipeline,
+)
 
 
 def run_cli(capsys, *argv):
@@ -372,7 +381,31 @@ class TestVerifyCsvFormat:
         assert code == EXIT_OK and "[series-vs-oracle]" in out
         assert detect_discrepancies.cache_info().currsize == 1
 
+    @pytest.mark.parametrize("branch,drag", [("L4", False), ("L5", True)])
+    def test_b2_csv_prints_the_partial_forcing_gap(self, capsys, branch, drag):
+        # The audit owns the gap from the b2 stage on, so a b2 run prints it.
+        p = (ModelParams(mu=0.01215, q1=0.999, A2=1e-4, cd=20.0) if drag
+             else ModelParams(mu=0.01215))
+        argv = ["verify", "--mu", "0.01215", "--stages", "b2",
+                "--branch", branch, "--format", "csv"]
+        if drag:
+            argv += ["--q1", "0.999", "--a2", "1e-4", "--cd", "20"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        gap = partial_forcing_gap(run_pipeline(
+            p, PipelineOptions(branch=branch), stages=("b2",)))
+        assert f"gap.forcing.partial_only,{fmt(gap)}" in out.splitlines()
+
     def test_bad_format_rejected(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--mu", "0.01",
                                "--config", "/nonexistent/x.cfg")
         assert code == EXIT_CONFIG
+
+
+def test_domain_errors_share_the_exit_4_class():
+    for cls in (errors.ResonanceError, errors.SmallDivisorError,
+                errors.StabilityDomainError, errors.CriticalTermError):
+        assert issubclass(cls, errors.DomainError)
+    for cls in (errors.ConvergenceError, errors.ParameterError,
+                errors.ConfigError):
+        assert not issubclass(cls, errors.DomainError)

@@ -502,7 +502,7 @@ class TestClosedFormCubic:
         l3 = taylor_lagrangian(p, shift, 3).grade(3)
         rep = compare_h3(l3, t_coefficients_closed_form(p, shift))
         t1o, t2o, t3o, t4o, _ = oracle_t_coefficients(l3)
-        rel = {name: rep.abs_diff[name] / abs(oracle) for name, oracle in
+        rel = {name: rep[name] / abs(oracle) for name, oracle in
                zip(("T1", "T2", "T3", "T4"), (t1o, t2o, t3o, t4o))}
         assert rel["T1"] < 1e-10
         assert rel["T4"] < 1e-10
@@ -510,6 +510,19 @@ class TestClosedFormCubic:
         assert rel["T3"] > 0.5
         assert t2o == pytest.approx(-3 * SQRT3 / 8, abs=1e-11)
         assert t3o == pytest.approx(-33 * p.gamma / 8, abs=1e-10)
+
+    @pytest.mark.parametrize("p", [
+        ModelParams(mu=0.01),
+        ModelParams(mu=0.01215, q1=0.999, A2=1e-4, cd=20.0)],
+        ids=["free", "drag"])
+    def test_compare_h3_returns_the_six_cubic_gaps(self, p):
+        shift = shift_from_point(solve_triangular_numeric(p), p)
+        l3 = taylor_lagrangian(p, shift, 3).grade(3)
+        closed = t_coefficients_closed_form(p, shift)
+        gaps = compare_h3(l3, closed)
+        assert list(gaps) == ["T1", "T2", "T3", "T4", "T5", "T5_print"]
+        assert gaps["T5_print"] == closed.T5_print.norm_of_difference(
+            l3.velocity_part())
 
 
 class TestConstruction:

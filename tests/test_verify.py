@@ -182,18 +182,15 @@ class TestDetector:
     @pytest.mark.parametrize("mu", [0.00445, 0.01215])
     @pytest.mark.parametrize("branch", ["L4", "L5"])
     def test_b2_chain_gives_the_full_chain_gaps(self, mu, branch):
-        # The detector stops the chain at b2 and adds the partial-forcing
-        # gap itself; every gating gap must equal the full chain's audit.
+        # The detector stops the chain at b2; every gating gap of that
+        # audit must equal the full chain's.
         options = PipelineOptions(branch=branch)
         points = [ModelParams(mu=mu)] + [
             single_perturbation_params(mu, kind, h)
             for kind in PERTURBATIONS
             for h in (HALVING_STRENGTH, HALVING_STRENGTH / 2)]
         for p in points:
-            res = run_pipeline(p, options, stages=("b2",))
-            gaps = audit(res).gaps
-            assert "forcing.partial_only" not in gaps
-            gaps["forcing.partial_only"] = partial_forcing_gap(res)
+            gaps = audit(run_pipeline(p, options, stages=("b2",))).gaps
             full = audit(run_pipeline(p, options)).gaps
             for key in GATING_KEYS:
                 assert gaps[key] == full[key], (p, key)
@@ -303,6 +300,10 @@ class TestH3Substitution:
         assert (res.h3.A30, res.h3.A21, res.h3.A12, res.h3.A03) \
             == grade_norms(reference.series)
 
+    def test_max_abs_is_the_largest_grade_norm(self, res):
+        for h3 in (res.h3, res.h3_ablation):
+            assert h3.max_abs() == max(grade_norms(h3.series))
+
     def test_partial_forcing_gap_reads_the_chain(self, res):
         # The gap reuses the chain's position-partials forcing and its
         # cubic at B1, at the h3 stage and at b2 alike.
@@ -349,19 +350,21 @@ class TestH3Substitution:
 
 
 def test_grades_are_sliced_once_and_only_when_read(monkeypatch):
-    # The partial-forcing gap slices only its own H3's grades; the chain's
-    # grades are sliced once.
+    # The gates and the partial-forcing gap read whole series and slice no
+    # grade; the four grade norms are sliced once, on first read.
     res = run_pipeline(ModelParams(mu=0.01215, q1=0.999, A2=1e-4, cd=20.0))
     sliced = []
     grade = DAlembertSeries.grade
     monkeypatch.setattr(DAlembertSeries, "grade",
                         lambda self, j, m: sliced.append((j, m)) or grade(self, j, m))
     gates = res.gates()
-    assert len(sliced) == 8        # four grades of H3, four of the ablation
-    assert res.gates() == gates and len(sliced) == 8
-    sliced.clear()
     partial_forcing_gap(res)
+    assert sliced == []
+    norms = [res.h3.A30, res.h3.A21, res.h3.A12, res.h3.A03]
     assert sorted(sliced) == [(0, 3), (1, 2), (2, 1), (3, 0)]
+    assert [res.h3.A30, res.h3.A21, res.h3.A12, res.h3.A03] == norms
+    assert res.gates() == gates and len(sliced) == 4
+    assert res.h3.max_abs() == max(norms)
 
 
 @pytest.mark.parametrize("branch", ["L4", "L5"])
