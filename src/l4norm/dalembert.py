@@ -155,9 +155,6 @@ class DAlembertSeries(Store):
 
     # -- linear structure -------------------------------------------------
 
-    def __sub__(self, other):
-        return self + other.scale(-1.0)
-
     def scale(self, factor: float):
         return self._new(self.layout, [0j + z * factor for z in self.values])
 

@@ -3,16 +3,16 @@
 A series (:mod:`l4norm.dalembert`) or a polynomial (:mod:`l4norm.polyalg`)
 is a :class:`Store`: a *layout* -- its keys in stored order, with each
 key's slot -- plus a list of values, one per slot, real or complex.  The
-base holds what the two share: the sum, the slices, the key lookup, the
-sup norms, and the one product loop over ``(i, k, slot)`` rows.  The key
-work of every operation (output keys, their order, which slots meet)
-depends only on the layouts, which repeat from one parameter point to the
-next, so it is planned once per layout, or pair of layouts, and kept in
-one bounded table; the operation itself is arithmetic along the plan and
-builds no dict.  A product plan keeps the pair order of a plain double
-loop over the terms, and a sum appends the right operand's new keys in
-its order, so every result is bit-identical to the plain loop's, key
-order included.
+base holds what the two share: the sum and the difference, the slices,
+the key lookup, the sup norms, and the one product loop over ``(i, k,
+slot)`` rows.  The key work of every operation (output keys, their order,
+which slots meet) depends only on the layouts, which repeat from one
+parameter point to the next, so it is planned once per layout, or pair of
+layouts, and kept in one bounded table; the operation itself is
+arithmetic along the plan and builds no dict.  A product plan keeps the
+pair order of a plain double loop over the terms, and a sum (or a
+difference) appends the right operand's new keys in its order, so every
+result is bit-identical to the plain loop's, key order included.
 
 Layouts are interned by key tuple, so results of the same shape share
 plans.  Nothing depends on that: a layout evicted from the table and
@@ -22,6 +22,7 @@ interned again is a new object with plans of its own.
 from __future__ import annotations
 
 import functools
+import operator
 
 # Entries kept in the plan table: interned layouts and the plans made on
 # them.  The chain with its audit and the detector makes about 230 in
@@ -116,13 +117,20 @@ class Store:
         return out
 
     def __add__(self, other):
+        return self._merge(other, operator.add)
+
+    def __sub__(self, other):
+        return self._merge(other, operator.sub)
+
+    def _merge(self, other, op):
+        """``op`` (add or sub) of the two stores along their sum plan."""
         layout, shared, new = plan(sum_plan, self.layout, other.layout)
         values = self.values.copy()
         right = other.values
         for n, k in shared:
-            values[n] = values[n] + right[k]
+            values[n] = op(values[n], right[k])
         zero = self._zero
-        values += [zero + right[k] for k in new]
+        values += [op(zero, right[k]) for k in new]
         return self._new(layout, values)
 
     def _slice(self, measure, low, high):
