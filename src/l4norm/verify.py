@@ -180,6 +180,8 @@ class Audit:
     eq_epsform: equilibria.EquilibriumPoint
     j_closed: closedforms.JClosedForm | None = None
     rs: closedforms.RSTable | None = None
+    # (r, s) read off the chain's B2 by `oracle_rs_from_series`
+    rs_oracle: tuple | None = None
     gaps: dict = field(default_factory=dict)
 
 
@@ -217,7 +219,8 @@ def audit(res: PipelineResult) -> Audit:
     fg = closedforms.fg_tables(p)
     out.rs = closedforms.rs_tables(out.j_closed, res.freq, fg,
                                    floor=res.options.divisor_floor)
-    r_oracle, s_oracle = oracle_rs_from_series(res.b2.b2x, res.b2.b2y)
+    out.rs_oracle = oracle_rs_from_series(res.b2.b2x, res.b2.b2y)
+    r_oracle, s_oracle = out.rs_oracle
     for i in range(10):
         gaps[f"b2.r{i + 1}"] = abs(out.rs.r[i] - r_oracle[i])
         gaps[f"b2.s{i + 1}"] = abs(out.rs.s[i] - s_oracle[i])
@@ -405,7 +408,7 @@ def render_report(res: PipelineResult, printed: Audit, verdicts=None) -> str:
         put(f"residual_x: {fmt(res.b2.residual_x)}")
         put(f"residual_y: {fmt(res.b2.residual_y)}")
         put(f"closed_vs_oracle_sup: {fmt(gaps['b2.sup'])}")
-        r_oracle, s_oracle = oracle_rs_from_series(res.b2.b2x, res.b2.b2y)
+        r_oracle, s_oracle = printed.rs_oracle
         put("coefficient,closed,oracle,abs_gap")
         for i in range(10):
             put(f"r{i + 1},{fmt(printed.rs.r[i])},{fmt(r_oracle[i])},"
