@@ -3,9 +3,9 @@
 For each point the script runs every stage of `run_pipeline` and the
 printed-table `audit`, and writes one `repr` line: the Taylor
 coefficients in stored order, E/F/G, the frequencies, the normal-mode
-matrix J as hex floats, the forcing X2/Y2, B2 and its residuals, H3 and
-its ablation with their series, the gates, the sorted audit gaps, and
-the partial-forcing gap of a chain stopped at b2 (the detector's path,
+matrix J as hex floats row by row, the forcing X2/Y2, B2 and its
+residuals, H3 and its ablation with their series, the gates, the sorted
+audit gaps, and the partial-forcing gap of a chain stopped at b2 (the detector's path,
 where the gap reads the b2 stage's forcing and cubic at B1).  A point
 that raises gets its exception class and message instead.  The points
 (mu in [0.001, 0.037], both branches, every other one drag-free) come
@@ -17,20 +17,26 @@ with another:
     PYTHONPATH=old/src python scripts/chain_snapshot.py old.txt
     PYTHONPATH=src python scripts/chain_snapshot.py new.txt
     diff old.txt new.txt
+
+A change meant to move values only at round-off is checked with the
+numeric mode instead of `diff`:
+
+    python scripts/chain_snapshot.py --compare old.txt new.txt
+
+It prints, per field, the worst change over the points relative to the
+field's largest magnitude at that point, the worst absolute change, and
+the point of the worst relative one.  A term that one side stores and
+the other has pruned as an exact zero reads as 0.0 there.  Everything
+else that is not a float (gates, audit names, the class of a point's
+error, not its message) must match exactly; the mode lists each point
+where it does not and then exits 1.
 """
 
 from __future__ import annotations
 
+import ast
 import random
 import sys
-
-from l4norm.model import ModelParams
-from l4norm.verify import (
-    PipelineOptions,
-    audit,
-    partial_forcing_gap,
-    run_pipeline,
-)
 
 POINTS = 300
 
@@ -57,6 +63,14 @@ def h3_values(h3):
 
 def chain_record(mu, epsilon, a2, cd, branch):
     """Every value the chain and the audit compute at one point."""
+    from l4norm.model import ModelParams
+    from l4norm.verify import (
+        PipelineOptions,
+        audit,
+        partial_forcing_gap,
+        run_pipeline,
+    )
+
     p = ModelParams(mu=mu, q1=1.0 - epsilon, A2=a2, cd=cd)
     options = PipelineOptions(branch=branch)
     res = run_pipeline(p, options)
@@ -66,7 +80,7 @@ def chain_record(mu, epsilon, a2, cd, branch):
         ("taylor", [(m, float(c)) for m, c in res.lagrangian_poly.coeffs.items()]),
         ("efg", (float(efg.E), float(efg.F), float(efg.G))),
         ("freq", (float(w.omega1), float(w.omega2))),
-        ("J", [float(v).hex() for v in res.nm.J.ravel()]),
+        ("J", [float(v).hex() for row in res.nm.J for v in row]),
         ("x2", series_terms(res.x2)),
         ("y2", series_terms(res.y2)),
         ("b2", series_terms(b2.b2x), series_terms(b2.b2y),
@@ -90,10 +104,80 @@ def snapshot(points) -> str:
     return "".join(lines)
 
 
+def _is_keyed(value) -> bool:
+    """A list of (key, value) terms keyed by four ints: a series, as
+    `series_terms` writes it, or the Taylor polynomial."""
+    return isinstance(value, list) and bool(value) and all(
+        isinstance(t, tuple) and len(t) == 2 and isinstance(t[0], tuple)
+        and len(t[0]) == 4 and all(isinstance(k, int) for k in t[0])
+        for t in value)
+
+
+def flatten(value, path: tuple, floats: dict, other: dict):
+    """Fill `floats` with every float of `value` (hex strings, as in J,
+    read back) and `other` with every other leaf, both by path.  A term's
+    path holds its key, so a term pruned to an exact zero on one side
+    reads as 0.0 there."""
+    if _is_keyed(value):
+        for key, term in value:
+            flatten(term, path + (key,), floats, other)
+    elif isinstance(value, (tuple, list)):
+        for n, item in enumerate(value):
+            flatten(item, path + (n,), floats, other)
+    elif isinstance(value, str) and value.lstrip("-").startswith("0x"):
+        floats[path] = float.fromhex(value)
+    elif isinstance(value, float):
+        floats[path] = value
+    else:
+        other[path] = value
+
+
+def compare(old_lines, new_lines) -> tuple:
+    """``(worst, mismatches)``: per field name, the worst (relative,
+    absolute) change and the point it is at; and the points whose
+    non-float content differs."""
+    worst, mismatches = {}, []
+    if len(old_lines) != len(new_lines):
+        mismatches.append(f"{len(old_lines)} points against {len(new_lines)}")
+    for old_line, new_line in zip(old_lines, new_lines):
+        index, _, old_record = ast.literal_eval(old_line)
+        _, _, new_record = ast.literal_eval(new_line)
+        if isinstance(old_record[1], str) or isinstance(new_record[1], str):
+            if old_record[0] != new_record[0]:  # error class, or a record
+                mismatches.append(f"point {index}: {old_record[0]} against "
+                                  f"{new_record[0]}")
+            continue
+        for old_field, new_field in zip(old_record, new_record):
+            a, b, a_other, b_other = {}, {}, {}, {}
+            flatten(old_field, (), a, a_other)
+            flatten(new_field, (), b, b_other)
+            if a_other != b_other:
+                mismatches.append(f"point {index}: field {old_field[0]}")
+                continue
+            scale = max(map(abs, a.values()), default=0.0)
+            change = max((abs(a.get(k, 0.0) - b.get(k, 0.0))
+                          for k in a.keys() | b.keys()), default=0.0)
+            rel = change / scale if scale else change
+            prev = worst.get(old_field[0], (0.0, 0.0, None))
+            worst[old_field[0]] = (max(prev[0], rel), max(prev[1], change),
+                                   index if rel > prev[0] else prev[2])
+    return worst, mismatches
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if len(args) == 3 and args[0] == "--compare":
+        old, new = ([*open(path, encoding="utf-8")] for path in args[1:])
+        worst, mismatches = compare(old, new)
+        print("field relative absolute worst_point")
+        for name, (rel, change, index) in worst.items():
+            print(f"{name} {rel:.3g} {change:.3g} {index}")
+        for line in mismatches:
+            print(f"differs: {line}")
+        return 1 if mismatches else 0
     if len(args) != 1:
-        print("usage: chain_snapshot.py OUTPUT", file=sys.stderr)
+        print("usage: chain_snapshot.py OUTPUT | --compare OLD NEW",
+              file=sys.stderr)
         return 2
     with open(args[0], "w", encoding="utf-8", newline="\n") as handle:
         handle.write(snapshot(random_points(POINTS)))

@@ -4,7 +4,8 @@ cubic normal-form coefficients.
 The oracle chain this module serves:
 
 1. frequencies + symplectic normal-mode matrix J from the quadratic
-   Lagrangian slice (exact eigenvector construction);
+   Lagrangian slice, both in closed form (the roots of a biquadratic, and
+   per mode the null vector of a 2x2 matrix);
 2. first-order components B1 from the (x, y) rows of J;
 3. cubic forcing X2, Y2 and the energy's position cubic, from one table
    of the powers of (B1, B1, D B1, D B1);
@@ -21,12 +22,11 @@ is formed.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
 
 from .dalembert import (
     DIVISOR_FLOOR,
@@ -41,54 +41,52 @@ from .layout import Layout, plan
 from .model import ModelParams
 from .polyalg import QuadraticCoefficients, TruncatedPoly
 
-SIGMA = np.array([
-    [0.0, 0.0, 1.0, 0.0],
-    [0.0, 0.0, 0.0, 1.0],
-    [-1.0, 0.0, 0.0, 0.0],
-    [0.0, -1.0, 0.0, 0.0],
-])
+SIGMA = ((0.0, 0.0, 1.0, 0.0),
+         (0.0, 0.0, 0.0, 1.0),
+         (-1.0, 0.0, 0.0, 0.0),
+         (0.0, -1.0, 0.0, 0.0))
 
-_IMAG_TOL = 1e-9
 
-def stiffness_matrix(efg: QuadraticCoefficients, n: float) -> np.ndarray:
+def stiffness_matrix(efg: QuadraticCoefficients, n: float) -> tuple:
     """Position block K of the quadratic Lagrangian, L2 = |v|^2/2 + v.C q + q.K q/2."""
-    return np.array([[n * n - 2.0 * efg.E, -efg.G],
-                     [-efg.G, n * n - 2.0 * efg.F]])
+    return ((n * n - 2.0 * efg.E, -efg.G),
+            (-efg.G, n * n - 2.0 * efg.F))
 
 
-def velocity_coupling(l2: TruncatedPoly) -> np.ndarray:
+def velocity_coupling(l2: TruncatedPoly) -> tuple:
     """Bilinear block C with C[i][j] = coefficient of v_i q_j in the degree-2
     slice (gyroscopic plus drag gauge terms)."""
-    return np.array([
-        [l2.coefficient((1, 0, 1, 0)), l2.coefficient((0, 1, 1, 0))],
-        [l2.coefficient((1, 0, 0, 1)), l2.coefficient((0, 1, 0, 1))],
-    ])
+    return ((l2.coefficient((1, 0, 1, 0)), l2.coefficient((0, 1, 1, 0))),
+            (l2.coefficient((1, 0, 0, 1)), l2.coefficient((0, 1, 0, 1))))
 
 
 def frequencies(p: ModelParams, efg: QuadraticCoefficients) -> FrequencyPair:
-    """Basic frequencies: positive imaginary parts of the linearized system.
+    """Basic frequencies: the roots of w^4 - b w^2 + det K = 0.
 
     Only the antisymmetric part of the velocity coupling enters the
     equations of motion, and for this model that part is exactly the
-    gyroscopic 2n block, so (E, F, G, n) determine the spectrum.
+    gyroscopic 2n block, so the characteristic polynomial of the linear
+    flow is this biquadratic in w with b = 4 n^2 - tr K.  Both roots in
+    w^2 are positive and distinct exactly when Delta = b^2 - 4 det K,
+    det K and b are all positive; then w1^2 = (b + sqrt Delta)/2 and
+    w2^2 = 2 det K/(b + sqrt Delta) (no cancellation), so w1 > w2 by
+    construction.  Otherwise the error carries the four roots i w of the
+    characteristic polynomial.
     """
     n = p.n
-    K = stiffness_matrix(efg, n)
-    M = np.zeros((4, 4))
-    M[0:2, 2:4] = np.eye(2)
-    M[2:4, 0:2] = K
-    M[2:4, 2:4] = np.array([[0.0, 2.0 * n], [-2.0 * n, 0.0]])
-    eigvals = np.linalg.eigvals(M)
-    if np.any(np.abs(eigvals.real) > _IMAG_TOL * (1.0 + np.abs(eigvals))):
+    (k00, k01), (k10, k11) = stiffness_matrix(efg, n)
+    b = 4.0 * n * n - (k00 + k11)
+    det = k00 * k11 - k01 * k10
+    disc = b * b - 4.0 * det
+    if not (disc > 0.0 and det > 0.0 and b > 0.0):
+        roots = ((b + cmath.sqrt(disc)) / 2.0, (b - cmath.sqrt(disc)) / 2.0)
         raise StabilityDomainError(
-            "linearized system is not center x center (eigenvalues leave the "
-            "imaginary axis)", eigenvalues=tuple(eigvals))
-    omegas = np.sort(eigvals.imag[eigvals.imag > 0.0])[::-1]
-    if len(omegas) != 2:
-        raise StabilityDomainError(
-            f"expected two positive frequencies, got {omegas}",
-            eigenvalues=tuple(eigvals))
-    w1, w2 = float(omegas[0]), float(omegas[1])
+            "linearized system is not center x center (b = 4n^2 - tr K = "
+            f"{b:.6e}, det K = {det:.6e}, Delta = b^2 - 4 det K = {disc:.6e})",
+            eigenvalues=tuple(sign * cmath.sqrt(-w2) for w2 in roots
+                              for sign in (1.0, -1.0)))
+    top = b + math.sqrt(disc)
+    w1, w2 = math.sqrt(0.5 * top), math.sqrt(2.0 * det / top)
     if w1 - w2 < 1e-6 * w1:
         warnings.warn(
             f"near-equal frequencies ({w1:.8f}, {w2:.8f}); labeling is fragile",
@@ -108,7 +106,7 @@ def classical_frequencies(mu: float) -> FrequencyPair:
 
 def _entry(row: int, col: int):
     """Property: the (row, col) entry of `self.J`."""
-    return property(lambda self: self.J[row, col])
+    return property(lambda self: self.J[row][col])
 
 
 def _grade_norm(j: int, m: int):
@@ -123,11 +121,12 @@ class NormalModeData:
 
     X = J T maps (Q1, Q2, P1, P2) to (x, y, px, py); the transformed
     quadratic Hamiltonian is (P1^2 + w1^2 Q1^2)/2 - (P2^2 + w2^2 Q2^2)/2,
-    i.e. w1 I1 - w2 I2 in action-angle form.
+    i.e. w1 I1 - w2 I2 in action-angle form.  `J` is a tuple of its four
+    rows.
     """
 
     freq: FrequencyPair
-    J: np.ndarray
+    J: tuple
     symplectic_defect: float
     h2_residual: float
 
@@ -139,63 +138,93 @@ class NormalModeData:
     J24 = _entry(1, 3)
 
 
-def hamiltonian_matrix(K: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Hessian S of H2(q, p) = |p - C q|^2 / 2 - q.K q / 2."""
-    S = np.zeros((4, 4))
-    S[0:2, 0:2] = C.T @ C - K
-    S[0:2, 2:4] = -C.T
-    S[2:4, 0:2] = -C
-    S[2:4, 2:4] = np.eye(2)
-    return S
+def hamiltonian_matrix(K: tuple, C: tuple) -> tuple:
+    """Hessian S of H2(q, p) = |p - C q|^2 / 2 - q.K q / 2, as four rows."""
+    ctc = [[C[0][i] * C[0][j] + C[1][i] * C[1][j] - K[i][j] for j in range(2)]
+           for i in range(2)]
+    return ((*ctc[0], -C[0][0], -C[1][0]),
+            (*ctc[1], -C[0][1], -C[1][1]),
+            (-C[0][0], -C[0][1], 1.0, 0.0),
+            (-C[1][0], -C[1][1], 0.0, 1.0))
+
+
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+
+
+def congruence_gap(J: tuple, M: tuple, target: tuple) -> float:
+    """Largest entry of |J^T M J - target|, all three 4x4 row tuples."""
+    cols = tuple(zip(*J))
+    mj_cols = [[_dot(row, col) for row in M] for col in cols]
+    return max(abs(_dot(a, b) - t) for a, row in zip(cols, target)
+               for b, t in zip(mj_cols, row))
+
+
+def mode_vector(omega: float, K: tuple, C: tuple) -> list:
+    """Unit eigenvector (q, p) of the linear canonical flow at i*omega.
+
+    q spans the kernel of N = -omega^2 I - K + i omega (C - C^T), read off
+    its row of larger norm, and p = (i omega I + C) q.  A Newton step on
+    det N in omega, |det N| / |d det N / d omega|, measures how far
+    i*omega lies from the spectrum; beyond 1e-6 (1 + omega) omega is not
+    a frequency of this K and C.
+    """
+    g = 1j * omega * (C[0][1] - C[1][0])
+    rows = ((-omega * omega - K[0][0], g - K[0][1]),
+            (-g - K[1][0], -omega * omega - K[1][1]))
+    det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    slope = 2.0 * omega * (2.0 * omega * omega + K[0][0] + K[1][1]
+                           - (omega * (C[0][1] - C[1][0]))**2)
+    if not abs(det) <= 1e-6 * (1.0 + omega) * abs(slope):
+        raise StabilityDomainError(f"no eigenvalue near i*{omega:.8f}")
+    big = max(rows, key=lambda r: abs(r[0])**2 + abs(r[1])**2)
+    q0, q1 = big[1], -big[0]
+    v = [q0, q1, (1j * omega + C[0][0]) * q0 + C[0][1] * q1,
+         C[1][0] * q0 + (1j * omega + C[1][1]) * q1]
+    norm = math.sqrt(sum(abs(z)**2 for z in v))
+    return [z / norm for z in v]
 
 
 def j_numeric(p: ModelParams, efg: QuadraticCoefficients, w: FrequencyPair,
               l2: TruncatedPoly) -> NormalModeData:
     """Symplectic normalization of the quadratic Hamiltonian.
 
-    Eigenvectors of the linear canonical flow are phase-rotated so the
-    x row couples only to the P (cosine) variables, scaled so the
-    transformation is symplectic, and signed so J13, J14 > 0.  The mode
-    signs (+, -) are dictated by the symplectic invariants; a sign flip
-    would mean the quadratic part is not of the expected type.
+    Eigenvectors of the linear canonical flow (:func:`mode_vector`) are
+    phase-rotated so the x row couples only to the P (cosine) variables,
+    scaled so the transformation is symplectic, and signed so J13,
+    J14 > 0.  The mode signs (+, -) are dictated by the symplectic
+    invariants; a sign flip would mean the quadratic part is not of the
+    expected type.
     """
-    n = p.n
-    K = stiffness_matrix(efg, n)
-    S = hamiltonian_matrix(K, velocity_coupling(l2))
-    A = SIGMA @ S
-    eigvals, eigvecs = np.linalg.eig(A)
+    K = stiffness_matrix(efg, p.n)
+    C = velocity_coupling(l2)
 
     columns = {}
     for mode, (omega, target_sign) in enumerate(
             ((w.omega1, +1.0), (w.omega2, -1.0))):
-        idx = int(np.argmin(np.abs(eigvals - 1j * omega)))
-        if abs(eigvals[idx] - 1j * omega) > 1e-6 * (1.0 + omega):
-            raise StabilityDomainError(
-                f"no eigenvalue near i*{omega:.8f}", eigenvalues=tuple(eigvals))
-        v = eigvecs[:, idx]
+        v = mode_vector(omega, K, C)
         pivot = v[0] if abs(v[0]) > 1e-12 else v[1]
-        v = v * (pivot.conjugate() / abs(pivot))  # x component real
-        u, wv = v.real, v.imag
-        sigma = float(u @ SIGMA @ wv)
+        turn = pivot.conjugate() / abs(pivot)  # x component real
+        v = [z * turn for z in v]
+        u, wv = [z.real for z in v], [z.imag for z in v]
+        sigma = u[0] * wv[2] + u[1] * wv[3] - u[2] * wv[0] - u[3] * wv[1]
         if sigma * target_sign <= 0.0:
             raise StabilityDomainError(
                 f"mode {mode + 1} has symplectic invariant {sigma:.3e}; "
                 "quadratic part is not of the expected signature")
         c = 1.0 / math.sqrt(omega * abs(sigma))
         d = -target_sign * c * omega
-        pcol, qcol = c * u, d * wv
+        pcol, qcol = [c * x for x in u], [d * x for x in wv]
         if pcol[0] < 0.0:
-            pcol, qcol = -pcol, -qcol
+            pcol, qcol = [-x for x in pcol], [-x for x in qcol]
         columns[mode] = (qcol, pcol)
 
-    J = np.column_stack([columns[0][0], columns[1][0],
-                         columns[0][1], columns[1][1]])
-
-    defect = float(np.max(np.abs(J.T @ SIGMA @ J - SIGMA)))
-    target = np.diag([w.omega1**2, -w.omega2**2, 1.0, -1.0])
-    h2_res = float(np.max(np.abs(J.T @ S @ J - target)))
-    return NormalModeData(freq=w, J=J, symplectic_defect=defect,
-                          h2_residual=h2_res)
+    J = tuple(zip(columns[0][0], columns[1][0], columns[0][1], columns[1][1]))
+    target = ((w.omega1**2, 0.0, 0.0, 0.0), (0.0, -w.omega2**2, 0.0, 0.0),
+              (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, -1.0))
+    return NormalModeData(
+        freq=w, J=J, symplectic_defect=congruence_gap(J, SIGMA, SIGMA),
+        h2_residual=congruence_gap(J, hamiltonian_matrix(K, C), target))
 
 
 # -- first-order components ---------------------------------------------

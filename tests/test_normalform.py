@@ -1,7 +1,11 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -32,6 +36,7 @@ from l4norm.normalform import (
     linear_residual,
     poly_at_series,
     solve_second_order_oracle,
+    stiffness_matrix,
     velocity_coupling,
 )
 from l4norm.polyalg import (
@@ -43,9 +48,21 @@ from l4norm.polyalg import (
 
 SQRT3 = math.sqrt(3.0)
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
-def linear_stage(p):
-    pt = solve_triangular_numeric(p)
+# (mu, q1, A2, cd, branch): both branches, drag-free and with drag, from
+# near the small-mu edge to near the critical mass ratio.
+LINEAR_POINTS = [
+    (mu, q1, a2, cd, branch)
+    for mu in (0.0013, 0.01, 0.0243, 0.037)
+    for q1, a2, cd in ((1.0, 0.0, 1.0), (0.995, 0.004, 14.0))
+    for branch in ("L4", "L5")
+]
+
+
+def linear_stage(p, branch="L4"):
+    pt = solve_triangular_numeric(p, branch)
     sh = shift_from_point(pt, p)
     lag = taylor_lagrangian(p, sh, 3)
     efg = extract_EFG(lag.grade(2), p)
@@ -80,6 +97,43 @@ class TestFrequencies:
         with pytest.raises(StabilityDomainError) as err:
             frequencies(p, efg)
         assert err.value.eigenvalues is not None
+
+    def test_unstable_error_carries_the_biquadratic_roots(self):
+        p = ModelParams(mu=0.5)
+        pt = solve_triangular_numeric(p)
+        efg = extract_EFG(taylor_lagrangian(p, shift_from_point(pt, p), 2)
+                          .grade(2), p)
+        with pytest.raises(StabilityDomainError, match="Delta") as err:
+            frequencies(p, efg)
+        (k00, k01), (_, k11) = stiffness_matrix(efg, p.n)
+        b, det = 4.0 * p.n**2 - k00 - k11, k00 * k11 - k01 * k01
+        roots = err.value.eigenvalues
+        assert len(roots) == 4 and all(abs(lam.real) > 0.1 for lam in roots)
+        for lam in roots:  # lambda = i omega: lambda^4 + b lambda^2 + det K
+            assert abs(lam**4 + b * lam**2 + det) < 1e-12
+
+    @pytest.mark.parametrize("point", LINEAR_POINTS)
+    def test_against_40_digit_characteristic_roots(self, point):
+        # the spectrum of the 4x4 first-order system [[0, I], [K, Omega]]
+        # (Omega the 2n gyroscopic block), its characteristic polynomial
+        # from Faddeev-LeVerrier and its roots from mpmath, 40 digits
+        mu, q1, a2, cd, branch = point
+        p = ModelParams(mu=mu, q1=q1, A2=a2, cd=cd)
+        _, _, _, efg, w, _ = linear_stage(p, branch)
+        with mpmath.workdps(40):
+            (k00, k01), (k10, k11) = stiffness_matrix(efg, p.n)
+            n2 = 2 * mpmath.mpf(p.n)
+            a = mpmath.matrix([[0, 0, 1, 0], [0, 0, 0, 1],
+                               [k00, k01, 0, n2], [k10, k11, -n2, 0]])
+            coeffs, m = [mpmath.mpf(1)], mpmath.zeros(4, 4)
+            for k in range(1, 5):
+                m = a * m + coeffs[-1] * mpmath.eye(4)
+                coeffs.append(-sum((a * m)[i, i] for i in range(4)) / k)
+            roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=80)
+            omegas = sorted((r.imag for r in roots if r.imag > 0), reverse=True)
+        assert len(omegas) == 2
+        for got, want in zip((w.omega1, w.omega2), omegas):
+            assert abs(got - want) <= 2e-14 * want
 
     def test_boundary_detection_near_critical_mass(self):
         from l4norm.verify import locate_classical_resonance
@@ -121,7 +175,7 @@ class TestJNumeric:
 
     def test_x_row_couples_only_to_cosines(self):
         _, _, _, _, _, nm = linear_stage(ModelParams(mu=0.01))
-        assert abs(nm.J[0, 0]) < 1e-13 and abs(nm.J[0, 1]) < 1e-13
+        assert abs(nm.J[0][0]) < 1e-13 and abs(nm.J[0][1]) < 1e-13
         assert nm.J13 > 0 and nm.J14 > 0
 
     def test_drag_defect_stays_at_roundoff(self):
@@ -140,15 +194,72 @@ class TestJNumeric:
         vx = apply_D(b1x, w)
         l2 = lag.grade(2)
         C = velocity_coupling(l2)
-        # px-row series: J[2, :] over (Q1, Q2, P1, P2); v = p - C q at degree 1
+        # px-row series: J[2] over (Q1, Q2, P1, P2); v = p - C q at degree 1
         sq1, sq2 = math.sqrt(2 * w.omega1), math.sqrt(2 * w.omega2)
         iq1, iq2 = math.sqrt(2 / w.omega1), math.sqrt(2 / w.omega2)
-        px = (DAlembertSeries.single(1, 0, 1, 0, s=nm.J[2, 0] * iq1,
-                                     c=nm.J[2, 2] * sq1)
-              + DAlembertSeries.single(0, 1, 0, 1, s=nm.J[2, 1] * iq2,
-                                       c=nm.J[2, 3] * sq2))
-        vx_from_p = px - b1x.scale(C[0, 0]) - b1y.scale(C[0, 1])
+        px = (DAlembertSeries.single(1, 0, 1, 0, s=nm.J[2][0] * iq1,
+                                     c=nm.J[2][2] * sq1)
+              + DAlembertSeries.single(0, 1, 0, 1, s=nm.J[2][1] * iq2,
+                                       c=nm.J[2][3] * sq2))
+        vx_from_p = px - b1x.scale(C[0][0]) - b1y.scale(C[0][1])
         assert vx.norm_of_difference(vx_from_p) < 1e-12
+
+
+def numpy_j_reference(p, efg, w, l2):
+    """J from numpy's 4x4 eigenvectors of the linear canonical flow, with
+    the phase, scale and sign rules of `j_numeric`."""
+    k = np.array(stiffness_matrix(efg, p.n))
+    c = np.array(velocity_coupling(l2))
+    sigma = np.block([[np.zeros((2, 2)), np.eye(2)],
+                      [-np.eye(2), np.zeros((2, 2))]])
+    s = np.block([[c.T @ c - k, -c.T], [-c, np.eye(2)]])
+    eigvals, eigvecs = np.linalg.eig(sigma @ s)
+    columns = []
+    for omega, sign in ((w.omega1, 1.0), (w.omega2, -1.0)):
+        v = eigvecs[:, np.argmin(np.abs(eigvals - 1j * omega))]
+        pivot = v[0] if abs(v[0]) > 1e-12 else v[1]
+        v = v * (pivot.conjugate() / abs(pivot))
+        inv = float(v.real @ sigma @ v.imag)
+        scale = 1.0 / math.sqrt(omega * abs(inv))
+        pcol, qcol = scale * v.real, -sign * scale * omega * v.imag
+        if pcol[0] < 0.0:
+            pcol, qcol = -pcol, -qcol
+        columns.append((qcol, pcol))
+    return np.column_stack([columns[0][0], columns[1][0],
+                            columns[0][1], columns[1][1]])
+
+
+class TestJAgainstNumpy:
+    @pytest.mark.parametrize("point", LINEAR_POINTS)
+    def test_matches_numpy_eigenvectors(self, point):
+        mu, q1, a2, cd, branch = point
+        p = ModelParams(mu=mu, q1=q1, A2=a2, cd=cd)
+        _, _, lag, efg, w, nm = linear_stage(p, branch)
+        ref = numpy_j_reference(p, efg, w, lag.grade(2))
+        assert np.max(np.abs(np.array(nm.J) - ref)) < 1e-12 * np.max(np.abs(ref))
+        assert nm.symplectic_defect < 1e-13
+
+    def test_frequency_off_the_spectrum_rejected(self):
+        p = ModelParams(mu=0.01, q1=0.999, cd=20.0)
+        _, _, lag, efg, w, _ = linear_stage(p)
+        off = FrequencyPair(w.omega1, w.omega2 * (1.0 + 1e-4))
+        with pytest.raises(StabilityDomainError, match="no eigenvalue near"):
+            j_numeric(p, efg, off, lag.grade(2))
+
+
+def test_package_runs_without_numpy():
+    # a fresh interpreter: importing the package and its CLI and running
+    # one h3 pipeline must not import numpy
+    code = ("import sys, l4norm, l4norm.cli\n"
+            "from l4norm.model import ModelParams\n"
+            "res = l4norm.run_pipeline(ModelParams(mu=0.01, q1=0.999, "
+            "A2=1e-4, cd=20.0))\n"
+            "assert all(res.gates().values())\n"
+            "print('numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
 
 
 class TestFirstOrder:

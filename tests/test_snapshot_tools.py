@@ -3,11 +3,13 @@
 `scripts/chain_snapshot.py` records an exception per point instead of
 failing, so a broken accessor would show only as a diff between two
 snapshots; here its record of a point must build without raising.
-`scripts/cli_snapshot.py` records a command's exit code, so a renamed
-flag would turn its entries into exit-2 records; here every command it
-runs must parse.
+Its `--compare` mode must report a moved float by its relative change
+and a changed error class as a mismatch.  `scripts/cli_snapshot.py`
+records a command's exit code, so a renamed flag would turn its entries
+into exit-2 records; here every command it runs must parse.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -44,6 +46,26 @@ def test_chain_record_builds(point):
             assert len(key) == 4
             c, s = value
             assert type(c) is float and type(s) is float
+
+
+def test_chain_snapshot_compare_reports_changes():
+    tool = load_chain_snapshot()
+    old = tool.snapshot([(0.01, 0.001, 1e-4, 20.0, "L5"),
+                         (0.5, 0.0, 0.0, 1.0, "L4")]).splitlines()
+    worst, mismatches = tool.compare(old, old)
+    assert mismatches == [] and set(worst) >= {"freq", "J", "b2", "gates"}
+    assert all(rel == change == 0.0 for rel, change, _ in worst.values())
+    # one frequency moved by 1e-13 relative; the unstable point's error
+    # class replaced by another
+    index, point, record = ast.literal_eval(old[0])
+    (name, (w1, w2)), = [entry for entry in record if entry[0] == "freq"]
+    record = tuple((name, (w1 * (1.0 + 1e-13), w2)) if entry[0] == "freq"
+                   else entry for entry in record)
+    new = [repr((index, point, record)), old[1].replace("StabilityDomainError",
+                                                      "ConvergenceError")]
+    worst, mismatches = tool.compare(old, new)
+    assert 0.5e-13 < worst["freq"][0] < 2e-13 and worst["J"][0] == 0.0
+    assert mismatches == ["point 1: StabilityDomainError against ConvergenceError"]
 
 
 def test_cli_snapshot_commands_parse():
