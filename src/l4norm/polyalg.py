@@ -111,19 +111,17 @@ class TruncatedPoly(Store):
 
     # -- ring operations ----------------------------------------------
 
-    def __add__(self, other):
+    def _merge(self, other, op):
+        """Sum or difference at the smaller cap; a scalar is a constant."""
         if not isinstance(other, TruncatedPoly):
             other = TruncatedPoly.constant(other, self.cap)
         cap = min(self.cap, other.cap)
-        return Store.__add__(self.truncated(cap), other.truncated(cap))
+        return Store._merge(self.truncated(cap), other.truncated(cap), op)
 
-    __radd__ = __add__
+    __radd__ = Store.__add__
 
     def __neg__(self):
         return self._new(self.layout, [-c for c in self.values])
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedPoly):
