@@ -3,9 +3,10 @@
 The four variables are (xi, eta, xidot, etadot): displacements and
 velocities about the triangular point.  Total degree is capped; products
 truncate, never extend.  The centerpiece is :func:`taylor_lagrangian`,
-which expands the full Lagrangian about an equilibrium by series
-composition (binomial expansion of 1/r powers and a complex-log expansion
-of the angle term) -- exact to truncation order, no finite differences.
+which expands the full Lagrangian about an equilibrium, exact to
+truncation order with no finite differences: binomial series of the 1/r
+powers and the complex-log series of the drag angle, as polynomials in
+the two displacements, lifted to the four variables once.
 
 A polynomial is a store (:mod:`l4norm.layout`): a list of real or complex
 coefficients on a shared key layout of exponent 4-tuples, whose sum,
@@ -79,7 +80,7 @@ class TruncatedPoly(Store):
         kept = {}
         if coeffs:
             for mono, c in coeffs.items():
-                if len(mono) != NVARS or any(e < 0 for e in mono):
+                if len(mono) != NVARS or min(mono) < 0:
                     raise ContractError(f"bad exponent tuple {mono}")
                 # exact-zero pruning only; no silent coefficient chopping
                 if sum(mono) <= cap and c != 0.0:
@@ -166,53 +167,49 @@ class TruncatedPoly(Store):
         return f"TruncatedPoly(cap={self.cap}, terms={len(self.values)})"
 
 
-def _powers(t: TruncatedPoly) -> list:
-    """[t, t^2, ..., t^cap], ending early at the first power that vanishes."""
-    out = []
-    for _ in range(t.cap):
-        power = out[-1] * t if out else t
-        if not power.values:
-            break
-        out.append(power)
+# -- Taylor expansion ---------------------------------------------------
+
+
+def _mul2(f: dict, g: dict, cap: int) -> dict:
+    """Product of two polynomials in (xi, eta), ``{(i, j): c}`` dicts,
+    without the terms past total degree `cap`."""
+    out = {}
+    for (i, j), c in f.items():
+        for (k, m), d in g.items():
+            if i + j + k + m <= cap:
+                key = (i + k, j + m)
+                out[key] = out.get(key, 0.0) + c * d
     return out
 
 
-def binomial_series(t: TruncatedPoly, *alphas: float) -> tuple:
-    """(1 + t)^alpha for each alpha, for a series t with no constant term;
-    the powers of t are formed once for all of them."""
-    if t.coefficient((0, 0, 0, 0)) != 0.0:
-        raise ContractError("binomial pivot requires a series without constant term")
-    powers = _powers(t)
-    out = []
-    for alpha in alphas:
-        result = TruncatedPoly.constant(1.0, t.cap)
-        coeff = 1.0
-        for k, power in enumerate(powers, 1):
-            coeff *= (alpha - (k - 1)) / k
-            result = result + power * coeff
-        out.append(result)
-    return tuple(out)
-
-
-def log1p_series(t: TruncatedPoly) -> TruncatedPoly:
-    """log(1 + t) for a series t with no constant term (complex allowed)."""
-    if t.coefficient((0, 0, 0, 0)) != 0.0:
-        raise ContractError("log pivot requires a series without constant term")
-    result = TruncatedPoly.constant(0.0, t.cap)
-    for k, power in enumerate(_powers(t), 1):
-        result = result + power * ((-1.0) ** (k + 1) / k)
-    return result
-
-
-# -- Taylor oracle ------------------------------------------------------
+def _add_radial_powers(dx: float, dy: float, cap: int, *terms):
+    """For each ``(target, alpha, scale)``, add scale * r^(2 alpha) to the
+    target dict in (xi, eta), where r^2 = (dx + xi)^2 + (dy + eta)^2: the
+    binomial series of rho^(2 alpha) (1 + t)^alpha with rho^2 = dx^2 + dy^2
+    and t = (2 (dx xi + dy eta) + xi^2 + eta^2) / rho^2.  The powers of t
+    are formed once for all the terms."""
+    rhosq = dx * dx + dy * dy
+    inv = 1.0 / rhosq
+    t = {(1, 0): 2.0 * dx * inv, (0, 1): 2.0 * dy * inv, (2, 0): inv, (0, 2): inv}
+    powers = [{(0, 0): 1.0}, t]
+    while len(powers) <= cap:
+        powers.append(_mul2(powers[-1], t, cap))
+    for target, alpha, scale in terms:
+        coeff = scale * rhosq ** alpha
+        for k, power in enumerate(powers):
+            for key, c in power.items():
+                target[key] = target.get(key, 0.0) + coeff * c
+            coeff *= (alpha - k) / (k + 1)
 
 
 def taylor_lagrangian(p: ModelParams, shift: OriginShift, degree: int) -> TruncatedPoly:
     """Exact truncated Taylor expansion of the Lagrangian about the shift point.
 
-    Built by composing truncated series: binomial expansions of 1/r1,
-    1/r2, 1/r2^3 and 1/r1^2 on the displacement quadratic, and the
-    imaginary part of log(1 + (xi + i eta)/(a + i b)) for the drag angle.
+    Five functions of position need a series, expanded as polynomials in
+    (xi, eta): 1/r1, 1/r1^2, 1/r2 and 1/r2^3 (binomial series) and the drag
+    angle, Im log(1 + z) with z = w (xi + i eta) and w = 1/(a + i b).  The
+    kinetic, Coriolis, centrifugal and drag-radial factors are of degree
+    <= 2 and add their coefficients in closed form.
 
     Parameters
     ----------
@@ -223,54 +220,50 @@ def taylor_lagrangian(p: ModelParams, shift: OriginShift, degree: int) -> Trunca
         Total-degree cap (>= 3 for the normalization pipeline).
     """
     a, b = shift.a, shift.b
-    rho1sq = a * a + b * b
-    a2off = a - 1.0
-    rho2sq = a2off * a2off + b * b
-    if rho1sq < 1e-12 or rho2sq < 1e-12:
+    if a * a + b * b < 1e-12 or (a - 1.0) ** 2 + b * b < 1e-12:
         raise ContractError("expansion pivot coincides with a primary")
 
-    cap = degree
-    xi = TruncatedPoly.variable(0, cap)
-    eta = TruncatedPoly.variable(1, cap)
-    xid = TruncatedPoly.variable(2, cap)
-    etad = TruncatedPoly.variable(3, cap)
-
-    disp_sq = xi * xi + eta * eta
-    t1 = (2.0 * (a * xi + b * eta) + disp_sq) * (1.0 / rho1sq)
-    t2 = (2.0 * (a2off * xi + b * eta) + disp_sq) * (1.0 / rho2sq)
-    # Composition radius: displacement series must stay inside |t| < 1 at the
-    # scale of interest; pivot too near a primary makes rho^-2 blow up.
-    r1_half, r1_one = binomial_series(t1, -0.5, -1.0)
-    r2_half, r2_three_halves = binomial_series(t2, -0.5, -1.5)
-    inv_r1 = r1_half * (rho1sq ** -0.5)
-    inv_r1sq = r1_one * (1.0 / rho1sq)
-    inv_r2 = r2_half * (rho2sq ** -0.5)
-    inv_r2cubed = r2_three_halves * (rho2sq ** -1.5)
-
-    n = p.n
-    x_abs = (a - p.mu) + xi     # full rotating-frame x
-    y_abs = b + eta
-
-    kinetic = 0.5 * (xid * xid + etad * etad)
-    coriolis = n * (x_abs * etad - xid * y_abs)
-    centrifugal = 0.5 * (n * n) * (x_abs * x_abs + y_abs * y_abs)
-    gravity = ((1.0 - p.mu) * p.q1) * inv_r1 + p.mu * inv_r2 \
-        + (0.5 * p.mu * p.A2) * inv_r2cubed
-
-    total = kinetic + coriolis + centrifugal + gravity
+    n, mu, cap = p.n, p.mu, degree
+    # centrifugal 1/2 n^2 ((x + xi)^2 + (b + eta)^2), where x = a - mu is
+    # the pivot's rotating-frame abscissa, then gravity
+    x, half_n2 = a - mu, 0.5 * n * n
+    position = {(0, 0): half_n2 * (x * x + b * b), (1, 0): 2.0 * half_n2 * x,
+                (0, 1): 2.0 * half_n2 * b, (2, 0): half_n2, (0, 2): half_n2}
+    inv_r1sq = {}
+    _add_radial_powers(a, b, cap, (position, -0.5, (1.0 - mu) * p.q1),
+                       (inv_r1sq, -1.0, 0.5 * p.W1))
+    _add_radial_powers(a - 1.0, b, cap, (position, -0.5, mu),
+                       (position, -1.5, 0.5 * mu * p.A2))
+    # kinetic 1/2 (xid^2 + etad^2) and Coriolis n ((x + xi) etad - xid (b + eta))
+    coeffs = {(0, 0, 2, 0): 0.5, (0, 0, 0, 2): 0.5, (0, 0, 0, 1): n * x,
+              (1, 0, 0, 1): n, (0, 0, 1, 0): -n * b, (0, 1, 1, 0): -n}
 
     if p.W1 != 0.0:
-        z = (xi + eta * 1j) * (1.0 / (a + b * 1j))
-        angle = log1p_series(z).imag_part() + math.atan2(b, a)
-        radial = ((a + xi) * xid + (b + eta) * etad) * inv_r1sq
-        total = total + p.W1 * (0.5 * radial - n * angle)
+        # -n W1 (atan2(b, a) + Im log(1 + z)), log(1 + z) = -sum (-z)^k / k
+        w, wk = 1.0 / complex(a, b), n * p.W1
+        position[(0, 0)] -= wk * math.atan2(b, a)
+        for k in range(1, cap + 1):
+            wk *= -w
+            for j in range(k + 1):
+                term = (wk * (math.comb(k, j) / k) * 1j ** j).imag
+                position[(k - j, j)] = position.get((k - j, j), 0.0) + term
+        # W1/2 ((a + xi) xid + (b + eta) etad) / r1^2
+        for lever, velocity in (({(0, 0): a, (1, 0): 1.0}, (1, 0)),
+                                ({(0, 0): b, (0, 1): 1.0}, (0, 1))):
+            for key, c in _mul2(lever, inv_r1sq, cap - 1).items():
+                key += velocity
+                coeffs[key] = coeffs.get(key, 0.0) + c
+
+    for (i, j), c in position.items():
+        coeffs[(i, j, 0, 0)] = c
+    total = TruncatedPoly(cap, coeffs)
 
     # Constant term must reproduce the pointwise Lagrangian; a mismatch means
-    # a composition bug, so it is asserted rather than reported.
+    # an expansion bug, so it is asserted rather than reported.
     l0 = lagrangian(State(a - p.mu, b, 0.0, 0.0), p)
     drift = abs(total.coefficient((0, 0, 0, 0)) - l0)
     if drift > 1e-9 * max(1.0, abs(l0)):
-        raise ContractError(f"constant-term drift {drift:.3e} in Taylor composition")
+        raise ContractError(f"constant-term drift {drift:.3e} in Taylor expansion")
     return total
 
 

@@ -5,6 +5,8 @@ motion with the velocity-dependent (dissipative) drag; `lagrangian_rhs` is
 the flow of the package's Lagrangian, whose drag keeps only the at-rest
 term W1 n (y, -(x+mu))/r1^2, because its velocity-dependent drag term is a
 total time derivative.  The normal form of the chain follows the second.
+`taylor_by_composition` expands the Lagrangian by composing four-variable
+polynomial series, the reference for `l4norm.polyalg.taylor_lagrangian`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,10 @@ import math
 from dataclasses import dataclass
 
 from l4norm.dalembert import apply_poly_in_D
+from l4norm.equilibria import OriginShift
+from l4norm.errors import ContractError
 from l4norm.model import ModelParams, State, lagrangian, potential_gradient
+from l4norm.polyalg import TruncatedPoly
 
 
 @dataclass(frozen=True)
@@ -103,3 +108,115 @@ def delta_operator(series, w):
     of `invert_delta` that shares no divisor code with it."""
     inner = apply_poly_in_D(series, w, c0=w.omega1**2, c2=1.0)
     return apply_poly_in_D(inner, w, c0=w.omega2**2, c2=1.0)
+
+
+# -- Taylor expansion by series composition ----------------------------
+
+
+def _powers(t: TruncatedPoly) -> list:
+    """[t, t^2, ..., t^cap], ending early at the first power that vanishes."""
+    out = []
+    for _ in range(t.cap):
+        power = out[-1] * t if out else t
+        if not power.values:
+            break
+        out.append(power)
+    return out
+
+
+def binomial_series(t: TruncatedPoly, *alphas: float) -> tuple:
+    """(1 + t)^alpha for each alpha, for a series t with no constant term;
+    the powers of t are formed once for all of them."""
+    if t.coefficient((0, 0, 0, 0)) != 0.0:
+        raise ContractError("binomial pivot requires a series without constant term")
+    powers = _powers(t)
+    out = []
+    for alpha in alphas:
+        result = TruncatedPoly.constant(1.0, t.cap)
+        coeff = 1.0
+        for k, power in enumerate(powers, 1):
+            coeff *= (alpha - (k - 1)) / k
+            result = result + power * coeff
+        out.append(result)
+    return tuple(out)
+
+
+def log1p_series(t: TruncatedPoly) -> TruncatedPoly:
+    """log(1 + t) for a series t with no constant term (complex allowed)."""
+    if t.coefficient((0, 0, 0, 0)) != 0.0:
+        raise ContractError("log pivot requires a series without constant term")
+    result = TruncatedPoly.constant(0.0, t.cap)
+    for k, power in enumerate(_powers(t), 1):
+        result = result + power * ((-1.0) ** (k + 1) / k)
+    return result
+
+
+def taylor_by_composition(p: ModelParams, shift: OriginShift,
+                          degree: int) -> TruncatedPoly:
+    """The truncated Taylor expansion of the Lagrangian about the shift
+    point, by composing four-variable series -- the reference for
+    `l4norm.polyalg.taylor_lagrangian`, with which it shares only the
+    polynomial type.
+
+    Built by composing truncated series: binomial expansions of 1/r1,
+    1/r2, 1/r2^3 and 1/r1^2 on the displacement quadratic, and the
+    imaginary part of log(1 + (xi + i eta)/(a + i b)) for the drag angle.
+
+    Parameters
+    ----------
+    p : ModelParams
+    shift : OriginShift
+        Expansion pivot, a = x* + mu, b = y*.
+    degree : int
+        Total-degree cap (>= 3 for the normalization pipeline).
+    """
+    a, b = shift.a, shift.b
+    rho1sq = a * a + b * b
+    a2off = a - 1.0
+    rho2sq = a2off * a2off + b * b
+    if rho1sq < 1e-12 or rho2sq < 1e-12:
+        raise ContractError("expansion pivot coincides with a primary")
+
+    cap = degree
+    xi = TruncatedPoly.variable(0, cap)
+    eta = TruncatedPoly.variable(1, cap)
+    xid = TruncatedPoly.variable(2, cap)
+    etad = TruncatedPoly.variable(3, cap)
+
+    disp_sq = xi * xi + eta * eta
+    t1 = (2.0 * (a * xi + b * eta) + disp_sq) * (1.0 / rho1sq)
+    t2 = (2.0 * (a2off * xi + b * eta) + disp_sq) * (1.0 / rho2sq)
+    # Composition radius: displacement series must stay inside |t| < 1 at the
+    # scale of interest; pivot too near a primary makes rho^-2 blow up.
+    r1_half, r1_one = binomial_series(t1, -0.5, -1.0)
+    r2_half, r2_three_halves = binomial_series(t2, -0.5, -1.5)
+    inv_r1 = r1_half * (rho1sq ** -0.5)
+    inv_r1sq = r1_one * (1.0 / rho1sq)
+    inv_r2 = r2_half * (rho2sq ** -0.5)
+    inv_r2cubed = r2_three_halves * (rho2sq ** -1.5)
+
+    n = p.n
+    x_abs = (a - p.mu) + xi     # full rotating-frame x
+    y_abs = b + eta
+
+    kinetic = 0.5 * (xid * xid + etad * etad)
+    coriolis = n * (x_abs * etad - xid * y_abs)
+    centrifugal = 0.5 * (n * n) * (x_abs * x_abs + y_abs * y_abs)
+    gravity = ((1.0 - p.mu) * p.q1) * inv_r1 + p.mu * inv_r2 \
+        + (0.5 * p.mu * p.A2) * inv_r2cubed
+
+    total = kinetic + coriolis + centrifugal + gravity
+
+    if p.W1 != 0.0:
+        z = (xi + eta * 1j) * (1.0 / (a + b * 1j))
+        angle = log1p_series(z).imag_part() + math.atan2(b, a)
+        radial = ((a + xi) * xid + (b + eta) * etad) * inv_r1sq
+        total = total + p.W1 * (0.5 * radial - n * angle)
+
+    # Constant term must reproduce the pointwise Lagrangian; a mismatch means
+    # a composition bug, so it is asserted rather than reported.
+    l0 = lagrangian(State(a - p.mu, b, 0.0, 0.0), p)
+    drift = abs(total.coefficient((0, 0, 0, 0)) - l0)
+    if drift > 1e-9 * max(1.0, abs(l0)):
+        raise ContractError(f"constant-term drift {drift:.3e} in Taylor composition")
+    return total

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +16,7 @@ from l4norm.layout import plan
 from l4norm.model import ModelParams, State, lagrangian
 from l4norm.polyalg import (
     TruncatedPoly,
-    _powers,
     _product_plan,
-    binomial_series,
     compare_h3,
     extract_EFG,
     oracle_t_coefficients,
@@ -25,7 +24,15 @@ from l4norm.polyalg import (
     taylor_lagrangian,
 )
 
-from oracles import eom_rhs, evaluate, hamiltonian, momenta
+from oracles import (
+    _powers,
+    binomial_series,
+    eom_rhs,
+    evaluate,
+    hamiltonian,
+    momenta,
+    taylor_by_composition,
+)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -409,6 +416,69 @@ class TestTaylorLagrangian:
         d = 0.004
         exact = hamiltonian(State(pt.x + d, pt.y + d, -d, d / 2), p)
         assert evaluate(h, d, d, -d, d / 2) == pytest.approx(exact, abs=50 * d**5)
+
+
+def taylor_points():
+    """Seeded equilibria on both branches, drag on every other one, and one
+    pivot off the equilibrium."""
+    rng = random.Random(7)
+    out = []
+    for k in range(12):
+        drag = k % 2 == 0
+        p = ModelParams(mu=rng.uniform(0.001, 0.037),
+                        q1=1.0 - rng.uniform(0.0, 0.01) if drag else 1.0,
+                        A2=rng.uniform(0.0, 0.005), cd=rng.uniform(2.0, 100.0))
+        branch = ("L4", "L5")[k // 2 % 2]
+        out.append((p, shift_from_point(solve_triangular_numeric(p, branch), p)))
+    p = ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=30.0)
+    pt = solve_triangular_numeric(p)
+    out.append((p, OriginShift(pt.x + p.mu + 0.01, pt.y - 0.005)))
+    return out
+
+
+def assert_same_expansion(coeffs, reference, rel=1e-14, pruned=1e-12):
+    """Shared coefficients agree within `rel` of the reference's largest;
+    a coefficient only one side stores (the other pruned it as an exact
+    zero) is below `pruned`."""
+    scale = max(map(abs, reference.values()))
+    for key in coeffs.keys() & reference.keys():
+        assert abs(coeffs[key] - reference[key]) <= rel * scale, key
+    for key in coeffs.keys() ^ reference.keys():
+        assert abs(coeffs.get(key, 0.0) + reference.get(key, 0.0)) < pruned, key
+
+
+class TestTaylorReferences:
+    @pytest.mark.parametrize("degree", [2, 3, 4, 5])
+    def test_matches_series_composition(self, degree):
+        for p, shift in taylor_points():
+            assert_same_expansion(taylor_lagrangian(p, shift, degree).coeffs,
+                                  taylor_by_composition(p, shift, degree).coeffs)
+
+    def test_matches_exact_derivatives(self):
+        # every coefficient of degree <= 3 as the exact Taylor coefficient
+        # of the model's Lagrangian, with the float inputs read as rationals
+        sp = pytest.importorskip("sympy")
+        p = ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0)
+        shift = shift_from_point(solve_triangular_numeric(p, "L5"), p)
+        mu, q1, a2, n, w1, a, b = map(sp.Rational, (p.mu, p.q1, p.A2, p.n,
+                                                    p.W1, shift.a, shift.b))
+        xi, eta, u, v = variables = sp.symbols("xi eta u v")
+        x1, y = a + xi, b + eta     # offsets from the radiating primary
+        r1sq, r2 = x1**2 + y**2, sp.sqrt((x1 - 1) ** 2 + y**2)
+        lag = (u**2 + v**2) / 2 + n * ((x1 - mu) * v - u * y) \
+            + n**2 * ((x1 - mu) ** 2 + y**2) / 2 + (1 - mu) * q1 / sp.sqrt(r1sq) \
+            + mu / r2 + mu * a2 / (2 * r2**3) \
+            + w1 * ((x1 * u + y * v) / (2 * r1sq) - n * sp.atan2(y, x1))
+        at_pivot = dict.fromkeys(variables, 0)
+        exact = {}
+        for mono in ((i, j, k, m) for i in range(4) for j in range(4 - i)
+                     for k in range(4 - i - j) for m in range(4 - i - j - k)):
+            wrt = [s for s, e in zip(variables, mono) for _ in range(e)]
+            value = float((lag.diff(*wrt) if wrt else lag).subs(at_pivot).evalf(30))
+            value /= math.prod(math.factorial(e) for e in mono)
+            if value != 0.0:
+                exact[mono] = value
+        assert_same_expansion(taylor_lagrangian(p, shift, 3).coeffs, exact)
 
 
 class TestExtractEFG:
