@@ -209,7 +209,9 @@ def taylor_lagrangian(p: ModelParams, shift: OriginShift, degree: int) -> Trunca
     (xi, eta): 1/r1, 1/r1^2, 1/r2 and 1/r2^3 (binomial series) and the drag
     angle, Im log(1 + z) with z = w (xi + i eta) and w = 1/(a + i b).  The
     kinetic, Coriolis, centrifugal and drag-radial factors are of degree
-    <= 2 and add their coefficients in closed form.
+    <= 2 and add their coefficients in closed form.  Keys are stored in the
+    order a composition of four-variable series stores them
+    (`tests/oracles.py`), so the series built from the expansion keep theirs.
 
     Parameters
     ----------
@@ -227,35 +229,37 @@ def taylor_lagrangian(p: ModelParams, shift: OriginShift, degree: int) -> Trunca
     # centrifugal 1/2 n^2 ((x + xi)^2 + (b + eta)^2), where x = a - mu is
     # the pivot's rotating-frame abscissa, then gravity
     x, half_n2 = a - mu, 0.5 * n * n
-    position = {(0, 0): half_n2 * (x * x + b * b), (1, 0): 2.0 * half_n2 * x,
-                (0, 1): 2.0 * half_n2 * b, (2, 0): half_n2, (0, 2): half_n2}
+    position = {(2, 0): half_n2, (1, 0): 2.0 * half_n2 * x,
+                (0, 0): half_n2 * (x * x + b * b), (0, 2): half_n2,
+                (0, 1): 2.0 * half_n2 * b}
     inv_r1sq = {}
     _add_radial_powers(a, b, cap, (position, -0.5, (1.0 - mu) * p.q1),
                        (inv_r1sq, -1.0, 0.5 * p.W1))
     _add_radial_powers(a - 1.0, b, cap, (position, -0.5, mu),
                        (position, -1.5, 0.5 * mu * p.A2))
     # kinetic 1/2 (xid^2 + etad^2) and Coriolis n ((x + xi) etad - xid (b + eta))
-    coeffs = {(0, 0, 2, 0): 0.5, (0, 0, 0, 2): 0.5, (0, 0, 0, 1): n * x,
-              (1, 0, 0, 1): n, (0, 0, 1, 0): -n * b, (0, 1, 1, 0): -n}
+    coeffs = {(0, 0, 2, 0): 0.5, (0, 0, 0, 2): 0.5, (1, 0, 0, 1): n,
+              (0, 0, 0, 1): n * x, (0, 1, 1, 0): -n, (0, 0, 1, 0): -n * b}
+
+    coeffs.update(((i, j, 0, 0), c) for (i, j), c in position.items())
 
     if p.W1 != 0.0:
         # -n W1 (atan2(b, a) + Im log(1 + z)), log(1 + z) = -sum (-z)^k / k
         w, wk = 1.0 / complex(a, b), n * p.W1
-        position[(0, 0)] -= wk * math.atan2(b, a)
+        coeffs[(0, 0, 0, 0)] -= wk * math.atan2(b, a)
         for k in range(1, cap + 1):
             wk *= -w
             for j in range(k + 1):
-                term = (wk * (math.comb(k, j) / k) * 1j ** j).imag
-                position[(k - j, j)] = position.get((k - j, j), 0.0) + term
+                key = (k - j, j, 0, 0)
+                coeffs[key] = coeffs.get(key, 0.0) \
+                    + (wk * (math.comb(k, j) / k) * 1j ** j).imag
         # W1/2 ((a + xi) xid + (b + eta) etad) / r1^2
-        for lever, velocity in (({(0, 0): a, (1, 0): 1.0}, (1, 0)),
-                                ({(0, 0): b, (0, 1): 1.0}, (0, 1))):
-            for key, c in _mul2(lever, inv_r1sq, cap - 1).items():
-                key += velocity
-                coeffs[key] = coeffs.get(key, 0.0) + c
-
-    for (i, j), c in position.items():
-        coeffs[(i, j, 0, 0)] = c
+        for (i, j, k, m), lever in (((1, 0, 1, 0), 1.0), ((0, 0, 1, 0), a),
+                                    ((0, 1, 0, 1), 1.0), ((0, 0, 0, 1), b)):
+            for (e, f), c in inv_r1sq.items():
+                if i + j + e + f < cap:
+                    key = (i + e, j + f, k, m)
+                    coeffs[key] = coeffs.get(key, 0.0) + lever * c
     total = TruncatedPoly(cap, coeffs)
 
     # Constant term must reproduce the pointwise Lagrangian; a mismatch means
