@@ -13,17 +13,36 @@ snapshots print the same argv.  The package is imported from whatever
     PYTHONPATH=old/src python scripts/cli_snapshot.py old.txt
     PYTHONPATH=src python scripts/cli_snapshot.py new.txt
     diff old.txt new.txt
+
+A change meant to move printed numbers only at round-off is checked with
+the numeric mode instead of `diff`:
+
+    python scripts/cli_snapshot.py --compare old.txt new.txt
+
+Entries must match on argv, exit code and every token that is not a
+number (see `NUMBER`).  The mode prints, per entry, the worst
+relative change of its numbers, with that number's old and new text,
+and then the count of entries whose numbers moved.  It lists each entry
+that does not match and then exits 1.
 """
 
 from __future__ import annotations
 
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
 
 RUN = "import sys; from l4norm.cli import main; sys.exit(main(sys.argv[1:]))"
+
+HEADER = "$ l4norm "
+# A number: a literal with a point or an exponent, not glued to a word, or
+# an integer that is a whole field.  Digits inside labels such as `J13`,
+# `(0,2)` or `I1^0/2` are text.
+NUMBER = re.compile(r"((?<![\w.])[-+]?(?:\d+\.\d*|\.\d+|\d+(?=[eE]))"
+                    r"(?:[eE][-+]?\d+)?(?!\w)|(?<![^\s,:=])[-+]?\d+(?![^\s,]))")
 
 DRAG = ["--q1", "0.999", "--a2", "1e-4", "--cd", "20"]
 
@@ -95,20 +114,73 @@ def random_points(count: int, seed: int = 1):
     return out
 
 
+def entry(argv, returncode: int, stdout: str, stderr: str) -> str:
+    """One command's record, as the snapshot holds it."""
+    return (f"{HEADER}{' '.join(argv)}\nexit: {returncode}\n"
+            f"--- stdout\n{stdout}--- stderr\n{stderr}\n")
+
+
 def snapshot(commands) -> str:
     parts = []
     for argv in commands:
         proc = subprocess.run([sys.executable, "-c", RUN, *argv],
                               capture_output=True, text=True, check=False)
-        parts.append(f"$ l4norm {' '.join(argv)}\nexit: {proc.returncode}\n"
-                     f"--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}\n")
+        parts.append(entry(argv, proc.returncode, proc.stdout, proc.stderr))
     return "".join(parts)
+
+
+def split_entries(text: str) -> list:
+    """The records of a snapshot, each from its header line on."""
+    return [HEADER + part for part in
+            re.split("(?m)^" + re.escape(HEADER), text)[1:]]
+
+
+def relative_change(x: str, y: str) -> float:
+    u, v = float(x), float(y)
+    scale = max(abs(u), abs(v))
+    return abs(u - v) / scale if scale else 0.0
+
+
+def compare(old_text: str, new_text: str) -> tuple:
+    """``(rows, mismatches)``: per entry, its command line, the worst
+    relative change of its numbers and that number's old and new text
+    (empty where no number changed); and the entries whose argv, exit
+    code or words differ."""
+    rows, mismatches = [], []
+    old, new = split_entries(old_text), split_entries(new_text)
+    if len(old) != len(new):
+        mismatches.append(f"{len(old)} entries against {len(new)}")
+    for index, (a, b) in enumerate(zip(old, new)):
+        *head_a, body_a = a.split("\n", 2)   # argv, exit code, output
+        *head_b, body_b = b.split("\n", 2)
+        command = head_a[0][len(HEADER):]
+        parts_a, parts_b = NUMBER.split(body_a), NUMBER.split(body_b)
+        if head_a != head_b or parts_a[0::2] != parts_b[0::2]:
+            mismatches.append(f"entry {index}: {command}")
+            continue
+        changes = [(relative_change(x, y), x, y)
+                   for x, y in zip(parts_a[1::2], parts_b[1::2]) if x != y]
+        rows.append((command, *max(changes, key=lambda c: c[0],
+                                   default=(0.0, "", ""))))
+    return rows, mismatches
 
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if len(args) == 3 and args[0] == "--compare":
+        old, new = (open(path, encoding="utf-8").read() for path in args[1:])
+        rows, mismatches = compare(old, new)
+        print("relative old new command")
+        for command, rel, x, y in rows:
+            print(f"{rel:.3g} {x or '-'} {y or '-'} {command}")
+        moved = sum(1 for row in rows if row[2])
+        print(f"moved: {moved} of {len(rows)} entries")
+        for line in mismatches:
+            print(f"differs: {line}")
+        return 1 if mismatches else 0
     if len(args) != 1:
-        print("usage: cli_snapshot.py OUTPUT", file=sys.stderr)
+        print("usage: cli_snapshot.py OUTPUT | --compare OLD NEW",
+              file=sys.stderr)
         return 2
     with open(CONFIG_PATH, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(CONFIG_TEXT)

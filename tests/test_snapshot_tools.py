@@ -6,7 +6,9 @@ snapshots; here its record of a point must build without raising.
 Its `--compare` mode must report a moved float by its relative change
 and a changed error class as a mismatch.  `scripts/cli_snapshot.py`
 records a command's exit code, so a renamed flag would turn its entries
-into exit-2 records; here every command it runs must parse.
+into exit-2 records; here every command it runs must parse.  Its
+`--compare` mode must report a moved number by its relative change and a
+changed exit code or word, label digits included, as a mismatch.
 """
 
 import ast
@@ -79,3 +81,36 @@ def test_cli_snapshot_commands_parse():
         except SystemExit:
             pytest.fail(f"cli_snapshot command does not parse: {argv}")
         assert args.command == argv[0]
+
+
+def test_cli_snapshot_compare_reports_changes(tmp_path, capsys):
+    tool = load_script("cli_snapshot")
+    report = ("omega1: 0.96362463344830884\nJ13,2.0006594173176917,0\n"
+              "  I1^0/2 I2^2/2 (0,2) cos -17.629184108781935 sin 0\n")
+    error = "pipeline error [SmallDivisorError]: small divisor Delta_(0,0) = 6.649e-02\n"
+    old = (tool.entry(["frequencies", "--mu", "0.01"], 0, report, "")
+           + tool.entry(["verify", "--mu", "0.01"], 4, "", error))
+    rows, mismatches = tool.compare(old, old)
+    assert mismatches == [] and [row[1:] for row in rows] == [(0.0, "", "")] * 2
+    # one number moved by 1e-13 relative; then a zero moved by round-off
+    new = old.replace("0.96362463344830884",
+                      repr(0.96362463344830884 * (1.0 + 1e-13)))
+    rows, mismatches = tool.compare(old, new)
+    assert mismatches == [] and 0.5e-13 < rows[0][1] < 2e-13 and rows[1][1] == 0.0
+    new = new.replace("2.0006594173176917,0", "2.0006594173176917,2.2e-16")
+    rows, mismatches = tool.compare(old, new)
+    assert mismatches == [] and rows[0][1:] == (1.0, "0", "2.2e-16")
+    paths = [tmp_path / "old.txt", tmp_path / "new.txt"]
+    for path, text in zip(paths, (old, new)):
+        path.write_text(text, encoding="utf-8")
+    assert tool.main(["--compare", *map(str, paths)]) == 0
+    assert "moved: 1 of 2 entries" in capsys.readouterr().out
+    # argv, the exit code, a harmonic label and a series exponent must match
+    for before, after in (("verify --mu 0.01", "verify --mu 0.02"),
+                          ("\nexit: 4", "\nexit: 2"),
+                          ("Delta_(0,0)", "Delta_(1,1)"), ("I1^0/2", "I1^2/2")):
+        rows, mismatches = tool.compare(old, old.replace(before, after))
+        assert len(mismatches) == 1 and len(rows) == 1
+    paths[1].write_text(old.replace("Delta_(0,0)", "Delta_(1,1)"), encoding="utf-8")
+    assert tool.main(["--compare", *map(str, paths)]) == 1
+    assert "differs: entry 1: verify --mu 0.01" in capsys.readouterr().out
