@@ -4,7 +4,7 @@ and dissipative drag.
 
 Every closed-form series evaluated by this package is cross-checked
 against an independent numeric oracle (Newton solves, truncated Taylor
-composition, symplectic eigenvector construction, harmonic division);
+expansion, symplectic eigenvector construction, harmonic division);
 `l4norm.verify.run_pipeline` chains the oracle stages, `l4norm.verify.audit`
 compares the printed tables with them, and `l4norm.errata` records the
 confirmed discrepancies.

@@ -240,7 +240,6 @@ def taylor_lagrangian(p: ModelParams, shift: OriginShift, degree: int) -> Trunca
     # kinetic 1/2 (xid^2 + etad^2) and Coriolis n ((x + xi) etad - xid (b + eta))
     coeffs = {(0, 0, 2, 0): 0.5, (0, 0, 0, 2): 0.5, (1, 0, 0, 1): n,
               (0, 0, 0, 1): n * x, (0, 1, 1, 0): -n, (0, 0, 1, 0): -n * b}
-
     coeffs.update(((i, j, 0, 0), c) for (i, j), c in position.items())
 
     if p.W1 != 0.0:
@@ -253,7 +252,8 @@ def taylor_lagrangian(p: ModelParams, shift: OriginShift, degree: int) -> Trunca
                 key = (k - j, j, 0, 0)
                 coeffs[key] = coeffs.get(key, 0.0) \
                     + (wk * (math.comb(k, j) / k) * 1j ** j).imag
-        # W1/2 ((a + xi) xid + (b + eta) etad) / r1^2
+        # W1/2 ((a + xi) xid + (b + eta) etad) / r1^2; each term holds one
+        # velocity, so its displacement degree stays below the cap
         for (i, j, k, m), lever in (((1, 0, 1, 0), 1.0), ((0, 0, 1, 0), a),
                                     ((0, 1, 0, 1), 1.0), ((0, 0, 0, 1), b)):
             for (e, f), c in inv_r1sq.items():
