@@ -7,13 +7,13 @@ The oracle chain this module serves:
    Lagrangian slice, both in closed form (the roots of a biquadratic, and
    per mode the null vector of a 2x2 matrix);
 2. first-order components B1 from the (x, y) rows of J;
-3. cubic forcing X2, Y2 and the energy's position cubic, from one table
+3. cubic forcing X2, Y2 and the energy's cubic at B1, from one table
    of the powers of (B1, B1, D B1, D B1);
 4. second-order components B2 by harmonic division;
 5. degree-3 energy coefficients after substituting x = B1 + B2, whose
    vanishing is the headline verification target: the quadratic energy
-   at B1 + B2 plus the position cubic of step 3 (under the degree-3 cap
-   the cubic sees only B1).
+   at B1 + B2 plus the cubic of step 3 (under the degree-3 cap the cubic
+   sees only B1), both substituted by `poly_at_series`.
 
 Substitutions into polynomials cap every series product at the degree
 the stage reads (`DAlembertSeries.mul(other, cap)`), so no term above it
@@ -250,9 +250,9 @@ def first_order_components(nm):
 def linear_operator(efg: QuadraticCoefficients, n: float):
     """The linearized equations as a 2x2 matrix of (c0, c1, c2) entries,
     each the D-polynomial c0 + c1 D + c2 D^2, acting on (x, y)."""
-    n2 = n * n
-    return (((2.0 * efg.E - n2, 0.0, 1.0), (efg.G, -2.0 * n, 0.0)),
-            ((efg.G, 2.0 * n, 0.0), (2.0 * efg.F - n2, 0.0, 1.0)))
+    (k00, k01), (k10, k11) = stiffness_matrix(efg, n)
+    return (((-k00, 0.0, 1.0), (-k01, -2.0 * n, 0.0)),
+            ((-k10, 2.0 * n, 0.0), (-k11, 0.0, 1.0)))
 
 
 def apply_operator(matrix, x, y, w: FrequencyPair):
@@ -274,15 +274,16 @@ def linear_residual(b1x: DAlembertSeries, b1y: DAlembertSeries,
 
 class PowerTable:
     """Capped powers of four series arguments, each formed on first use and
-    then shared by every polynomial substituted at those arguments."""
+    then shared by every polynomial substituted at those arguments.  A row
+    starts at the unit and its argument, so a first power costs no product."""
 
     __slots__ = ("inputs", "cap", "rows")
 
     def __init__(self, inputs, cap: int):
         self.inputs = tuple(inputs)
         self.cap = cap
-        self.rows = [[DAlembertSeries.single(0, 0, 0, 0, c=1.0)]
-                     for _ in self.inputs]
+        one = DAlembertSeries.single(0, 0, 0, 0, c=1.0)
+        self.rows = [[one, arg] for arg in self.inputs]
 
     def power(self, i: int, e: int) -> DAlembertSeries:
         row = self.rows[i]
@@ -327,7 +328,7 @@ def forcing_x2y2(l3: TruncatedPoly, b1x: DAlembertSeries, b1y: DAlembertSeries,
     expression [dL3/dx - D(dL3/dxdot)] at (x, y, xdot, ydot) =
     (B1, B1, D B1, D B1).  Returns ``(x2, y2), (x2p, y2p), cubic``: the
     second pair is its position-partial part [dL3/dx] at the same point,
-    and `cubic` the energy's position cubic -L3(x, y) at B1.  All five
+    and `cubic` the energy's cubic `l3.energy()` at B1.  All five
     substitutions share one power table at cap 3."""
     if any(sum(m) != 3 for m in l3.layout.keys):
         raise ContractError("forcing expects a homogeneous cubic slice")
@@ -339,7 +340,7 @@ def forcing_x2y2(l3: TruncatedPoly, b1x: DAlembertSeries, b1y: DAlembertSeries,
     x2p, y2p = sub(l3.partial(0)), sub(l3.partial(1))
     x2 = x2p - apply_D(sub(l3.partial(2)), w)
     y2 = y2p - apply_D(sub(l3.partial(3)), w)
-    return (x2, y2), (x2p, y2p), sub(-l3.position_part())
+    return (x2, y2), (x2p, y2p), sub(l3.energy())
 
 
 @dataclass(frozen=True)
@@ -399,27 +400,19 @@ class H3NormalCoefficients:
         return self.series.max_abs()
 
 
-def h3_normal_coefficients(cubic: DAlembertSeries, b1, b2,
-                           efg: QuadraticCoefficients, w: FrequencyPair,
-                           n: float) -> H3NormalCoefficients:
+def h3_normal_coefficients(cubic: DAlembertSeries, l2: TruncatedPoly, b1, b2,
+                           w: FrequencyPair) -> H3NormalCoefficients:
     """Substitute x = B1 + B2 (velocities via D) into the energy and slice.
 
-    The energy function of the Lagrangian is |v|^2/2 - (position part);
-    its velocity-linear terms cancel identically, so the degree-3 slice is
-    the quadratic cross term between B1 and B2 plus the position cubic at
-    B1, which `cubic` is (from :func:`forcing_x2y2`).  Every product is
-    capped at degree 3.
+    The quadratic slice's energy, `l2.energy()`, is substituted at
+    (B1 + B2, D(B1 + B2)) with every product capped at degree 3; its
+    degree-3 part is the cross term between B1 and B2.  `cubic` is the
+    cubic slice's energy at B1 (from :func:`forcing_x2y2`), all that the
+    cubic contributes under the cap.
     """
     bx, by = b1[0] + b2[0], b1[1] + b2[1]
-    vx, vy = apply_D(bx, w), apply_D(by, w)
-    cap = 3
-    n2 = n * n
-    k00, k01, k11 = n2 - 2.0 * efg.E, -efg.G, n2 - 2.0 * efg.F
-
-    h2_sub = (vx.mul(vx, cap) + vy.mul(vy, cap)).scale(0.5) \
-        - bx.mul(bx, cap).scale(0.5 * k00) - bx.mul(by, cap).scale(k01) \
-        - by.mul(by, cap).scale(0.5 * k11)
-    total = h2_sub + cubic
+    total = poly_at_series(l2.energy(), bx, by, apply_D(bx, w),
+                           apply_D(by, w), 3) + cubic
 
     h2_form = (DAlembertSeries.single(2, 0, 0, 0, c=w.omega1)
                + DAlembertSeries.single(0, 2, 0, 0, c=-w.omega2))

@@ -69,8 +69,8 @@ class PipelineResult:
     y2: DAlembertSeries | None = None
     # (dL3/dx, dL3/dy) at B1: the printed reading of the forcing
     position_forcing: tuple | None = None
-    # -L3(x, y) at B1, from the forcing's power table: H3's cubic part
-    # (under the degree-3 cap the cubic sees only B1) and the ablation
+    # the cubic's energy at B1, from the forcing's power table: H3's cubic
+    # part (under the degree-3 cap the cubic sees only B1) and the ablation
     cubic_at_b1: DAlembertSeries | None = None
     b2: normalform.SecondOrderSolution | None = None
     h3: normalform.H3NormalCoefficients | None = None
@@ -162,8 +162,7 @@ def run_pipeline(p: ModelParams, options: PipelineOptions = PipelineOptions(),
         return res
 
     res.h3 = normalform.h3_normal_coefficients(
-        res.cubic_at_b1, res.b1, (res.b2.b2x, res.b2.b2y), res.efg, res.freq,
-        p.n)
+        res.cubic_at_b1, l2, res.b1, (res.b2.b2x, res.b2.b2y), res.freq)
     res.h3_ablation = normalform.H3NormalCoefficients(res.cubic_at_b1,
                                                       res.h3.h2_residual)
     return res
@@ -239,8 +238,8 @@ def partial_forcing_gap(res: PipelineResult) -> float:
         res.efg, res.freq, res.params.n, *res.position_forcing,
         floor=res.options.divisor_floor)
     return normalform.h3_normal_coefficients(
-        res.cubic_at_b1, res.b1, (b2p.b2x, b2p.b2y), res.efg, res.freq,
-        res.params.n).max_abs()
+        res.cubic_at_b1, res.lagrangian_poly.grade(2), res.b1,
+        (b2p.b2x, b2p.b2y), res.freq).max_abs()
 
 
 def frequency_lines(freq: FrequencyPair, moser) -> list:

@@ -473,7 +473,7 @@ class TestH3:
         sol = solve_second_order_oracle(efg, w, p.n, x2, y2)
         b2 = (DAlembertSeries.zero(), DAlembertSeries.zero()) if ablation \
             else (sol.b2x, sol.b2y)
-        h3 = h3_normal_coefficients(cubic, b1, b2, efg, w, p.n)
+        h3 = h3_normal_coefficients(cubic, lag.grade(2), b1, b2, w)
         scale = max(x2.max_abs(), y2.max_abs(), sol.b2x.max_abs(),
                     sol.b2y.max_abs())
         return h3, scale
@@ -508,7 +508,8 @@ class TestH3:
         b1 = first_order_components(nm)
         (x2, y2), _, cubic = forcing_x2y2(l3, b1[0], b1[1], w)
         sol = solve_second_order_oracle(efg, w, p.n, x2, y2)
-        h3 = h3_normal_coefficients(cubic, b1, (sol.b2x, sol.b2y), efg, w, p.n)
+        h3 = h3_normal_coefficients(cubic, lag.grade(2), b1,
+                                    (sol.b2x, sol.b2y), w)
         assert h3.max_abs() < 1e-10
 
     def test_partial_forcing_leaves_first_order_drag_residue(self):

@@ -417,6 +417,24 @@ class TestTaylorLagrangian:
         exact = hamiltonian(State(pt.x + d, pt.y + d, -d, d / 2), p)
         assert evaluate(h, d, d, -d, d / 2) == pytest.approx(exact, abs=50 * d**5)
 
+    @pytest.mark.parametrize("branch", ["L4", "L5"])
+    @pytest.mark.parametrize("p", [
+        ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=10.0),
+        ModelParams(mu=0.01215)], ids=["drag", "free"])
+    def test_energy_method_gap_to_hamiltonian_falls_like_delta4(self, p, branch):
+        # The degree-3 energy misses the Hamiltonian by O(delta^4) along
+        # the ray delta * d through the equilibrium and its velocity zero.
+        pt = solve_triangular_numeric(p, branch)
+        energy = taylor_lagrangian(p, shift_from_point(pt, p), 3).energy()
+        d = (0.8, -0.6, 0.5, 0.9)
+        gaps = []
+        for delta in (0.02, 0.01, 0.005, 0.0025):
+            xi, eta, xid, etad = (delta * c for c in d)
+            exact = hamiltonian(State(pt.x + xi, pt.y + eta, xid, etad), p)
+            gaps.append(abs(evaluate(energy, xi, eta, xid, etad) - exact))
+        ratios = [big / small for big, small in zip(gaps, gaps[1:])]
+        assert all(14.0 <= r <= 18.0 for r in ratios), ratios
+
 
 def taylor_points():
     """Seeded equilibria on both branches, drag on every other one, and one

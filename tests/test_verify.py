@@ -214,9 +214,28 @@ class TestDetector:
         assert detect_discrepancies.cache_info().currsize == 3
 
 
-def h3_at_b1_plus_b2(l3, b1, b2, efg, w, n):
-    """Reference: substitute x = B1 + B2 into both the quadratic energy and
-    the position cubic, every product capped at degree 3."""
+def h3_coefficients(total, w):
+    """H3NormalCoefficients of a substituted energy `total`."""
+    h2_form = (DAlembertSeries.single(2, 0, 0, 0, c=w.omega1)
+               + DAlembertSeries.single(0, 2, 0, 0, c=-w.omega2))
+    return H3NormalCoefficients(
+        total.degree_slice(3),
+        h2_residual=total.degree_slice(2).norm_of_difference(h2_form))
+
+
+def h3_at_b1_plus_b2(l2, l3, b1, b2, w):
+    """Reference: substitute x = B1 + B2 into both energy slices, each
+    through its own power table, every product capped at degree 3."""
+    bx, by = b1[0] + b2[0], b1[1] + b2[1]
+    args = (bx, by, apply_D(bx, w), apply_D(by, w))
+    return h3_coefficients(poly_at_series(l2.energy(), *args, 3)
+                           + poly_at_series(l3.energy(), *args, 3), w)
+
+
+def h3_by_hand(l3, b1, b2, efg, w, n):
+    """Oracle that shares no energy code with the chain: the quadratic
+    energy written out as |v|^2/2 - q.K q/2 with K from E, F, G, plus the
+    position cubic, at x = B1 + B2, every product capped at degree 3."""
     bx, by = b1[0] + b2[0], b1[1] + b2[1]
     vx, vy = apply_D(bx, w), apply_D(by, w)
     cap, n2 = 3, n * n
@@ -224,12 +243,8 @@ def h3_at_b1_plus_b2(l3, b1, b2, efg, w, n):
     h2_sub = (vx.mul(vx, cap) + vy.mul(vy, cap)).scale(0.5) \
         - bx.mul(bx, cap).scale(0.5 * k00) - bx.mul(by, cap).scale(k01) \
         - by.mul(by, cap).scale(0.5 * k11)
-    total = h2_sub + poly_at_series(-l3.position_part(), bx, by, vx, vy, cap)
-    deg3 = total.degree_slice(3)
-    h2_form = (DAlembertSeries.single(2, 0, 0, 0, c=w.omega1)
-               + DAlembertSeries.single(0, 2, 0, 0, c=-w.omega2))
-    return H3NormalCoefficients(
-        deg3, h2_residual=total.degree_slice(2).norm_of_difference(h2_form))
+    return h3_coefficients(
+        h2_sub + poly_at_series(-l3.position_part(), bx, by, vx, vy, cap), w)
 
 
 def grade_norms(series):
@@ -257,9 +272,9 @@ def partial_forcing_gap_anew(res):
                                powers=powers) for i in (0, 1))
     b2p = solve_second_order_oracle(res.efg, res.freq, res.params.n, x2p, y2p,
                                     floor=res.options.divisor_floor)
-    h3p = h3_normal_coefficients(cubic_at_b1_anew(res), res.b1,
-                                 (b2p.b2x, b2p.b2y), res.efg, res.freq,
-                                 res.params.n)
+    h3p = h3_normal_coefficients(cubic_at_b1_anew(res),
+                                 res.lagrangian_poly.grade(2), res.b1,
+                                 (b2p.b2x, b2p.b2y), res.freq)
     return h3p.max_abs()
 
 
@@ -280,9 +295,9 @@ class TestH3Substitution:
 
     def test_ablation_is_the_b2_zero_run(self, res):
         zero = DAlembertSeries.zero()
-        b2_zero = h3_normal_coefficients(cubic_at_b1_anew(res), res.b1,
-                                         (zero, zero), res.efg, res.freq,
-                                         res.params.n)
+        b2_zero = h3_normal_coefficients(cubic_at_b1_anew(res),
+                                         res.lagrangian_poly.grade(2), res.b1,
+                                         (zero, zero), res.freq)
         assert list(res.h3_ablation.series.terms.items()) \
             == list(b2_zero.series.terms.items())
         assert res.h3_ablation.h2_residual == b2_zero.h2_residual
@@ -291,14 +306,29 @@ class TestH3Substitution:
             == grade_norms(b2_zero.series)
 
     def test_h3_is_the_b1_plus_b2_substitution(self, res):
+        lag = res.lagrangian_poly
         reference = h3_at_b1_plus_b2(
-            res.lagrangian_poly.grade(3), res.b1, (res.b2.b2x, res.b2.b2y),
-            res.efg, res.freq, res.params.n)
+            lag.grade(2), lag.grade(3), res.b1, (res.b2.b2x, res.b2.b2y),
+            res.freq)
         assert list(res.h3.series.terms.items()) \
             == list(reference.series.terms.items())
         assert res.h3.h2_residual == reference.h2_residual
         assert (res.h3.A30, res.h3.A21, res.h3.A12, res.h3.A03) \
             == grade_norms(reference.series)
+
+    def test_h3_matches_the_hand_built_energy(self, res):
+        oracle = h3_by_hand(
+            res.lagrangian_poly.grade(3), res.b1, (res.b2.b2x, res.b2.b2y),
+            res.efg, res.freq, res.params.n)
+        bound = 1e-13 * res.intermediate_scale()
+        assert res.h3.series.norm_of_difference(oracle.series) < bound
+        assert abs(res.h3.h2_residual - oracle.h2_residual) < bound
+
+    def test_cubic_energy_is_the_negated_position_cubic(self, res):
+        l3 = res.lagrangian_poly.grade(3)
+        energy, negated = l3.energy(), -l3.position_part()
+        assert energy.layout is negated.layout
+        assert energy.values == negated.values
 
     def test_max_abs_is_the_largest_grade_norm(self, res):
         for h3 in (res.h3, res.h3_ablation):
@@ -335,18 +365,24 @@ class TestH3Substitution:
         assert list(cubic_at_b1_anew(res).terms.items()) == ablation
 
     def test_one_power_table_per_chain(self, res, monkeypatch):
-        # Only the forcing builds a power table, at cap 3; H3 and the
-        # partial-forcing gap substitute nothing of their own.
-        caps = []
+        # Only the forcing's table, at B1, forms a cube, so the cubic is
+        # substituted once; H3 and the partial-forcing gap each substitute
+        # the quadratic energy through one table of squares.
+        tables = []
         init = PowerTable.__init__
         monkeypatch.setattr(PowerTable, "__init__", lambda self, inputs, cap:
-                            caps.append(cap) or init(self, inputs, cap))
-        run_pipeline(res.params, res.options)
-        assert caps == [3]
-        caps.clear()
-        partial_forcing_gap(run_pipeline(res.params, res.options,
-                                         stages=("b2",)))
-        assert caps == [3]
+                            tables.append(self) or init(self, inputs, cap))
+
+        def highest_powers(chain):
+            assert all(a is b for a, b in zip(tables[0].inputs, chain.b1))
+            out = [max(map(len, table.rows)) - 1 for table in tables]
+            tables.clear()
+            return out
+
+        assert highest_powers(run_pipeline(res.params, res.options)) == [3, 2]
+        at_b2 = run_pipeline(res.params, res.options, stages=("b2",))
+        partial_forcing_gap(at_b2)
+        assert highest_powers(at_b2) == [3, 2]
 
 
 def test_grades_are_sliced_once_and_only_when_read(monkeypatch):
