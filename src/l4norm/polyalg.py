@@ -152,9 +152,6 @@ class TruncatedPoly(Store):
     def coefficient(self, mono) -> float:
         return self._value(tuple(mono))
 
-    def imag_part(self):
-        return self._new(self.layout, [c.imag for c in self.values])
-
     def velocity_part(self):
         """Terms with at least one velocity factor."""
         return self._slice(_velocity_degree, 1, self.cap)

@@ -141,6 +141,12 @@ def binomial_series(t: TruncatedPoly, *alphas: float) -> tuple:
     return tuple(out)
 
 
+def imag_part(poly: TruncatedPoly) -> TruncatedPoly:
+    """The imaginary parts of a complex polynomial's coefficients, exact
+    zeros dropped."""
+    return TruncatedPoly(poly.cap, {m: c.imag for m, c in poly.coeffs.items()})
+
+
 def log1p_series(t: TruncatedPoly) -> TruncatedPoly:
     """log(1 + t) for a series t with no constant term (complex allowed)."""
     if t.coefficient((0, 0, 0, 0)) != 0.0:
@@ -209,7 +215,7 @@ def taylor_by_composition(p: ModelParams, shift: OriginShift,
 
     if p.W1 != 0.0:
         z = (xi + eta * 1j) * (1.0 / (a + b * 1j))
-        angle = log1p_series(z).imag_part() + math.atan2(b, a)
+        angle = imag_part(log1p_series(z)) + math.atan2(b, a)
         radial = ((a + xi) * xid + (b + eta) * etad) * inv_r1sq
         total = total + p.W1 * (0.5 * radial - n * angle)
 
