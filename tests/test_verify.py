@@ -159,6 +159,16 @@ class TestDetector:
                    and not is_registered(v.quantity, v.perturbation)]
         assert missing == []
 
+    @pytest.mark.parametrize("mu", [0.000237, 0.000954])
+    def test_low_mu_detections_are_registered(self, mu):
+        # The W1 leg's strength scales with mu (1 - mu); at the full
+        # strength its equilibrium lies past the fold at these mass ratios.
+        missing = [(v.quantity, v.perturbation, v.classification)
+                   for v in detect_discrepancies(mu, PipelineOptions())
+                   if v.classification != "consistent"
+                   and not is_registered(v.quantity, v.perturbation)]
+        assert missing == []
+
     def test_no_stale_registrations(self, verdicts):
         vmap = {(v.quantity, v.perturbation): v for v in verdicts}
         stale = []
