@@ -72,7 +72,9 @@ FIXED = [
     ["verify", "--mu", "0.01", *DRAG, "--stages", "taylor", "--format", "csv"],
     ["verify", "--mu", "0.01215", "--stages", "b2"],
     ["verify", "--mu", "0.01215", "--stages", "b2", "--format", "csv"],
-    # below mu 0.0015 the detector's W1 leg fails Newton; CSV prints no verdicts
+    # low mu, where the detector's W1 leg runs below HALVING_STRENGTH; the
+    # report prints the verdicts, CSV none
+    ["verify", "--mu", "0.000954", "--stages", "h3"],
     ["verify", "--mu", "0.000954", "--stages", "h3", "--format", "csv"],
     ["verify", "--mu", "0.0242939", "--stages", "h3"],
     ["verify", "--mu", "0.01", "--stages", "h3", "--tol", "h3_factor=1e-30"],

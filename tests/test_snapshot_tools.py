@@ -73,7 +73,7 @@ def test_chain_snapshot_compare_reports_changes():
 def test_cli_snapshot_commands_parse():
     snapshot = load_script("cli_snapshot")
     commands = snapshot.FIXED + snapshot.random_points(30)
-    assert len(commands) == 65
+    assert len(commands) == 66
     parser = build_parser()
     for argv in commands:
         try:
