@@ -274,8 +274,7 @@ def linear_residual(b1x: DAlembertSeries, b1y: DAlembertSeries,
 
 class PowerTable:
     """Capped powers of four series arguments, each formed on first use and
-    then shared by every polynomial substituted at those arguments.  A row
-    starts at the unit and its argument, so a first power costs no product."""
+    then shared by every polynomial substituted at those arguments."""
 
     __slots__ = ("inputs", "cap", "rows")
 
@@ -404,11 +403,9 @@ def h3_normal_coefficients(cubic: DAlembertSeries, l2: TruncatedPoly, b1, b2,
                            w: FrequencyPair) -> H3NormalCoefficients:
     """Substitute x = B1 + B2 (velocities via D) into the energy and slice.
 
-    The quadratic slice's energy, `l2.energy()`, is substituted at
-    (B1 + B2, D(B1 + B2)) with every product capped at degree 3; its
-    degree-3 part is the cross term between B1 and B2.  `cubic` is the
-    cubic slice's energy at B1 (from :func:`forcing_x2y2`), all that the
-    cubic contributes under the cap.
+    The quadratic slice's energy `l2.energy()` is substituted with every
+    product capped at degree 3 and added to `cubic`, the cubic slice's
+    energy at B1 (:func:`forcing_x2y2`; under the cap the cubic sees only B1).
     """
     bx, by = b1[0] + b2[0], b1[1] + b2[1]
     total = poly_at_series(l2.energy(), bx, by, apply_D(bx, w),

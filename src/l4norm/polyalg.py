@@ -161,9 +161,8 @@ class TruncatedPoly(Store):
         return self._slice(_velocity_degree, 0, 0)
 
     def energy(self):
-        """The energy function v.dL/dv - L of this Lagrangian: each term
-        times its velocity degree minus one, so velocity-linear terms
-        drop out and position terms change sign."""
+        """The energy function v.dL/dv - L: each term times its velocity
+        degree minus one."""
         return self._new(self.layout, [
             c * (_velocity_degree(mono) - 1)
             for mono, c in zip(self.layout.keys, self.values)])

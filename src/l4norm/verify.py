@@ -300,8 +300,7 @@ GATING_KEYS = (
 
 
 # Strength of each single perturbation: every series is compared at
-# strengths HALVING_STRENGTH and HALVING_STRENGTH / 2.  The W1 leg runs at
-# that strength at MU_EARTH_MOON and scales with mu (1 - mu) elsewhere.
+# strengths HALVING_STRENGTH and HALVING_STRENGTH / 2.
 HALVING_STRENGTH = 1e-3
 MU_EARTH_MOON = 0.01215
 
@@ -315,12 +314,12 @@ def detect_discrepancies(mu: float, options: PipelineOptions, /):
 
     Classical verdicts pass the gap at zero perturbation strength as both
     remainders, so a gap above the noise floor reads zeroth order;
-    perturbation verdicts compare remainders at a strength h and h / 2,
-    with h = HALVING_STRENGTH, scaled by mu (1 - mu) in the W1 leg.
-    Returns a tuple of RemainderVerdict covering every gating key.  The
-    verdicts depend only on (mu, options), so they are cached per process,
-    one entry per positional (mu, options) pair; an exception is raised
-    again on every call.
+    perturbation verdicts compare remainders at HALVING_STRENGTH and at half
+    of it; the W1 leg scales that strength by mu (1 - mu) relative to
+    MU_EARTH_MOON.  Returns a tuple of RemainderVerdict covering every
+    gating key.  The verdicts depend only on (mu, options), so they are
+    cached per process, one entry per positional (mu, options) pair; an
+    exception is raised again on every call.
     """
     def gaps_at(p: ModelParams):
         # No gating key reads the h3 stage, so the chain stops at b2.
@@ -331,13 +330,11 @@ def detect_discrepancies(mu: float, options: PipelineOptions, /):
     scale = max(1.0, base.intermediate_scale())
     verdicts = [classify_remainder(key, "classical", gaps[key], gaps[key],
                                    scale=scale) for key in GATING_KEYS]
+    # The drag displacement scales like W1 / (mu (1 - mu)); at a fixed
+    # strength the W1 leg would pass the fold below mu ~ 0.0015.
+    w1_scale = mu * (1.0 - mu) / (MU_EARTH_MOON * (1.0 - MU_EARTH_MOON))
     for kind in PERTURBATIONS:
-        h = HALVING_STRENGTH
-        if kind == "W1":
-            # The drag displacement of the equilibrium scales like
-            # W1 / (mu (1 - mu)), so a fixed strength passes the fold below
-            # mu ~ 0.0015; this keeps the displacement it has at MU_EARTH_MOON.
-            h *= mu * (1.0 - mu) / (MU_EARTH_MOON * (1.0 - MU_EARTH_MOON))
+        h = HALVING_STRENGTH * (w1_scale if kind == "W1" else 1.0)
         _, gaps_h = gaps_at(single_perturbation_params(mu, kind, h))
         _, gaps_half = gaps_at(single_perturbation_params(mu, kind, h / 2))
         for key in GATING_KEYS:
