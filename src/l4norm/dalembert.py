@@ -263,8 +263,13 @@ class MoserReport:
 
 
 def moser_check(w: FrequencyPair, tol: float) -> MoserReport:
-    value, pair = min((abs(k1 * w.omega1 + k2 * w.omega2), (k1, k2))
-                      for k1, k2 in MOSER_PAIRS)
+    """The pair of least |k1 w1 + k2 w2|; of equal values the first in
+    MOSER_PAIRS, which is in lexicographic order, wins."""
+    value, pair = math.inf, None
+    for k1, k2 in MOSER_PAIRS:
+        combination = abs(k1 * w.omega1 + k2 * w.omega2)
+        if combination < value:
+            value, pair = combination, (k1, k2)
     return MoserReport(
         min_combination=value,
         worst_pair=pair,

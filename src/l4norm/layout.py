@@ -98,6 +98,12 @@ def accumulate(rows, left: list, right: list, acc: list) -> list:
     return acc
 
 
+def _add_negated(x, y):
+    """``x - y`` as a sum: where a complex value meets a real one, ``x - y``
+    can give a zero imaginary part the other sign."""
+    return x + -y
+
+
 def _sup(value) -> float:
     return max(abs(value.real), abs(value.imag))
 
@@ -120,10 +126,11 @@ class Store:
         return self._merge(other, operator.add)
 
     def __sub__(self, other):
-        return self._merge(other, operator.sub)
+        return self._merge(other, _add_negated)
 
     def _merge(self, other, op):
-        """``op`` (add or sub) of the two stores along their sum plan."""
+        """``op`` (a sum, or a sum with the negation) of the two stores
+        along their sum plan."""
         layout, shared, new = plan(sum_plan, self.layout, other.layout)
         values = self.values.copy()
         right = other.values

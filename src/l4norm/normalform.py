@@ -121,14 +121,14 @@ class NormalModeData:
 
     X = J T maps (Q1, Q2, P1, P2) to (x, y, px, py); the transformed
     quadratic Hamiltonian is (P1^2 + w1^2 Q1^2)/2 - (P2^2 + w2^2 Q2^2)/2,
-    i.e. w1 I1 - w2 I2 in action-angle form.  `J` is a tuple of its four
-    rows.
+    i.e. w1 I1 - w2 I2 in action-angle form.  `J` and `hessian`, that
+    Hamiltonian's Hessian before the transformation, are tuples of their
+    four rows.  The two residuals are formed on first read and kept.
     """
 
     freq: FrequencyPair
     J: tuple
-    symplectic_defect: float
-    h2_residual: float
+    hessian: tuple
 
     J13 = _entry(0, 2)
     J14 = _entry(0, 3)
@@ -136,6 +136,20 @@ class NormalModeData:
     J22 = _entry(1, 1)
     J23 = _entry(1, 2)
     J24 = _entry(1, 3)
+
+    @functools.cached_property
+    def symplectic_defect(self) -> float:
+        """Largest entry of |J^T Sigma J - Sigma|."""
+        return congruence_gap(self.J, SIGMA, SIGMA)
+
+    @functools.cached_property
+    def h2_residual(self) -> float:
+        """Largest entry of |J^T S J - diag(w1^2, -w2^2, 1, -1)|, S the
+        Hessian."""
+        w = self.freq
+        target = ((w.omega1**2, 0.0, 0.0, 0.0), (0.0, -w.omega2**2, 0.0, 0.0),
+                  (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, -1.0))
+        return congruence_gap(self.J, self.hessian, target)
 
 
 def hamiltonian_matrix(K: tuple, C: tuple) -> tuple:
@@ -220,11 +234,7 @@ def j_numeric(p: ModelParams, efg: QuadraticCoefficients, w: FrequencyPair,
         columns[mode] = (qcol, pcol)
 
     J = tuple(zip(columns[0][0], columns[1][0], columns[0][1], columns[1][1]))
-    target = ((w.omega1**2, 0.0, 0.0, 0.0), (0.0, -w.omega2**2, 0.0, 0.0),
-              (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, -1.0))
-    return NormalModeData(
-        freq=w, J=J, symplectic_defect=congruence_gap(J, SIGMA, SIGMA),
-        h2_residual=congruence_gap(J, hamiltonian_matrix(K, C), target))
+    return NormalModeData(freq=w, J=J, hessian=hamiltonian_matrix(K, C))
 
 
 # -- first-order components ---------------------------------------------
@@ -240,10 +250,10 @@ def first_order_components(nm):
     w = nm.freq
     sq1, sq2 = math.sqrt(2.0 * w.omega1), math.sqrt(2.0 * w.omega2)
     iq1, iq2 = math.sqrt(2.0 / w.omega1), math.sqrt(2.0 / w.omega2)
-    b1x = (DAlembertSeries.single(1, 0, 1, 0, c=nm.J13 * sq1)
-           + DAlembertSeries.single(0, 1, 0, 1, c=nm.J14 * sq2))
-    b1y = (DAlembertSeries.single(1, 0, 1, 0, s=nm.J21 * iq1, c=nm.J23 * sq1)
-           + DAlembertSeries.single(0, 1, 0, 1, s=nm.J22 * iq2, c=nm.J24 * sq2))
+    b1x = DAlembertSeries({(1, 0, 1, 0): (nm.J13 * sq1, 0.0),
+                           (0, 1, 0, 1): (nm.J14 * sq2, 0.0)})
+    b1y = DAlembertSeries({(1, 0, 1, 0): (nm.J23 * sq1, nm.J21 * iq1),
+                           (0, 1, 0, 1): (nm.J24 * sq2, nm.J22 * iq2)})
     return b1x, b1y
 
 
@@ -281,14 +291,16 @@ class PowerTable:
     def __init__(self, inputs, cap: int):
         self.inputs = tuple(inputs)
         self.cap = cap
-        one = DAlembertSeries.single(0, 0, 0, 0, c=1.0)
-        self.rows = [[one, arg] for arg in self.inputs]
+        self.rows = [[arg] for arg in self.inputs]
 
     def power(self, i: int, e: int) -> DAlembertSeries:
+        """Input i to the power e; e = 0 gives the unit series."""
+        if e == 0:
+            return DAlembertSeries.single(0, 0, 0, 0, c=1.0)
         row = self.rows[i]
-        while len(row) <= e:
+        while len(row) < e:
             row.append(row[-1].mul(self.inputs[i], self.cap))
-        return row[e]
+        return row[e - 1]
 
 
 def poly_at_series(poly: TruncatedPoly, xi_s, eta_s, xid_s, etad_s,
@@ -301,14 +313,14 @@ def poly_at_series(poly: TruncatedPoly, xi_s, eta_s, xid_s, etad_s,
         powers = PowerTable(inputs, cap)
     elif powers.cap != cap or any(a is not b for a, b in zip(powers.inputs, inputs)):
         raise ContractError("power table built for other arguments or cap")
-    total = DAlembertSeries.zero()
+    total = None
     for factors, coeff in zip(plan(_factors, poly.layout), poly.values):
         (i, e), *rest = factors
         term = powers.power(i, e).scale(coeff)
         for i, e in rest:
             term = term.mul(powers.power(i, e), cap)
-        total = total + term
-    return total
+        total = term if total is None else total + term
+    return DAlembertSeries.zero() if total is None else total
 
 
 def _factors(layout: Layout) -> tuple:

@@ -223,7 +223,8 @@ def taylor_lagrangian(p: ModelParams, shift: OriginShift, degree: int) -> Trunca
     shift : OriginShift
         Expansion pivot, a = x* + mu, b = y*.
     degree : int
-        Total-degree cap (>= 3 for the normalization pipeline).
+        Total-degree cap: 2 for the linear stages, 3 from the second
+        order on.
     """
     a, b = shift.a, shift.b
     if a * a + b * b < 1e-12 or (a - 1.0) ** 2 + b * b < 1e-12:

@@ -58,6 +58,7 @@ class PipelineResult:
     stages: tuple
     eq_numeric: equilibria.EquilibriumPoint | None = None
     shift: equilibria.OriginShift | None = None
+    # expanded to degree 3 from the b2 stage on, to degree 2 before it
     lagrangian_poly: polyalg.TruncatedPoly | None = None
     efg: polyalg.QuadraticCoefficients | None = None
     freq: FrequencyPair | None = None
@@ -134,9 +135,10 @@ def run_pipeline(p: ModelParams, options: PipelineOptions = PipelineOptions(),
     if last == 0:
         return res
 
-    res.lagrangian_poly = polyalg.taylor_lagrangian(p, res.shift, 3)
+    # B1 reads only the quadratic part; the cubic enters from b2 on.
+    degree = 3 if last >= STAGES.index("b2") else 2
+    res.lagrangian_poly = polyalg.taylor_lagrangian(p, res.shift, degree)
     l2 = res.lagrangian_poly.grade(2)
-    l3 = res.lagrangian_poly.grade(3)
     res.efg = polyalg.extract_EFG(l2, p)
     if last == 1:
         return res
@@ -155,7 +157,8 @@ def run_pipeline(p: ModelParams, options: PipelineOptions = PipelineOptions(),
         return res
 
     (res.x2, res.y2), res.position_forcing, res.cubic_at_b1 = \
-        normalform.forcing_x2y2(l3, res.b1[0], res.b1[1], res.freq)
+        normalform.forcing_x2y2(res.lagrangian_poly.grade(3), res.b1[0],
+                                res.b1[1], res.freq)
     res.b2 = normalform.solve_second_order_oracle(
         res.efg, res.freq, p.n, res.x2, res.y2, floor=options.divisor_floor)
     if last == 3:
@@ -196,11 +199,15 @@ def audit(res: PipelineResult) -> Audit:
     printed_shift = equilibria.offset_ab(p)
     gaps["offset.a"] = abs(printed_shift.a - res.shift.a)
     gaps["offset.b"] = abs(printed_shift.b - abs(res.shift.b))
-    if res.lagrangian_poly is None:
+    lagrangian = res.lagrangian_poly
+    if lagrangian is None:
         return out
 
+    if lagrangian.cap < 3:
+        # a chain stopped before b2 expanded only the quadratic part
+        lagrangian = polyalg.taylor_lagrangian(p, res.shift, 3)
     for name, gap in polyalg.compare_h3(
-            res.lagrangian_poly.grade(3),
+            lagrangian.grade(3),
             polyalg.t_coefficients_closed_form(p, res.shift)).items():
         gaps[f"cubic.{name}"] = gap
     if res.nm is None:

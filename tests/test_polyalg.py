@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from l4norm.equilibria import (
@@ -260,6 +260,9 @@ class TestReferenceKernels:
     @given(poly_terms, poly_terms, st.integers(1, 3), st.integers(1, 3),
            st.sampled_from((-1.5, 0.0, 2.0, 1j)),
            st.sampled_from((0.5, -1.0, 0.5j)))
+    # a - b with a -0.0 imaginary part meeting a real value
+    @example({(0, 0, 0, 0): 0.5, (0, 0, 0, 1): complex(1.0, -0.0)},
+             {(0, 0, 0, 1): 0.5}, 1, 1, -1.5, 0.5)
     def test_operations_match_the_dict_kernels(self, ta, tb, cap_a, cap_b,
                                                factor, value):
         # unequal caps, complex values, exact zeros and cancelling pairs

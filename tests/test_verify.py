@@ -1,19 +1,26 @@
 import math
+import random
 
 import pytest
 
+from l4norm import normalform
 from l4norm.closedforms import RS_SLOTS
 from l4norm.dalembert import DAlembertSeries, apply_D
 from l4norm.errata import KNOWN_DISCREPANCIES, is_registered
 from l4norm.errors import ParameterError, ResonanceError
 from l4norm.model import ModelParams
 from l4norm.normalform import (
+    SIGMA,
     H3NormalCoefficients,
     PowerTable,
     classical_frequencies,
+    congruence_gap,
     h3_normal_coefficients,
+    hamiltonian_matrix,
     poly_at_series,
     solve_second_order_oracle,
+    stiffness_matrix,
+    velocity_coupling,
 )
 from l4norm.polyalg import TruncatedPoly
 from l4norm.verify import (
@@ -119,6 +126,93 @@ class TestAudit:
         gaps = audit(res).gaps
         assert gaps["b2.sup"] == max(gaps[f"b2.{rs}{i}"] for rs in "rs"
                                      for i in range(1, 11))
+
+
+def _stopping_points(count: int = 8, seed: int = 5):
+    """Seeded (params, branch): mu in [0.001, 0.037], both branches, drag
+    on every other point."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        mu = rng.uniform(0.001, 0.037)
+        p = (ModelParams(mu=mu, q1=1.0 - rng.uniform(0.0, 0.01),
+                         A2=rng.uniform(0.0, 0.005), cd=rng.uniform(10.0, 100.0))
+             if i % 2 else ModelParams(mu=mu))
+        out.append((p, ("L4", "L5")[i // 2 % 2]))
+    return out
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _series_bits(series):
+    return [(key, _hex(cs)) for key, cs in series.terms.items()]
+
+
+class TestChainStoppedAtB1:
+    """A chain that stops at b1 expands only the quadratic Lagrangian and
+    leaves the normal-mode residuals unformed; what it returns must be the
+    full chain's, bit for bit."""
+
+    @pytest.fixture(params=_stopping_points(),
+                    ids=lambda c: f"{c[0].mu:.5f}-{c[1]}-"
+                                  f"{'drag' if c[0].W1 else 'free'}")
+    def point(self, request):
+        p, branch = request.param
+        return p, PipelineOptions(branch=branch)
+
+    def test_b1_fields_equal_the_full_chain(self, point):
+        p, options = point
+        short = run_pipeline(p, options, stages=("b1",))
+        full = run_pipeline(p, options)
+        assert short.lagrangian_poly.cap == 2
+        assert ([(m, c.hex()) for m, c in short.lagrangian_poly.coeffs.items()]
+                == [(m, c.hex()) for m, c
+                    in full.lagrangian_poly.truncated(2).coeffs.items()])
+        a, b = short, full
+        assert _hex((a.efg.E, a.efg.F, a.efg.G)) == _hex((b.efg.E, b.efg.F, b.efg.G))
+        assert _hex((a.freq.omega1, a.freq.omega2)) == _hex(
+            (b.freq.omega1, b.freq.omega2))
+        assert [_hex(row) for row in a.nm.J] == [_hex(row) for row in b.nm.J]
+        for sa, sb in zip(a.b1, b.b1):
+            assert _series_bits(sa) == _series_bits(sb)
+        assert a.b1_residual.hex() == b.b1_residual.hex()
+        assert a.moser.min_combination.hex() == b.moser.min_combination.hex()
+        assert (a.moser.worst_pair, a.moser.passed) == (b.moser.worst_pair,
+                                                         b.moser.passed)
+        gates, full_gates = short.gates(), full.gates()
+        assert gates and all(gates.values())
+        assert gates == {name: full_gates[name] for name in gates}
+
+    @pytest.mark.parametrize("stage", ["taylor", "b1"])
+    def test_audit_expands_the_cubic_itself(self, point, stage):
+        p, options = point
+        short = audit(run_pipeline(p, options, stages=(stage,))).gaps
+        full = audit(run_pipeline(p, options, stages=("h3",))).gaps
+        cubic = sorted(key for key in full if key.startswith("cubic."))
+        assert len(cubic) == 6
+        assert sorted(key for key in short if key.startswith("cubic.")) == cubic
+        assert _hex(short[key] for key in cubic) == _hex(full[key] for key in cubic)
+
+    def test_residuals_are_formed_on_first_read(self, point, monkeypatch):
+        p, options = point
+        calls = []
+        monkeypatch.setattr(normalform, "congruence_gap",
+                            lambda *args: calls.append(args) or congruence_gap(*args))
+        res = run_pipeline(p, options, stages=("b1",))
+        assert calls == []
+        res.gates()
+        res.gates()
+        assert len(calls) == (0 if p.W1 else 2)
+        w, J = res.freq, res.nm.J
+        hessian = hamiltonian_matrix(stiffness_matrix(res.efg, p.n),
+                                     velocity_coupling(res.lagrangian_poly.grade(2)))
+        target = ((w.omega1**2, 0.0, 0.0, 0.0), (0.0, -w.omega2**2, 0.0, 0.0),
+                  (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, -1.0))
+        assert res.nm.symplectic_defect == congruence_gap(J, SIGMA, SIGMA)
+        assert res.nm.h2_residual == congruence_gap(J, hessian, target)
+        assert len(calls) == 2
 
 
 class TestClassicalRoots:
@@ -385,7 +479,8 @@ class TestH3Substitution:
 
         def highest_powers(chain):
             assert all(a is b for a, b in zip(tables[0].inputs, chain.b1))
-            out = [max(map(len, table.rows)) - 1 for table in tables]
+            # a table's row i holds the powers 1, 2, ... of input i formed
+            out = [max(map(len, table.rows)) for table in tables]
             tables.clear()
             return out
 
