@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -188,25 +189,32 @@ def cmd_verify(config: RunConfig) -> int:
     options = config.options()
     result = verify.run_pipeline(p, options, stages=config.stages)
     printed = verify.audit(result)
+    verdicts = None
+    if config.format == "report" and "b2" in result.stages:
+        verdicts = verify.detect_discrepancies(p.mu, options)
+    gates = result.gates()
     if config.format == "csv":
         lines = ["key,value"]
-        for name, ok in result.gates().items():
+        for name, ok in gates.items():
             lines.append(f"gate.{name},{fmt(ok)}")
         for key in sorted(printed.gaps):
             lines.append(f"gap.{key},{fmt(printed.gaps[key])}")
         _emit("\n".join(lines) + "\n", config, "verify.csv")
     else:
-        verdicts = None
-        if "b2" in result.stages:
-            verdicts = verify.detect_discrepancies(p.mu, options)
-        text = verify.render_report(result, printed, verdicts)
+        text = verify.render_report(result, printed, gates, verdicts)
         _emit(text, config, "verify.txt")
-    gates = result.gates()
     for name, passed in gates.items():
         if not passed:
             print(f"gate failed: {name}", file=sys.stderr)
             return EXIT_GATE
     return EXIT_OK
+
+
+def _check_mu_range(mu_min: float, mu_max: float) -> None:
+    """ConfigError unless both bounds of the mu range are finite."""
+    if not (math.isfinite(mu_min) and math.isfinite(mu_max)):
+        raise ConfigError(f"mu range must be finite, got --mu-min {mu_min!r} "
+                          f"--mu-max {mu_max!r}")
 
 
 def _mu_grid(mu_min: float, mu_max: float, steps: int) -> list:
@@ -217,6 +225,7 @@ def _mu_grid(mu_min: float, mu_max: float, steps: int) -> list:
 
 def cmd_resonance_scan(config: RunConfig, mu_min: float, mu_max: float,
                        steps: int) -> int:
+    _check_mu_range(mu_min, mu_max)
     if steps < 0 or mu_max < mu_min:
         raise ConfigError("need mu_max >= mu_min and steps >= 0")
     lines = ["mu,omega1,omega2,min_combination,worst_pair,pass"]
@@ -248,6 +257,7 @@ def cmd_resonance_scan(config: RunConfig, mu_min: float, mu_max: float,
 
 def cmd_sweep(config: RunConfig, mu_min: float, mu_max: float,
               steps: int) -> int:
+    _check_mu_range(mu_min, mu_max)
     if steps <= 0 or mu_max < mu_min:
         raise ConfigError("need mu_max >= mu_min and steps > 0")
     options = config.options()

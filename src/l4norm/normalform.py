@@ -356,10 +356,26 @@ def forcing_x2y2(l3: TruncatedPoly, b1x: DAlembertSeries, b1y: DAlembertSeries,
 
 @dataclass(frozen=True)
 class SecondOrderSolution:
+    """B2 and what its back-substitution reads: the linear operator, the
+    forcing (x2, y2) and the frequencies.  The residuals of the coupled
+    system are formed on first read and kept, so a caller that reads only
+    B2 pays nothing for them."""
+
     b2x: DAlembertSeries
     b2y: DAlembertSeries
-    residual_x: float
-    residual_y: float
+    operator: tuple
+    forcing: tuple
+    freq: FrequencyPair
+
+    @functools.cached_property
+    def residuals(self) -> tuple:
+        """Sup-norms of the operator at (B2x, B2y) minus (x2, y2)."""
+        rx, ry = apply_operator(self.operator, self.b2x, self.b2y, self.freq)
+        x2, y2 = self.forcing
+        return (rx - x2).max_abs(), (ry - y2).max_abs()
+
+    residual_x = property(lambda self: self.residuals[0])
+    residual_y = property(lambda self: self.residuals[1])
 
 
 def solve_second_order_oracle(efg: QuadraticCoefficients, w: FrequencyPair,
@@ -371,18 +387,15 @@ def solve_second_order_oracle(efg: QuadraticCoefficients, w: FrequencyPair,
     the coupled pair into (D^2 + w1^2)(D^2 + w2^2) (B2x, B2y) = (Phi2, Psi2),
     which divides harmonic-by-harmonic by the small divisor; a critical
     harmonic there raises `CriticalTermError` from :func:`invert_delta`.
-    The returned residuals are of the original coupled system and must sit
-    at round-off.
+    The returned residuals are of the original coupled system, formed on
+    first read, and must sit at round-off.
     """
     op = linear_operator(efg, n)
     (l11, l12), (l21, l22) = op
     neg = lambda entry: tuple(-v for v in entry)
     phi2, psi2 = apply_operator(((l22, neg(l12)), (neg(l21), l11)), x2, y2, w)
-    b2x = invert_delta(phi2, w, floor)
-    b2y = invert_delta(psi2, w, floor)
-    rx, ry = apply_operator(op, b2x, b2y, w)
-    return SecondOrderSolution(b2x, b2y, (rx - x2).max_abs(),
-                               (ry - y2).max_abs())
+    return SecondOrderSolution(invert_delta(phi2, w, floor),
+                               invert_delta(psi2, w, floor), op, (x2, y2), w)
 
 
 # -- degree-3 energy coefficients ------------------------------------------

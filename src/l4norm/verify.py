@@ -315,6 +315,19 @@ MU_EARTH_MOON = 0.01215
 DETECTOR_CACHE_SIZE = 64
 
 
+class Verdicts(tuple):
+    """The detector's RemainderVerdicts.  Their report rows are formatted
+    on first read and kept with them, so they live and die with the
+    detector's cache entry."""
+
+    @functools.cached_property
+    def rows(self) -> tuple:
+        """One quantity,perturbation,gap_h,gap_half,classification line
+        per verdict."""
+        return tuple(f"{v.quantity},{v.perturbation},{fmt(v.gap_h)},"
+                     f"{fmt(v.gap_half)},{v.classification}" for v in self)
+
+
 @functools.lru_cache(maxsize=DETECTOR_CACHE_SIZE)
 def detect_discrepancies(mu: float, options: PipelineOptions, /):
     """Classify every audited closed form against its oracle.
@@ -323,9 +336,10 @@ def detect_discrepancies(mu: float, options: PipelineOptions, /):
     remainders, so a gap above the noise floor reads zeroth order;
     perturbation verdicts compare remainders at HALVING_STRENGTH and at half
     of it; the W1 leg scales that strength by mu (1 - mu) relative to
-    MU_EARTH_MOON.  Returns a tuple of RemainderVerdict covering every
-    gating key.  The verdicts depend only on (mu, options), so they are
-    cached per process, one entry per positional (mu, options) pair; an
+    MU_EARTH_MOON.  Returns the RemainderVerdicts covering every gating key
+    as `Verdicts`, a tuple that also carries their report rows.  The
+    verdicts depend only on (mu, options), so they are cached per process,
+    rows included, one entry per positional (mu, options) pair; an
     exception is raised again on every call.
     """
     def gaps_at(p: ModelParams):
@@ -348,7 +362,7 @@ def detect_discrepancies(mu: float, options: PipelineOptions, /):
             verdicts.append(classify_remainder(
                 key, kind, gaps_h[key], gaps_half[key],
                 scale=scale))
-    return tuple(verdicts)
+    return Verdicts(verdicts)
 
 
 # -- classical resonance root ----------------------------------------------
@@ -375,8 +389,11 @@ def fmt(x) -> str:
     return str(x)
 
 
-def render_report(res: PipelineResult, printed: Audit, verdicts=None) -> str:
-    """Structured text: key-value lines plus CSV blocks per stage."""
+def render_report(res: PipelineResult, printed: Audit, gates: dict,
+                  verdicts: Verdicts | None = None) -> str:
+    """Structured text: key-value lines plus CSV blocks per stage.
+    `gates` is `res.gates()`; `verdicts` comes from
+    `detect_discrepancies`."""
     lines = []
     put = lines.append
     p = res.params
@@ -389,7 +406,7 @@ def render_report(res: PipelineResult, printed: Audit, verdicts=None) -> str:
     opt = res.options
     for name, attr in TOLERANCES.items():
         put(f"tol.{name}: {fmt(getattr(opt, attr))}")
-    for name, ok in res.gates().items():
+    for name, ok in gates.items():
         put(f"gate.{name}: {fmt(ok)}")
 
     put("")
@@ -455,8 +472,6 @@ def render_report(res: PipelineResult, printed: Audit, verdicts=None) -> str:
         put("")
         put("[series-vs-oracle]")
         put("quantity,perturbation,gap_h,gap_half,classification")
-        for v in verdicts:
-            put(f"{v.quantity},{v.perturbation},{fmt(v.gap_h)},"
-                f"{fmt(v.gap_half)},{v.classification}")
+        lines.extend(verdicts.rows)
     put("")
     return "\n".join(lines)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from l4norm import errors
+from l4norm import errors, verify
 from l4norm.cli import (
     EXIT_CONFIG,
     EXIT_GATE,
@@ -211,11 +211,13 @@ class TestVerifyCommand:
         assert code == EXIT_PIPELINE
         assert "ResonanceError" in err
 
-    def test_repeat_in_one_process(self, capsys):
+    def test_repeat_in_one_process(self, capsys, monkeypatch):
         # One parser serves every call.  Physics B shares mu and options
         # with A, so it reads A's cached verdicts; C sets other tolerances
         # and argparse rejects D after reading its --tol.  Every later run
-        # of A must still print what the first did.
+        # of A must still print what the first did.  A repeat reuses the
+        # cached verdict rows and formats none of their floats; after
+        # cache_clear the rows are built again.
         assert build_parser() is build_parser()
         a = ("verify", "--mu", "0.01215", "--q1", "0.999", "--a2", "1e-4",
              "--cd", "20", "--stages", "h3", "--tol", "residual=1e-8")
@@ -239,9 +241,21 @@ class TestVerifyCommand:
             main(list(d))
         assert rejected.value.code == EXIT_CONFIG
         assert "unrecognized arguments: --steps 3" in capsys.readouterr().err
+        options = PipelineOptions(residual_tol=1e-8)
+        verdicts = detect_discrepancies(0.01215, options)
+        rows = verdicts.rows
+        formatted = []
+        monkeypatch.setattr(verify, "fmt",
+                            lambda x: formatted.append(x) or fmt(x))
         assert run_cli(capsys, *a) == first
+        repeat = len(formatted)
+        assert detect_discrepancies(0.01215, options).rows is rows
         detect_discrepancies.cache_clear()
+        formatted.clear()
         assert run_cli(capsys, *a) == first
+        assert len(formatted) == repeat + 2 * len(verdicts)
+        rebuilt = detect_discrepancies(0.01215, options)
+        assert rebuilt.rows is not rows and rebuilt.rows == rows
 
     def test_library_call_reads_the_cli_entry(self, capsys):
         # verify and a library call at the same (mu, options) share one
@@ -265,6 +279,18 @@ class TestVerifyCommand:
         assert code == EXIT_CONFIG
         assert out == ""
         assert err.startswith(f"error: {field} ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("form", ["report", "csv"])
+    def test_gates_evaluated_once(self, capsys, monkeypatch, form):
+        # One gates dict serves the gate lines and the exit code.
+        calls = []
+        gates = verify.PipelineResult.gates
+        monkeypatch.setattr(verify.PipelineResult, "gates",
+                            lambda self: calls.append(self) or gates(self))
+        code, out, _ = run_cli(capsys, "verify", "--mu", "0.01", "--stages",
+                               "b1", "--format", form)
+        assert code == EXIT_OK and "b1-residual" in out
+        assert len(calls) == 1
 
     def test_b1_stage_skips_detector(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--mu", "0.01",
@@ -330,6 +356,21 @@ class TestResonanceScan:
         assert code == EXIT_OK
         assert "unstable" in out
         assert "critical mass" in err
+
+
+@pytest.mark.parametrize("bound", ["min", "max"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["sweep", "resonance-scan"])
+def test_non_finite_mu_bound_is_refused(capsys, command, bad, bound):
+    # NaN and inf pass the ordering check; both commands must refuse the
+    # range before writing any row.
+    given = {"min": "0.01", "max": "0.02", bound: bad}
+    code, out, err = run_cli(capsys, command, f"--mu-min={given['min']}",
+                             f"--mu-max={given['max']}", "--steps", "3",
+                             "--stages", "b1")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("error: mu range must be finite") \
+        and len(err.splitlines()) == 1
 
 
 class TestSweep:

@@ -70,8 +70,8 @@ class TestPipeline:
     def test_report_determinism(self):
         ra = run_pipeline(ModelParams(mu=0.01))
         rb = run_pipeline(ModelParams(mu=0.01))
-        a = render_report(ra, audit(ra))
-        b = render_report(rb, audit(rb))
+        a = render_report(ra, audit(ra), ra.gates())
+        b = render_report(rb, audit(rb), rb.gates())
         assert a == b
         assert "gate.h3-vanishing: pass" in a
         assert "omega1: 0.963322109085" in a
@@ -213,6 +213,42 @@ class TestChainStoppedAtB1:
         assert res.nm.symplectic_defect == congruence_gap(J, SIGMA, SIGMA)
         assert res.nm.h2_residual == congruence_gap(J, hessian, target)
         assert len(calls) == 2
+
+
+class TestLazySecondOrderResiduals:
+    """The b2 stage leaves the back-substitution unformed until a residual
+    is read; what it then returns must be the eager residual, bit for bit."""
+
+    apply = staticmethod(normalform.apply_operator)
+
+    @pytest.fixture(params=_stopping_points(),
+                    ids=lambda c: f"{c[0].mu:.5f}-{c[1]}-"
+                                  f"{'drag' if c[0].W1 else 'free'}")
+    def counted(self, request, monkeypatch):
+        """(params, options, calls): every apply_operator call is logged."""
+        p, branch = request.param
+        calls = []
+        monkeypatch.setattr(normalform, "apply_operator",
+                            lambda *args: calls.append(args) or self.apply(*args))
+        return p, PipelineOptions(branch=branch), calls
+
+    def test_residuals_equal_an_eager_back_substitution(self, counted):
+        p, options, calls = counted
+        res = run_pipeline(p, options, stages=("b2",))
+        assert len(calls) == 2  # the B1 residual and the B2 solve
+        rx, ry = self.apply(normalform.linear_operator(res.efg, p.n),
+                            res.b2.b2x, res.b2.b2y, res.freq)
+        eager = ((rx - res.x2).max_abs(), (ry - res.y2).max_abs())
+        assert _hex((res.b2.residual_x, res.b2.residual_y)) == _hex(eager)
+        assert res.gates()["b2-residual"] and res.gates() == res.gates()
+        assert len(calls) == 3
+
+    def test_partial_forcing_solve_skips_the_back_substitution(self, counted):
+        p, options, calls = counted
+        res = run_pipeline(p, options, stages=("b2",))
+        calls.clear()
+        partial_forcing_gap(res)
+        assert len(calls) == 1
 
 
 class TestClassicalRoots:
