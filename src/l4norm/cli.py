@@ -287,6 +287,8 @@ def cmd_sweep(config: RunConfig, mu_min: float, mu_max: float,
 
 # -- argument parsing --------------------------------------------------------
 
+MU_BOUNDS = ("--mu-min", "--mu-max")
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -307,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="key=value config file")
 
     def mu_range(sp):
-        sp.add_argument("--mu-min", type=float, required=True)
-        sp.add_argument("--mu-max", type=float, required=True)
+        for flag in MU_BOUNDS:
+            sp.add_argument(flag, type=float, required=True)
         sp.add_argument("--steps", type=int, required=True)
 
     common(sub.add_parser("equilibria", help="triangular points three ways"))
@@ -326,8 +328,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_bounds(argv: list) -> list:
+    """`--mu-min -inf` as `--mu-min=-inf`: argparse reads a bound that
+    starts with '-' and is no plain negative number, such as '-inf' or
+    '-nan', as an option of its own."""
+    out = []
+    for token in argv:
+        if out and out[-1] in MU_BOUNDS and token.startswith("-"):
+            token = out.pop() + "=" + token
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _attach_bounds(sys.argv[1:] if argv is None else argv))
     try:
         config = config_from_args(args)
         if args.command == "equilibria":

@@ -12,7 +12,10 @@ constructor checks the constraints and canonicalises; no other operation
 needs to, because sums and termwise maps reuse stored keys and a product
 of valid keys is valid (only its difference harmonics need
 canonicalising).  Products take an optional degree cap (j + m) and skip
-the pairs of terms that would exceed it.
+the pairs of terms that would exceed it.  A product of series, and a
+polynomial evaluated at series (:func:`substitute`), is planned once per
+shape, the layouts and the cap, and then runs as arithmetic along that
+plan; a k-factor product of terms is formed in one step.
 
 A term c cos + s sin is stored as z = c + i s on a shared key layout
 (:mod:`l4norm.layout`).  A product of two terms gives the sum harmonic
@@ -27,11 +30,12 @@ which a harmonic (p, q) carries multiplier theta = p*omega1 - q*omega2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .errors import ContractError, CriticalTermError, ParameterError, SmallDivisorError
-from .layout import Layout, Store, accumulate, intern, plan, pruned
+from .layout import Layout, Store, intern, plan, pruned
 
 DIVISOR_FLOOR = 1e-8
 
@@ -78,33 +82,84 @@ def _check_parity(j: int, m: int, p: int, q: int):
         raise ContractError(f"harmonic q={q} violates parity for m={m}")
 
 
-def _product_plan(left: Layout, right: Layout, cap: int | None):
-    """Index tables of the product of two key layouts.
+def _substitution_plan(monomials: Layout, cap: int | None, *layouts):
+    """``(layout, scales, passes, zero_slots)``: the plan of :func:`substitute`.
 
-    Returns ``(layout, rows, zero_slots)``.  The layout holds the output
-    keys in the order a double loop over the pairs first meets them, each
-    pair giving its sum harmonic and then its difference harmonic.  `rows`
-    has two ``(i, k, slot)`` per pair within the cap, in that loop's
-    order, over the left values halved followed by their conjugates and
-    the right values followed by theirs: the sum row, z1/2 times z2, and
-    the difference row, z1/2 times conj(z2), or conj(z1/2) times z2 where
-    the difference harmonic is canonicalised by negation.  `zero_slots`
-    are the slots of (0, 0) harmonics, whose sine is dropped.  Keys of
-    both layouts are canonical, so a sum harmonic is too.
+    Each monomial is multiplied out as its powers left to right, each power
+    its argument times itself left to right, the cap pruning every partial
+    product.  Each tuple of argument terms and product-to-sum sign pattern
+    gives a key and factors: indices into ``[1, argument values...,
+    conjugates]``, a conjugate where a difference harmonic is canonicalised
+    by negation.  Tuples of one key whose factors differ only in order make
+    one row ``(slot, c, factors...)`` of `passes` (by factor count; the
+    constant monomial's factor is 1), where ``scales[c]`` is ``(monomial,
+    count of tuples times 2^(1 - factors))``.  Output keys come in the order
+    the pairwise products meet them, if none prunes an exact zero;
+    `zero_slots` are the (0, 0) harmonics, whose sine is dropped.
     """
-    slots, rows = {}, []
-    nl, nr = len(left.keys), len(right.keys)
-    for i, (j1, m1, p1, q1) in enumerate(left.keys):
-        for k, (j2, m2, p2, q2) in enumerate(right.keys):
-            j, m = j1 + j2, m1 + m2
-            if cap is not None and j + m > cap:
-                continue
-            ks = slots.setdefault((j, m, p1 + p2, q1 + q2), len(slots))
-            p, q, flip = _canonical(p1 - p2, q1 - q2)
-            kd = slots.setdefault((j, m, p, q), len(slots))
-            rows += ((i, k, ks), (i + nl, k, kd) if flip else (i, k + nr, kd))
+    flat = [(i, key) for i, a in enumerate(layouts) for key in a.keys]
+    size = 1 + len(flat)
+
+    def times(left, right):
+        out = []
+        for (j1, m1, p1, q1), f1 in left:
+            for (j2, m2, p2, q2), f2 in right:
+                j, m = j1 + j2, m1 + m2
+                if cap is not None and j + m > cap:
+                    continue
+                out.append(((j, m, p1 + p2, q1 + q2), f1 + f2))
+                p, q, flip = _canonical(p1 - p2, q1 - q2)
+                conj = tuple((f + size) % (2 * size) for f in (f1 if flip else f2))
+                out.append(((j, m, p, q), conj + f2 if flip else f1 + conj))
+        return out
+
+    leaves = [[(key, (n,)) for n, (v, key) in enumerate(flat, 1) if v == i]
+              for i in range(len(layouts))]
+    slots, counts = {}, {}
+    for n, mono in enumerate(monomials.keys):
+        if sum(mono) > 3:
+            raise ContractError(f"monomial {mono} has more than 3 factors")
+        powers = [functools.reduce(times, [leaves[i]] * e)
+                  for i, e in enumerate(mono) if e]
+        for key, factors in (functools.reduce(times, powers) if powers
+                             else [((0, 0, 0, 0), (0,))]):
+            row = (slots.setdefault(key, len(slots)), n, *sorted(factors))
+            counts[row] = counts.get(row, 0) + 1
+    scales, passes = {}, ([], [], [])
+    for (slot, n, *factors), count in counts.items():
+        scale = scales.setdefault((n, count * 0.5 ** (len(factors) - 1)), len(scales))
+        passes[len(factors) - 1].append((slot, scale, *factors))
     zero_slots = tuple(n for (_, _, p, q), n in slots.items() if p == q == 0)
-    return intern(tuple(slots)), tuple(rows), zero_slots
+    return intern(tuple(slots)), tuple(scales), tuple(map(tuple, passes)), zero_slots
+
+
+def substitute(monomials: Layout, coefficients: list, args, cap: int | None):
+    """The polynomial with these monomials (one exponent per series in
+    `args`, total degree at most 3) and coefficients, evaluated at `args`
+    with every product capped at degree `cap` (None keeps all): one
+    arithmetic pass per factor count along the plan of these layouts and
+    this cap."""
+    layout, scales, (rows1, rows2, rows3), zero_slots = plan(
+        _substitution_plan, monomials, cap, *(a.layout for a in args))
+    f = [1.0]
+    for a in args:
+        f += a.values
+    f += [z.conjugate() for z in f]
+    c = [coefficients[n] * scale for n, scale in scales]
+    acc = [0j] * len(layout.keys)
+    for slot, n, a in rows1:
+        acc[slot] += c[n] * f[a]
+    for slot, n, a, b in rows2:
+        acc[slot] += c[n] * f[a] * f[b]
+    for slot, n, a, b, d in rows3:
+        acc[slot] += c[n] * f[a] * f[b] * f[d]
+    for slot in zero_slots:
+        acc[slot] = complex(acc[slot].real)  # sin(0) is identically zero
+    return args[0]._new(layout, acc)
+
+
+# The one monomial of a product of two series, x y.
+_PRODUCT = intern(((1, 1),))
 
 
 def _degree(key) -> int:
@@ -165,16 +220,7 @@ class DAlembertSeries(Store):
         skipped, so the result is the full product restricted to degree
         <= cap without the work above it.
         """
-        layout, rows, zero_slots = plan(_product_plan, self.layout,
-                                        other.layout, cap)
-        half = [0.5 * z for z in self.values]
-        right = other.values
-        acc = accumulate(rows, half + [z.conjugate() for z in half],
-                         right + [z.conjugate() for z in right],
-                         [0j] * len(layout.keys))
-        for slot in zero_slots:
-            acc[slot] = complex(acc[slot].real)  # sin(0) is identically zero
-        return self._new(layout, acc)
+        return substitute(_PRODUCT, [1.0], (self, other), cap)
 
     def __mul__(self, other):
         return self.mul(other)

@@ -4,15 +4,18 @@ A series (:mod:`l4norm.dalembert`) or a polynomial (:mod:`l4norm.polyalg`)
 is a :class:`Store`: a *layout* -- its keys in stored order, with each
 key's slot -- plus a list of values, one per slot, real or complex.  The
 base holds what the two share: the sum and the difference, the slices,
-the key lookup, the sup norms, and the one product loop over ``(i, k,
-slot)`` rows.  The key work of every operation (output keys, their order,
-which slots meet) depends only on the layouts, which repeat from one
-parameter point to the next, so it is planned once per layout, or pair of
-layouts, and kept in one bounded table; the operation itself is
-arithmetic along the plan and builds no dict.  A product plan keeps the
-pair order of a plain double loop over the terms, and a sum (or a
-difference) appends the right operand's new keys in its order, so every
-result is bit-identical to the plain loop's, key order included.
+the key lookup and the sup norms.  The key work of every operation
+(output keys, their order, which slots meet) depends only on the
+layouts, which repeat from one parameter point to the next, so it is
+planned once per layout, or tuple of layouts, and kept in one bounded
+table; the operation itself is arithmetic along the plan and builds no
+dict.  A product plan of two operands keeps the pair order of a plain
+double loop over the terms, and a sum (or a difference) appends the right
+operand's new keys in its order, so those results are bit-identical to
+the plain loop's, key order included.  A substitution of series into a
+polynomial (:func:`l4norm.dalembert.substitute`) forms each product of
+up to three factors in one step, so it matches multiplying out one pair
+at a time to round-off.
 
 Layouts are interned by key tuple, so results of the same shape share
 plans.  Nothing depends on that: a layout evicted from the table and
@@ -88,14 +91,6 @@ def sum_plan(left: Layout, right: Layout):
     new = tuple(k for k, key in enumerate(right.keys) if key not in index)
     out = intern(left.keys + tuple(right.keys[k] for k in new)) if new else left
     return out, shared, new
-
-
-def accumulate(rows, left: list, right: list, acc: list) -> list:
-    """``acc[slot] += left[i] * right[k]`` along `rows` of ``(i, k, slot)``;
-    `acc` is the zero accumulator list, filled in place and returned."""
-    for i, k, slot in rows:
-        acc[slot] += left[i] * right[k]
-    return acc
 
 
 def _add_negated(x, y):

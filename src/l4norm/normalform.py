@@ -7,17 +7,17 @@ The oracle chain this module serves:
    Lagrangian slice, both in closed form (the roots of a biquadratic, and
    per mode the null vector of a 2x2 matrix);
 2. first-order components B1 from the (x, y) rows of J;
-3. cubic forcing X2, Y2 and the energy's cubic at B1, from one table
-   of the powers of (B1, B1, D B1, D B1);
+3. cubic forcing X2, Y2 and the energy's cubic at B1, all substituted
+   at (B1, B1, D B1, D B1);
 4. second-order components B2 by harmonic division;
 5. degree-3 energy coefficients after substituting x = B1 + B2, whose
    vanishing is the headline verification target: the quadratic energy
    at B1 + B2 plus the cubic of step 3 (under the degree-3 cap the cubic
    sees only B1), both substituted by `poly_at_series`.
 
-Substitutions into polynomials cap every series product at the degree
-the stage reads (`DAlembertSeries.mul(other, cap)`), so no term above it
-is formed.
+A substitution into a polynomial is planned once per shape (the
+layouts and the degree cap) and then runs as arithmetic along its plan;
+no product term past the cap the stage reads is formed.
 """
 
 from __future__ import annotations
@@ -33,11 +33,12 @@ from .dalembert import (
     DAlembertSeries,
     FrequencyPair,
     apply_D,
-    apply_poly_in_D,
+    apply_poly_in_D,  # noqa: F401 -- perfbench/spans.py wraps it here
     invert_delta,
+    substitute,
 )
 from .errors import ContractError, StabilityDomainError
-from .layout import Layout, plan
+from .layout import plan, sum_plan
 from .model import ModelParams
 from .polyalg import QuadraticCoefficients, TruncatedPoly
 
@@ -266,9 +267,24 @@ def linear_operator(efg: QuadraticCoefficients, n: float):
 
 
 def apply_operator(matrix, x, y, w: FrequencyPair):
-    """Apply a 2x2 matrix of (c0, c1, c2) D-polynomials to the pair (x, y)."""
-    return tuple(apply_poly_in_D(x, w, *a) + apply_poly_in_D(y, w, *b)
-                 for a, b in matrix)
+    """Apply a 2x2 matrix of (c0, c1, c2) D-polynomials to the pair (x, y)
+    in one pass over the keys of x + y, forming per harmonic theta and the
+    four multipliers of :func:`apply_poly_in_D` once."""
+    layout, shared, new = plan(sum_plan, x.layout, y.layout)
+    xs, ys = x.values + [0j] * len(new), [0j] * len(x.values)
+    for n, k in shared:
+        ys[n] = y.values[k]
+    ys += [y.values[k] for k in new]
+    w1, w2 = w.omega1, w.omega2
+    (a, b), (c, d) = matrix
+    first, second = [], []
+    for (_, _, p, q), zx, zy in zip(layout.keys, xs, ys):
+        t = p * w1 - q * w2
+        first.append(0j + (complex(a[0] - a[2] * t * t, -(a[1] * t)) * zx
+                           + complex(b[0] - b[2] * t * t, -(b[1] * t)) * zy))
+        second.append(0j + (complex(c[0] - c[2] * t * t, -(c[1] * t)) * zx
+                            + complex(d[0] - d[2] * t * t, -(d[1] * t)) * zy))
+    return x._new(layout, first), x._new(layout, second)
 
 
 def linear_residual(b1x: DAlembertSeries, b1y: DAlembertSeries,
@@ -282,52 +298,12 @@ def linear_residual(b1x: DAlembertSeries, b1y: DAlembertSeries,
 # -- substitution of series into polynomials ------------------------------
 
 
-class PowerTable:
-    """Capped powers of four series arguments, each formed on first use and
-    then shared by every polynomial substituted at those arguments."""
-
-    __slots__ = ("inputs", "cap", "rows")
-
-    def __init__(self, inputs, cap: int):
-        self.inputs = tuple(inputs)
-        self.cap = cap
-        self.rows = [[arg] for arg in self.inputs]
-
-    def power(self, i: int, e: int) -> DAlembertSeries:
-        """Input i to the power e; e = 0 gives the unit series."""
-        if e == 0:
-            return DAlembertSeries.single(0, 0, 0, 0, c=1.0)
-        row = self.rows[i]
-        while len(row) < e:
-            row.append(row[-1].mul(self.inputs[i], self.cap))
-        return row[e - 1]
-
-
 def poly_at_series(poly: TruncatedPoly, xi_s, eta_s, xid_s, etad_s,
-                   cap: int, powers: PowerTable | None = None) -> DAlembertSeries:
-    """Evaluate a polynomial at four series arguments; every product is
-    capped at degree `cap`.  `powers`, a table of these arguments at this
-    cap, is shared with other calls; without it the call makes its own."""
-    inputs = (xi_s, eta_s, xid_s, etad_s)
-    if powers is None:
-        powers = PowerTable(inputs, cap)
-    elif powers.cap != cap or any(a is not b for a, b in zip(powers.inputs, inputs)):
-        raise ContractError("power table built for other arguments or cap")
-    total = None
-    for factors, coeff in zip(plan(_factors, poly.layout), poly.values):
-        (i, e), *rest = factors
-        term = powers.power(i, e).scale(coeff)
-        for i, e in rest:
-            term = term.mul(powers.power(i, e), cap)
-        total = term if total is None else total + term
-    return DAlembertSeries.zero() if total is None else total
-
-
-def _factors(layout: Layout) -> tuple:
-    """Per monomial, its (variable, exponent) factors; (0, 0) for the
-    constant."""
-    return tuple(tuple((i, e) for i, e in enumerate(mono) if e) or ((0, 0),)
-                 for mono in layout.keys)
+                   cap: int) -> DAlembertSeries:
+    """Evaluate a polynomial at four series arguments, every product capped
+    at degree `cap` (:func:`l4norm.dalembert.substitute`)."""
+    return substitute(poly.layout, poly.values, (xi_s, eta_s, xid_s, etad_s),
+                      cap)
 
 
 # -- cubic forcing and the second-order solve ------------------------------
@@ -339,14 +315,14 @@ def forcing_x2y2(l3: TruncatedPoly, b1x: DAlembertSeries, b1y: DAlembertSeries,
     expression [dL3/dx - D(dL3/dxdot)] at (x, y, xdot, ydot) =
     (B1, B1, D B1, D B1).  Returns ``(x2, y2), (x2p, y2p), cubic``: the
     second pair is its position-partial part [dL3/dx] at the same point,
-    and `cubic` the energy's cubic `l3.energy()` at B1.  All five
-    substitutions share one power table at cap 3."""
+    and `cubic` the energy's cubic `l3.energy()` at B1, all five
+    substituted at cap 3."""
     if any(sum(m) != 3 for m in l3.layout.keys):
         raise ContractError("forcing expects a homogeneous cubic slice")
-    powers = PowerTable((b1x, b1y, apply_D(b1x, w), apply_D(b1y, w)), cap=3)
+    args = (b1x, b1y, apply_D(b1x, w), apply_D(b1y, w))
 
     def sub(poly):
-        return poly_at_series(poly, *powers.inputs, cap=3, powers=powers)
+        return poly_at_series(poly, *args, 3)
 
     x2p, y2p = sub(l3.partial(0)), sub(l3.partial(1))
     x2 = x2p - apply_D(sub(l3.partial(2)), w)

@@ -10,7 +10,7 @@ the two displacements, lifted to the four variables once.
 
 A polynomial is a store (:mod:`l4norm.layout`): a list of real or complex
 coefficients on a shared key layout of exponent 4-tuples, whose sum,
-slices, sup norms and product loop are those of the d'Alembert series.
+slices and sup norms are those of the d'Alembert series.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .equilibria import OriginShift
 from .errors import ContractError, ParameterError
-from .layout import Layout, Store, accumulate, intern, plan, pruned, sliced
+from .layout import Layout, Store, intern, plan, pruned, sliced
 from .model import SQRT3, ModelParams, State, lagrangian
 
 NVARS = 4
@@ -129,8 +129,10 @@ class TruncatedPoly(Store):
             return self._new(self.layout, [c * other for c in self.values])
         cap = min(self.cap, other.cap)
         layout, rows = plan(_product_plan, self.layout, other.layout, cap)
-        return self._new(layout, accumulate(rows, self.values, other.values,
-                                            [0.0] * len(layout.keys)), cap)
+        left, right, acc = self.values, other.values, [0.0] * len(layout.keys)
+        for i, k, slot in rows:
+            acc[slot] += left[i] * right[k]
+        return self._new(layout, acc, cap)
 
     __rmul__ = __mul__
 
@@ -155,10 +157,6 @@ class TruncatedPoly(Store):
     def velocity_part(self):
         """Terms with at least one velocity factor."""
         return self._slice(_velocity_degree, 1, self.cap)
-
-    def position_part(self):
-        """Terms free of velocities."""
-        return self._slice(_velocity_degree, 0, 0)
 
     def energy(self):
         """The energy function v.dL/dv - L: each term times its velocity

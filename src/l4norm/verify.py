@@ -70,7 +70,7 @@ class PipelineResult:
     y2: DAlembertSeries | None = None
     # (dL3/dx, dL3/dy) at B1: the printed reading of the forcing
     position_forcing: tuple | None = None
-    # the cubic's energy at B1, from the forcing's power table: H3's cubic
+    # the cubic's energy at B1, substituted with the forcing: H3's cubic
     # part (under the degree-3 cap the cubic sees only B1) and the ablation
     cubic_at_b1: DAlembertSeries | None = None
     b2: normalform.SecondOrderSolution | None = None

@@ -7,6 +7,8 @@ term W1 n (y, -(x+mu))/r1^2, because its velocity-dependent drag term is a
 total time derivative.  The normal form of the chain follows the second.
 `taylor_by_composition` expands the Lagrangian by composing four-variable
 polynomial series, the reference for `l4norm.polyalg.taylor_lagrangian`.
+`substitute_pairwise` multiplies a substitution out one pair of term dicts
+at a time, the reference for `l4norm.normalform.poly_at_series`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from l4norm.dalembert import apply_poly_in_D
+from l4norm.dalembert import DAlembertSeries, apply_poly_in_D
 from l4norm.equilibria import OriginShift
 from l4norm.errors import ContractError
 from l4norm.model import ModelParams, State, lagrangian, potential_gradient
@@ -110,6 +112,53 @@ def delta_operator(series, w):
     return apply_poly_in_D(inner, w, c0=w.omega2**2, c2=1.0)
 
 
+def operator_by_composition(matrix, x, y, w):
+    """A 2x2 matrix of (c0, c1, c2) D-polynomials applied to (x, y) as four
+    `apply_poly_in_D` calls and two sums, the reference for
+    `l4norm.normalform.apply_operator`."""
+    return tuple(apply_poly_in_D(x, w, *a) + apply_poly_in_D(y, w, *b)
+                 for a, b in matrix)
+
+
+def term_product(a: dict, b: dict, cap: int) -> dict:
+    """Product of two series given as ``{(j, m, p, q): (cos, sin)}`` dicts,
+    by the product-to-sum formulas in real arithmetic; pairs past degree
+    `cap` are skipped, and a difference harmonic is canonicalised by
+    negating it and its sine."""
+    out = {}
+    for (j1, m1, p1, q1), (c1, s1) in a.items():
+        for (j2, m2, p2, q2), (c2, s2) in b.items():
+            if j1 + j2 + m1 + m2 > cap:
+                continue
+            for p, q, c, s in ((p1 + p2, q1 + q2, c1 * c2 - s1 * s2, c1 * s2 + s1 * c2),
+                               (p1 - p2, q1 - q2, c1 * c2 + s1 * s2, s1 * c2 - c1 * s2)):
+                if p < 0 or (p == 0 and q < 0):
+                    p, q, s = -p, -q, -s
+                key = (j1 + j2, m1 + m2, p, q)
+                oc, os = out.get(key, (0.0, 0.0))
+                out[key] = (oc + 0.5 * c, os + 0.5 * s)
+    return out
+
+
+def substitute_pairwise(poly: TruncatedPoly, args, cap: int) -> DAlembertSeries:
+    """A polynomial at four series arguments, sharing no product code with
+    `l4norm.normalform.poly_at_series`: per monomial, the coefficient times
+    its first factor, multiplied by each further factor in turn with
+    :func:`term_product` at the cap, and the monomials summed."""
+    terms = [a.terms for a in args]
+    total = {}
+    for mono, coeff in poly.coeffs.items():
+        first, *rest = [i for i, e in enumerate(mono) for _ in range(e)] or [None]
+        product = ({(0, 0, 0, 0): (coeff, 0.0)} if first is None else
+                   {k: (coeff * c, coeff * s) for k, (c, s) in terms[first].items()})
+        for i in rest:
+            product = term_product(product, terms[i], cap)
+        for key, (c, s) in product.items():
+            oc, os = total.get(key, (0.0, 0.0))
+            total[key] = (oc + c, os + s)
+    return DAlembertSeries(total)
+
+
 # -- Taylor expansion by series composition ----------------------------
 
 
@@ -145,6 +194,12 @@ def imag_part(poly: TruncatedPoly) -> TruncatedPoly:
     """The imaginary parts of a complex polynomial's coefficients, exact
     zeros dropped."""
     return TruncatedPoly(poly.cap, {m: c.imag for m, c in poly.coeffs.items()})
+
+
+def position_part(poly: TruncatedPoly) -> TruncatedPoly:
+    """The terms of a polynomial free of velocities."""
+    return TruncatedPoly(poly.cap, {m: c for m, c in poly.coeffs.items()
+                                    if m[2] + m[3] == 0})
 
 
 def log1p_series(t: TruncatedPoly) -> TruncatedPoly:

@@ -373,6 +373,26 @@ def test_non_finite_mu_bound_is_refused(capsys, command, bad, bound):
         and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("joined", [True, False], ids=["equals", "token"])
+@pytest.mark.parametrize("bound", ["min", "max"])
+@pytest.mark.parametrize("bad", ["-inf", "-nan"])
+@pytest.mark.parametrize("command", ["sweep", "resonance-scan"])
+def test_negative_non_finite_mu_bound_reaches_the_range_check(
+        capsys, command, bad, bound, joined):
+    # '-inf' and '-nan' start like an option; given as the next token they
+    # must still reach the mu-range check, as they do after '='.
+    given = {"min": "0.01", "max": "0.02", bound: bad}
+    bounds = []
+    for flag in ("min", "max"):
+        bounds += ([f"--mu-{flag}={given[flag]}"] if joined
+                   else [f"--mu-{flag}", given[flag]])
+    code, out, err = run_cli(capsys, command, *bounds, "--steps", "3",
+                             "--stages", "b1")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("error: mu range must be finite") \
+        and len(err.splitlines()) == 1
+
+
 class TestSweep:
     def test_typed_error_row(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--mu-min", "0.0242",

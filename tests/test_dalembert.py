@@ -11,7 +11,8 @@ from l4norm.dalembert import (
     MOSER_PAIRS,
     DAlembertSeries,
     FrequencyPair,
-    _product_plan,
+    _PRODUCT,
+    _substitution_plan,
     apply_D,
     apply_poly_in_D,
     invert_delta,
@@ -253,7 +254,7 @@ class TestProductPlans:
             assert list(a.terms) == left and list(b.terms) == right
             if run:
                 misses = plan.cache_info().misses
-                plan(_product_plan, a.layout, b.layout, cap)
+                plan(_substitution_plan, _PRODUCT, cap, a.layout, b.layout)
                 assert plan.cache_info().misses == misses
             out = a.mul(b, cap)
             assert list(out.terms.items()) == reference_mul(a, b, cap)

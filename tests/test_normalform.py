@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -24,15 +26,17 @@ from l4norm.errors import (
     SmallDivisorError,
     StabilityDomainError,
 )
+from l4norm.layout import plan
 from l4norm.model import ModelParams
 from l4norm.normalform import (
-    PowerTable,
+    apply_operator,
     classical_frequencies,
     first_order_components,
     forcing_x2y2,
     frequencies,
     h3_normal_coefficients,
     j_numeric,
+    linear_operator,
     linear_residual,
     poly_at_series,
     solve_second_order_oracle,
@@ -45,6 +49,8 @@ from l4norm.polyalg import (
     t_coefficients_closed_form,
     taylor_lagrangian,
 )
+
+from oracles import operator_by_composition, substitute_pairwise
 
 SQRT3 = math.sqrt(3.0)
 
@@ -519,25 +525,28 @@ class TestH3:
         assert h3a.max_abs() < 1e-10
         assert partial_forcing_gap(run_pipeline(p, stages=("b2",))) > p.W1
 
-    def test_shared_power_table_changes_nothing(self):
+    def test_substitution_plans_once_per_shape(self):
         from l4norm.verify import run_pipeline
         p = ModelParams(mu=0.01, q1=0.999, cd=10.0)
         # the chain expands the cubic from the b2 stage on
         res = run_pipeline(p, stages=("b2",))
         l3 = res.lagrangian_poly.grade(3)
         b1x, b1y = res.b1
-        powers = PowerTable((b1x, b1y, apply_D(b1x, res.freq),
-                             apply_D(b1y, res.freq)), cap=2)
+        args = (b1x, b1y, apply_D(b1x, res.freq), apply_D(b1y, res.freq))
+        doubled = [a.scale(2.0) for a in args]
         for i in range(4):
             poly = l3.partial(i)
-            shared = poly_at_series(poly, *powers.inputs, cap=2, powers=powers)
-            alone = poly_at_series(poly, *powers.inputs, 2)
-            assert shared.terms
-            assert list(shared.terms.items()) == list(alone.terms.items())
-        with pytest.raises(ContractError):
-            poly_at_series(l3.partial(0), *powers.inputs, cap=3, powers=powers)
-        with pytest.raises(ContractError):
-            poly_at_series(l3.partial(0), *res.b1, *res.b1, cap=2, powers=powers)
+            first = poly_at_series(poly, *args, 2)
+            misses = plan.cache_info().misses
+            again = poly_at_series(poly, *args, cap=2)
+            # other values on the same layouts take the same plan: this
+            # quadratic form at twice the arguments is four times as large
+            quadrupled = poly_at_series(poly, *doubled, 2)
+            assert plan.cache_info().misses == misses
+            assert first.terms
+            assert list(again.terms.items()) == list(first.terms.items())
+            assert list(quadrupled.terms.items()) == [
+                (key, (4.0 * c, 4.0 * s)) for key, (c, s) in first.terms.items()]
 
     def test_poly_substitution_values(self):
         # poly_at_series on a known monomial: xi^2 with xi = cos(phi1) grade
@@ -546,3 +555,133 @@ class TestH3:
         poly = TruncatedPoly(3, {(2, 0, 0, 0): 1.0})
         out = poly_at_series(poly, s, zero, zero, zero, cap=3)
         assert out.terms == {(2, 0, 0, 0): (2.0, 0.0), (2, 0, 2, 0): (2.0, 0.0)}
+
+
+# -- the substitution and operator kernels against their references --------
+
+
+def _chain_points(count: int = 8, seed: int = 11):
+    """Seeded (params, branch): mu in [0.001, 0.037], L4 and L5, drag on
+    every other point."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        mu = rng.uniform(0.001, 0.037)
+        p = (ModelParams(mu=mu, q1=1.0 - rng.uniform(0.0, 0.01),
+                         A2=rng.uniform(0.0, 0.005), cd=rng.uniform(1.0, 100.0))
+             if i % 2 else ModelParams(mu=mu))
+        out.append((p, ("L4", "L5")[i // 2 % 2]))
+    return out
+
+
+def _random_series(rng, nterms: int, max_degree: int = 2):
+    """Up to `nterms` random terms of degree <= `max_degree`, the (0, 0)
+    harmonic and the constant key among them."""
+    keys = [(j, m, p, q) for j in range(max_degree + 1)
+            for m in range(max_degree + 1 - j) for p in range(j % 2, j + 1, 2)
+            for q in range(-m, m + 1, 2) if p > 0 or q >= 0]
+    return DAlembertSeries({key: (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+                            for key in rng.sample(keys, nterms)})
+
+
+def assert_matches_pairwise(poly, args, cap):
+    """`poly_at_series` equals the pairwise reference to 1e-13 of the
+    output's largest magnitude (a key where either side cancelled to an
+    exact zero reads as 0 there), and keeps no sine of a (0, 0) harmonic."""
+    out = poly_at_series(poly, *args, cap)
+    reference = substitute_pairwise(poly, args, cap)
+    assert out.norm_of_difference(reference) <= 1e-13 * reference.max_abs()
+    for j, m, p, q in out.layout.keys:
+        if p == q == 0:
+            assert out.coefficient((j, m, 0, 0))[1] == 0.0
+    return out
+
+
+class TestSubstitutionKernel:
+    @pytest.fixture(scope="class", params=_chain_points(),
+                    ids=lambda c: f"{c[0].mu:.5f}-{c[1]}-"
+                                  f"{'drag' if c[0].W1 else 'free'}")
+    def chain(self, request):
+        from l4norm.verify import PipelineOptions, run_pipeline
+        p, branch = request.param
+        return run_pipeline(p, PipelineOptions(branch=branch))
+
+    def test_matches_pairwise_reference_at_chain_points(self, chain):
+        lag, w = chain.lagrangian_poly, chain.freq
+        l3 = lag.grade(3)
+        polys = [l3.partial(i) for i in range(4)]
+        polys += [l3.energy(), lag.grade(2).energy(), lag]
+        b1x, b1y = chain.b1
+        bx, by = b1x + chain.b2.b2x, b1y + chain.b2.b2y
+        for x, y in ((b1x, b1y), (bx, by)):
+            args = (x, y, apply_D(x, w), apply_D(y, w))
+            for cap in (2, 3):
+                for poly in polys:
+                    assert_matches_pairwise(poly, args, cap)
+
+    def test_matches_pairwise_reference_on_random_series(self):
+        rng = random.Random(4)
+        monos = [m for m in itertools.product(range(4), repeat=4) if sum(m) <= 3]
+        for _ in range(60):
+            poly = TruncatedPoly(3, {m: rng.uniform(-1.0, 1.0)
+                                     for m in rng.sample(monos, 6)})
+            args = [_random_series(rng, rng.randint(0, 5)) for _ in range(4)]
+            assert_matches_pairwise(poly, args, rng.choice((2, 3)))
+
+    def test_edge_cases(self):
+        s = DAlembertSeries({(1, 0, 1, 0): (2.0, 0.5), (0, 1, 0, 1): (0.3, -1.0)})
+        t = DAlembertSeries({(2, 0, 0, 0): (0.7, 0.0), (0, 2, 0, 2): (1.0, 1.0)})
+        zero = DAlembertSeries.zero()
+        # the constant monomial is the unit series times its coefficient
+        out = assert_matches_pairwise(
+            TruncatedPoly(3, {(0, 0, 0, 0): 2.5, (1, 0, 0, 0): 1.0}),
+            (s, t, s, t), 3)
+        assert out.coefficient((0, 0, 0, 0)) == (2.5, 0.0)
+        # the zero polynomial, and monomials of a zero argument, vanish
+        assert poly_at_series(TruncatedPoly(3), s, t, s, t, 3).terms == {}
+        assert poly_at_series(TruncatedPoly(3, {(0, 1, 0, 0): 1.0,
+                                                (1, 2, 0, 0): 1.0}),
+                              s, zero, s, t, 3).terms == {}
+        # an argument holding a (0, 0) harmonic: no sine is kept on one
+        for poly in (TruncatedPoly(3, {(2, 0, 0, 0): 1.0, (1, 1, 0, 0): -0.5}),
+                     TruncatedPoly(3, {(0, 3, 0, 0): 1.0, (1, 0, 0, 1): 2.0}),
+                     TruncatedPoly(3, {(0, 1, 1, 1): 1.0})):
+            assert_matches_pairwise(poly, (s, t, t, s.scale(-1.0)), 3)
+            assert_matches_pairwise(poly, (t, t, t, t), 2)
+        with pytest.raises(ContractError):
+            poly_at_series(TruncatedPoly(4, {(2, 2, 0, 0): 1.0}), s, s, s, s, 4)
+
+
+class TestOperatorKernel:
+    """`apply_operator` in one pass equals four `apply_poly_in_D` calls and
+    two sums, key for key and bit for bit."""
+
+    @staticmethod
+    def assert_equal(matrix, x, y, w):
+        out = apply_operator(matrix, x, y, w)
+        reference = operator_by_composition(matrix, x, y, w)
+        assert [r.terms for r in out] == [r.terms for r in reference]
+
+    def test_at_chain_points(self):
+        from l4norm.verify import PipelineOptions, run_pipeline
+        for p, branch in _chain_points():
+            res = run_pipeline(p, PipelineOptions(branch=branch))
+            op = linear_operator(res.efg, p.n)
+            (l11, l12), (l21, l22) = op
+            adjugate = ((l22, tuple(-v for v in l12)),
+                        (tuple(-v for v in l21), l11))
+            for matrix, (x, y) in ((op, res.b1), (adjugate, (res.x2, res.y2)),
+                                   (op, (res.b2.b2x, res.b2.b2y))):
+                self.assert_equal(matrix, x, y, res.freq)
+
+    def test_on_random_series(self):
+        # zero entries leave exact zeros (the (0, 0) harmonic under a bare
+        # D) that the composition prunes before its sum
+        rng = random.Random(9)
+        w = FrequencyPair(0.9633268056899441, 0.26834972742935684)
+        for _ in range(60):
+            matrix = tuple(tuple(tuple(rng.choice((0.0, rng.uniform(-2.0, 2.0)))
+                                       for _ in range(3)) for _ in range(2))
+                           for _ in range(2))
+            x, y = (_random_series(rng, rng.randint(0, 6), 3) for _ in range(2))
+            self.assert_equal(matrix, x, y, w)

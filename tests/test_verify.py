@@ -8,11 +8,11 @@ from l4norm.closedforms import RS_SLOTS
 from l4norm.dalembert import DAlembertSeries, apply_D
 from l4norm.errata import KNOWN_DISCREPANCIES, is_registered
 from l4norm.errors import ParameterError, ResonanceError
+from l4norm.layout import PLAN_TABLE_SIZE, plan
 from l4norm.model import ModelParams
 from l4norm.normalform import (
     SIGMA,
     H3NormalCoefficients,
-    PowerTable,
     classical_frequencies,
     congruence_gap,
     h3_normal_coefficients,
@@ -37,6 +37,8 @@ from l4norm.verify import (
     run_pipeline,
     single_perturbation_params,
 )
+
+from oracles import position_part
 
 
 class TestPipeline:
@@ -364,8 +366,8 @@ def h3_coefficients(total, w):
 
 
 def h3_at_b1_plus_b2(l2, l3, b1, b2, w):
-    """Reference: substitute x = B1 + B2 into both energy slices, each
-    through its own power table, every product capped at degree 3."""
+    """Reference: substitute x = B1 + B2 into both energy slices, each on
+    its own, every product capped at degree 3."""
     bx, by = b1[0] + b2[0], b1[1] + b2[1]
     args = (bx, by, apply_D(bx, w), apply_D(by, w))
     return h3_coefficients(poly_at_series(l2.energy(), *args, 3)
@@ -384,7 +386,7 @@ def h3_by_hand(l3, b1, b2, efg, w, n):
         - bx.mul(bx, cap).scale(0.5 * k00) - bx.mul(by, cap).scale(k01) \
         - by.mul(by, cap).scale(0.5 * k11)
     return h3_coefficients(
-        h2_sub + poly_at_series(-l3.position_part(), bx, by, vx, vy, cap), w)
+        h2_sub + poly_at_series(-position_part(l3), bx, by, vx, vy, cap), w)
 
 
 def grade_norms(series):
@@ -393,23 +395,19 @@ def grade_norms(series):
 
 
 def cubic_at_b1_anew(res):
-    """Reference: the position cubic at B1, substituted with its own power
-    table."""
+    """Reference: the position cubic at B1, substituted afresh."""
     zero = DAlembertSeries.zero()
-    return poly_at_series(-res.lagrangian_poly.grade(3).position_part(),
+    return poly_at_series(-position_part(res.lagrangian_poly.grade(3)),
                           *res.b1, zero, zero, 3)
 
 
 def partial_forcing_gap_anew(res):
     """Reference: the partial-forcing gap with every substitution made
-    afresh, its own power table of (B1, B1, D B1, D B1) and its own cubic
-    at B1."""
+    afresh, at (B1, B1, D B1, D B1) and cap 2, and its own cubic at B1."""
     l3 = res.lagrangian_poly.grade(3)
     b1x, b1y = res.b1
-    powers = PowerTable((b1x, b1y, apply_D(b1x, res.freq),
-                         apply_D(b1y, res.freq)), cap=2)
-    x2p, y2p = (poly_at_series(l3.partial(i), *powers.inputs, cap=2,
-                               powers=powers) for i in (0, 1))
+    args = (b1x, b1y, apply_D(b1x, res.freq), apply_D(b1y, res.freq))
+    x2p, y2p = (poly_at_series(l3.partial(i), *args, 2) for i in (0, 1))
     b2p = solve_second_order_oracle(res.efg, res.freq, res.params.n, x2p, y2p,
                                     floor=res.options.divisor_floor)
     h3p = h3_normal_coefficients(cubic_at_b1_anew(res),
@@ -466,7 +464,7 @@ class TestH3Substitution:
 
     def test_cubic_energy_is_the_negated_position_cubic(self, res):
         l3 = res.lagrangian_poly.grade(3)
-        energy, negated = l3.energy(), -l3.position_part()
+        energy, negated = l3.energy(), -position_part(l3)
         assert energy.layout is negated.layout
         assert energy.values == negated.values
 
@@ -504,26 +502,50 @@ class TestH3Substitution:
         assert list(at_b2.cubic_at_b1.terms.items()) == ablation
         assert list(cubic_at_b1_anew(res).terms.items()) == ablation
 
-    def test_one_power_table_per_chain(self, res, monkeypatch):
-        # Only the forcing's table, at B1, forms a cube, so the cubic is
-        # substituted once; H3 and the partial-forcing gap each substitute
-        # the quadratic energy through one table of squares.
-        tables = []
-        init = PowerTable.__init__
-        monkeypatch.setattr(PowerTable, "__init__", lambda self, inputs, cap:
-                            tables.append(self) or init(self, inputs, cap))
+    def test_each_substitution_shape_plans_once(self, res, monkeypatch):
+        # The forcing substitutes five polynomials at (B1, B1, D B1, D B1)
+        # and H3 one at B1 + B2, all at cap 3; once a point of this shape
+        # has run, another chain of it, stopped at b2 with its
+        # partial-forcing gap or run through h3, plans nothing anew.
+        calls = []
+        sub = normalform.poly_at_series
+        monkeypatch.setattr(normalform, "poly_at_series",
+                            lambda *args: calls.append(args) or sub(*args))
+        chain = run_pipeline(res.params, res.options)
+        assert [args[5] for args in calls] == [3] * 6
+        assert all(a is b for a, b in zip(calls[0][1:3], chain.b1))
+        assert calls[5][1] is not chain.b1[0]
 
-        def highest_powers(chain):
-            assert all(a is b for a, b in zip(tables[0].inputs, chain.b1))
-            # a table's row i holds the powers 1, 2, ... of input i formed
-            out = [max(map(len, table.rows)) for table in tables]
-            tables.clear()
-            return out
+        def same_shape():
+            partial_forcing_gap(run_pipeline(res.params, res.options,
+                                             stages=("b2",)))
+            run_pipeline(res.params, res.options)
 
-        assert highest_powers(run_pipeline(res.params, res.options)) == [3, 2]
-        at_b2 = run_pipeline(res.params, res.options, stages=("b2",))
-        partial_forcing_gap(at_b2)
-        assert highest_powers(at_b2) == [3, 2]
+        same_shape()
+        misses = plan.cache_info().misses
+        same_shape()
+        assert plan.cache_info().misses == misses
+
+
+def test_plan_table_stays_within_its_budget():
+    # Plans are made per shape, not per point: 50 seeded chains with their
+    # audits and one detector call fill a small part of the table, and a
+    # second identical pass makes no plan.
+    def one_pass():
+        for p, branch in _stopping_points(50, seed=7):
+            res = run_pipeline(p, PipelineOptions(branch=branch))
+            audit(res)
+        detect_discrepancies.cache_clear()
+        detect_discrepancies(0.01, PipelineOptions())
+
+    plan.cache_clear()
+    one_pass()
+    size = plan.cache_info().currsize
+    assert size < PLAN_TABLE_SIZE // 4
+    misses = plan.cache_info().misses
+    one_pass()
+    assert plan.cache_info().misses == misses
+    assert plan.cache_info().currsize == size
 
 
 def test_grades_are_sliced_once_and_only_when_read(monkeypatch):
