@@ -4,9 +4,11 @@ For each point the script runs every stage of `run_pipeline` and the
 printed-table `audit`, and writes one `repr` line: the Taylor
 coefficients in stored order, E/F/G, the frequencies, the normal-mode
 matrix J as hex floats row by row, the forcing X2/Y2, B2 and its
-residuals, H3 and its ablation with their series, the gates, the sorted
-audit gaps, and the partial-forcing gap of a chain stopped at b2 (the detector's path,
-where the gap reads the b2 stage's forcing and cubic at B1).  A point
+residuals, H3 and its ablation with their series, the gates, the printed
+cubic (T1..T4, and the T5 and T5_print coefficients in stored order), the
+sorted audit gaps, and the partial-forcing gap of a chain stopped at b2
+(the detector's path, where the gap reads the b2 stage's forcing and
+cubic at B1).  A point
 that raises gets its exception class and message instead.  The points
 (mu in [0.001, 0.037], both branches, every other one drag-free) come
 from a fixed seed, so two snapshots that compare equal mean the chain
@@ -64,6 +66,7 @@ def h3_values(h3):
 def chain_record(mu, epsilon, a2, cd, branch):
     """Every value the chain and the audit compute at one point."""
     from l4norm.model import ModelParams
+    from l4norm.polyalg import t_coefficients_closed_form
     from l4norm.verify import (
         PipelineOptions,
         audit,
@@ -76,6 +79,7 @@ def chain_record(mu, epsilon, a2, cd, branch):
     res = run_pipeline(p, options)
     at_b2 = run_pipeline(p, options, stages=("b2",))
     efg, w, b2 = res.efg, res.freq, res.b2
+    cubic = t_coefficients_closed_form(p, res.shift)
     return (
         ("taylor", [(m, float(c)) for m, c in res.lagrangian_poly.coeffs.items()]),
         ("efg", (float(efg.E), float(efg.F), float(efg.G))),
@@ -88,6 +92,9 @@ def chain_record(mu, epsilon, a2, cd, branch):
         ("h3", h3_values(res.h3)),
         ("ablation", h3_values(res.h3_ablation)),
         ("gates", sorted(res.gates().items())),
+        ("cubic", [float(t) for t in (cubic.T1, cubic.T2, cubic.T3, cubic.T4)],
+         [(m, float(c)) for m, c in cubic.T5.coeffs.items()],
+         [(m, float(c)) for m, c in cubic.T5_print.coeffs.items()]),
         ("audit", sorted((k, float(v)) for k, v in audit(res).gaps.items())),
         ("partial_at_b2", float(partial_forcing_gap(at_b2))),
     )

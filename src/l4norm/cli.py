@@ -244,9 +244,10 @@ def cmd_resonance_scan(config: RunConfig, mu_min: float, mu_max: float,
                      f"{fmt(rep.min_combination)},{pair},{fmt(rep.passed)}")
     lines.append("")
     lines.append("resonance,k,mu")
+    critical = verify.locate_classical_resonance(1)
     for k in (2, 3):
         mu_k = verify.locate_classical_resonance(k)
-        if max(mu_min, 1e-4) <= mu_k <= min(mu_max, 0.0385):
+        if max(mu_min, 1e-4) <= mu_k <= min(mu_max, critical):
             lines.append(f"omega1={k}omega2,{k},{fmt(mu_k)}")
     _emit("\n".join(lines) + "\n", config, "resonance-scan.csv")
     if unstable:

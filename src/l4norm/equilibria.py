@@ -104,7 +104,8 @@ def solve_triangular_numeric(p: ModelParams, branch: str = "L4") -> EquilibriumP
     x, y = classical_seed(p, branch)
     for _ in range(_NEWTON_MAX_ITER):
         fx, fy = equilibrium_force(x, y, p)
-        if max(abs(fx), abs(fy)) < _NEWTON_TOL:
+        residual = max(abs(fx), abs(fy))
+        if residual < _NEWTON_TOL:
             break
         jxx, jxy, jyx, jyy = _force_jacobian(x, y, p)
         det = jxx * jyy - jxy * jyx
@@ -120,7 +121,7 @@ def solve_triangular_numeric(p: ModelParams, branch: str = "L4") -> EquilibriumP
         )
     if y == 0.0:
         raise ConvergenceError("Newton collapsed onto the axis y = 0", last=(x, y))
-    return EquilibriumPoint(x, y, branch, "numeric", residual_at(x, y, p))
+    return EquilibriumPoint(x, y, branch, "numeric", residual)
 
 
 def triangular_series(p: ModelParams, branch: str = "L4") -> EquilibriumPoint:

@@ -4,18 +4,17 @@ A series (:mod:`l4norm.dalembert`) or a polynomial (:mod:`l4norm.polyalg`)
 is a :class:`Store`: a *layout* -- its keys in stored order, with each
 key's slot -- plus a list of values, one per slot, real or complex.  The
 base holds what the two share: the sum and the difference, the slices,
-the key lookup and the sup norms.  The key work of every operation
-(output keys, their order, which slots meet) depends only on the
-layouts, which repeat from one parameter point to the next, so it is
-planned once per layout, or tuple of layouts, and kept in one bounded
+the key lookup and the sup norms.  The key work of every operation the
+program runs (output keys, their order, which slots meet) depends only
+on the layouts, which repeat from one parameter point to the next, so it
+is planned once per layout, or tuple of layouts, and kept in one bounded
 table; the operation itself is arithmetic along the plan and builds no
-dict.  A product plan of two operands keeps the pair order of a plain
-double loop over the terms, and a sum (or a difference) appends the right
-operand's new keys in its order, so those results are bit-identical to
-the plain loop's, key order included.  A substitution of series into a
-polynomial (:func:`l4norm.dalembert.substitute`) forms each product of
-up to three factors in one step, so it matches multiplying out one pair
-at a time to round-off.
+dict.  A sum (or a difference) appends the right operand's new keys in
+its order, so it is bit-identical to a plain loop over the terms, key
+order included.  The one product kernel, the substitution of series into
+a polynomial (:func:`l4norm.dalembert.substitute`), forms each product
+of up to three factors in one step, so it matches multiplying out one
+pair at a time to round-off.
 
 Layouts are interned by key tuple, so results of the same shape share
 plans.  Nothing depends on that: a layout evicted from the table and
@@ -28,8 +27,8 @@ import functools
 import operator
 
 # Entries kept in the plan table: interned layouts and the plans made on
-# them.  The chain with its audit and the detector makes about 230 in
-# all, however many points it runs.
+# them.  The chain with its audit and the detector makes about 100 at five
+# mass ratios, and about 150 after 300 more seeded points.
 PLAN_TABLE_SIZE = 1024
 
 

@@ -86,6 +86,15 @@ class ModelParams:
                     stacklevel=3,
                 )
 
+    @classmethod
+    def _from_perturbations(cls, mu, epsilon, A2, W1):
+        """Parameters with W1 (of either sign) set directly, not through cd,
+        which reads nan; q1 = 1 - epsilon."""
+        p = cls(mu=mu, q1=1.0 - epsilon, A2=A2, cd=math.inf)
+        object.__setattr__(p, "W1", W1)
+        object.__setattr__(p, "cd", math.nan)
+        return p
+
 
 @dataclass(frozen=True)
 class State:

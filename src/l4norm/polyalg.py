@@ -26,26 +26,6 @@ from .model import SQRT3, ModelParams, State, lagrangian
 NVARS = 4
 
 
-def _product_plan(left: Layout, right: Layout, cap: int):
-    """Index tables of the product of two monomial layouts.
-
-    Returns ``(layout, rows)``: the output monomials in the order a double
-    loop over the pairs first meets them, and one ``(i, k, slot)`` per
-    pair within the cap, in that loop's order.
-    """
-    slots, rows = {}, []
-    for i, m1 in enumerate(left.keys):
-        d1 = sum(m1)
-        if d1 > cap:
-            continue
-        for k, m2 in enumerate(right.keys):
-            if d1 + sum(m2) > cap:
-                continue
-            m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
-            rows.append((i, k, slots.setdefault(m, len(slots))))
-    return intern(tuple(slots)), tuple(rows)
-
-
 def _partial_plan(layout: Layout, index: int):
     """``(layout, rows)`` of d/d(variable `index`): one ``(slot, exponent)``
     per monomial holding the variable, and the lowered monomials."""
@@ -65,10 +45,9 @@ class TruncatedPoly(Store):
     `coeffs` is a fresh dict of the coefficients as monomial -> value, in
     stored order.  Values are immutable by convention: all operations
     return new instances.  The constructor checks every key and drops the
-    keys past the cap; no other operation needs to, because sums, slices
-    and termwise maps reuse stored keys, a partial derivative lowers a
-    positive exponent, and a product keeps only the sums of valid keys
-    within its cap.  No exact zero is stored.
+    keys past the cap, products included; no other operation needs to,
+    because sums, slices and termwise maps reuse stored keys and a partial
+    derivative lowers a positive exponent.  No exact zero is stored.
     """
 
     __slots__ = ("cap",)
@@ -128,11 +107,14 @@ class TruncatedPoly(Store):
         if not isinstance(other, TruncatedPoly):
             return self._new(self.layout, [c * other for c in self.values])
         cap = min(self.cap, other.cap)
-        layout, rows = plan(_product_plan, self.layout, other.layout, cap)
-        left, right, acc = self.values, other.values, [0.0] * len(layout.keys)
-        for i, k, slot in rows:
-            acc[slot] += left[i] * right[k]
-        return self._new(layout, acc, cap)
+        out = {}
+        for m1, c1 in zip(self.layout.keys, self.values):
+            for m2, c2 in zip(other.layout.keys, other.values):
+                if sum(m1) + sum(m2) <= cap:
+                    m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2],
+                         m1[3] + m2[3])
+                    out[m] = out.get(m, 0.0) + c1 * c2
+        return TruncatedPoly(cap, out)
 
     __rmul__ = __mul__
 
@@ -362,25 +344,32 @@ def _t5_polys(p: ModelParams, shift: OriginShift):
     W1/(2 rho^6) [ (a xd + b yd){3(a x + b y)^2 - (b x - a y)^2}
                    - 2 (x xd + y yd)(a x + b y) rho^2 ]
     with rho^2 = a^2 + b^2, and its printed reading with 3(a x + b y)
-    unsquared, as the pair (T5, T5_print)."""
+    unsquared, as the pair (T5, T5_print).  The bracket is formed on dicts
+    in (x, y) with u = a x + b y and w = b x - a y; both velocity factors
+    are linear, so each attaches through its two levers."""
     cap = 3
     if p.W1 == 0.0:
         return TruncatedPoly(cap), TruncatedPoly(cap)
     a, b = shift.a, shift.b
     rho2 = a * a + b * b
-    xi = TruncatedPoly.variable(0, cap)
-    eta = TruncatedPoly.variable(1, cap)
-    xid = TruncatedPoly.variable(2, cap)
-    etad = TruncatedPoly.variable(3, cap)
-    u = a * xi + b * eta
-    w = b * xi - a * eta
-    udot = a * xid + b * etad
-    ww = w * w
-    tail = 2.0 * (xi * xid + eta * etad) * u * rho2
+    u = {(1, 0): a, (0, 1): b}
+    w = {(1, 0): b, (0, 1): -a}
+    ww = _mul2(w, w, 2)
+    square = {key: 3.0 * c for key, c in _mul2(u, u, 2).items()}
     factor = p.W1 / (2.0 * rho2**3)
-    # Only the homogeneous cubic survives a degree-3 slice.
-    return tuple(((udot * (brace - ww) - tail) * factor).grade(3)
-                 for brace in (3.0 * (u * u), 3.0 * u))
+    out = []
+    # The printed brace 3u is linear, so with its velocity factor it is of
+    # degree 2 and only the square's cubic survives a degree-3 slice.
+    for brace in (square, {}):
+        cubic = {}
+        for v, lever in enumerate((a, b)):
+            velocity = (1 - v, v)
+            for (i, j), c in ww.items():
+                cubic[(i, j) + velocity] = (brace.get((i, j), 0.0) - c) * lever
+            for (i, j), c in u.items():  # the tail's 2 u rho^2 (x xd + y yd)
+                cubic[(i + 1 - v, j + v) + velocity] -= 2.0 * c * rho2
+        out.append(TruncatedPoly(cap, {k: c * factor for k, c in cubic.items()}))
+    return tuple(out)
 
 
 def oracle_t_coefficients(l3: TruncatedPoly):

@@ -83,6 +83,10 @@ class PipelineResult:
             parts += [self.b2.b2x.max_abs(), self.b2.b2y.max_abs()]
         return max(parts, default=1.0)
 
+    def h3_bound(self) -> float:
+        """The `h3-vanishing` gate's bound: h3_tol_factor times the scale."""
+        return self.options.h3_tol_factor * self.intermediate_scale()
+
     def gates(self) -> dict:
         """Named pass/fail gates for the verify front end."""
         opt = self.options
@@ -101,7 +105,7 @@ class PipelineResult:
             out["b2-residual"] = bool(max(self.b2.residual_x,
                                           self.b2.residual_y) < opt.residual_tol)
         if self.h3 is not None:
-            bound = opt.h3_tol_factor * self.intermediate_scale()
+            bound = self.h3_bound()
             out["h3-vanishing"] = bool(self.h3.max_abs() < bound)
             if self.h3_ablation is not None:
                 out["h3-test-power"] = bool(
@@ -281,20 +285,15 @@ def equilibria_csv(res: PipelineResult, printed: Audit) -> list:
 
 PERTURBATIONS = ("epsilon", "A2", "W1")
 
-# epsilon pinned negligibly small in W1-only runs so the drag strength can
-# be dialed through cd alone
-_EPS_PIN = 1e-9
-
 
 def single_perturbation_params(mu: float, kind: str, h: float) -> ModelParams:
-    if kind == "epsilon":
-        return ModelParams(mu=mu, q1=1.0 - h, cd=1e30)
-    if kind == "A2":
-        return ModelParams(mu=mu, A2=h)
-    if kind == "W1":
-        return ModelParams(mu=mu, q1=1.0 - _EPS_PIN,
-                           cd=_EPS_PIN * (1.0 - mu) / h)
-    raise ParameterError(f"unknown perturbation kind {kind}")
+    """Parameters with the perturbation `kind` at strength h and the other
+    two exactly zero."""
+    if kind not in PERTURBATIONS:
+        raise ParameterError(f"unknown perturbation kind {kind}")
+    strengths = dict.fromkeys(PERTURBATIONS, 0.0)
+    strengths[kind] = h
+    return ModelParams._from_perturbations(mu, **strengths)
 
 
 GATING_KEYS = (
@@ -460,13 +459,13 @@ def render_report(res: PipelineResult, printed: Audit, gates: dict,
         put(f"scale: {fmt(res.intermediate_scale())}")
         put(f"h2_form_residual: {fmt(res.h3.h2_residual)}")
         put(f"ablation_max: {fmt(res.h3_ablation.max_abs())}")
-        surviving = res.h3.series.chop(1e-12)
+        surviving = res.h3.series.chop(res.h3_bound())
         if surviving.terms:
-            put("h3_series_above_1e-12:")
+            put("h3_series_above_h3_factor_x_scale:")
             for line in surviving.pretty().splitlines():
                 put("  " + line)
         else:
-            put("h3_series_above_1e-12: none")
+            put("h3_series_above_h3_factor_x_scale: none")
 
     if verdicts:
         put("")

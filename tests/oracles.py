@@ -9,6 +9,8 @@ total time derivative.  The normal form of the chain follows the second.
 polynomial series, the reference for `l4norm.polyalg.taylor_lagrangian`.
 `substitute_pairwise` multiplies a substitution out one pair of term dicts
 at a time, the reference for `l4norm.normalform.poly_at_series`.
+`t5_by_products` multiplies out the drag cubic T5, the reference for
+`l4norm.polyalg.t_coefficients_closed_form`.
 """
 
 from __future__ import annotations
@@ -281,3 +283,27 @@ def taylor_by_composition(p: ModelParams, shift: OriginShift,
     if drift > 1e-9 * max(1.0, abs(l0)):
         raise ContractError(f"constant-term drift {drift:.3e} in Taylor composition")
     return total
+
+
+def t5_by_products(p: ModelParams, shift: OriginShift) -> tuple:
+    """The drag cubic T5 and its printed reading T5_print by multiplying
+    out four-variable polynomials -- the reference for
+    `l4norm.polyalg.t_coefficients_closed_form`, which evaluates the same
+    bracket on displacement dicts."""
+    cap = 3
+    if p.W1 == 0.0:
+        return TruncatedPoly(cap), TruncatedPoly(cap)
+    a, b = shift.a, shift.b
+    rho2 = a * a + b * b
+    xi = TruncatedPoly.variable(0, cap)
+    eta = TruncatedPoly.variable(1, cap)
+    xid = TruncatedPoly.variable(2, cap)
+    etad = TruncatedPoly.variable(3, cap)
+    u = a * xi + b * eta
+    w = b * xi - a * eta
+    udot = a * xid + b * etad
+    ww = w * w
+    tail = 2.0 * (xi * xid + eta * etad) * u * rho2
+    factor = p.W1 / (2.0 * rho2**3)
+    return tuple(((udot * (brace - ww) - tail) * factor).grade(3)
+                 for brace in (3.0 * (u * u), 3.0 * u))

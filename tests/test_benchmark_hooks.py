@@ -21,20 +21,23 @@ def test_tracer_resolves_every_hooked_name(monkeypatch):
 
 def test_traced_chain_point_counts_products(monkeypatch):
     # the product counters read `terms` and `coeffs`; tracing must neither
-    # lose them nor change what the chain and its audit compute.  The chain
-    # multiplies no polynomials (its Taylor stage works on coefficient
-    # dicts), so the audit's drag cubic is what feeds the polynomial counter
+    # lose them nor change what the chain and its audit compute.  Neither
+    # multiplies polynomials (the Taylor stage and the drag cubic work on
+    # coefficient dicts), so one explicit product feeds the counter
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spans = importlib.import_module("spans")
     import l4norm
     from l4norm import verify
+    from l4norm.polyalg import TruncatedPoly
 
     p = l4norm.ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0)
     res = l4norm.run_pipeline(p)
     untraced = res.gates(), verify.audit(res).gaps
+    xi, eta = TruncatedPoly.variable(0, 3), TruncatedPoly.variable(1, 3)
     tracer = spans.Tracer()
     with tracer.measuring(0, SimpleNamespace()):
         res = l4norm.run_pipeline(p)
         traced = res.gates(), verify.audit(res).gaps
-    assert tracer.counts["polyalg.poly_mul.pairs"] > 0
+        (xi + eta) * xi
+    assert tracer.counts["polyalg.poly_mul.pairs"] == 2
     assert traced == untraced

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from l4norm import equilibria
 from l4norm.equilibria import (
     classical_seed,
     epsilon_form,
@@ -171,3 +172,27 @@ class TestOrderOfAgreement:
         p = ModelParams(mu=0.05)
         x, y = classical_seed(p, "L4")
         assert residual_at(x, y, p) < 1e-14
+
+
+@pytest.mark.parametrize("p", [
+    ModelParams(mu=0.01),
+    ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0)], ids=["free", "drag"])
+@pytest.mark.parametrize("branch", ["L4", "L5"])
+def test_newton_evaluates_the_force_once_per_iterate(monkeypatch, p, branch):
+    # one force evaluation per Newton step plus the converged one, whose
+    # residual the point carries
+    calls = {"equilibrium_force": 0, "_force_jacobian": 0}
+
+    def counted(name):
+        fn = getattr(equilibria, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(equilibria, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    point = solve_triangular_numeric(p, branch)
+    assert calls["equilibrium_force"] == calls["_force_jacobian"] + 1
+    assert point.residual == residual_at(point.x, point.y, p)

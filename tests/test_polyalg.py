@@ -16,7 +16,6 @@ from l4norm.layout import plan
 from l4norm.model import ModelParams, State, lagrangian
 from l4norm.polyalg import (
     TruncatedPoly,
-    _product_plan,
     compare_h3,
     extract_EFG,
     oracle_t_coefficients,
@@ -33,6 +32,7 @@ from oracles import (
     imag_part,
     momenta,
     position_part,
+    t5_by_products,
     taylor_by_composition,
 )
 
@@ -144,19 +144,13 @@ class TestProductPlans:
            st.integers(1, 3), st.integers(1, 3))
     def test_planned_product_matches_the_pair_loop(self, data, left, right,
                                                    cap_a, cap_b):
-        # complex coefficients and unequal caps; a second product on the
-        # same layouts finds the plan of the first
+        # complex coefficients and unequal caps, twice on the same layouts
         left = [m for m in left if sum(m) <= cap_a]
         right = [m for m in right if sum(m) <= cap_b]
-        plan.cache_clear()  # so no eviction falls between the two runs
         for run in range(2):
             a = TruncatedPoly(cap_a, dict(zip(left, data.draw(values_for(left)))))
             b = TruncatedPoly(cap_b, dict(zip(right, data.draw(values_for(right)))))
             assert list(a.coeffs) == left and list(b.coeffs) == right
-            if run:
-                misses = plan.cache_info().misses
-                plan(_product_plan, a.layout, b.layout, min(cap_a, cap_b))
-                assert plan.cache_info().misses == misses
             assert list((a * b).coeffs.items()) == reference_mul(a, b)
 
     @settings(max_examples=30, deadline=None)
@@ -573,7 +567,24 @@ class TestClosedFormCubic:
     def test_t5_zero_without_drag(self):
         p = ModelParams(mu=0.2)
         t = t_coefficients_closed_form(p, shift_from_point(epsilon_form(p), p))
-        assert t.T5.coeffs == {}
+        assert t.T5.coeffs == {} and t.T5_print.coeffs == {}
+
+    def test_t5_matches_the_product_reference_bit_for_bit(self):
+        rng = random.Random(22)
+        for branch in ("L4", "L5"):
+            for _ in range(8):
+                p = ModelParams(mu=rng.uniform(0.001, 0.037),
+                                q1=1.0 - rng.uniform(0.0, 0.01),
+                                A2=rng.uniform(0.0, 0.005),
+                                cd=rng.uniform(5.0, 100.0))
+                shift = shift_from_point(
+                    solve_triangular_numeric(p, branch), p)
+                closed = t_coefficients_closed_form(p, shift)
+                reference = t5_by_products(p, shift)
+                assert p.W1 > 0.0
+                for poly, ref_poly in zip((closed.T5, closed.T5_print),
+                                          reference):
+                    assert exact(poly) == exact(ref_poly)
 
     def test_t5_matches_oracle_velocity_cubic_exactly(self):
         # corrected T5 must equal the Taylor gauge cubic at the same pivot

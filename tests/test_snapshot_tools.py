@@ -43,6 +43,11 @@ def test_chain_record_builds(point):
     series = [*record["x2"], *record["y2"], *record["b2"][:2],
               record["h3"][0][1], record["ablation"][0][1]]
     assert all(series)
+    scalars, t5, t5_print = record["cubic"]
+    assert len(scalars) == 4
+    # the drag cubic in both readings, present exactly with drag
+    assert bool(t5) == bool(t5_print) == (point[1] > 0.0)
+    assert all(len(key) == 4 and type(c) is float for key, c in t5 + t5_print)
     for terms in series:
         for key, value in terms:
             assert len(key) == 4

@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +9,7 @@ from l4norm import normalform
 from l4norm.closedforms import RS_SLOTS
 from l4norm.dalembert import DAlembertSeries, apply_D
 from l4norm.errata import KNOWN_DISCREPANCIES, is_registered
-from l4norm.errors import ParameterError, ResonanceError
+from l4norm.errors import L4NormError, ParameterError, ResonanceError
 from l4norm.layout import PLAN_TABLE_SIZE, plan
 from l4norm.model import ModelParams
 from l4norm.normalform import (
@@ -38,7 +40,7 @@ from l4norm.verify import (
     single_perturbation_params,
 )
 
-from oracles import position_part
+from oracles import position_part, t5_by_products
 
 
 class TestPipeline:
@@ -95,6 +97,36 @@ class TestPipeline:
         assert s == s_in
 
 
+def _snapshot_points():
+    """The seeded points of scripts/chain_snapshot.py."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "chain_snapshot.py"
+    spec = importlib.util.spec_from_file_location("chain_snapshot", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.random_points(module.POINTS)
+
+
+def test_h3_listing_follows_the_gate():
+    # H3's round-off reaches a few 1e-12; the report lists the terms that
+    # fail the h3-vanishing gate, and none where it passes.
+    listed = 0
+    for mu, epsilon, a2, cd, branch in _snapshot_points():
+        p = ModelParams(mu=mu, q1=1.0 - epsilon, A2=a2, cd=cd)
+        try:
+            res = run_pipeline(p, PipelineOptions(branch=branch))
+            printed = audit(res)
+        except L4NormError:
+            continue
+        listed += 1
+        gates = res.gates()
+        report = render_report(res, printed, gates)
+        (line,) = [line for line in report.splitlines()
+                   if line.startswith("h3_series_above_")]
+        assert line.startswith("h3_series_above_h3_factor_x_scale:")
+        assert line.endswith(": none") == gates["h3-vanishing"], (mu, branch)
+    assert listed > 250
+
+
 class TestAudit:
     # L5 point where the printed equilibrium series has no real value
     # (its y-brace is negative) while the oracle chain is sound.
@@ -109,6 +141,22 @@ class TestAudit:
         assert "h3-vanishing" in gates and all(gates.values())
         with pytest.raises(ParameterError, match="y-brace"):
             audit(res)
+
+    def test_drag_point_multiplies_no_polynomials(self, monkeypatch):
+        calls = []
+        product = TruncatedPoly.__mul__
+
+        def counted(a, b):
+            calls.append(1)
+            return product(a, b)
+
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(TruncatedPoly, name, counted)
+        res = run_pipeline(ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0))
+        audit(res)
+        assert calls == []
+        t5_by_products(res.params, res.shift)  # the counter counts
+        assert calls
 
     def test_audit_covers_every_gating_key(self):
         res = run_pipeline(ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0))
@@ -268,13 +316,20 @@ class TestClassicalRoots:
         assert w.omega1 / w.omega2 == pytest.approx(k, abs=1e-12)
 
     def test_single_perturbation_builders(self):
+        # each leg switches on its own perturbation and no other
         p = single_perturbation_params(0.01, "W1", 1e-4)
-        # 1 - q1 carries the representation error of the pinned epsilon
-        assert p.W1 == pytest.approx(1e-4, rel=1e-6)
-        assert p.epsilon < 1e-8
+        assert p.W1 == 1e-4 and p.epsilon == 0.0 and p.A2 == 0.0
         p = single_perturbation_params(0.01, "epsilon", 1e-3)
         assert p.epsilon == pytest.approx(1e-3, rel=1e-12)
-        assert p.W1 < 1e-20
+        assert p.W1 == 0.0 and p.A2 == 0.0
+        p = single_perturbation_params(0.01, "A2", 1e-3)
+        assert p.A2 == 1e-3 and p.epsilon == 0.0 and p.W1 == 0.0
+        with pytest.raises(ParameterError):
+            single_perturbation_params(0.01, "cd", 1e-3)
+
+    def test_drag_leg_takes_either_sign(self):
+        p = ModelParams._from_perturbations(0.01, 0.0, 0.0, -1e-3)
+        assert p.W1 == -1e-3 and p.q1 == 1.0
 
 
 @pytest.fixture(scope="module")
