@@ -6,9 +6,10 @@ coefficients in stored order, E/F/G, the frequencies, the normal-mode
 matrix J as hex floats row by row, the forcing X2/Y2, B2 and its
 residuals, H3 and its ablation with their series, the gates, the printed
 cubic (T1..T4, and the T5 and T5_print coefficients in stored order), the
-sorted audit gaps, and the partial-forcing gap of a chain stopped at b2
-(the detector's path, where the gap reads the b2 stage's forcing and
-cubic at B1).  A point
+other printed values by name (the epsilon-form point x, y, the offsets a,
+b, J13..J24, the F/G entries and r1..s10), the sorted audit gaps, and the
+partial-forcing gap of a chain stopped at b2 (the detector's path, where
+the gap reads the b2 stage's forcing and cubic at B1).  A point
 that raises gets its exception class and message instead.  The points
 (mu in [0.001, 0.037], both branches, every other one drag-free) come
 from a fixed seed, so two snapshots that compare equal mean the chain
@@ -63,8 +64,21 @@ def h3_values(h3):
             series_terms(h3.series), float(h3.h2_residual))
 
 
+def by_name(table) -> dict:
+    """A printed table as name -> value.  Older trees hold the tables as
+    dataclasses, and the r/s table as the tuples r and s."""
+    if isinstance(table, dict):
+        return table
+    fields = vars(table)
+    if fields.keys() == {"r", "s"}:
+        return {f"{k}{i}": v for k in "rs" for i, v in enumerate(fields[k], 1)}
+    return fields
+
+
 def chain_record(mu, epsilon, a2, cd, branch):
     """Every value the chain and the audit compute at one point."""
+    from l4norm.closedforms import fg_tables
+    from l4norm.equilibria import offset_ab
     from l4norm.model import ModelParams
     from l4norm.polyalg import t_coefficients_closed_form
     from l4norm.verify import (
@@ -80,6 +94,11 @@ def chain_record(mu, epsilon, a2, cd, branch):
     at_b2 = run_pipeline(p, options, stages=("b2",))
     efg, w, b2 = res.efg, res.freq, res.b2
     cubic = t_coefficients_closed_form(p, res.shift)
+    printed = audit(res)
+    shift = offset_ab(p)
+    values = {"x": printed.eq_epsform.x, "y": printed.eq_epsform.y,
+              "a": shift.a, "b": shift.b, **by_name(printed.j_closed),
+              **by_name(fg_tables(p)), **by_name(printed.rs)}
     return (
         ("taylor", [(m, float(c)) for m, c in res.lagrangian_poly.coeffs.items()]),
         ("efg", (float(efg.E), float(efg.F), float(efg.G))),
@@ -95,7 +114,8 @@ def chain_record(mu, epsilon, a2, cd, branch):
         ("cubic", [float(t) for t in (cubic.T1, cubic.T2, cubic.T3, cubic.T4)],
          [(m, float(c)) for m, c in cubic.T5.coeffs.items()],
          [(m, float(c)) for m, c in cubic.T5_print.coeffs.items()]),
-        ("audit", sorted((k, float(v)) for k, v in audit(res).gaps.items())),
+        ("printed", sorted((k, float(v)) for k, v in values.items())),
+        ("audit", sorted((k, float(v)) for k, v in printed.gaps.items())),
         ("partial_at_b2", float(partial_forcing_gap(at_b2))),
     )
 

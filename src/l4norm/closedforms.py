@@ -1,11 +1,31 @@
 """Verbatim transcriptions of the closed-form normalization tables.
 
 Everything here evaluates published series exactly as printed, including
-terms an independent oracle later contradicts: the normal-mode entries
-(`j_closed_form`), the printed y row of B1 (`b1y_print`) and the F/G and
-r/s tables of B2 (`fg_tables`, `rs_tables`).  The reconciliation lives in
+terms an independent oracle later contradicts.  The reconciliation lives in
 :func:`l4norm.verify.audit`, the registry of confirmed discrepancies in
 :mod:`l4norm.errata`.
+
+Every printed form of one shape is a row of :data:`ROWS`, and
+:func:`printed` evaluates them all: the equilibrium point (x, y) and the
+origin shift (a, b), the cubic coefficients T1..T4, the normal-mode
+entries J13..J24 and the 24 F/G entries of the second-order tables.
+
+* A *brace* is linear in (1, eps, A2, A2 eps, n W1, n W1 eps).  Its first
+  four coefficients are rationals; each n W1 coefficient is a triple
+  (a, b, d) that reads (a + b gamma) / (d sqrt 3).
+* A row is a prefactor times a sum of braces, each under a weight.
+  Prefactors and weights are monomials in the scalars sqrt 3 (``s3``),
+  gamma, eps, n and, for the J entries, the frequencies and the mode
+  scalars of :func:`mode_scalars`: ``(1/4, "g e l1^-2 k1^-2")`` reads
+  gamma eps / (4 l1^2 k1^2).
+* Most rows are brace + gamma brace; a J entry sums up to seven braces
+  under its mode prefactor.
+
+The rows transcribe the print, quirks included: J13's 29/36 where its
+siblings print 293/36, J21's 413 where J13 prints 431, J24's k1/l1.  The
+audit measures them; it does not mend them.  Forms of another shape stay
+code: the printed y row of B1 (`b1y_print`) and the r/s tables of B2
+(`rs_tables`), which are nonlinear in J and the frequencies.
 
 Entry naming: primed table entries use a ``p`` suffix (F2p = F2'), double
 primes ``pp`` (F2pp = F2'').
@@ -14,14 +34,11 @@ primes ``pp`` (F2pp = F2'').
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import mul
 
 from .dalembert import DIVISOR_FLOOR, DAlembertSeries, FrequencyPair
 from .errors import SmallDivisorError
 from .model import SQRT3, ModelParams
-
-
-# -- auxiliary scalars ---------------------------------------------------
 
 
 def mode_scalars(w: FrequencyPair):
@@ -38,174 +55,231 @@ def mode_scalars(w: FrequencyPair):
     return l1, l2, math.sqrt(k1sq), math.sqrt(k2sq)
 
 
-# The printed normal-mode entries, attributes of JClosedForm and NormalModeData.
-J_ENTRIES = ("J13", "J14", "J21", "J22", "J23", "J24")
+# -- the printed rows -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JClosedForm:
-    """The six printed normal-mode matrix entries."""
+ONE = (1, 0, 0, 0, 0, 0)
 
-    J13: float
-    J14: float
-    J21: float
-    J22: float
-    J23: float
-    J24: float
-
-
-def j_closed_form(p: ModelParams, w: FrequencyPair) -> JClosedForm:
-    """Evaluate the six printed J entries verbatim."""
-    eps, A2, g = p.epsilon, p.A2, p.gamma
-    nw = p.n * p.W1
-    s3 = SQRT3
-    w1, w2 = w.omega1, w.omega2
-    l1, l2, k1, k2 = mode_scalars(w)
-
-    j13 = (l1 / (2.0 * w1 * k1)) * (
-        1.0
-        - (1.0 / (2.0 * l1**2)) * (
-            eps + 45.0 * A2 / 2.0 - 717.0 * A2 * eps / 36.0
-            + (67.0 + 19.0 * g) / (12.0 * s3) * nw
-            - (431.0 - 3.0 * g) / (27.0 * s3) * nw * eps)
-        + (g / (2.0 * l1**2)) * (
-            3.0 * eps - 29.0 * A2 / 36.0
-            - (187.0 + 27.0 * g) / (12.0 * s3) * nw
-            - 2.0 * (247.0 + 3.0 * g) / (27.0 * s3) * nw * eps)
-        - (1.0 / (2.0 * k1**2)) * (
-            eps / 2.0 - 3.0 * A2 - 73.0 * A2 * eps / 24.0
-            + (1.0 - 9.0 * g) / (24.0 * s3) * nw
-            + (53.0 - 39.0 * g) / (54.0 * s3) * nw * eps)
-        - (g / (4.0 * k1**2)) * (
-            eps - 3.0 * A2 - 299.0 * A2 * eps / 72.0
-            - (6.0 - 5.0 * g) / (12.0 * s3) * nw
-            - (266.0 - 93.0 * g) / (54.0 * s3) * nw * eps)
-        + (eps / (4.0 * l1**2 * k1**2)) * (
-            3.0 * A2 / 4.0 + (33.0 + 14.0 * g) / (12.0 * s3) * nw)
-        + (g * eps / (8.0 * l1**2 * k1**2)) * (
-            347.0 * A2 / 36.0 - (43.0 - 8.0 * g) / (4.0 * s3) * nw)
-    )
-
-    j14 = (l2 / (2.0 * w2 * k2)) * (
-        1.0
-        - (1.0 / (2.0 * l2**2)) * (
-            eps + 45.0 * A2 / 2.0 - 717.0 * A2 * eps / 36.0
-            + (67.0 + 19.0 * g) / (12.0 * s3) * nw
-            - (431.0 - 3.0 * g) / (27.0 * s3) * nw * eps)
-        - (g / (2.0 * l2**2)) * (
-            3.0 * eps - 293.0 * A2 / 36.0
-            + (187.0 + 27.0 * g) / (12.0 * s3) * nw
-            - 2.0 * (247.0 + 3.0 * g) / (27.0 * s3) * nw * eps)
-        - (1.0 / (2.0 * k2**2)) * (
-            eps / 2.0 - 3.0 * A2 - 73.0 * A2 * eps / 24.0
-            + (1.0 - 9.0 * g) / (24.0 * s3) * nw
-            + (53.0 - 39.0 * g) / (54.0 * s3) * nw * eps)
-        + (g / (2.0 * k2**2)) * (
-            eps - 3.0 * A2 - 299.0 * A2 * eps / 72.0
-            - (6.0 - 5.0 * g) / (12.0 * s3) * nw
-            - (268.0 - 9.0 * g) / (54.0 * s3) * nw * eps)
-        - (eps / (4.0 * l2**2 * k2**2)) * (
-            33.0 * A2 / 4.0 + (1643.0 - 93.0 * g) / (216.0 * s3) * nw)
-        + (g * eps / (4.0 * l2**2 * k2**2)) * (
-            737.0 * A2 / 72.0 - (13.0 + 2.0 * g) / s3 * nw)
-    )
-
-    j21 = (-4.0 * p.n * w1 / (l1 * k1)) * (
-        1.0
-        + (1.0 / (2.0 * l1**2)) * (
-            eps + 45.0 * A2 / 2.0 - 717.0 * A2 * eps / 36.0
-            + (67.0 + 19.0 * g) / (12.0 * s3) * nw
-            - (413.0 - 3.0 * g) / (27.0 * s3) * nw * eps)
-        - (g / (2.0 * l1**2)) * (
-            3.0 * eps - 293.0 * A2 / 36.0
-            + (187.0 + 27.0 * g) / (12.0 * s3) * nw
-            - 2.0 * (247.0 + 3.0 * g) / (27.0 * s3) * nw * eps)
-        - (1.0 / (2.0 * k1**2)) * (
-            eps / 2.0 - 3.0 * A2 - 73.0 * A2 * eps / 24.0
-            + (1.0 - 9.0 * g) / (24.0 * s3) * nw
-            + (53.0 - 39.0 * g) / (54.0 * s3) * nw * eps)
-        - (g / (4.0 * k1**2)) * (
-            eps - 3.0 * A2 - 299.0 * A2 * eps / 72.0
-            - (6.0 - 5.0 * g) / (12.0 * s3) * nw
-            - (268.0 - 93.0 * g) / (54.0 * s3) * nw * eps)
-        + (eps / (8.0 * l1**2 * k1**2)) * (
-            33.0 * A2 / 4.0 + (68.0 - 10.0 * g) / (24.0 * s3) * nw)
-        + (g * eps / (8.0 * l1**2 * k1**2)) * (
-            242.0 * A2 / 9.0 + (43.0 - 8.0 * g) / (4.0 * s3) * nw)
-    )
-
-    j22 = (4.0 * p.n * w2 / (l2 * k2)) * (
-        1.0
-        + (1.0 / (2.0 * l2**2)) * (
-            eps + 45.0 * A2 / 2.0 - 717.0 * A2 * eps / 36.0
-            + (67.0 + 19.0 * g) / (12.0 * s3) * nw
-            - (413.0 - 3.0 * g) / (27.0 * s3) * nw * eps)
-        - (g / (2.0 * l2**2)) * (
-            3.0 * eps - 293.0 * A2 / 36.0
-            + (187.0 + 27.0 * g) / (12.0 * s3) * nw
-            - 2.0 * (247.0 + 3.0 * g) / (27.0 * s3) * nw * eps)
-        + (1.0 / (2.0 * k2**2)) * (
-            eps / 2.0 - 3.0 * A2 - 73.0 * A2 * eps / 24.0
-            + (1.0 - 9.0 * g) / (24.0 * s3) * nw
-            + (53.0 - 39.0 * g) / (54.0 * s3) * nw * eps)
-        - (g / (4.0 * k2**2)) * (
-            eps - 3.0 * A2 - 299.0 * A2 * eps / 72.0
-            - (6.0 - 5.0 * g) / (12.0 * s3) * nw
-            - (268.0 - 93.0 * g) / (54.0 * s3) * nw * eps)
-        + (eps / (4.0 * l2**2 * k2**2)) * (
-            33.0 * A2 / 4.0 + (34.0 + 5.0 * g) / (12.0 * s3) * nw)
-        + (g * eps / (8.0 * l2**2 * k2**2)) * (
-            75.0 * A2 / 2.0 + (43.0 - 8.0 * g) / (4.0 * s3) * nw)
-    )
-
-    j23 = (s3 / (4.0 * w1 * l1 * k1)) * (
-        2.0 * eps + 6.0 * A2 + 37.0 * A2 * eps / 2.0
-        - (13.0 + g) / (2.0 * s3) * nw
-        + 2.0 * (79.0 - 7.0 * g) / (9.0 * s3) * nw * eps
-        - g * (6.0 + 2.0 * eps / 3.0 + 13.0 * A2 - 33.0 * A2 * eps / 2.0
-               + (11.0 - g) / (2.0 * s3) * nw
-               - (186.0 - g) / (9.0 * s3) * nw * eps)
-        + (1.0 / (2.0 * l1**2)) * (
-            51.0 * A2 + (14.0 + 8.0 * g) / (3.0 * s3) * nw)
-        - (eps / k1**2) * (3.0 * A2 + (19.0 + 6.0 * g) / (6.0 * s3) * nw)
-        - (g / (2.0 * l1**2)) * (
-            6.0 * eps + 135.0 * A2 - (808.0 / 9.0) * A2 * eps
-            - (67.0 + 19.0 * g) / (2.0 * s3) * nw
-            - (755.0 + 19.0 * g) / (9.0 * s3) * nw * eps)
-        - (g / (2.0 * k1**2)) * (
-            3.0 * eps - 18.0 * A2 - 55.0 * A2 * eps / 4.0
-            - (1.0 - 9.0 * g) / (4.0 * s3) * nw
-            + (923.0 - 60.0 * g) / (12.0 * s3) * nw * eps)
-        + (g * eps / (8.0 * l1**2 * k1**2)) * (
-            9.0 * A2 / 2.0 + (34.0 - 5.0 * g) / (2.0 * s3) * nw)
-    )
-
+ROWS = {
+    # the epsilon-form equilibrium point and the origin shift; the printed
+    # a-series lacks the leading 1/2 of x* + mu (erratum ``offset.a``)
+    "x": ((1, ""), (1, "", (0, -1/3, -1/2, 1/3, (-9, -1, 6), (0, -4, 27))),
+          (1, "g", (1/2, 0, 0, 0, 0, 0))),
+    "y": ((1/2, "s3"), (1, "", (1, -2/9, -1/3, -2/9, (1, 1, 9), (0, -4, 27)))),
+    "a": ((1/2, ""), (1, "", (0, -2/3, -1, 2/3, (-9, -1, 3), (0, -8, 27)))),
+    "b": ((1/2, "s3"), (1, "", (1, -2/9, -1/3, -2/9, (1, 1, 9), (0, -4, 27)))),
+    # the cubic coefficients
+    "T1": ((3/16, ""),
+           (1, "", (0, 16/3, 6, -979/18, (143, 9, 6), (459, 376, 27))),
+           (1, "g", (14, 4/3, 25, -1507/18, (-215, -29, 6), (-2348, -338, 27)))),
+    "T2": ((3/16, "s3"),
+           (1, "", (14, -16/3, 1/3, -367/18, (115, 115, 18), (-959, 136, 27))),
+           (1, "g", (0, 32/3, 40, -382/9, (511, 53, 6), (-2519, 24, 27)))),
+    "T3": ((-9/16, ""),
+           (1, "", (0, 8/3, 203/6, -625/54, (-105, -15, 18), (-403, 114, 81))),
+           (1, "g", (2, -4/9, 55/2, -797/54, (197, 23, 18), (-211, 32, 81)))),
+    "T4": ((-9/16, "s3"),
+           (1, "", (2, -8/3, 23/3, -44, (-37, -1, 18), (-219, -253, 81))),
+           (1, "g", (0, 4, 0, 88/27, (241, 45, 18), (-1558, 126, 81)))),
+    # the normal-mode entries
+    "J13": ((1/2, "l1 w1^-1 k1^-1"), (1, "", ONE),
+            (-1/2, "l1^-2", (0, 1, 45/2, -717/36, (67, 19, 12), (-431, 3, 27))),
+            (1/2, "g l1^-2", (0, 3, -29/36, 0, (-187, -27, 12), (-494, -6, 27))),
+            (-1/2, "k1^-2", (0, 1/2, -3, -73/24, (1, -9, 24), (53, -39, 54))),
+            (-1/4, "g k1^-2", (0, 1, -3, -299/72, (-6, 5, 12), (-266, 93, 54))),
+            (1/4, "e l1^-2 k1^-2", (0, 0, 3/4, 0, (33, 14, 12), 0)),
+            (1/8, "g e l1^-2 k1^-2", (0, 0, 347/36, 0, (-43, 8, 4), 0))),
+    "J14": ((1/2, "l2 w2^-1 k2^-1"), (1, "", ONE),
+            (-1/2, "l2^-2", (0, 1, 45/2, -717/36, (67, 19, 12), (-431, 3, 27))),
+            (-1/2, "g l2^-2", (0, 3, -293/36, 0, (187, 27, 12), (-494, -6, 27))),
+            (-1/2, "k2^-2", (0, 1/2, -3, -73/24, (1, -9, 24), (53, -39, 54))),
+            (1/2, "g k2^-2", (0, 1, -3, -299/72, (-6, 5, 12), (-268, 9, 54))),
+            (-1/4, "e l2^-2 k2^-2", (0, 0, 33/4, 0, (1643, -93, 216), 0)),
+            (1/4, "g e l2^-2 k2^-2", (0, 0, 737/72, 0, (-13, -2, 1), 0))),
+    "J21": ((-4, "n w1 l1^-1 k1^-1"), (1, "", ONE),
+            (1/2, "l1^-2", (0, 1, 45/2, -717/36, (67, 19, 12), (-413, 3, 27))),
+            (-1/2, "g l1^-2", (0, 3, -293/36, 0, (187, 27, 12), (-494, -6, 27))),
+            (-1/2, "k1^-2", (0, 1/2, -3, -73/24, (1, -9, 24), (53, -39, 54))),
+            (-1/4, "g k1^-2", (0, 1, -3, -299/72, (-6, 5, 12), (-268, 93, 54))),
+            (1/8, "e l1^-2 k1^-2", (0, 0, 33/4, 0, (68, -10, 24), 0)),
+            (1/8, "g e l1^-2 k1^-2", (0, 0, 242/9, 0, (43, -8, 4), 0))),
+    "J22": ((4, "n w2 l2^-1 k2^-1"), (1, "", ONE),
+            (1/2, "l2^-2", (0, 1, 45/2, -717/36, (67, 19, 12), (-413, 3, 27))),
+            (-1/2, "g l2^-2", (0, 3, -293/36, 0, (187, 27, 12), (-494, -6, 27))),
+            (1/2, "k2^-2", (0, 1/2, -3, -73/24, (1, -9, 24), (53, -39, 54))),
+            (-1/4, "g k2^-2", (0, 1, -3, -299/72, (-6, 5, 12), (-268, 93, 54))),
+            (1/4, "e l2^-2 k2^-2", (0, 0, 33/4, 0, (34, 5, 12), 0)),
+            (1/8, "g e l2^-2 k2^-2", (0, 0, 75/2, 0, (43, -8, 4), 0))),
+    "J23": ((1/4, "s3 w1^-1 l1^-1 k1^-1"),
+            (1, "", (0, 2, 6, 37/2, (-13, -1, 2), (158, -14, 9))),
+            (-1, "g", (6, 2/3, 13, -33/2, (11, -1, 2), (-186, 1, 9))),
+            (1/2, "l1^-2", (0, 0, 51, 0, (14, 8, 3), 0)),
+            (-1, "e k1^-2", (0, 0, 3, 0, (19, 6, 6), 0)),
+            (-1/2, "g l1^-2", (0, 6, 135, -808/9, (-67, -19, 2), (-755, -19, 9))),
+            (-1/2, "g k1^-2", (0, 3, -18, -55/4, (-1, 9, 4), (923, -60, 12))),
+            (1/8, "g e l1^-2 k1^-2", (0, 0, 9/2, 0, (34, -5, 2), 0))),
     # J24 prints k1/l1 inside its two last brackets where the pattern of the
     # other entries calls for k2/l2; with k2/l2 it misses the oracle by as
     # much, so the printed reading stands.
-    j24 = (s3 / (4.0 * w2 * l2 * k2)) * (
-        2.0 * eps + 6.0 * A2 + 37.0 * A2 * eps / 2.0
-        - (13.0 + g) / (2.0 * s3) * nw
-        + 2.0 * (79.0 - 7.0 * g) / (9.0 * s3) * nw * eps
-        - g * (6.0 + 2.0 * eps / 3.0 + 13.0 * A2 - 33.0 * A2 * eps / 2.0
-               + (11.0 - g) / (2.0 * s3) * nw
-               - (186.0 - g) / (9.0 * s3) * nw * eps)
-        - (1.0 / (2.0 * l2**2)) * (
-            51.0 * A2 + (14.0 + 8.0 * g) / (3.0 * s3) * nw)
-        - (eps / k2**2) * (3.0 * A2 + (19.0 + 6.0 * g) / (6.0 * s3) * nw)
-        - (g / (2.0 * l2**2)) * (
-            6.0 * eps + 135.0 * A2 - (808.0 / 9.0) * A2 * eps
-            - (67.0 + 19.0 * g) / (2.0 * s3) * nw
-            - (755.0 + 19.0 * g) / (9.0 * s3) * nw * eps)
-        - (g / (2.0 * k1**2)) * (
-            3.0 * eps - 18.0 * A2 - 55.0 * A2 * eps / 4.0
-            - (1.0 - 9.0 * g) / (4.0 * s3) * nw
-            + (923.0 - 60.0 * g) / (12.0 * s3) * nw * eps)
-        - (g * eps / (4.0 * l1**2 * k1**2)) * (
-            99.0 * A2 / 2.0 + (34.0 - 5.0 * g) / (2.0 * s3) * nw)
-    )
+    "J24": ((1/4, "s3 w2^-1 l2^-1 k2^-1"),
+            (1, "", (0, 2, 6, 37/2, (-13, -1, 2), (158, -14, 9))),
+            (-1, "g", (6, 2/3, 13, -33/2, (11, -1, 2), (-186, 1, 9))),
+            (-1/2, "l2^-2", (0, 0, 51, 0, (14, 8, 3), 0)),
+            (-1, "e k2^-2", (0, 0, 3, 0, (19, 6, 6), 0)),
+            (-1/2, "g l2^-2", (0, 6, 135, -808/9, (-67, -19, 2), (-755, -19, 9))),
+            (-1/2, "g k1^-2", (0, 3, -18, -55/4, (-1, 9, 4), (923, -60, 12))),
+            (-1/4, "g e l1^-2 k1^-2", (0, 0, 99/2, 0, (34, -5, 2), 0))),
+    # the F and G tables of the second-order components
+    "F1": ((-1/6, "s3"), (1, "", (0, 0, 0, 0, 0, (1, 0, 1)))),
+    "F2": ((3/32, ""),
+           (1, "", (0, 16/3, 6, -979/18, (143, 9, 6), (555, 376, 27))),
+           (1, "g", (14, 4/3, 25, -1507/18, (-215, -29, 6), (-2348, -338, 27)))),
+    "F3": ((3/16, "s3"),
+           (1, "", (14, -16/3, 23/2, -104/9, (115, 115, 18), (-878, 136, 27))),
+           (1, "g", (0, 32/3, 40, -310/9, (511, 53, 6), (-2519, 249, 27)))),
+    "F4": ((-3/256, ""),
+           (1, "", (364, 0, 420, -17801/9, (2821, 189, 3), (-23077, -9592, 27))),
+           (28, "g", (23, 100/21, 849/14, 59/7, (-125, -38, 6), (-87613, 213, 27)))),
+    "F1p": ((1/3, ""), (1, "", (0, 0, 0, 0, 0, (1, 0, 1)))),
+    "F2p": ((3/16, "s3"),
+            (1, "", (14, -16/3, 1, -1367/18, (115, 115, 18), (-863, 136, 27))),
+            (1, "g", (0, 32/3, 40, -382/9, (511, 53, 6), (-2519, 24, 27)))),
+    "F3p": ((-9/8, ""),
+            (1, "", (0, 8/3, 203/6, -721/54, (-105, -15, 18), (-319, 114, 81))),
+            (1, "g", (2, -4/9, -173/6, -781/9, (197, 23, 18), (-265, 32, 81)))),
+    "F4p": ((-3/16, "s3"),
+            (1, "", (392, -532/3, 1918/3, -28582/9, (203, 1211, 9), (949, 4378, 27))),
+            (28, "g", (0, 108/7, 4037/84, -611/21, (8397, 919, 84),
+                       (-92266, 1869, 27)))),
+    "F1pp": ((1/6, "s3"), (1, "", (0, 0, 0, 0, 0, (1, 0, 1)))),
+    "F2pp": ((-9/32, ""),
+             (1, "", (0, 8/3, 203/6, -625/54, (-105, -15, 18), (-307, 114, 81))),
+             (1, "g", (2, -4/9, 55/2, -797/54, (197, 23, 18), (-211, 32, 81)))),
+    "F3pp": ((-9/16, "s3"),
+             (1, "", (2, -8/3, 55/6, -134/3, (-37, -1, 18), (-93, -226, 81))),
+             (1, "g", (0, 4, 0, 169/27, (241, 45, 18), (-1558, 126, 81)))),
+    "F4pp": ((9/256, ""),
+             (1, "", (0, 212/3, 2950/3, -1370/27, (-771, -237, 9), (-3814, 1968, 81))),
+             (28, "g", (11/7, 4/9, -152/7, -36965/504, (2569, 277, 252),
+                        (22603, 4396, 1134)))),
+    "G1": ((-1/6, "s3"), (1, "", (0, 0, 0, 0, 0, (1, 0, 1)))),
+    "G2": ((3/32, ""),
+           (1, "", (14, -16/3, 1, -1367/18, (115, 115, 18), (-863, 136, 27))),
+           (1, "g", (0, 32/3, 40, -382/9, (511, 53, 6), (-2519, 24, 27)))),
+    "G3": ((3/16, "s3"),
+           (1, "", (0, 16/3, 6, -907/18, (143, 9, 6), (477, 403, 27))),
+           (1, "g", (14, 4/3, 71/2, -1489/18, (-215, -29, 6), (-2348, -338, 27)))),
+    "G4": ((3/256, "s3"),
+           (1, "", (84, 52, 212, -267, (598, 122, 3), (-14854, -225, 27))),
+           (1, "g", (0, 32, 156, 649, (-562, -8, 3), (13285, 5169, 27)))),
+    "G1p": ((-1, ""), (1, "", (0, 0, 0, 0, 0, (1, 0, 1)))),
+    "G2p": ((9/16, ""),
+            (1, "", (0, 8/3, 203/6, -625/54, (-105, -15, 18), (-307, 114, 81))),
+            (-1, "g", (2, -4/9, -55/2, -797/54, (197, 23, 18), (-211, 32, 81)))),
+    "G3p": ((3/8, "s3"),
+            (1, "", (14, -16/3, 65/6, -1439/18, (115, 115, 18), (-941, 118, 27))),
+            (1, "g", (0, 32/3, -40, -310/9, (511, 53, 6), (-251, 24, 27)))),
+    "G4p": ((-9/128, ""),
+            (1, "", (0, 12, -287, 847/9, (-56, -2, 1), (-8840, 276, 27))),
+            (-1, "g", (96, 152/3, 135, -2320/9, (497, -123, 3), (-70788, -128, 27)))),
+    "G1pp": ((-1/6, "s3"), (1, "", (0, 0, 0, 0, 0, (1, 0, 1)))),
+    "G2pp": ((9/32, "s3"),
+             (1, "", (2, -8/3, 23/3, -44, (-37, -1, 18), (-123, -349, 3))),
+             (1, "g", (0, 4, 88/27, 0, (421, 45, 18), (-1558, 126, 81)))),
+    "G3pp": ((-9/16, ""),
+             (1, "", (0, 8/9, 203/6, -589/54, (-255, -10, 18), (-349, 282, 81))),
+             (1, "g", (2, -4/9, -26, -412/27, (197, 23, 18), (-211, 32, 81)))),
+    "G4pp": ((-9/256, "s3"),
+             (1, "", (12, 20/3, 76, -350/3, (0, 32, 3), (-3058, -900, 27))),
+             (1, "g", (0, 8, -749/3, 808/9, (-109, 40, 3), (35, -1269, 27)))),
+}
 
-    return JClosedForm(j13, j14, j21, j22, j23, j24)
+# The printed normal-mode entries, attributes of NormalModeData.
+J_ENTRIES = ("J13", "J14", "J21", "J22", "J23", "J24")
+FG_ENTRIES = tuple(f"{table}{i}{prime}" for table in "FG"
+                   for prime in ("", "p", "pp") for i in range(1, 5))
+
+
+# The exponents (i, j, k, m) of the monomials eps^i A2^j gamma^k u^m,
+# u = n W1 / sqrt 3, that the rows span, in the order `printed` forms them.
+BASIS = ((0, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 1, 1, 0),
+         (1, 0, 0, 0), (1, 0, 1, 0), (1, 1, 0, 0), (1, 1, 1, 0),
+         (0, 0, 0, 1), (0, 0, 1, 1), (0, 0, 2, 1),
+         (1, 0, 0, 1), (1, 0, 1, 1), (1, 0, 2, 1))
+
+
+def _expand(prefactor, *terms):
+    """A row as (mode-scalar powers of its prefactor, groups).  Each group
+    holds the mode-scalar powers of some weights and the sum of their
+    weighted braces, times the rest of the prefactor, as coefficients over
+    BASIS; the powers of sqrt 3, eps and gamma are folded in."""
+    def split(coef, spec):
+        mode, e, g = [], 0, 0
+        for factor in spec.split():
+            name, _, power = factor.partition("^")
+            power = int(power or 1)
+            if name == "s3":
+                coef *= SQRT3 ** power
+            elif name == "e":
+                e += power
+            elif name == "g":
+                g += power
+            else:
+                mode.append((name, power))
+        return coef, e, g, tuple(mode)
+
+    coef, _, _, mode = split(*prefactor)
+    groups = {}
+    for weight, spec, (c1, ce, ca, cae, nw, nwe) in terms:
+        w, e, g, weight_mode = split(coef * weight, spec)
+        sums = groups.setdefault(weight_mode, dict.fromkeys(BASIS, 0.0))
+        (a, b, d), (ae, be, de) = nw or (0, 0, 1), nwe or (0, 0, 1)
+        for (i, j, k, m), c in (((0, 0, 0, 0), c1), ((1, 0, 0, 0), ce),
+                                ((0, 1, 0, 0), ca), ((1, 1, 0, 0), cae),
+                                ((0, 0, 0, 1), a / d), ((0, 0, 1, 1), b / d),
+                                ((1, 0, 0, 1), ae / de), ((1, 0, 1, 1), be / de)):
+            if c:
+                sums[(i + e, j, k + g, m)] += w * c
+    return mode, tuple((key, tuple(sums.values())) for key, sums in groups.items())
+
+
+_EXPANDED = {name: _expand(*row) for name, row in ROWS.items()}
+
+
+def printed(names, p: ModelParams, w: FrequencyPair | None = None) -> dict:
+    """The rows `names` at p, by name; the J rows read the mode scalars of
+    the frequencies `w`."""
+    scalars = {"n": p.n}
+    if w is not None:
+        l1, l2, k1, k2 = mode_scalars(w)
+        scalars.update(w1=w.omega1, w2=w.omega2, l1=l1, k1=k1, l2=l2, k2=k2)
+    eps, A2, g, u = p.epsilon, p.A2, p.gamma, p.n * p.W1 / SQRT3
+    ea, ug, ue = eps * A2, u * g, u * eps
+    basis = (1.0, g, A2, A2 * g, eps, eps * g, ea, ea * g,
+             u, ug, ug * g, ue, ue * g, ue * g * g)
+    out = {}
+    for name in names:
+        mode, groups = _EXPANDED[name]
+        total = 0.0
+        for weight_mode, sums in groups:
+            term = sum(map(mul, sums, basis))
+            for scalar, power in weight_mode:
+                term *= scalars[scalar] ** power
+            total += term
+        for scalar, power in mode:
+            total *= scalars[scalar] ** power
+        out[name] = total
+    return out
+
+
+def j_closed_form(p: ModelParams, w: FrequencyPair) -> dict:
+    """The six printed J entries, by name."""
+    return printed(J_ENTRIES, p, w)
+
+
+def fg_tables(p: ModelParams) -> dict:
+    """The 24 printed F/G entries, by name."""
+    return printed(FG_ENTRIES, p)
 
 
 def b1y_print(nm) -> DAlembertSeries:
@@ -220,209 +294,7 @@ def b1y_print(nm) -> DAlembertSeries:
                                      + nm.J24 * math.sqrt(2.0) * w.omega2))
 
 
-# -- coefficient tables for the second-order components -------------------
-
-
-@dataclass(frozen=True)
-class FGTable:
-    """The 24 printed scalars feeding the second-order components."""
-
-    F1: float
-    F2: float
-    F3: float
-    F4: float
-    F1p: float
-    F2p: float
-    F3p: float
-    F4p: float
-    F1pp: float
-    F2pp: float
-    F3pp: float
-    F4pp: float
-    G1: float
-    G2: float
-    G3: float
-    G4: float
-    G1p: float
-    G2p: float
-    G3p: float
-    G4p: float
-    G1pp: float
-    G2pp: float
-    G3pp: float
-    G4pp: float
-
-    def f_triples(self):
-        """((F_i, F_i', F_i'') for i = 1..4)."""
-        return ((self.F1, self.F1p, self.F1pp), (self.F2, self.F2p, self.F2pp),
-                (self.F3, self.F3p, self.F3pp), (self.F4, self.F4p, self.F4pp))
-
-    def g_triples(self):
-        return ((self.G1, self.G1p, self.G1pp), (self.G2, self.G2p, self.G2pp),
-                (self.G3, self.G3p, self.G3pp), (self.G4, self.G4p, self.G4pp))
-
-
-def fg_tables(p: ModelParams) -> FGTable:
-    """Evaluate all 24 printed table entries verbatim."""
-    eps, A2, g = p.epsilon, p.A2, p.gamma
-    nw = p.n * p.W1
-    s3 = SQRT3
-
-    f1 = -nw * eps / 6.0
-    f2 = (3.0 / 32.0) * (
-        16.0 * eps / 3.0 + 6.0 * A2 - (979.0 / 18.0) * A2 * eps
-        + (143.0 + 9.0 * g) / (6.0 * s3) * nw
-        + (555.0 + 376.0 * g) / (27.0 * s3) * nw * eps
-        + g * (14.0 + 4.0 * eps / 3.0 + 25.0 * A2 - (1507.0 / 18.0) * A2 * eps
-               - (215.0 + 29.0 * g) / (6.0 * s3) * nw
-               - 2.0 * (1174.0 + 169.0 * g) / (27.0 * s3) * nw * eps))
-    f3 = (3.0 * s3 / 16.0) * (
-        14.0 - 16.0 * eps / 3.0 + 23.0 * A2 / 2.0 - (104.0 / 9.0) * A2 * eps
-        + 115.0 * (1.0 + g) / (18.0 * s3) * nw
-        - 2.0 * (439.0 - 68.0 * g) / (27.0 * s3) * nw * eps
-        + g * (32.0 * eps / 3.0 + 40.0 * A2 - (310.0 / 9.0) * A2 * eps
-               + (511.0 + 53.0 * g) / (6.0 * s3) * nw
-               - (2519.0 - 249.0 * g) / (27.0 * s3) * nw * eps))
-    f4 = (-3.0 / 256.0) * (
-        364.0 + 420.0 * A2 - (17801.0 / 9.0) * A2 * eps
-        + (2821.0 + 189.0 * g) / (3.0 * s3) * nw
-        - (23077.0 + 9592.0 * g) / (27.0 * s3) * nw * eps
-        + 28.0 * g * (23.0 + 100.0 * eps / 21.0 + 849.0 * A2 / 14.0
-                      + (59.0 / 7.0) * A2 * eps
-                      - (125.0 + 38.0 * g) / (6.0 * s3) * nw
-                      - (87613.0 - 213.0 * g) / (27.0 * s3) * nw * eps))
-
-    f1p = nw * eps / (3.0 * s3)
-    f2p = (3.0 * s3 / 16.0) * (
-        14.0 - 16.0 * eps / 3.0 + A2 - (1367.0 / 18.0) * A2 * eps
-        + 115.0 * (1.0 + g) / (18.0 * s3) * nw
-        - (863.0 - 136.0 * g) / (27.0 * s3) * nw * eps
-        + g * (32.0 * eps / 3.0 + 40.0 * A2 - (382.0 / 9.0) * A2 * eps
-               + (511.0 + 53.0 * g) / (6.0 * s3) * nw
-               - (2519.0 - 24.0 * g) / (27.0 * s3) * nw * eps))
-    f3p = (-9.0 / 8.0) * (
-        8.0 * eps / 3.0 + 203.0 * A2 / 6.0 - (721.0 / 54.0) * A2 * eps
-        - (105.0 + 15.0 * g) / (18.0 * s3) * nw
-        - (319.0 - 114.0 * g) / (81.0 * s3) * nw * eps
-        + g * (2.0 - 4.0 * eps / 9.0 - 173.0 * A2 / 6.0 - (781.0 / 9.0) * A2 * eps
-               + (197.0 + 23.0 * g) / (18.0 * s3) * nw
-               - (265.0 - 32.0 * g) / (81.0 * s3) * nw * eps))
-    f4p = (-3.0 * s3 / 16.0) * (
-        392.0 - 532.0 * eps / 3.0 + 1918.0 * A2 / 3.0 - (28582.0 / 9.0) * A2 * eps
-        + (203.0 + 1211.0 * g) / (9.0 * s3) * nw
-        + (949.0 + 4378.0 * g) / (27.0 * s3) * nw * eps
-        + 28.0 * g * (108.0 * eps / 7.0 + 4037.0 * A2 / 84.0
-                      - (611.0 / 21.0) * A2 * eps
-                      + (8397.0 + 919.0 * g) / (84.0 * s3) * nw
-                      - (92266.0 - 1869.0 * g) / (27.0 * s3) * nw * eps))
-
-    f1pp = nw * eps / 6.0
-    f2pp = (-9.0 / 32.0) * (
-        8.0 * eps / 3.0 + 203.0 * A2 / 6.0 - (625.0 / 54.0) * A2 * eps
-        - (105.0 + 15.0 * g) / (18.0 * s3) * nw
-        - (307.0 - 114.0 * g) / (81.0 * s3) * nw * eps
-        + g * (2.0 - 4.0 * eps / 9.0 + 55.0 * A2 / 2.0 - (797.0 / 54.0) * A2 * eps
-               + (197.0 + 23.0 * g) / (18.0 * s3) * nw
-               - (211.0 - 32.0 * g) / (81.0 * s3) * nw * eps))
-    f3pp = (-9.0 * s3 / 16.0) * (
-        2.0 - 8.0 * eps / 3.0 + 55.0 * A2 / 6.0 - (134.0 / 3.0) * A2 * eps
-        - (37.0 + g) / (18.0 * s3) * nw
-        - (93.0 + 226.0 * g) / (81.0 * s3) * nw * eps
-        + g * (4.0 * eps + (169.0 / 27.0) * A2 * eps
-               + (241.0 + 45.0 * g) / (18.0 * s3) * nw
-               - (1558.0 - 126.0 * g) / (81.0 * s3) * nw * eps))
-    f4pp = (9.0 / 256.0) * (
-        212.0 * eps / 3.0 + 2950.0 * A2 / 3.0 - (1370.0 / 27.0) * A2 * eps
-        - (771.0 + 237.0 * g) / (9.0 * s3) * nw
-        - 2.0 * (1907.0 - 984.0 * g) / (81.0 * s3) * nw * eps
-        + 28.0 * g * (11.0 / 7.0 + 4.0 * eps / 9.0 - 152.0 * A2 / 7.0
-                      - (36965.0 / 504.0) * A2 * eps
-                      + (2569.0 + 277.0 * g) / (252.0 * s3) * nw
-                      + (22603.0 + 4396.0 * g) / (1134.0 * s3) * nw * eps))
-
-    g1 = -nw * eps / 6.0
-    g2 = (3.0 / 32.0) * (
-        14.0 - 16.0 * eps / 3.0 + A2 - (1367.0 / 18.0) * A2 * eps
-        + 115.0 * (1.0 + g) / (18.0 * s3) * nw
-        - (863.0 - 136.0 * g) / (27.0 * s3) * nw * eps
-        + g * (32.0 * eps / 3.0 + 40.0 * A2 - (382.0 / 9.0) * A2 * eps
-               + (511.0 + 53.0 * g) / (6.0 * s3) * nw
-               - (2519.0 - 24.0 * g) / (27.0 * s3) * nw * eps))
-    g3 = (3.0 * s3 / 16.0) * (
-        16.0 * eps / 3.0 + 6.0 * A2 - (907.0 / 18.0) * A2 * eps
-        + (143.0 + 9.0 * g) / (6.0 * s3) * nw
-        + (477.0 + 403.0 * g) / (27.0 * s3) * nw * eps
-        + g * (14.0 + 4.0 * eps / 3.0 + 71.0 * A2 / 2.0 - (1489.0 / 18.0) * A2 * eps
-               - (215.0 + 29.0 * g) / (6.0 * s3) * nw
-               - 2.0 * (1174.0 + 169.0 * g) / (27.0 * s3) * nw * eps))
-    g4 = (3.0 * s3 / 256.0) * (
-        84.0 + 52.0 * eps + 212.0 * A2 - 267.0 * A2 * eps
-        + 2.0 * (299.0 + 61.0 * g) / (3.0 * s3) * nw
-        - (14854.0 + 225.0 * g) / (27.0 * s3) * nw * eps
-        + g * (32.0 * eps + 156.0 * A2 + 649.0 * A2 * eps
-               - (562.0 + 8.0 * g) / (3.0 * s3) * nw
-               + (13285.0 + 5169.0 * g) / (27.0 * s3) * nw * eps))
-
-    g1p = -nw * eps / s3
-    g2p = (9.0 / 16.0) * (
-        8.0 * eps / 3.0 + 203.0 * A2 / 6.0 - (625.0 / 54.0) * A2 * eps
-        - (105.0 + 15.0 * g) / (18.0 * s3) * nw
-        - (307.0 - 114.0 * g) / (81.0 * s3) * nw * eps
-        - g * (2.0 - 4.0 * eps / 9.0 - 55.0 * A2 / 2.0 - (797.0 / 54.0) * A2 * eps
-               + (197.0 + 23.0 * g) / (18.0 * s3) * nw
-               - (211.0 - 32.0 * g) / (81.0 * s3) * nw * eps))
-    g3p = (3.0 * s3 / 8.0) * (
-        14.0 - 16.0 * eps / 3.0 + 65.0 * A2 / 6.0 - (1439.0 / 18.0) * A2 * eps
-        + 115.0 * (1.0 + g) / (18.0 * s3) * nw
-        - (941.0 - 118.0 * g) / (27.0 * s3) * nw * eps
-        + g * (32.0 * eps / 3.0 - 40.0 * A2 - (310.0 / 9.0) * A2 * eps
-               + (511.0 + 53.0 * g) / (6.0 * s3) * nw
-               - (251.0 - 24.0 * g) / (27.0 * s3) * nw * eps))
-    g4p = (-9.0 / 128.0) * (
-        12.0 * eps - 287.0 * A2 + (847.0 / 9.0) * A2 * eps
-        - 2.0 * (28.0 + g) / s3 * nw
-        - 4.0 * (2210.0 - 69.0 * g) / (27.0 * s3) * nw * eps
-        - g * (96.0 + 152.0 * eps / 3.0 + 135.0 * A2 - (2320.0 / 9.0) * A2 * eps
-               + (497.0 - 123.0 * g) / (3.0 * s3) * nw
-               - 4.0 * (17697.0 + 32.0 * g) / (27.0 * s3) * nw * eps))
-
-    g1pp = -nw * eps / 6.0
-    g2pp = (9.0 * s3 / 32.0) * (
-        2.0 - 8.0 * eps / 3.0 + 23.0 * A2 / 3.0 - 44.0 * A2 * eps
-        - (37.0 + g) / (18.0 * s3) * nw
-        - (123.0 + 349.0 * g) / (3.0 * s3) * nw * eps
-        + g * (4.0 * eps + 88.0 * A2 / 27.0
-               + (421.0 + 45.0 * g) / (18.0 * s3) * nw
-               - (1558.0 - 126.0 * g) / (81.0 * s3) * nw * eps))
-    g3pp = (-9.0 / 16.0) * (
-        8.0 * eps / 9.0 + 203.0 * A2 / 6.0 - (589.0 / 54.0) * A2 * eps
-        - 5.0 * (51.0 + 2.0 * g) / (18.0 * s3) * nw
-        - (349.0 - 282.0 * g) / (81.0 * s3) * nw * eps
-        + g * (2.0 - 4.0 * eps / 9.0 - 26.0 * A2 - (412.0 / 27.0) * A2 * eps
-               + (197.0 + 23.0 * g) / (18.0 * s3) * nw
-               - (211.0 - 32.0 * g) / (81.0 * s3) * nw * eps))
-    g4pp = (-9.0 * s3 / 256.0) * (
-        12.0 + 20.0 * eps / 3.0 + 76.0 * A2 - (350.0 / 3.0) * A2 * eps
-        + (32.0 * g) / (3.0 * s3) * nw
-        - 2.0 * (1529.0 + 450.0 * g) / (27.0 * s3) * nw * eps
-        + g * (8.0 * eps - 749.0 * A2 / 3.0 + (808.0 / 9.0) * A2 * eps
-               - (109.0 - 40.0 * g) / (3.0 * s3) * nw
-               + (35.0 - 1269.0 * g) / (27.0 * s3) * nw * eps))
-
-    return FGTable(
-        F1=f1, F2=f2, F3=f3, F4=f4,
-        F1p=f1p, F2p=f2p, F3p=f3p, F4p=f4p,
-        F1pp=f1pp, F2pp=f2pp, F3pp=f3pp, F4pp=f4pp,
-        G1=g1, G2=g2, G3=g3, G4=g4,
-        G1p=g1p, G2p=g2p, G3p=g3p, G4p=g4p,
-        G1pp=g1pp, G2pp=g2pp, G3pp=g3pp, G4pp=g4pp,
-    )
-
-
-@dataclass(frozen=True)
-class RSTable:
-    r: tuple  # r1..r10
-    s: tuple  # s1..s10
+# -- the r/s tables of the second-order components --------------------------
 
 
 # The (j, m, p, q) term and its cosine (0) or sine (1) slot that each of
@@ -432,15 +304,17 @@ RS_SLOTS = (
     ((1, 1, 1, -1), 0), ((1, 1, 1, 1), 0), ((2, 0, 2, 0), 1), ((0, 2, 0, 2), 1),
     ((1, 1, 1, -1), 1), ((1, 1, 1, 1), 1),
 )
+RS_NAMES = tuple(f"{table}{i}" for table in "rs" for i in range(1, 11))
 
 
-def _r_values(j: JClosedForm, w: FrequencyPair, triples,
+def _r_values(j: dict, w: FrequencyPair, fg: dict, table: str,
               floor: float) -> tuple:
     """The ten printed coefficient formulas, shared by the r and s tables
-    (the s table substitutes the G triples for the F triples)."""
+    (the s table reads the G entries where the r table reads the F)."""
     w1, w2 = w.omega1, w.omega2
-    (f1, f1p, f1pp), (f2, f2p, f2pp), (f3, f3p, f3pp), (f4, f4p, f4pp) = triples
-    J13, J14, J21, J22, J23, J24 = j.J13, j.J14, j.J21, j.J22, j.J23, j.J24
+    (f1, f2, f3, f4, f1p, f2p, f3p, f4p,
+     f1pp, f2pp, f3pp, f4pp) = (fg[table + name[1:]] for name in FG_ENTRIES[:12])
+    J13, J14, J21, J22, J23, J24 = (j[name] for name in J_ENTRIES)
 
     for name, value in (
         ("omega1^2 omega2^2", w1**2 * w2**2),
@@ -537,9 +411,9 @@ def _r_values(j: JClosedForm, w: FrequencyPair, triples,
     return r1, r2, r3, r4, r5, r6, r7, r8, r9, r10
 
 
-def rs_tables(j: JClosedForm, w: FrequencyPair, fg: FGTable,
-              floor: float = DIVISOR_FLOOR) -> RSTable:
-    """r1..r10 per the printed formulas; s1..s10 by the F -> G substitution."""
-    r = _r_values(j, w, fg.f_triples(), floor)
-    s = _r_values(j, w, fg.g_triples(), floor)
-    return RSTable(r=r, s=s)
+def rs_tables(j: dict, w: FrequencyPair, fg: dict,
+              floor: float = DIVISOR_FLOOR) -> dict:
+    """r1..r10 per the printed formulas and s1..s10 by the F -> G
+    substitution, by name, from the J and F/G entries by name."""
+    return dict(zip(RS_NAMES, _r_values(j, w, fg, "F", floor)
+                    + _r_values(j, w, fg, "G", floor)))

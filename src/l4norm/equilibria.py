@@ -6,7 +6,7 @@ Three routes to the same point:
   field with the at-rest drag convention; the oracle.
 * :func:`triangular_series` -- the delta/A2/W1 closed-form series.
 * :func:`epsilon_form` -- the gamma/epsilon/A2/W1 expansion used by the
-  normalization stages.
+  normalization stages, a row of :data:`l4norm.closedforms.ROWS`.
 
 The series are evaluated verbatim; where a printed coefficient disagrees
 with the numeric oracle beyond truncation order, the discrepancy is the
@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .closedforms import printed
 from .errors import ConvergenceError, ParameterError, SingularJacobianError
 from .model import SQRT3, ModelParams, State, potential_gradient
 
@@ -157,25 +158,8 @@ def triangular_series(p: ModelParams, branch: str = "L4") -> EquilibriumPoint:
 
 def epsilon_form(p: ModelParams, branch: str = "L4") -> EquilibriumPoint:
     """gamma/epsilon/A2/W1 expansion of the equilibrium, evaluated verbatim."""
-    eps, A2, g = p.epsilon, p.A2, p.gamma
-    nw = p.n * p.W1
-    x = (
-        0.5 * g
-        - eps / 3.0
-        - 0.5 * A2
-        + A2 * eps / 3.0
-        - (9.0 + g) / (6.0 * SQRT3) * nw
-        - 4.0 * g * eps / (27.0 * SQRT3) * nw
-    )
-    y_mag = (SQRT3 / 2.0) * (
-        1.0
-        - 2.0 * eps / 9.0
-        - A2 / 3.0
-        - 2.0 * A2 * eps / 9.0
-        + (1.0 + g) / (9.0 * SQRT3) * nw
-        - 4.0 * g * eps / (27.0 * SQRT3) * nw
-    )
-    y = y_mag if branch == "L4" else -y_mag
+    v = printed(("x", "y"), p)
+    x, y = v["x"], v["y"] if branch == "L4" else -v["y"]
     return EquilibriumPoint(x, y, branch, "epsilon-form", residual_at(x, y, p))
 
 
@@ -186,21 +170,4 @@ def offset_ab(p: ModelParams) -> OriginShift:
     a evaluates to 0 at zero perturbations instead of x* + mu = 1/2
     (erratum ``offset.a``); adding 1/2 gives x(epsilon-form) + mu.
     """
-    eps, A2, g = p.epsilon, p.A2, p.gamma
-    nw = p.n * p.W1
-    a = 0.5 * (
-        - 2.0 * eps / 3.0
-        - A2
-        + 2.0 * A2 * eps / 3.0
-        - (9.0 + g) / (3.0 * SQRT3) * nw
-        - 8.0 * g * eps / (27.0 * SQRT3) * nw
-    )
-    b = (SQRT3 / 2.0) * (
-        1.0
-        - 2.0 * eps / 9.0
-        - A2 / 3.0
-        - 2.0 * A2 * eps / 9.0
-        + (1.0 + g) / (9.0 * SQRT3) * nw
-        - 4.0 * g * eps / (27.0 * SQRT3) * nw
-    )
-    return OriginShift(a, b)
+    return OriginShift(**printed(("a", "b"), p))

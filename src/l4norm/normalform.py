@@ -244,8 +244,8 @@ def j_numeric(p: ModelParams, efg: QuadraticCoefficients, w: FrequencyPair,
 def first_order_components(nm):
     """Degree-1 series (B1 for x, B1 for y) from the printed combination.
 
-    `nm` needs J13..J24 attributes and `freq`; both NormalModeData and
-    JClosedForm-with-frequencies work.  The y row carries the P/Q weights
+    `nm` needs J13..J24 attributes and `freq`: NormalModeData, or the
+    printed entries of `closedforms.j_closed_form` with the frequencies.  The y row carries the P/Q weights
     that annihilate the linearized equations.
     """
     w = nm.freq

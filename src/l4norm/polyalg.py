@@ -18,10 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .closedforms import printed
 from .equilibria import OriginShift
 from .errors import ContractError, ParameterError
 from .layout import Layout, Store, intern, plan, pruned, sliced
-from .model import SQRT3, ModelParams, State, lagrangian
+from .model import ModelParams, State, lagrangian
 
 NVARS = 4
 
@@ -300,43 +301,8 @@ def t_coefficients_closed_form(p: ModelParams,
     (degree 2, which truncation then discards); `T5` squares it, the only
     reading that makes T5 a degree-3 form (erratum ``t5-linear-brace``).
     """
-    eps, A2, g = p.epsilon, p.A2, p.gamma
-    nw = p.n * p.W1
-    s3 = SQRT3
-
-    t1 = (3.0 / 16.0) * (
-        16.0 * eps / 3.0 + 6.0 * A2 - (979.0 / 18.0) * A2 * eps
-        + (143.0 + 9.0 * g) / (6.0 * s3) * nw
-        + (459.0 + 376.0 * g) / (27.0 * s3) * nw * eps
-        + g * (14.0 + 4.0 * eps / 3.0 + 25.0 * A2 - (1507.0 / 18.0) * A2 * eps
-               - (215.0 + 29.0 * g) / (6.0 * s3) * nw
-               - 2.0 * (1174.0 + 169.0 * g) / (27.0 * s3) * nw * eps)
-    )
-    t2 = (3.0 * s3 / 16.0) * (
-        14.0 - 16.0 * eps / 3.0 + A2 / 3.0 - (367.0 / 18.0) * A2 * eps
-        + 115.0 * (1.0 + g) / (18.0 * s3) * nw
-        - (959.0 - 136.0 * g) / (27.0 * s3) * nw * eps
-        + g * (32.0 * eps / 3.0 + 40.0 * A2 - (382.0 / 9.0) * A2 * eps
-               + (511.0 + 53.0 * g) / (6.0 * s3) * nw
-               - (2519.0 - 24.0 * g) / (27.0 * s3) * nw * eps)
-    )
-    t3 = (-9.0 / 16.0) * (
-        8.0 * eps / 3.0 + 203.0 * A2 / 6.0 - (625.0 / 54.0) * A2 * eps
-        - (105.0 + 15.0 * g) / (18.0 * s3) * nw
-        - (403.0 - 114.0 * g) / (81.0 * s3) * nw * eps
-        + g * (2.0 - 4.0 * eps / 9.0 + 55.0 * A2 / 2.0 - (797.0 / 54.0) * A2 * eps
-               + (197.0 + 23.0 * g) / (18.0 * s3) * nw
-               - (211.0 - 32.0 * g) / (81.0 * s3) * nw * eps)
-    )
-    t4 = (-9.0 * s3 / 16.0) * (
-        2.0 - 8.0 * eps / 3.0 + 23.0 * A2 / 3.0 - 44.0 * A2 * eps
-        - (37.0 + g) / (18.0 * s3) * nw
-        - (219.0 + 253.0 * g) / (81.0 * s3) * nw * eps
-        + g * (4.0 * eps + (88.0 / 27.0) * A2 * eps
-               + (241.0 + 45.0 * g) / (18.0 * s3) * nw
-               - (1558.0 - 126.0 * g) / (81.0 * s3) * nw * eps)
-    )
-    return H3CoefficientsClosedForm(t1, t2, t3, t4, *_t5_polys(p, shift))
+    t = printed(("T1", "T2", "T3", "T4"), p)
+    return H3CoefficientsClosedForm(*t.values(), *_t5_polys(p, shift))
 
 
 def _t5_polys(p: ModelParams, shift: OriginShift):

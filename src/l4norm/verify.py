@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import closedforms, equilibria, normalform, polyalg
-from .closedforms import RS_SLOTS
+from .closedforms import RS_NAMES, RS_SLOTS
 from .dalembert import (
     DIVISOR_FLOOR,
     DAlembertSeries,
@@ -114,14 +114,13 @@ class PipelineResult:
         return out
 
 
-def oracle_rs_from_series(b2x: DAlembertSeries, b2y: DAlembertSeries):
-    """Read the ten (r, s) slots off a solved B2 pair; B2 has no other term,
-    so this is the whole mapping between B2 and the printed tables."""
-    def pick(series, sign):
-        return tuple(sign * series.coefficient(key)[slot]
-                     for key, slot in RS_SLOTS)
-
-    return pick(b2x, 1.0), pick(b2y, -1.0)
+def oracle_rs_from_series(b2x: DAlembertSeries, b2y: DAlembertSeries) -> dict:
+    """Read the ten r and the ten s slots off a solved B2 pair, by name; B2
+    has no other term, so this is the whole mapping between B2 and the
+    printed tables."""
+    return dict(zip(RS_NAMES, [
+        sign * series.coefficient(key)[slot]
+        for series, sign in ((b2x, 1.0), (b2y, -1.0)) for key, slot in RS_SLOTS]))
 
 
 def run_pipeline(p: ModelParams, options: PipelineOptions = PipelineOptions(),
@@ -180,14 +179,15 @@ def run_pipeline(p: ModelParams, options: PipelineOptions = PipelineOptions(),
 
 @dataclass
 class Audit:
-    """Printed-table values at one pipeline result and their gaps to it."""
+    """Printed-table values at one pipeline result and their gaps to it;
+    the J entries and the r/s tables by name."""
 
     eq_series: equilibria.EquilibriumPoint
     eq_epsform: equilibria.EquilibriumPoint
-    j_closed: closedforms.JClosedForm | None = None
-    rs: closedforms.RSTable | None = None
-    # (r, s) read off the chain's B2 by `oracle_rs_from_series`
-    rs_oracle: tuple | None = None
+    j_closed: dict | None = None
+    rs: dict | None = None
+    # r1..s10 read off the chain's B2 by `oracle_rs_from_series`
+    rs_oracle: dict | None = None
     gaps: dict = field(default_factory=dict)
 
 
@@ -219,8 +219,7 @@ def audit(res: PipelineResult) -> Audit:
 
     out.j_closed = closedforms.j_closed_form(p, res.freq)
     for name in closedforms.J_ENTRIES:
-        gaps[f"j.{name}"] = abs(getattr(out.j_closed, name)
-                                - getattr(res.nm, name))
+        gaps[f"j.{name}"] = abs(out.j_closed[name] - getattr(res.nm, name))
     gaps["b1.print_weights"] = normalform.linear_residual(
         res.b1[0], closedforms.b1y_print(res.nm), res.efg, res.freq, p.n)
     if res.b2 is None:
@@ -230,13 +229,10 @@ def audit(res: PipelineResult) -> Audit:
     out.rs = closedforms.rs_tables(out.j_closed, res.freq, fg,
                                    floor=res.options.divisor_floor)
     out.rs_oracle = oracle_rs_from_series(res.b2.b2x, res.b2.b2y)
-    r_oracle, s_oracle = out.rs_oracle
-    for i in range(10):
-        gaps[f"b2.r{i + 1}"] = abs(out.rs.r[i] - r_oracle[i])
-        gaps[f"b2.s{i + 1}"] = abs(out.rs.s[i] - s_oracle[i])
+    for name in RS_NAMES:
+        gaps[f"b2.{name}"] = abs(out.rs[name] - out.rs_oracle[name])
     # B2 has no term outside the twenty slots: their gaps are its sup gap.
-    gaps["b2.sup"] = max(gaps[f"b2.{rs}{i}"] for rs in "rs"
-                         for i in range(1, 11))
+    gaps["b2.sup"] = max(gaps[f"b2.{name}"] for name in RS_NAMES)
     gaps["forcing.partial_only"] = partial_forcing_gap(res)
     return out
 
@@ -302,7 +298,7 @@ GATING_KEYS = (
     "cubic.T5_print", "b1.print_weights",
     "j.J13", "j.J14", "j.J21", "j.J22", "j.J23", "j.J24",
     "forcing.partial_only",
-) + tuple(f"b2.r{i}" for i in range(1, 11)) + tuple(f"b2.s{i}" for i in range(1, 11))
+) + tuple(f"b2.{name}" for name in RS_NAMES)
 
 
 # Strength of each single perturbation: every series is compared at
@@ -427,7 +423,7 @@ def render_report(res: PipelineResult, printed: Audit, gates: dict,
         put("entry,numeric,closed,abs_gap")
         for name in closedforms.J_ENTRIES:
             put(f"{name},{fmt(getattr(res.nm, name))},"
-                f"{fmt(getattr(printed.j_closed, name))},{fmt(gaps['j.' + name])}")
+                f"{fmt(printed.j_closed[name])},{fmt(gaps['j.' + name])}")
 
     if res.b2 is not None:
         put("")
@@ -435,14 +431,10 @@ def render_report(res: PipelineResult, printed: Audit, gates: dict,
         put(f"residual_x: {fmt(res.b2.residual_x)}")
         put(f"residual_y: {fmt(res.b2.residual_y)}")
         put(f"closed_vs_oracle_sup: {fmt(gaps['b2.sup'])}")
-        r_oracle, s_oracle = printed.rs_oracle
         put("coefficient,closed,oracle,abs_gap")
-        for i in range(10):
-            put(f"r{i + 1},{fmt(printed.rs.r[i])},{fmt(r_oracle[i])},"
-                f"{fmt(gaps[f'b2.r{i + 1}'])}")
-        for i in range(10):
-            put(f"s{i + 1},{fmt(printed.rs.s[i])},{fmt(s_oracle[i])},"
-                f"{fmt(gaps[f'b2.s{i + 1}'])}")
+        for name in RS_NAMES:
+            put(f"{name},{fmt(printed.rs[name])},{fmt(printed.rs_oracle[name])},"
+                f"{fmt(gaps['b2.' + name])}")
         put("b2x_series:")
         for line in res.b2.b2x.pretty().splitlines():
             put("  " + line)

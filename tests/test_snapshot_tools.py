@@ -48,6 +48,10 @@ def test_chain_record_builds(point):
     # the drag cubic in both readings, present exactly with drag
     assert bool(t5) == bool(t5_print) == (point[1] > 0.0)
     assert all(len(key) == 4 and type(c) is float for key, c in t5 + t5_print)
+    # every other printed value by name: x, y, a, b, J, F/G and r/s
+    (printed,) = record["printed"]
+    assert len(printed) == 54 and {"x", "b", "J24", "G4pp", "s10"} <= dict(printed).keys()
+    assert all(type(value) is float for _, value in printed)
     for terms in series:
         for key, value in terms:
             assert len(key) == 4

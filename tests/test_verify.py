@@ -92,9 +92,9 @@ class TestPipeline:
                 terms[key] = tuple(cs)
             return DAlembertSeries(terms)
 
-        r, s = oracle_rs_from_series(build(r_in, 1.0), build(s_in, -1.0))
-        assert r == r_in
-        assert s == s_in
+        rs = oracle_rs_from_series(build(r_in, 1.0), build(s_in, -1.0))
+        assert list(rs) == [f"r{i}" for i in range(1, 11)] + [f"s{i}" for i in range(1, 11)]
+        assert tuple(rs.values()) == r_in + s_in
 
 
 def _snapshot_points():
