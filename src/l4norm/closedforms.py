@@ -194,6 +194,18 @@ ROWS = {
              (1, "g", (0, 8, -749/3, 808/9, (-109, 40, 3), (35, -1269, 27)))),
 }
 
+# Reflecting y -> -y and reversing time maps the equations of motion at drag
+# W1 onto themselves at -W1: the Coriolis and both drag terms change sign
+# together.  So the L5 chain at W1 is the L4 chain at -W1 with y and the
+# sines of the angles negated, and the printed rows, written for L4, read on
+# L5 the same way: evaluated at -W1, with the entries odd under the
+# reflection negated.  Those carry an odd count of factors y and sine: the
+# point's y and the offset b, T2 (x^2 y) and T4 (y^3), J23 and J24 (cosines
+# in y), r7..r10 (sines in x) and s1..s6 (cosines in y).
+MIRROR_ODD = frozenset(("y", "b", "T2", "T4", "J23", "J24")
+                       + tuple(f"r{i}" for i in range(7, 11))
+                       + tuple(f"s{i}" for i in range(1, 7)))
+
 # The printed normal-mode entries, attributes of NormalModeData.
 J_ENTRIES = ("J13", "J14", "J21", "J22", "J23", "J24")
 FG_ENTRIES = tuple(f"{table}{i}{prime}" for table in "FG"
@@ -270,6 +282,19 @@ def printed(names, p: ModelParams, w: FrequencyPair | None = None) -> dict:
             total *= scalars[scalar] ** power
         out[name] = total
     return out
+
+
+def reflect(values: dict) -> dict:
+    """Printed values by name read on the other branch: MIRROR_ODD negated."""
+    return {name: -v if name in MIRROR_ODD else v for name, v in values.items()}
+
+
+def on_branch(p: ModelParams, branch: str):
+    """``(q, read)``: the parameters to evaluate the printed rows at for
+    `branch` at p, and the map that reads their values on it (MIRROR_ODD)."""
+    if branch == "L4":
+        return p, dict
+    return ModelParams._from_perturbations(p.mu, p.epsilon, p.A2, -p.W1), reflect
 
 
 def j_closed_form(p: ModelParams, w: FrequencyPair) -> dict:

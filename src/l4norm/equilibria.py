@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .closedforms import printed
+from .closedforms import on_branch, printed
 from .errors import ConvergenceError, ParameterError, SingularJacobianError
 from .model import SQRT3, ModelParams, State, potential_gradient
 
@@ -157,9 +157,11 @@ def triangular_series(p: ModelParams, branch: str = "L4") -> EquilibriumPoint:
 
 
 def epsilon_form(p: ModelParams, branch: str = "L4") -> EquilibriumPoint:
-    """gamma/epsilon/A2/W1 expansion of the equilibrium, evaluated verbatim."""
-    v = printed(("x", "y"), p)
-    x, y = v["x"], v["y"] if branch == "L4" else -v["y"]
+    """gamma/epsilon/A2/W1 expansion of the equilibrium, evaluated verbatim;
+    on L5 as the mirror of L4 (`closedforms.on_branch`)."""
+    q, read = on_branch(p, branch)
+    v = read(printed(("x", "y"), q))
+    x, y = v["x"], v["y"]
     return EquilibriumPoint(x, y, branch, "epsilon-form", residual_at(x, y, p))
 
 

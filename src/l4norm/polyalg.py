@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .closedforms import printed
+from .closedforms import on_branch, printed
 from .equilibria import OriginShift
 from .errors import ContractError, ParameterError
 from .layout import Layout, Store, intern, plan, pruned, sliced
@@ -295,13 +295,15 @@ class H3CoefficientsClosedForm:
 def t_coefficients_closed_form(p: ModelParams,
                                shift: OriginShift) -> H3CoefficientsClosedForm:
     """Printed T1..T4 series plus both readings of the drag cubic T5
-    assembled from (a, b).
+    assembled from (a, b).  T1..T4 are read on the pivot's branch: below
+    the axis, as the mirror of L4 (`closedforms.on_branch`).
 
     `T5_print` keeps the inhomogeneous first brace term of the printed T5
     (degree 2, which truncation then discards); `T5` squares it, the only
     reading that makes T5 a degree-3 form (erratum ``t5-linear-brace``).
     """
-    t = printed(("T1", "T2", "T3", "T4"), p)
+    q, read = on_branch(p, "L5" if shift.b < 0.0 else "L4")
+    t = read(printed(("T1", "T2", "T3", "T4"), q))
     return H3CoefficientsClosedForm(*t.values(), *_t5_polys(p, shift))
 
 

@@ -195,14 +195,16 @@ def audit(res: PipelineResult) -> Audit:
     """Evaluate the printed series behind every stage the result holds.
     Raises where a printed series has no value; the result stays valid."""
     p, branch = res.params, res.options.branch
+    # the printed rows are L4's: on L5 they are read as its mirror
+    q, read = closedforms.on_branch(p, branch)
     out = Audit(eq_series=equilibria.triangular_series(p, branch),
                 eq_epsform=equilibria.epsilon_form(p, branch))
     gaps = out.gaps
     gaps["equilibria.series"] = _point_gap(res.eq_numeric, out.eq_series)
     gaps["equilibria.epsilon_form"] = _point_gap(res.eq_numeric, out.eq_epsform)
-    printed_shift = equilibria.offset_ab(p)
-    gaps["offset.a"] = abs(printed_shift.a - res.shift.a)
-    gaps["offset.b"] = abs(printed_shift.b - abs(res.shift.b))
+    printed_shift = read(vars(equilibria.offset_ab(q)))
+    gaps["offset.a"] = abs(printed_shift["a"] - res.shift.a)
+    gaps["offset.b"] = abs(printed_shift["b"] - res.shift.b)
     lagrangian = res.lagrangian_poly
     if lagrangian is None:
         return out
@@ -217,7 +219,8 @@ def audit(res: PipelineResult) -> Audit:
     if res.nm is None:
         return out
 
-    out.j_closed = closedforms.j_closed_form(p, res.freq)
+    j_closed = closedforms.j_closed_form(q, res.freq)
+    out.j_closed = read(j_closed)
     for name in closedforms.J_ENTRIES:
         gaps[f"j.{name}"] = abs(out.j_closed[name] - getattr(res.nm, name))
     gaps["b1.print_weights"] = normalform.linear_residual(
@@ -225,9 +228,9 @@ def audit(res: PipelineResult) -> Audit:
     if res.b2 is None:
         return out
 
-    fg = closedforms.fg_tables(p)
-    out.rs = closedforms.rs_tables(out.j_closed, res.freq, fg,
-                                   floor=res.options.divisor_floor)
+    out.rs = read(closedforms.rs_tables(j_closed, res.freq,
+                                        closedforms.fg_tables(q),
+                                        floor=res.options.divisor_floor))
     out.rs_oracle = oracle_rs_from_series(res.b2.b2x, res.b2.b2y)
     for name in RS_NAMES:
         gaps[f"b2.{name}"] = abs(out.rs[name] - out.rs_oracle[name])

@@ -10,7 +10,8 @@ polynomial series, the reference for `l4norm.polyalg.taylor_lagrangian`.
 `substitute_pairwise` multiplies a substitution out one pair of term dicts
 at a time, the reference for `l4norm.normalform.poly_at_series`.
 `t5_by_products` multiplies out the drag cubic T5, the reference for
-`l4norm.polyalg.t_coefficients_closed_form`.
+`l4norm.polyalg.t_coefficients_closed_form`.  `classical_cubic_symbolic`
+derives the classical T1..T4 exactly, the reference for the printed rows.
 """
 
 from __future__ import annotations
@@ -307,3 +308,19 @@ def t5_by_products(p: ModelParams, shift: OriginShift) -> tuple:
     factor = p.W1 / (2.0 * rho2**3)
     return tuple(((udot * (brace - ww) - tail) * factor).grade(3)
                  for brace in (3.0 * (u * u), 3.0 * u))
+
+
+def classical_cubic_symbolic(gamma) -> dict:
+    """T1..T4 at eps = A2 = W1 = 0 as exact sympy expressions in the symbol
+    `gamma`: the third partial derivatives of the classical potential
+    (x^2 + y^2)/2 + (1 - mu)/r1 + mu/r2 at L4, with mu = (1 - gamma)/2."""
+    import sympy as sp
+
+    mu, x, y = sp.symbols("mu x y")
+    potential = ((x**2 + y**2) / 2 + (1 - mu) / sp.sqrt((x + mu)**2 + y**2)
+                 + mu / sp.sqrt((x + mu - 1)**2 + y**2))
+    at_l4 = {x: sp.Rational(1, 2) - mu, y: sp.sqrt(3) / 2}
+    return {name: sp.expand(sp.simplify(
+                sp.diff(potential, x, i, y, j).subs(at_l4).subs(mu, (1 - gamma) / 2)))
+            for name, (i, j) in (("T1", (3, 0)), ("T2", (2, 1)),
+                                 ("T3", (1, 2)), ("T4", (0, 3)))}

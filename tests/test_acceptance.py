@@ -188,6 +188,19 @@ def test_criterion_8_registry_completeness(verdicts):
     assert stale == []
 
 
+@pytest.mark.parametrize("mu", [0.000237, 0.000954, 0.00445, 0.00496, 0.01,
+                                0.01215, 0.03])
+def test_criterion_8_registry_covers_l5(mu):
+    """The printed tables are read on L5 as the mirror of L4, so the L5
+    verdicts need no registration of their own."""
+    unregistered = [(v.quantity, v.perturbation, v.classification)
+                    for v in detect_discrepancies(mu, PipelineOptions(branch="L5"))
+                    if v.classification != "consistent"
+                    and not is_registered(v.quantity, v.perturbation)]
+    note(f"[criterion 8] L5 registry at mu={mu}: {len(unregistered)} unregistered")
+    assert unregistered == []
+
+
 def test_h3_grades_structurally_nontrivial():
     """Guard the guard: the degree-3 grades must be populated by the
     ablation run, so the vanishing test cannot pass vacuously."""

@@ -11,6 +11,8 @@ from l4norm.equilibria import (
     shift_from_point,
     solve_triangular_numeric,
 )
+from l4norm.closedforms import ROWS
+from l4norm.errata import KNOWN_DISCREPANCIES
 from l4norm.errors import ContractError
 from l4norm.layout import plan
 from l4norm.model import ModelParams, State, lagrangian
@@ -26,6 +28,7 @@ from l4norm.polyalg import (
 from oracles import (
     _powers,
     binomial_series,
+    classical_cubic_symbolic,
     eom_rhs,
     evaluate,
     hamiltonian,
@@ -618,6 +621,30 @@ class TestClosedFormCubic:
         assert rel["T3"] > 0.5
         assert t2o == pytest.approx(-3 * SQRT3 / 8, abs=1e-11)
         assert t3o == pytest.approx(-33 * p.gamma / 8, abs=1e-10)
+
+    def test_classical_rows_against_the_symbolic_cubic(self):
+        # Each T row's constant and gamma brackets against the brackets the
+        # exact classical cubic calls for; the entries that disagree are the
+        # registered classical discrepancies, and no others.
+        sp = pytest.importorskip("sympy")
+        gamma = sp.Symbol("gamma")
+        mismatches = {}
+        for name, derived in classical_cubic_symbolic(gamma).items():
+            assert sp.degree(derived, gamma) <= 1
+            (coef, spec), *terms = ROWS[name]
+            prefactor = sp.nsimplify(coef) * sp.sqrt(3) ** spec.count("s3")
+            rows = {weight_spec: sp.nsimplify(weight * brace[0])
+                    for weight, weight_spec, brace in terms}
+            for entry, part in (("", derived.subs(gamma, 0)),
+                                ("g", derived.diff(gamma))):
+                bracket = sp.simplify(part / prefactor)
+                if bracket != rows.get(entry, 0):
+                    mismatches[(name, entry)] = (rows.get(entry, 0), bracket)
+        assert mismatches == {("T2", ""): (14, -2),
+                              ("T3", "g"): (2, sp.Rational(22, 3))}
+        registered = {d.key for d in KNOWN_DISCREPANCIES
+                      if d.key.startswith("cubic.") and d.perturbation == "classical"}
+        assert {f"cubic.{name}" for name, _ in mismatches} == registered
 
     @pytest.mark.parametrize("p", [
         ModelParams(mu=0.01),

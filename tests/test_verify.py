@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from l4norm import normalform
-from l4norm.closedforms import RS_SLOTS
+from l4norm.closedforms import J_ENTRIES, MIRROR_ODD, RS_SLOTS, on_branch, reflect
 from l4norm.dalembert import DAlembertSeries, apply_D
 from l4norm.errata import KNOWN_DISCREPANCIES, is_registered
 from l4norm.errors import L4NormError, ParameterError, ResonanceError
@@ -24,7 +24,7 @@ from l4norm.normalform import (
     stiffness_matrix,
     velocity_coupling,
 )
-from l4norm.polyalg import TruncatedPoly
+from l4norm.polyalg import TruncatedPoly, oracle_t_coefficients
 from l4norm.verify import (
     GATING_KEYS,
     HALVING_STRENGTH,
@@ -198,6 +198,52 @@ def _hex(values):
 
 def _series_bits(series):
     return [(key, _hex(cs)) for key, cs in series.terms.items()]
+
+
+def _chain_by_name(res) -> dict:
+    """The chain's values under the printed names: the point, the
+    frequencies, the J entries, the oracle T1..T4 and the B2 slots."""
+    cubic = oracle_t_coefficients(res.lagrangian_poly.grade(3))
+    return {"x": res.eq_numeric.x, "y": res.eq_numeric.y,
+            "omega1": res.freq.omega1, "omega2": res.freq.omega2,
+            **{name: getattr(res.nm, name) for name in J_ENTRIES},
+            **dict(zip(("T1", "T2", "T3", "T4"), cubic)),
+            **oracle_rs_from_series(res.b2.b2x, res.b2.b2y)}
+
+
+class TestMirror:
+    """The L5 chain at drag W1 is the L4 chain at -W1 reflected in y, bit
+    for bit; the audit reads the printed (L4) rows on L5 the same way, so
+    every L5 gap is the L4 gap of the mirror point."""
+
+    @pytest.fixture(params=range(6), ids=lambda i: f"point{i}")
+    def pair(self, request):
+        rng = random.Random(23 + request.param)
+        p = ModelParams(mu=rng.uniform(0.001, 0.037), q1=1.0 - rng.uniform(0.0, 0.01),
+                        A2=rng.uniform(0.0, 0.005), cd=rng.uniform(5.0, 100.0))
+        q, read = on_branch(p, "L5")
+        assert (q.mu, q.epsilon, q.A2, q.W1) == (p.mu, p.epsilon, p.A2, -p.W1)
+        assert read is reflect and on_branch(p, "L4")[0] is p
+        return (run_pipeline(p, PipelineOptions(branch="L5"), stages=("b2",)),
+                run_pipeline(q, PipelineOptions(branch="L4"), stages=("b2",)))
+
+    def test_l5_chain_is_the_reflected_l4_chain(self, pair):
+        l5, l4 = (_chain_by_name(res) for res in pair)
+        assert l5 == reflect(l4)
+        odd = {name for name in l4 if l5[name] != l4[name]}
+        assert odd == MIRROR_ODD - {"b"}
+
+    def test_l5_audit_is_the_reflected_l4_audit(self, pair):
+        l5, l4 = (audit(res) for res in pair)
+
+        def values(printed):
+            point = printed.eq_epsform
+            return {"x": point.x, "y": point.y, **printed.j_closed, **printed.rs}
+
+        assert values(l5) == reflect(values(l4))
+        assert l5.eq_epsform.residual == l4.eq_epsform.residual
+        assert {key: l5.gaps[key] for key in GATING_KEYS} == {
+            key: l4.gaps[key] for key in GATING_KEYS}
 
 
 class TestChainStoppedAtB1:
