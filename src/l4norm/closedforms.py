@@ -12,20 +12,23 @@ entries J13..J24 and the 24 F/G entries of the second-order tables.
 
 * A *brace* is linear in (1, eps, A2, A2 eps, n W1, n W1 eps).  Its first
   four coefficients are rationals; each n W1 coefficient is a triple
-  (a, b, d) that reads (a + b gamma) / (d sqrt 3).
-* A row is a prefactor times a sum of braces, each under a weight.
-  Prefactors and weights are monomials in the scalars sqrt 3 (``s3``),
-  gamma, eps, n and, for the J entries, the frequencies and the mode
-  scalars of :func:`mode_scalars`: ``(1/4, "g e l1^-2 k1^-2")`` reads
+  (a, b, d) that reads (a + b gamma) / (d sqrt 3), and 0 stands for none.
+* A row is a prefactor followed by its terms, each a brace under a
+  weight: ``(coef, spec, brace)``.  Prefactors and weights are monomials
+  ``(coef, spec)`` in sqrt 3 (``s3``), gamma (``g``), eps (``e``), n and,
+  for the J entries, the frequencies and the mode scalars of
+  :func:`mode_scalars`: ``(1/4, "g e l1^-2 k1^-2")`` reads
   gamma eps / (4 l1^2 k1^2).
 * Most rows are brace + gamma brace; a J entry sums up to seven braces
   under its mode prefactor.
 
-The rows transcribe the print, quirks included: J13's 29/36 where its
-siblings print 293/36, J21's 413 where J13 prints 431, J24's k1/l1.  The
-audit measures them; it does not mend them.  Forms of another shape stay
-code: the printed y row of B1 (`b1y_print`) and the r/s tables of B2
-(`rs_tables`), which are nonlinear in J and the frequencies.
+The rows transcribe the print, quirks included (J13's 29/36 where its
+siblings print 293/36, J24's k1/l1, T2's constant 14): the audit measures
+them, it does not mend them.  They are written for L4; :func:`on_branch`
+reads them on L5 as the mirror of L4 (:data:`MIRROR_ODD`).  Forms of
+another shape stay code: the printed y row of B1 (`b1y_print`) and the
+r/s tables of B2 (`rs_tables`), which are nonlinear in J and the
+frequencies.
 
 Entry naming: primed table entries use a ``p`` suffix (F2p = F2'), double
 primes ``pp`` (F2pp = F2'').

@@ -245,8 +245,9 @@ def first_order_components(nm):
     """Degree-1 series (B1 for x, B1 for y) from the printed combination.
 
     `nm` needs J13..J24 attributes and `freq`: NormalModeData, or the
-    printed entries of `closedforms.j_closed_form` with the frequencies.  The y row carries the P/Q weights
-    that annihilate the linearized equations.
+    printed entries of `closedforms.j_closed_form` with the frequencies.
+    The y row carries the P/Q weights that annihilate the linearized
+    equations.
     """
     w = nm.freq
     sq1, sq2 = math.sqrt(2.0 * w.omega1), math.sqrt(2.0 * w.omega2)

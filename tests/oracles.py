@@ -11,7 +11,9 @@ polynomial series, the reference for `l4norm.polyalg.taylor_lagrangian`.
 at a time, the reference for `l4norm.normalform.poly_at_series`.
 `t5_by_products` multiplies out the drag cubic T5, the reference for
 `l4norm.polyalg.t_coefficients_closed_form`.  `classical_cubic_symbolic`
-derives the classical T1..T4 exactly, the reference for the printed rows.
+derives the classical T1..T4 exactly, the reference for the printed rows,
+and `row_as_written` evaluates one row term by term as the print reads,
+the reference for `l4norm.closedforms.printed`.
 """
 
 from __future__ import annotations
@@ -324,3 +326,28 @@ def classical_cubic_symbolic(gamma) -> dict:
                 sp.diff(potential, x, i, y, j).subs(at_l4).subs(mu, (1 - gamma) / 2)))
             for name, (i, j) in (("T1", (3, 0)), ("T2", (2, 1)),
                                  ("T3", (1, 2)), ("T4", (0, 3)))}
+
+
+def row_as_written(row, p: ModelParams, scalars: dict) -> float:
+    """A row of `closedforms.ROWS` evaluated term by term as printed:
+    prefactor times the sum of weight times brace.  `scalars` maps the
+    mode-scalar names to values; sqrt 3, gamma, eps and n come from p."""
+    scalars = {"s3": math.sqrt(3.0), "g": p.gamma, "e": p.epsilon, "n": p.n,
+               **scalars}
+
+    def monomial(coef, spec):
+        value = coef
+        for factor in spec.split():
+            name, _, power = factor.partition("^")
+            value *= scalars[name] ** int(power or 1)
+        return value
+
+    def brace(c1, ce, ca, cae, nw, nwe):
+        (a, b, d), (ae, be, de) = nw or (0, 0, 1), nwe or (0, 0, 1)
+        nw1, s3, g, eps = p.n * p.W1, math.sqrt(3.0), p.gamma, p.epsilon
+        return (c1 + ce * eps + ca * p.A2 + cae * p.A2 * eps
+                + (a + b * g) / (d * s3) * nw1 + (ae + be * g) / (de * s3) * nw1 * eps)
+
+    prefactor, *terms = row
+    return monomial(*prefactor) * sum(monomial(coef, spec) * brace(*b)
+                                      for coef, spec, b in terms)

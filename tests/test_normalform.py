@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 from l4norm.closedforms import (
+    ROWS,
     b1y_print,
     fg_tables,
     j_closed_form,
     mode_scalars,
+    printed,
     rs_tables,
 )
 from l4norm.dalembert import DAlembertSeries, FrequencyPair, apply_D
@@ -49,7 +51,7 @@ from l4norm.polyalg import (
     taylor_lagrangian,
 )
 
-from oracles import operator_by_composition, substitute_pairwise
+from oracles import operator_by_composition, row_as_written, substitute_pairwise
 
 SQRT3 = math.sqrt(3.0)
 
@@ -459,6 +461,20 @@ class TestClosedFormTables:
         gb = gap(ModelParams(mu=0.01, q1=1 - 5e-5, cd=1e30))
         assert g0 < 1e-12
         assert ga / gb == pytest.approx(2.0, abs=0.1)
+
+    def test_printed_evaluates_each_row_as_written(self):
+        rng = random.Random(17)
+        for _ in range(20):
+            p = ModelParams(mu=rng.uniform(0.001, 0.037), q1=1.0 - rng.uniform(0.0, 0.01),
+                            A2=rng.uniform(0.0, 0.005), cd=rng.uniform(1.0, 100.0))
+            _, _, _, _, w, _ = linear_stage(p)
+            l1, l2, k1, k2 = mode_scalars(w)
+            scalars = dict(w1=w.omega1, w2=w.omega2, l1=l1, k1=k1, l2=l2, k2=k2)
+            values = printed(ROWS, p, w)
+            assert list(values) == list(ROWS)
+            for name, row in ROWS.items():
+                assert values[name] == pytest.approx(
+                    row_as_written(row, p, scalars), rel=1e-13, abs=1e-13), name
 
     def test_mode_scalars_raise_at_k_zero(self):
         with pytest.raises(SmallDivisorError):
