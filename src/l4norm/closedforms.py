@@ -223,11 +223,12 @@ BASIS = ((0, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 1, 1, 0),
          (1, 0, 0, 1), (1, 0, 1, 1), (1, 0, 2, 1))
 
 
-def _expand(prefactor, *terms):
-    """A row as (mode-scalar powers of its prefactor, groups).  Each group
-    holds the mode-scalar powers of some weights and the sum of their
-    weighted braces, times the rest of the prefactor, as coefficients over
-    BASIS; the powers of sqrt 3, eps and gamma are folded in."""
+def _expand(modes: dict, prefactor, *terms):
+    """A row as (mode index of its prefactor, groups).  Each group holds the
+    mode index of some weights and the sum of their weighted braces, times
+    the rest of the prefactor, as coefficients over BASIS; the powers of
+    sqrt 3, eps and gamma are folded in.  `modes` numbers the distinct
+    monomials in the mode scalars (n, the frequencies, l and k)."""
     def split(coef, spec):
         mode, e, g = [], 0, 0
         for factor in spec.split():
@@ -241,7 +242,7 @@ def _expand(prefactor, *terms):
                 g += power
             else:
                 mode.append((name, power))
-        return coef, e, g, tuple(mode)
+        return coef, e, g, modes.setdefault(tuple(mode), len(modes))
 
     coef, _, _, mode = split(*prefactor)
     groups = {}
@@ -258,16 +259,24 @@ def _expand(prefactor, *terms):
     return mode, tuple((key, tuple(sums.values())) for key, sums in groups.items())
 
 
-_EXPANDED = {name: _expand(*row) for name, row in ROWS.items()}
+# The mode-scalar monomials of the rows by index; the empty one, 1, is 0.
+_MODES = {(): 0}
+_EXPANDED = {name: _expand(_MODES, *row) for name, row in ROWS.items()}
 
 
 def printed(names, p: ModelParams, w: FrequencyPair | None = None) -> dict:
     """The rows `names` at p, by name; the J rows read the mode scalars of
     the frequencies `w`."""
-    scalars = {"n": p.n}
+    modes = [1.0]
     if w is not None:
         l1, l2, k1, k2 = mode_scalars(w)
-        scalars.update(w1=w.omega1, w2=w.omega2, l1=l1, k1=k1, l2=l2, k2=k2)
+        scalars = dict(n=p.n, w1=w.omega1, w2=w.omega2, l1=l1, k1=k1, l2=l2, k2=k2)
+        modes = []
+        for mode in _MODES:
+            value = 1.0
+            for name, power in mode:
+                value *= scalars[name] ** power
+            modes.append(value)
     eps, A2, g, u = p.epsilon, p.A2, p.gamma, p.n * p.W1 / SQRT3
     ea, ug, ue = eps * A2, u * g, u * eps
     basis = (1.0, g, A2, A2 * g, eps, eps * g, ea, ea * g,
@@ -277,13 +286,8 @@ def printed(names, p: ModelParams, w: FrequencyPair | None = None) -> dict:
         mode, groups = _EXPANDED[name]
         total = 0.0
         for weight_mode, sums in groups:
-            term = sum(map(mul, sums, basis))
-            for scalar, power in weight_mode:
-                term *= scalars[scalar] ** power
-            total += term
-        for scalar, power in mode:
-            total *= scalars[scalar] ** power
-        out[name] = total
+            total += modes[weight_mode] * sum(map(mul, sums, basis))
+        out[name] = modes[mode] * total
     return out
 
 

@@ -6,7 +6,7 @@ Three routes to the same point:
   field with the at-rest drag convention; the oracle.
 * :func:`triangular_series` -- the delta/A2/W1 closed-form series.
 * :func:`epsilon_form` -- the gamma/epsilon/A2/W1 expansion used by the
-  normalization stages, a row of :data:`l4norm.closedforms.ROWS`.
+  normalization stages, the rows x and y of :data:`l4norm.closedforms.ROWS`.
 
 The series are evaluated verbatim; where a printed coefficient disagrees
 with the numeric oracle beyond truncation order, the discrepancy is the
