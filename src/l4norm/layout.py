@@ -8,13 +8,14 @@ the key lookup and the sup norms.  The key work of every operation the
 program runs (output keys, their order, which slots meet) depends only
 on the layouts, which repeat from one parameter point to the next, so it
 is planned once per layout, or tuple of layouts, and kept in one bounded
-table; the operation itself is arithmetic along the plan and builds no
-dict.  A sum (or a difference) appends the right operand's new keys in
-its order, so it is bit-identical to a plain loop over the terms, key
-order included.  The one product kernel, the substitution of series into
-a polynomial (:func:`l4norm.dalembert.substitute`), forms each product
-of up to three factors in one step, so it matches multiplying out one
-pair at a time to round-off.
+table (the Taylor expansion's once per degree cap and drag on/off); the
+operation itself is arithmetic along the plan and builds no dict.  A sum
+(or a difference) appends the right operand's new keys in its order, so
+it is bit-identical to a plain loop over the terms, key order included.
+The one product kernel, the substitution of series into a polynomial
+(:func:`l4norm.dalembert.substitute`), forms each product of up to three
+factors in one step, so it matches multiplying out one pair at a time to
+round-off.
 
 Layouts are interned by key tuple, so results of the same shape share
 plans.  Nothing depends on that: a layout evicted from the table and
@@ -28,7 +29,7 @@ import operator
 
 # Entries kept in the plan table: interned layouts and the plans made on
 # them.  The chain with its audit and the detector makes about 100 at five
-# mass ratios, and about 150 after 300 more seeded points.
+# mass ratios (4 expansion plans), and about 150 after 300 more seeded points.
 PLAN_TABLE_SIZE = 1024
 
 
@@ -110,10 +111,11 @@ class Store:
 
     _zero = 0.0
 
-    def _new(self, layout: Layout, values: list):
+    @classmethod
+    def _new(cls, layout: Layout, values: list):
         """This kind of store on a layout of stored keys, zeros dropped."""
-        out = object.__new__(type(self))
-        out.layout, out.values = pruned(layout, values, self._zero)
+        out = object.__new__(cls)
+        out.layout, out.values = pruned(layout, values, cls._zero)
         return out
 
     def __add__(self, other):

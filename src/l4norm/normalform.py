@@ -38,7 +38,7 @@ from .dalembert import (
     substitute,
 )
 from .errors import ContractError, StabilityDomainError
-from .layout import plan, sum_plan
+from .layout import intern, plan, sum_plan
 from .model import ModelParams
 from .polyalg import QuadraticCoefficients, TruncatedPoly
 
@@ -240,6 +240,9 @@ def j_numeric(p: ModelParams, efg: QuadraticCoefficients, w: FrequencyPair,
 
 # -- first-order components ---------------------------------------------
 
+# The layout of B1: the (1, 0) harmonic at I1^(1/2), the (0, 1) at I2^(1/2).
+_B1 = intern(((1, 0, 1, 0), (0, 1, 0, 1)))
+
 
 def first_order_components(nm):
     """Degree-1 series (B1 for x, B1 for y) from the printed combination.
@@ -252,11 +255,10 @@ def first_order_components(nm):
     w = nm.freq
     sq1, sq2 = math.sqrt(2.0 * w.omega1), math.sqrt(2.0 * w.omega2)
     iq1, iq2 = math.sqrt(2.0 / w.omega1), math.sqrt(2.0 / w.omega2)
-    b1x = DAlembertSeries({(1, 0, 1, 0): (nm.J13 * sq1, 0.0),
-                           (0, 1, 0, 1): (nm.J14 * sq2, 0.0)})
-    b1y = DAlembertSeries({(1, 0, 1, 0): (nm.J23 * sq1, nm.J21 * iq1),
-                           (0, 1, 0, 1): (nm.J24 * sq2, nm.J22 * iq2)})
-    return b1x, b1y
+    return (DAlembertSeries._new(_B1, [0j + complex(nm.J13 * sq1, 0.0),
+                                       0j + complex(nm.J14 * sq2, 0.0)]),
+            DAlembertSeries._new(_B1, [0j + complex(nm.J23 * sq1, nm.J21 * iq1),
+                                       0j + complex(nm.J24 * sq2, nm.J22 * iq2)]))
 
 
 def linear_operator(efg: QuadraticCoefficients, n: float):

@@ -5,8 +5,8 @@ velocities about the triangular point.  Total degree is capped; products
 truncate, never extend.  The centerpiece is :func:`taylor_lagrangian`,
 which expands the full Lagrangian about an equilibrium, exact to
 truncation order with no finite differences: binomial series of the 1/r
-powers and the complex-log series of the drag angle, as polynomials in
-the two displacements, lifted to the four variables once.
+powers and the complex-log series of the drag angle, added along a plan
+made once per degree cap and drag on/off, as coefficient dicts would be.
 
 A polynomial is a store (:mod:`l4norm.layout`): a list of real or complex
 coefficients on a shared key layout of exponent 4-tuples, whose sum,
@@ -16,7 +16,9 @@ slices and sup norms are those of the d'Alembert series.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .closedforms import on_branch, printed
 from .equilibria import OriginShift
@@ -47,8 +49,9 @@ class TruncatedPoly(Store):
     stored order.  Values are immutable by convention: all operations
     return new instances.  The constructor checks every key and drops the
     keys past the cap, products included; no other operation needs to,
-    because sums, slices and termwise maps reuse stored keys and a partial
-    derivative lowers a positive exponent.  No exact zero is stored.
+    because sums, slices and termwise maps reuse stored keys, a partial
+    derivative lowers a positive exponent and the Taylor expansion's keys
+    are planned.  No exact zero is stored.
     """
 
     __slots__ = ("cap",)
@@ -69,10 +72,7 @@ class TruncatedPoly(Store):
         self.values = list(kept.values())
 
     def _new(self, layout: Layout, values: list, cap: int | None = None):
-        out = TruncatedPoly.__new__(TruncatedPoly)
-        out.cap = self.cap if cap is None else cap
-        out.layout, out.values = pruned(layout, values, 0.0)
-        return out
+        return _polynomial(self.cap if cap is None else cap, layout, values)
 
     @property
     def coeffs(self) -> dict:
@@ -83,12 +83,6 @@ class TruncatedPoly(Store):
     @classmethod
     def constant(cls, value, cap: int):
         return cls(cap, {(0, 0, 0, 0): value})
-
-    @classmethod
-    def variable(cls, index: int, cap: int):
-        mono = [0, 0, 0, 0]
-        mono[index] = 1
-        return cls(cap, {tuple(mono): 1.0})
 
     # -- ring operations ----------------------------------------------
 
@@ -152,6 +146,14 @@ class TruncatedPoly(Store):
         return f"TruncatedPoly(cap={self.cap}, terms={len(self.values)})"
 
 
+def _polynomial(cap: int, layout: Layout, values: list) -> TruncatedPoly:
+    """A polynomial of this cap on a layout of stored keys, zeros dropped."""
+    out = object.__new__(TruncatedPoly)
+    out.cap = cap
+    out.layout, out.values = pruned(layout, values, 0.0)
+    return out
+
+
 # -- Taylor expansion ---------------------------------------------------
 
 
@@ -167,24 +169,66 @@ def _mul2(f: dict, g: dict, cap: int) -> dict:
     return out
 
 
-def _add_radial_powers(dx: float, dy: float, cap: int, *terms):
-    """For each ``(target, alpha, scale)``, add scale * r^(2 alpha) to the
-    target dict in (xi, eta), where r^2 = (dx + xi)^2 + (dy + eta)^2: the
-    binomial series of rho^(2 alpha) (1 + t)^alpha with rho^2 = dx^2 + dy^2
-    and t = (2 (dx xi + dy eta) + xi^2 + eta^2) / rho^2.  The powers of t
-    are formed once for all the terms."""
+# The keys in (xi, eta) of the binomial argument t; the kinetic, Coriolis
+# and centrifugal keys, which take the first slots; the drag's four levers.
+_T_KEYS = ((1, 0), (0, 1), (2, 0), (0, 2))
+_START_KEYS = ((0, 0, 2, 0), (0, 0, 0, 2), (1, 0, 0, 1), (0, 0, 0, 1),
+               (0, 1, 1, 0), (0, 0, 1, 0), (2, 0, 0, 0), (1, 0, 0, 0),
+               (0, 0, 0, 0), (0, 2, 0, 0), (0, 1, 0, 0))
+_LEVER_KEYS = ((1, 0, 1, 0), (0, 0, 1, 0), (0, 1, 0, 1), (0, 0, 0, 1))
+
+
+def _taylor_plan(cap: int, drag: bool):
+    """``(layout, power_plan, position, inverse, logs, levers)`` of
+    :func:`taylor_lagrangian` at this cap, with or without drag: the size
+    and top exponent of t^0, t^1, ... end to end and the rows ``(out,
+    left, t entry)`` of t^2, t^3, ...; the rows ``(k, n, slot)`` adding
+    power entry n times binomial coefficient k to the position slots, and
+    with a size to the 1/r1^2 slots below the cap; per k ``(slot, comb(k,
+    j) / k, 1j**j)``; and ``(slot, lever, 1/r1^2 slot)``.  Below cap 2 the
+    layout holds start keys and t's keys past the cap, which the call cuts."""
+    flat, products, first = [(0, (0, 0))] + [(1, key) for key in _T_KEYS], [], 1
+    for k in range(2, cap + 1):
+        index, end = {}, len(flat)
+        for n in range(first, end):
+            i, j = flat[n][1]
+            for r, (e, f) in enumerate(_T_KEYS):
+                if i + j + e + f <= cap:
+                    out = index.setdefault((i + e, j + f), end + len(index))
+                    products.append((out, n, r))
+        flat += [(k, key) for key in index]
+        first = end
+    slots = {key: n for n, key in enumerate(_START_KEYS)}
+    position = tuple((k, n, slots.setdefault(key + (0, 0), len(slots)))
+                     for n, (k, key) in enumerate(flat))
+    inverse = {}
+    at_inverse = tuple((k, n, inverse.setdefault(key, len(inverse)))
+                       for n, (k, key) in enumerate(flat) if drag and sum(key) < cap)
+    logs = tuple(tuple((slots[(k - j, j, 0, 0)], math.comb(k, j) / k, 1j ** j)
+                       for j in range(k + 1)) for k in range(1, cap + 1))
+    levers = tuple((slots.setdefault((i + e, j + f, k, m), len(slots)), n, s)
+                   for n, (i, j, k, m) in enumerate(_LEVER_KEYS)
+                   for (e, f), s in inverse.items() if i + j + e + f < cap)
+    return (Layout(tuple(slots)), (len(flat), flat[-1][0], tuple(products)),
+            position, (len(inverse), at_inverse), logs, levers)
+
+
+def _add_radial_series(dx: float, dy: float, power_plan, *terms):
+    """For each ``(values, rows, alpha, scale)``, add scale * r^(2 alpha)
+    along the rows: rho^(2 alpha) (1 + t)^alpha with rho^2 = dx^2 + dy^2,
+    t = (2 (dx xi + dy eta) + xi^2 + eta^2) / rho^2, as a binomial series."""
     rhosq = dx * dx + dy * dy
     inv = 1.0 / rhosq
-    t = {(1, 0): 2.0 * dx * inv, (0, 1): 2.0 * dy * inv, (2, 0): inv, (0, 2): inv}
-    powers = [{(0, 0): 1.0}, t]
-    while len(powers) <= cap:
-        powers.append(_mul2(powers[-1], t, cap))
-    for target, alpha, scale in terms:
-        coeff = scale * rhosq ** alpha
-        for k, power in enumerate(powers):
-            for key, c in power.items():
-                target[key] = target.get(key, 0.0) + coeff * c
-            coeff *= (alpha - k) / (k + 1)
+    t = [2.0 * dx * inv, 2.0 * dy * inv, inv, inv]
+    size, top, products = power_plan
+    powers = [1.0, *t] + [0.0] * (size - 5)
+    for out, left, right in products:
+        powers[out] += powers[left] * t[right]
+    for values, rows, alpha, scale in terms:
+        coeffs = list(accumulate(((alpha - k) / (k + 1) for k in range(top)),
+                                 operator.mul, initial=scale * rhosq ** alpha))
+        for k, n, slot in rows:
+            values[slot] += coeffs[k] * powers[n]
 
 
 def taylor_lagrangian(p: ModelParams, shift: OriginShift, degree: int) -> TruncatedPoly:
@@ -194,9 +238,10 @@ def taylor_lagrangian(p: ModelParams, shift: OriginShift, degree: int) -> Trunca
     (xi, eta): 1/r1, 1/r1^2, 1/r2 and 1/r2^3 (binomial series) and the drag
     angle, Im log(1 + z) with z = w (xi + i eta) and w = 1/(a + i b).  The
     kinetic, Coriolis, centrifugal and drag-radial factors are of degree
-    <= 2 and add their coefficients in closed form.  Keys are stored in the
-    order a composition of four-variable series stores them
-    (`tests/oracles.py`), so the series built from the expansion keep theirs.
+    <= 2 and add their coefficients in closed form, along a plan made once
+    per degree and drag on/off.  Keys are stored in the order a composition
+    of four-variable series stores them (`tests/oracles.py`), so the series
+    built from the expansion keep theirs.
 
     Parameters
     ----------
@@ -210,51 +255,47 @@ def taylor_lagrangian(p: ModelParams, shift: OriginShift, degree: int) -> Trunca
     a, b = shift.a, shift.b
     if a * a + b * b < 1e-12 or (a - 1.0) ** 2 + b * b < 1e-12:
         raise ContractError("expansion pivot coincides with a primary")
+    if degree < 0:
+        raise ParameterError("degree cap must be non-negative")
 
-    n, mu, cap = p.n, p.mu, degree
-    # centrifugal 1/2 n^2 ((x + xi)^2 + (b + eta)^2), where x = a - mu is
-    # the pivot's rotating-frame abscissa, then gravity
+    layout, power_plan, position, (size, inverse), logs, levers = plan(
+        _taylor_plan, degree, p.W1 != 0.0)
+    n, mu = p.n, p.mu
+    # kinetic 1/2 (xid^2 + etad^2), Coriolis n ((x + xi) etad - xid (b + eta))
+    # and centrifugal 1/2 n^2 ((x + xi)^2 + (b + eta)^2), where x = a - mu is
+    # the pivot's rotating-frame abscissa, then gravity and 1/r1^2
     x, half_n2 = a - mu, 0.5 * n * n
-    position = {(2, 0): half_n2, (1, 0): 2.0 * half_n2 * x,
-                (0, 0): half_n2 * (x * x + b * b), (0, 2): half_n2,
-                (0, 1): 2.0 * half_n2 * b}
-    inv_r1sq = {}
-    _add_radial_powers(a, b, cap, (position, -0.5, (1.0 - mu) * p.q1),
-                       (inv_r1sq, -1.0, 0.5 * p.W1))
-    _add_radial_powers(a - 1.0, b, cap, (position, -0.5, mu),
-                       (position, -1.5, 0.5 * mu * p.A2))
-    # kinetic 1/2 (xid^2 + etad^2) and Coriolis n ((x + xi) etad - xid (b + eta))
-    coeffs = {(0, 0, 2, 0): 0.5, (0, 0, 0, 2): 0.5, (1, 0, 0, 1): n,
-              (0, 0, 0, 1): n * x, (0, 1, 1, 0): -n, (0, 0, 1, 0): -n * b}
-    coeffs.update(((i, j, 0, 0), c) for (i, j), c in position.items())
+    values = [0.5, 0.5, n, n * x, -n, -n * b, half_n2, 2.0 * half_n2 * x,
+              half_n2 * (x * x + b * b), half_n2, 2.0 * half_n2 * b]
+    values += [0.0] * (len(layout.keys) - len(values))
+    inv_r1sq = [0.0] * size
+    _add_radial_series(a, b, power_plan, (values, position, -0.5, (1.0 - mu) * p.q1),
+                       (inv_r1sq, inverse, -1.0, 0.5 * p.W1))
+    _add_radial_series(a - 1.0, b, power_plan, (values, position, -0.5, mu),
+                       (values, position, -1.5, 0.5 * mu * p.A2))
 
+    constant = layout.index[(0, 0, 0, 0)]
     if p.W1 != 0.0:
         # -n W1 (atan2(b, a) + Im log(1 + z)), log(1 + z) = -sum (-z)^k / k
         w, wk = 1.0 / complex(a, b), n * p.W1
-        coeffs[(0, 0, 0, 0)] -= wk * math.atan2(b, a)
-        for k in range(1, cap + 1):
+        values[constant] -= wk * math.atan2(b, a)
+        for rows in logs:
             wk *= -w
-            for j in range(k + 1):
-                key = (k - j, j, 0, 0)
-                coeffs[key] = coeffs.get(key, 0.0) \
-                    + (wk * (math.comb(k, j) / k) * 1j ** j).imag
+            for slot, c, unit in rows:
+                values[slot] += (wk * c * unit).imag
         # W1/2 ((a + xi) xid + (b + eta) etad) / r1^2; each term holds one
         # velocity, so its displacement degree stays below the cap
-        for (i, j, k, m), lever in (((1, 0, 1, 0), 1.0), ((0, 0, 1, 0), a),
-                                    ((0, 1, 0, 1), 1.0), ((0, 0, 0, 1), b)):
-            for (e, f), c in inv_r1sq.items():
-                if i + j + e + f < cap:
-                    key = (i + e, j + f, k, m)
-                    coeffs[key] = coeffs.get(key, 0.0) + lever * c
-    total = TruncatedPoly(cap, coeffs)
+        lever = (1.0, a, 1.0, b)
+        for slot, k, m in levers:
+            values[slot] += lever[k] * inv_r1sq[m]
 
     # Constant term must reproduce the pointwise Lagrangian; a mismatch means
     # an expansion bug, so it is asserted rather than reported.
     l0 = lagrangian(State(a - p.mu, b, 0.0, 0.0), p)
-    drift = abs(total.coefficient((0, 0, 0, 0)) - l0)
+    drift = abs(values[constant] - l0)
     if drift > 1e-9 * max(1.0, abs(l0)):
         raise ContractError(f"constant-term drift {drift:.3e} in Taylor expansion")
-    return total
+    return _polynomial(max(degree, 2), layout, values).truncated(degree)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ the flow of the package's Lagrangian, whose drag keeps only the at-rest
 term W1 n (y, -(x+mu))/r1^2, because its velocity-dependent drag term is a
 total time derivative.  The normal form of the chain follows the second.
 `taylor_by_composition` expands the Lagrangian by composing four-variable
-polynomial series, the reference for `l4norm.polyalg.taylor_lagrangian`.
+polynomial series, the reference for `l4norm.polyalg.taylor_lagrangian`,
+and `taylor_by_dicts` expands it on coefficient dicts, its bit-for-bit
+reference; `variable` is one of the four variables as a polynomial.
 `substitute_pairwise` multiplies a substitution out one pair of term dicts
 at a time, the reference for `l4norm.normalform.poly_at_series`.
 `t5_by_products` multiplies out the drag cubic T5, the reference for
@@ -25,7 +27,7 @@ from l4norm.dalembert import DAlembertSeries, apply_poly_in_D
 from l4norm.equilibria import OriginShift
 from l4norm.errors import ContractError
 from l4norm.model import ModelParams, State, lagrangian, potential_gradient
-from l4norm.polyalg import TruncatedPoly
+from l4norm.polyalg import TruncatedPoly, _mul2
 
 
 @dataclass(frozen=True)
@@ -167,6 +169,13 @@ def substitute_pairwise(poly: TruncatedPoly, args, cap: int) -> DAlembertSeries:
 # -- Taylor expansion by series composition ----------------------------
 
 
+def variable(index: int, cap: int) -> TruncatedPoly:
+    """The variable of this index (xi, eta, xidot, etadot) as a polynomial."""
+    mono = [0, 0, 0, 0]
+    mono[index] = 1
+    return TruncatedPoly(cap, {tuple(mono): 1.0})
+
+
 def _powers(t: TruncatedPoly) -> list:
     """[t, t^2, ..., t^cap], ending early at the first power that vanishes."""
     out = []
@@ -244,10 +253,10 @@ def taylor_by_composition(p: ModelParams, shift: OriginShift,
         raise ContractError("expansion pivot coincides with a primary")
 
     cap = degree
-    xi = TruncatedPoly.variable(0, cap)
-    eta = TruncatedPoly.variable(1, cap)
-    xid = TruncatedPoly.variable(2, cap)
-    etad = TruncatedPoly.variable(3, cap)
+    xi = variable(0, cap)
+    eta = variable(1, cap)
+    xid = variable(2, cap)
+    etad = variable(3, cap)
 
     disp_sq = xi * xi + eta * eta
     t1 = (2.0 * (a * xi + b * eta) + disp_sq) * (1.0 / rho1sq)
@@ -288,6 +297,66 @@ def taylor_by_composition(p: ModelParams, shift: OriginShift,
     return total
 
 
+def _add_radial_powers(dx: float, dy: float, cap: int, *terms):
+    """For each ``(target, alpha, scale)``, add scale * r^(2 alpha) to the
+    target dict in (xi, eta), where r^2 = (dx + xi)^2 + (dy + eta)^2: the
+    binomial series of rho^(2 alpha) (1 + t)^alpha with rho^2 = dx^2 + dy^2
+    and t = (2 (dx xi + dy eta) + xi^2 + eta^2) / rho^2.  The powers of t
+    are formed once for all the terms."""
+    rhosq = dx * dx + dy * dy
+    inv = 1.0 / rhosq
+    t = {(1, 0): 2.0 * dx * inv, (0, 1): 2.0 * dy * inv, (2, 0): inv, (0, 2): inv}
+    powers = [{(0, 0): 1.0}, t]
+    while len(powers) <= cap:
+        powers.append(_mul2(powers[-1], t, cap))
+    for target, alpha, scale in terms:
+        coeff = scale * rhosq ** alpha
+        for k, power in enumerate(powers):
+            for key, c in power.items():
+                target[key] = target.get(key, 0.0) + coeff * c
+            coeff *= (alpha - k) / (k + 1)
+
+
+def taylor_by_dicts(p: ModelParams, shift: OriginShift, degree: int) -> TruncatedPoly:
+    """The truncated Taylor expansion of the Lagrangian about the shift
+    point on ``{key: coefficient}`` dicts, each term added in turn -- the
+    bit-for-bit reference for `l4norm.polyalg.taylor_lagrangian`, which
+    adds the same terms in the same order along a plan.  Binomial series
+    of 1/r1, 1/r1^2, 1/r2 and 1/r2^3 and the log series of the drag angle
+    in (xi, eta); the dict's keys, past the cap dropped, come in the order
+    the polynomial stores."""
+    a, b = shift.a, shift.b
+    n, mu, cap = p.n, p.mu, degree
+    x, half_n2 = a - mu, 0.5 * n * n
+    position = {(2, 0): half_n2, (1, 0): 2.0 * half_n2 * x,
+                (0, 0): half_n2 * (x * x + b * b), (0, 2): half_n2,
+                (0, 1): 2.0 * half_n2 * b}
+    inv_r1sq = {}
+    _add_radial_powers(a, b, cap, (position, -0.5, (1.0 - mu) * p.q1),
+                       (inv_r1sq, -1.0, 0.5 * p.W1))
+    _add_radial_powers(a - 1.0, b, cap, (position, -0.5, mu),
+                       (position, -1.5, 0.5 * mu * p.A2))
+    coeffs = {(0, 0, 2, 0): 0.5, (0, 0, 0, 2): 0.5, (1, 0, 0, 1): n,
+              (0, 0, 0, 1): n * x, (0, 1, 1, 0): -n, (0, 0, 1, 0): -n * b}
+    coeffs.update(((i, j, 0, 0), c) for (i, j), c in position.items())
+    if p.W1 != 0.0:
+        w, wk = 1.0 / complex(a, b), n * p.W1
+        coeffs[(0, 0, 0, 0)] -= wk * math.atan2(b, a)
+        for k in range(1, cap + 1):
+            wk *= -w
+            for j in range(k + 1):
+                key = (k - j, j, 0, 0)
+                coeffs[key] = coeffs.get(key, 0.0) \
+                    + (wk * (math.comb(k, j) / k) * 1j ** j).imag
+        for (i, j, k, m), lever in (((1, 0, 1, 0), 1.0), ((0, 0, 1, 0), a),
+                                    ((0, 1, 0, 1), 1.0), ((0, 0, 0, 1), b)):
+            for (e, f), c in inv_r1sq.items():
+                if i + j + e + f < cap:
+                    key = (i + e, j + f, k, m)
+                    coeffs[key] = coeffs.get(key, 0.0) + lever * c
+    return TruncatedPoly(cap, coeffs)
+
+
 def t5_by_products(p: ModelParams, shift: OriginShift) -> tuple:
     """The drag cubic T5 and its printed reading T5_print by multiplying
     out four-variable polynomials -- the reference for
@@ -298,10 +367,10 @@ def t5_by_products(p: ModelParams, shift: OriginShift) -> tuple:
         return TruncatedPoly(cap), TruncatedPoly(cap)
     a, b = shift.a, shift.b
     rho2 = a * a + b * b
-    xi = TruncatedPoly.variable(0, cap)
-    eta = TruncatedPoly.variable(1, cap)
-    xid = TruncatedPoly.variable(2, cap)
-    etad = TruncatedPoly.variable(3, cap)
+    xi = variable(0, cap)
+    eta = variable(1, cap)
+    xid = variable(2, cap)
+    etad = variable(3, cap)
     u = a * xi + b * eta
     w = b * xi - a * eta
     udot = a * xid + b * etad

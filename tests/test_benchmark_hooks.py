@@ -28,12 +28,12 @@ def test_traced_chain_point_counts_products(monkeypatch):
     spans = importlib.import_module("spans")
     import l4norm
     from l4norm import verify
-    from l4norm.polyalg import TruncatedPoly
+    from oracles import variable
 
     p = l4norm.ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0)
     res = l4norm.run_pipeline(p)
     untraced = res.gates(), verify.audit(res).gaps
-    xi, eta = TruncatedPoly.variable(0, 3), TruncatedPoly.variable(1, 3)
+    xi, eta = variable(0, 3), variable(1, 3)
     tracer = spans.Tracer()
     with tracer.measuring(0, SimpleNamespace()):
         res = l4norm.run_pipeline(p)

@@ -51,7 +51,8 @@ from l4norm.polyalg import (
     taylor_lagrangian,
 )
 
-from oracles import operator_by_composition, row_as_written, substitute_pairwise
+from oracles import (operator_by_composition, row_as_written, substitute_pairwise,
+                     variable)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -341,10 +342,10 @@ class TestForcing:
     def test_gauge_invariance_of_el_forcing(self):
         # adding an exact total derivative d/dt f3 to the cubic must not
         # change the Euler-Lagrange forcing
-        xi = TruncatedPoly.variable(0, 3)
-        eta = TruncatedPoly.variable(1, 3)
-        xid = TruncatedPoly.variable(2, 3)
-        etad = TruncatedPoly.variable(3, 3)
+        xi = variable(0, 3)
+        eta = variable(1, 3)
+        xid = variable(2, 3)
+        etad = variable(3, 3)
         f3 = xi * xi * eta - 2.0 * (eta * eta * eta)
         gauge = f3.partial(0) * xid + f3.partial(1) * etad
         l3 = self.lag.grade(3)
@@ -517,7 +518,7 @@ class TestH3:
         t_sym = t_coefficients_closed_form(sym, shift_from_point(
             solve_triangular_numeric(sym), sym))
         # (1/3!) {T1 x^3 + 3 T2 x^2 y + 3 T3 x y^2 + T4 y^3}; no drag, no T5
-        xi, eta = TruncatedPoly.variable(0, 3), TruncatedPoly.variable(1, 3)
+        xi, eta = variable(0, 3), variable(1, 3)
         l3 = (t_sym.T1 * (xi * xi * xi) + (3.0 * t_sym.T2) * (xi * xi * eta)
               + (3.0 * t_sym.T3) * (xi * eta * eta)
               + t_sym.T4 * (eta * eta * eta)) * (1.0 / 6.0)

@@ -13,7 +13,7 @@ from l4norm.equilibria import (
 )
 from l4norm.closedforms import ROWS
 from l4norm.errata import KNOWN_DISCREPANCIES
-from l4norm.errors import ContractError
+from l4norm.errors import ContractError, ParameterError
 from l4norm.layout import plan
 from l4norm.model import ModelParams, State, lagrangian
 from l4norm.polyalg import (
@@ -37,6 +37,8 @@ from oracles import (
     position_part,
     t5_by_products,
     taylor_by_composition,
+    taylor_by_dicts,
+    variable,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -44,8 +46,8 @@ SQRT3 = math.sqrt(3.0)
 
 def energy_poly(lag: TruncatedPoly) -> TruncatedPoly:
     """sum_v v dL/dv - L: the energy function of a Lagrangian polynomial."""
-    xid = TruncatedPoly.variable(2, lag.cap)
-    etad = TruncatedPoly.variable(3, lag.cap)
+    xid = variable(2, lag.cap)
+    etad = variable(3, lag.cap)
     return xid * lag.partial(2) + etad * lag.partial(3) - lag
 
 
@@ -97,12 +99,12 @@ class TestRingAxioms:
             assert all(c != 0.0 for c in out.coeffs.values())
 
     def test_product_truncates_never_extends(self):
-        x = TruncatedPoly.variable(0, 2)
+        x = variable(0, 2)
         assert (x * x * x).coeffs == {}  # degree 3 pruned at cap 2
 
     def test_partial_derivative(self):
-        x = TruncatedPoly.variable(0, 3)
-        e = TruncatedPoly.variable(1, 3)
+        x = variable(0, 3)
+        e = variable(1, 3)
         p = x * x * e
         assert p.partial(0).coefficient((1, 1, 0, 0)) == 2.0
         assert p.partial(1).coefficient((2, 0, 0, 0)) == 1.0
@@ -438,12 +440,12 @@ class TestTaylorLagrangian:
         assert all(14.0 <= r <= 18.0 for r in ratios), ratios
 
 
-def taylor_points():
+def taylor_points(count=12, seed=7):
     """Seeded equilibria on both branches, drag on every other one, and one
     pivot off the equilibrium."""
-    rng = random.Random(7)
+    rng = random.Random(seed)
     out = []
-    for k in range(12):
+    for k in range(count):
         drag = k % 2 == 0
         p = ModelParams(mu=rng.uniform(0.001, 0.037),
                         q1=1.0 - rng.uniform(0.0, 0.01) if drag else 1.0,
@@ -477,6 +479,48 @@ class TestTaylorReferences:
             # the shared keys in one order, so downstream series keep theirs
             assert [m for m in coeffs if m in reference] == \
                 [m for m in reference if m in coeffs]
+
+    @pytest.mark.parametrize("degree", range(6))
+    def test_matches_the_dict_expansion_bit_for_bit(self, degree):
+        # the plan adds the same terms in the same order as the dict loops:
+        # the same keys in the same order and every value bit for bit, with
+        # and without drag, on both branches
+        points = taylor_points()
+        assert {(p.W1 != 0.0, shift.b > 0.0) for p, shift in points} == \
+            {(True, True), (True, False), (False, True), (False, False)}
+        for p, shift in points:
+            assert exact(taylor_lagrangian(p, shift, degree)) == \
+                exact(taylor_by_dicts(p, shift, degree))
+
+    def test_low_degrees_are_the_degree_five_expansion_cut(self):
+        # degree 0 keeps the drag angle's constant term, though no term of
+        # its log series; every cap below 5 is the degree-5 expansion cut
+        # there, keys in order and values bit for bit
+        for p, shift in taylor_points(40, seed=5):
+            full = taylor_lagrangian(p, shift, 5)
+            for degree in range(5):
+                assert exact(taylor_lagrangian(p, shift, degree)) == \
+                    exact(full.truncated(degree))
+        with pytest.raises(ParameterError):
+            taylor_lagrangian(p, shift, -1)
+
+    def test_one_plan_per_degree_and_drag(self):
+        # the plan is keyed by the degree and whether there is drag, never
+        # by a value: 100 points at two degrees, drag on half of them, make
+        # at most the four plans, and a second pass makes none
+        points = taylor_points(100, seed=3)
+
+        def one_pass():
+            for p, shift in points:
+                for degree in (2, 3):
+                    taylor_lagrangian(p, shift, degree)
+
+        plan.cache_clear()
+        one_pass()
+        misses = plan.cache_info().misses
+        assert misses <= 4
+        one_pass()
+        assert plan.cache_info().misses == misses
 
     def test_matches_exact_derivatives(self):
         # every coefficient of degree <= 3 as the exact Taylor coefficient
