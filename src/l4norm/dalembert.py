@@ -14,8 +14,9 @@ of valid keys is valid (only its difference harmonics need
 canonicalising).  Products take an optional degree cap (j + m) and skip
 the pairs of terms that would exceed it.  A product of series, and a
 polynomial evaluated at series (:func:`substitute`), is planned once per
-shape, the layouts and the cap, and then runs as arithmetic along that
-plan; a k-factor product of terms is formed in one step.
+shape, the layouts and the cap, and the plan's rows compiled into one
+straight-line kernel; a call runs that kernel, which forms each k-factor
+product of terms in one step.
 
 A term c cos + s sin is stored as z = c + i s on a shared key layout
 (:mod:`l4norm.layout`).  A product of two terms gives the sum harmonic
@@ -35,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ContractError, CriticalTermError, ParameterError, SmallDivisorError
-from .layout import Layout, Store, intern, plan, pruned
+from .layout import Layout, Store, compiled, intern, plan, pruned
 
 DIVISOR_FLOOR = 1e-8
 
@@ -82,20 +83,26 @@ def _check_parity(j: int, m: int, p: int, q: int):
         raise ContractError(f"harmonic q={q} violates parity for m={m}")
 
 
-def _substitution_plan(monomials: Layout, cap: int | None, *layouts):
-    """``(layout, scales, passes, zero_slots)``: the plan of :func:`substitute`.
+def substitution_plan(polys: tuple, cap: int | None, layouts: tuple):
+    """``(outputs, kernel)``: the plan of evaluating each polynomial of
+    `polys`, a tuple of ``(n, e, monomial)`` whose coefficient is
+    ``coefficients[n]`` times the int `e` (unless None), at series of these
+    layouts with every product capped at `cap`.
 
     Each monomial is multiplied out as its powers left to right, each power
     its argument times itself left to right, the cap pruning every partial
     product.  Each tuple of argument terms and product-to-sum sign pattern
     gives a key and factors: indices into ``[1, argument values...,
     conjugates]``, a conjugate where a difference harmonic is canonicalised
-    by negation.  Tuples of one key whose factors differ only in order make
+    by negation.  Per polynomial, `outputs` holds ``(layout, scales, passes,
+    zero_slots)``: tuples of one key whose factors differ only in order make
     one row ``(slot, c, factors...)`` of `passes` (by factor count; the
-    constant monomial's factor is 1), where ``scales[c]`` is ``(monomial,
+    constant monomial's factor is 1), where ``scales[c]`` is ``((n, e),
     count of tuples times 2^(1 - factors))``.  Output keys come in the order
     the pairwise products meet them, if none prunes an exact zero;
     `zero_slots` are the (0, 0) harmonics, whose sine is dropped.
+    ``kernel(coefficients, [1.0, argument values...])`` returns the values
+    of each output (:func:`_kernel_source`).
     """
     flat = [(i, key) for i, a in enumerate(layouts) for key in a.keys]
     size = 1 + len(flat)
@@ -115,47 +122,88 @@ def _substitution_plan(monomials: Layout, cap: int | None, *layouts):
 
     leaves = [[(key, (n,)) for n, (v, key) in enumerate(flat, 1) if v == i]
               for i in range(len(layouts))]
-    slots, counts = {}, {}
-    for n, mono in enumerate(monomials.keys):
-        if sum(mono) > 3:
-            raise ContractError(f"monomial {mono} has more than 3 factors")
-        powers = [functools.reduce(times, [leaves[i]] * e)
-                  for i, e in enumerate(mono) if e]
-        for key, factors in (functools.reduce(times, powers) if powers
-                             else [((0, 0, 0, 0), (0,))]):
-            row = (slots.setdefault(key, len(slots)), n, *sorted(factors))
-            counts[row] = counts.get(row, 0) + 1
-    scales, passes = {}, ([], [], [])
-    for (slot, n, *factors), count in counts.items():
-        scale = scales.setdefault((n, count * 0.5 ** (len(factors) - 1)), len(scales))
-        passes[len(factors) - 1].append((slot, scale, *factors))
-    zero_slots = tuple(n for (_, _, p, q), n in slots.items() if p == q == 0)
-    return intern(tuple(slots)), tuple(scales), tuple(map(tuple, passes)), zero_slots
+    outputs = []
+    for poly in polys:
+        slots, counts = {}, {}
+        for n, e, mono in poly:
+            if sum(mono) > 3:
+                raise ContractError(f"monomial {mono} has more than 3 factors")
+            powers = [functools.reduce(times, [leaves[i]] * k)
+                      for i, k in enumerate(mono) if k]
+            for key, factors in (functools.reduce(times, powers) if powers
+                                 else [((0, 0, 0, 0), (0,))]):
+                row = (slots.setdefault(key, len(slots)), (n, e), *sorted(factors))
+                counts[row] = counts.get(row, 0) + 1
+        scales, passes = {}, ([], [], [])
+        for (slot, source, *factors), count in counts.items():
+            scale = scales.setdefault(
+                (source, count * 0.5 ** (len(factors) - 1)), len(scales))
+            passes[len(factors) - 1].append((slot, scale, *factors))
+        zero_slots = tuple(n for (_, _, p, q), n in slots.items() if p == q == 0)
+        outputs.append((intern(tuple(slots)), tuple(scales),
+                        tuple(map(tuple, passes)), zero_slots))
+    return tuple(outputs), compiled(_kernel_source(outputs, size), "kernel")
+
+
+def _kernel_source(outputs, size: int) -> str:
+    """Source of the kernel of these outputs: the constants
+    ``coefficients[n] (* e) * scale`` formed once, the factors as locals
+    (``g<a>``, the conjugate of ``f<a>``, formed only where a row reads it),
+    and per slot ``0j`` plus its rows' products, pass after pass, in the
+    order ``acc[slot] +=`` would add them.  Only ints and the reprs of the
+    plan's floats enter it."""
+    names = [f"f{a}" for a in range(size)] + [f"g{a}" for a in range(size)]
+    consts, conjugates, body, results = {}, set(), [], []
+    for o, (layout, scales, passes, zero_slots) in enumerate(outputs):
+        c = []
+        for (n, e), scale in scales:
+            value = f"coefficients[{n}]" + ("" if e is None else f" * {e}")
+            c.append(consts.setdefault(f"{value} * {scale!r}", f"c{len(consts)}"))
+        terms = [[] for _ in layout.keys]
+        for rows in passes:
+            for slot, k, *factors in rows:
+                terms[slot].append(" * ".join([c[k], *(names[a] for a in factors)]))
+                conjugates.update(a - size for a in factors if a >= size)
+        values = []
+        for slot, products in enumerate(terms):
+            v = f"v{o}_{slot}"
+            # 100 products a statement: a `+` chain of 3,000 overflows compile
+            for k in range(0, len(products), 100):
+                body.append(f"    {v} = {v if k else '0j'} + "
+                            + " + ".join(products[k:k + 100]))
+            values.append(f"complex({v}.real)" if slot in zero_slots else v)
+        results.append(f"[{', '.join(values)}]")
+    return "\n".join([
+        "def kernel(coefficients, f):", f"    {', '.join(names[:size])}, = f",
+        *(f"    g{a} = f{a}.conjugate()" for a in sorted(conjugates)),
+        *(f"    {name} = {value}" for value, name in consts.items()),
+        *body, f"    return ({', '.join(results)},)\n"])
+
+
+def _substitution_plan(monomials: Layout, cap: int | None, *layouts):
+    """The plan of :func:`substitute`, of one polynomial."""
+    return substitution_plan((tuple((n, None, mono) for n, mono in enumerate(
+        monomials.keys)),), cap, layouts)
+
+
+def substitute_along(planned, coefficients: list, args) -> list:
+    """The series of each output of a :func:`substitution_plan` for `args`
+    at these coefficients: one call of its kernel."""
+    outputs, kernel = planned
+    f = [1.0]
+    for a in args:
+        f += a.values
+    return [args[0]._new(out[0], values)
+            for out, values in zip(outputs, kernel(coefficients, f))]
 
 
 def substitute(monomials: Layout, coefficients: list, args, cap: int | None):
     """The polynomial with these monomials (one exponent per series in
     `args`, total degree at most 3) and coefficients, evaluated at `args`
-    with every product capped at degree `cap` (None keeps all): one
-    arithmetic pass per factor count along the plan of these layouts and
-    this cap."""
-    layout, scales, (rows1, rows2, rows3), zero_slots = plan(
-        _substitution_plan, monomials, cap, *(a.layout for a in args))
-    f = [1.0]
-    for a in args:
-        f += a.values
-    f += [z.conjugate() for z in f]
-    c = [coefficients[n] * scale for n, scale in scales]
-    acc = [0j] * len(layout.keys)
-    for slot, n, a in rows1:
-        acc[slot] += c[n] * f[a]
-    for slot, n, a, b in rows2:
-        acc[slot] += c[n] * f[a] * f[b]
-    for slot, n, a, b, d in rows3:
-        acc[slot] += c[n] * f[a] * f[b] * f[d]
-    for slot in zero_slots:
-        acc[slot] = complex(acc[slot].real)  # sin(0) is identically zero
-    return args[0]._new(layout, acc)
+    with every product capped at degree `cap` (None keeps all): one call of
+    the compiled kernel planned for these layouts and this cap."""
+    return substitute_along(plan(_substitution_plan, monomials, cap,
+                                 *(a.layout for a in args)), coefficients, args)[0]
 
 
 # The one monomial of a product of two series, x y.

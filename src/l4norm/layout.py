@@ -15,7 +15,8 @@ it is bit-identical to a plain loop over the terms, key order included.
 The one product kernel, the substitution of series into a polynomial
 (:func:`l4norm.dalembert.substitute`), forms each product of up to three
 factors in one step, so it matches multiplying out one pair at a time to
-round-off.
+round-off; its plan holds the rows compiled into one straight-line
+function (:func:`compiled`), which a call runs.
 
 Layouts are interned by key tuple, so results of the same shape share
 plans.  Nothing depends on that: a layout evicted from the table and
@@ -28,8 +29,9 @@ import functools
 import operator
 
 # Entries kept in the plan table: interned layouts and the plans made on
-# them.  The chain with its audit and the detector makes about 100 at five
-# mass ratios (4 expansion plans), and about 150 after 300 more seeded points.
+# them, each substitution plan with its compiled kernel.  The chain with its
+# audit and the detector makes about 100 at five mass ratios (3 kernels), and
+# about 175 after 300 more seeded points.
 PLAN_TABLE_SIZE = 1024
 
 
@@ -48,6 +50,14 @@ def plan(build, *args):
     """``build(*args)``, made on the first call with these arguments and
     kept in the plan table, which evicts the least recently used entry."""
     return build(*args)
+
+
+def compiled(source: str, name: str):
+    """The function `name` defined by generated `source`, as `dataclasses`
+    and `namedtuple` make theirs; a plan holding one compiles it once."""
+    namespace = {}
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    return namespace[name]
 
 
 def intern(keys: tuple) -> Layout:

@@ -7,8 +7,8 @@ The oracle chain this module serves:
    Lagrangian slice, both in closed form (the roots of a biquadratic, and
    per mode the null vector of a 2x2 matrix);
 2. first-order components B1 from the (x, y) rows of J;
-3. cubic forcing X2, Y2 and the energy's cubic at B1, all substituted
-   at (B1, B1, D B1, D B1);
+3. cubic forcing X2, Y2 and the energy's cubic at B1: the cubic's four
+   partials and its energy at (B1, B1, D B1, D B1) in one substitution;
 4. second-order components B2 by harmonic division;
 5. degree-3 energy coefficients after substituting x = B1 + B2, whose
    vanishing is the headline verification target: the quadratic energy
@@ -16,7 +16,7 @@ The oracle chain this module serves:
    sees only B1), both substituted by `poly_at_series`.
 
 A substitution into a polynomial is planned once per shape (the
-layouts and the degree cap) and then runs as arithmetic along its plan;
+layouts and the degree cap) and then runs as its plan's compiled kernel;
 no product term past the cap the stage reads is formed.
 """
 
@@ -36,11 +36,13 @@ from .dalembert import (
     apply_poly_in_D,  # noqa: F401 -- perfbench/spans.py wraps it here
     invert_delta,
     substitute,
+    substitute_along,
+    substitution_plan,
 )
 from .errors import ContractError, StabilityDomainError
-from .layout import intern, plan, sum_plan
+from .layout import Layout, intern, plan, sum_plan
 from .model import ModelParams
-from .polyalg import QuadraticCoefficients, TruncatedPoly
+from .polyalg import QuadraticCoefficients, TruncatedPoly, _partial_plan
 
 SIGMA = ((0.0, 0.0, 1.0, 0.0),
          (0.0, 0.0, 0.0, 1.0),
@@ -240,8 +242,10 @@ def j_numeric(p: ModelParams, efg: QuadraticCoefficients, w: FrequencyPair,
 
 # -- first-order components ---------------------------------------------
 
-# The layout of B1: the (1, 0) harmonic at I1^(1/2), the (0, 1) at I2^(1/2).
+# The layouts of B1, the (1, 0) harmonic at I1^(1/2) and the (0, 1) at
+# I2^(1/2), and of the quadratic form w1 I1 - w2 I2.
 _B1 = intern(((1, 0, 1, 0), (0, 1, 0, 1)))
+_H2 = intern(((2, 0, 0, 0), (0, 2, 0, 0)))
 
 
 def first_order_components(nm):
@@ -312,6 +316,16 @@ def poly_at_series(poly: TruncatedPoly, xi_s, eta_s, xid_s, etad_s,
 # -- cubic forcing and the second-order solve ------------------------------
 
 
+def _forcing_plan(l3: Layout, cap: int, *layouts):
+    """The substitution plan of the cubic's four partials, as
+    `TruncatedPoly.partial` lowers them, and of its energy, on the keys
+    `TruncatedPoly.energy` keeps (velocity degree other than 1)."""
+    energy = tuple((n, m[2] + m[3] - 1, m) for n, m in enumerate(l3.keys)
+                   if m[2] + m[3] != 1)
+    return substitution_plan(tuple(_partial_plan(l3, i)[1] for i in range(4))
+                             + (energy,), cap, layouts)
+
+
 def forcing_x2y2(l3: TruncatedPoly, b1x: DAlembertSeries, b1y: DAlembertSeries,
                  w: FrequencyPair):
     """Degree-2 forcing of the second-order equations: the Euler-Lagrange
@@ -319,18 +333,15 @@ def forcing_x2y2(l3: TruncatedPoly, b1x: DAlembertSeries, b1y: DAlembertSeries,
     (B1, B1, D B1, D B1).  Returns ``(x2, y2), (x2p, y2p), cubic``: the
     second pair is its position-partial part [dL3/dx] at the same point,
     and `cubic` the energy's cubic `l3.energy()` at B1, all five
-    substituted at cap 3."""
+    substituted at cap 3 in one kernel call, each bit for bit as
+    `poly_at_series` of that polynomial."""
     if any(sum(m) != 3 for m in l3.layout.keys):
         raise ContractError("forcing expects a homogeneous cubic slice")
     args = (b1x, b1y, apply_D(b1x, w), apply_D(b1y, w))
-
-    def sub(poly):
-        return poly_at_series(poly, *args, 3)
-
-    x2p, y2p = sub(l3.partial(0)), sub(l3.partial(1))
-    x2 = x2p - apply_D(sub(l3.partial(2)), w)
-    y2 = y2p - apply_D(sub(l3.partial(3)), w)
-    return (x2, y2), (x2p, y2p), sub(l3.energy())
+    x2p, y2p, vx, vy, cubic = substitute_along(
+        plan(_forcing_plan, l3.layout, 3, *(a.layout for a in args)),
+        l3.values, args)
+    return ((x2p - apply_D(vx, w), y2p - apply_D(vy, w)), (x2p, y2p), cubic)
 
 
 @dataclass(frozen=True)
@@ -415,7 +426,7 @@ def h3_normal_coefficients(cubic: DAlembertSeries, l2: TruncatedPoly, b1, b2,
     total = poly_at_series(l2.energy(), bx, by, apply_D(bx, w),
                            apply_D(by, w), 3) + cubic
 
-    h2_form = (DAlembertSeries.single(2, 0, 0, 0, c=w.omega1)
-               + DAlembertSeries.single(0, 2, 0, 0, c=-w.omega2))
-    h2_res = total.degree_slice(2).norm_of_difference(h2_form)
+    h2_form = DAlembertSeries._new(_H2, [0j + complex(w.omega1, 0.0),
+                                         0j + complex(-w.omega2, 0.0)])
+    h2_res = (total.degree_slice(2) - h2_form).max_abs()
     return H3NormalCoefficients(total.degree_slice(3), h2_res)

@@ -30,12 +30,11 @@ NVARS = 4
 
 
 def _partial_plan(layout: Layout, index: int):
-    """``(layout, rows)`` of d/d(variable `index`): one ``(slot, exponent)``
-    per monomial holding the variable, and the lowered monomials."""
-    rows = tuple((n, m[index]) for n, m in enumerate(layout.keys) if m[index])
-    return intern(tuple(
-        layout.keys[n][:index] + (e - 1,) + layout.keys[n][index + 1:]
-        for n, e in rows)), rows
+    """``(layout, rows)`` of d/d(variable `index`): one ``(slot, exponent,
+    lowered monomial)`` per monomial holding the variable."""
+    rows = tuple((n, m[index], m[:index] + (m[index] - 1,) + m[index + 1:])
+                 for n, m in enumerate(layout.keys) if m[index])
+    return intern(tuple(row[2] for row in rows)), rows
 
 
 def _velocity_degree(mono) -> int:
@@ -126,7 +125,7 @@ class TruncatedPoly(Store):
 
     def partial(self, index: int):
         layout, rows = plan(_partial_plan, self.layout, index)
-        return self._new(layout, [self.values[n] * e for n, e in rows])
+        return self._new(layout, [self.values[n] * e for n, e, _ in rows])
 
     def coefficient(self, mono) -> float:
         return self._value(tuple(mono))

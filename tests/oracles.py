@@ -10,7 +10,9 @@ polynomial series, the reference for `l4norm.polyalg.taylor_lagrangian`,
 and `taylor_by_dicts` expands it on coefficient dicts, its bit-for-bit
 reference; `variable` is one of the four variables as a polynomial.
 `substitute_pairwise` multiplies a substitution out one pair of term dicts
-at a time, the reference for `l4norm.normalform.poly_at_series`.
+at a time, the reference for `l4norm.normalform.poly_at_series`, and
+`substitute_by_rows` runs a substitution plan's rows in a loop, the
+bit-for-bit reference for its compiled kernel.
 `t5_by_products` multiplies out the drag cubic T5, the reference for
 `l4norm.polyalg.t_coefficients_closed_form`.  `classical_cubic_symbolic`
 derives the classical T1..T4 exactly, the reference for the printed rows,
@@ -164,6 +166,34 @@ def substitute_pairwise(poly: TruncatedPoly, args, cap: int) -> DAlembertSeries:
             oc, os = total.get(key, (0.0, 0.0))
             total[key] = (oc + c, os + s)
     return DAlembertSeries(total)
+
+
+def substitute_by_rows(planned, coefficients: list, args) -> list:
+    """The series a `l4norm.dalembert.substitution_plan` makes of these
+    coefficients, read off its rows in a loop, the bit-for-bit reference
+    for its compiled kernel: per output, ``acc[slot]`` starts at 0j and
+    adds each row's product, the one-factor rows first, then the two- and
+    three-factor ones, and a (0, 0) harmonic keeps its real part."""
+    outputs, _ = planned
+    f = [1.0]
+    for a in args:
+        f += a.values
+    f += [z.conjugate() for z in f]
+    out = []
+    for layout, scales, (rows1, rows2, rows3), zero_slots in outputs:
+        c = [coefficients[n] * scale if e is None else coefficients[n] * e * scale
+             for (n, e), scale in scales]
+        acc = [0j] * len(layout.keys)
+        for slot, n, a in rows1:
+            acc[slot] += c[n] * f[a]
+        for slot, n, a, b in rows2:
+            acc[slot] += c[n] * f[a] * f[b]
+        for slot, n, a, b, d in rows3:
+            acc[slot] += c[n] * f[a] * f[b] * f[d]
+        for slot in zero_slots:
+            acc[slot] = complex(acc[slot].real)  # sin(0) is identically zero
+        out.append(DAlembertSeries._new(layout, acc))
+    return out
 
 
 # -- Taylor expansion by series composition ----------------------------

@@ -18,11 +18,13 @@ from l4norm.dalembert import (
     invert_delta,
     moser_check,
     small_divisor,
+    substitute_along,
+    substitution_plan,
 )
 from l4norm.errors import ContractError, CriticalTermError, ParameterError, SmallDivisorError
 from l4norm.layout import PLAN_TABLE_SIZE, intern, plan
 
-from oracles import delta_operator
+from oracles import delta_operator, substitute_by_rows
 
 W_CLASSICAL = FrequencyPair(0.9633268056899441, 0.26834972742935684)  # mu = 0.01
 
@@ -258,6 +260,29 @@ class TestProductPlans:
                 assert plan.cache_info().misses == misses
             out = a.mul(b, cap)
             assert list(out.terms.items()) == reference_mul(a, b, cap)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), layout, layout, st.sampled_from((None, 1, 2, 3)))
+    def test_compiled_kernel_equals_the_row_loop(self, data, left, right, cap):
+        # bit for bit, keys in order: the kernel adds the rows' products in
+        # the order the loop over them does
+        a = on_layout(left, data.draw(values_for(left)))
+        b = on_layout(right, data.draw(values_for(right)))
+        planned = plan(_substitution_plan, _PRODUCT, cap, a.layout, b.layout)
+        (reference,) = substitute_by_rows(planned, [1.0], (a, b))
+        assert exact(a.mul(b, cap).terms.items()) == exact(reference.terms.items())
+
+    def test_kernel_of_a_long_sum_compiles(self):
+        # 5,000 rows into one slot: one `+` chain that long would overflow
+        # the compiler's recursion limit
+        s = DAlembertSeries.single(1, 0, 1, 0, c=0.5, s=0.25)
+        coefficients = [1.0 / (n + 1) for n in range(5000)]
+        planned = substitution_plan(
+            (tuple((n, None, (1,)) for n in range(5000)),), None, (s.layout,))
+        assert len(planned[0][0][2][0]) == 5000
+        (compiled,) = substitute_along(planned, coefficients, (s,))
+        (reference,) = substitute_by_rows(planned, coefficients, (s,))
+        assert exact(compiled.terms.items()) == exact(reference.terms.items())
 
     def test_constant_sine_dropped_and_difference_sine_flipped(self):
         # one harmonic times itself: sin(0) drops the (0, 0) difference

@@ -19,7 +19,8 @@ from l4norm.closedforms import (
     printed,
     rs_tables,
 )
-from l4norm.dalembert import DAlembertSeries, FrequencyPair, apply_D
+from l4norm.dalembert import (DAlembertSeries, FrequencyPair, _substitution_plan,
+                              apply_D, substitute_along)
 from l4norm.equilibria import solve_triangular_numeric, shift_from_point
 from l4norm.errors import (
     ContractError,
@@ -30,6 +31,7 @@ from l4norm.errors import (
 from l4norm.layout import plan
 from l4norm.model import ModelParams
 from l4norm.normalform import (
+    _forcing_plan,
     apply_operator,
     classical_frequencies,
     first_order_components,
@@ -51,8 +53,8 @@ from l4norm.polyalg import (
     taylor_lagrangian,
 )
 
-from oracles import (operator_by_composition, row_as_written, substitute_pairwise,
-                     variable)
+from oracles import (operator_by_composition, row_as_written, substitute_by_rows,
+                     substitute_pairwise, variable)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -595,6 +597,12 @@ def _random_series(rng, nterms: int, max_degree: int = 2):
                             for key in rng.sample(keys, nterms)})
 
 
+def _bits(series):
+    """Keys in stored order with the exact bits of each value."""
+    return [(key, z.real.hex(), z.imag.hex())
+            for key, z in zip(series.layout.keys, series.values)]
+
+
 def assert_matches_pairwise(poly, args, cap):
     """`poly_at_series` equals the pairwise reference to 1e-13 of the
     output's largest magnitude (a key where either side cancelled to an
@@ -629,6 +637,48 @@ class TestSubstitutionKernel:
             for cap in (2, 3):
                 for poly in polys:
                     assert_matches_pairwise(poly, args, cap)
+
+    def test_kernels_equal_the_row_loop_at_chain_points(self, chain):
+        # every substitution of the chain's polynomials at B1 and at
+        # B1 + B2, and the forcing's five in one plan, bit for bit
+        lag, w = chain.lagrangian_poly, chain.freq
+        l3 = lag.grade(3)
+        polys = [l3.partial(i) for i in range(4)]
+        polys += [l3.energy(), lag.grade(2).energy(), lag]
+        b1x, b1y = chain.b1
+        bx, by = b1x + chain.b2.b2x, b1y + chain.b2.b2y
+        for x, y in ((b1x, b1y), (bx, by)):
+            args = (x, y, apply_D(x, w), apply_D(y, w))
+            layouts = [a.layout for a in args]
+            for cap in (2, 3):
+                for poly in polys:
+                    planned = plan(_substitution_plan, poly.layout, cap, *layouts)
+                    (reference,) = substitute_by_rows(planned, poly.values, args)
+                    assert _bits(poly_at_series(poly, *args, cap)) == _bits(reference)
+                planned = plan(_forcing_plan, l3.layout, cap, *layouts)
+                assert (list(map(_bits, substitute_along(planned, l3.values, args)))
+                        == list(map(_bits, substitute_by_rows(planned, l3.values, args))))
+
+    def test_fused_forcing_equals_five_substitutions(self, chain):
+        # the four partials and the energy in one kernel call, each bit for
+        # bit as its own substitution; drag-free, the velocity partials are
+        # empty polynomials
+        l3, w = chain.lagrangian_poly.grade(3), chain.freq
+        b1x, b1y = chain.b1
+        args = (b1x, b1y, apply_D(b1x, w), apply_D(b1y, w))
+        dx, dy, dvx, dvy, energy = [poly_at_series(poly, *args, 3) for poly in
+                                    [l3.partial(i) for i in range(4)] + [l3.energy()]]
+        planned = plan(_forcing_plan, l3.layout, 3, *(a.layout for a in args))
+        assert (list(map(_bits, substitute_along(planned, l3.values, args)))
+                == list(map(_bits, (dx, dy, dvx, dvy, energy))))
+        (x2, y2), (x2p, y2p), cubic = forcing_x2y2(l3, b1x, b1y, w)
+        assert _bits(x2p) == _bits(dx) and _bits(y2p) == _bits(dy)
+        assert _bits(x2) == _bits(dx - apply_D(dvx, w))
+        assert _bits(y2) == _bits(dy - apply_D(dvy, w))
+        assert _bits(cubic) == _bits(energy)
+        if not chain.params.W1:
+            assert l3.partial(2).values == l3.partial(3).values == []
+            assert dvx.values == dvy.values == []
 
     def test_matches_pairwise_reference_on_random_series(self):
         rng = random.Random(4)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from l4norm import normalform
+from l4norm import dalembert, normalform
 from l4norm.closedforms import J_ENTRIES, MIRROR_ODD, RS_SLOTS, on_branch, reflect
 from l4norm.dalembert import DAlembertSeries, apply_D
 from l4norm.errata import KNOWN_DISCREPANCIES, is_registered
@@ -604,18 +604,18 @@ class TestH3Substitution:
         assert list(cubic_at_b1_anew(res).terms.items()) == ablation
 
     def test_each_substitution_shape_plans_once(self, res, monkeypatch):
-        # The forcing substitutes five polynomials at (B1, B1, D B1, D B1)
-        # and H3 one at B1 + B2, all at cap 3; once a point of this shape
-        # has run, another chain of it, stopped at b2 with its
-        # partial-forcing gap or run through h3, plans nothing anew.
+        # The forcing substitutes its five polynomials at (B1, B1, D B1,
+        # D B1) in one kernel call, without `poly_at_series`, and H3 one
+        # at B1 + B2, all at cap 3; once a point of this shape has run,
+        # another chain of it, stopped at b2 with its partial-forcing gap
+        # or run through h3, plans nothing anew.
         calls = []
         sub = normalform.poly_at_series
         monkeypatch.setattr(normalform, "poly_at_series",
                             lambda *args: calls.append(args) or sub(*args))
         chain = run_pipeline(res.params, res.options)
-        assert [args[5] for args in calls] == [3] * 6
-        assert all(a is b for a, b in zip(calls[0][1:3], chain.b1))
-        assert calls[5][1] is not chain.b1[0]
+        assert [args[5] for args in calls] == [3]
+        assert calls[0][1] is not chain.b1[0]
 
         def same_shape():
             partial_forcing_gap(run_pipeline(res.params, res.options,
@@ -647,6 +647,28 @@ def test_plan_table_stays_within_its_budget():
     one_pass()
     assert plan.cache_info().misses == misses
     assert plan.cache_info().currsize == size
+
+
+def test_kernels_are_compiled_once_per_shape(monkeypatch):
+    # A substitution kernel is keyed by its layouts and cap, never by a
+    # value: 100 seeded chains with their audits compile three (the
+    # forcing with and without drag, H3's energy), and 100 other points
+    # compile none.
+    made = []
+    compiled = dalembert.compiled
+    monkeypatch.setattr(dalembert, "compiled", lambda source, name:
+                        made.append(name) or compiled(source, name))
+
+    def chains(seed):
+        for p, branch in _stopping_points(100, seed=seed):
+            audit(run_pipeline(p, PipelineOptions(branch=branch)))
+
+    plan.cache_clear()
+    chains(7)
+    assert 0 < len(made) <= 3
+    count = len(made)
+    chains(8)
+    assert len(made) == count
 
 
 def test_grades_are_sliced_once_and_only_when_read(monkeypatch):
