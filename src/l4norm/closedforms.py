@@ -37,10 +37,10 @@ primes ``pp`` (F2pp = F2'').
 from __future__ import annotations
 
 import math
-from operator import mul
 
 from .dalembert import DIVISOR_FLOOR, DAlembertSeries, FrequencyPair
 from .errors import SmallDivisorError
+from .layout import compiled, plan
 from .model import SQRT3, ModelParams
 
 
@@ -263,32 +263,59 @@ def _expand(modes: dict, prefactor, *terms):
 _MODES = {(): 0}
 _EXPANDED = {name: _expand(_MODES, *row) for name, row in ROWS.items()}
 
+# The kernel's locals for BASIS, formed from p in the order `printed` always
+# formed them; the first monomial, 1, is no local.
+_BASIS_LOCALS = ("1.0", "g", "A2", "A2g", "eps", "epsg", "ea", "eag",
+                 "u", "ug", "ugg", "ue", "ueg", "uegg")
+
 
 def printed(names, p: ModelParams, w: FrequencyPair | None = None) -> dict:
     """The rows `names` at p, by name; the J rows read the mode scalars of
-    the frequencies `w`."""
-    modes = [1.0]
-    if w is not None:
-        l1, l2, k1, k2 = mode_scalars(w)
-        scalars = dict(n=p.n, w1=w.omega1, w2=w.omega2, l1=l1, k1=k1, l2=l2, k2=k2)
-        modes = []
-        for mode in _MODES:
-            value = 1.0
-            for name, power in mode:
-                value *= scalars[name] ** power
-            modes.append(value)
-    eps, A2, g, u = p.epsilon, p.A2, p.gamma, p.n * p.W1 / SQRT3
-    ea, ug, ue = eps * A2, u * g, u * eps
-    basis = (1.0, g, A2, A2 * g, eps, eps * g, ea, ea * g,
-             u, ug, ug * g, ue, ue * g, ue * g * g)
-    out = {}
-    for name in names:
+    the frequencies `w`.  One kernel per tuple of names (:func:`_row_kernel`)."""
+    names = tuple(names)
+    scalars = () if w is None else (w.omega1, w.omega2, *mode_scalars(w))
+    return dict(zip(names, plan(_row_kernel, names)(p, scalars)))
+
+
+def _row_kernel(names: tuple):
+    """The rows `names` compiled into ``rows(p, (w1, w2, l1, l2, k1, k2))``,
+    which returns their values in order.  A row is its mode prefactor times
+    ``0.0`` plus, per group, the group's mode times ``(0.0 + c * b + ...)``
+    over the nonzero coefficients c of BASIS, added left to right: float
+    `sum` adds that way from 0.0, and a running sum that starts at +0.0 is
+    left unchanged by an exact-zero term, so the values are those of a sum
+    over every coefficient, bit for bit.  A mode monomial is its factors'
+    powers multiplied left to right; the empty one, 1.0, is left out.  Only
+    names, ints and the reprs of the rows' floats enter the source."""
+    used, body = set(), []
+
+    def times(mode):
+        used.add(mode)
+        return f"m{mode} * " if mode else ""
+
+    for r, name in enumerate(names):
         mode, groups = _EXPANDED[name]
-        total = 0.0
+        total = "0.0"
         for weight_mode, sums in groups:
-            total += modes[weight_mode] * sum(map(mul, sums, basis))
-        out[name] = modes[mode] * total
-    return out
+            terms = "".join(f" + {c!r}" + (f" * {_BASIS_LOCALS[k]}" if k else "")
+                            for k, c in enumerate(sums) if c)
+            total += f" + {times(weight_mode)}(0.0{terms})"
+        body.append(f"    r{r} = {times(mode)}({total})")
+    lines = ["def rows(p, scalars):",
+             "    eps, A2, g = p.epsilon, p.A2, p.gamma",
+             f"    u = p.n * p.W1 / {SQRT3!r}",
+             "    ea, ug, ue = eps * A2, u * g, u * eps",
+             "    A2g, epsg, eag, ugg, ueg = A2 * g, eps * g, ea * g, ug * g, ue * g",
+             "    uegg = ueg * g"]
+    used.discard(0)
+    if used:
+        lines += ["    w1, w2, l1, l2, k1, k2 = scalars", "    n = p.n"]
+        lines += [f"    m{index} = " + " * ".join(f"{factor} ** {power}"
+                                                 for factor, power in mode)
+                  for mode, index in _MODES.items() if index in used]
+    results = "".join(f"r{r}, " for r in range(len(names)))
+    return compiled("\n".join([*lines, *body, f"    return ({results})\n"]),
+                    "rows")
 
 
 def reflect(values: dict) -> dict:
@@ -298,10 +325,11 @@ def reflect(values: dict) -> dict:
 
 def on_branch(p: ModelParams, branch: str):
     """``(q, read)``: the parameters to evaluate the printed rows at for
-    `branch` at p, and the map that reads their values on it (MIRROR_ODD)."""
+    `branch` at p, and the map that reads their values on it (MIRROR_ODD).
+    On L5, q is `p.mirror`, made once per p."""
     if branch == "L4":
         return p, dict
-    return ModelParams._from_perturbations(p.mu, p.epsilon, p.A2, -p.W1), reflect
+    return p.mirror, reflect
 
 
 def j_closed_form(p: ModelParams, w: FrequencyPair) -> dict:

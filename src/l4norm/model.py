@@ -16,6 +16,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -94,6 +95,14 @@ class ModelParams:
         object.__setattr__(p, "W1", W1)
         object.__setattr__(p, "cd", math.nan)
         return p
+
+    @functools.cached_property
+    def mirror(self) -> ModelParams:
+        """These parameters with W1 negated, made once per instance: the
+        L5 chain at W1 is the L4 chain at -W1 reflected in y (see
+        `l4norm.closedforms.MIRROR_ODD`)."""
+        return ModelParams._from_perturbations(self.mu, self.epsilon, self.A2,
+                                               -self.W1)
 
 
 @dataclass(frozen=True)

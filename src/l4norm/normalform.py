@@ -198,7 +198,9 @@ def mode_vector(omega: float, K: tuple, C: tuple) -> list:
     q0, q1 = big[1], -big[0]
     v = [q0, q1, (1j * omega + C[0][0]) * q0 + C[0][1] * q1,
          C[1][0] * q0 + (1j * omega + C[1][1]) * q1]
-    norm = math.sqrt(sum(abs(z)**2 for z in v))
+    # plain left-to-right additions: the builtin `sum` of Python 3.12 and
+    # later compensates its rounding, that of 3.11 does not
+    norm = math.sqrt(abs(v[0])**2 + abs(v[1])**2 + abs(v[2])**2 + abs(v[3])**2)
     return [z / norm for z in v]
 
 

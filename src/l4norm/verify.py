@@ -11,8 +11,10 @@ against the registry in :mod:`l4norm.errata`.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from . import closedforms, equilibria, normalform, polyalg
@@ -76,12 +78,12 @@ class PipelineResult:
     b2: normalform.SecondOrderSolution | None = None
     h3: normalform.H3NormalCoefficients | None = None
     h3_ablation: normalform.H3NormalCoefficients | None = None
+    # the largest sup norm of X2, Y2 and B2, set where the b2 stage writes
+    # them; 1.0 before it
+    _scale: float = field(default=1.0, init=False, repr=False)
 
     def intermediate_scale(self) -> float:
-        parts = [s.max_abs() for s in (self.x2, self.y2) if s is not None]
-        if self.b2 is not None:
-            parts += [self.b2.b2x.max_abs(), self.b2.b2y.max_abs()]
-        return max(parts, default=1.0)
+        return self._scale
 
     def h3_bound(self) -> float:
         """The `h3-vanishing` gate's bound: h3_tol_factor times the scale."""
@@ -106,11 +108,11 @@ class PipelineResult:
                                           self.b2.residual_y) < opt.residual_tol)
         if self.h3 is not None:
             bound = self.h3_bound()
-            out["h3-vanishing"] = bool(self.h3.max_abs() < bound)
+            h3_max = self.h3.max_abs()
+            out["h3-vanishing"] = bool(h3_max < bound)
             if self.h3_ablation is not None:
                 out["h3-test-power"] = bool(
-                    self.h3_ablation.max_abs() > 1e3 * max(self.h3.max_abs(),
-                                                           bound))
+                    self.h3_ablation.max_abs() > 1e3 * max(h3_max, bound))
         return out
 
 
@@ -164,6 +166,8 @@ def run_pipeline(p: ModelParams, options: PipelineOptions = PipelineOptions(),
                                 res.b1[1], res.freq)
     res.b2 = normalform.solve_second_order_oracle(
         res.efg, res.freq, p.n, res.x2, res.y2, floor=options.divisor_floor)
+    res._scale = max(res.x2.max_abs(), res.y2.max_abs(),
+                     res.b2.b2x.max_abs(), res.b2.b2y.max_abs())
     if last == 3:
         return res
 
@@ -177,6 +181,43 @@ def run_pipeline(p: ModelParams, options: PipelineOptions = PipelineOptions(),
 # -- audit of the printed tables -------------------------------------------
 
 
+class Gaps(Mapping):
+    """An audit's gaps by key, in the audit's order.  The keys of a group
+    added by `defer` are listed at once, and the group is computed on the
+    first read of any of its keys, once; an error it raises is raised
+    again on each read that needs it."""
+
+    def __init__(self):
+        self._values = {}
+        self._pending = {}   # key -> the computation of its group
+
+    def __setitem__(self, key, value):
+        self._values[key] = value
+
+    def defer(self, keys, compute):
+        """Hold `keys` for ``compute()``, which returns their gaps by key."""
+        for key in keys:
+            self._values[key] = None
+            self._pending[key] = compute
+
+    def __getitem__(self, key):
+        compute = self._pending.get(key)
+        if compute is not None:
+            for name, value in compute().items():
+                self._values[name] = value
+                del self._pending[name]
+        return self._values[key]
+
+    def __contains__(self, key):
+        return key in self._values
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self):
+        return len(self._values)
+
+
 @dataclass
 class Audit:
     """Printed-table values at one pipeline result and their gaps to it;
@@ -188,12 +229,24 @@ class Audit:
     rs: dict | None = None
     # r1..s10 read off the chain's B2 by `oracle_rs_from_series`
     rs_oracle: dict | None = None
-    gaps: dict = field(default_factory=dict)
+    gaps: Gaps = field(default_factory=Gaps)
+
+
+CUBIC_KEYS = tuple(f"cubic.{name}"
+                   for name in ("T1", "T2", "T3", "T4", "T5", "T5_print"))
 
 
 def audit(res: PipelineResult) -> Audit:
     """Evaluate the printed series behind every stage the result holds.
-    Raises where a printed series has no value; the result stays valid."""
+    Raises where a printed series has no value; the result stays valid.
+
+    The gaps that the report prints (``equilibria.*``, ``j.*``, ``b2.*``)
+    are computed here.  Four groups are computed on the first read of any
+    of their keys, from a shallow copy of the result taken here:
+    ``offset.*``, ``cubic.*``, ``b1.print_weights`` and
+    ``forcing.partial_only``.  An error of one of those is raised on the
+    read that needs it; none raises on a result whose stages passed, as
+    their divisors are the chain's own."""
     p, branch = res.params, res.options.branch
     # the printed rows are L4's: on L5 they are read as its mirror
     q, read = closedforms.on_branch(p, branch)
@@ -202,20 +255,27 @@ def audit(res: PipelineResult) -> Audit:
     gaps = out.gaps
     gaps["equilibria.series"] = _point_gap(res.eq_numeric, out.eq_series)
     gaps["equilibria.epsilon_form"] = _point_gap(res.eq_numeric, out.eq_epsform)
-    printed_shift = read(vars(equilibria.offset_ab(q)))
-    gaps["offset.a"] = abs(printed_shift["a"] - res.shift.a)
-    gaps["offset.b"] = abs(printed_shift["b"] - res.shift.b)
-    lagrangian = res.lagrangian_poly
-    if lagrangian is None:
+    chain = copy.copy(res)
+
+    def offset():
+        printed_shift = read(vars(equilibria.offset_ab(q)))
+        return {"offset.a": abs(printed_shift["a"] - chain.shift.a),
+                "offset.b": abs(printed_shift["b"] - chain.shift.b)}
+
+    gaps.defer(("offset.a", "offset.b"), offset)
+    if res.lagrangian_poly is None:
         return out
 
-    if lagrangian.cap < 3:
-        # a chain stopped before b2 expanded only the quadratic part
-        lagrangian = polyalg.taylor_lagrangian(p, res.shift, 3)
-    for name, gap in polyalg.compare_h3(
-            lagrangian.grade(3),
-            polyalg.t_coefficients_closed_form(p, res.shift)).items():
-        gaps[f"cubic.{name}"] = gap
+    def cubic():
+        lagrangian = chain.lagrangian_poly
+        if lagrangian.cap < 3:
+            # a chain stopped before b2 expanded only the quadratic part
+            lagrangian = polyalg.taylor_lagrangian(p, chain.shift, 3)
+        closed = polyalg.t_coefficients_closed_form(p, chain.shift)
+        return {f"cubic.{name}": gap for name, gap in
+                polyalg.compare_h3(lagrangian.grade(3), closed).items()}
+
+    gaps.defer(CUBIC_KEYS, cubic)
     if res.nm is None:
         return out
 
@@ -223,8 +283,10 @@ def audit(res: PipelineResult) -> Audit:
     out.j_closed = read(j_closed)
     for name in closedforms.J_ENTRIES:
         gaps[f"j.{name}"] = abs(out.j_closed[name] - getattr(res.nm, name))
-    gaps["b1.print_weights"] = normalform.linear_residual(
-        res.b1[0], closedforms.b1y_print(res.nm), res.efg, res.freq, p.n)
+    gaps.defer(("b1.print_weights",), lambda: {
+        "b1.print_weights": normalform.linear_residual(
+            chain.b1[0], closedforms.b1y_print(chain.nm), chain.efg,
+            chain.freq, p.n)})
     if res.b2 is None:
         return out
 
@@ -236,7 +298,8 @@ def audit(res: PipelineResult) -> Audit:
         gaps[f"b2.{name}"] = abs(out.rs[name] - out.rs_oracle[name])
     # B2 has no term outside the twenty slots: their gaps are its sup gap.
     gaps["b2.sup"] = max(gaps[f"b2.{name}"] for name in RS_NAMES)
-    gaps["forcing.partial_only"] = partial_forcing_gap(res)
+    gaps.defer(("forcing.partial_only",), lambda: {
+        "forcing.partial_only": partial_forcing_gap(chain)})
     return out
 
 
@@ -297,8 +360,7 @@ def single_perturbation_params(mu: float, kind: str, h: float) -> ModelParams:
 
 GATING_KEYS = (
     "equilibria.series", "equilibria.epsilon_form", "offset.a", "offset.b",
-    "cubic.T1", "cubic.T2", "cubic.T3", "cubic.T4", "cubic.T5",
-    "cubic.T5_print", "b1.print_weights",
+    *CUBIC_KEYS, "b1.print_weights",
     "j.J13", "j.J14", "j.J21", "j.J22", "j.J23", "j.J24",
     "forcing.partial_only",
 ) + tuple(f"b2.{name}" for name in RS_NAMES)

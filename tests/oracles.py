@@ -17,14 +17,19 @@ bit-for-bit reference for its compiled kernel.
 `l4norm.polyalg.t_coefficients_closed_form`.  `classical_cubic_symbolic`
 derives the classical T1..T4 exactly, the reference for the printed rows,
 and `row_as_written` evaluates one row term by term as the print reads,
-the reference for `l4norm.closedforms.printed`.
+the reference for `l4norm.closedforms.printed`; `printed_by_groups` sums
+the rows' expanded groups in a loop, the bit-for-bit reference for its
+compiled kernels.  `audit_gaps_eagerly` computes every gap of
+`l4norm.verify.audit` at once, the reference for its deferred groups.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
+from l4norm import closedforms, equilibria, normalform, polyalg, verify
 from l4norm.dalembert import DAlembertSeries, apply_poly_in_D
 from l4norm.equilibria import OriginShift
 from l4norm.errors import ContractError
@@ -450,3 +455,77 @@ def row_as_written(row, p: ModelParams, scalars: dict) -> float:
     prefactor, *terms = row
     return monomial(*prefactor) * sum(monomial(coef, spec) * brace(*b)
                                       for coef, spec, b in terms)
+
+
+def printed_by_groups(names, p: ModelParams, w=None) -> dict:
+    """The rows `names` at p, by name, as `l4norm.closedforms.printed`
+    evaluated them before its kernels: each group's coefficients times
+    BASIS added by `sum`, the groups under their modes added in a loop."""
+    modes = [1.0]
+    if w is not None:
+        l1, l2, k1, k2 = closedforms.mode_scalars(w)
+        scalars = dict(n=p.n, w1=w.omega1, w2=w.omega2, l1=l1, k1=k1, l2=l2, k2=k2)
+        modes = []
+        for mode in closedforms._MODES:
+            value = 1.0
+            for name, power in mode:
+                value *= scalars[name] ** power
+            modes.append(value)
+    eps, A2, g, u = p.epsilon, p.A2, p.gamma, p.n * p.W1 / math.sqrt(3.0)
+    ea, ug, ue = eps * A2, u * g, u * eps
+    basis = (1.0, g, A2, A2 * g, eps, eps * g, ea, ea * g,
+             u, ug, ug * g, ue, ue * g, ue * g * g)
+    out = {}
+    for name in names:
+        mode, groups = closedforms._EXPANDED[name]
+        total = 0.0
+        for weight_mode, sums in groups:
+            total += modes[weight_mode] * sum(map(mul, sums, basis))
+        out[name] = modes[mode] * total
+    return out
+
+
+def audit_gaps_eagerly(res) -> dict:
+    """Every gap `l4norm.verify.audit` holds for this result, by key in its
+    order, each computed on the spot as the audit once did."""
+    p, branch = res.params, res.options.branch
+    q, read = closedforms.on_branch(p, branch)
+    gaps = {}
+    point_gap = verify._point_gap
+    gaps["equilibria.series"] = point_gap(
+        res.eq_numeric, equilibria.triangular_series(p, branch))
+    gaps["equilibria.epsilon_form"] = point_gap(
+        res.eq_numeric, equilibria.epsilon_form(p, branch))
+    printed_shift = read(vars(equilibria.offset_ab(q)))
+    gaps["offset.a"] = abs(printed_shift["a"] - res.shift.a)
+    gaps["offset.b"] = abs(printed_shift["b"] - res.shift.b)
+    lagrangian = res.lagrangian_poly
+    if lagrangian is None:
+        return gaps
+
+    if lagrangian.cap < 3:
+        lagrangian = polyalg.taylor_lagrangian(p, res.shift, 3)
+    for name, gap in polyalg.compare_h3(
+            lagrangian.grade(3),
+            polyalg.t_coefficients_closed_form(p, res.shift)).items():
+        gaps[f"cubic.{name}"] = gap
+    if res.nm is None:
+        return gaps
+
+    j_closed = closedforms.j_closed_form(q, res.freq)
+    j_read = read(j_closed)
+    for name in closedforms.J_ENTRIES:
+        gaps[f"j.{name}"] = abs(j_read[name] - getattr(res.nm, name))
+    gaps["b1.print_weights"] = normalform.linear_residual(
+        res.b1[0], closedforms.b1y_print(res.nm), res.efg, res.freq, p.n)
+    if res.b2 is None:
+        return gaps
+
+    rs = read(closedforms.rs_tables(j_closed, res.freq, closedforms.fg_tables(q),
+                                    floor=res.options.divisor_floor))
+    rs_oracle = verify.oracle_rs_from_series(res.b2.b2x, res.b2.b2y)
+    for name in closedforms.RS_NAMES:
+        gaps[f"b2.{name}"] = abs(rs[name] - rs_oracle[name])
+    gaps["b2.sup"] = max(gaps[f"b2.{name}"] for name in closedforms.RS_NAMES)
+    gaps["forcing.partial_only"] = verify.partial_forcing_gap(res)
+    return gaps

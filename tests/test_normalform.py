@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from l4norm import closedforms
 from l4norm.closedforms import (
     ROWS,
     b1y_print,
@@ -53,8 +54,8 @@ from l4norm.polyalg import (
     taylor_lagrangian,
 )
 
-from oracles import (operator_by_composition, row_as_written, substitute_by_rows,
-                     substitute_pairwise, variable)
+from oracles import (operator_by_composition, printed_by_groups, row_as_written,
+                     substitute_by_rows, substitute_pairwise, variable)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -478,6 +479,31 @@ class TestClosedFormTables:
             for name, row in ROWS.items():
                 assert values[name] == pytest.approx(
                     row_as_written(row, p, scalars), rel=1e-13, abs=1e-13), name
+
+    @pytest.mark.parametrize("branch", ["L4", "L5"])
+    def test_row_kernels_equal_the_summed_groups(self, branch):
+        # bit for bit, signed zeros included: drag-free points leave every
+        # n W1 column at exactly zero, and a classical point every column
+        # but the constant one
+        rng = random.Random(23)
+        for i in range(40):
+            p = (ModelParams(mu=rng.uniform(0.001, 0.037)) if i % 3 == 0 else
+                 ModelParams(mu=rng.uniform(0.001, 0.037),
+                             q1=1.0 - rng.uniform(0.0, 0.01),
+                             A2=rng.uniform(0.0, 0.005) * (i % 3 - 1),
+                             cd=rng.uniform(1.0, 100.0) if i % 2 else math.inf))
+            q = closedforms.on_branch(p, branch)[0]
+            w = linear_stage(p, branch)[4]
+            names = tuple(name for name in ROWS if not name.startswith("J"))
+            for names, freq in ((tuple(ROWS), w), (names, None),
+                                (("T4", "x", "F1pp"), None)):
+                values, reference = printed(names, q, freq), printed_by_groups(
+                    names, q, freq)
+                assert list(values) == list(names)
+                for name in names:
+                    assert values[name] == reference[name], name
+                    assert (math.copysign(1.0, values[name])
+                            == math.copysign(1.0, reference[name])), name
 
     def test_mode_scalars_raise_at_k_zero(self):
         with pytest.raises(SmallDivisorError):

@@ -5,12 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from l4norm import dalembert, normalform
+from l4norm import closedforms, dalembert, equilibria, normalform, verify
 from l4norm.closedforms import J_ENTRIES, MIRROR_ODD, RS_SLOTS, on_branch, reflect
 from l4norm.dalembert import DAlembertSeries, apply_D
 from l4norm.errata import KNOWN_DISCREPANCIES, is_registered
 from l4norm.errors import L4NormError, ParameterError, ResonanceError
-from l4norm.layout import PLAN_TABLE_SIZE, plan
+from l4norm.layout import PLAN_TABLE_SIZE, Store, plan
 from l4norm.model import ModelParams
 from l4norm.normalform import (
     SIGMA,
@@ -35,12 +35,13 @@ from l4norm.verify import (
     locate_classical_resonance,
     oracle_rs_from_series,
     partial_forcing_gap,
+    STAGES,
     render_report,
     run_pipeline,
     single_perturbation_params,
 )
 
-from oracles import position_part, t5_by_products
+from oracles import audit_gaps_eagerly, position_part, t5_by_products
 
 
 class TestPipeline:
@@ -153,7 +154,7 @@ class TestAudit:
         for name in ("__mul__", "__rmul__"):
             monkeypatch.setattr(TruncatedPoly, name, counted)
         res = run_pipeline(ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0))
-        audit(res)
+        dict(audit(res).gaps)
         assert calls == []
         t5_by_products(res.params, res.shift)  # the counter counts
         assert calls
@@ -671,6 +672,20 @@ def test_kernels_are_compiled_once_per_shape(monkeypatch):
     assert len(made) == count
 
 
+def test_row_kernels_are_compiled_once_per_names_tuple(monkeypatch):
+    # The printed rows compile one kernel per tuple of row names, keyed by
+    # the names alone: 50 seeded audits, every gap read, compile five
+    # ((x, y), (a, b), T1..T4, the J entries, the F/G entries).
+    made = []
+    compiled = closedforms.compiled
+    monkeypatch.setattr(closedforms, "compiled", lambda source, name:
+                        made.append(name) or compiled(source, name))
+    plan.cache_clear()
+    for p, branch in _stopping_points(50, seed=7):
+        dict(audit(run_pipeline(p, PipelineOptions(branch=branch))).gaps)
+    assert made == ["rows"] * 5
+
+
 def test_grades_are_sliced_once_and_only_when_read(monkeypatch):
     # The gates and the partial-forcing gap read whole series and slice no
     # grade; the four grade norms are sliced once, on first read.
@@ -706,3 +721,111 @@ def test_chain_reads_no_term_map(monkeypatch, branch, drag):
     gates = res.gates()
     assert res.h3 is not None and all(gates.values())
     assert reads == []
+
+
+DRAG_POINT = ModelParams(mu=0.01215, q1=0.999, A2=1e-4, cd=20.0)
+
+
+class TestDeferredGaps:
+    """The audit computes the gaps the report prints; the other groups
+    wait for a read and then equal the audit that computed everything."""
+
+    @pytest.mark.parametrize("stage", STAGES)
+    @pytest.mark.parametrize("branch", ["L4", "L5"])
+    @pytest.mark.parametrize("p", [ModelParams(mu=0.01215), DRAG_POINT],
+                             ids=["free", "drag"])
+    def test_gaps_equal_the_eager_audit(self, stage, branch, p):
+        res = run_pipeline(p, PipelineOptions(branch=branch), stages=(stage,))
+        eager = audit_gaps_eagerly(res)
+        gaps = dict(audit(res).gaps)
+        assert list(gaps) == list(eager)
+        assert _hex(gaps.values()) == _hex(eager.values())
+
+    def test_listing_the_keys_computes_no_group(self, monkeypatch):
+        res = run_pipeline(DRAG_POINT, stages=("b2",))
+        keys = list(audit_gaps_eagerly(res))
+        calls = []
+        gap = partial_forcing_gap
+        monkeypatch.setattr(verify, "partial_forcing_gap",
+                            lambda res: calls.append(res) or gap(res))
+        gaps = audit(res).gaps
+        assert list(gaps) == keys
+        assert "forcing.partial_only" in gaps and len(gaps) == len(list(gaps))
+        assert calls == []
+        assert gaps["forcing.partial_only"] == gaps["forcing.partial_only"]
+        assert len(calls) == 1
+
+    def test_a_deferred_error_is_raised_on_each_read(self, monkeypatch):
+        def refuse(q):
+            raise ParameterError("no printed offset")
+
+        res = run_pipeline(DRAG_POINT, stages=("b1",))
+        eager = audit_gaps_eagerly(res)
+        monkeypatch.setattr(equilibria, "offset_ab", refuse)
+        gaps = audit(res).gaps
+        for _ in range(2):
+            with pytest.raises(ParameterError, match="printed offset"):
+                gaps["offset.b"]
+        assert gaps["cubic.T1"] == eager["cubic.T1"]
+        assert gaps["j.J13"] == eager["j.J13"]
+
+    def test_groups_read_the_result_as_audited(self):
+        res = run_pipeline(DRAG_POINT, stages=("b2",))
+        eager = audit_gaps_eagerly(res)
+        gaps = audit(res).gaps
+        res.shift = res.b1 = res.position_forcing = None
+        assert dict(gaps) == eager
+
+
+@pytest.mark.parametrize("form,count", [("report", 0), ("csv", 1)])
+@pytest.mark.parametrize("branch", ["L4", "L5"])
+def test_verify_computes_the_deferred_groups_only_for_csv(monkeypatch, capsys,
+                                                          form, count, branch):
+    from l4norm import cli, polyalg
+
+    argv = ["verify", "--mu", "0.01215", "--q1", "0.999", "--a2", "1e-4",
+            "--cd", "20", "--branch", branch, "--stages", "h3", "--format", form]
+    assert cli.main(argv) == 0  # and the detector's cache is warm
+    calls = []
+    for owner, name in ((verify, "partial_forcing_gap"),
+                        (polyalg, "t_coefficients_closed_form"),
+                        (closedforms, "b1y_print"), (equilibria, "offset_ab")):
+        monkeypatch.setattr(owner, name, lambda *args, fn=getattr(owner, name),
+                            name=name: calls.append(name) or fn(*args))
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert sorted(calls) == sorted(["partial_forcing_gap", "b1y_print",
+                                    "t_coefficients_closed_form",
+                                    "offset_ab"] * count)
+
+
+def test_scale_is_measured_once_per_result(monkeypatch):
+    measured = []
+    sup = Store.max_abs
+    monkeypatch.setattr(Store, "max_abs",
+                        lambda self: measured.append(self) or sup(self))
+    res = run_pipeline(DRAG_POINT, PipelineOptions(branch="L5"))
+    parts = (res.x2, res.y2, res.b2.b2x, res.b2.b2y)
+
+    def reads(part):
+        return sum(m is part for m in measured)
+
+    assert [reads(part) for part in parts] == [1, 1, 1, 1]
+    render_report(res, audit(res), res.gates())
+    assert [reads(part) for part in parts] == [1, 1, 1, 1]
+    assert res.intermediate_scale() == max(sup(part) for part in parts)
+    assert run_pipeline(DRAG_POINT, stages=("b1",)).intermediate_scale() == 1.0
+
+
+def test_one_l5_mirror_per_audit(monkeypatch):
+    made = []
+    build = ModelParams._from_perturbations
+    monkeypatch.setattr(ModelParams, "_from_perturbations", classmethod(
+        lambda cls, *args: made.append(args) or build(*args)))
+    p = ModelParams(mu=0.01215, q1=0.999, A2=1e-4, cd=20.0)
+    res = run_pipeline(p, PipelineOptions(branch="L5"))
+    assert made == []
+    dict(audit(res).gaps)
+    assert made == [(p.mu, p.epsilon, p.A2, -p.W1)]
+    dict(audit(res).gaps)
+    assert len(made) == 1 and on_branch(p, "L5")[0] is p.mirror
