@@ -391,17 +391,22 @@ def oracle_t_coefficients(l3: TruncatedPoly):
     return t1, t2, t3, t4, l3.velocity_part()
 
 
+# The names of `compare_h3`'s gaps, in the order it returns them.
+H3_GAP_NAMES = ("T1", "T2", "T3", "T4", "T5", "T5_print")
+
+
 def compare_h3(oracle_l3: TruncatedPoly,
                closed: H3CoefficientsClosedForm) -> dict:
-    """Gaps of the closed cubic to the oracle's, name -> sup-norm gap:
-    T1..T4 as scalars, T5 and T5_print against the velocity cubic.
+    """Gaps of the closed cubic to the oracle's, name -> sup-norm gap, keyed
+    by `H3_GAP_NAMES`: T1..T4 as scalars, T5 and T5_print against the
+    velocity cubic.
 
     Callers decide what counts as agreement (typically via a halving
     experiment).
     """
     *oracle, velocity = oracle_t_coefficients(oracle_l3)
     gaps = {name: abs(getattr(closed, name) - value)
-            for name, value in zip(("T1", "T2", "T3", "T4"), oracle)}
+            for name, value in zip(H3_GAP_NAMES[:4], oracle)}
     gaps["T5"] = closed.T5.norm_of_difference(velocity)
     gaps["T5_print"] = closed.T5_print.norm_of_difference(velocity)
     return gaps

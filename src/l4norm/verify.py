@@ -26,7 +26,7 @@ from .dalembert import (
     moser_check,
 )
 from .errata import classify_remainder
-from .errors import ParameterError, ResonanceError
+from .errors import ContractError, ParameterError, ResonanceError
 from .model import ModelParams
 
 STAGES = ("equilibria", "taylor", "b1", "b2", "h3")
@@ -185,28 +185,40 @@ class Gaps(Mapping):
     """An audit's gaps by key, in the audit's order.  The keys of a group
     added by `defer` are listed at once, and the group is computed on the
     first read of any of its keys, once; an error it raises is raised
-    again on each read that needs it."""
+    again on each read that needs it.  A read-only mapping, not a dict:
+    ``dict(gaps)`` computes every group and returns a plain dict, and so
+    does the repr."""
 
     def __init__(self):
         self._values = {}
-        self._pending = {}   # key -> the computation of its group
+        self._pending = {}   # key -> (its group's keys, their computation)
 
     def __setitem__(self, key, value):
         self._values[key] = value
 
     def defer(self, keys, compute):
-        """Hold `keys` for ``compute()``, which returns their gaps by key."""
+        """Hold `keys` for ``compute()``, which returns their gaps by key,
+        exactly these keys."""
+        group = tuple(keys), compute
         for key in keys:
             self._values[key] = None
-            self._pending[key] = compute
+            self._pending[key] = group
 
     def __getitem__(self, key):
-        compute = self._pending.get(key)
-        if compute is not None:
-            for name, value in compute().items():
-                self._values[name] = value
+        group = self._pending.get(key)
+        if group is not None:
+            keys, compute = group
+            values = compute()
+            if values.keys() != set(keys):
+                raise ContractError(f"a deferred group held {keys} and "
+                                    f"computed {tuple(values)}")
+            for name in keys:
+                self._values[name] = values[name]
                 del self._pending[name]
         return self._values[key]
+
+    def __repr__(self):
+        return repr(dict(self))
 
     def __contains__(self, key):
         return key in self._values
@@ -232,8 +244,7 @@ class Audit:
     gaps: Gaps = field(default_factory=Gaps)
 
 
-CUBIC_KEYS = tuple(f"cubic.{name}"
-                   for name in ("T1", "T2", "T3", "T4", "T5", "T5_print"))
+CUBIC_KEYS = tuple(f"cubic.{name}" for name in polyalg.H3_GAP_NAMES)
 
 
 def audit(res: PipelineResult) -> Audit:

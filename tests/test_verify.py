@@ -9,7 +9,7 @@ from l4norm import closedforms, dalembert, equilibria, normalform, verify
 from l4norm.closedforms import J_ENTRIES, MIRROR_ODD, RS_SLOTS, on_branch, reflect
 from l4norm.dalembert import DAlembertSeries, apply_D
 from l4norm.errata import KNOWN_DISCREPANCIES, is_registered
-from l4norm.errors import L4NormError, ParameterError, ResonanceError
+from l4norm.errors import ContractError, L4NormError, ParameterError, ResonanceError
 from l4norm.layout import PLAN_TABLE_SIZE, Store, plan
 from l4norm.model import ModelParams
 from l4norm.normalform import (
@@ -636,7 +636,7 @@ def test_plan_table_stays_within_its_budget():
     def one_pass():
         for p, branch in _stopping_points(50, seed=7):
             res = run_pipeline(p, PipelineOptions(branch=branch))
-            audit(res)
+            dict(audit(res).gaps)
         detect_discrepancies.cache_clear()
         detect_discrepancies(0.01, PipelineOptions())
 
@@ -662,7 +662,7 @@ def test_kernels_are_compiled_once_per_shape(monkeypatch):
 
     def chains(seed):
         for p, branch in _stopping_points(100, seed=seed):
-            audit(run_pipeline(p, PipelineOptions(branch=branch)))
+            dict(audit(run_pipeline(p, PipelineOptions(branch=branch))).gaps)
 
     plan.cache_clear()
     chains(7)
@@ -768,6 +768,17 @@ class TestDeferredGaps:
                 gaps["offset.b"]
         assert gaps["cubic.T1"] == eager["cubic.T1"]
         assert gaps["j.J13"] == eager["j.J13"]
+
+    def test_a_group_must_compute_the_keys_it_holds(self):
+        gaps = verify.Gaps()
+        gaps.defer(("offset.a", "offset.b"), lambda: {"offset.a": 0.0})
+        for _ in range(2):
+            with pytest.raises(ContractError, match="offset.b"):
+                gaps["offset.a"]
+
+    def test_repr_is_that_of_every_gap(self):
+        res = run_pipeline(DRAG_POINT, stages=("b2",))
+        assert repr(audit(res).gaps) == repr(audit_gaps_eagerly(res))
 
     def test_groups_read_the_result_as_audited(self):
         res = run_pipeline(DRAG_POINT, stages=("b2",))
