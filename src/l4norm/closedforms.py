@@ -367,113 +367,106 @@ RS_SLOTS = (
 RS_NAMES = tuple(f"{table}{i}" for table in "rs" for i in range(1, 11))
 
 
-def _r_values(j: dict, w: FrequencyPair, fg: dict, table: str,
-              floor: float) -> tuple:
-    """The ten printed coefficient formulas, shared by the r and s tables
-    (the s table reads the G entries where the r table reads the F)."""
+def rs_tables(j: dict, w: FrequencyPair, fg: dict,
+              floor: float = DIVISOR_FLOOR) -> dict:
+    """r1..r10 per the printed formulas and s1..s10 by the F -> G
+    substitution, by name, from the J and F/G entries by name.  The five
+    divisors are checked, and the frequency powers, prefactors and J
+    brackets the two tables share formed, once."""
     w1, w2 = w.omega1, w.omega2
-    (f1, f2, f3, f4, f1p, f2p, f3p, f4p,
-     f1pp, f2pp, f3pp, f4pp) = (fg[table + name[1:]] for name in FG_ENTRIES[:12])
-    J13, J14, J21, J22, J23, J24 = (j[name] for name in J_ENTRIES)
-
+    w1sq, w2sq = w1**2, w2**2
     for name, value in (
-        ("omega1^2 omega2^2", w1**2 * w2**2),
-        ("3 w1^2 (4 w1^2 - w2^2)", 3.0 * w1**2 * (4.0 * w1**2 - w2**2)),
-        ("3 w2^2 (4 w2^2 - w1^2)", 3.0 * w2**2 * (4.0 * w2**2 - w1**2)),
+        ("omega1^2 omega2^2", w1sq * w2sq),
+        ("3 w1^2 (4 w1^2 - w2^2)", 3.0 * w1sq * (4.0 * w1sq - w2sq)),
+        ("3 w2^2 (4 w2^2 - w1^2)", 3.0 * w2sq * (4.0 * w2sq - w1sq)),
         ("(2 w1 + w2)(w1 + 2 w2)", (2 * w1 + w2) * (w1 + 2 * w2)),
         ("(2 w1 - w2)(2 w2 - w1)", (2 * w1 - w2) * (2 * w2 - w1)),
     ):
         if abs(value) < floor:
             raise SmallDivisorError(name, value)
-
+    J13, J14, J21, J22, J23, J24 = (j[name] for name in J_ENTRIES)
     sq12 = math.sqrt(w1 / w2)
     sq21 = math.sqrt(w2 / w1)
     sqp = math.sqrt(w1 * w2)
 
-    r1 = (1.0 / (w1**2 * w2**2)) * (
-        J13**2 * w1 * f4 + J13 * J23 * w1 * f4p
-        + (J21**2 / w1 + J23**2 * w1) * f4pp)
+    # the prefactors of r1..r10 (r1 and r2 share one)
+    k12 = 1.0 / (w1sq * w2sq)
+    k3 = -1.0 / (3.0 * w1sq * (4.0 * w1sq - w2sq))
+    k4 = 1.0 / (3.0 * w2sq * (4.0 * w2sq - w1sq))
+    k5 = 1.0 / (w1 * w2 * ((2.0 * w1 + w2) * (4.0 * w1 + 2.0 * w2)))
+    k6 = -1.0 / (w1 * w2 * ((2.0 * w1 - w2) * (4.0 * w1 - 2.0 * w2)))
+    k7 = 1.0 / (3.0 * w1sq * (4.0 * w1sq - w2sq))
+    k8 = -1.0 / (3.0 * w2sq * (4.0 * w2sq - w1sq))
+    k9 = 1.0 / (w1 * w2 * (2.0 * w1 + w2) * (w1 + 2.0 * w2))
+    k10 = 1.0 / (w1 * w2 * (2.0 * w1 - w2) * (2.0 * w2 - w1))
+    p2, p3 = (w1 + w2) ** 2, (w1 + w2) ** 3
+    m2, m3 = (w1 - w2) ** 2, (w1 - w2) ** 3
+    c1, c2 = 8.0 * w1**3, 8.0 * w2**3
+    e1, e2 = 4.0 * w1sq, 4.0 * w2sq
 
-    r2 = (1.0 / (w1**2 * w2**2)) * (
-        J14**2 * w2 * f4 + J14 * J24 * w2 * f4p
-        + (J22**2 / w2 + J24**2 * w2) * f4pp)
+    # the J brackets the formulas share
+    d1, d2 = J21**2 / w1 - J23**2 * w1, J22**2 / w2 - J24**2 * w2
+    n1, n2 = J21**2 / w1 + J23**2 * w1, J22**2 / w2 + J24**2 * w2
+    a11, a13, a14, a24 = J13**2 * w1, J13 * J23 * w1, J14**2 * w2, J14 * J24 * w2
+    ca = J13 * J22 * sq12 - J14 * J21 * sq21
+    cb = J21 * J24 * sq21 - J22 * J23 * sq12
+    pb = J21 * J24 * sq21 + J22 * J23 * sq12
+    pb3 = J21 * J22 * sq21 + J22 * J23 * sq12
+    sa1, sa2 = J13 * J14, J13 * J24 + J14 * J23
+    sb = J21 * J22 / sqp + J23 * J24 * sqp
+    msb = J21 * J22 / sqp - J23 * J24 * sqp
+    t9 = 2.0 * J13 * J14
 
-    r3 = (-1.0 / (3.0 * w1**2 * (4.0 * w1**2 - w2**2))) * (
-        8.0 * w1**3 * J21 * (J13 * f1p + 2.0 * J23 * f1pp)
-        + 4.0 * w1**2 * ((J13 * f2 + J23 * f2pp) * J13 * w1
-                         - (J21**2 / w1 - J23**2 * w1) * f1pp)
-        - 2.0 * w1 * J21 * (J13 * f3p + 2.0 * J23 * f3pp)
-        - w1 * J13 * (J13 * f4 + J23 * f4pp) * w1
-        + (J21**2 / w1 - J23**2 * w1) * f1pp)
+    def table(prefix: str) -> tuple:
+        """r1..r10 read at the F (or G) entries."""
+        (f1, f2, f3, f4, f1p, f2p, f3p, f4p,
+         f1pp, f2pp, f3pp, f4pp) = (fg[prefix + name[1:]] for name in FG_ENTRIES[:12])
+        sym_a = lambda fa, fap: 2.0 * (sa1 * fa + sa2 * fap) * sqp
 
-    r4 = (1.0 / (3.0 * w2**2 * (4.0 * w2**2 - w1**2))) * (
-        8.0 * w2**3 * J22 * (J14 * f1p + 2.0 * J24 * f1pp)
-        - 4.0 * w2**2 * ((J14 * f2 + J24 * f2pp) * J14 * w2
-                         - (J22**2 / w2 - J24**2 * w2) * f2pp)
-        - 2.0 * w2 * J22 * (J14 * f3p + 2.0 * J24 * f3pp)
-        - w2 * J14 * (J14 * f4 + J24 * f4pp) * w2
-        - (J22**2 / w2 - J24**2 * w2) * f4pp)
+        r1 = k12 * (a11 * f4 + a13 * f4p + n1 * f4pp)
+        r2 = k12 * (a14 * f4 + a24 * f4p + n2 * f4pp)
+        r3 = k3 * (
+            c1 * J21 * (J13 * f1p + 2.0 * J23 * f1pp)
+            + e1 * ((J13 * f2 + J23 * f2pp) * J13 * w1 - d1 * f1pp)
+            - 2.0 * w1 * J21 * (J13 * f3p + 2.0 * J23 * f3pp)
+            - w1 * J13 * (J13 * f4 + J23 * f4pp) * w1
+            + d1 * f1pp)
+        r4 = k4 * (
+            c2 * J22 * (J14 * f1p + 2.0 * J24 * f1pp)
+            - e2 * ((J14 * f2 + J24 * f2pp) * J14 * w2 - d2 * f2pp)
+            - 2.0 * w2 * J22 * (J14 * f3p + 2.0 * J24 * f3pp)
+            - w2 * J14 * (J14 * f4 + J24 * f4pp) * w2
+            - d2 * f4pp)
+        r5 = k5 * (
+            p3 * (ca * f1p - 2.0 * (cb * f1pp))
+            - p2 * (sym_a(f2, f2p) + sb * f2pp)
+            - (w1 + w2) * (ca * f3p - 2.0 * (cb * f3pp))
+            + (sym_a(f4, f4p) + 2.0 * (sb * f4pp)))
+        r6 = k6 * (
+            m3 * (ca * f1p + 2.0 * pb * f1pp)
+            + m2 * (sym_a(f2, f2p) - 2.0 * (msb * f2pp))
+            - (w1 - w2) * (ca * f3p + 2.0 * pb3 * f3pp)
+            - (sym_a(f4, f4p) - 2.0 * (msb * f4pp)))
+        r7 = k7 * (
+            c1 * (J13 * (J13 * f1 + J23 * f1p) * w1 - d1 * f1pp)
+            - 2.0 * w1 * (w1 * J13 * (J13 * f3 + J23 * f3p) - d1 * f3pp)
+            - e1 * J21 * (J13 * f2 + J23 * f2pp) * w1
+            + J21 * (J13 * f4p + 2.0 * J23 * f4pp))
+        r8 = k8 * (
+            c2 * (J14 * (J14 * f1 + J24 * f1p) * w2 - d2 * f1pp)
+            + e2 * J22 * (J14 * f2 + 2.0 * J24 * f2pp) * w2
+            - 2.0 * w2 * (w2 * J14 * (J14 * f3 + J24 * f3p) - d2 * f3pp)
+            - J22 * (J14 * f4p + 2.0 * J24 * f4pp))
+        r9 = k9 * (
+            p3 * ((t9 * f1 + sa2 * f1p) * sqp + 2.0 * (sb * f1pp))
+            - p2 * (ca * f2p - 2.0 * (cb * f2pp))
+            - (w1 + w2) * (sym_a(f3, f3p) + 2.0 * (sb * f3pp))
+            - (ca * f4p - 2.0 * (cb * f4pp)))
+        r10 = k10 * (
+            m3 * ((t9 * f1 + sa2 * f1p) * sqp - 2.0 * (msb * f1pp))
+            - m2 * (ca * f2p + 2.0 * pb * f2pp)
+            - (w1 - w2) * (sym_a(f3, f3p) - 2.0 * (msb * f3pp))
+            + (ca * f4p - 2.0 * (cb * f4pp)))
+        return r1, r2, r3, r4, r5, r6, r7, r8, r9, r10
 
-    # bracket shapes shared by the mixed-harmonic coefficients
-    cross_a = lambda fa: (J13 * J22 * sq12 - J14 * J21 * sq21) * fa
-    cross_b = lambda fb: (J21 * J24 * sq21 - J22 * J23 * sq12) * fb
-    sym_a = lambda fa, fap: 2.0 * (J13 * J14 * fa + (J13 * J24 + J14 * J23) * fap) * sqp
-    sym_b = lambda fb: (J21 * J22 / sqp + J23 * J24 * sqp) * fb
-    msym_b = lambda fb: (J21 * J22 / sqp - J23 * J24 * sqp) * fb
-
-    r5 = (1.0 / (w1 * w2 * ((2.0 * w1 + w2) * (4.0 * w1 + 2.0 * w2)))) * (
-        (w1 + w2) ** 3 * (cross_a(f1p) - 2.0 * cross_b(f1pp))
-        - (w1 + w2) ** 2 * (sym_a(f2, f2p) + sym_b(f2pp))
-        - (w1 + w2) * (cross_a(f3p) - 2.0 * cross_b(f3pp))
-        + (sym_a(f4, f4p) + 2.0 * sym_b(f4pp)))
-
-    r6 = (-1.0 / (w1 * w2 * ((2.0 * w1 - w2) * (4.0 * w1 - 2.0 * w2)))) * (
-        (w1 - w2) ** 3 * (cross_a(f1p)
-                          + 2.0 * (J21 * J24 * sq21 + J22 * J23 * sq12) * f1pp)
-        + (w1 - w2) ** 2 * (sym_a(f2, f2p) - 2.0 * msym_b(f2pp))
-        - (w1 - w2) * (cross_a(f3p)
-                       + 2.0 * (J21 * J22 * sq21 + J22 * J23 * sq12) * f3pp)
-        - (sym_a(f4, f4p) - 2.0 * msym_b(f4pp)))
-
-    r7 = (1.0 / (3.0 * w1**2 * (4.0 * w1**2 - w2**2))) * (
-        8.0 * w1**3 * (J13 * (J13 * f1 + J23 * f1p) * w1
-                       - (J21**2 / w1 - J23**2 * w1) * f1pp)
-        - 2.0 * w1 * (w1 * J13 * (J13 * f3 + J23 * f3p)
-                      - (J21**2 / w1 - J23**2 * w1) * f3pp)
-        - 4.0 * w1**2 * J21 * (J13 * f2 + J23 * f2pp) * w1
-        + J21 * (J13 * f4p + 2.0 * J23 * f4pp))
-
-    r8 = (-1.0 / (3.0 * w2**2 * (4.0 * w2**2 - w1**2))) * (
-        8.0 * w2**3 * (J14 * (J14 * f1 + J24 * f1p) * w2
-                       - (J22**2 / w2 - J24**2 * w2) * f1pp)
-        + 4.0 * w2**2 * J22 * (J14 * f2 + 2.0 * J24 * f2pp) * w2
-        - 2.0 * w2 * (w2 * J14 * (J14 * f3 + J24 * f3p)
-                      - (J22**2 / w2 - J24**2 * w2) * f3pp)
-        - J22 * (J14 * f4p + 2.0 * J24 * f4pp))
-
-    r9 = (1.0 / (w1 * w2 * (2.0 * w1 + w2) * (w1 + 2.0 * w2))) * (
-        (w1 + w2) ** 3 * ((2.0 * J13 * J14 * f1
-                           + (J13 * J24 + J14 * J23) * f1p) * sqp
-                          + 2.0 * sym_b(f1pp))
-        - (w1 + w2) ** 2 * (cross_a(f2p) - 2.0 * cross_b(f2pp))
-        - (w1 + w2) * (sym_a(f3, f3p) + 2.0 * sym_b(f3pp))
-        - (cross_a(f4p) - 2.0 * cross_b(f4pp)))
-
-    r10 = (1.0 / (w1 * w2 * (2.0 * w1 - w2) * (2.0 * w2 - w1))) * (
-        (w1 - w2) ** 3 * ((2.0 * J13 * J14 * f1
-                           + (J13 * J24 + J14 * J23) * f1p) * sqp
-                          - 2.0 * msym_b(f1pp))
-        - (w1 - w2) ** 2 * (cross_a(f2p)
-                            + 2.0 * (J21 * J24 * sq21 + J22 * J23 * sq12) * f2pp)
-        - (w1 - w2) * (sym_a(f3, f3p) - 2.0 * msym_b(f3pp))
-        + (cross_a(f4p) - 2.0 * cross_b(f4pp)))
-
-    return r1, r2, r3, r4, r5, r6, r7, r8, r9, r10
-
-
-def rs_tables(j: dict, w: FrequencyPair, fg: dict,
-              floor: float = DIVISOR_FLOOR) -> dict:
-    """r1..r10 per the printed formulas and s1..s10 by the F -> G
-    substitution, by name, from the J and F/G entries by name."""
-    return dict(zip(RS_NAMES, _r_values(j, w, fg, "F", floor)
-                    + _r_values(j, w, fg, "G", floor)))
+    return dict(zip(RS_NAMES, table("F") + table("G")))

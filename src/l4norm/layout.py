@@ -12,11 +12,13 @@ table (the Taylor expansion's once per degree cap and drag on/off); the
 operation itself is arithmetic along the plan and builds no dict.  A sum
 (or a difference) appends the right operand's new keys in its order, so
 it is bit-identical to a plain loop over the terms, key order included.
-The one product kernel, the substitution of series into a polynomial
+A product kernel, the substitution of series into a polynomial
 (:func:`l4norm.dalembert.substitute`), forms each product of up to three
 factors in one step, so it matches multiplying out one pair at a time to
 round-off; its plan holds the rows compiled into one straight-line
-function (:func:`compiled`), which a call runs.
+function (:func:`compiled`), which a call runs.  The second-order stages
+of :mod:`l4norm.normalform` compile one such function each, which runs
+their substitution between the sums, D-polynomials and guards around it.
 
 Layouts are interned by key tuple, so results of the same shape share
 plans.  Nothing depends on that: a layout evicted from the table and
@@ -29,9 +31,8 @@ import functools
 import operator
 
 # Entries kept in the plan table: interned layouts and the plans made on
-# them, each substitution plan with its compiled kernel.  The chain with its
-# audit and the detector makes about 100 at five mass ratios (3 kernels), and
-# about 175 after 300 more seeded points.
+# them, each substitution or stage plan with its compiled kernel.  50 seeded
+# chains with their audits and the detector make 47 (10 kernels).
 PLAN_TABLE_SIZE = 1024
 
 
@@ -52,10 +53,11 @@ def plan(build, *args):
     return build(*args)
 
 
-def compiled(source: str, name: str):
-    """The function `name` defined by generated `source`, as `dataclasses`
-    and `namedtuple` make theirs; a plan holding one compiles it once."""
-    namespace = {}
+def compiled(source: str, name: str, **names):
+    """The function `name` defined by generated `source`, with `names` as
+    its globals, as `dataclasses` and `namedtuple` make theirs; a plan
+    holding one compiles it once."""
+    namespace = dict(names)
     exec(compile(source, f"<{name}>", "exec"), namespace)
     return namespace[name]
 

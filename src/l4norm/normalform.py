@@ -7,17 +7,22 @@ The oracle chain this module serves:
    Lagrangian slice, both in closed form (the roots of a biquadratic, and
    per mode the null vector of a 2x2 matrix);
 2. first-order components B1 from the (x, y) rows of J;
-3. cubic forcing X2, Y2 and the energy's cubic at B1: the cubic's four
-   partials and its energy at (B1, B1, D B1, D B1) in one substitution;
-4. second-order components B2 by harmonic division;
+3. cubic forcing X2, Y2 and the energy's cubic at B1: D B1, the cubic's
+   four partials and its energy at (B1, B1, D B1, D B1), and X2 = dL3/dx
+   - D(dL3/dxdot), Y2 likewise;
+4. second-order components B2 by harmonic division, with the critical
+   and small-divisor guards, and the scale, the sup norm of X2, Y2 and
+   B2;
 5. degree-3 energy coefficients after substituting x = B1 + B2, whose
    vanishing is the headline verification target: the quadratic energy
    at B1 + B2 plus the cubic of step 3 (under the degree-3 cap the cubic
-   sees only B1), both substituted by `poly_at_series`.
+   sees only B1), and the degree-2 residual against w1 I1 - w2 I2.
 
-A substitution into a polynomial is planned once per shape (the
-layouts and the degree cap) and then runs as its plan's compiled kernel;
-no product term past the cap the stage reads is formed.
+Each of steps 3-5 is one compiled kernel, planned once per tuple of its
+input layouts (:class:`l4norm.dalembert.KernelSource`), and one call per
+point; no product term past the degree-3 cap is formed.
+`poly_at_series` substitutes a polynomial on its own, through
+:func:`l4norm.dalembert.substitute`.
 """
 
 from __future__ import annotations
@@ -29,20 +34,25 @@ import warnings
 from dataclasses import dataclass
 
 from .dalembert import (
+    CRITICAL_HARMONICS,
     DIVISOR_FLOOR,
     DAlembertSeries,
     FrequencyPair,
-    apply_D,
-    apply_poly_in_D,  # noqa: F401 -- perfbench/spans.py wraps it here
-    invert_delta,
+    KernelSource,
+    _degree,
+    apply_D,  # noqa: F401 -- perfbench/spans.py wraps it here
+    apply_poly_in_D,  # noqa: F401 -- as apply_D
+    invert_delta,  # noqa: F401 -- as apply_D
     substitute,
-    substitute_along,
-    substitution_plan,
+    substitution_rows,
 )
-from .errors import ContractError, StabilityDomainError
-from .layout import Layout, intern, plan, sum_plan
+from .errors import (ContractError, CriticalTermError, SmallDivisorError,
+                     StabilityDomainError)
+from .layout import Layout, intern, plan, sliced, sum_plan
 from .model import ModelParams
-from .polyalg import QuadraticCoefficients, TruncatedPoly, _partial_plan
+from .polyalg import (QuadraticCoefficients, TruncatedPoly, _partial_plan,
+                      _velocity_degree)
+
 
 SIGMA = ((0.0, 0.0, 1.0, 0.0),
          (0.0, 0.0, 0.0, 1.0),
@@ -316,16 +326,42 @@ def poly_at_series(poly: TruncatedPoly, xi_s, eta_s, xid_s, etad_s,
 
 
 # -- cubic forcing and the second-order solve ------------------------------
+#
+# Each stage below runs as one kernel, planned and compiled once per tuple
+# of its input layouts (:class:`l4norm.dalembert.KernelSource`): the series
+# operations it chains, its guards included, in the order they ran as
+# separate calls, and bit for bit as those calls.
 
 
-def _forcing_plan(l3: Layout, cap: int, *layouts):
-    """The substitution plan of the cubic's four partials, as
-    `TruncatedPoly.partial` lowers them, and of its energy, on the keys
-    `TruncatedPoly.energy` keeps (velocity degree other than 1)."""
-    energy = tuple((n, m[2] + m[3] - 1, m) for n, m in enumerate(l3.keys)
-                   if m[2] + m[3] != 1)
-    return substitution_plan(tuple(_partial_plan(l3, i)[1] for i in range(4))
-                             + (energy,), cap, layouts)
+def _energy_rows(layout: Layout) -> tuple:
+    """The substitution rows of `TruncatedPoly.energy` on these keys: per
+    monomial of velocity degree other than 1, ``(slot, velocity degree - 1,
+    monomial)``."""
+    return tuple((n, _velocity_degree(m) - 1, m) for n, m in enumerate(layout.keys)
+                 if _velocity_degree(m) != 1)
+
+
+def _forcing_polys(l3: Layout) -> tuple:
+    """The cubic's four partials, as `TruncatedPoly.partial` lowers them,
+    and its energy, as substitution rows."""
+    return tuple(_partial_plan(l3, i)[1] for i in range(4)) + (_energy_rows(l3),)
+
+
+def _forcing_kernel(l3: Layout, b1x: Layout, b1y: Layout):
+    """``(layouts, kernel)`` of :func:`forcing_x2y2` at these layouts: D B1,
+    the five substitutions at cap 3, and x2 = x2p - D vx, y2 = y2p - D vy.
+    ``kernel(l3 values, B1x values, B1y values, w1, w2)`` returns the values
+    of x2, y2, x2p, y2p and the cubic, on the five layouts."""
+    if any(sum(m) != 3 for m in l3.keys):
+        raise ContractError("forcing expects a homogeneous cubic slice")
+    k = KernelSource()
+    x, y = k.unpack("b1x", b1x), k.unpack("b1y", b1y)
+    args = (x, y, k.apply_D(x), k.apply_D(y))
+    x2p, y2p, vx, vy, cubic = k.substitute(substitution_rows(
+        _forcing_polys(l3), 3, tuple(a[0] for a in args)), args)
+    out = (k.merge(x2p, k.apply_D(vx), negate=True),
+           k.merge(y2p, k.apply_D(vy), negate=True), x2p, y2p, cubic)
+    return tuple(a[0] for a in out), k.compile("coefficients, b1x, b1y, w1, w2", out)
 
 
 def forcing_x2y2(l3: TruncatedPoly, b1x: DAlembertSeries, b1y: DAlembertSeries,
@@ -335,29 +371,28 @@ def forcing_x2y2(l3: TruncatedPoly, b1x: DAlembertSeries, b1y: DAlembertSeries,
     (B1, B1, D B1, D B1).  Returns ``(x2, y2), (x2p, y2p), cubic``: the
     second pair is its position-partial part [dL3/dx] at the same point,
     and `cubic` the energy's cubic `l3.energy()` at B1, all five
-    substituted at cap 3 in one kernel call, each bit for bit as
-    `poly_at_series` of that polynomial."""
-    if any(sum(m) != 3 for m in l3.layout.keys):
-        raise ContractError("forcing expects a homogeneous cubic slice")
-    args = (b1x, b1y, apply_D(b1x, w), apply_D(b1y, w))
-    x2p, y2p, vx, vy, cubic = substitute_along(
-        plan(_forcing_plan, l3.layout, 3, *(a.layout for a in args)),
-        l3.values, args)
-    return ((x2p - apply_D(vx, w), y2p - apply_D(vy, w)), (x2p, y2p), cubic)
+    substituted at cap 3, each bit for bit as `poly_at_series` of that
+    polynomial; one call of the stage's kernel."""
+    layouts, kernel = plan(_forcing_kernel, l3.layout, b1x.layout, b1y.layout)
+    x2, y2, x2p, y2p, cubic = map(DAlembertSeries._new, layouts, kernel(
+        l3.values, b1x.values, b1y.values, w.omega1, w.omega2))
+    return (x2, y2), (x2p, y2p), cubic
 
 
 @dataclass(frozen=True)
 class SecondOrderSolution:
     """B2 and what its back-substitution reads: the linear operator, the
-    forcing (x2, y2) and the frequencies.  The residuals of the coupled
-    system are formed on first read and kept, so a caller that reads only
-    B2 pays nothing for them."""
+    forcing (x2, y2) and the frequencies; `scale` is the largest sup norm
+    of X2, Y2, B2x and B2y.  The residuals of the coupled system are formed
+    on first read and kept, so a caller that reads only B2 pays nothing for
+    them."""
 
     b2x: DAlembertSeries
     b2y: DAlembertSeries
     operator: tuple
     forcing: tuple
     freq: FrequencyPair
+    scale: float
 
     @functools.cached_property
     def residuals(self) -> tuple:
@@ -370,6 +405,50 @@ class SecondOrderSolution:
     residual_y = property(lambda self: self.residuals[1])
 
 
+def _solve_kernel(x2: Layout, y2: Layout):
+    """``(layout, kernel)`` of :func:`solve_second_order_oracle` at these
+    layouts: the adjugate applied as :func:`apply_operator` applies it, then
+    per harmonic of Phi2, then of Psi2, in stored order, the guards and the
+    division of :func:`l4norm.dalembert.invert_delta`.  ``kernel(X2 values,
+    Y2 values, w1, w2, adjugate, floor)`` returns the values of B2x and B2y
+    on `layout`, which lacks the critical harmonics, and the scale."""
+    k = KernelSource()
+    x, y = k.unpack("x2", x2), k.unpack("y2", y2)
+    entries = [[[f"a{r}{c}_{i}" for i in range(3)] for c in range(2)]
+               for r in range(2)]
+    k.lines.append("    (({}), ({})), (({}), ({})) = adjugate".format(
+        *(", ".join(entry) for row in entries for entry in row)))
+    layout, shared, new = sum_plan(x2, y2)
+    pairs = [[z, None] for z in x[1]] + [[None, y[1][j]] for j in new]
+    for n, j in shared:
+        pairs[n][1] = y[1][j]
+    s1, s2 = k.let("w1 ** 2"), k.let("w2 ** 2")
+    b2 = []
+    for row in entries:
+        # this row of the adjugate applied: Phi2, then Psi2
+        values = [k.let("0j + (" + " + ".join(
+            f"{k.multiplier(p, q, *entry)} * {z}"
+            for entry, z in zip(row, pair) if z is not None) + ")")
+            for (_, _, p, q), pair in zip(layout.keys, pairs)]
+        out = []
+        for (_, _, p, q), u in zip(layout.keys, values):
+            if (p, q) in CRITICAL_HARMONICS:
+                k.lines.append(f"    if {u}: raise CriticalTermError(({p}, {q}), "
+                               f"max(abs({u}.real), abs({u}.imag)))")
+                continue
+            t = k.let(f"{p} * w1 - {q} * w2")
+            d = k.let(f"({s1} - {t} * {t}) * ({s2} - {t} * {t})")
+            k.lines.append(f"    if abs({d}) < floor and {u}: raise "
+                           f"SmallDivisorError({f'Delta_({p},{q})'!r}, {d})")
+            out.append(k.let(f"0j + {u} / {d} if {u} else 0j"))
+        b2.append((layout, out))
+    kernel = k.compile("x2, y2, w1, w2, adjugate, floor", [*b2, k.sup(x, y, *b2)],
+                       CriticalTermError=CriticalTermError,
+                       SmallDivisorError=SmallDivisorError)
+    return intern(tuple(key for key in layout.keys
+                        if key[2:] not in CRITICAL_HARMONICS)), kernel
+
+
 def solve_second_order_oracle(efg: QuadraticCoefficients, w: FrequencyPair,
                               n: float, x2: DAlembertSeries, y2: DAlembertSeries,
                               floor: float = DIVISOR_FLOOR) -> SecondOrderSolution:
@@ -377,17 +456,21 @@ def solve_second_order_oracle(efg: QuadraticCoefficients, w: FrequencyPair,
 
     Eliminating one unknown (the adjugate of the linear operator) turns
     the coupled pair into (D^2 + w1^2)(D^2 + w2^2) (B2x, B2y) = (Phi2, Psi2),
-    which divides harmonic-by-harmonic by the small divisor; a critical
-    harmonic there raises `CriticalTermError` from :func:`invert_delta`.
-    The returned residuals are of the original coupled system, formed on
-    first read, and must sit at round-off.
+    which divides harmonic-by-harmonic by the small divisor; a nonzero
+    critical harmonic raises `CriticalTermError` and a divisor below the
+    floor `SmallDivisorError`, as :func:`invert_delta` would, in one call
+    of the stage's kernel.  The returned residuals are of the original
+    coupled system, formed on first read, and must sit at round-off.
     """
     op = linear_operator(efg, n)
     (l11, l12), (l21, l22) = op
     neg = lambda entry: tuple(-v for v in entry)
-    phi2, psi2 = apply_operator(((l22, neg(l12)), (neg(l21), l11)), x2, y2, w)
-    return SecondOrderSolution(invert_delta(phi2, w, floor),
-                               invert_delta(psi2, w, floor), op, (x2, y2), w)
+    layout, kernel = plan(_solve_kernel, x2.layout, y2.layout)
+    b2x, b2y, scale = kernel(x2.values, y2.values, w.omega1, w.omega2,
+                             ((l22, neg(l12)), (neg(l21), l11)), floor)
+    return SecondOrderSolution(DAlembertSeries._new(layout, b2x),
+                               DAlembertSeries._new(layout, b2y), op, (x2, y2),
+                               w, scale)
 
 
 # -- degree-3 energy coefficients ------------------------------------------
@@ -416,19 +499,40 @@ class H3NormalCoefficients:
         return self.series.max_abs()
 
 
+def _h3_kernel(l2: Layout, b1x: Layout, b1y: Layout, b2x: Layout, b2y: Layout,
+               cubic: Layout):
+    """``(layout, kernel)`` of :func:`h3_normal_coefficients` at these
+    layouts: B1 + B2 and D of both sums, the quadratic energy at them with
+    every product capped at degree 3, plus the cubic; its degree-3 slice and
+    the degree-2 slice minus w1 I1 - w2 I2.  ``kernel(l2 values, B1x, B1y,
+    B2x, B2y and cubic values, w1, w2)`` returns the values of the degree-3
+    slice on `layout` and the sup norm of the degree-2 difference."""
+    k = KernelSource()
+    x = k.merge(k.unpack("b1x", b1x), k.unpack("b2x", b2x))
+    y = k.merge(k.unpack("b1y", b1y), k.unpack("b2y", b2y))
+    args = (x, y, k.apply_D(x), k.apply_D(y))
+    (energy,) = k.substitute(substitution_rows(
+        (_energy_rows(l2),), 3, tuple(a[0] for a in args)), args)
+    total = k.merge(energy, k.unpack("cubic", cubic))
+    h2_form = (_H2, [k.let("0j + complex(w1, 0.0)"), k.let("0j + complex(-w2, 0.0)")])
+    h3 = sliced(*total, _degree, 3, 3)
+    return h3[0], k.compile(
+        "coefficients, b1x, b1y, b2x, b2y, cubic, w1, w2",
+        [h3, k.sup(k.merge(sliced(*total, _degree, 2, 2), h2_form, negate=True))])
+
+
 def h3_normal_coefficients(cubic: DAlembertSeries, l2: TruncatedPoly, b1, b2,
                            w: FrequencyPair) -> H3NormalCoefficients:
     """Substitute x = B1 + B2 (velocities via D) into the energy and slice.
 
     The quadratic slice's energy `l2.energy()` is substituted with every
     product capped at degree 3 and added to `cubic`, the cubic slice's
-    energy at B1 (:func:`forcing_x2y2`; under the cap the cubic sees only B1).
+    energy at B1 (:func:`forcing_x2y2`; under the cap the cubic sees only
+    B1); one call of the stage's kernel.
     """
-    bx, by = b1[0] + b2[0], b1[1] + b2[1]
-    total = poly_at_series(l2.energy(), bx, by, apply_D(bx, w),
-                           apply_D(by, w), 3) + cubic
-
-    h2_form = DAlembertSeries._new(_H2, [0j + complex(w.omega1, 0.0),
-                                         0j + complex(-w.omega2, 0.0)])
-    h2_res = (total.degree_slice(2) - h2_form).max_abs()
-    return H3NormalCoefficients(total.degree_slice(3), h2_res)
+    layout, kernel = plan(_h3_kernel, l2.layout, b1[0].layout, b1[1].layout,
+                          b2[0].layout, b2[1].layout, cubic.layout)
+    values, h2_residual = kernel(l2.values, b1[0].values, b1[1].values,
+                                 b2[0].values, b2[1].values, cubic.values,
+                                 w.omega1, w.omega2)
+    return H3NormalCoefficients(DAlembertSeries._new(layout, values), h2_residual)

@@ -166,8 +166,7 @@ def run_pipeline(p: ModelParams, options: PipelineOptions = PipelineOptions(),
                                 res.b1[1], res.freq)
     res.b2 = normalform.solve_second_order_oracle(
         res.efg, res.freq, p.n, res.x2, res.y2, floor=options.divisor_floor)
-    res._scale = max(res.x2.max_abs(), res.y2.max_abs(),
-                     res.b2.b2x.max_abs(), res.b2.b2y.max_abs())
+    res._scale = res.b2.scale
     if last == 3:
         return res
 

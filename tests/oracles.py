@@ -12,7 +12,10 @@ reference; `variable` is one of the four variables as a polynomial.
 `substitute_pairwise` multiplies a substitution out one pair of term dicts
 at a time, the reference for `l4norm.normalform.poly_at_series`, and
 `substitute_by_rows` runs a substitution plan's rows in a loop, the
-bit-for-bit reference for its compiled kernel.
+bit-for-bit reference for its compiled kernel.  `forcing_by_ops`,
+`second_order_by_ops` and `h3_by_ops` run the three second-order stages
+one series operation at a time, the bit-for-bit references for the
+stages' kernels.
 `t5_by_products` multiplies out the drag cubic T5, the reference for
 `l4norm.polyalg.t_coefficients_closed_form`.  `classical_cubic_symbolic`
 derives the classical T1..T4 exactly, the reference for the printed rows,
@@ -30,7 +33,9 @@ from dataclasses import dataclass
 from operator import mul
 
 from l4norm import closedforms, equilibria, normalform, polyalg, verify
-from l4norm.dalembert import DAlembertSeries, apply_poly_in_D
+from l4norm.dalembert import (DIVISOR_FLOOR, DAlembertSeries, apply_D,
+                              apply_poly_in_D, invert_delta,
+                              substitution_rows)
 from l4norm.equilibria import OriginShift
 from l4norm.errors import ContractError
 from l4norm.model import ModelParams, State, lagrangian, potential_gradient
@@ -199,6 +204,57 @@ def substitute_by_rows(planned, coefficients: list, args) -> list:
             acc[slot] = complex(acc[slot].real)  # sin(0) is identically zero
         out.append(DAlembertSeries._new(layout, acc))
     return out
+
+
+# -- the second-order stages, one series operation at a time -------------
+
+
+def forcing_by_ops(l3: TruncatedPoly, b1x, b1y, w):
+    """`l4norm.normalform.forcing_x2y2` as separate series operations, the
+    bit-for-bit reference for its kernel: D B1 by `apply_D`, the five
+    substitutions by :func:`substitute_by_rows`, then x2 = x2p - D vx and
+    y2 = y2p - D vy as series differences."""
+    if any(sum(m) != 3 for m in l3.layout.keys):
+        raise ContractError("forcing expects a homogeneous cubic slice")
+    args = (b1x, b1y, apply_D(b1x, w), apply_D(b1y, w))
+    rows = substitution_rows(normalform._forcing_polys(l3.layout), 3,
+                             [a.layout for a in args])
+    x2p, y2p, vx, vy, cubic = substitute_by_rows((rows, None), l3.values, args)
+    return (x2p - apply_D(vx, w), y2p - apply_D(vy, w)), (x2p, y2p), cubic
+
+
+def second_order_by_ops(efg, w, n, x2, y2, floor=DIVISOR_FLOOR):
+    """`l4norm.normalform.solve_second_order_oracle` as separate series
+    operations, the bit-for-bit reference for its kernel: the adjugate by
+    `apply_operator`, each of its rows divided by `invert_delta`, and the
+    scale as four sup norms."""
+    op = normalform.linear_operator(efg, n)
+    (l11, l12), (l21, l22) = op
+    neg = lambda entry: tuple(-v for v in entry)
+    phi2, psi2 = normalform.apply_operator(((l22, neg(l12)), (neg(l21), l11)),
+                                           x2, y2, w)
+    b2x, b2y = invert_delta(phi2, w, floor), invert_delta(psi2, w, floor)
+    scale = max(x2.max_abs(), y2.max_abs(), b2x.max_abs(), b2y.max_abs())
+    return normalform.SecondOrderSolution(b2x, b2y, op, (x2, y2), w, scale)
+
+
+def h3_by_ops(cubic, l2: TruncatedPoly, b1, b2, w):
+    """`l4norm.normalform.h3_normal_coefficients` as separate series
+    operations, the bit-for-bit reference for its kernel: B1 + B2, D of
+    both sums, `l2.energy()` substituted at cap 3 by
+    :func:`substitute_by_rows`, plus `cubic`, its degree-3 slice, and the
+    degree-2 slice minus w1 I1 - w2 I2."""
+    bx, by = b1[0] + b2[0], b1[1] + b2[1]
+    args = (bx, by, apply_D(bx, w), apply_D(by, w))
+    energy = l2.energy()
+    rows = substitution_rows((tuple((n, None, m) for n, m in enumerate(
+        energy.layout.keys)),), 3, [a.layout for a in args])
+    (total,) = substitute_by_rows((rows, None), energy.values, args)
+    total = total + cubic
+    h2_form = DAlembertSeries({(2, 0, 0, 0): (w.omega1, 0.0),
+                               (0, 2, 0, 0): (-w.omega2, 0.0)})
+    return normalform.H3NormalCoefficients(
+        total.degree_slice(3), (total.degree_slice(2) - h2_form).max_abs())
 
 
 # -- Taylor expansion by series composition ----------------------------

@@ -21,7 +21,7 @@ from l4norm.closedforms import (
     rs_tables,
 )
 from l4norm.dalembert import (DAlembertSeries, FrequencyPair, _substitution_plan,
-                              apply_D, substitute_along)
+                              apply_D, substitute_along, substitution_plan)
 from l4norm.equilibria import solve_triangular_numeric, shift_from_point
 from l4norm.errors import (
     ContractError,
@@ -32,7 +32,7 @@ from l4norm.errors import (
 from l4norm.layout import plan
 from l4norm.model import ModelParams
 from l4norm.normalform import (
-    _forcing_plan,
+    _forcing_polys,
     apply_operator,
     classical_frequencies,
     first_order_components,
@@ -681,7 +681,7 @@ class TestSubstitutionKernel:
                     planned = plan(_substitution_plan, poly.layout, cap, *layouts)
                     (reference,) = substitute_by_rows(planned, poly.values, args)
                     assert _bits(poly_at_series(poly, *args, cap)) == _bits(reference)
-                planned = plan(_forcing_plan, l3.layout, cap, *layouts)
+                planned = substitution_plan(_forcing_polys(l3.layout), cap, layouts)
                 assert (list(map(_bits, substitute_along(planned, l3.values, args)))
                         == list(map(_bits, substitute_by_rows(planned, l3.values, args))))
 
@@ -694,7 +694,8 @@ class TestSubstitutionKernel:
         args = (b1x, b1y, apply_D(b1x, w), apply_D(b1y, w))
         dx, dy, dvx, dvy, energy = [poly_at_series(poly, *args, 3) for poly in
                                     [l3.partial(i) for i in range(4)] + [l3.energy()]]
-        planned = plan(_forcing_plan, l3.layout, 3, *(a.layout for a in args))
+        planned = substitution_plan(_forcing_polys(l3.layout), 3,
+                                    [a.layout for a in args])
         assert (list(map(_bits, substitute_along(planned, l3.values, args)))
                 == list(map(_bits, (dx, dy, dvx, dvy, energy))))
         (x2, y2), (x2p, y2p), cubic = forcing_x2y2(l3, b1x, b1y, w)

@@ -1,0 +1,268 @@
+"""The three second-order stages, each one compiled kernel, against their
+step-by-step references in oracles.py: bit for bit, keys in the same order,
+over the benchmark's domain, and raising the reference's errors."""
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from l4norm import closedforms, dalembert, layout, normalform
+from l4norm.dalembert import DAlembertSeries, FrequencyPair
+from l4norm.errors import ContractError, CriticalTermError, L4NormError, SmallDivisorError
+from l4norm.layout import Store
+from l4norm.model import ModelParams
+from l4norm.normalform import (forcing_x2y2, h3_normal_coefficients,
+                               solve_second_order_oracle)
+from l4norm.polyalg import QuadraticCoefficients, TruncatedPoly, taylor_lagrangian
+from l4norm.verify import PipelineOptions, audit, run_pipeline
+
+import oracles
+from oracles import forcing_by_ops, h3_by_ops, second_order_by_ops
+
+# Drag-free mass ratios where H3's degree-2 (1, 1, 1, 1) coefficient
+# cancels to an exact 0.0 at some and not at others.
+CANCELLING_MUS = (0.00445, 0.0044945, 0.004539, 0.0045835)
+
+
+def bits(series):
+    """Keys in stored order with the exact bits of each value."""
+    return [(key, z.real.hex(), z.imag.hex())
+            for key, z in zip(series.layout.keys, series.values)]
+
+
+def outcome(fn, *args):
+    """``("ok", result)``, or the class of the error raised with its
+    message and attributes, exactly."""
+    try:
+        return "ok", fn(*args)
+    except L4NormError as exc:
+        return type(exc), str(exc), repr(sorted(vars(exc).items()))
+
+
+def check_second_order(res, x2, y2, cubic, floor=1e-8):
+    """The B2 solve and H3 at this forcing equal their references."""
+    w, n = res.freq, res.params.n
+    solved = outcome(solve_second_order_oracle, res.efg, w, n, x2, y2, floor)
+    reference = outcome(second_order_by_ops, res.efg, w, n, x2, y2, floor)
+    if solved[0] != "ok":
+        assert solved == reference
+        return
+    sol, ref = solved[1], reference[1]
+    assert bits(sol.b2x) == bits(ref.b2x) and bits(sol.b2y) == bits(ref.b2y)
+    assert sol.scale.hex() == ref.scale.hex()
+    l2 = res.lagrangian_poly.grade(2)
+    b2 = (sol.b2x, sol.b2y)
+    h3 = h3_normal_coefficients(cubic, l2, res.b1, b2, w)
+    h3_ref = h3_by_ops(cubic, l2, res.b1, b2, w)
+    assert bits(h3.series) == bits(h3_ref.series)
+    assert h3.h2_residual.hex() == h3_ref.h2_residual.hex()
+
+
+def check_stages(res):
+    """Every stage from the forcing on, at the chain's forcing and at its
+    position-partial forcing (the audit's `forcing.partial_only`)."""
+    l3 = taylor_lagrangian(res.params, res.shift, 3).grade(3)
+    forcing = forcing_x2y2(l3, *res.b1, res.freq)
+    reference = forcing_by_ops(l3, *res.b1, res.freq)
+    (x2, y2), (x2p, y2p), cubic = forcing
+    (rx2, ry2), (rx2p, ry2p), rcubic = reference
+    assert (list(map(bits, (x2, y2, x2p, y2p, cubic)))
+            == list(map(bits, (rx2, ry2, rx2p, ry2p, rcubic))))
+    check_second_order(res, x2, y2, cubic)
+    check_second_order(res, x2p, y2p, cubic)
+
+
+@st.composite
+def domain_points(draw):
+    """A point of the benchmark's domain: mu <= 0.037, both branches, drag
+    (epsilon <= 0.01, A2 <= 0.005, cd in [1, 100]) on or off."""
+    mu = draw(st.floats(0.0009, 0.037))
+    A2 = draw(st.floats(0.0, 0.005))
+    if draw(st.booleans()):
+        p = ModelParams(mu=mu, q1=1.0 - draw(st.floats(0.0, 0.01, exclude_min=True)),
+                        A2=A2, cd=draw(st.floats(1.0, 100.0)))
+    else:
+        p = ModelParams(mu=mu, A2=A2)
+    return p, draw(st.sampled_from(("L4", "L5")))
+
+
+def first_order(p, branch):
+    try:
+        return run_pipeline(p, PipelineOptions(branch=branch), stages=("b1",))
+    except L4NormError:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(domain_points())
+def test_stages_equal_their_references_over_the_domain(point):
+    res = first_order(*point)
+    assume(res is not None)
+    check_stages(res)
+
+
+@pytest.mark.parametrize("mu", CANCELLING_MUS)
+@pytest.mark.parametrize("branch", ("L4", "L5"))
+def test_stages_equal_their_references_where_h3_cancels(mu, branch):
+    check_stages(first_order(ModelParams(mu=mu), branch))
+
+
+def test_stages_equal_their_references_along_the_chain():
+    # run_pipeline's own values: forcing, B2 with its scale, and H3
+    for mu, drag in ((0.01, False), (0.02, True)):
+        p = (ModelParams(mu=mu, q1=0.995, A2=1e-3, cd=5.0) if drag
+             else ModelParams(mu=mu))
+        res = run_pipeline(p)
+        l3 = res.lagrangian_poly.grade(3)
+        (x2, y2), _, cubic = forcing_by_ops(l3, *res.b1, res.freq)
+        assert bits(res.x2) == bits(x2) and bits(res.y2) == bits(y2)
+        assert bits(res.cubic_at_b1) == bits(cubic)
+        ref = second_order_by_ops(res.efg, res.freq, p.n, x2, y2)
+        assert bits(res.b2.b2x) == bits(ref.b2x)
+        assert res.intermediate_scale() == ref.scale
+        h3 = h3_by_ops(cubic, res.lagrangian_poly.grade(2), res.b1,
+                       (ref.b2x, ref.b2y), res.freq)
+        assert bits(res.h3.series) == bits(h3.series)
+        assert res.h3.h2_residual == h3.h2_residual
+
+
+# -- the guards --------------------------------------------------------------
+
+# E = F = G = 0 with n = 1 and w1 = 1: at the (1, 0) harmonic both rows of
+# the adjugate annihilate (X, Y) = (-i, 1) in exact arithmetic, so that
+# critical slot evaluates to exactly 0; at w2 = w1 / 2 the divisor of the
+# (0, 2) harmonic is exactly 0.
+EFG = QuadraticCoefficients(0.0, 0.0, 0.0)
+W = FrequencyPair(1.0, 0.5)
+
+
+def solve_both(x2, y2, floor=1e-8):
+    """The kernel's and the reference's outcomes at these hand-built
+    forcings; equal, and returned."""
+    solved = outcome(solve_second_order_oracle, EFG, W, 1.0, x2, y2, floor)
+    reference = outcome(second_order_by_ops, EFG, W, 1.0, x2, y2, floor)
+    if solved[0] == "ok":
+        sol, ref = solved[1], reference[1]
+        assert reference[0] == "ok"
+        assert bits(sol.b2x) == bits(ref.b2x) and bits(sol.b2y) == bits(ref.b2y)
+        assert sol.scale == ref.scale
+    else:
+        assert solved == reference
+    return solved
+
+
+def series(*terms):
+    return DAlembertSeries({key: cs for key, cs in terms})
+
+
+@pytest.mark.parametrize("key", [(1, 0, 1, 0), (0, 1, 0, 1), (3, 0, 1, 0),
+                                 (1, 2, 1, 0), (0, 3, 0, 1)])
+@pytest.mark.parametrize("size", [1e-3, 1e-15])
+def test_a_critical_harmonic_raises_the_reference_error(key, size):
+    for x2, y2 in ((series((key, (size, 0.0))), series()),
+                   (series(), series((key, (0.0, -size)))),
+                   (series(((2, 0, 2, 0), (1.0, 0.5)), (key, (size, size))), series())):
+        solved = solve_both(x2, y2)
+        assert solved[0] is CriticalTermError
+        assert f"critical harmonic {key[2:]}" in solved[1]
+
+
+def test_a_divisor_below_the_floor_raises_the_reference_error():
+    solved = solve_both(series(((0, 2, 0, 2), (1.0, 0.0))), series())
+    assert solved[0] is SmallDivisorError
+    assert "'factor', 'Delta_(0,2)'" in solved[2]
+    # with no floor, that divisor of exactly 0 divides, as the reference does
+    for solve in (solve_second_order_oracle, second_order_by_ops):
+        with pytest.raises(ZeroDivisionError):
+            solve(EFG, W, 1.0, series(((0, 2, 0, 2), (1.0, 0.0))), series(), 0.0)
+
+
+def test_the_first_failing_term_in_stored_order_is_reported():
+    small, critical = ((0, 2, 0, 2), (1.0, 0.0)), ((1, 0, 1, 0), (1.0, 0.0))
+    assert solve_both(series(small, critical), series())[0] is SmallDivisorError
+    assert solve_both(series(critical, small), series())[0] is CriticalTermError
+    # Y2 alone stores the failing term first: Phi2's order is X2's keys,
+    # then Y2's new ones
+    first = solve_both(series(small), series(critical, small))
+    assert first[0] is SmallDivisorError
+    first = solve_both(series(((2, 0, 2, 0), (1.0, 0.0))), series(critical, small))
+    assert first[0] is CriticalTermError
+
+
+def test_a_critical_slot_of_exactly_zero_raises_nothing():
+    x2 = series(((1, 0, 1, 0), (0.0, -1.0)), ((2, 0, 2, 0), (1.0, 0.5)))
+    y2 = series(((1, 0, 1, 0), (1.0, 0.0)))
+    solved = solve_both(x2, y2)
+    assert solved[0] == "ok"
+    assert solved[1].b2x.layout.keys == ((2, 0, 2, 0),)
+    # the same slot a hair off zero raises
+    y2 = series(((1, 0, 1, 0), (1.0 + 2.0**-52, 0.0)))
+    assert solve_both(x2, y2)[0] is CriticalTermError
+
+
+def test_a_slot_of_exactly_zero_on_a_zero_divisor_raises_nothing():
+    # at (0, 2) theta = -w1, so the adjugate annihilates (X, Y) = (i, 1)
+    # there and the divisor is exactly 0: that slot is neither checked nor
+    # divided, with or without a floor
+    x2 = series(((0, 2, 0, 2), (0.0, 1.0)), ((2, 0, 2, 0), (1.0, 0.5)))
+    y2 = series(((0, 2, 0, 2), (1.0, 0.0)))
+    for floor in (1e-8, 0.0):
+        solved = solve_both(x2, y2, floor)
+        assert solved[0] == "ok"
+        assert solved[1].b2y.layout.keys == ((2, 0, 2, 0),)
+    y2 = series(((0, 2, 0, 2), (1.0, 2.0**-52)))
+    assert solve_both(x2, y2)[0] is SmallDivisorError
+
+
+def test_a_non_homogeneous_cubic_raises_contract_error():
+    b1 = series(((1, 0, 1, 0), (1.0, 0.0)))
+    for l3 in (TruncatedPoly(3, {(2, 0, 0, 0): 1.0}),
+               TruncatedPoly(3, {(3, 0, 0, 0): 1.0, (1, 0, 0, 0): 2.0})):
+        for fn in (forcing_x2y2, forcing_by_ops):
+            with pytest.raises(ContractError, match="homogeneous cubic"):
+                fn(l3, b1, b1, W)
+
+
+# -- what a chain runs ---------------------------------------------------------
+
+
+def test_a_chain_runs_no_step_by_step_series_operation(monkeypatch):
+    # to h3, the chain applies no D-polynomial, divides by no Delta and
+    # merges no series outside the stage kernels
+    calls = []
+
+    def spy(owner, name):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *args, **kwargs: calls.append(name)
+                            or fn(*args, **kwargs))
+
+    for owner in (dalembert, normalform, oracles):
+        spy(owner, "apply_poly_in_D")
+        spy(owner, "invert_delta")
+    spy(Store, "_merge")
+    for p in (ModelParams(mu=0.01), ModelParams(mu=0.02, q1=0.995, A2=1e-3, cd=5.0)):
+        for branch in ("L4", "L5"):
+            res = run_pipeline(p, PipelineOptions(branch=branch))
+    assert calls == []
+    # the references run each operation on its own
+    h3_by_ops(res.cubic_at_b1, res.lagrangian_poly.grade(2), res.b1,
+              (res.b2.b2x, res.b2.b2y), res.freq)
+    second_order_by_ops(res.efg, res.freq, p.n, res.x2, res.y2)
+    assert {"apply_poly_in_D", "invert_delta", "_merge"} <= set(calls)
+
+
+def test_no_kernel_is_compiled_after_the_first_cancelling_point(monkeypatch):
+    # exact zeros inside a stage never reach a layout: after the first of
+    # these drag-free points, the others compile no kernel
+    made = []
+    for owner in (layout, dalembert, closedforms):
+        compiled = getattr(owner, "compiled")
+        monkeypatch.setattr(owner, "compiled", lambda source, name, _c=compiled,
+                            **names: made.append(name) or _c(source, name, **names))
+    first, *others = CANCELLING_MUS
+    dict(audit(run_pipeline(ModelParams(mu=first))).gaps)
+    count = len(made)
+    for mu in others:
+        dict(audit(run_pipeline(ModelParams(mu=mu))).gaps)
+    assert len(made) == count

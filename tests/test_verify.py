@@ -332,20 +332,20 @@ class TestLazySecondOrderResiduals:
     def test_residuals_equal_an_eager_back_substitution(self, counted):
         p, options, calls = counted
         res = run_pipeline(p, options, stages=("b2",))
-        assert len(calls) == 2  # the B1 residual and the B2 solve
+        assert len(calls) == 1  # the B1 residual; the B2 solve is its kernel
         rx, ry = self.apply(normalform.linear_operator(res.efg, p.n),
                             res.b2.b2x, res.b2.b2y, res.freq)
         eager = ((rx - res.x2).max_abs(), (ry - res.y2).max_abs())
         assert _hex((res.b2.residual_x, res.b2.residual_y)) == _hex(eager)
         assert res.gates()["b2-residual"] and res.gates() == res.gates()
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     def test_partial_forcing_solve_skips_the_back_substitution(self, counted):
         p, options, calls = counted
         res = run_pipeline(p, options, stages=("b2",))
         calls.clear()
         partial_forcing_gap(res)
-        assert len(calls) == 1
+        assert len(calls) == 0
 
 
 class TestClassicalRoots:
@@ -604,19 +604,24 @@ class TestH3Substitution:
         assert list(at_b2.cubic_at_b1.terms.items()) == ablation
         assert list(cubic_at_b1_anew(res).terms.items()) == ablation
 
-    def test_each_substitution_shape_plans_once(self, res, monkeypatch):
-        # The forcing substitutes its five polynomials at (B1, B1, D B1,
-        # D B1) in one kernel call, without `poly_at_series`, and H3 one
-        # at B1 + B2, all at cap 3; once a point of this shape has run,
-        # another chain of it, stopped at b2 with its partial-forcing gap
-        # or run through h3, plans nothing anew.
+    def test_each_stage_plans_once_per_shape(self, res, monkeypatch):
+        # The forcing, the B2 solve and H3 each plan one kernel per tuple of
+        # input layouts; once a point of this shape has run, another chain
+        # of it, stopped at b2 with its partial-forcing gap or run through
+        # h3, plans nothing anew and calls no substitution of its own.
         calls = []
         sub = normalform.poly_at_series
         monkeypatch.setattr(normalform, "poly_at_series",
                             lambda *args: calls.append(args) or sub(*args))
-        chain = run_pipeline(res.params, res.options)
-        assert [args[5] for args in calls] == [3]
-        assert calls[0][1] is not chain.b1[0]
+        built = []
+        stages = ("_forcing_kernel", "_solve_kernel", "_h3_kernel")
+
+        def logged(name, build):
+            return lambda *layouts: built.append((name, layouts)) or build(*layouts)
+
+        for name in stages:
+            monkeypatch.setattr(normalform, name,
+                                logged(name, getattr(normalform, name)))
 
         def same_shape():
             partial_forcing_gap(run_pipeline(res.params, res.options,
@@ -624,8 +629,12 @@ class TestH3Substitution:
             run_pipeline(res.params, res.options)
 
         same_shape()
-        misses = plan.cache_info().misses
+        assert {name for name, _ in built} == set(stages)
+        assert len(set(built)) == len(built)
+        assert calls == []
+        count, misses = len(built), plan.cache_info().misses
         same_shape()
+        assert len(built) == count
         assert plan.cache_info().misses == misses
 
 
@@ -651,14 +660,14 @@ def test_plan_table_stays_within_its_budget():
 
 
 def test_kernels_are_compiled_once_per_shape(monkeypatch):
-    # A substitution kernel is keyed by its layouts and cap, never by a
-    # value: 100 seeded chains with their audits compile three (the
-    # forcing with and without drag, H3's energy), and 100 other points
+    # A stage kernel is keyed by its input layouts, never by a value: 100
+    # seeded chains with their audits compile five (the forcing and H3,
+    # each with and without drag, and the B2 solve), and 100 other points
     # compile none.
     made = []
     compiled = dalembert.compiled
-    monkeypatch.setattr(dalembert, "compiled", lambda source, name:
-                        made.append(name) or compiled(source, name))
+    monkeypatch.setattr(dalembert, "compiled", lambda source, name, **names:
+                        made.append(source) or compiled(source, name, **names))
 
     def chains(seed):
         for p, branch in _stopping_points(100, seed=seed):
@@ -666,7 +675,7 @@ def test_kernels_are_compiled_once_per_shape(monkeypatch):
 
     plan.cache_clear()
     chains(7)
-    assert 0 < len(made) <= 3
+    assert 0 < len(made) <= 5
     count = len(made)
     chains(8)
     assert len(made) == count
@@ -811,6 +820,8 @@ def test_verify_computes_the_deferred_groups_only_for_csv(monkeypatch, capsys,
 
 
 def test_scale_is_measured_once_per_result(monkeypatch):
+    # the B2 solve's kernel measures the scale; no sup norm is taken of
+    # X2, Y2 or B2, by the chain or by the report
     measured = []
     sup = Store.max_abs
     monkeypatch.setattr(Store, "max_abs",
@@ -821,10 +832,11 @@ def test_scale_is_measured_once_per_result(monkeypatch):
     def reads(part):
         return sum(m is part for m in measured)
 
-    assert [reads(part) for part in parts] == [1, 1, 1, 1]
+    assert [reads(part) for part in parts] == [0, 0, 0, 0]
     render_report(res, audit(res), res.gates())
-    assert [reads(part) for part in parts] == [1, 1, 1, 1]
-    assert res.intermediate_scale() == max(sup(part) for part in parts)
+    assert [reads(part) for part in parts] == [0, 0, 0, 0]
+    assert res.intermediate_scale() == res.b2.scale
+    assert res.b2.scale == max(sup(part) for part in parts)
     assert run_pipeline(DRAG_POINT, stages=("b1",)).intermediate_scale() == 1.0
 
 
