@@ -65,6 +65,11 @@ FIXED = [
     ["verify", "--mu", "0.01", *DRAG, "--stages", "h3"],
     ["verify", "--mu", "0.01", *DRAG, "--stages", "h3", "--branch", "L5"],
     ["verify", "--mu", "0.01", *DRAG, "--stages", "h3", "--format", "csv"],
+    # every gap of the audit, on the L5 mirror and on a cubic that the
+    # audit expands itself (a chain stopped at b1 expands the quadratic only)
+    ["verify", "--mu", "0.01", *DRAG, "--stages", "h3", "--branch", "L5",
+     "--format", "csv"],
+    ["verify", "--mu", "0.01", *DRAG, "--stages", "b1", "--format", "csv"],
     ["verify", "--mu", "0.01", *DRAG, "--stages", "b1"],
     ["verify", "--mu", "0.01", *DRAG, "--stages", "equilibria"],
     ["verify", "--mu", "0.01", "--epsilon", "1e-3", "--a2", "1e-4", "--cd", "7",

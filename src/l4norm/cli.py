@@ -169,7 +169,7 @@ def _emit(text: str, config: RunConfig, suffix: str) -> None:
 def cmd_equilibria(config: RunConfig) -> int:
     result = verify.run_pipeline(config.params(), config.options(),
                                  stages=("equilibria",))
-    lines = verify.equilibria_csv(result, verify.audit(result))
+    lines = verify.equilibria_csv(result, verify.report_audit(result))
     _emit("\n".join(lines) + "\n", config, "equilibria.csv")
     return EXIT_OK
 
@@ -188,7 +188,8 @@ def cmd_verify(config: RunConfig) -> int:
     p = config.params()
     options = config.options()
     result = verify.run_pipeline(p, options, stages=config.stages)
-    printed = verify.audit(result)
+    audited = verify.audit if config.format == "csv" else verify.report_audit
+    printed = audited(result)
     verdicts = None
     if config.format == "report" and "b2" in result.stages:
         verdicts = verify.detect_discrepancies(p.mu, options)

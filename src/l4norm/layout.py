@@ -32,7 +32,7 @@ import operator
 
 # Entries kept in the plan table: interned layouts and the plans made on
 # them, each substitution or stage plan with its compiled kernel.  50 seeded
-# chains with their audits and the detector make 47 (10 kernels).
+# chains with their audits and the detector make 46 (10 kernels).
 PLAN_TABLE_SIZE = 1024
 
 

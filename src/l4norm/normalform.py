@@ -48,7 +48,7 @@ from .dalembert import (
 )
 from .errors import (ContractError, CriticalTermError, SmallDivisorError,
                      StabilityDomainError)
-from .layout import Layout, intern, plan, sliced, sum_plan
+from .layout import Layout, _sup, intern, plan, sliced, sum_plan
 from .model import ModelParams
 from .polyalg import (QuadraticCoefficients, TruncatedPoly, _partial_plan,
                       _velocity_degree)
@@ -285,10 +285,11 @@ def linear_operator(efg: QuadraticCoefficients, n: float):
             ((-k10, 2.0 * n, 0.0), (-k11, 0.0, 1.0)))
 
 
-def apply_operator(matrix, x, y, w: FrequencyPair):
-    """Apply a 2x2 matrix of (c0, c1, c2) D-polynomials to the pair (x, y)
-    in one pass over the keys of x + y, forming per harmonic theta and the
-    four multipliers of :func:`apply_poly_in_D` once."""
+def _operator_values(matrix, x, y, w: FrequencyPair):
+    """``(layout of x + y, row 1, row 2)``: the values, exact zeros kept, of
+    a 2x2 matrix of (c0, c1, c2) D-polynomials applied to the pair (x, y)
+    in one pass, forming per harmonic theta and the four multipliers of
+    :func:`apply_poly_in_D` once."""
     layout, shared, new = plan(sum_plan, x.layout, y.layout)
     xs, ys = x.values + [0j] * len(new), [0j] * len(x.values)
     for n, k in shared:
@@ -303,15 +304,24 @@ def apply_operator(matrix, x, y, w: FrequencyPair):
                            + complex(b[0] - b[2] * t * t, -(b[1] * t)) * zy))
         second.append(0j + (complex(c[0] - c[2] * t * t, -(c[1] * t)) * zx
                             + complex(d[0] - d[2] * t * t, -(d[1] * t)) * zy))
+    return layout, first, second
+
+
+def apply_operator(matrix, x, y, w: FrequencyPair):
+    """Apply a 2x2 matrix of (c0, c1, c2) D-polynomials to the pair (x, y):
+    the two series of :func:`_operator_values`, exact zeros dropped."""
+    layout, first, second = _operator_values(matrix, x, y, w)
     return x._new(layout, first), x._new(layout, second)
 
 
 def linear_residual(b1x: DAlembertSeries, b1y: DAlembertSeries,
                     efg: QuadraticCoefficients, w: FrequencyPair,
                     n: float) -> float:
-    """Sup-norm of the linearized equations applied to a degree-1 pair."""
-    r1, r2 = apply_operator(linear_operator(efg, n), b1x, b1y, w)
-    return max(r1.max_abs(), r2.max_abs())
+    """Sup-norm of the linearized equations applied to a degree-1 pair,
+    read off the operator's values: no series is formed, so no layout
+    depends on which values are exactly zero."""
+    _, first, second = _operator_values(linear_operator(efg, n), b1x, b1y, w)
+    return max(map(_sup, first + second), default=0.0)
 
 
 # -- substitution of series into polynomials ------------------------------

@@ -397,7 +397,7 @@ H3_GAP_NAMES = ("T1", "T2", "T3", "T4", "T5", "T5_print")
 
 def compare_h3(oracle_l3: TruncatedPoly,
                closed: H3CoefficientsClosedForm) -> dict:
-    """Gaps of the closed cubic to the oracle's, name -> sup-norm gap, keyed
+    """The closed cubic's gaps to the oracle's, name -> sup-norm gap, keyed
     by `H3_GAP_NAMES`: T1..T4 as scalars, T5 and T5_print against the
     velocity cubic.
 

@@ -3,7 +3,8 @@
 `run_pipeline` chains the oracle stages (equilibria, taylor, b1, b2, h3)
 at one parameter point and collects what the gates read.  `audit`
 evaluates the printed series and tables at the same point and returns
-their values and their gaps to that chain.  `detect_discrepancies` runs
+their values and their gaps to that chain; `report_audit` computes only
+the part of it that `render_report` prints.  `detect_discrepancies` runs
 the single-perturbation halving experiments that classify every printed
 series against its oracle; the acceptance suite cross-checks the output
 against the registry in :mod:`l4norm.errata`.
@@ -11,10 +12,8 @@ against the registry in :mod:`l4norm.errata`.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from . import closedforms, equilibria, normalform, polyalg
@@ -26,7 +25,7 @@ from .dalembert import (
     moser_check,
 )
 from .errata import classify_remainder
-from .errors import ContractError, ParameterError, ResonanceError
+from .errors import ParameterError, ResonanceError
 from .model import ModelParams
 
 STAGES = ("equilibria", "taylor", "b1", "b2", "h3")
@@ -78,12 +77,11 @@ class PipelineResult:
     b2: normalform.SecondOrderSolution | None = None
     h3: normalform.H3NormalCoefficients | None = None
     h3_ablation: normalform.H3NormalCoefficients | None = None
-    # the largest sup norm of X2, Y2 and B2, set where the b2 stage writes
-    # them; 1.0 before it
-    _scale: float = field(default=1.0, init=False, repr=False)
 
     def intermediate_scale(self) -> float:
-        return self._scale
+        """The largest sup norm of X2, Y2 and B2, which the B2 solve
+        measures; 1.0 before the b2 stage."""
+        return 1.0 if self.b2 is None else self.b2.scale
 
     def h3_bound(self) -> float:
         """The `h3-vanishing` gate's bound: h3_tol_factor times the scale."""
@@ -166,7 +164,6 @@ def run_pipeline(p: ModelParams, options: PipelineOptions = PipelineOptions(),
                                 res.b1[1], res.freq)
     res.b2 = normalform.solve_second_order_oracle(
         res.efg, res.freq, p.n, res.x2, res.y2, floor=options.divisor_floor)
-    res._scale = res.b2.scale
     if last == 3:
         return res
 
@@ -180,59 +177,10 @@ def run_pipeline(p: ModelParams, options: PipelineOptions = PipelineOptions(),
 # -- audit of the printed tables -------------------------------------------
 
 
-class Gaps(Mapping):
-    """An audit's gaps by key, in the audit's order.  The keys of a group
-    added by `defer` are listed at once, and the group is computed on the
-    first read of any of its keys, once; an error it raises is raised
-    again on each read that needs it.  A read-only mapping, not a dict:
-    ``dict(gaps)`` computes every group and returns a plain dict, and so
-    does the repr."""
-
-    def __init__(self):
-        self._values = {}
-        self._pending = {}   # key -> (its group's keys, their computation)
-
-    def __setitem__(self, key, value):
-        self._values[key] = value
-
-    def defer(self, keys, compute):
-        """Hold `keys` for ``compute()``, which returns their gaps by key,
-        exactly these keys."""
-        group = tuple(keys), compute
-        for key in keys:
-            self._values[key] = None
-            self._pending[key] = group
-
-    def __getitem__(self, key):
-        group = self._pending.get(key)
-        if group is not None:
-            keys, compute = group
-            values = compute()
-            if values.keys() != set(keys):
-                raise ContractError(f"a deferred group held {keys} and "
-                                    f"computed {tuple(values)}")
-            for name in keys:
-                self._values[name] = values[name]
-                del self._pending[name]
-        return self._values[key]
-
-    def __repr__(self):
-        return repr(dict(self))
-
-    def __contains__(self, key):
-        return key in self._values
-
-    def __iter__(self):
-        return iter(self._values)
-
-    def __len__(self):
-        return len(self._values)
-
-
 @dataclass
 class Audit:
-    """Printed-table values at one pipeline result and their gaps to it;
-    the J entries and the r/s tables by name."""
+    """Printed-table values at one pipeline result and their gaps to it,
+    by key; the J entries and the r/s tables by name."""
 
     eq_series: equilibria.EquilibriumPoint
     eq_epsform: equilibria.EquilibriumPoint
@@ -240,23 +188,14 @@ class Audit:
     rs: dict | None = None
     # r1..s10 read off the chain's B2 by `oracle_rs_from_series`
     rs_oracle: dict | None = None
-    gaps: Gaps = field(default_factory=Gaps)
+    gaps: dict = field(default_factory=dict)
 
 
-CUBIC_KEYS = tuple(f"cubic.{name}" for name in polyalg.H3_GAP_NAMES)
-
-
-def audit(res: PipelineResult) -> Audit:
-    """Evaluate the printed series behind every stage the result holds.
-    Raises where a printed series has no value; the result stays valid.
-
-    The gaps that the report prints (``equilibria.*``, ``j.*``, ``b2.*``)
-    are computed here.  Four groups are computed on the first read of any
-    of their keys, from a shallow copy of the result taken here:
-    ``offset.*``, ``cubic.*``, ``b1.print_weights`` and
-    ``forcing.partial_only``.  An error of one of those is raised on the
-    read that needs it; none raises on a result whose stages passed, as
-    their divisors are the chain's own."""
+def report_audit(res: PipelineResult) -> Audit:
+    """The printed series that `render_report` prints, at every stage the
+    result holds, and their gaps: ``equilibria.*``, from b1 on ``j.*``, from
+    b2 on ``b2.*`` and ``b2.sup``.  Raises where a printed series has no
+    value; the result stays valid."""
     p, branch = res.params, res.options.branch
     # the printed rows are L4's: on L5 they are read as its mirror
     q, read = closedforms.on_branch(p, branch)
@@ -265,27 +204,6 @@ def audit(res: PipelineResult) -> Audit:
     gaps = out.gaps
     gaps["equilibria.series"] = _point_gap(res.eq_numeric, out.eq_series)
     gaps["equilibria.epsilon_form"] = _point_gap(res.eq_numeric, out.eq_epsform)
-    chain = copy.copy(res)
-
-    def offset():
-        printed_shift = read(vars(equilibria.offset_ab(q)))
-        return {"offset.a": abs(printed_shift["a"] - chain.shift.a),
-                "offset.b": abs(printed_shift["b"] - chain.shift.b)}
-
-    gaps.defer(("offset.a", "offset.b"), offset)
-    if res.lagrangian_poly is None:
-        return out
-
-    def cubic():
-        lagrangian = chain.lagrangian_poly
-        if lagrangian.cap < 3:
-            # a chain stopped before b2 expanded only the quadratic part
-            lagrangian = polyalg.taylor_lagrangian(p, chain.shift, 3)
-        closed = polyalg.t_coefficients_closed_form(p, chain.shift)
-        return {f"cubic.{name}": gap for name, gap in
-                polyalg.compare_h3(lagrangian.grade(3), closed).items()}
-
-    gaps.defer(CUBIC_KEYS, cubic)
     if res.nm is None:
         return out
 
@@ -293,10 +211,6 @@ def audit(res: PipelineResult) -> Audit:
     out.j_closed = read(j_closed)
     for name in closedforms.J_ENTRIES:
         gaps[f"j.{name}"] = abs(out.j_closed[name] - getattr(res.nm, name))
-    gaps.defer(("b1.print_weights",), lambda: {
-        "b1.print_weights": normalform.linear_residual(
-            chain.b1[0], closedforms.b1y_print(chain.nm), chain.efg,
-            chain.freq, p.n)})
     if res.b2 is None:
         return out
 
@@ -308,8 +222,37 @@ def audit(res: PipelineResult) -> Audit:
         gaps[f"b2.{name}"] = abs(out.rs[name] - out.rs_oracle[name])
     # B2 has no term outside the twenty slots: their gaps are its sup gap.
     gaps["b2.sup"] = max(gaps[f"b2.{name}"] for name in RS_NAMES)
-    gaps.defer(("forcing.partial_only",), lambda: {
-        "forcing.partial_only": partial_forcing_gap(chain)})
+    return out
+
+
+def audit(res: PipelineResult) -> Audit:
+    """`report_audit` plus the gaps no report prints: ``offset.*``, from
+    taylor on ``cubic.*``, from b1 on ``b1.print_weights`` and from b2 on
+    ``forcing.partial_only``.  None of these raises on a result whose
+    stages passed, as their divisors are the chain's own."""
+    out = report_audit(res)
+    p, gaps = res.params, out.gaps
+    q, read = closedforms.on_branch(p, res.options.branch)
+    printed_shift = read(vars(equilibria.offset_ab(q)))
+    gaps["offset.a"] = abs(printed_shift["a"] - res.shift.a)
+    gaps["offset.b"] = abs(printed_shift["b"] - res.shift.b)
+    if res.lagrangian_poly is None:
+        return out
+
+    lagrangian = res.lagrangian_poly
+    if lagrangian.cap < 3:
+        # a chain stopped before b2 expanded only the quadratic part
+        lagrangian = polyalg.taylor_lagrangian(p, res.shift, 3)
+    closed = polyalg.t_coefficients_closed_form(p, res.shift)
+    for name, gap in polyalg.compare_h3(lagrangian.grade(3), closed).items():
+        gaps[f"cubic.{name}"] = gap
+    if res.nm is None:
+        return out
+
+    gaps["b1.print_weights"] = normalform.linear_residual(
+        res.b1[0], closedforms.b1y_print(res.nm), res.efg, res.freq, p.n)
+    if res.b2 is not None:
+        gaps["forcing.partial_only"] = partial_forcing_gap(res)
     return out
 
 
@@ -370,7 +313,7 @@ def single_perturbation_params(mu: float, kind: str, h: float) -> ModelParams:
 
 GATING_KEYS = (
     "equilibria.series", "equilibria.epsilon_form", "offset.a", "offset.b",
-    *CUBIC_KEYS, "b1.print_weights",
+    *(f"cubic.{name}" for name in polyalg.H3_GAP_NAMES), "b1.print_weights",
     "j.J13", "j.J14", "j.J21", "j.J22", "j.J23", "j.J24",
     "forcing.partial_only",
 ) + tuple(f"b2.{name}" for name in RS_NAMES)
@@ -462,6 +405,7 @@ def fmt(x) -> str:
 def render_report(res: PipelineResult, printed: Audit, gates: dict,
                   verdicts: Verdicts | None = None) -> str:
     """Structured text: key-value lines plus CSV blocks per stage.
+    `printed` is `report_audit(res)` or `audit(res)`, which print the same;
     `gates` is `res.gates()`; `verdicts` comes from
     `detect_discrepancies`."""
     lines = []

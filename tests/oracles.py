@@ -23,7 +23,7 @@ and `row_as_written` evaluates one row term by term as the print reads,
 the reference for `l4norm.closedforms.printed`; `printed_by_groups` sums
 the rows' expanded groups in a loop, the bit-for-bit reference for its
 compiled kernels.  `audit_gaps_eagerly` computes every gap of
-`l4norm.verify.audit` at once, the reference for its deferred groups.
+`l4norm.verify.audit` stage by stage, the reference for its gaps.
 """
 
 from __future__ import annotations
@@ -542,8 +542,8 @@ def printed_by_groups(names, p: ModelParams, w=None) -> dict:
 
 
 def audit_gaps_eagerly(res) -> dict:
-    """Every gap `l4norm.verify.audit` holds for this result, by key in its
-    order, each computed on the spot as the audit once did."""
+    """Every gap `l4norm.verify.audit` holds for this result, by key, in
+    stage order: each stage's printed forms and their gaps at once."""
     p, branch = res.params, res.options.branch
     q, read = closedforms.on_branch(p, branch)
     gaps = {}

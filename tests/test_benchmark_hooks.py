@@ -32,13 +32,13 @@ def test_traced_chain_point_counts_products(monkeypatch):
 
     p = l4norm.ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0)
     res = l4norm.run_pipeline(p)
-    # every gap is read here: the audit defers some groups to their read
-    untraced = res.gates(), dict(verify.audit(res).gaps)
+    # `audit` computes every gap, the report's and the others
+    untraced = res.gates(), verify.audit(res).gaps
     xi, eta = variable(0, 3), variable(1, 3)
     tracer = spans.Tracer()
     with tracer.measuring(0, SimpleNamespace()):
         res = l4norm.run_pipeline(p)
-        traced = res.gates(), dict(verify.audit(res).gaps)
+        traced = res.gates(), verify.audit(res).gaps
         (xi + eta) * xi
     assert tracer.counts["polyalg.poly_mul.pairs"] == 2
     assert traced == untraced

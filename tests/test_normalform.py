@@ -773,3 +773,20 @@ class TestOperatorKernel:
                            for _ in range(2))
             x, y = (_random_series(rng, rng.randint(0, 6), 3) for _ in range(2))
             self.assert_equal(matrix, x, y, w)
+
+    def test_linear_residual_is_the_sup_norm_of_the_series(self):
+        # read off the operator's values, exact zeros kept, the gate equals
+        # the sup norm of the pruned series bit for bit; the drag points
+        # hold an exact zero in the residual at some mass ratios
+        from l4norm.verify import PipelineOptions, run_pipeline
+        points = _chain_points() + [
+            (ModelParams(mu=mu, q1=0.999, A2=1e-4, cd=20.0), "L4")
+            for mu in (0.00445, 0.0044945, 0.004539, 0.0045835)]
+        for p, branch in points:
+            res = run_pipeline(p, PipelineOptions(branch=branch),
+                               stages=("b1",))
+            op, (b1x, b1y) = linear_operator(res.efg, p.n), res.b1
+            for y in (b1y, b1y_print(res.nm)):
+                series = apply_operator(op, b1x, y, res.freq)
+                gate = linear_residual(b1x, y, res.efg, res.freq, p.n)
+                assert gate.hex() == max(r.max_abs() for r in series).hex()

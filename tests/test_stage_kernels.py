@@ -19,8 +19,9 @@ from l4norm.verify import PipelineOptions, audit, run_pipeline
 import oracles
 from oracles import forcing_by_ops, h3_by_ops, second_order_by_ops
 
-# Drag-free mass ratios where H3's degree-2 (1, 1, 1, 1) coefficient
-# cancels to an exact 0.0 at some and not at others.
+# Mass ratios where, drag-free, H3's degree-2 (1, 1, 1, 1) coefficient
+# cancels to an exact 0.0 at some and not at others, and where, at drag
+# (q1 0.999, A2 1e-4, cd 20), a slot of the B1 residual does.
 CANCELLING_MUS = (0.00445, 0.0044945, 0.004539, 0.0045835)
 
 
@@ -253,16 +254,20 @@ def test_a_chain_runs_no_step_by_step_series_operation(monkeypatch):
 
 
 def test_no_kernel_is_compiled_after_the_first_cancelling_point(monkeypatch):
-    # exact zeros inside a stage never reach a layout: after the first of
-    # these drag-free points, the others compile no kernel
+    # exact zeros inside a stage, or in the B1 residual, never reach a
+    # layout: after the first of these points, drag-free or at drag, the
+    # others make no plan-table entry and compile no kernel
     made = []
     for owner in (layout, dalembert, closedforms):
         compiled = getattr(owner, "compiled")
         monkeypatch.setattr(owner, "compiled", lambda source, name, _c=compiled,
                             **names: made.append(name) or _c(source, name, **names))
-    first, *others = CANCELLING_MUS
-    dict(audit(run_pipeline(ModelParams(mu=first))).gaps)
-    count = len(made)
-    for mu in others:
-        dict(audit(run_pipeline(ModelParams(mu=mu))).gaps)
-    assert len(made) == count
+    for drag in ({}, {"q1": 0.999, "A2": 1e-4, "cd": 20.0}):
+        first, *others = (ModelParams(mu=mu, **drag) for mu in CANCELLING_MUS)
+        layout.plan.cache_clear()
+        audit(run_pipeline(first))
+        count, misses = len(made), layout.plan.cache_info().misses
+        for p in others:
+            audit(run_pipeline(p))
+        assert len(made) == count
+        assert layout.plan.cache_info().misses == misses

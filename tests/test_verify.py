@@ -9,7 +9,7 @@ from l4norm import closedforms, dalembert, equilibria, normalform, verify
 from l4norm.closedforms import J_ENTRIES, MIRROR_ODD, RS_SLOTS, on_branch, reflect
 from l4norm.dalembert import DAlembertSeries, apply_D
 from l4norm.errata import KNOWN_DISCREPANCIES, is_registered
-from l4norm.errors import ContractError, L4NormError, ParameterError, ResonanceError
+from l4norm.errors import L4NormError, ParameterError, ResonanceError
 from l4norm.layout import PLAN_TABLE_SIZE, Store, plan
 from l4norm.model import ModelParams
 from l4norm.normalform import (
@@ -37,6 +37,7 @@ from l4norm.verify import (
     partial_forcing_gap,
     STAGES,
     render_report,
+    report_audit,
     run_pipeline,
     single_perturbation_params,
 )
@@ -154,7 +155,7 @@ class TestAudit:
         for name in ("__mul__", "__rmul__"):
             monkeypatch.setattr(TruncatedPoly, name, counted)
         res = run_pipeline(ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0))
-        dict(audit(res).gaps)
+        audit(res)
         assert calls == []
         t5_by_products(res.params, res.shift)  # the counter counts
         assert calls
@@ -332,13 +333,15 @@ class TestLazySecondOrderResiduals:
     def test_residuals_equal_an_eager_back_substitution(self, counted):
         p, options, calls = counted
         res = run_pipeline(p, options, stages=("b2",))
-        assert len(calls) == 1  # the B1 residual; the B2 solve is its kernel
+        # the B1 residual reads the operator's values and the B2 solve is
+        # its kernel: neither forms the operator's series
+        assert len(calls) == 0
         rx, ry = self.apply(normalform.linear_operator(res.efg, p.n),
                             res.b2.b2x, res.b2.b2y, res.freq)
         eager = ((rx - res.x2).max_abs(), (ry - res.y2).max_abs())
         assert _hex((res.b2.residual_x, res.b2.residual_y)) == _hex(eager)
         assert res.gates()["b2-residual"] and res.gates() == res.gates()
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_partial_forcing_solve_skips_the_back_substitution(self, counted):
         p, options, calls = counted
@@ -645,7 +648,7 @@ def test_plan_table_stays_within_its_budget():
     def one_pass():
         for p, branch in _stopping_points(50, seed=7):
             res = run_pipeline(p, PipelineOptions(branch=branch))
-            dict(audit(res).gaps)
+            audit(res)
         detect_discrepancies.cache_clear()
         detect_discrepancies(0.01, PipelineOptions())
 
@@ -671,7 +674,7 @@ def test_kernels_are_compiled_once_per_shape(monkeypatch):
 
     def chains(seed):
         for p, branch in _stopping_points(100, seed=seed):
-            dict(audit(run_pipeline(p, PipelineOptions(branch=branch))).gaps)
+            audit(run_pipeline(p, PipelineOptions(branch=branch)))
 
     plan.cache_clear()
     chains(7)
@@ -691,7 +694,7 @@ def test_row_kernels_are_compiled_once_per_names_tuple(monkeypatch):
                         made.append(name) or compiled(source, name))
     plan.cache_clear()
     for p, branch in _stopping_points(50, seed=7):
-        dict(audit(run_pipeline(p, PipelineOptions(branch=branch))).gaps)
+        audit(run_pipeline(p, PipelineOptions(branch=branch)))
     assert made == ["rows"] * 5
 
 
@@ -735,9 +738,9 @@ def test_chain_reads_no_term_map(monkeypatch, branch, drag):
 DRAG_POINT = ModelParams(mu=0.01215, q1=0.999, A2=1e-4, cd=20.0)
 
 
-class TestDeferredGaps:
-    """The audit computes the gaps the report prints; the other groups
-    wait for a read and then equal the audit that computed everything."""
+class TestAuditGaps:
+    """`audit` computes every gap at once; `report_audit` computes the part
+    the report prints, and the report reads the same from either."""
 
     @pytest.mark.parametrize("stage", STAGES)
     @pytest.mark.parametrize("branch", ["L4", "L5"])
@@ -746,55 +749,25 @@ class TestDeferredGaps:
     def test_gaps_equal_the_eager_audit(self, stage, branch, p):
         res = run_pipeline(p, PipelineOptions(branch=branch), stages=(stage,))
         eager = audit_gaps_eagerly(res)
-        gaps = dict(audit(res).gaps)
-        assert list(gaps) == list(eager)
-        assert _hex(gaps.values()) == _hex(eager.values())
-
-    def test_listing_the_keys_computes_no_group(self, monkeypatch):
-        res = run_pipeline(DRAG_POINT, stages=("b2",))
-        keys = list(audit_gaps_eagerly(res))
-        calls = []
-        gap = partial_forcing_gap
-        monkeypatch.setattr(verify, "partial_forcing_gap",
-                            lambda res: calls.append(res) or gap(res))
         gaps = audit(res).gaps
-        assert list(gaps) == keys
-        assert "forcing.partial_only" in gaps and len(gaps) == len(list(gaps))
-        assert calls == []
-        assert gaps["forcing.partial_only"] == gaps["forcing.partial_only"]
-        assert len(calls) == 1
+        assert type(gaps) is dict and gaps.keys() == eager.keys()
+        assert _hex(gaps[key] for key in eager) == _hex(eager.values())
 
-    def test_a_deferred_error_is_raised_on_each_read(self, monkeypatch):
-        def refuse(q):
-            raise ParameterError("no printed offset")
-
-        res = run_pipeline(DRAG_POINT, stages=("b1",))
-        eager = audit_gaps_eagerly(res)
-        monkeypatch.setattr(equilibria, "offset_ab", refuse)
-        gaps = audit(res).gaps
-        for _ in range(2):
-            with pytest.raises(ParameterError, match="printed offset"):
-                gaps["offset.b"]
-        assert gaps["cubic.T1"] == eager["cubic.T1"]
-        assert gaps["j.J13"] == eager["j.J13"]
-
-    def test_a_group_must_compute_the_keys_it_holds(self):
-        gaps = verify.Gaps()
-        gaps.defer(("offset.a", "offset.b"), lambda: {"offset.a": 0.0})
-        for _ in range(2):
-            with pytest.raises(ContractError, match="offset.b"):
-                gaps["offset.a"]
-
-    def test_repr_is_that_of_every_gap(self):
-        res = run_pipeline(DRAG_POINT, stages=("b2",))
-        assert repr(audit(res).gaps) == repr(audit_gaps_eagerly(res))
-
-    def test_groups_read_the_result_as_audited(self):
-        res = run_pipeline(DRAG_POINT, stages=("b2",))
-        eager = audit_gaps_eagerly(res)
-        gaps = audit(res).gaps
-        res.shift = res.b1 = res.position_forcing = None
-        assert dict(gaps) == eager
+    @pytest.mark.parametrize("stage", STAGES)
+    @pytest.mark.parametrize("branch", ["L4", "L5"])
+    @pytest.mark.parametrize("p", [ModelParams(mu=0.01215), DRAG_POINT],
+                             ids=["free", "drag"])
+    def test_the_report_prints_the_same_from_either_audit(self, stage,
+                                                          branch, p):
+        options = PipelineOptions(branch=branch)
+        res = run_pipeline(p, options, stages=(stage,))
+        verdicts = (detect_discrepancies(p.mu, options)
+                    if stage in ("b2", "h3") else None)
+        gates = res.gates()
+        short, full = report_audit(res), audit(res)
+        assert short.gaps.items() <= full.gaps.items()
+        assert (render_report(res, short, gates, verdicts)
+                == render_report(res, full, gates, verdicts))
 
 
 @pytest.mark.parametrize("form,count", [("report", 0), ("csv", 1)])
@@ -848,7 +821,7 @@ def test_one_l5_mirror_per_audit(monkeypatch):
     p = ModelParams(mu=0.01215, q1=0.999, A2=1e-4, cd=20.0)
     res = run_pipeline(p, PipelineOptions(branch="L5"))
     assert made == []
-    dict(audit(res).gaps)
+    audit(res)
     assert made == [(p.mu, p.epsilon, p.A2, -p.W1)]
-    dict(audit(res).gaps)
+    audit(res)
     assert len(made) == 1 and on_branch(p, "L5")[0] is p.mirror
