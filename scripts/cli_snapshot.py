@@ -93,6 +93,10 @@ FIXED = [
     ["verify", "--mu", "0.01", "--q1", "nan", "--stages", "b1"],
     ["sweep", "--mu-min", "0.005", "--mu-max", "0.02", "--steps", "4",
      "--q1", "0.999", "--cd", "20", "--stages", "b1"],
+    # drag-free Taylor expansions at degree 2, beside the drag ones above
+    ["verify", "--mu", "0.01", "--stages", "b1"],
+    ["sweep", "--mu-min", "0.005", "--mu-max", "0.02", "--steps", "4",
+     "--stages", "b1"],
     ["sweep", "--mu-min", "0.005", "--mu-max", "0.02", "--steps", "4",
      "--q1", "0.999", "--cd", "20", "--stages", "h3"],
     ["sweep", "--mu-min", "0.0242", "--mu-max", "0.0244", "--steps", "5",

@@ -48,6 +48,8 @@ CRITICAL_HARMONICS = ((1, 0), (0, 1))
 # gate scans them.
 MOSER_PAIRS = tuple((k1, k2) for k1 in range(-4, 5) for k2 in range(-4, 5)
                     if 0 < abs(k1) + abs(k2) <= 4)
+# Of each pair and its negation, the one MOSER_PAIRS lists first.
+_MOSER_SCAN = tuple((k1, k2) for k1, k2 in MOSER_PAIRS if (k1, k2) < (-k1, -k2))
 
 
 @dataclass(frozen=True)
@@ -438,10 +440,12 @@ class MoserReport:
 
 def moser_check(w: FrequencyPair, tol: float) -> MoserReport:
     """The pair of least |k1 w1 + k2 w2|; of equal values the first in
-    MOSER_PAIRS, which is in lexicographic order, wins."""
+    MOSER_PAIRS, which is in lexicographic order, wins.  A pair and its
+    negation give the same value, so only the first of the two is scanned."""
+    w1, w2 = w.omega1, w.omega2
     value, pair = math.inf, None
-    for k1, k2 in MOSER_PAIRS:
-        combination = abs(k1 * w.omega1 + k2 * w.omega2)
+    for k1, k2 in _MOSER_SCAN:
+        combination = abs(k1 * w1 + k2 * w2)
         if combination < value:
             value, pair = combination, (k1, k2)
     return MoserReport(

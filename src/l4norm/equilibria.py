@@ -19,8 +19,9 @@ import math
 from dataclasses import dataclass
 
 from .closedforms import on_branch, printed
-from .errors import ConvergenceError, ParameterError, SingularJacobianError
-from .model import SQRT3, ModelParams, State, potential_gradient
+from .errors import (CollisionError, ConvergenceError, ParameterError,
+                     SingularJacobianError)
+from .model import COLLISION_RADIUS, SQRT3, ModelParams
 
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 100
@@ -53,36 +54,51 @@ def shift_from_point(point: EquilibriumPoint, p: ModelParams) -> OriginShift:
 
 
 def equilibrium_force(x: float, y: float, p: ModelParams):
-    """(Ux, Uy) with the at-rest drag convention N1 = -n y, N2 = n (x+mu)."""
-    s = State(x, y)
-    ux, uy = potential_gradient(s, p)
-    r1sq = (x + p.mu) ** 2 + y * y
-    fx = ux + p.W1 * p.n * y / r1sq
-    fy = uy - p.W1 * p.n * (x + p.mu) / r1sq
+    """(Ux, Uy) with the at-rest drag convention N1 = -n y, N2 = n (x+mu):
+    the potential gradient plus the angle term's force, on plain floats."""
+    mu, n, q1, A2, W1 = p.mu, p.n, p.q1, p.A2, p.W1
+    x1 = x + mu        # offset from the radiating primary
+    x2 = x + mu - 1.0  # offset from the oblate primary
+    r1 = math.hypot(x1, y)
+    r2 = math.hypot(x2, y)
+    if r1 < COLLISION_RADIUS:
+        raise CollisionError("first", r1)
+    if r2 < COLLISION_RADIUS:
+        raise CollisionError("second", r2)
+    n2 = n * n
+    g1 = (1.0 - mu) * q1 / r1**3
+    g2 = mu / r2**3
+    g2a = 1.5 * mu * A2 / r2**5
+    ux = n2 * x - g1 * x1 - g2 * x2 - g2a * x2
+    uy = n2 * y - g1 * y - g2 * y - g2a * y
+    r1sq = x1 ** 2 + y * y
+    fx = ux + W1 * n * y / r1sq
+    fy = uy - W1 * n * x1 / r1sq
     return fx, fy
 
 
 def _force_jacobian(x: float, y: float, p: ModelParams):
     """Analytic Jacobian of :func:`equilibrium_force`."""
-    x1 = x + p.mu
-    x2 = x + p.mu - 1.0
+    mu, n, q1, A2, W1 = p.mu, p.n, p.q1, p.A2, p.W1
+    x1 = x + mu
+    x2 = x + mu - 1.0
     r1sq = x1 * x1 + y * y
     r2sq = x2 * x2 + y * y
     r1 = math.sqrt(r1sq)
     r2 = math.sqrt(r2sq)
-    n2 = p.n * p.n
-    g1 = (1.0 - p.mu) * p.q1 / r1**3
-    g2 = p.mu / r2**3
-    g2a = 1.5 * p.mu * p.A2 / r2**5
-    h1 = 3.0 * (1.0 - p.mu) * p.q1 / r1**5
-    h2 = 3.0 * p.mu / r2**5
-    h2a = 7.5 * p.mu * p.A2 / r2**7
+    n2 = n * n
+    g1 = (1.0 - mu) * q1 / r1**3
+    g2 = mu / r2**3
+    g2a = 1.5 * mu * A2 / r2**5
+    h1 = 3.0 * (1.0 - mu) * q1 / r1**5
+    h2 = 3.0 * mu / r2**5
+    h2a = 7.5 * mu * A2 / r2**7
 
     uxx = n2 - g1 - g2 - g2a + h1 * x1 * x1 + h2 * x2 * x2 + h2a * x2 * x2
     uxy = h1 * x1 * y + h2 * x2 * y + h2a * x2 * y
     uyy = n2 - g1 - g2 - g2a + h1 * y * y + h2 * y * y + h2a * y * y
 
-    wn = p.W1 * p.n
+    wn = W1 * n
     dfx_dx = uxx - 2.0 * wn * y * x1 / r1sq**2
     dfx_dy = uxy + wn / r1sq - 2.0 * wn * y * y / r1sq**2
     dfy_dx = uxy - wn / r1sq + 2.0 * wn * x1 * x1 / r1sq**2

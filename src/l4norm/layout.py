@@ -18,7 +18,9 @@ factors in one step, so it matches multiplying out one pair at a time to
 round-off; its plan holds the rows compiled into one straight-line
 function (:func:`compiled`), which a call runs.  The second-order stages
 of :mod:`l4norm.normalform` compile one such function each, which runs
-their substitution between the sums, D-polynomials and guards around it.
+their substitution between the sums, D-polynomials and guards around it,
+and the Taylor expansion (:func:`l4norm.polyalg.taylor_lagrangian`)
+compiles one per degree cap and drag on/off, which runs all of it.
 
 Layouts are interned by key tuple, so results of the same shape share
 plans.  Nothing depends on that: a layout evicted from the table and
@@ -31,8 +33,8 @@ import functools
 import operator
 
 # Entries kept in the plan table: interned layouts and the plans made on
-# them, each substitution or stage plan with its compiled kernel.  50 seeded
-# chains with their audits and the detector make 46 (10 kernels).
+# them, each substitution, stage or Taylor plan with its compiled kernel.  50
+# seeded chains with their audits and the detector make 48 (12 kernels).
 PLAN_TABLE_SIZE = 1024
 
 

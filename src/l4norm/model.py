@@ -1,9 +1,9 @@
 """Planar photogravitational restricted three-body model with drag.
 
 Ground truth for every other module: parameters, the rotating-frame
-potential and its gradient, and the Lagrangian with the drag terms.  All
-quantities are dimensionless (primary separation 1, total mass 1,
-gravitational constant 1).
+potential and the Lagrangian with the drag terms.  All quantities are
+dimensionless (primary separation 1, total mass 1, gravitational
+constant 1).
 
 Conventions
 -----------
@@ -135,20 +135,6 @@ def effective_potential(s: State, p: ModelParams) -> float:
         + p.mu / r2
         + 0.5 * p.mu * p.A2 / r2**3
     )
-
-
-def potential_gradient(s: State, p: ModelParams):
-    """(dU1/dx, dU1/dy) evaluated analytically."""
-    r1, r2 = s.radii(p)
-    n2 = p.n * p.n
-    x1 = s.x + p.mu        # offset from the radiating primary
-    x2 = s.x + p.mu - 1.0  # offset from the oblate primary
-    g1 = (1.0 - p.mu) * p.q1 / r1**3
-    g2 = p.mu / r2**3
-    g2a = 1.5 * p.mu * p.A2 / r2**5
-    ux = n2 * s.x - g1 * x1 - g2 * x2 - g2a * x2
-    uy = n2 * s.y - g1 * s.y - g2 * s.y - g2a * s.y
-    return ux, uy
 
 
 def lagrangian(s: State, p: ModelParams) -> float:

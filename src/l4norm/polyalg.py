@@ -5,8 +5,9 @@ velocities about the triangular point.  Total degree is capped; products
 truncate, never extend.  The centerpiece is :func:`taylor_lagrangian`,
 which expands the full Lagrangian about an equilibrium, exact to
 truncation order with no finite differences: binomial series of the 1/r
-powers and the complex-log series of the drag angle, added along a plan
-made once per degree cap and drag on/off, as coefficient dicts would be.
+powers and the complex-log series of the drag angle, added by one
+straight-line kernel compiled once per degree cap and drag on/off, in
+the order coefficient dicts would add them.
 
 A polynomial is a store (:mod:`l4norm.layout`): a list of real or complex
 coefficients on a shared key layout of exponent 4-tuples, whose sum,
@@ -16,14 +17,12 @@ slices and sup norms are those of the d'Alembert series.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .closedforms import on_branch, printed
 from .equilibria import OriginShift
 from .errors import ContractError, ParameterError
-from .layout import Layout, Store, intern, plan, pruned, sliced
+from .layout import Layout, Store, compiled, intern, plan, pruned, sliced
 from .model import ModelParams, State, lagrangian
 
 NVARS = 4
@@ -174,6 +173,12 @@ _T_KEYS = ((1, 0), (0, 1), (2, 0), (0, 2))
 _START_KEYS = ((0, 0, 2, 0), (0, 0, 0, 2), (1, 0, 0, 1), (0, 0, 0, 1),
                (0, 1, 1, 0), (0, 0, 1, 0), (2, 0, 0, 0), (1, 0, 0, 0),
                (0, 0, 0, 0), (0, 2, 0, 0), (0, 1, 0, 0))
+# The start keys' values: kinetic 1/2 (xid^2 + etad^2), Coriolis n ((x + xi)
+# etad - xid (b + eta)) and centrifugal 1/2 n^2 ((x + xi)^2 + (b + eta)^2),
+# where x = a - mu is the pivot's rotating-frame abscissa.
+_START_VALUES = ("0.5", "0.5", "n", "n * x", "-n", "-n * b", "half_n2",
+                 "2.0 * half_n2 * x", "half_n2 * (x * x + b * b)", "half_n2",
+                 "2.0 * half_n2 * b")
 _LEVER_KEYS = ((1, 0, 1, 0), (0, 0, 1, 0), (0, 1, 0, 1), (0, 0, 0, 1))
 
 
@@ -183,9 +188,10 @@ def _taylor_plan(cap: int, drag: bool):
     and top exponent of t^0, t^1, ... end to end and the rows ``(out,
     left, t entry)`` of t^2, t^3, ...; the rows ``(k, n, slot)`` adding
     power entry n times binomial coefficient k to the position slots, and
-    with a size to the 1/r1^2 slots below the cap; per k ``(slot, comb(k,
-    j) / k, 1j**j)``; and ``(slot, lever, 1/r1^2 slot)``.  Below cap 2 the
-    layout holds start keys and t's keys past the cap, which the call cuts."""
+    with a size to the 1/r1^2 slots below the cap; per k the ``(slot,
+    comb(k, j) / k)`` of j = 0..k; and ``(slot, lever, 1/r1^2 slot)``.
+    Below cap 2 the layout holds start keys and t's keys past the cap,
+    which the call cuts."""
     flat, products, first = [(0, (0, 0))] + [(1, key) for key in _T_KEYS], [], 1
     for k in range(2, cap + 1):
         index, end = {}, len(flat)
@@ -203,7 +209,7 @@ def _taylor_plan(cap: int, drag: bool):
     inverse = {}
     at_inverse = tuple((k, n, inverse.setdefault(key, len(inverse)))
                        for n, (k, key) in enumerate(flat) if drag and sum(key) < cap)
-    logs = tuple(tuple((slots[(k - j, j, 0, 0)], math.comb(k, j) / k, 1j ** j)
+    logs = tuple(tuple((slots[(k - j, j, 0, 0)], math.comb(k, j) / k)
                        for j in range(k + 1)) for k in range(1, cap + 1))
     levers = tuple((slots.setdefault((i + e, j + f, k, m), len(slots)), n, s)
                    for n, (i, j, k, m) in enumerate(_LEVER_KEYS)
@@ -212,22 +218,73 @@ def _taylor_plan(cap: int, drag: bool):
             position, (len(inverse), at_inverse), logs, levers)
 
 
-def _add_radial_series(dx: float, dy: float, power_plan, *terms):
-    """For each ``(values, rows, alpha, scale)``, add scale * r^(2 alpha)
-    along the rows: rho^(2 alpha) (1 + t)^alpha with rho^2 = dx^2 + dy^2,
-    t = (2 (dx xi + dy eta) + xi^2 + eta^2) / rho^2, as a binomial series."""
-    rhosq = dx * dx + dy * dy
-    inv = 1.0 / rhosq
-    t = [2.0 * dx * inv, 2.0 * dy * inv, inv, inv]
+def _add_radial_source(lines: list, r: int, dx: str, power_plan, *terms):
+    """Add to `lines` the powers of t and the binomial coefficients of scale
+    * r^(2 alpha) = scale rho^(2 alpha) (1 + t)^alpha, with rho^2 = dx^2 +
+    b^2 and t = (2 (dx xi + b eta) + xi^2 + eta^2) / rho^2, and to each
+    ``(sums, rows, alpha, scale)`` the terms its rows add to the slots;
+    `dx` names a variable and `scale` is source.  Each power is one sum
+    of its row products from ``0.0``."""
     size, top, products = power_plan
-    powers = [1.0, *t] + [0.0] * (size - 5)
+    t = (f"tx{r}", f"ty{r}", f"inv{r}", f"inv{r}")
+    lines += [f"rho{r} = {dx} * {dx} + b * b", f"inv{r} = 1.0 / rho{r}",
+              f"tx{r} = 2.0 * {dx} * inv{r}", f"ty{r} = 2.0 * b * inv{r}"]
+    power = ["", *t] + [f"p{r}_{n}" for n in range(5, size)]
+    adds = {}
     for out, left, right in products:
-        powers[out] += powers[left] * t[right]
-    for values, rows, alpha, scale in terms:
-        coeffs = list(accumulate(((alpha - k) / (k + 1) for k in range(top)),
-                                 operator.mul, initial=scale * rhosq ** alpha))
+        adds.setdefault(out, []).append(f" + {power[left]} * {t[right]}")
+    lines += [f"{power[out]} = 0.0{''.join(row)}" for out, row in adds.items()]
+    for term, (sums, rows, alpha, scale) in enumerate(terms):
+        if not rows:
+            continue
+        c = [f"c{r}{term}_{k}" for k in range(top + 1)]
+        lines.append(f"{c[0]} = {scale} * rho{r} ** {alpha!r}")
+        lines += [f"{c[k + 1]} = {c[k]} * {(alpha - k) / (k + 1)!r}"
+                  for k in range(top)]
         for k, n, slot in rows:
-            values[slot] += coeffs[k] * powers[n]
+            # powers[0] is 1.0, and c * 1.0 is c
+            sums[slot] += f" + {c[k]} * {power[n]}" if n else f" + {c[k]}"
+
+
+def _taylor_kernel(cap: int, drag: bool):
+    """``(layout, constant slot, kernel)`` of :func:`taylor_lagrangian` at
+    this cap, with or without drag.  The kernel, ``taylor(a, b, n, mu, q1,
+    A2, W1)``, runs the rows of `_taylor_plan` as straight-line code and
+    returns the coefficients in slot order: each slot is one sum, from its
+    start value or ``0.0``, of the terms its rows add in their order, so
+    every value is the one a loop along the rows gives."""
+    layout, power_plan, position, (size, inverse), logs, levers = \
+        _taylor_plan(cap, drag)
+    sums = list(_START_VALUES) + ["0.0"] * (len(layout.keys) - len(_START_VALUES))
+    at_inverse = ["0.0"] * size
+    lines = ["x = a - mu", "half_n2 = 0.5 * n * n"]
+    _add_radial_source(lines, 1, "a", power_plan,
+                       (sums, position, -0.5, "(1.0 - mu) * q1"),
+                       (at_inverse, inverse, -1.0, "0.5 * W1"))
+    lines.append("dx2 = a - 1.0")
+    _add_radial_source(lines, 2, "dx2", power_plan,
+                       (sums, position, -0.5, "mu"),
+                       (sums, position, -1.5, "0.5 * mu * A2"))
+    constant = layout.index[(0, 0, 0, 0)]
+    names = {}
+    if drag:
+        # -n W1 (atan2(b, a) + Im log(1 + z)), log(1 + z) = -sum (-z)^k / k
+        # with z = w (xi + i eta), w = 1/(a + i b): wk = n W1 (-w)^k
+        lines += ["mw = -(1.0 / complex(a, b))", "wk0 = n * W1"]
+        sums[constant] += " - wk0 * atan2(b, a)"
+        for k, rows in enumerate(logs, 1):
+            lines.append(f"wk{k} = wk{k - 1} * mw")
+            for j, (slot, c) in enumerate(rows):
+                sums[slot] += f" + (wk{k} * {c!r} * u{j}).imag"
+        # W1/2 ((a + xi) xid + (b + eta) etad) / r1^2; each term holds one
+        # velocity, so its displacement degree stays below the cap
+        lines += [f"i{m} = {s}" for m, s in enumerate(at_inverse)]
+        for slot, k, m in levers:
+            sums[slot] += (f" + i{m}", f" + a * i{m}", f" + i{m}", f" + b * i{m}")[k]
+        names = {"atan2": math.atan2, **{f"u{j}": 1j ** j for j in range(cap + 1)}}
+    source = ("def taylor(a, b, n, mu, q1, A2, W1):\n    " + "\n    ".join(lines)
+              + "\n    return [" + ",\n            ".join(sums) + "]\n")
+    return layout, constant, compiled(source, "taylor", **names)
 
 
 def taylor_lagrangian(p: ModelParams, shift: OriginShift, degree: int) -> TruncatedPoly:
@@ -237,10 +294,10 @@ def taylor_lagrangian(p: ModelParams, shift: OriginShift, degree: int) -> Trunca
     (xi, eta): 1/r1, 1/r1^2, 1/r2 and 1/r2^3 (binomial series) and the drag
     angle, Im log(1 + z) with z = w (xi + i eta) and w = 1/(a + i b).  The
     kinetic, Coriolis, centrifugal and drag-radial factors are of degree
-    <= 2 and add their coefficients in closed form, along a plan made once
-    per degree and drag on/off.  Keys are stored in the order a composition
-    of four-variable series stores them (`tests/oracles.py`), so the series
-    built from the expansion keep theirs.
+    <= 2 and add their coefficients in closed form.  All of it runs as one
+    compiled kernel made once per degree and drag on/off.  Keys are stored
+    in the order a composition of four-variable series stores them
+    (`tests/oracles.py`), so the series built from the expansion keep theirs.
 
     Parameters
     ----------
@@ -257,36 +314,8 @@ def taylor_lagrangian(p: ModelParams, shift: OriginShift, degree: int) -> Trunca
     if degree < 0:
         raise ParameterError("degree cap must be non-negative")
 
-    layout, power_plan, position, (size, inverse), logs, levers = plan(
-        _taylor_plan, degree, p.W1 != 0.0)
-    n, mu = p.n, p.mu
-    # kinetic 1/2 (xid^2 + etad^2), Coriolis n ((x + xi) etad - xid (b + eta))
-    # and centrifugal 1/2 n^2 ((x + xi)^2 + (b + eta)^2), where x = a - mu is
-    # the pivot's rotating-frame abscissa, then gravity and 1/r1^2
-    x, half_n2 = a - mu, 0.5 * n * n
-    values = [0.5, 0.5, n, n * x, -n, -n * b, half_n2, 2.0 * half_n2 * x,
-              half_n2 * (x * x + b * b), half_n2, 2.0 * half_n2 * b]
-    values += [0.0] * (len(layout.keys) - len(values))
-    inv_r1sq = [0.0] * size
-    _add_radial_series(a, b, power_plan, (values, position, -0.5, (1.0 - mu) * p.q1),
-                       (inv_r1sq, inverse, -1.0, 0.5 * p.W1))
-    _add_radial_series(a - 1.0, b, power_plan, (values, position, -0.5, mu),
-                       (values, position, -1.5, 0.5 * mu * p.A2))
-
-    constant = layout.index[(0, 0, 0, 0)]
-    if p.W1 != 0.0:
-        # -n W1 (atan2(b, a) + Im log(1 + z)), log(1 + z) = -sum (-z)^k / k
-        w, wk = 1.0 / complex(a, b), n * p.W1
-        values[constant] -= wk * math.atan2(b, a)
-        for rows in logs:
-            wk *= -w
-            for slot, c, unit in rows:
-                values[slot] += (wk * c * unit).imag
-        # W1/2 ((a + xi) xid + (b + eta) etad) / r1^2; each term holds one
-        # velocity, so its displacement degree stays below the cap
-        lever = (1.0, a, 1.0, b)
-        for slot, k, m in levers:
-            values[slot] += lever[k] * inv_r1sq[m]
+    layout, constant, kernel = plan(_taylor_kernel, degree, p.W1 != 0.0)
+    values = kernel(a, b, p.n, p.mu, p.q1, p.A2, p.W1)
 
     # Constant term must reproduce the pointwise Lagrangian; a mismatch means
     # an expansion bug, so it is asserted rather than reported.

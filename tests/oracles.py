@@ -5,6 +5,9 @@ motion with the velocity-dependent (dissipative) drag; `lagrangian_rhs` is
 the flow of the package's Lagrangian, whose drag keeps only the at-rest
 term W1 n (y, -(x+mu))/r1^2, because its velocity-dependent drag term is a
 total time derivative.  The normal form of the chain follows the second.
+Both read `potential_gradient`, the gradient of the effective potential,
+which shares no code with the chain's Newton force
+(`l4norm.equilibria.equilibrium_force`).
 `taylor_by_composition` expands the Lagrangian by composing four-variable
 polynomial series, the reference for `l4norm.polyalg.taylor_lagrangian`,
 and `taylor_by_dicts` expands it on coefficient dicts, its bit-for-bit
@@ -22,8 +25,10 @@ derives the classical T1..T4 exactly, the reference for the printed rows,
 and `row_as_written` evaluates one row term by term as the print reads,
 the reference for `l4norm.closedforms.printed`; `printed_by_groups` sums
 the rows' expanded groups in a loop, the bit-for-bit reference for its
-compiled kernels.  `audit_gaps_eagerly` computes every gap of
-`l4norm.verify.audit` stage by stage, the reference for its gaps.
+compiled kernels.  `moser_by_full_scan` scans all 40 combinations, the
+reference for `l4norm.dalembert.moser_check`.  `audit_gaps_eagerly`
+computes every gap of `l4norm.verify.audit` stage by stage, the
+reference for its gaps.
 """
 
 from __future__ import annotations
@@ -33,12 +38,12 @@ from dataclasses import dataclass
 from operator import mul
 
 from l4norm import closedforms, equilibria, normalform, polyalg, verify
-from l4norm.dalembert import (DIVISOR_FLOOR, DAlembertSeries, apply_D,
-                              apply_poly_in_D, invert_delta,
+from l4norm.dalembert import (DIVISOR_FLOOR, MOSER_PAIRS, DAlembertSeries,
+                              apply_D, apply_poly_in_D, invert_delta,
                               substitution_rows)
 from l4norm.equilibria import OriginShift
 from l4norm.errors import ContractError
-from l4norm.model import ModelParams, State, lagrangian, potential_gradient
+from l4norm.model import ModelParams, State, lagrangian
 from l4norm.polyalg import TruncatedPoly, _mul2
 
 
@@ -50,6 +55,31 @@ class CanonicalState:
     y: float
     px: float
     py: float
+
+
+def potential_gradient(s: State, p: ModelParams):
+    """(dU1/dx, dU1/dy) evaluated analytically."""
+    r1, r2 = s.radii(p)
+    n2 = p.n * p.n
+    x1 = s.x + p.mu        # offset from the radiating primary
+    x2 = s.x + p.mu - 1.0  # offset from the oblate primary
+    g1 = (1.0 - p.mu) * p.q1 / r1**3
+    g2 = p.mu / r2**3
+    g2a = 1.5 * p.mu * p.A2 / r2**5
+    ux = n2 * s.x - g1 * x1 - g2 * x2 - g2a * x2
+    uy = n2 * s.y - g1 * s.y - g2 * s.y - g2a * s.y
+    return ux, uy
+
+
+def moser_by_full_scan(w) -> tuple:
+    """(least |k1 w1 + k2 w2|, its pair) over every pair of MOSER_PAIRS,
+    the first of equal values winning."""
+    value, pair = math.inf, None
+    for k1, k2 in MOSER_PAIRS:
+        combination = abs(k1 * w.omega1 + k2 * w.omega2)
+        if combination < value:
+            value, pair = combination, (k1, k2)
+    return value, pair
 
 
 def drag_terms(s: State, p: ModelParams):

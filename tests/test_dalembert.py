@@ -24,7 +24,7 @@ from l4norm.dalembert import (
 from l4norm.errors import ContractError, CriticalTermError, ParameterError, SmallDivisorError
 from l4norm.layout import PLAN_TABLE_SIZE, intern, plan
 
-from oracles import delta_operator, substitute_by_rows
+from oracles import delta_operator, moser_by_full_scan, substitute_by_rows
 
 W_CLASSICAL = FrequencyPair(0.9633268056899441, 0.26834972742935684)  # mu = 0.01
 
@@ -551,6 +551,26 @@ class TestMoser:
         rep = moser_check(FrequencyPair(0.9, 0.3), tol=1e-8)
         assert not rep.passed
         assert tuple(sorted(abs(k) for k in rep.worst_pair)) == (1, 3)
+
+    @pytest.mark.parametrize("w", [W_CLASSICAL, FrequencyPair(0.8, 0.4),
+                                   FrequencyPair(0.9, 0.3),
+                                   FrequencyPair(0.75, 0.25),
+                                   FrequencyPair(0.6, 0.2),
+                                   FrequencyPair(0.625, 0.25)])
+    def test_matches_the_full_scan(self, w):
+        # the half scan gives the full scan's minimum and signed pair, ties
+        # included: w1 = 2 w2 and w1 = 3 w2 tie a pair with its negation,
+        # and at 0.625/0.25 (-1, 2) ties (-1, 3) at 0.125 exactly
+        rep = moser_check(w, tol=1e-8)
+        assert (rep.min_combination, rep.worst_pair) == moser_by_full_scan(w)
+
+    def test_matches_the_full_scan_at_seeded_pairs(self):
+        rng = random.Random(5)
+        for _ in range(500):
+            w2 = rng.uniform(0.01, 1.0)
+            w = FrequencyPair(w2 * rng.choice((rng.uniform(1.05, 5.0), 2.0, 3.0)), w2)
+            rep = moser_check(w, tol=1e-8)
+            assert (rep.min_combination, rep.worst_pair) == moser_by_full_scan(w)
 
     def test_frequency_pair_validation(self):
         with pytest.raises(ParameterError):

@@ -1,10 +1,13 @@
 import math
+import random
 
 import pytest
 
 from l4norm import equilibria
 from l4norm.equilibria import (
+    _force_jacobian,
     classical_seed,
+    equilibrium_force,
     epsilon_form,
     offset_ab,
     residual_at,
@@ -13,8 +16,8 @@ from l4norm.equilibria import (
     triangular_series,
 )
 from l4norm.errata import classify_remainder
-from l4norm.errors import ParameterError
-from l4norm.model import ModelParams
+from l4norm.errors import CollisionError, ParameterError
+from l4norm.model import COLLISION_RADIUS, ModelParams
 
 SQRT3 = math.sqrt(3.0)
 SQRT3_2 = SQRT3 / 2.0
@@ -196,3 +199,38 @@ def test_newton_evaluates_the_force_once_per_iterate(monkeypatch, p, branch):
     point = solve_triangular_numeric(p, branch)
     assert calls["equilibrium_force"] == calls["_force_jacobian"] + 1
     assert point.residual == residual_at(point.x, point.y, p)
+
+
+@pytest.mark.parametrize("branch", ["L4", "L5"])
+@pytest.mark.parametrize("drag", [False, True], ids=["free", "drag"])
+def test_force_jacobian_matches_central_differences(branch, drag):
+    # the analytic Jacobian against central differences of the force, at
+    # the root and off it
+    rng = random.Random(11)
+    h = 1e-6
+    for _ in range(10):
+        p = ModelParams(mu=rng.uniform(0.001, 0.037),
+                        q1=1.0 - rng.uniform(0.0, 0.01) if drag else 1.0,
+                        A2=rng.uniform(0.0, 0.005), cd=rng.uniform(2.0, 100.0))
+        root = solve_triangular_numeric(p, branch)
+        for x, y in ((root.x, root.y), (root.x + rng.uniform(-0.1, 0.1),
+                                        root.y + rng.uniform(-0.1, 0.1))):
+            fxx, fyx = (0.5 * (u - v) / h for u, v in
+                        zip(equilibrium_force(x + h, y, p),
+                            equilibrium_force(x - h, y, p)))
+            fxy, fyy = (0.5 * (u - v) / h for u, v in
+                        zip(equilibrium_force(x, y + h, p),
+                            equilibrium_force(x, y - h, p)))
+            assert _force_jacobian(x, y, p) == pytest.approx(
+                (fxx, fxy, fyx, fyy), rel=1e-6)
+
+
+@pytest.mark.parametrize("which, centre", [("first", 0.0), ("second", 1.0)])
+def test_force_refuses_a_point_within_the_collision_radius(which, centre):
+    # centre is the primary's distance from the radiating one, x + mu
+    p = ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0)
+    for dx, dy in ((0.5, 0.0), (0.0, -0.5), (-0.3, 0.4)):
+        with pytest.raises(CollisionError) as error:
+            equilibrium_force(centre - p.mu + dx * COLLISION_RADIUS,
+                              dy * COLLISION_RADIUS, p)
+        assert error.value.which == which

@@ -12,10 +12,9 @@ from l4norm.model import (
     State,
     effective_potential,
     lagrangian,
-    potential_gradient,
 )
 
-from oracles import eom_rhs, hamiltonian, momenta
+from oracles import eom_rhs, hamiltonian, momenta, potential_gradient
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 

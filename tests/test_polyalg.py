@@ -2,9 +2,10 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from l4norm import polyalg
 from l4norm.equilibria import (
     OriginShift,
     epsilon_form,
@@ -13,7 +14,7 @@ from l4norm.equilibria import (
 )
 from l4norm.closedforms import ROWS
 from l4norm.errata import KNOWN_DISCREPANCIES
-from l4norm.errors import ContractError, ParameterError
+from l4norm.errors import ContractError, ConvergenceError, ParameterError
 from l4norm.layout import plan
 from l4norm.model import ModelParams, State, lagrangian
 from l4norm.polyalg import (
@@ -458,6 +459,23 @@ def taylor_points(count=12, seed=7):
     return out
 
 
+@st.composite
+def benchmark_roots(draw):
+    """``(p, shift)`` at the numeric root over the benchmark's domain: mu in
+    [0.0009, 0.037], epsilon <= 0.01, A2 <= 0.005, cd in [1, 100], either
+    branch, drag on or off.  A draw where Newton finds no root (strong
+    drag, ROADMAP item 1) has no pivot and is dropped."""
+    drag = draw(st.booleans())
+    epsilon = draw(st.floats(0.0, 0.01, exclude_min=True)) if drag else 0.0
+    p = ModelParams(mu=draw(st.floats(0.0009, 0.037)), q1=1.0 - epsilon,
+                    A2=draw(st.floats(0.0, 0.005)), cd=draw(st.floats(1.0, 100.0)))
+    try:
+        point = solve_triangular_numeric(p, draw(st.sampled_from(("L4", "L5"))))
+    except ConvergenceError:
+        assume(False)
+    return p, shift_from_point(point, p)
+
+
 def assert_same_expansion(coeffs, reference, rel=1e-14, pruned=1e-12):
     """Shared coefficients agree within `rel` of the reference's largest;
     a coefficient only one side stores (the other pruned it as an exact
@@ -481,13 +499,19 @@ class TestTaylorReferences:
                 [m for m in reference if m in coeffs]
 
     @pytest.mark.parametrize("degree", range(6))
-    def test_matches_the_dict_expansion_bit_for_bit(self, degree):
-        # the plan adds the same terms in the same order as the dict loops:
-        # the same keys in the same order and every value bit for bit, with
-        # and without drag, on both branches
-        points = taylor_points()
-        assert {(p.W1 != 0.0, shift.b > 0.0) for p, shift in points} == \
-            {(True, True), (True, False), (False, True), (False, False)}
+    @settings(max_examples=15, deadline=None)
+    @example(point=None)
+    @given(point=benchmark_roots())
+    def test_matches_the_dict_expansion_bit_for_bit(self, degree, point):
+        # the kernel adds the same terms in the same order as the dict
+        # loops: the same keys in the same order and every value bit for
+        # bit, at the seeded points (with and without drag, on both
+        # branches) and at roots drawn over the benchmark's domain
+        points = [point]
+        if point is None:
+            points = taylor_points()
+            assert {(p.W1 != 0.0, shift.b > 0.0) for p, shift in points} == \
+                {(True, True), (True, False), (False, True), (False, False)}
         for p, shift in points:
             assert exact(taylor_lagrangian(p, shift, degree)) == \
                 exact(taylor_by_dicts(p, shift, degree))
@@ -504,11 +528,16 @@ class TestTaylorReferences:
         with pytest.raises(ParameterError):
             taylor_lagrangian(p, shift, -1)
 
-    def test_one_plan_per_degree_and_drag(self):
-        # the plan is keyed by the degree and whether there is drag, never
-        # by a value: 100 points at two degrees, drag on half of them, make
-        # at most the four plans, and a second pass makes none
+    def test_one_plan_per_degree_and_drag(self, monkeypatch):
+        # the plan and its kernel are keyed by the degree and whether there
+        # is drag, never by a value: 100 points at two degrees, drag on half
+        # of them, make and compile at most the four, and a second pass
+        # makes and compiles none
         points = taylor_points(100, seed=3)
+        made = []
+        compiled = polyalg.compiled
+        monkeypatch.setattr(polyalg, "compiled", lambda source, name, **names:
+                            made.append(name) or compiled(source, name, **names))
 
         def one_pass():
             for p, shift in points:
@@ -517,10 +546,10 @@ class TestTaylorReferences:
 
         plan.cache_clear()
         one_pass()
-        misses = plan.cache_info().misses
-        assert misses <= 4
+        misses, count = plan.cache_info().misses, len(made)
+        assert misses <= 4 and 0 < count <= 4
         one_pass()
-        assert plan.cache_info().misses == misses
+        assert plan.cache_info().misses == misses and len(made) == count
 
     def test_matches_exact_derivatives(self):
         # every coefficient of degree <= 3 as the exact Taylor coefficient
