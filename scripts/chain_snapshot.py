@@ -3,7 +3,9 @@
 For each point the script runs every stage of `run_pipeline` and the
 printed-table `audit`, and writes one `repr` line: the Taylor
 coefficients in stored order, E/F/G, the frequencies, the normal-mode
-matrix J as hex floats row by row, the forcing X2/Y2, B2 and its
+matrix J and the Hessian of the quadratic Hamiltonian as hex floats row
+by row, J's symplectic defect and diagonalisation residual, B1 and its
+residual under the linearized equations, the forcing X2/Y2, B2 and its
 residuals, H3 and its ablation with their series, the gates, the printed
 cubic (T1..T4, and the T5 and T5_print coefficients in stored order), the
 other printed values by name (the epsilon-form point x, y, the offsets a,
@@ -104,6 +106,10 @@ def chain_record(mu, epsilon, a2, cd, branch):
         ("efg", (float(efg.E), float(efg.F), float(efg.G))),
         ("freq", (float(w.omega1), float(w.omega2))),
         ("J", [float(v).hex() for row in res.nm.J for v in row]),
+        ("hessian", [float(v).hex() for row in res.nm.hessian for v in row]),
+        ("nm", float(res.nm.symplectic_defect), float(res.nm.h2_residual)),
+        ("b1", series_terms(res.b1[0]), series_terms(res.b1[1]),
+         float(res.b1_residual)),
         ("x2", series_terms(res.x2)),
         ("y2", series_terms(res.y2)),
         ("b2", series_terms(b2.b2x), series_terms(b2.b2y),

@@ -12,7 +12,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import verify
 from .dalembert import moser_check
@@ -40,15 +40,17 @@ class RunConfig:
     format: str = "report"
     tol: dict = field(default_factory=dict)
 
-    def params(self) -> ModelParams:
-        if self.mu is None:
+    def params(self, mu: float | None = None) -> ModelParams:
+        """The model parameters, at `mu` in place of the config's if given."""
+        mu = self.mu if mu is None else mu
+        if mu is None:
             raise ConfigError("mu is required")
         if self.q1 is not None and self.epsilon is not None:
             raise ConfigError("give q1 or epsilon, not both")
         q1 = self.q1 if self.q1 is not None else \
             (1.0 - self.epsilon if self.epsilon is not None else 1.0)
         try:
-            return ModelParams(mu=self.mu, q1=q1, A2=self.a2, cd=self.cd)
+            return ModelParams(mu=mu, q1=q1, A2=self.a2, cd=self.cd)
         except L4NormError as err:
             raise ConfigError(str(err)) from err
 
@@ -265,9 +267,8 @@ def cmd_sweep(config: RunConfig, mu_min: float, mu_max: float,
     options = config.options()
     lines = ["mu,omega1,omega2,b1_residual,b2_residual,h3_max,scale,gates"]
     for mu in _mu_grid(mu_min, mu_max, steps):
-        cfg = replace(config, mu=mu)
         try:
-            res = verify.run_pipeline(cfg.params(), options,
+            res = verify.run_pipeline(config.params(mu), options,
                                       stages=config.stages)
         except L4NormError as err:
             lines.append(f"{fmt(mu)},error:{type(err).__name__},,,,,")

@@ -87,11 +87,12 @@ def _force_jacobian(x: float, y: float, p: ModelParams):
     r1 = math.sqrt(r1sq)
     r2 = math.sqrt(r2sq)
     n2 = n * n
+    r2_5 = r2**5
     g1 = (1.0 - mu) * q1 / r1**3
     g2 = mu / r2**3
-    g2a = 1.5 * mu * A2 / r2**5
+    g2a = 1.5 * mu * A2 / r2_5
     h1 = 3.0 * (1.0 - mu) * q1 / r1**5
-    h2 = 3.0 * mu / r2**5
+    h2 = 3.0 * mu / r2_5
     h2a = 7.5 * mu * A2 / r2**7
 
     uxx = n2 - g1 - g2 - g2a + h1 * x1 * x1 + h2 * x2 * x2 + h2a * x2 * x2
@@ -99,10 +100,11 @@ def _force_jacobian(x: float, y: float, p: ModelParams):
     uyy = n2 - g1 - g2 - g2a + h1 * y * y + h2 * y * y + h2a * y * y
 
     wn = W1 * n
-    dfx_dx = uxx - 2.0 * wn * y * x1 / r1sq**2
-    dfx_dy = uxy + wn / r1sq - 2.0 * wn * y * y / r1sq**2
-    dfy_dx = uxy - wn / r1sq + 2.0 * wn * x1 * x1 / r1sq**2
-    dfy_dy = uyy + 2.0 * wn * x1 * y / r1sq**2
+    r1_4 = r1sq**2
+    dfx_dx = uxx - 2.0 * wn * y * x1 / r1_4
+    dfx_dy = uxy + wn / r1sq - 2.0 * wn * y * y / r1_4
+    dfy_dx = uxy - wn / r1sq + 2.0 * wn * x1 * x1 / r1_4
+    dfy_dy = uyy + 2.0 * wn * x1 * y / r1_4
     return dfx_dx, dfx_dy, dfy_dx, dfy_dy
 
 

@@ -113,8 +113,9 @@ def _add_negated(x, y):
     return x + -y
 
 
-def _sup(value) -> float:
-    return max(abs(value.real), abs(value.imag))
+def _sup(value) -> float:  # max(|real|, |imag|) without calling `max`
+    re, im = abs(value.real), abs(value.imag)
+    return im if im > re else re
 
 
 class Store:

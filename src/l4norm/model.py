@@ -116,25 +116,27 @@ class State:
 
     def radii(self, p: ModelParams):
         """Distances to the radiating and oblate primaries, collision-guarded."""
-        r1 = math.hypot(self.x + p.mu, self.y)
-        r2 = math.hypot(self.x + p.mu - 1.0, self.y)
-        if r1 < COLLISION_RADIUS:
-            raise CollisionError("first", r1)
-        if r2 < COLLISION_RADIUS:
-            raise CollisionError("second", r2)
-        return r1, r2
+        return _radii(self.x, self.y, p)
+
+
+def _radii(x: float, y: float, p: ModelParams):
+    r1 = math.hypot(x + p.mu, y)
+    r2 = math.hypot(x + p.mu - 1.0, y)
+    if r1 < COLLISION_RADIUS:
+        raise CollisionError("first", r1)
+    if r2 < COLLISION_RADIUS:
+        raise CollisionError("second", r2)
+    return r1, r2
+
+
+def _potential(x: float, y: float, r1: float, r2: float, p: ModelParams) -> float:
+    return (0.5 * (p.n * p.n) * (x * x + y * y) + (1.0 - p.mu) * p.q1 / r1
+            + p.mu / r2 + 0.5 * p.mu * p.A2 / r2**3)
 
 
 def effective_potential(s: State, p: ModelParams) -> float:
     """U1 = n^2 (x^2+y^2)/2 + (1-mu) q1 / r1 + mu / r2 + mu A2 / (2 r2^3)."""
-    r1, r2 = s.radii(p)
-    n2 = p.n * p.n
-    return (
-        0.5 * n2 * (s.x * s.x + s.y * s.y)
-        + (1.0 - p.mu) * p.q1 / r1
-        + p.mu / r2
-        + 0.5 * p.mu * p.A2 / r2**3
-    )
+    return _potential(s.x, s.y, *s.radii(p), p)
 
 
 def lagrangian(s: State, p: ModelParams) -> float:
@@ -144,13 +146,16 @@ def lagrangian(s: State, p: ModelParams) -> float:
     the two-argument angle keeps the term continuous away from the radiating
     primary itself.
     """
-    r1, _ = s.radii(p)
-    x1 = s.x + p.mu
-    kinetic = 0.5 * (s.xdot**2 + s.ydot**2)
-    coriolis = p.n * (s.x * s.ydot - s.xdot * s.y)
-    potential = effective_potential(s, p)
-    drag = p.W1 * (
-        (x1 * s.xdot + s.y * s.ydot) / (2.0 * r1 * r1)
-        - p.n * math.atan2(s.y, x1)
-    )
-    return kinetic + coriolis + potential + drag
+    return _lagrangian(s.x, s.y, s.xdot, s.ydot, p)
+
+
+def _lagrangian(x: float, y: float, xdot: float, ydot: float,
+                p: ModelParams) -> float:
+    """:func:`lagrangian` on plain floats, with one radii computation."""
+    r1, r2 = _radii(x, y, p)
+    x1 = x + p.mu
+    kinetic = 0.5 * (xdot**2 + ydot**2)
+    coriolis = p.n * (x * ydot - xdot * y)
+    drag = p.W1 * ((x1 * xdot + y * ydot) / (2.0 * r1 * r1)
+                   - p.n * math.atan2(y, x1))
+    return kinetic + coriolis + _potential(x, y, r1, r2, p) + drag

@@ -5,7 +5,8 @@ The oracle chain this module serves:
 
 1. frequencies + symplectic normal-mode matrix J from the quadratic
    Lagrangian slice, both in closed form (the roots of a biquadratic, and
-   per mode the null vector of a 2x2 matrix);
+   per mode the null vector of a 2x2 matrix, on the scalar entries of K
+   and C);
 2. first-order components B1 from the (x, y) rows of J;
 3. cubic forcing X2, Y2 and the energy's cubic at B1: D B1, the cubic's
    four partials and its energy at (B1, B1, D B1, D B1), and X2 = dL3/dx
@@ -69,8 +70,8 @@ def stiffness_matrix(efg: QuadraticCoefficients, n: float) -> tuple:
 def velocity_coupling(l2: TruncatedPoly) -> tuple:
     """Bilinear block C with C[i][j] = coefficient of v_i q_j in the degree-2
     slice (gyroscopic plus drag gauge terms)."""
-    return ((l2.coefficient((1, 0, 1, 0)), l2.coefficient((0, 1, 1, 0))),
-            (l2.coefficient((1, 0, 0, 1)), l2.coefficient((0, 1, 0, 1))))
+    return ((l2._value((1, 0, 1, 0)), l2._value((0, 1, 1, 0))),
+            (l2._value((1, 0, 0, 1)), l2._value((0, 1, 0, 1))))
 
 
 def frequencies(p: ModelParams, efg: QuadraticCoefficients) -> FrequencyPair:
@@ -167,12 +168,12 @@ class NormalModeData:
 
 def hamiltonian_matrix(K: tuple, C: tuple) -> tuple:
     """Hessian S of H2(q, p) = |p - C q|^2 / 2 - q.K q / 2, as four rows."""
-    ctc = [[C[0][i] * C[0][j] + C[1][i] * C[1][j] - K[i][j] for j in range(2)]
-           for i in range(2)]
-    return ((*ctc[0], -C[0][0], -C[1][0]),
-            (*ctc[1], -C[0][1], -C[1][1]),
-            (-C[0][0], -C[0][1], 1.0, 0.0),
-            (-C[1][0], -C[1][1], 0.0, 1.0))
+    (k00, k01), (k10, k11) = K
+    (c00, c01), (c10, c11) = C
+    return ((c00 * c00 + c10 * c10 - k00, c00 * c01 + c10 * c11 - k01, -c00, -c10),
+            (c01 * c00 + c11 * c10 - k10, c01 * c01 + c11 * c11 - k11, -c01, -c11),
+            (-c00, -c01, 1.0, 0.0),
+            (-c10, -c11, 0.0, 1.0))
 
 
 def _dot(a, b) -> float:
@@ -187,68 +188,64 @@ def congruence_gap(J: tuple, M: tuple, target: tuple) -> float:
                for b, t in zip(mj_cols, row))
 
 
-def mode_vector(omega: float, K: tuple, C: tuple) -> list:
-    """Unit eigenvector (q, p) of the linear canonical flow at i*omega.
-
-    q spans the kernel of N = -omega^2 I - K + i omega (C - C^T), read off
-    its row of larger norm, and p = (i omega I + C) q.  A Newton step on
-    det N in omega, |det N| / |d det N / d omega|, measures how far
-    i*omega lies from the spectrum; beyond 1e-6 (1 + omega) omega is not
-    a frequency of this K and C.
-    """
-    g = 1j * omega * (C[0][1] - C[1][0])
-    rows = ((-omega * omega - K[0][0], g - K[0][1]),
-            (-g - K[1][0], -omega * omega - K[1][1]))
-    det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    slope = 2.0 * omega * (2.0 * omega * omega + K[0][0] + K[1][1]
-                           - (omega * (C[0][1] - C[1][0]))**2)
+def _mode_columns(mode: int, omega: float, sign: float, K: tuple, C: tuple):
+    """J's Q and P columns of one mode, ``(q0, q1, q2, q3, p0, p1, p2, p3)``:
+    the unit eigenvector (q, p) of the linear canonical flow at i*omega,
+    q in the kernel of N = -omega^2 I - K + i omega (C - C^T) read off its
+    row of larger norm and p = (i omega I + C) q, turned so q0 is real and
+    scaled to a symplectic pair whose invariant has the mode's `sign`.  A
+    Newton step on det N beyond 1e-6 (1 + omega) rejects omega."""
+    (k00, k01), (k10, k11) = K
+    (c00, c01), (c10, c11) = C
+    g = 1j * omega * (c01 - c10)
+    n00, n01, n10, n11 = -omega * omega - k00, g - k01, -g - k10, -omega * omega - k11
+    det = n00 * n11 - n01 * n10
+    slope = 2.0 * omega * (2.0 * omega * omega + k00 + k11
+                           - (omega * (c01 - c10))**2)
     if not abs(det) <= 1e-6 * (1.0 + omega) * abs(slope):
         raise StabilityDomainError(f"no eigenvalue near i*{omega:.8f}")
-    big = max(rows, key=lambda r: abs(r[0])**2 + abs(r[1])**2)
-    q0, q1 = big[1], -big[0]
-    v = [q0, q1, (1j * omega + C[0][0]) * q0 + C[0][1] * q1,
-         C[1][0] * q0 + (1j * omega + C[1][1]) * q1]
+    if abs(n10)**2 + abs(n11)**2 > abs(n00)**2 + abs(n01)**2:
+        v0, v1 = n11, -n10
+    else:
+        v0, v1 = n01, -n00
+    v2 = (1j * omega + c00) * v0 + c01 * v1
+    v3 = c10 * v0 + (1j * omega + c11) * v1
     # plain left-to-right additions: the builtin `sum` of Python 3.12 and
     # later compensates its rounding, that of 3.11 does not
-    norm = math.sqrt(abs(v[0])**2 + abs(v[1])**2 + abs(v[2])**2 + abs(v[3])**2)
-    return [z / norm for z in v]
+    norm = math.sqrt(abs(v0)**2 + abs(v1)**2 + abs(v2)**2 + abs(v3)**2)
+    v0, v1, v2, v3 = v0 / norm, v1 / norm, v2 / norm, v3 / norm
+    pivot = v0 if abs(v0) > 1e-12 else v1
+    turn = pivot.conjugate() / abs(pivot)  # x component real
+    v0, v1, v2, v3 = v0 * turn, v1 * turn, v2 * turn, v3 * turn
+    sigma = (v0.real * v2.imag + v1.real * v3.imag - v2.real * v0.imag
+             - v3.real * v1.imag)
+    if sigma * sign <= 0.0:
+        raise StabilityDomainError(
+            f"mode {mode} has symplectic invariant {sigma:.3e}; "
+            "quadratic part is not of the expected signature")
+    c = 1.0 / math.sqrt(omega * abs(sigma))
+    d = -sign * c * omega
+    if c * v0.real < 0.0:  # (-c) x is -(c x), bit for bit
+        c, d = -c, -d
+    return (d * v0.imag, d * v1.imag, d * v2.imag, d * v3.imag,
+            c * v0.real, c * v1.real, c * v2.real, c * v3.real)
 
 
 def j_numeric(p: ModelParams, efg: QuadraticCoefficients, w: FrequencyPair,
               l2: TruncatedPoly) -> NormalModeData:
     """Symplectic normalization of the quadratic Hamiltonian.
 
-    Eigenvectors of the linear canonical flow (:func:`mode_vector`) are
-    phase-rotated so the x row couples only to the P (cosine) variables,
-    scaled so the transformation is symplectic, and signed so J13,
-    J14 > 0.  The mode signs (+, -) are dictated by the symplectic
-    invariants; a sign flip would mean the quadratic part is not of the
-    expected type.
+    Per mode (:func:`_mode_columns`, on the entries of K and C), the
+    eigenvector of the linear canonical flow is phase-rotated so the x row
+    couples only to the P (cosine) variables, scaled so the transformation
+    is symplectic, and signed so J13, J14 > 0.  The mode signs (+, -) are
+    dictated by the symplectic invariants; a sign flip would mean the
+    quadratic part is not of the expected type.
     """
-    K = stiffness_matrix(efg, p.n)
-    C = velocity_coupling(l2)
-
-    columns = {}
-    for mode, (omega, target_sign) in enumerate(
-            ((w.omega1, +1.0), (w.omega2, -1.0))):
-        v = mode_vector(omega, K, C)
-        pivot = v[0] if abs(v[0]) > 1e-12 else v[1]
-        turn = pivot.conjugate() / abs(pivot)  # x component real
-        v = [z * turn for z in v]
-        u, wv = [z.real for z in v], [z.imag for z in v]
-        sigma = u[0] * wv[2] + u[1] * wv[3] - u[2] * wv[0] - u[3] * wv[1]
-        if sigma * target_sign <= 0.0:
-            raise StabilityDomainError(
-                f"mode {mode + 1} has symplectic invariant {sigma:.3e}; "
-                "quadratic part is not of the expected signature")
-        c = 1.0 / math.sqrt(omega * abs(sigma))
-        d = -target_sign * c * omega
-        pcol, qcol = [c * x for x in u], [d * x for x in wv]
-        if pcol[0] < 0.0:
-            pcol, qcol = [-x for x in pcol], [-x for x in qcol]
-        columns[mode] = (qcol, pcol)
-
-    J = tuple(zip(columns[0][0], columns[1][0], columns[0][1], columns[1][1]))
+    K, C = stiffness_matrix(efg, p.n), velocity_coupling(l2)
+    a0, a1, a2, a3, a4, a5, a6, a7 = _mode_columns(1, w.omega1, +1.0, K, C)
+    b0, b1, b2, b3, b4, b5, b6, b7 = _mode_columns(2, w.omega2, -1.0, K, C)
+    J = ((a0, b0, a4, b4), (a1, b1, a5, b5), (a2, b2, a6, b6), (a3, b3, a7, b7))
     return NormalModeData(freq=w, J=J, hessian=hamiltonian_matrix(K, C))
 
 
@@ -285,25 +282,34 @@ def linear_operator(efg: QuadraticCoefficients, n: float):
             ((-k10, 2.0 * n, 0.0), (-k11, 0.0, 1.0)))
 
 
+def _operator_plan(left: Layout, right: Layout):
+    """``(layout of x + y, rows)`` of an operator applied to a pair on these
+    layouts: per key of the sum, ``(p, q, x slot, y slot)``, the slot -1,
+    past a side's values, where that side lacks the key."""
+    layout, shared, new = sum_plan(left, right)
+    size, at = len(left.keys), dict(shared)
+    return layout, tuple((p, q, n, at.get(n, -1)) if n < size else
+                         (p, q, -1, new[n - size])
+                         for n, (_, _, p, q) in enumerate(layout.keys))
+
+
 def _operator_values(matrix, x, y, w: FrequencyPair):
     """``(layout of x + y, row 1, row 2)``: the values, exact zeros kept, of
     a 2x2 matrix of (c0, c1, c2) D-polynomials applied to the pair (x, y)
     in one pass, forming per harmonic theta and the four multipliers of
-    :func:`apply_poly_in_D` once."""
-    layout, shared, new = plan(sum_plan, x.layout, y.layout)
-    xs, ys = x.values + [0j] * len(new), [0j] * len(x.values)
-    for n, k in shared:
-        ys[n] = y.values[k]
-    ys += [y.values[k] for k in new]
+    :func:`apply_poly_in_D` once; a side lacking a key reads 0j there."""
+    layout, rows = plan(_operator_plan, x.layout, y.layout)
+    xs, ys = x.values + [0j], y.values + [0j]
     w1, w2 = w.omega1, w.omega2
-    (a, b), (c, d) = matrix
+    ((a0, a1, a2), (b0, b1, b2)), ((c0, c1, c2), (d0, d1, d2)) = matrix
     first, second = [], []
-    for (_, _, p, q), zx, zy in zip(layout.keys, xs, ys):
+    for p, q, i, j in rows:
         t = p * w1 - q * w2
-        first.append(0j + (complex(a[0] - a[2] * t * t, -(a[1] * t)) * zx
-                           + complex(b[0] - b[2] * t * t, -(b[1] * t)) * zy))
-        second.append(0j + (complex(c[0] - c[2] * t * t, -(c[1] * t)) * zx
-                            + complex(d[0] - d[2] * t * t, -(d[1] * t)) * zy))
+        zx, zy = xs[i], ys[j]
+        first.append(0j + (complex(a0 - a2 * t * t, -(a1 * t)) * zx
+                           + complex(b0 - b2 * t * t, -(b1 * t)) * zy))
+        second.append(0j + (complex(c0 - c2 * t * t, -(c1 * t)) * zx
+                            + complex(d0 - d2 * t * t, -(d1 * t)) * zy))
     return layout, first, second
 
 

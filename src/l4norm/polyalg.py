@@ -23,7 +23,7 @@ from .closedforms import on_branch, printed
 from .equilibria import OriginShift
 from .errors import ContractError, ParameterError
 from .layout import Layout, Store, compiled, intern, plan, pruned, sliced
-from .model import ModelParams, State, lagrangian
+from .model import ModelParams, _lagrangian
 
 NVARS = 4
 
@@ -319,7 +319,7 @@ def taylor_lagrangian(p: ModelParams, shift: OriginShift, degree: int) -> Trunca
 
     # Constant term must reproduce the pointwise Lagrangian; a mismatch means
     # an expansion bug, so it is asserted rather than reported.
-    l0 = lagrangian(State(a - p.mu, b, 0.0, 0.0), p)
+    l0 = _lagrangian(a - p.mu, b, 0.0, 0.0, p)
     drift = abs(values[constant] - l0)
     if drift > 1e-9 * max(1.0, abs(l0)):
         raise ContractError(f"constant-term drift {drift:.3e} in Taylor expansion")
@@ -339,13 +339,18 @@ class QuadraticCoefficients:
 
 def extract_EFG(l2: TruncatedPoly, p: ModelParams) -> QuadraticCoefficients:
     """Read (E, F, G) off the position-only part of a degree-2 slice."""
-    if any(sum(m) != 2 for m in l2.layout.keys):
+    if not plan(_homogeneous, l2.layout, 2):
         raise ContractError("extract_EFG expects a homogeneous degree-2 slice")
     n2 = p.n * p.n
-    e = 0.5 * (n2 - 2.0 * l2.coefficient((2, 0, 0, 0)))
-    f = 0.5 * (n2 - 2.0 * l2.coefficient((0, 2, 0, 0)))
-    g = -l2.coefficient((1, 1, 0, 0))
-    return QuadraticCoefficients(E=e, F=f, G=g)
+    e = 0.5 * (n2 - 2.0 * l2._value((2, 0, 0, 0)))
+    f = 0.5 * (n2 - 2.0 * l2._value((0, 2, 0, 0)))
+    g = -l2._value((1, 1, 0, 0))
+    return QuadraticCoefficients(e, f, g)
+
+
+def _homogeneous(layout: Layout, degree: int) -> bool:
+    """Whether every key of `layout` is of total degree `degree`."""
+    return all(sum(m) == degree for m in layout.keys)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,10 @@ bit-for-bit reference for its compiled kernel.  `forcing_by_ops`,
 `second_order_by_ops` and `h3_by_ops` run the three second-order stages
 one series operation at a time, the bit-for-bit references for the
 stages' kernels.
+`mode_vector` reads a mode's eigenvector off lists and
+`mode_columns_by_lists`, `j_by_mode_vectors` and `hessian_by_loops` build
+J and the Hessian from it, the bit-for-bit references for
+`l4norm.normalform.j_numeric`.
 `t5_by_products` multiplies out the drag cubic T5, the reference for
 `l4norm.polyalg.t_coefficients_closed_form`.  `classical_cubic_symbolic`
 derives the classical T1..T4 exactly, the reference for the printed rows,
@@ -42,7 +46,7 @@ from l4norm.dalembert import (DIVISOR_FLOOR, MOSER_PAIRS, DAlembertSeries,
                               apply_D, apply_poly_in_D, invert_delta,
                               substitution_rows)
 from l4norm.equilibria import OriginShift
-from l4norm.errors import ContractError
+from l4norm.errors import ContractError, StabilityDomainError
 from l4norm.model import ModelParams, State, lagrangian
 from l4norm.polyalg import TruncatedPoly, _mul2
 
@@ -167,6 +171,78 @@ def operator_by_composition(matrix, x, y, w):
     `l4norm.normalform.apply_operator`."""
     return tuple(apply_poly_in_D(x, w, *a) + apply_poly_in_D(y, w, *b)
                  for a, b in matrix)
+
+
+def mode_vector(omega: float, K: tuple, C: tuple) -> list:
+    """Unit eigenvector (q, p) of the linear canonical flow at i*omega.
+
+    q spans the kernel of N = -omega^2 I - K + i omega (C - C^T), read off
+    its row of larger norm, and p = (i omega I + C) q.  A Newton step on
+    det N in omega, |det N| / |d det N / d omega|, measures how far
+    i*omega lies from the spectrum; beyond 1e-6 (1 + omega) omega is not
+    a frequency of this K and C.
+    """
+    g = 1j * omega * (C[0][1] - C[1][0])
+    rows = ((-omega * omega - K[0][0], g - K[0][1]),
+            (-g - K[1][0], -omega * omega - K[1][1]))
+    det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    slope = 2.0 * omega * (2.0 * omega * omega + K[0][0] + K[1][1]
+                           - (omega * (C[0][1] - C[1][0]))**2)
+    if not abs(det) <= 1e-6 * (1.0 + omega) * abs(slope):
+        raise StabilityDomainError(f"no eigenvalue near i*{omega:.8f}")
+    big = max(rows, key=lambda r: abs(r[0])**2 + abs(r[1])**2)
+    q0, q1 = big[1], -big[0]
+    v = [q0, q1, (1j * omega + C[0][0]) * q0 + C[0][1] * q1,
+         C[1][0] * q0 + (1j * omega + C[1][1]) * q1]
+    norm = math.sqrt(abs(v[0])**2 + abs(v[1])**2 + abs(v[2])**2 + abs(v[3])**2)
+    return [z / norm for z in v]
+
+
+def hessian_by_loops(K: tuple, C: tuple) -> tuple:
+    """Hessian S of H2(q, p) = |p - C q|^2 / 2 - q.K q / 2 with C^T C - K
+    formed in a loop, the bit-for-bit reference for
+    `l4norm.normalform.hamiltonian_matrix`."""
+    ctc = [[C[0][i] * C[0][j] + C[1][i] * C[1][j] - K[i][j] for j in range(2)]
+           for i in range(2)]
+    return ((*ctc[0], -C[0][0], -C[1][0]),
+            (*ctc[1], -C[0][1], -C[1][1]),
+            (-C[0][0], -C[0][1], 1.0, 0.0),
+            (-C[1][0], -C[1][1], 0.0, 1.0))
+
+
+def mode_columns_by_lists(mode: int, omega: float, target_sign: float,
+                          K: tuple, C: tuple) -> tuple:
+    """(Q column, P column) of one mode from :func:`mode_vector` on lists,
+    the bit-for-bit reference for `l4norm.normalform._mode_columns`: the
+    eigenvector turned so its x component is real, scaled so the
+    transformation is symplectic and signed so its P column starts > 0."""
+    v = mode_vector(omega, K, C)
+    pivot = v[0] if abs(v[0]) > 1e-12 else v[1]
+    turn = pivot.conjugate() / abs(pivot)
+    v = [z * turn for z in v]
+    u, wv = [z.real for z in v], [z.imag for z in v]
+    sigma = u[0] * wv[2] + u[1] * wv[3] - u[2] * wv[0] - u[3] * wv[1]
+    if sigma * target_sign <= 0.0:
+        raise StabilityDomainError(
+            f"mode {mode} has symplectic invariant {sigma:.3e}; "
+            "quadratic part is not of the expected signature")
+    c = 1.0 / math.sqrt(omega * abs(sigma))
+    d = -target_sign * c * omega
+    pcol, qcol = [c * x for x in u], [d * x for x in wv]
+    if pcol[0] < 0.0:
+        pcol, qcol = [-x for x in pcol], [-x for x in qcol]
+    return qcol, pcol
+
+
+def j_by_mode_vectors(p: ModelParams, efg, w, l2: TruncatedPoly) -> tuple:
+    """``(J, hessian)`` from :func:`mode_columns_by_lists` and
+    :func:`hessian_by_loops`, the bit-for-bit reference for
+    `l4norm.normalform.j_numeric`."""
+    K = normalform.stiffness_matrix(efg, p.n)
+    C = normalform.velocity_coupling(l2)
+    q1, p1 = mode_columns_by_lists(1, w.omega1, +1.0, K, C)
+    q2, p2 = mode_columns_by_lists(2, w.omega2, -1.0, K, C)
+    return tuple(zip(q1, q2, p1, p2)), hessian_by_loops(K, C)
 
 
 def term_product(a: dict, b: dict, cap: int) -> dict:

@@ -403,6 +403,23 @@ class TestSweep:
         assert len(errors) == 1
         assert errors[0][1:] == ["error:ResonanceError"] + [""] * 5
 
+    def test_grid_mu_outside_the_model_is_a_config_error_row(self, capsys):
+        # each grid point builds its parameters from the config at its own
+        # mu: past 1/2 the row names the config error, and with q1 and
+        # epsilon both given every row does
+        code, out, _ = run_cli(capsys, "sweep", "--mu-min", "0.49",
+                               "--mu-max", "0.51", "--steps", "3",
+                               "--stages", "b1")
+        assert code == EXIT_OK
+        assert [r.split(",")[1] for r in out.splitlines()[1:]] == [
+            "error:StabilityDomainError"] * 2 + ["error:ConfigError"]
+        code, out, _ = run_cli(capsys, "sweep", "--mu-min", "0.01",
+                               "--mu-max", "0.02", "--steps", "2", "--q1",
+                               "0.99", "--epsilon", "0.01", "--stages", "b1")
+        assert code == EXIT_OK
+        assert out.splitlines()[1:] == ["0.01,error:ConfigError,,,,,",
+                                        "0.02,error:ConfigError,,,,,"]
+
     def test_small_sweep(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--mu-min", "0.005",
                                "--mu-max", "0.02", "--steps", "3",

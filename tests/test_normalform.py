@@ -9,6 +9,8 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from l4norm import closedforms
 from l4norm.closedforms import (
@@ -25,6 +27,7 @@ from l4norm.dalembert import (DAlembertSeries, FrequencyPair, _substitution_plan
 from l4norm.equilibria import solve_triangular_numeric, shift_from_point
 from l4norm.errors import (
     ContractError,
+    ConvergenceError,
     CriticalTermError,
     SmallDivisorError,
     StabilityDomainError,
@@ -32,13 +35,16 @@ from l4norm.errors import (
 from l4norm.layout import plan
 from l4norm.model import ModelParams
 from l4norm.normalform import (
+    NormalModeData,
     _forcing_polys,
+    _mode_columns,
     apply_operator,
     classical_frequencies,
     first_order_components,
     forcing_x2y2,
     frequencies,
     h3_normal_coefficients,
+    hamiltonian_matrix,
     j_numeric,
     linear_operator,
     linear_residual,
@@ -54,7 +60,8 @@ from l4norm.polyalg import (
     taylor_lagrangian,
 )
 
-from oracles import (operator_by_composition, printed_by_groups, row_as_written,
+from oracles import (hessian_by_loops, j_by_mode_vectors, mode_columns_by_lists,
+                     operator_by_composition, printed_by_groups, row_as_written,
                      substitute_by_rows, substitute_pairwise, variable)
 
 SQRT3 = math.sqrt(3.0)
@@ -256,6 +263,105 @@ class TestJAgainstNumpy:
         off = FrequencyPair(w.omega1, w.omega2 * (1.0 + 1e-4))
         with pytest.raises(StabilityDomainError, match="no eigenvalue near"):
             j_numeric(p, efg, off, lag.grade(2))
+
+
+def _float_bits(values) -> list:
+    """The exact bits of each float, the sign of a zero spelled out."""
+    return [(v.hex(), math.copysign(1.0, v)) for v in values]
+
+
+def _outcome(fn, *args):
+    """``("ok", result)`` or the class and message of what `fn` raises."""
+    try:
+        return "ok", fn(*args)
+    except StabilityDomainError as err:
+        return type(err).__name__, str(err)
+
+
+@st.composite
+def linear_points(draw):
+    """``(p, efg, w, l2)`` at the numeric root over the benchmark's domain:
+    mu in [0.0009, 0.037], epsilon <= 0.01, A2 <= 0.005, cd in [1, 100],
+    either branch, drag on or off.  A draw where Newton finds no root, or
+    a root that is not center x center, has no linear stage and is
+    dropped."""
+    drag = draw(st.booleans())
+    epsilon = draw(st.floats(0.0, 0.01, exclude_min=True)) if drag else 0.0
+    p = ModelParams(mu=draw(st.floats(0.0009, 0.037)), q1=1.0 - epsilon,
+                    A2=draw(st.floats(0.0, 0.005)), cd=draw(st.floats(1.0, 100.0)))
+    try:
+        pt = solve_triangular_numeric(p, draw(st.sampled_from(("L4", "L5"))))
+    except ConvergenceError:
+        assume(False)
+    l2 = taylor_lagrangian(p, shift_from_point(pt, p), 2).grade(2)
+    efg = extract_EFG(l2, p)
+    try:
+        w = frequencies(p, efg)
+    except StabilityDomainError:
+        assume(False)
+    return p, efg, w, l2
+
+
+class TestLinearFrontBitForBit:
+    """J, the Hessian, B1 and B1's residual on scalars equal the list-based
+    references of `tests/oracles.py` bit for bit, the sign of zero
+    included, and raise the same errors with the same messages."""
+
+    @settings(max_examples=80, deadline=None)
+    @example(point=None)
+    @given(point=linear_points())
+    def test_matches_the_reference(self, point):
+        if point is None:  # a drag point of the acceptance chain
+            p = ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0)
+            _, _, lag, efg, w, _ = linear_stage(p, "L5")
+            point = p, efg, w, lag.grade(2)
+        p, efg, w, l2 = point
+        nm = j_numeric(p, efg, w, l2)
+        J, hessian = j_by_mode_vectors(p, efg, w, l2)
+        assert _float_bits(sum(nm.J, ())) == _float_bits(sum(J, ()))
+        assert _float_bits(sum(nm.hessian, ())) == _float_bits(sum(hessian, ()))
+        b1 = first_order_components(nm)
+        reference = first_order_components(NormalModeData(w, J, hessian))
+        assert [_bits(s) for s in b1] == [_bits(s) for s in reference]
+        series = operator_by_composition(linear_operator(efg, p.n), *reference, w)
+        assert linear_residual(*b1, efg, w, p.n).hex() == \
+            max(s.max_abs() for s in series).hex()
+        # off the spectrum, and each mode at the other's sign
+        for off in (FrequencyPair(w.omega1, w.omega2 * (1.0 + 1e-4)),
+                    FrequencyPair(w.omega1 * (1.0 - 1e-4), w.omega2),
+                    SimpleNamespace(omega1=w.omega2, omega2=w.omega1)):
+            new, old = (_outcome(f, p, efg, off, l2)
+                        for f in (j_numeric, j_by_mode_vectors))
+            assert new[0] == old[0] == "StabilityDomainError" and new == old
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_each_mode_on_arbitrary_blocks(self, data):
+        # K symmetric and C arbitrary, zeros of either sign among them; omega
+        # a root of det N, so both rows of N and both signs of sigma occur
+        entry = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-3.0, 3.0))
+        k00, k01, k11, c00, c01, c10, c11 = (data.draw(entry) for _ in range(7))
+        K, C = ((k00, k01), (k01, k11)), ((c00, c01), (c10, c11))
+        assert _float_bits(sum(hamiltonian_matrix(K, C), ())) == \
+            _float_bits(sum(hessian_by_loops(K, C), ()))
+        # det N = w^4 + b w^2 + det K with b = k00 + k11 - (c01 - c10)^2
+        b, det = k00 + k11 - (c01 - c10) ** 2, k00 * k11 - k01 * k01
+        disc = b * b - 4.0 * det
+        assume(disc > 0.0)
+        roots = [r for r in ((-b + math.sqrt(disc)) / 2.0, (-b - math.sqrt(disc)) / 2.0)
+                 if r > 1e-6]
+        assume(roots)
+        for w2 in roots:
+            omega = math.sqrt(w2)
+            for mode, sign in ((1, 1.0), (2, -1.0)):
+                new = _outcome(_mode_columns, mode, omega, sign, K, C)
+                old = _outcome(lambda: sum(mode_columns_by_lists(
+                    mode, omega, sign, K, C), []))
+                if new[0] == "ok":
+                    assert old[0] == "ok"
+                    assert _float_bits(new[1]) == _float_bits(old[1])
+                else:
+                    assert new == old
 
 
 def test_package_runs_without_numpy():

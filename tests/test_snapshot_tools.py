@@ -40,9 +40,12 @@ def load_chain_snapshot():
 def test_chain_record_builds(point):
     record = dict((entry[0], entry[1:]) for entry in
                   load_chain_snapshot().chain_record(*point))
-    series = [*record["x2"], *record["y2"], *record["b2"][:2],
+    series = [*record["b1"][:2], *record["x2"], *record["y2"], *record["b2"][:2],
               record["h3"][0][1], record["ablation"][0][1]]
     assert all(series)
+    # J and the Hessian bit for bit, the linear stage's residuals as floats
+    assert len(record["J"][0]) == len(record["hessian"][0]) == 16
+    assert all(type(v) is float for v in (*record["nm"], record["b1"][2]))
     scalars, t5, t5_print = record["cubic"]
     assert len(scalars) == 4
     # the drag cubic in both readings, present exactly with drag
