@@ -10,7 +10,7 @@ compares the printed tables with them, and `l4norm.errata` records the
 confirmed discrepancies.
 """
 
-from .dalembert import DAlembertSeries, FrequencyPair, moser_check, small_divisor
+from .dalembert import DAlembertSeries, FrequencyPair, moser_check
 from .equilibria import (
     EquilibriumPoint,
     OriginShift,
@@ -42,7 +42,6 @@ __all__ = [
     "moser_check",
     "offset_ab",
     "run_pipeline",
-    "small_divisor",
     "solve_triangular_numeric",
     "taylor_lagrangian",
     "triangular_series",

@@ -6,9 +6,11 @@ terms an independent oracle later contradicts.  The reconciliation lives in
 :mod:`l4norm.errata`.
 
 Every printed form of one shape is a row of :data:`ROWS`, and
-:func:`printed` evaluates them all: the equilibrium point (x, y) and the
-origin shift (a, b), the cubic coefficients T1..T4, the normal-mode
-entries J13..J24 and the 24 F/G entries of the second-order tables.
+:func:`printed` evaluates them all, in one kernel per tuple of row names
+that :class:`l4norm.layout.KernelSource` writes: the equilibrium point
+(x, y) and the origin shift (a, b), the cubic coefficients T1..T4, the
+normal-mode entries J13..J24 and the 24 F/G entries of the second-order
+tables.
 
 * A *brace* is linear in (1, eps, A2, A2 eps, n W1, n W1 eps).  Its first
   four coefficients are rationals; each n W1 coefficient is a triple
@@ -40,7 +42,7 @@ import math
 
 from .dalembert import DIVISOR_FLOOR, DAlembertSeries, FrequencyPair
 from .errors import SmallDivisorError
-from .layout import compiled, plan
+from .layout import KernelSource, plan
 from .model import SQRT3, ModelParams
 
 
@@ -262,6 +264,10 @@ def _expand(modes: dict, prefactor, *terms):
 # The mode-scalar monomials of the rows by index; the empty one, 1, is 0.
 _MODES = {(): 0}
 _EXPANDED = {name: _expand(_MODES, *row) for name, row in ROWS.items()}
+# The source of each monomial but 1: its factors' powers multiplied left
+# to right.
+_MODE_SOURCE = {index: " * ".join(f"{factor} ** {power}" for factor, power in mode)
+                for mode, index in _MODES.items() if index}
 
 # The kernel's locals for BASIS, formed from p in the order `printed` always
 # formed them; the first monomial, 1, is no local.
@@ -284,38 +290,31 @@ def _row_kernel(names: tuple):
     over the nonzero coefficients c of BASIS, added left to right: float
     `sum` adds that way from 0.0, and a running sum that starts at +0.0 is
     left unchanged by an exact-zero term, so the values are those of a sum
-    over every coefficient, bit for bit.  A mode monomial is its factors'
-    powers multiplied left to right; the empty one, 1.0, is left out.  Only
-    names, ints and the reprs of the rows' floats enter the source."""
-    used, body = set(), []
+    over every coefficient, bit for bit.  A mode monomial is formed once,
+    on first use; the empty one, 1.0, is left out.  Only names, ints and
+    the reprs of the rows' floats enter the source."""
+    rows = [_EXPANDED[name] for name in names]
+    k = KernelSource()
+    k.lines += ["eps, A2, g = p.epsilon, p.A2, p.gamma",
+                f"u = p.n * p.W1 / {SQRT3!r}",
+                "ea, ug, ue = eps * A2, u * g, u * eps",
+                "A2g, epsg, eag, ugg, ueg = A2 * g, eps * g, ea * g, ug * g, ue * g",
+                "uegg = ueg * g"]
+    if any(mode or any(m for m, _ in groups) for mode, groups in rows):
+        k.lines += ["w1, w2, l1, l2, k1, k2 = scalars", "n = p.n"]
 
     def times(mode):
-        used.add(mode)
-        return f"m{mode} * " if mode else ""
+        return f"{k.let(_MODE_SOURCE[mode])} * " if mode else ""
 
-    for r, name in enumerate(names):
-        mode, groups = _EXPANDED[name]
+    values = []
+    for mode, groups in rows:
         total = "0.0"
         for weight_mode, sums in groups:
-            terms = "".join(f" + {c!r}" + (f" * {_BASIS_LOCALS[k]}" if k else "")
-                            for k, c in enumerate(sums) if c)
+            terms = "".join(f" + {c!r}" + (f" * {_BASIS_LOCALS[b]}" if b else "")
+                            for b, c in enumerate(sums) if c)
             total += f" + {times(weight_mode)}(0.0{terms})"
-        body.append(f"    r{r} = {times(mode)}({total})")
-    lines = ["def rows(p, scalars):",
-             "    eps, A2, g = p.epsilon, p.A2, p.gamma",
-             f"    u = p.n * p.W1 / {SQRT3!r}",
-             "    ea, ug, ue = eps * A2, u * g, u * eps",
-             "    A2g, epsg, eag, ugg, ueg = A2 * g, eps * g, ea * g, ug * g, ue * g",
-             "    uegg = ueg * g"]
-    used.discard(0)
-    if used:
-        lines += ["    w1, w2, l1, l2, k1, k2 = scalars", "    n = p.n"]
-        lines += [f"    m{index} = " + " * ".join(f"{factor} ** {power}"
-                                                 for factor, power in mode)
-                  for mode, index in _MODES.items() if index in used]
-    results = "".join(f"r{r}, " for r in range(len(names)))
-    return compiled("\n".join([*lines, *body, f"    return ({results})\n"]),
-                    "rows")
+        values.append(k.let(f"{times(mode)}({total})"))
+    return k.compile("p, scalars", values, "rows")
 
 
 def reflect(values: dict) -> dict:

@@ -14,11 +14,11 @@ of valid keys is valid (only its difference harmonics need
 canonicalising).  Products take an optional degree cap (j + m) and skip
 the pairs of terms that would exceed it.  A product of series, and a
 polynomial evaluated at series (:func:`substitute`), is planned once per
-shape, the layouts and the cap, and the plan's rows compiled into one
-straight-line kernel; a call runs that kernel, which forms each k-factor
-product of terms in one step.  :class:`KernelSource` writes such rows
-into a larger kernel, between the sums and D-polynomials of a stage of
-:mod:`l4norm.normalform`.
+shape, the layouts and the cap: :func:`substitution_rows` lays out its
+rows, and :class:`l4norm.layout.KernelSource` writes them into one
+straight-line kernel, which forms each k-factor product of terms in one
+step.  The stages of :mod:`l4norm.normalform` have the emitter write the
+same rows into their own kernels, between the sums and D-polynomials.
 
 A term c cos + s sin is stored as z = c + i s on a shared key layout
 (:mod:`l4norm.layout`).  A product of two terms gives the sum harmonic
@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ContractError, CriticalTermError, ParameterError, SmallDivisorError
-from .layout import Layout, Store, compiled, intern, plan, pruned, sum_plan
+from .layout import KernelSource, Layout, Store, intern, plan, pruned
 
 DIVISOR_FLOOR = 1e-8
 
@@ -147,136 +147,18 @@ def substitution_rows(polys: tuple, cap: int | None, layouts: tuple) -> tuple:
     return tuple(outputs)
 
 
-class KernelSource:
-    """A stage kernel being generated: the lines of its body, over the
-    frequencies `w1` and `w2`.  A series is ``(layout, names)``, one local
-    per slot; each expression is bound to one local on first use
-    (:meth:`let`), so a harmonic's theta or multiplier, met on several
-    slots, is formed once.  Series are never pruned inside a kernel: a
-    layout is structural, and only the caller prunes what it returns."""
-
-    def __init__(self):
-        self.lines = []
-        self._locals = {}
-
-    def let(self, expression: str) -> str:
-        name = self._locals.get(expression)
-        if name is None:
-            name = self._locals[expression] = f"k{len(self._locals)}"
-            self.lines.append(f"    {name} = {expression}")
-        return name
-
-    def unpack(self, argument: str, layout: Layout) -> tuple:
-        """The series of `layout` whose values the kernel takes as `argument`."""
-        names = [f"{argument}_{n}" for n in range(len(layout.keys))]
-        if names:
-            self.lines.append(f"    {', '.join(names)}, = {argument}")
-        return layout, names
-
-    def multiplier(self, p: int, q: int, c0: str, c1: str, c2: str) -> str:
-        """The local holding c2 D^2 + c1 D + c0 at harmonic (p, q), as
-        :func:`apply_poly_in_D` evaluates it."""
-        t = self.let(f"{p} * w1 - {q} * w2")
-        return self.let(f"complex({c0} - {c2} * {t} * {t}, -({c1} * {t}))")
-
-    def apply_D(self, series: tuple) -> tuple:
-        """D of a series, as :func:`apply_D`; its theta = 0 keys, which D
-        maps to 0, are dropped."""
-        layout, names = series
-        kept = [(key, z) for key, z in zip(layout.keys, names) if key[2] or key[3]]
-        return intern(tuple(key for key, _ in kept)), [
-            self.let(f"0j + {self.multiplier(p, q, '0.0', '1.0', '0.0')} * {z}")
-            for (_, _, p, q), z in kept]
-
-    def merge(self, left: tuple, right: tuple, negate: bool = False) -> tuple:
-        """``left + right`` (``left - right`` if `negate`) along their sum
-        plan, as `Store._merge` forms it."""
-        layout, shared, new = sum_plan(left[0], right[0])
-        sign = "-" if negate else ""
-        names = left[1].copy()
-        for n, k in shared:
-            names[n] = self.let(f"{names[n]} + {sign}{right[1][k]}")
-        return layout, names + [self.let(f"0j + {sign}{right[1][k]}") for k in new]
-
-    def substitute(self, outputs, args) -> list:
-        """The series of each :func:`substitution_rows` output at `args`,
-        the kernel's `coefficients` argument holding the coefficients: the
-        constants ``coefficients[n] (* e) * scale`` formed once, the
-        conjugates ``g<a>`` only where a row reads them, and per slot ``0j``
-        plus its rows' products, pass after pass, in the order ``acc[slot]
-        +=`` would add them.  One kernel holds one substitution."""
-        names = ["1.0", *(z for a in args for z in a[1])]
-        size = len(names)
-        names += [f"g{a}" for a in range(size)]
-        consts, conjugates, body, results = {}, set(), [], []
-        for o, (layout, scales, passes, zero_slots) in enumerate(outputs):
-            c = []
-            for (n, e), scale in scales:
-                value = f"coefficients[{n}]" + ("" if e is None else f" * {e}")
-                c.append(consts.setdefault(f"{value} * {scale!r}", f"c{len(consts)}"))
-            terms = [[] for _ in layout.keys]
-            for rows in passes:
-                for slot, k, *row in rows:
-                    terms[slot].append(" * ".join([c[k], *(names[a] for a in row)]))
-                    conjugates.update(a - size for a in row if a >= size)
-            values = []
-            for slot, products in enumerate(terms):
-                v = f"v{o}_{slot}"
-                # 100 products a statement: a `+` chain of 3,000 overflows compile
-                for k in range(0, len(products), 100):
-                    body.append(f"    {v} = {v if k else '0j'} + "
-                                + " + ".join(products[k:k + 100]))
-                if slot in zero_slots:
-                    body.append(f"    {v} = complex({v}.real)")
-                values.append(v)
-            results.append((layout, values))
-        self.lines += [*(f"    g{a} = {names[a]}.conjugate()" for a in sorted(conjugates)),
-                       *(f"    {name} = {value}" for value, name in consts.items()),
-                       *body]
-        return results
-
-    @staticmethod
-    def sup(*series) -> str:
-        """Sup over the real and imaginary parts of the values, as
-        `Store.max_abs` of each and their max."""
-        parts = ["0.0", *(f"abs({z}.{part})" for _, names in series
-                          for z in names for part in ("real", "imag"))]
-        return f"max(({', '.join(parts)},))"
-
-    def compile(self, arguments: str, results: list, **names):
-        """The kernel of these lines, returning `results` (a series as the
-        list of its values, or an expression)."""
-        values = ", ".join(f"[{', '.join(r[1])}]" if isinstance(r, tuple) else r
-                           for r in results)
-        return compiled("\n".join([f"def kernel({arguments}):", *self.lines,
-                                   f"    return ({values},)\n"]), "kernel", **names)
-
-
-def substitution_plan(polys: tuple, cap: int | None, layouts: tuple):
-    """``(outputs, kernel)``: the :func:`substitution_rows` of `polys` at
-    these layouts, and their kernel: ``kernel(coefficients, values of each
-    argument...)`` returns the values of each output
-    (:meth:`KernelSource.substitute`)."""
-    outputs = substitution_rows(polys, cap, layouts)
+def _substitution_kernel(monomials: Layout, cap: int | None, *layouts):
+    """``(layout, kernel)`` of :func:`substitute` at these layouts: the
+    :func:`substitution_rows` of the polynomial with these monomials,
+    written by :meth:`l4norm.layout.KernelSource.substitute`.
+    ``kernel(coefficients, values of each argument...)`` returns the
+    values of the result on `layout`."""
     k = KernelSource()
-    args = [k.unpack(f"a{i}", layout) for i, layout in enumerate(layouts)]
-    return outputs, k.compile(
-        ", ".join(["coefficients"] + [f"a{i}" for i in range(len(args))]),
-        k.substitute(outputs, args))
-
-
-def _substitution_plan(monomials: Layout, cap: int | None, *layouts):
-    """The plan of :func:`substitute`, of one polynomial."""
-    return substitution_plan((tuple((n, None, mono) for n, mono in enumerate(
-        monomials.keys)),), cap, layouts)
-
-
-def substitute_along(planned, coefficients: list, args) -> list:
-    """The series of each output of a :func:`substitution_plan` for `args`
-    at these coefficients: one call of its kernel."""
-    outputs, kernel = planned
-    return [args[0]._new(out[0], values) for out, values in
-            zip(outputs, kernel(coefficients, *(a.values for a in args)))]
+    names = [f"a{i}" for i in range(len(layouts))]
+    args = [k.unpack(a, layout) for a, layout in zip(names, layouts)]
+    poly = tuple((n, None, mono) for n, mono in enumerate(monomials.keys))
+    (out,) = k.substitute(substitution_rows((poly,), cap, layouts), args)
+    return out[0], k.compile(", ".join(["coefficients", *names]), [out])
 
 
 def substitute(monomials: Layout, coefficients: list, args, cap: int | None):
@@ -284,8 +166,10 @@ def substitute(monomials: Layout, coefficients: list, args, cap: int | None):
     `args`, total degree at most 3) and coefficients, evaluated at `args`
     with every product capped at degree `cap` (None keeps all): one call of
     the compiled kernel planned for these layouts and this cap."""
-    return substitute_along(plan(_substitution_plan, monomials, cap,
-                                 *(a.layout for a in args)), coefficients, args)[0]
+    layout, kernel = plan(_substitution_kernel, monomials, cap,
+                          *(a.layout for a in args))
+    (values,) = kernel(coefficients, *(a.values for a in args))
+    return args[0]._new(layout, values)
 
 
 # The one monomial of a product of two series, x y.

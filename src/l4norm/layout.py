@@ -1,4 +1,4 @@
-"""Key layouts and the store both algebras run on.
+"""Key layouts, the store both algebras run on, and the kernel emitter.
 
 A series (:mod:`l4norm.dalembert`) or a polynomial (:mod:`l4norm.polyalg`)
 is a :class:`Store`: a *layout* -- its keys in stored order, with each
@@ -12,15 +12,18 @@ table (the Taylor expansion's once per degree cap and drag on/off); the
 operation itself is arithmetic along the plan and builds no dict.  A sum
 (or a difference) appends the right operand's new keys in its order, so
 it is bit-identical to a plain loop over the terms, key order included.
-A product kernel, the substitution of series into a polynomial
-(:func:`l4norm.dalembert.substitute`), forms each product of up to three
-factors in one step, so it matches multiplying out one pair at a time to
-round-off; its plan holds the rows compiled into one straight-line
-function (:func:`compiled`), which a call runs.  The second-order stages
-of :mod:`l4norm.normalform` compile one such function each, which runs
-their substitution between the sums, D-polynomials and guards around it,
-and the Taylor expansion (:func:`l4norm.polyalg.taylor_lagrangian`)
-compiles one per degree cap and drag on/off, which runs all of it.
+
+Where a plan runs arithmetic, :class:`KernelSource` writes it as one
+straight-line function, and :func:`compiled` compiles it once, with
+:data:`KERNEL_NAMES` as its globals: the substitution of series into a
+polynomial (:func:`l4norm.dalembert.substitute`), which forms each
+product of up to three factors in one step, so it matches multiplying
+out one pair at a time to round-off; the second-order stages of
+:mod:`l4norm.normalform`, which run such a substitution between the
+sums, D-polynomials and guards around it; the Taylor expansion
+(:func:`l4norm.polyalg.taylor_lagrangian`), one kernel per degree cap and
+drag on/off; and the printed rows (:func:`l4norm.closedforms.printed`),
+one per tuple of row names.
 
 Layouts are interned by key tuple, so results of the same shape share
 plans.  Nothing depends on that: a layout evicted from the table and
@@ -30,7 +33,10 @@ interned again is a new object with plans of its own.
 from __future__ import annotations
 
 import functools
+import math
 import operator
+
+from .errors import CriticalTermError, SmallDivisorError
 
 # Entries kept in the plan table: interned layouts and the plans made on
 # them, each substitution, stage or Taylor plan with its compiled kernel.  50
@@ -55,11 +61,16 @@ def plan(build, *args):
     return build(*args)
 
 
-def compiled(source: str, name: str, **names):
-    """The function `name` defined by generated `source`, with `names` as
-    its globals, as `dataclasses` and `namedtuple` make theirs; a plan
-    holding one compiles it once."""
-    namespace = dict(names)
+# The globals of every kernel, besides the builtins.
+KERNEL_NAMES = {"atan2": math.atan2, "CriticalTermError": CriticalTermError,
+                "SmallDivisorError": SmallDivisorError}
+
+
+def compiled(source: str, name: str):
+    """The function `name` defined by generated `source`, with
+    `KERNEL_NAMES` as its globals, as `dataclasses` and `namedtuple` make
+    theirs; a plan holding one compiles it once."""
+    namespace = dict(KERNEL_NAMES)
     exec(compile(source, f"<{name}>", "exec"), namespace)
     return namespace[name]
 
@@ -167,3 +178,110 @@ class Store:
         keys = set(self.layout.keys) | set(other.layout.keys)
         return max((_sup(self._value(k) - other._value(k)) for k in keys),
                    default=0.0)
+
+
+class KernelSource:
+    """A kernel being generated: the statements of its body.  A series is
+    ``(layout, names)``, one local per slot; each expression is bound to
+    one local ``t<n>`` on first use (:meth:`let`), so a harmonic's theta or
+    multiplier, met on several slots, is formed once.  The series methods
+    read the frequencies `w1` and `w2`.  Series are never pruned inside a
+    kernel: a layout is structural, and only the caller prunes what it
+    returns."""
+
+    def __init__(self):
+        self.lines = []
+        self._locals = {}
+
+    def let(self, expression: str) -> str:
+        name = self._locals.get(expression)
+        if name is None:
+            name = self._locals[expression] = f"t{len(self._locals)}"
+            self.lines.append(f"{name} = {expression}")
+        return name
+
+    def unpack(self, argument: str, layout: Layout) -> tuple:
+        """The series of `layout` whose values the kernel takes as `argument`."""
+        names = [f"{argument}_{n}" for n in range(len(layout.keys))]
+        if names:
+            self.lines.append(f"{', '.join(names)}, = {argument}")
+        return layout, names
+
+    def multiplier(self, p: int, q: int, c0: str, c1: str, c2: str) -> str:
+        """The local holding c2 D^2 + c1 D + c0 at harmonic (p, q), as
+        :func:`l4norm.dalembert.apply_poly_in_D` evaluates it."""
+        t = self.let(f"{p} * w1 - {q} * w2")
+        return self.let(f"complex({c0} - {c2} * {t} * {t}, -({c1} * {t}))")
+
+    def apply_D(self, series: tuple) -> tuple:
+        """D of a series, as :func:`l4norm.dalembert.apply_D`; its theta = 0
+        keys, which D maps to 0, are dropped."""
+        layout, names = series
+        kept = [(key, z) for key, z in zip(layout.keys, names) if key[2] or key[3]]
+        return intern(tuple(key for key, _ in kept)), [
+            self.let(f"0j + {self.multiplier(p, q, '0.0', '1.0', '0.0')} * {z}")
+            for (_, _, p, q), z in kept]
+
+    def merge(self, left: tuple, right: tuple, negate: bool = False) -> tuple:
+        """``left + right`` (``left - right`` if `negate`) along their sum
+        plan, as `Store._merge` forms it."""
+        layout, shared, new = sum_plan(left[0], right[0])
+        sign = "-" if negate else ""
+        names = left[1].copy()
+        for n, k in shared:
+            names[n] = self.let(f"{names[n]} + {sign}{right[1][k]}")
+        return layout, names + [self.let(f"0j + {sign}{right[1][k]}") for k in new]
+
+    def substitute(self, outputs, args) -> list:
+        """The series of each :func:`l4norm.dalembert.substitution_rows`
+        output at `args`, the kernel's `coefficients` argument holding the
+        coefficients: the constants ``coefficients[n] (* e) * scale``
+        formed once, the conjugates ``g<a>`` only where a row reads them,
+        and per slot ``0j`` plus its rows' products, pass after pass, in
+        the order ``acc[slot] +=`` would add them.  One kernel holds one
+        substitution."""
+        names = ["1.0", *(z for a in args for z in a[1])]
+        size = len(names)
+        names += [f"g{a}" for a in range(size)]
+        consts, conjugates, body, results = {}, set(), [], []
+        for o, (layout, scales, passes, zero_slots) in enumerate(outputs):
+            c = []
+            for (n, e), scale in scales:
+                value = f"coefficients[{n}]" + ("" if e is None else f" * {e}")
+                c.append(consts.setdefault(f"{value} * {scale!r}", f"c{len(consts)}"))
+            terms = [[] for _ in layout.keys]
+            for rows in passes:
+                for slot, k, *row in rows:
+                    terms[slot].append(" * ".join([c[k], *(names[a] for a in row)]))
+                    conjugates.update(a - size for a in row if a >= size)
+            values = []
+            for slot, products in enumerate(terms):
+                v = f"v{o}_{slot}"
+                # 100 products a statement: a `+` chain of 3,000 overflows compile
+                for k in range(0, len(products), 100):
+                    body.append(f"{v} = {v if k else '0j'} + "
+                                + " + ".join(products[k:k + 100]))
+                if slot in zero_slots:
+                    body.append(f"{v} = complex({v}.real)")
+                values.append(v)
+            results.append((layout, values))
+        self.lines += [*(f"g{a} = {names[a]}.conjugate()" for a in sorted(conjugates)),
+                       *(f"{name} = {value}" for value, name in consts.items()),
+                       *body]
+        return results
+
+    @staticmethod
+    def sup(*series) -> str:
+        """Sup over the real and imaginary parts of the values, as
+        `Store.max_abs` of each and their max."""
+        parts = ["0.0", *(f"abs({z}.{part})" for _, names in series
+                          for z in names for part in ("real", "imag"))]
+        return f"max(({', '.join(parts)},))"
+
+    def compile(self, arguments: str, results: list, name: str = "kernel"):
+        """The kernel `name` of these statements, returning the tuple of
+        `results` (a series as the list of its values, or an expression)."""
+        values = "".join(f"[{', '.join(r[1])}], " if isinstance(r, tuple) else f"{r}, "
+                         for r in results)
+        return compiled("\n    ".join([f"def {name}({arguments}):", *self.lines,
+                                     f"return ({values})\n"]), name)

@@ -20,8 +20,8 @@ The oracle chain this module serves:
    sees only B1), and the degree-2 residual against w1 I1 - w2 I2.
 
 Each of steps 3-5 is one compiled kernel, planned once per tuple of its
-input layouts (:class:`l4norm.dalembert.KernelSource`), and one call per
-point; no product term past the degree-3 cap is formed.
+input layouts and written by :class:`l4norm.layout.KernelSource`, and
+one call per point; no product term past the degree-3 cap is formed.
 `poly_at_series` substitutes a polynomial on its own, through
 :func:`l4norm.dalembert.substitute`.
 """
@@ -39,7 +39,6 @@ from .dalembert import (
     DIVISOR_FLOOR,
     DAlembertSeries,
     FrequencyPair,
-    KernelSource,
     _degree,
     apply_D,  # noqa: F401 -- perfbench/spans.py wraps it here
     apply_poly_in_D,  # noqa: F401 -- as apply_D
@@ -47,9 +46,8 @@ from .dalembert import (
     substitute,
     substitution_rows,
 )
-from .errors import (ContractError, CriticalTermError, SmallDivisorError,
-                     StabilityDomainError)
-from .layout import Layout, _sup, intern, plan, sliced, sum_plan
+from .errors import ContractError, StabilityDomainError
+from .layout import KernelSource, Layout, _sup, intern, plan, sliced, sum_plan
 from .model import ModelParams
 from .polyalg import (QuadraticCoefficients, TruncatedPoly, _partial_plan,
                       _velocity_degree)
@@ -200,8 +198,7 @@ def _mode_columns(mode: int, omega: float, sign: float, K: tuple, C: tuple):
     g = 1j * omega * (c01 - c10)
     n00, n01, n10, n11 = -omega * omega - k00, g - k01, -g - k10, -omega * omega - k11
     det = n00 * n11 - n01 * n10
-    slope = 2.0 * omega * (2.0 * omega * omega + k00 + k11
-                           - (omega * (c01 - c10))**2)
+    slope = 2.0 * omega * (2.0 * omega * omega + k00 + k11 - (c01 - c10)**2)
     if not abs(det) <= 1e-6 * (1.0 + omega) * abs(slope):
         raise StabilityDomainError(f"no eigenvalue near i*{omega:.8f}")
     if abs(n10)**2 + abs(n11)**2 > abs(n00)**2 + abs(n01)**2:
@@ -344,7 +341,7 @@ def poly_at_series(poly: TruncatedPoly, xi_s, eta_s, xid_s, etad_s,
 # -- cubic forcing and the second-order solve ------------------------------
 #
 # Each stage below runs as one kernel, planned and compiled once per tuple
-# of its input layouts (:class:`l4norm.dalembert.KernelSource`): the series
+# of its input layouts (:class:`l4norm.layout.KernelSource`): the series
 # operations it chains, its guards included, in the order they ran as
 # separate calls, and bit for bit as those calls.
 
@@ -432,7 +429,7 @@ def _solve_kernel(x2: Layout, y2: Layout):
     x, y = k.unpack("x2", x2), k.unpack("y2", y2)
     entries = [[[f"a{r}{c}_{i}" for i in range(3)] for c in range(2)]
                for r in range(2)]
-    k.lines.append("    (({}), ({})), (({}), ({})) = adjugate".format(
+    k.lines.append("(({}), ({})), (({}), ({})) = adjugate".format(
         *(", ".join(entry) for row in entries for entry in row)))
     layout, shared, new = sum_plan(x2, y2)
     pairs = [[z, None] for z in x[1]] + [[None, y[1][j]] for j in new]
@@ -449,18 +446,16 @@ def _solve_kernel(x2: Layout, y2: Layout):
         out = []
         for (_, _, p, q), u in zip(layout.keys, values):
             if (p, q) in CRITICAL_HARMONICS:
-                k.lines.append(f"    if {u}: raise CriticalTermError(({p}, {q}), "
+                k.lines.append(f"if {u}: raise CriticalTermError(({p}, {q}), "
                                f"max(abs({u}.real), abs({u}.imag)))")
                 continue
             t = k.let(f"{p} * w1 - {q} * w2")
             d = k.let(f"({s1} - {t} * {t}) * ({s2} - {t} * {t})")
-            k.lines.append(f"    if abs({d}) < floor and {u}: raise "
+            k.lines.append(f"if abs({d}) < floor and {u}: raise "
                            f"SmallDivisorError({f'Delta_({p},{q})'!r}, {d})")
             out.append(k.let(f"0j + {u} / {d} if {u} else 0j"))
         b2.append((layout, out))
-    kernel = k.compile("x2, y2, w1, w2, adjugate, floor", [*b2, k.sup(x, y, *b2)],
-                       CriticalTermError=CriticalTermError,
-                       SmallDivisorError=SmallDivisorError)
+    kernel = k.compile("x2, y2, w1, w2, adjugate, floor", [*b2, k.sup(x, y, *b2)])
     return intern(tuple(key for key in layout.keys
                         if key[2:] not in CRITICAL_HARMONICS)), kernel
 

@@ -6,8 +6,9 @@ truncate, never extend.  The centerpiece is :func:`taylor_lagrangian`,
 which expands the full Lagrangian about an equilibrium, exact to
 truncation order with no finite differences: binomial series of the 1/r
 powers and the complex-log series of the drag angle, added by one
-straight-line kernel compiled once per degree cap and drag on/off, in
-the order coefficient dicts would add them.
+straight-line kernel (:class:`l4norm.layout.KernelSource`) compiled once
+per degree cap and drag on/off, in the order coefficient dicts would add
+them.
 
 A polynomial is a store (:mod:`l4norm.layout`): a list of real or complex
 coefficients on a shared key layout of exponent 4-tuples, whose sum,
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from .closedforms import on_branch, printed
 from .equilibria import OriginShift
 from .errors import ContractError, ParameterError
-from .layout import Layout, Store, compiled, intern, plan, pruned, sliced
+from .layout import KernelSource, Layout, Store, intern, plan, pruned, sliced
 from .model import ModelParams, _lagrangian
 
 NVARS = 4
@@ -218,73 +219,71 @@ def _taylor_plan(cap: int, drag: bool):
             position, (len(inverse), at_inverse), logs, levers)
 
 
-def _add_radial_source(lines: list, r: int, dx: str, power_plan, *terms):
-    """Add to `lines` the powers of t and the binomial coefficients of scale
-    * r^(2 alpha) = scale rho^(2 alpha) (1 + t)^alpha, with rho^2 = dx^2 +
-    b^2 and t = (2 (dx xi + b eta) + xi^2 + eta^2) / rho^2, and to each
-    ``(sums, rows, alpha, scale)`` the terms its rows add to the slots;
-    `dx` names a variable and `scale` is source.  Each power is one sum
-    of its row products from ``0.0``."""
+def _add_radial_source(k: KernelSource, r: int, dx: str, power_plan, *terms):
+    """Add to kernel `k` the powers of t and the binomial coefficients of
+    scale * r^(2 alpha) = scale rho^(2 alpha) (1 + t)^alpha, with rho^2 =
+    dx^2 + b^2 and t = (2 (dx xi + b eta) + xi^2 + eta^2) / rho^2, and to
+    each ``(sums, rows, alpha, scale)`` the terms its rows add to the
+    slots; `dx` names a variable and `scale` is source.  Each power is one
+    sum of its row products from ``0.0``."""
     size, top, products = power_plan
     t = (f"tx{r}", f"ty{r}", f"inv{r}", f"inv{r}")
-    lines += [f"rho{r} = {dx} * {dx} + b * b", f"inv{r} = 1.0 / rho{r}",
-              f"tx{r} = 2.0 * {dx} * inv{r}", f"ty{r} = 2.0 * b * inv{r}"]
+    k.lines += [f"rho{r} = {dx} * {dx} + b * b", f"inv{r} = 1.0 / rho{r}",
+                f"tx{r} = 2.0 * {dx} * inv{r}", f"ty{r} = 2.0 * b * inv{r}"]
     power = ["", *t] + [f"p{r}_{n}" for n in range(5, size)]
     adds = {}
     for out, left, right in products:
         adds.setdefault(out, []).append(f" + {power[left]} * {t[right]}")
-    lines += [f"{power[out]} = 0.0{''.join(row)}" for out, row in adds.items()]
+    k.lines += [f"{power[out]} = 0.0{''.join(row)}" for out, row in adds.items()]
     for term, (sums, rows, alpha, scale) in enumerate(terms):
         if not rows:
             continue
-        c = [f"c{r}{term}_{k}" for k in range(top + 1)]
-        lines.append(f"{c[0]} = {scale} * rho{r} ** {alpha!r}")
-        lines += [f"{c[k + 1]} = {c[k]} * {(alpha - k) / (k + 1)!r}"
-                  for k in range(top)]
-        for k, n, slot in rows:
+        c = [f"c{r}{term}_{j}" for j in range(top + 1)]
+        k.lines.append(f"{c[0]} = {scale} * rho{r} ** {alpha!r}")
+        k.lines += [f"{c[j + 1]} = {c[j]} * {(alpha - j) / (j + 1)!r}"
+                    for j in range(top)]
+        for j, n, slot in rows:
             # powers[0] is 1.0, and c * 1.0 is c
-            sums[slot] += f" + {c[k]} * {power[n]}" if n else f" + {c[k]}"
+            sums[slot] += f" + {c[j]} * {power[n]}" if n else f" + {c[j]}"
 
 
 def _taylor_kernel(cap: int, drag: bool):
     """``(layout, constant slot, kernel)`` of :func:`taylor_lagrangian` at
     this cap, with or without drag.  The kernel, ``taylor(a, b, n, mu, q1,
     A2, W1)``, runs the rows of `_taylor_plan` as straight-line code and
-    returns the coefficients in slot order: each slot is one sum, from its
-    start value or ``0.0``, of the terms its rows add in their order, so
-    every value is the one a loop along the rows gives."""
+    returns the list of the coefficients in slot order: each slot is one
+    sum, from its start value or ``0.0``, of the terms its rows add in
+    their order, so every value is the one a loop along the rows gives."""
     layout, power_plan, position, (size, inverse), logs, levers = \
         _taylor_plan(cap, drag)
     sums = list(_START_VALUES) + ["0.0"] * (len(layout.keys) - len(_START_VALUES))
     at_inverse = ["0.0"] * size
-    lines = ["x = a - mu", "half_n2 = 0.5 * n * n"]
-    _add_radial_source(lines, 1, "a", power_plan,
+    k = KernelSource()
+    k.lines += ["x = a - mu", "half_n2 = 0.5 * n * n"]
+    _add_radial_source(k, 1, "a", power_plan,
                        (sums, position, -0.5, "(1.0 - mu) * q1"),
                        (at_inverse, inverse, -1.0, "0.5 * W1"))
-    lines.append("dx2 = a - 1.0")
-    _add_radial_source(lines, 2, "dx2", power_plan,
+    k.lines.append("dx2 = a - 1.0")
+    _add_radial_source(k, 2, "dx2", power_plan,
                        (sums, position, -0.5, "mu"),
                        (sums, position, -1.5, "0.5 * mu * A2"))
     constant = layout.index[(0, 0, 0, 0)]
-    names = {}
     if drag:
         # -n W1 (atan2(b, a) + Im log(1 + z)), log(1 + z) = -sum (-z)^k / k
         # with z = w (xi + i eta), w = 1/(a + i b): wk = n W1 (-w)^k
-        lines += ["mw = -(1.0 / complex(a, b))", "wk0 = n * W1"]
+        k.lines += ["mw = -(1.0 / complex(a, b))", "wk0 = n * W1"]
         sums[constant] += " - wk0 * atan2(b, a)"
-        for k, rows in enumerate(logs, 1):
-            lines.append(f"wk{k} = wk{k - 1} * mw")
-            for j, (slot, c) in enumerate(rows):
-                sums[slot] += f" + (wk{k} * {c!r} * u{j}).imag"
+        for j, rows in enumerate(logs, 1):
+            k.lines.append(f"wk{j} = wk{j - 1} * mw")
+            for i, (slot, c) in enumerate(rows):
+                sums[slot] += f" + (wk{j} * {c!r} * 1j ** {i}).imag"
         # W1/2 ((a + xi) xid + (b + eta) etad) / r1^2; each term holds one
         # velocity, so its displacement degree stays below the cap
-        lines += [f"i{m} = {s}" for m, s in enumerate(at_inverse)]
-        for slot, k, m in levers:
-            sums[slot] += (f" + i{m}", f" + a * i{m}", f" + i{m}", f" + b * i{m}")[k]
-        names = {"atan2": math.atan2, **{f"u{j}": 1j ** j for j in range(cap + 1)}}
-    source = ("def taylor(a, b, n, mu, q1, A2, W1):\n    " + "\n    ".join(lines)
-              + "\n    return [" + ",\n            ".join(sums) + "]\n")
-    return layout, constant, compiled(source, "taylor", **names)
+        k.lines += [f"i{m} = {s}" for m, s in enumerate(at_inverse)]
+        for slot, lever, m in levers:
+            sums[slot] += (f" + i{m}", f" + a * i{m}", f" + i{m}", f" + b * i{m}")[lever]
+    return layout, constant, k.compile("a, b, n, mu, q1, A2, W1",
+                                       [f"[{', '.join(sums)}]"], "taylor")
 
 
 def taylor_lagrangian(p: ModelParams, shift: OriginShift, degree: int) -> TruncatedPoly:
@@ -315,7 +314,7 @@ def taylor_lagrangian(p: ModelParams, shift: OriginShift, degree: int) -> Trunca
         raise ParameterError("degree cap must be non-negative")
 
     layout, constant, kernel = plan(_taylor_kernel, degree, p.W1 != 0.0)
-    values = kernel(a, b, p.n, p.mu, p.q1, p.A2, p.W1)
+    (values,) = kernel(a, b, p.n, p.mu, p.q1, p.A2, p.W1)
 
     # Constant term must reproduce the pointwise Lagrangian; a mismatch means
     # an expansion bug, so it is asserted rather than reported.

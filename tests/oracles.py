@@ -14,8 +14,11 @@ and `taylor_by_dicts` expands it on coefficient dicts, its bit-for-bit
 reference; `variable` is one of the four variables as a polynomial.
 `substitute_pairwise` multiplies a substitution out one pair of term dicts
 at a time, the reference for `l4norm.normalform.poly_at_series`, and
-`substitute_by_rows` runs a substitution plan's rows in a loop, the
-bit-for-bit reference for its compiled kernel.  `forcing_by_ops`,
+`substitute_by_rows` runs substitution rows in a loop, the bit-for-bit
+reference for their compiled kernel; `polynomial_rows` lays out the rows
+of one polynomial as `l4norm.dalembert.substitute` does, and
+`substitute_by_kernel` runs any rows, several polynomials among them,
+through a kernel that `l4norm.layout.KernelSource` writes.  `forcing_by_ops`,
 `second_order_by_ops` and `h3_by_ops` run the three second-order stages
 one series operation at a time, the bit-for-bit references for the
 stages' kernels.
@@ -47,6 +50,7 @@ from l4norm.dalembert import (DIVISOR_FLOOR, MOSER_PAIRS, DAlembertSeries,
                               substitution_rows)
 from l4norm.equilibria import OriginShift
 from l4norm.errors import ContractError, StabilityDomainError
+from l4norm.layout import KernelSource
 from l4norm.model import ModelParams, State, lagrangian
 from l4norm.polyalg import TruncatedPoly, _mul2
 
@@ -187,7 +191,7 @@ def mode_vector(omega: float, K: tuple, C: tuple) -> list:
             (-g - K[1][0], -omega * omega - K[1][1]))
     det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     slope = 2.0 * omega * (2.0 * omega * omega + K[0][0] + K[1][1]
-                           - (omega * (C[0][1] - C[1][0]))**2)
+                           - (C[0][1] - C[1][0])**2)
     if not abs(det) <= 1e-6 * (1.0 + omega) * abs(slope):
         raise StabilityDomainError(f"no eigenvalue near i*{omega:.8f}")
     big = max(rows, key=lambda r: abs(r[0])**2 + abs(r[1])**2)
@@ -284,19 +288,40 @@ def substitute_pairwise(poly: TruncatedPoly, args, cap: int) -> DAlembertSeries:
     return DAlembertSeries(total)
 
 
-def substitute_by_rows(planned, coefficients: list, args) -> list:
-    """The series a `l4norm.dalembert.substitution_plan` makes of these
-    coefficients, read off its rows in a loop, the bit-for-bit reference
-    for its compiled kernel: per output, ``acc[slot]`` starts at 0j and
-    adds each row's product, the one-factor rows first, then the two- and
-    three-factor ones, and a (0, 0) harmonic keeps its real part."""
-    outputs, _ = planned
+def polynomial_rows(monomials, cap, layouts) -> tuple:
+    """The `substitution_rows` of the one polynomial on the layout
+    `monomials`, coefficient n at monomial n, as
+    `l4norm.dalembert.substitute` lays them out."""
+    return substitution_rows((tuple((n, None, m) for n, m in enumerate(
+        monomials.keys)),), cap, tuple(layouts))
+
+
+def substitute_by_kernel(rows, coefficients: list, args) -> list:
+    """The series of each output of `rows` (`substitution_rows`) at these
+    coefficients and `args`, through one kernel that
+    `l4norm.layout.KernelSource` writes of the substitution alone: the
+    multi-polynomial kernel of the forcing stage without the stage."""
+    k = KernelSource()
+    names = [f"a{i}" for i in range(len(args))]
+    outputs = k.substitute(rows, [k.unpack(n, a.layout) for n, a in zip(names, args)])
+    kernel = k.compile(", ".join(["coefficients", *names]), outputs)
+    return [DAlembertSeries._new(layout, values) for (layout, _), values in
+            zip(outputs, kernel(coefficients, *(a.values for a in args)))]
+
+
+def substitute_by_rows(rows, coefficients: list, args) -> list:
+    """The series of each output of `rows` (`substitution_rows`) at these
+    coefficients and `args`, read off the rows in a loop, the bit-for-bit
+    reference for their compiled kernel: per output, ``acc[slot]`` starts
+    at 0j and adds each row's product, the one-factor rows first, then the
+    two- and three-factor ones, and a (0, 0) harmonic keeps its real
+    part."""
     f = [1.0]
     for a in args:
         f += a.values
     f += [z.conjugate() for z in f]
     out = []
-    for layout, scales, (rows1, rows2, rows3), zero_slots in outputs:
+    for layout, scales, (rows1, rows2, rows3), zero_slots in rows:
         c = [coefficients[n] * scale if e is None else coefficients[n] * e * scale
              for (n, e), scale in scales]
         acc = [0j] * len(layout.keys)
@@ -325,7 +350,7 @@ def forcing_by_ops(l3: TruncatedPoly, b1x, b1y, w):
     args = (b1x, b1y, apply_D(b1x, w), apply_D(b1y, w))
     rows = substitution_rows(normalform._forcing_polys(l3.layout), 3,
                              [a.layout for a in args])
-    x2p, y2p, vx, vy, cubic = substitute_by_rows((rows, None), l3.values, args)
+    x2p, y2p, vx, vy, cubic = substitute_by_rows(rows, l3.values, args)
     return (x2p - apply_D(vx, w), y2p - apply_D(vy, w)), (x2p, y2p), cubic
 
 
@@ -353,9 +378,8 @@ def h3_by_ops(cubic, l2: TruncatedPoly, b1, b2, w):
     bx, by = b1[0] + b2[0], b1[1] + b2[1]
     args = (bx, by, apply_D(bx, w), apply_D(by, w))
     energy = l2.energy()
-    rows = substitution_rows((tuple((n, None, m) for n, m in enumerate(
-        energy.layout.keys)),), 3, [a.layout for a in args])
-    (total,) = substitute_by_rows((rows, None), energy.values, args)
+    rows = polynomial_rows(energy.layout, 3, [a.layout for a in args])
+    (total,) = substitute_by_rows(rows, energy.values, args)
     total = total + cubic
     h2_form = DAlembertSeries({(2, 0, 0, 0): (w.omega1, 0.0),
                                (0, 2, 0, 0): (-w.omega2, 0.0)})

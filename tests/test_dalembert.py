@@ -12,19 +12,19 @@ from l4norm.dalembert import (
     DAlembertSeries,
     FrequencyPair,
     _PRODUCT,
-    _substitution_plan,
+    _substitution_kernel,
     apply_D,
     apply_poly_in_D,
     invert_delta,
     moser_check,
     small_divisor,
-    substitute_along,
-    substitution_plan,
+    substitution_rows,
 )
 from l4norm.errors import ContractError, CriticalTermError, ParameterError, SmallDivisorError
 from l4norm.layout import PLAN_TABLE_SIZE, intern, plan
 
-from oracles import delta_operator, moser_by_full_scan, substitute_by_rows
+from oracles import (delta_operator, moser_by_full_scan, polynomial_rows,
+                     substitute_by_kernel, substitute_by_rows)
 
 W_CLASSICAL = FrequencyPair(0.9633268056899441, 0.26834972742935684)  # mu = 0.01
 
@@ -256,7 +256,7 @@ class TestProductPlans:
             assert list(a.terms) == left and list(b.terms) == right
             if run:
                 misses = plan.cache_info().misses
-                plan(_substitution_plan, _PRODUCT, cap, a.layout, b.layout)
+                plan(_substitution_kernel, _PRODUCT, cap, a.layout, b.layout)
                 assert plan.cache_info().misses == misses
             out = a.mul(b, cap)
             assert list(out.terms.items()) == reference_mul(a, b, cap)
@@ -268,8 +268,8 @@ class TestProductPlans:
         # the order the loop over them does
         a = on_layout(left, data.draw(values_for(left)))
         b = on_layout(right, data.draw(values_for(right)))
-        planned = plan(_substitution_plan, _PRODUCT, cap, a.layout, b.layout)
-        (reference,) = substitute_by_rows(planned, [1.0], (a, b))
+        rows = polynomial_rows(_PRODUCT, cap, (a.layout, b.layout))
+        (reference,) = substitute_by_rows(rows, [1.0], (a, b))
         assert exact(a.mul(b, cap).terms.items()) == exact(reference.terms.items())
 
     def test_kernel_of_a_long_sum_compiles(self):
@@ -277,11 +277,11 @@ class TestProductPlans:
         # the compiler's recursion limit
         s = DAlembertSeries.single(1, 0, 1, 0, c=0.5, s=0.25)
         coefficients = [1.0 / (n + 1) for n in range(5000)]
-        planned = substitution_plan(
+        rows = substitution_rows(
             (tuple((n, None, (1,)) for n in range(5000)),), None, (s.layout,))
-        assert len(planned[0][0][2][0]) == 5000
-        (compiled,) = substitute_along(planned, coefficients, (s,))
-        (reference,) = substitute_by_rows(planned, coefficients, (s,))
+        assert len(rows[0][2][0]) == 5000
+        (compiled,) = substitute_by_kernel(rows, coefficients, (s,))
+        (reference,) = substitute_by_rows(rows, coefficients, (s,))
         assert exact(compiled.terms.items()) == exact(reference.terms.items())
 
     def test_constant_sine_dropped_and_difference_sine_flipped(self):

@@ -22,8 +22,8 @@ from l4norm.closedforms import (
     printed,
     rs_tables,
 )
-from l4norm.dalembert import (DAlembertSeries, FrequencyPair, _substitution_plan,
-                              apply_D, substitute_along, substitution_plan)
+from l4norm.dalembert import (DAlembertSeries, FrequencyPair, apply_D,
+                              substitution_rows)
 from l4norm.equilibria import solve_triangular_numeric, shift_from_point
 from l4norm.errors import (
     ContractError,
@@ -61,8 +61,9 @@ from l4norm.polyalg import (
 )
 
 from oracles import (hessian_by_loops, j_by_mode_vectors, mode_columns_by_lists,
-                     operator_by_composition, printed_by_groups, row_as_written,
-                     substitute_by_rows, substitute_pairwise, variable)
+                     operator_by_composition, polynomial_rows, printed_by_groups,
+                     row_as_written, substitute_by_kernel, substitute_by_rows,
+                     substitute_pairwise, variable)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -260,6 +261,16 @@ class TestJAgainstNumpy:
     def test_frequency_off_the_spectrum_rejected(self):
         p = ModelParams(mu=0.01, q1=0.999, cd=20.0)
         _, _, lag, efg, w, _ = linear_stage(p)
+        off = FrequencyPair(w.omega1, w.omega2 * (1.0 + 1e-4))
+        with pytest.raises(StabilityDomainError, match="no eigenvalue near"):
+            j_numeric(p, efg, off, lag.grade(2))
+
+    def test_frequency_off_the_spectrum_rejected_where_the_modes_are_close(self):
+        # w1 0.7193, w2 0.6982: det N's slope at w2 is about -0.043, and a
+        # slope that squared omega (c01 - c10) read 2.84 and let a Newton
+        # step of 7e-5 pass the 1.7e-6 bound
+        p = ModelParams(mu=0.037, q1=0.9989608628622548, A2=0.00390625, cd=1.0)
+        _, _, lag, efg, w, _ = linear_stage(p, "L5")
         off = FrequencyPair(w.omega1, w.omega2 * (1.0 + 1e-4))
         with pytest.raises(StabilityDomainError, match="no eigenvalue near"):
             j_numeric(p, efg, off, lag.grade(2))
@@ -784,12 +795,12 @@ class TestSubstitutionKernel:
             layouts = [a.layout for a in args]
             for cap in (2, 3):
                 for poly in polys:
-                    planned = plan(_substitution_plan, poly.layout, cap, *layouts)
-                    (reference,) = substitute_by_rows(planned, poly.values, args)
+                    rows = polynomial_rows(poly.layout, cap, layouts)
+                    (reference,) = substitute_by_rows(rows, poly.values, args)
                     assert _bits(poly_at_series(poly, *args, cap)) == _bits(reference)
-                planned = substitution_plan(_forcing_polys(l3.layout), cap, layouts)
-                assert (list(map(_bits, substitute_along(planned, l3.values, args)))
-                        == list(map(_bits, substitute_by_rows(planned, l3.values, args))))
+                rows = substitution_rows(_forcing_polys(l3.layout), cap, layouts)
+                assert (list(map(_bits, substitute_by_kernel(rows, l3.values, args)))
+                        == list(map(_bits, substitute_by_rows(rows, l3.values, args))))
 
     def test_fused_forcing_equals_five_substitutions(self, chain):
         # the four partials and the energy in one kernel call, each bit for
@@ -800,9 +811,9 @@ class TestSubstitutionKernel:
         args = (b1x, b1y, apply_D(b1x, w), apply_D(b1y, w))
         dx, dy, dvx, dvy, energy = [poly_at_series(poly, *args, 3) for poly in
                                     [l3.partial(i) for i in range(4)] + [l3.energy()]]
-        planned = substitution_plan(_forcing_polys(l3.layout), 3,
-                                    [a.layout for a in args])
-        assert (list(map(_bits, substitute_along(planned, l3.values, args)))
+        rows = substitution_rows(_forcing_polys(l3.layout), 3,
+                                 [a.layout for a in args])
+        assert (list(map(_bits, substitute_by_kernel(rows, l3.values, args)))
                 == list(map(_bits, (dx, dy, dvx, dvy, energy))))
         (x2, y2), (x2p, y2p), cubic = forcing_x2y2(l3, b1x, b1y, w)
         assert _bits(x2p) == _bits(dx) and _bits(y2p) == _bits(dy)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from l4norm import polyalg
+from l4norm import layout
 from l4norm.equilibria import (
     OriginShift,
     epsilon_form,
@@ -535,9 +535,9 @@ class TestTaylorReferences:
         # makes and compiles none
         points = taylor_points(100, seed=3)
         made = []
-        compiled = polyalg.compiled
-        monkeypatch.setattr(polyalg, "compiled", lambda source, name, **names:
-                            made.append(name) or compiled(source, name, **names))
+        compiled = layout.compiled
+        monkeypatch.setattr(layout, "compiled", lambda source, name:
+                            made.append(name) or compiled(source, name))
 
         def one_pass():
             for p, shift in points:
@@ -546,10 +546,10 @@ class TestTaylorReferences:
 
         plan.cache_clear()
         one_pass()
-        misses, count = plan.cache_info().misses, len(made)
+        misses, count = plan.cache_info().misses, made.count("taylor")
         assert misses <= 4 and 0 < count <= 4
         one_pass()
-        assert plan.cache_info().misses == misses and len(made) == count
+        assert plan.cache_info().misses == misses and made.count("taylor") == count
 
     def test_matches_exact_derivatives(self):
         # every coefficient of degree <= 3 as the exact Taylor coefficient

@@ -2,11 +2,14 @@
 step-by-step references in oracles.py: bit for bit, keys in the same order,
 over the benchmark's domain, and raising the reference's errors."""
 
+import builtins
+import dis
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from l4norm import closedforms, dalembert, layout, normalform
+from l4norm import dalembert, layout, normalform
 from l4norm.dalembert import DAlembertSeries, FrequencyPair
 from l4norm.errors import ContractError, CriticalTermError, L4NormError, SmallDivisorError
 from l4norm.layout import Store
@@ -258,10 +261,9 @@ def test_no_kernel_is_compiled_after_the_first_cancelling_point(monkeypatch):
     # layout: after the first of these points, drag-free or at drag, the
     # others make no plan-table entry and compile no kernel
     made = []
-    for owner in (layout, dalembert, closedforms):
-        compiled = getattr(owner, "compiled")
-        monkeypatch.setattr(owner, "compiled", lambda source, name, _c=compiled,
-                            **names: made.append(name) or _c(source, name, **names))
+    compiled = layout.compiled
+    monkeypatch.setattr(layout, "compiled", lambda source, name:
+                        made.append(name) or compiled(source, name))
     for drag in ({}, {"q1": 0.999, "A2": 1e-4, "cd": 20.0}):
         first, *others = (ModelParams(mu=mu, **drag) for mu in CANCELLING_MUS)
         layout.plan.cache_clear()
@@ -271,3 +273,32 @@ def test_no_kernel_is_compiled_after_the_first_cancelling_point(monkeypatch):
             audit(run_pipeline(p))
         assert len(made) == count
         assert layout.plan.cache_info().misses == misses
+
+
+def test_every_kernel_reads_only_builtins_and_the_kernel_names(monkeypatch):
+    # the guards' error classes are read only on a failing path, so a name
+    # missing from `KERNEL_NAMES` would raise an untyped NameError only
+    # there; read every global each kernel loads instead: audited chains
+    # on both branches, drag-free and at drag, one series product, and a
+    # B2 solve of a forcing with a critical harmonic, which no chain has
+    made = []
+    compiled = layout.compiled
+    monkeypatch.setattr(layout, "compiled", lambda source, name:
+                        made.append(compiled(source, name)) or made[-1])
+    layout.plan.cache_clear()
+    for p in (ModelParams(mu=0.01), ModelParams(mu=0.02, q1=0.995, A2=1e-3, cd=5.0)):
+        for branch in ("L4", "L5"):
+            audit(run_pipeline(p, PipelineOptions(branch=branch)))
+    DAlembertSeries.single(1, 0, 1, 0, c=0.5).mul(DAlembertSeries.single(0, 1, 0, 1, s=2.0))
+    assert solve_both(series(((1, 0, 1, 0), (1e-3, 0.0))), series())[0] is CriticalTermError
+    allowed = set(dir(builtins)) | set(layout.KERNEL_NAMES)
+    read = {}
+    for kernel in made:
+        assert kernel.__name__ in ("kernel", "rows", "taylor")
+        names = {ins.argval for ins in dis.get_instructions(kernel)
+                 if ins.opname == "LOAD_GLOBAL"}
+        assert names <= allowed, (kernel.__name__, names - allowed)
+        read[kernel.__name__] = read.get(kernel.__name__, set()) | names
+    assert set(read) == {"kernel", "rows", "taylor"}
+    assert {"CriticalTermError", "SmallDivisorError"} <= read["kernel"]
+    assert "atan2" in read["taylor"]
