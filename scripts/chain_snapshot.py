@@ -67,14 +67,9 @@ def h3_values(h3):
 
 
 def by_name(table) -> dict:
-    """A printed table as name -> value.  Older trees hold the tables as
-    dataclasses, and the r/s table as the tuples r and s."""
-    if isinstance(table, dict):
-        return table
-    fields = vars(table)
-    if fields.keys() == {"r", "s"}:
-        return {f"{k}{i}": v for k in "rs" for i, v in enumerate(fields[k], 1)}
-    return fields
+    """A printed table as name -> value.  Older trees hold the printed
+    cubic as a dataclass."""
+    return table if isinstance(table, dict) else vars(table)
 
 
 def chain_record(mu, epsilon, a2, cd, branch):
@@ -95,7 +90,7 @@ def chain_record(mu, epsilon, a2, cd, branch):
     res = run_pipeline(p, options)
     at_b2 = run_pipeline(p, options, stages=("b2",))
     efg, w, b2 = res.efg, res.freq, res.b2
-    cubic = t_coefficients_closed_form(p, res.shift)
+    cubic = by_name(t_coefficients_closed_form(p, res.shift))
     printed = audit(res)
     shift = offset_ab(p)
     values = {"x": printed.eq_epsform.x, "y": printed.eq_epsform.y,
@@ -117,9 +112,9 @@ def chain_record(mu, epsilon, a2, cd, branch):
         ("h3", h3_values(res.h3)),
         ("ablation", h3_values(res.h3_ablation)),
         ("gates", sorted(res.gates().items())),
-        ("cubic", [float(t) for t in (cubic.T1, cubic.T2, cubic.T3, cubic.T4)],
-         [(m, float(c)) for m, c in cubic.T5.coeffs.items()],
-         [(m, float(c)) for m, c in cubic.T5_print.coeffs.items()]),
+        ("cubic", [float(cubic[name]) for name in ("T1", "T2", "T3", "T4")],
+         [(m, float(c)) for m, c in cubic["T5"].coeffs.items()],
+         [(m, float(c)) for m, c in cubic["T5_print"].coeffs.items()]),
         ("printed", sorted((k, float(v)) for k, v in values.items())),
         ("audit", sorted((k, float(v)) for k, v in printed.gaps.items())),
         ("partial_at_b2", float(partial_forcing_gap(at_b2))),

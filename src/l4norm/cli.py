@@ -60,13 +60,7 @@ class RunConfig:
 
 
 def _parse_stages(value: str) -> tuple:
-    stages = tuple(s.strip() for s in value.split(",") if s.strip())
-    for s in stages:
-        if s not in verify.STAGES:
-            raise ValueError(f"unknown stage {s!r} (valid: {verify.STAGES})")
-    if not stages:
-        raise ValueError("empty stage list")
-    return stages
+    return verify.check_stages(s.strip() for s in value.split(",") if s.strip())
 
 
 def _choice(*allowed):
@@ -110,7 +104,7 @@ def set_value(config: RunConfig, key: str, value: str) -> None:
         raise ConfigError(f"unknown key {key!r}")
     try:
         parsed = parse(value)
-    except ValueError as err:
+    except (ValueError, L4NormError) as err:
         raise ConfigError(f"{key}: {err}") from err
     if name is None:
         setattr(config, key, parsed)
@@ -229,6 +223,8 @@ def _mu_grid(mu_min: float, mu_max: float, steps: int) -> list:
 def cmd_resonance_scan(config: RunConfig, mu_min: float, mu_max: float,
                        steps: int) -> int:
     _check_mu_range(mu_min, mu_max)
+    if not mu_min > 0.0:
+        raise ConfigError(f"mu range must be positive, got --mu-min {mu_min!r}")
     if steps < 0 or mu_max < mu_min:
         raise ConfigError("need mu_max >= mu_min and steps >= 0")
     lines = ["mu,omega1,omega2,min_combination,worst_pair,pass"]

@@ -11,6 +11,7 @@ Three routes to the same point:
 The series are evaluated verbatim; where a printed coefficient disagrees
 with the numeric oracle beyond truncation order, the discrepancy is the
 erratum detector's business (see :mod:`l4norm.errata`), not this module's.
+Newton's force reads its radii and collision guard from `model._radii`.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ import math
 from dataclasses import dataclass
 
 from .closedforms import on_branch, printed
-from .errors import (CollisionError, ConvergenceError, ParameterError,
-                     SingularJacobianError)
-from .model import COLLISION_RADIUS, SQRT3, ModelParams
+from .errors import ConvergenceError, ParameterError, SingularJacobianError
+from .model import SQRT3, ModelParams, _radii
 
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 100
@@ -57,14 +57,9 @@ def equilibrium_force(x: float, y: float, p: ModelParams):
     """(Ux, Uy) with the at-rest drag convention N1 = -n y, N2 = n (x+mu):
     the potential gradient plus the angle term's force, on plain floats."""
     mu, n, q1, A2, W1 = p.mu, p.n, p.q1, p.A2, p.W1
+    r1, r2 = _radii(x, y, p)
     x1 = x + mu        # offset from the radiating primary
     x2 = x + mu - 1.0  # offset from the oblate primary
-    r1 = math.hypot(x1, y)
-    r2 = math.hypot(x2, y)
-    if r1 < COLLISION_RADIUS:
-        raise CollisionError("first", r1)
-    if r2 < COLLISION_RADIUS:
-        raise CollisionError("second", r2)
     n2 = n * n
     g1 = (1.0 - mu) * q1 / r1**3
     g2 = mu / r2**3

@@ -120,6 +120,8 @@ class State:
 
 
 def _radii(x: float, y: float, p: ModelParams):
+    """(r1, r2), or `CollisionError` naming the primary within
+    `COLLISION_RADIUS`: the one collision guard of the package."""
     r1 = math.hypot(x + p.mu, y)
     r2 = math.hypot(x + p.mu - 1.0, y)
     if r1 < COLLISION_RADIUS:

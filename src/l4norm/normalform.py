@@ -46,7 +46,7 @@ from .dalembert import (
     substitute,
     substitution_rows,
 )
-from .errors import ContractError, StabilityDomainError
+from .errors import ContractError, ParameterError, StabilityDomainError
 from .layout import KernelSource, Layout, _sup, intern, plan, sliced, sum_plan
 from .model import ModelParams
 from .polyalg import (QuadraticCoefficients, TruncatedPoly, _partial_plan,
@@ -107,7 +107,10 @@ def frequencies(p: ModelParams, efg: QuadraticCoefficients) -> FrequencyPair:
 
 
 def classical_frequencies(mu: float) -> FrequencyPair:
-    """Drag-free frequencies from w^4 - w^2 + 27 mu (1-mu)/4 = 0."""
+    """Drag-free frequencies from w^4 - w^2 + 27 mu (1-mu)/4 = 0; mu must
+    lie in (0, 1), where mu (1 - mu) > 0."""
+    if not 0.0 < mu < 1.0:
+        raise ParameterError(f"mu must lie in (0, 1), got {mu}")
     disc = 1.0 - 27.0 * mu * (1.0 - mu)
     if disc < 0.0:
         raise StabilityDomainError(
@@ -257,10 +260,9 @@ _H2 = intern(((2, 0, 0, 0), (0, 2, 0, 0)))
 def first_order_components(nm):
     """Degree-1 series (B1 for x, B1 for y) from the printed combination.
 
-    `nm` needs J13..J24 attributes and `freq`: NormalModeData, or the
-    printed entries of `closedforms.j_closed_form` with the frequencies.
-    The y row carries the P/Q weights that annihilate the linearized
-    equations.
+    `nm` needs the attributes J13, J14, J21..J24 and `freq`, as
+    NormalModeData has.  The y row carries the P/Q weights that annihilate
+    the linearized equations.
     """
     w = nm.freq
     sq1, sq2 = math.sqrt(2.0 * w.omega1), math.sqrt(2.0 * w.omega2)

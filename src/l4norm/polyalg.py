@@ -8,7 +8,8 @@ truncation order with no finite differences: binomial series of the 1/r
 powers and the complex-log series of the drag angle, added by one
 straight-line kernel (:class:`l4norm.layout.KernelSource`) compiled once
 per degree cap and drag on/off, in the order coefficient dicts would add
-them.
+them.  The printed cubic and the chain's are name -> value dicts, which
+:func:`compare_h3` pairs.
 
 A polynomial is a store (:mod:`l4norm.layout`): a list of real or complex
 coefficients on a shared key layout of exponent 4-tuples, whose sum,
@@ -308,17 +309,15 @@ def taylor_lagrangian(p: ModelParams, shift: OriginShift, degree: int) -> Trunca
         order on.
     """
     a, b = shift.a, shift.b
-    if a * a + b * b < 1e-12 or (a - 1.0) ** 2 + b * b < 1e-12:
-        raise ContractError("expansion pivot coincides with a primary")
     if degree < 0:
         raise ParameterError("degree cap must be non-negative")
+    # The constant term must reproduce the pointwise Lagrangian, whose radii
+    # refuse a pivot on a primary (`CollisionError`) before the kernel runs;
+    # a mismatch is an expansion bug, so it is asserted, not reported.
+    l0 = _lagrangian(a - p.mu, b, 0.0, 0.0, p)
 
     layout, constant, kernel = plan(_taylor_kernel, degree, p.W1 != 0.0)
     (values,) = kernel(a, b, p.n, p.mu, p.q1, p.A2, p.W1)
-
-    # Constant term must reproduce the pointwise Lagrangian; a mismatch means
-    # an expansion bug, so it is asserted rather than reported.
-    l0 = _lagrangian(a - p.mu, b, 0.0, 0.0, p)
     drift = abs(values[constant] - l0)
     if drift > 1e-9 * max(1.0, abs(l0)):
         raise ContractError(f"constant-term drift {drift:.3e} in Taylor expansion")
@@ -352,32 +351,20 @@ def _homogeneous(layout: Layout, degree: int) -> bool:
     return all(sum(m) == degree for m in layout.keys)
 
 
-@dataclass(frozen=True)
-class H3CoefficientsClosedForm:
-    """Closed-form cubic coefficients: scalars T1..T4 plus the
-    velocity-dependent drag cubic T5 as a polynomial, and as printed."""
-
-    T1: float
-    T2: float
-    T3: float
-    T4: float
-    T5: TruncatedPoly
-    T5_print: TruncatedPoly
-
-
-def t_coefficients_closed_form(p: ModelParams,
-                               shift: OriginShift) -> H3CoefficientsClosedForm:
-    """Printed T1..T4 series plus both readings of the drag cubic T5
-    assembled from (a, b).  T1..T4 are read on the pivot's branch: below
-    the axis, as the mirror of L4 (`closedforms.on_branch`).
+def t_coefficients_closed_form(p: ModelParams, shift: OriginShift) -> dict:
+    """The printed cubic as name -> value: the T1..T4 series and both
+    readings of the drag cubic T5 assembled from (a, b), as polynomials.
+    T1..T4 are read on the pivot's branch: below the axis, as the mirror of
+    L4 (`closedforms.on_branch`).
 
     `T5_print` keeps the inhomogeneous first brace term of the printed T5
     (degree 2, which truncation then discards); `T5` squares it, the only
     reading that makes T5 a degree-3 form (erratum ``t5-linear-brace``).
     """
     q, read = on_branch(p, "L5" if shift.b < 0.0 else "L4")
-    t = read(printed(("T1", "T2", "T3", "T4"), q))
-    return H3CoefficientsClosedForm(*t.values(), *_t5_polys(p, shift))
+    cubic = read(printed(("T1", "T2", "T3", "T4"), q))
+    cubic["T5"], cubic["T5_print"] = _t5_polys(p, shift)
+    return cubic
 
 
 def _t5_polys(p: ModelParams, shift: OriginShift):
@@ -413,33 +400,33 @@ def _t5_polys(p: ModelParams, shift: OriginShift):
     return tuple(out)
 
 
-def oracle_t_coefficients(l3: TruncatedPoly):
-    """(T1, T2, T3, T4, T5poly) read off a cubic Lagrangian slice."""
+def oracle_t_coefficients(l3: TruncatedPoly) -> dict:
+    """The cubic read off a cubic Lagrangian slice under the printed names:
+    T1..T4, and T5 as its velocity part."""
     if any(sum(m) != 3 for m in l3.layout.keys):
         raise ContractError("oracle cubic slice expected (homogeneous degree 3)")
-    t1 = 6.0 * l3.coefficient((3, 0, 0, 0))
-    t2 = 2.0 * l3.coefficient((2, 1, 0, 0))
-    t3 = 2.0 * l3.coefficient((1, 2, 0, 0))
-    t4 = 6.0 * l3.coefficient((0, 3, 0, 0))
-    return t1, t2, t3, t4, l3.velocity_part()
+    return {"T1": 6.0 * l3.coefficient((3, 0, 0, 0)),
+            "T2": 2.0 * l3.coefficient((2, 1, 0, 0)),
+            "T3": 2.0 * l3.coefficient((1, 2, 0, 0)),
+            "T4": 6.0 * l3.coefficient((0, 3, 0, 0)),
+            "T5": l3.velocity_part()}
 
 
 # The names of `compare_h3`'s gaps, in the order it returns them.
 H3_GAP_NAMES = ("T1", "T2", "T3", "T4", "T5", "T5_print")
 
 
-def compare_h3(oracle_l3: TruncatedPoly,
-               closed: H3CoefficientsClosedForm) -> dict:
-    """The closed cubic's gaps to the oracle's, name -> sup-norm gap, keyed
-    by `H3_GAP_NAMES`: T1..T4 as scalars, T5 and T5_print against the
-    velocity cubic.
+def compare_h3(oracle_l3: TruncatedPoly, closed: dict) -> dict:
+    """The printed cubic's gaps to the oracle's, name -> gap, keyed by
+    `H3_GAP_NAMES`: T1..T4 as scalars, T5 and T5_print against the velocity
+    cubic by sup norm.
 
     Callers decide what counts as agreement (typically via a halving
     experiment).
     """
-    *oracle, velocity = oracle_t_coefficients(oracle_l3)
-    gaps = {name: abs(getattr(closed, name) - value)
-            for name, value in zip(H3_GAP_NAMES[:4], oracle)}
-    gaps["T5"] = closed.T5.norm_of_difference(velocity)
-    gaps["T5_print"] = closed.T5_print.norm_of_difference(velocity)
-    return gaps
+    oracle = oracle_t_coefficients(oracle_l3)
+    oracle["T5_print"] = oracle["T5"]
+    return {name: (closed[name].norm_of_difference(oracle[name])
+                   if isinstance(oracle[name], TruncatedPoly)
+                   else abs(closed[name] - oracle[name]))
+            for name in H3_GAP_NAMES}

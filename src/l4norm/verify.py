@@ -123,13 +123,23 @@ def oracle_rs_from_series(b2x: DAlembertSeries, b2y: DAlembertSeries) -> dict:
         for series, sign in ((b2x, 1.0), (b2y, -1.0)) for key, slot in RS_SLOTS]))
 
 
+def check_stages(stages) -> tuple:
+    """`stages` as a tuple: `ParameterError` if it is empty or names any
+    stage not in `STAGES`.  Both `run_pipeline` and `cli` check here."""
+    stages = tuple(stages)
+    for s in stages:
+        if s not in STAGES:
+            raise ParameterError(f"unknown stage {s!r} (valid: {STAGES})")
+    if not stages:
+        raise ParameterError("empty stage list")
+    return stages
+
+
 def run_pipeline(p: ModelParams, options: PipelineOptions = PipelineOptions(),
                  stages=STAGES) -> PipelineResult:
-    """Run the requested oracle stages (later stages pull in earlier ones)."""
-    order = [s for s in STAGES if s in stages]
-    if not order:
-        raise ParameterError(f"no valid stages in {stages}")
-    last = max(STAGES.index(s) for s in order)
+    """Run the oracle stages through the latest one in `check_stages(stages)`
+    (later stages pull in earlier ones)."""
+    last = max(map(STAGES.index, check_stages(stages)))
     res = PipelineResult(params=p, options=options,
                          stages=tuple(STAGES[:last + 1]))
 

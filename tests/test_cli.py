@@ -99,6 +99,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config_text("stages=equilibria,warp\n")
 
+    @pytest.mark.parametrize("value, message", [
+        ("equilibria,warp", f"unknown stage 'warp' (valid: {verify.STAGES})"),
+        (" , ", "empty stage list")], ids=["unknown", "empty"])
+    def test_stage_check_is_the_pipeline_one(self, capsys, value, message):
+        # the flag and the config line read the check `run_pipeline` makes
+        code, out, err = run_cli(capsys, "verify", "--mu", "0.01",
+                                 "--stages", value)
+        assert (code, out, err) == (EXIT_CONFIG, "",
+                                    f"error: stages: {message}\n")
+        with pytest.raises(ConfigError, match=r"^line 1: stages: ") as error:
+            parse_config_text(f"stages={value}\n")
+        assert str(error.value).endswith(message)
+
     def test_q1_epsilon_exclusive(self):
         cfg = RunConfig(mu=0.1, q1=0.99, epsilon=0.01)
         with pytest.raises(ConfigError):
@@ -357,6 +370,23 @@ class TestResonanceScan:
         assert "unstable" in out
         assert "critical mass" in err
 
+    def test_scan_past_one_half_keeps_its_unstable_rows(self, capsys):
+        code, out, err = run_cli(capsys, "resonance-scan", "--mu-min", "0.4",
+                                 "--mu-max", "0.6", "--steps", "3")
+        assert code == EXIT_OK
+        assert [row.split(",")[1] for row in out.splitlines()[1:4]] == \
+            ["unstable"] * 3
+        assert "critical mass" in err
+
+    @pytest.mark.parametrize("mu_min", ["-0.01", "0", "-1e300"])
+    def test_non_positive_mu_min_is_refused(self, capsys, mu_min):
+        # refused before any row, as a non-finite bound is
+        code, out, err = run_cli(capsys, "resonance-scan", "--mu-min", mu_min,
+                                 "--mu-max", "0.01", "--steps", "3")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("error: mu range must be positive") \
+            and len(err.splitlines()) == 1
+
 
 @pytest.mark.parametrize("bound", ["min", "max"])
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -391,6 +421,39 @@ def test_negative_non_finite_mu_bound_reaches_the_range_check(
     assert (code, out) == (EXIT_CONFIG, "")
     assert err.startswith("error: mu range must be finite") \
         and len(err.splitlines()) == 1
+
+
+def _out_of_domain_argv():
+    """Each subcommand at negative, zero and huge mass ratios, at a tiny
+    drag constant, and the two range commands at empty and negative step
+    counts."""
+    drag = ("--q1", "0.999", "--cd")
+    for command in ("equilibria", "frequencies", "verify"):
+        stages = ("--stages", "b1") if command == "verify" else ()
+        for mu in ("-0.01", "0", "1e300"):
+            yield (command, "--mu", mu, *stages)
+        for cd in ("1e-300", "1e-12"):
+            yield (command, "--mu", "0.01", *drag, cd, *stages)
+    for command in ("resonance-scan", "sweep"):
+        stages = ("--stages", "b1") if command == "sweep" else ()
+        for low, high in (("-0.01", "0.01"), ("0", "0.01"), ("0.01", "1e300"),
+                          ("-1e300", "1e300")):
+            yield (command, "--mu-min", low, "--mu-max", high, "--steps", "3",
+                   *stages)
+        for steps in ("0", "-3"):
+            yield (command, "--mu-min", "0.01", "--mu-max", "0.02",
+                   "--steps", steps, *stages)
+        yield (command, "--mu-min", "0.01", "--mu-max", "0.02", "--steps",
+               "3", *drag, "1e-300", *stages)
+
+
+@pytest.mark.filterwarnings("ignore:.*first-order series lose accuracy")
+@pytest.mark.parametrize("argv", list(_out_of_domain_argv()), ids=" ".join)
+def test_out_of_domain_numbers_end_in_an_exit_code(capsys, argv):
+    # no exception escapes `main`: each run succeeds or ends in a typed
+    # refusal that the exit code names
+    assert run_cli(capsys, *argv)[0] in (EXIT_OK, EXIT_CONFIG, EXIT_GATE,
+                                         EXIT_PIPELINE)
 
 
 class TestSweep:

@@ -29,6 +29,7 @@ from l4norm.errors import (
     ContractError,
     ConvergenceError,
     CriticalTermError,
+    ParameterError,
     SmallDivisorError,
     StabilityDomainError,
 )
@@ -153,6 +154,12 @@ class TestFrequencies:
         assert len(omegas) == 2
         for got, want in zip((w.omega1, w.omega2), omegas):
             assert abs(got - want) <= 2e-14 * want
+
+    @pytest.mark.parametrize("mu", [-0.01, 0.0, 1.0, 1.5, 1e300, math.nan])
+    def test_classical_frequencies_refuse_a_mass_ratio_outside_0_1(self, mu):
+        # mu (1 - mu) <= 0 leaves the quartic without two positive roots
+        with pytest.raises(ParameterError, match="mu must lie in"):
+            classical_frequencies(mu)
 
     def test_boundary_detection_near_critical_mass(self):
         from l4norm.verify import locate_classical_resonance
@@ -664,9 +671,9 @@ class TestH3:
             solve_triangular_numeric(sym), sym))
         # (1/3!) {T1 x^3 + 3 T2 x^2 y + 3 T3 x y^2 + T4 y^3}; no drag, no T5
         xi, eta = variable(0, 3), variable(1, 3)
-        l3 = (t_sym.T1 * (xi * xi * xi) + (3.0 * t_sym.T2) * (xi * xi * eta)
-              + (3.0 * t_sym.T3) * (xi * eta * eta)
-              + t_sym.T4 * (eta * eta * eta)) * (1.0 / 6.0)
+        l3 = (t_sym["T1"] * (xi * xi * xi) + (3.0 * t_sym["T2"]) * (xi * xi * eta)
+              + (3.0 * t_sym["T3"]) * (xi * eta * eta)
+              + t_sym["T4"] * (eta * eta * eta)) * (1.0 / 6.0)
         b1 = first_order_components(nm)
         (x2, y2), _, cubic = forcing_x2y2(l3, b1[0], b1[1], w)
         sol = solve_second_order_oracle(efg, w, p.n, x2, y2)

@@ -14,9 +14,10 @@ from l4norm.equilibria import (
 )
 from l4norm.closedforms import ROWS
 from l4norm.errata import KNOWN_DISCREPANCIES
-from l4norm.errors import ContractError, ConvergenceError, ParameterError
+from l4norm.errors import (CollisionError, ContractError, ConvergenceError,
+                           ParameterError)
 from l4norm.layout import plan
-from l4norm.model import ModelParams, State, lagrangian
+from l4norm.model import COLLISION_RADIUS, ModelParams, State, lagrangian
 from l4norm.polyalg import (
     TruncatedPoly,
     compare_h3,
@@ -311,6 +312,20 @@ class TestReferenceKernels:
 
 
 class TestTaylorLagrangian:
+    @pytest.mark.parametrize("drag", [False, True], ids=["free", "drag"])
+    @pytest.mark.parametrize("which, centre", [("first", 0.0), ("second", 1.0)])
+    def test_pivot_on_a_primary_is_a_collision(self, which, centre, drag):
+        # the pivot's a is its distance along x from the radiating primary;
+        # the model's collision guard refuses it before the kernel divides
+        p = ModelParams(mu=0.01, q1=0.999 if drag else 1.0, cd=20.0)
+        for da, db in ((0.0, 0.0), (0.3, -0.4), (-0.5, 0.0)):
+            shift = OriginShift(centre + da * COLLISION_RADIUS,
+                                db * COLLISION_RADIUS)
+            for degree in (2, 3):
+                with pytest.raises(CollisionError) as error:
+                    taylor_lagrangian(p, shift, degree)
+                assert error.value.which == which
+
     def test_classical_hessian(self):
         p = ModelParams(mu=0.01)
         shift = shift_from_point(solve_triangular_numeric(p), p)
@@ -630,20 +645,20 @@ class TestClosedFormCubic:
     def test_gamma_zero_kills_t1(self):
         p = ModelParams(mu=0.5)
         t = t_coefficients_closed_form(p, shift_from_point(epsilon_form(p), p))
-        assert t.T1 == pytest.approx(0.0, abs=1e-15)
+        assert t["T1"] == pytest.approx(0.0, abs=1e-15)
 
     def test_classical_printed_values(self):
         p = ModelParams(mu=0.01)
         t = t_coefficients_closed_form(p, shift_from_point(epsilon_form(p), p))
-        assert t.T1 == pytest.approx(21 * p.gamma / 8, rel=1e-13)
-        assert t.T2 == pytest.approx(21 * SQRT3 / 8, rel=1e-13)
-        assert t.T3 == pytest.approx(-9 * p.gamma / 8, rel=1e-13)
-        assert t.T4 == pytest.approx(-9 * SQRT3 / 8, rel=1e-13)
+        assert t["T1"] == pytest.approx(21 * p.gamma / 8, rel=1e-13)
+        assert t["T2"] == pytest.approx(21 * SQRT3 / 8, rel=1e-13)
+        assert t["T3"] == pytest.approx(-9 * p.gamma / 8, rel=1e-13)
+        assert t["T4"] == pytest.approx(-9 * SQRT3 / 8, rel=1e-13)
 
     def test_t5_zero_without_drag(self):
         p = ModelParams(mu=0.2)
         t = t_coefficients_closed_form(p, shift_from_point(epsilon_form(p), p))
-        assert t.T5.coeffs == {} and t.T5_print.coeffs == {}
+        assert t["T5"].coeffs == {} and t["T5_print"].coeffs == {}
 
     def test_t5_matches_the_product_reference_bit_for_bit(self):
         rng = random.Random(22)
@@ -658,7 +673,7 @@ class TestClosedFormCubic:
                 closed = t_coefficients_closed_form(p, shift)
                 reference = t5_by_products(p, shift)
                 assert p.W1 > 0.0
-                for poly, ref_poly in zip((closed.T5, closed.T5_print),
+                for poly, ref_poly in zip((closed["T5"], closed["T5_print"]),
                                           reference):
                     assert exact(poly) == exact(ref_poly)
 
@@ -666,7 +681,7 @@ class TestClosedFormCubic:
         # corrected T5 must equal the Taylor gauge cubic at the same pivot
         p = ModelParams(mu=0.01, q1=0.999, cd=10.0)
         shift = shift_from_point(solve_triangular_numeric(p), p)
-        t5 = t_coefficients_closed_form(p, shift).T5
+        t5 = t_coefficients_closed_form(p, shift)["T5"]
         oracle = taylor_lagrangian(p, shift, 3).grade(3).velocity_part()
         scale = max(map(abs, oracle.coeffs.values()), default=0.0)
         assert t5.norm_of_difference(oracle) < 1e-14 * max(1.0, scale)
@@ -674,7 +689,7 @@ class TestClosedFormCubic:
     def test_t5_verbatim_misses_first_order_term(self):
         p = ModelParams(mu=0.01, q1=0.999, cd=10.0)
         shift = shift_from_point(solve_triangular_numeric(p), p)
-        t5v = t_coefficients_closed_form(p, shift).T5_print
+        t5v = t_coefficients_closed_form(p, shift)["T5_print"]
         oracle = taylor_lagrangian(p, shift, 3).grade(3).velocity_part()
         assert t5v.norm_of_difference(oracle) > 0.1 * p.W1
 
@@ -685,15 +700,15 @@ class TestClosedFormCubic:
         shift = shift_from_point(solve_triangular_numeric(p), p)
         l3 = taylor_lagrangian(p, shift, 3).grade(3)
         rep = compare_h3(l3, t_coefficients_closed_form(p, shift))
-        t1o, t2o, t3o, t4o, _ = oracle_t_coefficients(l3)
-        rel = {name: rep[name] / abs(oracle) for name, oracle in
-               zip(("T1", "T2", "T3", "T4"), (t1o, t2o, t3o, t4o))}
+        oracle = oracle_t_coefficients(l3)
+        rel = {name: rep[name] / abs(oracle[name])
+               for name in ("T1", "T2", "T3", "T4")}
         assert rel["T1"] < 1e-10
         assert rel["T4"] < 1e-10
         assert rel["T2"] > 0.5
         assert rel["T3"] > 0.5
-        assert t2o == pytest.approx(-3 * SQRT3 / 8, abs=1e-11)
-        assert t3o == pytest.approx(-33 * p.gamma / 8, abs=1e-10)
+        assert oracle["T2"] == pytest.approx(-3 * SQRT3 / 8, abs=1e-11)
+        assert oracle["T3"] == pytest.approx(-33 * p.gamma / 8, abs=1e-10)
 
     def test_classical_rows_against_the_symbolic_cubic(self):
         # Each T row's constant and gamma brackets against the brackets the
@@ -729,7 +744,7 @@ class TestClosedFormCubic:
         closed = t_coefficients_closed_form(p, shift)
         gaps = compare_h3(l3, closed)
         assert list(gaps) == ["T1", "T2", "T3", "T4", "T5", "T5_print"]
-        assert gaps["T5_print"] == closed.T5_print.norm_of_difference(
+        assert gaps["T5_print"] == closed["T5_print"].norm_of_difference(
             l3.velocity_part())
 
 

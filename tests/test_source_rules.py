@@ -1,11 +1,13 @@
-"""Rules on the package's source, read with `ast`: every import is read,
-and one emitter writes, binds and compiles every generated kernel.
+"""Rules on the package's source, read with `ast`: every import is read
+but the benchmark's hooks, one module owns the collision guard, and one
+emitter writes, binds and compiles every generated kernel.
 
 No linter ships with the test tools, so the first test stands in for
 pyflakes' F401: a name that moves into generated source leaves its
 import behind, and nothing else would notice."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -16,29 +18,35 @@ from l4norm import layout
 
 PACKAGE = Path(l4norm.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def unread_imports(path) -> list:
-    """The names `path` imports and never reads: no load of the name, no
-    attribute read off it, no entry of `__all__`.  An import line marked
-    ``# noqa: F401`` is exempt."""
-    source = path.read_text()
-    lines = source.splitlines()
-    tree = ast.parse(source, filename=str(path))
-    bound = {}
-    for node in ast.walk(tree):
+def imported_names(path):
+    """``(line, name, marked)`` of every name `path` binds by import, but
+    for `__future__`'s; `marked` if its line carries ``# noqa: F401``."""
+    lines = path.read_text().splitlines()
+    for node in ast.walk(parse(path)):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
             for alias in node.names:
-                if "# noqa: F401" in lines[alias.lineno - 1]:
-                    continue
-                name = alias.asname or alias.name.partition(".")[0]
-                bound.setdefault(name, alias.lineno)
+                yield (alias.lineno, alias.asname or alias.name.partition(".")[0],
+                       "# noqa: F401" in lines[alias.lineno - 1])
+
+
+def unread_imports(path) -> list:
+    """The names `path` imports and never reads: no load of the name, no
+    attribute read off it, no entry of `__all__`.  An import line marked
+    ``# noqa: F401`` is exempt."""
+    tree = parse(path)
+    bound = {}
+    for line, name, marked in imported_names(path):
+        if not marked:
+            bound.setdefault(name, line)
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
     for node in ast.walk(tree):
@@ -65,6 +73,29 @@ def test_unread_import_is_caught(tmp_path):
                       "SOURCE = 'raise CriticalTermError()'\n"
                       "x = os.path.join\n")
     assert unread_imports(module) == [(2, "math"), (3, "CriticalTermError")]
+
+
+def test_noqa_imports_are_benchmark_hooks(monkeypatch):
+    # The only import kept unread is one that perfbench/spans.py wraps on
+    # that module; when the benchmark drops a hook, this names the import
+    # to drop with it.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    hooked = {(owner.__name__, name) for owner, name, _ in spans.SPANS}
+    marked = {("l4norm" if path.stem == "__init__" else f"l4norm.{path.stem}",
+               name)
+              for path in MODULES for _, name, flag in imported_names(path) if flag}
+    assert marked - hooked == set()
+
+
+def test_one_collision_guard():
+    # `model._radii` owns the guard: no other module reads its radius or
+    # imports its error
+    guard = {"COLLISION_RADIUS", "CollisionError"}
+    readers = {path.stem for path in MODULES if guard & (
+        {node.id for node in ast.walk(parse(path)) if isinstance(node, ast.Name)}
+        | {name for _, name, _ in imported_names(path)})}
+    assert readers == {"model"}
 
 
 def calls(tree):

@@ -57,6 +57,14 @@ class TestPipeline:
         res = run_pipeline(p, stages=("h3",))
         assert res.h3 is not None
 
+    @pytest.mark.parametrize("stages, named", [
+        (("b1", "h4"), "'h4'"), (("warp", "b1"), "'warp'"), ((), "empty")],
+        ids=["h4", "warp", "empty"])
+    def test_unknown_or_empty_stage_list_is_refused(self, stages, named):
+        # a misspelt stage is refused by name, not dropped
+        with pytest.raises(ParameterError, match=named):
+            run_pipeline(ModelParams(mu=0.01), stages=stages)
+
     def test_gates_all_pass_classical(self):
         res = run_pipeline(ModelParams(mu=0.01))
         gates = res.gates()
@@ -209,7 +217,7 @@ def _chain_by_name(res) -> dict:
     return {"x": res.eq_numeric.x, "y": res.eq_numeric.y,
             "omega1": res.freq.omega1, "omega2": res.freq.omega2,
             **{name: getattr(res.nm, name) for name in J_ENTRIES},
-            **dict(zip(("T1", "T2", "T3", "T4"), cubic)),
+            **{name: cubic[name] for name in ("T1", "T2", "T3", "T4")},
             **oracle_rs_from_series(res.b2.b2x, res.b2.b2y)}
 
 
