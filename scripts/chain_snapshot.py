@@ -72,6 +72,23 @@ def by_name(table) -> dict:
     return table if isinstance(table, dict) else vars(table)
 
 
+def b2_residuals(res) -> tuple:
+    """The B2 back-substitution residuals.  Older trees hold them on the
+    solution."""
+    if hasattr(res, "b2_residuals"):
+        return res.b2_residuals
+    return res.b2.residual_x, res.b2.residual_y
+
+
+def ablation(res):
+    """H3 with B2 = 0: the cubic at B1, with H3's degree-2 residual.  Older
+    trees hold it on the result."""
+    from l4norm.normalform import H3NormalCoefficients
+    if hasattr(res, "h3_ablation"):
+        return res.h3_ablation
+    return H3NormalCoefficients(res.cubic_at_b1, res.h3.h2_residual)
+
+
 def chain_record(mu, epsilon, a2, cd, branch):
     """Every value the chain and the audit compute at one point."""
     from l4norm.closedforms import fg_tables
@@ -108,9 +125,9 @@ def chain_record(mu, epsilon, a2, cd, branch):
         ("x2", series_terms(res.x2)),
         ("y2", series_terms(res.y2)),
         ("b2", series_terms(b2.b2x), series_terms(b2.b2y),
-         float(b2.residual_x), float(b2.residual_y)),
+         *map(float, b2_residuals(res))),
         ("h3", h3_values(res.h3)),
-        ("ablation", h3_values(res.h3_ablation)),
+        ("ablation", h3_values(ablation(res))),
         ("gates", sorted(res.gates().items())),
         ("cubic", [float(cubic[name]) for name in ("T1", "T2", "T3", "T4")],
          [(m, float(c)) for m, c in cubic["T5"].coeffs.items()],

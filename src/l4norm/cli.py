@@ -208,10 +208,13 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def _check_mu_range(mu_min: float, mu_max: float) -> None:
-    """ConfigError unless both bounds of the mu range are finite."""
+    """ConfigError unless both bounds of the mu range are finite and mu_min
+    is positive; both range commands check here, before any row."""
     if not (math.isfinite(mu_min) and math.isfinite(mu_max)):
         raise ConfigError(f"mu range must be finite, got --mu-min {mu_min!r} "
                           f"--mu-max {mu_max!r}")
+    if not mu_min > 0.0:
+        raise ConfigError(f"mu range must be positive, got --mu-min {mu_min!r}")
 
 
 def _mu_grid(mu_min: float, mu_max: float, steps: int) -> list:
@@ -223,8 +226,6 @@ def _mu_grid(mu_min: float, mu_max: float, steps: int) -> list:
 def cmd_resonance_scan(config: RunConfig, mu_min: float, mu_max: float,
                        steps: int) -> int:
     _check_mu_range(mu_min, mu_max)
-    if not mu_min > 0.0:
-        raise ConfigError(f"mu range must be positive, got --mu-min {mu_min!r}")
     if steps < 0 or mu_max < mu_min:
         raise ConfigError("need mu_max >= mu_min and steps >= 0")
     lines = ["mu,omega1,omega2,min_combination,worst_pair,pass"]
@@ -274,8 +275,7 @@ def cmd_sweep(config: RunConfig, mu_min: float, mu_max: float,
         fields.append(fmt(res.freq.omega1) if res.freq else "")
         fields.append(fmt(res.freq.omega2) if res.freq else "")
         fields.append(fmt(res.b1_residual) if res.b1_residual is not None else "")
-        fields.append(fmt(max(res.b2.residual_x, res.b2.residual_y))
-                      if res.b2 else "")
+        fields.append(fmt(max(res.b2_residuals)) if res.b2 else "")
         fields.append(fmt(res.h3.max_abs()) if res.h3 else "")
         fields.append(fmt(res.intermediate_scale()))
         fields.append("pass" if all(gates.values()) else "FAIL")

@@ -175,9 +175,19 @@ class Store:
 
     def norm_of_difference(self, other) -> float:
         """Sup over the real and imaginary parts of the differences."""
-        keys = set(self.layout.keys) | set(other.layout.keys)
-        return max((_sup(self._value(k) - other._value(k)) for k in keys),
-                   default=0.0)
+        return sup_of_difference(self.layout, self.values, other)
+
+
+def sup_of_difference(layout: Layout, values: list, other: Store) -> float:
+    """Sup over the real and imaginary parts of ``(layout, values)`` minus
+    the store `other`, key by key along their sum plan; a key one side
+    lacks reads zero there."""
+    _, shared, new = plan(sum_plan, layout, other.layout)
+    right = other.values
+    values = values.copy()
+    for n, k in shared:
+        values[n] -= right[k]
+    return max(map(_sup, values + [right[k] for k in new]), default=0.0)
 
 
 class KernelSource:

@@ -49,8 +49,8 @@ from .dalembert import (
 from .errors import ContractError, ParameterError, StabilityDomainError
 from .layout import KernelSource, Layout, _sup, intern, plan, sliced, sum_plan
 from .model import ModelParams
-from .polyalg import (QuadraticCoefficients, TruncatedPoly, _partial_plan,
-                      _velocity_degree)
+from .polyalg import (QuadraticCoefficients, TruncatedPoly, _homogeneous,
+                      _partial_plan, _velocity_degree)
 
 
 SIGMA = ((0.0, 0.0, 1.0, 0.0),
@@ -312,13 +312,6 @@ def _operator_values(matrix, x, y, w: FrequencyPair):
     return layout, first, second
 
 
-def apply_operator(matrix, x, y, w: FrequencyPair):
-    """Apply a 2x2 matrix of (c0, c1, c2) D-polynomials to the pair (x, y):
-    the two series of :func:`_operator_values`, exact zeros dropped."""
-    layout, first, second = _operator_values(matrix, x, y, w)
-    return x._new(layout, first), x._new(layout, second)
-
-
 def linear_residual(b1x: DAlembertSeries, b1y: DAlembertSeries,
                     efg: QuadraticCoefficients, w: FrequencyPair,
                     n: float) -> float:
@@ -367,7 +360,7 @@ def _forcing_kernel(l3: Layout, b1x: Layout, b1y: Layout):
     the five substitutions at cap 3, and x2 = x2p - D vx, y2 = y2p - D vy.
     ``kernel(l3 values, B1x values, B1y values, w1, w2)`` returns the values
     of x2, y2, x2p, y2p and the cubic, on the five layouts."""
-    if any(sum(m) != 3 for m in l3.keys):
+    if not _homogeneous(l3, 3):
         raise ContractError("forcing expects a homogeneous cubic slice")
     k = KernelSource()
     x, y = k.unpack("b1x", b1x), k.unpack("b1y", b1y)
@@ -396,35 +389,22 @@ def forcing_x2y2(l3: TruncatedPoly, b1x: DAlembertSeries, b1y: DAlembertSeries,
 
 @dataclass(frozen=True)
 class SecondOrderSolution:
-    """B2 and what its back-substitution reads: the linear operator, the
-    forcing (x2, y2) and the frequencies; `scale` is the largest sup norm
-    of X2, Y2, B2x and B2y.  The residuals of the coupled system are formed
-    on first read and kept, so a caller that reads only B2 pays nothing for
-    them."""
+    """B2, and `scale`, the largest sup norm of X2, Y2, B2x and B2y.  The
+    residuals of the coupled system are the chain result's
+    (`PipelineResult.b2_residuals`), which holds the operator and the
+    forcing."""
 
     b2x: DAlembertSeries
     b2y: DAlembertSeries
-    operator: tuple
-    forcing: tuple
-    freq: FrequencyPair
     scale: float
-
-    @functools.cached_property
-    def residuals(self) -> tuple:
-        """Sup-norms of the operator at (B2x, B2y) minus (x2, y2)."""
-        rx, ry = apply_operator(self.operator, self.b2x, self.b2y, self.freq)
-        x2, y2 = self.forcing
-        return (rx - x2).max_abs(), (ry - y2).max_abs()
-
-    residual_x = property(lambda self: self.residuals[0])
-    residual_y = property(lambda self: self.residuals[1])
 
 
 def _solve_kernel(x2: Layout, y2: Layout):
     """``(layout, kernel)`` of :func:`solve_second_order_oracle` at these
-    layouts: the adjugate applied as :func:`apply_operator` applies it, then
-    per harmonic of Phi2, then of Psi2, in stored order, the guards and the
-    division of :func:`l4norm.dalembert.invert_delta`.  ``kernel(X2 values,
+    layouts: the adjugate applied per key of X2 + Y2, exact zeros kept, as
+    :func:`_operator_values` applies an operator, then per harmonic of
+    Phi2, then of Psi2, in stored order, the guards and the division of
+    :func:`l4norm.dalembert.invert_delta`.  ``kernel(X2 values,
     Y2 values, w1, w2, adjugate, floor)`` returns the values of B2x and B2y
     on `layout`, which lacks the critical harmonics, and the scale."""
     k = KernelSource()
@@ -472,18 +452,16 @@ def solve_second_order_oracle(efg: QuadraticCoefficients, w: FrequencyPair,
     which divides harmonic-by-harmonic by the small divisor; a nonzero
     critical harmonic raises `CriticalTermError` and a divisor below the
     floor `SmallDivisorError`, as :func:`invert_delta` would, in one call
-    of the stage's kernel.  The returned residuals are of the original
-    coupled system, formed on first read, and must sit at round-off.
+    of the stage's kernel.  The residuals of the original coupled system
+    (`PipelineResult.b2_residuals`) must sit at round-off.
     """
-    op = linear_operator(efg, n)
-    (l11, l12), (l21, l22) = op
+    (l11, l12), (l21, l22) = linear_operator(efg, n)
     neg = lambda entry: tuple(-v for v in entry)
     layout, kernel = plan(_solve_kernel, x2.layout, y2.layout)
     b2x, b2y, scale = kernel(x2.values, y2.values, w.omega1, w.omega2,
                              ((l22, neg(l12)), (neg(l21), l11)), floor)
     return SecondOrderSolution(DAlembertSeries._new(layout, b2x),
-                               DAlembertSeries._new(layout, b2y), op, (x2, y2),
-                               w, scale)
+                               DAlembertSeries._new(layout, b2y), scale)
 
 
 # -- degree-3 energy coefficients ------------------------------------------

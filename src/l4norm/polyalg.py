@@ -403,7 +403,7 @@ def _t5_polys(p: ModelParams, shift: OriginShift):
 def oracle_t_coefficients(l3: TruncatedPoly) -> dict:
     """The cubic read off a cubic Lagrangian slice under the printed names:
     T1..T4, and T5 as its velocity part."""
-    if any(sum(m) != 3 for m in l3.layout.keys):
+    if not plan(_homogeneous, l3.layout, 3):
         raise ContractError("oracle cubic slice expected (homogeneous degree 3)")
     return {"T1": 6.0 * l3.coefficient((3, 0, 0, 0)),
             "T2": 2.0 * l3.coefficient((2, 1, 0, 0)),

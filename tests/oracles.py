@@ -172,7 +172,7 @@ def delta_operator(series, w):
 def operator_by_composition(matrix, x, y, w):
     """A 2x2 matrix of (c0, c1, c2) D-polynomials applied to (x, y) as four
     `apply_poly_in_D` calls and two sums, the reference for
-    `l4norm.normalform.apply_operator`."""
+    `l4norm.normalform._operator_values`."""
     return tuple(apply_poly_in_D(x, w, *a) + apply_poly_in_D(y, w, *b)
                  for a, b in matrix)
 
@@ -357,16 +357,15 @@ def forcing_by_ops(l3: TruncatedPoly, b1x, b1y, w):
 def second_order_by_ops(efg, w, n, x2, y2, floor=DIVISOR_FLOOR):
     """`l4norm.normalform.solve_second_order_oracle` as separate series
     operations, the bit-for-bit reference for its kernel: the adjugate by
-    `apply_operator`, each of its rows divided by `invert_delta`, and the
-    scale as four sup norms."""
-    op = normalform.linear_operator(efg, n)
-    (l11, l12), (l21, l22) = op
+    `operator_by_composition`, each of its rows divided by `invert_delta`,
+    and the scale as four sup norms."""
+    (l11, l12), (l21, l22) = normalform.linear_operator(efg, n)
     neg = lambda entry: tuple(-v for v in entry)
-    phi2, psi2 = normalform.apply_operator(((l22, neg(l12)), (neg(l21), l11)),
-                                           x2, y2, w)
+    phi2, psi2 = operator_by_composition(((l22, neg(l12)), (neg(l21), l11)),
+                                         x2, y2, w)
     b2x, b2y = invert_delta(phi2, w, floor), invert_delta(psi2, w, floor)
     scale = max(x2.max_abs(), y2.max_abs(), b2x.max_abs(), b2y.max_abs())
-    return normalform.SecondOrderSolution(b2x, b2y, op, (x2, y2), w, scale)
+    return normalform.SecondOrderSolution(b2x, b2y, scale)
 
 
 def h3_by_ops(cubic, l2: TruncatedPoly, b1, b2, w):

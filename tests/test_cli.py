@@ -378,14 +378,16 @@ class TestResonanceScan:
             ["unstable"] * 3
         assert "critical mass" in err
 
-    @pytest.mark.parametrize("mu_min", ["-0.01", "0", "-1e300"])
-    def test_non_positive_mu_min_is_refused(self, capsys, mu_min):
-        # refused before any row, as a non-finite bound is
-        code, out, err = run_cli(capsys, "resonance-scan", "--mu-min", mu_min,
-                                 "--mu-max", "0.01", "--steps", "3")
-        assert (code, out) == (EXIT_CONFIG, "")
-        assert err.startswith("error: mu range must be positive") \
-            and len(err.splitlines()) == 1
+
+@pytest.mark.parametrize("mu_min", ["-0.01", "0", "-1e300"])
+@pytest.mark.parametrize("command", ["sweep", "resonance-scan"])
+def test_non_positive_mu_min_is_refused(capsys, command, mu_min):
+    # both commands refuse it before any row, as a non-finite bound
+    code, out, err = run_cli(capsys, command, "--mu-min", mu_min, "--mu-max",
+                             "0.01", "--steps", "3", "--stages", "b1")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("error: mu range must be positive") \
+        and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("bound", ["min", "max"])

@@ -39,7 +39,7 @@ from l4norm.normalform import (
     NormalModeData,
     _forcing_polys,
     _mode_columns,
-    apply_operator,
+    _operator_values,
     classical_frequencies,
     first_order_components,
     forcing_x2y2,
@@ -483,6 +483,13 @@ class TestForcing:
         assert y2a.norm_of_difference(y2b) < 1e-12
 
 
+def back_substitution(sol, x2, y2, efg, w, n):
+    """The B2 residual pair formed eagerly: the linearized equations at
+    (B2x, B2y) as composed series, minus the forcing as series."""
+    rx, ry = operator_by_composition(linear_operator(efg, n), sol.b2x, sol.b2y, w)
+    return (rx - x2).max_abs(), (ry - y2).max_abs()
+
+
 class TestSecondOrderOracle:
     def setup_method(self):
         p = ModelParams(mu=0.01)
@@ -497,16 +504,17 @@ class TestSecondOrderOracle:
 
     def test_single_harmonic_round_trip(self):
         x2 = DAlembertSeries.single(2, 0, 2, 0, c=1.0)
-        sol = solve_second_order_oracle(self.efg, self.w, self.p.n, x2,
-                                        DAlembertSeries.zero())
-        assert sol.residual_x < 1e-12
-        assert sol.residual_y < 1e-12
+        y2 = DAlembertSeries.zero()
+        sol = solve_second_order_oracle(self.efg, self.w, self.p.n, x2, y2)
+        rx, ry = back_substitution(sol, x2, y2, self.efg, self.w, self.p.n)
+        assert rx < 1e-12
+        assert ry < 1e-12
 
     def test_full_forcing_residuals(self):
         (x2, y2), _, _ = forcing_x2y2(self.lag.grade(3), self.b1[0],
                                       self.b1[1], self.w)
         sol = solve_second_order_oracle(self.efg, self.w, self.p.n, x2, y2)
-        assert max(sol.residual_x, sol.residual_y) < 1e-9
+        assert max(back_substitution(sol, x2, y2, self.efg, self.w, self.p.n)) < 1e-9
         support = set(sol.b2x.terms) | set(sol.b2y.terms)
         assert support == {(2, 0, 0, 0), (0, 2, 0, 0), (2, 0, 2, 0),
                            (0, 2, 0, 2), (1, 1, 1, 1), (1, 1, 1, -1)}
@@ -865,14 +873,18 @@ class TestSubstitutionKernel:
 
 
 class TestOperatorKernel:
-    """`apply_operator` in one pass equals four `apply_poly_in_D` calls and
-    two sums, key for key and bit for bit."""
+    """`_operator_values` in one pass equals four `apply_poly_in_D` calls
+    and two sums, bit for bit, on the keys of x + y: exactly zero where the
+    composition stores no key."""
 
     @staticmethod
     def assert_equal(matrix, x, y, w):
-        out = apply_operator(matrix, x, y, w)
+        layout, *rows = _operator_values(matrix, x, y, w)
         reference = operator_by_composition(matrix, x, y, w)
-        assert [r.terms for r in out] == [r.terms for r in reference]
+        for values, series in zip(rows, reference):
+            assert set(series.layout.keys) <= set(layout.keys)
+            assert [(z.real.hex(), z.imag.hex()) for z in values] == [
+                (z.real.hex(), z.imag.hex()) for z in map(series._value, layout.keys)]
 
     def test_at_chain_points(self):
         from l4norm.verify import PipelineOptions, run_pipeline
@@ -911,6 +923,21 @@ class TestOperatorKernel:
                                stages=("b1",))
             op, (b1x, b1y) = linear_operator(res.efg, p.n), res.b1
             for y in (b1y, b1y_print(res.nm)):
-                series = apply_operator(op, b1x, y, res.freq)
+                series = operator_by_composition(op, b1x, y, res.freq)
                 gate = linear_residual(b1x, y, res.efg, res.freq, p.n)
                 assert gate.hex() == max(r.max_abs() for r in series).hex()
+
+    def test_b2_residuals_equal_the_eager_back_substitution(self):
+        # read off the operator's values along the sum plan, no series
+        # formed, the pair equals the composed series minus the forcing
+        # bit for bit, at drag-free points where H3 cancels and at drag
+        from l4norm.verify import PipelineOptions, run_pipeline
+        points = _chain_points() + [
+            (ModelParams(mu=mu, q1=0.999, A2=1e-4, cd=20.0), "L4")
+            for mu in (0.00445, 0.0044945, 0.004539, 0.0045835)]
+        for p, branch in points:
+            res = run_pipeline(p, PipelineOptions(branch=branch),
+                               stages=("b2",))
+            eager = back_substitution(res.b2, res.x2, res.y2, res.efg,
+                                      res.freq, p.n)
+            assert [r.hex() for r in res.b2_residuals] == [r.hex() for r in eager]

@@ -231,8 +231,8 @@ def test_a_non_homogeneous_cubic_raises_contract_error():
 
 
 def test_a_chain_runs_no_step_by_step_series_operation(monkeypatch):
-    # to h3, the chain applies no D-polynomial, divides by no Delta and
-    # merges no series outside the stage kernels
+    # to h3 and through its gates, the chain applies no D-polynomial,
+    # divides by no Delta and merges no series outside the stage kernels
     calls = []
 
     def spy(owner, name):
@@ -248,6 +248,7 @@ def test_a_chain_runs_no_step_by_step_series_operation(monkeypatch):
     for p in (ModelParams(mu=0.01), ModelParams(mu=0.02, q1=0.995, A2=1e-3, cd=5.0)):
         for branch in ("L4", "L5"):
             res = run_pipeline(p, PipelineOptions(branch=branch))
+            res.gates()
     assert calls == []
     # the references run each operation on its own
     h3_by_ops(res.cubic_at_b1, res.lagrangian_poly.grade(2), res.b1,
@@ -257,9 +258,10 @@ def test_a_chain_runs_no_step_by_step_series_operation(monkeypatch):
 
 
 def test_no_kernel_is_compiled_after_the_first_cancelling_point(monkeypatch):
-    # exact zeros inside a stage, or in the B1 residual, never reach a
-    # layout: after the first of these points, drag-free or at drag, the
-    # others make no plan-table entry and compile no kernel
+    # exact zeros inside a stage, or in the B1 or B2 residuals, never reach
+    # a layout: after the first of these points, drag-free or at drag, the
+    # others, audited and gated, make no plan-table entry and compile no
+    # kernel
     made = []
     compiled = layout.compiled
     monkeypatch.setattr(layout, "compiled", lambda source, name:
@@ -267,10 +269,14 @@ def test_no_kernel_is_compiled_after_the_first_cancelling_point(monkeypatch):
     for drag in ({}, {"q1": 0.999, "A2": 1e-4, "cd": 20.0}):
         first, *others = (ModelParams(mu=mu, **drag) for mu in CANCELLING_MUS)
         layout.plan.cache_clear()
-        audit(run_pipeline(first))
+        res = run_pipeline(first)
+        audit(res)
+        res.gates()
         count, misses = len(made), layout.plan.cache_info().misses
         for p in others:
-            audit(run_pipeline(p))
+            res = run_pipeline(p)
+            audit(res)
+            res.gates()
         assert len(made) == count
         assert layout.plan.cache_info().misses == misses
 

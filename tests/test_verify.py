@@ -42,7 +42,8 @@ from l4norm.verify import (
     single_perturbation_params,
 )
 
-from oracles import audit_gaps_eagerly, position_part, t5_by_products
+from oracles import (audit_gaps_eagerly, operator_by_composition, position_part,
+                     t5_by_products)
 
 
 class TestPipeline:
@@ -325,38 +326,38 @@ class TestLazySecondOrderResiduals:
     """The b2 stage leaves the back-substitution unformed until a residual
     is read; what it then returns must be the eager residual, bit for bit."""
 
-    apply = staticmethod(normalform.apply_operator)
+    apply = staticmethod(normalform._operator_values)
 
     @pytest.fixture(params=_stopping_points(),
                     ids=lambda c: f"{c[0].mu:.5f}-{c[1]}-"
                                   f"{'drag' if c[0].W1 else 'free'}")
     def counted(self, request, monkeypatch):
-        """(params, options, calls): every apply_operator call is logged."""
+        """(params, options, calls): every operator application is logged."""
         p, branch = request.param
         calls = []
-        monkeypatch.setattr(normalform, "apply_operator",
+        monkeypatch.setattr(normalform, "_operator_values",
                             lambda *args: calls.append(args) or self.apply(*args))
         return p, PipelineOptions(branch=branch), calls
 
     def test_residuals_equal_an_eager_back_substitution(self, counted):
         p, options, calls = counted
         res = run_pipeline(p, options, stages=("b2",))
-        # the B1 residual reads the operator's values and the B2 solve is
-        # its kernel: neither forms the operator's series
-        assert len(calls) == 0
-        rx, ry = self.apply(normalform.linear_operator(res.efg, p.n),
-                            res.b2.b2x, res.b2.b2y, res.freq)
-        eager = ((rx - res.x2).max_abs(), (ry - res.y2).max_abs())
-        assert _hex((res.b2.residual_x, res.b2.residual_y)) == _hex(eager)
-        assert res.gates()["b2-residual"] and res.gates() == res.gates()
+        # the B1 residual applies the operator and the B2 solve is its
+        # kernel: the chain applies it once, at B1
         assert len(calls) == 1
+        rx, ry = operator_by_composition(normalform.linear_operator(res.efg, p.n),
+                                         res.b2.b2x, res.b2.b2y, res.freq)
+        eager = ((rx - res.x2).max_abs(), (ry - res.y2).max_abs())
+        assert _hex(res.b2_residuals) == _hex(eager)
+        assert res.gates()["b2-residual"] and res.gates() == res.gates()
+        assert len(calls) == 2
 
     def test_partial_forcing_solve_skips_the_back_substitution(self, counted):
         p, options, calls = counted
         res = run_pipeline(p, options, stages=("b2",))
         calls.clear()
         partial_forcing_gap(res)
-        assert len(calls) == 0
+        assert len(calls) == 0 and "b2_residuals" not in vars(res)
 
 
 class TestClassicalRoots:
@@ -549,12 +550,11 @@ class TestH3Substitution:
         b2_zero = h3_normal_coefficients(cubic_at_b1_anew(res),
                                          res.lagrangian_poly.grade(2), res.b1,
                                          (zero, zero), res.freq)
-        assert list(res.h3_ablation.series.terms.items()) \
+        assert list(res.cubic_at_b1.terms.items()) \
             == list(b2_zero.series.terms.items())
-        assert res.h3_ablation.h2_residual == b2_zero.h2_residual
-        ablation = res.h3_ablation
-        assert (ablation.A30, ablation.A21, ablation.A12, ablation.A03) \
-            == grade_norms(b2_zero.series)
+        assert res.cubic_at_b1.max_abs() == b2_zero.max_abs()
+        assert res.h3.h2_residual == b2_zero.h2_residual
+        assert grade_norms(res.cubic_at_b1) == grade_norms(b2_zero.series)
 
     def test_h3_is_the_b1_plus_b2_substitution(self, res):
         lag = res.lagrangian_poly
@@ -582,14 +582,14 @@ class TestH3Substitution:
         assert energy.values == negated.values
 
     def test_max_abs_is_the_largest_grade_norm(self, res):
-        for h3 in (res.h3, res.h3_ablation):
-            assert h3.max_abs() == max(grade_norms(h3.series))
+        for series in (res.h3.series, res.cubic_at_b1):
+            assert series.max_abs() == max(grade_norms(series))
 
     def test_partial_forcing_gap_reads_the_chain(self, res):
         # The gap reuses the chain's position-partials forcing and its
         # cubic at B1, at the h3 stage and at b2 alike.
         at_b2 = run_pipeline(res.params, res.options, stages=("b2",))
-        assert at_b2.h3_ablation is None
+        assert at_b2.h3 is None
         for chain in (res, at_b2):
             assert partial_forcing_gap(chain) == partial_forcing_gap_anew(chain)
         # That forcing is the chain's X2, Y2 without the velocity partials.
@@ -611,7 +611,7 @@ class TestH3Substitution:
         # holds the same cubic that the full chain's ablation reads, and
         # both equal the substitution made with its own power table.
         at_b2 = run_pipeline(res.params, res.options, stages=("b2",))
-        ablation = list(res.h3_ablation.series.terms.items())
+        ablation = list(res.cubic_at_b1.terms.items())
         assert list(at_b2.cubic_at_b1.terms.items()) == ablation
         assert list(cubic_at_b1_anew(res).terms.items()) == ablation
 
