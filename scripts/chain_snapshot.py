@@ -7,12 +7,12 @@ matrix J and the Hessian of the quadratic Hamiltonian as hex floats row
 by row, J's symplectic defect and diagonalisation residual, B1 and its
 residual under the linearized equations, the forcing X2/Y2, B2 and its
 residuals, H3 and its ablation with their series, the gates, the printed
-cubic (T1..T4, and the T5 and T5_print coefficients in stored order), the
-other printed values by name (the epsilon-form point x, y, the offsets a,
-b, J13..J24, the F/G entries and r1..s10), the sorted audit gaps, and the
-partial-forcing gap of a chain stopped at b2 (the detector's path, where
-the gap reads the b2 stage's forcing and cubic at B1).  A point
-that raises gets its exception class and message instead.  The points
+cubic on the point's branch (T1..T4, and the T5 and T5_print coefficients
+in stored order), the other printed values by name (the epsilon-form
+point x, y, the offsets a, b, J13..J24, the F/G entries and r1..s10), the
+sorted audit gaps, and the partial-forcing gap of a chain stopped at b2
+(the detector's path, where the gap reads the b2 stage's forcing and
+cubic at B1).  A point that raises gets its exception class and message instead.  The points
 (mu in [0.001, 0.037], both branches, every other one drag-free) come
 from a fixed seed, so two snapshots that compare equal mean the chain
 computed the same values, bit for bit and in the same order.  The package
@@ -40,6 +40,7 @@ where it does not and then exits 1.
 from __future__ import annotations
 
 import ast
+import inspect
 import random
 import sys
 
@@ -66,27 +67,14 @@ def h3_values(h3):
             series_terms(h3.series), float(h3.h2_residual))
 
 
-def by_name(table) -> dict:
-    """A printed table as name -> value.  Older trees hold the printed
-    cubic as a dataclass."""
-    return table if isinstance(table, dict) else vars(table)
-
-
-def b2_residuals(res) -> tuple:
-    """The B2 back-substitution residuals.  Older trees hold them on the
-    solution."""
-    if hasattr(res, "b2_residuals"):
-        return res.b2_residuals
-    return res.b2.residual_x, res.b2.residual_y
-
-
-def ablation(res):
-    """H3 with B2 = 0: the cubic at B1, with H3's degree-2 residual.  Older
-    trees hold it on the result."""
-    from l4norm.normalform import H3NormalCoefficients
-    if hasattr(res, "h3_ablation"):
-        return res.h3_ablation
-    return H3NormalCoefficients(res.cubic_at_b1, res.h3.h2_residual)
+def printed_cubic(p, shift, branch) -> dict:
+    """The printed cubic on `branch`.  Older trees take no branch and read
+    it on the side of the pivot, which is the branch's at every point of
+    the snapshot."""
+    from l4norm.polyalg import t_coefficients_closed_form
+    if "branch" in inspect.signature(t_coefficients_closed_form).parameters:
+        return t_coefficients_closed_form(p, shift, branch)
+    return t_coefficients_closed_form(p, shift)
 
 
 def chain_record(mu, epsilon, a2, cd, branch):
@@ -94,7 +82,7 @@ def chain_record(mu, epsilon, a2, cd, branch):
     from l4norm.closedforms import fg_tables
     from l4norm.equilibria import offset_ab
     from l4norm.model import ModelParams
-    from l4norm.polyalg import t_coefficients_closed_form
+    from l4norm.normalform import H3NormalCoefficients
     from l4norm.verify import (
         PipelineOptions,
         audit,
@@ -107,12 +95,12 @@ def chain_record(mu, epsilon, a2, cd, branch):
     res = run_pipeline(p, options)
     at_b2 = run_pipeline(p, options, stages=("b2",))
     efg, w, b2 = res.efg, res.freq, res.b2
-    cubic = by_name(t_coefficients_closed_form(p, res.shift))
+    cubic = printed_cubic(p, res.shift, branch)
     printed = audit(res)
     shift = offset_ab(p)
     values = {"x": printed.eq_epsform.x, "y": printed.eq_epsform.y,
-              "a": shift.a, "b": shift.b, **by_name(printed.j_closed),
-              **by_name(fg_tables(p)), **by_name(printed.rs)}
+              "a": shift.a, "b": shift.b, **printed.j_closed,
+              **fg_tables(p), **printed.rs}
     return (
         ("taylor", [(m, float(c)) for m, c in res.lagrangian_poly.coeffs.items()]),
         ("efg", (float(efg.E), float(efg.F), float(efg.G))),
@@ -125,9 +113,11 @@ def chain_record(mu, epsilon, a2, cd, branch):
         ("x2", series_terms(res.x2)),
         ("y2", series_terms(res.y2)),
         ("b2", series_terms(b2.b2x), series_terms(b2.b2y),
-         *map(float, b2_residuals(res))),
+         *map(float, res.b2_residuals)),
         ("h3", h3_values(res.h3)),
-        ("ablation", h3_values(ablation(res))),
+        # H3 with B2 = 0: the cubic at B1, with H3's degree-2 residual
+        ("ablation", h3_values(H3NormalCoefficients(res.cubic_at_b1,
+                                                    res.h3.h2_residual))),
         ("gates", sorted(res.gates().items())),
         ("cubic", [float(cubic[name]) for name in ("T1", "T2", "T3", "T4")],
          [(m, float(c)) for m, c in cubic["T5"].coeffs.items()],

@@ -75,6 +75,11 @@ FIXED = [
     ["verify", "--mu", "0.01", "--epsilon", "1e-3", "--a2", "1e-4", "--cd", "7",
      "--stages", "equilibria"],
     ["verify", "--mu", "0.01", *DRAG, "--stages", "taylor", "--format", "csv"],
+    # Newton's L4 root lies below the axis here; the audit reads every
+    # printed row, the cubic included, on the options' branch
+    ["verify", "--mu", "0.0014963148361835633", "--epsilon",
+     "0.008553474090590698", "--a2", "7.443163613939597e-05", "--cd",
+     "4.162845601367141", "--stages", "h3", "--format", "csv"],
     ["verify", "--mu", "0.01215", "--stages", "b2"],
     ["verify", "--mu", "0.01215", "--stages", "b2", "--format", "csv"],
     # low mu, where the detector's W1 leg runs below HALVING_STRENGTH; the

@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import verify
+from .closedforms import BRANCHES
 from .dalembert import moser_check
 from .errors import ConfigError, DomainError, L4NormError, StabilityDomainError
 from .model import ModelParams
@@ -83,7 +84,7 @@ SETTINGS = {
     "epsilon": (float, "1 - q1 (give q1 or epsilon)"),
     "a2": (float, "oblateness coefficient of the smaller primary"),
     "cd": (float, "drag normalization constant"),
-    "branch": _choice("L4", "L5"),
+    "branch": _choice(*BRANCHES),
     "stages": (_parse_stages, "comma list from " + ",".join(verify.STAGES)),
     "out": (str, "output path prefix"),
     "format": _choice("csv", "report"),

@@ -26,11 +26,10 @@ tables.
 
 The rows transcribe the print, quirks included (J13's 29/36 where its
 siblings print 293/36, J24's k1/l1, T2's constant 14): the audit measures
-them, it does not mend them.  They are written for L4; :func:`on_branch`
-reads them on L5 as the mirror of L4 (:data:`MIRROR_ODD`).  Forms of
-another shape stay code: the printed y row of B1 (`b1y_print`) and the
-r/s tables of B2 (`rs_tables`), which are nonlinear in J and the
-frequencies.
+them, it does not mend them.  They are written for L4; the readers here
+take a branch and on L5 read them as the mirror of L4 (:data:`MIRROR_ODD`).
+Forms of another shape stay code: the printed y row of B1 (`b1y_print`)
+and the r/s tables of B2 (`rs_tables`), nonlinear in J and the frequencies.
 
 Entry naming: primed table entries use a ``p`` suffix (F2p = F2'), double
 primes ``pp`` (F2pp = F2'').
@@ -41,7 +40,7 @@ from __future__ import annotations
 import math
 
 from .dalembert import DIVISOR_FLOOR, DAlembertSeries, FrequencyPair
-from .errors import SmallDivisorError
+from .errors import ParameterError, SmallDivisorError
 from .layout import KernelSource, plan
 from .model import SQRT3, ModelParams
 
@@ -199,6 +198,8 @@ ROWS = {
              (1, "g", (0, 8, -749/3, 808/9, (-109, 40, 3), (35, -1269, 27)))),
 }
 
+BRANCHES = ("L4", "L5")  # the triangular points above and below the x axis
+
 # Reflecting y -> -y and reversing time maps the equations of motion at drag
 # W1 onto themselves at -W1: the Coriolis and both drag terms change sign
 # together.  So the L5 chain at W1 is the L4 chain at -W1 with y and the
@@ -275,12 +276,23 @@ _BASIS_LOCALS = ("1.0", "g", "A2", "A2g", "eps", "epsg", "ea", "eag",
                  "u", "ug", "ugg", "ue", "ueg", "uegg")
 
 
-def printed(names, p: ModelParams, w: FrequencyPair | None = None) -> dict:
-    """The rows `names` at p, by name; the J rows read the mode scalars of
-    the frequencies `w`.  One kernel per tuple of names (:func:`_row_kernel`)."""
+def check_branch(branch: str) -> None:
+    """ParameterError unless `branch` is one of BRANCHES."""
+    if branch not in BRANCHES:
+        raise ParameterError(f"branch must be {' or '.join(BRANCHES)}, got {branch}")
+
+
+def printed(names, p: ModelParams, w: FrequencyPair | None = None,
+            branch: str = "L4") -> dict:
+    """The rows `names` at p by name, on `branch`: on L5 those at `p.mirror`
+    (made once per p) read by :func:`reflect`.  The J rows read the mode
+    scalars of `w`.  One kernel per tuple of names (:func:`_row_kernel`)."""
+    check_branch(branch)
     names = tuple(names)
     scalars = () if w is None else (w.omega1, w.omega2, *mode_scalars(w))
-    return dict(zip(names, plan(_row_kernel, names)(p, scalars)))
+    if branch == "L4":
+        return dict(zip(names, plan(_row_kernel, names)(p, scalars)))
+    return reflect(dict(zip(names, plan(_row_kernel, names)(p.mirror, scalars))))
 
 
 def _row_kernel(names: tuple):
@@ -322,23 +334,14 @@ def reflect(values: dict) -> dict:
     return {name: -v if name in MIRROR_ODD else v for name, v in values.items()}
 
 
-def on_branch(p: ModelParams, branch: str):
-    """``(q, read)``: the parameters to evaluate the printed rows at for
-    `branch` at p, and the map that reads their values on it (MIRROR_ODD).
-    On L5, q is `p.mirror`, made once per p."""
-    if branch == "L4":
-        return p, dict
-    return p.mirror, reflect
+def j_closed_form(p: ModelParams, w: FrequencyPair, branch: str = "L4") -> dict:
+    """The six printed J entries on `branch`, by name."""
+    return printed(J_ENTRIES, p, w, branch)
 
 
-def j_closed_form(p: ModelParams, w: FrequencyPair) -> dict:
-    """The six printed J entries, by name."""
-    return printed(J_ENTRIES, p, w)
-
-
-def fg_tables(p: ModelParams) -> dict:
-    """The 24 printed F/G entries, by name."""
-    return printed(FG_ENTRIES, p)
+def fg_tables(p: ModelParams, branch: str = "L4") -> dict:
+    """The 24 printed F/G entries on `branch`, by name."""
+    return printed(FG_ENTRIES, p, branch=branch)
 
 
 def b1y_print(nm) -> DAlembertSeries:
@@ -367,11 +370,15 @@ RS_NAMES = tuple(f"{table}{i}" for table in "rs" for i in range(1, 11))
 
 
 def rs_tables(j: dict, w: FrequencyPair, fg: dict,
-              floor: float = DIVISOR_FLOOR) -> dict:
+              floor: float = DIVISOR_FLOOR, branch: str = "L4") -> dict:
     """r1..r10 per the printed formulas and s1..s10 by the F -> G
-    substitution, by name, from the J and F/G entries by name.  The five
-    divisors are checked, and the frequency powers, prefactors and J
-    brackets the two tables share formed, once."""
+    substitution, by name, from the J and F/G entries on `branch` by name;
+    on L5 the L4 formulas run on J reflected back and their values are
+    reflected.  The five divisors are checked, and the frequency powers,
+    prefactors and J brackets the two tables share formed, once."""
+    if branch == "L5":
+        return reflect(rs_tables(reflect(j), w, fg, floor))
+    check_branch(branch)
     w1, w2 = w.omega1, w.omega2
     w1sq, w2sq = w1**2, w2**2
     for name, value in (

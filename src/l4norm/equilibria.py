@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .closedforms import on_branch, printed
+from .closedforms import check_branch, printed
 from .errors import ConvergenceError, ParameterError, SingularJacobianError
 from .model import SQRT3, ModelParams, _radii
 
@@ -36,8 +36,7 @@ class EquilibriumPoint:
     residual: float      # max |Ux|, |Uy| at rest
 
     def __post_init__(self):
-        if self.branch not in ("L4", "L5"):
-            raise ParameterError(f"branch must be L4 or L5, got {self.branch}")
+        check_branch(self.branch)
 
 
 @dataclass(frozen=True)
@@ -170,19 +169,17 @@ def triangular_series(p: ModelParams, branch: str = "L4") -> EquilibriumPoint:
 
 
 def epsilon_form(p: ModelParams, branch: str = "L4") -> EquilibriumPoint:
-    """gamma/epsilon/A2/W1 expansion of the equilibrium, evaluated verbatim;
-    on L5 as the mirror of L4 (`closedforms.on_branch`)."""
-    q, read = on_branch(p, branch)
-    v = read(printed(("x", "y"), q))
+    """gamma/epsilon/A2/W1 expansion of the equilibrium on `branch`, verbatim."""
+    v = printed(("x", "y"), p, branch=branch)
     x, y = v["x"], v["y"]
     return EquilibriumPoint(x, y, branch, "epsilon-form", residual_at(x, y, p))
 
 
-def offset_ab(p: ModelParams) -> OriginShift:
-    """Origin-shift pair (a, b) from the printed series, evaluated verbatim.
+def offset_ab(p: ModelParams, branch: str = "L4") -> OriginShift:
+    """Origin-shift pair (a, b) on `branch` from the printed series, verbatim.
 
     The printed a-series lacks the leading constant inside its braces, so
     a evaluates to 0 at zero perturbations instead of x* + mu = 1/2
     (erratum ``offset.a``); adding 1/2 gives x(epsilon-form) + mu.
     """
-    return OriginShift(**printed(("a", "b"), p))
+    return OriginShift(**printed(("a", "b"), p, branch=branch))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .closedforms import on_branch, printed
+from .closedforms import printed
 from .equilibria import OriginShift
 from .errors import ContractError, ParameterError
 from .layout import KernelSource, Layout, Store, intern, plan, pruned, sliced
@@ -351,18 +351,17 @@ def _homogeneous(layout: Layout, degree: int) -> bool:
     return all(sum(m) == degree for m in layout.keys)
 
 
-def t_coefficients_closed_form(p: ModelParams, shift: OriginShift) -> dict:
-    """The printed cubic as name -> value: the T1..T4 series and both
-    readings of the drag cubic T5 assembled from (a, b), as polynomials.
-    T1..T4 are read on the pivot's branch: below the axis, as the mirror of
-    L4 (`closedforms.on_branch`).
+def t_coefficients_closed_form(p: ModelParams, shift: OriginShift,
+                               branch: str = "L4") -> dict:
+    """The printed cubic as name -> value: the T1..T4 series on `branch`
+    (`closedforms.printed`) and both readings of the drag cubic T5
+    assembled from the pivot (a, b), as polynomials.
 
     `T5_print` keeps the inhomogeneous first brace term of the printed T5
     (degree 2, which truncation then discards); `T5` squares it, the only
     reading that makes T5 a degree-3 form (erratum ``t5-linear-brace``).
     """
-    q, read = on_branch(p, "L5" if shift.b < 0.0 else "L4")
-    cubic = read(printed(("T1", "T2", "T3", "T4"), q))
+    cubic = printed(("T1", "T2", "T3", "T4"), p, branch=branch)
     cubic["T5"], cubic["T5_print"] = _t5_polys(p, shift)
     return cubic
 

@@ -215,8 +215,6 @@ def report_audit(res: PipelineResult) -> Audit:
     b2 on ``b2.*`` and ``b2.sup``.  Raises where a printed series has no
     value; the result stays valid."""
     p, branch = res.params, res.options.branch
-    # the printed rows are L4's: on L5 they are read as its mirror
-    q, read = closedforms.on_branch(p, branch)
     out = Audit(eq_series=equilibria.triangular_series(p, branch),
                 eq_epsform=equilibria.epsilon_form(p, branch))
     gaps = out.gaps
@@ -225,16 +223,15 @@ def report_audit(res: PipelineResult) -> Audit:
     if res.nm is None:
         return out
 
-    j_closed = closedforms.j_closed_form(q, res.freq)
-    out.j_closed = read(j_closed)
+    out.j_closed = closedforms.j_closed_form(p, res.freq, branch)
     for name in closedforms.J_ENTRIES:
         gaps[f"j.{name}"] = abs(out.j_closed[name] - getattr(res.nm, name))
     if res.b2 is None:
         return out
 
-    out.rs = read(closedforms.rs_tables(j_closed, res.freq,
-                                        closedforms.fg_tables(q),
-                                        floor=res.options.divisor_floor))
+    out.rs = closedforms.rs_tables(out.j_closed, res.freq,
+                                   closedforms.fg_tables(p, branch),
+                                   res.options.divisor_floor, branch)
     out.rs_oracle = oracle_rs_from_series(res.b2.b2x, res.b2.b2y)
     for name in RS_NAMES:
         gaps[f"b2.{name}"] = abs(out.rs[name] - out.rs_oracle[name])
@@ -249,11 +246,10 @@ def audit(res: PipelineResult) -> Audit:
     ``forcing.partial_only``.  None of these raises on a result whose
     stages passed, as their divisors are the chain's own."""
     out = report_audit(res)
-    p, gaps = res.params, out.gaps
-    q, read = closedforms.on_branch(p, res.options.branch)
-    printed_shift = read(vars(equilibria.offset_ab(q)))
-    gaps["offset.a"] = abs(printed_shift["a"] - res.shift.a)
-    gaps["offset.b"] = abs(printed_shift["b"] - res.shift.b)
+    p, branch, gaps = res.params, res.options.branch, out.gaps
+    printed_shift = equilibria.offset_ab(p, branch)
+    gaps["offset.a"] = abs(printed_shift.a - res.shift.a)
+    gaps["offset.b"] = abs(printed_shift.b - res.shift.b)
     if res.lagrangian_poly is None:
         return out
 
@@ -261,7 +257,7 @@ def audit(res: PipelineResult) -> Audit:
     if lagrangian.cap < 3:
         # a chain stopped before b2 expanded only the quadratic part
         lagrangian = polyalg.taylor_lagrangian(p, res.shift, 3)
-    closed = polyalg.t_coefficients_closed_form(p, res.shift)
+    closed = polyalg.t_coefficients_closed_form(p, res.shift, branch)
     for name, gap in polyalg.compare_h3(lagrangian.grade(3), closed).items():
         gaps[f"cubic.{name}"] = gap
     if res.nm is None:

@@ -674,16 +674,15 @@ def audit_gaps_eagerly(res) -> dict:
     """Every gap `l4norm.verify.audit` holds for this result, by key, in
     stage order: each stage's printed forms and their gaps at once."""
     p, branch = res.params, res.options.branch
-    q, read = closedforms.on_branch(p, branch)
     gaps = {}
     point_gap = verify._point_gap
     gaps["equilibria.series"] = point_gap(
         res.eq_numeric, equilibria.triangular_series(p, branch))
     gaps["equilibria.epsilon_form"] = point_gap(
         res.eq_numeric, equilibria.epsilon_form(p, branch))
-    printed_shift = read(vars(equilibria.offset_ab(q)))
-    gaps["offset.a"] = abs(printed_shift["a"] - res.shift.a)
-    gaps["offset.b"] = abs(printed_shift["b"] - res.shift.b)
+    printed_shift = equilibria.offset_ab(p, branch)
+    gaps["offset.a"] = abs(printed_shift.a - res.shift.a)
+    gaps["offset.b"] = abs(printed_shift.b - res.shift.b)
     lagrangian = res.lagrangian_poly
     if lagrangian is None:
         return gaps
@@ -692,22 +691,21 @@ def audit_gaps_eagerly(res) -> dict:
         lagrangian = polyalg.taylor_lagrangian(p, res.shift, 3)
     for name, gap in polyalg.compare_h3(
             lagrangian.grade(3),
-            polyalg.t_coefficients_closed_form(p, res.shift)).items():
+            polyalg.t_coefficients_closed_form(p, res.shift, branch)).items():
         gaps[f"cubic.{name}"] = gap
     if res.nm is None:
         return gaps
 
-    j_closed = closedforms.j_closed_form(q, res.freq)
-    j_read = read(j_closed)
+    j_closed = closedforms.j_closed_form(p, res.freq, branch)
     for name in closedforms.J_ENTRIES:
-        gaps[f"j.{name}"] = abs(j_read[name] - getattr(res.nm, name))
+        gaps[f"j.{name}"] = abs(j_closed[name] - getattr(res.nm, name))
     gaps["b1.print_weights"] = normalform.linear_residual(
         res.b1[0], closedforms.b1y_print(res.nm), res.efg, res.freq, p.n)
     if res.b2 is None:
         return gaps
 
-    rs = read(closedforms.rs_tables(j_closed, res.freq, closedforms.fg_tables(q),
-                                    floor=res.options.divisor_floor))
+    rs = closedforms.rs_tables(j_closed, res.freq, closedforms.fg_tables(p, branch),
+                               res.options.divisor_floor, branch)
     rs_oracle = verify.oracle_rs_from_series(res.b2.b2x, res.b2.b2y)
     for name in closedforms.RS_NAMES:
         gaps[f"b2.{name}"] = abs(rs[name] - rs_oracle[name])

@@ -89,6 +89,10 @@ class TestConfig:
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    def test_branch_takes_the_printed_readers_names(self, capsys):
+        assert run_cli(capsys, "verify", "--mu", "0.01", "--branch", "L6") == (
+            EXIT_CONFIG, "", "error: branch: must be L4 or L5, got 'L6'\n")
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("mu=0.01\nwhatever=3\n")

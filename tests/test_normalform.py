@@ -624,13 +624,14 @@ class TestClosedFormTables:
                              q1=1.0 - rng.uniform(0.0, 0.01),
                              A2=rng.uniform(0.0, 0.005) * (i % 3 - 1),
                              cd=rng.uniform(1.0, 100.0) if i % 2 else math.inf))
-            q = closedforms.on_branch(p, branch)[0]
             w = linear_stage(p, branch)[4]
             names = tuple(name for name in ROWS if not name.startswith("J"))
             for names, freq in ((tuple(ROWS), w), (names, None),
                                 (("T4", "x", "F1pp"), None)):
-                values, reference = printed(names, q, freq), printed_by_groups(
-                    names, q, freq)
+                values = printed(names, p, freq, branch)
+                reference = (printed_by_groups(names, p, freq) if branch == "L4"
+                             else closedforms.reflect(printed_by_groups(
+                                 names, p.mirror, freq)))
                 assert list(values) == list(names)
                 for name in names:
                     assert values[name] == reference[name], name

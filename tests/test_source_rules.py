@@ -1,6 +1,7 @@
 """Rules on the package's source, read with `ast`: every import is read
-but the benchmark's hooks, one module owns the collision guard, and one
-emitter writes, binds and compiles every generated kernel.
+but the benchmark's hooks, one module owns the collision guard, one the
+L5 reading of the printed rows, and one emitter writes, binds and
+compiles every generated kernel.
 
 No linter ships with the test tools, so the first test stands in for
 pyflakes' F401: a name that moves into generated source leaves its
@@ -88,14 +89,30 @@ def test_noqa_imports_are_benchmark_hooks(monkeypatch):
     assert marked - hooked == set()
 
 
+def naming(names) -> set:
+    """The modules that name any of `names`: as a name, an attribute read
+    off another object, or an import."""
+    def named(path):
+        tree = parse(path)
+        return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+                | {node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)}
+                | {name for _, name, _ in imported_names(path)})
+
+    return {path.stem for path in MODULES if set(names) & named(path)}
+
+
 def test_one_collision_guard():
     # `model._radii` owns the guard: no other module reads its radius or
     # imports its error
-    guard = {"COLLISION_RADIUS", "CollisionError"}
-    readers = {path.stem for path in MODULES if guard & (
-        {node.id for node in ast.walk(parse(path)) if isinstance(node, ast.Name)}
-        | {name for _, name, _ in imported_names(path)})}
-    assert readers == {"model"}
+    assert naming({"COLLISION_RADIUS", "CollisionError"}) == {"model"}
+
+
+def test_one_reading_of_the_printed_rows_on_l5():
+    # the rows are printed for L4; `closedforms` alone reads them on L5, so
+    # no other module builds the mirror parameters or negates an entry
+    assert naming({"reflect", "MIRROR_ODD", "on_branch", "mirror"}) == {
+        "closedforms"}
 
 
 def calls(tree):

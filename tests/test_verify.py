@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from l4norm import closedforms, equilibria, layout, normalform, verify
-from l4norm.closedforms import J_ENTRIES, MIRROR_ODD, RS_SLOTS, on_branch, reflect
+from l4norm.closedforms import J_ENTRIES, MIRROR_ODD, RS_SLOTS, printed, reflect
 from l4norm.dalembert import DAlembertSeries, apply_D
 from l4norm.errata import KNOWN_DISCREPANCIES, is_registered
 from l4norm.errors import L4NormError, ParameterError, ResonanceError
@@ -232,9 +232,8 @@ class TestMirror:
         rng = random.Random(23 + request.param)
         p = ModelParams(mu=rng.uniform(0.001, 0.037), q1=1.0 - rng.uniform(0.0, 0.01),
                         A2=rng.uniform(0.0, 0.005), cd=rng.uniform(5.0, 100.0))
-        q, read = on_branch(p, "L5")
+        q = p.mirror
         assert (q.mu, q.epsilon, q.A2, q.W1) == (p.mu, p.epsilon, p.A2, -p.W1)
-        assert read is reflect and on_branch(p, "L4")[0] is p
         return (run_pipeline(p, PipelineOptions(branch="L5"), stages=("b2",)),
                 run_pipeline(q, PipelineOptions(branch="L4"), stages=("b2",)))
 
@@ -255,6 +254,19 @@ class TestMirror:
         assert l5.eq_epsform.residual == l4.eq_epsform.residual
         assert {key: l5.gaps[key] for key in GATING_KEYS} == {
             key: l4.gaps[key] for key in GATING_KEYS}
+
+
+@pytest.mark.parametrize("branch", ["l5", "L6", ""])
+def test_printed_rows_read_only_the_two_branches(branch):
+    # every name but L4 used to read as L5; the printed readers now refuse
+    # it with the words the equilibrium point uses
+    p = ModelParams(mu=0.01, q1=0.999, cd=20.0)
+    message = f"^branch must be L4 or L5, got {branch}$"
+    for read in (lambda: closedforms.printed(("x", "y"), p, branch=branch),
+                 lambda: equilibria.epsilon_form(p, branch),
+                 lambda: equilibria.EquilibriumPoint(0.5, 0.8, branch, "point", 0.0)):
+        with pytest.raises(ParameterError, match=message):
+            read()
 
 
 class TestChainStoppedAtB1:
@@ -833,4 +845,19 @@ def test_one_l5_mirror_per_audit(monkeypatch):
     audit(res)
     assert made == [(p.mu, p.epsilon, p.A2, -p.W1)]
     audit(res)
-    assert len(made) == 1 and on_branch(p, "L5")[0] is p.mirror
+    assert p.mirror.W1 == -p.W1 and len(made) == 1
+
+
+def test_wrong_side_root_reads_the_cubic_on_the_options_branch():
+    # Newton from the L4 seed reaches the root below the axis here, and
+    # every gate passes; the audit still reads the printed cubic on the
+    # options' branch, as it reads every other printed row
+    p = ModelParams(mu=0.0014963148361835633, q1=1.0 - 0.008553474090590698,
+                    A2=7.443163613939597e-05, cd=4.162845601367141)
+    res = run_pipeline(p, PipelineOptions(branch="L4"))
+    assert res.shift.b < 0.0 and all(res.gates().values())
+    oracle = oracle_t_coefficients(res.lagrangian_poly.grade(3))
+    l4 = printed(("T1", "T2", "T3", "T4"), p)
+    gaps = audit(res).gaps
+    assert {name: gaps[f"cubic.{name}"] for name in l4} == {
+        name: abs(value - oracle[name]) for name, value in l4.items()}
