@@ -19,7 +19,7 @@ from .equilibria import (
     solve_triangular_numeric,
     triangular_series,
 )
-from .model import ModelParams, State
+from .model import ModelParams
 from .normalform import NormalModeData, frequencies, j_numeric
 from .polyalg import TruncatedPoly, taylor_lagrangian
 from .verify import PipelineOptions, run_pipeline
@@ -34,7 +34,6 @@ __all__ = [
     "NormalModeData",
     "OriginShift",
     "PipelineOptions",
-    "State",
     "TruncatedPoly",
     "epsilon_form",
     "frequencies",

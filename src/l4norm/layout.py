@@ -118,12 +118,6 @@ def sum_plan(left: Layout, right: Layout):
     return out, shared, new
 
 
-def _add_negated(x, y):
-    """``x - y`` as a sum: where a complex value meets a real one, ``x - y``
-    can give a zero imaginary part the other sign."""
-    return x + -y
-
-
 def _sup(value) -> float:  # max(|real|, |imag|) without calling `max`
     re, im = abs(value.real), abs(value.imag)
     return im if im > re else re
@@ -146,9 +140,6 @@ class Store:
 
     def __add__(self, other):
         return self._merge(other, operator.add)
-
-    def __sub__(self, other):
-        return self._merge(other, _add_negated)
 
     def _merge(self, other, op):
         """``op`` (a sum, or a sum with the negation) of the two stores

@@ -105,20 +105,6 @@ class ModelParams:
                                                -self.W1)
 
 
-@dataclass(frozen=True)
-class State:
-    """Rotating-frame position and velocity."""
-
-    x: float
-    y: float
-    xdot: float = 0.0
-    ydot: float = 0.0
-
-    def radii(self, p: ModelParams):
-        """Distances to the radiating and oblate primaries, collision-guarded."""
-        return _radii(self.x, self.y, p)
-
-
 def _radii(x: float, y: float, p: ModelParams):
     """(r1, r2), or `CollisionError` naming the primary within
     `COLLISION_RADIUS`: the one collision guard of the package."""
@@ -136,24 +122,15 @@ def _potential(x: float, y: float, r1: float, r2: float, p: ModelParams) -> floa
             + p.mu / r2 + 0.5 * p.mu * p.A2 / r2**3)
 
 
-def effective_potential(s: State, p: ModelParams) -> float:
-    """U1 = n^2 (x^2+y^2)/2 + (1-mu) q1 / r1 + mu / r2 + mu A2 / (2 r2^3)."""
-    return _potential(s.x, s.y, *s.radii(p), p)
-
-
-def lagrangian(s: State, p: ModelParams) -> float:
-    """Lagrangian including the gauge and angle terms of the drag.
+def _lagrangian(x: float, y: float, xdot: float, ydot: float,
+                p: ModelParams) -> float:
+    """The Lagrangian including the gauge and angle terms of the drag, with
+    one radii computation.
 
     The drag enters as W1*[((x+mu)*xdot + y*ydot)/(2 r1^2) - n*atan2(y, x+mu)];
     the two-argument angle keeps the term continuous away from the radiating
     primary itself.
     """
-    return _lagrangian(s.x, s.y, s.xdot, s.ydot, p)
-
-
-def _lagrangian(x: float, y: float, xdot: float, ydot: float,
-                p: ModelParams) -> float:
-    """:func:`lagrangian` on plain floats, with one radii computation."""
     r1, r2 = _radii(x, y, p)
     x1 = x + p.mu
     kinetic = 0.5 * (xdot**2 + ydot**2)

@@ -51,8 +51,39 @@ from l4norm.dalembert import (DIVISOR_FLOOR, MOSER_PAIRS, DAlembertSeries,
 from l4norm.equilibria import OriginShift
 from l4norm.errors import ContractError, StabilityDomainError
 from l4norm.layout import KernelSource
-from l4norm.model import ModelParams, State, lagrangian
+from l4norm.model import ModelParams, _lagrangian, _potential, _radii
 from l4norm.polyalg import TruncatedPoly, _mul2
+
+
+@dataclass(frozen=True)
+class State:
+    """Rotating-frame position and velocity."""
+
+    x: float
+    y: float
+    xdot: float = 0.0
+    ydot: float = 0.0
+
+    def radii(self, p: ModelParams):
+        """Distances to the radiating and oblate primaries, collision-guarded."""
+        return _radii(self.x, self.y, p)
+
+
+def effective_potential(s: State, p: ModelParams) -> float:
+    """U1 = n^2 (x^2+y^2)/2 + (1-mu) q1 / r1 + mu / r2 + mu A2 / (2 r2^3)."""
+    return _potential(s.x, s.y, *s.radii(p), p)
+
+
+def lagrangian(s: State, p: ModelParams) -> float:
+    """The package's Lagrangian (`l4norm.model._lagrangian`) along a state."""
+    return _lagrangian(s.x, s.y, s.xdot, s.ydot, p)
+
+
+def difference(a, b):
+    """``a - b`` for two d'Alembert series, along their sum plan as a sum
+    with the negation: where a complex value meets a real one, ``x - y``
+    can give a zero imaginary part the other sign."""
+    return a._merge(b, lambda x, y: x + -y)
 
 
 @dataclass(frozen=True)
@@ -112,7 +143,7 @@ def eom_rhs(s: State, p: ModelParams):
 
 def lagrangian_rhs(s: State, p: ModelParams):
     """Accelerations (xddot, yddot) of the Euler-Lagrange equations of
-    `l4norm.model.lagrangian`: Coriolis, the potential gradient and the
+    `lagrangian`: Coriolis, the potential gradient and the
     angle term's force W1 n (y, -(x+mu))/r1^2."""
     ux, uy = potential_gradient(s, p)
     r1, _ = s.radii(p)
@@ -351,7 +382,8 @@ def forcing_by_ops(l3: TruncatedPoly, b1x, b1y, w):
     rows = substitution_rows(normalform._forcing_polys(l3.layout), 3,
                              [a.layout for a in args])
     x2p, y2p, vx, vy, cubic = substitute_by_rows(rows, l3.values, args)
-    return (x2p - apply_D(vx, w), y2p - apply_D(vy, w)), (x2p, y2p), cubic
+    return ((difference(x2p, apply_D(vx, w)), difference(y2p, apply_D(vy, w))),
+            (x2p, y2p), cubic)
 
 
 def second_order_by_ops(efg, w, n, x2, y2, floor=DIVISOR_FLOOR):
@@ -383,7 +415,7 @@ def h3_by_ops(cubic, l2: TruncatedPoly, b1, b2, w):
     h2_form = DAlembertSeries({(2, 0, 0, 0): (w.omega1, 0.0),
                                (0, 2, 0, 0): (-w.omega2, 0.0)})
     return normalform.H3NormalCoefficients(
-        total.degree_slice(3), (total.degree_slice(2) - h2_form).max_abs())
+        total.degree_slice(3), difference(total.degree_slice(2), h2_form).max_abs())
 
 
 # -- Taylor expansion by series composition ----------------------------
@@ -495,7 +527,7 @@ def taylor_by_composition(p: ModelParams, shift: OriginShift,
     y_abs = b + eta
 
     kinetic = 0.5 * (xid * xid + etad * etad)
-    coriolis = n * (x_abs * etad - xid * y_abs)
+    coriolis = n * (x_abs * etad + -(xid * y_abs))
     centrifugal = 0.5 * (n * n) * (x_abs * x_abs + y_abs * y_abs)
     gravity = ((1.0 - p.mu) * p.q1) * inv_r1 + p.mu * inv_r2 \
         + (0.5 * p.mu * p.A2) * inv_r2cubed
@@ -506,7 +538,7 @@ def taylor_by_composition(p: ModelParams, shift: OriginShift,
         z = (xi + eta * 1j) * (1.0 / (a + b * 1j))
         angle = imag_part(log1p_series(z)) + math.atan2(b, a)
         radial = ((a + xi) * xid + (b + eta) * etad) * inv_r1sq
-        total = total + p.W1 * (0.5 * radial - n * angle)
+        total = total + p.W1 * (0.5 * radial + -(n * angle))
 
     # Constant term must reproduce the pointwise Lagrangian; a mismatch means
     # a composition bug, so it is asserted rather than reported.
@@ -592,12 +624,12 @@ def t5_by_products(p: ModelParams, shift: OriginShift) -> tuple:
     xid = variable(2, cap)
     etad = variable(3, cap)
     u = a * xi + b * eta
-    w = b * xi - a * eta
+    w = b * xi + -(a * eta)
     udot = a * xid + b * etad
     ww = w * w
     tail = 2.0 * (xi * xid + eta * etad) * u * rho2
     factor = p.W1 / (2.0 * rho2**3)
-    return tuple(((udot * (brace - ww) - tail) * factor).grade(3)
+    return tuple(((udot * (brace + -ww) + -tail) * factor).grade(3)
                  for brace in (3.0 * (u * u), 3.0 * u))
 
 

@@ -17,10 +17,10 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from l4norm.dalembert import apply_D
-from l4norm.model import ModelParams, State
+from l4norm.model import ModelParams
 from l4norm.verify import PipelineOptions, run_pipeline
 
-from oracles import eom_rhs, lagrangian_rhs, series_value
+from oracles import State, eom_rhs, lagrangian_rhs, series_value
 
 ACTIONS = (1e-6, 2.5e-7, 6.25e-8)
 PHASES = (0.3, 1.1)

@@ -7,14 +7,10 @@ from scipy.integrate import solve_ivp
 
 import l4norm
 from l4norm.errors import CollisionError, ParameterError
-from l4norm.model import (
-    ModelParams,
-    State,
-    effective_potential,
-    lagrangian,
-)
+from l4norm.model import ModelParams
 
-from oracles import eom_rhs, hamiltonian, momenta, potential_gradient
+from oracles import (State, effective_potential, eom_rhs, hamiltonian, lagrangian,
+                     momenta, potential_gradient)
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 

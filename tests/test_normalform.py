@@ -61,7 +61,7 @@ from l4norm.polyalg import (
     taylor_lagrangian,
 )
 
-from oracles import (hessian_by_loops, j_by_mode_vectors, mode_columns_by_lists,
+from oracles import (difference, hessian_by_loops, j_by_mode_vectors, mode_columns_by_lists,
                      operator_by_composition, polynomial_rows, printed_by_groups,
                      row_as_written, substitute_by_kernel, substitute_by_rows,
                      substitute_pairwise, variable)
@@ -227,7 +227,7 @@ class TestJNumeric:
                                      c=nm.J[2][2] * sq1)
               + DAlembertSeries.single(0, 1, 0, 1, s=nm.J[2][1] * iq2,
                                        c=nm.J[2][3] * sq2))
-        vx_from_p = px - b1x.scale(C[0][0]) - b1y.scale(C[0][1])
+        vx_from_p = difference(difference(px, b1x.scale(C[0][0])), b1y.scale(C[0][1]))
         assert vx.norm_of_difference(vx_from_p) < 1e-12
 
 
@@ -473,7 +473,7 @@ class TestForcing:
         eta = variable(1, 3)
         xid = variable(2, 3)
         etad = variable(3, 3)
-        f3 = xi * xi * eta - 2.0 * (eta * eta * eta)
+        f3 = xi * xi * eta + -2.0 * (eta * eta * eta)
         gauge = f3.partial(0) * xid + f3.partial(1) * etad
         l3 = self.lag.grade(3)
         (x2a, y2a), _, _ = forcing_x2y2(l3, self.b1[0], self.b1[1], self.w)
@@ -487,7 +487,7 @@ def back_substitution(sol, x2, y2, efg, w, n):
     """The B2 residual pair formed eagerly: the linearized equations at
     (B2x, B2y) as composed series, minus the forcing as series."""
     rx, ry = operator_by_composition(linear_operator(efg, n), sol.b2x, sol.b2y, w)
-    return (rx - x2).max_abs(), (ry - y2).max_abs()
+    return difference(rx, x2).max_abs(), difference(ry, y2).max_abs()
 
 
 class TestSecondOrderOracle:
@@ -833,8 +833,8 @@ class TestSubstitutionKernel:
                 == list(map(_bits, (dx, dy, dvx, dvy, energy))))
         (x2, y2), (x2p, y2p), cubic = forcing_x2y2(l3, b1x, b1y, w)
         assert _bits(x2p) == _bits(dx) and _bits(y2p) == _bits(dy)
-        assert _bits(x2) == _bits(dx - apply_D(dvx, w))
-        assert _bits(y2) == _bits(dy - apply_D(dvy, w))
+        assert _bits(x2) == _bits(difference(dx, apply_D(dvx, w)))
+        assert _bits(y2) == _bits(difference(dy, apply_D(dvy, w)))
         assert _bits(cubic) == _bits(energy)
         if not chain.params.W1:
             assert l3.partial(2).values == l3.partial(3).values == []

@@ -17,7 +17,7 @@ from l4norm.errata import KNOWN_DISCREPANCIES
 from l4norm.errors import (CollisionError, ContractError, ConvergenceError,
                            ParameterError)
 from l4norm.layout import plan
-from l4norm.model import COLLISION_RADIUS, ModelParams, State, lagrangian
+from l4norm.model import COLLISION_RADIUS, ModelParams
 from l4norm.polyalg import (
     TruncatedPoly,
     compare_h3,
@@ -28,13 +28,16 @@ from l4norm.polyalg import (
 )
 
 from oracles import (
+    State,
     _powers,
     binomial_series,
     classical_cubic_symbolic,
     eom_rhs,
+    effective_potential,
     evaluate,
     hamiltonian,
     imag_part,
+    lagrangian,
     momenta,
     position_part,
     t5_by_products,
@@ -50,7 +53,7 @@ def energy_poly(lag: TruncatedPoly) -> TruncatedPoly:
     """sum_v v dL/dv - L: the energy function of a Lagrangian polynomial."""
     xid = variable(2, lag.cap)
     etad = variable(3, lag.cap)
-    return xid * lag.partial(2) + etad * lag.partial(3) - lag
+    return xid * lag.partial(2) + etad * lag.partial(3) + -lag
 
 
 small = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False,
@@ -68,8 +71,8 @@ def all_operations(a, b):
     """Every polynomial-valued operation that builds on stored keys, with
     cancellations that leave exact zeros behind."""
     z = a * 1j + b
-    return [a + b, a + 0.5, 0.5 + a, a - b, a - a,
-            a - a.coefficient((0, 0, 0, 0)), -a, a * b, a * -1.5, a * 0.0,
+    return [a + b, a + 0.5, 0.5 + a, a + -b, a + -a,
+            a + -a.coefficient((0, 0, 0, 0)), -a, a * b, a * -1.5, a * 0.0,
             2.0 * a, a.truncated(1), a.grade(2), a.partial(0),
             a.partial(3), z, imag_part(z), a.velocity_part(),
             position_part(a)]
@@ -163,7 +166,7 @@ class TestProductPlans:
     @settings(max_examples=30, deadline=None)
     @given(poly_strategy(), st.lists(st.floats(-2.0, 0.5), min_size=1, max_size=3))
     def test_binomial_exponents_share_one_power_list(self, poly, alphas):
-        t = poly - poly.coefficient((0, 0, 0, 0))
+        t = poly + -poly.coefficient((0, 0, 0, 0))
         shared = binomial_series(t, *alphas)
         for alpha, series in zip(alphas, shared):
             (alone,) = binomial_series(t, alpha)
@@ -237,8 +240,8 @@ def check_against_reference(a, b, factor=-1.5, value=0.5):
     pairs = [
         (a + b, ref_add(a.cap, da, b.cap, db)),
         (b + a, ref_add(b.cap, db, a.cap, da)),
-        (a - b, ref_add(a.cap, da, b.cap, neg_b)),
-        (a - a, ref_add(a.cap, da, a.cap, neg_a)),
+        (a + -b, ref_add(a.cap, da, b.cap, neg_b)),
+        (a + -a, ref_add(a.cap, da, a.cap, neg_a)),
         (a + value, ref_add_scalar(a, value)), (value + a, ref_add_scalar(a, value)),
         (-a, ref(a.cap, ((m, -c) for m, c in a.coeffs.items()))),
         (a * factor, ref(a.cap, ((m, c * factor) for m, c in a.coeffs.items()))),
@@ -287,7 +290,7 @@ class TestReferenceKernels:
     def test_powers_start_from_t(self, poly, cap):
         # the powers the binomial and log series use, bit for bit as when
         # they were formed from the constant 1
-        t = (poly - poly.coefficient(CONSTANT)).truncated(cap)
+        t = (poly + -poly.coefficient(CONSTANT)).truncated(cap)
         expected, power = [], TruncatedPoly.constant(1.0, t.cap)
         for _ in range(t.cap):
             power = power * t
@@ -336,7 +339,6 @@ class TestTaylorLagrangian:
             (3 * SQRT3 / 4) * p.gamma, abs=1e-11)
 
     def test_classical_hessian_against_finite_differences(self):
-        from l4norm.model import effective_potential
         p = ModelParams(mu=0.01)
         pt = solve_triangular_numeric(p)
         shift = shift_from_point(pt, p)

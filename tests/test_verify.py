@@ -42,8 +42,8 @@ from l4norm.verify import (
     single_perturbation_params,
 )
 
-from oracles import (audit_gaps_eagerly, operator_by_composition, position_part,
-                     t5_by_products)
+from oracles import (audit_gaps_eagerly, difference, operator_by_composition,
+                     position_part, t5_by_products)
 
 
 class TestPipeline:
@@ -359,7 +359,7 @@ class TestLazySecondOrderResiduals:
         assert len(calls) == 1
         rx, ry = operator_by_composition(normalform.linear_operator(res.efg, p.n),
                                          res.b2.b2x, res.b2.b2y, res.freq)
-        eager = ((rx - res.x2).max_abs(), (ry - res.y2).max_abs())
+        eager = (difference(rx, res.x2).max_abs(), difference(ry, res.y2).max_abs())
         assert _hex(res.b2_residuals) == _hex(eager)
         assert res.gates()["b2-residual"] and res.gates() == res.gates()
         assert len(calls) == 2
@@ -508,9 +508,10 @@ def h3_by_hand(l3, b1, b2, efg, w, n):
     vx, vy = apply_D(bx, w), apply_D(by, w)
     cap, n2 = 3, n * n
     k00, k01, k11 = n2 - 2.0 * efg.E, -efg.G, n2 - 2.0 * efg.F
-    h2_sub = (vx.mul(vx, cap) + vy.mul(vy, cap)).scale(0.5) \
-        - bx.mul(bx, cap).scale(0.5 * k00) - bx.mul(by, cap).scale(k01) \
-        - by.mul(by, cap).scale(0.5 * k11)
+    h2_sub = (vx.mul(vx, cap) + vy.mul(vy, cap)).scale(0.5)
+    for term in (bx.mul(bx, cap).scale(0.5 * k00), bx.mul(by, cap).scale(k01),
+                 by.mul(by, cap).scale(0.5 * k11)):
+        h2_sub = difference(h2_sub, term)
     return h3_coefficients(
         h2_sub + poly_at_series(-position_part(l3), bx, by, vx, vy, cap), w)
 
@@ -615,8 +616,8 @@ class TestH3Substitution:
         x2p, y2p = res.position_forcing
         assert x2p.terms == sub(l3.partial(0)).terms
         assert y2p.terms == sub(l3.partial(1)).terms
-        assert res.x2.terms == (x2p - apply_D(sub(l3.partial(2)), w)).terms
-        assert res.y2.terms == (y2p - apply_D(sub(l3.partial(3)), w)).terms
+        assert res.x2.terms == difference(x2p, apply_D(sub(l3.partial(2)), w)).terms
+        assert res.y2.terms == difference(y2p, apply_D(sub(l3.partial(3)), w)).terms
 
     def test_cubic_at_b1_is_formed_at_the_b2_stage(self, res):
         # The b2 stage is where B1 meets the cubic: a chain stopped there
