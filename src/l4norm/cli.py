@@ -12,7 +12,6 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 
 from . import verify
 from .closedforms import BRANCHES
@@ -28,8 +27,10 @@ EXIT_GATE = 3
 EXIT_PIPELINE = 4
 
 
-@dataclass
 class RunConfig:
+    """A run's settings: the keys of `SETTINGS` and the tolerance
+    overrides `tol`, by `verify.TOLERANCES` name."""
+
     mu: float | None = None
     q1: float | None = None
     epsilon: float | None = None
@@ -39,7 +40,17 @@ class RunConfig:
     stages: tuple = verify.STAGES
     out: str | None = None
     format: str = "report"
-    tol: dict = field(default_factory=dict)
+
+    def __init__(self, **settings):
+        unknown = settings.keys() - SETTINGS.keys()
+        if unknown:
+            raise TypeError(f"unknown settings {sorted(unknown)}")
+        vars(self).update(settings)
+        self.tol = {}
+
+    def __eq__(self, other):
+        return type(other) is RunConfig and all(
+            getattr(self, key) == getattr(other, key) for key in (*SETTINGS, "tol"))
 
     def params(self, mu: float | None = None) -> ModelParams:
         """The model parameters, at `mu` in place of the config's if given."""

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ContractError, CriticalTermError, ParameterError, SmallDivisorError
 from .layout import KernelSource, Layout, Store, intern, plan, pruned
@@ -52,20 +52,19 @@ MOSER_PAIRS = tuple((k1, k2) for k1 in range(-4, 5) for k2 in range(-4, 5)
 _MOSER_SCAN = tuple((k1, k2) for k1, k2 in MOSER_PAIRS if (k1, k2) < (-k1, -k2))
 
 
-@dataclass(frozen=True)
-class FrequencyPair:
+class FrequencyPair(namedtuple("FrequencyPair", "omega1 omega2")):
     """Basic frequencies, convention omega1 > omega2 > 0."""
 
-    omega1: float
-    omega2: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.omega1) and math.isfinite(self.omega2)):
+    def __new__(cls, omega1: float, omega2: float):
+        if not (math.isfinite(omega1) and math.isfinite(omega2)):
             raise ParameterError("frequencies must be finite")
-        if not 0.0 < self.omega2 < self.omega1:
+        if not 0.0 < omega2 < omega1:
             raise ParameterError(
-                f"need 0 < omega2 < omega1, got ({self.omega1}, {self.omega2})"
+                f"need 0 < omega2 < omega1, got ({omega1}, {omega2})"
             )
+        return tuple.__new__(cls, (omega1, omega2))
 
     def theta(self, p: int, q: int) -> float:
         return p * self.omega1 - q * self.omega2
@@ -312,14 +311,11 @@ def invert_delta(series: DAlembertSeries, w: FrequencyPair,
     return series._new(series.layout, values)
 
 
-@dataclass(frozen=True)
-class MoserReport:
+class MoserReport(namedtuple("MoserReport", "min_combination worst_pair passed")):
     """Outcome of the non-resonance gate |k1 w1 + k2 w2| > tol for
     0 < |k1| + |k2| <= 4."""
 
-    min_combination: float
-    worst_pair: tuple
-    passed: bool
+    __slots__ = ()
 
 
 def moser_check(w: FrequencyPair, tol: float) -> MoserReport:

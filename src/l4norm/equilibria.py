@@ -17,7 +17,7 @@ Newton's force reads its radii and collision guard from `model._radii`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .closedforms import check_branch, printed
 from .errors import ConvergenceError, ParameterError, SingularJacobianError
@@ -27,25 +27,24 @@ _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 100
 
 
-@dataclass(frozen=True)
-class EquilibriumPoint:
-    x: float
-    y: float
-    branch: str          # "L4" (y > 0) or "L5" (y < 0)
-    method: str          # "numeric" | "series" | "epsilon-form"
-    residual: float      # max |Ux|, |Uy| at rest
+class EquilibriumPoint(namedtuple("EquilibriumPoint", "x y branch method residual")):
+    """A point (x, y) on `branch`, "L4" (y > 0) or "L5" (y < 0), found by
+    `method`, "numeric", "series" or "epsilon-form"; `residual` is max |Ux|,
+    |Uy| at rest there."""
 
-    def __post_init__(self):
-        check_branch(self.branch)
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float, branch: str, method: str,
+                residual: float):
+        check_branch(branch)
+        return tuple.__new__(cls, (x, y, branch, method, residual))
 
 
-@dataclass(frozen=True)
-class OriginShift:
+class OriginShift(namedtuple("OriginShift", "a b")):
     """Offsets a = x* + mu (distance along x from the radiating primary) and
     b = y* of the expansion point."""
 
-    a: float
-    b: float
+    __slots__ = ()
 
 
 def shift_from_point(point: EquilibriumPoint, p: ModelParams) -> OriginShift:

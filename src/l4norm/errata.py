@@ -18,20 +18,19 @@ the acceptance suite fails if a disagreement is detected but unregistered
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 HALVING_LOW = 3.5
 HALVING_HIGH = 4.5
 NOISE_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class RemainderVerdict:
-    quantity: str
-    perturbation: str
-    gap_h: float
-    gap_half: float
-    classification: str  # consistent | first_order | zeroth_order
+class RemainderVerdict(namedtuple(
+        "RemainderVerdict", "quantity perturbation gap_h gap_half classification")):
+    """A halving experiment's gaps and its classification: consistent,
+    first_order or zeroth_order."""
+
+    __slots__ = ()
 
 
 def classify_remainder(quantity: str, perturbation: str, gap_h: float,
@@ -51,15 +50,14 @@ def classify_remainder(quantity: str, perturbation: str, gap_h: float,
     return RemainderVerdict(quantity, perturbation, gap_h, gap_half, cls)
 
 
-@dataclass(frozen=True)
-class Discrepancy:
-    """A registered disagreement between a printed closed form and its oracle."""
+class Discrepancy(namedtuple("Discrepancy", "key perturbation order location note")):
+    """A registered disagreement between a printed closed form and its
+    oracle: `key`, the quantity identifier used by the detectors; the
+    single-perturbation run that exposes it (`perturbation`, "classical" for
+    none); `order`, first_order or zeroth_order; `location`, where the
+    offending term sits; and a `note`."""
 
-    key: str           # quantity identifier used by the detectors
-    perturbation: str  # which single-perturbation run exposes it ("any" = classical)
-    order: str         # first_order | zeroth_order
-    location: str      # where the offending term sits
-    note: str
+    __slots__ = ()
 
 
 # Populated from the verification pipeline's detector output; every entry has

@@ -68,8 +68,7 @@ KERNEL_NAMES = {"atan2": math.atan2, "CriticalTermError": CriticalTermError,
 
 def compiled(source: str, name: str):
     """The function `name` defined by generated `source`, with
-    `KERNEL_NAMES` as its globals, as `dataclasses` and `namedtuple` make
-    theirs; a plan holding one compiles it once."""
+    `KERNEL_NAMES` as its globals; a plan holding one compiles it once."""
     namespace = dict(KERNEL_NAMES)
     exec(compile(source, f"<{name}>", "exec"), namespace)
     return namespace[name]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import CollisionError, ParameterError
 
@@ -31,9 +31,8 @@ SQRT3 = math.sqrt(3.0)
 _SMALLNESS_WARN = 0.1
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Physical and derived parameters of the model.
+class ModelParams(namedtuple("ModelParams", "mu q1 A2 cd epsilon W1 n gamma delta")):
+    """Physical and derived parameters of the model, a named tuple.
 
     Parameters
     ----------
@@ -51,50 +50,38 @@ class ModelParams:
     delta = q1**(1/3).
     """
 
-    mu: float
-    q1: float = 1.0
-    A2: float = 0.0
-    cd: float = 1.0
-    epsilon: float = field(init=False)
-    W1: float = field(init=False)
-    n: float = field(init=False)
-    gamma: float = field(init=False)
-    delta: float = field(init=False)
+    # No __slots__: the cached `mirror` lives in the instance dict.
 
-    def __post_init__(self):
-        if not 0.0 < self.mu <= 0.5:
-            raise ParameterError(f"mu must lie in (0, 1/2], got {self.mu}")
+    def __new__(cls, mu: float, q1: float = 1.0, A2: float = 0.0, cd: float = 1.0):
+        if not 0.0 < mu <= 0.5:
+            raise ParameterError(f"mu must lie in (0, 1/2], got {mu}")
         # Each check is written so that NaN fails it.
-        if not self.q1 <= 1.0:
-            raise ParameterError(f"q1 must not exceed 1, got {self.q1}")
-        if not self.q1 > 0.0:
-            raise ParameterError(f"q1 must be positive, got {self.q1}")
-        if not self.A2 >= 0.0:
-            raise ParameterError(f"A2 must be non-negative, got {self.A2}")
-        if not self.cd > 0.0:
-            raise ParameterError(f"cd must be positive, got {self.cd}")
-        object.__setattr__(self, "epsilon", 1.0 - self.q1)
-        object.__setattr__(self, "W1", (1.0 - self.mu) * (1.0 - self.q1) / self.cd)
-        object.__setattr__(self, "n", math.sqrt(1.0 + 1.5 * self.A2))
-        object.__setattr__(self, "gamma", 1.0 - 2.0 * self.mu)
-        object.__setattr__(self, "delta", self.q1 ** (1.0 / 3.0))
-        for name in ("epsilon", "A2", "W1"):
-            value = getattr(self, name)
+        if not q1 <= 1.0:
+            raise ParameterError(f"q1 must not exceed 1, got {q1}")
+        if not q1 > 0.0:
+            raise ParameterError(f"q1 must be positive, got {q1}")
+        if not A2 >= 0.0:
+            raise ParameterError(f"A2 must be non-negative, got {A2}")
+        if not cd > 0.0:
+            raise ParameterError(f"cd must be positive, got {cd}")
+        epsilon, W1 = 1.0 - q1, (1.0 - mu) * (1.0 - q1) / cd
+        for name, value in (("epsilon", epsilon), ("A2", A2), ("W1", W1)):
             if value > _SMALLNESS_WARN:
                 warnings.warn(
                     f"{name} = {value:.3g} exceeds {_SMALLNESS_WARN}; "
                     "first-order series lose accuracy",
-                    stacklevel=3,
+                    stacklevel=2,
                 )
+        return tuple.__new__(cls, (mu, q1, A2, cd, epsilon, W1,
+                                   math.sqrt(1.0 + 1.5 * A2), 1.0 - 2.0 * mu,
+                                   q1 ** (1.0 / 3.0)))
 
     @classmethod
     def _from_perturbations(cls, mu, epsilon, A2, W1):
         """Parameters with W1 (of either sign) set directly, not through cd,
         which reads nan; q1 = 1 - epsilon."""
-        p = cls(mu=mu, q1=1.0 - epsilon, A2=A2, cd=math.inf)
-        object.__setattr__(p, "W1", W1)
-        object.__setattr__(p, "cd", math.nan)
-        return p
+        return cls(mu=mu, q1=1.0 - epsilon, A2=A2, cd=math.inf)._replace(
+            W1=W1, cd=math.nan)
 
     @functools.cached_property
     def mirror(self) -> ModelParams:

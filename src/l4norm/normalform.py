@@ -32,7 +32,7 @@ import cmath
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .dalembert import (
     CRITICAL_HARMONICS,
@@ -130,20 +130,16 @@ def _grade_norm(j: int, m: int):
     return functools.cached_property(lambda self: self.series.grade(j, m).max_abs())
 
 
-@dataclass(frozen=True)
-class NormalModeData:
+class NormalModeData(namedtuple("NormalModeData", "freq J hessian")):
     """Exact symplectic normal-mode transformation of the quadratic part.
 
     X = J T maps (Q1, Q2, P1, P2) to (x, y, px, py); the transformed
     quadratic Hamiltonian is (P1^2 + w1^2 Q1^2)/2 - (P2^2 + w2^2 Q2^2)/2,
     i.e. w1 I1 - w2 I2 in action-angle form.  `J` and `hessian`, that
     Hamiltonian's Hessian before the transformation, are tuples of their
-    four rows.  The two residuals are formed on first read and kept.
+    four rows.  The two residuals are formed on first read and kept, in the
+    instance dict.
     """
-
-    freq: FrequencyPair
-    J: tuple
-    hessian: tuple
 
     J13 = _entry(0, 2)
     J14 = _entry(0, 3)
@@ -387,16 +383,13 @@ def forcing_x2y2(l3: TruncatedPoly, b1x: DAlembertSeries, b1y: DAlembertSeries,
     return (x2, y2), (x2p, y2p), cubic
 
 
-@dataclass(frozen=True)
-class SecondOrderSolution:
+class SecondOrderSolution(namedtuple("SecondOrderSolution", "b2x b2y scale")):
     """B2, and `scale`, the largest sup norm of X2, Y2, B2x and B2y.  The
     residuals of the coupled system are the chain result's
     (`PipelineResult.b2_residuals`), which holds the operator and the
     forcing."""
 
-    b2x: DAlembertSeries
-    b2y: DAlembertSeries
-    scale: float
+    __slots__ = ()
 
 
 def _solve_kernel(x2: Layout, y2: Layout):
@@ -467,19 +460,17 @@ def solve_second_order_oracle(efg: QuadraticCoefficients, w: FrequencyPair,
 # -- degree-3 energy coefficients ------------------------------------------
 
 
-@dataclass(frozen=True)
-class H3NormalCoefficients:
+class H3NormalCoefficients(namedtuple("H3NormalCoefficients", "series h2_residual")):
     """Sup-norm of each degree-3 action grade of the substituted energy.
 
     The conclusion under test: with B2 from the oracle solve, all four
     vanish (every harmonic of every grade cancels).  The grades A30, A21,
     A12 and A03 are sliced on first read, so a caller that discards the
     result pays nothing for them; every degree-3 key lies in one of them,
-    so `max_abs` reads the whole series and slices none.
+    so `max_abs` reads the whole series and slices none.  `series` is the
+    full degree-3 slice, and `h2_residual` the sup norm of the degree-2
+    slice less w1 I1 - w2 I2; the grades are kept in the instance dict.
     """
-
-    series: DAlembertSeries      # full degree-3 slice
-    h2_residual: float           # degree-2 slice vs w1 I1 - w2 I2
 
     A30 = _grade_norm(3, 0)
     A21 = _grade_norm(2, 1)

@@ -19,7 +19,7 @@ slices and sup norms are those of the d'Alembert series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .closedforms import printed
 from .equilibria import OriginShift
@@ -324,15 +324,12 @@ def taylor_lagrangian(p: ModelParams, shift: OriginShift, degree: int) -> Trunca
     return _polynomial(max(degree, 2), layout, values).truncated(degree)
 
 
-@dataclass(frozen=True)
-class QuadraticCoefficients:
+class QuadraticCoefficients(namedtuple("QuadraticCoefficients", "E F G")):
     """E, F, G of the linearized dynamics, extracted so that
     xddot - 2n ydot + (2E - n^2) x + G y = 0 (and the mirrored equation)
     reproduces the degree-2 Euler-Lagrange equations."""
 
-    E: float
-    F: float
-    G: float
+    __slots__ = ()
 
 
 def extract_EFG(l2: TruncatedPoly, p: ModelParams) -> QuadraticCoefficients:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import closedforms, equilibria, normalform, polyalg
 from .closedforms import RS_NAMES, RS_SLOTS
@@ -32,14 +32,16 @@ from .model import ModelParams
 STAGES = ("equilibria", "taylor", "b1", "b2", "h3")
 
 
-@dataclass(frozen=True)
-class PipelineOptions:
-    branch: str = "L4"
-    divisor_floor: float = DIVISOR_FLOOR
-    moser_tol: float = 1e-3
-    residual_tol: float = 1e-9       # B2 back-substitution gate
-    linear_tol: float = 1e-10        # B1 residual / symplectic / H2-form gates
-    h3_tol_factor: float = 1e-8      # |A| < factor * max intermediate coefficient
+class PipelineOptions(namedtuple(
+        "PipelineOptions",
+        "branch divisor_floor moser_tol residual_tol linear_tol h3_tol_factor",
+        defaults=("L4", DIVISOR_FLOOR, 1e-3, 1e-9, 1e-10, 1e-8))):
+    """The branch and the tolerances of a chain: `residual_tol` gates the B2
+    back-substitution, `linear_tol` the B1 residual and the symplectic and
+    H2-form defects, and `h3_tol_factor` H3 (|A| < factor * the largest
+    intermediate coefficient)."""
+
+    __slots__ = ()
 
 
 # Each tolerance a run may override (`--tol NAME=VALUE`, `tol.NAME=VALUE`)
@@ -53,11 +55,10 @@ TOLERANCES = {
 }
 
 
-@dataclass
 class PipelineResult:
-    params: ModelParams
-    options: PipelineOptions
-    stages: tuple
+    """What `run_pipeline` computed at `params` under `options`, through
+    `stages`; a value of a stage not run stays None."""
+
     eq_numeric: equilibria.EquilibriumPoint | None = None
     shift: equilibria.OriginShift | None = None
     # expanded to degree 3 from the b2 stage on, to degree 2 before it
@@ -78,6 +79,10 @@ class PipelineResult:
     cubic_at_b1: DAlembertSeries | None = None
     b2: normalform.SecondOrderSolution | None = None
     h3: normalform.H3NormalCoefficients | None = None
+
+    def __init__(self, params: ModelParams, options: PipelineOptions,
+                 stages: tuple):
+        self.params, self.options, self.stages = params, options, stages
 
     @functools.cached_property
     def b2_residuals(self) -> tuple:
@@ -195,18 +200,19 @@ def run_pipeline(p: ModelParams, options: PipelineOptions = PipelineOptions(),
 # -- audit of the printed tables -------------------------------------------
 
 
-@dataclass
 class Audit:
     """Printed-table values at one pipeline result and their gaps to it,
     by key; the J entries and the r/s tables by name."""
 
-    eq_series: equilibria.EquilibriumPoint
-    eq_epsform: equilibria.EquilibriumPoint
     j_closed: dict | None = None
     rs: dict | None = None
     # r1..s10 read off the chain's B2 by `oracle_rs_from_series`
     rs_oracle: dict | None = None
-    gaps: dict = field(default_factory=dict)
+
+    def __init__(self, eq_series: equilibria.EquilibriumPoint,
+                 eq_epsform: equilibria.EquilibriumPoint):
+        self.eq_series, self.eq_epsform = eq_series, eq_epsform
+        self.gaps = {}
 
 
 def report_audit(res: PipelineResult) -> Audit:

@@ -1,0 +1,73 @@
+"""The package's frozen records are named tuples: their fields cannot be
+assigned, they compare and hash by value, build from positions or
+keywords alike, and print as ``Name(field=value, ...)``."""
+
+import pytest
+
+from l4norm.dalembert import FrequencyPair
+from l4norm.equilibria import EquilibriumPoint
+from l4norm.errata import KNOWN_DISCREPANCIES, RemainderVerdict
+from l4norm.errors import ParameterError
+from l4norm.model import ModelParams
+from l4norm.verify import PipelineOptions, run_pipeline
+
+
+def records():
+    p = ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0)
+    res = run_pipeline(p)
+    return [p, p.mirror, PipelineOptions(), res.eq_numeric, res.shift, res.efg,
+            res.freq, res.moser, res.nm, res.b2, res.h3,
+            RemainderVerdict("b2.r1", "W1", 1e-3, 5e-4, "first_order"),
+            KNOWN_DISCREPANCIES[0]]
+
+
+RECORDS = records()
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_fields_cannot_be_assigned(record):
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_a_copy_is_equal_and_hashes_alike(record):
+    copy = type(record)._make(record)
+    assert copy is not record and copy == record and hash(copy) == hash(record)
+
+
+def test_repr_names_every_field():
+    assert repr(PipelineOptions()) == (
+        "PipelineOptions(branch='L4', divisor_floor=1e-08, moser_tol=0.001, "
+        "residual_tol=1e-09, linear_tol=1e-10, h3_tol_factor=1e-08)")
+    assert repr(ModelParams(mu=0.25, q1=0.999, cd=20.0)) == (
+        "ModelParams(mu=0.25, q1=0.999, A2=0.0, cd=20.0, "
+        "epsilon=0.0010000000000000009, W1=3.750000000000003e-05, n=1.0, "
+        "gamma=0.5, delta=0.999666555493786)")
+
+
+def test_constructors_take_positions_and_keywords():
+    assert ModelParams(0.01, 0.999, 1e-4, 20.0) == ModelParams(
+        cd=20.0, A2=1e-4, q1=0.999, mu=0.01)
+    assert PipelineOptions("L5", linear_tol=1e-9) == PipelineOptions(
+        branch="L5", linear_tol=1e-9)
+    assert PipelineOptions().moser_tol == 1e-3
+    with pytest.raises(TypeError):
+        ModelParams(mu=0.01, W1=0.0)  # a derived field is not passed
+
+
+def test_checks_run_at_construction():
+    with pytest.raises(ParameterError):
+        FrequencyPair(0.3, 0.9)
+    with pytest.raises(ParameterError):
+        EquilibriumPoint(0.5, 0.8, "L6", "numeric", 0.0)
+    with pytest.raises(ParameterError):
+        ModelParams(mu=0.01, cd=float("nan"))
+
+
+def test_perturbation_parameters_bypass_cd():
+    # W1 is set directly, of either sign; cd reads nan
+    p = ModelParams._from_perturbations(0.01, 1e-3, 0.0, -2e-4)
+    assert (p.W1, p.epsilon, p.q1) == (-2e-4, 1.0 - (1.0 - 1e-3), 1.0 - 1e-3)
+    assert p.cd != p.cd and p.mirror.W1 == 2e-4 and type(p) is ModelParams

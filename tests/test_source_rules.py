@@ -1,7 +1,9 @@
 """Rules on the package's source, read with `ast`: every import is read
 but the benchmark's hooks, one module owns the collision guard, one the
 L5 reading of the printed rows, and one emitter writes, binds and
-compiles every generated kernel.
+compiles every generated kernel.  No module imports `dataclasses`, and
+importing the command line loads neither it nor `inspect`: the records
+are named tuples and plain classes, which write no methods at import.
 
 No linter ships with the test tools, so the first test stands in for
 pyflakes' F401: a name that moves into generated source leaves its
@@ -10,6 +12,8 @@ import behind, and nothing else would notice."""
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,6 +62,17 @@ def unread_imports(path) -> list:
     return sorted((line, name) for name, line in bound.items() if name not in read)
 
 
+def imported_modules(path) -> set:
+    """The top-level modules `path` imports, or imports from."""
+    out = set()
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.partition(".")[0])
+    return out
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unread_imports(path) == []
@@ -74,6 +89,25 @@ def test_unread_import_is_caught(tmp_path):
                       "SOURCE = 'raise CriticalTermError()'\n"
                       "x = os.path.join\n")
     assert unread_imports(module) == [(2, "math"), (3, "CriticalTermError")]
+
+
+def test_no_module_imports_dataclasses(tmp_path):
+    assert {path.stem for path in MODULES
+            if "dataclasses" in imported_modules(path)} == set()
+    module = tmp_path / "module.py"
+    for line in ("import dataclasses as dc", "from dataclasses import field"):
+        module.write_text(f"from . import layout\n{line}\n")
+        assert imported_modules(module) == {"dataclasses"}
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # what every command pays at cold start, in a fresh interpreter
+    # without site hooks
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import l4norm.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    run = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
 
 
 def test_noqa_imports_are_benchmark_hooks(monkeypatch):
