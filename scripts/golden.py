@@ -2,12 +2,13 @@
 
 `tests/golden/chain.sha256` holds one line per `chain_snapshot.py`
 point: its index and the sha256 of its line.  `tests/golden/cli.sha256`
-holds one line per `cli_snapshot.py` entry: its index, exit code, the
-sha256 of its stdout and of its stderr, and its argv, with the config
-file's path written as ``{config}`` so that the digests do not depend on
-the temporary directory.  Both are recomputed in process, the CLI entries
-through `l4norm.cli.main`, so the tier-1 test that compares them runs in
-a second or so.
+holds one line per `cli_snapshot.py` entry: its exit code, the sha256 of
+its stdout and of its stderr, and its argv, with the config file's path
+written as ``{config}`` so that the digests do not depend on the
+temporary directory.  A point is known by its index and an entry by its
+argv, so an entry added to the list moves no other.  Both are recomputed
+in process, the CLI entries through `l4norm.cli.main`, so the tier-1 test
+that compares them runs in a second or so.
 
     PYTHONPATH=src python scripts/golden.py          # write both files
     PYTHONPATH=src python scripts/golden.py --check  # list moved entries
@@ -79,10 +80,10 @@ def cli_runs() -> list:
 
 
 def cli_lines(runs) -> list:
-    """``index exit sha256(stdout) sha256(stderr) argv`` of each entry."""
-    return [f"{index} {code} {digest(out)} {digest(err)} "
+    """``exit sha256(stdout) sha256(stderr) argv`` of each entry."""
+    return [f"{code} {digest(out)} {digest(err)} "
             + " ".join(argv).replace(cli_snapshot.CONFIG_PATH, "{config}")
-            for index, (argv, code, out, err) in enumerate(runs)]
+            for argv, code, out, err in runs]
 
 
 def header() -> str:
@@ -96,20 +97,20 @@ def read(name: str) -> tuple:
     return lines[0], lines[1:]
 
 
-def label(line: str) -> str:
-    """A digest line's index and, for the CLI, its argv."""
-    fields = line.split(" ", 4)
-    return " ".join((fields[0], *fields[4:]))
+def by_entry(name: str, lines: list) -> dict:
+    """Digest lines by entry: a chain point by its index, a CLI entry by
+    its argv."""
+    return {line.split(" ", 1)[0] if name == "chain" else line.split(" ", 3)[3]:
+            line for line in lines}
 
 
 def moved(name: str, lines: list) -> list:
-    """Each entry of `lines` that differs from the committed file, by its
-    index and, for the CLI, its argv; and a note if the counts differ."""
-    _, golden = read(name)
-    out = [f"{name} {label(new)}" for old, new in zip(golden, lines) if old != new]
-    if len(golden) != len(lines):
-        out.append(f"{name}: {len(golden)} entries committed, {len(lines)} now")
-    return out
+    """Each entry whose digests in `lines` differ from the committed file's,
+    then each entry only one side has."""
+    old, new = by_entry(name, read(name)[1]), by_entry(name, lines)
+    return ([f"{name} {key}" for key in new if key in old and old[key] != new[key]]
+            + [f"{name} {key}: new" for key in new if key not in old]
+            + [f"{name} {key}: gone" for key in old if key not in new])
 
 
 def main(argv=None) -> int:

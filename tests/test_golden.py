@@ -37,9 +37,14 @@ def test_cli_snapshot_matches_its_digests():
     check("cli", golden.cli_lines(golden.cli_runs()))
 
 
-def test_a_moved_entry_is_named():
+def test_every_moved_entry_is_named():
     _, lines = golden.read("cli")
-    index, code, out, err, argv = lines[3].split(" ", 4)
-    lines = [*lines[:3], f"{index} {code} {err} {out} {argv}", *lines[4:-1]]
+    code, out, err, argv = lines[3].split(" ", 3)
+    *_, last = lines[-1].split(" ", 3)
+    lines = [*lines[:3], f"{code} {err} {out} {argv}", *lines[4:-1],
+             f"{code} {out} {err} verify --mu 0.5"]
     assert golden.moved("cli", lines) == [
-        f"cli 3 {argv}", f"cli: {len(lines) + 1} entries committed, {len(lines)} now"]
+        f"cli {argv}", "cli verify --mu 0.5: new", f"cli {last}: gone"]
+    _, points = golden.read("chain")
+    assert golden.moved("chain", [points[0].replace(" ", " 0", 1), *points[1:]]) == [
+        "chain 0"]
