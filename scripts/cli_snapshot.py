@@ -111,6 +111,11 @@ FIXED = [
      "--stages", "h3"],
     ["sweep", "--mu-min", "0.038", "--mu-max", "0.0386", "--steps", "7",
      "--stages", "h3", "--q1", "0.999", "--a2", "0.004", "--cd", "5"],
+    # a valid L5 point past the printed series' own domain: its row reads
+    # nan, the report says why, and the gates decide the exit code
+    ["verify", "--mu", "0.000237", "--q1", "0.995", "--cd", "5", "--branch", "L5",
+     "--stages", "h3"],
+    ["equilibria", "--mu", "0.000237", "--q1", "0.995", "--cd", "5", "--branch", "L5"],
 ]
 
 

@@ -177,8 +177,12 @@ def _emit(text: str, config: RunConfig, suffix: str) -> None:
 def cmd_equilibria(config: RunConfig) -> int:
     result = verify.run_pipeline(config.params(), config.options(),
                                  stages=("equilibria",))
-    lines = verify.equilibria_csv(result, verify.report_audit(result))
-    _emit("\n".join(lines) + "\n", config, "equilibria.csv")
+    printed = verify.report_audit(result)
+    _emit("\n".join(verify.equilibria_csv(result, printed)) + "\n", config,
+          "equilibria.csv")
+    if printed.series_outside_domain:
+        print(f"series.outside_domain: {printed.series_outside_domain}",
+              file=sys.stderr)
     return EXIT_OK
 
 

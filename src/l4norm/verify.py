@@ -208,6 +208,8 @@ class Audit:
     rs: dict | None = None
     # r1..s10 read off the chain's B2 by `oracle_rs_from_series`
     rs_oracle: dict | None = None
+    # why the printed equilibrium series has no value here, if it has none
+    series_outside_domain: str | None = None
 
     def __init__(self, eq_series: equilibria.EquilibriumPoint,
                  eq_epsform: equilibria.EquilibriumPoint):
@@ -218,11 +220,19 @@ class Audit:
 def report_audit(res: PipelineResult) -> Audit:
     """The printed series that `render_report` prints, at every stage the
     result holds, and their gaps: ``equilibria.*``, from b1 on ``j.*``, from
-    b2 on ``b2.*`` and ``b2.sup``.  Raises where a printed series has no
-    value; the result stays valid."""
+    b2 on ``b2.*`` and ``b2.sup``.  Where the printed equilibrium series
+    leaves its own domain (its y-brace is not positive), its point and gap
+    read nan and `series_outside_domain` holds the reason."""
     p, branch = res.params, res.options.branch
-    out = Audit(eq_series=equilibria.triangular_series(p, branch),
+    try:
+        eq_series, outside = equilibria.triangular_series(p, branch), None
+    except ParameterError as err:
+        eq_series = equilibria.EquilibriumPoint(math.nan, math.nan, branch,
+                                                "series", math.nan)
+        outside = str(err)
+    out = Audit(eq_series=eq_series,
                 eq_epsform=equilibria.epsilon_form(p, branch))
+    out.series_outside_domain = outside
     gaps = out.gaps
     gaps["equilibria.series"] = _point_gap(res.eq_numeric, out.eq_series)
     gaps["equilibria.epsilon_form"] = _point_gap(res.eq_numeric, out.eq_epsform)
@@ -442,6 +452,8 @@ def render_report(res: PipelineResult, printed: Audit, gates: dict,
         put(f"tol.{name}: {fmt(getattr(opt, attr))}")
     for name, ok in gates.items():
         put(f"gate.{name}: {fmt(ok)}")
+    if printed.series_outside_domain:
+        put(f"series.outside_domain: {printed.series_outside_domain}")
 
     put("")
     put("[equilibria]")

@@ -333,12 +333,20 @@ class TestPrintedSeriesFailure:
         assert len(rows) == 3
         assert all(r.endswith(",pass") for r in rows)
 
-    def test_verify_still_refuses_the_audit(self, capsys):
+    def test_verify_reports_the_series_outside_its_domain(self, capsys):
+        # every gate passes, so the printed series' own domain does not
+        # decide the exit code: its row reads nan and the report says why
         code, out, err = run_cli(capsys, "verify",
                                  "--mu", "0.002552385680036853", *BRACE_ARGS)
-        assert code == EXIT_CONFIG
-        assert "y-brace" in err
-        assert out == ""
+        assert code == EXIT_OK and err == ""
+        assert ("series.outside_domain: series y-brace non-positive; "
+                "perturbations too large\n\n[equilibria]\n") in out
+        assert "\nseries,nan,nan,nan,nan\n" in out
+        code, out, err = run_cli(capsys, "equilibria",
+                                 "--mu", "0.002552385680036853", *BRACE_ARGS)
+        assert code == EXIT_OK and "series,nan,nan,nan,nan" in out.splitlines()
+        assert err == ("series.outside_domain: series y-brace non-positive; "
+                       "perturbations too large\n")
 
 
 class TestResonanceScan:

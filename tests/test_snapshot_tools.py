@@ -85,7 +85,7 @@ def test_chain_snapshot_compare_reports_changes():
 def test_cli_snapshot_commands_parse():
     snapshot = load_script("cli_snapshot")
     commands = snapshot.FIXED + snapshot.random_points(30)
-    assert len(commands) == 71
+    assert len(commands) == 73
     parser = build_parser()
     for argv in commands:
         try:

@@ -150,8 +150,17 @@ class TestAudit:
         res = run_pipeline(self.BRACE_POINT, PipelineOptions(branch="L5"))
         gates = res.gates()
         assert "h3-vanishing" in gates and all(gates.values())
-        with pytest.raises(ParameterError, match="y-brace"):
-            audit(res)
+        printed = audit(res)
+        assert printed.series_outside_domain == (
+            "series y-brace non-positive; perturbations too large")
+        point = printed.eq_series
+        assert (point.branch, point.method) == ("L5", "series")
+        assert all(math.isnan(v) for v in (point.x, point.y, point.residual,
+                                           printed.gaps["equilibria.series"]))
+        # every other gap keeps its value
+        assert all(math.isfinite(gap) for key, gap in printed.gaps.items()
+                   if key != "equilibria.series")
+        assert audit(run_pipeline(ModelParams(mu=0.01))).series_outside_domain is None
 
     def test_drag_point_multiplies_no_polynomials(self, monkeypatch):
         calls = []
