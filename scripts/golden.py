@@ -67,10 +67,7 @@ def run_in_process(argv) -> tuple:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
         warnings.simplefilter("default")
-        try:
-            code = main(argv)
-        except SystemExit as stop:  # argparse refuses a command line
-            code = stop.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 

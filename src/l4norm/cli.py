@@ -42,11 +42,11 @@ class RunConfig:
     format: str = "report"
 
     def __init__(self, **settings):
-        unknown = settings.keys() - SETTINGS.keys()
+        unknown = settings.keys() - {*SETTINGS, "tol"}
         if unknown:
             raise TypeError(f"unknown settings {sorted(unknown)}")
-        vars(self).update(settings)
         self.tol = {}
+        vars(self).update(settings)
 
     def __eq__(self, other):
         return type(other) is RunConfig and all(
