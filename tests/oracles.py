@@ -1,10 +1,13 @@
 """Reference physics and evaluators that the tests check the package against.
 
-Nothing in the package reads these.  `eom_rhs` is the full equations of
-motion with the velocity-dependent (dissipative) drag; `lagrangian_rhs` is
-the flow of the package's Lagrangian, whose drag keeps only the at-rest
-term W1 n (y, -(x+mu))/r1^2, because its velocity-dependent drag term is a
-total time derivative.  The normal form of the chain follows the second.
+Nothing in the package reads these.  `State` is a rotating-frame
+position and velocity; `lagrangian` and `effective_potential` evaluate
+the package's Lagrangian and potential along one, and `difference`
+subtracts two d'Alembert series along their sum plan.  `eom_rhs` is the
+full equations of motion with the velocity-dependent (dissipative) drag;
+`lagrangian_rhs` is the flow of the package's Lagrangian, whose drag
+keeps only the at-rest term W1 n (y, -(x+mu))/r1^2, because its
+velocity-dependent drag term is a total time derivative.  The normal form of the chain follows the second.
 Both read `potential_gradient`, the gradient of the effective potential,
 which shares no code with the chain's Newton force
 (`l4norm.equilibria.equilibrium_force`).
