@@ -62,6 +62,8 @@ FIXED = [
     ["frequencies", "--mu", "0.0242939"],
     ["resonance-scan", "--mu-min", "0.001", "--mu-max", "0.038", "--steps", "40"],
     ["resonance-scan", "--mu-min", "0.001", "--mu-max", "0.02", "--steps", "5"],
+    # across the critical mass ratio: unstable rows and the stderr warning
+    ["resonance-scan", "--mu-min", "0.03", "--mu-max", "0.045", "--steps", "4"],
     ["verify", "--mu", "0.01", *DRAG, "--stages", "h3"],
     ["verify", "--mu", "0.01", *DRAG, "--stages", "h3", "--branch", "L5"],
     ["verify", "--mu", "0.01", *DRAG, "--stages", "h3", "--format", "csv"],
@@ -72,6 +74,8 @@ FIXED = [
     ["verify", "--mu", "0.01", *DRAG, "--stages", "b1", "--format", "csv"],
     ["verify", "--mu", "0.01", *DRAG, "--stages", "b1"],
     ["verify", "--mu", "0.01", *DRAG, "--stages", "equilibria"],
+    # the audit of a chain without a Taylor stage returns after the offsets
+    ["verify", "--mu", "0.01", "--stages", "equilibria", "--format", "csv"],
     ["verify", "--mu", "0.01", "--epsilon", "1e-3", "--a2", "1e-4", "--cd", "7",
      "--stages", "equilibria"],
     ["verify", "--mu", "0.01", *DRAG, "--stages", "taylor", "--format", "csv"],

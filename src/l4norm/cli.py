@@ -48,10 +48,6 @@ class RunConfig:
         self.tol = {}
         vars(self).update(settings)
 
-    def __eq__(self, other):
-        return type(other) is RunConfig and all(
-            getattr(self, key) == getattr(other, key) for key in (*SETTINGS, "tol"))
-
     def params(self, mu: float | None = None) -> ModelParams:
         """The model parameters, at `mu` in place of the config's if given."""
         mu = self.mu if mu is None else mu
@@ -147,8 +143,12 @@ def config_from_args(args) -> RunConfig:
     """The config file's settings, then each flag given on top of them."""
     config = RunConfig()
     if args.config:
-        with open(args.config, encoding="utf-8") as handle:
-            config = parse_config_text(handle.read(), config)
+        try:
+            with open(args.config, encoding="utf-8") as handle:
+                text = handle.read()
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{args.config}: {err}") from err
+        config = parse_config_text(text, config)
     for key in SETTINGS:
         value = getattr(args, key)
         if value is not None:

@@ -11,14 +11,14 @@ and keys are kept canonical (p > 0, or p = 0 and q >= 0).  The
 constructor checks the constraints and canonicalises; no other operation
 needs to, because sums and termwise maps reuse stored keys and a product
 of valid keys is valid (only its difference harmonics need
-canonicalising).  Products take an optional degree cap (j + m) and skip
-the pairs of terms that would exceed it.  A product of series, and a
-polynomial evaluated at series (:func:`substitute`), is planned once per
-shape, the layouts and the cap: :func:`substitution_rows` lays out its
-rows, and :class:`l4norm.layout.KernelSource` writes them into one
+canonicalising).  :func:`substitution_rows` lays out a polynomial
+evaluated at series with every product capped at a degree j + m, and
+:class:`l4norm.layout.KernelSource` writes the rows into one
 straight-line kernel, which forms each k-factor product of terms in one
-step.  The stages of :mod:`l4norm.normalform` have the emitter write the
-same rows into their own kernels, between the sums and D-polynomials.
+step; the stages of :mod:`l4norm.normalform` write them into their own.
+The one-step forms, :func:`substitute` (and ``a * b``), :func:`apply_D`,
+:func:`apply_poly_in_D` and :func:`invert_delta`, run on no program
+path: the benchmark's hooks wrap them and the tests' references use them.
 
 A term c cos + s sin is stored as z = c + i s on a shared key layout
 (:mod:`l4norm.layout`).  A product of two terms gives the sum harmonic
@@ -65,9 +65,6 @@ class FrequencyPair(namedtuple("FrequencyPair", "omega1 omega2")):
                 f"need 0 < omega2 < omega1, got ({omega1}, {omega2})"
             )
         return tuple.__new__(cls, (omega1, omega2))
-
-    def theta(self, p: int, q: int) -> float:
-        return p * self.omega1 - q * self.omega2
 
 
 def _canonical(p: int, q: int):
@@ -217,31 +214,11 @@ class DAlembertSeries(Store):
     def single(cls, j, m, p, q, c=0.0, s=0.0):
         return cls({(j, m, p, q): (c, s)})
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    # -- linear structure -------------------------------------------------
-
-    def scale(self, factor: float):
-        return self._new(self.layout, [0j + z * factor for z in self.values])
-
-    def mul(self, other, cap: int | None = None):
-        """Product via cos/sin product-to-sum expansion; grades add.
-
-        With a cap, pairs of terms whose degrees j + m sum past it are
-        skipped, so the result is the full product restricted to degree
-        <= cap without the work above it.
-        """
-        return substitute(_PRODUCT, [1.0], (self, other), cap)
+    # -- product and queries ----------------------------------------------
 
     def __mul__(self, other):
-        return self.mul(other)
-
-    # -- queries ----------------------------------------------------------
-
-    def degree_slice(self, degree: int):
-        return self._slice(_degree, degree, degree)
+        """Product via cos/sin product-to-sum expansion; grades add."""
+        return substitute(_PRODUCT, [1.0], (self, other), None)
 
     def grade(self, j: int, m: int):
         return self._slice(_grade, (j, m), (j, m))
@@ -256,9 +233,6 @@ class DAlembertSeries(Store):
         return self._new(self.layout, [
             complex(z.real if abs(z.real) > tol else 0.0,
                     z.imag if abs(z.imag) > tol else 0.0) for z in self.values])
-
-    def __repr__(self):
-        return f"DAlembertSeries(terms={len(self.values)})"
 
     def pretty(self) -> str:
         """Deterministic listing: sorted by (degree, j, p, q), 17 digits."""
@@ -288,7 +262,7 @@ def apply_poly_in_D(series: DAlembertSeries, w: FrequencyPair,
 
 def small_divisor(p: int, q: int, w: FrequencyPair) -> float:
     """[w1^2 - (p w1 - q w2)^2] [w2^2 - (p w1 - q w2)^2]."""
-    theta = w.theta(p, q)
+    theta = p * w.omega1 - q * w.omega2
     return (w.omega1**2 - theta * theta) * (w.omega2**2 - theta * theta)
 
 

@@ -50,7 +50,7 @@ from .errors import ContractError, ParameterError, StabilityDomainError
 from .layout import KernelSource, Layout, _sup, intern, plan, sliced, sum_plan
 from .model import ModelParams
 from .polyalg import (QuadraticCoefficients, TruncatedPoly, _homogeneous,
-                      _partial_plan, _velocity_degree)
+                      _velocity_degree)
 
 
 SIGMA = ((0.0, 0.0, 1.0, 0.0),
@@ -338,16 +338,25 @@ def poly_at_series(poly: TruncatedPoly, xi_s, eta_s, xid_s, etad_s,
 
 
 def _energy_rows(layout: Layout) -> tuple:
-    """The substitution rows of `TruncatedPoly.energy` on these keys: per
+    """The energy function v.dL/dv - L of a Lagrangian on these keys, each
+    term times its velocity degree minus one, as substitution rows: per
     monomial of velocity degree other than 1, ``(slot, velocity degree - 1,
     monomial)``."""
     return tuple((n, _velocity_degree(m) - 1, m) for n, m in enumerate(layout.keys)
                  if _velocity_degree(m) != 1)
 
 
+def _partial_plan(layout: Layout, index: int):
+    """``(layout, rows)`` of d/d(variable `index`): one ``(slot, exponent,
+    lowered monomial)`` per monomial holding the variable."""
+    rows = tuple((n, m[index], m[:index] + (m[index] - 1,) + m[index + 1:])
+                 for n, m in enumerate(layout.keys) if m[index])
+    return intern(tuple(row[2] for row in rows)), rows
+
+
 def _forcing_polys(l3: Layout) -> tuple:
-    """The cubic's four partials, as `TruncatedPoly.partial` lowers them,
-    and its energy, as substitution rows."""
+    """The cubic's four partials (:func:`_partial_plan`) and its energy
+    (:func:`_energy_rows`), as substitution rows."""
     return tuple(_partial_plan(l3, i)[1] for i in range(4)) + (_energy_rows(l3),)
 
 
@@ -374,7 +383,7 @@ def forcing_x2y2(l3: TruncatedPoly, b1x: DAlembertSeries, b1y: DAlembertSeries,
     expression [dL3/dx - D(dL3/dxdot)] at (x, y, xdot, ydot) =
     (B1, B1, D B1, D B1).  Returns ``(x2, y2), (x2p, y2p), cubic``: the
     second pair is its position-partial part [dL3/dx] at the same point,
-    and `cubic` the energy's cubic `l3.energy()` at B1, all five
+    and `cubic` the cubic's energy (:func:`_energy_rows`) at B1, all five
     substituted at cap 3, each bit for bit as `poly_at_series` of that
     polynomial; one call of the stage's kernel."""
     layouts, kernel = plan(_forcing_kernel, l3.layout, b1x.layout, b1y.layout)
@@ -507,10 +516,10 @@ def h3_normal_coefficients(cubic: DAlembertSeries, l2: TruncatedPoly, b1, b2,
                            w: FrequencyPair) -> H3NormalCoefficients:
     """Substitute x = B1 + B2 (velocities via D) into the energy and slice.
 
-    The quadratic slice's energy `l2.energy()` is substituted with every
-    product capped at degree 3 and added to `cubic`, the cubic slice's
-    energy at B1 (:func:`forcing_x2y2`; under the cap the cubic sees only
-    B1); one call of the stage's kernel.
+    The quadratic slice's energy (:func:`_energy_rows`) is substituted
+    with every product capped at degree 3 and added to `cubic`, the cubic
+    slice's energy at B1 (:func:`forcing_x2y2`; under the cap the cubic
+    sees only B1); one call of the stage's kernel.
     """
     layout, kernel = plan(_h3_kernel, l2.layout, b1[0].layout, b1[1].layout,
                           b2[0].layout, b2[1].layout, cubic.layout)

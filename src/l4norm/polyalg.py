@@ -30,14 +30,6 @@ from .model import ModelParams, _lagrangian
 NVARS = 4
 
 
-def _partial_plan(layout: Layout, index: int):
-    """``(layout, rows)`` of d/d(variable `index`): one ``(slot, exponent,
-    lowered monomial)`` per monomial holding the variable."""
-    rows = tuple((n, m[index], m[:index] + (m[index] - 1,) + m[index + 1:])
-                 for n, m in enumerate(layout.keys) if m[index])
-    return intern(tuple(row[2] for row in rows)), rows
-
-
 def _velocity_degree(mono) -> int:
     return mono[2] + mono[3]
 
@@ -49,9 +41,10 @@ class TruncatedPoly(Store):
     stored order.  Values are immutable by convention: all operations
     return new instances.  The constructor checks every key and drops the
     keys past the cap, products included; no other operation needs to,
-    because sums, slices and termwise maps reuse stored keys, a partial
-    derivative lowers a positive exponent and the Taylor expansion's keys
-    are planned.  No exact zero is stored.
+    because sums (of equal caps) and slices reuse stored keys and the
+    Taylor expansion's keys are planned.  No exact zero is stored.  The
+    chain reads a polynomial through its layout: its energy and partials
+    are substitution rows (:mod:`l4norm.normalform`).
     """
 
     __slots__ = ("cap",)
@@ -78,25 +71,7 @@ class TruncatedPoly(Store):
     def coeffs(self) -> dict:
         return dict(zip(self.layout.keys, self.values))
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def constant(cls, value, cap: int):
-        return cls(cap, {(0, 0, 0, 0): value})
-
-    # -- ring operations ----------------------------------------------
-
-    def _merge(self, other, op):
-        """Sum or difference at the smaller cap; a scalar is a constant."""
-        if not isinstance(other, TruncatedPoly):
-            other = TruncatedPoly.constant(other, self.cap)
-        cap = min(self.cap, other.cap)
-        return Store._merge(self.truncated(cap), other.truncated(cap), op)
-
-    __radd__ = Store.__add__
-
-    def __neg__(self):
-        return self._new(self.layout, [-c for c in self.values])
+    # -- product and structure ------------------------------------------
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedPoly):
@@ -113,8 +88,6 @@ class TruncatedPoly(Store):
 
     __rmul__ = __mul__
 
-    # -- structure ----------------------------------------------------
-
     def truncated(self, cap: int):
         if cap >= self.cap:
             return self
@@ -124,26 +97,12 @@ class TruncatedPoly(Store):
         """Homogeneous slice of the given total degree (cap preserved)."""
         return self._slice(sum, degree, degree)
 
-    def partial(self, index: int):
-        layout, rows = plan(_partial_plan, self.layout, index)
-        return self._new(layout, [self.values[n] * e for n, e, _ in rows])
-
     def coefficient(self, mono) -> float:
         return self._value(tuple(mono))
 
     def velocity_part(self):
         """Terms with at least one velocity factor."""
         return self._slice(_velocity_degree, 1, self.cap)
-
-    def energy(self):
-        """The energy function v.dL/dv - L: each term times its velocity
-        degree minus one."""
-        return self._new(self.layout, [
-            c * (_velocity_degree(mono) - 1)
-            for mono, c in zip(self.layout.keys, self.values)])
-
-    def __repr__(self):
-        return f"TruncatedPoly(cap={self.cap}, terms={len(self.values)})"
 
 
 def _polynomial(cap: int, layout: Layout, values: list) -> TruncatedPoly:

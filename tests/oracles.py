@@ -3,7 +3,13 @@
 Nothing in the package reads these.  `State` is a rotating-frame
 position and velocity; `lagrangian` and `effective_potential` evaluate
 the package's Lagrangian and potential along one, and `difference`
-subtracts two d'Alembert series along their sum plan.  `eom_rhs` is the
+subtracts two d'Alembert series along their sum plan.  The one-step
+forms of the algebra that no program path runs live here too: for
+series `product` (with a degree cap), `scaled` and `degree_slice`; for
+polynomials `constant`, `plus` (at the smaller cap, a scalar as a
+constant), `negated`, `partial` and `energy`, whose rows the chain's
+forcing and H3 kernels lay out (`l4norm.normalform._partial_plan`,
+`_energy_rows`).  `eom_rhs` is the
 full equations of motion with the velocity-dependent (dissipative) drag;
 `lagrangian_rhs` is the flow of the package's Lagrangian, whose drag
 keeps only the at-rest term W1 n (y, -(x+mu))/r1^2, because its
@@ -48,12 +54,12 @@ from dataclasses import dataclass
 from operator import mul
 
 from l4norm import closedforms, equilibria, normalform, polyalg, verify
-from l4norm.dalembert import (DIVISOR_FLOOR, MOSER_PAIRS, DAlembertSeries,
-                              apply_D, apply_poly_in_D, invert_delta,
-                              substitution_rows)
+from l4norm.dalembert import (_PRODUCT, DIVISOR_FLOOR, MOSER_PAIRS, DAlembertSeries,
+                              _degree, apply_D, apply_poly_in_D, invert_delta,
+                              substitute, substitution_rows)
 from l4norm.equilibria import OriginShift
 from l4norm.errors import ContractError, StabilityDomainError
-from l4norm.layout import KernelSource
+from l4norm.layout import KernelSource, plan
 from l4norm.model import ModelParams, _lagrangian, _potential, _radii
 from l4norm.polyalg import TruncatedPoly, _mul2
 
@@ -87,6 +93,59 @@ def difference(a, b):
     with the negation: where a complex value meets a real one, ``x - y``
     can give a zero imaginary part the other sign."""
     return a._merge(b, lambda x, y: x + -y)
+
+
+# -- one-step forms of the algebra that no program path runs ---------------
+
+
+def product(a, b, cap: int | None = None) -> DAlembertSeries:
+    """The product of two series with the pairs of terms past degree `cap`
+    skipped (None keeps all): the substitution of the one monomial x y,
+    as ``a * b`` is at no cap."""
+    return substitute(_PRODUCT, [1.0], (a, b), cap)
+
+
+def scaled(series, factor: float) -> DAlembertSeries:
+    """Each term of a series times a real factor."""
+    return series._new(series.layout, [0j + z * factor for z in series.values])
+
+
+def degree_slice(series, degree: int) -> DAlembertSeries:
+    """The terms of a series of total degree j + m = `degree`."""
+    return series._slice(_degree, degree, degree)
+
+
+def constant(value, cap: int) -> TruncatedPoly:
+    """The constant polynomial of this cap."""
+    return TruncatedPoly(cap, {(0, 0, 0, 0): value})
+
+
+def plus(a: TruncatedPoly, b) -> TruncatedPoly:
+    """``a + b`` at the smaller cap, a scalar `b` as a constant."""
+    if not isinstance(b, TruncatedPoly):
+        b = constant(b, a.cap)
+    cap = min(a.cap, b.cap)
+    return a.truncated(cap) + b.truncated(cap)
+
+
+def negated(poly: TruncatedPoly) -> TruncatedPoly:
+    """Each coefficient of a polynomial negated."""
+    return poly._new(poly.layout, [-c for c in poly.values])
+
+
+def partial(poly: TruncatedPoly, index: int) -> TruncatedPoly:
+    """d/d(variable `index`) of a polynomial, along the rows of
+    `l4norm.normalform._partial_plan`."""
+    layout, rows = plan(normalform._partial_plan, poly.layout, index)
+    return poly._new(layout, [poly.values[n] * e for n, e, _ in rows])
+
+
+def energy(lag: TruncatedPoly) -> TruncatedPoly:
+    """The energy function v.dL/dv - L of a Lagrangian: each term times
+    its velocity degree minus one, the polynomial whose substitution rows
+    `l4norm.normalform._energy_rows` lays out."""
+    return lag._new(lag.layout, [c * (m[2] + m[3] - 1)
+                                 for m, c in zip(lag.layout.keys, lag.values)])
 
 
 @dataclass(frozen=True)
@@ -406,19 +465,19 @@ def second_order_by_ops(efg, w, n, x2, y2, floor=DIVISOR_FLOOR):
 def h3_by_ops(cubic, l2: TruncatedPoly, b1, b2, w):
     """`l4norm.normalform.h3_normal_coefficients` as separate series
     operations, the bit-for-bit reference for its kernel: B1 + B2, D of
-    both sums, `l2.energy()` substituted at cap 3 by
+    both sums, the :func:`energy` of `l2` substituted at cap 3 by
     :func:`substitute_by_rows`, plus `cubic`, its degree-3 slice, and the
     degree-2 slice minus w1 I1 - w2 I2."""
     bx, by = b1[0] + b2[0], b1[1] + b2[1]
     args = (bx, by, apply_D(bx, w), apply_D(by, w))
-    energy = l2.energy()
-    rows = polynomial_rows(energy.layout, 3, [a.layout for a in args])
-    (total,) = substitute_by_rows(rows, energy.values, args)
+    e2 = energy(l2)
+    rows = polynomial_rows(e2.layout, 3, [a.layout for a in args])
+    (total,) = substitute_by_rows(rows, e2.values, args)
     total = total + cubic
     h2_form = DAlembertSeries({(2, 0, 0, 0): (w.omega1, 0.0),
                                (0, 2, 0, 0): (-w.omega2, 0.0)})
     return normalform.H3NormalCoefficients(
-        total.degree_slice(3), difference(total.degree_slice(2), h2_form).max_abs())
+        degree_slice(total, 3), difference(degree_slice(total, 2), h2_form).max_abs())
 
 
 # -- Taylor expansion by series composition ----------------------------
@@ -450,7 +509,7 @@ def binomial_series(t: TruncatedPoly, *alphas: float) -> tuple:
     powers = _powers(t)
     out = []
     for alpha in alphas:
-        result = TruncatedPoly.constant(1.0, t.cap)
+        result = constant(1.0, t.cap)
         coeff = 1.0
         for k, power in enumerate(powers, 1):
             coeff *= (alpha - (k - 1)) / k
@@ -475,7 +534,7 @@ def log1p_series(t: TruncatedPoly) -> TruncatedPoly:
     """log(1 + t) for a series t with no constant term (complex allowed)."""
     if t.coefficient((0, 0, 0, 0)) != 0.0:
         raise ContractError("log pivot requires a series without constant term")
-    result = TruncatedPoly.constant(0.0, t.cap)
+    result = constant(0.0, t.cap)
     for k, power in enumerate(_powers(t), 1):
         result = result + power * ((-1.0) ** (k + 1) / k)
     return result
@@ -526,11 +585,11 @@ def taylor_by_composition(p: ModelParams, shift: OriginShift,
     inv_r2cubed = r2_three_halves * (rho2sq ** -1.5)
 
     n = p.n
-    x_abs = (a - p.mu) + xi     # full rotating-frame x
-    y_abs = b + eta
+    x_abs = plus(xi, a - p.mu)  # full rotating-frame x
+    y_abs = plus(eta, b)
 
     kinetic = 0.5 * (xid * xid + etad * etad)
-    coriolis = n * (x_abs * etad + -(xid * y_abs))
+    coriolis = n * (x_abs * etad + negated(xid * y_abs))
     centrifugal = 0.5 * (n * n) * (x_abs * x_abs + y_abs * y_abs)
     gravity = ((1.0 - p.mu) * p.q1) * inv_r1 + p.mu * inv_r2 \
         + (0.5 * p.mu * p.A2) * inv_r2cubed
@@ -539,9 +598,9 @@ def taylor_by_composition(p: ModelParams, shift: OriginShift,
 
     if p.W1 != 0.0:
         z = (xi + eta * 1j) * (1.0 / (a + b * 1j))
-        angle = imag_part(log1p_series(z)) + math.atan2(b, a)
-        radial = ((a + xi) * xid + (b + eta) * etad) * inv_r1sq
-        total = total + p.W1 * (0.5 * radial + -(n * angle))
+        angle = plus(imag_part(log1p_series(z)), math.atan2(b, a))
+        radial = (plus(xi, a) * xid + plus(eta, b) * etad) * inv_r1sq
+        total = total + p.W1 * (0.5 * radial + negated(n * angle))
 
     # Constant term must reproduce the pointwise Lagrangian; a mismatch means
     # a composition bug, so it is asserted rather than reported.
@@ -627,12 +686,12 @@ def t5_by_products(p: ModelParams, shift: OriginShift) -> tuple:
     xid = variable(2, cap)
     etad = variable(3, cap)
     u = a * xi + b * eta
-    w = b * xi + -(a * eta)
+    w = b * xi + negated(a * eta)
     udot = a * xid + b * etad
     ww = w * w
     tail = 2.0 * (xi * xid + eta * etad) * u * rho2
     factor = p.W1 / (2.0 * rho2**3)
-    return tuple(((udot * (brace + -ww) + -tail) * factor).grade(3)
+    return tuple(((udot * (brace + negated(ww)) + negated(tail)) * factor).grade(3)
                  for brace in (3.0 * (u * u), 3.0 * u))
 
 

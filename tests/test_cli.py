@@ -62,7 +62,7 @@ class TestConfig:
             parser.parse_args(["verify", "--config", str(path)]))
         from_flags = config_from_args(
             parser.parse_args(["verify", *self.FLAGS]))
-        assert from_file == from_flags
+        assert vars(from_file) == vars(from_flags)
         assert from_file.params() == from_flags.params()
         assert from_file.options() == from_flags.options()
         code, out_file, err_file = run_cli(capsys, "verify", "--config",
@@ -88,6 +88,13 @@ class TestConfig:
         assert code == EXIT_CONFIG
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"mu=0.01\n\xff\n")
+        assert run_cli(capsys, "verify", "--config", str(path)) == (
+            EXIT_CONFIG, "", f"error: {path}: 'utf-8' codec can't decode byte "
+                             "0xff in position 8: invalid start byte\n")
 
     def test_branch_takes_the_printed_readers_names(self, capsys):
         assert run_cli(capsys, "verify", "--mu", "0.01", "--branch", "L6") == (

@@ -61,10 +61,11 @@ from l4norm.polyalg import (
     taylor_lagrangian,
 )
 
-from oracles import (difference, hessian_by_loops, j_by_mode_vectors, mode_columns_by_lists,
-                     operator_by_composition, polynomial_rows, printed_by_groups,
-                     row_as_written, substitute_by_kernel, substitute_by_rows,
-                     substitute_pairwise, variable)
+from oracles import (difference, energy, hessian_by_loops, j_by_mode_vectors,
+                     mode_columns_by_lists, operator_by_composition, partial,
+                     polynomial_rows, printed_by_groups, row_as_written, scaled,
+                     substitute_by_kernel, substitute_by_rows, substitute_pairwise,
+                     variable)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -227,7 +228,7 @@ class TestJNumeric:
                                      c=nm.J[2][2] * sq1)
               + DAlembertSeries.single(0, 1, 0, 1, s=nm.J[2][1] * iq2,
                                        c=nm.J[2][3] * sq2))
-        vx_from_p = difference(difference(px, b1x.scale(C[0][0])), b1y.scale(C[0][1]))
+        vx_from_p = difference(difference(px, scaled(b1x, C[0][0])), scaled(b1y, C[0][1]))
         assert vx.norm_of_difference(vx_from_p) < 1e-12
 
 
@@ -442,7 +443,7 @@ class TestForcing:
         c = 0.7
         l3 = TruncatedPoly(3, {(3, 0, 0, 0): c})
         (x2, y2), _, _ = forcing_x2y2(l3, self.b1[0], self.b1[1], self.w)
-        expected = (self.b1[0] * self.b1[0]).scale(3 * c)
+        expected = scaled(self.b1[0] * self.b1[0], 3 * c)
         assert x2.norm_of_difference(expected) < 1e-13
         assert y2.terms == {}
 
@@ -451,7 +452,7 @@ class TestForcing:
         l3 = TruncatedPoly(3, {(0, 3, 0, 0): c})
         (x2, y2), _, _ = forcing_x2y2(l3, self.b1[0], self.b1[1], self.w)
         assert x2.terms == {}
-        expected = (self.b1[1] * self.b1[1]).scale(3 * c)
+        expected = scaled(self.b1[1] * self.b1[1], 3 * c)
         assert y2.norm_of_difference(expected) < 1e-13
 
     def test_full_support(self):
@@ -474,7 +475,7 @@ class TestForcing:
         xid = variable(2, 3)
         etad = variable(3, 3)
         f3 = xi * xi * eta + -2.0 * (eta * eta * eta)
-        gauge = f3.partial(0) * xid + f3.partial(1) * etad
+        gauge = partial(f3, 0) * xid + partial(f3, 1) * etad
         l3 = self.lag.grade(3)
         (x2a, y2a), _, _ = forcing_x2y2(l3, self.b1[0], self.b1[1], self.w)
         (x2b, y2b), _, _ = forcing_x2y2((l3 + gauge).grade(3), self.b1[0],
@@ -498,13 +499,13 @@ class TestSecondOrderOracle:
         self.b1 = first_order_components(self.nm)
 
     def test_zero_forcing(self):
-        zero = DAlembertSeries.zero()
+        zero = DAlembertSeries()
         sol = solve_second_order_oracle(self.efg, self.w, self.p.n, zero, zero)
         assert sol.b2x.terms == {} and sol.b2y.terms == {}
 
     def test_single_harmonic_round_trip(self):
         x2 = DAlembertSeries.single(2, 0, 2, 0, c=1.0)
-        y2 = DAlembertSeries.zero()
+        y2 = DAlembertSeries()
         sol = solve_second_order_oracle(self.efg, self.w, self.p.n, x2, y2)
         rx, ry = back_substitution(sol, x2, y2, self.efg, self.w, self.p.n)
         assert rx < 1e-12
@@ -525,7 +526,7 @@ class TestSecondOrderOracle:
             bad = DAlembertSeries.single(1, 0, 1, 0, c=c)
             with pytest.raises(CriticalTermError):
                 solve_second_order_oracle(self.efg, self.w, self.p.n, bad,
-                                          DAlembertSeries.zero())
+                                          DAlembertSeries())
 
 
 class TestClosedFormTables:
@@ -649,7 +650,7 @@ class TestH3:
         b1 = first_order_components(nm)
         (x2, y2), _, cubic = forcing_x2y2(lag.grade(3), b1[0], b1[1], w)
         sol = solve_second_order_oracle(efg, w, p.n, x2, y2)
-        b2 = (DAlembertSeries.zero(), DAlembertSeries.zero()) if ablation \
+        b2 = (DAlembertSeries(), DAlembertSeries()) if ablation \
             else (sol.b2x, sol.b2y)
         h3 = h3_normal_coefficients(cubic, lag.grade(2), b1, b2, w)
         scale = max(x2.max_abs(), y2.max_abs(), sol.b2x.max_abs(),
@@ -705,9 +706,9 @@ class TestH3:
         l3 = res.lagrangian_poly.grade(3)
         b1x, b1y = res.b1
         args = (b1x, b1y, apply_D(b1x, res.freq), apply_D(b1y, res.freq))
-        doubled = [a.scale(2.0) for a in args]
+        doubled = [scaled(a, 2.0) for a in args]
         for i in range(4):
-            poly = l3.partial(i)
+            poly = partial(l3, i)
             first = poly_at_series(poly, *args, 2)
             misses = plan.cache_info().misses
             again = poly_at_series(poly, *args, cap=2)
@@ -723,7 +724,7 @@ class TestH3:
     def test_poly_substitution_values(self):
         # poly_at_series on a known monomial: xi^2 with xi = cos(phi1) grade
         s = DAlembertSeries.single(1, 0, 1, 0, c=2.0)
-        zero = DAlembertSeries.zero()
+        zero = DAlembertSeries()
         poly = TruncatedPoly(3, {(2, 0, 0, 0): 1.0})
         out = poly_at_series(poly, s, zero, zero, zero, cap=3)
         assert out.terms == {(2, 0, 0, 0): (2.0, 0.0), (2, 0, 2, 0): (2.0, 0.0)}
@@ -787,8 +788,8 @@ class TestSubstitutionKernel:
     def test_matches_pairwise_reference_at_chain_points(self, chain):
         lag, w = chain.lagrangian_poly, chain.freq
         l3 = lag.grade(3)
-        polys = [l3.partial(i) for i in range(4)]
-        polys += [l3.energy(), lag.grade(2).energy(), lag]
+        polys = [partial(l3, i) for i in range(4)]
+        polys += [energy(l3), energy(lag.grade(2)), lag]
         b1x, b1y = chain.b1
         bx, by = b1x + chain.b2.b2x, b1y + chain.b2.b2y
         for x, y in ((b1x, b1y), (bx, by)):
@@ -802,8 +803,8 @@ class TestSubstitutionKernel:
         # B1 + B2, and the forcing's five in one plan, bit for bit
         lag, w = chain.lagrangian_poly, chain.freq
         l3 = lag.grade(3)
-        polys = [l3.partial(i) for i in range(4)]
-        polys += [l3.energy(), lag.grade(2).energy(), lag]
+        polys = [partial(l3, i) for i in range(4)]
+        polys += [energy(l3), energy(lag.grade(2)), lag]
         b1x, b1y = chain.b1
         bx, by = b1x + chain.b2.b2x, b1y + chain.b2.b2y
         for x, y in ((b1x, b1y), (bx, by)):
@@ -825,19 +826,19 @@ class TestSubstitutionKernel:
         l3, w = chain.lagrangian_poly.grade(3), chain.freq
         b1x, b1y = chain.b1
         args = (b1x, b1y, apply_D(b1x, w), apply_D(b1y, w))
-        dx, dy, dvx, dvy, energy = [poly_at_series(poly, *args, 3) for poly in
-                                    [l3.partial(i) for i in range(4)] + [l3.energy()]]
+        dx, dy, dvx, dvy, e3 = [poly_at_series(poly, *args, 3) for poly in
+                                [partial(l3, i) for i in range(4)] + [energy(l3)]]
         rows = substitution_rows(_forcing_polys(l3.layout), 3,
                                  [a.layout for a in args])
         assert (list(map(_bits, substitute_by_kernel(rows, l3.values, args)))
-                == list(map(_bits, (dx, dy, dvx, dvy, energy))))
+                == list(map(_bits, (dx, dy, dvx, dvy, e3))))
         (x2, y2), (x2p, y2p), cubic = forcing_x2y2(l3, b1x, b1y, w)
         assert _bits(x2p) == _bits(dx) and _bits(y2p) == _bits(dy)
         assert _bits(x2) == _bits(difference(dx, apply_D(dvx, w)))
         assert _bits(y2) == _bits(difference(dy, apply_D(dvy, w)))
-        assert _bits(cubic) == _bits(energy)
+        assert _bits(cubic) == _bits(e3)
         if not chain.params.W1:
-            assert l3.partial(2).values == l3.partial(3).values == []
+            assert partial(l3, 2).values == partial(l3, 3).values == []
             assert dvx.values == dvy.values == []
 
     def test_matches_pairwise_reference_on_random_series(self):
@@ -852,7 +853,7 @@ class TestSubstitutionKernel:
     def test_edge_cases(self):
         s = DAlembertSeries({(1, 0, 1, 0): (2.0, 0.5), (0, 1, 0, 1): (0.3, -1.0)})
         t = DAlembertSeries({(2, 0, 0, 0): (0.7, 0.0), (0, 2, 0, 2): (1.0, 1.0)})
-        zero = DAlembertSeries.zero()
+        zero = DAlembertSeries()
         # the constant monomial is the unit series times its coefficient
         out = assert_matches_pairwise(
             TruncatedPoly(3, {(0, 0, 0, 0): 2.5, (1, 0, 0, 0): 1.0}),
@@ -867,7 +868,7 @@ class TestSubstitutionKernel:
         for poly in (TruncatedPoly(3, {(2, 0, 0, 0): 1.0, (1, 1, 0, 0): -0.5}),
                      TruncatedPoly(3, {(0, 3, 0, 0): 1.0, (1, 0, 0, 1): 2.0}),
                      TruncatedPoly(3, {(0, 1, 1, 1): 1.0})):
-            assert_matches_pairwise(poly, (s, t, t, s.scale(-1.0)), 3)
+            assert_matches_pairwise(poly, (s, t, t, scaled(s, -1.0)), 3)
             assert_matches_pairwise(poly, (t, t, t, t), 2)
         with pytest.raises(ContractError):
             poly_at_series(TruncatedPoly(4, {(2, 2, 0, 0): 1.0}), s, s, s, s, 4)

@@ -32,6 +32,7 @@ from oracles import (
     _powers,
     binomial_series,
     classical_cubic_symbolic,
+    constant,
     eom_rhs,
     effective_potential,
     evaluate,
@@ -39,6 +40,9 @@ from oracles import (
     imag_part,
     lagrangian,
     momenta,
+    negated,
+    partial,
+    plus,
     position_part,
     t5_by_products,
     taylor_by_composition,
@@ -53,7 +57,7 @@ def energy_poly(lag: TruncatedPoly) -> TruncatedPoly:
     """sum_v v dL/dv - L: the energy function of a Lagrangian polynomial."""
     xid = variable(2, lag.cap)
     etad = variable(3, lag.cap)
-    return xid * lag.partial(2) + etad * lag.partial(3) + -lag
+    return xid * partial(lag, 2) + etad * partial(lag, 3) + negated(lag)
 
 
 small = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False,
@@ -70,11 +74,10 @@ def poly_strategy(cap=3):
 def all_operations(a, b):
     """Every polynomial-valued operation that builds on stored keys, with
     cancellations that leave exact zeros behind."""
-    z = a * 1j + b
-    return [a + b, a + 0.5, 0.5 + a, a + -b, a + -a,
-            a + -a.coefficient((0, 0, 0, 0)), -a, a * b, a * -1.5, a * 0.0,
-            2.0 * a, a.truncated(1), a.grade(2), a.partial(0),
-            a.partial(3), z, imag_part(z), a.velocity_part(),
+    z = plus(a * 1j, b)
+    return [plus(a, b), plus(a, negated(b)), plus(a, negated(a)), a * b,
+            a * -1.5, a * 0.0, 2.0 * a, a.truncated(1), a.grade(2),
+            partial(a, 0), partial(a, 3), z, imag_part(z), a.velocity_part(),
             position_part(a)]
 
 
@@ -111,8 +114,8 @@ class TestRingAxioms:
         x = variable(0, 3)
         e = variable(1, 3)
         p = x * x * e
-        assert p.partial(0).coefficient((1, 1, 0, 0)) == 2.0
-        assert p.partial(1).coefficient((2, 0, 0, 0)) == 1.0
+        assert partial(p, 0).coefficient((1, 1, 0, 0)) == 2.0
+        assert partial(p, 1).coefficient((2, 0, 0, 0)) == 1.0
 
     def test_binomial_against_scalar(self):
         t = TruncatedPoly(6, {(1, 0, 0, 0): 0.02})
@@ -166,7 +169,7 @@ class TestProductPlans:
     @settings(max_examples=30, deadline=None)
     @given(poly_strategy(), st.lists(st.floats(-2.0, 0.5), min_size=1, max_size=3))
     def test_binomial_exponents_share_one_power_list(self, poly, alphas):
-        t = poly + -poly.coefficient((0, 0, 0, 0))
+        t = plus(poly, -poly.coefficient((0, 0, 0, 0)))
         shared = binomial_series(t, *alphas)
         for alpha, series in zip(alphas, shared):
             (alone,) = binomial_series(t, alpha)
@@ -207,12 +210,6 @@ def ref_add(cap_a, a, cap_b, b):
     return ref(cap, out.items())
 
 
-def ref_add_scalar(a, value):
-    out = dict(a.coeffs)
-    out[CONSTANT] = out.get(CONSTANT, 0.0) + value
-    return ref(a.cap, out.items())
-
-
 def ref_partial(a, index):
     return ref(a.cap, ((m[:index] + (m[index] - 1,) + m[index + 1:], c * m[index])
                        for m, c in a.coeffs.items() if m[index]))
@@ -232,25 +229,23 @@ poly_terms = st.lists(monomial, unique=True, max_size=10).flatmap(
         lambda values: dict(zip(keys, values))))
 
 
-def check_against_reference(a, b, factor=-1.5, value=0.5):
+def check_against_reference(a, b, factor=-1.5):
     """Every layout-store operation on a and b, against the dict kernels."""
     da, db = dict(a.coeffs), dict(b.coeffs)
     neg_a = {m: -c for m, c in da.items()}
     neg_b = {m: -c for m, c in db.items()}
     pairs = [
-        (a + b, ref_add(a.cap, da, b.cap, db)),
-        (b + a, ref_add(b.cap, db, a.cap, da)),
-        (a + -b, ref_add(a.cap, da, b.cap, neg_b)),
-        (a + -a, ref_add(a.cap, da, a.cap, neg_a)),
-        (a + value, ref_add_scalar(a, value)), (value + a, ref_add_scalar(a, value)),
-        (-a, ref(a.cap, ((m, -c) for m, c in a.coeffs.items()))),
+        (plus(a, b), ref_add(a.cap, da, b.cap, db)),
+        (plus(b, a), ref_add(b.cap, db, a.cap, da)),
+        (plus(a, negated(b)), ref_add(a.cap, da, b.cap, neg_b)),
+        (plus(a, negated(a)), ref_add(a.cap, da, a.cap, neg_a)),
         (a * factor, ref(a.cap, ((m, c * factor) for m, c in a.coeffs.items()))),
         (a * b, (min(a.cap, b.cap), [(m, bits(c)) for m, c in reference_mul(a, b)])),
         (imag_part(a), ref(a.cap, ((m, c.imag) for m, c in a.coeffs.items()))),
         (a.velocity_part(), ref_slice(a, lambda m: m[2] + m[3] > 0)),
         (position_part(a), ref_slice(a, lambda m: m[2] + m[3] == 0)),
     ]
-    pairs += [(a.partial(i), ref_partial(a, i)) for i in range(4)]
+    pairs += [(partial(a, i), ref_partial(a, i)) for i in range(4)]
     pairs += [(a.grade(n), ref_slice(a, lambda m, n=n: sum(m) == n))
               for n in range(4)]
     pairs += [(a.truncated(n), ref_slice(a, lambda m, n=n: sum(m) <= n,
@@ -263,16 +258,15 @@ def check_against_reference(a, b, factor=-1.5, value=0.5):
 class TestReferenceKernels:
     @settings(max_examples=150, deadline=None)
     @given(poly_terms, poly_terms, st.integers(1, 3), st.integers(1, 3),
-           st.sampled_from((-1.5, 0.0, 2.0, 1j)),
-           st.sampled_from((0.5, -1.0, 0.5j)))
+           st.sampled_from((-1.5, 0.0, 2.0, 1j)))
     # a - b with a -0.0 imaginary part meeting a real value
     @example({(0, 0, 0, 0): 0.5, (0, 0, 0, 1): complex(1.0, -0.0)},
-             {(0, 0, 0, 1): 0.5}, 1, 1, -1.5, 0.5)
+             {(0, 0, 0, 1): 0.5}, 1, 1, -1.5)
     def test_operations_match_the_dict_kernels(self, ta, tb, cap_a, cap_b,
-                                               factor, value):
+                                               factor):
         # unequal caps, complex values, exact zeros and cancelling pairs
         check_against_reference(TruncatedPoly(cap_a, ta),
-                                TruncatedPoly(cap_b, tb), factor, value)
+                                TruncatedPoly(cap_b, tb), factor)
 
     def test_results_do_not_depend_on_layout_identity(self):
         # two layout objects with one key tuple: the second is interned
@@ -290,8 +284,8 @@ class TestReferenceKernels:
     def test_powers_start_from_t(self, poly, cap):
         # the powers the binomial and log series use, bit for bit as when
         # they were formed from the constant 1
-        t = (poly + -poly.coefficient(CONSTANT)).truncated(cap)
-        expected, power = [], TruncatedPoly.constant(1.0, t.cap)
+        t = plus(poly, -poly.coefficient(CONSTANT)).truncated(cap)
+        expected, power = [], constant(1.0, t.cap)
         for _ in range(t.cap):
             power = power * t
             if not power.coeffs:
@@ -305,12 +299,12 @@ class TestReferenceKernels:
         # what is computed from it
         a = TruncatedPoly(3, {(1, 0, 0, 0): 1.0, (0, 1, 1, 0): -0.5j})
         b = TruncatedPoly(3, {(0, 0, 0, 0): 2.0, (1, 0, 0, 0): 0.5})
-        before = exact(a), exact(a * b + a), exact(a.partial(0))
+        before = exact(a), exact(a * b + a), exact(partial(a, 0))
         coeffs = a.coeffs
         coeffs[(1, 0, 0, 0)] = 9.0
         coeffs[(0, 0, 1, 1)] = 1.0
         del coeffs[(0, 1, 1, 0)]
-        assert (exact(a), exact(a * b + a), exact(a.partial(0))) == before
+        assert (exact(a), exact(a * b + a), exact(partial(a, 0))) == before
         assert a.coeffs is not a.coeffs
 
 
@@ -428,7 +422,7 @@ class TestTaylorLagrangian:
         shift = shift_from_point(solve_triangular_numeric(p), p)
         lag = taylor_lagrangian(p, shift, 3)
         h3 = energy_poly(lag).grade(3)
-        assert h3.norm_of_difference(-position_part(lag.grade(3))) < 1e-13
+        assert h3.norm_of_difference(negated(position_part(lag.grade(3)))) < 1e-13
 
     def test_energy_value_matches_hamiltonian(self):
         p = ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=10.0)
@@ -447,7 +441,7 @@ class TestTaylorLagrangian:
         # The degree-3 energy misses the Hamiltonian by O(delta^4) along
         # the ray delta * d through the equilibrium and its velocity zero.
         pt = solve_triangular_numeric(p, branch)
-        energy = taylor_lagrangian(p, shift_from_point(pt, p), 3).energy()
+        energy = energy_poly(taylor_lagrangian(p, shift_from_point(pt, p), 3))
         d = (0.8, -0.6, 0.5, 0.9)
         gaps = []
         for delta in (0.02, 0.01, 0.005, 0.0025):

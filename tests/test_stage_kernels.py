@@ -295,7 +295,7 @@ def test_every_kernel_reads_only_builtins_and_the_kernel_names(monkeypatch):
     for p in (ModelParams(mu=0.01), ModelParams(mu=0.02, q1=0.995, A2=1e-3, cd=5.0)):
         for branch in ("L4", "L5"):
             audit(run_pipeline(p, PipelineOptions(branch=branch)))
-    DAlembertSeries.single(1, 0, 1, 0, c=0.5).mul(DAlembertSeries.single(0, 1, 0, 1, s=2.0))
+    DAlembertSeries.single(1, 0, 1, 0, c=0.5) * DAlembertSeries.single(0, 1, 0, 1, s=2.0)
     assert solve_both(series(((1, 0, 1, 0), (1e-3, 0.0))), series())[0] is CriticalTermError
     allowed = set(dir(builtins)) | set(layout.KERNEL_NAMES)
     read = {}

@@ -42,8 +42,9 @@ from l4norm.verify import (
     single_perturbation_params,
 )
 
-from oracles import (audit_gaps_eagerly, difference, operator_by_composition,
-                     position_part, t5_by_products)
+from oracles import (audit_gaps_eagerly, degree_slice, difference, energy, negated,
+                     operator_by_composition, partial, position_part, product,
+                     scaled, t5_by_products)
 
 
 class TestPipeline:
@@ -496,8 +497,8 @@ def h3_coefficients(total, w):
     h2_form = (DAlembertSeries.single(2, 0, 0, 0, c=w.omega1)
                + DAlembertSeries.single(0, 2, 0, 0, c=-w.omega2))
     return H3NormalCoefficients(
-        total.degree_slice(3),
-        h2_residual=total.degree_slice(2).norm_of_difference(h2_form))
+        degree_slice(total, 3),
+        h2_residual=degree_slice(total, 2).norm_of_difference(h2_form))
 
 
 def h3_at_b1_plus_b2(l2, l3, b1, b2, w):
@@ -505,8 +506,8 @@ def h3_at_b1_plus_b2(l2, l3, b1, b2, w):
     its own, every product capped at degree 3."""
     bx, by = b1[0] + b2[0], b1[1] + b2[1]
     args = (bx, by, apply_D(bx, w), apply_D(by, w))
-    return h3_coefficients(poly_at_series(l2.energy(), *args, 3)
-                           + poly_at_series(l3.energy(), *args, 3), w)
+    return h3_coefficients(poly_at_series(energy(l2), *args, 3)
+                           + poly_at_series(energy(l3), *args, 3), w)
 
 
 def h3_by_hand(l3, b1, b2, efg, w, n):
@@ -517,12 +518,13 @@ def h3_by_hand(l3, b1, b2, efg, w, n):
     vx, vy = apply_D(bx, w), apply_D(by, w)
     cap, n2 = 3, n * n
     k00, k01, k11 = n2 - 2.0 * efg.E, -efg.G, n2 - 2.0 * efg.F
-    h2_sub = (vx.mul(vx, cap) + vy.mul(vy, cap)).scale(0.5)
-    for term in (bx.mul(bx, cap).scale(0.5 * k00), bx.mul(by, cap).scale(k01),
-                 by.mul(by, cap).scale(0.5 * k11)):
+    h2_sub = scaled(product(vx, vx, cap) + product(vy, vy, cap), 0.5)
+    for term in (scaled(product(bx, bx, cap), 0.5 * k00),
+                 scaled(product(bx, by, cap), k01),
+                 scaled(product(by, by, cap), 0.5 * k11)):
         h2_sub = difference(h2_sub, term)
     return h3_coefficients(
-        h2_sub + poly_at_series(-position_part(l3), bx, by, vx, vy, cap), w)
+        h2_sub + poly_at_series(negated(position_part(l3)), bx, by, vx, vy, cap), w)
 
 
 def grade_norms(series):
@@ -532,8 +534,8 @@ def grade_norms(series):
 
 def cubic_at_b1_anew(res):
     """Reference: the position cubic at B1, substituted afresh."""
-    zero = DAlembertSeries.zero()
-    return poly_at_series(-position_part(res.lagrangian_poly.grade(3)),
+    zero = DAlembertSeries()
+    return poly_at_series(negated(position_part(res.lagrangian_poly.grade(3))),
                           *res.b1, zero, zero, 3)
 
 
@@ -543,7 +545,7 @@ def partial_forcing_gap_anew(res):
     l3 = res.lagrangian_poly.grade(3)
     b1x, b1y = res.b1
     args = (b1x, b1y, apply_D(b1x, res.freq), apply_D(b1y, res.freq))
-    x2p, y2p = (poly_at_series(l3.partial(i), *args, 2) for i in (0, 1))
+    x2p, y2p = (poly_at_series(partial(l3, i), *args, 2) for i in (0, 1))
     b2p = solve_second_order_oracle(res.efg, res.freq, res.params.n, x2p, y2p,
                                     floor=res.options.divisor_floor)
     h3p = h3_normal_coefficients(cubic_at_b1_anew(res),
@@ -568,7 +570,7 @@ class TestH3Substitution:
         return run_pipeline(p, PipelineOptions(branch=branch))
 
     def test_ablation_is_the_b2_zero_run(self, res):
-        zero = DAlembertSeries.zero()
+        zero = DAlembertSeries()
         b2_zero = h3_normal_coefficients(cubic_at_b1_anew(res),
                                          res.lagrangian_poly.grade(2), res.b1,
                                          (zero, zero), res.freq)
@@ -599,9 +601,9 @@ class TestH3Substitution:
 
     def test_cubic_energy_is_the_negated_position_cubic(self, res):
         l3 = res.lagrangian_poly.grade(3)
-        energy, negated = l3.energy(), -position_part(l3)
-        assert energy.layout is negated.layout
-        assert energy.values == negated.values
+        cubic_energy, negated_cubic = energy(l3), negated(position_part(l3))
+        assert cubic_energy.layout is negated_cubic.layout
+        assert cubic_energy.values == negated_cubic.values
 
     def test_max_abs_is_the_largest_grade_norm(self, res):
         for series in (res.h3.series, res.cubic_at_b1):
@@ -623,10 +625,10 @@ class TestH3Substitution:
             return poly_at_series(poly, *args, 2)
 
         x2p, y2p = res.position_forcing
-        assert x2p.terms == sub(l3.partial(0)).terms
-        assert y2p.terms == sub(l3.partial(1)).terms
-        assert res.x2.terms == difference(x2p, apply_D(sub(l3.partial(2)), w)).terms
-        assert res.y2.terms == difference(y2p, apply_D(sub(l3.partial(3)), w)).terms
+        assert x2p.terms == sub(partial(l3, 0)).terms
+        assert y2p.terms == sub(partial(l3, 1)).terms
+        assert res.x2.terms == difference(x2p, apply_D(sub(partial(l3, 2)), w)).terms
+        assert res.y2.terms == difference(y2p, apply_D(sub(partial(l3, 3)), w)).terms
 
     def test_cubic_at_b1_is_formed_at_the_b2_stage(self, res):
         # The b2 stage is where B1 meets the cubic: a chain stopped there
