@@ -2,9 +2,9 @@
 
 Each command runs in its own interpreter; its argv, exit code, stdout and
 stderr go to the snapshot in list order.  The list covers every
-subcommand, both branches, the report and CSV formats, a config file,
-each tolerance override, a malformed value, a NaN parameter, sweeps,
-and seeded random `verify` points, so two snapshots that compare equal
+subcommand, both branches, the report and CSV formats, a config file
+and a flag over it, each tolerance override, a malformed value, a NaN
+parameter, refused keys, sweeps, and seeded random `verify` points, so two snapshots that compare equal
 mean byte-identical command-line behaviour.  The config file is written
 to the same path in the temporary directory on every run, so both
 snapshots print the same argv.  The package is imported from whatever
@@ -120,6 +120,15 @@ FIXED = [
     ["verify", "--mu", "0.000237", "--q1", "0.995", "--cd", "5", "--branch", "L5",
      "--stages", "h3"],
     ["equilibria", "--mu", "0.000237", "--q1", "0.995", "--cd", "5", "--branch", "L5"],
+    # each command takes only the keys it reads: a flag it does not read
+    # is argparse's refusal, a tolerance it does not read a config error
+    ["resonance-scan", "--mu-min", "0.01", "--mu-max", "0.02", "--steps", "2",
+     "--q1", "0.9"],
+    ["frequencies", "--mu", "0.01", "--tol", "residual=1e-8"],
+    ["sweep", "--mu-min", "0.005", "--mu-max", "0.02", "--steps", "4",
+     "--stages", "b1", "--format", "report"],
+    # a flag for epsilon replaces the config file's q1
+    ["verify", "--config", CONFIG_PATH, "--epsilon", "0.002"],
 ]
 
 

@@ -61,13 +61,17 @@ def commands() -> list:
 
 def run_in_process(argv) -> tuple:
     """``(exit code, stdout, stderr)`` of `main(argv)`, each warning shown
-    once per location as in a fresh interpreter."""
+    once per location as in a fresh interpreter; a flag the command does
+    not take ends in argparse's `SystemExit`, whose code is the exit code."""
     from l4norm.cli import main
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
         warnings.simplefilter("default")
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as refused:
+            code = refused.code
     return code, out.getvalue(), err.getvalue()
 
 

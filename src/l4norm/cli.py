@@ -14,10 +14,9 @@ import math
 import sys
 
 from . import verify
-from .closedforms import BRANCHES
 from .dalembert import moser_check
 from .errors import ConfigError, DomainError, L4NormError, StabilityDomainError
-from .model import ModelParams
+from .model import BRANCHES, ModelParams
 from .normalform import classical_frequencies, frequencies
 from .verify import PipelineOptions, fmt
 
@@ -83,8 +82,8 @@ def _choice(*allowed):
     return parse, text
 
 
-# Every key a config file line or a command-line flag sets: its parser and
-# its flag help.  `tol.NAME` keys take the names in verify.TOLERANCES.
+# Every key a config file line or a command-line flag sets: each setting's
+# parser and flag help, then `tol.NAME` for the names in verify.TOLERANCES.
 SETTINGS = {
     "mu": (float, "mass ratio of the smaller primary"),
     "q1": (float, "mass-reduction factor of the radiating primary"),
@@ -96,34 +95,30 @@ SETTINGS = {
     "out": (str, "output path prefix"),
     "format": _choice("csv", "report"),
 }
+KEYS = (*SETTINGS, *(f"tol.{name}" for name in verify.TOLERANCES))
 
 
-def set_value(config: RunConfig, key: str, value: str) -> None:
+def set_value(config: RunConfig, key: str, value: str,
+              command: str = "verify") -> None:
     """Parse one key=value setting onto the config; ConfigError if the key
-    is unknown or the value malformed."""
-    name = key[len("tol."):] if key.startswith("tol.") else None
-    if name is not None:
-        if name not in verify.TOLERANCES:
-            raise ConfigError(f"unknown tolerance {name!r}")
-        parse = float
-    elif key in SETTINGS:
-        parse = SETTINGS[key][0]
-    else:
+    is unknown or not read by `command`, or the value malformed."""
+    if key not in KEYS:
         raise ConfigError(f"unknown key {key!r}")
+    if key not in COMMANDS[command][2]:
+        raise ConfigError(f"{command} does not read {key}")
+    tol = key.startswith("tol.")
     try:
-        parsed = parse(value)
+        parsed = (float if tol else SETTINGS[key][0])(value)
     except (ValueError, L4NormError) as err:
         raise ConfigError(f"{key}: {err}") from err
-    if name is None:
-        setattr(config, key, parsed)
-    elif 0.0 < parsed < float("inf"):  # NaN fails this too
-        config.tol[name] = parsed
+    if tol:
+        config.tol[key[len("tol."):]] = parsed
     else:
-        raise ConfigError(f"tolerance {name} must be finite and positive, "
-                          f"got {value!r}")
+        setattr(config, key, parsed)
 
 
-def parse_config_text(text: str, config: RunConfig | None = None) -> RunConfig:
+def parse_config_text(text: str, config: RunConfig | None = None,
+                      command: str = "verify") -> RunConfig:
     config = config or RunConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -133,14 +128,15 @@ def parse_config_text(text: str, config: RunConfig | None = None) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         try:
-            set_value(config, key.strip(), value.strip())
+            set_value(config, key.strip(), value.strip(), command)
         except ConfigError as err:
             raise ConfigError(f"line {lineno}: {err}") from err
     return config
 
 
 def config_from_args(args) -> RunConfig:
-    """The config file's settings, then each flag given on top of them."""
+    """The config file's settings, then each flag given on top of them: a
+    flag for q1 or epsilon, one quantity, replaces the file's of either."""
     config = RunConfig()
     if args.config:
         try:
@@ -148,16 +144,19 @@ def config_from_args(args) -> RunConfig:
                 text = handle.read()
         except UnicodeDecodeError as err:
             raise ConfigError(f"{args.config}: {err}") from err
-        config = parse_config_text(text, config)
-    for key in SETTINGS:
-        value = getattr(args, key)
-        if value is not None:
-            set_value(config, key, value)
-    for item in args.tol or ():
+        config = parse_config_text(text, config, args.command)
+    flags = {key: getattr(args, key) for key in SETTINGS
+             if getattr(args, key, None) is not None}
+    if flags.keys() & {"q1", "epsilon"}:
+        vars(config).pop("q1", None)
+        vars(config).pop("epsilon", None)
+    for key, value in flags.items():
+        set_value(config, key, value, args.command)
+    for item in getattr(args, "tol", None) or ():
         if "=" not in item:
             raise ConfigError(f"--tol expects name=value, got {item!r}")
         name, _, value = item.partition("=")
-        set_value(config, f"tol.{name}", value)
+        set_value(config, f"tol.{name}", value, args.command)
     return config
 
 
@@ -302,6 +301,24 @@ def cmd_sweep(config: RunConfig, mu_min: float, mu_max: float,
 
 # -- argument parsing --------------------------------------------------------
 
+PHYSICS = ("q1", "epsilon", "a2", "cd", "branch")
+
+# Each command: its function, its help text, the keys of KEYS it reads and
+# whether it takes a mu range.  A command has a flag for each key it reads
+# and no other, and its config file may set only those.
+COMMANDS = {
+    "equilibria": (cmd_equilibria, "triangular points three ways",
+                   ("mu", *PHYSICS, "out"), False),
+    "frequencies": (cmd_frequencies, "basic frequencies and the non-resonance "
+                    "check", ("mu", *PHYSICS, "tol.moser", "out"), False),
+    "verify": (cmd_verify, "run pipeline stages and gate on the verification "
+               "criteria", KEYS, False),
+    "resonance-scan": (cmd_resonance_scan, "scan the classical frequency ratio "
+                       "over mu", ("tol.moser", "out"), True),
+    "sweep": (cmd_sweep, "pipeline sweep over a mu range",
+              tuple(key for key in KEYS if key not in ("mu", "format")), True),
+}
+
 MU_BOUNDS = ("--mu-min", "--mu-max")
 
 
@@ -314,32 +331,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Second-order normalization at the triangular points "
                     "with radiation pressure, oblateness and drag.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        for key, (_, text) in SETTINGS.items():
-            sp.add_argument(f"--{key}", help=text)
-        sp.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                        help="tolerance override "
-                             f"({', '.join(verify.TOLERANCES)})")
+    for command, (_, text, reads, ranged) in COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        for key, (_, help_text) in SETTINGS.items():
+            if key in reads:
+                sp.add_argument(f"--{key}", help=help_text)
+        tolerances = [key[len("tol."):] for key in reads if key.startswith("tol.")]
+        if tolerances:
+            sp.add_argument("--tol", action="append", metavar="NAME=VALUE",
+                            help=f"tolerance override ({', '.join(tolerances)})")
         sp.add_argument("--config", help="key=value config file")
-
-    def mu_range(sp):
-        for flag in MU_BOUNDS:
-            sp.add_argument(flag, type=float, required=True)
-        sp.add_argument("--steps", type=int, required=True)
-
-    common(sub.add_parser("equilibria", help="triangular points three ways"))
-    common(sub.add_parser("frequencies", help="basic frequencies and the "
-                                              "non-resonance check"))
-    common(sub.add_parser("verify", help="run pipeline stages and gate on "
-                                         "the verification criteria"))
-    scan = sub.add_parser("resonance-scan", help="scan the classical "
-                                                 "frequency ratio over mu")
-    common(scan)
-    mu_range(scan)
-    sweep = sub.add_parser("sweep", help="pipeline sweep over a mu range")
-    common(sweep)
-    mu_range(sweep)
+        if ranged:
+            for flag in MU_BOUNDS:
+                sp.add_argument(flag, type=float, required=True)
+            sp.add_argument("--steps", type=int, required=True)
     return parser
 
 
@@ -358,20 +363,12 @@ def _attach_bounds(argv: list) -> list:
 def main(argv=None) -> int:
     args = build_parser().parse_args(
         _attach_bounds(sys.argv[1:] if argv is None else argv))
+    run, _, _, ranged = COMMANDS[args.command]
     try:
         config = config_from_args(args)
-        if args.command == "equilibria":
-            return cmd_equilibria(config)
-        if args.command == "frequencies":
-            return cmd_frequencies(config)
-        if args.command == "verify":
-            return cmd_verify(config)
-        if args.command == "resonance-scan":
-            return cmd_resonance_scan(config, args.mu_min, args.mu_max,
-                                      args.steps)
-        if args.command == "sweep":
-            return cmd_sweep(config, args.mu_min, args.mu_max, args.steps)
-        raise ConfigError(f"unknown command {args.command}")
+        if ranged:
+            return run(config, args.mu_min, args.mu_max, args.steps)
+        return run(config)
     except DomainError as err:
         print(f"pipeline error [{type(err).__name__}]: {err}", file=sys.stderr)
         return EXIT_PIPELINE

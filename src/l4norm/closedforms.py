@@ -40,9 +40,9 @@ from __future__ import annotations
 import math
 
 from .dalembert import DIVISOR_FLOOR, DAlembertSeries, FrequencyPair
-from .errors import ParameterError, SmallDivisorError
+from .errors import SmallDivisorError
 from .layout import KernelSource, plan
-from .model import SQRT3, ModelParams
+from .model import SQRT3, ModelParams, branch_sign
 
 
 def mode_scalars(w: FrequencyPair):
@@ -198,8 +198,6 @@ ROWS = {
              (1, "g", (0, 8, -749/3, 808/9, (-109, 40, 3), (35, -1269, 27)))),
 }
 
-BRANCHES = ("L4", "L5")  # the triangular points above and below the x axis
-
 # Reflecting y -> -y and reversing time maps the equations of motion at drag
 # W1 onto themselves at -W1: the Coriolis and both drag terms change sign
 # together.  So the L5 chain at W1 is the L4 chain at -W1 with y and the
@@ -276,39 +274,32 @@ _BASIS_LOCALS = ("1.0", "g", "A2", "A2g", "eps", "epsg", "ea", "eag",
                  "u", "ug", "ugg", "ue", "ueg", "uegg")
 
 
-def check_branch(branch: str) -> None:
-    """ParameterError unless `branch` is one of BRANCHES."""
-    if branch not in BRANCHES:
-        raise ParameterError(f"branch must be {' or '.join(BRANCHES)}, got {branch}")
-
-
 def printed(names, p: ModelParams, w: FrequencyPair | None = None,
             branch: str = "L4") -> dict:
-    """The rows `names` at p by name, on `branch`: on L5 those at `p.mirror`
-    (made once per p) read by :func:`reflect`.  The J rows read the mode
-    scalars of `w`.  One kernel per tuple of names (:func:`_row_kernel`)."""
-    check_branch(branch)
+    """The rows `names` at p by name, on `branch`: on L5 those at -W1
+    read by :func:`reflect`.  The J rows read the mode scalars of `w`.
+    One kernel per tuple of names (:func:`_row_kernel`)."""
+    sign = branch_sign(branch)
     names = tuple(names)
     scalars = () if w is None else (w.omega1, w.omega2, *mode_scalars(w))
-    if branch == "L4":
-        return dict(zip(names, plan(_row_kernel, names)(p, scalars)))
-    return reflect(dict(zip(names, plan(_row_kernel, names)(p.mirror, scalars))))
+    values = dict(zip(names, plan(_row_kernel, names)(p, sign * p.W1, scalars)))
+    return values if sign > 0.0 else reflect(values)
 
 
 def _row_kernel(names: tuple):
-    """The rows `names` compiled into ``rows(p, (w1, w2, l1, l2, k1, k2))``,
-    which returns their values in order.  A row is its mode prefactor times
-    ``0.0`` plus, per group, the group's mode times ``(0.0 + c * b + ...)``
-    over the nonzero coefficients c of BASIS, added left to right: float
-    `sum` adds that way from 0.0, and a running sum that starts at +0.0 is
-    left unchanged by an exact-zero term, so the values are those of a sum
-    over every coefficient, bit for bit.  A mode monomial is formed once,
-    on first use; the empty one, 1.0, is left out.  Only names, ints and
-    the reprs of the rows' floats enter the source."""
+    """The rows `names` compiled into ``rows(p, W1, (w1, w2, l1, l2, k1,
+    k2))``, which returns their values at p with drag W1, in order.  A row
+    is its mode prefactor times ``0.0`` plus, per group, the group's mode
+    times ``(0.0 + c * b + ...)`` over the nonzero coefficients c of BASIS,
+    added left to right: float `sum` adds that way from 0.0, and a running
+    sum that starts at +0.0 is left unchanged by an exact-zero term, so the
+    values are those of a sum over every coefficient, bit for bit.  A mode
+    monomial is formed once, on first use; the empty one, 1.0, is left out.
+    Only names, ints and the reprs of the rows' floats enter the source."""
     rows = [_EXPANDED[name] for name in names]
     k = KernelSource()
     k.lines += ["eps, A2, g = p.epsilon, p.A2, p.gamma",
-                f"u = p.n * p.W1 / {SQRT3!r}",
+                f"u = p.n * W1 / {SQRT3!r}",
                 "ea, ug, ue = eps * A2, u * g, u * eps",
                 "A2g, epsg, eag, ugg, ueg = A2 * g, eps * g, ea * g, ug * g, ue * g",
                 "uegg = ueg * g"]
@@ -326,7 +317,7 @@ def _row_kernel(names: tuple):
                             for b, c in enumerate(sums) if c)
             total += f" + {times(weight_mode)}(0.0{terms})"
         values.append(k.let(f"{times(mode)}({total})"))
-    return k.compile("p, scalars", values, "rows")
+    return k.compile("p, W1, scalars", values, "rows")
 
 
 def reflect(values: dict) -> dict:
@@ -376,9 +367,8 @@ def rs_tables(j: dict, w: FrequencyPair, fg: dict,
     on L5 the L4 formulas run on J reflected back and their values are
     reflected.  The five divisors are checked, and the frequency powers,
     prefactors and J brackets the two tables share formed, once."""
-    if branch == "L5":
+    if branch_sign(branch) < 0.0:
         return reflect(rs_tables(reflect(j), w, fg, floor))
-    check_branch(branch)
     w1, w2 = w.omega1, w.omega2
     w1sq, w2sq = w1**2, w2**2
     for name, value in (

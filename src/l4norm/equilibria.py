@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .closedforms import check_branch, printed
+from .closedforms import printed
 from .errors import ConvergenceError, ParameterError, SingularJacobianError
-from .model import SQRT3, ModelParams, _radii
+from .model import SQRT3, ModelParams, _radii, branch_sign
 
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 100
@@ -36,7 +36,7 @@ class EquilibriumPoint(namedtuple("EquilibriumPoint", "x y branch method residua
 
     def __new__(cls, x: float, y: float, branch: str, method: str,
                 residual: float):
-        check_branch(branch)
+        branch_sign(branch)
         return tuple.__new__(cls, (x, y, branch, method, residual))
 
 
@@ -107,8 +107,7 @@ def residual_at(x: float, y: float, p: ModelParams) -> float:
 
 
 def classical_seed(p: ModelParams, branch: str):
-    y = SQRT3 / 2.0 if branch == "L4" else -SQRT3 / 2.0
-    return 0.5 - p.mu, y
+    return 0.5 - p.mu, branch_sign(branch) * SQRT3 / 2.0
 
 
 def solve_triangular_numeric(p: ModelParams, branch: str = "L4") -> EquilibriumPoint:
@@ -138,15 +137,11 @@ def solve_triangular_numeric(p: ModelParams, branch: str = "L4") -> EquilibriumP
 
 def triangular_series(p: ModelParams, branch: str = "L4") -> EquilibriumPoint:
     """Closed-form x*, y* series with the delta^2, A2 and n W1 corrections."""
-    if p.mu * (1.0 - p.mu) == 0.0:
-        raise ParameterError("series have mu(1-mu) denominators; mu in (0, 1/2] required")
+    sign = branch_sign(branch)
     mu, A2, W1, n, d2 = p.mu, p.A2, p.W1, p.n, p.delta**2
     x0 = 0.5 * d2 - mu
-    y0sq = d2 * (1.0 - 0.25 * d2)
-    if y0sq <= 0.0:
-        raise ParameterError("y0^2 <= 0: radiation too strong for triangular points")
-    sign = 1.0 if branch == "L4" else -1.0
-    y0 = sign * math.sqrt(y0sq)
+    # 0 < q1 <= 1 (`ModelParams`) keeps d2 in (0, 1], so y0^2 > 0
+    y0 = sign * math.sqrt(d2 * (1.0 - 0.25 * d2))
 
     xs = x0 * (
         1.0

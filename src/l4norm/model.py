@@ -12,11 +12,12 @@ Conventions
   (1-mu, 0) and contributes the A2/(2 r2^3) potential correction.
 * The mean motion satisfies n^2 = 1 + 1.5*A2.
 * Drag strength W1 = (1-mu)*(1-q1)/cd.
+* The triangular point L4 lies above the x axis, L5 below it
+  (:func:`branch_sign`).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from collections import namedtuple
@@ -29,6 +30,16 @@ SQRT3 = math.sqrt(3.0)
 
 # Above this size the first-order series downstream start to degrade visibly.
 _SMALLNESS_WARN = 0.1
+
+BRANCHES = ("L4", "L5")  # the triangular points above and below the x axis
+
+
+def branch_sign(branch: str) -> float:
+    """The sign of y on `branch`, 1.0 on L4 and -1.0 on L5;
+    `ParameterError` on any other name."""
+    if branch not in BRANCHES:
+        raise ParameterError(f"branch must be {' or '.join(BRANCHES)}, got {branch}")
+    return 1.0 if branch == "L4" else -1.0
 
 
 class ModelParams(namedtuple("ModelParams", "mu q1 A2 cd epsilon W1 n gamma delta")):
@@ -50,7 +61,7 @@ class ModelParams(namedtuple("ModelParams", "mu q1 A2 cd epsilon W1 n gamma delt
     delta = q1**(1/3).
     """
 
-    # No __slots__: the cached `mirror` lives in the instance dict.
+    __slots__ = ()
 
     def __new__(cls, mu: float, q1: float = 1.0, A2: float = 0.0, cd: float = 1.0):
         if not 0.0 < mu <= 0.5:
@@ -82,14 +93,6 @@ class ModelParams(namedtuple("ModelParams", "mu q1 A2 cd epsilon W1 n gamma delt
         which reads nan; q1 = 1 - epsilon."""
         return cls(mu=mu, q1=1.0 - epsilon, A2=A2, cd=math.inf)._replace(
             W1=W1, cd=math.nan)
-
-    @functools.cached_property
-    def mirror(self) -> ModelParams:
-        """These parameters with W1 negated, made once per instance: the
-        L5 chain at W1 is the L4 chain at -W1 reflected in y (see
-        `l4norm.closedforms.MIRROR_ODD`)."""
-        return ModelParams._from_perturbations(self.mu, self.epsilon, self.A2,
-                                               -self.W1)
 
 
 def _radii(x: float, y: float, p: ModelParams):

@@ -27,7 +27,7 @@ from .dalembert import (
 from .errata import classify_remainder
 from .errors import ParameterError, ResonanceError
 from .layout import sup_of_difference
-from .model import ModelParams
+from .model import ModelParams, branch_sign
 
 STAGES = ("equilibria", "taylor", "b1", "b2", "h3")
 
@@ -39,9 +39,18 @@ class PipelineOptions(namedtuple(
     """The branch and the tolerances of a chain: `residual_tol` gates the B2
     back-substitution, `linear_tol` the B1 residual and the symplectic and
     H2-form defects, and `h3_tol_factor` H3 (|A| < factor * the largest
-    intermediate coefficient)."""
+    intermediate coefficient).  `ParameterError` on a branch other than L4
+    or L5, or on a tolerance that is not finite and positive."""
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        branch_sign(self.branch)
+        for name, value in zip(cls._fields[1:], self[1:]):
+            if not 0.0 < value < math.inf:  # NaN fails this too
+                raise ParameterError(f"{name} must be finite and positive, got {value}")
+        return self
 
 
 # Each tolerance a run may override (`--tol NAME=VALUE`, `tol.NAME=VALUE`)

@@ -4,10 +4,12 @@ import pytest
 
 from l4norm import errors, verify
 from l4norm.cli import (
+    COMMANDS,
     EXIT_CONFIG,
     EXIT_GATE,
     EXIT_OK,
     EXIT_PIPELINE,
+    KEYS,
     RunConfig,
     build_parser,
     config_from_args,
@@ -27,7 +29,12 @@ from l4norm.verify import (
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """``(exit code, stdout, stderr)``; a flag the command does not take
+    ends in argparse's `SystemExit`, whose code is the exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as refused:
+        code = refused.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -139,6 +146,29 @@ class TestConfig:
                                "--mu", "0.25")
         assert code == EXIT_OK
         assert out.splitlines()[1].startswith("numeric,0.25,")
+
+    @pytest.mark.parametrize("file_key, flag", [
+        ("q1=0.999", ("--epsilon", "0.002")), ("epsilon=0.001", ("--q1", "0.998")),
+        ("q1=0.999", ("--q1", "0.998"))])
+    def test_flag_overrides_the_files_other_name(self, tmp_path, capsys,
+                                                 file_key, flag):
+        # q1 and epsilon name one quantity: a flag for either replaces the
+        # file's value of either
+        path = tmp_path / "run.cfg"
+        path.write_text(f"mu=0.01\n{file_key}\ncd=20\n")
+        overridden = run_cli(capsys, "equilibria", "--config", str(path), *flag)
+        assert overridden[0] == EXIT_OK
+        assert overridden == run_cli(capsys, "equilibria", "--mu", "0.01",
+                                     "--cd", "20", *flag)
+
+    def test_q1_and_epsilon_from_one_source_exit_2(self, tmp_path, capsys):
+        both = ("error: give q1 or epsilon, not both\n",)
+        assert run_cli(capsys, "equilibria", "--mu", "0.01", "--q1", "0.999",
+                       "--epsilon", "0.002") == (EXIT_CONFIG, "", *both)
+        path = tmp_path / "run.cfg"
+        path.write_text("mu=0.01\nq1=0.999\nepsilon=0.002\n")
+        assert run_cli(capsys, "equilibria", "--config", str(path)) == (
+            EXIT_CONFIG, "", *both)
 
 
 class TestEquilibriaCommand:
@@ -398,12 +428,17 @@ class TestResonanceScan:
         assert "critical mass" in err
 
 
+def stages_of(command):
+    """`--stages b1` where the range command reads it (sweep)."""
+    return ("--stages", "b1") if command == "sweep" else ()
+
+
 @pytest.mark.parametrize("mu_min", ["-0.01", "0", "-1e300"])
 @pytest.mark.parametrize("command", ["sweep", "resonance-scan"])
 def test_non_positive_mu_min_is_refused(capsys, command, mu_min):
     # both commands refuse it before any row, as a non-finite bound
     code, out, err = run_cli(capsys, command, "--mu-min", mu_min, "--mu-max",
-                             "0.01", "--steps", "3", "--stages", "b1")
+                             "0.01", "--steps", "3", *stages_of(command))
     assert (code, out) == (EXIT_CONFIG, "")
     assert err.startswith("error: mu range must be positive") \
         and len(err.splitlines()) == 1
@@ -418,7 +453,7 @@ def test_non_finite_mu_bound_is_refused(capsys, command, bad, bound):
     given = {"min": "0.01", "max": "0.02", bound: bad}
     code, out, err = run_cli(capsys, command, f"--mu-min={given['min']}",
                              f"--mu-max={given['max']}", "--steps", "3",
-                             "--stages", "b1")
+                             *stages_of(command))
     assert (code, out) == (EXIT_CONFIG, "")
     assert err.startswith("error: mu range must be finite") \
         and len(err.splitlines()) == 1
@@ -438,7 +473,7 @@ def test_negative_non_finite_mu_bound_reaches_the_range_check(
         bounds += ([f"--mu-{flag}={given[flag]}"] if joined
                    else [f"--mu-{flag}", given[flag]])
     code, out, err = run_cli(capsys, command, *bounds, "--steps", "3",
-                             "--stages", "b1")
+                             *stages_of(command))
     assert (code, out) == (EXIT_CONFIG, "")
     assert err.startswith("error: mu range must be finite") \
         and len(err.splitlines()) == 1
@@ -446,8 +481,8 @@ def test_negative_non_finite_mu_bound_reaches_the_range_check(
 
 def _out_of_domain_argv():
     """Each subcommand at negative, zero and huge mass ratios, at a tiny
-    drag constant, and the two range commands at empty and negative step
-    counts."""
+    drag constant (which resonance-scan, reading no physics, refuses), and
+    the two range commands at empty and negative step counts."""
     drag = ("--q1", "0.999", "--cd")
     for command in ("equilibria", "frequencies", "verify"):
         stages = ("--stages", "b1") if command == "verify" else ()
@@ -473,8 +508,72 @@ def _out_of_domain_argv():
 def test_out_of_domain_numbers_end_in_an_exit_code(capsys, argv):
     # no exception escapes `main`: each run succeeds or ends in a typed
     # refusal that the exit code names
-    assert run_cli(capsys, *argv)[0] in (EXIT_OK, EXIT_CONFIG, EXIT_GATE,
-                                         EXIT_PIPELINE)
+    code, out, _ = run_cli(capsys, *argv)
+    if argv[0] == "resonance-scan" and "--cd" in argv:
+        assert (code, out) == (EXIT_CONFIG, "")
+    else:
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_GATE, EXIT_PIPELINE)
+
+
+# A value each key parses, and a run of each command that reads no key.
+KEY_VALUES = {"mu": "0.01", "q1": "0.999", "epsilon": "0.001", "a2": "1e-4",
+              "cd": "20", "branch": "L5", "stages": "b1", "out": "run",
+              "format": "csv", **{key: "0.002" for key in KEYS if "." in key}}
+BARE_RUNS = {"equilibria": (), "frequencies": (), "verify": (),
+             "resonance-scan": ("--mu-min", "0.01", "--mu-max", "0.02",
+                                "--steps", "2"),
+             "sweep": ("--mu-min", "0.01", "--mu-max", "0.02", "--steps", "2")}
+UNREAD = [(command, key) for command, (_, _, reads, _) in COMMANDS.items()
+          for key in KEYS if key not in reads]
+
+
+def as_flag(key):
+    _, _, tol = key.partition(".")
+    return ("--tol", f"{tol}={KEY_VALUES[key]}") if tol else (
+        f"--{key}", KEY_VALUES[key])
+
+
+def test_each_command_reads_its_row():
+    physics = {"q1", "epsilon", "a2", "cd", "branch"}
+    tolerances = {key for key in KEYS if key.startswith("tol.")}
+    assert {command: set(reads) for command, (_, _, reads, _)
+            in COMMANDS.items()} == {
+        "equilibria": {"mu", *physics, "out"},
+        "frequencies": {"mu", *physics, "tol.moser", "out"},
+        "verify": set(KEYS),
+        "resonance-scan": {"tol.moser", "out"},
+        "sweep": {*physics, "stages", *tolerances, "out"}}
+    # 43 settable values of 70, 27 refused
+    assert len(KEYS) == 14 and len(UNREAD) == 27
+
+
+@pytest.mark.parametrize("where", ["flag", "file"])
+@pytest.mark.parametrize("command, key", UNREAD, ids="-".join)
+def test_a_key_the_command_does_not_read_exits_2(tmp_path, capsys, command,
+                                                 key, where):
+    # as a flag argparse refuses it, or the config reader if the command
+    # takes --tol; in a config file the reader refuses it by its line
+    if where == "flag":
+        argv = as_flag(key)
+    else:
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key}={KEY_VALUES[key]}\n")
+        argv = ("--config", str(path))
+    code, out, err = run_cli(capsys, command, *BARE_RUNS[command], *argv)
+    assert (code, out) == (EXIT_CONFIG, "")
+    if where == "file":
+        assert err == f"error: line 1: {command} does not read {key}\n"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_key_the_command_reads_is_taken(command):
+    parser = build_parser()
+    for key in COMMANDS[command][2]:
+        for config in (config_from_args(parser.parse_args(
+                [command, *BARE_RUNS[command], *as_flag(key)])),
+                parse_config_text(f"{key}={KEY_VALUES[key]}\n", command=command)):
+            _, _, tol = key.partition(".")
+            assert {*config.tol, *vars(config)} - {"tol"} == {tol or key}
 
 
 class TestSweep:

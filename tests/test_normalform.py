@@ -632,7 +632,8 @@ class TestClosedFormTables:
                 values = printed(names, p, freq, branch)
                 reference = (printed_by_groups(names, p, freq) if branch == "L4"
                              else closedforms.reflect(printed_by_groups(
-                                 names, p.mirror, freq)))
+                                 names, ModelParams._from_perturbations(
+                                     p.mu, p.epsilon, p.A2, -p.W1), freq)))
                 assert list(values) == list(names)
                 for name in names:
                     assert values[name] == reference[name], name

@@ -15,7 +15,8 @@ from l4norm.verify import PipelineOptions, run_pipeline
 def records():
     p = ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0)
     res = run_pipeline(p)
-    return [p, p.mirror, PipelineOptions(), res.eq_numeric, res.shift, res.efg,
+    return [p, ModelParams._from_perturbations(p.mu, p.epsilon, p.A2, -p.W1),
+            PipelineOptions(), res.eq_numeric, res.shift, res.efg,
             res.freq, res.moser, res.nm, res.b2, res.h3,
             RemainderVerdict("b2.r1", "W1", 1e-3, 5e-4, "first_order"),
             KNOWN_DISCREPANCIES[0]]
@@ -64,10 +65,19 @@ def test_checks_run_at_construction():
         EquilibriumPoint(0.5, 0.8, "L6", "numeric", 0.0)
     with pytest.raises(ParameterError):
         ModelParams(mu=0.01, cd=float("nan"))
+    with pytest.raises(ParameterError):
+        PipelineOptions(branch="L6")
+
+
+def test_parameters_keep_no_instance_dict():
+    # the L5 reading of the printed rows negates W1 where it evaluates them,
+    # so ModelParams caches nothing and has empty __slots__
+    for record in RECORDS[:3]:
+        assert not hasattr(record, "__dict__"), record
 
 
 def test_perturbation_parameters_bypass_cd():
     # W1 is set directly, of either sign; cd reads nan
     p = ModelParams._from_perturbations(0.01, 1e-3, 0.0, -2e-4)
     assert (p.W1, p.epsilon, p.q1) == (-2e-4, 1.0 - (1.0 - 1e-3), 1.0 - 1e-3)
-    assert p.cd != p.cd and p.mirror.W1 == 2e-4 and type(p) is ModelParams
+    assert p.cd != p.cd and type(p) is ModelParams

@@ -1,7 +1,7 @@
 """Rules on the package's source, read with `ast`: every import is read
 but the benchmark's hooks, one module owns the collision guard, one the
-L5 reading of the printed rows, and one emitter writes, binds and
-compiles every generated kernel.  No module imports `dataclasses`, and
+branch names, one the L5 reading of the printed rows, and one emitter
+writes, binds and compiles every generated kernel.  No module imports `dataclasses`, and
 importing the command line loads neither it nor `inspect`: the records
 are named tuples and plain classes, which write no methods at import.
 
@@ -140,6 +140,40 @@ def test_one_collision_guard():
     # `model._radii` owns the guard: no other module reads its radius or
     # imports its error
     assert naming({"COLLISION_RADIUS", "CollisionError"}) == {"model"}
+
+
+def branch_owners(paths) -> set:
+    """The modules that compare a string with "L4" or "L5", or bind
+    `BRANCHES`."""
+    def owns(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(leaf, ast.Constant) and leaf.value in ("L4", "L5")
+                    for side in (node.left, *node.comparators)
+                    for leaf in ast.walk(side)):
+                return True
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and any(
+                    isinstance(leaf, ast.Name) and leaf.id == "BRANCHES"
+                    for target in (node.targets if isinstance(node, ast.Assign)
+                                   else [node.target])
+                    for leaf in ast.walk(target)):
+                return True
+        return False
+
+    return {path.stem for path in paths if owns(parse(path))}
+
+
+def test_one_owner_of_the_branch_names(tmp_path):
+    # `model.branch_sign` is the one branch check; every other module reads
+    # the branch through it
+    assert branch_owners(MODULES) == {"model"}
+    for line in ("y = 1.0 if branch == 'L4' else -1.0",
+                 "ok = branch in ('L4', 'L5')", "BRANCHES = ()"):
+        module = tmp_path / "module.py"
+        module.write_text(f"branch = 'L5'\n{line}\n")
+        assert branch_owners([module]) == {"module"}
+    module.write_text("default = 'L4'\n")
+    assert branch_owners([module]) == set()
 
 
 def test_one_reading_of_the_printed_rows_on_l5():

@@ -9,7 +9,7 @@ from l4norm import closedforms, equilibria, layout, normalform, verify
 from l4norm.closedforms import J_ENTRIES, MIRROR_ODD, RS_SLOTS, printed, reflect
 from l4norm.dalembert import DAlembertSeries, apply_D
 from l4norm.errata import KNOWN_DISCREPANCIES, is_registered
-from l4norm.errors import L4NormError, ParameterError, ResonanceError
+from l4norm.errors import L4NormError, ParameterError, ResonanceError, SmallDivisorError
 from l4norm.layout import PLAN_TABLE_SIZE, Store, plan
 from l4norm.model import ModelParams
 from l4norm.normalform import (
@@ -242,7 +242,7 @@ class TestMirror:
         rng = random.Random(23 + request.param)
         p = ModelParams(mu=rng.uniform(0.001, 0.037), q1=1.0 - rng.uniform(0.0, 0.01),
                         A2=rng.uniform(0.0, 0.005), cd=rng.uniform(5.0, 100.0))
-        q = p.mirror
+        q = ModelParams._from_perturbations(p.mu, p.epsilon, p.A2, -p.W1)
         assert (q.mu, q.epsilon, q.A2, q.W1) == (p.mu, p.epsilon, p.A2, -p.W1)
         return (run_pipeline(p, PipelineOptions(branch="L5"), stages=("b2",)),
                 run_pipeline(q, PipelineOptions(branch="L4"), stages=("b2",)))
@@ -266,17 +266,52 @@ class TestMirror:
             key: l4.gaps[key] for key in GATING_KEYS}
 
 
-@pytest.mark.parametrize("branch", ["l5", "L6", ""])
+@pytest.mark.parametrize("branch", ["l5", "l4", "L6", ""])
 def test_printed_rows_read_only_the_two_branches(branch):
-    # every name but L4 used to read as L5; the printed readers now refuse
-    # it with the words the equilibrium point uses
+    # every name but L4 used to read as L5; each reader, and the options,
+    # refuse it with the words of `model.branch_sign`
     p = ModelParams(mu=0.01, q1=0.999, cd=20.0)
     message = f"^branch must be L4 or L5, got {branch}$"
     for read in (lambda: closedforms.printed(("x", "y"), p, branch=branch),
                  lambda: equilibria.epsilon_form(p, branch),
-                 lambda: equilibria.EquilibriumPoint(0.5, 0.8, branch, "point", 0.0)):
+                 lambda: equilibria.triangular_series(p, branch),
+                 lambda: equilibria.classical_seed(p, branch),
+                 lambda: equilibria.EquilibriumPoint(0.5, 0.8, branch, "point", 0.0),
+                 lambda: PipelineOptions(branch=branch)):
         with pytest.raises(ParameterError, match=message):
             read()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("field", PipelineOptions._fields[1:])
+def test_options_refuse_a_tolerance_not_finite_and_positive(field, bad):
+    with pytest.raises(ParameterError,
+                       match=f"^{field} must be finite and positive, got "):
+        PipelineOptions(**{field: bad})
+
+
+def test_a_nan_divisor_floor_no_longer_switches_the_guard_off():
+    # at this point a floor of 1 refuses Delta_(0,0); a NaN floor passed
+    # every gate there before the options checked their tolerances
+    p = ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0)
+    with pytest.raises(SmallDivisorError, match=r"Delta_\(0,0\) = 6\.649e-02"):
+        run_pipeline(p, PipelineOptions(divisor_floor=1.0))
+    with pytest.raises(ParameterError, match="^divisor_floor must be finite"):
+        PipelineOptions(divisor_floor=math.nan)
+    assert all(run_pipeline(p, PipelineOptions()).gates().values())
+
+
+def test_newton_refuses_a_bad_branch_before_any_force(monkeypatch):
+    forces = []
+    force = equilibria.equilibrium_force
+    monkeypatch.setattr(equilibria, "equilibrium_force",
+                        lambda *args: forces.append(args) or force(*args))
+    p = ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0)
+    with pytest.raises(ParameterError):
+        equilibria.solve_triangular_numeric(p, "l4")
+    assert forces == []
+    equilibria.solve_triangular_numeric(p, "L4")
+    assert forces
 
 
 class TestChainStoppedAtB1:
@@ -844,20 +879,6 @@ def test_scale_is_measured_once_per_result(monkeypatch):
     assert res.intermediate_scale() == res.b2.scale
     assert res.b2.scale == max(sup(part) for part in parts)
     assert run_pipeline(DRAG_POINT, stages=("b1",)).intermediate_scale() == 1.0
-
-
-def test_one_l5_mirror_per_audit(monkeypatch):
-    made = []
-    build = ModelParams._from_perturbations
-    monkeypatch.setattr(ModelParams, "_from_perturbations", classmethod(
-        lambda cls, *args: made.append(args) or build(*args)))
-    p = ModelParams(mu=0.01215, q1=0.999, A2=1e-4, cd=20.0)
-    res = run_pipeline(p, PipelineOptions(branch="L5"))
-    assert made == []
-    audit(res)
-    assert made == [(p.mu, p.epsilon, p.A2, -p.W1)]
-    audit(res)
-    assert p.mirror.W1 == -p.W1 and len(made) == 1
 
 
 def test_wrong_side_root_reads_the_cubic_on_the_options_branch():
