@@ -39,6 +39,9 @@ class RunConfig:
     stages: tuple = verify.STAGES
     out: str | None = None
     format: str = "report"
+    mu_min: float | None = None
+    mu_max: float | None = None
+    steps: int | None = None
 
     def __init__(self, **settings):
         unknown = settings.keys() - {*SETTINGS, "tol"}
@@ -65,36 +68,54 @@ class RunConfig:
         return PipelineOptions(branch=self.branch, **{
             verify.TOLERANCES[name]: value for name, value in self.tol.items()})
 
+    def grid(self, least_steps: int) -> list:
+        """`steps` evenly spaced mass ratios from mu_min to mu_max;
+        ConfigError, before any row, unless the range is given, finite and
+        positive, in order, and has at least `least_steps` steps."""
+        for key in RANGE:
+            if getattr(self, key) is None:
+                raise ConfigError(f"{key} is required")
+        mu_min, mu_max, steps = self.mu_min, self.mu_max, self.steps
+        if not (math.isfinite(mu_min) and math.isfinite(mu_max)):
+            raise ConfigError(f"mu range must be finite, got --mu-min {mu_min!r} "
+                              f"--mu-max {mu_max!r}")
+        if not mu_min > 0.0:
+            raise ConfigError(f"mu range must be positive, got --mu-min {mu_min!r}")
+        if steps < least_steps or mu_max < mu_min:
+            raise ConfigError("need mu_max >= mu_min and "
+                              + ("steps > 0" if least_steps else "steps >= 0"))
+        return [mu_min + (mu_max - mu_min) * i / max(steps - 1, 1)
+                for i in range(steps)]
+
 
 def _parse_stages(value: str) -> tuple:
     return verify.check_stages(s.strip() for s in value.split(",") if s.strip())
 
 
-def _choice(*allowed):
-    """Parser and help text of a setting that takes one of `allowed`."""
-    text = " or ".join(allowed)
-
-    def parse(value: str) -> str:
-        if value not in allowed:
-            raise ValueError(f"must be {text}, got {value!r}")
-        return value
-
-    return parse, text
+def _parse_format(value: str) -> str:
+    if value not in ("csv", "report"):
+        raise ValueError(f"must be csv or report, got {value!r}")
+    return value
 
 
 # Every key a config file line or a command-line flag sets: each setting's
 # parser and flag help, then `tol.NAME` for the names in verify.TOLERANCES.
+# A setting's flag is `--` and its key with `_` read as `-`.
 SETTINGS = {
     "mu": (float, "mass ratio of the smaller primary"),
     "q1": (float, "mass-reduction factor of the radiating primary"),
     "epsilon": (float, "1 - q1 (give q1 or epsilon)"),
     "a2": (float, "oblateness coefficient of the smaller primary"),
     "cd": (float, "drag normalization constant"),
-    "branch": _choice(*BRANCHES),
+    "branch": (str, " or ".join(BRANCHES)),
     "stages": (_parse_stages, "comma list from " + ",".join(verify.STAGES)),
     "out": (str, "output path prefix"),
-    "format": _choice("csv", "report"),
+    "format": (_parse_format, "csv or report"),
+    "mu_min": (float, "smallest mass ratio of the range"),
+    "mu_max": (float, "largest mass ratio of the range"),
+    "steps": (int, "number of mass ratios in the range"),
 }
+RANGE = ("mu_min", "mu_max", "steps")
 KEYS = (*SETTINGS, *(f"tol.{name}" for name in verify.TOLERANCES))
 
 
@@ -222,31 +243,12 @@ def cmd_verify(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _check_mu_range(mu_min: float, mu_max: float) -> None:
-    """ConfigError unless both bounds of the mu range are finite and mu_min
-    is positive; both range commands check here, before any row."""
-    if not (math.isfinite(mu_min) and math.isfinite(mu_max)):
-        raise ConfigError(f"mu range must be finite, got --mu-min {mu_min!r} "
-                          f"--mu-max {mu_max!r}")
-    if not mu_min > 0.0:
-        raise ConfigError(f"mu range must be positive, got --mu-min {mu_min!r}")
-
-
-def _mu_grid(mu_min: float, mu_max: float, steps: int) -> list:
-    """`steps` evenly spaced mass ratios from mu_min to mu_max."""
-    return [mu_min + (mu_max - mu_min) * i / max(steps - 1, 1)
-            for i in range(steps)]
-
-
-def cmd_resonance_scan(config: RunConfig, mu_min: float, mu_max: float,
-                       steps: int) -> int:
-    _check_mu_range(mu_min, mu_max)
-    if steps < 0 or mu_max < mu_min:
-        raise ConfigError("need mu_max >= mu_min and steps >= 0")
+def cmd_resonance_scan(config: RunConfig) -> int:
+    grid = config.grid(0)
     lines = ["mu,omega1,omega2,min_combination,worst_pair,pass"]
     unstable = 0
     tol = config.options().moser_tol
-    for mu in _mu_grid(mu_min, mu_max, steps):
+    for mu in grid:
         try:
             w = classical_frequencies(mu)
         except StabilityDomainError:
@@ -262,7 +264,7 @@ def cmd_resonance_scan(config: RunConfig, mu_min: float, mu_max: float,
     critical = verify.locate_classical_resonance(1)
     for k in (2, 3):
         mu_k = verify.locate_classical_resonance(k)
-        if max(mu_min, 1e-4) <= mu_k <= min(mu_max, critical):
+        if max(config.mu_min, 1e-4) <= mu_k <= min(config.mu_max, critical):
             lines.append(f"omega1={k}omega2,{k},{fmt(mu_k)}")
     _emit("\n".join(lines) + "\n", config, "resonance-scan.csv")
     if unstable:
@@ -271,14 +273,12 @@ def cmd_resonance_scan(config: RunConfig, mu_min: float, mu_max: float,
     return EXIT_OK
 
 
-def cmd_sweep(config: RunConfig, mu_min: float, mu_max: float,
-              steps: int) -> int:
-    _check_mu_range(mu_min, mu_max)
-    if steps <= 0 or mu_max < mu_min:
-        raise ConfigError("need mu_max >= mu_min and steps > 0")
+def cmd_sweep(config: RunConfig) -> int:
+    grid = config.grid(1)
     options = config.options()
+    config.params(grid[0])  # a setting wrong at every mu exits before any row
     lines = ["mu,omega1,omega2,b1_residual,b2_residual,h3_max,scale,gates"]
-    for mu in _mu_grid(mu_min, mu_max, steps):
+    for mu in grid:
         try:
             res = verify.run_pipeline(config.params(mu), options,
                                       stages=config.stages)
@@ -303,23 +303,21 @@ def cmd_sweep(config: RunConfig, mu_min: float, mu_max: float,
 
 PHYSICS = ("q1", "epsilon", "a2", "cd", "branch")
 
-# Each command: its function, its help text, the keys of KEYS it reads and
-# whether it takes a mu range.  A command has a flag for each key it reads
-# and no other, and its config file may set only those.
+# Each command: its function, its help text and the keys of KEYS it reads.
+# A command has a flag for each key it reads and no other, and its config
+# file may set only those.
 COMMANDS = {
     "equilibria": (cmd_equilibria, "triangular points three ways",
-                   ("mu", *PHYSICS, "out"), False),
+                   ("mu", *PHYSICS, "out")),
     "frequencies": (cmd_frequencies, "basic frequencies and the non-resonance "
-                    "check", ("mu", *PHYSICS, "tol.moser", "out"), False),
+                    "check", ("mu", *PHYSICS, "tol.moser", "out")),
     "verify": (cmd_verify, "run pipeline stages and gate on the verification "
-               "criteria", KEYS, False),
+               "criteria", tuple(key for key in KEYS if key not in RANGE)),
     "resonance-scan": (cmd_resonance_scan, "scan the classical frequency ratio "
-                       "over mu", ("tol.moser", "out"), True),
+                       "over mu", (*RANGE, "tol.moser", "out")),
     "sweep": (cmd_sweep, "pipeline sweep over a mu range",
-              tuple(key for key in KEYS if key not in ("mu", "format")), True),
+              tuple(key for key in KEYS if key not in ("mu", "format"))),
 }
-
-MU_BOUNDS = ("--mu-min", "--mu-max")
 
 
 @functools.cache
@@ -327,34 +325,32 @@ def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: parsing leaves it unchanged, and the
     `--tol` list is made anew by every parse."""
     parser = argparse.ArgumentParser(
-        prog="l4norm",
+        prog="l4norm", allow_abbrev=False,
         description="Second-order normalization at the triangular points "
                     "with radiation pressure, oblateness and drag.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, text, reads, ranged) in COMMANDS.items():
-        sp = sub.add_parser(command, help=text)
+    for command, (_, text, reads) in COMMANDS.items():
+        sp = sub.add_parser(command, help=text, allow_abbrev=False)
         for key, (_, help_text) in SETTINGS.items():
             if key in reads:
-                sp.add_argument(f"--{key}", help=help_text)
+                sp.add_argument("--" + key.replace("_", "-"), help=help_text)
         tolerances = [key[len("tol."):] for key in reads if key.startswith("tol.")]
         if tolerances:
             sp.add_argument("--tol", action="append", metavar="NAME=VALUE",
                             help=f"tolerance override ({', '.join(tolerances)})")
         sp.add_argument("--config", help="key=value config file")
-        if ranged:
-            for flag in MU_BOUNDS:
-                sp.add_argument(flag, type=float, required=True)
-            sp.add_argument("--steps", type=int, required=True)
     return parser
 
 
-def _attach_bounds(argv: list) -> list:
-    """`--mu-min -inf` as `--mu-min=-inf`: argparse reads a bound that
-    starts with '-' and is no plain negative number, such as '-inf' or
-    '-nan', as an option of its own."""
+def _attach_values(argv: list) -> list:
+    """`--a2 -1e-3` as `--a2=-1e-3`: every flag but --help takes the next
+    token as its value, which argparse would read as an option of its own
+    if it starts with '-' and is no plain negative number, as '-1e-3' or
+    '-inf'."""
     out = []
     for token in argv:
-        if out and out[-1] in MU_BOUNDS and token.startswith("-"):
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and out[-1] != "--help" and token.startswith("-")):
             token = out.pop() + "=" + token
         out.append(token)
     return out
@@ -362,13 +358,9 @@ def _attach_bounds(argv: list) -> list:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(
-        _attach_bounds(sys.argv[1:] if argv is None else argv))
-    run, _, _, ranged = COMMANDS[args.command]
+        _attach_values(sys.argv[1:] if argv is None else argv))
     try:
-        config = config_from_args(args)
-        if ranged:
-            return run(config, args.mu_min, args.mu_max, args.steps)
-        return run(config)
+        return COMMANDS[args.command][0](config_from_args(args))
     except DomainError as err:
         print(f"pipeline error [{type(err).__name__}]: {err}", file=sys.stderr)
         return EXIT_PIPELINE

@@ -10,7 +10,10 @@ from l4norm.cli import (
     EXIT_OK,
     EXIT_PIPELINE,
     KEYS,
+    RANGE,
+    SETTINGS,
     RunConfig,
+    _attach_values,
     build_parser,
     config_from_args,
     main,
@@ -103,9 +106,12 @@ class TestConfig:
             EXIT_CONFIG, "", f"error: {path}: 'utf-8' codec can't decode byte "
                              "0xff in position 8: invalid start byte\n")
 
-    def test_branch_takes_the_printed_readers_names(self, capsys):
-        assert run_cli(capsys, "verify", "--mu", "0.01", "--branch", "L6") == (
-            EXIT_CONFIG, "", "error: branch: must be L4 or L5, got 'L6'\n")
+    @pytest.mark.parametrize("branch", ["L6", "l4"])
+    def test_branch_takes_the_printed_readers_names(self, capsys, branch):
+        # the CLI reads the branch as a string; the model's check refuses it
+        assert run_cli(capsys, "verify", "--mu", "0.01", "--stages", "b1",
+                       "--branch", branch) == (
+            EXIT_CONFIG, "", f"error: branch must be L4 or L5, got {branch}\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -479,6 +485,67 @@ def test_negative_non_finite_mu_bound_reaches_the_range_check(
         and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["sweep", "resonance-scan"])
+def test_range_from_a_config_file_equals_the_flags(tmp_path, capsys, command):
+    path = tmp_path / "run.cfg"
+    path.write_text("mu_min=0.005\nmu_max=0.02\nsteps=3\n")
+    flags = run_cli(capsys, command, "--mu-min", "0.005", "--mu-max", "0.02",
+                    "--steps", "3", *stages_of(command))
+    assert flags[0] == EXIT_OK and len(flags[1].splitlines()) > 3
+    assert run_cli(capsys, command, "--config", str(path),
+                   *stages_of(command)) == flags
+
+
+@pytest.mark.parametrize("missing", RANGE)
+@pytest.mark.parametrize("command", ["sweep", "resonance-scan"])
+def test_a_missing_range_value_exits_2(capsys, command, missing):
+    given = {"mu_min": "0.01", "mu_max": "0.02", "steps": "2"}
+    argv = [arg for key, value in given.items() if key != missing
+            for arg in (flag_of(key), value)]
+    assert run_cli(capsys, command, *argv, *stages_of(command)) == (
+        EXIT_CONFIG, "", f"error: {missing} is required\n")
+    with pytest.raises(ConfigError, match=f"^{missing} is required$"):
+        RunConfig(**{key: float(value) for key, value in given.items()
+                     if key != missing}).grid(0)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_flag_reads_a_value_that_starts_with_a_dash(command):
+    # every flag takes the next token, so '-1e-3' or '-inf' is its value
+    # and not an option of its own
+    parser = build_parser()
+    for action in parser._subparsers._group_actions[0].choices[command]._actions:
+        for flag in set(action.option_strings) - {"-h", "--help"}:
+            args = parser.parse_args(_attach_values([command, flag, "-1e-3"]))
+            value = getattr(args, action.dest)
+            assert value == (["-1e-3"] if flag == "--tol" else "-1e-3")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--mu", "0.01", "--a2", "-1e-3", "--stages", "b1"),
+     "A2 must be non-negative, got -0.001"),
+    (("verify", "--mu", "-inf", "--stages", "b1"),
+     "mu must lie in (0, 1/2], got -inf"),
+    (("sweep", "--mu-min", "-inf", "--mu-max", "0.02", "--steps", "2",
+      "--stages", "b1"), "mu range must be finite, got --mu-min -inf "
+                         "--mu-max 0.02"),
+], ids=["a2", "mu", "mu-min"])
+def test_a_dash_value_reaches_the_settings_check(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (EXIT_CONFIG, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("verify", "--mu", "0.01", "--stages", "b1", "--form", "csv"), "--form"),
+    (("sweep", "--mu", "0.3", "--mu-min", "0.01", "--mu-max", "0.02",
+      "--steps", "2", "--stages", "b1"), "--mu"),
+], ids=["form", "sweep-mu"])
+def test_an_abbreviated_flag_is_refused(capsys, argv, flag):
+    # a flag is matched exactly, as a config file key is
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert f"error: unrecognized arguments: {flag} " in err
+
+
 def _out_of_domain_argv():
     """Each subcommand at negative, zero and huge mass ratios, at a tiny
     drag constant (which resonance-scan, reading no physics, refuses), and
@@ -518,37 +585,68 @@ def test_out_of_domain_numbers_end_in_an_exit_code(capsys, argv):
 # A value each key parses, and a run of each command that reads no key.
 KEY_VALUES = {"mu": "0.01", "q1": "0.999", "epsilon": "0.001", "a2": "1e-4",
               "cd": "20", "branch": "L5", "stages": "b1", "out": "run",
-              "format": "csv", **{key: "0.002" for key in KEYS if "." in key}}
+              "format": "csv", "mu_min": "0.01", "mu_max": "0.02", "steps": "2",
+              **{key: "0.002" for key in KEYS if "." in key}}
 BARE_RUNS = {"equilibria": (), "frequencies": (), "verify": (),
              "resonance-scan": ("--mu-min", "0.01", "--mu-max", "0.02",
                                 "--steps", "2"),
              "sweep": ("--mu-min", "0.01", "--mu-max", "0.02", "--steps", "2")}
-UNREAD = [(command, key) for command, (_, _, reads, _) in COMMANDS.items()
+UNREAD = [(command, key) for command, (_, _, reads) in COMMANDS.items()
           for key in KEYS if key not in reads]
+
+
+def flag_of(key):
+    return "--" + key.replace("_", "-")
 
 
 def as_flag(key):
     _, _, tol = key.partition(".")
     return ("--tol", f"{tol}={KEY_VALUES[key]}") if tol else (
-        f"--{key}", KEY_VALUES[key])
+        flag_of(key), KEY_VALUES[key])
 
 
 def test_each_command_reads_its_row():
     physics = {"q1", "epsilon", "a2", "cd", "branch"}
     tolerances = {key for key in KEYS if key.startswith("tol.")}
-    assert {command: set(reads) for command, (_, _, reads, _)
+    assert {command: set(reads) for command, (_, _, reads)
             in COMMANDS.items()} == {
         "equilibria": {"mu", *physics, "out"},
         "frequencies": {"mu", *physics, "tol.moser", "out"},
-        "verify": set(KEYS),
-        "resonance-scan": {"tol.moser", "out"},
-        "sweep": {*physics, "stages", *tolerances, "out"}}
-    # 43 settable values of 70, 27 refused
-    assert len(KEYS) == 14 and len(UNREAD) == 27
+        "verify": set(KEYS) - set(RANGE),
+        "resonance-scan": {*RANGE, "tol.moser", "out"},
+        "sweep": {*physics, *RANGE, "stages", *tolerances, "out"}}
+    # 49 settable values of 85, 36 refused; the range was settable by flag
+    # before it joined the settings
+    assert len(KEYS) == 17 and len(UNREAD) == 36
+
+
+def test_each_flag_is_a_key_the_command_reads():
+    # one flag per key of the row, --tol for the tol.* keys, and --config;
+    # no flag is parsed or required by argparse, so every value passes
+    # through `set_value`
+    import ast
+    import inspect
+
+    from l4norm import cli
+    parsers = build_parser()._subparsers._group_actions[0].choices
+    assert parsers.keys() == COMMANDS.keys()
+    for command, (_, _, reads) in COMMANDS.items():
+        flags = {flag for action in parsers[command]._actions
+                 for flag in action.option_strings} - {"-h", "--help"}
+        assert flags == {"--config", *(flag_of(key) for key in reads
+                                       if key in SETTINGS),
+                         *(["--tol"] if any("." in key for key in reads)
+                           else [])}
+    calls = [node for node in ast.walk(ast.parse(inspect.getsource(cli)))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "add_argument"]
+    assert calls and not [keyword.arg for call in calls
+                          for keyword in call.keywords
+                          if keyword.arg in ("type", "required")]
 
 
 @pytest.mark.parametrize("where", ["flag", "file"])
-@pytest.mark.parametrize("command, key", UNREAD, ids="-".join)
+@pytest.mark.parametrize("command, key", UNREAD)
 def test_a_key_the_command_does_not_read_exits_2(tmp_path, capsys, command,
                                                  key, where):
     # as a flag argparse refuses it, or the config reader if the command
@@ -570,7 +668,7 @@ def test_a_key_the_command_reads_is_taken(command):
     parser = build_parser()
     for key in COMMANDS[command][2]:
         for config in (config_from_args(parser.parse_args(
-                [command, *BARE_RUNS[command], *as_flag(key)])),
+                [command, *as_flag(key)])),
                 parse_config_text(f"{key}={KEY_VALUES[key]}\n", command=command)):
             _, _, tol = key.partition(".")
             assert {*config.tol, *vars(config)} - {"tol"} == {tol or key}
@@ -588,20 +686,34 @@ class TestSweep:
 
     def test_grid_mu_outside_the_model_is_a_config_error_row(self, capsys):
         # each grid point builds its parameters from the config at its own
-        # mu: past 1/2 the row names the config error, and with q1 and
-        # epsilon both given every row does
+        # mu: past 1/2 the row names the config error; a setting that is
+        # wrong at every mu, as q1 and epsilon both given, exits 2 before
+        # the first row
         code, out, _ = run_cli(capsys, "sweep", "--mu-min", "0.49",
                                "--mu-max", "0.51", "--steps", "3",
                                "--stages", "b1")
         assert code == EXIT_OK
         assert [r.split(",")[1] for r in out.splitlines()[1:]] == [
             "error:StabilityDomainError"] * 2 + ["error:ConfigError"]
-        code, out, _ = run_cli(capsys, "sweep", "--mu-min", "0.01",
-                               "--mu-max", "0.02", "--steps", "2", "--q1",
-                               "0.99", "--epsilon", "0.01", "--stages", "b1")
-        assert code == EXIT_OK
-        assert out.splitlines()[1:] == ["0.01,error:ConfigError,,,,,",
-                                        "0.02,error:ConfigError,,,,,"]
+        assert run_cli(capsys, "sweep", "--mu-min", "0.01", "--mu-max", "0.02",
+                       "--steps", "2", "--q1", "0.99", "--epsilon", "0.01",
+                       "--stages", "b1") == (
+            EXIT_CONFIG, "", "error: give q1 or epsilon, not both\n")
+
+    @pytest.mark.parametrize("setting, message", [
+        (("--q1", "0.99", "--epsilon", "0.01"), "give q1 or epsilon, not both"),
+        (("--cd", "0"), "cd must be positive, got 0.0"),
+        (("--q1", "nan"), "q1 must not exceed 1, got nan"),
+        (("--mu-min", "0.6", "--mu-max", "0.7"),
+         "mu must lie in (0, 1/2], got 0.6"),
+    ], ids=["q1-and-epsilon", "cd-zero", "q1-nan", "mu-past-one-half"])
+    def test_a_setting_wrong_at_every_mu_exits_before_any_row(
+            self, capsys, setting, message):
+        # the same refusal as verify's at one point, and no row
+        code, out, err = run_cli(capsys, "sweep", "--mu-min", "0.01",
+                                 "--mu-max", "0.02", "--steps", "2",
+                                 "--stages", "b1", *setting)
+        assert (code, out, err) == (EXIT_CONFIG, "", f"error: {message}\n")
 
     def test_small_sweep(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--mu-min", "0.005",
