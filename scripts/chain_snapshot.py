@@ -40,7 +40,6 @@ where it does not and then exits 1.
 from __future__ import annotations
 
 import ast
-import inspect
 import random
 import sys
 
@@ -67,22 +66,13 @@ def h3_values(h3):
             series_terms(h3.series), float(h3.h2_residual))
 
 
-def printed_cubic(p, shift, branch) -> dict:
-    """The printed cubic on `branch`.  Older trees take no branch and read
-    it on the side of the pivot, which is the branch's at every point of
-    the snapshot."""
-    from l4norm.polyalg import t_coefficients_closed_form
-    if "branch" in inspect.signature(t_coefficients_closed_form).parameters:
-        return t_coefficients_closed_form(p, shift, branch)
-    return t_coefficients_closed_form(p, shift)
-
-
 def chain_record(mu, epsilon, a2, cd, branch):
     """Every value the chain and the audit compute at one point."""
     from l4norm.closedforms import fg_tables
     from l4norm.equilibria import offset_ab
     from l4norm.model import ModelParams
     from l4norm.normalform import H3NormalCoefficients
+    from l4norm.polyalg import t_coefficients_closed_form
     from l4norm.verify import (
         PipelineOptions,
         audit,
@@ -95,12 +85,12 @@ def chain_record(mu, epsilon, a2, cd, branch):
     res = run_pipeline(p, options)
     at_b2 = run_pipeline(p, options, stages=("b2",))
     efg, w, b2 = res.efg, res.freq, res.b2
-    cubic = printed_cubic(p, res.shift, branch)
+    cubic = t_coefficients_closed_form(p, res.shift, branch)
     printed = audit(res)
-    shift = offset_ab(p)
+    shift = offset_ab(p, branch)
     values = {"x": printed.eq_epsform.x, "y": printed.eq_epsform.y,
               "a": shift.a, "b": shift.b, **printed.j_closed,
-              **fg_tables(p), **printed.rs}
+              **fg_tables(p, branch), **printed.rs}
     return (
         ("taylor", [(m, float(c)) for m, c in res.lagrangian_poly.coeffs.items()]),
         ("efg", (float(efg.E), float(efg.F), float(efg.G))),
