@@ -4,8 +4,9 @@ Each command runs in its own interpreter; its argv, exit code, stdout and
 stderr go to the snapshot in list order.  The list covers every
 subcommand, both branches, the report and CSV formats, a config file
 and a flag over it, each tolerance override, a malformed value, a NaN
-parameter, refused keys, sweeps, and seeded random `verify` points, so two snapshots that compare equal
-mean byte-identical command-line behaviour.  The config file is written
+parameter, refused keys, a value that starts with '-', an abbreviated
+flag, sweeps, and seeded random `verify` points, so two snapshots that
+compare equal mean byte-identical command-line behaviour.  The config file is written
 to the same path in the temporary directory on every run, so both
 snapshots print the same argv.  The package is imported from whatever
 `PYTHONPATH` names, so one tree can be compared with another:
@@ -129,6 +130,15 @@ FIXED = [
      "--stages", "b1", "--format", "report"],
     # a flag for epsilon replaces the config file's q1
     ["verify", "--config", CONFIG_PATH, "--epsilon", "0.002"],
+    # a value that starts with '-' is the flag's, and reaches the model's check
+    ["verify", "--mu", "0.01", "--a2", "-1e-3", "--stages", "b1"],
+    # a flag is matched exactly: an abbreviation is argparse's refusal
+    ["verify", "--mu", "0.01", "--stages", "b1", "--form", "csv"],
+    # a setting wrong at every mu exits 2 before the sweep's first row
+    ["sweep", "--mu-min", "0.01", "--mu-max", "0.02", "--steps", "2",
+     "--q1", "0.99", "--epsilon", "0.01", "--stages", "b1"],
+    # the model owns the branch names
+    ["verify", "--mu", "0.01", "--stages", "b1", "--branch", "l4"],
 ]
 
 

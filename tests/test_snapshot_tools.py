@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from l4norm.cli import build_parser
+from l4norm.cli import _attach_values, build_parser
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -83,22 +83,22 @@ def test_chain_snapshot_compare_reports_changes():
 
 
 def test_cli_snapshot_commands_parse(capsys):
-    # every command parses but the two that show argparse refusing a flag
-    # the command does not read
+    # every command parses as `main` reads it but the three that show
+    # argparse refusing a flag the command does not read or an abbreviation
     snapshot = load_script("cli_snapshot")
     commands = snapshot.FIXED + snapshot.random_points(30)
-    assert len(commands) == 79
+    assert len(commands) == 83
     parser = build_parser()
     refused = []
     for argv in commands:
         try:
-            args = parser.parse_args(argv)
+            args = parser.parse_args(_attach_values(argv))
         except SystemExit:
             refused.append(argv[0])
             continue
         assert args.command == argv[0]
     capsys.readouterr()
-    assert refused == ["resonance-scan", "sweep"]
+    assert refused == ["resonance-scan", "sweep", "verify"]
 
 
 def test_cli_snapshot_compare_reports_changes(tmp_path, capsys):
