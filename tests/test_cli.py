@@ -1,8 +1,10 @@
+import ast
+import inspect
 import math
 
 import pytest
 
-from l4norm import errors, verify
+from l4norm import cli, errors, verify
 from l4norm.cli import (
     COMMANDS,
     EXIT_CONFIG,
@@ -40,6 +42,15 @@ def run_cli(capsys, *argv):
         code = refused.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def flag_of(key):
+    return "--" + key.replace("_", "-")
+
+
+def subparsers():
+    """Each command's parser, by command."""
+    return build_parser()._subparsers._group_actions[0].choices
 
 
 # Every tolerance must be finite and positive: a NaN divisor floor would
@@ -513,10 +524,10 @@ def test_a_missing_range_value_exits_2(capsys, command, missing):
 def test_every_flag_reads_a_value_that_starts_with_a_dash(command):
     # every flag takes the next token, so '-1e-3' or '-inf' is its value
     # and not an option of its own
-    parser = build_parser()
-    for action in parser._subparsers._group_actions[0].choices[command]._actions:
+    for action in subparsers()[command]._actions:
         for flag in set(action.option_strings) - {"-h", "--help"}:
-            args = parser.parse_args(_attach_values([command, flag, "-1e-3"]))
+            args = build_parser().parse_args(
+                _attach_values([command, flag, "-1e-3"]))
             value = getattr(args, action.dest)
             assert value == (["-1e-3"] if flag == "--tol" else "-1e-3")
 
@@ -595,10 +606,6 @@ UNREAD = [(command, key) for command, (_, _, reads) in COMMANDS.items()
           for key in KEYS if key not in reads]
 
 
-def flag_of(key):
-    return "--" + key.replace("_", "-")
-
-
 def as_flag(key):
     _, _, tol = key.partition(".")
     return ("--tol", f"{tol}={KEY_VALUES[key]}") if tol else (
@@ -624,14 +631,9 @@ def test_each_flag_is_a_key_the_command_reads():
     # one flag per key of the row, --tol for the tol.* keys, and --config;
     # no flag is parsed or required by argparse, so every value passes
     # through `set_value`
-    import ast
-    import inspect
-
-    from l4norm import cli
-    parsers = build_parser()._subparsers._group_actions[0].choices
-    assert parsers.keys() == COMMANDS.keys()
+    assert subparsers().keys() == COMMANDS.keys()
     for command, (_, _, reads) in COMMANDS.items():
-        flags = {flag for action in parsers[command]._actions
+        flags = {flag for action in subparsers()[command]._actions
                  for flag in action.option_strings} - {"-h", "--help"}
         assert flags == {"--config", *(flag_of(key) for key in reads
                                        if key in SETTINGS),
