@@ -5,11 +5,12 @@ stderr go to the snapshot in list order.  The list covers every
 subcommand, both branches, the report and CSV formats, a config file
 and a flag over it, each tolerance override, a malformed value, a NaN
 parameter, refused keys, a value that starts with '-', an abbreviated
-flag, sweeps, and seeded random `verify` points, so two snapshots that
-compare equal mean byte-identical command-line behaviour.  The config file is written
-to the same path in the temporary directory on every run, so both
-snapshots print the same argv.  The package is imported from whatever
-`PYTHONPATH` names, so one tree can be compared with another:
+flag, malformed command lines, the help texts, sweeps, and seeded random
+`verify` points, so two snapshots that compare equal mean byte-identical
+command-line behaviour.  The config file is written to the same path in
+the temporary directory on every run, so both snapshots print the same
+argv.  The package is imported from whatever `PYTHONPATH` names, so one
+tree can be compared with another:
 
     PYTHONPATH=old/src python scripts/cli_snapshot.py old.txt
     PYTHONPATH=src python scripts/cli_snapshot.py new.txt
@@ -121,8 +122,8 @@ FIXED = [
     ["verify", "--mu", "0.000237", "--q1", "0.995", "--cd", "5", "--branch", "L5",
      "--stages", "h3"],
     ["equilibria", "--mu", "0.000237", "--q1", "0.995", "--cd", "5", "--branch", "L5"],
-    # each command takes only the keys it reads: a flag it does not read
-    # is argparse's refusal, a tolerance it does not read a config error
+    # each command takes only the keys it reads: a flag it does not read,
+    # a tolerance included, is refused as the same config file line is
     ["resonance-scan", "--mu-min", "0.01", "--mu-max", "0.02", "--steps", "2",
      "--q1", "0.9"],
     ["frequencies", "--mu", "0.01", "--tol", "residual=1e-8"],
@@ -132,13 +133,24 @@ FIXED = [
     ["verify", "--config", CONFIG_PATH, "--epsilon", "0.002"],
     # a value that starts with '-' is the flag's, and reaches the model's check
     ["verify", "--mu", "0.01", "--a2", "-1e-3", "--stages", "b1"],
-    # a flag is matched exactly: an abbreviation is argparse's refusal
+    # a flag is matched exactly: an abbreviation or the key's own spelling
+    # is an unknown flag
     ["verify", "--mu", "0.01", "--stages", "b1", "--form", "csv"],
+    ["sweep", "--mu_min", "0.01", "--mu-max", "0.02", "--steps", "2",
+     "--stages", "b1"],
     # a setting wrong at every mu exits 2 before the sweep's first row
     ["sweep", "--mu-min", "0.01", "--mu-max", "0.02", "--steps", "2",
      "--q1", "0.99", "--epsilon", "0.01", "--stages", "b1"],
     # the model owns the branch names
     ["verify", "--mu", "0.01", "--stages", "b1", "--branch", "l4"],
+    # the help texts on stdout, exit 0; no command, an unknown one and a
+    # flag without its value exit 2 with one line on stderr
+    ["--help"],
+    ["verify", "--help"],
+    ["sweep", "-h"],
+    [],
+    ["bogus"],
+    ["verify", "--mu"],
 ]
 
 

@@ -61,17 +61,13 @@ def commands() -> list:
 
 def run_in_process(argv) -> tuple:
     """``(exit code, stdout, stderr)`` of `main(argv)`, each warning shown
-    once per location as in a fresh interpreter; a flag the command does
-    not take ends in argparse's `SystemExit`, whose code is the exit code."""
+    once per location as in a fresh interpreter."""
     from l4norm.cli import main
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
         warnings.simplefilter("default")
-        try:
-            code = main(argv)
-        except SystemExit as refused:
-            code = refused.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 

@@ -8,8 +8,6 @@ significant digits; row order is deterministic.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import math
 import sys
 
@@ -77,10 +75,10 @@ class RunConfig:
                 raise ConfigError(f"{key} is required")
         mu_min, mu_max, steps = self.mu_min, self.mu_max, self.steps
         if not (math.isfinite(mu_min) and math.isfinite(mu_max)):
-            raise ConfigError(f"mu range must be finite, got --mu-min {mu_min!r} "
-                              f"--mu-max {mu_max!r}")
+            raise ConfigError(f"mu range must be finite, got mu_min={mu_min!r} "
+                              f"mu_max={mu_max!r}")
         if not mu_min > 0.0:
-            raise ConfigError(f"mu range must be positive, got --mu-min {mu_min!r}")
+            raise ConfigError(f"mu range must be positive, got mu_min={mu_min!r}")
         if steps < least_steps or mu_max < mu_min:
             raise ConfigError("need mu_max >= mu_min and "
                               + ("steps > 0" if least_steps else "steps >= 0"))
@@ -100,7 +98,6 @@ def _parse_format(value: str) -> str:
 
 # Every key a config file line or a command-line flag sets: each setting's
 # parser and flag help, then `tol.NAME` for the names in verify.TOLERANCES.
-# A setting's flag is `--` and its key with `_` read as `-`.
 SETTINGS = {
     "mu": (float, "mass ratio of the smaller primary"),
     "q1": (float, "mass-reduction factor of the radiating primary"),
@@ -117,6 +114,9 @@ SETTINGS = {
 }
 RANGE = ("mu_min", "mu_max", "steps")
 KEYS = (*SETTINGS, *(f"tol.{name}" for name in verify.TOLERANCES))
+# A setting's flag: `--` and its key with `_` written as `-`.
+FLAGS = {"--" + key.replace("_", "-"): key for key in SETTINGS}
+HELP = ("-h", "--help")
 
 
 def set_value(config: RunConfig, key: str, value: str,
@@ -155,29 +155,43 @@ def parse_config_text(text: str, config: RunConfig | None = None,
     return config
 
 
-def config_from_args(args) -> RunConfig:
-    """The config file's settings, then each flag given on top of them: a
-    flag for q1 or epsilon, one quantity, replaces the file's of either."""
+def config_from_argv(command: str, tokens) -> RunConfig | None:
+    """The settings of `--flag VALUE` and `--flag=VALUE` tokens, each pair
+    read by `set_value` as a config file line is, over those of the
+    `--config` file: a flag for q1 or epsilon, one quantity, replaces the
+    file's of either.  None if `-h` or `--help` stands where a flag can."""
+    pairs, path, rest = [], None, iter(tokens)
+    for token in rest:
+        if token in HELP:
+            return None
+        if not token.startswith("--"):
+            raise ConfigError(f"unexpected argument {token!r}")
+        flag, joined, value = token.partition("=")
+        if flag not in (*FLAGS, "--tol", "--config"):
+            raise ConfigError(f"unknown flag {flag!r}")
+        if not joined and (value := next(rest, None)) is None:
+            raise ConfigError(f"{flag} expects a value")
+        if flag == "--config":
+            path = value
+        elif flag == "--tol":
+            name, joined, value = value.partition("=")
+            if not joined:
+                raise ConfigError(f"--tol expects name=value, got {name!r}")
+            pairs.append((f"tol.{name}", value))
+        else:
+            pairs.append((FLAGS[flag], value))
     config = RunConfig()
-    if args.config:
+    if path is not None:
         try:
-            with open(args.config, encoding="utf-8") as handle:
-                text = handle.read()
+            with open(path, encoding="utf-8") as handle:
+                parse_config_text(handle.read(), config, command)
         except UnicodeDecodeError as err:
-            raise ConfigError(f"{args.config}: {err}") from err
-        config = parse_config_text(text, config, args.command)
-    flags = {key: getattr(args, key) for key in SETTINGS
-             if getattr(args, key, None) is not None}
-    if flags.keys() & {"q1", "epsilon"}:
+            raise ConfigError(f"{path}: {err}") from err
+    if any(key in ("q1", "epsilon") for key, _ in pairs):
         vars(config).pop("q1", None)
         vars(config).pop("epsilon", None)
-    for key, value in flags.items():
-        set_value(config, key, value, args.command)
-    for item in getattr(args, "tol", None) or ():
-        if "=" not in item:
-            raise ConfigError(f"--tol expects name=value, got {item!r}")
-        name, _, value = item.partition("=")
-        set_value(config, f"tol.{name}", value, args.command)
+    for key, value in pairs:
+        set_value(config, key, value, command)
     return config
 
 
@@ -304,8 +318,7 @@ def cmd_sweep(config: RunConfig) -> int:
 PHYSICS = ("q1", "epsilon", "a2", "cd", "branch")
 
 # Each command: its function, its help text and the keys of KEYS it reads.
-# A command has a flag for each key it reads and no other, and its config
-# file may set only those.
+# Its flags and its config file may set only those.
 COMMANDS = {
     "equilibria": (cmd_equilibria, "triangular points three ways",
                    ("mu", *PHYSICS, "out")),
@@ -320,47 +333,35 @@ COMMANDS = {
 }
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process: parsing leaves it unchanged, and the
-    `--tol` list is made anew by every parse."""
-    parser = argparse.ArgumentParser(
-        prog="l4norm", allow_abbrev=False,
-        description="Second-order normalization at the triangular points "
-                    "with radiation pressure, oblateness and drag.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, text, reads) in COMMANDS.items():
-        sp = sub.add_parser(command, help=text, allow_abbrev=False)
-        for key, (_, help_text) in SETTINGS.items():
-            if key in reads:
-                sp.add_argument("--" + key.replace("_", "-"), help=help_text)
-        tolerances = [key[len("tol."):] for key in reads if key.startswith("tol.")]
-        if tolerances:
-            sp.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                            help=f"tolerance override ({', '.join(tolerances)})")
-        sp.add_argument("--config", help="key=value config file")
-    return parser
-
-
-def _attach_values(argv: list) -> list:
-    """`--a2 -1e-3` as `--a2=-1e-3`: every flag but --help takes the next
-    token as its value, which argparse would read as an option of its own
-    if it starts with '-' and is no plain negative number, as '-1e-3' or
-    '-inf'."""
-    out = []
-    for token in argv:
-        if (out and out[-1].startswith("--") and "=" not in out[-1]
-                and out[-1] != "--help" and token.startswith("-")):
-            token = out.pop() + "=" + token
-        out.append(token)
-    return out
+def help_text(command: str = "") -> str:
+    """The commands with their help, or `command`'s flags with theirs."""
+    rows = [(name, text) for name, (_, text, _) in COMMANDS.items()]
+    if command:
+        reads = COMMANDS[command][2]
+        rows = [(f"{flag} VALUE", SETTINGS[key][1])
+                for flag, key in FLAGS.items() if key in reads]
+        rows += [(f"--tol {key[len('tol.'):]}=VALUE", "tolerance override")
+                 for key in reads if key.startswith("tol.")]
+        rows.append(("--config FILE", "key=value config file"))
+    width = max(len(name) for name, _ in rows) + 2
+    return "\n".join([f"usage: l4norm {command or 'COMMAND'} [--FLAG VALUE ...] [-h]",
+                      *(f"  {name:<{width}}{text}" for name, text in rows)]) + "\n"
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(
-        _attach_values(sys.argv[1:] if argv is None else argv))
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv else ""
     try:
-        return COMMANDS[args.command][0](config_from_args(args))
+        if command in HELP:
+            sys.stdout.write(help_text())
+            return EXIT_OK
+        if command not in COMMANDS:
+            raise ConfigError(f"expected a command or --help, got {command!r}")
+        config = config_from_argv(command, argv[1:])
+        if config is None:
+            sys.stdout.write(help_text(command))
+            return EXIT_OK
+        return COMMANDS[command][0](config)
     except DomainError as err:
         print(f"pipeline error [{type(err).__name__}]: {err}", file=sys.stderr)
         return EXIT_PIPELINE

@@ -52,9 +52,9 @@ class ModelParams(namedtuple("ModelParams", "mu q1 A2 cd epsilon W1 n gamma delt
     q1 : float
         Mass-reduction factor of the radiating primary, 0 < q1 <= 1.
     A2 : float
-        Oblateness coefficient of the smaller primary, >= 0.
+        Oblateness coefficient of the smaller primary, finite and >= 0.
     cd : float
-        Drag normalization constant, > 0.
+        Drag normalization constant, > 0 (inf: no drag).
 
     Derived fields (computed, not passed): epsilon = 1 - q1,
     W1 = (1-mu)(1-q1)/cd, n = sqrt(1 + 1.5*A2), gamma = 1 - 2*mu,
@@ -66,13 +66,11 @@ class ModelParams(namedtuple("ModelParams", "mu q1 A2 cd epsilon W1 n gamma delt
     def __new__(cls, mu: float, q1: float = 1.0, A2: float = 0.0, cd: float = 1.0):
         if not 0.0 < mu <= 0.5:
             raise ParameterError(f"mu must lie in (0, 1/2], got {mu}")
-        # Each check is written so that NaN fails it.
-        if not q1 <= 1.0:
-            raise ParameterError(f"q1 must not exceed 1, got {q1}")
-        if not q1 > 0.0:
-            raise ParameterError(f"q1 must be positive, got {q1}")
-        if not A2 >= 0.0:
-            raise ParameterError(f"A2 must be non-negative, got {A2}")
+        # Each check is written so that NaN fails it; cd = inf is drag-free.
+        if not 0.0 < q1 <= 1.0:
+            raise ParameterError(f"q1 must lie in (0, 1], got {q1}")
+        if not 0.0 <= A2 < math.inf:
+            raise ParameterError(f"A2 must be finite and non-negative, got {A2}")
         if not cd > 0.0:
             raise ParameterError(f"cd must be positive, got {cd}")
         epsilon, W1 = 1.0 - q1, (1.0 - mu) * (1.0 - q1) / cd

@@ -1,5 +1,3 @@
-import ast
-import inspect
 import math
 
 import pytest
@@ -11,13 +9,13 @@ from l4norm.cli import (
     EXIT_GATE,
     EXIT_OK,
     EXIT_PIPELINE,
+    FLAGS,
     KEYS,
     RANGE,
     SETTINGS,
     RunConfig,
-    _attach_values,
-    build_parser,
-    config_from_args,
+    config_from_argv,
+    help_text,
     main,
     parse_config_text,
 )
@@ -34,23 +32,15 @@ from l4norm.verify import (
 
 
 def run_cli(capsys, *argv):
-    """``(exit code, stdout, stderr)``; a flag the command does not take
-    ends in argparse's `SystemExit`, whose code is the exit code."""
-    try:
-        code = main(list(argv))
-    except SystemExit as refused:
-        code = refused.code
+    """``(exit code, stdout, stderr)``; every refusal is an exit code, so
+    any exception that escapes `main`, `SystemExit` included, fails."""
+    code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
 def flag_of(key):
     return "--" + key.replace("_", "-")
-
-
-def subparsers():
-    """Each command's parser, by command."""
-    return build_parser()._subparsers._group_actions[0].choices
 
 
 # Every tolerance must be finite and positive: a NaN divisor floor would
@@ -78,11 +68,8 @@ class TestConfig:
     def test_config_file_equals_flags(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text(self.FILE)
-        parser = build_parser()
-        from_file = config_from_args(
-            parser.parse_args(["verify", "--config", str(path)]))
-        from_flags = config_from_args(
-            parser.parse_args(["verify", *self.FLAGS]))
+        from_file = config_from_argv("verify", ["--config", str(path)])
+        from_flags = config_from_argv("verify", self.FLAGS)
         assert vars(from_file) == vars(from_flags)
         assert from_file.params() == from_flags.params()
         assert from_file.options() == from_flags.options()
@@ -283,13 +270,12 @@ class TestVerifyCommand:
         assert "ResonanceError" in err
 
     def test_repeat_in_one_process(self, capsys, monkeypatch):
-        # One parser serves every call.  Physics B shares mu and options
-        # with A, so it reads A's cached verdicts; C sets other tolerances
-        # and argparse rejects D after reading its --tol.  Every later run
-        # of A must still print what the first did.  A repeat reuses the
-        # cached verdict rows and formats none of their floats; after
-        # cache_clear the rows are built again.
-        assert build_parser() is build_parser()
+        # Physics B shares mu and options with A, so it reads A's cached
+        # verdicts; C sets other tolerances and the reader rejects D after
+        # reading its --tol.  Every later run of A must still print what
+        # the first did.  A repeat reuses the cached verdict rows and
+        # formats none of their floats; after cache_clear the rows are
+        # built again.
         a = ("verify", "--mu", "0.01215", "--q1", "0.999", "--a2", "1e-4",
              "--cd", "20", "--stages", "h3", "--tol", "residual=1e-8")
         b = ("verify", "--mu", "0.01215", "--epsilon", "1e-3", "--cd", "7",
@@ -308,10 +294,8 @@ class TestVerifyCommand:
         assert f"tol.residual: {fmt(default.residual_tol)}\n" in out
         assert "tol.moser: 0.002\n" in out
         assert f"tol.linear: {fmt(1e-9)}\n" in out
-        with pytest.raises(SystemExit) as rejected:
-            main(list(d))
-        assert rejected.value.code == EXIT_CONFIG
-        assert "unrecognized arguments: --steps 3" in capsys.readouterr().err
+        assert run_cli(capsys, *d) == (
+            EXIT_CONFIG, "", "error: verify does not read steps\n")
         options = PipelineOptions(residual_tol=1e-8)
         verdicts = detect_discrepancies(0.01215, options)
         rows = verdicts.rows
@@ -350,6 +334,14 @@ class TestVerifyCommand:
         assert code == EXIT_CONFIG
         assert out == ""
         assert err.startswith(f"error: {field} ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_a2_is_refused_by_its_check(self, capsys, value):
+        # not a warning and a Newton failure further down the chain
+        assert run_cli(capsys, "verify", "--mu", "0.01", "--a2", value,
+                       "--stages", "b1") == (
+            EXIT_CONFIG, "", f"error: A2 must be finite and non-negative, "
+                             f"got {value}\n")
 
     @pytest.mark.parametrize("form", ["report", "csv"])
     def test_gates_evaluated_once(self, capsys, monkeypatch, form):
@@ -496,6 +488,24 @@ def test_negative_non_finite_mu_bound_reaches_the_range_check(
         and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("mu_min, message", [
+    ("inf", "mu range must be finite, got mu_min=inf mu_max=0.02"),
+    ("-0.01", "mu range must be positive, got mu_min=-0.01")],
+    ids=["inf", "negative"])
+@pytest.mark.parametrize("command", ["sweep", "resonance-scan"])
+def test_a_bad_range_reads_the_same_from_a_config_file(tmp_path, capsys,
+                                                       command, mu_min,
+                                                       message):
+    # the message names the range by its keys, however they were set
+    path = tmp_path / "run.cfg"
+    path.write_text(f"mu_min={mu_min}\nmu_max=0.02\nsteps=3\n")
+    refused = (EXIT_CONFIG, "", f"error: {message}\n")
+    assert run_cli(capsys, command, "--mu-min", mu_min, "--mu-max", "0.02",
+                   "--steps", "3", *stages_of(command)) == refused
+    assert run_cli(capsys, command, "--config", str(path),
+                   *stages_of(command)) == refused
+
+
 @pytest.mark.parametrize("command", ["sweep", "resonance-scan"])
 def test_range_from_a_config_file_equals_the_flags(tmp_path, capsys, command):
     path = tmp_path / "run.cfg"
@@ -521,25 +531,34 @@ def test_a_missing_range_value_exits_2(capsys, command, missing):
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_every_flag_reads_a_value_that_starts_with_a_dash(command):
-    # every flag takes the next token, so '-1e-3' or '-inf' is its value
-    # and not an option of its own
-    for action in subparsers()[command]._actions:
-        for flag in set(action.option_strings) - {"-h", "--help"}:
-            args = build_parser().parse_args(
-                _attach_values([command, flag, "-1e-3"]))
-            value = getattr(args, action.dest)
-            assert value == (["-1e-3"] if flag == "--tol" else "-1e-3")
+def test_every_flag_reads_a_value_that_starts_with_a_dash(command,
+                                                          monkeypatch):
+    # every flag takes the next token, so '-1e-3', '-inf' or '--help' is
+    # its value and not a flag of its own
+    read = []
+    monkeypatch.setattr(cli, "set_value",
+                        lambda config, key, value, command: read.append(
+                            (key, value)))
+    for flag, key in FLAGS.items():
+        if key in COMMANDS[command][2]:
+            for value in ("-1e-3", "-inf", "--help", "-h"):
+                read.clear()
+                assert config_from_argv(command, [flag, value]) is not None
+                assert read == [(key, value)]
+    if "tol.moser" in COMMANDS[command][2]:
+        read.clear()
+        config_from_argv(command, ["--tol", "moser=-1e-3"])
+        assert read == [("tol.moser", "-1e-3")]
 
 
 @pytest.mark.parametrize("argv, message", [
     (("verify", "--mu", "0.01", "--a2", "-1e-3", "--stages", "b1"),
-     "A2 must be non-negative, got -0.001"),
+     "A2 must be finite and non-negative, got -0.001"),
     (("verify", "--mu", "-inf", "--stages", "b1"),
      "mu must lie in (0, 1/2], got -inf"),
     (("sweep", "--mu-min", "-inf", "--mu-max", "0.02", "--steps", "2",
-      "--stages", "b1"), "mu range must be finite, got --mu-min -inf "
-                         "--mu-max 0.02"),
+      "--stages", "b1"), "mu range must be finite, got mu_min=-inf "
+                         "mu_max=0.02"),
 ], ids=["a2", "mu", "mu-min"])
 def test_a_dash_value_reaches_the_settings_check(capsys, argv, message):
     assert run_cli(capsys, *argv) == (EXIT_CONFIG, "", f"error: {message}\n")
@@ -547,14 +566,49 @@ def test_a_dash_value_reaches_the_settings_check(capsys, argv, message):
 
 @pytest.mark.parametrize("argv, flag", [
     (("verify", "--mu", "0.01", "--stages", "b1", "--form", "csv"), "--form"),
-    (("sweep", "--mu", "0.3", "--mu-min", "0.01", "--mu-max", "0.02",
-      "--steps", "2", "--stages", "b1"), "--mu"),
-], ids=["form", "sweep-mu"])
+    (("sweep", "--mu-min", "0.01", "--mu-max", "0.02", "--step", "2",
+      "--stages", "b1"), "--step"),
+    (("sweep", "--mu_min=0.01", "--mu-max", "0.02", "--steps", "2",
+      "--stages", "b1"), "--mu_min"),
+], ids=["form", "sweep-step", "sweep-mu_min"])
 def test_an_abbreviated_flag_is_refused(capsys, argv, flag):
     # a flag is matched exactly, as a config file key is
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (EXIT_CONFIG, "")
-    assert f"error: unrecognized arguments: {flag} " in err
+    assert run_cli(capsys, *argv) == (
+        EXIT_CONFIG, "", f"error: unknown flag {flag!r}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ((), "expected a command or --help, got ''"),
+    (("bogus",), "expected a command or --help, got 'bogus'"),
+    (("verify", "--mu"), "--mu expects a value"),
+    (("verify", "0.01"), "unexpected argument '0.01'"),
+    (("verify", "--mu_min", "1"), "unknown flag '--mu_min'"),
+    (("verify", "--"), "unknown flag '--'"),
+    (("verify", "--mu", "0.01", "-h1"), "unexpected argument '-h1'"),
+    (("verify", "--tol", "residual"), "--tol expects name=value, got 'residual'"),
+], ids=["empty", "bogus", "no-value", "positional", "underscore", "dashes",
+        "short", "tol-no-name"])
+def test_a_malformed_command_line_exits_2(capsys, argv, message):
+    # one line on stderr, nothing on stdout, and no exception escapes
+    assert run_cli(capsys, *argv) == (EXIT_CONFIG, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, command", [
+    (("--help",), ""), (("-h",), ""), (("verify", "--help"), "verify"),
+    (("sweep", "-h"), "sweep"),
+    (("equilibria", "--mu", "0.01", "--help", "--bogus"), "equilibria")],
+    ids=["help", "h", "verify", "sweep", "after-a-flag"])
+def test_help_prints_on_stdout_and_exits_0(capsys, argv, command):
+    # read where a flag can stand, before anything after it
+    assert run_cli(capsys, *argv) == (EXIT_OK, help_text(command), "")
+
+
+def test_help_as_a_value_is_the_flags(tmp_path, monkeypatch, capsys):
+    # where a value stands, --help is that value: here the output prefix
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, "equilibria", "--mu", "0.01", "--out", "--help") \
+        == (EXIT_OK, "--help-equilibria.csv\n", "")
+    assert (tmp_path / "--help-equilibria.csv").read_text().startswith("method,")
 
 
 def _out_of_domain_argv():
@@ -628,50 +682,42 @@ def test_each_command_reads_its_row():
 
 
 def test_each_flag_is_a_key_the_command_reads():
-    # one flag per key of the row, --tol for the tol.* keys, and --config;
-    # no flag is parsed or required by argparse, so every value passes
-    # through `set_value`
-    assert subparsers().keys() == COMMANDS.keys()
+    # one flag per setting, --tol for the tol.* keys, and --config; the
+    # help lists each of them where the command reads the key and no other
+    assert FLAGS == {flag_of(key): key for key in SETTINGS}
     for command, (_, _, reads) in COMMANDS.items():
-        flags = {flag for action in subparsers()[command]._actions
-                 for flag in action.option_strings} - {"-h", "--help"}
-        assert flags == {"--config", *(flag_of(key) for key in reads
-                                       if key in SETTINGS),
-                         *(["--tol"] if any("." in key for key in reads)
-                           else [])}
-    calls = [node for node in ast.walk(ast.parse(inspect.getsource(cli)))
-             if isinstance(node, ast.Call)
-             and getattr(node.func, "attr", None) == "add_argument"]
-    assert calls and not [keyword.arg for call in calls
-                          for keyword in call.keywords
-                          if keyword.arg in ("type", "required")]
+        listed = [line.split()[:2] for line in help_text(command).splitlines()[1:]]
+        assert listed == [*([flag, "VALUE"] for flag, key in FLAGS.items()
+                            if key in reads),
+                          *(["--tol", f"{key[len('tol.'):]}=VALUE"]
+                            for key in reads if key.startswith("tol.")),
+                          ["--config", "FILE"]]
+    listed = [line.split()[0] for line in help_text().splitlines()[1:]]
+    assert listed == list(COMMANDS)
 
 
 @pytest.mark.parametrize("where", ["flag", "file"])
 @pytest.mark.parametrize("command, key", UNREAD)
 def test_a_key_the_command_does_not_read_exits_2(tmp_path, capsys, command,
                                                  key, where):
-    # as a flag argparse refuses it, or the config reader if the command
-    # takes --tol; in a config file the reader refuses it by its line
+    # one reader refuses it, by the same words: a config line's error
+    # names its line
     if where == "flag":
-        argv = as_flag(key)
+        argv, line = as_flag(key), ""
     else:
         path = tmp_path / "run.cfg"
         path.write_text(f"{key}={KEY_VALUES[key]}\n")
-        argv = ("--config", str(path))
-    code, out, err = run_cli(capsys, command, *BARE_RUNS[command], *argv)
-    assert (code, out) == (EXIT_CONFIG, "")
-    if where == "file":
-        assert err == f"error: line 1: {command} does not read {key}\n"
+        argv, line = ("--config", str(path)), "line 1: "
+    assert run_cli(capsys, command, *BARE_RUNS[command], *argv) == (
+        EXIT_CONFIG, "", f"error: {line}{command} does not read {key}\n")
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_a_key_the_command_reads_is_taken(command):
-    parser = build_parser()
     for key in COMMANDS[command][2]:
-        for config in (config_from_args(parser.parse_args(
-                [command, *as_flag(key)])),
-                parse_config_text(f"{key}={KEY_VALUES[key]}\n", command=command)):
+        for config in (config_from_argv(command, as_flag(key)),
+                       parse_config_text(f"{key}={KEY_VALUES[key]}\n",
+                                         command=command)):
             _, _, tol = key.partition(".")
             assert {*config.tol, *vars(config)} - {"tol"} == {tol or key}
 
@@ -705,7 +751,7 @@ class TestSweep:
     @pytest.mark.parametrize("setting, message", [
         (("--q1", "0.99", "--epsilon", "0.01"), "give q1 or epsilon, not both"),
         (("--cd", "0"), "cd must be positive, got 0.0"),
-        (("--q1", "nan"), "q1 must not exceed 1, got nan"),
+        (("--q1", "nan"), "q1 must lie in (0, 1], got nan"),
         (("--mu-min", "0.6", "--mu-max", "0.7"),
          "mu must lie in (0, 1/2], got 0.6"),
     ], ids=["q1-and-epsilon", "cd-zero", "q1-nan", "mu-past-one-half"])

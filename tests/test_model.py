@@ -47,6 +47,24 @@ class TestModelParams:
         with pytest.raises(ParameterError):
             ModelParams(mu=0.6)
 
+    REFUSALS = {"mu": "mu must lie in (0, 1/2]", "q1": "q1 must lie in (0, 1]",
+                "A2": "A2 must be finite and non-negative",
+                "cd": "cd must be positive"}
+
+    @pytest.mark.parametrize("field, value", [
+        *((field, value) for field in ("mu", "q1", "A2")
+          for value in (math.nan, math.inf, -math.inf)),
+        ("A2", -1e-3), ("cd", math.nan), ("cd", -math.inf)])
+    def test_refuses_each_value_outside_its_interval(self, field, value):
+        # NaN and inf fail the one check that states the interval
+        with pytest.raises(ParameterError) as refused:
+            ModelParams(**{"mu": 0.01, field: value})
+        assert str(refused.value) == f"{self.REFUSALS[field]}, got {value}"
+
+    def test_infinite_cd_is_drag_free(self):
+        p = ModelParams(mu=0.01, q1=0.999, cd=math.inf)
+        assert p.W1 == 0.0 and p.cd == math.inf
+
     def test_warns_on_large_perturbation(self):
         with pytest.warns(UserWarning) as record:
             ModelParams(mu=0.1, q1=0.7)

@@ -6,7 +6,8 @@ snapshots; here its record of a point must build without raising.
 Its `--compare` mode must report a moved float by its relative change
 and a changed error class as a mismatch.  `scripts/cli_snapshot.py`
 records a command's exit code, so a renamed flag would turn its entries
-into exit-2 records; here every command it runs must parse.  Its
+into exit-2 records; here every command it runs must read as `main`
+reads it, but those that show a refusal or the help.  Its
 `--compare` mode must report a moved number by its relative change and a
 changed exit code or word, label digits included, as a mismatch.
 """
@@ -17,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from l4norm.cli import _attach_values, build_parser
+from l4norm.cli import COMMANDS, config_from_argv
+from l4norm.errors import ConfigError
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -82,23 +84,39 @@ def test_chain_snapshot_compare_reports_changes():
     assert mismatches == ["point 1: StabilityDomainError against ConvergenceError"]
 
 
-def test_cli_snapshot_commands_parse(capsys):
-    # every command parses as `main` reads it but the three that show
-    # argparse refusing a flag the command does not read or an abbreviation
+def test_cli_snapshot_commands_parse():
+    # every command reads as `main` reads it but those that show the
+    # reader refusing a flag, the help, or no command at all
     snapshot = load_script("cli_snapshot")
+    with open(snapshot.CONFIG_PATH, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(snapshot.CONFIG_TEXT)
     commands = snapshot.FIXED + snapshot.random_points(30)
-    assert len(commands) == 83
-    parser = build_parser()
-    refused = []
+    assert len(commands) == 90
+    outcomes = {}
     for argv in commands:
-        try:
-            args = parser.parse_args(_attach_values(argv))
-        except SystemExit:
-            refused.append(argv[0])
-            continue
-        assert args.command == argv[0]
-    capsys.readouterr()
-    assert refused == ["resonance-scan", "sweep", "verify"]
+        if argv[:1] and argv[0] in COMMANDS:
+            try:
+                read = config_from_argv(argv[0], argv[1:])
+            except ConfigError as refused:
+                read = str(refused)
+            outcomes[" ".join(argv)] = "help" if read is None else read
+    unread = {key: value for key, value in outcomes.items()
+              if isinstance(value, str)}
+    assert unread == {
+        "verify --mu 0.01 --tol residual=abc":
+            "tol.residual: could not convert string to float: 'abc'",
+        "resonance-scan --mu-min 0.01 --mu-max 0.02 --steps 2 --q1 0.9":
+            "resonance-scan does not read q1",
+        "frequencies --mu 0.01 --tol residual=1e-8":
+            "frequencies does not read tol.residual",
+        "sweep --mu-min 0.005 --mu-max 0.02 --steps 4 --stages b1 --format report":
+            "sweep does not read format",
+        "verify --mu 0.01 --stages b1 --form csv": "unknown flag '--form'",
+        "sweep --mu_min 0.01 --mu-max 0.02 --steps 2 --stages b1":
+            "unknown flag '--mu_min'",
+        "verify --help": "help", "sweep -h": "help",
+        "verify --mu": "--mu expects a value"}
+    assert len(commands) - len(outcomes) == 3  # --help, no command, bogus
 
 
 def test_cli_snapshot_compare_reports_changes(tmp_path, capsys):

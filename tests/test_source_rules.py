@@ -102,9 +102,10 @@ def test_no_module_imports_dataclasses(tmp_path):
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # what every command pays at cold start, in a fresh interpreter
-    # without site hooks
+    # without site hooks; the command line is read without argparse
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import l4norm.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+            "print(sorted({'argparse', 'dataclasses', 'inspect'} "
+            "& sys.modules.keys()))")
     run = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
                          capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n"
