@@ -55,8 +55,12 @@ class RunConfig:
             raise ConfigError("mu is required")
         if self.q1 is not None and self.epsilon is not None:
             raise ConfigError("give q1 or epsilon, not both")
-        q1 = self.q1 if self.q1 is not None else \
-            (1.0 - self.epsilon if self.epsilon is not None else 1.0)
+        q1 = 1.0 if self.q1 is None else self.q1
+        if self.epsilon is not None:
+            # refused in its own words, not as the q1 it gives
+            if not 0.0 <= self.epsilon < 1.0:  # NaN fails this too
+                raise ConfigError(f"epsilon must lie in [0, 1), got {self.epsilon}")
+            q1 = 1.0 - self.epsilon
         try:
             return ModelParams(mu=mu, q1=q1, A2=self.a2, cd=self.cd)
         except L4NormError as err:

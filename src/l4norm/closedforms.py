@@ -32,7 +32,14 @@ Forms of another shape stay code: the printed y row of B1 (`b1y_print`)
 and the r/s tables of B2 (`rs_tables`), nonlinear in J and the frequencies.
 
 Entry naming: primed table entries use a ``p`` suffix (F2p = F2'), double
-primes ``pp`` (F2pp = F2'').
+primes ``pp`` (F2pp = F2'').  The J entries and the r/s slots are named by
+the chain module that computes them, :data:`l4norm.normalform.J_ENTRIES`
+and :data:`l4norm.normalform.RS_NAMES`, and read from there.
+
+No chain stage imports this module: the five readers of a printed row
+(`equilibria.epsilon_form` and `offset_ab`,
+`polyalg.t_coefficients_closed_form`, `verify.report_audit` and `audit`)
+import it on first use, so it loads with the first audit.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from .dalembert import DIVISOR_FLOOR, DAlembertSeries, FrequencyPair
 from .errors import SmallDivisorError
 from .layout import KernelSource, plan
 from .model import SQRT3, ModelParams, branch_sign
+from .normalform import J_ENTRIES, RS_NAMES
 
 
 def mode_scalars(w: FrequencyPair):
@@ -210,8 +218,6 @@ MIRROR_ODD = frozenset(("y", "b", "T2", "T4", "J23", "J24")
                        + tuple(f"r{i}" for i in range(7, 11))
                        + tuple(f"s{i}" for i in range(1, 7)))
 
-# The printed normal-mode entries, attributes of NormalModeData.
-J_ENTRIES = ("J13", "J14", "J21", "J22", "J23", "J24")
 FG_ENTRIES = tuple(f"{table}{i}{prime}" for table in "FG"
                    for prime in ("", "p", "pp") for i in range(1, 5))
 
@@ -348,16 +354,6 @@ def b1y_print(nm) -> DAlembertSeries:
 
 
 # -- the r/s tables of the second-order components --------------------------
-
-
-# The (j, m, p, q) term and its cosine (0) or sine (1) slot that each of
-# r1..r10 (in B2 for x) and s1..s10 (in B2 for y, negated) multiplies.
-RS_SLOTS = (
-    ((2, 0, 0, 0), 0), ((0, 2, 0, 0), 0), ((2, 0, 2, 0), 0), ((0, 2, 0, 2), 0),
-    ((1, 1, 1, -1), 0), ((1, 1, 1, 1), 0), ((2, 0, 2, 0), 1), ((0, 2, 0, 2), 1),
-    ((1, 1, 1, -1), 1), ((1, 1, 1, 1), 1),
-)
-RS_NAMES = tuple(f"{table}{i}" for table in "rs" for i in range(1, 11))
 
 
 def rs_tables(j: dict, w: FrequencyPair, fg: dict,

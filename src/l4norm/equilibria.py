@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .closedforms import printed
 from .errors import ConvergenceError, ParameterError, SingularJacobianError
 from .model import SQRT3, ModelParams, _radii, branch_sign
 
@@ -164,6 +163,7 @@ def triangular_series(p: ModelParams, branch: str = "L4") -> EquilibriumPoint:
 
 def epsilon_form(p: ModelParams, branch: str = "L4") -> EquilibriumPoint:
     """gamma/epsilon/A2/W1 expansion of the equilibrium on `branch`, verbatim."""
+    from .closedforms import printed
     v = printed(("x", "y"), p, branch=branch)
     x, y = v["x"], v["y"]
     return EquilibriumPoint(x, y, branch, "epsilon-form", residual_at(x, y, p))
@@ -176,4 +176,5 @@ def offset_ab(p: ModelParams, branch: str = "L4") -> OriginShift:
     a evaluates to 0 at zero perturbations instead of x* + mu = 1/2
     (erratum ``offset.a``); adding 1/2 gives x(epsilon-form) + mu.
     """
+    from .closedforms import printed
     return OriginShift(**printed(("a", "b"), p, branch=branch))

@@ -66,9 +66,13 @@ KERNEL_NAMES = {"atan2": math.atan2, "CriticalTermError": CriticalTermError,
                 "SmallDivisorError": SmallDivisorError}
 
 
+@functools.lru_cache(maxsize=PLAN_TABLE_SIZE)
 def compiled(source: str, name: str):
     """The function `name` defined by generated `source`, with
-    `KERNEL_NAMES` as its globals; a plan holding one compiles it once."""
+    `KERNEL_NAMES` as its globals, compiled once per source text: plans on
+    different layouts that write the same kernel (the H3 stage with and
+    without drag, whose layouts differ only in terms it drops) share one
+    function, which keeps no state.  Kept as the plan table keeps plans."""
     namespace = dict(KERNEL_NAMES)
     exec(compile(source, f"<{name}>", "exec"), namespace)
     return namespace[name]

@@ -24,6 +24,11 @@ input layouts and written by :class:`l4norm.layout.KernelSource`, and
 one call per point; no product term past the degree-3 cap is formed.
 `poly_at_series` substitutes a polynomial on its own, through
 :func:`l4norm.dalembert.substitute`.
+
+:data:`J_ENTRIES` names the entries of J that B1 reads, and
+:data:`RS_NAMES` the twenty terms of B2 at :data:`RS_SLOTS`; the printed
+tables (:mod:`l4norm.closedforms`) and their audit (:mod:`l4norm.verify`)
+read these names from here.
 """
 
 from __future__ import annotations
@@ -128,6 +133,11 @@ def _grade_norm(j: int, m: int):
     """Property: sup-norm of the (j, m) grade of `self.series`, sliced on
     first read and kept."""
     return functools.cached_property(lambda self: self.series.grade(j, m).max_abs())
+
+
+# The entries of J that B1 reads (`first_order_components`), attributes of
+# NormalModeData; the printed tables print them by these names.
+J_ENTRIES = ("J13", "J14", "J21", "J22", "J23", "J24")
 
 
 class NormalModeData(namedtuple("NormalModeData", "freq J hessian")):
@@ -390,6 +400,17 @@ def forcing_x2y2(l3: TruncatedPoly, b1x: DAlembertSeries, b1y: DAlembertSeries,
     x2, y2, x2p, y2p, cubic = map(DAlembertSeries._new, layouts, kernel(
         l3.values, b1x.values, b1y.values, w.omega1, w.omega2))
     return (x2, y2), (x2p, y2p), cubic
+
+
+# The (j, m, p, q) term and its cosine (0) or sine (1) slot of each of B2's
+# twenty: r1..r10 in B2 for x and s1..s10 in B2 for y, negated, the names
+# the printed tables give them.
+RS_SLOTS = (
+    ((2, 0, 0, 0), 0), ((0, 2, 0, 0), 0), ((2, 0, 2, 0), 0), ((0, 2, 0, 2), 0),
+    ((1, 1, 1, -1), 0), ((1, 1, 1, 1), 0), ((2, 0, 2, 0), 1), ((0, 2, 0, 2), 1),
+    ((1, 1, 1, -1), 1), ((1, 1, 1, 1), 1),
+)
+RS_NAMES = tuple(f"{table}{i}" for table in "rs" for i in range(1, 11))
 
 
 class SecondOrderSolution(namedtuple("SecondOrderSolution", "b2x b2y scale")):

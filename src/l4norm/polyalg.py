@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .closedforms import printed
 from .equilibria import OriginShift
 from .errors import ContractError, ParameterError
 from .layout import KernelSource, Layout, Store, intern, plan, pruned, sliced
@@ -317,6 +316,7 @@ def t_coefficients_closed_form(p: ModelParams, shift: OriginShift,
     (degree 2, which truncation then discards); `T5` squares it, the only
     reading that makes T5 a degree-3 form (erratum ``t5-linear-brace``).
     """
+    from .closedforms import printed
     cubic = printed(("T1", "T2", "T3", "T4"), p, branch=branch)
     cubic["T5"], cubic["T5_print"] = _t5_polys(p, shift)
     return cubic

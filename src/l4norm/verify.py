@@ -16,8 +16,7 @@ import functools
 import math
 from collections import namedtuple
 
-from . import closedforms, equilibria, normalform, polyalg
-from .closedforms import RS_NAMES, RS_SLOTS
+from . import equilibria, normalform, polyalg
 from .dalembert import (
     DIVISOR_FLOOR,
     DAlembertSeries,
@@ -28,6 +27,7 @@ from .errata import classify_remainder
 from .errors import ParameterError, ResonanceError
 from .layout import sup_of_difference
 from .model import ModelParams, branch_sign
+from .normalform import J_ENTRIES, RS_NAMES, RS_SLOTS
 
 STAGES = ("equilibria", "taylor", "b1", "b2", "h3")
 
@@ -232,6 +232,7 @@ def report_audit(res: PipelineResult) -> Audit:
     b2 on ``b2.*`` and ``b2.sup``.  Where the printed equilibrium series
     leaves its own domain (its y-brace is not positive), its point and gap
     read nan and `series_outside_domain` holds the reason."""
+    from . import closedforms
     p, branch = res.params, res.options.branch
     try:
         eq_series, outside = equilibria.triangular_series(p, branch), None
@@ -249,7 +250,7 @@ def report_audit(res: PipelineResult) -> Audit:
         return out
 
     out.j_closed = closedforms.j_closed_form(p, res.freq, branch)
-    for name in closedforms.J_ENTRIES:
+    for name in J_ENTRIES:
         gaps[f"j.{name}"] = abs(out.j_closed[name] - getattr(res.nm, name))
     if res.b2 is None:
         return out
@@ -270,6 +271,7 @@ def audit(res: PipelineResult) -> Audit:
     taylor on ``cubic.*``, from b1 on ``b1.print_weights`` and from b2 on
     ``forcing.partial_only``.  None of these raises on a result whose
     stages passed, as their divisors are the chain's own."""
+    from . import closedforms
     out = report_audit(res)
     p, branch, gaps = res.params, res.options.branch, out.gaps
     printed_shift = equilibria.offset_ab(p, branch)
@@ -353,7 +355,7 @@ def single_perturbation_params(mu: float, kind: str, h: float) -> ModelParams:
 GATING_KEYS = (
     "equilibria.series", "equilibria.epsilon_form", "offset.a", "offset.b",
     *(f"cubic.{name}" for name in polyalg.H3_GAP_NAMES), "b1.print_weights",
-    *(f"j.{name}" for name in closedforms.J_ENTRIES),
+    *(f"j.{name}" for name in J_ENTRIES),
     "forcing.partial_only",
 ) + tuple(f"b2.{name}" for name in RS_NAMES)
 
@@ -481,7 +483,7 @@ def render_report(res: PipelineResult, printed: Audit, gates: dict,
         put(f"h2_residual: {fmt(res.nm.h2_residual)}")
         put(f"b1_residual: {fmt(res.b1_residual)}")
         put("entry,numeric,closed,abs_gap")
-        for name in closedforms.J_ENTRIES:
+        for name in J_ENTRIES:
             put(f"{name},{fmt(getattr(res.nm, name))},"
                 f"{fmt(printed.j_closed[name])},{fmt(gaps['j.' + name])}")
 

@@ -791,7 +791,7 @@ def audit_gaps_eagerly(res) -> dict:
         return gaps
 
     j_closed = closedforms.j_closed_form(p, res.freq, branch)
-    for name in closedforms.J_ENTRIES:
+    for name in normalform.J_ENTRIES:
         gaps[f"j.{name}"] = abs(j_closed[name] - getattr(res.nm, name))
     gaps["b1.print_weights"] = normalform.linear_residual(
         res.b1[0], closedforms.b1y_print(res.nm), res.efg, res.freq, p.n)
@@ -801,8 +801,8 @@ def audit_gaps_eagerly(res) -> dict:
     rs = closedforms.rs_tables(j_closed, res.freq, closedforms.fg_tables(p, branch),
                                res.options.divisor_floor, branch)
     rs_oracle = verify.oracle_rs_from_series(res.b2.b2x, res.b2.b2y)
-    for name in closedforms.RS_NAMES:
+    for name in normalform.RS_NAMES:
         gaps[f"b2.{name}"] = abs(rs[name] - rs_oracle[name])
-    gaps["b2.sup"] = max(gaps[f"b2.{name}"] for name in closedforms.RS_NAMES)
+    gaps["b2.sup"] = max(gaps[f"b2.{name}"] for name in normalform.RS_NAMES)
     gaps["forcing.partial_only"] = verify.partial_forcing_gap(res)
     return gaps

@@ -343,6 +343,13 @@ class TestVerifyCommand:
             EXIT_CONFIG, "", f"error: A2 must be finite and non-negative, "
                              f"got {value}\n")
 
+    @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
+    def test_epsilon_is_refused_in_its_own_words(self, capsys, value):
+        # not as the q1 = 1 - epsilon it would give, a key nobody set
+        assert run_cli(capsys, "verify", "--mu", "0.01", "--epsilon", value,
+                       "--stages", "b1") == (
+            EXIT_CONFIG, "", f"error: epsilon must lie in [0, 1), got {value}\n")
+
     @pytest.mark.parametrize("form", ["report", "csv"])
     def test_gates_evaluated_once(self, capsys, monkeypatch, form):
         # One gates dict serves the gate lines and the exit code.

@@ -4,6 +4,7 @@ branch names, one the L5 reading of the printed rows, and one emitter
 writes, binds and compiles every generated kernel.  No module imports `dataclasses`, and
 importing the command line loads neither it nor `inspect`: the records
 are named tuples and plain classes, which write no methods at import.
+The printed tables load with the first audit, never with the chain.
 
 No linter ships with the test tools, so the first test stands in for
 pyflakes' F401: a name that moves into generated source leaves its
@@ -109,6 +110,35 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     run = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
                          capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n"
+
+
+def test_the_printed_tables_load_with_the_first_audit():
+    # no chain stage reads a printed row: in a fresh interpreter, the
+    # import, a chain to h3 with its gates, a sweep, the frequencies and a
+    # resonance scan leave `closedforms` unloaded, and a verify report,
+    # which audits the chain, loads it
+    code = """if True:
+        import contextlib, io, sys
+        sys.path.insert(0, sys.argv[1])
+        import l4norm.cli
+        from l4norm import ModelParams, cli, run_pipeline
+        run_pipeline(ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0)).gates()
+        loaded = []
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["sweep", "--mu-min", "0.01", "--mu-max", "0.02",
+                          "--steps", "3", "--stages", "b1", "--cd", "20",
+                          "--epsilon", "0.001"],
+                         ["frequencies", "--mu", "0.01"],
+                         ["resonance-scan", "--mu-min", "0.01",
+                          "--mu-max", "0.03", "--steps", "3"],
+                         ["verify", "--mu", "0.01", "--stages", "h3"]):
+                assert cli.main(argv) == 0
+                loaded.append("l4norm.closedforms" in sys.modules)
+        print(loaded)
+    """
+    run = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[False, False, False, True]\n"
 
 
 def test_noqa_imports_are_benchmark_hooks(monkeypatch):

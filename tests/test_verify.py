@@ -1,18 +1,22 @@
 import importlib.util
 import math
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from l4norm import closedforms, equilibria, layout, normalform, verify
-from l4norm.closedforms import J_ENTRIES, MIRROR_ODD, RS_SLOTS, printed, reflect
+from l4norm.closedforms import MIRROR_ODD, printed, reflect
 from l4norm.dalembert import DAlembertSeries, apply_D
 from l4norm.errata import KNOWN_DISCREPANCIES, is_registered
 from l4norm.errors import L4NormError, ParameterError, ResonanceError, SmallDivisorError
 from l4norm.layout import PLAN_TABLE_SIZE, Store, plan
 from l4norm.model import ModelParams
 from l4norm.normalform import (
+    J_ENTRIES,
+    RS_SLOTS,
     SIGMA,
     H3NormalCoefficients,
     classical_frequencies,
@@ -731,9 +735,9 @@ def test_plan_table_stays_within_its_budget():
 
 def test_kernels_are_compiled_once_per_shape(monkeypatch):
     # A stage kernel is keyed by its input layouts, never by a value: 100
-    # seeded chains with their audits compile five (the forcing and H3,
-    # each with and without drag, and the B2 solve), and 100 other points
-    # compile none.  Every kernel is compiled by `layout.compiled`; the
+    # seeded chains with their audits plan five (the forcing and H3, each
+    # with and without drag, and the B2 solve), and 100 other points plan
+    # none.  Every kernel is compiled by `layout.compiled`; the
     # stage and substitution kernels are the ones named "kernel".
     made = []
     compiled = layout.compiled
@@ -750,6 +754,30 @@ def test_kernels_are_compiled_once_per_shape(monkeypatch):
     count = made.count("kernel")
     chains(8)
     assert made.count("kernel") == count
+
+
+def test_a_fresh_verify_compiles_no_source_twice():
+    # The H3 kernel planned for the drag and the drag-free layouts reads the
+    # same source, byte for byte: `layout.compiled` keeps one function per
+    # source, so a cold verify, detector included, compiles each once.
+    code = """if True:
+        import contextlib, io, sys
+        sys.path.insert(0, sys.argv[1])
+        from l4norm import cli, layout
+        sources = []
+        def counting(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+        layout.compile = counting
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--mu", "0.01", "--epsilon", "0.001",
+                             "--a2", "1e-4", "--cd", "20", "--stages", "h3"]) == 0
+        print(len(sources) > 0, len(sources) - len(set(sources)))
+    """
+    src = Path(layout.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "True 0\n"
 
 
 def test_row_kernels_are_compiled_once_per_names_tuple(monkeypatch):
