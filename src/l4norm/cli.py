@@ -118,8 +118,9 @@ SETTINGS = {
 }
 RANGE = ("mu_min", "mu_max", "steps")
 KEYS = (*SETTINGS, *(f"tol.{name}" for name in verify.TOLERANCES))
-# A setting's flag: `--` and its key with `_` written as `-`.
+# A setting's flag, `--` and its key with `_` written as `-`, and every flag.
 FLAGS = {"--" + key.replace("_", "-"): key for key in SETTINGS}
+FLAG_NAMES = frozenset((*FLAGS, "--tol", "--config"))
 HELP = ("-h", "--help")
 
 
@@ -127,10 +128,9 @@ def set_value(config: RunConfig, key: str, value: str,
               command: str = "verify") -> None:
     """Parse one key=value setting onto the config; ConfigError if the key
     is unknown or not read by `command`, or the value malformed."""
-    if key not in KEYS:
-        raise ConfigError(f"unknown key {key!r}")
-    if key not in COMMANDS[command][2]:
-        raise ConfigError(f"{command} does not read {key}")
+    if key not in READS[command]:
+        raise ConfigError(f"{command} does not read {key}" if key in KEYS
+                          else f"unknown key {key!r}")
     tol = key.startswith("tol.")
     try:
         parsed = (float if tol else SETTINGS[key][0])(value)
@@ -171,7 +171,7 @@ def config_from_argv(command: str, tokens) -> RunConfig | None:
         if not token.startswith("--"):
             raise ConfigError(f"unexpected argument {token!r}")
         flag, joined, value = token.partition("=")
-        if flag not in (*FLAGS, "--tol", "--config"):
+        if flag not in FLAG_NAMES:
             raise ConfigError(f"unknown flag {flag!r}")
         if not joined and (value := next(rest, None)) is None:
             raise ConfigError(f"{flag} expects a value")
@@ -335,6 +335,8 @@ COMMANDS = {
     "sweep": (cmd_sweep, "pipeline sweep over a mu range",
               tuple(key for key in KEYS if key not in ("mu", "format"))),
 }
+# The keys each command reads, as a set.
+READS = {command: frozenset(reads) for command, (_, _, reads) in COMMANDS.items()}
 
 
 def help_text(command: str = "") -> str:

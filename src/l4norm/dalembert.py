@@ -48,8 +48,10 @@ CRITICAL_HARMONICS = ((1, 0), (0, 1))
 # gate scans them.
 MOSER_PAIRS = tuple((k1, k2) for k1 in range(-4, 5) for k2 in range(-4, 5)
                     if 0 < abs(k1) + abs(k2) <= 4)
-# Of each pair and its negation, the one MOSER_PAIRS lists first.
-_MOSER_SCAN = tuple((k1, k2) for k1, k2 in MOSER_PAIRS if (k1, k2) < (-k1, -k2))
+# The pairs that can be least, in MOSER_PAIRS order: of each pair and its
+# negation the first, with entries of opposite signs, and (0, -1).  As 0 < w2
+# < w1, rounded or not, every other pair gives w1 or 2 w2 or more, above w2.
+_MOSER_SCAN = tuple((k1, k2) for k1, k2 in MOSER_PAIRS if k1 < 0 < k2) + ((0, -1),)
 
 
 class FrequencyPair(namedtuple("FrequencyPair", "omega1 omega2")):
@@ -223,11 +225,6 @@ class DAlembertSeries(Store):
     def grade(self, j: int, m: int):
         return self._slice(_grade, (j, m), (j, m))
 
-    def coefficient(self, key) -> tuple:
-        """(cos, sin) of a canonical key, (0.0, 0.0) where none is stored."""
-        z = self._value(key)
-        return z.real, z.imag
-
     def chop(self, tol: float):
         """Drop coefficients below tol in magnitude (reporting aid)."""
         return self._new(self.layout, [
@@ -236,10 +233,20 @@ class DAlembertSeries(Store):
 
     def pretty(self) -> str:
         """Deterministic listing: sorted by (degree, j, p, q), 17 digits."""
-        terms = sorted(zip(self.layout.keys, self.values),
-                       key=lambda kz: (_degree(kz[0]), kz[0][0], kz[0][2], kz[0][3]))
-        return "".join(f"I1^{j}/2 I2^{m}/2 ({p},{q}) cos {z.real:.17g} "
-                       f"sin {z.imag:.17g}\n" for (j, m, p, q), z in terms)
+        order, template = plan(listing, self.layout)
+        z = self.values
+        return template % tuple(part for n in order for part in (z[n].real, z[n].imag))
+
+
+def listing(layout: Layout) -> tuple:
+    """The slots of `layout` in the order :meth:`DAlembertSeries.pretty`
+    lists them, by (degree, j, p, q), and the listing's `%` template, one
+    line per slot with its cosine and sine."""
+    keys = layout.keys
+    order = tuple(sorted(range(len(keys)), key=lambda n: (
+        _degree(keys[n]), keys[n][0], keys[n][2], keys[n][3])))
+    return order, "".join("I1^%d/2 I2^%d/2 (%d,%d) cos %%.17g sin %%.17g\n" % keys[n]
+                          for n in order)
 
 
 def apply_D(series: DAlembertSeries, w: FrequencyPair) -> DAlembertSeries:
@@ -295,15 +302,12 @@ class MoserReport(namedtuple("MoserReport", "min_combination worst_pair passed")
 def moser_check(w: FrequencyPair, tol: float) -> MoserReport:
     """The pair of least |k1 w1 + k2 w2|; of equal values the first in
     MOSER_PAIRS, which is in lexicographic order, wins.  A pair and its
-    negation give the same value, so only the first of the two is scanned."""
+    negation give the same value, so only the first of the two is scanned,
+    and only where it can be least (`_MOSER_SCAN`)."""
     w1, w2 = w.omega1, w.omega2
     value, pair = math.inf, None
     for k1, k2 in _MOSER_SCAN:
         combination = abs(k1 * w1 + k2 * w2)
         if combination < value:
             value, pair = combination, (k1, k2)
-    return MoserReport(
-        min_combination=value,
-        worst_pair=pair,
-        passed=value > tol,
-    )
+    return MoserReport(value, pair, value > tol)

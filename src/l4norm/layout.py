@@ -213,8 +213,11 @@ class KernelSource:
 
     def multiplier(self, p: int, q: int, c0: str, c1: str, c2: str) -> str:
         """The local holding c2 D^2 + c1 D + c0 at harmonic (p, q), as
-        :func:`l4norm.dalembert.apply_poly_in_D` evaluates it."""
+        :func:`l4norm.dalembert.apply_poly_in_D` evaluates it; D itself as
+        ``complex(0.0, -t)``, which that form equals for every finite t."""
         t = self.let(f"{p} * w1 - {q} * w2")
+        if (c0, c1, c2) == ("0.0", "1.0", "0.0"):
+            return self.let(f"complex(0.0, -{t})")
         return self.let(f"complex({c0} - {c2} * {t} * {t}, -({c1} * {t}))")
 
     def apply_D(self, series: tuple) -> tuple:
@@ -239,39 +242,47 @@ class KernelSource:
     def substitute(self, outputs, args) -> list:
         """The series of each :func:`l4norm.dalembert.substitution_rows`
         output at `args`, the kernel's `coefficients` argument holding the
-        coefficients: the constants ``coefficients[n] (* e) * scale``
-        formed once, the conjugates ``g<a>`` only where a row reads them,
-        and per slot ``0j`` plus its rows' products, pass after pass, in
-        the order ``acc[slot] +=`` would add them.  One kernel holds one
-        substitution."""
+        coefficients: the constants ``coefficients[n] (* e) * scale``, the
+        factors 1 and 1.0 left out, and the conjugates, each formed once;
+        per slot ``0j`` plus its rows' products, pass after pass, in the
+        order ``acc[slot] +=`` would add them, each product left to right
+        with every prefix that two or more products share bound once.  One
+        kernel holds one substitution."""
         names = ["1.0", *(z for a in args for z in a[1])]
-        size = len(names)
-        names += [f"g{a}" for a in range(size)]
-        consts, conjugates, body, results = {}, set(), [], []
-        for o, (layout, scales, passes, zero_slots) in enumerate(outputs):
+        size, shared, outs = len(names), {}, []
+        for layout, scales, passes, zero_slots in outputs:
             c = []
             for (n, e), scale in scales:
-                value = f"coefficients[{n}]" + ("" if e is None else f" * {e}")
-                c.append(consts.setdefault(f"{value} * {scale!r}", f"c{len(consts)}"))
+                value = self.let(f"coefficients[{n}]")
+                value = value if e in (None, 1) else self.let(f"{value} * {e}")
+                c.append(value if scale == 1.0 else self.let(f"{value} * {scale!r}"))
             terms = [[] for _ in layout.keys]
             for rows in passes:
                 for slot, k, *row in rows:
-                    terms[slot].append(" * ".join([c[k], *(names[a] for a in row)]))
-                    conjugates.update(a - size for a in row if a >= size)
-            values = []
+                    terms[slot].append(product := (c[k], *(
+                        names[a] if a < size else self.let(f"{names[a - size]}.conjugate()")
+                        for a in row)))
+                    for end in range(2, len(product) + 1):
+                        shared[product[:end]] = product[:end] in shared
+            outs.append((layout, terms, zero_slots))
+        results = []
+        for o, (layout, terms, zero_slots) in enumerate(outs):
+            v = [f"v{o}_{slot}" for slot in range(len(terms))]
             for slot, products in enumerate(terms):
-                v = f"v{o}_{slot}"
+                formed = []
+                for product in products:
+                    value = product[0]
+                    for end in range(2, len(product) + 1):
+                        value = f"{value} * {product[end - 1]}"
+                        value = self.let(value) if shared[product[:end]] else value
+                    formed.append(value)
                 # 100 products a statement: a `+` chain of 3,000 overflows compile
-                for k in range(0, len(products), 100):
-                    body.append(f"{v} = {v if k else '0j'} + "
-                                + " + ".join(products[k:k + 100]))
+                self.lines += [f"{v[slot]} = {v[slot] if k else '0j'} + "
+                               + " + ".join(formed[k:k + 100])
+                               for k in range(0, len(formed), 100)]
                 if slot in zero_slots:
-                    body.append(f"{v} = complex({v}.real)")
-                values.append(v)
-            results.append((layout, values))
-        self.lines += [*(f"g{a} = {names[a]}.conjugate()" for a in sorted(conjugates)),
-                       *(f"{name} = {value}" for value, name in consts.items()),
-                       *body]
+                    self.lines.append(f"{v[slot]} = complex({v[slot]}.real)")
+            results.append((layout, v))
         return results
 
     @staticmethod

@@ -183,16 +183,14 @@ def hamiltonian_matrix(K: tuple, C: tuple) -> tuple:
             (-c10, -c11, 0.0, 1.0))
 
 
-def _dot(a, b) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
-
-
 def congruence_gap(J: tuple, M: tuple, target: tuple) -> float:
     """Largest entry of |J^T M J - target|, all three 4x4 row tuples."""
     cols = tuple(zip(*J))
-    mj_cols = [[_dot(row, col) for row in M] for col in cols]
-    return max(abs(_dot(a, b) - t) for a, row in zip(cols, target)
-               for b, t in zip(mj_cols, row))
+    mj_cols = [[m0 * c0 + m1 * c1 + m2 * c2 + m3 * c3 for m0, m1, m2, m3 in M]
+               for c0, c1, c2, c3 in cols]
+    return max(abs(a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 - t)
+               for (a0, a1, a2, a3), row in zip(cols, target)
+               for (b0, b1, b2, b3), t in zip(mj_cols, row))
 
 
 def _mode_columns(mode: int, omega: float, sign: float, K: tuple, C: tuple):

@@ -21,11 +21,12 @@ from .dalembert import (
     DIVISOR_FLOOR,
     DAlembertSeries,
     FrequencyPair,
+    listing,
     moser_check,
 )
 from .errata import classify_remainder
 from .errors import ParameterError, ResonanceError
-from .layout import sup_of_difference
+from .layout import plan, sup_of_difference
 from .model import ModelParams, branch_sign
 from .normalform import J_ENTRIES, RS_NAMES, RS_SLOTS
 
@@ -138,13 +139,23 @@ class PipelineResult:
         return out
 
 
+def _rs_slots(layout) -> tuple:
+    """Per slot of `RS_SLOTS`, the slot of its key in `layout`, -1 where
+    the layout lacks it, and whether it reads the sine."""
+    return tuple((layout.index.get(key, -1), part) for key, part in RS_SLOTS)
+
+
 def oracle_rs_from_series(b2x: DAlembertSeries, b2y: DAlembertSeries) -> dict:
-    """Read the ten r and the ten s slots off a solved B2 pair, by name; B2
+    """Read the ten r and the ten s slots off a solved B2 pair, by name,
+    through their slots planned per layout (a term B2 lacks reads 0.0); B2
     has no other term, so this is the whole mapping between B2 and the
     printed tables."""
-    return dict(zip(RS_NAMES, [
-        sign * series.coefficient(key)[slot]
-        for series, sign in ((b2x, 1.0), (b2y, -1.0)) for key, slot in RS_SLOTS]))
+    rs = []
+    for series, sign in ((b2x, 1.0), (b2y, -1.0)):
+        values = series.values + [0j]
+        rs += [sign * (values[n].imag if part else values[n].real)
+               for n, part in plan(_rs_slots, series.layout)]
+    return dict(zip(RS_NAMES, rs))
 
 
 def check_stages(stages) -> tuple:
@@ -443,88 +454,82 @@ def fmt(x) -> str:
     return str(x)
 
 
+def _report_template(stages: tuple, gates: tuple, outside: bool, b2) -> str:
+    """The `%` template of a report on a result run through `stages`, with
+    these gate names, a series.outside_domain line if `outside`, and B2 on
+    the pair of layouts `b2` (None before the b2 stage): `%s` where `fmt`
+    or a block's formatter writes the text, `%.17g` for a float the chain
+    or the audit computed, and every other character as printed."""
+    text = lambda line: line.replace("%", "%%")
+    lines = ["# verification report",
+             *(f"{key}: %s" for key in ("mu", "q1", "epsilon", "A2", "cd", "W1",
+                                        "n", "branch")),
+             text(f"stages: {','.join(stages)}"),
+             *(f"tol.{name}: %s" for name in TOLERANCES),
+             *(text(f"gate.{name}: ") + "%s" for name in gates),
+             *(["series.outside_domain: %s"] if outside else []),
+             "", "[equilibria]", "%s"]
+    if "b1" in stages:
+        lines += ["", "[frequencies]", "%s", "", "[normal-modes]",
+                  "symplectic_defect: %.17g", "h2_residual: %.17g",
+                  "b1_residual: %.17g", "entry,numeric,closed,abs_gap",
+                  *(f"{name},%.17g,%.17g,%.17g" for name in J_ENTRIES)]
+    if b2 is not None:
+        lines += ["", "[second-order]", "residual_x: %.17g", "residual_y: %.17g",
+                  "closed_vs_oracle_sup: %.17g", "coefficient,closed,oracle,abs_gap",
+                  *(f"{name},%.17g,%.17g,%.17g" for name in RS_NAMES)]
+        for name, layout in zip(("b2x", "b2y"), b2):
+            lines.append(f"{name}_series:")
+            lines += ("  " + line for line in plan(listing, layout)[1].splitlines())
+    if "h3" in stages:
+        lines += ["", "[h3]", *(f"{name}: %.17g" for name in (
+            "A30", "A21", "A12", "A03", "scale", "h2_form_residual", "ablation_max"))]
+    return "\n".join(lines)
+
+
 def render_report(res: PipelineResult, printed: Audit, gates: dict,
                   verdicts: Verdicts | None = None) -> str:
     """Structured text: key-value lines plus CSV blocks per stage.
     `printed` is `report_audit(res)` or `audit(res)`, which print the same;
     `gates` is `res.gates()`; `verdicts` comes from
-    `detect_discrepancies`."""
-    lines = []
-    put = lines.append
-    p = res.params
-    put("# verification report")
-    for key, val in (("mu", p.mu), ("q1", p.q1), ("epsilon", p.epsilon),
-                     ("A2", p.A2), ("cd", p.cd), ("W1", p.W1), ("n", p.n),
-                     ("branch", res.options.branch)):
-        put(f"{key}: {fmt(val)}")
-    put(f"stages: {','.join(res.stages)}")
-    opt = res.options
-    for name, attr in TOLERANCES.items():
-        put(f"tol.{name}: {fmt(getattr(opt, attr))}")
-    for name, ok in gates.items():
-        put(f"gate.{name}: {fmt(ok)}")
-    if printed.series_outside_domain:
-        put(f"series.outside_domain: {printed.series_outside_domain}")
-
-    put("")
-    put("[equilibria]")
-    lines.extend(equilibria_csv(res, printed))
+    `detect_discrepancies`.  Up to the H3 listing the report is one
+    template, planned per shape (:func:`_report_template`)."""
+    p, opt, stages, b2 = res.params, res.options, res.stages, res.b2
+    outside = printed.series_outside_domain
+    template = plan(_report_template, stages, tuple(gates), bool(outside),
+                    None if b2 is None else (b2.b2x.layout, b2.b2y.layout))
+    values = [*map(fmt, (p.mu, p.q1, p.epsilon, p.A2, p.cd, p.W1, p.n, opt.branch)),
+              *(fmt(getattr(opt, attr)) for attr in TOLERANCES.values()),
+              *map(fmt, gates.values()), *([outside] if outside else []),
+              "\n".join(equilibria_csv(res, printed))]
     gaps = printed.gaps
-
-    if res.freq is not None:
-        put("")
-        put("[frequencies]")
-        lines.extend(frequency_lines(res.freq, res.moser))
-
-    if res.nm is not None:
-        put("")
-        put("[normal-modes]")
-        put(f"symplectic_defect: {fmt(res.nm.symplectic_defect)}")
-        put(f"h2_residual: {fmt(res.nm.h2_residual)}")
-        put(f"b1_residual: {fmt(res.b1_residual)}")
-        put("entry,numeric,closed,abs_gap")
+    if "b1" in stages:
+        nm = res.nm
+        values += ["\n".join(frequency_lines(res.freq, res.moser)),
+                   nm.symplectic_defect, nm.h2_residual, res.b1_residual]
         for name in J_ENTRIES:
-            put(f"{name},{fmt(getattr(res.nm, name))},"
-                f"{fmt(printed.j_closed[name])},{fmt(gaps['j.' + name])}")
-
-    if res.b2 is not None:
-        put("")
-        put("[second-order]")
-        put(f"residual_x: {fmt(res.b2_residuals[0])}")
-        put(f"residual_y: {fmt(res.b2_residuals[1])}")
-        put(f"closed_vs_oracle_sup: {fmt(gaps['b2.sup'])}")
-        put("coefficient,closed,oracle,abs_gap")
+            values += (getattr(nm, name), printed.j_closed[name], gaps["j." + name])
+    if b2 is not None:
+        values += (*res.b2_residuals, gaps["b2.sup"])
         for name in RS_NAMES:
-            put(f"{name},{fmt(printed.rs[name])},{fmt(printed.rs_oracle[name])},"
-                f"{fmt(gaps['b2.' + name])}")
-        put("b2x_series:")
-        for line in res.b2.b2x.pretty().splitlines():
-            put("  " + line)
-        put("b2y_series:")
-        for line in res.b2.b2y.pretty().splitlines():
-            put("  " + line)
-
-    if res.h3 is not None:
-        put("")
-        put("[h3]")
-        for name, value in (("A30", res.h3.A30), ("A21", res.h3.A21),
-                            ("A12", res.h3.A12), ("A03", res.h3.A03)):
-            put(f"{name}: {fmt(value)}")
-        put(f"scale: {fmt(res.intermediate_scale())}")
-        put(f"h2_form_residual: {fmt(res.h3.h2_residual)}")
-        put(f"ablation_max: {fmt(res.cubic_at_b1.max_abs())}")
-        surviving = res.h3.series.chop(res.h3_bound())
+            values += (printed.rs[name], printed.rs_oracle[name], gaps["b2." + name])
+        for series in (b2.b2x, b2.b2y):
+            z = series.values
+            values += [part for n in plan(listing, series.layout)[0]
+                       for part in (z[n].real, z[n].imag)]
+    lines = []
+    if "h3" in stages:
+        h3 = res.h3
+        values += (h3.A30, h3.A21, h3.A12, h3.A03, res.intermediate_scale(),
+                   h3.h2_residual, res.cubic_at_b1.max_abs())
+        surviving = h3.series.chop(res.h3_bound())
         if surviving.terms:
-            put("h3_series_above_h3_factor_x_scale:")
-            for line in surviving.pretty().splitlines():
-                put("  " + line)
+            lines.append("h3_series_above_h3_factor_x_scale:")
+            lines += ("  " + line for line in surviving.pretty().splitlines())
         else:
-            put("h3_series_above_h3_factor_x_scale: none")
-
+            lines.append("h3_series_above_h3_factor_x_scale: none")
     if verdicts:
-        put("")
-        put("[series-vs-oracle]")
-        put("quantity,perturbation,gap_h,gap_half,classification")
-        lines.extend(verdicts.rows)
-    put("")
-    return "\n".join(lines)
+        lines += ("", "[series-vs-oracle]",
+                  "quantity,perturbation,gap_h,gap_half,classification",
+                  *verdicts.rows)
+    return "\n".join([template % tuple(values), *lines, ""])

@@ -570,6 +570,19 @@ class TestMoser:
             rep = moser_check(w, tol=1e-8)
             assert (rep.min_combination, rep.worst_pair) == moser_by_full_scan(w)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-300, 1e300), st.floats(0.0, 1.0, exclude_min=True,
+                                                exclude_max=True))
+    def test_matches_the_full_scan_at_any_ordered_pair(self, w1, ratio):
+        # the scan skips the pairs whose entries share a sign, as none of
+        # them can be least once 0 < w2 < w1, rounding included; near-equal
+        # frequencies and both ends of the float range test that
+        w2 = w1 * ratio
+        if 0.0 < w2 < w1:
+            w = FrequencyPair(w1, w2)
+            rep = moser_check(w, tol=1e-8)
+            assert (rep.min_combination, rep.worst_pair) == moser_by_full_scan(w)
+
     def test_frequency_pair_validation(self):
         with pytest.raises(ParameterError):
             FrequencyPair(0.3, 0.9)

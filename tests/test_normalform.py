@@ -773,7 +773,7 @@ def assert_matches_pairwise(poly, args, cap):
     assert out.norm_of_difference(reference) <= 1e-13 * reference.max_abs()
     for j, m, p, q in out.layout.keys:
         if p == q == 0:
-            assert out.coefficient((j, m, 0, 0))[1] == 0.0
+            assert out.terms[(j, m, 0, 0)][1] == 0.0
     return out
 
 
@@ -859,7 +859,7 @@ class TestSubstitutionKernel:
         out = assert_matches_pairwise(
             TruncatedPoly(3, {(0, 0, 0, 0): 2.5, (1, 0, 0, 0): 1.0}),
             (s, t, s, t), 3)
-        assert out.coefficient((0, 0, 0, 0)) == (2.5, 0.0)
+        assert out.terms[(0, 0, 0, 0)] == (2.5, 0.0)
         # the zero polynomial, and monomials of a zero argument, vanish
         assert poly_at_series(TruncatedPoly(3), s, t, s, t, 3).terms == {}
         assert poly_at_series(TruncatedPoly(3, {(0, 1, 0, 0): 1.0,

@@ -2,7 +2,9 @@
 step-by-step references in oracles.py: bit for bit, keys in the same order,
 over the benchmark's domain, and raising the reference's errors."""
 
+import ast
 import builtins
+import collections
 import dis
 
 import pytest
@@ -308,3 +310,44 @@ def test_every_kernel_reads_only_builtins_and_the_kernel_names(monkeypatch):
     assert set(read) == {"kernel", "rows", "taylor"}
     assert {"CriticalTermError", "SmallDivisorError"} <= read["kernel"]
     assert "atan2" in read["taylor"]
+
+
+# -- what the kernels form -------------------------------------------------------
+
+# Multiplications in the source of the forcing and H3 kernels at mu 0.01,
+# with drag (q1 0.999, A2 1e-4, cd 20) and without: each product prefix that
+# two or more products share is formed once, D is complex(0.0, -theta), and
+# no constant is scaled by 1 or 1.0.  The sources before these were 578 and
+# 380 with drag, 314 and 380 without.
+KERNEL_MULTIPLICATIONS = {True: (376, 238), False: (208, 238)}
+
+
+@pytest.mark.parametrize("drag", (True, False))
+def test_the_stage_kernels_form_each_product_once(drag, monkeypatch):
+    p = (ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0) if drag
+         else ModelParams(mu=0.01))
+    res = run_pipeline(p)
+    sources = []
+    compiled = layout.compiled
+    monkeypatch.setattr(layout, "compiled", lambda source, name:
+                        sources.append(source) or compiled(source, name))
+    b1 = tuple(s.layout for s in res.b1)
+    normalform._forcing_kernel(res.lagrangian_poly.grade(3).layout, *b1)
+    normalform._h3_kernel(res.lagrangian_poly.grade(2).layout, *b1,
+                          res.b2.b2x.layout, res.b2.b2y.layout,
+                          res.cubic_at_b1.layout)
+    counts = []
+    for source in sources:
+        tree = ast.parse(source)
+        counts.append(sum(isinstance(node, ast.Mult) for node in ast.walk(tree)))
+        right = [ast.dump(node.value) for node in ast.walk(tree)
+                 if isinstance(node, ast.Assign)]
+        assert len(set(right)) == len(right)  # no value is bound twice
+        # and no product is formed twice, but for the integer multiples of
+        # a frequency that each harmonic's theta spells out
+        products = collections.Counter(
+            ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult))
+        assert {text for text, n in products.items() if n > 1} <= {
+            f"{k} * {w}" for k in range(5) for w in ("w1", "w2")}
+    assert tuple(counts) == KERNEL_MULTIPLICATIONS[drag]
