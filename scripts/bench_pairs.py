@@ -8,15 +8,17 @@ every run in one JSON file.
 OLD and NEW are checkouts (`git archive` or `git clone`) whose own
 `perfbench/run.py` is run from their root, so both sides run the benchmark
 code they carry.  Pair i runs the parent first when i is even and the
-change first when it is odd.  Each run's result line is appended to the
-record under ``runs``, keyed by workload, seed, trace flag and side; then
-``summary`` is recomputed for every (workload, seed, trace) with both
-sides: per metric, each side's median and quartiles, and for the untraced
-end-to-end metrics the pairs the change wins (by the metric's direction in
-the change's `BENCHMARK.json`, ties counting for neither).  The record also
-holds both checkouts' git revisions when given (`--revisions`), the
-interpreter's version, whether `PYTHONDONTWRITEBYTECODE` was set, and each
-command run.  Runs go one at a time.
+change first when it is odd (a run's ``order`` is 0 where the parent ran
+first).  Each run's result line is appended to the record under ``runs``,
+keyed by workload, seed, run length, trace flag and side; then ``summary``
+is recomputed for every key with both sides: per metric, each side's
+median and quartiles, and for each metric that the change's
+`BENCHMARK.json` lists, the pairs the change wins by the metric's
+direction (ties count for neither).  `--pairs 0` only recomputes the
+summary.  The record also holds both checkouts' git revisions when given
+(`--revisions`), the interpreter's version, whether
+`PYTHONDONTWRITEBYTECODE` was set, and each command run.  Runs go one at
+a time.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ def summarise(record: dict, directions: dict) -> dict:
         parent, change = sides.get("parent", []), sides.get("change", [])
         if not parent or not change:
             continue
-        traced = key.endswith("trace1")
         rows = {}
         for name in parent[0]["metrics"]:
             old = [run["metrics"][name] for run in parent]
@@ -66,11 +67,12 @@ def summarise(record: dict, directions: dict) -> dict:
                 q1, median, q3 = quartiles(values) if len(values) > 1 else (values[0],) * 3
                 row[side] = {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
             better = directions.get(name)
-            if better and not traced:
+            if better:
                 pairs = list(zip(old, new))
                 row["wins"] = sum((b > a) if better == "higher" else (b < a)
                                   for a, b in pairs)
                 row["pairs"] = len(pairs)
+            if row["parent"]["median"]:
                 row["change_vs_parent"] = row["change"]["median"] / row["parent"]["median"] - 1.0
             rows[name] = row
         out[key] = {"attempted": sorted({r["attempted"] for r in parent + change}),
@@ -119,7 +121,9 @@ def main(argv=None) -> int:
             json.dump(record, handle, indent=1, sort_keys=True)
 
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as handle:
-        directions = {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
+        declared = json.load(handle)
+    directions = {m["name"]: m["better"]
+                  for m in declared["end_to_end"] + declared["per_layer"]}
     record["summary"] = summarise(record, directions)
     with open(args.record, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=1, sort_keys=True)

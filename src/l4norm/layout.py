@@ -40,7 +40,7 @@ from .errors import CriticalTermError, SmallDivisorError
 
 # Entries kept in the plan table: interned layouts and the plans made on
 # them, each substitution, stage or Taylor plan with its compiled kernel.  50
-# seeded chains with their audits and the detector make 48 (12 kernels).
+# seeded chains, audited and reported, and the detector make 67 (12 kernels).
 PLAN_TABLE_SIZE = 1024
 
 
