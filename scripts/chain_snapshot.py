@@ -61,9 +61,19 @@ def series_terms(series):
     return [(key, (float(c), float(s))) for key, (c, s) in series.terms.items()]
 
 
-def h3_values(h3):
-    return ([float(a) for a in (h3.A30, h3.A21, h3.A12, h3.A03)],
-            series_terms(h3.series), float(h3.h2_residual))
+def h3_values(grade_norms, series, h2_residual):
+    return ([float(a) for a in grade_norms], series_terms(series),
+            float(h2_residual))
+
+
+def grade_norms(series):
+    """The sup norm of each degree-3 action grade, (3, 0) to (0, 3), read
+    off the terms here and not through the package."""
+    norms = dict.fromkeys(((3, 0), (2, 1), (1, 2), (0, 3)), 0.0)
+    for key, z in zip(series.layout.keys, series.values):
+        if key[:2] in norms:
+            norms[key[:2]] = max(norms[key[:2]], abs(z.real), abs(z.imag))
+    return norms.values()
 
 
 def chain_record(mu, epsilon, a2, cd, branch):
@@ -71,7 +81,6 @@ def chain_record(mu, epsilon, a2, cd, branch):
     from l4norm.closedforms import fg_tables
     from l4norm.equilibria import offset_ab
     from l4norm.model import ModelParams
-    from l4norm.normalform import H3NormalCoefficients
     from l4norm.polyalg import t_coefficients_closed_form
     from l4norm.verify import (
         PipelineOptions,
@@ -84,7 +93,7 @@ def chain_record(mu, epsilon, a2, cd, branch):
     options = PipelineOptions(branch=branch)
     res = run_pipeline(p, options)
     at_b2 = run_pipeline(p, options, stages=("b2",))
-    efg, w, b2 = res.efg, res.freq, res.b2
+    efg, w, b2, h3 = res.efg, res.freq, res.b2, res.h3
     cubic = t_coefficients_closed_form(p, res.shift, branch)
     printed = audit(res)
     shift = offset_ab(p, branch)
@@ -104,10 +113,11 @@ def chain_record(mu, epsilon, a2, cd, branch):
         ("y2", series_terms(res.y2)),
         ("b2", series_terms(b2.b2x), series_terms(b2.b2y),
          *map(float, res.b2_residuals)),
-        ("h3", h3_values(res.h3)),
+        ("h3", h3_values((h3.A30, h3.A21, h3.A12, h3.A03), h3.series,
+                         h3.h2_residual)),
         # H3 with B2 = 0: the cubic at B1, with H3's degree-2 residual
-        ("ablation", h3_values(H3NormalCoefficients(res.cubic_at_b1,
-                                                    res.h3.h2_residual))),
+        ("ablation", h3_values(grade_norms(res.cubic_at_b1), res.cubic_at_b1,
+                               h3.h2_residual)),
         ("gates", sorted(res.gates().items())),
         ("cubic", [float(cubic[name]) for name in ("T1", "T2", "T3", "T4")],
          [(m, float(c)) for m, c in cubic["T5"].coeffs.items()],

@@ -222,9 +222,6 @@ class DAlembertSeries(Store):
         """Product via cos/sin product-to-sum expansion; grades add."""
         return substitute(_PRODUCT, [1.0], (self, other), None)
 
-    def grade(self, j: int, m: int):
-        return self._slice(_grade, (j, m), (j, m))
-
     def chop(self, tol: float):
         """Drop coefficients below tol in magnitude (reporting aid)."""
         return self._new(self.layout, [

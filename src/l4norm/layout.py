@@ -1,17 +1,18 @@
 """Key layouts, the store both algebras run on, and the kernel emitter.
 
-A series (:mod:`l4norm.dalembert`) or a polynomial (:mod:`l4norm.polyalg`)
-is a :class:`Store`: a *layout* -- its keys in stored order, with each
-key's slot -- plus a list of values, one per slot, real or complex.  The
-base holds what the two share: the sum and the difference, the slices,
-the key lookup and the sup norms.  The key work of every operation the
-program runs (output keys, their order, which slots meet) depends only
-on the layouts, which repeat from one parameter point to the next, so it
-is planned once per layout, or tuple of layouts, and kept in one bounded
-table (the Taylor expansion's once per degree cap and drag on/off); the
-operation itself is arithmetic along the plan and builds no dict.  A sum
-(or a difference) appends the right operand's new keys in its order, so
-it is bit-identical to a plain loop over the terms, key order included.
+A series (:mod:`l4norm.dalembert`) or a polynomial
+(:mod:`l4norm.polyalg`) is a :class:`Store`: a *layout* -- its keys in
+stored order, with each key's slot -- plus a list of values, one per
+slot, real or complex.  The base holds what the two share: the sum and
+the difference, the slices, the key lookup and the sup norm of a
+difference.  The key work of every operation the program runs (output
+keys, their order, which slots meet) depends only on the layouts, which
+repeat from one parameter point to the next, so it is planned once per
+layout, or tuple of layouts, and kept in one bounded table (the Taylor
+expansion's once per degree cap and drag on/off); the operation itself
+is arithmetic along the plan and builds no dict.  A sum (or a
+difference) appends the right operand's new keys in its order, so it is
+bit-identical to a plain loop over the terms, key order included.
 
 Where a plan runs arithmetic, :class:`KernelSource` writes it as one
 straight-line function, and :func:`compiled` compiles it once, with
@@ -163,10 +164,6 @@ class Store:
         n = self.layout.index.get(key)
         return self._zero if n is None else self.values[n]
 
-    def max_abs(self) -> float:
-        """Sup over the real and imaginary parts of the values."""
-        return max(map(_sup, self.values), default=0.0)
-
     def norm_of_difference(self, other) -> float:
         """Sup over the real and imaginary parts of the differences."""
         return sup_of_difference(self.layout, self.values, other)
@@ -287,8 +284,8 @@ class KernelSource:
 
     @staticmethod
     def sup(*series) -> str:
-        """Sup over the real and imaginary parts of the values, as
-        `Store.max_abs` of each and their max."""
+        """Sup over the real and imaginary parts of the values of every
+        series, 0.0 for none."""
         parts = ["0.0", *(f"abs({z}.{part})" for _, names in series
                           for z in names for part in ("real", "imag"))]
         return f"max(({', '.join(parts)},))"

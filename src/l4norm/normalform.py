@@ -17,7 +17,9 @@ The oracle chain this module serves:
 5. degree-3 energy coefficients after substituting x = B1 + B2, whose
    vanishing is the headline verification target: the quadratic energy
    at B1 + B2 plus the cubic of step 3 (under the degree-3 cap the cubic
-   sees only B1), and the degree-2 residual against w1 I1 - w2 I2.
+   sees only B1), and the degree-2 residual against w1 I1 - w2 I2; with
+   them, the sup norm of each degree-3 action grade (A30..A03) and of the
+   cubic itself (the ablation, H3 with B2 = 0).
 
 Each of steps 3-5 is one compiled kernel, planned once per tuple of its
 input layouts and written by :class:`l4norm.layout.KernelSource`, and
@@ -45,6 +47,7 @@ from .dalembert import (
     DAlembertSeries,
     FrequencyPair,
     _degree,
+    _grade,
     apply_D,  # noqa: F401 -- perfbench/spans.py wraps it here
     apply_poly_in_D,  # noqa: F401 -- as apply_D
     invert_delta,  # noqa: F401 -- as apply_D
@@ -127,12 +130,6 @@ def classical_frequencies(mu: float) -> FrequencyPair:
 def _entry(row: int, col: int):
     """Property: the (row, col) entry of `self.J`."""
     return property(lambda self: self.J[row][col])
-
-
-def _grade_norm(j: int, m: int):
-    """Property: sup-norm of the (j, m) grade of `self.series`, sliced on
-    first read and kept."""
-    return functools.cached_property(lambda self: self.series.grade(j, m).max_abs())
 
 
 # The entries of J that B1 reads (`first_order_components`), attributes of
@@ -488,25 +485,24 @@ def solve_second_order_oracle(efg: QuadraticCoefficients, w: FrequencyPair,
 # -- degree-3 energy coefficients ------------------------------------------
 
 
-class H3NormalCoefficients(namedtuple("H3NormalCoefficients", "series h2_residual")):
+class H3NormalCoefficients(namedtuple(
+        "H3NormalCoefficients", "series h2_residual A30 A21 A12 A03 ablation_max")):
     """Sup-norm of each degree-3 action grade of the substituted energy.
 
     The conclusion under test: with B2 from the oracle solve, all four
-    vanish (every harmonic of every grade cancels).  The grades A30, A21,
-    A12 and A03 are sliced on first read, so a caller that discards the
-    result pays nothing for them; every degree-3 key lies in one of them,
-    so `max_abs` reads the whole series and slices none.  `series` is the
-    full degree-3 slice, and `h2_residual` the sup norm of the degree-2
-    slice less w1 I1 - w2 I2; the grades are kept in the instance dict.
+    grade norms A30, A21, A12 and A03 vanish (every harmonic of every
+    grade cancels).  `series` is the full degree-3 slice, `h2_residual`
+    the sup norm of the degree-2 slice less w1 I1 - w2 I2, and
+    `ablation_max` the sup norm of the cubic the stage adds, which is H3
+    with B2 = 0; the stage's kernel measures every norm.  Every degree-3
+    key lies in exactly one grade, so `max_abs`, the sup norm of
+    `series`, is the largest grade norm.
     """
 
-    A30 = _grade_norm(3, 0)
-    A21 = _grade_norm(2, 1)
-    A12 = _grade_norm(1, 2)
-    A03 = _grade_norm(0, 3)
+    __slots__ = ()
 
     def max_abs(self) -> float:
-        return self.series.max_abs()
+        return max(self.A30, self.A21, self.A12, self.A03)
 
 
 def _h3_kernel(l2: Layout, b1x: Layout, b1y: Layout, b2x: Layout, b2y: Layout,
@@ -516,19 +512,24 @@ def _h3_kernel(l2: Layout, b1x: Layout, b1y: Layout, b2x: Layout, b2y: Layout,
     every product capped at degree 3, plus the cubic; its degree-3 slice and
     the degree-2 slice minus w1 I1 - w2 I2.  ``kernel(l2 values, B1x, B1y,
     B2x, B2y and cubic values, w1, w2)`` returns the values of the degree-3
-    slice on `layout` and the sup norm of the degree-2 difference."""
+    slice on `layout`, then the sup norms of the degree-2 difference, of
+    the grades (3, 0), (2, 1), (1, 2) and (0, 3), and of the cubic: the
+    fields of :class:`H3NormalCoefficients` after `series`."""
     k = KernelSource()
     x = k.merge(k.unpack("b1x", b1x), k.unpack("b2x", b2x))
     y = k.merge(k.unpack("b1y", b1y), k.unpack("b2y", b2y))
     args = (x, y, k.apply_D(x), k.apply_D(y))
     (energy,) = k.substitute(substitution_rows(
         (_energy_rows(l2),), 3, tuple(a[0] for a in args)), args)
-    total = k.merge(energy, k.unpack("cubic", cubic))
+    added = k.unpack("cubic", cubic)
+    total = k.merge(energy, added)
     h2_form = (_H2, [k.let("0j + complex(w1, 0.0)"), k.let("0j + complex(-w2, 0.0)")])
     h3 = sliced(*total, _degree, 3, 3)
     return h3[0], k.compile(
         "coefficients, b1x, b1y, b2x, b2y, cubic, w1, w2",
-        [h3, k.sup(k.merge(sliced(*total, _degree, 2, 2), h2_form, negate=True))])
+        [h3, k.sup(k.merge(sliced(*total, _degree, 2, 2), h2_form, negate=True)),
+         *(k.sup(sliced(*h3, _grade, (j, 3 - j), (j, 3 - j))) for j in (3, 2, 1, 0)),
+         k.sup(added)])
 
 
 def h3_normal_coefficients(cubic: DAlembertSeries, l2: TruncatedPoly, b1, b2,
@@ -542,7 +543,7 @@ def h3_normal_coefficients(cubic: DAlembertSeries, l2: TruncatedPoly, b1, b2,
     """
     layout, kernel = plan(_h3_kernel, l2.layout, b1[0].layout, b1[1].layout,
                           b2[0].layout, b2[1].layout, cubic.layout)
-    values, h2_residual = kernel(l2.values, b1[0].values, b1[1].values,
-                                 b2[0].values, b2[1].values, cubic.values,
-                                 w.omega1, w.omega2)
-    return H3NormalCoefficients(DAlembertSeries._new(layout, values), h2_residual)
+    values, *norms = kernel(l2.values, b1[0].values, b1[1].values,
+                            b2[0].values, b2[1].values, cubic.values,
+                            w.omega1, w.omega2)
+    return H3NormalCoefficients(DAlembertSeries._new(layout, values), *norms)

@@ -135,7 +135,7 @@ class PipelineResult:
             h3_max = self.h3.max_abs()
             out["h3-vanishing"] = bool(h3_max < bound)
             out["h3-test-power"] = bool(
-                self.cubic_at_b1.max_abs() > 1e3 * max(h3_max, bound))
+                self.h3.ablation_max > 1e3 * max(h3_max, bound))
         return out
 
 
@@ -521,7 +521,7 @@ def render_report(res: PipelineResult, printed: Audit, gates: dict,
     if "h3" in stages:
         h3 = res.h3
         values += (h3.A30, h3.A21, h3.A12, h3.A03, res.intermediate_scale(),
-                   h3.h2_residual, res.cubic_at_b1.max_abs())
+                   h3.h2_residual, h3.ablation_max)
         surviving = h3.series.chop(res.h3_bound())
         if surviving.terms:
             lines.append("h3_series_above_h3_factor_x_scale:")

@@ -5,7 +5,8 @@ position and velocity; `lagrangian` and `effective_potential` evaluate
 the package's Lagrangian and potential along one, and `difference`
 subtracts two d'Alembert series along their sum plan.  The one-step
 forms of the algebra that no program path runs live here too: for
-series `product` (with a degree cap), `scaled` and `degree_slice`; for
+series `product` (with a degree cap), `scaled`, `degree_slice` and
+`grade`, and for series and polynomials alike the sup norm `sup`; for
 polynomials `constant`, `plus` (at the smaller cap, a scalar as a
 constant), `negated`, `partial` and `energy`, whose rows the chain's
 forcing and H3 kernels lay out (`l4norm.normalform._partial_plan`,
@@ -55,7 +56,7 @@ from operator import mul
 
 from l4norm import closedforms, equilibria, normalform, polyalg, verify
 from l4norm.dalembert import (_PRODUCT, DIVISOR_FLOOR, MOSER_PAIRS, DAlembertSeries,
-                              _degree, apply_D, apply_poly_in_D, invert_delta,
+                              _degree, _grade, apply_D, apply_poly_in_D, invert_delta,
                               substitute, substitution_rows)
 from l4norm.equilibria import OriginShift
 from l4norm.errors import ContractError, StabilityDomainError
@@ -113,6 +114,17 @@ def scaled(series, factor: float) -> DAlembertSeries:
 def degree_slice(series, degree: int) -> DAlembertSeries:
     """The terms of a series of total degree j + m = `degree`."""
     return series._slice(_degree, degree, degree)
+
+
+def grade(series, j: int, m: int) -> DAlembertSeries:
+    """The terms of a series of action grade I1^(j/2) I2^(m/2)."""
+    return series._slice(_grade, (j, m), (j, m))
+
+
+def sup(store) -> float:
+    """Sup over the real and imaginary parts of the values of a series or
+    a polynomial, 0.0 for none."""
+    return max((max(abs(v.real), abs(v.imag)) for v in store.values), default=0.0)
 
 
 def constant(value, cap: int) -> TruncatedPoly:
@@ -458,7 +470,7 @@ def second_order_by_ops(efg, w, n, x2, y2, floor=DIVISOR_FLOOR):
     phi2, psi2 = operator_by_composition(((l22, neg(l12)), (neg(l21), l11)),
                                          x2, y2, w)
     b2x, b2y = invert_delta(phi2, w, floor), invert_delta(psi2, w, floor)
-    scale = max(x2.max_abs(), y2.max_abs(), b2x.max_abs(), b2y.max_abs())
+    scale = max(sup(x2), sup(y2), sup(b2x), sup(b2y))
     return normalform.SecondOrderSolution(b2x, b2y, scale)
 
 
@@ -467,7 +479,8 @@ def h3_by_ops(cubic, l2: TruncatedPoly, b1, b2, w):
     operations, the bit-for-bit reference for its kernel: B1 + B2, D of
     both sums, the :func:`energy` of `l2` substituted at cap 3 by
     :func:`substitute_by_rows`, plus `cubic`, its degree-3 slice, and the
-    degree-2 slice minus w1 I1 - w2 I2."""
+    degree-2 slice minus w1 I1 - w2 I2; each norm by :func:`sup`, the
+    grades by :func:`grade`."""
     bx, by = b1[0] + b2[0], b1[1] + b2[1]
     args = (bx, by, apply_D(bx, w), apply_D(by, w))
     e2 = energy(l2)
@@ -476,8 +489,10 @@ def h3_by_ops(cubic, l2: TruncatedPoly, b1, b2, w):
     total = total + cubic
     h2_form = DAlembertSeries({(2, 0, 0, 0): (w.omega1, 0.0),
                                (0, 2, 0, 0): (-w.omega2, 0.0)})
+    h3 = degree_slice(total, 3)
     return normalform.H3NormalCoefficients(
-        degree_slice(total, 3), difference(degree_slice(total, 2), h2_form).max_abs())
+        h3, sup(difference(degree_slice(total, 2), h2_form)),
+        *(sup(grade(h3, j, 3 - j)) for j in (3, 2, 1, 0)), sup(cubic))
 
 
 # -- Taylor expansion by series composition ----------------------------

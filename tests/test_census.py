@@ -1,0 +1,80 @@
+"""Outcome census over the benchmark's domain, and the two points where the
+equilibrium solve goes wrong (ROADMAP item 1).
+
+The census draws seeded points over the bounds that `perfbench/gen.py`
+declares, read from that file, with drag on every draw and the branches
+alternating, and runs each through the whole chain and its gates.  Each
+draw must end in a result or an `L4NormError`: an untyped exception
+fails it.  The two regression points are marked as expected failures,
+strictly, so the change that mends them has to remove the marks.
+"""
+
+import importlib
+import random
+from pathlib import Path
+
+import pytest
+
+from l4norm.errors import ConvergenceError, DomainError, L4NormError
+from l4norm.model import ModelParams
+from l4norm.verify import PipelineOptions, run_pipeline
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+DRAWS = 400
+
+
+def census_points(gen, count: int, seed: int = 0):
+    """(params, branch) per draw: mu, epsilon, A2 and cd uniform over the
+    bounds of the module `gen` (perfbench/gen.py), epsilon never 0, L4 and
+    L5 in turn."""
+    rng = random.Random(seed)
+    for i in range(count):
+        mu = rng.uniform(gen.MU_MIN, gen.MU_MAX)
+        epsilon = gen.EPS_MAX * (1.0 - rng.random())  # in (0, EPS_MAX]
+        p = ModelParams(mu=mu, q1=1.0 - epsilon, A2=rng.uniform(0.0, gen.A2_MAX),
+                        cd=rng.uniform(gen.CD_MIN, gen.CD_MAX))
+        yield p, ("L4", "L5")[i % 2]
+
+
+def outcome(p: ModelParams, branch: str) -> str:
+    """``"ok"`` with the gates read, or the class name of the typed error."""
+    try:
+        run_pipeline(p, PipelineOptions(branch=branch)).gates()
+    except L4NormError as err:
+        return type(err).__name__
+    return "ok"
+
+
+def test_every_draw_ends_in_a_result_or_a_typed_error(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    gen = importlib.import_module("gen")
+    outcomes = [outcome(p, branch) for p, branch in census_points(gen, DRAWS)]
+    assert len(outcomes) == DRAWS
+    assert outcomes.count("ok") > DRAWS // 2
+
+
+def on_branch_side_or_refused(p: ModelParams, branch: str):
+    """The chain either refuses the point as outside the domain or ends at
+    a root on the branch's side of the axis (L4: y > 0, L5: y < 0)."""
+    try:
+        res = run_pipeline(p, PipelineOptions(branch=branch))
+    except DomainError:
+        return
+    assert (res.eq_numeric.y > 0.0) == (branch == "L4")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+def test_wrong_side_root_is_not_answered():
+    # Newton from the L4 seed ends at y = -0.641, past the fold in W1, and
+    # every gate passes there
+    on_branch_side_or_refused(
+        ModelParams(mu=0.0014963148361835633, q1=1.0 - 0.008553474090590698,
+                    A2=7.443163613939597e-05, cd=4.162845601367141), "L4")
+
+
+@pytest.mark.xfail(strict=True, raises=ConvergenceError, reason="ROADMAP item 1")
+def test_no_generic_convergence_error_past_the_fold():
+    # Newton from the L4 seed fails after 100 iterations, with no stage or
+    # reason named
+    on_branch_side_or_refused(
+        ModelParams(mu=0.0022221, q1=1.0 - 0.0043166, A2=0.0018460, cd=1.0331), "L4")

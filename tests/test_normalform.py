@@ -65,7 +65,7 @@ from oracles import (difference, energy, hessian_by_loops, j_by_mode_vectors,
                      mode_columns_by_lists, operator_by_composition, partial,
                      polynomial_rows, printed_by_groups, row_as_written, scaled,
                      substitute_by_kernel, substitute_by_rows, substitute_pairwise,
-                     variable)
+                     sup, variable)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -344,7 +344,7 @@ class TestLinearFrontBitForBit:
         assert [_bits(s) for s in b1] == [_bits(s) for s in reference]
         series = operator_by_composition(linear_operator(efg, p.n), *reference, w)
         assert linear_residual(*b1, efg, w, p.n).hex() == \
-            max(s.max_abs() for s in series).hex()
+            max(map(sup, series)).hex()
         # off the spectrum, and each mode at the other's sign
         for off in (FrequencyPair(w.omega1, w.omega2 * (1.0 + 1e-4)),
                     FrequencyPair(w.omega1 * (1.0 - 1e-4), w.omega2),
@@ -488,7 +488,7 @@ def back_substitution(sol, x2, y2, efg, w, n):
     """The B2 residual pair formed eagerly: the linearized equations at
     (B2x, B2y) as composed series, minus the forcing as series."""
     rx, ry = operator_by_composition(linear_operator(efg, n), sol.b2x, sol.b2y, w)
-    return difference(rx, x2).max_abs(), difference(ry, y2).max_abs()
+    return sup(difference(rx, x2)), sup(difference(ry, y2))
 
 
 class TestSecondOrderOracle:
@@ -654,8 +654,7 @@ class TestH3:
         b2 = (DAlembertSeries(), DAlembertSeries()) if ablation \
             else (sol.b2x, sol.b2y)
         h3 = h3_normal_coefficients(cubic, lag.grade(2), b1, b2, w)
-        scale = max(x2.max_abs(), y2.max_abs(), sol.b2x.max_abs(),
-                    sol.b2y.max_abs())
+        scale = max(sup(x2), sup(y2), sup(sol.b2x), sup(sol.b2y))
         return h3, scale
 
     def test_classical_vanishing(self):
@@ -770,7 +769,7 @@ def assert_matches_pairwise(poly, args, cap):
     exact zero reads as 0 there), and keeps no sine of a (0, 0) harmonic."""
     out = poly_at_series(poly, *args, cap)
     reference = substitute_pairwise(poly, args, cap)
-    assert out.norm_of_difference(reference) <= 1e-13 * reference.max_abs()
+    assert out.norm_of_difference(reference) <= 1e-13 * sup(reference)
     for j, m, p, q in out.layout.keys:
         if p == q == 0:
             assert out.terms[(j, m, 0, 0)][1] == 0.0
@@ -928,7 +927,7 @@ class TestOperatorKernel:
             for y in (b1y, b1y_print(res.nm)):
                 series = operator_by_composition(op, b1x, y, res.freq)
                 gate = linear_residual(b1x, y, res.efg, res.freq, p.n)
-                assert gate.hex() == max(r.max_abs() for r in series).hex()
+                assert gate.hex() == max(map(sup, series)).hex()
 
     def test_b2_residuals_equal_the_eager_back_substitution(self):
         # read off the operator's values along the sum plan, no series

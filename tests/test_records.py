@@ -9,6 +9,7 @@ from l4norm.equilibria import EquilibriumPoint
 from l4norm.errata import KNOWN_DISCREPANCIES, RemainderVerdict
 from l4norm.errors import ParameterError
 from l4norm.model import ModelParams
+from l4norm.normalform import H3NormalCoefficients
 from l4norm.verify import PipelineOptions, run_pipeline
 
 
@@ -71,8 +72,10 @@ def test_checks_run_at_construction():
 
 def test_parameters_keep_no_instance_dict():
     # the L5 reading of the printed rows negates W1 where it evaluates them,
-    # so ModelParams caches nothing and has empty __slots__
-    for record in RECORDS[:3]:
+    # so ModelParams caches nothing and has empty __slots__; the H3 stage's
+    # kernel measures every norm of its record, which caches none either
+    h3 = next(r for r in RECORDS if isinstance(r, H3NormalCoefficients))
+    for record in [*RECORDS[:3], h3]:
         assert not hasattr(record, "__dict__"), record
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from l4norm import closedforms, equilibria, layout, normalform, verify
+from l4norm import closedforms, dalembert, equilibria, layout, normalform, verify
 from l4norm.closedforms import MIRROR_ODD, printed, reflect
 from l4norm.dalembert import DAlembertSeries, apply_D
 from l4norm.errata import KNOWN_DISCREPANCIES, is_registered
@@ -46,9 +46,9 @@ from l4norm.verify import (
     single_perturbation_params,
 )
 
-from oracles import (audit_gaps_eagerly, degree_slice, difference, energy, negated,
-                     operator_by_composition, partial, position_part, product,
-                     scaled, t5_by_products)
+from oracles import (audit_gaps_eagerly, degree_slice, difference, energy, grade,
+                     negated, operator_by_composition, partial, position_part,
+                     product, scaled, sup, t5_by_products)
 
 
 class TestPipeline:
@@ -408,7 +408,7 @@ class TestLazySecondOrderResiduals:
         assert len(calls) == 1
         rx, ry = operator_by_composition(normalform.linear_operator(res.efg, p.n),
                                          res.b2.b2x, res.b2.b2y, res.freq)
-        eager = (difference(rx, res.x2).max_abs(), difference(ry, res.y2).max_abs())
+        eager = (sup(difference(rx, res.x2)), sup(difference(ry, res.y2)))
         assert _hex(res.b2_residuals) == _hex(eager)
         assert res.gates()["b2-residual"] and res.gates() == res.gates()
         assert len(calls) == 2
@@ -531,22 +531,29 @@ class TestDetector:
         assert detect_discrepancies.cache_info().currsize == 3
 
 
-def h3_coefficients(total, w):
-    """H3NormalCoefficients of a substituted energy `total`."""
+def h3_coefficients(total, cubic, w):
+    """H3NormalCoefficients of a substituted energy `total`: its degree-3
+    slice, the degree-2 residual, the grade norms sliced off the first by
+    `grade`, and as `ablation_max` the sup norm of `cubic`, the cubic's
+    energy at B1 alone."""
     h2_form = (DAlembertSeries.single(2, 0, 0, 0, c=w.omega1)
                + DAlembertSeries.single(0, 2, 0, 0, c=-w.omega2))
+    h3 = degree_slice(total, 3)
     return H3NormalCoefficients(
-        degree_slice(total, 3),
-        h2_residual=degree_slice(total, 2).norm_of_difference(h2_form))
+        h3, degree_slice(total, 2).norm_of_difference(h2_form),
+        *grade_norms(h3), sup(cubic))
 
 
 def h3_at_b1_plus_b2(l2, l3, b1, b2, w):
     """Reference: substitute x = B1 + B2 into both energy slices, each on
-    its own, every product capped at degree 3."""
+    its own, every product capped at degree 3; the ablation substitutes
+    the cubic's at B1."""
     bx, by = b1[0] + b2[0], b1[1] + b2[1]
     args = (bx, by, apply_D(bx, w), apply_D(by, w))
+    at_b1 = (*b1, apply_D(b1[0], w), apply_D(b1[1], w))
     return h3_coefficients(poly_at_series(energy(l2), *args, 3)
-                           + poly_at_series(energy(l3), *args, 3), w)
+                           + poly_at_series(energy(l3), *args, 3),
+                           poly_at_series(energy(l3), *at_b1, 3), w)
 
 
 def h3_by_hand(l3, b1, b2, efg, w, n):
@@ -562,13 +569,15 @@ def h3_by_hand(l3, b1, b2, efg, w, n):
                  scaled(product(bx, by, cap), k01),
                  scaled(product(by, by, cap), 0.5 * k11)):
         h2_sub = difference(h2_sub, term)
+    cubic = negated(position_part(l3))
     return h3_coefficients(
-        h2_sub + poly_at_series(negated(position_part(l3)), bx, by, vx, vy, cap), w)
+        h2_sub + poly_at_series(cubic, bx, by, vx, vy, cap),
+        poly_at_series(cubic, *b1, apply_D(b1[0], w), apply_D(b1[1], w), cap), w)
 
 
 def grade_norms(series):
     """Reference: (A30, A21, A12, A03) sliced off a degree-3 series."""
-    return tuple(series.grade(j, 3 - j).max_abs() for j in (3, 2, 1, 0))
+    return tuple(sup(grade(series, j, 3 - j)) for j in (3, 2, 1, 0))
 
 
 def cubic_at_b1_anew(res):
@@ -615,9 +624,10 @@ class TestH3Substitution:
                                          (zero, zero), res.freq)
         assert list(res.cubic_at_b1.terms.items()) \
             == list(b2_zero.series.terms.items())
-        assert res.cubic_at_b1.max_abs() == b2_zero.max_abs()
+        assert sup(res.cubic_at_b1) == b2_zero.max_abs() == res.h3.ablation_max
         assert res.h3.h2_residual == b2_zero.h2_residual
-        assert grade_norms(res.cubic_at_b1) == grade_norms(b2_zero.series)
+        assert grade_norms(res.cubic_at_b1) == grade_norms(b2_zero.series) \
+            == (b2_zero.A30, b2_zero.A21, b2_zero.A12, b2_zero.A03)
 
     def test_h3_is_the_b1_plus_b2_substitution(self, res):
         lag = res.lagrangian_poly
@@ -626,9 +636,10 @@ class TestH3Substitution:
             res.freq)
         assert list(res.h3.series.terms.items()) \
             == list(reference.series.terms.items())
-        assert res.h3.h2_residual == reference.h2_residual
-        assert (res.h3.A30, res.h3.A21, res.h3.A12, res.h3.A03) \
-            == grade_norms(reference.series)
+        # every norm the kernel measures, against the reference's own
+        # slices, bit for bit: h2_residual, A30..A03 and ablation_max
+        assert _hex(res.h3[1:]) == _hex(reference[1:])
+        assert res.h3.max_abs().hex() == sup(reference.series).hex()
 
     def test_h3_matches_the_hand_built_energy(self, res):
         oracle = h3_by_hand(
@@ -637,6 +648,7 @@ class TestH3Substitution:
         bound = 1e-13 * res.intermediate_scale()
         assert res.h3.series.norm_of_difference(oracle.series) < bound
         assert abs(res.h3.h2_residual - oracle.h2_residual) < bound
+        assert abs(res.h3.ablation_max - oracle.ablation_max) < bound
 
     def test_cubic_energy_is_the_negated_position_cubic(self, res):
         l3 = res.lagrangian_poly.grade(3)
@@ -645,8 +657,10 @@ class TestH3Substitution:
         assert cubic_energy.values == negated_cubic.values
 
     def test_max_abs_is_the_largest_grade_norm(self, res):
+        # every degree-3 key lies in exactly one grade
         for series in (res.h3.series, res.cubic_at_b1):
-            assert series.max_abs() == max(grade_norms(series))
+            assert sup(series) == max(grade_norms(series))
+        assert res.h3.max_abs() == sup(res.h3.series)
 
     def test_partial_forcing_gap_reads_the_chain(self, res):
         # The gap reuses the chain's position-partials forcing and its
@@ -794,22 +808,30 @@ def test_row_kernels_are_compiled_once_per_names_tuple(monkeypatch):
     assert made.count("rows") == 5
 
 
-def test_grades_are_sliced_once_and_only_when_read(monkeypatch):
-    # The gates and the partial-forcing gap read whole series and slice no
-    # grade; the four grade norms are sliced once, on first read.
-    res = run_pipeline(ModelParams(mu=0.01215, q1=0.999, A2=1e-4, cd=20.0))
-    sliced = []
-    grade = DAlembertSeries.grade
-    monkeypatch.setattr(DAlembertSeries, "grade",
-                        lambda self, j, m: sliced.append((j, m)) or grade(self, j, m))
-    gates = res.gates()
+def test_no_grade_is_sliced_per_point(monkeypatch):
+    # The H3 kernel's plan slices the four grades, and its call returns
+    # their norms: once a chain of the shape has run, a chain to h3, its
+    # gates, its partial-forcing gap and its report slice no grade.
+    p = ModelParams(mu=0.01215, q1=0.999, A2=1e-4, cd=20.0)
+    run_pipeline(p)
+    grades = []
+    sliced = layout.sliced
+
+    def spy(keys, values, measure, low, high):
+        if measure is dalembert._grade:
+            grades.append(low)
+        return sliced(keys, values, measure, low, high)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("l4norm") and getattr(module, "sliced", None) is sliced:
+            monkeypatch.setattr(module, "sliced", spy)
+    res = run_pipeline(p)
     partial_forcing_gap(res)
-    assert sliced == []
-    norms = [res.h3.A30, res.h3.A21, res.h3.A12, res.h3.A03]
-    assert sorted(sliced) == [(0, 3), (1, 2), (2, 1), (3, 0)]
-    assert [res.h3.A30, res.h3.A21, res.h3.A12, res.h3.A03] == norms
-    assert res.gates() == gates and len(sliced) == 4
-    assert res.h3.max_abs() == max(norms)
+    render_report(res, report_audit(res), res.gates())
+    assert grades == []
+    plan.cache_clear()  # a cold plan slices each grade once
+    run_pipeline(p)
+    assert sorted(grades) == [(0, 3), (1, 2), (2, 1), (3, 0)]
 
 
 @pytest.mark.parametrize("branch", ["L4", "L5"])
@@ -888,24 +910,14 @@ def test_verify_computes_the_deferred_groups_only_for_csv(monkeypatch, capsys,
                                     "offset_ab"] * count)
 
 
-def test_scale_is_measured_once_per_result(monkeypatch):
-    # the B2 solve's kernel measures the scale; no sup norm is taken of
-    # X2, Y2 or B2, by the chain or by the report
-    measured = []
-    sup = Store.max_abs
-    monkeypatch.setattr(Store, "max_abs",
-                        lambda self: measured.append(self) or sup(self))
+def test_scale_is_measured_once_per_result():
+    # the B2 solve's kernel measures the scale, and the chain and the
+    # report read it: the package has no sup norm of a whole store
+    assert not hasattr(Store, "max_abs")
     res = run_pipeline(DRAG_POINT, PipelineOptions(branch="L5"))
     parts = (res.x2, res.y2, res.b2.b2x, res.b2.b2y)
-
-    def reads(part):
-        return sum(m is part for m in measured)
-
-    assert [reads(part) for part in parts] == [0, 0, 0, 0]
-    render_report(res, audit(res), res.gates())
-    assert [reads(part) for part in parts] == [0, 0, 0, 0]
     assert res.intermediate_scale() == res.b2.scale
-    assert res.b2.scale == max(sup(part) for part in parts)
+    assert res.b2.scale == max(map(sup, parts))
     assert run_pipeline(DRAG_POINT, stages=("b1",)).intermediate_scale() == 1.0
 
 
