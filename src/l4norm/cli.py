@@ -26,20 +26,8 @@ EXIT_PIPELINE = 4
 
 class RunConfig:
     """A run's settings: the keys of `SETTINGS` and the tolerance
-    overrides `tol`, by `verify.TOLERANCES` name."""
-
-    mu: float | None = None
-    q1: float | None = None
-    epsilon: float | None = None
-    a2: float = 0.0
-    cd: float = 1.0
-    branch: str = "L4"
-    stages: tuple = verify.STAGES
-    out: str | None = None
-    format: str = "report"
-    mu_min: float | None = None
-    mu_max: float | None = None
-    steps: int | None = None
+    overrides `tol`, by `verify.TOLERANCES` name.  The instance holds only
+    the settings a run set; the class holds each default of `SETTINGS`."""
 
     def __init__(self, **settings):
         unknown = settings.keys() - {*SETTINGS, "tol"}
@@ -101,21 +89,26 @@ def _parse_format(value: str) -> str:
 
 
 # Every key a config file line or a command-line flag sets: each setting's
-# parser and flag help, then `tol.NAME` for the names in verify.TOLERANCES.
+# parser, default and flag help, then `tol.NAME` for the names in
+# verify.TOLERANCES.
 SETTINGS = {
-    "mu": (float, "mass ratio of the smaller primary"),
-    "q1": (float, "mass-reduction factor of the radiating primary"),
-    "epsilon": (float, "1 - q1 (give q1 or epsilon)"),
-    "a2": (float, "oblateness coefficient of the smaller primary"),
-    "cd": (float, "drag normalization constant"),
-    "branch": (str, " or ".join(BRANCHES)),
-    "stages": (_parse_stages, "comma list from " + ",".join(verify.STAGES)),
-    "out": (str, "output path prefix"),
-    "format": (_parse_format, "csv or report"),
-    "mu_min": (float, "smallest mass ratio of the range"),
-    "mu_max": (float, "largest mass ratio of the range"),
-    "steps": (int, "number of mass ratios in the range"),
+    "mu": (float, None, "mass ratio of the smaller primary"),
+    "q1": (float, None, "mass-reduction factor of the radiating primary"),
+    "epsilon": (float, None, "1 - q1 (give q1 or epsilon)"),
+    "a2": (float, 0.0, "oblateness coefficient of the smaller primary"),
+    "cd": (float, 1.0, "drag normalization constant"),
+    "branch": (str, "L4", " or ".join(BRANCHES)),
+    "stages": (_parse_stages, verify.STAGES,
+               "comma list from " + ",".join(verify.STAGES)),
+    "out": (str, None, "output path prefix"),
+    "format": (_parse_format, "report", "csv or report"),
+    "mu_min": (float, None, "smallest mass ratio of the range"),
+    "mu_max": (float, None, "largest mass ratio of the range"),
+    "steps": (int, None, "number of mass ratios in the range"),
 }
+# A run reads each setting it did not set from here, through the class.
+for key, (_, default, _) in SETTINGS.items():
+    setattr(RunConfig, key, default)
 RANGE = ("mu_min", "mu_max", "steps")
 KEYS = (*SETTINGS, *(f"tol.{name}" for name in verify.TOLERANCES))
 # A setting's flag, `--` and its key with `_` written as `-`, and every flag.
@@ -344,7 +337,7 @@ def help_text(command: str = "") -> str:
     rows = [(name, text) for name, (_, text, _) in COMMANDS.items()]
     if command:
         reads = COMMANDS[command][2]
-        rows = [(f"{flag} VALUE", SETTINGS[key][1])
+        rows = [(f"{flag} VALUE", SETTINGS[key][2])
                 for flag, key in FLAGS.items() if key in reads]
         rows += [(f"--tol {key[len('tol.'):]}=VALUE", "tolerance override")
                  for key in reads if key.startswith("tol.")]
@@ -371,10 +364,7 @@ def main(argv=None) -> int:
     except DomainError as err:
         print(f"pipeline error [{type(err).__name__}]: {err}", file=sys.stderr)
         return EXIT_PIPELINE
-    except L4NormError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as err:
+    except (L4NormError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

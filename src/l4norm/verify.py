@@ -81,8 +81,6 @@ class PipelineResult:
     b1_residual: float | None = None
     x2: DAlembertSeries | None = None
     y2: DAlembertSeries | None = None
-    # (dL3/dx, dL3/dy) at B1: the printed reading of the forcing
-    position_forcing: tuple | None = None
     # the cubic's energy at B1, substituted with the forcing: H3's cubic
     # part (under the degree-3 cap the cubic sees only B1) and the ablation,
     # H3 with B2 = 0
@@ -204,7 +202,7 @@ def run_pipeline(p: ModelParams, options: PipelineOptions = PipelineOptions(),
     if last == 2:
         return res
 
-    (res.x2, res.y2), res.position_forcing, res.cubic_at_b1 = \
+    (res.x2, res.y2), _, res.cubic_at_b1 = \
         normalform.forcing_x2y2(res.lagrangian_poly.grade(3), res.b1[0],
                                 res.b1[1], res.freq)
     res.b2 = normalform.solve_second_order_oracle(
@@ -310,10 +308,14 @@ def audit(res: PipelineResult) -> Audit:
 
 def partial_forcing_gap(res: PipelineResult) -> float:
     """Largest H3 coefficient left by the printed reading of the forcing
-    (position partials only); the result must hold the b2 stage.  It reads
-    that forcing and the cubic at B1 off the chain."""
+    (position partials only); the result must hold the b2 stage.  That
+    forcing is the position-partial pair of `normalform.forcing_x2y2` on
+    the chain's own cubic slice and B1, so the same kernel on the same
+    inputs; the cubic at B1 is read off the chain."""
+    _, (x2p, y2p), _ = normalform.forcing_x2y2(
+        res.lagrangian_poly.grade(3), res.b1[0], res.b1[1], res.freq)
     b2p = normalform.solve_second_order_oracle(
-        res.efg, res.freq, res.params.n, *res.position_forcing,
+        res.efg, res.freq, res.params.n, x2p, y2p,
         floor=res.options.divisor_floor)
     return normalform.h3_normal_coefficients(
         res.cubic_at_b1, res.lagrangian_poly.grade(2), res.b1,
@@ -522,10 +524,13 @@ def render_report(res: PipelineResult, printed: Audit, gates: dict,
         h3 = res.h3
         values += (h3.A30, h3.A21, h3.A12, h3.A03, res.intermediate_scale(),
                    h3.h2_residual, h3.ablation_max)
-        surviving = h3.series.chop(res.h3_bound())
-        if surviving.terms:
+        # the gate's own test: a term survives the chop exactly when one
+        # of its parts exceeds the bound, and max_abs is the sup of them all
+        bound = res.h3_bound()
+        if h3.max_abs() > bound:
             lines.append("h3_series_above_h3_factor_x_scale:")
-            lines += ("  " + line for line in surviving.pretty().splitlines())
+            lines += ("  " + line
+                      for line in h3.series.chop(bound).pretty().splitlines())
         else:
             lines.append("h3_series_above_h3_factor_x_scale: none")
     if verdicts:

@@ -15,6 +15,8 @@ full equations of motion with the velocity-dependent (dissipative) drag;
 `lagrangian_rhs` is the flow of the package's Lagrangian, whose drag
 keeps only the at-rest term W1 n (y, -(x+mu))/r1^2, because its
 velocity-dependent drag term is a total time derivative.  The normal form of the chain follows the second.
+`orbit_frequencies` reads omega1 and omega2 off an orbit of `eom_rhs` by
+frequency analysis, the reference for `l4norm.normalform.frequencies`.
 Both read `potential_gradient`, the gradient of the effective potential,
 which shares no code with the chain's Newton force
 (`l4norm.equilibria.equilibrium_force`).
@@ -213,6 +215,48 @@ def eom_rhs(s: State, p: ModelParams):
     ax = 2.0 * p.n * s.ydot + ux - p.W1 * n1 / r1sq
     ay = -2.0 * p.n * s.xdot + uy - p.W1 * n2 / r1sq
     return ax, ay
+
+
+def orbit_frequencies(p: ModelParams, x: float, y: float) -> tuple:
+    """(omega1, omega2), the larger first, read off an orbit of `eom_rhs`
+    by frequency analysis (Laskar, Icarus 88 (1990) 266).
+
+    The orbit starts at rest from the root (x, y) displaced by 1e-6 in x
+    and in y and is integrated with DOP853 over T = 1,000.  Its x, sampled
+    8,192 times and Hann-windowed, has its two largest local maxima of
+    |FFT| taken as the modes, and each is refined by bounded maximisation
+    of the windowed Fourier amplitude within one bin of its peak.  Nothing
+    from the chain but the root enters, so no chain value chooses the
+    band.
+    """
+    # scipy and numpy load with the one test that integrates these orbits
+    import numpy as np
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import minimize_scalar
+
+    def flow(_t, v):
+        s = State(*v)
+        return (s.xdot, s.ydot, *eom_rhs(s, p))
+
+    period, samples = 1000.0, 8192
+    t = np.arange(samples) * (period / samples)
+    sol = solve_ivp(flow, (0.0, period), [x + 1e-6, y + 1e-6, 0.0, 0.0],
+                    method="DOP853", t_eval=t, rtol=1e-12, atol=1e-16)
+    assert sol.success, sol.message
+    signal = np.hanning(samples) * (sol.y[0] - sol.y[0].mean())
+    spectrum = np.abs(np.fft.rfft(signal))
+    peaks = [k for k in range(1, len(spectrum) - 1)
+             if spectrum[k - 1] < spectrum[k] > spectrum[k + 1]]
+    step = 2.0 * math.pi / period  # one bin, in angular frequency
+
+    def minus_amplitude(omega):
+        return -abs(np.dot(signal, np.exp(-1j * omega * t)))
+
+    found = (float(minimize_scalar(minus_amplitude, method="bounded",
+                                   bounds=((k - 1) * step, (k + 1) * step),
+                                   options={"xatol": 1e-13}).x)
+             for k in sorted(peaks, key=spectrum.__getitem__)[-2:])
+    return tuple(sorted(found, reverse=True))
 
 
 def lagrangian_rhs(s: State, p: ModelParams):

@@ -1,12 +1,14 @@
-"""Outcome census over the benchmark's domain, and the two points where the
+"""Outcome census over the benchmark's domain, and the four points where the
 equilibrium solve goes wrong (ROADMAP item 1).
 
 The census draws seeded points over the bounds that `perfbench/gen.py`
 declares, read from that file, with drag on every draw and the branches
 alternating, and runs each through the whole chain and its gates.  Each
 draw must end in a result or an `L4NormError`: an untyped exception
-fails it.  The two regression points are marked as expected failures,
-strictly, so the change that mends them has to remove the marks.
+fails it.  The four regression points are marked as expected failures,
+strictly, so the change that mends them has to remove the marks: two run
+the whole chain, and two only the equilibria stage, which must refuse
+the point or return a triangular root.
 """
 
 import importlib
@@ -78,3 +80,32 @@ def test_no_generic_convergence_error_past_the_fold():
     # reason named
     on_branch_side_or_refused(
         ModelParams(mu=0.0022221, q1=1.0 - 0.0043166, A2=0.0018460, cd=1.0331), "L4")
+
+
+def equilibrium_on_branch_side_or_refused(p: ModelParams, branch: str):
+    """The equilibria stage alone either refuses the point as outside the
+    domain or returns a root off the axis, |y| >= 0.1, on the branch's
+    side; a collinear root near the axis is not a triangular point."""
+    try:
+        res = run_pipeline(p, PipelineOptions(branch=branch),
+                           stages=("equilibria",))
+    except DomainError:
+        return
+    y = res.eq_numeric.y
+    assert abs(y) >= 0.1 and (y > 0.0) == (branch == "L4"), y
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+def test_no_collinear_root_on_l5():
+    # Newton from the L5 seed ends at the collinear root (0.9005, -0.0019);
+    # the chain refuses only later, at b1, with StabilityDomainError
+    equilibrium_on_branch_side_or_refused(
+        ModelParams(mu=0.0017410, q1=1.0 - 0.0071130, A2=0.0044990, cd=1.1966), "L5")
+
+
+@pytest.mark.xfail(strict=True, raises=ConvergenceError, reason="ROADMAP item 1")
+def test_no_generic_convergence_error_at_the_equilibria_stage():
+    # Newton from the L4 seed fails after 100 iterations, with no stage or
+    # reason named
+    equilibrium_on_branch_side_or_refused(
+        ModelParams(mu=0.0071606, q1=0.99030, A2=0.0024521, cd=1.8293), "L4")

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 
 import pytest
@@ -727,6 +729,23 @@ def test_a_key_the_command_reads_is_taken(command):
                                          command=command)):
             _, _, tol = key.partition(".")
             assert {*config.tol, *vars(config)} - {"tol"} == {tol or key}
+
+
+def test_each_setting_default_has_one_owner():
+    # SETTINGS holds each setting's parser, default and help; RunConfig's
+    # class body assigns no setting, and a fresh config reads each default
+    # from the table while its instance holds only what a run set
+    (body,) = ast.parse(inspect.getsource(RunConfig)).body
+    assigned = {target.id for node in body.body
+                if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for target in getattr(node, "targets", [node.target])
+                if isinstance(target, ast.Name)}
+    assert assigned & SETTINGS.keys() == set()
+    config = RunConfig()
+    assert vars(config) == {"tol": {}}
+    for key, (parse, default, text) in SETTINGS.items():
+        assert callable(parse) and isinstance(text, str)
+        assert getattr(config, key) is default
 
 
 class TestSweep:

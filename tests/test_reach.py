@@ -42,6 +42,7 @@ HELD = {
     "dalembert.DAlembertSeries.__mul__": "spans.py",
     "polyalg.TruncatedPoly.__mul__": "spans.py",
     "polyalg.TruncatedPoly.coeffs": "spans.py",  # its product counter reads it
+    "dalembert.DAlembertSeries.terms": "spans.py",  # its product counter reads it
     "errata.is_registered": "ops.py",
     "dalembert.substitute": "dalembert.DAlembertSeries.__mul__",
     "dalembert._substitution_kernel": "dalembert.substitute",

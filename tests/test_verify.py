@@ -21,6 +21,7 @@ from l4norm.normalform import (
     H3NormalCoefficients,
     classical_frequencies,
     congruence_gap,
+    forcing_x2y2,
     h3_normal_coefficients,
     hamiltonian_matrix,
     poly_at_series,
@@ -663,8 +664,9 @@ class TestH3Substitution:
         assert res.h3.max_abs() == sup(res.h3.series)
 
     def test_partial_forcing_gap_reads_the_chain(self, res):
-        # The gap reuses the chain's position-partials forcing and its
-        # cubic at B1, at the h3 stage and at b2 alike.
+        # The gap takes the position-partials forcing from the forcing
+        # kernel on the chain's cubic slice and B1, and the chain's cubic
+        # at B1, at the h3 stage and at b2 alike.
         at_b2 = run_pipeline(res.params, res.options, stages=("b2",))
         assert at_b2.h3 is None
         for chain in (res, at_b2):
@@ -677,7 +679,8 @@ class TestH3Substitution:
         def sub(poly):
             return poly_at_series(poly, *args, 2)
 
-        x2p, y2p = res.position_forcing
+        (x2, y2), (x2p, y2p), _ = forcing_x2y2(l3, b1x, b1y, w)
+        assert (x2.terms, y2.terms) == (res.x2.terms, res.y2.terms)
         assert x2p.terms == sub(partial(l3, 0)).terms
         assert y2p.terms == sub(partial(l3, 1)).terms
         assert res.x2.terms == difference(x2p, apply_D(sub(partial(l3, 2)), w)).terms
@@ -837,8 +840,9 @@ def test_no_grade_is_sliced_per_point(monkeypatch):
 @pytest.mark.parametrize("branch", ["L4", "L5"])
 @pytest.mark.parametrize("drag", [False, True], ids=["free", "drag"])
 def test_chain_reads_no_term_map(monkeypatch, branch, drag):
-    # Every stage runs on layouts and value lists; the `terms` and
-    # `coeffs` views, which build mapping lookups, stay unread.
+    # Every stage, and the report of a passing chain, runs on layouts and
+    # value lists; the `terms` and `coeffs` views, which build mapping
+    # lookups, stay unread.
     reads = []
     for cls, name in ((DAlembertSeries, "terms"), (TruncatedPoly, "coeffs")):
         view = getattr(cls, name)
@@ -850,10 +854,30 @@ def test_chain_reads_no_term_map(monkeypatch, branch, drag):
     res = run_pipeline(p, PipelineOptions(branch=branch))
     gates = res.gates()
     assert res.h3 is not None and all(gates.values())
+    render_report(res, report_audit(res), gates)
     assert reads == []
 
 
 DRAG_POINT = ModelParams(mu=0.01215, q1=0.999, A2=1e-4, cd=20.0)
+
+
+@pytest.mark.parametrize("factor, chops", [(1e-8, 0), (1e-30, 1)])
+@pytest.mark.parametrize("p", [DRAG_POINT, ModelParams(mu=0.01)],
+                         ids=["drag", "free"])
+def test_the_h3_listing_reads_the_gate_norm(monkeypatch, p, factor, chops):
+    # The report lists H3 terms exactly when the kernel's norm exceeds the
+    # h3-vanishing gate's bound, and only then chops the series.
+    res = run_pipeline(p, PipelineOptions(h3_tol_factor=factor))
+    gates = res.gates()
+    assert gates["h3-vanishing"] is (chops == 0)
+    calls = []
+    chop = DAlembertSeries.chop
+    monkeypatch.setattr(DAlembertSeries, "chop",
+                        lambda self, tol: calls.append(tol) or chop(self, tol))
+    text = render_report(res, report_audit(res), gates)
+    assert calls == [res.h3_bound()] * chops
+    listing = text.partition("h3_series_above_h3_factor_x_scale:")[2]
+    assert (listing == " none\n") is (chops == 0)
 
 
 class TestAuditGaps:
