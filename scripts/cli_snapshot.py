@@ -110,6 +110,10 @@ FIXED = [
      "--stages", "b1"],
     ["sweep", "--mu-min", "0.005", "--mu-max", "0.02", "--steps", "4",
      "--q1", "0.999", "--cd", "20", "--stages", "h3"],
+    # every other stage tuple's row, with drag
+    *(["sweep", "--mu-min", "0.005", "--mu-max", "0.02", "--steps", "4",
+       "--q1", "0.999", "--cd", "20", "--stages", stage]
+      for stage in ("equilibria", "taylor", "b2")),
     ["sweep", "--mu-min", "0.0242", "--mu-max", "0.0244", "--steps", "5",
      "--q1", "0.999", "--cd", "20", "--stages", "h3"],
     ["sweep", "--mu-min", "0.001", "--mu-max", "0.037", "--steps", "12",

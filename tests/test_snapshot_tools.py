@@ -91,7 +91,7 @@ def test_cli_snapshot_commands_parse():
     with open(snapshot.CONFIG_PATH, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(snapshot.CONFIG_TEXT)
     commands = snapshot.FIXED + snapshot.random_points(30)
-    assert len(commands) == 90
+    assert len(commands) == 93
     outcomes = {}
     for argv in commands:
         if argv[:1] and argv[0] in COMMANDS:
