@@ -14,6 +14,7 @@ import sys
 from . import verify
 from .dalembert import moser_check
 from .errors import ConfigError, DomainError, L4NormError, StabilityDomainError
+from .layout import plan
 from .model import BRANCHES, ModelParams
 from .normalform import classical_frequencies, frequencies
 from .verify import PipelineOptions, fmt
@@ -284,6 +285,15 @@ def cmd_resonance_scan(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _sweep_row(stages: tuple) -> str:
+    """The `%` template of a sweep row after `stages`: `%.17g` (`fmt` of a
+    float) for mu, each value those stages form and the scale, an empty
+    field for each value they do not form, `%s` for the verdict."""
+    fields = [("%.17g" if stage in stages else "")
+              for stage in ("b1", "b1", "b1", "b2", "h3")]
+    return ",".join(["%.17g", *fields, "%.17g", "%s"])
+
+
 def cmd_sweep(config: RunConfig) -> int:
     grid = config.grid(1)
     options = config.options()
@@ -296,16 +306,16 @@ def cmd_sweep(config: RunConfig) -> int:
         except L4NormError as err:
             lines.append(f"{fmt(mu)},error:{type(err).__name__},,,,,")
             continue
-        gates = res.gates()
-        fields = [fmt(mu)]
-        fields.append(fmt(res.freq.omega1) if res.freq else "")
-        fields.append(fmt(res.freq.omega2) if res.freq else "")
-        fields.append(fmt(res.b1_residual) if res.b1_residual is not None else "")
-        fields.append(fmt(max(res.b2_residuals)) if res.b2 else "")
-        fields.append(fmt(res.h3.max_abs()) if res.h3 else "")
-        fields.append(fmt(res.intermediate_scale()))
-        fields.append("pass" if all(gates.values()) else "FAIL")
-        lines.append(",".join(fields))
+        values = [mu]
+        if res.b1 is not None:
+            values += (*res.freq, res.b1_residual)
+        if res.b2 is not None:
+            values.append(max(res.b2_residuals))
+        if res.h3 is not None:
+            values.append(res.h3.max_abs())
+        values += (res.intermediate_scale(),
+                   "pass" if all(res.gates().values()) else "FAIL")
+        lines.append(plan(_sweep_row, res.stages) % tuple(values))
     _emit("\n".join(lines) + "\n", config, "sweep.csv")
     return EXIT_OK
 

@@ -69,37 +69,6 @@ def equilibrium_force(x: float, y: float, p: ModelParams):
     return fx, fy
 
 
-def _force_jacobian(x: float, y: float, p: ModelParams):
-    """Analytic Jacobian of :func:`equilibrium_force`."""
-    mu, n, q1, A2, W1 = p.mu, p.n, p.q1, p.A2, p.W1
-    x1 = x + mu
-    x2 = x + mu - 1.0
-    r1sq = x1 * x1 + y * y
-    r2sq = x2 * x2 + y * y
-    r1 = math.sqrt(r1sq)
-    r2 = math.sqrt(r2sq)
-    n2 = n * n
-    r2_5 = r2**5
-    g1 = (1.0 - mu) * q1 / r1**3
-    g2 = mu / r2**3
-    g2a = 1.5 * mu * A2 / r2_5
-    h1 = 3.0 * (1.0 - mu) * q1 / r1**5
-    h2 = 3.0 * mu / r2_5
-    h2a = 7.5 * mu * A2 / r2**7
-
-    uxx = n2 - g1 - g2 - g2a + h1 * x1 * x1 + h2 * x2 * x2 + h2a * x2 * x2
-    uxy = h1 * x1 * y + h2 * x2 * y + h2a * x2 * y
-    uyy = n2 - g1 - g2 - g2a + h1 * y * y + h2 * y * y + h2a * y * y
-
-    wn = W1 * n
-    r1_4 = r1sq**2
-    dfx_dx = uxx - 2.0 * wn * y * x1 / r1_4
-    dfx_dy = uxy + wn / r1sq - 2.0 * wn * y * y / r1_4
-    dfy_dx = uxy - wn / r1sq + 2.0 * wn * x1 * x1 / r1_4
-    dfy_dy = uyy + 2.0 * wn * x1 * y / r1_4
-    return dfx_dx, dfx_dy, dfy_dx, dfy_dy
-
-
 def residual_at(x: float, y: float, p: ModelParams) -> float:
     fx, fy = equilibrium_force(x, y, p)
     return max(abs(fx), abs(fy))
@@ -110,14 +79,36 @@ def classical_seed(p: ModelParams, branch: str):
 
 
 def solve_triangular_numeric(p: ModelParams, branch: str = "L4") -> EquilibriumPoint:
-    """Newton iteration from the classical seed; residual < 1e-12 or error."""
+    """Newton iteration from the classical seed; residual < 1e-12 or error.
+
+    Each iterate forms the force as :func:`equilibrium_force` does, then
+    its analytic Jacobian on sqrt radii, in one pass; every expression keeps
+    the operand order of those two calls, so every iterate is theirs."""
     x, y = classical_seed(p, branch)
+    mu, A2, n2, wn = p.mu, p.A2, p.n * p.n, p.W1 * p.n
+    c1, c2a, wn2 = (1.0 - mu) * p.q1, 1.5 * mu * A2, 2.0 * wn
+    d1, d2, d2a = 3.0 * (1.0 - mu) * p.q1, 3.0 * mu, 7.5 * mu * A2
     for _ in range(_NEWTON_MAX_ITER):
-        fx, fy = equilibrium_force(x, y, p)
+        r1, r2 = _radii(x, y, p)
+        x1, x2 = x + mu, x + mu - 1.0
+        g1, g2, g2a = c1 / r1**3, mu / r2**3, c2a / r2**5
+        r1sq = x1 ** 2 + y * y
+        fx = n2 * x - g1 * x1 - g2 * x2 - g2a * x2 + wn * y / r1sq
+        fy = n2 * y - g1 * y - g2 * y - g2a * y - wn * x1 / r1sq
         residual = max(abs(fx), abs(fy))
         if residual < _NEWTON_TOL:
             break
-        jxx, jxy, jyx, jyy = _force_jacobian(x, y, p)
+        r1sq = x1 * x1 + y * y
+        r1, r2 = math.sqrt(r1sq), math.sqrt(x2 * x2 + y * y)
+        r2_5 = r2**5
+        h1, h2, h2a = d1 / r1**5, d2 / r2_5, d2a / r2**7
+        diag = n2 - c1 / r1**3 - mu / r2**3 - c2a / r2_5
+        uxy = h1 * x1 * y + h2 * x2 * y + h2a * x2 * y
+        r1_4, wr = r1sq**2, wn / r1sq
+        jxx = diag + h1 * x1 * x1 + h2 * x2 * x2 + h2a * x2 * x2 - wn2 * y * x1 / r1_4
+        jxy = uxy + wr - wn2 * y * y / r1_4
+        jyx = uxy - wr + wn2 * x1 * x1 / r1_4
+        jyy = diag + h1 * y * y + h2 * y * y + h2a * y * y + wn2 * x1 * y / r1_4
         det = jxx * jyy - jxy * jyx
         if abs(det) < 1e-14:
             raise SingularJacobianError(

@@ -246,7 +246,9 @@ class KernelSource:
         with every prefix that two or more products share bound once.  One
         kernel holds one substitution."""
         names = ["1.0", *(z for a in args for z in a[1])]
-        size, shared, outs = len(names), {}, []
+        # a prefix is known by the id of the prefix one factor shorter and its
+        # last factor; `shared[id]`: two or more products have that prefix
+        size, ids, shared, outs = len(names), {}, [], []
         for layout, scales, passes, zero_slots in outputs:
             c = []
             for (n, e), scale in scales:
@@ -256,22 +258,28 @@ class KernelSource:
             terms = [[] for _ in layout.keys]
             for rows in passes:
                 for slot, k, *row in rows:
-                    terms[slot].append(product := (c[k], *(
-                        names[a] if a < size else self.let(f"{names[a - size]}.conjugate()")
-                        for a in row)))
-                    for end in range(2, len(product) + 1):
-                        shared[product[:end]] = product[:end] in shared
+                    factors = [names[a] if a < size else
+                               self.let(f"{names[a - size]}.conjugate()") for a in row]
+                    prefix, prefixes = c[k], []
+                    for factor in factors:
+                        n = ids.get((prefix, factor))
+                        if n is None:
+                            n = ids[prefix, factor] = len(shared)
+                            shared.append(False)
+                        else:
+                            shared[n] = True
+                        prefixes.append(prefix := n)
+                    terms[slot].append((c[k], factors, prefixes))
             outs.append((layout, terms, zero_slots))
         results = []
         for o, (layout, terms, zero_slots) in enumerate(outs):
             v = [f"v{o}_{slot}" for slot in range(len(terms))]
             for slot, products in enumerate(terms):
                 formed = []
-                for product in products:
-                    value = product[0]
-                    for end in range(2, len(product) + 1):
-                        value = f"{value} * {product[end - 1]}"
-                        value = self.let(value) if shared[product[:end]] else value
+                for value, factors, prefixes in products:
+                    for factor, n in zip(factors, prefixes):
+                        value = f"{value} * {factor}"
+                        value = self.let(value) if shared[n] else value
                     formed.append(value)
                 # 100 products a statement: a `+` chain of 3,000 overflows compile
                 self.lines += [f"{v[slot]} = {v[slot] if k else '0j'} + "

@@ -55,7 +55,7 @@ from .dalembert import (
     substitution_rows,
 )
 from .errors import ContractError, ParameterError, StabilityDomainError
-from .layout import KernelSource, Layout, _sup, intern, plan, sliced, sum_plan
+from .layout import KernelSource, Layout, intern, plan, sliced, sum_plan
 from .model import ModelParams
 from .polyalg import (QuadraticCoefficients, TruncatedPoly, _homogeneous,
                       _velocity_degree)
@@ -294,10 +294,11 @@ def _operator_plan(left: Layout, right: Layout):
 
 
 def _operator_values(matrix, x, y, w: FrequencyPair):
-    """``(layout of x + y, row 1, row 2)``: the values, exact zeros kept, of
-    a 2x2 matrix of (c0, c1, c2) D-polynomials applied to the pair (x, y)
-    in one pass, forming per harmonic theta and the four multipliers of
-    :func:`apply_poly_in_D` once; a side lacking a key reads 0j there."""
+    """``(layout of x + y, row 1, row 2)``: each row the (cos, sin) parts,
+    key after key, exact zeros kept, of a 2x2 matrix of (c0, c1, c2)
+    D-polynomials applied to the pair (x, y), in one pass of real arithmetic
+    that forms each part as 0j plus :func:`apply_poly_in_D`'s complex
+    products would; a side lacking a key reads 0 there."""
     layout, rows = plan(_operator_plan, x.layout, y.layout)
     xs, ys = x.values + [0j], y.values + [0j]
     w1, w2 = w.omega1, w.omega2
@@ -306,10 +307,15 @@ def _operator_values(matrix, x, y, w: FrequencyPair):
     for p, q, i, j in rows:
         t = p * w1 - q * w2
         zx, zy = xs[i], ys[j]
-        first.append(0j + (complex(a0 - a2 * t * t, -(a1 * t)) * zx
-                           + complex(b0 - b2 * t * t, -(b1 * t)) * zy))
-        second.append(0j + (complex(c0 - c2 * t * t, -(c1 * t)) * zx
-                            + complex(d0 - d2 * t * t, -(d1 * t)) * zy))
+        xr, xi, yr, yi = zx.real, zx.imag, zy.real, zy.imag
+        ar, ai = a0 - a2 * t * t, a1 * t
+        br, bi = b0 - b2 * t * t, b1 * t
+        cr, ci = c0 - c2 * t * t, c1 * t
+        dr, di = d0 - d2 * t * t, d1 * t
+        first += (0.0 + ((ar * xr + ai * xi) + (br * yr + bi * yi)),
+                  0.0 + ((ar * xi - ai * xr) + (br * yi - bi * yr)))
+        second += (0.0 + ((cr * xr + ci * xi) + (dr * yr + di * yi)),
+                   0.0 + ((cr * xi - ci * xr) + (dr * yi - di * yr)))
     return layout, first, second
 
 
@@ -320,7 +326,7 @@ def linear_residual(b1x: DAlembertSeries, b1y: DAlembertSeries,
     read off the operator's values: no series is formed, so no layout
     depends on which values are exactly zero."""
     _, first, second = _operator_values(linear_operator(efg, n), b1x, b1y, w)
-    return max(map(_sup, first + second), default=0.0)
+    return max(map(abs, first + second), default=0.0)
 
 
 # -- substitution of series into polynomials ------------------------------

@@ -19,7 +19,10 @@ velocity-dependent drag term is a total time derivative.  The normal form of the
 frequency analysis, the reference for `l4norm.normalform.frequencies`.
 Both read `potential_gradient`, the gradient of the effective potential,
 which shares no code with the chain's Newton force
-(`l4norm.equilibria.equilibrium_force`).
+(`l4norm.equilibria.equilibrium_force`).  `force_jacobian` is that
+force's analytic Jacobian, and `newton_by_two_calls` runs Newton with one
+call of each per iterate, the bit-for-bit reference for
+`l4norm.equilibria.solve_triangular_numeric`.
 `taylor_by_composition` expands the Lagrangian by composing four-variable
 polynomial series, the reference for `l4norm.polyalg.taylor_lagrangian`,
 and `taylor_by_dicts` expands it on coefficient dicts, its bit-for-bit
@@ -61,7 +64,8 @@ from l4norm.dalembert import (_PRODUCT, DIVISOR_FLOOR, MOSER_PAIRS, DAlembertSer
                               _degree, _grade, apply_D, apply_poly_in_D, invert_delta,
                               substitute, substitution_rows)
 from l4norm.equilibria import OriginShift
-from l4norm.errors import ContractError, StabilityDomainError
+from l4norm.errors import (ContractError, ConvergenceError, SingularJacobianError,
+                           StabilityDomainError)
 from l4norm.layout import KernelSource, plan
 from l4norm.model import ModelParams, _lagrangian, _potential, _radii
 from l4norm.polyalg import TruncatedPoly, _mul2
@@ -184,6 +188,65 @@ def potential_gradient(s: State, p: ModelParams):
     ux = n2 * s.x - g1 * x1 - g2 * x2 - g2a * x2
     uy = n2 * s.y - g1 * s.y - g2 * s.y - g2a * s.y
     return ux, uy
+
+
+def force_jacobian(x: float, y: float, p: ModelParams):
+    """Analytic Jacobian (dFx/dx, dFx/dy, dFy/dx, dFy/dy) of
+    `l4norm.equilibria.equilibrium_force`, on sqrt radii."""
+    mu, n, q1, A2, W1 = p.mu, p.n, p.q1, p.A2, p.W1
+    x1 = x + mu
+    x2 = x + mu - 1.0
+    r1sq = x1 * x1 + y * y
+    r2sq = x2 * x2 + y * y
+    r1 = math.sqrt(r1sq)
+    r2 = math.sqrt(r2sq)
+    n2 = n * n
+    r2_5 = r2**5
+    g1 = (1.0 - mu) * q1 / r1**3
+    g2 = mu / r2**3
+    g2a = 1.5 * mu * A2 / r2_5
+    h1 = 3.0 * (1.0 - mu) * q1 / r1**5
+    h2 = 3.0 * mu / r2_5
+    h2a = 7.5 * mu * A2 / r2**7
+
+    uxx = n2 - g1 - g2 - g2a + h1 * x1 * x1 + h2 * x2 * x2 + h2a * x2 * x2
+    uxy = h1 * x1 * y + h2 * x2 * y + h2a * x2 * y
+    uyy = n2 - g1 - g2 - g2a + h1 * y * y + h2 * y * y + h2a * y * y
+
+    wn = W1 * n
+    r1_4 = r1sq**2
+    dfx_dx = uxx - 2.0 * wn * y * x1 / r1_4
+    dfx_dy = uxy + wn / r1sq - 2.0 * wn * y * y / r1_4
+    dfy_dx = uxy - wn / r1sq + 2.0 * wn * x1 * x1 / r1_4
+    dfy_dy = uyy + 2.0 * wn * x1 * y / r1_4
+    return dfx_dx, dfx_dy, dfy_dx, dfy_dy
+
+
+def newton_by_two_calls(p: ModelParams, branch: str = "L4"):
+    """Newton iteration from the classical seed calling
+    `equilibria.equilibrium_force` and then `force_jacobian` per iterate,
+    the bit-for-bit reference for `equilibria.solve_triangular_numeric`."""
+    x, y = equilibria.classical_seed(p, branch)
+    for _ in range(equilibria._NEWTON_MAX_ITER):
+        fx, fy = equilibria.equilibrium_force(x, y, p)
+        residual = max(abs(fx), abs(fy))
+        if residual < equilibria._NEWTON_TOL:
+            break
+        jxx, jxy, jyx, jyy = force_jacobian(x, y, p)
+        det = jxx * jyy - jxy * jyx
+        if abs(det) < 1e-14:
+            raise SingularJacobianError(
+                f"degenerate force Jacobian at ({x:.6g}, {y:.6g}), det={det:.3e}"
+            )
+        x -= (fx * jyy - fy * jxy) / det
+        y -= (jxx * fy - jyx * fx) / det
+    else:
+        raise ConvergenceError(
+            f"Newton failed after {equilibria._NEWTON_MAX_ITER} iterations",
+            last=(x, y))
+    if y == 0.0:
+        raise ConvergenceError("Newton collapsed onto the axis y = 0", last=(x, y))
+    return equilibria.EquilibriumPoint(x, y, branch, "numeric", residual)
 
 
 def moser_by_full_scan(w) -> tuple:

@@ -1,5 +1,6 @@
-"""Outcome census over the benchmark's domain, and the four points where the
-equilibrium solve goes wrong (ROADMAP item 1).
+"""Outcome census over the benchmark's domain, the four points where the
+equilibrium solve goes wrong (ROADMAP item 1), and the Newton solve
+against its two-call reference over both.
 
 The census draws seeded points over the bounds that `perfbench/gen.py`
 declares, read from that file, with drag on every draw and the branches
@@ -8,21 +9,38 @@ draw must end in a result or an `L4NormError`: an untyped exception
 fails it.  The four regression points are marked as expected failures,
 strictly, so the change that mends them has to remove the marks: two run
 the whole chain, and two only the equilibria stage, which must refuse
-the point or return a triangular root.
+the point or return a triangular root.  Over the census draws, with and
+without drag, on both branches, and at the four points, the solve must
+end as `oracles.newton_by_two_calls` ends, bit for bit.
 """
 
 import importlib
+import math
 import random
 from pathlib import Path
 
 import pytest
 
+from l4norm.equilibria import solve_triangular_numeric
 from l4norm.errors import ConvergenceError, DomainError, L4NormError
 from l4norm.model import ModelParams
 from l4norm.verify import PipelineOptions, run_pipeline
+from oracles import newton_by_two_calls
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 DRAWS = 400
+
+# ROADMAP item 1's points, (params, branch): Newton from the L4 seed ends
+# on the wrong side of the axis; it fails past the fold; from the L5 seed
+# it ends at a collinear root; and it fails at a drag point on L4.
+WRONG_SIDE = (ModelParams(mu=0.0014963148361835633, q1=1.0 - 0.008553474090590698,
+                          A2=7.443163613939597e-05, cd=4.162845601367141), "L4")
+PAST_THE_FOLD = (ModelParams(mu=0.0022221, q1=1.0 - 0.0043166, A2=0.0018460,
+                             cd=1.0331), "L4")
+COLLINEAR_L5 = (ModelParams(mu=0.0017410, q1=1.0 - 0.0071130, A2=0.0044990,
+                            cd=1.1966), "L5")
+NO_CONVERGENCE_L4 = (ModelParams(mu=0.0071606, q1=0.99030, A2=0.0024521,
+                                 cd=1.8293), "L4")
 
 
 def census_points(gen, count: int, seed: int = 0):
@@ -69,17 +87,14 @@ def on_branch_side_or_refused(p: ModelParams, branch: str):
 def test_wrong_side_root_is_not_answered():
     # Newton from the L4 seed ends at y = -0.641, past the fold in W1, and
     # every gate passes there
-    on_branch_side_or_refused(
-        ModelParams(mu=0.0014963148361835633, q1=1.0 - 0.008553474090590698,
-                    A2=7.443163613939597e-05, cd=4.162845601367141), "L4")
+    on_branch_side_or_refused(*WRONG_SIDE)
 
 
 @pytest.mark.xfail(strict=True, raises=ConvergenceError, reason="ROADMAP item 1")
 def test_no_generic_convergence_error_past_the_fold():
     # Newton from the L4 seed fails after 100 iterations, with no stage or
     # reason named
-    on_branch_side_or_refused(
-        ModelParams(mu=0.0022221, q1=1.0 - 0.0043166, A2=0.0018460, cd=1.0331), "L4")
+    on_branch_side_or_refused(*PAST_THE_FOLD)
 
 
 def equilibrium_on_branch_side_or_refused(p: ModelParams, branch: str):
@@ -99,13 +114,35 @@ def equilibrium_on_branch_side_or_refused(p: ModelParams, branch: str):
 def test_no_collinear_root_on_l5():
     # Newton from the L5 seed ends at the collinear root (0.9005, -0.0019);
     # the chain refuses only later, at b1, with StabilityDomainError
-    equilibrium_on_branch_side_or_refused(
-        ModelParams(mu=0.0017410, q1=1.0 - 0.0071130, A2=0.0044990, cd=1.1966), "L5")
+    equilibrium_on_branch_side_or_refused(*COLLINEAR_L5)
 
 
 @pytest.mark.xfail(strict=True, raises=ConvergenceError, reason="ROADMAP item 1")
 def test_no_generic_convergence_error_at_the_equilibria_stage():
     # Newton from the L4 seed fails after 100 iterations, with no stage or
     # reason named
-    equilibrium_on_branch_side_or_refused(
-        ModelParams(mu=0.0071606, q1=0.99030, A2=0.0024521, cd=1.8293), "L4")
+    equilibrium_on_branch_side_or_refused(*NO_CONVERGENCE_L4)
+
+
+def newton_ending(solve, p: ModelParams, branch: str) -> tuple:
+    """The root and residual in hex, or the error's class and message."""
+    try:
+        point = solve(p, branch)
+    except L4NormError as err:
+        return type(err), str(err)
+    return point.x.hex(), point.y.hex(), point.residual.hex()
+
+
+def test_newton_matches_the_two_call_reference(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    gen = importlib.import_module("gen")
+    points = [WRONG_SIDE, PAST_THE_FOLD, COLLINEAR_L5, NO_CONVERGENCE_L4]
+    for p, _ in census_points(gen, DRAWS, seed=1):
+        free = ModelParams(mu=p.mu, q1=p.q1, A2=p.A2, cd=math.inf)
+        points += [(q, branch) for q in (p, free) for branch in ("L4", "L5")]
+    endings = [(newton_ending(solve_triangular_numeric, p, branch),
+                newton_ending(newton_by_two_calls, p, branch)) for p, branch in points]
+    assert len(endings) == 4 * DRAWS + 4
+    assert [new for new, _ in endings] == [old for _, old in endings]
+    # the draws reach both endings, and the four points include failures
+    assert {len(new) for new, _ in endings} == {2, 3}

@@ -5,7 +5,6 @@ import pytest
 
 from l4norm import equilibria
 from l4norm.equilibria import (
-    _force_jacobian,
     classical_seed,
     equilibrium_force,
     epsilon_form,
@@ -18,6 +17,8 @@ from l4norm.equilibria import (
 from l4norm.errata import classify_remainder
 from l4norm.errors import CollisionError, ParameterError
 from l4norm.model import COLLISION_RADIUS, ModelParams
+import oracles
+from oracles import force_jacobian, newton_by_two_calls
 
 SQRT3 = math.sqrt(3.0)
 SQRT3_2 = SQRT3 / 2.0
@@ -182,9 +183,22 @@ class TestOrderOfAgreement:
     ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0)], ids=["free", "drag"])
 @pytest.mark.parametrize("branch", ["L4", "L5"])
 def test_newton_evaluates_the_force_once_per_iterate(monkeypatch, p, branch):
-    # one force evaluation per Newton step plus the converged one, whose
-    # residual the point carries
-    calls = {"equilibrium_force": 0, "_force_jacobian": 0}
+    # one force evaluation (one `_radii` call) per Newton step plus the
+    # converged one, whose residual the point carries; the steps are the
+    # Jacobians the two-call reference forms (none drag-free, where the
+    # seed is the root), and the solve forms its force in its own pass,
+    # without calling `equilibrium_force`
+    steps = []
+    jacobian = force_jacobian
+
+    def counted_jacobian(*args):
+        steps.append(args)
+        return jacobian(*args)
+    monkeypatch.setattr(oracles, "force_jacobian", counted_jacobian)
+    reference = newton_by_two_calls(p, branch)
+    monkeypatch.undo()
+
+    calls = {"_radii": 0, "equilibrium_force": 0}
 
     def counted(name):
         fn = getattr(equilibria, name)
@@ -197,15 +211,16 @@ def test_newton_evaluates_the_force_once_per_iterate(monkeypatch, p, branch):
     for name in calls:
         counted(name)
     point = solve_triangular_numeric(p, branch)
-    assert calls["equilibrium_force"] == calls["_force_jacobian"] + 1
+    assert calls == {"_radii": len(steps) + 1, "equilibrium_force": 0}
+    assert point == reference
     assert point.residual == residual_at(point.x, point.y, p)
 
 
 @pytest.mark.parametrize("branch", ["L4", "L5"])
 @pytest.mark.parametrize("drag", [False, True], ids=["free", "drag"])
 def test_force_jacobian_matches_central_differences(branch, drag):
-    # the analytic Jacobian against central differences of the force, at
-    # the root and off it
+    # the reference's analytic Jacobian against central differences of the
+    # force, at the root and off it
     rng = random.Random(11)
     h = 1e-6
     for _ in range(10):
@@ -221,7 +236,7 @@ def test_force_jacobian_matches_central_differences(branch, drag):
             fxy, fyy = (0.5 * (u - v) / h for u, v in
                         zip(equilibrium_force(x, y + h, p),
                             equilibrium_force(x, y - h, p)))
-            assert _force_jacobian(x, y, p) == pytest.approx(
+            assert force_jacobian(x, y, p) == pytest.approx(
                 (fxx, fxy, fyx, fyy), rel=1e-6)
 
 

@@ -6,6 +6,7 @@ import ast
 import builtins
 import collections
 import dis
+import hashlib
 
 import pytest
 from hypothesis import assume, given, settings
@@ -323,8 +324,23 @@ def test_every_kernel_reads_only_builtins_and_the_kernel_names(monkeypatch):
 KERNEL_MULTIPLICATIONS = {True: (376, 238), False: (208, 238)}
 
 
-@pytest.mark.parametrize("drag", (True, False))
-def test_the_stage_kernels_form_each_product_once(drag, monkeypatch):
+
+
+# sha256 of the generated forcing, solve and H3 sources at the points of
+# the test below; the H3 source is the same with and without drag.
+KERNEL_SOURCES = {
+    True: ("e7930bf594b17604435d8c39e2da8da01978806fdcfda755dd0ee7265fad1435",
+           "6ad819c27008c64e0edaf2db0cca76f229a68151d9e9798a33a2c95273ff0dec",
+           "62a1db58ac829174184bbccabcb7973d1b4f54c022f64ebff9fc85e0e8cba1de"),
+    False: ("47d8ed555758b830b33f892aa934e36c260120754ff385bcb1dd566f1b768e65",
+            "6ad819c27008c64e0edaf2db0cca76f229a68151d9e9798a33a2c95273ff0dec",
+            "62a1db58ac829174184bbccabcb7973d1b4f54c022f64ebff9fc85e0e8cba1de"),
+}
+
+
+def stage_sources(drag: bool, monkeypatch) -> list:
+    """The forcing, solve and H3 sources at mu 0.01, with drag (q1 0.999,
+    A2 1e-4, cd 20) or without."""
     p = (ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0) if drag
          else ModelParams(mu=0.01))
     res = run_pipeline(p)
@@ -334,11 +350,24 @@ def test_the_stage_kernels_form_each_product_once(drag, monkeypatch):
                         sources.append(source) or compiled(source, name))
     b1 = tuple(s.layout for s in res.b1)
     normalform._forcing_kernel(res.lagrangian_poly.grade(3).layout, *b1)
+    normalform._solve_kernel(res.x2.layout, res.y2.layout)
     normalform._h3_kernel(res.lagrangian_poly.grade(2).layout, *b1,
                           res.b2.b2x.layout, res.b2.b2y.layout,
                           res.cubic_at_b1.layout)
+    monkeypatch.undo()
+    return sources
+
+
+@pytest.mark.parametrize("drag", (True, False))
+def test_the_stage_kernel_sources_are_pinned(drag, monkeypatch):
+    sources = stage_sources(drag, monkeypatch)
+    assert tuple(hashlib.sha256(source.encode()).hexdigest()
+                 for source in sources) == KERNEL_SOURCES[drag]
+@pytest.mark.parametrize("drag", (True, False))
+def test_the_stage_kernels_form_each_product_once(drag, monkeypatch):
+    forcing, _, h3 = stage_sources(drag, monkeypatch)
     counts = []
-    for source in sources:
+    for source in (forcing, h3):
         tree = ast.parse(source)
         counts.append(sum(isinstance(node, ast.Mult) for node in ast.walk(tree)))
         right = [ast.dump(node.value) for node in ast.walk(tree)

@@ -307,10 +307,11 @@ def test_a_nan_divisor_floor_no_longer_switches_the_guard_off():
 
 
 def test_newton_refuses_a_bad_branch_before_any_force(monkeypatch):
+    # Newton forms each force in its own pass, from one `_radii` call
     forces = []
-    force = equilibria.equilibrium_force
-    monkeypatch.setattr(equilibria, "equilibrium_force",
-                        lambda *args: forces.append(args) or force(*args))
+    radii = equilibria._radii
+    monkeypatch.setattr(equilibria, "_radii",
+                        lambda *args: forces.append(args) or radii(*args))
     p = ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0)
     with pytest.raises(ParameterError):
         equilibria.solve_triangular_numeric(p, "l4")
