@@ -122,11 +122,6 @@ def sum_plan(left: Layout, right: Layout):
     return out, shared, new
 
 
-def _sup(value) -> float:  # max(|real|, |imag|) without calling `max`
-    re, im = abs(value.real), abs(value.imag)
-    return im if im > re else re
-
-
 class Store:
     """A layout plus one value per slot; `_zero` is the value a subclass
     accumulates from and normalises with (0.0 + x turns -0.0 into 0.0)."""
@@ -166,19 +161,25 @@ class Store:
 
     def norm_of_difference(self, other) -> float:
         """Sup over the real and imaginary parts of the differences."""
-        return sup_of_difference(self.layout, self.values, other)
+        return sup_of_difference(self.layout, [part for z in self.values
+                                               for part in (z.real, z.imag)], other)
 
 
-def sup_of_difference(layout: Layout, values: list, other: Store) -> float:
-    """Sup over the real and imaginary parts of ``(layout, values)`` minus
-    the store `other`, key by key along their sum plan; a key one side
-    lacks reads zero there."""
+def sup_of_difference(layout: Layout, parts: list, other: Store) -> float:
+    """Sup over the real and imaginary parts of the values on `layout`,
+    given as their (real, imag) parts key after key, minus the store
+    `other`, key by key along their sum plan; a key one side lacks reads
+    zero there."""
     _, shared, new = plan(sum_plan, layout, other.layout)
     right = other.values
-    values = values.copy()
+    parts = parts.copy()
     for n, k in shared:
-        values[n] -= right[k]
-    return max(map(_sup, values + [right[k] for k in new]), default=0.0)
+        z = right[k]
+        parts[2 * n] -= z.real
+        parts[2 * n + 1] -= z.imag
+    for k in new:
+        parts += (right[k].real, right[k].imag)
+    return max(map(abs, parts), default=0.0)
 
 
 class KernelSource:

@@ -100,8 +100,8 @@ class PipelineResult:
         layout, rx, ry = normalform._operator_values(
             normalform.linear_operator(self.efg, self.params.n),
             self.b2.b2x, self.b2.b2y, self.freq)
-        return (sup_of_difference(layout, [*map(complex, rx[::2], rx[1::2])], self.x2),
-                sup_of_difference(layout, [*map(complex, ry[::2], ry[1::2])], self.y2))
+        return (sup_of_difference(layout, rx, self.x2),
+                sup_of_difference(layout, ry, self.y2))
 
     def intermediate_scale(self) -> float:
         """The largest sup norm of X2, Y2 and B2, which the B2 solve
