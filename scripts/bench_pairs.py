@@ -14,8 +14,10 @@ keyed by workload, seed, run length, trace flag and side; then ``summary``
 is recomputed for every key with both sides: per metric, each side's
 median and quartiles, and for each metric that the change's
 `BENCHMARK.json` lists, the pairs the change wins by the metric's
-direction (ties count for neither).  `--pairs 0` only recomputes the
-summary.  The record also holds both checkouts' git revisions when given
+direction (ties count for neither) and ``claim_met``: whether the change
+wins at least 9 in 10 of the pairs, the medians differ by more than the
+parent's interquartile range, and the change fails no more points per
+run than the parent.  `--pairs 0` only recomputes the summary.  The record also holds both checkouts' git revisions when given
 (`--revisions`), the interpreter's version, whether
 `PYTHONDONTWRITEBYTECODE` was set, and each command run.  Runs go one at
 a time.
@@ -52,12 +54,22 @@ def quartiles(values: list) -> tuple:
     return q1, q2, q3
 
 
+def claim_met(row: dict, failed: dict) -> bool:
+    """A claimed gain holds: 9 in 10 pairs won, the median moved by more than
+    the parent's IQR, and no more failed points per run than the parent."""
+    moved = abs(row["change"]["median"] - row["parent"]["median"])
+    return (row["wins"] >= 0.9 * row["pairs"] and moved > row["parent"]["iqr"]
+            and statistics.mean(failed["change"]) <= statistics.mean(failed["parent"]))
+
+
 def summarise(record: dict, directions: dict) -> dict:
     out = {}
     for key, sides in record["runs"].items():
         parent, change = sides.get("parent", []), sides.get("change", [])
         if not parent or not change:
             continue
+        failed = {"parent": [r["failed"] for r in parent],
+                  "change": [r["failed"] for r in change]}
         rows = {}
         for name in parent[0]["metrics"]:
             old = [run["metrics"][name] for run in parent]
@@ -72,13 +84,12 @@ def summarise(record: dict, directions: dict) -> dict:
                 row["wins"] = sum((b > a) if better == "higher" else (b < a)
                                   for a, b in pairs)
                 row["pairs"] = len(pairs)
+                row["claim_met"] = claim_met(row, failed)
             if row["parent"]["median"]:
                 row["change_vs_parent"] = row["change"]["median"] / row["parent"]["median"] - 1.0
             rows[name] = row
         out[key] = {"attempted": sorted({r["attempted"] for r in parent + change}),
-                    "failed": {"parent": [r["failed"] for r in parent],
-                               "change": [r["failed"] for r in change]},
-                    "metrics": rows}
+                    "failed": failed, "metrics": rows}
     return out
 
 

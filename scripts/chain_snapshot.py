@@ -81,6 +81,7 @@ def chain_record(mu, epsilon, a2, cd, branch):
     from l4norm.closedforms import fg_tables
     from l4norm.equilibria import offset_ab
     from l4norm.model import ModelParams
+    from l4norm.normalform import hamiltonian_matrix
     from l4norm.polyalg import t_coefficients_closed_form
     from l4norm.verify import (
         PipelineOptions,
@@ -105,7 +106,8 @@ def chain_record(mu, epsilon, a2, cd, branch):
         ("efg", (float(efg.E), float(efg.F), float(efg.G))),
         ("freq", (float(w.omega1), float(w.omega2))),
         ("J", [float(v).hex() for row in res.nm.J for v in row]),
-        ("hessian", [float(v).hex() for row in res.nm.hessian for v in row]),
+        ("hessian", [float(v).hex() for row in hamiltonian_matrix(res.nm.K, res.nm.C)
+                     for v in row]),
         ("nm", float(res.nm.symplectic_defect), float(res.nm.h2_residual)),
         ("b1", series_terms(res.b1[0]), series_terms(res.b1[1]),
          float(res.b1_residual)),

@@ -127,33 +127,28 @@ def classical_frequencies(mu: float) -> FrequencyPair:
     return FrequencyPair(math.sqrt(w1sq), math.sqrt(1.0 - w1sq))
 
 
-def _entry(row: int, col: int):
-    """Property: the (row, col) entry of `self.J`."""
-    return property(lambda self: self.J[row][col])
-
-
 # The entries of J that B1 reads (`first_order_components`), attributes of
 # NormalModeData; the printed tables print them by these names.
 J_ENTRIES = ("J13", "J14", "J21", "J22", "J23", "J24")
 
 
-class NormalModeData(namedtuple("NormalModeData", "freq J hessian")):
+class NormalModeData(namedtuple("NormalModeData", "freq J K C")):
     """Exact symplectic normal-mode transformation of the quadratic part.
 
     X = J T maps (Q1, Q2, P1, P2) to (x, y, px, py); the transformed
     quadratic Hamiltonian is (P1^2 + w1^2 Q1^2)/2 - (P2^2 + w2^2 Q2^2)/2,
-    i.e. w1 I1 - w2 I2 in action-angle form.  `J` and `hessian`, that
-    Hamiltonian's Hessian before the transformation, are tuples of their
-    four rows.  The two residuals are formed on first read and kept, in the
-    instance dict.
+    i.e. w1 I1 - w2 I2 in action-angle form.  `J` is a tuple of its four
+    rows, and `K` and `C` are the blocks of that Hamiltonian before the
+    transformation (:func:`hamiltonian_matrix`).  The two residuals are
+    formed on first read and kept, in the instance dict.
     """
 
-    J13 = _entry(0, 2)
-    J14 = _entry(0, 3)
-    J21 = _entry(1, 0)
-    J22 = _entry(1, 1)
-    J23 = _entry(1, 2)
-    J24 = _entry(1, 3)
+    J13 = property(lambda self: self.J[0][2])
+    J14 = property(lambda self: self.J[0][3])
+    J21 = property(lambda self: self.J[1][0])
+    J22 = property(lambda self: self.J[1][1])
+    J23 = property(lambda self: self.J[1][2])
+    J24 = property(lambda self: self.J[1][3])
 
     @functools.cached_property
     def symplectic_defect(self) -> float:
@@ -163,11 +158,11 @@ class NormalModeData(namedtuple("NormalModeData", "freq J hessian")):
     @functools.cached_property
     def h2_residual(self) -> float:
         """Largest entry of |J^T S J - diag(w1^2, -w2^2, 1, -1)|, S the
-        Hessian."""
+        Hessian, formed here: no other chain value reads it."""
         w = self.freq
         target = ((w.omega1**2, 0.0, 0.0, 0.0), (0.0, -w.omega2**2, 0.0, 0.0),
                   (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, -1.0))
-        return congruence_gap(self.J, self.hessian, target)
+        return congruence_gap(self.J, hamiltonian_matrix(self.K, self.C), target)
 
 
 def hamiltonian_matrix(K: tuple, C: tuple) -> tuple:
@@ -247,7 +242,7 @@ def j_numeric(p: ModelParams, efg: QuadraticCoefficients, w: FrequencyPair,
     a0, a1, a2, a3, a4, a5, a6, a7 = _mode_columns(1, w.omega1, +1.0, K, C)
     b0, b1, b2, b3, b4, b5, b6, b7 = _mode_columns(2, w.omega2, -1.0, K, C)
     J = ((a0, b0, a4, b4), (a1, b1, a5, b5), (a2, b2, a6, b6), (a3, b3, a7, b7))
-    return NormalModeData(freq=w, J=J, hessian=hamiltonian_matrix(K, C))
+    return NormalModeData(w, J, K, C)
 
 
 # -- first-order components ---------------------------------------------
@@ -261,17 +256,18 @@ _H2 = intern(((2, 0, 0, 0), (0, 2, 0, 0)))
 def first_order_components(nm):
     """Degree-1 series (B1 for x, B1 for y) from the printed combination.
 
-    `nm` needs the attributes J13, J14, J21..J24 and `freq`, as
+    `nm` needs `J`, of which the first two rows are read, and `freq`, as
     NormalModeData has.  The y row carries the P/Q weights that annihilate
     the linearized equations.
     """
     w = nm.freq
+    (_, _, j13, j14), (j21, j22, j23, j24), _, _ = nm.J
     sq1, sq2 = math.sqrt(2.0 * w.omega1), math.sqrt(2.0 * w.omega2)
     iq1, iq2 = math.sqrt(2.0 / w.omega1), math.sqrt(2.0 / w.omega2)
-    return (DAlembertSeries._new(_B1, [0j + complex(nm.J13 * sq1, 0.0),
-                                       0j + complex(nm.J14 * sq2, 0.0)]),
-            DAlembertSeries._new(_B1, [0j + complex(nm.J23 * sq1, nm.J21 * iq1),
-                                       0j + complex(nm.J24 * sq2, nm.J22 * iq2)]))
+    return (DAlembertSeries._new(_B1, [0j + complex(j13 * sq1, 0.0),
+                                       0j + complex(j14 * sq2, 0.0)]),
+            DAlembertSeries._new(_B1, [0j + complex(j23 * sq1, j21 * iq1),
+                                       0j + complex(j24 * sq2, j22 * iq2)]))
 
 
 def linear_operator(efg: QuadraticCoefficients, n: float):
@@ -319,14 +315,35 @@ def _operator_values(matrix, x, y, w: FrequencyPair):
     return layout, first, second
 
 
+def _b1_slots(x: Layout, y: Layout) -> tuple:
+    """Per side, B1's two slots (-1 where absent); ContractError on other keys."""
+    if not set(x.keys).union(y.keys) <= set(_B1.keys):
+        raise ContractError("linear_residual expects a pair on B1's two keys")
+    return tuple(side.index.get(key, -1) for side in (x, y) for key in _B1.keys)
+
+
 def linear_residual(b1x: DAlembertSeries, b1y: DAlembertSeries,
                     efg: QuadraticCoefficients, w: FrequencyPair,
                     n: float) -> float:
-    """Sup-norm of the linearized equations applied to a degree-1 pair,
-    read off the operator's values: no series is formed, so no layout
-    depends on which values are exactly zero."""
-    _, first, second = _operator_values(linear_operator(efg, n), b1x, b1y, w)
-    return max(map(abs, first + second), default=0.0)
+    """Sup-norm of the linearized equations at a pair on B1's two harmonics,
+    theta = w1 and -w2: the parts of :func:`_operator_values` less the exact
+    zero and unit entries of the operator, which move no bit (an exact zero
+    adds nothing, `abs` drops a zero's sign); a key a side lacks reads 0."""
+    i1, i2, j1, j2 = plan(_b1_slots, b1x.layout, b1y.layout)
+    xs, ys = b1x.values + [0j], b1y.values + [0j]
+    x1, x2, y1, y2 = xs[i1], xs[i2], ys[j1], ys[j2]
+    (k00, k01), (k10, k11) = stiffness_matrix(efg, n)
+    w1, w2, n2 = w.omega1, w.omega2, 2.0 * n
+    a1, d1, b1 = -k00 - w1 * w1, -k11 - w1 * w1, -n2 * w1
+    a2, d2, b2 = -k00 - w2 * w2, -k11 - w2 * w2, n2 * w2
+    return max(abs(a1 * x1.real + (-k01 * y1.real + b1 * y1.imag)),
+               abs(a1 * x1.imag + (-k01 * y1.imag - b1 * y1.real)),
+               abs(a2 * x2.real + (-k01 * y2.real + b2 * y2.imag)),
+               abs(a2 * x2.imag + (-k01 * y2.imag - b2 * y2.real)),
+               abs((-k10 * x1.real - b1 * x1.imag) + d1 * y1.real),
+               abs((-k10 * x1.imag + b1 * x1.real) + d1 * y1.imag),
+               abs((-k10 * x2.real - b2 * x2.imag) + d2 * y2.real),
+               abs((-k10 * x2.imag + b2 * x2.real) + d2 * y2.imag))
 
 
 # -- substitution of series into polynomials ------------------------------

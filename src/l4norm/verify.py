@@ -168,13 +168,16 @@ def check_stages(stages) -> tuple:
     return stages
 
 
+def stages_through(stages) -> tuple:
+    """`STAGES` through the latest of `check_stages(stages)`, as a chain runs."""
+    return STAGES[:max(map(STAGES.index, check_stages(stages))) + 1]
+
+
 def run_pipeline(p: ModelParams, options: PipelineOptions = PipelineOptions(),
                  stages=STAGES) -> PipelineResult:
-    """Run the oracle stages through the latest one in `check_stages(stages)`
-    (later stages pull in earlier ones)."""
-    last = max(map(STAGES.index, check_stages(stages)))
-    res = PipelineResult(params=p, options=options,
-                         stages=tuple(STAGES[:last + 1]))
+    """Run the oracle stages of `stages_through(stages)`."""
+    res = PipelineResult(params=p, options=options, stages=stages_through(stages))
+    last = len(res.stages) - 1
 
     res.eq_numeric = equilibria.solve_triangular_numeric(p, options.branch)
     res.shift = equilibria.shift_from_point(res.eq_numeric, p)

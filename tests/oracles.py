@@ -40,7 +40,10 @@ stages' kernels.
 `mode_vector` reads a mode's eigenvector off lists and
 `mode_columns_by_lists`, `j_by_mode_vectors` and `hessian_by_loops` build
 J and the Hessian from it, the bit-for-bit references for
-`l4norm.normalform.j_numeric`.
+`l4norm.normalform.j_numeric` and `hamiltonian_matrix`.
+`linear_residual_by_operator` reads the B1 gate off every part of the
+general operator's values, the bit-for-bit reference for
+`l4norm.normalform.linear_residual`.
 `t5_by_products` multiplies out the drag cubic T5, the reference for
 `l4norm.polyalg.t_coefficients_closed_form`.  `classical_cubic_symbolic`
 derives the classical T1..T4 exactly, the reference for the printed rows,
@@ -387,6 +390,15 @@ def operator_by_composition(matrix, x, y, w):
     `l4norm.normalform._operator_values`."""
     return tuple(apply_poly_in_D(x, w, *a) + apply_poly_in_D(y, w, *b)
                  for a, b in matrix)
+
+
+def linear_residual_by_operator(b1x, b1y, efg, w, n) -> float:
+    """Sup-norm of the linearized equations at a degree-1 pair, read off all
+    the parts of `l4norm.normalform._operator_values`, exact zeros kept:
+    the bit-for-bit reference for `l4norm.normalform.linear_residual`."""
+    _, first, second = normalform._operator_values(
+        normalform.linear_operator(efg, n), b1x, b1y, w)
+    return max(map(abs, first + second), default=0.0)
 
 
 def mode_vector(omega: float, K: tuple, C: tuple) -> list:

@@ -11,7 +11,10 @@ strictly, so the change that mends them has to remove the marks: two run
 the whole chain, and two only the equilibria stage, which must refuse
 the point or return a triangular root.  Over the census draws, with and
 without drag, on both branches, and at the four points, the solve must
-end as `oracles.newton_by_two_calls` ends, bit for bit.
+end as `oracles.newton_by_two_calls` ends, bit for bit; over the same
+kinds of draws the B1 gate, at the chain's B1 and at the printed
+weights' (`closedforms.b1y_print`), must equal
+`oracles.linear_residual_by_operator`, bit for bit.
 """
 
 import importlib
@@ -21,11 +24,13 @@ from pathlib import Path
 
 import pytest
 
+from l4norm.closedforms import b1y_print
 from l4norm.equilibria import solve_triangular_numeric
 from l4norm.errors import ConvergenceError, DomainError, L4NormError
 from l4norm.model import ModelParams
+from l4norm.normalform import linear_residual
 from l4norm.verify import PipelineOptions, run_pipeline
-from oracles import newton_by_two_calls
+from oracles import linear_residual_by_operator, newton_by_two_calls
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 DRAWS = 400
@@ -146,3 +151,25 @@ def test_newton_matches_the_two_call_reference(monkeypatch):
     assert [new for new, _ in endings] == [old for _, old in endings]
     # the draws reach both endings, and the four points include failures
     assert {len(new) for new, _ in endings} == {2, 3}
+
+
+def test_b1_gate_matches_the_operator_reference(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    gen = importlib.import_module("gen")
+    compared = set()
+    for p, _ in census_points(gen, DRAWS, seed=2):
+        free = ModelParams(mu=p.mu, q1=p.q1, A2=p.A2, cd=math.inf)
+        for q, branch in ((q, branch) for q in (p, free) for branch in ("L4", "L5")):
+            try:
+                res = run_pipeline(q, PipelineOptions(branch=branch), stages=("b1",))
+            except L4NormError:
+                continue
+            b1x, b1y = res.b1
+            for y in (b1y, b1y_print(res.nm)):
+                args = (b1x, y, res.efg, res.freq, q.n)
+                assert linear_residual(*args).hex() == \
+                    linear_residual_by_operator(*args).hex(), (q, branch)
+            assert res.b1_residual == linear_residual(b1x, b1y, res.efg, res.freq, q.n)
+            compared.add((branch, q.W1 > 0.0))
+    # both branches, with and without drag, reached the gate
+    assert compared == {(b, drag) for b in ("L4", "L5") for drag in (False, True)}

@@ -62,10 +62,10 @@ from l4norm.polyalg import (
 )
 
 from oracles import (difference, energy, hessian_by_loops, j_by_mode_vectors,
-                     mode_columns_by_lists, operator_by_composition, partial,
-                     polynomial_rows, printed_by_groups, row_as_written, scaled,
-                     substitute_by_kernel, substitute_by_rows, substitute_pairwise,
-                     sup, variable)
+                     linear_residual_by_operator, mode_columns_by_lists,
+                     operator_by_composition, partial, polynomial_rows,
+                     printed_by_groups, row_as_written, scaled, substitute_by_kernel,
+                     substitute_by_rows, substitute_pairwise, sup, variable)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -338,13 +338,17 @@ class TestLinearFrontBitForBit:
         nm = j_numeric(p, efg, w, l2)
         J, hessian = j_by_mode_vectors(p, efg, w, l2)
         assert _float_bits(sum(nm.J, ())) == _float_bits(sum(J, ()))
-        assert _float_bits(sum(nm.hessian, ())) == _float_bits(sum(hessian, ()))
+        # the blocks the Hessian is formed from, on read, bit for bit
+        assert (nm.K, nm.C) == (stiffness_matrix(efg, p.n), velocity_coupling(l2))
+        assert _float_bits(sum(hamiltonian_matrix(nm.K, nm.C), ())) == \
+            _float_bits(sum(hessian, ()))
         b1 = first_order_components(nm)
-        reference = first_order_components(NormalModeData(w, J, hessian))
+        reference = first_order_components(NormalModeData(w, J, nm.K, nm.C))
         assert [_bits(s) for s in b1] == [_bits(s) for s in reference]
         series = operator_by_composition(linear_operator(efg, p.n), *reference, w)
         assert linear_residual(*b1, efg, w, p.n).hex() == \
-            max(map(sup, series)).hex()
+            max(map(sup, series)).hex() == \
+            linear_residual_by_operator(*reference, efg, w, p.n).hex()
         # off the spectrum, and each mode at the other's sign
         for off in (FrequencyPair(w.omega1, w.omega2 * (1.0 + 1e-4)),
                     FrequencyPair(w.omega1 * (1.0 - 1e-4), w.omega2),
@@ -417,13 +421,40 @@ class TestFirstOrder:
         def resid(p):
             _, _, lag, efg, w, _ = linear_stage(p)
             jc = j_closed_form(p, w)
-            b1 = first_order_components(SimpleNamespace(freq=w, **jc))
+            # B1 reads the first two rows of J, where the printed entries sit
+            J = ((None, None, jc["J13"], jc["J14"]),
+                 tuple(jc[name] for name in ("J21", "J22", "J23", "J24")), None, None)
+            b1 = first_order_components(SimpleNamespace(freq=w, J=J))
             return linear_residual(b1[0], b1[1], efg, w, p.n)
 
         assert resid(ModelParams(mu=0.01)) < 1e-12
         ra = resid(ModelParams(mu=0.01, A2=1e-3))
         rb = resid(ModelParams(mu=0.01, A2=5e-4))
         assert ra / rb == pytest.approx(2.0, abs=0.2)
+
+    def test_gate_on_a_pair_lacking_a_key(self):
+        # a side that lacks a key reads 0 there, as in the operator's parts
+        p = ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0)
+        _, _, _, efg, w, nm = linear_stage(p, "L5")
+        b1x, b1y = first_order_components(nm)
+        z1, z2 = b1y.values
+        one = (DAlembertSeries.single(1, 0, 1, 0, c=z1.real, s=z1.imag),
+               DAlembertSeries.single(0, 1, 0, 1, c=z2.real, s=z2.imag))
+        pairs = [(b1x, one[0]), (b1x, one[1]), (one[1], b1y), (one[0], one[1]),
+                 (one[0], one[0]), (DAlembertSeries(), b1y)]
+        for x, y in pairs:
+            assert linear_residual(x, y, efg, w, p.n).hex() == \
+                linear_residual_by_operator(x, y, efg, w, p.n).hex()
+        assert linear_residual(*pairs[0], efg, w, p.n) > 1e-3
+
+    def test_gate_refuses_a_key_off_b1(self):
+        p = ModelParams(mu=0.01)
+        _, _, _, efg, w, nm = linear_stage(p)
+        b1x, b1y = first_order_components(nm)
+        off = b1y + DAlembertSeries.single(2, 0, 2, 0, c=1e-3)
+        for x, y in ((b1x, off), (off, b1y)):
+            with pytest.raises(ContractError, match="B1's two keys"):
+                linear_residual(x, y, efg, w, p.n)
 
     def test_verbatim_print_weights_fail_residual(self):
         p = ModelParams(mu=0.01)

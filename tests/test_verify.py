@@ -385,6 +385,26 @@ class TestChainStoppedAtB1:
         assert len(calls) == 2
 
 
+def test_the_hessian_is_formed_only_where_a_gate_reads_it(monkeypatch, capsys):
+    # only the drag-free h2-diagonal gate reads the Hessian: a drag sweep
+    # at b1 and a drag chain's gates form none, a drag-free chain's one
+    from l4norm import cli
+    calls = []
+    monkeypatch.setattr(normalform, "hamiltonian_matrix",
+                        lambda *args: calls.append(args) or hamiltonian_matrix(*args))
+    assert cli.main(["sweep", "--mu-min", "0.005", "--mu-max", "0.02", "--steps", "4",
+                     "--q1", "0.999", "--cd", "20", "--stages", "b1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 4 and all(row.endswith(",pass") for row in rows)
+    assert calls == []
+    drag = ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0)
+    assert all(run_pipeline(drag, PipelineOptions(branch="L5")).gates().values())
+    assert calls == []
+    res = run_pipeline(ModelParams(mu=0.01))
+    assert res.gates()["h2-diagonal"] and res.gates() == res.gates()
+    assert len(calls) == 1
+
+
 class TestLazySecondOrderResiduals:
     """The b2 stage leaves the back-substitution unformed until a residual
     is read; what it then returns must be the eager residual, bit for bit."""
@@ -405,15 +425,15 @@ class TestLazySecondOrderResiduals:
     def test_residuals_equal_an_eager_back_substitution(self, counted):
         p, options, calls = counted
         res = run_pipeline(p, options, stages=("b2",))
-        # the B1 residual applies the operator and the B2 solve is its
-        # kernel: the chain applies it once, at B1
-        assert len(calls) == 1
+        # the B1 residual is in closed form and the B2 solve is its own
+        # kernel: the chain applies the operator nowhere
+        assert len(calls) == 0
         rx, ry = operator_by_composition(normalform.linear_operator(res.efg, p.n),
                                          res.b2.b2x, res.b2.b2y, res.freq)
         eager = (sup(difference(rx, res.x2)), sup(difference(ry, res.y2)))
         assert _hex(res.b2_residuals) == _hex(eager)
         assert res.gates()["b2-residual"] and res.gates() == res.gates()
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_partial_forcing_solve_skips_the_back_substitution(self, counted):
         p, options, calls = counted
