@@ -17,7 +17,8 @@ median and quartiles, and for each metric that the change's
 direction (ties count for neither) and ``claim_met``: whether the change
 wins at least 9 in 10 of the pairs, the medians differ by more than the
 parent's interquartile range, and the change fails no more points per
-run than the parent.  `--pairs 0` only recomputes the summary.  The record also holds both checkouts' git revisions when given
+run than the parent.  `--pairs 0` only recomputes the summary.  The
+record also holds both checkouts' git revisions when given
 (`--revisions`), the interpreter's version, whether
 `PYTHONDONTWRITEBYTECODE` was set, and each command run.  Runs go one at
 a time.

@@ -945,9 +945,9 @@ class TestOperatorKernel:
             self.assert_equal(matrix, x, y, w)
 
     def test_linear_residual_is_the_sup_norm_of_the_series(self):
-        # read off the operator's values, exact zeros kept, the gate equals
-        # the sup norm of the pruned series bit for bit; the drag points
-        # hold an exact zero in the residual at some mass ratios
+        # in closed form on B1's two harmonics, the gate equals the sup
+        # norm of the pruned series bit for bit; the drag points hold an
+        # exact zero in the residual at some mass ratios
         from l4norm.verify import PipelineOptions, run_pipeline
         points = _chain_points() + [
             (ModelParams(mu=mu, q1=0.999, A2=1e-4, cd=20.0), "L4")
