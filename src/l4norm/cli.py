@@ -298,7 +298,8 @@ def cmd_sweep(config: RunConfig) -> int:
     options = config.options()
     config.params(grid[0])  # a setting wrong at every mu exits before any row
     lines = ["mu,omega1,omega2,b1_residual,b2_residual,h3_max,scale,gates"]
-    row = _sweep_row(verify.stages_through(config.stages))
+    stages = verify.stages_through(config.stages)
+    row = _sweep_row(stages)
     for mu in grid:
         try:
             res = verify.run_pipeline(config.params(mu), options,
@@ -307,11 +308,11 @@ def cmd_sweep(config: RunConfig) -> int:
             lines.append(f"{fmt(mu)},error:{type(err).__name__},,,,,")
             continue
         values = [mu]
-        if res.b1 is not None:
+        if "b1" in stages:
             values += (*res.freq, res.b1_residual)
-        if res.b2 is not None:
+        if "b2" in stages:
             values.append(max(res.b2_residuals))
-        if res.h3 is not None:
+        if "h3" in stages:
             values.append(res.h3.max_abs())
         values += (res.intermediate_scale(),
                    "pass" if all(res.gates().values()) else "FAIL")

@@ -3,11 +3,12 @@ cubic normal-form coefficients.
 
 The oracle chain this module serves:
 
-1. frequencies + symplectic normal-mode matrix J from the quadratic
-   Lagrangian slice, both in closed form (the roots of a biquadratic, and
-   per mode the null vector of a 2x2 matrix, on the scalar entries of K
-   and C);
-2. first-order components B1 from the (x, y) rows of J;
+1. frequencies + symplectic normal-mode matrix J from the expansion's
+   quadratic terms, read by key, both in closed form (the roots of a
+   biquadratic, and per mode the null vector of a 2x2 matrix, on the
+   scalar entries of K and C);
+2. B1's four harmonic values from the (x, y) rows of J, and the B1 gate
+   on them; B1's series are formed only where a stage reads them;
 3. cubic forcing X2, Y2 and the energy's cubic at B1: D B1, the cubic's
    four partials and its energy at (B1, B1, D B1, D B1), and X2 = dL3/dx
    - D(dL3/dxdot), Y2 likewise;
@@ -73,11 +74,11 @@ def stiffness_matrix(efg: QuadraticCoefficients, n: float) -> tuple:
             (-efg.G, n * n - 2.0 * efg.F))
 
 
-def velocity_coupling(l2: TruncatedPoly) -> tuple:
-    """Bilinear block C with C[i][j] = coefficient of v_i q_j in the degree-2
-    slice (gyroscopic plus drag gauge terms)."""
-    return ((l2._value((1, 0, 1, 0)), l2._value((0, 1, 1, 0))),
-            (l2._value((1, 0, 0, 1)), l2._value((0, 1, 0, 1))))
+def velocity_coupling(lagrangian: TruncatedPoly) -> tuple:
+    """Bilinear block C with C[i][j] = coefficient of v_i q_j in the
+    Lagrangian (gyroscopic plus drag gauge terms)."""
+    return ((lagrangian._value((1, 0, 1, 0)), lagrangian._value((0, 1, 1, 0))),
+            (lagrangian._value((1, 0, 0, 1)), lagrangian._value((0, 1, 0, 1))))
 
 
 def frequencies(p: ModelParams, efg: QuadraticCoefficients) -> FrequencyPair:
@@ -127,7 +128,7 @@ def classical_frequencies(mu: float) -> FrequencyPair:
     return FrequencyPair(math.sqrt(w1sq), math.sqrt(1.0 - w1sq))
 
 
-# The entries of J that B1 reads (`first_order_components`), attributes of
+# The entries of J that B1 reads (`b1_values`), attributes of
 # NormalModeData; the printed tables print them by these names.
 J_ENTRIES = ("J13", "J14", "J21", "J22", "J23", "J24")
 
@@ -228,7 +229,7 @@ def _mode_columns(mode: int, omega: float, sign: float, K: tuple, C: tuple):
 
 
 def j_numeric(p: ModelParams, efg: QuadraticCoefficients, w: FrequencyPair,
-              l2: TruncatedPoly) -> NormalModeData:
+              lagrangian: TruncatedPoly) -> NormalModeData:
     """Symplectic normalization of the quadratic Hamiltonian.
 
     Per mode (:func:`_mode_columns`, on the entries of K and C), the
@@ -238,7 +239,7 @@ def j_numeric(p: ModelParams, efg: QuadraticCoefficients, w: FrequencyPair,
     dictated by the symplectic invariants; a sign flip would mean the
     quadratic part is not of the expected type.
     """
-    K, C = stiffness_matrix(efg, p.n), velocity_coupling(l2)
+    K, C = stiffness_matrix(efg, p.n), velocity_coupling(lagrangian)
     a0, a1, a2, a3, a4, a5, a6, a7 = _mode_columns(1, w.omega1, +1.0, K, C)
     b0, b1, b2, b3, b4, b5, b6, b7 = _mode_columns(2, w.omega2, -1.0, K, C)
     J = ((a0, b0, a4, b4), (a1, b1, a5, b5), (a2, b2, a6, b6), (a3, b3, a7, b7))
@@ -253,21 +254,22 @@ _B1 = intern(((1, 0, 1, 0), (0, 1, 0, 1)))
 _H2 = intern(((2, 0, 0, 0), (0, 2, 0, 0)))
 
 
-def first_order_components(nm):
-    """Degree-1 series (B1 for x, B1 for y) from the printed combination.
-
-    `nm` needs `J`, of which the first two rows are read, and `freq`, as
-    NormalModeData has.  The y row carries the P/Q weights that annihilate
-    the linearized equations.
-    """
+def b1_values(nm) -> tuple:
+    """B1 for x, then for y, at its (1, 0) and (0, 1) harmonics, from J's
+    first two rows and `freq`, as NormalModeData has them; the y row
+    carries the P/Q weights that annihilate the linearized equations."""
     w = nm.freq
     (_, _, j13, j14), (j21, j22, j23, j24), _, _ = nm.J
     sq1, sq2 = math.sqrt(2.0 * w.omega1), math.sqrt(2.0 * w.omega2)
     iq1, iq2 = math.sqrt(2.0 / w.omega1), math.sqrt(2.0 / w.omega2)
-    return (DAlembertSeries._new(_B1, [0j + complex(j13 * sq1, 0.0),
-                                       0j + complex(j14 * sq2, 0.0)]),
-            DAlembertSeries._new(_B1, [0j + complex(j23 * sq1, j21 * iq1),
-                                       0j + complex(j24 * sq2, j22 * iq2)]))
+    return (0j + complex(j13 * sq1, 0.0), 0j + complex(j14 * sq2, 0.0),
+            0j + complex(j23 * sq1, j21 * iq1), 0j + complex(j24 * sq2, j22 * iq2))
+
+
+def first_order_components(values: tuple) -> tuple:
+    """Degree-1 series (B1 for x, B1 for y) on B1's four `b1_values`."""
+    x1, x2, y1, y2 = values
+    return DAlembertSeries._new(_B1, [x1, x2]), DAlembertSeries._new(_B1, [y1, y2])
 
 
 def linear_operator(efg: QuadraticCoefficients, n: float):
@@ -315,24 +317,20 @@ def _operator_values(matrix, x, y, w: FrequencyPair):
     return layout, first, second
 
 
-def _b1_slots(x: Layout, y: Layout) -> tuple:
-    """Per side, B1's two slots (-1 where absent); ContractError on other keys."""
-    if not set(x.keys).union(y.keys) <= set(_B1.keys):
-        raise ContractError("linear_residual expects a pair on B1's two keys")
-    return tuple(side.index.get(key, -1) for side in (x, y) for key in _B1.keys)
+def _b1_slots(layout: Layout) -> tuple:
+    """B1's two slots in `layout` (-1 where absent); ContractError on other keys."""
+    if not set(layout.keys) <= set(_B1.keys):
+        raise ContractError("expected a series on B1's two keys")
+    return tuple(layout.index.get(key, -1) for key in _B1.keys)
 
 
-def linear_residual(b1x: DAlembertSeries, b1y: DAlembertSeries,
-                    efg: QuadraticCoefficients, w: FrequencyPair,
-                    n: float) -> float:
-    """Sup-norm of the linearized equations at a pair on B1's two harmonics,
-    theta = w1 and -w2: the parts of :func:`_operator_values` less the exact
-    zero and unit entries of the operator, which move no bit (an exact zero
-    adds nothing, `abs` drops a zero's sign); a key a side lacks reads 0."""
-    i1, i2, j1, j2 = plan(_b1_slots, b1x.layout, b1y.layout)
-    xs, ys = b1x.values + [0j], b1y.values + [0j]
-    x1, x2, y1, y2 = xs[i1], xs[i2], ys[j1], ys[j2]
-    (k00, k01), (k10, k11) = stiffness_matrix(efg, n)
+def linear_residual(values: tuple, K: tuple, w: FrequencyPair, n: float) -> float:
+    """Sup-norm of the linearized equations on K at B1's four `b1_values`,
+    theta = w1 and -w2: the parts of :func:`_operator_values` less the
+    exact zero and unit entries of the operator, which move no bit (an
+    exact zero adds nothing, `abs` drops a zero's sign)."""
+    x1, x2, y1, y2 = values
+    (k00, k01), (k10, k11) = K
     w1, w2, n2 = w.omega1, w.omega2, 2.0 * n
     a1, d1, b1 = -k00 - w1 * w1, -k11 - w1 * w1, -n2 * w1
     a2, d2, b2 = -k00 - w2 * w2, -k11 - w2 * w2, n2 * w2

@@ -290,14 +290,14 @@ class QuadraticCoefficients(namedtuple("QuadraticCoefficients", "E F G")):
     __slots__ = ()
 
 
-def extract_EFG(l2: TruncatedPoly, p: ModelParams) -> QuadraticCoefficients:
-    """Read (E, F, G) off the position-only part of a degree-2 slice."""
-    if not plan(_homogeneous, l2.layout, 2):
-        raise ContractError("extract_EFG expects a homogeneous degree-2 slice")
+def extract_EFG(lagrangian: TruncatedPoly, p: ModelParams) -> QuadraticCoefficients:
+    """Read (E, F, G) off the position-only quadratic terms of a polynomial."""
+    if lagrangian.cap < 2:
+        raise ContractError("extract_EFG expects a polynomial of cap 2 or more")
     n2 = p.n * p.n
-    e = 0.5 * (n2 - 2.0 * l2._value((2, 0, 0, 0)))
-    f = 0.5 * (n2 - 2.0 * l2._value((0, 2, 0, 0)))
-    g = -l2._value((1, 1, 0, 0))
+    e = 0.5 * (n2 - 2.0 * lagrangian._value((2, 0, 0, 0)))
+    f = 0.5 * (n2 - 2.0 * lagrangian._value((0, 2, 0, 0)))
+    g = -lagrangian._value((1, 1, 0, 0))
     return QuadraticCoefficients(e, f, g)
 
 

@@ -67,7 +67,8 @@ TOLERANCES = {
 
 class PipelineResult:
     """What `run_pipeline` computed at `params` under `options`, through
-    `stages`; a value of a stage not run stays None."""
+    `stages`; a value of a stage not run stays None.  B1 is kept as its
+    four `b1_values`; `b1` and `b2_residuals` are formed on first read."""
 
     eq_numeric: equilibria.EquilibriumPoint | None = None
     shift: equilibria.OriginShift | None = None
@@ -77,7 +78,8 @@ class PipelineResult:
     freq: FrequencyPair | None = None
     moser: object = None
     nm: normalform.NormalModeData | None = None
-    b1: tuple | None = None
+    b1_values: tuple | None = None
+    _b1: tuple | None = None
     b1_residual: float | None = None
     x2: DAlembertSeries | None = None
     y2: DAlembertSeries | None = None
@@ -91,6 +93,14 @@ class PipelineResult:
     def __init__(self, params: ModelParams, options: PipelineOptions,
                  stages: tuple):
         self.params, self.options, self.stages = params, options, stages
+
+    @property
+    def b1(self) -> tuple | None:
+        """B1's pair of series, formed on first read and kept in `_b1`, which
+        costs less than a cached_property's locked first read; None before b1."""
+        if self._b1 is None and self.b1_values is not None:
+            self._b1 = normalform.first_order_components(self.b1_values)
+        return self._b1
 
     @functools.cached_property
     def b2_residuals(self) -> tuple:
@@ -184,11 +194,10 @@ def run_pipeline(p: ModelParams, options: PipelineOptions = PipelineOptions(),
     if last == 0:
         return res
 
-    # B1 reads only the quadratic part; the cubic enters from b2 on.
+    # B1 reads only the quadratic part, by key; the cubic enters from b2 on.
     degree = 3 if last >= STAGES.index("b2") else 2
-    res.lagrangian_poly = polyalg.taylor_lagrangian(p, res.shift, degree)
-    l2 = res.lagrangian_poly.grade(2)
-    res.efg = polyalg.extract_EFG(l2, p)
+    res.lagrangian_poly = lagrangian = polyalg.taylor_lagrangian(p, res.shift, degree)
+    res.efg = polyalg.extract_EFG(lagrangian, p)
     if last == 1:
         return res
 
@@ -198,23 +207,22 @@ def run_pipeline(p: ModelParams, options: PipelineOptions = PipelineOptions(),
         raise ResonanceError(
             f"Moser condition fails: |{res.moser.worst_pair}| combination = "
             f"{res.moser.min_combination:.3e}", witness=res.moser.worst_pair)
-    res.nm = normalform.j_numeric(p, res.efg, res.freq, l2)
-    res.b1 = normalform.first_order_components(res.nm)
-    res.b1_residual = normalform.linear_residual(res.b1[0], res.b1[1],
-                                                 res.efg, res.freq, p.n)
+    res.nm = normalform.j_numeric(p, res.efg, res.freq, lagrangian)
+    res.b1_values = normalform.b1_values(res.nm)
+    res.b1_residual = normalform.linear_residual(res.b1_values, res.nm.K, res.freq, p.n)
     if last == 2:
         return res
 
+    b1 = res.b1
     (res.x2, res.y2), _, res.cubic_at_b1 = \
-        normalform.forcing_x2y2(res.lagrangian_poly.grade(3), res.b1[0],
-                                res.b1[1], res.freq)
+        normalform.forcing_x2y2(lagrangian.grade(3), *b1, res.freq)
     res.b2 = normalform.solve_second_order_oracle(
         res.efg, res.freq, p.n, res.x2, res.y2, floor=options.divisor_floor)
     if last == 3:
         return res
 
     res.h3 = normalform.h3_normal_coefficients(
-        res.cubic_at_b1, l2, res.b1, (res.b2.b2x, res.b2.b2y), res.freq)
+        res.cubic_at_b1, lagrangian.grade(2), b1, (res.b2.b2x, res.b2.b2y), res.freq)
     return res
 
 
@@ -302,8 +310,10 @@ def audit(res: PipelineResult) -> Audit:
     if res.nm is None:
         return out
 
+    printed = closedforms.b1y_print(res.nm)
+    ys, slots = printed.values + [0j], plan(normalform._b1_slots, printed.layout)
     gaps["b1.print_weights"] = normalform.linear_residual(
-        res.b1[0], closedforms.b1y_print(res.nm), res.efg, res.freq, p.n)
+        (*res.b1_values[:2], *(ys[n] for n in slots)), res.nm.K, res.freq, p.n)
     if res.b2 is not None:
         gaps["forcing.partial_only"] = partial_forcing_gap(res)
     return out
@@ -316,7 +326,7 @@ def partial_forcing_gap(res: PipelineResult) -> float:
     the chain's own cubic slice and B1, so the same kernel on the same
     inputs; the cubic at B1 is read off the chain."""
     _, (x2p, y2p), _ = normalform.forcing_x2y2(
-        res.lagrangian_poly.grade(3), res.b1[0], res.b1[1], res.freq)
+        res.lagrangian_poly.grade(3), *res.b1, res.freq)
     b2p = normalform.solve_second_order_oracle(
         res.efg, res.freq, res.params.n, x2p, y2p,
         floor=res.options.divisor_floor)

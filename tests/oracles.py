@@ -43,7 +43,9 @@ J and the Hessian from it, the bit-for-bit references for
 `l4norm.normalform.j_numeric` and `hamiltonian_matrix`.
 `linear_residual_by_operator` reads the B1 gate off every part of the
 general operator's values, the bit-for-bit reference for
-`l4norm.normalform.linear_residual`.
+`l4norm.normalform.linear_residual`, and `linear_front_by_objects` runs
+the chain through b1 on objects, a degree-2 slice and B1's series, the
+bit-for-bit reference for the b1 front of `l4norm.verify.run_pipeline`.
 `t5_by_products` multiplies out the drag cubic T5, the reference for
 `l4norm.polyalg.t_coefficients_closed_form`.  `classical_cubic_symbolic`
 derives the classical T1..T4 exactly, the reference for the printed rows,
@@ -65,10 +67,10 @@ from operator import mul
 from l4norm import closedforms, equilibria, normalform, polyalg, verify
 from l4norm.dalembert import (_PRODUCT, DIVISOR_FLOOR, MOSER_PAIRS, DAlembertSeries,
                               _degree, _grade, apply_D, apply_poly_in_D, invert_delta,
-                              substitute, substitution_rows)
+                              moser_check, substitute, substitution_rows)
 from l4norm.equilibria import OriginShift
-from l4norm.errors import (ContractError, ConvergenceError, SingularJacobianError,
-                           StabilityDomainError)
+from l4norm.errors import (ContractError, ConvergenceError, ResonanceError,
+                           SingularJacobianError, StabilityDomainError)
 from l4norm.layout import KernelSource, plan
 from l4norm.model import ModelParams, _lagrangian, _potential, _radii
 from l4norm.polyalg import TruncatedPoly, _mul2
@@ -399,6 +401,38 @@ def linear_residual_by_operator(b1x, b1y, efg, w, n) -> float:
     _, first, second = normalform._operator_values(
         normalform.linear_operator(efg, n), b1x, b1y, w)
     return max(map(abs, first + second), default=0.0)
+
+
+def linear_front_by_objects(p: ModelParams, options) -> tuple:
+    """``(result, printed-weights gap)`` of the chain through b1 on objects:
+    the expansion's degree-2 slice, (E, F, G) and J read off it, B1 as its
+    pair of series formed from J, and the B1 gate and the gap at the
+    printed weights (`l4norm.closedforms.b1y_print`) read off the general
+    operator's parts.  The result holds what `run_pipeline` holds through
+    b1, B1's series included, and raises what it raises."""
+    res = verify.PipelineResult(p, options, verify.STAGES[:3])
+    res.eq_numeric = equilibria.solve_triangular_numeric(p, options.branch)
+    res.shift = equilibria.shift_from_point(res.eq_numeric, p)
+    res.lagrangian_poly = polyalg.taylor_lagrangian(p, res.shift, 2)
+    l2 = res.lagrangian_poly.grade(2)
+    res.efg = polyalg.extract_EFG(l2, p)
+    w = res.freq = normalform.frequencies(p, res.efg)
+    res.moser = moser_check(w, tol=options.moser_tol)
+    if not res.moser.passed:
+        raise ResonanceError(
+            f"Moser condition fails: |{res.moser.worst_pair}| combination = "
+            f"{res.moser.min_combination:.3e}", witness=res.moser.worst_pair)
+    res.nm = normalform.j_numeric(p, res.efg, w, l2)
+    (_, _, j13, j14), (j21, j22, j23, j24), _, _ = res.nm.J
+    sq1, sq2 = math.sqrt(2.0 * w.omega1), math.sqrt(2.0 * w.omega2)
+    iq1, iq2 = math.sqrt(2.0 / w.omega1), math.sqrt(2.0 / w.omega2)
+    x = [0j + complex(j13 * sq1, 0.0), 0j + complex(j14 * sq2, 0.0)]
+    y = [0j + complex(j23 * sq1, j21 * iq1), 0j + complex(j24 * sq2, j22 * iq2)]
+    layout = normalform._B1
+    res._b1 = DAlembertSeries._new(layout, x), DAlembertSeries._new(layout, y)
+    res.b1_residual = linear_residual_by_operator(*res.b1, res.efg, w, p.n)
+    return res, linear_residual_by_operator(
+        res.b1[0], closedforms.b1y_print(res.nm), res.efg, w, p.n)
 
 
 def mode_vector(omega: float, K: tuple, C: tuple) -> list:
@@ -927,7 +961,7 @@ def audit_gaps_eagerly(res) -> dict:
     j_closed = closedforms.j_closed_form(p, res.freq, branch)
     for name in normalform.J_ENTRIES:
         gaps[f"j.{name}"] = abs(j_closed[name] - getattr(res.nm, name))
-    gaps["b1.print_weights"] = normalform.linear_residual(
+    gaps["b1.print_weights"] = linear_residual_by_operator(
         res.b1[0], closedforms.b1y_print(res.nm), res.efg, res.freq, p.n)
     if res.b2 is None:
         return gaps

@@ -6,6 +6,7 @@ a rename inside the package fails here and not only in the benchmark.
 """
 
 import importlib
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -42,3 +43,25 @@ def test_traced_chain_point_counts_products(monkeypatch):
         (xi + eta) * xi
     assert tracer.counts["polyalg.poly_mul.pairs"] == 2
     assert traced == untraced
+
+
+def test_traced_sweep_opens_each_hooked_front_span_once_per_point(monkeypatch, capsys):
+    # the b1 front reaches each of these through its module, so the traced
+    # benchmark sees it: a change that bypasses one fails here rather than
+    # reading 0 in the benchmark
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    from l4norm import cli
+
+    tracer = spans.Tracer()
+    with tracer.measuring(0, SimpleNamespace()):
+        assert cli.main(["sweep", "--mu-min", "0.005", "--mu-max", "0.02",
+                         "--steps", "5", "--q1", "0.999", "--cd", "20",
+                         "--stages", "b1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 5 and all(row.endswith(",pass") for row in rows)
+    opened = Counter(tracer.names[n] for n in tracer.name)
+    for name in ("polyalg.taylor_lagrangian", "polyalg.cubic_audit",
+                 "normalform.frequencies", "dalembert.moser_check",
+                 "normalform.j_numeric"):
+        assert opened[name] == 5, name

@@ -12,9 +12,10 @@ the whole chain, and two only the equilibria stage, which must refuse
 the point or return a triangular root.  Over the census draws, with and
 without drag, on both branches, and at the four points, the solve must
 end as `oracles.newton_by_two_calls` ends, bit for bit; over the same
-kinds of draws the B1 gate, at the chain's B1 and at the printed
-weights' (`closedforms.b1y_print`), must equal
-`oracles.linear_residual_by_operator`, bit for bit.
+kinds of draws the b1 front, on plain values, must end as
+`oracles.linear_front_by_objects` ends on a degree-2 slice and B1's
+series, bit for bit: (E, F, G), the frequencies, Moser, J, K, C, B1, its
+gate, the gates and the gap at the printed weights.
 """
 
 import importlib
@@ -24,13 +25,12 @@ from pathlib import Path
 
 import pytest
 
-from l4norm.closedforms import b1y_print
+from l4norm.dalembert import DAlembertSeries
 from l4norm.equilibria import solve_triangular_numeric
 from l4norm.errors import ConvergenceError, DomainError, L4NormError
 from l4norm.model import ModelParams
-from l4norm.normalform import linear_residual
-from l4norm.verify import PipelineOptions, run_pipeline
-from oracles import linear_residual_by_operator, newton_by_two_calls
+from l4norm.verify import PipelineOptions, audit, run_pipeline
+from oracles import linear_front_by_objects, newton_by_two_calls
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 DRAWS = 400
@@ -153,23 +153,49 @@ def test_newton_matches_the_two_call_reference(monkeypatch):
     assert {len(new) for new, _ in endings} == {2, 3}
 
 
-def test_b1_gate_matches_the_operator_reference(monkeypatch):
+def _bits(value):
+    """`value` with each float spelled in hex, into tuples and series."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, complex):
+        return value.real.hex(), value.imag.hex()
+    if isinstance(value, DAlembertSeries):
+        return value.layout.keys, _bits(value.values)
+    if isinstance(value, (tuple, list)):
+        return tuple(map(_bits, value))
+    return value
+
+
+def _front(res, print_weights) -> tuple:
+    """What the b1 front formed, hex-spelled, the error's text aside."""
+    return _bits((tuple(res.efg), tuple(res.freq), tuple(res.moser), res.nm.J,
+                  res.nm.K, res.nm.C, res.b1, res.b1_residual, print_weights,
+                  tuple(res.gates().items())))
+
+
+def test_b1_front_matches_the_object_path(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     gen = importlib.import_module("gen")
-    compared = set()
+    compared, endings = set(), []
     for p, _ in census_points(gen, DRAWS, seed=2):
         free = ModelParams(mu=p.mu, q1=p.q1, A2=p.A2, cd=math.inf)
         for q, branch in ((q, branch) for q in (p, free) for branch in ("L4", "L5")):
+            options = PipelineOptions(branch=branch)
             try:
-                res = run_pipeline(q, PipelineOptions(branch=branch), stages=("b1",))
-            except L4NormError:
-                continue
-            b1x, b1y = res.b1
-            for y in (b1y, b1y_print(res.nm)):
-                args = (b1x, y, res.efg, res.freq, q.n)
-                assert linear_residual(*args).hex() == \
-                    linear_residual_by_operator(*args).hex(), (q, branch)
-            assert res.b1_residual == linear_residual(b1x, b1y, res.efg, res.freq, q.n)
-            compared.add((branch, q.W1 > 0.0))
+                res = run_pipeline(q, options, stages=("b1",))
+                new = _front(res, audit(res).gaps["b1.print_weights"])
+            except L4NormError as err:
+                new = type(err).__name__, str(err)
+            try:
+                old = _front(*linear_front_by_objects(q, options))
+            except L4NormError as err:
+                old = type(err).__name__, str(err)
+            assert new == old, (q, branch)
+            endings.append(len(new))
+            if len(new) > 2:
+                efg = run_pipeline(q, options, stages=("taylor",)).efg
+                assert _bits(tuple(efg)) == new[0]
+                compared.add((branch, q.W1 > 0.0))
+    assert len(endings) == 4 * DRAWS
     # both branches, with and without drag, reached the gate
     assert compared == {(b, drag) for b in ("L4", "L5") for drag in (False, True)}

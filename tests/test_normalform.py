@@ -37,9 +37,11 @@ from l4norm.layout import plan
 from l4norm.model import ModelParams
 from l4norm.normalform import (
     NormalModeData,
+    _b1_slots,
     _forcing_polys,
     _mode_columns,
     _operator_values,
+    b1_values,
     classical_frequencies,
     first_order_components,
     forcing_x2y2,
@@ -86,10 +88,24 @@ def linear_stage(p, branch="L4"):
     pt = solve_triangular_numeric(p, branch)
     sh = shift_from_point(pt, p)
     lag = taylor_lagrangian(p, sh, 3)
-    efg = extract_EFG(lag.grade(2), p)
+    efg = extract_EFG(lag, p)
     w = frequencies(p, efg)
-    nm = j_numeric(p, efg, w, lag.grade(2))
+    nm = j_numeric(p, efg, w, lag)
     return pt, sh, lag, efg, w, nm
+
+
+def b1_of(nm):
+    """B1's pair of series, as the chain forms it on read."""
+    return first_order_components(b1_values(nm))
+
+
+def gate_at(x, y, efg, w, n):
+    """The B1 gate at a pair of series, each read on B1's two keys through
+    their planned slots, as the audit reads the printed B1 for y."""
+    xs, ys = x.values + [0j], y.values + [0j]
+    values = (*(xs[i] for i in plan(_b1_slots, x.layout)),
+              *(ys[j] for j in plan(_b1_slots, y.layout)))
+    return linear_residual(values, stiffness_matrix(efg, n), w, n)
 
 
 class TestFrequencies:
@@ -114,7 +130,7 @@ class TestFrequencies:
         p = ModelParams(mu=0.5)
         pt = solve_triangular_numeric(p)
         sh = shift_from_point(pt, p)
-        efg = extract_EFG(taylor_lagrangian(p, sh, 2).grade(2), p)
+        efg = extract_EFG(taylor_lagrangian(p, sh, 2), p)
         with pytest.raises(StabilityDomainError) as err:
             frequencies(p, efg)
         assert err.value.eigenvalues is not None
@@ -122,8 +138,7 @@ class TestFrequencies:
     def test_unstable_error_carries_the_biquadratic_roots(self):
         p = ModelParams(mu=0.5)
         pt = solve_triangular_numeric(p)
-        efg = extract_EFG(taylor_lagrangian(p, shift_from_point(pt, p), 2)
-                          .grade(2), p)
+        efg = extract_EFG(taylor_lagrangian(p, shift_from_point(pt, p), 2), p)
         with pytest.raises(StabilityDomainError, match="Delta") as err:
             frequencies(p, efg)
         (k00, k01), (_, k11) = stiffness_matrix(efg, p.n)
@@ -217,10 +232,9 @@ class TestJNumeric:
         # D B1 must equal the velocity derived from the px, py rows of J
         p = ModelParams(mu=0.01, q1=0.999, cd=20.0)
         pt, sh, lag, efg, w, nm = linear_stage(p)
-        b1x, b1y = first_order_components(nm)
+        b1x, b1y = b1_of(nm)
         vx = apply_D(b1x, w)
-        l2 = lag.grade(2)
-        C = velocity_coupling(l2)
+        C = velocity_coupling(lag)
         # px-row series: J[2] over (Q1, Q2, P1, P2); v = p - C q at degree 1
         sq1, sq2 = math.sqrt(2 * w.omega1), math.sqrt(2 * w.omega2)
         iq1, iq2 = math.sqrt(2 / w.omega1), math.sqrt(2 / w.omega2)
@@ -232,11 +246,11 @@ class TestJNumeric:
         assert vx.norm_of_difference(vx_from_p) < 1e-12
 
 
-def numpy_j_reference(p, efg, w, l2):
+def numpy_j_reference(p, efg, w, lag):
     """J from numpy's 4x4 eigenvectors of the linear canonical flow, with
     the phase, scale and sign rules of `j_numeric`."""
     k = np.array(stiffness_matrix(efg, p.n))
-    c = np.array(velocity_coupling(l2))
+    c = np.array(velocity_coupling(lag))
     sigma = np.block([[np.zeros((2, 2)), np.eye(2)],
                       [-np.eye(2), np.zeros((2, 2))]])
     s = np.block([[c.T @ c - k, -c.T], [-c, np.eye(2)]])
@@ -262,7 +276,7 @@ class TestJAgainstNumpy:
         mu, q1, a2, cd, branch = point
         p = ModelParams(mu=mu, q1=q1, A2=a2, cd=cd)
         _, _, lag, efg, w, nm = linear_stage(p, branch)
-        ref = numpy_j_reference(p, efg, w, lag.grade(2))
+        ref = numpy_j_reference(p, efg, w, lag)
         assert np.max(np.abs(np.array(nm.J) - ref)) < 1e-12 * np.max(np.abs(ref))
         assert nm.symplectic_defect < 1e-13
 
@@ -271,7 +285,7 @@ class TestJAgainstNumpy:
         _, _, lag, efg, w, _ = linear_stage(p)
         off = FrequencyPair(w.omega1, w.omega2 * (1.0 + 1e-4))
         with pytest.raises(StabilityDomainError, match="no eigenvalue near"):
-            j_numeric(p, efg, off, lag.grade(2))
+            j_numeric(p, efg, off, lag)
 
     def test_frequency_off_the_spectrum_rejected_where_the_modes_are_close(self):
         # w1 0.7193, w2 0.6982: det N's slope at w2 is about -0.043, and a
@@ -281,7 +295,7 @@ class TestJAgainstNumpy:
         _, _, lag, efg, w, _ = linear_stage(p, "L5")
         off = FrequencyPair(w.omega1, w.omega2 * (1.0 + 1e-4))
         with pytest.raises(StabilityDomainError, match="no eigenvalue near"):
-            j_numeric(p, efg, off, lag.grade(2))
+            j_numeric(p, efg, off, lag)
 
 
 def _float_bits(values) -> list:
@@ -299,7 +313,7 @@ def _outcome(fn, *args):
 
 @st.composite
 def linear_points(draw):
-    """``(p, efg, w, l2)`` at the numeric root over the benchmark's domain:
+    """``(p, efg, w, lag)`` at the numeric root over the benchmark's domain:
     mu in [0.0009, 0.037], epsilon <= 0.01, A2 <= 0.005, cd in [1, 100],
     either branch, drag on or off.  A draw where Newton finds no root, or
     a root that is not center x center, has no linear stage and is
@@ -312,13 +326,13 @@ def linear_points(draw):
         pt = solve_triangular_numeric(p, draw(st.sampled_from(("L4", "L5"))))
     except ConvergenceError:
         assume(False)
-    l2 = taylor_lagrangian(p, shift_from_point(pt, p), 2).grade(2)
-    efg = extract_EFG(l2, p)
+    lag = taylor_lagrangian(p, shift_from_point(pt, p), 2)
+    efg = extract_EFG(lag, p)
     try:
         w = frequencies(p, efg)
     except StabilityDomainError:
         assume(False)
-    return p, efg, w, l2
+    return p, efg, w, lag
 
 
 class TestLinearFrontBitForBit:
@@ -333,27 +347,27 @@ class TestLinearFrontBitForBit:
         if point is None:  # a drag point of the acceptance chain
             p = ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0)
             _, _, lag, efg, w, _ = linear_stage(p, "L5")
-            point = p, efg, w, lag.grade(2)
-        p, efg, w, l2 = point
-        nm = j_numeric(p, efg, w, l2)
-        J, hessian = j_by_mode_vectors(p, efg, w, l2)
+            point = p, efg, w, lag
+        p, efg, w, lag = point
+        nm = j_numeric(p, efg, w, lag)
+        J, hessian = j_by_mode_vectors(p, efg, w, lag)
         assert _float_bits(sum(nm.J, ())) == _float_bits(sum(J, ()))
         # the blocks the Hessian is formed from, on read, bit for bit
-        assert (nm.K, nm.C) == (stiffness_matrix(efg, p.n), velocity_coupling(l2))
+        assert (nm.K, nm.C) == (stiffness_matrix(efg, p.n), velocity_coupling(lag))
         assert _float_bits(sum(hamiltonian_matrix(nm.K, nm.C), ())) == \
             _float_bits(sum(hessian, ()))
-        b1 = first_order_components(nm)
-        reference = first_order_components(NormalModeData(w, J, nm.K, nm.C))
+        b1 = b1_of(nm)
+        reference = b1_of(NormalModeData(w, J, nm.K, nm.C))
         assert [_bits(s) for s in b1] == [_bits(s) for s in reference]
         series = operator_by_composition(linear_operator(efg, p.n), *reference, w)
-        assert linear_residual(*b1, efg, w, p.n).hex() == \
+        assert linear_residual(b1_values(nm), nm.K, w, p.n).hex() == \
             max(map(sup, series)).hex() == \
             linear_residual_by_operator(*reference, efg, w, p.n).hex()
         # off the spectrum, and each mode at the other's sign
         for off in (FrequencyPair(w.omega1, w.omega2 * (1.0 + 1e-4)),
                     FrequencyPair(w.omega1 * (1.0 - 1e-4), w.omega2),
                     SimpleNamespace(omega1=w.omega2, omega2=w.omega1)):
-            new, old = (_outcome(f, p, efg, off, l2)
+            new, old = (_outcome(f, p, efg, off, lag)
                         for f in (j_numeric, j_by_mode_vectors))
             assert new[0] == old[0] == "StabilityDomainError" and new == old
 
@@ -405,7 +419,7 @@ def test_package_runs_without_numpy():
 class TestFirstOrder:
     def test_structure(self):
         _, _, _, _, w, nm = linear_stage(ModelParams(mu=0.01))
-        b1x, b1y = first_order_components(nm)
+        b1x, b1y = b1_of(nm)
         assert set(b1x.terms) == {(1, 0, 1, 0), (0, 1, 0, 1)}
         assert all(s == 0.0 for (_, s) in b1x.terms.values())  # pure cosine
         assert set(b1y.terms) == {(1, 0, 1, 0), (0, 1, 0, 1)}
@@ -413,8 +427,7 @@ class TestFirstOrder:
     def test_residual_zero_for_numeric_modes(self):
         p = ModelParams(mu=0.01, q1=0.9995, A2=1e-4, cd=100.0)
         _, _, _, efg, w, nm = linear_stage(p)
-        b1x, b1y = first_order_components(nm)
-        assert linear_residual(b1x, b1y, efg, w, p.n) < 1e-10
+        assert linear_residual(b1_values(nm), nm.K, w, p.n) < 1e-10
 
     def test_closed_form_residual_first_order(self):
         # printed entries: classical exact, first-order brackets are not
@@ -424,8 +437,8 @@ class TestFirstOrder:
             # B1 reads the first two rows of J, where the printed entries sit
             J = ((None, None, jc["J13"], jc["J14"]),
                  tuple(jc[name] for name in ("J21", "J22", "J23", "J24")), None, None)
-            b1 = first_order_components(SimpleNamespace(freq=w, J=J))
-            return linear_residual(b1[0], b1[1], efg, w, p.n)
+            return linear_residual(b1_values(SimpleNamespace(freq=w, J=J)),
+                                   stiffness_matrix(efg, p.n), w, p.n)
 
         assert resid(ModelParams(mu=0.01)) < 1e-12
         ra = resid(ModelParams(mu=0.01, A2=1e-3))
@@ -436,31 +449,31 @@ class TestFirstOrder:
         # a side that lacks a key reads 0 there, as in the operator's parts
         p = ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0)
         _, _, _, efg, w, nm = linear_stage(p, "L5")
-        b1x, b1y = first_order_components(nm)
+        b1x, b1y = b1_of(nm)
         z1, z2 = b1y.values
         one = (DAlembertSeries.single(1, 0, 1, 0, c=z1.real, s=z1.imag),
                DAlembertSeries.single(0, 1, 0, 1, c=z2.real, s=z2.imag))
         pairs = [(b1x, one[0]), (b1x, one[1]), (one[1], b1y), (one[0], one[1]),
                  (one[0], one[0]), (DAlembertSeries(), b1y)]
         for x, y in pairs:
-            assert linear_residual(x, y, efg, w, p.n).hex() == \
+            assert gate_at(x, y, efg, w, p.n).hex() == \
                 linear_residual_by_operator(x, y, efg, w, p.n).hex()
-        assert linear_residual(*pairs[0], efg, w, p.n) > 1e-3
+        assert gate_at(*pairs[0], efg, w, p.n) > 1e-3
 
     def test_gate_refuses_a_key_off_b1(self):
         p = ModelParams(mu=0.01)
         _, _, _, efg, w, nm = linear_stage(p)
-        b1x, b1y = first_order_components(nm)
+        b1x, b1y = b1_of(nm)
         off = b1y + DAlembertSeries.single(2, 0, 2, 0, c=1e-3)
         for x, y in ((b1x, off), (off, b1y)):
             with pytest.raises(ContractError, match="B1's two keys"):
-                linear_residual(x, y, efg, w, p.n)
+                gate_at(x, y, efg, w, p.n)
 
     def test_verbatim_print_weights_fail_residual(self):
         p = ModelParams(mu=0.01)
         _, _, _, efg, w, nm = linear_stage(p)
-        b1x, _ = first_order_components(nm)
-        assert linear_residual(b1x, b1y_print(nm), efg, w, p.n) > 1.0
+        b1x, _ = b1_of(nm)
+        assert gate_at(b1x, b1y_print(nm), efg, w, p.n) > 1.0
 
 
 class TestForcing:
@@ -468,7 +481,7 @@ class TestForcing:
         p = ModelParams(mu=0.01)
         self.p = p
         _, _, self.lag, self.efg, self.w, self.nm = linear_stage(p)
-        self.b1 = first_order_components(self.nm)
+        self.b1 = b1_of(self.nm)
 
     def test_single_x_cubed_term(self):
         c = 0.7
@@ -527,7 +540,7 @@ class TestSecondOrderOracle:
         p = ModelParams(mu=0.01)
         self.p = p
         _, _, self.lag, self.efg, self.w, self.nm = linear_stage(p)
-        self.b1 = first_order_components(self.nm)
+        self.b1 = b1_of(self.nm)
 
     def test_zero_forcing(self):
         zero = DAlembertSeries()
@@ -679,7 +692,7 @@ class TestClosedFormTables:
 class TestH3:
     def run_h3(self, p, ablation=False):
         _, _, lag, efg, w, nm = linear_stage(p)
-        b1 = first_order_components(nm)
+        b1 = b1_of(nm)
         (x2, y2), _, cubic = forcing_x2y2(lag.grade(3), b1[0], b1[1], w)
         sol = solve_second_order_oracle(efg, w, p.n, x2, y2)
         b2 = (DAlembertSeries(), DAlembertSeries()) if ablation \
@@ -715,7 +728,7 @@ class TestH3:
         l3 = (t_sym["T1"] * (xi * xi * xi) + (3.0 * t_sym["T2"]) * (xi * xi * eta)
               + (3.0 * t_sym["T3"]) * (xi * eta * eta)
               + t_sym["T4"] * (eta * eta * eta)) * (1.0 / 6.0)
-        b1 = first_order_components(nm)
+        b1 = b1_of(nm)
         (x2, y2), _, cubic = forcing_x2y2(l3, b1[0], b1[1], w)
         sol = solve_second_order_oracle(efg, w, p.n, x2, y2)
         h3 = h3_normal_coefficients(cubic, lag.grade(2), b1,
@@ -958,7 +971,7 @@ class TestOperatorKernel:
             op, (b1x, b1y) = linear_operator(res.efg, p.n), res.b1
             for y in (b1y, b1y_print(res.nm)):
                 series = operator_by_composition(op, b1x, y, res.freq)
-                gate = linear_residual(b1x, y, res.efg, res.freq, p.n)
+                gate = gate_at(b1x, y, res.efg, res.freq, p.n)
                 assert gate.hex() == max(map(sup, series)).hex()
 
     def test_b2_residuals_equal_the_eager_back_substitution(self):

@@ -593,7 +593,7 @@ class TestExtractEFG:
     def test_classical_values(self):
         p = ModelParams(mu=0.01)
         shift = shift_from_point(solve_triangular_numeric(p), p)
-        efg = extract_EFG(taylor_lagrangian(p, shift, 2).grade(2), p)
+        efg = extract_EFG(taylor_lagrangian(p, shift, 2), p)
         assert efg.E == pytest.approx(1 / 8, abs=1e-11)
         assert efg.F == pytest.approx(-5 / 8, abs=1e-11)
         assert efg.G == pytest.approx(-(3 * SQRT3 / 4) * p.gamma, abs=1e-11)
@@ -609,7 +609,7 @@ class TestExtractEFG:
         p = ModelParams(mu=0.01, A2=1e-3)
         pt = solve_triangular_numeric(p)
         shift = shift_from_point(pt, p)
-        efg = extract_EFG(taylor_lagrangian(p, shift, 2).grade(2), p)
+        efg = extract_EFG(taylor_lagrangian(p, shift, 2), p)
         h = 1e-6
         ax_x = (eom_rhs(State(pt.x + h, pt.y), p)[0]
                 - eom_rhs(State(pt.x - h, pt.y), p)[0]) / (2 * h)
@@ -626,15 +626,25 @@ class TestExtractEFG:
         def g_of(a2):
             p = ModelParams(mu=mu, A2=a2)
             shift = shift_from_point(solve_triangular_numeric(p), p)
-            return extract_EFG(taylor_lagrangian(p, shift, 2).grade(2), p).G
+            return extract_EFG(taylor_lagrangian(p, shift, 2), p).G
         g0, g1, g2 = g_of(0.0), g_of(1e-3), g_of(5e-4)
         assert abs(g1 - g0) > 1e-5            # O(A2) shift present
         assert (g1 - g0) / (g2 - g0) == pytest.approx(2.0, rel=0.02)
 
     def test_rejects_non_quadratic_input(self):
+        # below cap 2 a polynomial holds no quadratic term to read
         p = ModelParams(mu=0.1)
-        with pytest.raises(ContractError):
-            extract_EFG(TruncatedPoly(3, {(3, 0, 0, 0): 1.0}), p)
+        with pytest.raises(ContractError, match="cap 2 or more"):
+            extract_EFG(TruncatedPoly(1, {(1, 0, 0, 0): 1.0}), p)
+
+    def test_the_expansion_reads_as_its_quadratic_slice(self):
+        # the chain passes the expansion itself: a cubic term and a linear
+        # one beside the quadratic ones change no bit of (E, F, G)
+        p = ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0)
+        lag = taylor_lagrangian(p, shift_from_point(solve_triangular_numeric(p), p), 3)
+        assert lag.grade(3).values and lag.cap == 3
+        assert [v.hex() for v in extract_EFG(lag, p)] == \
+            [v.hex() for v in extract_EFG(lag.grade(2), p)]
 
 
 class TestClosedFormCubic:

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import operator
 import random
 import subprocess
 import sys
@@ -377,7 +378,7 @@ class TestChainStoppedAtB1:
         assert len(calls) == (0 if p.W1 else 2)
         w, J = res.freq, res.nm.J
         hessian = hamiltonian_matrix(stiffness_matrix(res.efg, p.n),
-                                     velocity_coupling(res.lagrangian_poly.grade(2)))
+                                     velocity_coupling(res.lagrangian_poly))
         target = ((w.omega1**2, 0.0, 0.0, 0.0), (0.0, -w.omega2**2, 0.0, 0.0),
                   (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, -1.0))
         assert res.nm.symplectic_defect == congruence_gap(J, SIGMA, SIGMA)
@@ -403,6 +404,32 @@ def test_the_hessian_is_formed_only_where_a_gate_reads_it(monkeypatch, capsys):
     res = run_pipeline(ModelParams(mu=0.01))
     assert res.gates()["h2-diagonal"] and res.gates() == res.gates()
     assert len(calls) == 1
+
+
+def test_b1_series_are_formed_on_first_read(monkeypatch, capsys):
+    # a drag sweep at b1 reads the expansion itself and B1's plain values:
+    # it forms no slice and no B1 series.  A chain to b2 forms B1's pair
+    # once, for the forcing, and a second read returns the same pair
+    from l4norm import cli
+    grades, pairs = [], []
+    grade, new = TruncatedPoly.grade, DAlembertSeries._new.__func__
+    monkeypatch.setattr(TruncatedPoly, "grade",
+                        lambda self, degree: grades.append(degree) or grade(self, degree))
+    monkeypatch.setattr(DAlembertSeries, "_new", classmethod(
+        lambda cls, layout, values: (layout is normalform._B1 and pairs.append(values))
+        or new(cls, layout, values)))
+    assert cli.main(["sweep", "--mu-min", "0.002", "--mu-max", "0.03", "--steps", "40",
+                     "--q1", "0.999", "--cd", "20", "--stages", "b1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 40 and all(row.endswith(",pass") for row in rows)
+    assert grades == [] and pairs == []
+    res = run_pipeline(ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0),
+                       stages=("b2",))
+    assert len(pairs) == 2
+    b1 = res.b1
+    assert res.b1 is b1 and all(map(operator.is_, res.b1, b1)) and len(pairs) == 2
+    assert [z for series in b1 for z in series.values] == list(res.b1_values)
+    assert run_pipeline(res.params, stages=("taylor",)).b1 is None
 
 
 class TestLazySecondOrderResiduals:
