@@ -313,7 +313,7 @@ def cmd_sweep(config: RunConfig) -> int:
         if "b2" in stages:
             values.append(max(res.b2_residuals))
         if "h3" in stages:
-            values.append(res.h3.max_abs())
+            values.append(res.h3_max())
         values += (res.intermediate_scale(),
                    "pass" if all(res.gates().values()) else "FAIL")
         lines.append(row % tuple(values))

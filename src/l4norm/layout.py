@@ -79,6 +79,19 @@ def compiled(source: str, name: str):
     return namespace[name]
 
 
+class kept:
+    """`functools.cached_property` without the lock of its first read."""
+
+    def __init__(self, form):
+        self.form, self.name, self.__doc__ = form, form.__name__, form.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.form(obj)
+        return value
+
+
 def intern(keys: tuple) -> Layout:
     return plan(Layout, keys)
 
@@ -161,17 +174,17 @@ class Store:
 
     def norm_of_difference(self, other) -> float:
         """Sup over the real and imaginary parts of the differences."""
-        return sup_of_difference(self.layout, [part for z in self.values
-                                               for part in (z.real, z.imag)], other)
+        parts = [part for z in self.values for part in (z.real, z.imag)]
+        return sup_of_difference(self.layout, parts, (other.layout, other.values))
 
 
-def sup_of_difference(layout: Layout, parts: list, other: Store) -> float:
+def sup_of_difference(layout: Layout, parts: list, other: tuple) -> float:
     """Sup over the real and imaginary parts of the values on `layout`,
-    given as their (real, imag) parts key after key, minus the store
-    `other`, key by key along their sum plan; a key one side lacks reads
-    zero there."""
-    _, shared, new = plan(sum_plan, layout, other.layout)
-    right = other.values
+    given as their (real, imag) parts key after key, minus the values of
+    the ``(layout, values)`` pair `other`, key by key along their sum plan;
+    a key one side lacks reads zero there."""
+    _, shared, new = plan(sum_plan, layout, other[0])
+    right = other[1]
     parts = parts.copy()
     for n, k in shared:
         z = right[k]

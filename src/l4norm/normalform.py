@@ -23,8 +23,9 @@ The oracle chain this module serves:
    cubic itself (the ablation, H3 with B2 = 0).
 
 Each of steps 3-5 is one compiled kernel, planned once per tuple of its
-input layouts and written by :class:`l4norm.layout.KernelSource`, and
-one call per point; no product term past the degree-3 cap is formed.
+input layouts and written by :class:`l4norm.layout.KernelSource`, and one
+call per point on ``(layout, values)`` pairs, zeros dropped as a series
+drops them; no series, slice or product term past the degree-3 cap is formed.
 `poly_at_series` substitutes a polynomial on its own, through
 :func:`l4norm.dalembert.substitute`.
 
@@ -37,7 +38,6 @@ read these names from here.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import warnings
 from collections import namedtuple
@@ -56,10 +56,9 @@ from .dalembert import (
     substitution_rows,
 )
 from .errors import ContractError, ParameterError, StabilityDomainError
-from .layout import KernelSource, Layout, intern, plan, sliced, sum_plan
+from .layout import KernelSource, Layout, intern, kept, plan, pruned, sliced, sum_plan
 from .model import ModelParams
-from .polyalg import (QuadraticCoefficients, TruncatedPoly, _homogeneous,
-                      _velocity_degree)
+from .polyalg import QuadraticCoefficients, TruncatedPoly, _velocity_degree
 
 
 SIGMA = ((0.0, 0.0, 1.0, 0.0),
@@ -151,12 +150,12 @@ class NormalModeData(namedtuple("NormalModeData", "freq J K C")):
     J23 = property(lambda self: self.J[1][2])
     J24 = property(lambda self: self.J[1][3])
 
-    @functools.cached_property
+    @kept
     def symplectic_defect(self) -> float:
         """Largest entry of |J^T Sigma J - Sigma|."""
         return congruence_gap(self.J, SIGMA, SIGMA)
 
-    @functools.cached_property
+    @kept
     def h2_residual(self) -> float:
         """Largest entry of |J^T S J - diag(w1^2, -w2^2, 1, -1)|, S the
         Hessian, formed here: no other chain value reads it."""
@@ -268,8 +267,13 @@ def b1_values(nm) -> tuple:
 
 def first_order_components(values: tuple) -> tuple:
     """Degree-1 series (B1 for x, B1 for y) on B1's four `b1_values`."""
+    return tuple(DAlembertSeries._new(*pair) for pair in _b1_pairs(values))
+
+
+def _b1_pairs(values: tuple) -> tuple:
+    """B1 for x and for y as ``(layout, values)`` pairs, zeros dropped."""
     x1, x2, y1, y2 = values
-    return DAlembertSeries._new(_B1, [x1, x2]), DAlembertSeries._new(_B1, [y1, y2])
+    return pruned(_B1, [x1, x2], 0j), pruned(_B1, [y1, y2], 0j)
 
 
 def linear_operator(efg: QuadraticCoefficients, n: float):
@@ -291,14 +295,14 @@ def _operator_plan(left: Layout, right: Layout):
                          for n, (_, _, p, q) in enumerate(layout.keys))
 
 
-def _operator_values(matrix, x, y, w: FrequencyPair):
+def _operator_values(matrix, x: tuple, y: tuple, w: FrequencyPair):
     """``(layout of x + y, row 1, row 2)``: each row the (cos, sin) parts,
     key after key, exact zeros kept, of a 2x2 matrix of (c0, c1, c2)
-    D-polynomials applied to the pair (x, y), in one pass of real arithmetic
-    that forms each part as 0j plus :func:`apply_poly_in_D`'s complex
-    products would; a side lacking a key reads 0 there."""
-    layout, rows = plan(_operator_plan, x.layout, y.layout)
-    xs, ys = x.values + [0j], y.values + [0j]
+    D-polynomials applied to the ``(layout, values)`` pairs x and y, in one
+    pass of real arithmetic that forms each part as 0j plus
+    :func:`apply_poly_in_D`'s complex products would; a side lacking a key reads 0."""
+    layout, rows = plan(_operator_plan, x[0], y[0])
+    xs, ys = x[1] + [0j], y[1] + [0j]
     w1, w2 = w.omega1, w.omega2
     ((a0, a1, a2), (b0, b1, b2)), ((c0, c1, c2), (d0, d1, d2)) = matrix
     first, second = [], []
@@ -391,8 +395,6 @@ def _forcing_kernel(l3: Layout, b1x: Layout, b1y: Layout):
     the five substitutions at cap 3, and x2 = x2p - D vx, y2 = y2p - D vy.
     ``kernel(l3 values, B1x values, B1y values, w1, w2)`` returns the values
     of x2, y2, x2p, y2p and the cubic, on the five layouts."""
-    if not _homogeneous(l3, 3):
-        raise ContractError("forcing expects a homogeneous cubic slice")
     k = KernelSource()
     x, y = k.unpack("b1x", b1x), k.unpack("b1y", b1y)
     args = (x, y, k.apply_D(x), k.apply_D(y))
@@ -403,18 +405,19 @@ def _forcing_kernel(l3: Layout, b1x: Layout, b1y: Layout):
     return tuple(a[0] for a in out), k.compile("coefficients, b1x, b1y, w1, w2", out)
 
 
-def forcing_x2y2(l3: TruncatedPoly, b1x: DAlembertSeries, b1y: DAlembertSeries,
-                 w: FrequencyPair):
+def forcing_x2y2(lagrangian: TruncatedPoly, b1: tuple, w: FrequencyPair):
     """Degree-2 forcing of the second-order equations: the Euler-Lagrange
-    expression [dL3/dx - D(dL3/dxdot)] at (x, y, xdot, ydot) =
-    (B1, B1, D B1, D B1).  Returns ``(x2, y2), (x2p, y2p), cubic``: the
-    second pair is its position-partial part [dL3/dx] at the same point,
-    and `cubic` the cubic's energy (:func:`_energy_rows`) at B1, all five
-    substituted at cap 3, each bit for bit as `poly_at_series` of that
-    polynomial; one call of the stage's kernel."""
-    layouts, kernel = plan(_forcing_kernel, l3.layout, b1x.layout, b1y.layout)
-    x2, y2, x2p, y2p, cubic = map(DAlembertSeries._new, layouts, kernel(
-        l3.values, b1x.values, b1y.values, w.omega1, w.omega2))
+    expression [dL3/dx - D(dL3/dxdot)] of the expansion's cubic terms at
+    (B1, B1, D B1, D B1), B1 its `b1_values`.  Returns ``(x2, y2), (x2p,
+    y2p), cubic``: its position-partial part [dL3/dx] at the same point, and
+    the cubic's energy (:func:`_energy_rows`) at B1, all five substituted at
+    cap 3, each bit for bit as `poly_at_series` of that polynomial; one call
+    of the stage's kernel."""
+    l3, coefficients = sliced(lagrangian.layout, lagrangian.values, sum, 3, 3)
+    (bx, xs), (by, ys) = _b1_pairs(b1)
+    layouts, kernel = plan(_forcing_kernel, l3, bx, by)
+    x2, y2, x2p, y2p, cubic = map(pruned, layouts, kernel(
+        coefficients, xs, ys, w.omega1, w.omega2), (0j,) * 5)
     return (x2, y2), (x2p, y2p), cubic
 
 
@@ -430,10 +433,9 @@ RS_NAMES = tuple(f"{table}{i}" for table in "rs" for i in range(1, 11))
 
 
 class SecondOrderSolution(namedtuple("SecondOrderSolution", "b2x b2y scale")):
-    """B2, and `scale`, the largest sup norm of X2, Y2, B2x and B2y.  The
-    residuals of the coupled system are the chain result's
-    (`PipelineResult.b2_residuals`), which holds the operator and the
-    forcing."""
+    """B2's series, and `scale`, the largest sup norm of X2, Y2, B2x and
+    B2y, as `PipelineResult.b2` forms them; the residuals of the coupled
+    system are `PipelineResult.b2_residuals`."""
 
     __slots__ = ()
 
@@ -482,9 +484,10 @@ def _solve_kernel(x2: Layout, y2: Layout):
 
 
 def solve_second_order_oracle(efg: QuadraticCoefficients, w: FrequencyPair,
-                              n: float, x2: DAlembertSeries, y2: DAlembertSeries,
-                              floor: float = DIVISOR_FLOOR) -> SecondOrderSolution:
-    """Solve the coupled second-order equations by harmonic division.
+                              n: float, x2: tuple, y2: tuple,
+                              floor: float = DIVISOR_FLOOR) -> tuple:
+    """Solve the coupled second-order equations by harmonic division:
+    ``(B2x, B2y, scale)``.
 
     Eliminating one unknown (the adjugate of the linear operator) turns
     the coupled pair into (D^2 + w1^2)(D^2 + w2^2) (B2x, B2y) = (Phi2, Psi2),
@@ -496,11 +499,10 @@ def solve_second_order_oracle(efg: QuadraticCoefficients, w: FrequencyPair,
     """
     (l11, l12), (l21, l22) = linear_operator(efg, n)
     neg = lambda entry: tuple(-v for v in entry)
-    layout, kernel = plan(_solve_kernel, x2.layout, y2.layout)
-    b2x, b2y, scale = kernel(x2.values, y2.values, w.omega1, w.omega2,
+    layout, kernel = plan(_solve_kernel, x2[0], y2[0])
+    b2x, b2y, scale = kernel(x2[1], y2[1], w.omega1, w.omega2,
                              ((l22, neg(l12)), (neg(l21), l11)), floor)
-    return SecondOrderSolution(DAlembertSeries._new(layout, b2x),
-                               DAlembertSeries._new(layout, b2y), scale)
+    return pruned(layout, b2x, 0j), pruned(layout, b2y, 0j), scale
 
 
 # -- degree-3 energy coefficients ------------------------------------------
@@ -515,15 +517,12 @@ class H3NormalCoefficients(namedtuple(
     grade cancels).  `series` is the full degree-3 slice, `h2_residual`
     the sup norm of the degree-2 slice less w1 I1 - w2 I2, and
     `ablation_max` the sup norm of the cubic the stage adds, which is H3
-    with B2 = 0; the stage's kernel measures every norm.  Every degree-3
-    key lies in exactly one grade, so `max_abs`, the sup norm of
-    `series`, is the largest grade norm.
+    with B2 = 0; the stage's kernel measures every norm.  `PipelineResult.h3`
+    forms it on :func:`h3_normal_coefficients`'s values, and
+    `PipelineResult.h3_max` reads the largest grade norm.
     """
 
     __slots__ = ()
-
-    def max_abs(self) -> float:
-        return max(self.A30, self.A21, self.A12, self.A03)
 
 
 def _h3_kernel(l2: Layout, b1x: Layout, b1y: Layout, b2x: Layout, b2y: Layout,
@@ -553,18 +552,19 @@ def _h3_kernel(l2: Layout, b1x: Layout, b1y: Layout, b2x: Layout, b2y: Layout,
          k.sup(added)])
 
 
-def h3_normal_coefficients(cubic: DAlembertSeries, l2: TruncatedPoly, b1, b2,
-                           w: FrequencyPair) -> H3NormalCoefficients:
+def h3_normal_coefficients(cubic: tuple, lagrangian: TruncatedPoly, b1: tuple,
+                           b2: tuple, w: FrequencyPair) -> tuple:
     """Substitute x = B1 + B2 (velocities via D) into the energy and slice.
 
-    The quadratic slice's energy (:func:`_energy_rows`) is substituted
-    with every product capped at degree 3 and added to `cubic`, the cubic
-    slice's energy at B1 (:func:`forcing_x2y2`; under the cap the cubic
-    sees only B1); one call of the stage's kernel.
+    The energy (:func:`_energy_rows`) of the expansion's quadratic terms
+    is substituted at B1's `b1_values` plus `b2`, every product capped at
+    degree 3, and added to `cubic`, the cubic's energy at B1 (under the cap
+    the cubic sees only B1); one call of the stage's kernel.  Returns the
+    degree-3 slice and the fields of :class:`H3NormalCoefficients` after it.
     """
-    layout, kernel = plan(_h3_kernel, l2.layout, b1[0].layout, b1[1].layout,
-                          b2[0].layout, b2[1].layout, cubic.layout)
-    values, *norms = kernel(l2.values, b1[0].values, b1[1].values,
-                            b2[0].values, b2[1].values, cubic.values,
-                            w.omega1, w.omega2)
-    return H3NormalCoefficients(DAlembertSeries._new(layout, values), *norms)
+    l2, coefficients = sliced(lagrangian.layout, lagrangian.values, sum, 2, 2)
+    (bx, xs), (by, ys) = _b1_pairs(b1)
+    (b2x, x2s), (b2y, y2s) = b2
+    layout, kernel = plan(_h3_kernel, l2, bx, by, b2x, b2y, cubic[0])
+    values, *norms = kernel(coefficients, xs, ys, x2s, y2s, cubic[1], w.omega1, w.omega2)
+    return pruned(layout, values, 0j), norms

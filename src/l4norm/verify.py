@@ -26,7 +26,7 @@ from .dalembert import (
 )
 from .errata import classify_remainder
 from .errors import ParameterError, ResonanceError
-from .layout import plan, sup_of_difference
+from .layout import kept, plan, sup_of_difference
 from .model import ModelParams, branch_sign
 from .normalform import J_ENTRIES, RS_NAMES, RS_SLOTS
 
@@ -67,8 +67,10 @@ TOLERANCES = {
 
 class PipelineResult:
     """What `run_pipeline` computed at `params` under `options`, through
-    `stages`; a value of a stage not run stays None.  B1 is kept as its
-    four `b1_values`; `b1` and `b2_residuals` are formed on first read."""
+    `stages`; a value of a stage not run stays None.  B1 is kept as its four
+    `b1_values`, the b2 and h3 stages as `normalform` returns them, on
+    ``(layout, values)`` pairs; the series and records on these (`b1`, `x2`,
+    `y2`, `cubic_at_b1`, `b2`, `h3`) and `b2_residuals` are formed on read."""
 
     eq_numeric: equilibria.EquilibriumPoint | None = None
     shift: equilibria.OriginShift | None = None
@@ -79,48 +81,64 @@ class PipelineResult:
     moser: object = None
     nm: normalform.NormalModeData | None = None
     b1_values: tuple | None = None
-    _b1: tuple | None = None
     b1_residual: float | None = None
-    x2: DAlembertSeries | None = None
-    y2: DAlembertSeries | None = None
-    # the cubic's energy at B1, substituted with the forcing: H3's cubic
-    # part (under the degree-3 cap the cubic sees only B1) and the ablation,
-    # H3 with B2 = 0
-    cubic_at_b1: DAlembertSeries | None = None
-    b2: normalform.SecondOrderSolution | None = None
-    h3: normalform.H3NormalCoefficients | None = None
+    forcing: tuple | None = None
+    b2_values: tuple | None = None
+    h3_values: tuple | None = None
 
     def __init__(self, params: ModelParams, options: PipelineOptions,
                  stages: tuple):
         self.params, self.options, self.stages = params, options, stages
 
-    @property
+    @kept
     def b1(self) -> tuple | None:
-        """B1's pair of series, formed on first read and kept in `_b1`, which
-        costs less than a cached_property's locked first read; None before b1."""
-        if self._b1 is None and self.b1_values is not None:
-            self._b1 = normalform.first_order_components(self.b1_values)
-        return self._b1
+        return self.b1_values and normalform.first_order_components(self.b1_values)
 
-    @functools.cached_property
+    @kept
+    def x2(self) -> DAlembertSeries | None:
+        return self.forcing and DAlembertSeries._new(*self.forcing[0][0])
+
+    @kept
+    def y2(self) -> DAlembertSeries | None:
+        return self.forcing and DAlembertSeries._new(*self.forcing[0][1])
+
+    @kept
+    def cubic_at_b1(self) -> DAlembertSeries | None:
+        return self.forcing and DAlembertSeries._new(*self.forcing[2])
+
+    @kept
+    def b2(self) -> normalform.SecondOrderSolution | None:
+        return self.b2_values and normalform.SecondOrderSolution(*(
+            DAlembertSeries._new(*pair) for pair in self.b2_values[:2]), self.b2_values[2])
+
+    @kept
+    def h3(self) -> normalform.H3NormalCoefficients | None:
+        return self.h3_values and normalform.H3NormalCoefficients(
+            DAlembertSeries._new(*self.h3_values[0]), *self.h3_values[1])
+
+    @kept
     def b2_residuals(self) -> tuple:
         """Sup norms of the linearized equations at (B2x, B2y) minus (X2,
-        Y2), formed on first read and kept: the operator's values less the
-        forcing along their sum plan, no series formed.  Needs b2."""
+        Y2): the operator's values less the forcing along their sum plan,
+        no series formed.  Needs b2."""
+        (x2, y2), _, _ = self.forcing
         layout, rx, ry = normalform._operator_values(
             normalform.linear_operator(self.efg, self.params.n),
-            self.b2.b2x, self.b2.b2y, self.freq)
-        return (sup_of_difference(layout, rx, self.x2),
-                sup_of_difference(layout, ry, self.y2))
+            *self.b2_values[:2], self.freq)
+        return sup_of_difference(layout, rx, x2), sup_of_difference(layout, ry, y2)
 
     def intermediate_scale(self) -> float:
         """The largest sup norm of X2, Y2 and B2, which the B2 solve
         measures; 1.0 before the b2 stage."""
-        return 1.0 if self.b2 is None else self.b2.scale
+        return 1.0 if self.b2_values is None else self.b2_values[2]
 
     def h3_bound(self) -> float:
         """The `h3-vanishing` gate's bound: h3_tol_factor times the scale."""
         return self.options.h3_tol_factor * self.intermediate_scale()
+
+    def h3_max(self) -> float:
+        """H3's largest grade norm (A30..A03), the `h3-vanishing` gate's value."""
+        return max(self.h3_values[1][1:5])
 
     def gates(self) -> dict:
         """Named pass/fail gates for the verify front end."""
@@ -136,14 +154,14 @@ class PipelineResult:
             out["h2-diagonal"] = bool(self.nm.h2_residual < opt.linear_tol)
         if self.b1_residual is not None:
             out["b1-residual"] = bool(self.b1_residual < opt.linear_tol)
-        if self.b2 is not None:
+        if self.b2_values is not None:
             out["b2-residual"] = bool(max(self.b2_residuals) < opt.residual_tol)
-        if self.h3 is not None:
+        if self.h3_values is not None:
             bound = self.h3_bound()
-            h3_max = self.h3.max_abs()
+            h3_max = self.h3_max()
             out["h3-vanishing"] = bool(h3_max < bound)
             out["h3-test-power"] = bool(
-                self.h3.ablation_max > 1e3 * max(h3_max, bound))
+                self.h3_values[1][5] > 1e3 * max(h3_max, bound))
         return out
 
 
@@ -153,16 +171,16 @@ def _rs_slots(layout) -> tuple:
     return tuple((layout.index.get(key, -1), part) for key, part in RS_SLOTS)
 
 
-def oracle_rs_from_series(b2x: DAlembertSeries, b2y: DAlembertSeries) -> dict:
-    """Read the ten r and the ten s slots off a solved B2 pair, by name,
-    through their slots planned per layout (a term B2 lacks reads 0.0); B2
-    has no other term, so this is the whole mapping between B2 and the
-    printed tables."""
+def oracle_rs_from_series(b2x: tuple, b2y: tuple) -> dict:
+    """Read the ten r and the ten s slots off a solved B2 pair, each side
+    a ``(layout, values)`` pair, by name, through their slots planned per
+    layout (a term B2 lacks reads 0.0); B2 has no other term, so this is
+    the whole mapping between B2 and the printed tables."""
     rs = []
-    for series, sign in ((b2x, 1.0), (b2y, -1.0)):
-        values = series.values + [0j]
+    for (layout, values), sign in ((b2x, 1.0), (b2y, -1.0)):
+        values = values + [0j]
         rs += [sign * (values[n].imag if part else values[n].real)
-               for n, part in plan(_rs_slots, series.layout)]
+               for n, part in plan(_rs_slots, layout)]
     return dict(zip(RS_NAMES, rs))
 
 
@@ -185,8 +203,13 @@ def stages_through(stages) -> tuple:
 
 def run_pipeline(p: ModelParams, options: PipelineOptions = PipelineOptions(),
                  stages=STAGES) -> PipelineResult:
-    """Run the oracle stages of `stages_through(stages)`."""
-    res = PipelineResult(params=p, options=options, stages=stages_through(stages))
+    """Run the oracle stages of `stages_through(stages)`, planned once per
+    tuple of stages."""
+    try:
+        through = plan(stages_through, stages)
+    except TypeError:  # a list, or an unhashable entry: checked unplanned
+        through = stages_through(stages)
+    res = PipelineResult(params=p, options=options, stages=through)
     last = len(res.stages) - 1
 
     res.eq_numeric = equilibria.solve_triangular_numeric(p, options.branch)
@@ -213,16 +236,15 @@ def run_pipeline(p: ModelParams, options: PipelineOptions = PipelineOptions(),
     if last == 2:
         return res
 
-    b1 = res.b1
-    (res.x2, res.y2), _, res.cubic_at_b1 = \
-        normalform.forcing_x2y2(lagrangian.grade(3), *b1, res.freq)
-    res.b2 = normalform.solve_second_order_oracle(
-        res.efg, res.freq, p.n, res.x2, res.y2, floor=options.divisor_floor)
+    res.forcing = normalform.forcing_x2y2(lagrangian, res.b1_values, res.freq)
+    (x2, y2), _, cubic = res.forcing
+    res.b2_values = b2x, b2y, _ = normalform.solve_second_order_oracle(
+        res.efg, res.freq, p.n, x2, y2, floor=options.divisor_floor)
     if last == 3:
         return res
 
-    res.h3 = normalform.h3_normal_coefficients(
-        res.cubic_at_b1, lagrangian.grade(2), b1, (res.b2.b2x, res.b2.b2y), res.freq)
+    res.h3_values = normalform.h3_normal_coefficients(
+        cubic, lagrangian, res.b1_values, (b2x, b2y), res.freq)
     return res
 
 
@@ -272,13 +294,13 @@ def report_audit(res: PipelineResult) -> Audit:
     out.j_closed = closedforms.j_closed_form(p, res.freq, branch)
     for name in J_ENTRIES:
         gaps[f"j.{name}"] = abs(out.j_closed[name] - getattr(res.nm, name))
-    if res.b2 is None:
+    if res.b2_values is None:
         return out
 
     out.rs = closedforms.rs_tables(out.j_closed, res.freq,
                                    closedforms.fg_tables(p, branch),
                                    res.options.divisor_floor, branch)
-    out.rs_oracle = oracle_rs_from_series(res.b2.b2x, res.b2.b2y)
+    out.rs_oracle = oracle_rs_from_series(*res.b2_values[:2])
     for name in RS_NAMES:
         gaps[f"b2.{name}"] = abs(out.rs[name] - out.rs_oracle[name])
     # B2 has no term outside the twenty slots: their gaps are its sup gap.
@@ -314,25 +336,22 @@ def audit(res: PipelineResult) -> Audit:
     ys, slots = printed.values + [0j], plan(normalform._b1_slots, printed.layout)
     gaps["b1.print_weights"] = normalform.linear_residual(
         (*res.b1_values[:2], *(ys[n] for n in slots)), res.nm.K, res.freq, p.n)
-    if res.b2 is not None:
+    if res.b2_values is not None:
         gaps["forcing.partial_only"] = partial_forcing_gap(res)
     return out
 
 
 def partial_forcing_gap(res: PipelineResult) -> float:
-    """Largest H3 coefficient left by the printed reading of the forcing
-    (position partials only); the result must hold the b2 stage.  That
-    forcing is the position-partial pair of `normalform.forcing_x2y2` on
-    the chain's own cubic slice and B1, so the same kernel on the same
-    inputs; the cubic at B1 is read off the chain."""
-    _, (x2p, y2p), _ = normalform.forcing_x2y2(
-        res.lagrangian_poly.grade(3), *res.b1, res.freq)
-    b2p = normalform.solve_second_order_oracle(
+    """Largest H3 coefficient, as `PipelineResult.h3_max` reads it, left by
+    the printed reading of the forcing: the position-partial pair that the
+    chain's own `normalform.forcing_x2y2` call returned, with its cubic at
+    B1.  The result must hold the b2 stage."""
+    _, (x2p, y2p), cubic = res.forcing
+    b2x, b2y, _ = normalform.solve_second_order_oracle(
         res.efg, res.freq, res.params.n, x2p, y2p,
         floor=res.options.divisor_floor)
-    return normalform.h3_normal_coefficients(
-        res.cubic_at_b1, res.lagrangian_poly.grade(2), res.b1,
-        (b2p.b2x, b2p.b2y), res.freq).max_abs()
+    return max(normalform.h3_normal_coefficients(
+        cubic, res.lagrangian_poly, res.b1_values, (b2x, b2y), res.freq)[1][1:5])
 
 
 def frequency_lines(freq: FrequencyPair, moser) -> list:
@@ -400,7 +419,7 @@ class Verdicts(tuple):
     on first read and kept with them, so they live and die with the
     detector's cache entry."""
 
-    @functools.cached_property
+    @kept
     def rows(self) -> tuple:
         """One quantity,perturbation,gap_h,gap_half,classification line
         per verdict."""
@@ -509,10 +528,10 @@ def render_report(res: PipelineResult, printed: Audit, gates: dict,
     `gates` is `res.gates()`; `verdicts` comes from
     `detect_discrepancies`.  Up to the H3 listing the report is one
     template, planned per shape (:func:`_report_template`)."""
-    p, opt, stages, b2 = res.params, res.options, res.stages, res.b2
+    p, opt, stages, b2 = res.params, res.options, res.stages, res.b2_values
     outside = printed.series_outside_domain
     template = plan(_report_template, stages, tuple(gates), bool(outside),
-                    None if b2 is None else (b2.b2x.layout, b2.b2y.layout))
+                    None if b2 is None else (b2[0][0], b2[1][0]))
     values = [*map(fmt, (p.mu, p.q1, p.epsilon, p.A2, p.cd, p.W1, p.n, opt.branch)),
               *(fmt(getattr(opt, attr)) for attr in TOLERANCES.values()),
               *map(fmt, gates.values()), *([outside] if outside else []),
@@ -528,22 +547,20 @@ def render_report(res: PipelineResult, printed: Audit, gates: dict,
         values += (*res.b2_residuals, gaps["b2.sup"])
         for name in RS_NAMES:
             values += (printed.rs[name], printed.rs_oracle[name], gaps["b2." + name])
-        for series in (b2.b2x, b2.b2y):
-            z = series.values
-            values += [part for n in plan(listing, series.layout)[0]
+        for layout, z in b2[:2]:
+            values += [part for n in plan(listing, layout)[0]
                        for part in (z[n].real, z[n].imag)]
     lines = []
     if "h3" in stages:
-        h3 = res.h3
-        values += (h3.A30, h3.A21, h3.A12, h3.A03, res.intermediate_scale(),
-                   h3.h2_residual, h3.ablation_max)
+        h2_residual, *grades, ablation_max = res.h3_values[1]
+        values += (*grades, res.intermediate_scale(), h2_residual, ablation_max)
         # the gate's own test: a term survives the chop exactly when one
-        # of its parts exceeds the bound, and max_abs is the sup of them all
+        # of its parts exceeds the bound, and h3_max is the sup of them all
         bound = res.h3_bound()
-        if h3.max_abs() > bound:
+        if res.h3_max() > bound:
             lines.append("h3_series_above_h3_factor_x_scale:")
             lines += ("  " + line
-                      for line in h3.series.chop(bound).pretty().splitlines())
+                      for line in res.h3.series.chop(bound).pretty().splitlines())
         else:
             lines.append("h3_series_above_h3_factor_x_scale: none")
     if verdicts:

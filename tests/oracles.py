@@ -36,7 +36,12 @@ of one polynomial as `l4norm.dalembert.substitute` does, and
 through a kernel that `l4norm.layout.KernelSource` writes.  `forcing_by_ops`,
 `second_order_by_ops` and `h3_by_ops` run the three second-order stages
 one series operation at a time, the bit-for-bit references for the
-stages' kernels.
+stages' kernels; `forcing_by_objects`, `solve_by_objects` and
+`h3_by_objects` call those kernels on series, as the stages ran before
+they took plain ``(layout, values)`` pairs (`pair_of` and `series_of`
+turn one into the other), and `second_order_by_objects` chains them, the
+bit-for-bit reference for the b2 and h3 stages of
+`l4norm.verify.run_pipeline`.
 `mode_vector` reads a mode's eigenvector off lists and
 `mode_columns_by_lists`, `j_by_mode_vectors` and `hessian_by_loops` build
 J and the Hessian from it, the bit-for-bit references for
@@ -71,7 +76,7 @@ from l4norm.dalembert import (_PRODUCT, DIVISOR_FLOOR, MOSER_PAIRS, DAlembertSer
 from l4norm.equilibria import OriginShift
 from l4norm.errors import (ContractError, ConvergenceError, ResonanceError,
                            SingularJacobianError, StabilityDomainError)
-from l4norm.layout import KernelSource, plan
+from l4norm.layout import KernelSource, plan, sup_of_difference
 from l4norm.model import ModelParams, _lagrangian, _potential, _radii
 from l4norm.polyalg import TruncatedPoly, _mul2
 
@@ -98,6 +103,18 @@ def effective_potential(s: State, p: ModelParams) -> float:
 def lagrangian(s: State, p: ModelParams) -> float:
     """The package's Lagrangian (`l4norm.model._lagrangian`) along a state."""
     return _lagrangian(s.x, s.y, s.xdot, s.ydot, p)
+
+
+def pair_of(series) -> tuple:
+    """The ``(layout, values)`` pair of a series, as the second-order stages
+    of `l4norm.normalform` take and return one."""
+    return series.layout, series.values
+
+
+def series_of(pair) -> DAlembertSeries:
+    """The series on a ``(layout, values)`` pair, as the chain result forms
+    it on read."""
+    return DAlembertSeries._new(*pair)
 
 
 def difference(a, b):
@@ -399,7 +416,7 @@ def linear_residual_by_operator(b1x, b1y, efg, w, n) -> float:
     the parts of `l4norm.normalform._operator_values`, exact zeros kept:
     the bit-for-bit reference for `l4norm.normalform.linear_residual`."""
     _, first, second = normalform._operator_values(
-        normalform.linear_operator(efg, n), b1x, b1y, w)
+        normalform.linear_operator(efg, n), pair_of(b1x), pair_of(b1y), w)
     return max(map(abs, first + second), default=0.0)
 
 
@@ -429,7 +446,7 @@ def linear_front_by_objects(p: ModelParams, options) -> tuple:
     x = [0j + complex(j13 * sq1, 0.0), 0j + complex(j14 * sq2, 0.0)]
     y = [0j + complex(j23 * sq1, j21 * iq1), 0j + complex(j24 * sq2, j22 * iq2)]
     layout = normalform._B1
-    res._b1 = DAlembertSeries._new(layout, x), DAlembertSeries._new(layout, y)
+    res.b1 = DAlembertSeries._new(layout, x), DAlembertSeries._new(layout, y)
     res.b1_residual = linear_residual_by_operator(*res.b1, res.efg, w, p.n)
     return res, linear_residual_by_operator(
         res.b1[0], closedforms.b1y_print(res.nm), res.efg, w, p.n)
@@ -646,6 +663,76 @@ def h3_by_ops(cubic, l2: TruncatedPoly, b1, b2, w):
     return normalform.H3NormalCoefficients(
         h3, sup(difference(degree_slice(total, 2), h2_form)),
         *(sup(grade(h3, j, 3 - j)) for j in (3, 2, 1, 0)), sup(cubic))
+
+
+# -- the second-order stages on objects ------------------------------------
+
+
+def forcing_by_objects(l3: TruncatedPoly, b1x, b1y, w):
+    """The forcing kernel's call on a cubic slice and B1's pair of series,
+    its five results as series: `l4norm.normalform.forcing_x2y2` as it ran
+    on objects."""
+    layouts, kernel = plan(normalform._forcing_kernel, l3.layout, b1x.layout,
+                           b1y.layout)
+    x2, y2, x2p, y2p, cubic = map(DAlembertSeries._new, layouts, kernel(
+        l3.values, b1x.values, b1y.values, w.omega1, w.omega2))
+    return (x2, y2), (x2p, y2p), cubic
+
+
+def solve_by_objects(efg, w, n, x2, y2, floor=DIVISOR_FLOOR):
+    """The solve kernel's call on X2 and Y2 as series, B2 as a
+    `SecondOrderSolution` of series: `l4norm.normalform.
+    solve_second_order_oracle` as it ran on objects."""
+    (l11, l12), (l21, l22) = normalform.linear_operator(efg, n)
+    neg = lambda entry: tuple(-v for v in entry)
+    layout, kernel = plan(normalform._solve_kernel, x2.layout, y2.layout)
+    b2x, b2y, scale = kernel(x2.values, y2.values, w.omega1, w.omega2,
+                             ((l22, neg(l12)), (neg(l21), l11)), floor)
+    return normalform.SecondOrderSolution(DAlembertSeries._new(layout, b2x),
+                                          DAlembertSeries._new(layout, b2y), scale)
+
+
+def h3_by_objects(cubic, l2: TruncatedPoly, b1, b2, w):
+    """The H3 kernel's call on the cubic at B1, a quadratic slice, B1's and
+    B2's pairs of series, as `H3NormalCoefficients`:
+    `l4norm.normalform.h3_normal_coefficients` as it ran on objects."""
+    layout, kernel = plan(normalform._h3_kernel, l2.layout, b1[0].layout,
+                          b1[1].layout, b2[0].layout, b2[1].layout, cubic.layout)
+    values, *norms = kernel(l2.values, b1[0].values, b1[1].values,
+                            b2[0].values, b2[1].values, cubic.values,
+                            w.omega1, w.omega2)
+    return normalform.H3NormalCoefficients(DAlembertSeries._new(layout, values),
+                                           *norms)
+
+
+def second_order_by_objects(p: ModelParams, options) -> tuple:
+    """``(x2, y2, cubic, b2, h3, b2_residuals)`` of the chain's b2 and h3
+    stages on objects: the front as `run_pipeline` runs it to h3, then the
+    expansion's `grade(3)` and B1's pair of series through
+    :func:`forcing_by_objects`, :func:`solve_by_objects` on X2 and Y2, and
+    :func:`h3_by_objects` on `grade(2)`, each a series or a record of
+    series, and the B2 residuals off the operator's values on the series.
+    The bit-for-bit reference for the chain's plain values and what the
+    result forms on read; raises what the chain raises."""
+    eq = equilibria.solve_triangular_numeric(p, options.branch)
+    lagrangian = polyalg.taylor_lagrangian(p, equilibria.shift_from_point(eq, p), 3)
+    efg = polyalg.extract_EFG(lagrangian, p)
+    w = normalform.frequencies(p, efg)
+    moser = moser_check(w, tol=options.moser_tol)
+    if not moser.passed:
+        raise ResonanceError(
+            f"Moser condition fails: |{moser.worst_pair}| combination = "
+            f"{moser.min_combination:.3e}", witness=moser.worst_pair)
+    nm = normalform.j_numeric(p, efg, w, lagrangian)
+    b1 = normalform.first_order_components(normalform.b1_values(nm))
+    (x2, y2), _, cubic = forcing_by_objects(lagrangian.grade(3), *b1, w)
+    b2 = solve_by_objects(efg, w, p.n, x2, y2, options.divisor_floor)
+    h3 = h3_by_objects(cubic, lagrangian.grade(2), b1, (b2.b2x, b2.b2y), w)
+    layout, rx, ry = normalform._operator_values(
+        normalform.linear_operator(efg, p.n), pair_of(b2.b2x), pair_of(b2.b2y), w)
+    residuals = (sup_of_difference(layout, rx, pair_of(x2)),
+                 sup_of_difference(layout, ry, pair_of(y2)))
+    return x2, y2, cubic, b2, h3, residuals
 
 
 # -- Taylor expansion by series composition ----------------------------
@@ -968,7 +1055,7 @@ def audit_gaps_eagerly(res) -> dict:
 
     rs = closedforms.rs_tables(j_closed, res.freq, closedforms.fg_tables(p, branch),
                                res.options.divisor_floor, branch)
-    rs_oracle = verify.oracle_rs_from_series(res.b2.b2x, res.b2.b2y)
+    rs_oracle = verify.oracle_rs_from_series(pair_of(res.b2.b2x), pair_of(res.b2.b2y))
     for name in normalform.RS_NAMES:
         gaps[f"b2.{name}"] = abs(rs[name] - rs_oracle[name])
     gaps["b2.sup"] = max(gaps[f"b2.{name}"] for name in normalform.RS_NAMES)

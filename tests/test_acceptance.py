@@ -144,7 +144,7 @@ def test_criterion_6_h3_vanishing():
     res = run_pipeline(ModelParams(mu=0.01))
     scale = res.intermediate_scale()
     bound = 1e-8 * scale
-    classical_max = res.h3.max_abs()
+    classical_max = res.h3_max()
     assert classical_max < bound
     # perturbations on: the bound must hold at h and h/2 (halving-verified)
     perturbed = []
@@ -152,8 +152,8 @@ def test_criterion_6_h3_vanishing():
         for h in (1e-3, 5e-4):
             r = run_pipeline(single_perturbation_params(0.01, kind, h))
             b = 1e-8 * r.intermediate_scale()
-            perturbed.append((kind, h, r.h3.max_abs(), b))
-            assert r.h3.max_abs() < b
+            perturbed.append((kind, h, r.h3_max(), b))
+            assert r.h3_max() < b
     # ablation: dropping B2 must blow the coefficients up by >= 1e3 x bound
     ablation = res.h3.ablation_max
     assert ablation > 1e3 * bound

@@ -15,7 +15,12 @@ end as `oracles.newton_by_two_calls` ends, bit for bit; over the same
 kinds of draws the b1 front, on plain values, must end as
 `oracles.linear_front_by_objects` ends on a degree-2 slice and B1's
 series, bit for bit: (E, F, G), the frequencies, Moser, J, K, C, B1, its
-gate, the gates and the gap at the printed weights.
+gate, the gates and the gap at the printed weights.  Over the same kinds
+of draws the b2 and h3 stages, on plain values, must end as
+`oracles.second_order_by_objects` ends on the expansion's slices and B1's
+series, bit for bit: X2, Y2, the cubic at B1, B2 with its scale, H3's
+slice and six norms, and the B2 residuals, each as the result forms it on
+read.
 """
 
 import importlib
@@ -30,7 +35,7 @@ from l4norm.equilibria import solve_triangular_numeric
 from l4norm.errors import ConvergenceError, DomainError, L4NormError
 from l4norm.model import ModelParams
 from l4norm.verify import PipelineOptions, audit, run_pipeline
-from oracles import linear_front_by_objects, newton_by_two_calls
+from oracles import linear_front_by_objects, newton_by_two_calls, second_order_by_objects
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 DRAWS = 400
@@ -198,4 +203,32 @@ def test_b1_front_matches_the_object_path(monkeypatch):
                 compared.add((branch, q.W1 > 0.0))
     assert len(endings) == 4 * DRAWS
     # both branches, with and without drag, reached the gate
+    assert compared == {(b, drag) for b in ("L4", "L5") for drag in (False, True)}
+
+
+def test_second_order_matches_the_object_path(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    gen = importlib.import_module("gen")
+    compared, endings = set(), []
+    for p, _ in census_points(gen, DRAWS, seed=3):
+        free = ModelParams(mu=p.mu, q1=p.q1, A2=p.A2, cd=math.inf)
+        for q, branch in ((q, branch) for q in (p, free) for branch in ("L4", "L5")):
+            options = PipelineOptions(branch=branch)
+            try:
+                res = run_pipeline(q, options)
+                new = _bits((res.x2, res.y2, res.cubic_at_b1, tuple(res.b2),
+                             tuple(res.h3), res.b2_residuals))
+            except L4NormError as err:
+                new = type(err).__name__, str(err)
+            try:
+                x2, y2, cubic, b2, h3, residuals = second_order_by_objects(q, options)
+                old = _bits((x2, y2, cubic, tuple(b2), tuple(h3), residuals))
+            except L4NormError as err:
+                old = type(err).__name__, str(err)
+            assert new == old, (q, branch)
+            endings.append(len(new))
+            if len(new) > 2:
+                compared.add((branch, q.W1 > 0.0))
+    assert len(endings) == 4 * DRAWS
+    # both branches, with and without drag, reached H3
     assert compared == {(b, drag) for b in ("L4", "L5") for drag in (False, True)}

@@ -36,7 +36,9 @@ from l4norm.errors import (
 from l4norm.layout import plan
 from l4norm.model import ModelParams
 from l4norm.normalform import (
+    H3NormalCoefficients,
     NormalModeData,
+    SecondOrderSolution,
     _b1_slots,
     _forcing_polys,
     _mode_columns,
@@ -65,9 +67,10 @@ from l4norm.polyalg import (
 
 from oracles import (difference, energy, hessian_by_loops, j_by_mode_vectors,
                      linear_residual_by_operator, mode_columns_by_lists,
-                     operator_by_composition, partial, polynomial_rows,
-                     printed_by_groups, row_as_written, scaled, substitute_by_kernel,
-                     substitute_by_rows, substitute_pairwise, sup, variable)
+                     operator_by_composition, pair_of, partial, polynomial_rows,
+                     printed_by_groups, row_as_written, scaled, series_of,
+                     substitute_by_kernel, substitute_by_rows, substitute_pairwise,
+                     sup, variable)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -97,6 +100,31 @@ def linear_stage(p, branch="L4"):
 def b1_of(nm):
     """B1's pair of series, as the chain forms it on read."""
     return first_order_components(b1_values(nm))
+
+
+def forcing_of(lag, nm, w):
+    """`forcing_x2y2` of an expansion at B1 of `nm`, its five pairs as series."""
+    (x2, y2), (x2p, y2p), cubic = forcing_x2y2(lag, b1_values(nm), w)
+    return ((series_of(x2), series_of(y2)), (series_of(x2p), series_of(y2p)),
+            series_of(cubic))
+
+
+def solve_of(efg, w, n, x2, y2):
+    """`solve_second_order_oracle` on a forcing of series, B2 as series."""
+    b2x, b2y, scale = solve_second_order_oracle(efg, w, n, pair_of(x2), pair_of(y2))
+    return SecondOrderSolution(series_of(b2x), series_of(b2y), scale)
+
+
+def h3_of(cubic, lag, nm, b2, w):
+    """`h3_normal_coefficients` on series, at B1 of `nm`, as the record."""
+    h3, norms = h3_normal_coefficients(pair_of(cubic), lag, b1_values(nm),
+                                       tuple(map(pair_of, b2)), w)
+    return H3NormalCoefficients(series_of(h3), *norms)
+
+
+def largest_grade(h3) -> float:
+    """The largest of H3's four grade norms, as `PipelineResult.h3_max` reads it."""
+    return max(h3.A30, h3.A21, h3.A12, h3.A03)
 
 
 def gate_at(x, y, efg, w, n):
@@ -486,7 +514,7 @@ class TestForcing:
     def test_single_x_cubed_term(self):
         c = 0.7
         l3 = TruncatedPoly(3, {(3, 0, 0, 0): c})
-        (x2, y2), _, _ = forcing_x2y2(l3, self.b1[0], self.b1[1], self.w)
+        (x2, y2), _, _ = forcing_of(l3, self.nm, self.w)
         expected = scaled(self.b1[0] * self.b1[0], 3 * c)
         assert x2.norm_of_difference(expected) < 1e-13
         assert y2.terms == {}
@@ -494,22 +522,22 @@ class TestForcing:
     def test_single_y_cubed_term(self):
         c = -1.1
         l3 = TruncatedPoly(3, {(0, 3, 0, 0): c})
-        (x2, y2), _, _ = forcing_x2y2(l3, self.b1[0], self.b1[1], self.w)
+        (x2, y2), _, _ = forcing_of(l3, self.nm, self.w)
         assert x2.terms == {}
         expected = scaled(self.b1[1] * self.b1[1], 3 * c)
         assert y2.norm_of_difference(expected) < 1e-13
 
     def test_full_support(self):
-        (x2, y2), _, _ = forcing_x2y2(self.lag.grade(3), self.b1[0],
-                                      self.b1[1], self.w)
+        (x2, y2), _, _ = forcing_of(self.lag, self.nm, self.w)
         support = {(p, q) for (_, _, p, q) in (*x2.terms, *y2.terms)}
         assert support == {(0, 0), (2, 0), (0, 2), (1, 1), (1, -1)}
         assert max(j + m for (j, m, _, _) in x2.terms) == 2
 
-    def test_rejects_non_cubic(self):
-        with pytest.raises(ContractError):
-            forcing_x2y2(TruncatedPoly(3, {(1, 0, 0, 0): 1.0}),
-                         self.b1[0], self.b1[1], self.w)
+    def test_forces_nothing_without_cubic_terms(self):
+        # the forcing reads only the cubic terms of the polynomial it is given
+        (x2, y2), (x2p, y2p), cubic = forcing_of(
+            TruncatedPoly(3, {(1, 0, 0, 0): 1.0, (0, 1, 1, 0): 2.0}), self.nm, self.w)
+        assert all(s.terms == {} for s in (x2, y2, x2p, y2p, cubic))
 
     def test_gauge_invariance_of_el_forcing(self):
         # adding an exact total derivative d/dt f3 to the cubic must not
@@ -521,9 +549,8 @@ class TestForcing:
         f3 = xi * xi * eta + -2.0 * (eta * eta * eta)
         gauge = partial(f3, 0) * xid + partial(f3, 1) * etad
         l3 = self.lag.grade(3)
-        (x2a, y2a), _, _ = forcing_x2y2(l3, self.b1[0], self.b1[1], self.w)
-        (x2b, y2b), _, _ = forcing_x2y2((l3 + gauge).grade(3), self.b1[0],
-                                        self.b1[1], self.w)
+        (x2a, y2a), _, _ = forcing_of(l3, self.nm, self.w)
+        (x2b, y2b), _, _ = forcing_of(l3 + gauge, self.nm, self.w)
         assert x2a.norm_of_difference(x2b) < 1e-12
         assert y2a.norm_of_difference(y2b) < 1e-12
 
@@ -544,21 +571,20 @@ class TestSecondOrderOracle:
 
     def test_zero_forcing(self):
         zero = DAlembertSeries()
-        sol = solve_second_order_oracle(self.efg, self.w, self.p.n, zero, zero)
+        sol = solve_of(self.efg, self.w, self.p.n, zero, zero)
         assert sol.b2x.terms == {} and sol.b2y.terms == {}
 
     def test_single_harmonic_round_trip(self):
         x2 = DAlembertSeries.single(2, 0, 2, 0, c=1.0)
         y2 = DAlembertSeries()
-        sol = solve_second_order_oracle(self.efg, self.w, self.p.n, x2, y2)
+        sol = solve_of(self.efg, self.w, self.p.n, x2, y2)
         rx, ry = back_substitution(sol, x2, y2, self.efg, self.w, self.p.n)
         assert rx < 1e-12
         assert ry < 1e-12
 
     def test_full_forcing_residuals(self):
-        (x2, y2), _, _ = forcing_x2y2(self.lag.grade(3), self.b1[0],
-                                      self.b1[1], self.w)
-        sol = solve_second_order_oracle(self.efg, self.w, self.p.n, x2, y2)
+        (x2, y2), _, _ = forcing_of(self.lag, self.nm, self.w)
+        sol = solve_of(self.efg, self.w, self.p.n, x2, y2)
         assert max(back_substitution(sol, x2, y2, self.efg, self.w, self.p.n)) < 1e-9
         support = set(sol.b2x.terms) | set(sol.b2y.terms)
         assert support == {(2, 0, 0, 0), (0, 2, 0, 0), (2, 0, 2, 0),
@@ -569,8 +595,7 @@ class TestSecondOrderOracle:
         for c in (1e-3, 1e-15):
             bad = DAlembertSeries.single(1, 0, 1, 0, c=c)
             with pytest.raises(CriticalTermError):
-                solve_second_order_oracle(self.efg, self.w, self.p.n, bad,
-                                          DAlembertSeries())
+                solve_of(self.efg, self.w, self.p.n, bad, DAlembertSeries())
 
 
 class TestClosedFormTables:
@@ -692,28 +717,27 @@ class TestClosedFormTables:
 class TestH3:
     def run_h3(self, p, ablation=False):
         _, _, lag, efg, w, nm = linear_stage(p)
-        b1 = b1_of(nm)
-        (x2, y2), _, cubic = forcing_x2y2(lag.grade(3), b1[0], b1[1], w)
-        sol = solve_second_order_oracle(efg, w, p.n, x2, y2)
+        (x2, y2), _, cubic = forcing_of(lag, nm, w)
+        sol = solve_of(efg, w, p.n, x2, y2)
         b2 = (DAlembertSeries(), DAlembertSeries()) if ablation \
             else (sol.b2x, sol.b2y)
-        h3 = h3_normal_coefficients(cubic, lag.grade(2), b1, b2, w)
+        h3 = h3_of(cubic, lag, nm, b2, w)
         scale = max(sup(x2), sup(y2), sup(sol.b2x), sup(sol.b2y))
         return h3, scale
 
     def test_classical_vanishing(self):
         h3, scale = self.run_h3(ModelParams(mu=0.01))
-        assert h3.max_abs() < 1e-8 * scale
+        assert largest_grade(h3) < 1e-8 * scale
         assert h3.h2_residual < 1e-9
 
     def test_perturbed_vanishing(self):
         p = ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=10.0)
         h3, scale = self.run_h3(p)
-        assert h3.max_abs() < 1e-8 * scale
+        assert largest_grade(h3) < 1e-8 * scale
 
     def test_ablation_has_power(self):
         h3, scale = self.run_h3(ModelParams(mu=0.01), ablation=True)
-        assert h3.max_abs() > 1e3 * 1e-8 * scale
+        assert largest_grade(h3) > 1e3 * 1e-8 * scale
 
     def test_symmetric_cubic_pipeline(self):
         # gamma = 0 cubic is not reachable through stable parameters; feed a
@@ -728,18 +752,16 @@ class TestH3:
         l3 = (t_sym["T1"] * (xi * xi * xi) + (3.0 * t_sym["T2"]) * (xi * xi * eta)
               + (3.0 * t_sym["T3"]) * (xi * eta * eta)
               + t_sym["T4"] * (eta * eta * eta)) * (1.0 / 6.0)
-        b1 = b1_of(nm)
-        (x2, y2), _, cubic = forcing_x2y2(l3, b1[0], b1[1], w)
-        sol = solve_second_order_oracle(efg, w, p.n, x2, y2)
-        h3 = h3_normal_coefficients(cubic, lag.grade(2), b1,
-                                    (sol.b2x, sol.b2y), w)
-        assert h3.max_abs() < 1e-10
+        (x2, y2), _, cubic = forcing_of(l3, nm, w)
+        sol = solve_of(efg, w, p.n, x2, y2)
+        h3 = h3_of(cubic, lag, nm, (sol.b2x, sol.b2y), w)
+        assert largest_grade(h3) < 1e-10
 
     def test_partial_forcing_leaves_first_order_drag_residue(self):
         from l4norm.verify import partial_forcing_gap, run_pipeline
         p = ModelParams(mu=0.01, q1=0.999, cd=10.0)
         h3a, _ = self.run_h3(p)
-        assert h3a.max_abs() < 1e-10
+        assert largest_grade(h3a) < 1e-10
         assert partial_forcing_gap(run_pipeline(p, stages=("b2",))) > p.W1
 
     def test_substitution_plans_once_per_shape(self):
@@ -876,7 +898,7 @@ class TestSubstitutionKernel:
                                  [a.layout for a in args])
         assert (list(map(_bits, substitute_by_kernel(rows, l3.values, args)))
                 == list(map(_bits, (dx, dy, dvx, dvy, e3))))
-        (x2, y2), (x2p, y2p), cubic = forcing_x2y2(l3, b1x, b1y, w)
+        (x2, y2), (x2p, y2p), cubic = forcing_of(chain.lagrangian_poly, chain.nm, w)
         assert _bits(x2p) == _bits(dx) and _bits(y2p) == _bits(dy)
         assert _bits(x2) == _bits(difference(dx, apply_D(dvx, w)))
         assert _bits(y2) == _bits(difference(dy, apply_D(dvy, w)))
@@ -925,7 +947,7 @@ class TestOperatorKernel:
 
     @staticmethod
     def assert_equal(matrix, x, y, w):
-        layout, *rows = _operator_values(matrix, x, y, w)
+        layout, *rows = _operator_values(matrix, pair_of(x), pair_of(y), w)
         reference = operator_by_composition(matrix, x, y, w)
         for parts, series in zip(rows, reference):
             assert set(series.layout.keys) <= set(layout.keys)

@@ -11,9 +11,12 @@ command runs fails here, and so does a held one that a command starts to
 call.  `errors.py` is exempt: its constructors run only when a check
 fails.
 
-A function is held because `perfbench/` wraps it or reads it by name, or
-because a held function is its one caller.  The second test checks each
-reason, so when the benchmark drops a hook it names what to delete next.
+A function is held because `perfbench/` wraps it or reads it by name,
+because `scripts/chain_snapshot.py` reads it by name (a series or record
+that a chain result forms only on read, which no command prints; the
+snapshot's digest is pinned in `tests/golden/chain.sha256`), or because
+a held function is its one caller.  The second test checks each reason,
+so when the benchmark drops a hook it names what to delete next.
 
     python tests/test_reach.py   # print the reached names
 """
@@ -29,11 +32,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "l4norm"
 PERFBENCH = ROOT / "perfbench"
+SCRIPTS = ROOT / "scripts"
 EXEMPT = {"errors"}
 
 # module.qualname -> what holds it: a perfbench file, which wraps the
-# function through `spans.Tracer` or names it in its text, or the held
-# function that calls it.
+# function through `spans.Tracer` or names it in its text, the chain
+# snapshot script, which names it, or the held function that calls it.
 HELD = {
     "dalembert.apply_D": "spans.py",  # wrapped on normalform
     "dalembert.apply_poly_in_D": "spans.py",  # wrapped on normalform
@@ -47,6 +51,12 @@ HELD = {
     "dalembert.substitute": "dalembert.DAlembertSeries.__mul__",
     "dalembert._substitution_kernel": "dalembert.substitute",
     "dalembert.small_divisor": "dalembert.invert_delta",
+    "verify.PipelineResult.b1": "chain_snapshot.py",
+    "verify.PipelineResult.x2": "chain_snapshot.py",
+    "verify.PipelineResult.y2": "chain_snapshot.py",
+    "verify.PipelineResult.cubic_at_b1": "chain_snapshot.py",
+    "verify.PipelineResult.b2": "chain_snapshot.py",
+    "normalform.first_order_components": "verify.PipelineResult.b1",
 }
 
 
@@ -134,7 +144,10 @@ def test_each_held_function_has_its_holder(monkeypatch):
     sources = {path.stem: path.read_text() for path in package_modules()}
     for name, holder in HELD.items():
         short = name.rpartition(".")[2]
-        if holder.endswith(".py"):
+        if holder == "chain_snapshot.py":
+            text = (SCRIPTS / holder).read_text()
+            assert names(text, short), (name, holder)
+        elif holder.endswith(".py"):
             text = (PERFBENCH / holder).read_text()
             assert name in wrapped or names(text, short), (name, holder)
         else:

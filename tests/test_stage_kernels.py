@@ -1,6 +1,7 @@
-"""The three second-order stages, each one compiled kernel, against their
-step-by-step references in oracles.py: bit for bit, keys in the same order,
-over the benchmark's domain, and raising the reference's errors."""
+"""The three second-order stages, each one compiled kernel on plain
+``(layout, values)`` pairs, against their step-by-step references in
+oracles.py on series: bit for bit, keys in the same order, over the
+benchmark's domain, and raising the reference's errors."""
 
 import ast
 import builtins
@@ -23,7 +24,8 @@ from l4norm.polyalg import QuadraticCoefficients, TruncatedPoly, taylor_lagrangi
 from l4norm.verify import PipelineOptions, audit, run_pipeline
 
 import oracles
-from oracles import forcing_by_ops, h3_by_ops, second_order_by_ops
+from oracles import (forcing_by_ops, h3_by_ops, pair_of, second_order_by_ops,
+                     series_of)
 
 # Mass ratios where, drag-free, H3's degree-2 (1, 1, 1, 1) coefficient
 # cancels to an exact 0.0 at some and not at others, and where, at drag
@@ -32,9 +34,10 @@ CANCELLING_MUS = (0.00445, 0.0044945, 0.004539, 0.0045835)
 
 
 def bits(series):
-    """Keys in stored order with the exact bits of each value."""
-    return [(key, z.real.hex(), z.imag.hex())
-            for key, z in zip(series.layout.keys, series.values)]
+    """Keys in stored order with the exact bits of each value, of a series
+    or a ``(layout, values)`` pair."""
+    layout, values = series if isinstance(series, tuple) else pair_of(series)
+    return [(key, z.real.hex(), z.imag.hex()) for key, z in zip(layout.keys, values)]
 
 
 def outcome(fn, *args):
@@ -47,31 +50,33 @@ def outcome(fn, *args):
 
 
 def check_second_order(res, x2, y2, cubic, floor=1e-8):
-    """The B2 solve and H3 at this forcing equal their references."""
+    """The B2 solve and H3 at this forcing, (layout, values) pairs, equal
+    their references on series."""
     w, n = res.freq, res.params.n
     solved = outcome(solve_second_order_oracle, res.efg, w, n, x2, y2, floor)
-    reference = outcome(second_order_by_ops, res.efg, w, n, x2, y2, floor)
+    reference = outcome(second_order_by_ops, res.efg, w, n, series_of(x2),
+                        series_of(y2), floor)
     if solved[0] != "ok":
         assert solved == reference
         return
-    sol, ref = solved[1], reference[1]
-    assert bits(sol.b2x) == bits(ref.b2x) and bits(sol.b2y) == bits(ref.b2y)
-    assert sol.scale.hex() == ref.scale.hex()
-    l2 = res.lagrangian_poly.grade(2)
-    b2 = (sol.b2x, sol.b2y)
-    h3 = h3_normal_coefficients(cubic, l2, res.b1, b2, w)
-    h3_ref = h3_by_ops(cubic, l2, res.b1, b2, w)
-    assert bits(h3.series) == bits(h3_ref.series)
+    (b2x, b2y, scale), ref = solved[1], reference[1]
+    assert bits(b2x) == bits(ref.b2x) and bits(b2y) == bits(ref.b2y)
+    assert scale.hex() == ref.scale.hex()
+    h3, norms = h3_normal_coefficients(cubic, res.lagrangian_poly, res.b1_values,
+                                       (b2x, b2y), w)
+    h3_ref = h3_by_ops(series_of(cubic), res.lagrangian_poly.grade(2), res.b1,
+                       (ref.b2x, ref.b2y), w)
+    assert bits(h3) == bits(h3_ref.series)
     # h2_residual, A30..A03 and ablation_max
-    assert [v.hex() for v in h3[1:]] == [v.hex() for v in h3_ref[1:]]
+    assert [v.hex() for v in norms] == [v.hex() for v in h3_ref[1:]]
 
 
 def check_stages(res):
     """Every stage from the forcing on, at the chain's forcing and at its
     position-partial forcing (the audit's `forcing.partial_only`)."""
-    l3 = taylor_lagrangian(res.params, res.shift, 3).grade(3)
-    forcing = forcing_x2y2(l3, *res.b1, res.freq)
-    reference = forcing_by_ops(l3, *res.b1, res.freq)
+    lagrangian = taylor_lagrangian(res.params, res.shift, 3)
+    forcing = forcing_x2y2(lagrangian, res.b1_values, res.freq)
+    reference = forcing_by_ops(lagrangian.grade(3), *res.b1, res.freq)
     (x2, y2), (x2p, y2p), cubic = forcing
     (rx2, ry2), (rx2p, ry2p), rcubic = reference
     assert (list(map(bits, (x2, y2, x2p, y2p, cubic)))
@@ -146,17 +151,18 @@ W = FrequencyPair(1.0, 0.5)
 
 def solve_both(x2, y2, floor=1e-8):
     """The kernel's and the reference's outcomes at these hand-built
-    forcings; equal, and returned."""
-    solved = outcome(solve_second_order_oracle, EFG, W, 1.0, x2, y2, floor)
+    forcings, series; equal, and the reference's returned."""
+    solved = outcome(solve_second_order_oracle, EFG, W, 1.0, pair_of(x2),
+                     pair_of(y2), floor)
     reference = outcome(second_order_by_ops, EFG, W, 1.0, x2, y2, floor)
     if solved[0] == "ok":
-        sol, ref = solved[1], reference[1]
+        (b2x, b2y, scale), ref = solved[1], reference[1]
         assert reference[0] == "ok"
-        assert bits(sol.b2x) == bits(ref.b2x) and bits(sol.b2y) == bits(ref.b2y)
-        assert sol.scale == ref.scale
+        assert bits(b2x) == bits(ref.b2x) and bits(b2y) == bits(ref.b2y)
+        assert scale == ref.scale
     else:
         assert solved == reference
-    return solved
+    return reference
 
 
 def series(*terms):
@@ -180,9 +186,11 @@ def test_a_divisor_below_the_floor_raises_the_reference_error():
     assert solved[0] is SmallDivisorError
     assert "'factor', 'Delta_(0,2)'" in solved[2]
     # with no floor, that divisor of exactly 0 divides, as the reference does
-    for solve in (solve_second_order_oracle, second_order_by_ops):
-        with pytest.raises(ZeroDivisionError):
-            solve(EFG, W, 1.0, series(((0, 2, 0, 2), (1.0, 0.0))), series(), 0.0)
+    x2, y2 = series(((0, 2, 0, 2), (1.0, 0.0))), series()
+    with pytest.raises(ZeroDivisionError):
+        solve_second_order_oracle(EFG, W, 1.0, pair_of(x2), pair_of(y2), 0.0)
+    with pytest.raises(ZeroDivisionError):
+        second_order_by_ops(EFG, W, 1.0, x2, y2, 0.0)
 
 
 def test_the_first_failing_term_in_stored_order_is_reported():
@@ -222,13 +230,24 @@ def test_a_slot_of_exactly_zero_on_a_zero_divisor_raises_nothing():
     assert solve_both(x2, y2)[0] is SmallDivisorError
 
 
-def test_a_non_homogeneous_cubic_raises_contract_error():
-    b1 = series(((1, 0, 1, 0), (1.0, 0.0)))
-    for l3 in (TruncatedPoly(3, {(2, 0, 0, 0): 1.0}),
-               TruncatedPoly(3, {(3, 0, 0, 0): 1.0, (1, 0, 0, 0): 2.0})):
-        for fn in (forcing_x2y2, forcing_by_ops):
-            with pytest.raises(ContractError, match="homogeneous cubic"):
-                fn(l3, b1, b1, W)
+def test_the_forcing_reads_only_the_cubic_terms():
+    # the forcing reads the expansion's cubic terms by slot: terms of
+    # another degree change no bit, and a polynomial without cubic terms
+    # forces nothing; the reference, on a slice, refuses one not homogeneous
+    b1 = (1.0 + 0j, 0.5 + 0j, 0.25 + 0.5j, -0.75 + 0.125j)
+    cubic = TruncatedPoly(3, {(3, 0, 0, 0): 1.0, (1, 2, 0, 0): -0.5,
+                              (0, 1, 1, 1): 2.0, (1, 0, 0, 2): 0.25})
+    lower = TruncatedPoly(3, {(2, 0, 0, 0): 1.0, (1, 0, 0, 0): 2.0, (0, 0, 1, 1): 0.5})
+
+    def forced(poly):
+        (x2, y2), (x2p, y2p), energy = forcing_x2y2(poly, b1, W)
+        return [bits(pair) for pair in (x2, y2, x2p, y2p, energy)]
+
+    assert forced(lower + cubic) == forced(cubic) != forced(lower) == [[]] * 5
+    b1x = series(((1, 0, 1, 0), (1.0, 0.0)))
+    for l3 in (lower, lower + cubic):
+        with pytest.raises(ContractError, match="homogeneous cubic"):
+            forcing_by_ops(l3, b1x, b1x, W)
 
 
 # -- what a chain runs ---------------------------------------------------------

@@ -49,8 +49,8 @@ from l4norm.verify import (
 )
 
 from oracles import (audit_gaps_eagerly, degree_slice, difference, energy, grade,
-                     negated, operator_by_composition, partial, position_part,
-                     product, scaled, sup, t5_by_products)
+                     negated, operator_by_composition, pair_of, partial,
+                     position_part, product, scaled, series_of, sup, t5_by_products)
 
 
 class TestPipeline:
@@ -110,7 +110,7 @@ class TestPipeline:
                 terms[key] = tuple(cs)
             return DAlembertSeries(terms)
 
-        rs = oracle_rs_from_series(build(r_in, 1.0), build(s_in, -1.0))
+        rs = oracle_rs_from_series(pair_of(build(r_in, 1.0)), pair_of(build(s_in, -1.0)))
         assert list(rs) == [f"r{i}" for i in range(1, 11)] + [f"s{i}" for i in range(1, 11)]
         assert tuple(rs.values()) == r_in + s_in
 
@@ -235,7 +235,7 @@ def _chain_by_name(res) -> dict:
             "omega1": res.freq.omega1, "omega2": res.freq.omega2,
             **{name: getattr(res.nm, name) for name in J_ENTRIES},
             **{name: cubic[name] for name in ("T1", "T2", "T3", "T4")},
-            **oracle_rs_from_series(res.b2.b2x, res.b2.b2y)}
+            **oracle_rs_from_series(*res.b2_values[:2])}
 
 
 class TestMirror:
@@ -408,8 +408,9 @@ def test_the_hessian_is_formed_only_where_a_gate_reads_it(monkeypatch, capsys):
 
 def test_b1_series_are_formed_on_first_read(monkeypatch, capsys):
     # a drag sweep at b1 reads the expansion itself and B1's plain values:
-    # it forms no slice and no B1 series.  A chain to b2 forms B1's pair
-    # once, for the forcing, and a second read returns the same pair
+    # it forms no slice and no B1 series.  Nor does a chain to b2, whose
+    # forcing reads B1's values; the first read forms B1's pair, and a
+    # second read returns the same pair
     from l4norm import cli
     grades, pairs = [], []
     grade, new = TruncatedPoly.grade, DAlembertSeries._new.__func__
@@ -425,11 +426,71 @@ def test_b1_series_are_formed_on_first_read(monkeypatch, capsys):
     assert grades == [] and pairs == []
     res = run_pipeline(ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0),
                        stages=("b2",))
-    assert len(pairs) == 2
+    assert grades == [] and pairs == []
     b1 = res.b1
+    assert len(pairs) == 2
     assert res.b1 is b1 and all(map(operator.is_, res.b1, b1)) and len(pairs) == 2
     assert [z for series in b1 for z in series.values] == list(res.b1_values)
     assert run_pipeline(res.params, stages=("taylor",)).b1 is None
+
+
+def test_the_stages_are_planned_once_per_tuple(monkeypatch):
+    # a chain checks its stage tuple on the first call only; a list or a
+    # generator still runs, and a bad tuple, one with an unhashable entry
+    # among them, still raises the checker's ParameterError
+    calls = []
+    check = verify.check_stages
+    monkeypatch.setattr(verify, "check_stages",
+                        lambda stages: calls.append(stages) or check(stages))
+    p = ModelParams(mu=0.01)
+    plan.cache_clear()
+    for _ in range(3):
+        assert run_pipeline(p, stages=("b1", "taylor")).stages == STAGES[:3]
+    assert len(calls) == 1
+    for stages in (["b2"], (s for s in ("b2",))):
+        assert run_pipeline(p, stages=stages).stages == STAGES[:4]
+    for stages, message in ((("b1", "warp"), "unknown stage 'warp'"),
+                            (("b1", ["b2"]), r"unknown stage \['b2'\]"),
+                            ((), "empty stage list")):
+        for _ in range(2):
+            with pytest.raises(ParameterError, match=message):
+                run_pipeline(p, stages=stages)
+
+
+LAZY = ("b1", "x2", "y2", "cubic_at_b1", "b2", "h3", "b2_residuals")
+
+
+@pytest.mark.parametrize("branch", ["L4", "L5"])
+@pytest.mark.parametrize("params", [
+    ModelParams(mu=0.01),
+    ModelParams(mu=0.02, q1=0.995, A2=1e-3, cd=5.0),
+], ids=["free", "drag"])
+def test_a_chain_and_its_gates_form_no_series(params, branch, monkeypatch):
+    # run to h3 and gated, the chain reads the expansion and B1's values
+    # and keeps the b2 and h3 stages as plain values: it forms no series,
+    # no slice and no B1 pair; each lazy attribute forms its value on the
+    # first read, and a second read returns the same object
+    formed = []
+    new, init = DAlembertSeries._new.__func__, DAlembertSeries.__init__
+    monkeypatch.setattr(DAlembertSeries, "_new", classmethod(
+        lambda cls, *args: formed.append("_new") or new(cls, *args)))
+    monkeypatch.setattr(DAlembertSeries, "__init__",
+                        lambda self, *args: formed.append("init") or init(self, *args))
+    for owner, name in ((TruncatedPoly, "grade"), (Store, "_slice"),
+                        (normalform, "first_order_components")):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, fn=fn, name=name:
+                            formed.append(name) or fn(*args))
+    res = run_pipeline(params, PipelineOptions(branch=branch), stages=("h3",))
+    gates = res.gates()
+    assert formed == [] and all(gates.values())
+    assert all(name not in vars(res) for name in LAZY[:-1])
+    first = [getattr(res, name) for name in LAZY]
+    assert "_new" in formed and "first_order_components" in formed
+    count = len(formed)
+    assert all(map(operator.is_, first, (getattr(res, name) for name in LAZY)))
+    assert len(formed) == count and res.gates() == gates
+    assert max(res.h3[2:6]) == res.h3_max() and res.b2.scale == res.intermediate_scale()
 
 
 class TestLazySecondOrderResiduals:
@@ -636,6 +697,14 @@ def cubic_at_b1_anew(res):
                           *res.b1, zero, zero, 3)
 
 
+def h3_at(res, cubic, b2):
+    """The H3 stage at the chain's expansion and B1, on the cubic at B1 and
+    B2 given as series, as the record."""
+    h3, norms = h3_normal_coefficients(pair_of(cubic), res.lagrangian_poly,
+                                       res.b1_values, tuple(map(pair_of, b2)), res.freq)
+    return H3NormalCoefficients(series_of(h3), *norms)
+
+
 def partial_forcing_gap_anew(res):
     """Reference: the partial-forcing gap with every substitution made
     afresh, at (B1, B1, D B1, D B1) and cap 2, and its own cubic at B1."""
@@ -643,12 +712,10 @@ def partial_forcing_gap_anew(res):
     b1x, b1y = res.b1
     args = (b1x, b1y, apply_D(b1x, res.freq), apply_D(b1y, res.freq))
     x2p, y2p = (poly_at_series(partial(l3, i), *args, 2) for i in (0, 1))
-    b2p = solve_second_order_oracle(res.efg, res.freq, res.params.n, x2p, y2p,
-                                    floor=res.options.divisor_floor)
-    h3p = h3_normal_coefficients(cubic_at_b1_anew(res),
-                                 res.lagrangian_poly.grade(2), res.b1,
-                                 (b2p.b2x, b2p.b2y), res.freq)
-    return h3p.max_abs()
+    b2x, b2y, _ = solve_second_order_oracle(res.efg, res.freq, res.params.n,
+                                            pair_of(x2p), pair_of(y2p),
+                                            floor=res.options.divisor_floor)
+    return max(h3_at(res, cubic_at_b1_anew(res), map(series_of, (b2x, b2y)))[2:6])
 
 
 class TestH3Substitution:
@@ -668,12 +735,10 @@ class TestH3Substitution:
 
     def test_ablation_is_the_b2_zero_run(self, res):
         zero = DAlembertSeries()
-        b2_zero = h3_normal_coefficients(cubic_at_b1_anew(res),
-                                         res.lagrangian_poly.grade(2), res.b1,
-                                         (zero, zero), res.freq)
+        b2_zero = h3_at(res, cubic_at_b1_anew(res), (zero, zero))
         assert list(res.cubic_at_b1.terms.items()) \
             == list(b2_zero.series.terms.items())
-        assert sup(res.cubic_at_b1) == b2_zero.max_abs() == res.h3.ablation_max
+        assert sup(res.cubic_at_b1) == max(b2_zero[2:6]) == res.h3.ablation_max
         assert res.h3.h2_residual == b2_zero.h2_residual
         assert grade_norms(res.cubic_at_b1) == grade_norms(b2_zero.series) \
             == (b2_zero.A30, b2_zero.A21, b2_zero.A12, b2_zero.A03)
@@ -688,7 +753,7 @@ class TestH3Substitution:
         # every norm the kernel measures, against the reference's own
         # slices, bit for bit: h2_residual, A30..A03 and ablation_max
         assert _hex(res.h3[1:]) == _hex(reference[1:])
-        assert res.h3.max_abs().hex() == sup(reference.series).hex()
+        assert res.h3_max().hex() == sup(reference.series).hex()
 
     def test_h3_matches_the_hand_built_energy(self, res):
         oracle = h3_by_hand(
@@ -705,20 +770,22 @@ class TestH3Substitution:
         assert cubic_energy.layout is negated_cubic.layout
         assert cubic_energy.values == negated_cubic.values
 
-    def test_max_abs_is_the_largest_grade_norm(self, res):
+    def test_h3_max_is_the_largest_grade_norm(self, res):
         # every degree-3 key lies in exactly one grade
         for series in (res.h3.series, res.cubic_at_b1):
             assert sup(series) == max(grade_norms(series))
-        assert res.h3.max_abs() == sup(res.h3.series)
+        assert res.h3_max() == sup(res.h3.series)
 
-    def test_partial_forcing_gap_reads_the_chain(self, res):
-        # The gap takes the position-partials forcing from the forcing
-        # kernel on the chain's cubic slice and B1, and the chain's cubic
-        # at B1, at the h3 stage and at b2 alike.
+    def test_partial_forcing_gap_reads_the_chain(self, res, monkeypatch):
+        # The gap takes the position-partials forcing that the chain's own
+        # forcing call returned, and the chain's cubic at B1, at the h3
+        # stage and at b2 alike: it runs no forcing of its own.
         at_b2 = run_pipeline(res.params, res.options, stages=("b2",))
         assert at_b2.h3 is None
+        monkeypatch.setattr(normalform, "forcing_x2y2", None)
         for chain in (res, at_b2):
             assert partial_forcing_gap(chain) == partial_forcing_gap_anew(chain)
+        monkeypatch.undo()
         # That forcing is the chain's X2, Y2 without the velocity partials.
         l3, w = res.lagrangian_poly.grade(3), res.freq
         b1x, b1y = res.b1
@@ -727,8 +794,10 @@ class TestH3Substitution:
         def sub(poly):
             return poly_at_series(poly, *args, 2)
 
-        (x2, y2), (x2p, y2p), _ = forcing_x2y2(l3, b1x, b1y, w)
+        pairs = forcing_x2y2(res.lagrangian_poly, res.b1_values, w)
+        (x2, y2), (x2p, y2p) = (map(series_of, pair) for pair in pairs[:2])
         assert (x2.terms, y2.terms) == (res.x2.terms, res.y2.terms)
+        assert pairs[1] == res.forcing[1]
         assert x2p.terms == sub(partial(l3, 0)).terms
         assert y2p.terms == sub(partial(l3, 1)).terms
         assert res.x2.terms == difference(x2p, apply_D(sub(partial(l3, 2)), w)).terms
