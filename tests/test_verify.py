@@ -770,6 +770,16 @@ class TestH3Substitution:
         assert cubic_energy.layout is negated_cubic.layout
         assert cubic_energy.values == negated_cubic.values
 
+    def test_h3_max_reads_every_grade_norm(self, res):
+        # whichever grade is largest, h3_max returns it, and nothing else of
+        # the six norms: h2_residual and ablation_max stay out of it
+        layout_values, norms = res.h3_values
+        for k in range(4):
+            grades = [1.0] * 4
+            grades[k] = 2.0
+            res.h3_values = layout_values, [5.0, *grades, 7.0]
+            assert res.h3_max() == 2.0
+
     def test_h3_max_is_the_largest_grade_norm(self, res):
         # every degree-3 key lies in exactly one grade
         for series in (res.h3.series, res.cubic_at_b1):
