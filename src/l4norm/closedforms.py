@@ -6,11 +6,11 @@ terms an independent oracle later contradicts.  The reconciliation lives in
 :mod:`l4norm.errata`.
 
 Every printed form of one shape is a row of :data:`ROWS`, and
-:func:`printed` evaluates them all, in one kernel per tuple of row names
+:func:`evaluate` evaluates them all, in one kernel per tuple of row names
 that :class:`l4norm.layout.KernelSource` writes: the equilibrium point
 (x, y) and the origin shift (a, b), the cubic coefficients T1..T4, the
 normal-mode entries J13..J24 and the 24 F/G entries of the second-order
-tables.
+tables.  :func:`printed` reads them by name.
 
 * A *brace* is linear in (1, eps, A2, A2 eps, n W1, n W1 eps).  Its first
   four coefficients are rationals; each n W1 coefficient is a triple
@@ -26,20 +26,23 @@ tables.
 
 The rows transcribe the print, quirks included (J13's 29/36 where its
 siblings print 293/36, J24's k1/l1, T2's constant 14): the audit measures
-them, it does not mend them.  They are written for L4; the readers here
-take a branch and on L5 read them as the mirror of L4 (:data:`MIRROR_ODD`).
-Forms of another shape stay code: the printed y row of B1 (`b1y_print`)
-and the r/s tables of B2 (`rs_tables`), nonlinear in J and the frequencies.
+them, it does not mend them.  They are written for L4, and L5 reads them
+as its mirror: at -W1, the :data:`MIRROR_ODD` values negated through a
+mask planned per tuple of names (:func:`on_branch`).  Forms of another
+shape stay code: the printed y row of B1 (`b1y_print`) and the r/s tables
+of B2 (`rs_values`, on L4-form values), nonlinear in J and the frequencies.
 
 Entry naming: primed table entries use a ``p`` suffix (F2p = F2'), double
 primes ``pp`` (F2pp = F2'').  The J entries and the r/s slots are named by
 the chain module that computes them, :data:`l4norm.normalform.J_ENTRIES`
 and :data:`l4norm.normalform.RS_NAMES`, and read from there.
 
-No chain stage imports this module: the five readers of a printed row
-(`equilibria.epsilon_form` and `offset_ab`,
-`polyalg.t_coefficients_closed_form`, `verify.report_audit` and `audit`)
-import it on first use, so it loads with the first audit.
+No chain stage imports this module; its readers import it on first use,
+so it loads with the first audit.  `verify.report_audit` reads the point,
+the J entries and r1..s10 in one row-kernel call (:func:`report_values`);
+`audit` reads (a, b) and T1..T4 by name, through `equilibria.offset_ab`
+and `polyalg.t_coefficients_closed_form`.  `equilibria.epsilon_form`,
+`j_closed_form`, `fg_tables` and `rs_tables` read by name for the library.
 """
 
 from __future__ import annotations
@@ -280,16 +283,32 @@ _BASIS_LOCALS = ("1.0", "g", "A2", "A2g", "eps", "epsg", "ea", "eag",
                  "u", "ug", "ugg", "ue", "ueg", "uegg")
 
 
+def evaluate(names: tuple, p: ModelParams, w: FrequencyPair | None = None,
+             branch: str = "L4") -> tuple:
+    """The rows `names` at p in order, in their L4 form (on L5 at -W1); the
+    J rows read the mode scalars of `w`.  One kernel per tuple of names."""
+    sign = branch_sign(branch)
+    scalars = () if w is None else (w.omega1, w.omega2, *mode_scalars(w))
+    return plan(_row_kernel, names)(p, sign * p.W1, scalars)
+
+
+def on_branch(names: tuple, values: tuple, branch: str) -> tuple:
+    """L4-form `values` of the rows or r/s slots `names` on `branch`, or
+    back: on L5 the MIRROR_ODD slots negated, by a mask planned per names."""
+    if branch_sign(branch) > 0.0:
+        return values
+    return tuple(-v if odd else v for v, odd in zip(values, plan(_odd_slots, names)))
+
+
+def _odd_slots(names: tuple) -> tuple:
+    return tuple(name in MIRROR_ODD for name in names)
+
+
 def printed(names, p: ModelParams, w: FrequencyPair | None = None,
             branch: str = "L4") -> dict:
-    """The rows `names` at p by name, on `branch`: on L5 those at -W1
-    read by :func:`reflect`.  The J rows read the mode scalars of `w`.
-    One kernel per tuple of names (:func:`_row_kernel`)."""
-    sign = branch_sign(branch)
+    """The rows `names` at p on `branch`, by name."""
     names = tuple(names)
-    scalars = () if w is None else (w.omega1, w.omega2, *mode_scalars(w))
-    values = dict(zip(names, plan(_row_kernel, names)(p, sign * p.W1, scalars)))
-    return values if sign > 0.0 else reflect(values)
+    return dict(zip(names, on_branch(names, evaluate(names, p, w, branch), branch)))
 
 
 def _row_kernel(names: tuple):
@@ -326,11 +345,6 @@ def _row_kernel(names: tuple):
     return k.compile("p, W1, scalars", values, "rows")
 
 
-def reflect(values: dict) -> dict:
-    """Printed values by name read on the other branch: MIRROR_ODD negated."""
-    return {name: -v if name in MIRROR_ODD else v for name, v in values.items()}
-
-
 def j_closed_form(p: ModelParams, w: FrequencyPair, branch: str = "L4") -> dict:
     """The six printed J entries on `branch`, by name."""
     return printed(J_ENTRIES, p, w, branch)
@@ -356,15 +370,39 @@ def b1y_print(nm) -> DAlembertSeries:
 # -- the r/s tables of the second-order components --------------------------
 
 
+# The rows the report reads, by the stages a result holds: the point, from
+# b1 on the J entries, from b2 on the F/G entries, which it reads as r1..s10.
+REPORT_ROWS = (("x", "y"), ("x", "y", *J_ENTRIES), ("x", "y", *J_ENTRIES, *FG_ENTRIES))
+_REPORTED = ("x", "y", *J_ENTRIES, *RS_NAMES)
+
+
+def report_values(p: ModelParams, branch: str, w: FrequencyPair | None = None,
+                  floor: float | None = None) -> tuple:
+    """What the report prints on `branch`, in its order, from one row kernel:
+    the point (x, y), with `w` the J entries, and with `floor` r1..s10 too,
+    their divisors checked against it; on L5 the tables read the L4-form J."""
+    names = REPORT_ROWS[(w is not None) + (floor is not None)]
+    values = evaluate(names, p, w, branch)
+    if floor is not None:
+        names, values = _REPORTED, values[:8] + rs_values(values[2:8], w, values[8:], floor)
+    return on_branch(names, values, branch)
+
+
 def rs_tables(j: dict, w: FrequencyPair, fg: dict,
               floor: float = DIVISOR_FLOOR, branch: str = "L4") -> dict:
+    """:func:`rs_values` on `branch` by name, from J and F/G by name (on L5,
+    J read back to the L4 form)."""
+    j = on_branch(J_ENTRIES, tuple(j[name] for name in J_ENTRIES), branch)
+    values = rs_values(j, w, tuple(fg[name] for name in FG_ENTRIES), floor)
+    return dict(zip(RS_NAMES, on_branch(RS_NAMES, values, branch)))
+
+
+def rs_values(j: tuple, w: FrequencyPair, fg: tuple,
+              floor: float = DIVISOR_FLOOR) -> tuple:
     """r1..r10 per the printed formulas and s1..s10 by the F -> G
-    substitution, by name, from the J and F/G entries on `branch` by name;
-    on L5 the L4 formulas run on J reflected back and their values are
-    reflected.  The five divisors are checked, and the frequency powers,
-    prefactors and J brackets the two tables share formed, once."""
-    if branch_sign(branch) < 0.0:
-        return reflect(rs_tables(reflect(j), w, fg, floor))
+    substitution, in L4 form, from J's six values and the 24 F/G values in
+    `FG_ENTRIES` order (F the first twelve).  The five divisors are checked,
+    and the powers, prefactors and J brackets the tables share formed, once."""
     w1, w2 = w.omega1, w.omega2
     w1sq, w2sq = w1**2, w2**2
     for name, value in (
@@ -376,7 +414,7 @@ def rs_tables(j: dict, w: FrequencyPair, fg: dict,
     ):
         if abs(value) < floor:
             raise SmallDivisorError(name, value)
-    J13, J14, J21, J22, J23, J24 = (j[name] for name in J_ENTRIES)
+    J13, J14, J21, J22, J23, J24 = j
     sq12 = math.sqrt(w1 / w2)
     sq21 = math.sqrt(w2 / w1)
     sqp = math.sqrt(w1 * w2)
@@ -409,10 +447,8 @@ def rs_tables(j: dict, w: FrequencyPair, fg: dict,
     msb = J21 * J22 / sqp - J23 * J24 * sqp
     t9 = 2.0 * J13 * J14
 
-    def table(prefix: str) -> tuple:
+    def table(f1, f2, f3, f4, f1p, f2p, f3p, f4p, f1pp, f2pp, f3pp, f4pp) -> tuple:
         """r1..r10 read at the F (or G) entries."""
-        (f1, f2, f3, f4, f1p, f2p, f3p, f4p,
-         f1pp, f2pp, f3pp, f4pp) = (fg[prefix + name[1:]] for name in FG_ENTRIES[:12])
         sym_a = lambda fa, fap: 2.0 * (sa1 * fa + sa2 * fap) * sqp
 
         r1 = k12 * (a11 * f4 + a13 * f4p + n1 * f4pp)
@@ -461,4 +497,4 @@ def rs_tables(j: dict, w: FrequencyPair, fg: dict,
             + (ca * f4p - 2.0 * (cb * f4pp)))
         return r1, r2, r3, r4, r5, r6, r7, r8, r9, r10
 
-    return dict(zip(RS_NAMES, table("F") + table("G")))
+    return table(*fg[:12]) + table(*fg[12:])

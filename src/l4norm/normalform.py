@@ -177,12 +177,23 @@ def hamiltonian_matrix(K: tuple, C: tuple) -> tuple:
 
 def congruence_gap(J: tuple, M: tuple, target: tuple) -> float:
     """Largest entry of |J^T M J - target|, all three 4x4 row tuples."""
-    cols = tuple(zip(*J))
-    mj_cols = [[m0 * c0 + m1 * c1 + m2 * c2 + m3 * c3 for m0, m1, m2, m3 in M]
-               for c0, c1, c2, c3 in cols]
-    return max(abs(a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 - t)
-               for (a0, a1, a2, a3), row in zip(cols, target)
-               for (b0, b1, b2, b3), t in zip(mj_cols, row))
+    return _CONGRUENCE_GAP(J, M, target)[0]
+
+
+def _congruence_kernel():
+    """`congruence_gap` in straight lines: M J column by column, then J^T
+    (M J) less the target row by row, each sum left to right as the
+    row-by-column loop adds it."""
+    k, r4 = KernelSource(), range(4)
+    k.lines += [", ".join(f"({', '.join(f'{a}{i}{j}' for j in r4)})" for i in r4)
+                + f" = {matrix}" for a, matrix in (("j", "J"), ("m", "M"), ("e", "target"))]
+    mj = [[k.let(" + ".join(f"m{i}{n} * j{n}{j}" for n in r4)) for i in r4] for j in r4]
+    gaps = ", ".join(f"abs({' + '.join(f'j{n}{i} * {mj[j][n]}' for n in r4)} - e{i}{j})"
+                     for i in r4 for j in r4)
+    return k.compile("J, M, target", [f"max({gaps})"], "congruence_gap")
+
+
+_CONGRUENCE_GAP = _congruence_kernel()
 
 
 def _mode_columns(mode: int, omega: float, sign: float, K: tuple, C: tuple):

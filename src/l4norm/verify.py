@@ -4,7 +4,7 @@
 at one parameter point and collects what the gates read.  `audit`
 evaluates the printed series and tables at the same point and returns
 their values and their gaps to that chain; `report_audit` computes only
-the part of it that `render_report` prints.  `detect_discrepancies` runs
+the part of it that `render_report` prints, as values in its order.  `detect_discrepancies` runs
 the single-perturbation halving experiments that classify every printed
 series against its oracle; the acceptance suite cross-checks the output
 against the registry in :mod:`l4norm.errata`.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import namedtuple
 
 from . import equilibria, normalform, polyalg
@@ -171,17 +172,17 @@ def _rs_slots(layout) -> tuple:
     return tuple((layout.index.get(key, -1), part) for key, part in RS_SLOTS)
 
 
-def oracle_rs_from_series(b2x: tuple, b2y: tuple) -> dict:
+def oracle_rs_from_series(b2x: tuple, b2y: tuple) -> tuple:
     """Read the ten r and the ten s slots off a solved B2 pair, each side
-    a ``(layout, values)`` pair, by name, through their slots planned per
-    layout (a term B2 lacks reads 0.0); B2 has no other term, so this is
-    the whole mapping between B2 and the printed tables."""
+    a ``(layout, values)`` pair, in `RS_NAMES` order, through their slots
+    planned per layout (a term B2 lacks reads 0.0); B2 has no other term,
+    so this is the whole mapping between B2 and the printed tables."""
     rs = []
     for (layout, values), sign in ((b2x, 1.0), (b2y, -1.0)):
         values = values + [0j]
         rs += [sign * (values[n].imag if part else values[n].real)
                for n, part in plan(_rs_slots, layout)]
-    return dict(zip(RS_NAMES, rs))
+    return tuple(rs)
 
 
 def check_stages(stages) -> tuple:
@@ -253,58 +254,76 @@ def run_pipeline(p: ModelParams, options: PipelineOptions = PipelineOptions(),
 
 class Audit:
     """Printed-table values at one pipeline result and their gaps to it,
-    by key; the J entries and the r/s tables by name."""
+    kept in the report's order: the series and epsilon-form points and
+    their `eq_gaps`; from b1 on a (numeric, closed, gap) triple per J entry
+    (`j_rows`, flat); from b2 on a (closed, oracle, gap) triple per r/s slot
+    (`rs_rows`, the oracle read off the chain's B2) and their sup
+    (`b2_sup`).  `gaps` by key, and `j_closed` and `rs` by name, are formed
+    on first read and kept; `audit` adds the gaps no report prints."""
 
-    j_closed: dict | None = None
-    rs: dict | None = None
-    # r1..s10 read off the chain's B2 by `oracle_rs_from_series`
-    rs_oracle: dict | None = None
+    j_rows = rs_rows = b2_sup = None
     # why the printed equilibrium series has no value here, if it has none
     series_outside_domain: str | None = None
 
-    def __init__(self, eq_series: equilibria.EquilibriumPoint,
-                 eq_epsform: equilibria.EquilibriumPoint):
-        self.eq_series, self.eq_epsform = eq_series, eq_epsform
-        self.gaps = {}
+    @kept
+    def gaps(self) -> dict:
+        gaps = dict(zip(("equilibria.series", "equilibria.epsilon_form"), self.eq_gaps))
+        if self.j_rows:
+            gaps.update(zip([f"j.{name}" for name in J_ENTRIES], self.j_rows[2::3]))
+        if self.rs_rows:
+            gaps.update(zip([f"b2.{name}" for name in RS_NAMES], self.rs_rows[2::3]))
+            gaps["b2.sup"] = self.b2_sup
+        return gaps
+
+    @kept
+    def j_closed(self) -> dict | None:
+        return self.j_rows and dict(zip(J_ENTRIES, self.j_rows[1::3]))
+
+    @kept
+    def rs(self) -> dict | None:
+        return self.rs_rows and dict(zip(RS_NAMES, self.rs_rows[0::3]))
+
+
+def _triples(a, b) -> tuple:
+    """``(a, b, |a - b|)`` per pair of entries, flat; |a - b| is |b - a|."""
+    out = [0.0] * (3 * len(a))
+    out[0::3], out[1::3], out[2::3] = a, b, map(abs, map(operator.sub, a, b))
+    return tuple(out)
 
 
 def report_audit(res: PipelineResult) -> Audit:
     """The printed series that `render_report` prints, at every stage the
-    result holds, and their gaps: ``equilibria.*``, from b1 on ``j.*``, from
-    b2 on ``b2.*`` and ``b2.sup``.  Where the printed equilibrium series
+    result holds, and their gaps, as the values `Audit` keeps, from one
+    `closedforms.report_values` call.  Where the printed equilibrium series
     leaves its own domain (its y-brace is not positive), its point and gap
     read nan and `series_outside_domain` holds the reason."""
     from . import closedforms
-    p, branch = res.params, res.options.branch
+    p, branch, nm, b2 = res.params, res.options.branch, res.nm, res.b2_values
+    out = Audit()
     try:
-        eq_series, outside = equilibria.triangular_series(p, branch), None
+        out.eq_series = equilibria.triangular_series(p, branch)
     except ParameterError as err:
-        eq_series = equilibria.EquilibriumPoint(math.nan, math.nan, branch,
-                                                "series", math.nan)
-        outside = str(err)
-    out = Audit(eq_series=eq_series,
-                eq_epsform=equilibria.epsilon_form(p, branch))
-    out.series_outside_domain = outside
-    gaps = out.gaps
-    gaps["equilibria.series"] = _point_gap(res.eq_numeric, out.eq_series)
-    gaps["equilibria.epsilon_form"] = _point_gap(res.eq_numeric, out.eq_epsform)
-    if res.nm is None:
+        out.eq_series = equilibria.EquilibriumPoint(math.nan, math.nan, branch,
+                                                    "series", math.nan)
+        out.series_outside_domain = str(err)
+    x, y, *closed = closedforms.report_values(
+        p, branch, None if nm is None else res.freq,
+        None if b2 is None else res.options.divisor_floor)
+    out.eq_epsform = equilibria.EquilibriumPoint(x, y, branch, "epsilon-form",
+                                                 equilibria.residual_at(x, y, p))
+    out.eq_gaps = (_point_gap(res.eq_numeric, out.eq_series),
+                   _point_gap(res.eq_numeric, out.eq_epsform))
+    if nm is None:
         return out
 
-    out.j_closed = closedforms.j_closed_form(p, res.freq, branch)
-    for name in J_ENTRIES:
-        gaps[f"j.{name}"] = abs(out.j_closed[name] - getattr(res.nm, name))
-    if res.b2_values is None:
+    # J13, J14 off J's first row, J21..J24 its second
+    out.j_rows = _triples((*nm.J[0][2:], *nm.J[1]), closed[:6])
+    if b2 is None:
         return out
 
-    out.rs = closedforms.rs_tables(out.j_closed, res.freq,
-                                   closedforms.fg_tables(p, branch),
-                                   res.options.divisor_floor, branch)
-    out.rs_oracle = oracle_rs_from_series(*res.b2_values[:2])
-    for name in RS_NAMES:
-        gaps[f"b2.{name}"] = abs(out.rs[name] - out.rs_oracle[name])
+    out.rs_rows = _triples(closed[6:], oracle_rs_from_series(*b2[:2]))
     # B2 has no term outside the twenty slots: their gaps are its sup gap.
-    gaps["b2.sup"] = max(gaps[f"b2.{name}"] for name in RS_NAMES)
+    out.b2_sup = max(out.rs_rows[2::3])
     return out
 
 
@@ -372,10 +391,8 @@ def _point_gap(a, b) -> float:
 def equilibria_csv(res: PipelineResult, printed: Audit) -> list:
     """Header and rows of the numeric, series and epsilon-form points."""
     lines = ["method,x,y,residual,gap_vs_numeric"]
-    gaps = printed.gaps
-    for pt, gap in ((res.eq_numeric, 0.0),
-                    (printed.eq_series, gaps["equilibria.series"]),
-                    (printed.eq_epsform, gaps["equilibria.epsilon_form"])):
+    for pt, gap in zip((res.eq_numeric, printed.eq_series, printed.eq_epsform),
+                       (0.0, *printed.eq_gaps)):
         lines.append(f"{pt.method},{fmt(pt.x)},{fmt(pt.y)},{fmt(pt.residual)},"
                      f"{fmt(gap)}")
     return lines
@@ -536,17 +553,13 @@ def render_report(res: PipelineResult, printed: Audit, gates: dict,
               *(fmt(getattr(opt, attr)) for attr in TOLERANCES.values()),
               *map(fmt, gates.values()), *([outside] if outside else []),
               "\n".join(equilibria_csv(res, printed))]
-    gaps = printed.gaps
     if "b1" in stages:
         nm = res.nm
         values += ["\n".join(frequency_lines(res.freq, res.moser)),
-                   nm.symplectic_defect, nm.h2_residual, res.b1_residual]
-        for name in J_ENTRIES:
-            values += (getattr(nm, name), printed.j_closed[name], gaps["j." + name])
+                   nm.symplectic_defect, nm.h2_residual, res.b1_residual,
+                   *printed.j_rows]
     if b2 is not None:
-        values += (*res.b2_residuals, gaps["b2.sup"])
-        for name in RS_NAMES:
-            values += (printed.rs[name], printed.rs_oracle[name], gaps["b2." + name])
+        values += (*res.b2_residuals, printed.b2_sup, *printed.rs_rows)
         for layout, z in b2[:2]:
             values += [part for n in plan(listing, layout)[0]
                        for part in (z[n].real, z[n].imag)]

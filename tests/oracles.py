@@ -60,7 +60,12 @@ the rows' expanded groups in a loop, the bit-for-bit reference for its
 compiled kernels.  `moser_by_full_scan` scans all 40 combinations, the
 reference for `l4norm.dalembert.moser_check`.  `audit_gaps_eagerly`
 computes every gap of `l4norm.verify.audit` stage by stage, the
-reference for its gaps.
+reference for its gaps.  `report_audit_by_names` computes the report's
+part of the audit on dicts by name, `printed_by_names` reading the rows
+and `reflect` reading them on L5, the bit-for-bit reference for
+`l4norm.verify.report_audit`; `congruence_gap_by_rows` forms a congruence
+gap by the generic loop, the bit-for-bit reference for
+`l4norm.normalform.congruence_gap`.
 """
 
 from __future__ import annotations
@@ -74,10 +79,10 @@ from l4norm.dalembert import (_PRODUCT, DIVISOR_FLOOR, MOSER_PAIRS, DAlembertSer
                               _degree, _grade, apply_D, apply_poly_in_D, invert_delta,
                               moser_check, substitute, substitution_rows)
 from l4norm.equilibria import OriginShift
-from l4norm.errors import (ContractError, ConvergenceError, ResonanceError,
+from l4norm.errors import (ContractError, ConvergenceError, ParameterError, ResonanceError,
                            SingularJacobianError, StabilityDomainError)
 from l4norm.layout import KernelSource, plan, sup_of_difference
-from l4norm.model import ModelParams, _lagrangian, _potential, _radii
+from l4norm.model import ModelParams, _lagrangian, _potential, _radii, branch_sign
 from l4norm.polyalg import TruncatedPoly, _mul2
 
 
@@ -1055,9 +1060,80 @@ def audit_gaps_eagerly(res) -> dict:
 
     rs = closedforms.rs_tables(j_closed, res.freq, closedforms.fg_tables(p, branch),
                                res.options.divisor_floor, branch)
-    rs_oracle = verify.oracle_rs_from_series(pair_of(res.b2.b2x), pair_of(res.b2.b2y))
+    rs_oracle = dict(zip(normalform.RS_NAMES, verify.oracle_rs_from_series(
+        pair_of(res.b2.b2x), pair_of(res.b2.b2y))))
     for name in normalform.RS_NAMES:
         gaps[f"b2.{name}"] = abs(rs[name] - rs_oracle[name])
     gaps["b2.sup"] = max(gaps[f"b2.{name}"] for name in normalform.RS_NAMES)
     gaps["forcing.partial_only"] = verify.partial_forcing_gap(res)
     return gaps
+
+
+def reflect(values: dict) -> dict:
+    """Printed values by name read on the other branch: `MIRROR_ODD` negated."""
+    return {name: -v if name in closedforms.MIRROR_ODD else v for name, v in values.items()}
+
+
+def printed_by_names(names, p: ModelParams, w=None, branch: str = "L4") -> dict:
+    """The rows `names` at p by name, as `l4norm.closedforms.printed` read
+    them before its mask: the row kernel's values at branch_sign * W1 in a
+    dict, `reflect`ed on L5."""
+    sign = branch_sign(branch)
+    names = tuple(names)
+    scalars = () if w is None else (w.omega1, w.omega2, *closedforms.mode_scalars(w))
+    values = dict(zip(names, plan(closedforms._row_kernel, names)(p, sign * p.W1, scalars)))
+    return values if sign > 0.0 else reflect(values)
+
+
+def report_audit_by_names(res) -> dict:
+    """What `l4norm.verify.report_audit` computes, by name, as it computed
+    it on dicts: the series point (nan where the series leaves its domain),
+    the epsilon-form point, the J entries and the F/G entries from three
+    `printed_by_names` calls, r1..s10 from `closedforms.rs_tables` on L4 (on
+    L5 at J reflected back, the values reflected), those read off B2, and
+    the gaps by key; the bit-for-bit reference for the values `Audit` keeps."""
+    p, branch = res.params, res.options.branch
+    try:
+        eq_series = equilibria.triangular_series(p, branch)
+    except ParameterError:
+        eq_series = equilibria.EquilibriumPoint(math.nan, math.nan, branch,
+                                                "series", math.nan)
+    v = printed_by_names(("x", "y"), p, branch=branch)
+    eq_epsform = equilibria.EquilibriumPoint(
+        v["x"], v["y"], branch, "epsilon-form", equilibria.residual_at(v["x"], v["y"], p))
+    gaps = {"equilibria.series": verify._point_gap(res.eq_numeric, eq_series),
+            "equilibria.epsilon_form": verify._point_gap(res.eq_numeric, eq_epsform)}
+    out = {"eq_series": eq_series, "eq_epsform": eq_epsform, "j_closed": None,
+           "rs": None, "rs_oracle": None, "gaps": gaps}
+    if res.nm is None:
+        return out
+
+    out["j_closed"] = j = printed_by_names(normalform.J_ENTRIES, p, res.freq, branch)
+    for name in normalform.J_ENTRIES:
+        gaps[f"j.{name}"] = abs(j[name] - getattr(res.nm, name))
+    if res.b2_values is None:
+        return out
+
+    fg = printed_by_names(closedforms.FG_ENTRIES, p, branch=branch)
+    floor = res.options.divisor_floor
+    if branch == "L4":
+        out["rs"] = rs = closedforms.rs_tables(j, res.freq, fg, floor)
+    else:
+        out["rs"] = rs = reflect(closedforms.rs_tables(reflect(j), res.freq, fg, floor))
+    out["rs_oracle"] = oracle = dict(zip(normalform.RS_NAMES, verify.oracle_rs_from_series(
+        *res.b2_values[:2])))
+    for name in normalform.RS_NAMES:
+        gaps[f"b2.{name}"] = abs(rs[name] - oracle[name])
+    gaps["b2.sup"] = max(gaps[f"b2.{name}"] for name in normalform.RS_NAMES)
+    return out
+
+
+def congruence_gap_by_rows(J: tuple, M: tuple, target: tuple) -> float:
+    """Largest entry of |J^T M J - target| by the generic row-by-column
+    loop, the bit-for-bit reference for `l4norm.normalform.congruence_gap`."""
+    cols = tuple(zip(*J))
+    mj_cols = [[m0 * c0 + m1 * c1 + m2 * c2 + m3 * c3 for m0, m1, m2, m3 in M]
+               for c0, c1, c2, c3 in cols]
+    return max(abs(a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 - t)
+               for (a0, a1, a2, a3), row in zip(cols, target)
+               for (b0, b1, b2, b3), t in zip(mj_cols, row))

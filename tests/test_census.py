@@ -20,7 +20,10 @@ of draws the b2 and h3 stages, on plain values, must end as
 `oracles.second_order_by_objects` ends on the expansion's slices and B1's
 series, bit for bit: X2, Y2, the cubic at B1, B2 with its scale, H3's
 slice and six norms, and the B2 residuals, each as the result forms it on
-read.
+read.  Over the same kinds of draws, stopped at b1, b2 and h3, the audit
+the report prints, on values, must hold what
+`oracles.report_audit_by_names` computes on dicts, bit for bit, and the
+straight-line congruence gaps must equal the generic loop's.
 """
 
 import importlib
@@ -34,8 +37,10 @@ from l4norm.dalembert import DAlembertSeries
 from l4norm.equilibria import solve_triangular_numeric
 from l4norm.errors import ConvergenceError, DomainError, L4NormError
 from l4norm.model import ModelParams
-from l4norm.verify import PipelineOptions, audit, run_pipeline
-from oracles import linear_front_by_objects, newton_by_two_calls, second_order_by_objects
+from l4norm.normalform import (RS_NAMES, SIGMA, congruence_gap, hamiltonian_matrix)
+from l4norm.verify import PipelineOptions, audit, report_audit, run_pipeline
+from oracles import (congruence_gap_by_rows, linear_front_by_objects, newton_by_two_calls,
+                     report_audit_by_names, second_order_by_objects)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 DRAWS = 400
@@ -232,3 +237,71 @@ def test_second_order_matches_the_object_path(monkeypatch):
     assert len(endings) == 4 * DRAWS
     # both branches, with and without drag, reached H3
     assert compared == {(b, drag) for b in ("L4", "L5") for drag in (False, True)}
+
+
+def _audit_bits(printed, keys) -> tuple:
+    """The report's part of an `Audit`, with its gaps at `keys`, as
+    `oracles.report_audit_by_names` lays it out, hex-spelled."""
+    return _bits((tuple(printed.eq_series), tuple(printed.eq_epsform),
+                  printed.j_closed and tuple(printed.j_closed.items()),
+                  printed.rs and tuple(printed.rs.items()),
+                  printed.rs_rows and tuple(zip(RS_NAMES, printed.rs_rows[1::3])),
+                  tuple((key, printed.gaps[key]) for key in keys)))
+
+
+def test_report_audit_matches_the_name_keyed_path(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    gen = importlib.import_module("gen")
+    compared = set()
+    for p, _ in census_points(gen, DRAWS, seed=4):
+        free = ModelParams(mu=p.mu, q1=p.q1, A2=p.A2, cd=math.inf)
+        for q, branch in ((q, branch) for q in (p, free) for branch in ("L4", "L5")):
+            for stage in ("b1", "b2", "h3"):
+                try:
+                    res = run_pipeline(q, PipelineOptions(branch=branch), stages=(stage,))
+                except L4NormError:
+                    continue
+                try:
+                    old = report_audit_by_names(res)
+                except L4NormError as err:
+                    old = type(err).__name__, str(err)
+                else:
+                    keys = tuple(old["gaps"])
+                    old = _bits((tuple(old["eq_series"]), tuple(old["eq_epsform"]),
+                                 *(old[name] and tuple(old[name].items())
+                                   for name in ("j_closed", "rs", "rs_oracle")),
+                                 tuple(old["gaps"].items())))
+                for audited in (report_audit, audit):
+                    try:
+                        printed = audited(res)
+                        new = _audit_bits(printed, keys)
+                    except L4NormError as err:
+                        new = type(err).__name__, str(err)
+                    assert new == old, (q, branch, stage, audited.__name__)
+                if len(old) > 2:
+                    assert tuple(report_audit(res).gaps) == keys
+                    compared.add((branch, q.W1 > 0.0, stage))
+    # both branches, with and without drag, at each stage
+    assert compared == {(b, drag, stage) for b in ("L4", "L5") for drag in (False, True)
+                        for stage in ("b1", "b2", "h3")}
+
+
+def test_congruence_gaps_match_the_generic_loop(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    gen = importlib.import_module("gen")
+    compared = 0
+    for p, branch in census_points(gen, DRAWS, seed=5):
+        free = ModelParams(mu=p.mu, q1=p.q1, A2=p.A2, cd=math.inf)
+        for q in (p, free):
+            try:
+                res = run_pipeline(q, PipelineOptions(branch=branch), stages=("b1",))
+            except L4NormError:
+                continue
+            nm, w = res.nm, res.freq
+            target = ((w.omega1**2, 0.0, 0.0, 0.0), (0.0, -w.omega2**2, 0.0, 0.0),
+                      (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, -1.0))
+            for M, goal in ((SIGMA, SIGMA), (hamiltonian_matrix(nm.K, nm.C), target)):
+                assert (congruence_gap(nm.J, M, goal).hex()
+                        == congruence_gap_by_rows(nm.J, M, goal).hex()), (q, branch)
+            compared += 1
+    assert compared > DRAWS

@@ -45,6 +45,7 @@ from l4norm.normalform import (
     _operator_values,
     b1_values,
     classical_frequencies,
+    congruence_gap,
     first_order_components,
     forcing_x2y2,
     frequencies,
@@ -65,10 +66,11 @@ from l4norm.polyalg import (
     taylor_lagrangian,
 )
 
-from oracles import (difference, energy, hessian_by_loops, j_by_mode_vectors,
+from oracles import (congruence_gap_by_rows, difference, energy, hessian_by_loops,
+                     j_by_mode_vectors,
                      linear_residual_by_operator, mode_columns_by_lists,
                      operator_by_composition, pair_of, partial, polynomial_rows,
-                     printed_by_groups, row_as_written, scaled, series_of,
+                     printed_by_groups, reflect, row_as_written, scaled, series_of,
                      substitute_by_kernel, substitute_by_rows, substitute_pairwise,
                      sup, variable)
 
@@ -399,6 +401,21 @@ class TestLinearFrontBitForBit:
                         for f in (j_numeric, j_by_mode_vectors))
             assert new[0] == old[0] == "StabilityDomainError" and new == old
 
+    def test_congruence_gap_on_arbitrary_matrices(self):
+        # the straight-line gap against the generic loop, bit for bit, on
+        # seeded 4x4 matrices with zeros of either sign among their entries
+        rng = random.Random(41)
+
+        def matrix():
+            return tuple(tuple(rng.choice((0.0, -0.0, rng.uniform(-3.0, 3.0),
+                                           rng.gauss(0.0, 1e-9)))
+                               for _ in range(4)) for _ in range(4))
+
+        for _ in range(2000):
+            J, M, target = matrix(), matrix(), matrix()
+            assert (congruence_gap(J, M, target).hex()
+                    == congruence_gap_by_rows(J, M, target).hex())
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_each_mode_on_arbitrary_blocks(self, data):
@@ -700,7 +717,7 @@ class TestClosedFormTables:
                                 (("T4", "x", "F1pp"), None)):
                 values = printed(names, p, freq, branch)
                 reference = (printed_by_groups(names, p, freq) if branch == "L4"
-                             else closedforms.reflect(printed_by_groups(
+                             else reflect(printed_by_groups(
                                  names, ModelParams._from_perturbations(
                                      p.mu, p.epsilon, p.A2, -p.W1), freq)))
                 assert list(values) == list(names)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from l4norm import closedforms, dalembert, equilibria, layout, normalform, verify
-from l4norm.closedforms import MIRROR_ODD, printed, reflect
+from l4norm.closedforms import MIRROR_ODD, printed
 from l4norm.dalembert import DAlembertSeries, apply_D
 from l4norm.errata import KNOWN_DISCREPANCIES, is_registered
 from l4norm.errors import L4NormError, ParameterError, ResonanceError, SmallDivisorError
@@ -17,6 +17,7 @@ from l4norm.layout import PLAN_TABLE_SIZE, Store, plan
 from l4norm.model import ModelParams
 from l4norm.normalform import (
     J_ENTRIES,
+    RS_NAMES,
     RS_SLOTS,
     SIGMA,
     H3NormalCoefficients,
@@ -50,7 +51,8 @@ from l4norm.verify import (
 
 from oracles import (audit_gaps_eagerly, degree_slice, difference, energy, grade,
                      negated, operator_by_composition, pair_of, partial,
-                     position_part, product, scaled, series_of, sup, t5_by_products)
+                     position_part, product, reflect, scaled, series_of, sup,
+                     t5_by_products)
 
 
 class TestPipeline:
@@ -111,8 +113,7 @@ class TestPipeline:
             return DAlembertSeries(terms)
 
         rs = oracle_rs_from_series(pair_of(build(r_in, 1.0)), pair_of(build(s_in, -1.0)))
-        assert list(rs) == [f"r{i}" for i in range(1, 11)] + [f"s{i}" for i in range(1, 11)]
-        assert tuple(rs.values()) == r_in + s_in
+        assert rs == r_in + s_in
 
 
 def _snapshot_points():
@@ -235,7 +236,7 @@ def _chain_by_name(res) -> dict:
             "omega1": res.freq.omega1, "omega2": res.freq.omega2,
             **{name: getattr(res.nm, name) for name in J_ENTRIES},
             **{name: cubic[name] for name in ("T1", "T2", "T3", "T4")},
-            **oracle_rs_from_series(*res.b2_values[:2])}
+            **dict(zip(RS_NAMES, oracle_rs_from_series(*res.b2_values[:2])))}
 
 
 class TestMirror:
@@ -384,6 +385,9 @@ class TestChainStoppedAtB1:
         assert res.nm.symplectic_defect == congruence_gap(J, SIGMA, SIGMA)
         assert res.nm.h2_residual == congruence_gap(J, hessian, target)
         assert len(calls) == 2
+        # each residual read its gap once, with the same arguments
+        if not p.W1:
+            assert calls == [(J, SIGMA, SIGMA), (J, hessian, target)]
 
 
 def test_the_hessian_is_formed_only_where_a_gate_reads_it(monkeypatch, capsys):
@@ -926,8 +930,8 @@ def test_a_fresh_verify_compiles_no_source_twice():
 
 def test_row_kernels_are_compiled_once_per_names_tuple(monkeypatch):
     # The printed rows compile one kernel per tuple of row names, keyed by
-    # the names alone: 50 seeded audits, every gap read, compile five
-    # ((x, y), (a, b), T1..T4, the J entries, the F/G entries).
+    # the names alone: 50 seeded audits, every gap read, compile three
+    # (the report's point, J and F/G entries, then (a, b) and T1..T4).
     made = []
     compiled = layout.compiled
     monkeypatch.setattr(layout, "compiled", lambda source, name:
@@ -935,7 +939,64 @@ def test_row_kernels_are_compiled_once_per_names_tuple(monkeypatch):
     plan.cache_clear()
     for p, branch in _stopping_points(50, seed=7):
         audit(run_pipeline(p, PipelineOptions(branch=branch)))
-    assert made.count("rows") == 5
+    assert made.count("rows") == 3
+
+
+def test_the_report_path_forms_no_dict(monkeypatch):
+    # at a `verify --stages h3` point, on both branches, the audit the report
+    # prints, the gates and the report read the printed rows through one
+    # row-kernel call and form none of the audit's dicts; each dict, read
+    # later, is formed once and kept
+    p = ModelParams(mu=0.01215, q1=0.999, A2=1e-4, cd=20.0)
+    calls = []
+    row_kernel = closedforms._row_kernel
+
+    def counting(names):
+        kernel = row_kernel(names)
+        return lambda *args: calls.append(names) or kernel(*args)
+
+    monkeypatch.setattr(closedforms, "_row_kernel", counting)
+    for branch in ("L4", "L5"):
+        res = run_pipeline(p, PipelineOptions(branch=branch), stages=("h3",))
+        calls.clear()
+        printed = report_audit(res)
+        render_report(res, printed, res.gates())
+        assert calls == [closedforms.REPORT_ROWS[2]]
+        assert not {"gaps", "j_closed", "rs"} & set(vars(printed))
+        for name in ("gaps", "j_closed", "rs"):
+            assert getattr(printed, name) is getattr(printed, name)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("largest", range(4))
+def test_each_h3_line_prints_its_own_norm(largest, monkeypatch, capsys):
+    # six distinct norms, the `largest`-th grade the largest of A30..A03:
+    # each [h3] line of the report prints its own, and the sweep row's
+    # h3_max field the largest grade, so a swap of two reads fails here
+    grades = [1e-20, 2e-20, 3e-20, 4e-20]
+    grades[largest], grades[3] = grades[3], grades[largest]
+    norms = (5e-21, *grades, 6e-20)  # h2_residual, A30..A03, ablation_max
+    run = verify.run_pipeline
+
+    def with_norms(*args, **kwargs):
+        res = run(*args, **kwargs)
+        res.h3_values = res.h3_values[0], norms
+        return res
+
+    monkeypatch.setattr(verify, "run_pipeline", with_norms)
+    res = verify.run_pipeline(ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0))
+    text = render_report(res, report_audit(res), res.gates())
+    lines = text.split("\n[h3]\n")[1].splitlines()
+    assert lines[:7] == [f"{name}: {verify.fmt(value)}" for name, value in (
+        ("A30", norms[1]), ("A21", norms[2]), ("A12", norms[3]), ("A03", norms[4]),
+        ("scale", res.intermediate_scale()), ("h2_form_residual", norms[0]),
+        ("ablation_max", norms[5]))]
+    from l4norm import cli
+    assert cli.main(["sweep", "--mu-min", "0.01", "--mu-max", "0.012", "--steps", "2",
+                     "--q1", "0.999", "--a2", "1e-4", "--cd", "20"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split(",")[5] == "h3_max" and len(rows) == 2
+    assert [row.split(",")[5] for row in rows] == [verify.fmt(4e-20)] * 2
 
 
 def test_no_grade_is_sliced_per_point(monkeypatch):
