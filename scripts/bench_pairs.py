@@ -16,8 +16,11 @@ median and quartiles, and for each metric that the change's
 `BENCHMARK.json` lists, the pairs the change wins by the metric's
 direction (ties count for neither) and ``claim_met``: whether the change
 wins at least 9 in 10 of the pairs, the medians differ by more than the
-parent's interquartile range, and the change fails no more points per
-run than the parent.  `--pairs 0` only recomputes the summary.  The
+parent's interquartile range, the change fails no more points per run
+than the parent, and every run on both sides checked its outputs
+correct.  The summary counts each side's incorrect runs, and one line
+per key and metric is printed at the end.  `--pairs 0` only recomputes
+the summary.  The
 record also holds both checkouts' git revisions when given
 (`--revisions`), the interpreter's version, whether
 `PYTHONDONTWRITEBYTECODE` was set, and each command run.  Runs go one at
@@ -55,12 +58,14 @@ def quartiles(values: list) -> tuple:
     return q1, q2, q3
 
 
-def claim_met(row: dict, failed: dict) -> bool:
+def claim_met(row: dict, failed: dict, incorrect: dict) -> bool:
     """A claimed gain holds: 9 in 10 pairs won, the median moved by more than
-    the parent's IQR, and no more failed points per run than the parent."""
+    the parent's IQR, no more failed points per run than the parent, and no
+    incorrect run on either side."""
     moved = abs(row["change"]["median"] - row["parent"]["median"])
     return (row["wins"] >= 0.9 * row["pairs"] and moved > row["parent"]["iqr"]
-            and statistics.mean(failed["change"]) <= statistics.mean(failed["parent"]))
+            and statistics.mean(failed["change"]) <= statistics.mean(failed["parent"])
+            and not any(incorrect.values()))
 
 
 def summarise(record: dict, directions: dict) -> dict:
@@ -71,6 +76,9 @@ def summarise(record: dict, directions: dict) -> dict:
             continue
         failed = {"parent": [r["failed"] for r in parent],
                   "change": [r["failed"] for r in change]}
+        # a run whose outputs were not checked correct counts as incorrect
+        incorrect = {"parent": sum(r.get("correct") is not True for r in parent),
+                     "change": sum(r.get("correct") is not True for r in change)}
         rows = {}
         for name in parent[0]["metrics"]:
             old = [run["metrics"][name] for run in parent]
@@ -85,13 +93,33 @@ def summarise(record: dict, directions: dict) -> dict:
                 row["wins"] = sum((b > a) if better == "higher" else (b < a)
                                   for a, b in pairs)
                 row["pairs"] = len(pairs)
-                row["claim_met"] = claim_met(row, failed)
+                row["claim_met"] = claim_met(row, failed, incorrect)
             if row["parent"]["median"]:
                 row["change_vs_parent"] = row["change"]["median"] / row["parent"]["median"] - 1.0
             rows[name] = row
         out[key] = {"attempted": sorted({r["attempted"] for r in parent + change}),
-                    "failed": failed, "metrics": rows}
+                    "failed": failed, "incorrect": incorrect, "metrics": rows}
     return out
+
+
+def summary_lines(summary: dict) -> list:
+    """One line per key and metric: the medians, their change, and for a
+    metric with a direction the pairs won and ``claim_met``; each key's
+    line counts the incorrect runs per side."""
+    lines = []
+    for key, entry in sorted(summary.items()):
+        incorrect = entry["incorrect"]
+        lines.append(f"{key} incorrect runs: parent {incorrect['parent']}, "
+                     f"change {incorrect['change']}")
+        for name, row in sorted(entry["metrics"].items()):
+            line = (f"{key} {name}: {row['parent']['median']:.6g} -> "
+                    f"{row['change']['median']:.6g}")
+            if "change_vs_parent" in row:
+                line += f" ({row['change_vs_parent']:+.1%})"
+            if "wins" in row:
+                line += f", {row['wins']} of {row['pairs']} pairs won, claim_met {row['claim_met']}"
+            lines.append(line)
+    return lines
 
 
 def main(argv=None) -> int:
@@ -140,6 +168,7 @@ def main(argv=None) -> int:
     with open(args.record, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=1, sort_keys=True)
         handle.write("\n")
+    print("\n".join(summary_lines(record["summary"])))
     return 0
 
 

@@ -9,6 +9,7 @@ significant digits; row order is deterministic.
 from __future__ import annotations
 
 import math
+import os
 import sys
 
 from . import verify
@@ -192,11 +193,20 @@ def config_from_argv(command: str, tokens) -> RunConfig | None:
     return config
 
 
+# A new or truncated output file, its bytes written untranslated.
+WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+
+
 def _emit(text: str, config: RunConfig, suffix: str) -> None:
     if config.out:
         path = f"{config.out}-{suffix}"
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        data = memoryview(text.encode("utf-8"))
+        fd = os.open(path, WRITE_FLAGS, 0o666)
+        try:
+            while data:  # a short write leaves the rest for the next
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         print(path)
     else:
         sys.stdout.write(text)
@@ -209,8 +219,8 @@ def cmd_equilibria(config: RunConfig) -> int:
     result = verify.run_pipeline(config.params(), config.options(),
                                  stages=("equilibria",))
     printed = verify.report_audit(result)
-    _emit("\n".join(verify.equilibria_csv(result, printed)) + "\n", config,
-          "equilibria.csv")
+    _emit(verify.EQUILIBRIA_CSV % verify.equilibria_values(result, printed) + "\n",
+          config, "equilibria.csv")
     if printed.series_outside_domain:
         print(f"series.outside_domain: {printed.series_outside_domain}",
               file=sys.stderr)
@@ -222,8 +232,8 @@ def cmd_frequencies(config: RunConfig) -> int:
     options = config.options()
     efg = verify.run_pipeline(p, options, stages=("taylor",)).efg
     w = frequencies(p, efg)
-    lines = verify.frequency_lines(w, moser_check(w, tol=options.moser_tol))
-    _emit("\n".join(lines) + "\n", config, "frequencies.txt")
+    values = verify.frequency_values(w, moser_check(w, tol=options.moser_tol))
+    _emit(verify.FREQUENCY_LINES % values + "\n", config, "frequencies.txt")
     return EXIT_OK
 
 

@@ -373,29 +373,8 @@ def partial_forcing_gap(res: PipelineResult) -> float:
         cubic, res.lagrangian_poly, res.b1_values, (b2x, b2y), res.freq)[1][1:5])
 
 
-def frequency_lines(freq: FrequencyPair, moser) -> list:
-    """The frequencies and the non-resonance check, one line each."""
-    return [
-        f"omega1: {fmt(freq.omega1)}",
-        f"omega2: {fmt(freq.omega2)}",
-        f"moser.min_combination: {fmt(moser.min_combination)}",
-        f"moser.worst_pair: {moser.worst_pair[0]},{moser.worst_pair[1]}",
-        f"moser.passed: {fmt(moser.passed)}",
-    ]
-
-
 def _point_gap(a, b) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
-
-
-def equilibria_csv(res: PipelineResult, printed: Audit) -> list:
-    """Header and rows of the numeric, series and epsilon-form points."""
-    lines = ["method,x,y,residual,gap_vs_numeric"]
-    for pt, gap in zip((res.eq_numeric, printed.eq_series, printed.eq_epsform),
-                       (0.0, *printed.eq_gaps)):
-        lines.append(f"{pt.method},{fmt(pt.x)},{fmt(pt.y)},{fmt(pt.residual)},"
-                     f"{fmt(gap)}")
-    return lines
 
 
 # -- single-perturbation detector -----------------------------------------
@@ -433,15 +412,14 @@ DETECTOR_CACHE_SIZE = 64
 
 class Verdicts(tuple):
     """The detector's RemainderVerdicts.  Their report rows are formatted
-    on first read and kept with them, so they live and die with the
-    detector's cache entry."""
+    on first read, as one text, and kept with them, so they live and die
+    with the detector's cache entry."""
 
     @kept
-    def rows(self) -> tuple:
+    def text(self) -> str:
         """One quantity,perturbation,gap_h,gap_half,classification line
-        per verdict."""
-        return tuple(f"{v.quantity},{v.perturbation},{fmt(v.gap_h)},"
-                     f"{fmt(v.gap_half)},{v.classification}" for v in self)
+        per verdict (a RemainderVerdict holds them in that order)."""
+        return "\n".join(["%s,%s,%.17g,%.17g,%s" % v for v in self])
 
 
 @functools.lru_cache(maxsize=DETECTOR_CACHE_SIZE)
@@ -505,23 +483,55 @@ def fmt(x) -> str:
     return str(x)
 
 
-def _report_template(stages: tuple, gates: tuple, outside: bool, b2) -> str:
+PASS_FAIL = ("FAIL", "pass")  # `fmt` of a bool, by the bool
+HEADER = ("mu", "q1", "epsilon", "A2", "cd", "W1", "n")
+_header = operator.attrgetter(*HEADER)
+_tolerances = operator.attrgetter(*TOLERANCES.values())
+
+# The [equilibria] block and the [frequencies] lines as `%` templates: the
+# report embeds them, and the equilibria and frequencies commands fill
+# them alone.
+EQUILIBRIA_CSV = "\n".join([
+    "method,x,y,residual,gap_vs_numeric", "numeric,%.17g,%.17g,%.17g,0",
+    *(f"{method},%.17g,%.17g,%.17g,%.17g" for method in ("series", "epsilon-form"))])
+FREQUENCY_LINES = "\n".join([
+    "omega1: %.17g", "omega2: %.17g", "moser.min_combination: %.17g",
+    "moser.worst_pair: %d,%d", "moser.passed: %s"])
+
+
+def equilibria_values(res: PipelineResult, printed: Audit) -> tuple:
+    """The numeric, series and epsilon-form points in `EQUILIBRIA_CSV`."""
+    num, series, epsform = res.eq_numeric, printed.eq_series, printed.eq_epsform
+    return (num.x, num.y, num.residual, series.x, series.y, series.residual,
+            printed.eq_gaps[0], epsform.x, epsform.y, epsform.residual, printed.eq_gaps[1])
+
+
+def frequency_values(freq: FrequencyPair, moser) -> tuple:
+    """The frequencies and the non-resonance check in `FREQUENCY_LINES`."""
+    return (freq.omega1, freq.omega2, moser.min_combination, *moser.worst_pair,
+            PASS_FAIL[moser.passed])
+
+
+def _report_template(stages: tuple, gates: tuple, outside: bool, b2, kinds: tuple,
+                     verdicts: bool) -> tuple:
     """The `%` template of a report on a result run through `stages`, with
-    these gate names, a series.outside_domain line if `outside`, and B2 on
-    the pair of layouts `b2` (None before the b2 stage): `%s` where `fmt`
-    or a block's formatter writes the text, `%.17g` for a float the chain
-    or the audit computed, and every other character as printed."""
+    these gate names, a series.outside_domain line if `outside`, B2 on the
+    pair of layouts `b2` (None before the b2 stage), header fields (`HEADER`,
+    the branch, the tolerances) of the types `kinds` and a [series-vs-oracle]
+    block if `verdicts`: `%.17g` for a float, `%s` for text (`fmt`'s for a
+    header field that is not a float, whose slots it returns too) and every
+    other character as printed."""
     text = lambda line: line.replace("%", "%%")
+    conversions = ["%.17g" if kind is float else "%s" for kind in kinds]
     lines = ["# verification report",
-             *(f"{key}: %s" for key in ("mu", "q1", "epsilon", "A2", "cd", "W1",
-                                        "n", "branch")),
+             *(f"{key}: {c}" for key, c in zip((*HEADER, "branch"), conversions)),
              text(f"stages: {','.join(stages)}"),
-             *(f"tol.{name}: %s" for name in TOLERANCES),
+             *(f"tol.{name}: {c}" for name, c in zip(TOLERANCES, conversions[8:])),
              *(text(f"gate.{name}: ") + "%s" for name in gates),
              *(["series.outside_domain: %s"] if outside else []),
-             "", "[equilibria]", "%s"]
+             "", "[equilibria]", EQUILIBRIA_CSV]
     if "b1" in stages:
-        lines += ["", "[frequencies]", "%s", "", "[normal-modes]",
+        lines += ["", "[frequencies]", FREQUENCY_LINES, "", "[normal-modes]",
                   "symplectic_defect: %.17g", "h2_residual: %.17g",
                   "b1_residual: %.17g", "entry,numeric,closed,abs_gap",
                   *(f"{name},%.17g,%.17g,%.17g" for name in J_ENTRIES)]
@@ -534,8 +544,13 @@ def _report_template(stages: tuple, gates: tuple, outside: bool, b2) -> str:
             lines += ("  " + line for line in plan(listing, layout)[1].splitlines())
     if "h3" in stages:
         lines += ["", "[h3]", *(f"{name}: %.17g" for name in (
-            "A30", "A21", "A12", "A03", "scale", "h2_form_residual", "ablation_max"))]
-    return "\n".join(lines)
+            "A30", "A21", "A12", "A03", "scale", "h2_form_residual", "ablation_max")),
+            "h3_series_above_h3_factor_x_scale:%s"]
+    if verdicts:
+        lines += ["", "[series-vs-oracle]",
+                  "quantity,perturbation,gap_h,gap_half,classification", "%s"]
+    return ("\n".join([*lines, ""]),
+            tuple(n for n, kind in enumerate(kinds) if kind is not float))
 
 
 def render_report(res: PipelineResult, printed: Audit, gates: dict,
@@ -543,41 +558,36 @@ def render_report(res: PipelineResult, printed: Audit, gates: dict,
     """Structured text: key-value lines plus CSV blocks per stage.
     `printed` is `report_audit(res)` or `audit(res)`, which print the same;
     `gates` is `res.gates()`; `verdicts` comes from
-    `detect_discrepancies`.  Up to the H3 listing the report is one
-    template, planned per shape (:func:`_report_template`)."""
+    `detect_discrepancies`.  The report is one template, planned per shape
+    (:func:`_report_template`), filled with one tuple of values."""
     p, opt, stages, b2 = res.params, res.options, res.stages, res.b2_values
     outside = printed.series_outside_domain
-    template = plan(_report_template, stages, tuple(gates), bool(outside),
-                    None if b2 is None else (b2[0][0], b2[1][0]))
-    values = [*map(fmt, (p.mu, p.q1, p.epsilon, p.A2, p.cd, p.W1, p.n, opt.branch)),
-              *(fmt(getattr(opt, attr)) for attr in TOLERANCES.values()),
-              *map(fmt, gates.values()), *([outside] if outside else []),
-              "\n".join(equilibria_csv(res, printed))]
+    fields = [*_header(p), opt.branch, *_tolerances(opt)]
+    template, formatted = plan(_report_template, stages, tuple(gates), bool(outside),
+                               None if b2 is None else (b2[0][0], b2[1][0]),
+                               tuple(map(type, fields)), bool(verdicts))
+    for n in formatted:
+        fields[n] = fmt(fields[n])
+    values = [*fields, *map(PASS_FAIL.__getitem__, gates.values()),
+              *([outside] if outside else []), *equilibria_values(res, printed)]
     if "b1" in stages:
         nm = res.nm
-        values += ["\n".join(frequency_lines(res.freq, res.moser)),
-                   nm.symplectic_defect, nm.h2_residual, res.b1_residual,
-                   *printed.j_rows]
+        values += (*frequency_values(res.freq, res.moser), nm.symplectic_defect,
+                   nm.h2_residual, res.b1_residual, *printed.j_rows)
     if b2 is not None:
         values += (*res.b2_residuals, printed.b2_sup, *printed.rs_rows)
         for layout, z in b2[:2]:
             values += [part for n in plan(listing, layout)[0]
                        for part in (z[n].real, z[n].imag)]
-    lines = []
     if "h3" in stages:
         h2_residual, *grades, ablation_max = res.h3_values[1]
         values += (*grades, res.intermediate_scale(), h2_residual, ablation_max)
         # the gate's own test: a term survives the chop exactly when one
         # of its parts exceeds the bound, and h3_max is the sup of them all
         bound = res.h3_bound()
-        if res.h3_max() > bound:
-            lines.append("h3_series_above_h3_factor_x_scale:")
-            lines += ("  " + line
-                      for line in res.h3.series.chop(bound).pretty().splitlines())
-        else:
-            lines.append("h3_series_above_h3_factor_x_scale: none")
+        values.append("".join(
+            "\n  " + line for line in res.h3.series.chop(bound).pretty().splitlines())
+            if res.h3_max() > bound else " none")
     if verdicts:
-        lines += ("", "[series-vs-oracle]",
-                  "quantity,perturbation,gap_h,gap_half,classification",
-                  *verdicts.rows)
-    return "\n".join([template % tuple(values), *lines, ""])
+        values.append(verdicts.text)
+    return template % tuple(values)

@@ -65,7 +65,9 @@ part of the audit on dicts by name, `printed_by_names` reading the rows
 and `reflect` reading them on L5, the bit-for-bit reference for
 `l4norm.verify.report_audit`; `congruence_gap_by_rows` forms a congruence
 gap by the generic loop, the bit-for-bit reference for
-`l4norm.normalform.congruence_gap`.
+`l4norm.normalform.congruence_gap`.  `render_report_by_fields` writes a
+report line by line, every field through `l4norm.verify.fmt`, the
+byte-for-byte reference for `l4norm.verify.render_report`.
 """
 
 from __future__ import annotations
@@ -1137,3 +1139,82 @@ def congruence_gap_by_rows(J: tuple, M: tuple, target: tuple) -> float:
     return max(abs(a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 - t)
                for (a0, a1, a2, a3), row in zip(cols, target)
                for (b0, b1, b2, b3), t in zip(mj_cols, row))
+
+
+def _listing_by_fields(series) -> list:
+    """The terms of a series, one line each, sorted by (degree, j, p, q),
+    every field written on its own with `l4norm.verify.fmt`."""
+    terms = sorted(zip(series.layout.keys, series.values),
+                   key=lambda term: (_degree(term[0]), term[0][0], term[0][2], term[0][3]))
+    fmt = verify.fmt
+    return [f"I1^{j}/2 I2^{m}/2 ({p},{q}) cos {fmt(z.real)} sin {fmt(z.imag)}"
+            for (j, m, p, q), z in terms]
+
+
+def render_report_by_fields(res, printed, gates: dict, verdicts=None) -> str:
+    """The report as `l4norm.verify.render_report` formed it line by line,
+    every field through `verify.fmt` on its own: the header and the gates,
+    the [equilibria] rows and the [frequencies] lines, the J and r/s rows
+    read by name off the audit's dicts, the series listings term by term
+    (`_listing_by_fields`) and one row per verdict; the byte-for-byte
+    reference for its one planned template."""
+    fmt = verify.fmt
+    p, opt, stages = res.params, res.options, res.stages
+    lines = ["# verification report",
+             *(f"{key}: {fmt(getattr(p, key))}"
+               for key in ("mu", "q1", "epsilon", "A2", "cd", "W1", "n")),
+             f"branch: {fmt(opt.branch)}", f"stages: {','.join(stages)}",
+             *(f"tol.{name}: {fmt(getattr(opt, field))}"
+               for name, field in verify.TOLERANCES.items()),
+             *(f"gate.{name}: {fmt(ok)}" for name, ok in gates.items())]
+    if printed.series_outside_domain:
+        lines.append(f"series.outside_domain: {printed.series_outside_domain}")
+    lines += ["", "[equilibria]", "method,x,y,residual,gap_vs_numeric"]
+    for point, gap in zip((res.eq_numeric, printed.eq_series, printed.eq_epsform),
+                          (0.0, printed.gaps["equilibria.series"],
+                           printed.gaps["equilibria.epsilon_form"])):
+        lines.append(f"{point.method},{fmt(point.x)},{fmt(point.y)},"
+                     f"{fmt(point.residual)},{fmt(gap)}")
+    if "b1" in stages:
+        w, moser, nm = res.freq, res.moser, res.nm
+        lines += ["", "[frequencies]", f"omega1: {fmt(w.omega1)}",
+                  f"omega2: {fmt(w.omega2)}",
+                  f"moser.min_combination: {fmt(moser.min_combination)}",
+                  f"moser.worst_pair: {moser.worst_pair[0]},{moser.worst_pair[1]}",
+                  f"moser.passed: {fmt(moser.passed)}",
+                  "", "[normal-modes]", f"symplectic_defect: {fmt(nm.symplectic_defect)}",
+                  f"h2_residual: {fmt(nm.h2_residual)}",
+                  f"b1_residual: {fmt(res.b1_residual)}", "entry,numeric,closed,abs_gap"]
+        lines += (f"{name},{fmt(getattr(nm, name))},{fmt(printed.j_closed[name])},"
+                  f"{fmt(printed.gaps['j.' + name])}" for name in normalform.J_ENTRIES)
+    if res.b2_values is not None:
+        residual_x, residual_y = res.b2_residuals
+        oracle = dict(zip(normalform.RS_NAMES,
+                          verify.oracle_rs_from_series(*res.b2_values[:2])))
+        lines += ["", "[second-order]", f"residual_x: {fmt(residual_x)}",
+                  f"residual_y: {fmt(residual_y)}",
+                  f"closed_vs_oracle_sup: {fmt(printed.gaps['b2.sup'])}",
+                  "coefficient,closed,oracle,abs_gap"]
+        lines += (f"{name},{fmt(printed.rs[name])},{fmt(oracle[name])},"
+                  f"{fmt(printed.gaps['b2.' + name])}" for name in normalform.RS_NAMES)
+        for name, series in (("b2x", res.b2.b2x), ("b2y", res.b2.b2y)):
+            lines.append(f"{name}_series:")
+            lines += ("  " + line for line in _listing_by_fields(series))
+    if res.h3_values is not None:
+        h3 = res.h3
+        lines += ["", "[h3]", *(f"{name}: {fmt(value)}" for name, value in (
+            ("A30", h3.A30), ("A21", h3.A21), ("A12", h3.A12), ("A03", h3.A03),
+            ("scale", res.intermediate_scale()), ("h2_form_residual", h3.h2_residual),
+            ("ablation_max", h3.ablation_max)))]
+        bound = res.h3_bound()
+        if res.h3_max() > bound:
+            lines.append("h3_series_above_h3_factor_x_scale:")
+            lines += ("  " + line for line in _listing_by_fields(h3.series.chop(bound)))
+        else:
+            lines.append("h3_series_above_h3_factor_x_scale: none")
+    if verdicts:
+        lines += ["", "[series-vs-oracle]",
+                  "quantity,perturbation,gap_h,gap_half,classification"]
+        lines += (f"{v.quantity},{v.perturbation},{fmt(v.gap_h)},{fmt(v.gap_half)},"
+                  f"{v.classification}" for v in verdicts)
+    return "\n".join([*lines, ""])

@@ -1,8 +1,10 @@
 """`scripts/bench_pairs.py` summarises a record of alternating runs into
 the verdict on a claimed gain, with no benchmark run: ``claim_met`` holds
 only when the change wins at least 9 in 10 pairs, the medians differ by
-more than the parent's interquartile range, and the change fails no more
-points per run than the parent."""
+more than the parent's interquartile range, the change fails no more
+points per run than the parent, and every run on both sides checked its
+outputs correct; the summary counts each side's incorrect runs and prints
+one line per key and metric."""
 
 import importlib.util
 from pathlib import Path
@@ -20,15 +22,19 @@ def load():
 
 def runs(rates, latencies=None, failed=0):
     latencies = latencies or [1.0] * len(rates)
-    return [{"attempted": 100, "failed": failed,
+    return [{"attempted": 100, "failed": failed, "correct": True,
              "metrics": {"points_per_s": r, "latency_p50_ms": t, "setup_s": 0.1}}
             for r, t in zip(rates, latencies)]
 
 
-def summary(parent, change):
+def summarised(parent, change):
     record = {"runs": {"sweep-b1/seed1/15s/trace0": {"parent": parent,
                                                      "change": change}}}
-    (entry,) = load().summarise(record, DIRECTIONS).values()
+    return load().summarise(record, DIRECTIONS)
+
+
+def summary(parent, change):
+    (entry,) = summarised(parent, change).values()
     return entry["metrics"]
 
 
@@ -73,3 +79,24 @@ def test_lower_is_better_and_a_single_run_side():
     assert row["pairs"] == 1 and row["parent"]["iqr"] == 0.0
     assert row["wins"] == 1 and row["claim_met"] is True
     assert metrics["points_per_s"]["claim_met"] is True  # 101 > 100, and median 101
+
+
+def test_an_incorrect_run_on_either_side_falls_short():
+    for side in ("parent", "change"):
+        sides = {"parent": runs(PARENT), "change": runs([r + 6.0 for r in PARENT])}
+        sides[side][4]["correct"] = False
+        del sides[side][7]["correct"]  # a run with no check counts as incorrect
+        (entry,) = summarised(sides["parent"], sides["change"]).values()
+        row = entry["metrics"]["points_per_s"]
+        assert row["wins"] == 10 and row["claim_met"] is False
+        assert entry["incorrect"] == {"parent": 0, "change": 0, side: 2}
+
+
+def test_one_summary_line_per_key_and_metric():
+    lines = load().summary_lines(summarised(runs(PARENT), runs([r + 6.0 for r in PARENT])))
+    key = "sweep-b1/seed1/15s/trace0"
+    assert lines == [
+        f"{key} incorrect runs: parent 0, change 0",
+        f"{key} latency_p50_ms: 1 -> 1 (+0.0%), 0 of 10 pairs won, claim_met False",
+        f"{key} points_per_s: 100 -> 106 (+6.0%), 10 of 10 pairs won, claim_met True",
+        f"{key} setup_s: 0.1 -> 0.1 (+0.0%)"]

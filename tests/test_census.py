@@ -22,8 +22,10 @@ series, bit for bit: X2, Y2, the cubic at B1, B2 with its scale, H3's
 slice and six norms, and the B2 residuals, each as the result forms it on
 read.  Over the same kinds of draws, stopped at b1, b2 and h3, the audit
 the report prints, on values, must hold what
-`oracles.report_audit_by_names` computes on dicts, bit for bit, and the
-straight-line congruence gaps must equal the generic loop's.
+`oracles.report_audit_by_names` computes on dicts, bit for bit, the
+straight-line congruence gaps must equal the generic loop's, and the
+report, one planned template, must be the bytes that
+`oracles.render_report_by_fields` writes field by field.
 """
 
 import importlib
@@ -38,9 +40,10 @@ from l4norm.equilibria import solve_triangular_numeric
 from l4norm.errors import ConvergenceError, DomainError, L4NormError
 from l4norm.model import ModelParams
 from l4norm.normalform import (RS_NAMES, SIGMA, congruence_gap, hamiltonian_matrix)
-from l4norm.verify import PipelineOptions, audit, report_audit, run_pipeline
+from l4norm.verify import (PipelineOptions, audit, render_report, report_audit,
+                           run_pipeline)
 from oracles import (congruence_gap_by_rows, linear_front_by_objects, newton_by_two_calls,
-                     report_audit_by_names, second_order_by_objects)
+                     render_report_by_fields, report_audit_by_names, second_order_by_objects)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 DRAWS = 400
@@ -282,6 +285,27 @@ def test_report_audit_matches_the_name_keyed_path(monkeypatch):
                     assert tuple(report_audit(res).gaps) == keys
                     compared.add((branch, q.W1 > 0.0, stage))
     # both branches, with and without drag, at each stage
+    assert compared == {(b, drag, stage) for b in ("L4", "L5") for drag in (False, True)
+                        for stage in ("b1", "b2", "h3")}
+
+
+def test_the_report_matches_the_field_by_field_path(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    gen = importlib.import_module("gen")
+    compared = set()
+    for p, _ in census_points(gen, DRAWS):
+        free = ModelParams(mu=p.mu, q1=p.q1, A2=p.A2, cd=math.inf)
+        for q, branch in ((q, branch) for q in (p, free) for branch in ("L4", "L5")):
+            for stage in ("b1", "b2", "h3"):
+                try:
+                    res = run_pipeline(q, PipelineOptions(branch=branch), stages=(stage,))
+                    printed = report_audit(res)
+                except L4NormError:
+                    continue
+                gates = res.gates()
+                assert (render_report(res, printed, gates)
+                        == render_report_by_fields(res, printed, gates)), (q, branch, stage)
+                compared.add((branch, q.W1 > 0.0, stage))
     assert compared == {(b, drag, stage) for b in ("L4", "L5") for drag in (False, True)
                         for stage in ("b1", "b2", "h3")}
 

@@ -275,9 +275,9 @@ class TestVerifyCommand:
         # Physics B shares mu and options with A, so it reads A's cached
         # verdicts; C sets other tolerances and the reader rejects D after
         # reading its --tol.  Every later run of A must still print what
-        # the first did.  A repeat reuses the cached verdict rows and
-        # formats none of their floats; after cache_clear the rows are
-        # built again.
+        # the first did.  A repeat reuses the cached verdict text and
+        # forms none of it; after cache_clear the text is formed again,
+        # once.
         a = ("verify", "--mu", "0.01215", "--q1", "0.999", "--a2", "1e-4",
              "--cd", "20", "--stages", "h3", "--tol", "residual=1e-8")
         b = ("verify", "--mu", "0.01215", "--epsilon", "1e-3", "--cd", "7",
@@ -299,20 +299,19 @@ class TestVerifyCommand:
         assert run_cli(capsys, *d) == (
             EXIT_CONFIG, "", "error: verify does not read steps\n")
         options = PipelineOptions(residual_tol=1e-8)
-        verdicts = detect_discrepancies(0.01215, options)
-        rows = verdicts.rows
-        formatted = []
-        monkeypatch.setattr(verify, "fmt",
-                            lambda x: formatted.append(x) or fmt(x))
+        text = detect_discrepancies(0.01215, options).text
+        formed = []
+        kept_text = verify.Verdicts.text
+        monkeypatch.setattr(kept_text, "form",
+                            lambda v, form=kept_text.form: formed.append(v) or form(v))
         assert run_cli(capsys, *a) == first
-        repeat = len(formatted)
-        assert detect_discrepancies(0.01215, options).rows is rows
+        assert formed == []
+        assert detect_discrepancies(0.01215, options).text is text
         detect_discrepancies.cache_clear()
-        formatted.clear()
         assert run_cli(capsys, *a) == first
-        assert len(formatted) == repeat + 2 * len(verdicts)
         rebuilt = detect_discrepancies(0.01215, options)
-        assert rebuilt.rows is not rows and rebuilt.rows == rows
+        assert formed == [rebuilt]
+        assert rebuilt.text is not text and rebuilt.text == text
 
     def test_library_call_reads_the_cli_entry(self, capsys):
         # verify and a library call at the same (mu, options) share one
