@@ -103,9 +103,9 @@ def summarise(record: dict, directions: dict) -> dict:
 
 
 def summary_lines(summary: dict) -> list:
-    """One line per key and metric: the medians, their change, and for a
-    metric with a direction the pairs won and ``claim_met``; each key's
-    line counts the incorrect runs per side."""
+    """Per key, a line counting each side's incorrect runs, then one line
+    per metric: the medians, their change, and for a metric with a
+    direction the pairs won and ``claim_met``."""
     lines = []
     for key, entry in sorted(summary.items()):
         incorrect = entry["incorrect"]

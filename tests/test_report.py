@@ -202,7 +202,8 @@ def with_stderr(argv) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("argv, suffix", COMMANDS, ids=lambda c: "-".join(c)[:40])
+@pytest.mark.parametrize("argv, suffix", COMMANDS,
+                         ids=[suffix for _, suffix in COMMANDS])
 def test_the_out_file_holds_the_printed_bytes(tmp_path, argv, suffix):
     code, printed, err = with_stderr(argv)
     path = tmp_path / f"run-{suffix}"
