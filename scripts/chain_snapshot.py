@@ -12,7 +12,10 @@ in stored order), the other printed values by name (the epsilon-form
 point x, y, the offsets a, b, J13..J24, the F/G entries and r1..s10), the
 sorted audit gaps, and the partial-forcing gap of a chain stopped at b2
 (the detector's path, where the gap reads the b2 stage's forcing and
-cubic at B1).  A point that raises gets its exception class and message instead.  The points
+cubic at B1).  The series come from the result's plain ``(layout, values)``
+pairs through ``DAlembertSeries._new(layout, values)``, and the printed J
+entries and r1..s10 from the audit's rows, by `J_ENTRIES` and `RS_NAMES`.
+A point that raises gets its exception class and message instead.  The points
 (mu in [0.001, 0.037], both branches, every other one drag-free) come
 from a fixed seed, so two snapshots that compare equal mean the chain
 computed the same values, bit for bit and in the same order.  The package
@@ -79,9 +82,10 @@ def grade_norms(series):
 def chain_record(mu, epsilon, a2, cd, branch):
     """Every value the chain and the audit compute at one point."""
     from l4norm.closedforms import fg_tables
+    from l4norm.dalembert import DAlembertSeries
     from l4norm.equilibria import offset_ab
     from l4norm.model import ModelParams
-    from l4norm.normalform import hamiltonian_matrix
+    from l4norm.normalform import J_ENTRIES, RS_NAMES, _b1_pairs, hamiltonian_matrix
     from l4norm.polyalg import t_coefficients_closed_form
     from l4norm.verify import (
         PipelineOptions,
@@ -94,13 +98,16 @@ def chain_record(mu, epsilon, a2, cd, branch):
     options = PipelineOptions(branch=branch)
     res = run_pipeline(p, options)
     at_b2 = run_pipeline(p, options, stages=("b2",))
-    efg, w, b2, h3 = res.efg, res.freq, res.b2, res.h3
+    efg, w, h3 = res.efg, res.freq, res.h3
+    # the stages' (layout, values) pairs, each viewed as a series
+    b1x, b1y, x2, y2, cubic_at_b1, b2x, b2y = (DAlembertSeries._new(*pair) for pair in (
+        *_b1_pairs(res.b1_values), *res.forcing[0], res.forcing[2], *res.b2_values[:2]))
     cubic = t_coefficients_closed_form(p, res.shift, branch)
     printed = audit(res)
     shift = offset_ab(p, branch)
     values = {"x": printed.eq_epsform.x, "y": printed.eq_epsform.y,
-              "a": shift.a, "b": shift.b, **printed.j_closed,
-              **fg_tables(p, branch), **printed.rs}
+              "a": shift.a, "b": shift.b, **dict(zip(J_ENTRIES, printed.j_rows[1::3])),
+              **fg_tables(p, branch), **dict(zip(RS_NAMES, printed.rs_rows[0::3]))}
     return (
         ("taylor", [(m, float(c)) for m, c in res.lagrangian_poly.coeffs.items()]),
         ("efg", (float(efg.E), float(efg.F), float(efg.G))),
@@ -109,16 +116,15 @@ def chain_record(mu, epsilon, a2, cd, branch):
         ("hessian", [float(v).hex() for row in hamiltonian_matrix(res.nm.K, res.nm.C)
                      for v in row]),
         ("nm", float(res.nm.symplectic_defect), float(res.nm.h2_residual)),
-        ("b1", series_terms(res.b1[0]), series_terms(res.b1[1]),
-         float(res.b1_residual)),
-        ("x2", series_terms(res.x2)),
-        ("y2", series_terms(res.y2)),
-        ("b2", series_terms(b2.b2x), series_terms(b2.b2y),
+        ("b1", series_terms(b1x), series_terms(b1y), float(res.b1_residual)),
+        ("x2", series_terms(x2)),
+        ("y2", series_terms(y2)),
+        ("b2", series_terms(b2x), series_terms(b2y),
          *map(float, res.b2_residuals)),
         ("h3", h3_values((h3.A30, h3.A21, h3.A12, h3.A03), h3.series,
                          h3.h2_residual)),
         # H3 with B2 = 0: the cubic at B1, with H3's degree-2 residual
-        ("ablation", h3_values(grade_norms(res.cubic_at_b1), res.cubic_at_b1,
+        ("ablation", h3_values(grade_norms(cubic_at_b1), cubic_at_b1,
                                h3.h2_residual)),
         ("gates", sorted(res.gates().items())),
         ("cubic", [float(cubic[name]) for name in ("T1", "T2", "T3", "T4")],

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
+from numbers import Real
 
 from .errors import CollisionError, ParameterError
 
@@ -32,6 +33,7 @@ SQRT3 = math.sqrt(3.0)
 _SMALLNESS_WARN = 0.1
 
 BRANCHES = ("L4", "L5")  # the triangular points above and below the x axis
+REAL = (float, int, Real)  # a real number; float first, as the ABC check is ~20x slower
 
 
 def branch_sign(branch: str) -> float:
@@ -64,15 +66,16 @@ class ModelParams(namedtuple("ModelParams", "mu q1 A2 cd epsilon W1 n gamma delt
     __slots__ = ()
 
     def __new__(cls, mu: float, q1: float = 1.0, A2: float = 0.0, cd: float = 1.0):
-        if not 0.0 < mu <= 0.5:
-            raise ParameterError(f"mu must lie in (0, 1/2], got {mu}")
-        # Each check is written so that NaN fails it; cd = inf is drag-free.
-        if not 0.0 < q1 <= 1.0:
-            raise ParameterError(f"q1 must lie in (0, 1], got {q1}")
-        if not 0.0 <= A2 < math.inf:
-            raise ParameterError(f"A2 must be finite and non-negative, got {A2}")
-        if not cd > 0.0:
-            raise ParameterError(f"cd must be positive, got {cd}")
+        # Each check is written so that NaN and a value that is not a real
+        # number fail it; cd = inf is drag-free.
+        if not (isinstance(mu, REAL) and 0.0 < mu <= 0.5):
+            raise ParameterError(f"mu must lie in (0, 1/2], got {mu!r}")
+        if not (isinstance(q1, REAL) and 0.0 < q1 <= 1.0):
+            raise ParameterError(f"q1 must lie in (0, 1], got {q1!r}")
+        if not (isinstance(A2, REAL) and 0.0 <= A2 < math.inf):
+            raise ParameterError(f"A2 must be finite and non-negative, got {A2!r}")
+        if not (isinstance(cd, REAL) and cd > 0.0):
+            raise ParameterError(f"cd must be positive, got {cd!r}")
         epsilon, W1 = 1.0 - q1, (1.0 - mu) * (1.0 - q1) / cd
         for name, value in (("epsilon", epsilon), ("A2", A2), ("W1", W1)):
             if value > _SMALLNESS_WARN:

@@ -7,8 +7,7 @@ The oracle chain this module serves:
    quadratic terms, read by key, both in closed form (the roots of a
    biquadratic, and per mode the null vector of a 2x2 matrix, on the
    scalar entries of K and C);
-2. B1's four harmonic values from the (x, y) rows of J, and the B1 gate
-   on them; B1's series are formed only where a stage reads them;
+2. B1's four harmonic values from the (x, y) rows of J, and the B1 gate on them;
 3. cubic forcing X2, Y2 and the energy's cubic at B1: D B1, the cubic's
    four partials and its energy at (B1, B1, D B1, D B1), and X2 = dL3/dx
    - D(dL3/dxdot), Y2 likewise;
@@ -276,11 +275,6 @@ def b1_values(nm) -> tuple:
             0j + complex(j23 * sq1, j21 * iq1), 0j + complex(j24 * sq2, j22 * iq2))
 
 
-def first_order_components(values: tuple) -> tuple:
-    """Degree-1 series (B1 for x, B1 for y) on B1's four `b1_values`."""
-    return tuple(DAlembertSeries._new(*pair) for pair in _b1_pairs(values))
-
-
 def _b1_pairs(values: tuple) -> tuple:
     """B1 for x and for y as ``(layout, values)`` pairs, zeros dropped."""
     x1, x2, y1, y2 = values
@@ -441,14 +435,6 @@ RS_SLOTS = (
     ((1, 1, 1, -1), 1), ((1, 1, 1, 1), 1),
 )
 RS_NAMES = tuple(f"{table}{i}" for table in "rs" for i in range(1, 11))
-
-
-class SecondOrderSolution(namedtuple("SecondOrderSolution", "b2x b2y scale")):
-    """B2's series, and `scale`, the largest sup norm of X2, Y2, B2x and
-    B2y, as `PipelineResult.b2` forms them; the residuals of the coupled
-    system are `PipelineResult.b2_residuals`."""
-
-    __slots__ = ()
 
 
 def _solve_kernel(x2: Layout, y2: Layout):

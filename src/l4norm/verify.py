@@ -28,7 +28,7 @@ from .dalembert import (
 from .errata import classify_remainder
 from .errors import ParameterError, ResonanceError
 from .layout import kept, plan, sup_of_difference
-from .model import ModelParams, branch_sign
+from .model import REAL, ModelParams, branch_sign
 from .normalform import J_ENTRIES, RS_NAMES, RS_SLOTS
 
 STAGES = ("equilibria", "taylor", "b1", "b2", "h3")
@@ -50,8 +50,8 @@ class PipelineOptions(namedtuple(
         self = super().__new__(cls, *args, **kwargs)
         branch_sign(self.branch)
         for name, value in zip(cls._fields[1:], self[1:]):
-            if not 0.0 < value < math.inf:  # NaN fails this too
-                raise ParameterError(f"{name} must be finite and positive, got {value}")
+            if not (isinstance(value, REAL) and 0.0 < value < math.inf):  # NaN fails too
+                raise ParameterError(f"{name} must be finite and positive, got {value!r}")
         return self
 
 
@@ -68,10 +68,9 @@ TOLERANCES = {
 
 class PipelineResult:
     """What `run_pipeline` computed at `params` under `options`, through
-    `stages`; a value of a stage not run stays None.  B1 is kept as its four
-    `b1_values`, the b2 and h3 stages as `normalform` returns them, on
-    ``(layout, values)`` pairs; the series and records on these (`b1`, `x2`,
-    `y2`, `cubic_at_b1`, `b2`, `h3`) and `b2_residuals` are formed on read."""
+    `stages` (None for a stage not run): `b1_values`, `forcing`, `b2_values`
+    and `h3_values` as `normalform` returns them, on ``(layout, values)``
+    pairs, each viewed as a series by ``DAlembertSeries._new(layout, values)``."""
 
     eq_numeric: equilibria.EquilibriumPoint | None = None
     shift: equilibria.OriginShift | None = None
@@ -90,27 +89,6 @@ class PipelineResult:
     def __init__(self, params: ModelParams, options: PipelineOptions,
                  stages: tuple):
         self.params, self.options, self.stages = params, options, stages
-
-    @kept
-    def b1(self) -> tuple | None:
-        return self.b1_values and normalform.first_order_components(self.b1_values)
-
-    @kept
-    def x2(self) -> DAlembertSeries | None:
-        return self.forcing and DAlembertSeries._new(*self.forcing[0][0])
-
-    @kept
-    def y2(self) -> DAlembertSeries | None:
-        return self.forcing and DAlembertSeries._new(*self.forcing[0][1])
-
-    @kept
-    def cubic_at_b1(self) -> DAlembertSeries | None:
-        return self.forcing and DAlembertSeries._new(*self.forcing[2])
-
-    @kept
-    def b2(self) -> normalform.SecondOrderSolution | None:
-        return self.b2_values and normalform.SecondOrderSolution(*(
-            DAlembertSeries._new(*pair) for pair in self.b2_values[:2]), self.b2_values[2])
 
     @kept
     def h3(self) -> normalform.H3NormalCoefficients | None:
@@ -186,8 +164,10 @@ def oracle_rs_from_series(b2x: tuple, b2y: tuple) -> tuple:
 
 
 def check_stages(stages) -> tuple:
-    """`stages` as a tuple: `ParameterError` if it is empty or names any
-    stage not in `STAGES`.  Both `run_pipeline` and `cli` check here."""
+    """`stages` as a tuple: `ParameterError` if it is a string, is empty or
+    names a stage not in `STAGES`.  Both `run_pipeline` and `cli` check here."""
+    if isinstance(stages, str):
+        raise ParameterError(f"stages must be a sequence of names, not the string {stages!r}")
     stages = tuple(stages)
     for s in stages:
         if s not in STAGES:
@@ -258,8 +238,8 @@ class Audit:
     their `eq_gaps`; from b1 on a (numeric, closed, gap) triple per J entry
     (`j_rows`, flat); from b2 on a (closed, oracle, gap) triple per r/s slot
     (`rs_rows`, the oracle read off the chain's B2) and their sup
-    (`b2_sup`).  `gaps` by key, and `j_closed` and `rs` by name, are formed
-    on first read and kept; `audit` adds the gaps no report prints."""
+    (`b2_sup`), in `J_ENTRIES` and `RS_NAMES` order.  `gaps` by key is
+    formed on first read and kept; `audit` adds the gaps no report prints."""
 
     j_rows = rs_rows = b2_sup = None
     # why the printed equilibrium series has no value here, if it has none
@@ -274,14 +254,6 @@ class Audit:
             gaps.update(zip([f"b2.{name}" for name in RS_NAMES], self.rs_rows[2::3]))
             gaps["b2.sup"] = self.b2_sup
         return gaps
-
-    @kept
-    def j_closed(self) -> dict | None:
-        return self.j_rows and dict(zip(J_ENTRIES, self.j_rows[1::3]))
-
-    @kept
-    def rs(self) -> dict | None:
-        return self.rs_rows and dict(zip(RS_NAMES, self.rs_rows[0::3]))
 
 
 def _triples(a, b) -> tuple:

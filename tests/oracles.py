@@ -39,8 +39,9 @@ one series operation at a time, the bit-for-bit references for the
 stages' kernels; `forcing_by_objects`, `solve_by_objects` and
 `h3_by_objects` call those kernels on series, as the stages ran before
 they took plain ``(layout, values)`` pairs (`pair_of` and `series_of`
-turn one into the other), and `second_order_by_objects` chains them, the
-bit-for-bit reference for the b2 and h3 stages of
+turn one into the other; `b1_series`, `forcing_series` and `b2_series`
+view a chain result's pairs as series), and `second_order_by_objects`
+chains them, the bit-for-bit reference for the b2 and h3 stages of
 `l4norm.verify.run_pipeline`.
 `mode_vector` reads a mode's eigenvector off lists and
 `mode_columns_by_lists`, `j_by_mode_vectors` and `hessian_by_loops` build
@@ -119,9 +120,24 @@ def pair_of(series) -> tuple:
 
 
 def series_of(pair) -> DAlembertSeries:
-    """The series on a ``(layout, values)`` pair, as the chain result forms
-    it on read."""
+    """The series on a ``(layout, values)`` pair."""
     return DAlembertSeries._new(*pair)
+
+
+def b1_series(values: tuple) -> tuple:
+    """B1's pair of series on its four `b1_values`, zeros dropped."""
+    return tuple(map(series_of, normalform._b1_pairs(values)))
+
+
+def forcing_series(res) -> tuple:
+    """``(X2, Y2, the cubic at B1)`` of a chain result, as series."""
+    (x2, y2), _, cubic = res.forcing
+    return series_of(x2), series_of(y2), series_of(cubic)
+
+
+def b2_series(res) -> tuple:
+    """``(B2x, B2y)`` of a chain result, as series."""
+    return series_of(res.b2_values[0]), series_of(res.b2_values[1])
 
 
 def difference(a, b):
@@ -429,11 +445,11 @@ def linear_residual_by_operator(b1x, b1y, efg, w, n) -> float:
 
 def linear_front_by_objects(p: ModelParams, options) -> tuple:
     """``(result, printed-weights gap)`` of the chain through b1 on objects:
-    the expansion's degree-2 slice, (E, F, G) and J read off it, B1 as its
-    pair of series formed from J, and the B1 gate and the gap at the
-    printed weights (`l4norm.closedforms.b1y_print`) read off the general
-    operator's parts.  The result holds what `run_pipeline` holds through
-    b1, B1's series included, and raises what it raises."""
+    the expansion's degree-2 slice, (E, F, G) and J read off it, B1's four
+    values from J and its pair of series on them, and the B1 gate and the
+    gap at the printed weights (`l4norm.closedforms.b1y_print`) read off
+    the general operator's parts on that pair.  The result holds what
+    `run_pipeline` holds through b1, and raises what it raises."""
     res = verify.PipelineResult(p, options, verify.STAGES[:3])
     res.eq_numeric = equilibria.solve_triangular_numeric(p, options.branch)
     res.shift = equilibria.shift_from_point(res.eq_numeric, p)
@@ -452,11 +468,11 @@ def linear_front_by_objects(p: ModelParams, options) -> tuple:
     iq1, iq2 = math.sqrt(2.0 / w.omega1), math.sqrt(2.0 / w.omega2)
     x = [0j + complex(j13 * sq1, 0.0), 0j + complex(j14 * sq2, 0.0)]
     y = [0j + complex(j23 * sq1, j21 * iq1), 0j + complex(j24 * sq2, j22 * iq2)]
-    layout = normalform._B1
-    res.b1 = DAlembertSeries._new(layout, x), DAlembertSeries._new(layout, y)
-    res.b1_residual = linear_residual_by_operator(*res.b1, res.efg, w, p.n)
+    res.b1_values = (*x, *y)
+    b1x, b1y = (DAlembertSeries._new(normalform._B1, v) for v in (x, y))
+    res.b1_residual = linear_residual_by_operator(b1x, b1y, res.efg, w, p.n)
     return res, linear_residual_by_operator(
-        res.b1[0], closedforms.b1y_print(res.nm), res.efg, w, p.n)
+        b1x, closedforms.b1y_print(res.nm), res.efg, w, p.n)
 
 
 def mode_vector(omega: float, K: tuple, C: tuple) -> list:
@@ -641,14 +657,13 @@ def second_order_by_ops(efg, w, n, x2, y2, floor=DIVISOR_FLOOR):
     """`l4norm.normalform.solve_second_order_oracle` as separate series
     operations, the bit-for-bit reference for its kernel: the adjugate by
     `operator_by_composition`, each of its rows divided by `invert_delta`,
-    and the scale as four sup norms."""
+    and the scale as four sup norms: ``(b2x, b2y, scale)``."""
     (l11, l12), (l21, l22) = normalform.linear_operator(efg, n)
     neg = lambda entry: tuple(-v for v in entry)
     phi2, psi2 = operator_by_composition(((l22, neg(l12)), (neg(l21), l11)),
                                          x2, y2, w)
     b2x, b2y = invert_delta(phi2, w, floor), invert_delta(psi2, w, floor)
-    scale = max(sup(x2), sup(y2), sup(b2x), sup(b2y))
-    return normalform.SecondOrderSolution(b2x, b2y, scale)
+    return b2x, b2y, max(sup(x2), sup(y2), sup(b2x), sup(b2y))
 
 
 def h3_by_ops(cubic, l2: TruncatedPoly, b1, b2, w):
@@ -687,16 +702,15 @@ def forcing_by_objects(l3: TruncatedPoly, b1x, b1y, w):
 
 
 def solve_by_objects(efg, w, n, x2, y2, floor=DIVISOR_FLOOR):
-    """The solve kernel's call on X2 and Y2 as series, B2 as a
-    `SecondOrderSolution` of series: `l4norm.normalform.
-    solve_second_order_oracle` as it ran on objects."""
+    """The solve kernel's call on X2 and Y2 as series, ``(b2x, b2y, scale)``
+    with B2 as series: `l4norm.normalform.solve_second_order_oracle` as it
+    ran on objects."""
     (l11, l12), (l21, l22) = normalform.linear_operator(efg, n)
     neg = lambda entry: tuple(-v for v in entry)
     layout, kernel = plan(normalform._solve_kernel, x2.layout, y2.layout)
     b2x, b2y, scale = kernel(x2.values, y2.values, w.omega1, w.omega2,
                              ((l22, neg(l12)), (neg(l21), l11)), floor)
-    return normalform.SecondOrderSolution(DAlembertSeries._new(layout, b2x),
-                                          DAlembertSeries._new(layout, b2y), scale)
+    return DAlembertSeries._new(layout, b2x), DAlembertSeries._new(layout, b2y), scale
 
 
 def h3_by_objects(cubic, l2: TruncatedPoly, b1, b2, w):
@@ -717,10 +731,10 @@ def second_order_by_objects(p: ModelParams, options) -> tuple:
     stages on objects: the front as `run_pipeline` runs it to h3, then the
     expansion's `grade(3)` and B1's pair of series through
     :func:`forcing_by_objects`, :func:`solve_by_objects` on X2 and Y2, and
-    :func:`h3_by_objects` on `grade(2)`, each a series or a record of
-    series, and the B2 residuals off the operator's values on the series.
-    The bit-for-bit reference for the chain's plain values and what the
-    result forms on read; raises what the chain raises."""
+    :func:`h3_by_objects` on `grade(2)`, each a series, a tuple or a record
+    of series, and the B2 residuals off the operator's values on the series.
+    The bit-for-bit reference for the chain's plain values and its H3
+    record; raises what the chain raises."""
     eq = equilibria.solve_triangular_numeric(p, options.branch)
     lagrangian = polyalg.taylor_lagrangian(p, equilibria.shift_from_point(eq, p), 3)
     efg = polyalg.extract_EFG(lagrangian, p)
@@ -731,12 +745,12 @@ def second_order_by_objects(p: ModelParams, options) -> tuple:
             f"Moser condition fails: |{moser.worst_pair}| combination = "
             f"{moser.min_combination:.3e}", witness=moser.worst_pair)
     nm = normalform.j_numeric(p, efg, w, lagrangian)
-    b1 = normalform.first_order_components(normalform.b1_values(nm))
+    b1 = b1_series(normalform.b1_values(nm))
     (x2, y2), _, cubic = forcing_by_objects(lagrangian.grade(3), *b1, w)
     b2 = solve_by_objects(efg, w, p.n, x2, y2, options.divisor_floor)
-    h3 = h3_by_objects(cubic, lagrangian.grade(2), b1, (b2.b2x, b2.b2y), w)
+    h3 = h3_by_objects(cubic, lagrangian.grade(2), b1, b2[:2], w)
     layout, rx, ry = normalform._operator_values(
-        normalform.linear_operator(efg, p.n), pair_of(b2.b2x), pair_of(b2.b2y), w)
+        normalform.linear_operator(efg, p.n), *map(pair_of, b2[:2]), w)
     residuals = (sup_of_difference(layout, rx, pair_of(x2)),
                  sup_of_difference(layout, ry, pair_of(y2)))
     return x2, y2, cubic, b2, h3, residuals
@@ -1056,14 +1070,14 @@ def audit_gaps_eagerly(res) -> dict:
     for name in normalform.J_ENTRIES:
         gaps[f"j.{name}"] = abs(j_closed[name] - getattr(res.nm, name))
     gaps["b1.print_weights"] = linear_residual_by_operator(
-        res.b1[0], closedforms.b1y_print(res.nm), res.efg, res.freq, p.n)
-    if res.b2 is None:
+        b1_series(res.b1_values)[0], closedforms.b1y_print(res.nm), res.efg, res.freq, p.n)
+    if res.b2_values is None:
         return gaps
 
     rs = closedforms.rs_tables(j_closed, res.freq, closedforms.fg_tables(p, branch),
                                res.options.divisor_floor, branch)
     rs_oracle = dict(zip(normalform.RS_NAMES, verify.oracle_rs_from_series(
-        pair_of(res.b2.b2x), pair_of(res.b2.b2y))))
+        *res.b2_values[:2])))
     for name in normalform.RS_NAMES:
         gaps[f"b2.{name}"] = abs(rs[name] - rs_oracle[name])
     gaps["b2.sup"] = max(gaps[f"b2.{name}"] for name in normalform.RS_NAMES)
@@ -1155,7 +1169,7 @@ def render_report_by_fields(res, printed, gates: dict, verdicts=None) -> str:
     """The report as `l4norm.verify.render_report` formed it line by line,
     every field through `verify.fmt` on its own: the header and the gates,
     the [equilibria] rows and the [frequencies] lines, the J and r/s rows
-    read by name off the audit's dicts, the series listings term by term
+    read by name off the audit's rows, the series listings term by term
     (`_listing_by_fields`) and one row per verdict; the byte-for-byte
     reference for its one planned template."""
     fmt = verify.fmt
@@ -1185,19 +1199,21 @@ def render_report_by_fields(res, printed, gates: dict, verdicts=None) -> str:
                   "", "[normal-modes]", f"symplectic_defect: {fmt(nm.symplectic_defect)}",
                   f"h2_residual: {fmt(nm.h2_residual)}",
                   f"b1_residual: {fmt(res.b1_residual)}", "entry,numeric,closed,abs_gap"]
-        lines += (f"{name},{fmt(getattr(nm, name))},{fmt(printed.j_closed[name])},"
+        closed = dict(zip(normalform.J_ENTRIES, printed.j_rows[1::3]))
+        lines += (f"{name},{fmt(getattr(nm, name))},{fmt(closed[name])},"
                   f"{fmt(printed.gaps['j.' + name])}" for name in normalform.J_ENTRIES)
     if res.b2_values is not None:
         residual_x, residual_y = res.b2_residuals
         oracle = dict(zip(normalform.RS_NAMES,
                           verify.oracle_rs_from_series(*res.b2_values[:2])))
+        closed = dict(zip(normalform.RS_NAMES, printed.rs_rows[0::3]))
         lines += ["", "[second-order]", f"residual_x: {fmt(residual_x)}",
                   f"residual_y: {fmt(residual_y)}",
                   f"closed_vs_oracle_sup: {fmt(printed.gaps['b2.sup'])}",
                   "coefficient,closed,oracle,abs_gap"]
-        lines += (f"{name},{fmt(printed.rs[name])},{fmt(oracle[name])},"
+        lines += (f"{name},{fmt(closed[name])},{fmt(oracle[name])},"
                   f"{fmt(printed.gaps['b2.' + name])}" for name in normalform.RS_NAMES)
-        for name, series in (("b2x", res.b2.b2x), ("b2y", res.b2.b2y)):
+        for name, series in zip(("b2x", "b2y"), b2_series(res)):
             lines.append(f"{name}_series:")
             lines += ("  " + line for line in _listing_by_fields(series))
     if res.h3_values is not None:

@@ -21,7 +21,7 @@ from l4norm.verify import (
     single_perturbation_params,
 )
 
-from oracles import grade, sup
+from oracles import forcing_series, grade, sup
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -207,6 +207,6 @@ def test_h3_grades_structurally_nontrivial():
     """Guard the guard: the degree-3 grades must be populated by the
     ablation run, so the vanishing test cannot pass vacuously."""
     res = run_pipeline(ModelParams(mu=0.01))
-    abl = res.cubic_at_b1
+    _, _, abl = forcing_series(res)
     assert min(sup(grade(abl, j, 3 - j)) for j in range(4)) > 1e-3
     assert abl.terms  # angle-dependent content exists pre-cancellation

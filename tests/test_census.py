@@ -14,13 +14,13 @@ without drag, on both branches, and at the four points, the solve must
 end as `oracles.newton_by_two_calls` ends, bit for bit; over the same
 kinds of draws the b1 front, on plain values, must end as
 `oracles.linear_front_by_objects` ends on a degree-2 slice and B1's
-series, bit for bit: (E, F, G), the frequencies, Moser, J, K, C, B1, its
-gate, the gates and the gap at the printed weights.  Over the same kinds
-of draws the b2 and h3 stages, on plain values, must end as
+series, bit for bit: (E, F, G), the frequencies, Moser, J, K, C, B1's
+four values, the B1 gate, the gates and the gap at the printed weights.
+Over the same kinds of draws the b2 and h3 stages, on plain values, must end as
 `oracles.second_order_by_objects` ends on the expansion's slices and B1's
 series, bit for bit: X2, Y2, the cubic at B1, B2 with its scale, H3's
-slice and six norms, and the B2 residuals, each as the result forms it on
-read.  Over the same kinds of draws, stopped at b1, b2 and h3, the audit
+slice and six norms, and the B2 residuals, the result's pairs viewed as
+series.  Over the same kinds of draws, stopped at b1, b2 and h3, the audit
 the report prints, on values, must hold what
 `oracles.report_audit_by_names` computes on dicts, bit for bit, the
 straight-line congruence gaps must equal the generic loop's, and the
@@ -39,11 +39,13 @@ from l4norm.dalembert import DAlembertSeries
 from l4norm.equilibria import solve_triangular_numeric
 from l4norm.errors import ConvergenceError, DomainError, L4NormError
 from l4norm.model import ModelParams
-from l4norm.normalform import (RS_NAMES, SIGMA, congruence_gap, hamiltonian_matrix)
+from l4norm.normalform import (J_ENTRIES, RS_NAMES, SIGMA, congruence_gap,
+                               hamiltonian_matrix)
 from l4norm.verify import (PipelineOptions, audit, render_report, report_audit,
                            run_pipeline)
-from oracles import (congruence_gap_by_rows, linear_front_by_objects, newton_by_two_calls,
-                     render_report_by_fields, report_audit_by_names, second_order_by_objects)
+from oracles import (b2_series, congruence_gap_by_rows, forcing_series,
+                     linear_front_by_objects, newton_by_two_calls, render_report_by_fields,
+                     report_audit_by_names, second_order_by_objects)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 DRAWS = 400
@@ -182,7 +184,7 @@ def _bits(value):
 def _front(res, print_weights) -> tuple:
     """What the b1 front formed, hex-spelled, the error's text aside."""
     return _bits((tuple(res.efg), tuple(res.freq), tuple(res.moser), res.nm.J,
-                  res.nm.K, res.nm.C, res.b1, res.b1_residual, print_weights,
+                  res.nm.K, res.nm.C, res.b1_values, res.b1_residual, print_weights,
                   tuple(res.gates().items())))
 
 
@@ -224,7 +226,7 @@ def test_second_order_matches_the_object_path(monkeypatch):
             options = PipelineOptions(branch=branch)
             try:
                 res = run_pipeline(q, options)
-                new = _bits((res.x2, res.y2, res.cubic_at_b1, tuple(res.b2),
+                new = _bits((*forcing_series(res), (*b2_series(res), res.b2_values[2]),
                              tuple(res.h3), res.b2_residuals))
             except L4NormError as err:
                 new = type(err).__name__, str(err)
@@ -246,8 +248,8 @@ def _audit_bits(printed, keys) -> tuple:
     """The report's part of an `Audit`, with its gaps at `keys`, as
     `oracles.report_audit_by_names` lays it out, hex-spelled."""
     return _bits((tuple(printed.eq_series), tuple(printed.eq_epsform),
-                  printed.j_closed and tuple(printed.j_closed.items()),
-                  printed.rs and tuple(printed.rs.items()),
+                  printed.j_rows and tuple(zip(J_ENTRIES, printed.j_rows[1::3])),
+                  printed.rs_rows and tuple(zip(RS_NAMES, printed.rs_rows[0::3])),
                   printed.rs_rows and tuple(zip(RS_NAMES, printed.rs_rows[1::3])),
                   tuple((key, printed.gaps[key]) for key in keys)))
 

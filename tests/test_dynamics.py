@@ -26,7 +26,8 @@ from l4norm.model import ModelParams
 from l4norm.normalform import frequencies
 from l4norm.verify import PipelineOptions, run_pipeline
 
-from oracles import State, eom_rhs, lagrangian_rhs, orbit_frequencies, series_value
+from oracles import (State, b1_series, b2_series, eom_rhs, lagrangian_rhs,
+                     orbit_frequencies, series_value)
 
 ACTIONS = (1e-6, 2.5e-7, 6.25e-8)
 PHASES = (0.3, 1.1)
@@ -38,7 +39,7 @@ def orbit_errors(p, branch, rhs):
     res = run_pipeline(p, PipelineOptions(branch=branch), stages=("b2",))
     w, eq = res.freq, res.eq_numeric
     t_end = 2.0 * (2.0 * math.pi / w.omega2)
-    b1, b2 = res.b1, (res.b2.b2x, res.b2.b2y)
+    b1, b2 = b1_series(res.b1_values), b2_series(res)
     models = {"b1": b1, "b1+b2": tuple(a + b for a, b in zip(b1, b2))}
 
     def flow(_t, y):

@@ -38,7 +38,6 @@ from l4norm.model import ModelParams
 from l4norm.normalform import (
     H3NormalCoefficients,
     NormalModeData,
-    SecondOrderSolution,
     _b1_slots,
     _forcing_polys,
     _mode_columns,
@@ -46,7 +45,6 @@ from l4norm.normalform import (
     b1_values,
     classical_frequencies,
     congruence_gap,
-    first_order_components,
     forcing_x2y2,
     frequencies,
     h3_normal_coefficients,
@@ -66,7 +64,8 @@ from l4norm.polyalg import (
     taylor_lagrangian,
 )
 
-from oracles import (congruence_gap_by_rows, difference, energy, hessian_by_loops,
+from oracles import (b1_series, b2_series, congruence_gap_by_rows, difference, energy,
+                     forcing_series, hessian_by_loops,
                      j_by_mode_vectors,
                      linear_residual_by_operator, mode_columns_by_lists,
                      operator_by_composition, pair_of, partial, polynomial_rows,
@@ -100,8 +99,8 @@ def linear_stage(p, branch="L4"):
 
 
 def b1_of(nm):
-    """B1's pair of series, as the chain forms it on read."""
-    return first_order_components(b1_values(nm))
+    """B1's pair of series on its four values."""
+    return b1_series(b1_values(nm))
 
 
 def forcing_of(lag, nm, w):
@@ -112,9 +111,10 @@ def forcing_of(lag, nm, w):
 
 
 def solve_of(efg, w, n, x2, y2):
-    """`solve_second_order_oracle` on a forcing of series, B2 as series."""
+    """`solve_second_order_oracle` on a forcing of series: ``(b2x, b2y,
+    scale)``, B2 as series."""
     b2x, b2y, scale = solve_second_order_oracle(efg, w, n, pair_of(x2), pair_of(y2))
-    return SecondOrderSolution(series_of(b2x), series_of(b2y), scale)
+    return series_of(b2x), series_of(b2y), scale
 
 
 def h3_of(cubic, lag, nm, b2, w):
@@ -572,10 +572,11 @@ class TestForcing:
         assert y2a.norm_of_difference(y2b) < 1e-12
 
 
-def back_substitution(sol, x2, y2, efg, w, n):
+def back_substitution(b2, x2, y2, efg, w, n):
     """The B2 residual pair formed eagerly: the linearized equations at
-    (B2x, B2y) as composed series, minus the forcing as series."""
-    rx, ry = operator_by_composition(linear_operator(efg, n), sol.b2x, sol.b2y, w)
+    (B2x, B2y), the first two of `b2`, as composed series, minus the
+    forcing as series."""
+    rx, ry = operator_by_composition(linear_operator(efg, n), b2[0], b2[1], w)
     return sup(difference(rx, x2)), sup(difference(ry, y2))
 
 
@@ -588,8 +589,8 @@ class TestSecondOrderOracle:
 
     def test_zero_forcing(self):
         zero = DAlembertSeries()
-        sol = solve_of(self.efg, self.w, self.p.n, zero, zero)
-        assert sol.b2x.terms == {} and sol.b2y.terms == {}
+        b2x, b2y, _ = solve_of(self.efg, self.w, self.p.n, zero, zero)
+        assert b2x.terms == {} and b2y.terms == {}
 
     def test_single_harmonic_round_trip(self):
         x2 = DAlembertSeries.single(2, 0, 2, 0, c=1.0)
@@ -603,7 +604,8 @@ class TestSecondOrderOracle:
         (x2, y2), _, _ = forcing_of(self.lag, self.nm, self.w)
         sol = solve_of(self.efg, self.w, self.p.n, x2, y2)
         assert max(back_substitution(sol, x2, y2, self.efg, self.w, self.p.n)) < 1e-9
-        support = set(sol.b2x.terms) | set(sol.b2y.terms)
+        b2x, b2y, _ = sol
+        support = set(b2x.terms) | set(b2y.terms)
         assert support == {(2, 0, 0, 0), (0, 2, 0, 0), (2, 0, 2, 0),
                            (0, 2, 0, 2), (1, 1, 1, 1), (1, 1, 1, -1)}
 
@@ -735,11 +737,10 @@ class TestH3:
     def run_h3(self, p, ablation=False):
         _, _, lag, efg, w, nm = linear_stage(p)
         (x2, y2), _, cubic = forcing_of(lag, nm, w)
-        sol = solve_of(efg, w, p.n, x2, y2)
-        b2 = (DAlembertSeries(), DAlembertSeries()) if ablation \
-            else (sol.b2x, sol.b2y)
+        b2x, b2y, _ = solve_of(efg, w, p.n, x2, y2)
+        b2 = (DAlembertSeries(), DAlembertSeries()) if ablation else (b2x, b2y)
         h3 = h3_of(cubic, lag, nm, b2, w)
-        scale = max(sup(x2), sup(y2), sup(sol.b2x), sup(sol.b2y))
+        scale = max(sup(x2), sup(y2), sup(b2x), sup(b2y))
         return h3, scale
 
     def test_classical_vanishing(self):
@@ -771,7 +772,7 @@ class TestH3:
               + t_sym["T4"] * (eta * eta * eta)) * (1.0 / 6.0)
         (x2, y2), _, cubic = forcing_of(l3, nm, w)
         sol = solve_of(efg, w, p.n, x2, y2)
-        h3 = h3_of(cubic, lag, nm, (sol.b2x, sol.b2y), w)
+        h3 = h3_of(cubic, lag, nm, sol[:2], w)
         assert largest_grade(h3) < 1e-10
 
     def test_partial_forcing_leaves_first_order_drag_residue(self):
@@ -787,7 +788,7 @@ class TestH3:
         # the chain expands the cubic from the b2 stage on
         res = run_pipeline(p, stages=("b2",))
         l3 = res.lagrangian_poly.grade(3)
-        b1x, b1y = res.b1
+        b1x, b1y = b1_series(res.b1_values)
         args = (b1x, b1y, apply_D(b1x, res.freq), apply_D(b1y, res.freq))
         doubled = [scaled(a, 2.0) for a in args]
         for i in range(4):
@@ -873,8 +874,9 @@ class TestSubstitutionKernel:
         l3 = lag.grade(3)
         polys = [partial(l3, i) for i in range(4)]
         polys += [energy(l3), energy(lag.grade(2)), lag]
-        b1x, b1y = chain.b1
-        bx, by = b1x + chain.b2.b2x, b1y + chain.b2.b2y
+        b1x, b1y = b1_series(chain.b1_values)
+        b2x, b2y = b2_series(chain)
+        bx, by = b1x + b2x, b1y + b2y
         for x, y in ((b1x, b1y), (bx, by)):
             args = (x, y, apply_D(x, w), apply_D(y, w))
             for cap in (2, 3):
@@ -888,8 +890,9 @@ class TestSubstitutionKernel:
         l3 = lag.grade(3)
         polys = [partial(l3, i) for i in range(4)]
         polys += [energy(l3), energy(lag.grade(2)), lag]
-        b1x, b1y = chain.b1
-        bx, by = b1x + chain.b2.b2x, b1y + chain.b2.b2y
+        b1x, b1y = b1_series(chain.b1_values)
+        b2x, b2y = b2_series(chain)
+        bx, by = b1x + b2x, b1y + b2y
         for x, y in ((b1x, b1y), (bx, by)):
             args = (x, y, apply_D(x, w), apply_D(y, w))
             layouts = [a.layout for a in args]
@@ -907,7 +910,7 @@ class TestSubstitutionKernel:
         # bit as its own substitution; drag-free, the velocity partials are
         # empty polynomials
         l3, w = chain.lagrangian_poly.grade(3), chain.freq
-        b1x, b1y = chain.b1
+        b1x, b1y = b1_series(chain.b1_values)
         args = (b1x, b1y, apply_D(b1x, w), apply_D(b1y, w))
         dx, dy, dvx, dvy, e3 = [poly_at_series(poly, *args, 3) for poly in
                                 [partial(l3, i) for i in range(4)] + [energy(l3)]]
@@ -980,8 +983,9 @@ class TestOperatorKernel:
             (l11, l12), (l21, l22) = op
             adjugate = ((l22, tuple(-v for v in l12)),
                         (tuple(-v for v in l21), l11))
-            for matrix, (x, y) in ((op, res.b1), (adjugate, (res.x2, res.y2)),
-                                   (op, (res.b2.b2x, res.b2.b2y))):
+            for matrix, (x, y) in ((op, b1_series(res.b1_values)),
+                                   (adjugate, forcing_series(res)[:2]),
+                                   (op, b2_series(res))):
                 self.assert_equal(matrix, x, y, res.freq)
 
     def test_on_random_series(self):
@@ -1007,7 +1011,7 @@ class TestOperatorKernel:
         for p, branch in points:
             res = run_pipeline(p, PipelineOptions(branch=branch),
                                stages=("b1",))
-            op, (b1x, b1y) = linear_operator(res.efg, p.n), res.b1
+            op, (b1x, b1y) = linear_operator(res.efg, p.n), b1_series(res.b1_values)
             for y in (b1y, b1y_print(res.nm)):
                 series = operator_by_composition(op, b1x, y, res.freq)
                 gate = gate_at(b1x, y, res.efg, res.freq, p.n)
@@ -1024,6 +1028,6 @@ class TestOperatorKernel:
         for p, branch in points:
             res = run_pipeline(p, PipelineOptions(branch=branch),
                                stages=("b2",))
-            eager = back_substitution(res.b2, res.x2, res.y2, res.efg,
-                                      res.freq, p.n)
+            eager = back_substitution(b2_series(res), *forcing_series(res)[:2],
+                                      res.efg, res.freq, p.n)
             assert [r.hex() for r in res.b2_residuals] == [r.hex() for r in eager]

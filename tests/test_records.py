@@ -18,7 +18,7 @@ def records():
     res = run_pipeline(p)
     return [p, ModelParams._from_perturbations(p.mu, p.epsilon, p.A2, -p.W1),
             PipelineOptions(), res.eq_numeric, res.shift, res.efg,
-            res.freq, res.moser, res.nm, res.b2, res.h3,
+            res.freq, res.moser, res.nm, res.h3,
             RemainderVerdict("b2.r1", "W1", 1e-3, 5e-4, "first_order"),
             KNOWN_DISCREPANCIES[0]]
 
@@ -68,6 +68,18 @@ def test_checks_run_at_construction():
         ModelParams(mu=0.01, cd=float("nan"))
     with pytest.raises(ParameterError):
         PipelineOptions(branch="L6")
+
+
+@pytest.mark.parametrize("record, field", [
+    *((ModelParams, name) for name in ("mu", "q1", "A2", "cd")),
+    *((PipelineOptions, name) for name in PipelineOptions._fields[1:])],
+    ids=lambda x: getattr(x, "__name__", x))
+def test_a_value_that_is_not_a_number_is_refused_by_name(record, field):
+    # a string is refused as a ParameterError naming its field, where a
+    # comparison with a float would raise a bare TypeError
+    required = {"mu": 0.01} if record is ModelParams else {}
+    with pytest.raises(ParameterError, match=f"^{field} must .* got '0.01'$"):
+        record(**{**required, field: "0.01"})
 
 
 def test_parameters_keep_no_instance_dict():

@@ -24,8 +24,8 @@ from l4norm.polyalg import QuadraticCoefficients, TruncatedPoly, taylor_lagrangi
 from l4norm.verify import PipelineOptions, audit, run_pipeline
 
 import oracles
-from oracles import (forcing_by_ops, h3_by_ops, pair_of, second_order_by_ops,
-                     series_of)
+from oracles import (b1_series, b2_series, forcing_by_ops, forcing_series, h3_by_ops,
+                     pair_of, second_order_by_ops, series_of)
 
 # Mass ratios where, drag-free, H3's degree-2 (1, 1, 1, 1) coefficient
 # cancels to an exact 0.0 at some and not at others, and where, at drag
@@ -59,13 +59,13 @@ def check_second_order(res, x2, y2, cubic, floor=1e-8):
     if solved[0] != "ok":
         assert solved == reference
         return
-    (b2x, b2y, scale), ref = solved[1], reference[1]
-    assert bits(b2x) == bits(ref.b2x) and bits(b2y) == bits(ref.b2y)
-    assert scale.hex() == ref.scale.hex()
+    (b2x, b2y, scale), (ref_x, ref_y, ref_scale) = solved[1], reference[1]
+    assert bits(b2x) == bits(ref_x) and bits(b2y) == bits(ref_y)
+    assert scale.hex() == ref_scale.hex()
     h3, norms = h3_normal_coefficients(cubic, res.lagrangian_poly, res.b1_values,
                                        (b2x, b2y), w)
-    h3_ref = h3_by_ops(series_of(cubic), res.lagrangian_poly.grade(2), res.b1,
-                       (ref.b2x, ref.b2y), w)
+    h3_ref = h3_by_ops(series_of(cubic), res.lagrangian_poly.grade(2),
+                       b1_series(res.b1_values), (ref_x, ref_y), w)
     assert bits(h3) == bits(h3_ref.series)
     # h2_residual, A30..A03 and ablation_max
     assert [v.hex() for v in norms] == [v.hex() for v in h3_ref[1:]]
@@ -76,7 +76,7 @@ def check_stages(res):
     position-partial forcing (the audit's `forcing.partial_only`)."""
     lagrangian = taylor_lagrangian(res.params, res.shift, 3)
     forcing = forcing_x2y2(lagrangian, res.b1_values, res.freq)
-    reference = forcing_by_ops(lagrangian.grade(3), *res.b1, res.freq)
+    reference = forcing_by_ops(lagrangian.grade(3), *b1_series(res.b1_values), res.freq)
     (x2, y2), (x2p, y2p), cubic = forcing
     (rx2, ry2), (rx2p, ry2p), rcubic = reference
     assert (list(map(bits, (x2, y2, x2p, y2p, cubic)))
@@ -126,15 +126,15 @@ def test_stages_equal_their_references_along_the_chain():
         p = (ModelParams(mu=mu, q1=0.995, A2=1e-3, cd=5.0) if drag
              else ModelParams(mu=mu))
         res = run_pipeline(p)
-        l3 = res.lagrangian_poly.grade(3)
-        (x2, y2), _, cubic = forcing_by_ops(l3, *res.b1, res.freq)
-        assert bits(res.x2) == bits(x2) and bits(res.y2) == bits(y2)
-        assert bits(res.cubic_at_b1) == bits(cubic)
+        l3, b1 = res.lagrangian_poly.grade(3), b1_series(res.b1_values)
+        (x2, y2), _, cubic = forcing_by_ops(l3, *b1, res.freq)
+        chain_x2, chain_y2, chain_cubic = forcing_series(res)
+        assert bits(chain_x2) == bits(x2) and bits(chain_y2) == bits(y2)
+        assert bits(chain_cubic) == bits(cubic)
         ref = second_order_by_ops(res.efg, res.freq, p.n, x2, y2)
-        assert bits(res.b2.b2x) == bits(ref.b2x)
-        assert res.intermediate_scale() == ref.scale
-        h3 = h3_by_ops(cubic, res.lagrangian_poly.grade(2), res.b1,
-                       (ref.b2x, ref.b2y), res.freq)
+        assert bits(b2_series(res)[0]) == bits(ref[0])
+        assert res.intermediate_scale() == ref[2]
+        h3 = h3_by_ops(cubic, res.lagrangian_poly.grade(2), b1, ref[:2], res.freq)
         assert bits(res.h3.series) == bits(h3.series)
         assert [v.hex() for v in res.h3[1:]] == [v.hex() for v in h3[1:]]
 
@@ -156,10 +156,10 @@ def solve_both(x2, y2, floor=1e-8):
                      pair_of(y2), floor)
     reference = outcome(second_order_by_ops, EFG, W, 1.0, x2, y2, floor)
     if solved[0] == "ok":
-        (b2x, b2y, scale), ref = solved[1], reference[1]
+        (b2x, b2y, scale), (ref_x, ref_y, ref_scale) = solved[1], reference[1]
         assert reference[0] == "ok"
-        assert bits(b2x) == bits(ref.b2x) and bits(b2y) == bits(ref.b2y)
-        assert scale == ref.scale
+        assert bits(b2x) == bits(ref_x) and bits(b2y) == bits(ref_y)
+        assert scale == ref_scale
     else:
         assert solved == reference
     return reference
@@ -210,7 +210,7 @@ def test_a_critical_slot_of_exactly_zero_raises_nothing():
     y2 = series(((1, 0, 1, 0), (1.0, 0.0)))
     solved = solve_both(x2, y2)
     assert solved[0] == "ok"
-    assert solved[1].b2x.layout.keys == ((2, 0, 2, 0),)
+    assert solved[1][0].layout.keys == ((2, 0, 2, 0),)
     # the same slot a hair off zero raises
     y2 = series(((1, 0, 1, 0), (1.0 + 2.0**-52, 0.0)))
     assert solve_both(x2, y2)[0] is CriticalTermError
@@ -225,7 +225,7 @@ def test_a_slot_of_exactly_zero_on_a_zero_divisor_raises_nothing():
     for floor in (1e-8, 0.0):
         solved = solve_both(x2, y2, floor)
         assert solved[0] == "ok"
-        assert solved[1].b2y.layout.keys == ((2, 0, 2, 0),)
+        assert solved[1][1].layout.keys == ((2, 0, 2, 0),)
     y2 = series(((0, 2, 0, 2), (1.0, 2.0**-52)))
     assert solve_both(x2, y2)[0] is SmallDivisorError
 
@@ -274,9 +274,10 @@ def test_a_chain_runs_no_step_by_step_series_operation(monkeypatch):
             res.gates()
     assert calls == []
     # the references run each operation on its own
-    h3_by_ops(res.cubic_at_b1, res.lagrangian_poly.grade(2), res.b1,
-              (res.b2.b2x, res.b2.b2y), res.freq)
-    second_order_by_ops(res.efg, res.freq, p.n, res.x2, res.y2)
+    x2, y2, cubic = forcing_series(res)
+    h3_by_ops(cubic, res.lagrangian_poly.grade(2), b1_series(res.b1_values),
+              b2_series(res), res.freq)
+    second_order_by_ops(res.efg, res.freq, p.n, x2, y2)
     assert {"apply_poly_in_D", "invert_delta", "_merge"} <= set(calls)
 
 
@@ -367,12 +368,12 @@ def stage_sources(drag: bool, monkeypatch) -> list:
     compiled = layout.compiled
     monkeypatch.setattr(layout, "compiled", lambda source, name:
                         sources.append(source) or compiled(source, name))
-    b1 = tuple(s.layout for s in res.b1)
+    b1 = tuple(layout for layout, _ in normalform._b1_pairs(res.b1_values))
+    (x2, y2), _, cubic = res.forcing
     normalform._forcing_kernel(res.lagrangian_poly.grade(3).layout, *b1)
-    normalform._solve_kernel(res.x2.layout, res.y2.layout)
+    normalform._solve_kernel(x2[0], y2[0])
     normalform._h3_kernel(res.lagrangian_poly.grade(2).layout, *b1,
-                          res.b2.b2x.layout, res.b2.b2y.layout,
-                          res.cubic_at_b1.layout)
+                          res.b2_values[0][0], res.b2_values[1][0], cubic[0])
     monkeypatch.undo()
     return sources
 

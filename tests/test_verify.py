@@ -49,10 +49,10 @@ from l4norm.verify import (
     single_perturbation_params,
 )
 
-from oracles import (audit_gaps_eagerly, degree_slice, difference, energy, grade,
-                     negated, operator_by_composition, pair_of, partial,
-                     position_part, product, reflect, scaled, series_of, sup,
-                     t5_by_products)
+from oracles import (audit_gaps_eagerly, b1_series, b2_series, degree_slice, difference,
+                     energy, forcing_series, grade, negated, operator_by_composition,
+                     pair_of, partial, position_part, product, reflect, scaled,
+                     series_of, sup, t5_by_products)
 
 
 class TestPipeline:
@@ -63,7 +63,7 @@ class TestPipeline:
         res = run_pipeline(p, stages=("taylor",))
         assert res.efg is not None and res.freq is None
         res = run_pipeline(p, stages=("b1",))
-        assert res.nm is not None and res.b2 is None
+        assert res.nm is not None and res.b2_values is None
         res = run_pipeline(p, stages=("h3",))
         assert res.h3 is not None
 
@@ -199,8 +199,8 @@ class TestAudit:
         res = run_pipeline(params, PipelineOptions(branch=branch),
                            stages=("b2",))
         slots = {key for key, _ in RS_SLOTS}
-        assert set(res.b2.b2x.terms) <= slots
-        assert set(res.b2.b2y.terms) <= slots
+        for series in b2_series(res):
+            assert set(series.terms) <= slots
         gaps = audit(res).gaps
         assert gaps["b2.sup"] == max(gaps[f"b2.{rs}{i}"] for rs in "rs"
                                      for i in range(1, 11))
@@ -265,7 +265,9 @@ class TestMirror:
 
         def values(printed):
             point = printed.eq_epsform
-            return {"x": point.x, "y": point.y, **printed.j_closed, **printed.rs}
+            return {"x": point.x, "y": point.y,
+                    **dict(zip(J_ENTRIES, printed.j_rows[1::3])),
+                    **dict(zip(RS_NAMES, printed.rs_rows[0::3]))}
 
         assert values(l5) == reflect(values(l4))
         assert l5.eq_epsform.residual == l4.eq_epsform.residual
@@ -347,7 +349,7 @@ class TestChainStoppedAtB1:
         assert _hex((a.freq.omega1, a.freq.omega2)) == _hex(
             (b.freq.omega1, b.freq.omega2))
         assert [_hex(row) for row in a.nm.J] == [_hex(row) for row in b.nm.J]
-        for sa, sb in zip(a.b1, b.b1):
+        for sa, sb in zip(b1_series(a.b1_values), b1_series(b.b1_values)):
             assert _series_bits(sa) == _series_bits(sb)
         assert a.b1_residual.hex() == b.b1_residual.hex()
         assert a.moser.min_combination.hex() == b.moser.min_combination.hex()
@@ -410,11 +412,10 @@ def test_the_hessian_is_formed_only_where_a_gate_reads_it(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_b1_series_are_formed_on_first_read(monkeypatch, capsys):
+def test_a_b1_sweep_and_a_b2_chain_form_no_b1_series(monkeypatch, capsys):
     # a drag sweep at b1 reads the expansion itself and B1's plain values:
     # it forms no slice and no B1 series.  Nor does a chain to b2, whose
-    # forcing reads B1's values; the first read forms B1's pair, and a
-    # second read returns the same pair
+    # forcing reads B1's values; those values are the pair's, zeros dropped
     from l4norm import cli
     grades, pairs = [], []
     grade, new = TruncatedPoly.grade, DAlembertSeries._new.__func__
@@ -431,17 +432,16 @@ def test_b1_series_are_formed_on_first_read(monkeypatch, capsys):
     res = run_pipeline(ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0),
                        stages=("b2",))
     assert grades == [] and pairs == []
-    b1 = res.b1
-    assert len(pairs) == 2
-    assert res.b1 is b1 and all(map(operator.is_, res.b1, b1)) and len(pairs) == 2
+    b1 = b1_series(res.b1_values)
     assert [z for series in b1 for z in series.values] == list(res.b1_values)
-    assert run_pipeline(res.params, stages=("taylor",)).b1 is None
+    assert run_pipeline(res.params, stages=("taylor",)).b1_values is None
 
 
 def test_the_stages_are_planned_once_per_tuple(monkeypatch):
     # a chain checks its stage tuple on the first call only; a list or a
     # generator still runs, and a bad tuple, one with an unhashable entry
-    # among them, still raises the checker's ParameterError
+    # among them, or a bare string, which would be read character by
+    # character, still raises the checker's ParameterError
     calls = []
     check = verify.check_stages
     monkeypatch.setattr(verify, "check_stages",
@@ -455,13 +455,14 @@ def test_the_stages_are_planned_once_per_tuple(monkeypatch):
         assert run_pipeline(p, stages=stages).stages == STAGES[:4]
     for stages, message in ((("b1", "warp"), "unknown stage 'warp'"),
                             (("b1", ["b2"]), r"unknown stage \['b2'\]"),
-                            ((), "empty stage list")):
+                            ((), "empty stage list"),
+                            ("h3", "not the string 'h3'")):
         for _ in range(2):
             with pytest.raises(ParameterError, match=message):
                 run_pipeline(p, stages=stages)
 
 
-LAZY = ("b1", "x2", "y2", "cubic_at_b1", "b2", "h3", "b2_residuals")
+LAZY = ("h3", "b2_residuals")
 
 
 @pytest.mark.parametrize("branch", ["L4", "L5"])
@@ -471,17 +472,21 @@ LAZY = ("b1", "x2", "y2", "cubic_at_b1", "b2", "h3", "b2_residuals")
 ], ids=["free", "drag"])
 def test_a_chain_and_its_gates_form_no_series(params, branch, monkeypatch):
     # run to h3 and gated, the chain reads the expansion and B1's values
-    # and keeps the b2 and h3 stages as plain values: it forms no series,
-    # no slice and no B1 pair; each lazy attribute forms its value on the
-    # first read, and a second read returns the same object
+    # and keeps the b2 and h3 stages as plain values: it forms no series
+    # and no slice; each lazy attribute forms its value on the first read,
+    # and a second read returns the same object.  A result holds each
+    # stage's values once: no series view of them comes back
+    for name in ("b1", "x2", "y2", "cubic_at_b1", "b2"):
+        assert not hasattr(verify.PipelineResult, name), name
+    for name in ("j_closed", "rs"):
+        assert not hasattr(verify.Audit, name), name
     formed = []
     new, init = DAlembertSeries._new.__func__, DAlembertSeries.__init__
     monkeypatch.setattr(DAlembertSeries, "_new", classmethod(
         lambda cls, *args: formed.append("_new") or new(cls, *args)))
     monkeypatch.setattr(DAlembertSeries, "__init__",
                         lambda self, *args: formed.append("init") or init(self, *args))
-    for owner, name in ((TruncatedPoly, "grade"), (Store, "_slice"),
-                        (normalform, "first_order_components")):
+    for owner, name in ((TruncatedPoly, "grade"), (Store, "_slice")):
         fn = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args, fn=fn, name=name:
                             formed.append(name) or fn(*args))
@@ -490,11 +495,11 @@ def test_a_chain_and_its_gates_form_no_series(params, branch, monkeypatch):
     assert formed == [] and all(gates.values())
     assert all(name not in vars(res) for name in LAZY[:-1])
     first = [getattr(res, name) for name in LAZY]
-    assert "_new" in formed and "first_order_components" in formed
+    assert formed == ["_new"]
     count = len(formed)
     assert all(map(operator.is_, first, (getattr(res, name) for name in LAZY)))
     assert len(formed) == count and res.gates() == gates
-    assert max(res.h3[2:6]) == res.h3_max() and res.b2.scale == res.intermediate_scale()
+    assert max(res.h3[2:6]) == res.h3_max() and res.b2_values[2] == res.intermediate_scale()
 
 
 class TestLazySecondOrderResiduals:
@@ -521,8 +526,9 @@ class TestLazySecondOrderResiduals:
         # kernel: the chain applies the operator nowhere
         assert len(calls) == 0
         rx, ry = operator_by_composition(normalform.linear_operator(res.efg, p.n),
-                                         res.b2.b2x, res.b2.b2y, res.freq)
-        eager = (sup(difference(rx, res.x2)), sup(difference(ry, res.y2)))
+                                         *b2_series(res), res.freq)
+        x2, y2, _ = forcing_series(res)
+        eager = (sup(difference(rx, x2)), sup(difference(ry, y2)))
         assert _hex(res.b2_residuals) == _hex(eager)
         assert res.gates()["b2-residual"] and res.gates() == res.gates()
         assert len(calls) == 1
@@ -698,7 +704,7 @@ def cubic_at_b1_anew(res):
     """Reference: the position cubic at B1, substituted afresh."""
     zero = DAlembertSeries()
     return poly_at_series(negated(position_part(res.lagrangian_poly.grade(3))),
-                          *res.b1, zero, zero, 3)
+                          *b1_series(res.b1_values), zero, zero, 3)
 
 
 def h3_at(res, cubic, b2):
@@ -713,7 +719,7 @@ def partial_forcing_gap_anew(res):
     """Reference: the partial-forcing gap with every substitution made
     afresh, at (B1, B1, D B1, D B1) and cap 2, and its own cubic at B1."""
     l3 = res.lagrangian_poly.grade(3)
-    b1x, b1y = res.b1
+    b1x, b1y = b1_series(res.b1_values)
     args = (b1x, b1y, apply_D(b1x, res.freq), apply_D(b1y, res.freq))
     x2p, y2p = (poly_at_series(partial(l3, i), *args, 2) for i in (0, 1))
     b2x, b2y, _ = solve_second_order_oracle(res.efg, res.freq, res.params.n,
@@ -740,17 +746,17 @@ class TestH3Substitution:
     def test_ablation_is_the_b2_zero_run(self, res):
         zero = DAlembertSeries()
         b2_zero = h3_at(res, cubic_at_b1_anew(res), (zero, zero))
-        assert list(res.cubic_at_b1.terms.items()) \
-            == list(b2_zero.series.terms.items())
-        assert sup(res.cubic_at_b1) == max(b2_zero[2:6]) == res.h3.ablation_max
+        _, _, cubic = forcing_series(res)
+        assert list(cubic.terms.items()) == list(b2_zero.series.terms.items())
+        assert sup(cubic) == max(b2_zero[2:6]) == res.h3.ablation_max
         assert res.h3.h2_residual == b2_zero.h2_residual
-        assert grade_norms(res.cubic_at_b1) == grade_norms(b2_zero.series) \
+        assert grade_norms(cubic) == grade_norms(b2_zero.series) \
             == (b2_zero.A30, b2_zero.A21, b2_zero.A12, b2_zero.A03)
 
     def test_h3_is_the_b1_plus_b2_substitution(self, res):
         lag = res.lagrangian_poly
         reference = h3_at_b1_plus_b2(
-            lag.grade(2), lag.grade(3), res.b1, (res.b2.b2x, res.b2.b2y),
+            lag.grade(2), lag.grade(3), b1_series(res.b1_values), b2_series(res),
             res.freq)
         assert list(res.h3.series.terms.items()) \
             == list(reference.series.terms.items())
@@ -761,7 +767,7 @@ class TestH3Substitution:
 
     def test_h3_matches_the_hand_built_energy(self, res):
         oracle = h3_by_hand(
-            res.lagrangian_poly.grade(3), res.b1, (res.b2.b2x, res.b2.b2y),
+            res.lagrangian_poly.grade(3), b1_series(res.b1_values), b2_series(res),
             res.efg, res.freq, res.params.n)
         bound = 1e-13 * res.intermediate_scale()
         assert res.h3.series.norm_of_difference(oracle.series) < bound
@@ -786,7 +792,7 @@ class TestH3Substitution:
 
     def test_h3_max_is_the_largest_grade_norm(self, res):
         # every degree-3 key lies in exactly one grade
-        for series in (res.h3.series, res.cubic_at_b1):
+        for series in (res.h3.series, forcing_series(res)[2]):
             assert sup(series) == max(grade_norms(series))
         assert res.h3_max() == sup(res.h3.series)
 
@@ -802,28 +808,29 @@ class TestH3Substitution:
         monkeypatch.undo()
         # That forcing is the chain's X2, Y2 without the velocity partials.
         l3, w = res.lagrangian_poly.grade(3), res.freq
-        b1x, b1y = res.b1
+        b1x, b1y = b1_series(res.b1_values)
         args = (b1x, b1y, apply_D(b1x, w), apply_D(b1y, w))
+        chain_x2, chain_y2, _ = forcing_series(res)
 
         def sub(poly):
             return poly_at_series(poly, *args, 2)
 
         pairs = forcing_x2y2(res.lagrangian_poly, res.b1_values, w)
         (x2, y2), (x2p, y2p) = (map(series_of, pair) for pair in pairs[:2])
-        assert (x2.terms, y2.terms) == (res.x2.terms, res.y2.terms)
+        assert (x2.terms, y2.terms) == (chain_x2.terms, chain_y2.terms)
         assert pairs[1] == res.forcing[1]
         assert x2p.terms == sub(partial(l3, 0)).terms
         assert y2p.terms == sub(partial(l3, 1)).terms
-        assert res.x2.terms == difference(x2p, apply_D(sub(partial(l3, 2)), w)).terms
-        assert res.y2.terms == difference(y2p, apply_D(sub(partial(l3, 3)), w)).terms
+        assert chain_x2.terms == difference(x2p, apply_D(sub(partial(l3, 2)), w)).terms
+        assert chain_y2.terms == difference(y2p, apply_D(sub(partial(l3, 3)), w)).terms
 
     def test_cubic_at_b1_is_formed_at_the_b2_stage(self, res):
         # The b2 stage is where B1 meets the cubic: a chain stopped there
         # holds the same cubic that the full chain's ablation reads, and
         # both equal the substitution made with its own power table.
         at_b2 = run_pipeline(res.params, res.options, stages=("b2",))
-        ablation = list(res.cubic_at_b1.terms.items())
-        assert list(at_b2.cubic_at_b1.terms.items()) == ablation
+        ablation = list(forcing_series(res)[2].terms.items())
+        assert list(forcing_series(at_b2)[2].terms.items()) == ablation
         assert list(cubic_at_b1_anew(res).terms.items()) == ablation
 
     def test_each_stage_plans_once_per_shape(self, res, monkeypatch):
@@ -945,8 +952,8 @@ def test_row_kernels_are_compiled_once_per_names_tuple(monkeypatch):
 def test_the_report_path_forms_no_dict(monkeypatch):
     # at a `verify --stages h3` point, on both branches, the audit the report
     # prints, the gates and the report read the printed rows through one
-    # row-kernel call and form none of the audit's dicts; each dict, read
-    # later, is formed once and kept
+    # row-kernel call and form no dict of gaps; read later, it is formed
+    # once and kept
     p = ModelParams(mu=0.01215, q1=0.999, A2=1e-4, cd=20.0)
     calls = []
     row_kernel = closedforms._row_kernel
@@ -962,9 +969,8 @@ def test_the_report_path_forms_no_dict(monkeypatch):
         printed = report_audit(res)
         render_report(res, printed, res.gates())
         assert calls == [closedforms.REPORT_ROWS[2]]
-        assert not {"gaps", "j_closed", "rs"} & set(vars(printed))
-        for name in ("gaps", "j_closed", "rs"):
-            assert getattr(printed, name) is getattr(printed, name)
+        assert "gaps" not in vars(printed)
+        assert printed.gaps is printed.gaps
         assert len(calls) == 1
 
 
@@ -1127,9 +1133,9 @@ def test_scale_is_measured_once_per_result():
     # report read it: the package has no sup norm of a whole store
     assert not hasattr(Store, "max_abs")
     res = run_pipeline(DRAG_POINT, PipelineOptions(branch="L5"))
-    parts = (res.x2, res.y2, res.b2.b2x, res.b2.b2y)
-    assert res.intermediate_scale() == res.b2.scale
-    assert res.b2.scale == max(map(sup, parts))
+    x2, y2, _ = forcing_series(res)
+    assert res.intermediate_scale() == res.b2_values[2]
+    assert res.b2_values[2] == max(map(sup, (x2, y2, *b2_series(res))))
     assert run_pipeline(DRAG_POINT, stages=("b1",)).intermediate_scale() == 1.0
 
 
