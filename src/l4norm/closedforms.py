@@ -29,8 +29,9 @@ siblings print 293/36, J24's k1/l1, T2's constant 14): the audit measures
 them, it does not mend them.  They are written for L4, and L5 reads them
 as its mirror: at -W1, the :data:`MIRROR_ODD` values negated through a
 mask planned per tuple of names (:func:`on_branch`).  Forms of another
-shape stay code: the printed y row of B1 (`b1y_print`) and the r/s tables
-of B2 (`rs_values`, on L4-form values), nonlinear in J and the frequencies.
+shape stay code: the printed y row of B1 (`b1y_print`, two values) and
+the r/s tables of B2 (`rs_values`, on L4-form values), nonlinear in J
+and the frequencies.
 
 Entry naming: primed table entries use a ``p`` suffix (F2p = F2'), double
 primes ``pp`` (F2pp = F2'').  The J entries and the r/s slots are named by
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import math
 
-from .dalembert import DIVISOR_FLOOR, DAlembertSeries, FrequencyPair
+from .dalembert import DIVISOR_FLOOR, FrequencyPair
 from .errors import SmallDivisorError
 from .layout import KernelSource, plan
 from .model import SQRT3, ModelParams, branch_sign
@@ -355,16 +356,15 @@ def fg_tables(p: ModelParams, branch: str = "L4") -> dict:
     return printed(FG_ENTRIES, p, branch=branch)
 
 
-def b1y_print(nm) -> DAlembertSeries:
+def b1y_print(nm) -> tuple:
     """B1 for y with the printed weights of its last two terms (omega *
-    sqrt(2 I), and a sine on the J24 term); the printed B1 for x is the
+    sqrt(2 I), and a sine on the J24 term), as its two values in
+    `l4norm.normalform.b1_values` order; the printed B1 for x is the
     chain's.  `nm` needs J21..J24 attributes and `freq`."""
     w = nm.freq
     iq1, iq2 = math.sqrt(2.0 / w.omega1), math.sqrt(2.0 / w.omega2)
-    return (DAlembertSeries.single(1, 0, 1, 0, s=nm.J21 * iq1,
-                                   c=nm.J23 * math.sqrt(2.0) * w.omega1)
-            + DAlembertSeries.single(0, 1, 0, 1, s=nm.J22 * iq2
-                                     + nm.J24 * math.sqrt(2.0) * w.omega2))
+    return (0j + complex(nm.J23 * math.sqrt(2.0) * w.omega1, nm.J21 * iq1),
+            0j + complex(0.0, nm.J22 * iq2 + nm.J24 * math.sqrt(2.0) * w.omega2))
 
 
 # -- the r/s tables of the second-order components --------------------------

@@ -7,12 +7,13 @@ double-summation constraints
 * 0 <= p <= j with p = j (mod 2),
 * -m <= q <= m with q = m (mod 2),
 
-and keys are kept canonical (p > 0, or p = 0 and q >= 0).  The
-constructor checks the constraints and canonicalises; no other operation
-needs to, because sums and termwise maps reuse stored keys and a product
-of valid keys is valid (only its difference harmonics need
-canonicalising).  :func:`substitution_rows` lays out a polynomial
-evaluated at series with every product capped at a degree j + m, and
+and keys are kept canonical (p > 0, or p = 0 and q >= 0).  A series is
+built one way, by ``DAlembertSeries._new(layout, values)`` on a planned
+layout.  Nothing checks the constraints: B1's keys obey them, slices and
+termwise maps reuse stored keys, and a product of valid keys is valid
+(only its difference harmonics need canonicalising).
+:func:`substitution_rows` lays out a polynomial evaluated at series
+with every product capped at a degree j + m, and
 :class:`l4norm.layout.KernelSource` writes the rows into one
 straight-line kernel, which forms each k-factor product of terms in one
 step; the stages of :mod:`l4norm.normalform` write them into their own.
@@ -38,7 +39,7 @@ import math
 from collections import namedtuple
 
 from .errors import ContractError, CriticalTermError, ParameterError, SmallDivisorError
-from .layout import KernelSource, Layout, Store, intern, plan, pruned
+from .layout import KernelSource, Layout, Store, intern, plan
 
 DIVISOR_FLOOR = 1e-8
 
@@ -74,15 +75,6 @@ def _canonical(p: int, q: int):
     if p < 0 or (p == 0 and q < 0):
         return -p, -q, True
     return p, q, False
-
-
-def _check_parity(j: int, m: int, p: int, q: int):
-    if j < 0 or m < 0:
-        raise ContractError(f"negative action powers in key {(j, m, p, q)}")
-    if not (0 <= p <= j and (p - j) % 2 == 0):
-        raise ContractError(f"harmonic p={p} violates parity for j={j}")
-    if not (-m <= q <= m and (q - m) % 2 == 0):
-        raise ContractError(f"harmonic q={q} violates parity for m={m}")
 
 
 def substitution_rows(polys: tuple, cap: int | None, layouts: tuple) -> tuple:
@@ -183,38 +175,19 @@ def _grade(key) -> tuple:
 
 
 class DAlembertSeries(Store):
-    """Immutable-by-convention trigonometric series; all operations return
-    new instances.  `terms` is a fresh dict of the terms as (j, m, p, q) ->
-    (cos_coeff, sin_coeff), in stored order."""
+    """Immutable-by-convention trigonometric series, built by `_new` on a
+    layout and its values; all operations return new instances.  `terms`
+    is a fresh dict of the terms as (j, m, p, q) -> (cos_coeff,
+    sin_coeff), in stored order."""
 
     __slots__ = ()
 
     _zero = 0j
 
-    def __init__(self, terms=None):
-        acc = {}
-        if terms:
-            for (j, m, p, q), (c, s) in terms.items():
-                p, q, flip = _canonical(p, q)
-                if p == 0 and q == 0:
-                    s = 0.0  # sin(0) is identically zero; drop its coefficient
-                key = (j, m, p, q)
-                acc[key] = acc.get(key, 0j) + complex(c, -s if flip else s)
-            for key in acc:
-                _check_parity(*key)
-        self.layout, self.values = pruned(intern(tuple(acc)),
-                                          list(acc.values()), 0j)
-
     @property
     def terms(self) -> dict:
         return {key: (z.real, z.imag)
                 for key, z in zip(self.layout.keys, self.values)}
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def single(cls, j, m, p, q, c=0.0, s=0.0):
-        return cls({(j, m, p, q): (c, s)})
 
     # -- product and queries ----------------------------------------------
 

@@ -3,16 +3,17 @@
 A series (:mod:`l4norm.dalembert`) or a polynomial
 (:mod:`l4norm.polyalg`) is a :class:`Store`: a *layout* -- its keys in
 stored order, with each key's slot -- plus a list of values, one per
-slot, real or complex.  The base holds what the two share: the sum and
-the difference, the slices, the key lookup and the sup norm of a
-difference.  The key work of every operation the program runs (output
-keys, their order, which slots meet) depends only on the layouts, which
-repeat from one parameter point to the next, so it is planned once per
-layout, or tuple of layouts, and kept in one bounded table (the Taylor
-expansion's once per degree cap and drag on/off); the operation itself
-is arithmetic along the plan and builds no dict.  A sum (or a
-difference) appends the right operand's new keys in its order, so it is
-bit-identical to a plain loop over the terms, key order included.
+slot, real or complex, built one way: ``_new(layout, values)`` on a
+planned layout.  The base holds what the two share: the slices, the key
+lookup and the sup norm of a difference.  The key work of every
+operation the program runs (output keys, their order, which slots meet)
+depends only on the layouts, which repeat from one parameter point to
+the next, so it is planned once per layout, or tuple of layouts, and
+kept in one bounded table (the Taylor expansion's once per degree cap
+and drag on/off); the operation itself is arithmetic along the plan and
+builds no dict.  A sum plan appends the right operand's new keys in its
+order, so a sum along it is bit-identical to a plain loop over the
+terms, key order included.
 
 Where a plan runs arithmetic, :class:`KernelSource` writes it as one
 straight-line function, and :func:`compiled` compiles it once, with
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 
 from .errors import CriticalTermError, SmallDivisorError
 
@@ -137,7 +137,7 @@ def sum_plan(left: Layout, right: Layout):
 
 class Store:
     """A layout plus one value per slot; `_zero` is the value a subclass
-    accumulates from and normalises with (0.0 + x turns -0.0 into 0.0)."""
+    prunes and reads where a key is missing."""
 
     __slots__ = ("layout", "values")
 
@@ -149,21 +149,6 @@ class Store:
         out = object.__new__(cls)
         out.layout, out.values = pruned(layout, values, cls._zero)
         return out
-
-    def __add__(self, other):
-        return self._merge(other, operator.add)
-
-    def _merge(self, other, op):
-        """``op`` (a sum, or a sum with the negation) of the two stores
-        along their sum plan."""
-        layout, shared, new = plan(sum_plan, self.layout, other.layout)
-        values = self.values.copy()
-        right = other.values
-        for n, k in shared:
-            values[n] = op(values[n], right[k])
-        zero = self._zero
-        values += [op(zero, right[k]) for k in new]
-        return self._new(layout, values)
 
     def _slice(self, measure, low, high):
         return self._new(*sliced(self.layout, self.values, measure, low, high))
@@ -242,7 +227,7 @@ class KernelSource:
 
     def merge(self, left: tuple, right: tuple, negate: bool = False) -> tuple:
         """``left + right`` (``left - right`` if `negate`) along their sum
-        plan, as `Store._merge` forms it."""
+        plan: a shared key's values added, a new key's as ``0j`` plus it."""
         layout, shared, new = sum_plan(left[0], right[0])
         sign = "-" if negate else ""
         names = left[1].copy()

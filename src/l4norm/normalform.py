@@ -54,7 +54,7 @@ from .dalembert import (
     substitute,
     substitution_rows,
 )
-from .errors import ContractError, ParameterError, StabilityDomainError
+from .errors import ParameterError, StabilityDomainError
 from .layout import KernelSource, Layout, intern, kept, plan, pruned, sliced, sum_plan
 from .model import ModelParams
 from .polyalg import QuadraticCoefficients, TruncatedPoly, _velocity_degree
@@ -324,13 +324,6 @@ def _operator_values(matrix, x: tuple, y: tuple, w: FrequencyPair):
         second += (0.0 + ((cr * xr + ci * xi) + (dr * yr + di * yi)),
                    0.0 + ((cr * xi - ci * xr) + (dr * yi - di * yr)))
     return layout, first, second
-
-
-def _b1_slots(layout: Layout) -> tuple:
-    """B1's two slots in `layout` (-1 where absent); ContractError on other keys."""
-    if not set(layout.keys) <= set(_B1.keys):
-        raise ContractError("expected a series on B1's two keys")
-    return tuple(layout.index.get(key, -1) for key in _B1.keys)
 
 
 def linear_residual(values: tuple, K: tuple, w: FrequencyPair, n: float) -> float:

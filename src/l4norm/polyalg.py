@@ -12,8 +12,10 @@ them.  The printed cubic and the chain's are name -> value dicts, which
 :func:`compare_h3` pairs.
 
 A polynomial is a store (:mod:`l4norm.layout`): a list of real or complex
-coefficients on a shared key layout of exponent 4-tuples, whose sum,
-slices and sup norms are those of the d'Alembert series.
+coefficients on a shared key layout of exponent 4-tuples, whose slices
+and sup norms are those of the d'Alembert series.  It is built on a
+layout and its values, as :func:`taylor_lagrangian` and the printed T5
+build theirs; there is no dict constructor.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from .errors import ContractError, ParameterError
 from .layout import KernelSource, Layout, Store, intern, plan, pruned, sliced
 from .model import ModelParams, _lagrangian
 
-NVARS = 4
-
 
 def _velocity_degree(mono) -> int:
     return mono[2] + mono[3]
@@ -38,33 +38,18 @@ class TruncatedPoly(Store):
 
     `coeffs` is a fresh dict of the coefficients as monomial -> value, in
     stored order.  Values are immutable by convention: all operations
-    return new instances.  The constructor checks every key and drops the
-    keys past the cap, products included; no other operation needs to,
-    because sums (of equal caps) and slices reuse stored keys and the
-    Taylor expansion's keys are planned.  No exact zero is stored.  The
-    chain reads a polynomial through its layout: its energy and partials
-    are substitution rows (:mod:`l4norm.normalform`).
+    return new instances, each built by `_new` on a layout of stored keys,
+    which keeps the caller's class.  No key past the cap and no exact zero
+    is stored: `_new` drops the zeros, products the pairs past the cap,
+    slices reuse stored keys, and the Taylor expansion cuts its planned
+    keys to its cap.  The chain reads a polynomial through its layout: its
+    energy and partials are substitution rows (:mod:`l4norm.normalform`).
     """
 
     __slots__ = ("cap",)
 
-    def __init__(self, cap: int, coeffs=None):
-        if cap < 0:
-            raise ParameterError("degree cap must be non-negative")
-        self.cap = cap
-        kept = {}
-        if coeffs:
-            for mono, c in coeffs.items():
-                if len(mono) != NVARS or min(mono) < 0:
-                    raise ContractError(f"bad exponent tuple {mono}")
-                # exact-zero pruning only; no silent coefficient chopping
-                if sum(mono) <= cap and c != 0.0:
-                    kept[mono] = c
-        self.layout = intern(tuple(kept))
-        self.values = list(kept.values())
-
     def _new(self, layout: Layout, values: list, cap: int | None = None):
-        return _polynomial(self.cap if cap is None else cap, layout, values)
+        return _polynomial(self.cap if cap is None else cap, layout, values, type(self))
 
     @property
     def coeffs(self) -> dict:
@@ -83,7 +68,7 @@ class TruncatedPoly(Store):
                     m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2],
                          m1[3] + m2[3])
                     out[m] = out.get(m, 0.0) + c1 * c2
-        return TruncatedPoly(cap, out)
+        return self._new(intern(tuple(out)), list(out.values()), cap)
 
     __rmul__ = __mul__
 
@@ -104,9 +89,10 @@ class TruncatedPoly(Store):
         return self._slice(_velocity_degree, 1, self.cap)
 
 
-def _polynomial(cap: int, layout: Layout, values: list) -> TruncatedPoly:
+def _polynomial(cap: int, layout: Layout, values: list,
+                cls: type = TruncatedPoly) -> TruncatedPoly:
     """A polynomial of this cap on a layout of stored keys, zeros dropped."""
-    out = object.__new__(TruncatedPoly)
+    out = object.__new__(cls)
     out.cap = cap
     out.layout, out.values = pruned(layout, values, 0.0)
     return out
@@ -332,7 +318,8 @@ def _t5_polys(p: ModelParams, shift: OriginShift):
     are linear, so each attaches through its two levers."""
     cap = 3
     if p.W1 == 0.0:
-        return TruncatedPoly(cap), TruncatedPoly(cap)
+        empty = _polynomial(cap, intern(()), [])
+        return empty, empty
     a, b = shift.a, shift.b
     rho2 = a * a + b * b
     u = {(1, 0): a, (0, 1): b}
@@ -351,7 +338,8 @@ def _t5_polys(p: ModelParams, shift: OriginShift):
                 cubic[(i, j) + velocity] = (brace.get((i, j), 0.0) - c) * lever
             for (i, j), c in u.items():  # the tail's 2 u rho^2 (x xd + y yd)
                 cubic[(i + 1 - v, j + v) + velocity] -= 2.0 * c * rho2
-        out.append(TruncatedPoly(cap, {k: c * factor for k, c in cubic.items()}))
+        out.append(_polynomial(cap, intern(tuple(cubic)),
+                               [c * factor for c in cubic.values()]))
     return tuple(out)
 
 

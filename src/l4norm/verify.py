@@ -28,7 +28,7 @@ from .dalembert import (
 from .errata import classify_remainder
 from .errors import ParameterError, ResonanceError
 from .layout import kept, plan, sup_of_difference
-from .model import REAL, ModelParams, branch_sign
+from .model import ModelParams, branch_sign, real
 from .normalform import J_ENTRIES, RS_NAMES, RS_SLOTS
 
 STAGES = ("equilibria", "taylor", "b1", "b2", "h3")
@@ -47,12 +47,13 @@ class PipelineOptions(namedtuple(
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        branch_sign(self.branch)
-        for name, value in zip(cls._fields[1:], self[1:]):
-            if not (isinstance(value, REAL) and 0.0 < value < math.inf):  # NaN fails too
+        branch, *tolerances = super().__new__(cls, *args, **kwargs)
+        branch_sign(branch)
+        for n, (name, value) in enumerate(zip(cls._fields[1:], tolerances)):
+            tolerances[n] = tol = real(value)
+            if not 0.0 < tol < math.inf:  # NaN fails too
                 raise ParameterError(f"{name} must be finite and positive, got {value!r}")
-        return self
+        return tuple.__new__(cls, (branch, *tolerances))
 
 
 # Each tolerance a run may override (`--tol NAME=VALUE`, `tol.NAME=VALUE`)
@@ -186,9 +187,12 @@ def run_pipeline(p: ModelParams, options: PipelineOptions = PipelineOptions(),
                  stages=STAGES) -> PipelineResult:
     """Run the oracle stages of `stages_through(stages)`, planned once per
     tuple of stages."""
-    try:
-        through = plan(stages_through, stages)
-    except TypeError:  # a list, or an unhashable entry: checked unplanned
+    if isinstance(stages, tuple):
+        try:
+            through = plan(stages_through, stages)
+        except TypeError:  # an unhashable entry: checked unplanned
+            through = stages_through(stages)
+    else:  # a list, or an iterator, which hashes by identity: checked unplanned
         through = stages_through(stages)
     res = PipelineResult(params=p, options=options, stages=through)
     last = len(res.stages) - 1
@@ -323,10 +327,8 @@ def audit(res: PipelineResult) -> Audit:
     if res.nm is None:
         return out
 
-    printed = closedforms.b1y_print(res.nm)
-    ys, slots = printed.values + [0j], plan(normalform._b1_slots, printed.layout)
     gaps["b1.print_weights"] = normalform.linear_residual(
-        (*res.b1_values[:2], *(ys[n] for n in slots)), res.nm.K, res.freq, p.n)
+        (*res.b1_values[:2], *closedforms.b1y_print(res.nm)), res.nm.K, res.freq, p.n)
     if res.b2_values is not None:
         gaps["forcing.partial_only"] = partial_forcing_gap(res)
     return out
@@ -484,21 +486,19 @@ def frequency_values(freq: FrequencyPair, moser) -> tuple:
             PASS_FAIL[moser.passed])
 
 
-def _report_template(stages: tuple, gates: tuple, outside: bool, b2, kinds: tuple,
-                     verdicts: bool) -> tuple:
+def _report_template(stages: tuple, gates: tuple, outside: bool, b2,
+                     verdicts: bool) -> str:
     """The `%` template of a report on a result run through `stages`, with
     these gate names, a series.outside_domain line if `outside`, B2 on the
-    pair of layouts `b2` (None before the b2 stage), header fields (`HEADER`,
-    the branch, the tolerances) of the types `kinds` and a [series-vs-oracle]
-    block if `verdicts`: `%.17g` for a float, `%s` for text (`fmt`'s for a
-    header field that is not a float, whose slots it returns too) and every
-    other character as printed."""
+    pair of layouts `b2` (None before the b2 stage) and a [series-vs-oracle]
+    block if `verdicts`: `%.17g` for a float, `%s` for text (the branch
+    among the header fields, which are floats) and every other character
+    as printed."""
     text = lambda line: line.replace("%", "%%")
-    conversions = ["%.17g" if kind is float else "%s" for kind in kinds]
     lines = ["# verification report",
-             *(f"{key}: {c}" for key, c in zip((*HEADER, "branch"), conversions)),
+             *(f"{key}: %.17g" for key in HEADER), "branch: %s",
              text(f"stages: {','.join(stages)}"),
-             *(f"tol.{name}: {c}" for name, c in zip(TOLERANCES, conversions[8:])),
+             *(f"tol.{name}: %.17g" for name in TOLERANCES),
              *(text(f"gate.{name}: ") + "%s" for name in gates),
              *(["series.outside_domain: %s"] if outside else []),
              "", "[equilibria]", EQUILIBRIA_CSV]
@@ -521,8 +521,7 @@ def _report_template(stages: tuple, gates: tuple, outside: bool, b2, kinds: tupl
     if verdicts:
         lines += ["", "[series-vs-oracle]",
                   "quantity,perturbation,gap_h,gap_half,classification", "%s"]
-    return ("\n".join([*lines, ""]),
-            tuple(n for n, kind in enumerate(kinds) if kind is not float))
+    return "\n".join([*lines, ""])
 
 
 def render_report(res: PipelineResult, printed: Audit, gates: dict,
@@ -534,13 +533,10 @@ def render_report(res: PipelineResult, printed: Audit, gates: dict,
     (:func:`_report_template`), filled with one tuple of values."""
     p, opt, stages, b2 = res.params, res.options, res.stages, res.b2_values
     outside = printed.series_outside_domain
-    fields = [*_header(p), opt.branch, *_tolerances(opt)]
-    template, formatted = plan(_report_template, stages, tuple(gates), bool(outside),
-                               None if b2 is None else (b2[0][0], b2[1][0]),
-                               tuple(map(type, fields)), bool(verdicts))
-    for n in formatted:
-        fields[n] = fmt(fields[n])
-    values = [*fields, *map(PASS_FAIL.__getitem__, gates.values()),
+    template = plan(_report_template, stages, tuple(gates), bool(outside),
+                    None if b2 is None else (b2[0][0], b2[1][0]), bool(verdicts))
+    values = [*_header(p), opt.branch, *_tolerances(opt),
+              *map(PASS_FAIL.__getitem__, gates.values()),
               *([outside] if outside else []), *equilibria_values(res, printed)]
     if "b1" in stages:
         nm = res.nm

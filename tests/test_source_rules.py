@@ -3,8 +3,9 @@ but the benchmark's hooks, one module owns the collision guard, one the
 branch names, one the L5 reading of the printed rows, and one emitter
 writes, binds and compiles every generated kernel.  No module uses
 `cached_property`, whose first read takes a lock.  No module imports `dataclasses`, and
-importing the command line loads neither it nor `inspect`: the records
-are named tuples and plain classes, which write no methods at import.
+importing the command line loads neither it, `inspect` nor `numbers`:
+the records are named tuples and plain classes, which write no methods
+at import, and take each number as a float without the number ABCs.
 The printed tables load with the first audit, never with the chain.
 
 No linter ships with the test tools, so the first test stands in for
@@ -127,7 +128,7 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # what every command pays at cold start, in a fresh interpreter
     # without site hooks; the command line is read without argparse
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import l4norm.cli; "
-            "print(sorted({'argparse', 'dataclasses', 'inspect'} "
+            "print(sorted({'argparse', 'dataclasses', 'inspect', 'numbers'} "
             "& sys.modules.keys()))")
     run = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
                          capture_output=True, text=True, check=True)

@@ -49,6 +49,7 @@ from l4norm.verify import (
     single_perturbation_params,
 )
 
+import objectpath
 from oracles import (audit_gaps_eagerly, b1_series, b2_series, degree_slice, difference,
                      energy, forcing_series, grade, negated, operator_by_composition,
                      pair_of, partial, position_part, product, reflect, scaled,
@@ -110,7 +111,7 @@ class TestPipeline:
                 cs = list(terms.get(key, (0.0, 0.0)))
                 cs[slot] = sign * value
                 terms[key] = tuple(cs)
-            return DAlembertSeries(terms)
+            return objectpath.DAlembertSeries(terms)
 
         rs = oracle_rs_from_series(pair_of(build(r_in, 1.0)), pair_of(build(s_in, -1.0)))
         assert rs == r_in + s_in
@@ -439,7 +440,7 @@ def test_a_b1_sweep_and_a_b2_chain_form_no_b1_series(monkeypatch, capsys):
 
 def test_the_stages_are_planned_once_per_tuple(monkeypatch):
     # a chain checks its stage tuple on the first call only; a list or a
-    # generator still runs, and a bad tuple, one with an unhashable entry
+    # generator still runs, unplanned, and a bad tuple, one with an unhashable entry
     # among them, or a bare string, which would be read character by
     # character, still raises the checker's ParameterError
     calls = []
@@ -453,6 +454,13 @@ def test_the_stages_are_planned_once_per_tuple(monkeypatch):
     assert len(calls) == 1
     for stages in (["b2"], (s for s in ("b2",))):
         assert run_pipeline(p, stages=stages).stages == STAGES[:4]
+    # an iterator hashes by identity: planned, each call would add a plan,
+    # and past the table's size evict the chain's own
+    first, before = run_pipeline(p, stages=("b1",)), plan.cache_info()
+    for _ in range(2000):
+        res = run_pipeline(p, stages=iter(("b1",)))
+        assert res.stages == first.stages and res.b1_values == first.b1_values
+    assert plan.cache_info()[1:] == before[1:]  # misses, maxsize and currsize
     for stages, message in ((("b1", "warp"), "unknown stage 'warp'"),
                             (("b1", ["b2"]), r"unknown stage \['b2'\]"),
                             ((), "empty stage list"),
@@ -475,17 +483,19 @@ def test_a_chain_and_its_gates_form_no_series(params, branch, monkeypatch):
     # and keeps the b2 and h3 stages as plain values: it forms no series
     # and no slice; each lazy attribute forms its value on the first read,
     # and a second read returns the same object.  A result holds each
-    # stage's values once: no series view of them comes back
+    # stage's values once: no series view of them comes back.  A store is
+    # built one way, on a planned layout: no dict constructor and no sum
+    for cls in (DAlembertSeries, TruncatedPoly):
+        assert "__init__" not in vars(cls) and not hasattr(cls, "__add__")
+    assert not hasattr(DAlembertSeries, "single")
     for name in ("b1", "x2", "y2", "cubic_at_b1", "b2"):
         assert not hasattr(verify.PipelineResult, name), name
     for name in ("j_closed", "rs"):
         assert not hasattr(verify.Audit, name), name
     formed = []
-    new, init = DAlembertSeries._new.__func__, DAlembertSeries.__init__
+    new = DAlembertSeries._new.__func__
     monkeypatch.setattr(DAlembertSeries, "_new", classmethod(
         lambda cls, *args: formed.append("_new") or new(cls, *args)))
-    monkeypatch.setattr(DAlembertSeries, "__init__",
-                        lambda self, *args: formed.append("init") or init(self, *args))
     for owner, name in ((TruncatedPoly, "grade"), (Store, "_slice")):
         fn = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args, fn=fn, name=name:
@@ -656,8 +666,8 @@ def h3_coefficients(total, cubic, w):
     slice, the degree-2 residual, the grade norms sliced off the first by
     `grade`, and as `ablation_max` the sup norm of `cubic`, the cubic's
     energy at B1 alone."""
-    h2_form = (DAlembertSeries.single(2, 0, 0, 0, c=w.omega1)
-               + DAlembertSeries.single(0, 2, 0, 0, c=-w.omega2))
+    h2_form = (objectpath.DAlembertSeries.single(2, 0, 0, 0, c=w.omega1)
+               + objectpath.DAlembertSeries.single(0, 2, 0, 0, c=-w.omega2))
     h3 = degree_slice(total, 3)
     return H3NormalCoefficients(
         h3, degree_slice(total, 2).norm_of_difference(h2_form),
@@ -702,7 +712,7 @@ def grade_norms(series):
 
 def cubic_at_b1_anew(res):
     """Reference: the position cubic at B1, substituted afresh."""
-    zero = DAlembertSeries()
+    zero = objectpath.DAlembertSeries()
     return poly_at_series(negated(position_part(res.lagrangian_poly.grade(3))),
                           *b1_series(res.b1_values), zero, zero, 3)
 
@@ -744,7 +754,7 @@ class TestH3Substitution:
         return run_pipeline(p, PipelineOptions(branch=branch))
 
     def test_ablation_is_the_b2_zero_run(self, res):
-        zero = DAlembertSeries()
+        zero = objectpath.DAlembertSeries()
         b2_zero = h3_at(res, cubic_at_b1_anew(res), (zero, zero))
         _, _, cubic = forcing_series(res)
         assert list(cubic.terms.items()) == list(b2_zero.series.terms.items())
