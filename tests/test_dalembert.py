@@ -19,7 +19,7 @@ from l4norm.dalembert import (
     small_divisor,
     substitution_rows,
 )
-from l4norm.errors import CriticalTermError, ParameterError, SmallDivisorError
+from l4norm.errors import ContractError, CriticalTermError, ParameterError, SmallDivisorError
 from l4norm.layout import PLAN_TABLE_SIZE, intern, plan
 
 from objectpath import DAlembertSeries
@@ -66,6 +66,14 @@ def all_operations(a, b):
 
 
 class TestConstruction:
+    def test_parity_enforced(self):
+        with pytest.raises(ContractError):
+            DAlembertSeries.single(2, 0, 1, 0, c=1.0)   # p parity breaks j
+        with pytest.raises(ContractError):
+            DAlembertSeries.single(1, 1, 1, 2, c=1.0)   # |q| > m
+        with pytest.raises(ContractError):
+            DAlembertSeries.single(1, 0, 3, 0, c=1.0)   # p > j
+
     def test_canonical_negative_harmonic(self):
         s = DAlembertSeries.single(1, 1, -1, -1, c=2.0, s=3.0)
         assert s.terms == {(1, 1, 1, 1): (2.0, -3.0)}
@@ -143,8 +151,8 @@ class TestProducts:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))
     def test_parity_closure(self, seed):
-        # only the constructor checks parity; every other operation must
-        # return keys that rebuilding (which revalidates) accepts unchanged
+        # nothing in the package checks parity; every operation must return
+        # keys that rebuilding (which revalidates) accepts unchanged
         rng = random.Random(seed)
         for out in all_operations(random_series(rng, 6), random_series(rng, 6)):
             rebuilt = DAlembertSeries(out.terms)

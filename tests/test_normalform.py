@@ -487,6 +487,21 @@ class TestFirstOrder:
         rb = resid(ModelParams(mu=0.01, A2=5e-4))
         assert ra / rb == pytest.approx(2.0, abs=0.2)
 
+    def test_gate_on_a_pair_lacking_a_key(self):
+        # a side that lacks a key reads 0 there, as in the operator's parts
+        p = ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0)
+        _, _, _, efg, w, nm = linear_stage(p, "L5")
+        b1x, b1y = b1_of(nm)
+        z1, z2 = b1y.values
+        one = (DAlembertSeries.single(1, 0, 1, 0, c=z1.real, s=z1.imag),
+               DAlembertSeries.single(0, 1, 0, 1, c=z2.real, s=z2.imag))
+        pairs = [(b1x, one[0]), (b1x, one[1]), (one[1], b1y), (one[0], one[1]),
+                 (one[0], one[0]), (DAlembertSeries(), b1y)]
+        for x, y in pairs:
+            assert gate_at(x, y, efg, w, p.n).hex() == \
+                linear_residual_by_operator(x, y, efg, w, p.n).hex()
+        assert gate_at(*pairs[0], efg, w, p.n) > 1e-3
+
     def test_verbatim_print_weights_fail_residual(self):
         p = ModelParams(mu=0.01)
         _, _, _, efg, w, nm = linear_stage(p)
@@ -1008,3 +1023,12 @@ class TestOperatorKernel:
             eager = back_substitution(b2_series(res), *forcing_series(res)[:2],
                                       res.efg, res.freq, p.n)
             assert [r.hex() for r in res.b2_residuals] == [r.hex() for r in eager]
+
+    def test_the_chain_forms_only_keys_that_obey_parity(self):
+        # the package checks no key: B1's obey the constraints and every
+        # stage keeps them, so each series rebuilds, revalidated, unchanged
+        from l4norm.verify import PipelineOptions, run_pipeline
+        for p, branch in _chain_points():
+            res = run_pipeline(p, PipelineOptions(branch=branch), stages=("b2",))
+            for s in (*b1_series(res.b1_values), *forcing_series(res), *b2_series(res)):
+                assert list(DAlembertSeries(s.terms).terms.items()) == list(s.terms.items())

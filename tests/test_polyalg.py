@@ -754,6 +754,13 @@ class TestClosedFormCubic:
             l3.velocity_part())
 
 
+class TestConstruction:
+    def test_bad_exponent_tuple_rejected(self):
+        for mono in ((1, 0, 0), (1, -1, 0, 0)):
+            with pytest.raises(ContractError):
+                TruncatedPoly(3, {mono: 1.0})
+
+
 class TestDump:
     def test_oracle_t_requires_cubic(self):
         with pytest.raises(ContractError):

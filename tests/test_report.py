@@ -1,5 +1,5 @@
 """The report as one `%` template per shape: the floats it writes with
-`%.17g` read as `fmt` writes them, so do the header's, every
+`%.17g` read as `fmt` writes them, so do the header's, ints included, every
 cell prints its own value, the report is the bytes that
 `oracles.render_report_by_fields` writes field by field, a report's bytes
 do not depend on what the process rendered before it, and every command's
@@ -44,6 +44,14 @@ PERFBENCH = SRC.parent / "perfbench"
 @example(1e17)
 def test_a_float_in_the_template_reads_as_fmt_writes_it(x):
     assert "%.17g" % x == fmt(x)
+
+
+def test_the_header_keeps_fmt_for_ints():
+    # a library caller may pass ints; the header prints them as `fmt`
+    # prints their floats
+    res = run_pipeline(ModelParams(mu=0.01, q1=1, A2=0, cd=10**20))
+    lines = render_report(res, report_audit(res), res.gates()).splitlines()
+    assert "q1: 1" in lines and "cd: 1e+20" in lines
 
 
 def same_as_by_fields(res, verdicts=None) -> str:
