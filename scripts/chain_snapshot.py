@@ -86,7 +86,7 @@ def chain_record(mu, epsilon, a2, cd, branch):
     from l4norm.equilibria import offset_ab
     from l4norm.model import ModelParams
     from l4norm.normalform import J_ENTRIES, RS_NAMES, _b1_pairs, hamiltonian_matrix
-    from l4norm.polyalg import t_coefficients_closed_form
+    from l4norm.polyalg import T5_KEYS, t_coefficients_closed_form
     from l4norm.verify import (
         PipelineOptions,
         audit,
@@ -127,9 +127,9 @@ def chain_record(mu, epsilon, a2, cd, branch):
         ("ablation", h3_values(grade_norms(cubic_at_b1), cubic_at_b1,
                                h3.h2_residual)),
         ("gates", sorted(res.gates().items())),
-        ("cubic", [float(cubic[name]) for name in ("T1", "T2", "T3", "T4")],
-         [(m, float(c)) for m, c in cubic["T5"].coeffs.items()],
-         [(m, float(c)) for m, c in cubic["T5_print"].coeffs.items()]),
+        # T5 and T5_print without their exact zeros, in `T5_KEYS` order
+        ("cubic", [float(c) for c in cubic[:4]],
+         *([(m, float(c)) for m, c in zip(T5_KEYS, t5) if c] for t5 in cubic[4:])),
         ("printed", sorted((k, float(v)) for k, v in values.items())),
         ("audit", sorted((k, float(v)) for k, v in printed.gaps.items())),
         ("partial_at_b2", float(partial_forcing_gap(at_b2))),

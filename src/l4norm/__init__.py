@@ -10,7 +10,7 @@ compares the printed tables with them, and `l4norm.errata` records the
 confirmed discrepancies.
 """
 
-from .dalembert import DAlembertSeries, FrequencyPair, moser_check
+from .dalembert import FrequencyPair, moser_check
 from .equilibria import (
     EquilibriumPoint,
     OriginShift,
@@ -21,20 +21,18 @@ from .equilibria import (
 )
 from .model import ModelParams
 from .normalform import NormalModeData, frequencies, j_numeric
-from .polyalg import TruncatedPoly, taylor_lagrangian
+from .polyalg import taylor_lagrangian
 from .verify import PipelineOptions, run_pipeline
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DAlembertSeries",
     "EquilibriumPoint",
     "FrequencyPair",
     "ModelParams",
     "NormalModeData",
     "OriginShift",
     "PipelineOptions",
-    "TruncatedPoly",
     "epsilon_form",
     "frequencies",
     "j_numeric",

@@ -10,7 +10,7 @@ Every printed form of one shape is a row of :data:`ROWS`, and
 that :class:`l4norm.layout.KernelSource` writes: the equilibrium point
 (x, y) and the origin shift (a, b), the cubic coefficients T1..T4, the
 normal-mode entries J13..J24 and the 24 F/G entries of the second-order
-tables.  :func:`printed` reads them by name.
+tables.  :func:`printed` reads them on a branch.
 
 * A *brace* is linear in (1, eps, A2, A2 eps, n W1, n W1 eps).  Its first
   four coefficients are rationals; each n W1 coefficient is a triple
@@ -39,11 +39,13 @@ the chain module that computes them, :data:`l4norm.normalform.J_ENTRIES`
 and :data:`l4norm.normalform.RS_NAMES`, and read from there.
 
 No chain stage imports this module; its readers import it on first use,
-so it loads with the first audit.  `verify.report_audit` reads the point,
-the J entries and r1..s10 in one row-kernel call (:func:`report_values`);
-`audit` reads (a, b) and T1..T4 by name, through `equilibria.offset_ab`
-and `polyalg.t_coefficients_closed_form`.  `equilibria.epsilon_form`,
-`j_closed_form`, `fg_tables` and `rs_tables` read by name for the library.
+so it loads with the first audit.  Every program reader takes values in
+order: `verify.report_audit` reads the point, the J entries and r1..s10
+in one row-kernel call (:func:`report_values`), and `audit` reads (a, b)
+and T1..T4 through :func:`printed`, from `equilibria.offset_ab` and
+`polyalg.t_coefficients_closed_form`.  `equilibria.epsilon_form` reads
+the point the same way; `j_closed_form`, `fg_tables` and `rs_tables`
+read by name, for the library.
 """
 
 from __future__ import annotations
@@ -305,11 +307,10 @@ def _odd_slots(names: tuple) -> tuple:
     return tuple(name in MIRROR_ODD for name in names)
 
 
-def printed(names, p: ModelParams, w: FrequencyPair | None = None,
-            branch: str = "L4") -> dict:
-    """The rows `names` at p on `branch`, by name."""
-    names = tuple(names)
-    return dict(zip(names, on_branch(names, evaluate(names, p, w, branch), branch)))
+def printed(names: tuple, p: ModelParams, w: FrequencyPair | None = None,
+            branch: str = "L4") -> tuple:
+    """The rows `names` at p on `branch`, in order."""
+    return on_branch(names, evaluate(names, p, w, branch), branch)
 
 
 def _row_kernel(names: tuple):
@@ -348,12 +349,12 @@ def _row_kernel(names: tuple):
 
 def j_closed_form(p: ModelParams, w: FrequencyPair, branch: str = "L4") -> dict:
     """The six printed J entries on `branch`, by name."""
-    return printed(J_ENTRIES, p, w, branch)
+    return dict(zip(J_ENTRIES, printed(J_ENTRIES, p, w, branch)))
 
 
 def fg_tables(p: ModelParams, branch: str = "L4") -> dict:
     """The 24 printed F/G entries on `branch`, by name."""
-    return printed(FG_ENTRIES, p, branch=branch)
+    return dict(zip(FG_ENTRIES, printed(FG_ENTRIES, p, branch=branch)))
 
 
 def b1y_print(nm) -> tuple:

@@ -155,8 +155,7 @@ def triangular_series(p: ModelParams, branch: str = "L4") -> EquilibriumPoint:
 def epsilon_form(p: ModelParams, branch: str = "L4") -> EquilibriumPoint:
     """gamma/epsilon/A2/W1 expansion of the equilibrium on `branch`, verbatim."""
     from .closedforms import printed
-    v = printed(("x", "y"), p, branch=branch)
-    x, y = v["x"], v["y"]
+    x, y = printed(("x", "y"), p, branch=branch)
     return EquilibriumPoint(x, y, branch, "epsilon-form", residual_at(x, y, p))
 
 
@@ -168,4 +167,4 @@ def offset_ab(p: ModelParams, branch: str = "L4") -> OriginShift:
     (erratum ``offset.a``); adding 1/2 gives x(epsilon-form) + mu.
     """
     from .closedforms import printed
-    return OriginShift(**printed(("a", "b"), p, branch=branch))
+    return OriginShift(*printed(("a", "b"), p, branch=branch))

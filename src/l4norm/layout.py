@@ -4,16 +4,17 @@ A series (:mod:`l4norm.dalembert`) or a polynomial
 (:mod:`l4norm.polyalg`) is a :class:`Store`: a *layout* -- its keys in
 stored order, with each key's slot -- plus a list of values, one per
 slot, real or complex, built one way: ``_new(layout, values)`` on a
-planned layout.  The base holds what the two share: the slices, the key
-lookup and the sup norm of a difference.  The key work of every
-operation the program runs (output keys, their order, which slots meet)
-depends only on the layouts, which repeat from one parameter point to
-the next, so it is planned once per layout, or tuple of layouts, and
-kept in one bounded table (the Taylor expansion's once per degree cap
-and drag on/off); the operation itself is arithmetic along the plan and
-builds no dict.  A sum plan appends the right operand's new keys in its
-order, so a sum along it is bit-identical to a plain loop over the
-terms, key order included.
+planned layout.  The base holds what the two share, the key lookup; a
+slice (:func:`sliced`) and the sup norm of a difference
+(:func:`sup_of_difference`) run on ``(layout, values)`` pairs and build
+no store.  The key work of every operation the program runs (output
+keys, their order, which slots meet) depends only on the layouts, which
+repeat from one parameter point to the next, so it is planned once per
+layout, or tuple of layouts, and kept in one bounded table (the Taylor
+expansion's once per degree cap and drag on/off); the operation itself
+is arithmetic along the plan and builds no dict.  A sum plan appends the
+right operand's new keys in its order, so a sum along it is
+bit-identical to a plain loop over the terms, key order included.
 
 Where a plan runs arithmetic, :class:`KernelSource` writes it as one
 straight-line function, and :func:`compiled` compiles it once, with
@@ -150,17 +151,9 @@ class Store:
         out.layout, out.values = pruned(layout, values, cls._zero)
         return out
 
-    def _slice(self, measure, low, high):
-        return self._new(*sliced(self.layout, self.values, measure, low, high))
-
     def _value(self, key):
         n = self.layout.index.get(key)
         return self._zero if n is None else self.values[n]
-
-    def norm_of_difference(self, other) -> float:
-        """Sup over the real and imaginary parts of the differences."""
-        parts = [part for z in self.values for part in (z.real, z.imag)]
-        return sup_of_difference(self.layout, parts, (other.layout, other.values))
 
 
 def sup_of_difference(layout: Layout, parts: list, other: tuple) -> float:

@@ -8,14 +8,15 @@ truncation order with no finite differences: binomial series of the 1/r
 powers and the complex-log series of the drag angle, added by one
 straight-line kernel (:class:`l4norm.layout.KernelSource`) compiled once
 per degree cap and drag on/off, in the order coefficient dicts would add
-them.  The printed cubic and the chain's are name -> value dicts, which
-:func:`compare_h3` pairs.
+them.  The printed cubic is values in :data:`H3_GAP_NAMES` order, T5's on
+:data:`T5_KEYS`, and :func:`compare_h3` reads the expansion's cubic off
+it by key and slot: no program path slices a polynomial or builds one
+other than the expansion.
 
 A polynomial is a store (:mod:`l4norm.layout`): a list of real or complex
-coefficients on a shared key layout of exponent 4-tuples, whose slices
-and sup norms are those of the d'Alembert series.  It is built on a
-layout and its values, as :func:`taylor_lagrangian` and the printed T5
-build theirs; there is no dict constructor.
+coefficients on a shared key layout of exponent 4-tuples.  It is built on
+a layout and its values, as :func:`taylor_lagrangian` builds it; there is
+no dict constructor.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from collections import namedtuple
 
 from .equilibria import OriginShift
 from .errors import ContractError, ParameterError
-from .layout import KernelSource, Layout, Store, intern, plan, pruned, sliced
+from .layout import (KernelSource, Layout, Store, intern, plan, pruned, sliced,
+                     sup_of_difference)
 from .model import ModelParams, _lagrangian
 
 
@@ -41,9 +43,10 @@ class TruncatedPoly(Store):
     return new instances, each built by `_new` on a layout of stored keys,
     which keeps the caller's class.  No key past the cap and no exact zero
     is stored: `_new` drops the zeros, products the pairs past the cap,
-    slices reuse stored keys, and the Taylor expansion cuts its planned
-    keys to its cap.  The chain reads a polynomial through its layout: its
-    energy and partials are substitution rows (:mod:`l4norm.normalform`).
+    truncation reuses stored keys, and the Taylor expansion cuts its
+    planned keys to its cap.  The chain reads a polynomial through its
+    layout: its energy and partials are substitution rows
+    (:mod:`l4norm.normalform`).
     """
 
     __slots__ = ("cap",)
@@ -77,17 +80,6 @@ class TruncatedPoly(Store):
             return self
         return self._new(*sliced(self.layout, self.values, sum, 0, cap), cap)
 
-    def grade(self, degree: int):
-        """Homogeneous slice of the given total degree (cap preserved)."""
-        return self._slice(sum, degree, degree)
-
-    def coefficient(self, mono) -> float:
-        return self._value(tuple(mono))
-
-    def velocity_part(self):
-        """Terms with at least one velocity factor."""
-        return self._slice(_velocity_degree, 1, self.cap)
-
 
 def _polynomial(cap: int, layout: Layout, values: list,
                 cls: type = TruncatedPoly) -> TruncatedPoly:
@@ -99,18 +91,6 @@ def _polynomial(cap: int, layout: Layout, values: list,
 
 
 # -- Taylor expansion ---------------------------------------------------
-
-
-def _mul2(f: dict, g: dict, cap: int) -> dict:
-    """Product of two polynomials in (xi, eta), ``{(i, j): c}`` dicts,
-    without the terms past total degree `cap`."""
-    out = {}
-    for (i, j), c in f.items():
-        for (k, m), d in g.items():
-            if i + j + k + m <= cap:
-                key = (i + k, j + m)
-                out[key] = out.get(key, 0.0) + c * d
-    return out
 
 
 # The keys in (xi, eta) of the binomial argument t; the kinetic, Coriolis
@@ -287,89 +267,70 @@ def extract_EFG(lagrangian: TruncatedPoly, p: ModelParams) -> QuadraticCoefficie
     return QuadraticCoefficients(e, f, g)
 
 
-def _homogeneous(layout: Layout, degree: int) -> bool:
-    """Whether every key of `layout` is of total degree `degree`."""
-    return all(sum(m) == degree for m in layout.keys)
-
-
-def t_coefficients_closed_form(p: ModelParams, shift: OriginShift,
-                               branch: str = "L4") -> dict:
-    """The printed cubic as name -> value: the T1..T4 series on `branch`
-    (`closedforms.printed`) and both readings of the drag cubic T5
-    assembled from the pivot (a, b), as polynomials.
-
-    `T5_print` keeps the inhomogeneous first brace term of the printed T5
-    (degree 2, which truncation then discards); `T5` squares it, the only
-    reading that makes T5 a degree-3 form (erratum ``t5-linear-brace``).
-    """
-    from .closedforms import printed
-    cubic = printed(("T1", "T2", "T3", "T4"), p, branch=branch)
-    cubic["T5"], cubic["T5_print"] = _t5_polys(p, shift)
-    return cubic
-
-
-def _t5_polys(p: ModelParams, shift: OriginShift):
-    """Velocity-dependent drag cubic
-    W1/(2 rho^6) [ (a xd + b yd){3(a x + b y)^2 - (b x - a y)^2}
-                   - 2 (x xd + y yd)(a x + b y) rho^2 ]
-    with rho^2 = a^2 + b^2, and its printed reading with 3(a x + b y)
-    unsquared, as the pair (T5, T5_print).  The bracket is formed on dicts
-    in (x, y) with u = a x + b y and w = b x - a y; both velocity factors
-    are linear, so each attaches through its two levers."""
-    cap = 3
-    if p.W1 == 0.0:
-        empty = _polynomial(cap, intern(()), [])
-        return empty, empty
-    a, b = shift.a, shift.b
-    rho2 = a * a + b * b
-    u = {(1, 0): a, (0, 1): b}
-    w = {(1, 0): b, (0, 1): -a}
-    ww = _mul2(w, w, 2)
-    square = {key: 3.0 * c for key, c in _mul2(u, u, 2).items()}
-    factor = p.W1 / (2.0 * rho2**3)
-    out = []
-    # The printed brace 3u is linear, so with its velocity factor it is of
-    # degree 2 and only the square's cubic survives a degree-3 slice.
-    for brace in (square, {}):
-        cubic = {}
-        for v, lever in enumerate((a, b)):
-            velocity = (1 - v, v)
-            for (i, j), c in ww.items():
-                cubic[(i, j) + velocity] = (brace.get((i, j), 0.0) - c) * lever
-            for (i, j), c in u.items():  # the tail's 2 u rho^2 (x xd + y yd)
-                cubic[(i + 1 - v, j + v) + velocity] -= 2.0 * c * rho2
-        out.append(_polynomial(cap, intern(tuple(cubic)),
-                               [c * factor for c in cubic.values()]))
-    return tuple(out)
-
-
-def oracle_t_coefficients(l3: TruncatedPoly) -> dict:
-    """The cubic read off a cubic Lagrangian slice under the printed names:
-    T1..T4, and T5 as its velocity part."""
-    if not plan(_homogeneous, l3.layout, 3):
-        raise ContractError("oracle cubic slice expected (homogeneous degree 3)")
-    return {"T1": 6.0 * l3.coefficient((3, 0, 0, 0)),
-            "T2": 2.0 * l3.coefficient((2, 1, 0, 0)),
-            "T3": 2.0 * l3.coefficient((1, 2, 0, 0)),
-            "T4": 6.0 * l3.coefficient((0, 3, 0, 0)),
-            "T5": l3.velocity_part()}
-
-
-# The names of `compare_h3`'s gaps, in the order it returns them.
+# The velocity cubic's monomials, in the order of T5's values.
+T5_KEYS = ((2, 0, 1, 0), (1, 1, 1, 0), (0, 2, 1, 0),
+           (2, 0, 0, 1), (1, 1, 0, 1), (0, 2, 0, 1))
+# The names of the printed cubic and of `compare_h3`'s gaps, in their order.
 H3_GAP_NAMES = ("T1", "T2", "T3", "T4", "T5", "T5_print")
 
 
-def compare_h3(oracle_l3: TruncatedPoly, closed: dict) -> dict:
-    """The printed cubic's gaps to the oracle's, name -> gap, keyed by
-    `H3_GAP_NAMES`: T1..T4 as scalars, T5 and T5_print against the velocity
-    cubic by sup norm.
+def t_coefficients_closed_form(p: ModelParams, shift: OriginShift,
+                               branch: str = "L4") -> tuple:
+    """The printed cubic in `H3_GAP_NAMES` order: T1..T4, the series on
+    `branch` (`closedforms.printed`), then T5 and T5_print, each as its six
+    values on `T5_KEYS`, assembled from the pivot (a, b).
+
+    T5 is the velocity-dependent drag cubic
+    W1/(2 rho^6) [ (a xd + b yd){3(a x + b y)^2 - (b x - a y)^2}
+                   - 2 (x xd + y yd)(a x + b y) rho^2 ]
+    with rho^2 = a^2 + b^2.  `T5_print` keeps the printed first brace term
+    3(a x + b y) unsquared: with its velocity factor it is of degree 2, and
+    a degree-3 reading keeps only the rest; `T5` squares it, the only
+    reading that makes T5 a degree-3 form (erratum ``t5-linear-brace``).
+    With u = a x + b y and w = b x - a y, each value is formed in the order
+    a product of coefficient dicts in (x, y) adds it; each velocity factor
+    attaches through its lever, a or b.  Without drag every value is zero.
+    """
+    from .closedforms import printed
+    a, b = shift.a, shift.b
+    rho2 = a * a + b * b
+    factor = p.W1 / (2.0 * rho2**3)
+    # w^2 and 3 u^2 at the keys (2, 0), (1, 1), (0, 2); the tail 2 u rho^2
+    # (x xd + y yd) at u's two keys
+    ww = (0.0 + b * b, 0.0 + b * -a + -a * b, 0.0 + -a * -a)
+    square = (3.0 * (0.0 + a * a), 3.0 * (0.0 + a * b + b * a), 3.0 * (0.0 + b * b))
+    tail_a, tail_b = 2.0 * a * rho2, 2.0 * b * rho2
+    cubics = []
+    for brace in (square, (0.0, 0.0, 0.0)):
+        xx, xy, yy = (s - c for s, c in zip(brace, ww))
+        cubics.append(tuple(v * factor for v in (
+            xx * a - tail_a, xy * a - tail_b, yy * a,
+            xx * b, xy * b - tail_a, yy * b - tail_b)))
+    return (*printed(("T1", "T2", "T3", "T4"), p, branch=branch), *cubics)
+
+
+def _degrees(mono) -> tuple:
+    """A monomial's total and velocity degree."""
+    return sum(mono), _velocity_degree(mono)
+
+
+def compare_h3(lagrangian: TruncatedPoly, closed: tuple) -> tuple:
+    """The printed cubic's gaps to the expansion's, in `H3_GAP_NAMES`
+    order: T1..T4 against the position cubic's coefficients read by key,
+    T5 and T5_print against the velocity cubic's slots by sup norm.
+    `closed` is `t_coefficients_closed_form`'s tuple.
 
     Callers decide what counts as agreement (typically via a halving
     experiment).
     """
-    oracle = oracle_t_coefficients(oracle_l3)
-    oracle["T5_print"] = oracle["T5"]
-    return {name: (closed[name].norm_of_difference(oracle[name])
-                   if isinstance(oracle[name], TruncatedPoly)
-                   else abs(closed[name] - oracle[name]))
-            for name in H3_GAP_NAMES}
+    if lagrangian.cap < 3:
+        raise ContractError("compare_h3 expects a polynomial of cap 3 or more, "
+                            f"not cap {lagrangian.cap}")
+    value = lagrangian._value
+    oracle = (6.0 * value((3, 0, 0, 0)), 2.0 * value((2, 1, 0, 0)),
+              2.0 * value((1, 2, 0, 0)), 6.0 * value((0, 3, 0, 0)))
+    velocity = sliced(lagrangian.layout, lagrangian.values, _degrees, (3, 1), (3, 3))
+    layout = intern(T5_KEYS)
+    return (*(abs(c - o) for c, o in zip(closed, oracle)),
+            *(sup_of_difference(layout, [part for v in t5 for part in (v, 0.0)], velocity)
+              for t5 in closed[4:]))

@@ -322,7 +322,7 @@ def audit(res: PipelineResult) -> Audit:
         # a chain stopped before b2 expanded only the quadratic part
         lagrangian = polyalg.taylor_lagrangian(p, res.shift, 3)
     closed = polyalg.t_coefficients_closed_form(p, res.shift, branch)
-    for name, gap in polyalg.compare_h3(lagrangian.grade(3), closed).items():
+    for name, gap in zip(polyalg.H3_GAP_NAMES, polyalg.compare_h3(lagrangian, closed)):
         gaps[f"cubic.{name}"] = gap
     if res.nm is None:
         return out

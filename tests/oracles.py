@@ -3,15 +3,17 @@
 Nothing in the package reads these; their series and polynomials are
 `objectpath`'s.  `State` is a rotating-frame position and velocity;
 `lagrangian` and `effective_potential` evaluate the package's Lagrangian
-and potential along one, and `difference` subtracts two d'Alembert
-series along their sum plan.  The one-step
+and potential along one, and `difference` subtracts two series or two
+polynomials along their sum plan.  The one-step
 forms of the algebra that no program path runs live here too: for
+series and polynomials alike `slice_of`, the terms whose key a measure
+puts in a range (`l4norm.layout.sliced`), and the sup norm `sup`; for
 series `product` (with a degree cap), `scaled`, `degree_slice` and
-`grade`, and for series and polynomials alike the sup norm `sup`; for
-polynomials `constant`, `plus` (at the smaller cap, a scalar as a
-constant), `negated`, `partial` and `energy`, whose rows the chain's
-forcing and H3 kernels lay out (`l4norm.normalform._partial_plan`,
-`_energy_rows`).  `eom_rhs` is the
+`grade`; for polynomials `homogeneous_part` and `velocity_part`,
+`oracle_t1_t4` (the printed T1..T4 read off a cubic), `constant`, `plus`
+(at the smaller cap, a scalar as a constant), `negated`, `partial` and
+`energy`, whose rows the chain's forcing and H3 kernels lay out
+(`l4norm.normalform._partial_plan`, `_energy_rows`).  `eom_rhs` is the
 full equations of motion with the velocity-dependent (dissipative) drag;
 `lagrangian_rhs` is the flow of the package's Lagrangian, whose drag
 keeps only the at-rest term W1 n (y, -(x+mu))/r1^2, because its
@@ -26,8 +28,9 @@ call of each per iterate, the bit-for-bit reference for
 `l4norm.equilibria.solve_triangular_numeric`.
 `taylor_by_composition` expands the Lagrangian by composing four-variable
 polynomial series, the reference for `l4norm.polyalg.taylor_lagrangian`,
-and `taylor_by_dicts` expands it on coefficient dicts, its bit-for-bit
-reference; `variable` is one of the four variables as a polynomial.
+and `taylor_by_dicts` expands it on coefficient dicts (`_mul2` multiplies
+two of them), its bit-for-bit reference; `variable` is one of the four
+variables as a polynomial.
 `substitute_pairwise` multiplies a substitution out one pair of term dicts
 at a time, the reference for `l4norm.normalform.poly_at_series`, and
 `substitute_by_rows` runs substitution rows in a loop, the bit-for-bit
@@ -55,10 +58,11 @@ the chain through b1 on objects, a degree-2 slice and B1's series, the
 bit-for-bit reference for the b1 front of `l4norm.verify.run_pipeline`;
 `b1y_print_by_objects` adds the printed B1 for y up from its two terms,
 the bit-for-bit reference for `l4norm.closedforms.b1y_print`.
-`t5_by_products` multiplies out the drag cubic T5, the reference for
-`l4norm.polyalg.t_coefficients_closed_form`.  `classical_cubic_symbolic`
-derives the classical T1..T4 exactly, the reference for the printed rows,
-and `row_as_written` evaluates one row term by term as the print reads,
+`t5_by_products` multiplies out the drag cubic T5, the bit-for-bit
+reference for the T5 values of `l4norm.polyalg.t_coefficients_closed_form`.
+`classical_cubic_symbolic` derives the classical T1..T4 exactly, the
+reference for the printed rows, and `row_as_written` evaluates one row
+term by term as the print reads,
 the reference for `l4norm.closedforms.printed`; `printed_by_groups` sums
 the rows' expanded groups in a loop, the bit-for-bit reference for its
 compiled kernels.  `moser_by_full_scan` scans all 40 combinations, the
@@ -87,9 +91,8 @@ from l4norm.dalembert import (_PRODUCT, DIVISOR_FLOOR, MOSER_PAIRS, _degree, _gr
 from l4norm.equilibria import OriginShift
 from l4norm.errors import (ContractError, ConvergenceError, ParameterError, ResonanceError,
                            SingularJacobianError, StabilityDomainError)
-from l4norm.layout import KernelSource, plan, sup_of_difference
+from l4norm.layout import KernelSource, plan, sliced, sup_of_difference
 from l4norm.model import ModelParams, _lagrangian, _potential, _radii, branch_sign
-from l4norm.polyalg import _mul2
 from objectpath import DAlembertSeries, TruncatedPoly, merged
 
 
@@ -145,9 +148,9 @@ def b2_series(res) -> tuple:
 
 
 def difference(a, b):
-    """``a - b`` for two d'Alembert series, along their sum plan as a sum
-    with the negation: where a complex value meets a real one, ``x - y``
-    can give a zero imaginary part the other sign."""
+    """``a - b`` for two series or two polynomials, along their sum plan
+    as a sum with the negation: where a complex value meets a real one,
+    ``x - y`` can give a zero imaginary part the other sign."""
     return merged(a, b, lambda x, y: x + -y)
 
 
@@ -166,14 +169,39 @@ def scaled(series, factor: float) -> DAlembertSeries:
     return series._new(series.layout, [0j + z * factor for z in series.values])
 
 
+def slice_of(store, measure, low, high):
+    """The terms of a series or a polynomial (its cap kept) with ``low <=
+    measure(key) <= high``, along `l4norm.layout.sliced`."""
+    return store._new(*sliced(store.layout, store.values, measure, low, high))
+
+
 def degree_slice(series, degree: int) -> DAlembertSeries:
     """The terms of a series of total degree j + m = `degree`."""
-    return series._slice(_degree, degree, degree)
+    return slice_of(series, _degree, degree, degree)
 
 
 def grade(series, j: int, m: int) -> DAlembertSeries:
     """The terms of a series of action grade I1^(j/2) I2^(m/2)."""
-    return series._slice(_grade, (j, m), (j, m))
+    return slice_of(series, _grade, (j, m), (j, m))
+
+
+def homogeneous_part(poly: TruncatedPoly, degree: int) -> TruncatedPoly:
+    """The terms of a polynomial of total degree `degree`."""
+    return slice_of(poly, sum, degree, degree)
+
+
+def velocity_part(poly: TruncatedPoly) -> TruncatedPoly:
+    """The terms of a polynomial with at least one velocity factor."""
+    return slice_of(poly, polyalg._velocity_degree, 1, poly.cap)
+
+
+def oracle_t1_t4(poly: TruncatedPoly) -> tuple:
+    """T1..T4 under the printed normalization, read off a polynomial's
+    position cubic: 6, 2, 2 and 6 times its x^3, x^2 y, x y^2 and y^3
+    coefficients."""
+    value = poly._value
+    return (6.0 * value((3, 0, 0, 0)), 2.0 * value((2, 1, 0, 0)),
+            2.0 * value((1, 2, 0, 0)), 6.0 * value((0, 3, 0, 0)))
 
 
 def sup(store) -> float:
@@ -469,7 +497,7 @@ def linear_front_by_objects(p: ModelParams, options) -> tuple:
     res.eq_numeric = equilibria.solve_triangular_numeric(p, options.branch)
     res.shift = equilibria.shift_from_point(res.eq_numeric, p)
     res.lagrangian_poly = polyalg.taylor_lagrangian(p, res.shift, 2)
-    l2 = res.lagrangian_poly.grade(2)
+    l2 = homogeneous_part(res.lagrangian_poly, 2)
     res.efg = polyalg.extract_EFG(l2, p)
     w = res.freq = normalform.frequencies(p, res.efg)
     res.moser = moser_check(w, tol=options.moser_tol)
@@ -744,10 +772,11 @@ def h3_by_objects(cubic, l2: TruncatedPoly, b1, b2, w):
 def second_order_by_objects(p: ModelParams, options) -> tuple:
     """``(x2, y2, cubic, b2, h3, b2_residuals)`` of the chain's b2 and h3
     stages on objects: the front as `run_pipeline` runs it to h3, then the
-    expansion's `grade(3)` and B1's pair of series through
+    expansion's cubic slice and B1's pair of series through
     :func:`forcing_by_objects`, :func:`solve_by_objects` on X2 and Y2, and
-    :func:`h3_by_objects` on `grade(2)`, each a series, a tuple or a record
-    of series, and the B2 residuals off the operator's values on the series.
+    :func:`h3_by_objects` on its quadratic slice, each a series, a tuple or
+    a record of series, and the B2 residuals off the operator's values on
+    the series.
     The bit-for-bit reference for the chain's plain values and its H3
     record; raises what the chain raises."""
     eq = equilibria.solve_triangular_numeric(p, options.branch)
@@ -761,9 +790,9 @@ def second_order_by_objects(p: ModelParams, options) -> tuple:
             f"{moser.min_combination:.3e}", witness=moser.worst_pair)
     nm = normalform.j_numeric(p, efg, w, lagrangian)
     b1 = b1_series(normalform.b1_values(nm))
-    (x2, y2), _, cubic = forcing_by_objects(lagrangian.grade(3), *b1, w)
+    (x2, y2), _, cubic = forcing_by_objects(homogeneous_part(lagrangian, 3), *b1, w)
     b2 = solve_by_objects(efg, w, p.n, x2, y2, options.divisor_floor)
-    h3 = h3_by_objects(cubic, lagrangian.grade(2), b1, b2[:2], w)
+    h3 = h3_by_objects(cubic, homogeneous_part(lagrangian, 2), b1, b2[:2], w)
     layout, rx, ry = normalform._operator_values(
         normalform.linear_operator(efg, p.n), *map(pair_of, b2[:2]), w)
     residuals = (sup_of_difference(layout, rx, pair_of(x2)),
@@ -795,7 +824,7 @@ def _powers(t: TruncatedPoly) -> list:
 def binomial_series(t: TruncatedPoly, *alphas: float) -> tuple:
     """(1 + t)^alpha for each alpha, for a series t with no constant term;
     the powers of t are formed once for all of them."""
-    if t.coefficient((0, 0, 0, 0)) != 0.0:
+    if t._value((0, 0, 0, 0)) != 0.0:
         raise ContractError("binomial pivot requires a series without constant term")
     powers = _powers(t)
     out = []
@@ -823,7 +852,7 @@ def position_part(poly: TruncatedPoly) -> TruncatedPoly:
 
 def log1p_series(t: TruncatedPoly) -> TruncatedPoly:
     """log(1 + t) for a series t with no constant term (complex allowed)."""
-    if t.coefficient((0, 0, 0, 0)) != 0.0:
+    if t._value((0, 0, 0, 0)) != 0.0:
         raise ContractError("log pivot requires a series without constant term")
     result = constant(0.0, t.cap)
     for k, power in enumerate(_powers(t), 1):
@@ -896,10 +925,22 @@ def taylor_by_composition(p: ModelParams, shift: OriginShift,
     # Constant term must reproduce the pointwise Lagrangian; a mismatch means
     # a composition bug, so it is asserted rather than reported.
     l0 = lagrangian(State(a - p.mu, b, 0.0, 0.0), p)
-    drift = abs(total.coefficient((0, 0, 0, 0)) - l0)
+    drift = abs(total._value((0, 0, 0, 0)) - l0)
     if drift > 1e-9 * max(1.0, abs(l0)):
         raise ContractError(f"constant-term drift {drift:.3e} in Taylor composition")
     return total
+
+
+def _mul2(f: dict, g: dict, cap: int) -> dict:
+    """Product of two polynomials in (xi, eta), ``{(i, j): c}`` dicts,
+    without the terms past total degree `cap`."""
+    out = {}
+    for (i, j), c in f.items():
+        for (k, m), d in g.items():
+            if i + j + k + m <= cap:
+                key = (i + k, j + m)
+                out[key] = out.get(key, 0.0) + c * d
+    return out
 
 
 def _add_radial_powers(dx: float, dy: float, cap: int, *terms):
@@ -964,9 +1005,9 @@ def taylor_by_dicts(p: ModelParams, shift: OriginShift, degree: int) -> Truncate
 
 def t5_by_products(p: ModelParams, shift: OriginShift) -> tuple:
     """The drag cubic T5 and its printed reading T5_print by multiplying
-    out four-variable polynomials -- the reference for
-    `l4norm.polyalg.t_coefficients_closed_form`, which evaluates the same
-    bracket on displacement dicts."""
+    out four-variable polynomials -- the reference for the T5 values of
+    `l4norm.polyalg.t_coefficients_closed_form`, which forms the same
+    bracket's coefficients in straight-line arithmetic."""
     cap = 3
     if p.W1 == 0.0:
         return TruncatedPoly(cap), TruncatedPoly(cap)
@@ -982,7 +1023,7 @@ def t5_by_products(p: ModelParams, shift: OriginShift) -> tuple:
     ww = w * w
     tail = 2.0 * (xi * xid + eta * etad) * u * rho2
     factor = p.W1 / (2.0 * rho2**3)
-    return tuple(((udot * (brace + negated(ww)) + negated(tail)) * factor).grade(3)
+    return tuple(homogeneous_part((udot * (brace + negated(ww)) + negated(tail)) * factor, 3)
                  for brace in (3.0 * (u * u), 3.0 * u))
 
 
@@ -1074,9 +1115,8 @@ def audit_gaps_eagerly(res) -> dict:
 
     if lagrangian.cap < 3:
         lagrangian = polyalg.taylor_lagrangian(p, res.shift, 3)
-    for name, gap in polyalg.compare_h3(
-            lagrangian.grade(3),
-            polyalg.t_coefficients_closed_form(p, res.shift, branch)).items():
+    for name, gap in zip(polyalg.H3_GAP_NAMES, polyalg.compare_h3(
+            lagrangian, polyalg.t_coefficients_closed_form(p, res.shift, branch))):
         gaps[f"cubic.{name}"] = gap
     if res.nm is None:
         return gaps

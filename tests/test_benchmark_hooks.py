@@ -23,8 +23,11 @@ def test_tracer_resolves_every_hooked_name(monkeypatch):
 def test_traced_chain_point_counts_products(monkeypatch):
     # the product counters read `terms` and `coeffs`; tracing must neither
     # lose them nor change what the chain and its audit compute.  Neither
-    # multiplies polynomials (the Taylor stage and the drag cubic work on
-    # coefficient dicts), so one explicit product feeds the counter
+    # multiplies polynomials (the Taylor stage runs one compiled kernel, and
+    # the audit's cubic comparison runs on values), so one explicit product
+    # feeds the counter.  The chain and its audit open the cubic-audit span
+    # once per hooked name, `extract_EFG`, `t_coefficients_closed_form` and
+    # `compare_h3`: none of the three is left off the program path
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spans = importlib.import_module("spans")
     import l4norm
@@ -43,6 +46,8 @@ def test_traced_chain_point_counts_products(monkeypatch):
         (xi + eta) * xi
     assert tracer.counts["polyalg.poly_mul.pairs"] == 2
     assert traced == untraced
+    opened = Counter(tracer.names[n] for n in tracer.name)
+    assert opened["polyalg.cubic_audit"] == 3
 
 
 def test_traced_sweep_opens_each_hooked_front_span_once_per_point(monkeypatch, capsys):

@@ -25,7 +25,12 @@ the report prints, on values, must hold what
 `oracles.report_audit_by_names` computes on dicts, bit for bit, the
 straight-line congruence gaps must equal the generic loop's, and the
 report, one planned template, must be the bytes that
-`oracles.render_report_by_fields` writes field by field.
+`oracles.render_report_by_fields` writes field by field.  Over draws on
+both branches, half of them drag-free, each chain stopped at taylor and
+re-expanded to cap 3 as the audit does, the printed cubic on values must
+hold what the object path computes, bit for bit: the T5 values the
+coefficients of `oracles.t5_by_products`, and the six cubic gaps those
+taken on the expansion's slices as polynomials.
 """
 
 import importlib
@@ -37,15 +42,18 @@ import pytest
 
 from l4norm.dalembert import DAlembertSeries
 from l4norm.equilibria import solve_triangular_numeric
-from l4norm.errors import ConvergenceError, DomainError, L4NormError
+from l4norm.errors import ContractError, ConvergenceError, DomainError, L4NormError
 from l4norm.model import ModelParams
 from l4norm.normalform import (J_ENTRIES, RS_NAMES, SIGMA, congruence_gap,
                                hamiltonian_matrix)
+from l4norm.polyalg import T5_KEYS, compare_h3, t_coefficients_closed_form, taylor_lagrangian
 from l4norm.verify import (PipelineOptions, audit, render_report, report_audit,
                            run_pipeline)
-from oracles import (b2_series, congruence_gap_by_rows, forcing_series,
-                     linear_front_by_objects, newton_by_two_calls, render_report_by_fields,
-                     report_audit_by_names, second_order_by_objects)
+from objectpath import TruncatedPoly
+from oracles import (b2_series, congruence_gap_by_rows, difference, forcing_series,
+                     homogeneous_part, linear_front_by_objects, newton_by_two_calls,
+                     oracle_t1_t4, render_report_by_fields, report_audit_by_names,
+                     second_order_by_objects, sup, t5_by_products, velocity_part)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 DRAWS = 400
@@ -331,3 +339,32 @@ def test_congruence_gaps_match_the_generic_loop(monkeypatch):
                         == congruence_gap_by_rows(nm.J, M, goal).hex()), (q, branch)
             compared += 1
     assert compared > DRAWS
+
+
+def test_the_cubic_on_values_matches_the_object_path(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    gen = importlib.import_module("gen")
+    compared = set()
+    for i, (p, branch) in enumerate(census_points(gen, DRAWS, seed=6)):
+        q = p if i % 4 < 2 else ModelParams(mu=p.mu, q1=p.q1, A2=p.A2, cd=math.inf)
+        try:
+            res = run_pipeline(q, PipelineOptions(branch=branch), stages=("taylor",))
+        except L4NormError:
+            continue
+        closed = t_coefficients_closed_form(q, res.shift, branch)
+        # the chain's own expansion holds no cubic to compare
+        with pytest.raises(ContractError, match="not cap 2$"):
+            compare_h3(res.lagrangian_poly, closed)
+        lagrangian = taylor_lagrangian(q, res.shift, 3)
+        for values, reference in zip(closed[4:], t5_by_products(q, res.shift)):
+            assert (_bits(sorted((m, c) for m, c in zip(T5_KEYS, values) if c))
+                    == _bits(sorted(reference.coeffs.items()))), (q, branch)
+        l3 = homogeneous_part(lagrangian, 3)
+        velocity = velocity_part(l3)
+        gaps = (*(abs(c - o) for c, o in zip(closed, oracle_t1_t4(l3))),
+                *(sup(difference(TruncatedPoly(3, dict(zip(T5_KEYS, t5))), velocity))
+                  for t5 in closed[4:]))
+        assert _bits(compare_h3(lagrangian, closed)) == _bits(gaps), (q, branch)
+        compared.add((branch, q.W1 > 0.0))
+    # both branches, with and without drag
+    assert compared == {(b, drag) for b in ("L4", "L5") for drag in (False, True)}

@@ -41,6 +41,7 @@ HELD = {
     "normalform.poly_at_series": "spans.py",
     "dalembert.DAlembertSeries.__mul__": "spans.py",
     "polyalg.TruncatedPoly.__mul__": "spans.py",
+    "polyalg.TruncatedPoly._new": "polyalg.TruncatedPoly.__mul__",
     "polyalg.TruncatedPoly.coeffs": "spans.py",  # its product counter reads it
     "dalembert.DAlembertSeries.terms": "spans.py",  # its product counter reads it
     "errata.is_registered": "ops.py",

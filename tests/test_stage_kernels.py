@@ -26,7 +26,7 @@ import objectpath
 import oracles
 from objectpath import DAlembertSeries, TruncatedPoly
 from oracles import (b1_series, b2_series, forcing_by_ops, forcing_series, h3_by_ops,
-                     pair_of, second_order_by_ops, series_of)
+                     homogeneous_part, pair_of, second_order_by_ops, series_of)
 
 # Mass ratios where, drag-free, H3's degree-2 (1, 1, 1, 1) coefficient
 # cancels to an exact 0.0 at some and not at others, and where, at drag
@@ -65,7 +65,7 @@ def check_second_order(res, x2, y2, cubic, floor=1e-8):
     assert scale.hex() == ref_scale.hex()
     h3, norms = h3_normal_coefficients(cubic, res.lagrangian_poly, res.b1_values,
                                        (b2x, b2y), w)
-    h3_ref = h3_by_ops(series_of(cubic), res.lagrangian_poly.grade(2),
+    h3_ref = h3_by_ops(series_of(cubic), homogeneous_part(res.lagrangian_poly, 2),
                        b1_series(res.b1_values), (ref_x, ref_y), w)
     assert bits(h3) == bits(h3_ref.series)
     # h2_residual, A30..A03 and ablation_max
@@ -77,7 +77,8 @@ def check_stages(res):
     position-partial forcing (the audit's `forcing.partial_only`)."""
     lagrangian = taylor_lagrangian(res.params, res.shift, 3)
     forcing = forcing_x2y2(lagrangian, res.b1_values, res.freq)
-    reference = forcing_by_ops(lagrangian.grade(3), *b1_series(res.b1_values), res.freq)
+    reference = forcing_by_ops(homogeneous_part(lagrangian, 3), *b1_series(res.b1_values),
+                               res.freq)
     (x2, y2), (x2p, y2p), cubic = forcing
     (rx2, ry2), (rx2p, ry2p), rcubic = reference
     assert (list(map(bits, (x2, y2, x2p, y2p, cubic)))
@@ -127,7 +128,7 @@ def test_stages_equal_their_references_along_the_chain():
         p = (ModelParams(mu=mu, q1=0.995, A2=1e-3, cd=5.0) if drag
              else ModelParams(mu=mu))
         res = run_pipeline(p)
-        l3, b1 = res.lagrangian_poly.grade(3), b1_series(res.b1_values)
+        l3, b1 = homogeneous_part(res.lagrangian_poly, 3), b1_series(res.b1_values)
         (x2, y2), _, cubic = forcing_by_ops(l3, *b1, res.freq)
         chain_x2, chain_y2, chain_cubic = forcing_series(res)
         assert bits(chain_x2) == bits(x2) and bits(chain_y2) == bits(y2)
@@ -135,7 +136,7 @@ def test_stages_equal_their_references_along_the_chain():
         ref = second_order_by_ops(res.efg, res.freq, p.n, x2, y2)
         assert bits(b2_series(res)[0]) == bits(ref[0])
         assert res.intermediate_scale() == ref[2]
-        h3 = h3_by_ops(cubic, res.lagrangian_poly.grade(2), b1, ref[:2], res.freq)
+        h3 = h3_by_ops(cubic, homogeneous_part(res.lagrangian_poly, 2), b1, ref[:2], res.freq)
         assert bits(res.h3.series) == bits(h3.series)
         assert [v.hex() for v in res.h3[1:]] == [v.hex() for v in h3[1:]]
 
@@ -276,7 +277,7 @@ def test_a_chain_runs_no_step_by_step_series_operation(monkeypatch):
     assert calls == []
     # the references run each operation on its own
     x2, y2, cubic = forcing_series(res)
-    h3_by_ops(cubic, res.lagrangian_poly.grade(2), b1_series(res.b1_values),
+    h3_by_ops(cubic, homogeneous_part(res.lagrangian_poly, 2), b1_series(res.b1_values),
               b2_series(res), res.freq)
     second_order_by_ops(res.efg, res.freq, p.n, x2, y2)
     assert {"apply_poly_in_D", "invert_delta", "__add__"} <= set(calls)
@@ -371,9 +372,9 @@ def stage_sources(drag: bool, monkeypatch) -> list:
                         sources.append(source) or compiled(source, name))
     b1 = tuple(layout for layout, _ in normalform._b1_pairs(res.b1_values))
     (x2, y2), _, cubic = res.forcing
-    normalform._forcing_kernel(res.lagrangian_poly.grade(3).layout, *b1)
+    normalform._forcing_kernel(homogeneous_part(res.lagrangian_poly, 3).layout, *b1)
     normalform._solve_kernel(x2[0], y2[0])
-    normalform._h3_kernel(res.lagrangian_poly.grade(2).layout, *b1,
+    normalform._h3_kernel(homogeneous_part(res.lagrangian_poly, 2).layout, *b1,
                           res.b2_values[0][0], res.b2_values[1][0], cubic[0])
     monkeypatch.undo()
     return sources

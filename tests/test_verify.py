@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from l4norm import closedforms, dalembert, equilibria, layout, normalform, verify
+from l4norm import closedforms, dalembert, equilibria, layout, normalform, polyalg, verify
 from l4norm.closedforms import MIRROR_ODD, printed
 from l4norm.dalembert import DAlembertSeries, apply_D
 from l4norm.errata import KNOWN_DISCREPANCIES, is_registered
@@ -31,7 +31,7 @@ from l4norm.normalform import (
     stiffness_matrix,
     velocity_coupling,
 )
-from l4norm.polyalg import TruncatedPoly, oracle_t_coefficients
+from l4norm.polyalg import TruncatedPoly
 from l4norm.verify import (
     GATING_KEYS,
     HALVING_STRENGTH,
@@ -51,9 +51,9 @@ from l4norm.verify import (
 
 import objectpath
 from oracles import (audit_gaps_eagerly, b1_series, b2_series, degree_slice, difference,
-                     energy, forcing_series, grade, negated, operator_by_composition,
-                     pair_of, partial, position_part, product, reflect, scaled,
-                     series_of, sup, t5_by_products)
+                     energy, forcing_series, grade, homogeneous_part, negated,
+                     operator_by_composition, oracle_t1_t4, pair_of, partial, position_part,
+                     product, reflect, scaled, series_of, sup, t5_by_products)
 
 
 class TestPipeline:
@@ -232,11 +232,11 @@ def _series_bits(series):
 def _chain_by_name(res) -> dict:
     """The chain's values under the printed names: the point, the
     frequencies, the J entries, the oracle T1..T4 and the B2 slots."""
-    cubic = oracle_t_coefficients(res.lagrangian_poly.grade(3))
+    cubic = oracle_t1_t4(res.lagrangian_poly)
     return {"x": res.eq_numeric.x, "y": res.eq_numeric.y,
             "omega1": res.freq.omega1, "omega2": res.freq.omega2,
             **{name: getattr(res.nm, name) for name in J_ENTRIES},
-            **{name: cubic[name] for name in ("T1", "T2", "T3", "T4")},
+            **dict(zip(("T1", "T2", "T3", "T4"), cubic)),
             **dict(zip(RS_NAMES, oracle_rs_from_series(*res.b2_values[:2])))}
 
 
@@ -415,13 +415,14 @@ def test_the_hessian_is_formed_only_where_a_gate_reads_it(monkeypatch, capsys):
 
 def test_a_b1_sweep_and_a_b2_chain_form_no_b1_series(monkeypatch, capsys):
     # a drag sweep at b1 reads the expansion itself and B1's plain values:
-    # it forms no slice and no B1 series.  Nor does a chain to b2, whose
-    # forcing reads B1's values; those values are the pair's, zeros dropped
+    # it forms no polynomial but the expansion and no B1 series.  Nor does a
+    # chain to b2, whose forcing reads B1's values; those values are the
+    # pair's, zeros dropped
     from l4norm import cli
-    grades, pairs = [], []
-    grade, new = TruncatedPoly.grade, DAlembertSeries._new.__func__
-    monkeypatch.setattr(TruncatedPoly, "grade",
-                        lambda self, degree: grades.append(degree) or grade(self, degree))
+    polys, pairs = [], []
+    build, new = polyalg._polynomial, DAlembertSeries._new.__func__
+    monkeypatch.setattr(polyalg, "_polynomial",
+                        lambda cap, *args: polys.append(cap) or build(cap, *args))
     monkeypatch.setattr(DAlembertSeries, "_new", classmethod(
         lambda cls, layout, values: (layout is normalform._B1 and pairs.append(values))
         or new(cls, layout, values)))
@@ -429,10 +430,10 @@ def test_a_b1_sweep_and_a_b2_chain_form_no_b1_series(monkeypatch, capsys):
                      "--q1", "0.999", "--cd", "20", "--stages", "b1"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert len(rows) == 40 and all(row.endswith(",pass") for row in rows)
-    assert grades == [] and pairs == []
+    assert polys == [2] * 40 and pairs == []
     res = run_pipeline(ModelParams(mu=0.01, q1=0.999, A2=1e-4, cd=20.0),
                        stages=("b2",))
-    assert grades == [] and pairs == []
+    assert polys == [2] * 40 + [3] and pairs == []
     b1 = b1_series(res.b1_values)
     assert [z for series in b1 for z in series.values] == list(res.b1_values)
     assert run_pipeline(res.params, stages=("taylor",)).b1_values is None
@@ -481,12 +482,16 @@ LAZY = ("h3", "b2_residuals")
 def test_a_chain_and_its_gates_form_no_series(params, branch, monkeypatch):
     # run to h3 and gated, the chain reads the expansion and B1's values
     # and keeps the b2 and h3 stages as plain values: it forms no series
-    # and no slice; each lazy attribute forms its value on the first read,
-    # and a second read returns the same object.  A result holds each
-    # stage's values once: no series view of them comes back.  A store is
-    # built one way, on a planned layout: no dict constructor and no sum
+    # and no polynomial but the expansion, nor does its audit; each lazy
+    # attribute forms its value on the first read, and a second read
+    # returns the same object.  A result holds each stage's values once: no
+    # series view of them comes back.  A store is built one way, on a
+    # planned layout: no dict constructor, no sum and no slice
     for cls in (DAlembertSeries, TruncatedPoly):
         assert "__init__" not in vars(cls) and not hasattr(cls, "__add__")
+        assert not hasattr(cls, "_slice") and not hasattr(cls, "norm_of_difference")
+    for name in ("grade", "velocity_part", "coefficient"):
+        assert not hasattr(TruncatedPoly, name), name
     assert not hasattr(DAlembertSeries, "single")
     for name in ("b1", "x2", "y2", "cubic_at_b1", "b2"):
         assert not hasattr(verify.PipelineResult, name), name
@@ -496,13 +501,12 @@ def test_a_chain_and_its_gates_form_no_series(params, branch, monkeypatch):
     new = DAlembertSeries._new.__func__
     monkeypatch.setattr(DAlembertSeries, "_new", classmethod(
         lambda cls, *args: formed.append("_new") or new(cls, *args)))
-    for owner, name in ((TruncatedPoly, "grade"), (Store, "_slice")):
-        fn = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *args, fn=fn, name=name:
-                            formed.append(name) or fn(*args))
+    polys, build = [], polyalg._polynomial
+    monkeypatch.setattr(polyalg, "_polynomial",
+                        lambda cap, *args: polys.append(cap) or build(cap, *args))
     res = run_pipeline(params, PipelineOptions(branch=branch), stages=("h3",))
     gates = res.gates()
-    assert formed == [] and all(gates.values())
+    assert formed == [] and polys == [3] and all(gates.values())
     assert all(name not in vars(res) for name in LAZY[:-1])
     first = [getattr(res, name) for name in LAZY]
     assert formed == ["_new"]
@@ -510,6 +514,8 @@ def test_a_chain_and_its_gates_form_no_series(params, branch, monkeypatch):
     assert all(map(operator.is_, first, (getattr(res, name) for name in LAZY)))
     assert len(formed) == count and res.gates() == gates
     assert max(res.h3[2:6]) == res.h3_max() and res.b2_values[2] == res.intermediate_scale()
+    audit(res)
+    assert polys == [3]
 
 
 class TestLazySecondOrderResiduals:
@@ -670,7 +676,7 @@ def h3_coefficients(total, cubic, w):
                + objectpath.DAlembertSeries.single(0, 2, 0, 0, c=-w.omega2))
     h3 = degree_slice(total, 3)
     return H3NormalCoefficients(
-        h3, degree_slice(total, 2).norm_of_difference(h2_form),
+        h3, sup(difference(degree_slice(total, 2), h2_form)),
         *grade_norms(h3), sup(cubic))
 
 
@@ -713,7 +719,7 @@ def grade_norms(series):
 def cubic_at_b1_anew(res):
     """Reference: the position cubic at B1, substituted afresh."""
     zero = objectpath.DAlembertSeries()
-    return poly_at_series(negated(position_part(res.lagrangian_poly.grade(3))),
+    return poly_at_series(negated(position_part(homogeneous_part(res.lagrangian_poly, 3))),
                           *b1_series(res.b1_values), zero, zero, 3)
 
 
@@ -728,7 +734,7 @@ def h3_at(res, cubic, b2):
 def partial_forcing_gap_anew(res):
     """Reference: the partial-forcing gap with every substitution made
     afresh, at (B1, B1, D B1, D B1) and cap 2, and its own cubic at B1."""
-    l3 = res.lagrangian_poly.grade(3)
+    l3 = homogeneous_part(res.lagrangian_poly, 3)
     b1x, b1y = b1_series(res.b1_values)
     args = (b1x, b1y, apply_D(b1x, res.freq), apply_D(b1y, res.freq))
     x2p, y2p = (poly_at_series(partial(l3, i), *args, 2) for i in (0, 1))
@@ -766,7 +772,8 @@ class TestH3Substitution:
     def test_h3_is_the_b1_plus_b2_substitution(self, res):
         lag = res.lagrangian_poly
         reference = h3_at_b1_plus_b2(
-            lag.grade(2), lag.grade(3), b1_series(res.b1_values), b2_series(res),
+            homogeneous_part(lag, 2), homogeneous_part(lag, 3), b1_series(res.b1_values),
+            b2_series(res),
             res.freq)
         assert list(res.h3.series.terms.items()) \
             == list(reference.series.terms.items())
@@ -777,15 +784,15 @@ class TestH3Substitution:
 
     def test_h3_matches_the_hand_built_energy(self, res):
         oracle = h3_by_hand(
-            res.lagrangian_poly.grade(3), b1_series(res.b1_values), b2_series(res),
-            res.efg, res.freq, res.params.n)
+            homogeneous_part(res.lagrangian_poly, 3), b1_series(res.b1_values),
+            b2_series(res), res.efg, res.freq, res.params.n)
         bound = 1e-13 * res.intermediate_scale()
-        assert res.h3.series.norm_of_difference(oracle.series) < bound
+        assert sup(difference(res.h3.series, oracle.series)) < bound
         assert abs(res.h3.h2_residual - oracle.h2_residual) < bound
         assert abs(res.h3.ablation_max - oracle.ablation_max) < bound
 
     def test_cubic_energy_is_the_negated_position_cubic(self, res):
-        l3 = res.lagrangian_poly.grade(3)
+        l3 = homogeneous_part(res.lagrangian_poly, 3)
         cubic_energy, negated_cubic = energy(l3), negated(position_part(l3))
         assert cubic_energy.layout is negated_cubic.layout
         assert cubic_energy.values == negated_cubic.values
@@ -817,7 +824,7 @@ class TestH3Substitution:
             assert partial_forcing_gap(chain) == partial_forcing_gap_anew(chain)
         monkeypatch.undo()
         # That forcing is the chain's X2, Y2 without the velocity partials.
-        l3, w = res.lagrangian_poly.grade(3), res.freq
+        l3, w = homogeneous_part(res.lagrangian_poly, 3), res.freq
         b1x, b1y = b1_series(res.b1_values)
         args = (b1x, b1y, apply_D(b1x, w), apply_D(b1y, w))
         chain_x2, chain_y2, _ = forcing_series(res)
@@ -1120,7 +1127,7 @@ class TestAuditGaps:
 @pytest.mark.parametrize("branch", ["L4", "L5"])
 def test_verify_computes_the_deferred_groups_only_for_csv(monkeypatch, capsys,
                                                           form, count, branch):
-    from l4norm import cli, polyalg
+    from l4norm import cli
 
     argv = ["verify", "--mu", "0.01215", "--q1", "0.999", "--a2", "1e-4",
             "--cd", "20", "--branch", branch, "--stages", "h3", "--format", form]
@@ -1157,8 +1164,8 @@ def test_wrong_side_root_reads_the_cubic_on_the_options_branch():
                     A2=7.443163613939597e-05, cd=4.162845601367141)
     res = run_pipeline(p, PipelineOptions(branch="L4"))
     assert res.shift.b < 0.0 and all(res.gates().values())
-    oracle = oracle_t_coefficients(res.lagrangian_poly.grade(3))
+    oracle = oracle_t1_t4(res.lagrangian_poly)
     l4 = printed(("T1", "T2", "T3", "T4"), p)
     gaps = audit(res).gaps
-    assert {name: gaps[f"cubic.{name}"] for name in l4} == {
-        name: abs(value - oracle[name]) for name, value in l4.items()}
+    assert [gaps[f"cubic.T{i}"] for i in range(1, 5)] == [
+        abs(value - o) for value, o in zip(l4, oracle)]
